@@ -37,6 +37,7 @@ from typing import Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 
+from ...machine.traffic import flops_per_row as per_row_flops
 from ...observe import tracer as _obs
 from ...sparse import CSR
 
@@ -64,18 +65,6 @@ BATCHABLE_ALGOS = frozenset({"msa", "hash", "esc"})
 #: ``batch="auto"`` picks the bucketed tier at/above this many upper-bound
 #: flops for the whole call (see MachineConfig.batch_crossover_flops)
 DEFAULT_BATCH_CROSSOVER_FLOPS = 1 << 18
-
-
-def per_row_flops(a: CSR, b: CSR) -> np.ndarray:
-    """Upper-bound scalar products per output row (``flops(A[i,:] @ B)``)."""
-    per_row = np.zeros(a.nrows, dtype=np.int64)
-    if a.nnz:
-        np.add.at(
-            per_row,
-            np.repeat(np.arange(a.nrows), a.row_nnz()),
-            b.row_nnz()[a.indices],
-        )
-    return per_row
 
 
 def resolve_tier(

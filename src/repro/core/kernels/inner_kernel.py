@@ -28,11 +28,15 @@ from ...machine import OpCounter
 from ...observe.tracer import traced_kernel
 from ...semiring import PLUS_TIMES, Semiring
 from ...sparse import CSC, CSR
+from .batch import plan_flop_blocks
 from .expand import row_keys
 
 __all__ = ["masked_spgemm_inner_fast"]
 
-DEFAULT_PULL_BUDGET = 1 << 22
+#: pulled pairs per block; measured optimum on this interpreter (larger
+#: blocks push the key search out of cache, smaller ones pay per-block
+#: dispatch — see benchmarks/test_auto_regret.py)
+DEFAULT_PULL_BUDGET = 1 << 17
 
 
 @traced_kernel("inner")
@@ -72,15 +76,8 @@ def masked_spgemm_inner_fast(
     out_vals = []
 
     # block the mask nonzeros so each block pulls at most pull_budget pairs
-    nmask = m_cols_all.shape[0]
-    pulls = col_nnz[m_cols_all] if nmask else np.empty(0, dtype=np.int64)
-    lo = 0
-    while lo < nmask:
-        acc = 0
-        hi = lo
-        while hi < nmask and (acc == 0 or acc + pulls[hi] <= pull_budget):
-            acc += int(pulls[hi])
-            hi += 1
+    # (the same greedy cut the push kernels use for their flop budget)
+    for lo, hi in plan_flop_blocks(col_nnz[m_cols_all], pull_budget):
         m_rows = m_rows_all[lo:hi]
         m_cols = m_cols_all[lo:hi]
         if counter is not None:
@@ -89,24 +86,24 @@ def masked_spgemm_inner_fast(
         starts = csc.indptr[m_cols]
         counts = csc.indptr[m_cols + 1] - starts
         total = int(counts.sum())
-        if total == 0:
-            lo = hi
+        # mask nonzeros are row-major, so the block's rows are contiguous:
+        # its keys can only match inside A's slice for those rows, which
+        # keeps the binary search cache-resident
+        k_lo = int(a.indptr[m_rows[0]])
+        block_keys = a_keys[k_lo : int(a.indptr[m_rows[-1] + 1])]
+        if total == 0 or block_keys.shape[0] == 0:
             continue
         block_ofs = np.repeat(np.cumsum(counts) - counts, counts)
         pos = np.arange(total, dtype=np.int64) - block_ofs + np.repeat(starts, counts)
-        pulled_k = csc.indices[pos]  # inner index k of B[k, j]
-        pulled_v = csc.data[pos]
         slot = np.repeat(np.arange(hi - lo, dtype=np.int64), counts)
-        pulled_i = m_rows[slot]
 
-        keys = row_keys(pulled_i, pulled_k, a.ncols)
-        idx = np.searchsorted(a_keys, keys)
-        idx_c = np.minimum(idx, max(0, a_keys.shape[0] - 1))
-        match = (a_keys.shape[0] > 0) & (a_keys[idx_c] == keys)
+        keys = row_keys(m_rows[slot], csc.indices[pos], a.ncols)
+        idx = np.minimum(np.searchsorted(block_keys, keys), block_keys.shape[0] - 1)
+        match = np.flatnonzero(block_keys[idx] == keys)
         if counter is not None:
-            counter.flops += int(match.sum())
+            counter.flops += int(match.shape[0])
 
-        prods = semiring.mult_ufunc(a.data[idx_c[match]], pulled_v[match])
+        prods = semiring.mult_ufunc(a.data[k_lo + idx[match]], csc.data[pos[match]])
         mslots = slot[match]
         vals = np.full(hi - lo, semiring.add_identity, dtype=np.float64)
         hit = np.zeros(hi - lo, dtype=bool)
@@ -118,15 +115,17 @@ def masked_spgemm_inner_fast(
         out_vals.append(vals[hit])
         if counter is not None:
             counter.useful_flops += int(hit.sum())
-        lo = hi
 
-    if out_rows:
-        rows = np.concatenate(out_rows)
-        cols = np.concatenate(out_cols)
-        vals = np.concatenate(out_vals)
-    else:
-        rows = cols = np.empty(0, dtype=np.int64)
-        vals = np.empty(0, dtype=np.float64)
+    if not out_rows:
+        return CSR.empty((a.nrows, n))
+    rows = np.concatenate(out_rows)
     if counter is not None:
         counter.output_nnz += int(rows.shape[0])
-    return CSR.from_coo((a.nrows, n), rows, cols, vals)
+    # hits are a subset of the (row-major, duplicate-free) mask nonzeros, so
+    # the output is already in CSR order
+    indptr = np.zeros(a.nrows + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows, minlength=a.nrows), out=indptr[1:])
+    return CSR(
+        (a.nrows, n), indptr, np.concatenate(out_cols), np.concatenate(out_vals),
+        sorted_indices=True, check=False,
+    )

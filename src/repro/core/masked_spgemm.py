@@ -7,7 +7,7 @@ using any of the paper's algorithms:
 ========  ======================================  ==========  ==========
 algo      description                             complement  fast path
 ========  ======================================  ==========  ==========
-auto      cost-model planner picks per row band   yes         yes
+auto      planner picks per row band              yes         yes
 inner     pull-based dot products (Sec. 4.1)      no          yes
 msa       Masked Sparse Accumulator (Sec. 5.2)    yes         yes
 hash      hash accumulator (Sec. 5.3)             yes         yes
@@ -19,10 +19,11 @@ esc       expand-sort-compress (extension)        yes         yes
 
 ``algo="auto"`` routes through :mod:`repro.engine`: a
 :class:`~repro.engine.Planner` builds an inspectable
-:class:`~repro.engine.ExecutionPlan` from the matrices' statistics, the
-machine's cost model and the 1P/2P work estimates, and the engine executes
-it (use ``repro.engine.plan(...)`` directly to *see* the decision before
-running it).
+:class:`~repro.engine.ExecutionPlan` from the matrices' statistics and —
+unless a modeled ``machine=`` is named — the measured per-unit costs of
+the fast kernels on this interpreter, and the engine executes it (use
+``repro.engine.plan(...)`` directly to *see* the decision before running
+it).
 
 ``phases`` selects the 1P/2P output-formation strategy of Section 6: 2P
 runs a symbolic sweep first (its cost lands in ``counter.symbolic_flops``)
@@ -150,15 +151,20 @@ def masked_spgemm(
         Buluç–Gilbert orientation the heap algorithm came from).  Only the
         traversal order changes; results are identical.
     machine:
-        :class:`MachineConfig` the ``"auto"`` planner targets (default
-        Haswell), or a string: a preset name (``"haswell"``, ``"knl"``)
-        or ``"fitted"`` for the history-calibrated config persisted by
-        ``python -m repro.machine fit`` (``docs/calibration.md``).  For
-        explicit algorithms only the batch crossover is consulted.
+        What the ``"auto"`` planner prices the plan from.  ``None``
+        (default): this host — the measured
+        :class:`~repro.machine.HostProfile` and the cores the process may
+        use.  A :class:`MachineConfig` or a string — a preset name
+        (``"haswell"``, ``"knl"``) or ``"fitted"`` for the
+        history-calibrated config persisted by ``python -m repro.machine
+        fit`` (``docs/calibration.md``) — plans for that modeled machine
+        instead (figure reproduction).  For explicit algorithms only the
+        batch crossover is consulted.
     backend:
-        Execution backend for ``algo="auto"``: ``None`` lets the planner's
-        cost model choose (``serial`` | ``thread`` | ``process``), a string
-        forces it.  Explicit algorithms run in-process; use
+        Execution backend for ``algo="auto"``: ``None`` lets the planner
+        choose (``serial``, or ``process`` when the predicted work repays
+        the pool on the available cores), a string forces it.  Explicit
+        algorithms run in-process; use
         :func:`repro.parallel.parallel_masked_spgemm` to parallelise them.
     shards:
         Shard-grid knob (see ``docs/sharding.md``): ``None`` (default)

@@ -48,7 +48,9 @@ class RowBand:
     rows: np.ndarray  #: sorted global row indices this band owns
     algo: str  #: kernel key ("msa", "hash", "mca", "inner", "esc", ...)
     reason: str = ""  #: one-line rationale recorded by the planner
-    est_cycles: float = 0.0  #: modeled cycles for this band (0 if not modeled)
+    #: modeled cycles for this band (0 if not modeled); host plans store
+    #: predicted nanoseconds, i.e. cycles at the fitted configs' nominal 1 GHz
+    est_cycles: float = 0.0
     #: modeled memory traffic for this band in bytes (0 if not modeled);
     #: the prediction ledger pairs it with the measured counters
     est_bytes: float = 0.0
@@ -155,8 +157,11 @@ class ExecutionPlan:
     """Every decision needed to run ``C = M .* (A @ B)`` (or ``!M``).
 
     ``bands`` must cover each output row exactly once.  ``estimates`` holds
-    the planner's modeled whole-problem seconds per candidate algorithm (for
-    :meth:`explain`); ``notes`` records free-form planner decisions.
+    the planner's whole-problem seconds per candidate algorithm (for
+    :meth:`explain`) — predicted from measured kernel costs when ``machine``
+    is ``"host"``, modeled paper-machine time for a preset; ``notes`` records
+    free-form planner decisions, among them why the process pool was or was
+    not used and on how many available cores.
     """
 
     shape: Tuple[int, int]  #: output (and mask) shape
@@ -168,7 +173,9 @@ class ExecutionPlan:
     backend: str = "thread"  #: "serial" | "thread" | "process"
     panel_width: Optional[int] = None  #: column-panel width, or None
     shards: Optional[ShardGrid] = None  #: 2-D shard grid, or None (unsharded)
-    machine: str = "haswell"  #: name of the MachineConfig the plan targets
+    #: what the plan was priced for: "host" (measured HostProfile) or the
+    #: name of a modeled MachineConfig
+    machine: str = "haswell"
     mode: str = "auto"  #: "auto" | "ratio" | "forced" | "delta"
     #: a partial plan covers only a subset of the output rows (each at most
     #: once) — the delta engine's patch path re-executes dirty rows only and
@@ -313,7 +320,12 @@ class ExecutionPlan:
             )
         for i, band in enumerate(self.bands):
             pct = 100.0 * band.nrows / nrows
-            cyc = f", ~{band.est_cycles:.3g} cycles" if band.est_cycles else ""
+            if not band.est_cycles:
+                cyc = ""
+            elif self.machine == "host":  # host plans store predicted ns
+                cyc = f", ~{band.est_cycles * 1e-6:.3g} ms predicted"
+            else:
+                cyc = f", ~{band.est_cycles:.3g} cycles"
             why = f" — {band.reason}" if band.reason else ""
             tier = f" batch={band.batch}" if band.batch != "auto" else ""
             census = ""
@@ -331,7 +343,9 @@ class ExecutionPlan:
         if self.estimates:
             ranked = sorted(self.estimates.items(), key=lambda kv: kv[1])
             pretty = "  <  ".join(f"{k} {v:.3e}s" for k, v in ranked)
-            lines.append(f"  modeled candidates (fastest first): {pretty}")
+            lines.append(
+                f"  predicted candidates on {self.machine} (fastest first): {pretty}"
+            )
         for note in self.notes:
             lines.append(f"  note: {note}")
         return "\n".join(lines)

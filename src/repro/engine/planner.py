@@ -1,46 +1,63 @@
 """The :class:`Planner` — turns (A, B, M, machine) into an
 :class:`~repro.engine.plan.ExecutionPlan`.
 
-This is where the machine cost model (:class:`repro.machine.RowCostModel`)
-finally *drives* execution instead of only narrating it: the planner
-evaluates every candidate algorithm's modeled per-row cycles, assigns each
-output row to the cheapest one (Figure 7's regime map, computed rather than
-eyeballed), decides the 1P/2P phase strategy, picks a row partition and
-thread count for the parallel executor, and — given a memory budget — adds
-the column panelling of the out-of-core path.
+``machine`` plays one of two roles, and the planner prices rows accordingly:
+
+* **the host** (``machine=None``, every shipped default): per-row seconds
+  come from the measured :class:`~repro.machine.HostProfile` — linear in
+  ``flops(AB)``, mask nonzeros and pulled pairs, statistics computed once
+  per plan — and the worker count from the cores this process may use.
+  Rows are split into bands only when the predicted saving beats the
+  measured cost of slicing and merging, and the process pool is used only
+  when the predicted kernel seconds repay its dispatch (and spawn, if it
+  is cold).
+* **a modeled preset** (``"haswell"``, ``"knl"``, ``"fitted"`` or a
+  :class:`~repro.machine.MachineConfig`): per-row *cycles* from
+  :class:`repro.machine.RowCostModel` — Figure 7's regime map, computed
+  rather than eyeballed — with the preset's core count.  This reproduces
+  the paper's machines, not this one.
+
+Either way the planner then fixes the 1P/2P phase strategy, the row
+partition and, given a memory budget, the column panelling of the
+out-of-core path.
 
 Three banding policies:
 
 * ``"cost"`` (default) — per-row argmin over the cost model, with small
   bands consolidated so dispatch overhead cannot swamp the win;
 * ``"ratio"`` — the ratio heuristics of the original hybrid dispatcher
-  (:func:`repro.core.hybrid.classify_rows`), kept for ablations;
-* ``"none"`` — one band, the modeled-cheapest whole-problem algorithm.
+  (:func:`repro.core.hybrid.classify_rows`), kept for ablations (modeled
+  presets only: it reads the preset's cache capacity);
+* ``"none"`` — one band, the cheapest whole-problem algorithm.
 
 Only algorithms with vectorized fast kernels are candidates: the heap
 schemes are reference-tier by design (the paper's algorithmic lower bound)
-and are plannable only as a forced ``algo=``.
+and are plannable only as a forced ``algo=``.  On the host the candidates
+are the algorithms the profile carries coefficients for — the ones that
+win somewhere on the Fig. 7 grid or R-MAT scale 10-13.
 """
 
 from __future__ import annotations
 
+from itertools import combinations
 from typing import Dict, Optional, Sequence
 
 import numpy as np
 
 from ..core.hybrid import classify_rows
-from ..core.kernels.batch import BATCH_TIERS, BATCHABLE_ALGOS, bucket_census, \
-    per_row_flops
+from ..core.kernels.batch import BATCH_TIERS, BATCHABLE_ALGOS, bucket_census
 from ..core.masked_spgemm import ALGO_LABELS, ALL_ALGOS, supports_complement
-from ..machine import RowCostModel, total_flops
-from ..machine.fit import resolve_machine
+from ..machine import HostProfile, RowCostModel, flops_per_row, pulls_per_row, \
+    resolve_machine
 from ..parallel.executor import normalize_backend
+from ..parallel.pool import pool_size, process_backend_available
 from .plan import ExecutionPlan, RowBand, ShardGrid
 
 __all__ = ["Planner", "plan", "PLAN_CANDIDATES"]
 
-#: default candidate set: the fast-kernel algorithms the executor can run
-#: at full speed (heap/heapdot are reference-only and excluded).
+#: default candidate set of a modeled preset: the fast-kernel algorithms the
+#: executor can run at full speed (heap/heapdot are reference-only and
+#: excluded).  The host's default is :attr:`HostProfile.candidates`.
 PLAN_CANDIDATES = ("inner", "msa", "hash", "mca", "esc")
 
 #: one-line regime rationale per algorithm (paper Sec. 4.3 / Fig. 7)
@@ -54,6 +71,12 @@ _REASONS = {
 
 _WORD = 8  # bytes per index/value word, as in the paper's analysis
 
+#: modeled whole-problem cycles above which a *preset* plan with several
+#: workers uses the process backend (paper-machine cycles, not host time:
+#: it only keeps preset plans what they always were; the host's crossover
+#: is measured seconds, see :meth:`HostProfile.pool_seconds`)
+_MODELED_PROCESS_CROSSOVER_CYCLES = 2.0e6
+
 
 class Planner:
     """Constructs execution plans from matrix statistics + the cost model.
@@ -61,11 +84,12 @@ class Planner:
     Parameters
     ----------
     machine:
-        The :class:`MachineConfig` whose cost model and capacities drive
-        every choice.
+        ``None`` (default) plans for this host from its measured
+        :class:`~repro.machine.HostProfile`; a :class:`MachineConfig` or
+        preset name plans for that modeled machine.
     candidates:
-        Algorithms the auto planner may select (default
-        :data:`PLAN_CANDIDATES`).
+        Algorithms the auto planner may select (default: the host
+        profile's live set, or :data:`PLAN_CANDIDATES` for a preset).
     banding:
         ``"cost"``, ``"ratio"`` or ``"none"`` (see module docs).
     pull_ratio / push_ratio:
@@ -92,12 +116,24 @@ class Planner:
         if banding not in ("cost", "ratio", "none"):
             raise ValueError("banding must be 'cost', 'ratio' or 'none'")
         # a machine may be named: a preset ("haswell", "knl") or "fitted"
-        # (the host-calibrated config persisted by ``repro.machine fit``)
+        # (the history-calibrated config persisted by ``repro.machine fit``)
         self.machine = resolve_machine(machine)
-        self.candidates = tuple(candidates) if candidates is not None else PLAN_CANDIDATES
+        self.host = isinstance(self.machine, HostProfile)
+        default = self.machine.candidates if self.host else PLAN_CANDIDATES
+        self.candidates = tuple(candidates) if candidates is not None else default
         for c in self.candidates:
             if c not in ALL_ALGOS:
                 raise ValueError(f"unknown candidate algorithm {c!r}")
+            if self.host and c not in self.machine.candidates:
+                raise ValueError(
+                    f"the host profile has no measured coefficients for {c!r}; "
+                    "force it with algo= or plan for a modeled preset"
+                )
+        if self.host and banding == "ratio":
+            raise ValueError(
+                "banding='ratio' reads a modeled machine's cache capacity; "
+                "pass machine='haswell' (or another preset)"
+            )
         self.banding = banding
         self.pull_ratio = pull_ratio
         self.push_ratio = push_ratio
@@ -127,10 +163,10 @@ class Planner:
         Any of ``algo``, ``phases``, ``threads``, ``partition``, ``backend``
         and ``panel_width`` may be forced; everything left ``None`` (or
         ``algo="auto"``) is decided by the cost model.  ``memory_budget_bytes``
-        turns on column panelling when the working set exceeds it.  The
-        backend heuristic picks ``"process"`` (shared-memory worker pool)
-        only when the modeled work amortises the pool's dispatch overhead
-        (:attr:`MachineConfig.process_crossover_cycles`).
+        turns on column panelling when the working set exceeds it.  On the
+        host, ``"process"`` (the shared-memory worker pool) is chosen only
+        when the predicted kernel seconds repay its measured dispatch and
+        spawn cost on the cores actually available.
 
         ``shards`` turns on the doubly-compressed shard grid (row blocks of
         A x column panels of B/M; see ``docs/sharding.md``): ``None`` keeps
@@ -167,20 +203,20 @@ class Planner:
             )
 
         notes: list = []
+        fl = flops_per_row(a, b)  # shared by every decision below
+        estimates: Dict[str, float] = {}
         if algo is not None:
             bands, mode = self._forced_bands(a, algo, complement), "forced"
-            estimates: Dict[str, float] = {}
+            chosen_phases = 1 if phases is None else phases
+        elif self.host:
+            bands, estimates = self._host_bands(a, b, mask, fl, complement, notes)
+            mode = "auto"
+            # the symbolic sweep is pure extra work for these kernels (they
+            # size scratch from the mask bound): 1P unless the caller asks
             chosen_phases = 1 if phases is None else phases
         else:
             model = RowCostModel(a, b, mask, self.machine, complement=complement)
-            cand = [c for c in self.candidates if not complement or supports_complement(c)]
-            if complement and len(cand) < len(self.candidates):
-                dropped = [c for c in self.candidates if c not in cand]
-                notes.append(
-                    "complemented mask: dropped "
-                    + "/".join(ALGO_LABELS[c] for c in dropped)
-                    + " (no complement support)"
-                )
+            cand = self._supported(self.candidates, complement, notes)
             ests = {c: model.estimate(c, phases=1) for c in cand}
             estimates = {
                 c: self.machine.seconds(e.total_cycles) for c, e in ests.items()
@@ -195,15 +231,20 @@ class Planner:
                 phases if phases is not None else self._pick_phases(model, bands, notes)
             )
 
-        self._assign_batch(a, b, bands, batch, notes)
-        if threads is None:
-            threads = self._pick_threads(a.nrows, notes)
-        if partition is None:
-            partition = self._pick_partition(a, b, notes)
-        if backend is None:
-            backend = self._pick_backend(a, b, bands, threads, notes)
-        else:
+        self._assign_batch(fl, bands, batch, notes)
+        if backend is not None:
             backend = normalize_backend(backend)
+        if self.host:
+            threads, backend = self._host_workers(
+                b, mask, fl, bands, threads, backend, notes
+            )
+        else:
+            if threads is None:
+                threads = self._pick_threads(a.nrows, notes)
+            if backend is None:
+                backend = self._pick_backend(fl, bands, threads, notes)
+        if partition is None:
+            partition = self._pick_partition(fl, notes)
         shard_grid = (
             self._pick_shards(a, b, mask, shards, complement, notes)
             if shards is not None
@@ -242,6 +283,82 @@ class Planner:
     # ------------------------------------------------------------------
     # banding policies
     # ------------------------------------------------------------------
+    @staticmethod
+    def _supported(candidates, complement: bool, notes) -> list:
+        """The candidates that can run this mask (``inner``/``mca`` cannot
+        run a complemented one)."""
+        cand = [c for c in candidates if not complement or supports_complement(c)]
+        if len(cand) < len(candidates):
+            dropped = [c for c in candidates if c not in cand]
+            notes.append(
+                "complemented mask: dropped "
+                + "/".join(ALGO_LABELS[c] for c in dropped)
+                + " (no complement support)"
+            )
+        return cand
+
+    def _host_row_ns(self, algo: str, b, mask, fl) -> np.ndarray:
+        """Measured-coefficient nanoseconds per output row for ``algo``
+        (algorithms without coefficients are priced as ``msa``)."""
+        if algo == "inner":
+            return self.machine.row_ns("inner", pulls_per_row(b, mask), mask.row_nnz())
+        key = algo if algo in self.machine.candidates else "msa"
+        return self.machine.row_ns(key, fl, mask.row_nnz())
+
+    def _host_bands(self, a, b, mask, fl, complement: bool, notes):
+        """Bands from the host profile's linear kernel costs.
+
+        Every non-empty subset of the candidates is priced as "each row
+        runs its cheapest member": the sum of those row costs, one fixed
+        band cost per member, the CSC build if ``inner`` is a member and B
+        carries no memoised transpose, and — for a split plan — the
+        measured per-nonzero cost of slicing A and M and merging the band
+        results.  The cheapest subset wins, so rows are split exactly when
+        the predicted saving exceeds what the split costs.
+        """
+        host = self.machine
+        cand = self._supported(self.candidates, complement, notes) or ["msa"]
+        if a.nrows == 0:
+            return [], {}
+        cost = np.stack([self._host_row_ns(c, b, mask, fl) for c in cand])
+        setup = np.full(len(cand), host.band_ns)
+        if "inner" in cand and getattr(b, "_csc_memo", None) is None:
+            setup[cand.index("inner")] += host.csc_nnz_ns * b.nnz
+        estimates = {
+            c: float(cost[i].sum() + setup[i]) * 1e-9 for i, c in enumerate(cand)
+        }
+        split_ns = host.split_nnz_ns * (a.nnz + mask.nnz)
+        sizes = (1,) if self.banding == "none" else range(1, len(cand) + 1)
+        best_ns, best = float("inf"), ()
+        for size in sizes:
+            for members in combinations(range(len(cand)), size):
+                idx = list(members)
+                total = float(cost[idx].min(axis=0).sum() + setup[idx].sum())
+                if size > 1:
+                    total += split_ns
+                if total < best_ns:
+                    best_ns, best = total, idx
+        winner = np.asarray(best)[np.argmin(cost[best], axis=0)]
+        bands = []
+        for i in best:
+            rows = np.flatnonzero(winner == i).astype(np.int64)
+            if rows.size:
+                bands.append(
+                    RowBand(
+                        rows=rows,
+                        algo=cand[i],
+                        reason=_REASONS[cand[i]],
+                        # 1 "cycle" == 1 ns, the fitted-config convention
+                        est_cycles=float(cost[i, rows].sum() + setup[i]),
+                    )
+                )
+        if len(cand) > 1 and len(bands) == 1:
+            notes.append(
+                f"one {bands[0].algo} band: no per-row split repays its "
+                f"~{(split_ns + host.band_ns) * 1e-6:.2f} ms slice+merge cost"
+            )
+        return bands, estimates
+
     def _forced_bands(self, a, algo: str, complement: bool):
         key = algo.lower()
         if key not in ALL_ALGOS:
@@ -336,7 +453,7 @@ class Planner:
     # ------------------------------------------------------------------
     # scalar decisions
     # ------------------------------------------------------------------
-    def _assign_batch(self, a, b, bands, forced, notes) -> None:
+    def _assign_batch(self, per, bands, forced, notes) -> None:
         """Resolve each band's kernel batching tier and bucket census.
 
         Batchable algorithms (MSA/Hash/ESC fast kernels) get the bucketed
@@ -349,7 +466,6 @@ class Planner:
         """
         if not bands:
             return
-        per = per_row_flops(a, b)
         crossover = int(self.machine.batch_crossover_flops)
         bucketed_rows = 0
         perrow_rows = 0
@@ -404,16 +520,14 @@ class Planner:
             )
         return threads
 
-    def _pick_backend(self, a, b, bands, threads: int, notes) -> str:
-        """Cost-model heuristic for the execution backend.
+    def _pick_backend(self, fl, bands, threads: int, notes) -> str:
+        """Backend of a modeled-preset plan.
 
         ``process`` pays a per-call dispatch overhead (publish operands into
         shared memory, attach in workers, pickle results back) that only
-        amortises on large problems, so it is selected exactly when the
-        modeled whole-problem work clears
-        :attr:`MachineConfig.process_crossover_cycles` — the crossover a
-        host can re-fit via :func:`repro.machine.calibrate_process_crossover`.
-        Below the crossover, multi-worker plans stay on the cheap-to-enter
+        amortises on large problems, so a preset plan selects it exactly
+        when its modeled whole-problem work clears a fixed modeled-cycle
+        crossover.  Below it, multi-worker plans stay on the cheap-to-enter
         thread backend; single-worker plans are serial by construction.
         """
         if threads <= 1:
@@ -422,27 +536,75 @@ class Planner:
         if work <= 0.0:
             # forced plans carry no modeled cycles; fall back to the flop
             # count as a work proxy (an underestimate, hence conservative)
-            work = float(total_flops(a, b)) * self.machine.flop_cycles
-        crossover = self.machine.process_crossover_cycles
-        from ..parallel.pool import process_backend_available
-
-        if work >= crossover and process_backend_available():
+            work = float(fl.sum()) * self.machine.flop_cycles
+        if work >= _MODELED_PROCESS_CROSSOVER_CYCLES and process_backend_available():
             notes.append(
-                f"process backend: modeled work {work:.3g} cycles >= "
-                f"crossover {crossover:.3g} (zero-copy shm operands, "
-                "persistent pool)"
+                f"process backend: modeled work {work:.3g} cycles on "
+                f"{self.machine.name} (zero-copy shm operands, persistent pool)"
             )
             return "process"
         notes.append(
-            f"thread backend: modeled work {work:.3g} cycles below the "
-            f"process crossover {crossover:.3g}"
+            f"thread backend: modeled work {work:.3g} cycles on "
+            f"{self.machine.name} is too small for the process pool"
         )
         return "thread"
 
-    def _pick_partition(self, a, b, notes) -> str:
-        from ..machine import flops_per_row
+    def _host_workers(self, b, mask, fl, bands, threads, backend, notes):
+        """Worker count and backend from predicted seconds and real cores.
 
-        fl = flops_per_row(a, b).astype(np.float64)
+        The pool is worth entering only if the plan's predicted serial
+        seconds, divided among workers at the measured parallel
+        efficiency, still beat serial after paying the measured per-task
+        dispatch (and per-worker spawn while the pool is cold).  With
+        nothing forced the choice is serial or ``process`` — the thread
+        backend measured slower than serial at every size that does not
+        already repay the pool — and never more than one worker on one
+        core.  Forced knobs are honoured; the other one follows.
+        """
+        host = self.machine
+        cores = host.cores
+        by_rows = max(1, mask.nrows // self.rows_per_thread)
+        serial_s = sum(band.est_cycles for band in bands) * 1e-9
+        if serial_s <= 0.0 and bands:  # forced algo: price it here
+            serial_s = float(
+                self._host_row_ns(bands[0].algo, b, mask, fl).sum() + host.band_ns
+            ) * 1e-9
+        can_pool = process_backend_available()
+
+        def pooled(workers: int) -> float:
+            return host.pool_seconds(serial_s, workers, cold=pool_size() < workers)
+
+        if threads is None and backend is None:
+            options = range(2, min(cores, by_rows) + 1) if can_pool else ()
+            best = min(options, key=pooled, default=1)
+            if best > 1 and pooled(best) < serial_s:
+                notes.append(
+                    f"process pool, {best} of {cores} cores: predicted "
+                    f"{serial_s * 1e3:.1f} ms serial vs {pooled(best) * 1e3:.1f} ms pooled"
+                )
+                return best, "process"
+            notes.append(
+                f"serial on {cores} available core(s): predicted "
+                f"{serial_s * 1e3:.1f} ms of kernel work"
+                + (
+                    f" does not repay the pool ({pooled(2) * 1e3:.1f} ms with 2 workers)"
+                    if cores > 1 and can_pool
+                    else ""
+                )
+            )
+            return 1, "serial"
+        if threads is None:
+            threads = 1 if backend == "serial" else min(cores, by_rows)
+        if backend is None:
+            if threads <= 1:
+                backend = "serial"
+            elif can_pool and pooled(threads) < serial_s:
+                backend = "process"
+            else:
+                backend = "thread"
+        return threads, backend
+
+    def _pick_partition(self, fl, notes) -> str:
         mean = float(fl.mean()) if fl.size else 0.0
         if mean <= 0:
             return "block"

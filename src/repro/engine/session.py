@@ -118,11 +118,12 @@ class ExecutionSession:
     Parameters
     ----------
     machine:
-        Cost-model target for the session's planner (default Haswell).
-        Accepts a :class:`MachineConfig`, a preset name (``"haswell"``,
-        ``"knl"``) or ``"fitted"`` to load the history-calibrated config
-        persisted by ``python -m repro.machine fit`` (see
-        ``docs/calibration.md``).
+        What the session's planner prices plans from: ``None`` (default)
+        is this host's measured :class:`~repro.machine.HostProfile`; a
+        :class:`MachineConfig`, a preset name (``"haswell"``, ``"knl"``)
+        or ``"fitted"`` (the history-calibrated config persisted by
+        ``python -m repro.machine fit``, see ``docs/calibration.md``)
+        selects a modeled machine instead.
     planner:
         A pre-built :class:`~repro.engine.Planner` to reuse (overrides
         ``machine``).

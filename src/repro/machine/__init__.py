@@ -8,12 +8,7 @@ alone.
 """
 
 from .cache import AccessTrace, CacheSim
-from .calibrate import (
-    calibrate_machine,
-    calibrate_process_crossover,
-    measure_backend_overhead,
-    measure_touch_costs,
-)
+from .calibrate import calibrate_machine, measure_touch_costs
 from .config import HASWELL, KNL, MACHINES, MachineConfig
 from .cost_model import (
     MODEL_ALGOS,
@@ -40,6 +35,13 @@ from .fit import (
     samples_from_predictions,
     save_fitted,
 )
+from .host import (
+    HOST,
+    HostProfile,
+    available_cores,
+    fit_host_profile,
+    measure_backend_overhead,
+)
 from .kernel_traces import TRACEABLE_ALGOS, build_trace, replay_miss_rate
 from .report import breakdown_table, explain
 from .scheduler import SCHEDULES, simulate_makespan, speedup_curve
@@ -47,6 +49,7 @@ from .traffic import (
     TrafficBreakdown,
     flops_per_row,
     pull_traffic_words,
+    pulls_per_row,
     push_common_traffic_words,
     total_flops,
     useful_flops_per_row,
@@ -56,8 +59,11 @@ __all__ = [
     "AccessTrace",
     "CacheSim",
     "calibrate_machine",
-    "calibrate_process_crossover",
     "measure_backend_overhead",
+    "HOST",
+    "HostProfile",
+    "available_cores",
+    "fit_host_profile",
     "measure_touch_costs",
     "HASWELL",
     "KNL",
@@ -95,6 +101,7 @@ __all__ = [
     "TrafficBreakdown",
     "flops_per_row",
     "pull_traffic_words",
+    "pulls_per_row",
     "push_common_traffic_words",
     "total_flops",
     "useful_flops_per_row",

@@ -1,10 +1,14 @@
-"""CLI for the machine model: ``python -m repro.machine fit``.
+"""CLI for the machine model.
 
-Fits :class:`MachineConfig` cycle parameters to the measurements
-accumulated in ``BENCH_history.json`` (see :mod:`repro.machine.fit` and
-``docs/calibration.md``) and persists the fitted config with provenance.
-The fit is deterministic for a fixed history, so CI can assert the output
-bit for bit.
+``python -m repro.machine fit`` fits :class:`MachineConfig` cycle
+parameters to the measurements accumulated in ``BENCH_history.json`` (see
+:mod:`repro.machine.fit` and ``docs/calibration.md``) and persists the
+fitted config with provenance.  The fit is deterministic for a fixed
+history, so CI can assert the output bit for bit.
+
+``python -m repro.machine host`` measures this interpreter and prints, as
+JSON, the :class:`HostProfile` coefficients live planning reads next to
+the values checked in as :data:`repro.machine.host.HOST`.
 """
 
 from __future__ import annotations
@@ -48,11 +52,7 @@ def _cmd_fit(args: argparse.Namespace) -> int:
         f"dram={m.dram_cycles:.3g}  probe={m.probe_cycles:.3g} "
         f"heap={m.heap_cycles:.3g} cycles (1 cycle = 1 ns)"
     )
-    print(
-        f"  dispatch={m.process_dispatch_seconds:.3g} s  "
-        f"process crossover={m.process_crossover_cycles:.3g} cycles  "
-        f"batch crossover={m.batch_crossover_flops} flops"
-    )
+    print(f"  batch crossover={m.batch_crossover_flops} flops")
     res = prov["residual"]
     print(
         f"  fit residual: median |log10 ratio| = "
@@ -67,6 +67,24 @@ def _cmd_fit(args: argparse.Namespace) -> int:
             f"  held-out {held['scheme']}: fitted {f_err:.3f} vs "
             f"default {d_err:.3f} median |log10 ratio| ({verdict})"
         )
+    return 0
+
+
+def _cmd_host(args: argparse.Namespace) -> int:
+    import dataclasses
+
+    from .host import HOST, fit_host_profile
+
+    profile, report = fit_host_profile(quick=args.quick)
+    if not args.samples:
+        del report["samples"]
+    doc = {
+        "checked_in": dataclasses.asdict(HOST),
+        "measured": dataclasses.asdict(profile),
+        "report": report,
+    }
+    json.dump(doc, sys.stdout, indent=1, sort_keys=True)
+    sys.stdout.write("\n")
     return 0
 
 
@@ -103,6 +121,15 @@ def main(argv=None) -> int:
     fit.add_argument("--json", action="store_true",
                      help="print the full payload as JSON")
     fit.set_defaults(func=_cmd_fit)
+
+    host = sub.add_parser(
+        "host", help="measure this interpreter's HostProfile coefficients"
+    )
+    host.add_argument("--quick", action="store_true",
+                      help="small calibration triples (seconds; noisy)")
+    host.add_argument("--samples", action="store_true",
+                      help="include the raw timing samples in the report")
+    host.set_defaults(func=_cmd_host)
 
     show = sub.add_parser(
         "show", help="evaluate the persisted fitted config against a history"

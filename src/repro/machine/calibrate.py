@@ -1,8 +1,9 @@
 """Calibrate a MachineConfig from measurements on the local host.
 
-The Haswell/KNL presets reproduce the *paper's* machines.  To predict which
-masked-SpGEMM algorithm wins on the machine actually running this library,
-the constants can instead be fitted locally:
+The Haswell/KNL presets reproduce the *paper's* machines.  This module fits
+the same *modeled* constants (cache capacities, touch costs) to the local
+host for the cost-model studies; live planning does not use them — it reads
+the measured kernel coefficients of :mod:`repro.machine.host`.
 
 * random-touch cost vs working-set size (a scatter microbenchmark at
   several sizes) gives ``hit_cycles`` / ``llc_cycles`` / ``dram_cycles``
@@ -19,7 +20,6 @@ ratios matter to the model.
 
 from __future__ import annotations
 
-import dataclasses
 import os
 import time
 from typing import Dict, List, Tuple
@@ -28,12 +28,7 @@ import numpy as np
 
 from .config import MachineConfig
 
-__all__ = [
-    "measure_touch_costs",
-    "calibrate_machine",
-    "measure_backend_overhead",
-    "calibrate_process_crossover",
-]
+__all__ = ["measure_touch_costs", "calibrate_machine"]
 
 NOMINAL_GHZ = 1.0  # 1 cycle == 1 ns in calibrated configs
 
@@ -119,87 +114,4 @@ def calibrate_machine(name: str = "local", *, quick: bool = True) -> MachineConf
         hit_cycles=max(0.25, hit_ns * ghz),
         llc_cycles=max(0.5, llc_ns * ghz),
         dram_cycles=max(1.0, dram_ns * ghz, line_ns * ghz),
-    )
-
-
-# ----------------------------------------------------------------------
-# Process-backend overhead calibration
-# ----------------------------------------------------------------------
-
-
-def _probe_problem(seed: int = 0):
-    """A small masked-SpGEMM instance whose compute dominates dispatch."""
-    from ..graphs import erdos_renyi
-
-    a = erdos_renyi(256, 256, 8.0, seed=seed)
-    mask = erdos_renyi(256, 256, 8.0, seed=seed + 1)
-    return a, mask
-
-
-def measure_backend_overhead(workers: int = 2, *, repeats: int = 3) -> Dict[str, float]:
-    """Measured wall seconds of the process backend's fixed costs.
-
-    Returns ``{"spawn_seconds", "dispatch_seconds"}``: the one-time cost of
-    bringing up the persistent worker pool, and the per-call cost of
-    publishing operands into shared memory, attaching them in workers and
-    shipping results back — measured on a near-trivial problem so compute
-    is negligible.  The pool is shut down first so the spawn is really
-    measured, and left warm afterwards (later calls reuse it).
-    """
-    from ..parallel.executor import run_partitioned
-    from ..parallel.pool import process_backend_available, shutdown_pool
-
-    if not process_backend_available():  # pragma: no cover - platform gate
-        return {"spawn_seconds": float("inf"), "dispatch_seconds": float("inf")}
-    from ..graphs import erdos_renyi
-
-    tiny = erdos_renyi(32, 32, 2.0, seed=0)
-    parts = [np.arange(0, 16), np.arange(16, 32)][: max(1, workers)]
-
-    def call():
-        run_partitioned(
-            tiny, tiny, tiny, algo="hash", parts=parts, backend="process"
-        )
-
-    shutdown_pool()
-    t0 = time.perf_counter()
-    call()  # cold: includes worker spawn
-    first = time.perf_counter() - t0
-    dispatch = _time_best(call, repeats)  # warm: publish/attach/dispatch only
-    return {
-        "spawn_seconds": max(0.0, first - dispatch),
-        "dispatch_seconds": dispatch,
-    }
-
-
-def calibrate_process_crossover(
-    machine: MachineConfig, *, workers: int = 2, margin: float = 4.0
-) -> MachineConfig:
-    """Fit ``process_crossover_cycles`` (and the overhead seconds) to this host.
-
-    Runs a probe problem serially to learn the host's wall-seconds per
-    *modeled* cycle, measures the process backend's per-call dispatch
-    overhead, and sets the crossover so the planner picks ``process`` only
-    when the modeled work is worth at least ``margin`` x the dispatch cost
-    in wall time.  Returns a new (frozen-dataclass) config; the input is
-    untouched.
-    """
-    from ..engine import Planner, execute
-
-    a, mask = _probe_problem()
-    pl = Planner(machine).plan(a, a, mask)
-    modeled = sum(band.est_cycles for band in pl.bands)
-    if modeled <= 0:
-        from .traffic import total_flops
-
-        modeled = max(1.0, total_flops(a, a) * machine.flop_cycles)
-    wall = _time_best(lambda: execute(pl, a, a, mask, backend="serial"))
-    sec_per_cycle = wall / modeled
-    overhead = measure_backend_overhead(workers)
-    crossover = margin * overhead["dispatch_seconds"] / max(sec_per_cycle, 1e-18)
-    return dataclasses.replace(
-        machine,
-        process_spawn_seconds=float(overhead["spawn_seconds"]),
-        process_dispatch_seconds=float(overhead["dispatch_seconds"]),
-        process_crossover_cycles=float(crossover),
     )

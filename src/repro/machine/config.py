@@ -12,7 +12,9 @@ cache" capacity (what an accumulator must fit into to be cheap), last-level
 capacity, line size, core count, and rough throughput/latency constants.
 The constants are calibrated so *relative* algorithm behaviour matches the
 paper; absolute times are not meaningful and EXPERIMENTS.md never claims
-they are.
+they are.  For the same reason a preset never steers live execution unless
+asked to by name: calls that pass no ``machine=`` are planned from the
+measured :class:`repro.machine.host.HostProfile` of this interpreter.
 """
 
 from __future__ import annotations
@@ -45,19 +47,6 @@ class MachineConfig:
     #: cycles per hash probe / heap op beyond the memory cost
     probe_cycles: float = 3.0
     heap_cycles: float = 8.0
-    #: one-time wall cost to bring up the persistent process pool (amortised
-    #: across every later call; informational, not part of the crossover)
-    process_spawn_seconds: float = 0.3
-    #: per-call wall overhead of the process backend: publishing operands,
-    #: attaching segments in workers, pickling results back
-    process_dispatch_seconds: float = 2e-3
-    #: modeled cycles of whole-problem work above which the process backend
-    #: amortises its dispatch overhead.  Note the unit: *modeled* cycles of
-    #: the paper-machine cost model, not host cycles — CPython wall time per
-    #: modeled cycle is much larger, which is exactly why a fixed crossover
-    #: works; recalibrate with repro.machine.calibrate_process_crossover to
-    #: fit the host actually running the library.
-    process_crossover_cycles: float = 2.0e6
     #: operand working-set bytes above which ``shards="auto"`` splits the
     #: problem into a doubly-compressed shard grid (row blocks of A x
     #: column panels of B/M); below it the auto path stays unsharded.  The

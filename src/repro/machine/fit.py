@@ -17,7 +17,6 @@ accumulator touches/moved bytes is predicted as::
         + heap_cycles  * (heap_pushes + heap_pops)
         + hit_cycles   * (accumulator + mask touches)
         + dram_cycles  * (bytes_moved / line_bytes) ) / (ghz * 1e9)
-        + process_dispatch_seconds * [backend == "process"]
 
 Fitting is a deterministic robust regression: relative-error weighted
 least squares with non-negativity enforced by dropping violating columns
@@ -37,11 +36,12 @@ from __future__ import annotations
 import dataclasses
 import json
 import os
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional
 
 import numpy as np
 
 from .config import HASWELL, MACHINES, MachineConfig
+from .host import HOST, HostProfile
 
 __all__ = [
     "FIT_SCHEMA_VERSION",
@@ -55,6 +55,7 @@ __all__ = [
     "samples_from_predictions",
     "fit_machine",
     "evaluate_config",
+    "nonneg_lstsq",
     "save_fitted",
     "load_fitted",
     "load_fitted_payload",
@@ -70,7 +71,6 @@ FITTED_PARAMS = (
     "flop_cycles",
     "probe_cycles",
     "heap_cycles",
-    "process_dispatch_seconds",
     "batch_crossover_flops",
 )
 
@@ -79,8 +79,9 @@ FITTED_PARAMS = (
 DEFAULT_FITTED_PATH = ".repro_machine.json"
 FITTED_PATH_ENV = "REPRO_MACHINE_FILE"
 
-#: environment variable naming the default machine ("haswell" | "knl" |
-#: "fitted") for every call that does not pass one explicitly
+#: environment variable naming a modeled machine ("haswell" | "knl" |
+#: "fitted") to plan for, in place of the measured host profile, in every
+#: call that does not pass one explicitly
 MACHINE_ENV = "REPRO_MACHINE"
 
 #: nominal clock of a fitted config: 1 cycle == 1 ns of host time
@@ -89,13 +90,8 @@ NOMINAL_GHZ = 1.0
 #: counter fields that are session telemetry, not work — never features
 _NON_WORK_COUNTERS = ("plan_cache_hits", "segments_reused", "bytes_republished")
 
-#: margin used to derive the process crossover from the fitted dispatch
-#: overhead (same semantics as repro.machine.calibrate_process_crossover)
-_CROSSOVER_MARGIN = 4.0
-
-#: regression feature columns, in order: (param, unit).  "dispatch" is in
-#: seconds; the cycle features are divided by ghz*1e9 when building the
-#: design matrix.
+#: regression feature columns, in order; counts are divided by ghz*1e9
+#: when building the design matrix
 _CYCLE_FEATURES = (
     "flop_cycles",
     "probe_cycles",
@@ -211,15 +207,11 @@ def samples_from_predictions(payload: dict, *, base: MachineConfig = HASWELL,
 # ----------------------------------------------------------------------
 # the regression
 # ----------------------------------------------------------------------
-def _predict_seconds(sample: dict, params: Dict[str, float],
-                     ghz: float, dispatch: float) -> float:
+def _predict_seconds(sample: dict, params: Dict[str, float], ghz: float) -> float:
     cycles = sum(
         params[name] * sample["features"][name] for name in _CYCLE_FEATURES
     )
-    sec = cycles / (ghz * 1e9)
-    if sample["backend"] == "process":
-        sec += dispatch
-    return sec
+    return cycles / (ghz * 1e9)
 
 
 def evaluate_config(machine: MachineConfig, samples: Iterable[dict]) -> dict:
@@ -229,10 +221,9 @@ def evaluate_config(machine: MachineConfig, samples: Iterable[dict]) -> dict:
     model nails every sample, 1 means it is 10x off in the median.
     """
     params = {name: float(getattr(machine, name)) for name in _CYCLE_FEATURES}
-    dispatch = float(machine.process_dispatch_seconds)
     logs: List[float] = []
     for s in samples:
-        modeled = _predict_seconds(s, params, machine.ghz, dispatch)
+        modeled = _predict_seconds(s, params, machine.ghz)
         if modeled > 0.0 and s["seconds"] > 0.0:
             logs.append(abs(float(np.log10(s["seconds"] / modeled))))
     if not logs:
@@ -244,53 +235,43 @@ def evaluate_config(machine: MachineConfig, samples: Iterable[dict]) -> dict:
     }
 
 
-def _solve(samples: List[dict], base: MachineConfig
-           ) -> Tuple[Dict[str, float], Optional[float], List[str]]:
+def nonneg_lstsq(x: np.ndarray, y: np.ndarray, w: np.ndarray) -> np.ndarray:
     """Deterministic non-negative weighted least squares.
+
+    Solves ``min |w * (x @ theta - y)|`` and enforces ``theta >= 0`` by
+    iteratively dropping columns whose coefficient comes out non-positive
+    (they get 0) and re-solving.  All-zero columns are dropped up front.
+    """
+    theta = np.zeros(x.shape[1], dtype=np.float64)
+    active = [j for j in range(x.shape[1]) if float(np.abs(x[:, j]).sum()) > 0.0]
+    while active:
+        sol, *_ = np.linalg.lstsq(x[:, active] * w[:, None], y * w, rcond=None)
+        bad = [k for k, t in enumerate(sol) if t <= 0.0]
+        if not bad:
+            theta[active] = sol
+            break
+        active = [j for k, j in enumerate(active) if k not in bad]
+    return theta
+
+
+def _solve(samples: List[dict]) -> Dict[str, float]:
+    """Fit the cycle parameters to the samples.
 
     Rows are weighted by ``1/seconds`` so the fit minimises *relative*
     error (a 2x miss on a microsecond record matters as much as on a
-    millisecond one).  Non-negativity is enforced by iteratively dropping
-    columns whose coefficient comes out non-positive; dropped parameters
-    keep the base config's values.  Returns ``(cycle_params,
-    dispatch_seconds_or_None, fitted_param_names)``.
+    millisecond one).  Parameters the fit drops (see :func:`nonneg_lstsq`)
+    are absent from the result and keep the base config's values.
     """
-    names = list(_CYCLE_FEATURES)
-    has_dispatch = any(s["backend"] == "process" for s in samples)
-    cols = names + (["dispatch"] if has_dispatch else [])
     y = np.asarray([s["seconds"] for s in samples], dtype=np.float64)
-    w = 1.0 / np.maximum(y, 1e-12)
-    X = np.zeros((len(samples), len(cols)), dtype=np.float64)
-    for i, s in enumerate(samples):
-        for j, name in enumerate(names):
-            # feature counts -> seconds at the nominal clock
-            X[i, j] = s["features"][name] / (NOMINAL_GHZ * 1e9)
-        if has_dispatch and s["backend"] == "process":
-            X[i, len(names)] = 1.0
-    # drop all-zero columns up front (e.g. no heap scheme in the history)
-    active = [j for j in range(len(cols)) if float(np.abs(X[:, j]).sum()) > 0.0]
-    while True:
-        if not active:
-            return {}, None, []
-        Xa = X[:, active] * w[:, None]
-        ya = y * w
-        theta, *_ = np.linalg.lstsq(Xa, ya, rcond=None)
-        bad = [k for k, t in enumerate(theta) if t <= 0.0]
-        if not bad:
-            break
-        active = [j for k, j in enumerate(active) if k not in bad]
-    params: Dict[str, float] = {}
-    dispatch: Optional[float] = None
-    fitted: List[str] = []
-    for k, j in enumerate(active):
-        col = cols[j]
-        if col == "dispatch":
-            dispatch = float(theta[k])
-            fitted.append("process_dispatch_seconds")
-        else:
-            params[col] = float(theta[k])
-            fitted.append(col)
-    return params, dispatch, fitted
+    # feature counts -> seconds at the nominal clock
+    x = np.asarray(
+        [[s["features"][name] for name in _CYCLE_FEATURES] for s in samples],
+        dtype=np.float64,
+    ) / (NOMINAL_GHZ * 1e9)
+    theta = nonneg_lstsq(x, y, 1.0 / np.maximum(y, 1e-12))
+    return {
+        name: float(t) for name, t in zip(_CYCLE_FEATURES, theta) if t > 0.0
+    }
 
 
 def fit_machine(
@@ -322,23 +303,16 @@ def fit_machine(
     held = [s for s in samples if holdout is not None and s["scheme"] == holdout]
     if not fit_set:
         raise ValueError(f"holdout {holdout!r} excluded every fit sample")
-    params, dispatch, fitted_names = _solve(fit_set, base)
+    params = _solve(fit_set)
     if not params:
         raise ValueError("degenerate fit: every feature column was empty")
 
     values: Dict[str, float] = {}
     for pname in _CYCLE_FEATURES:
         values[pname] = params.get(pname, float(getattr(base, pname)))
-    dispatch_s = (
-        dispatch if dispatch is not None else float(base.process_dispatch_seconds)
-    )
-    # derived knobs, re-expressed at the nominal clock:
-    # - the process crossover keeps calibrate_process_crossover's semantics
-    #   (work must be worth a margin times the dispatch overhead),
-    # - the batch crossover shifts inversely with the fitted per-flop cost
-    #   (a k-times-slower flop amortises the fixed bucketing overhead at
-    #   k-times-fewer flops).
-    crossover_cycles = dispatch_s * _CROSSOVER_MARGIN * NOMINAL_GHZ * 1e9
+    # the batch crossover shifts inversely with the fitted per-flop cost (a
+    # k-times-slower flop amortises the fixed bucketing overhead at
+    # k-times-fewer flops)
     flop_scale = values["flop_cycles"] / max(float(base.flop_cycles), 1e-12)
     batch_crossover = int(
         min(1 << 30, max(1 << 10, base.batch_crossover_flops / max(flop_scale, 1e-12)))
@@ -352,8 +326,6 @@ def fit_machine(
         flop_cycles=values["flop_cycles"],
         probe_cycles=values["probe_cycles"],
         heap_cycles=values["heap_cycles"],
-        process_dispatch_seconds=dispatch_s,
-        process_crossover_cycles=float(crossover_cycles),
         batch_crossover_flops=batch_crossover,
     )
 
@@ -361,7 +333,7 @@ def fit_machine(
     provenance: Dict = {
         "base": base.name,
         "samples": len(fit_set),
-        "params_fitted": sorted(fitted_names),
+        "params_fitted": sorted(params),
         "residual": residual,
         "holdout": None,
         "env": _env_fingerprint(),
@@ -438,28 +410,32 @@ def load_fitted(path: Optional[str] = None) -> MachineConfig:
     return MachineConfig(**doc)
 
 
-def default_machine() -> MachineConfig:
-    """The machine targeted when no ``machine=`` is given anywhere.
+def default_machine():
+    """What plans are priced from when no ``machine=`` is given anywhere.
 
-    Haswell (the paper's primary platform), unless the ``REPRO_MACHINE``
-    environment variable names a preset or ``"fitted"`` — the hook CI uses
-    to re-run entire equivalence suites under a fitted config without
-    touching a single call site.
+    The measured :data:`~repro.machine.host.HOST` profile of this
+    interpreter, unless the ``REPRO_MACHINE`` environment variable names a
+    preset or ``"fitted"`` — the hook CI uses to re-run entire equivalence
+    suites under a modeled config without touching a single call site.
     """
     name = os.environ.get(MACHINE_ENV, "").strip()
     if not name:
-        return HASWELL
+        return HOST
     return resolve_machine(name)
 
 
-def resolve_machine(machine, *, default: Optional[MachineConfig] = None
-                    ) -> MachineConfig:
-    """Resolve a ``machine=`` argument: a config, a preset name, or
-    ``"fitted"`` (the persisted host-calibrated config).  ``None`` falls
-    back to ``default`` when given, else to :func:`default_machine`."""
+def resolve_machine(machine, *, default=None):
+    """Resolve a ``machine=`` argument.
+
+    ``None`` is the live default (``default`` when given, else
+    :func:`default_machine`: the measured host profile).  A
+    :class:`MachineConfig` or :class:`HostProfile` passes through; a string
+    names a modeled preset (``"haswell"``, ``"knl"``) or the persisted
+    ``"fitted"`` config.
+    """
     if machine is None:
         return default if default is not None else default_machine()
-    if isinstance(machine, MachineConfig):
+    if isinstance(machine, (MachineConfig, HostProfile)):
         return machine
     if isinstance(machine, str):
         key = machine.lower()
@@ -472,5 +448,6 @@ def resolve_machine(machine, *, default: Optional[MachineConfig] = None
             f"{sorted(MACHINES)} or 'fitted'"
         )
     raise TypeError(
-        f"machine must be a MachineConfig, a name or None, got {type(machine)!r}"
+        f"machine must be a MachineConfig, a HostProfile, a name or None, "
+        f"got {type(machine)!r}"
     )

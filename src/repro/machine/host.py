@@ -1,0 +1,287 @@
+"""The machine this interpreter runs on: measured costs for live planning.
+
+:class:`~repro.machine.MachineConfig` presets model the *paper's* machines
+(cycles of a C implementation on Haswell/KNL) and stay the instrument for
+reproducing its figures.  They say nothing about what a NumPy kernel costs
+in this process, so every live decision — which algorithm, how many bands,
+whether to fan out — is priced from a :class:`HostProfile` instead: a
+handful of checked-in nanoseconds-per-unit coefficients of the fast
+kernels plus the core count the process may actually use.
+
+The kernels' wall time is linear in statistics the planner already has:
+
+* push kernels (``msa``, ``mca``): ``flops(A[i,:] B)`` products expanded and
+  ``nnz(M[i,:])`` mask entries scattered/gathered per row;
+* ``inner``: pulled pairs ``sum_{(i,j) in M} nnz(B[:,j])`` plus a per-mask-
+  nonzero term, and ``nnz(B)`` for the CSC build when nothing memoises it;
+* every kernel call / row band: a fixed cost, and for a split plan the row
+  slicing and the final merge, linear in the sliced nonzeros;
+* the process pool: seconds per dispatched task, seconds per cold-spawned
+  worker, and the fraction of ideal speedup two busy workers deliver.
+
+:data:`HOST` holds the coefficients fitted by :func:`fit_host_profile`
+(``python -m repro.machine host``; medians of five runs) on the Fig. 7
+density grid and R-MAT triangle counting;
+``benchmarks/test_auto_regret.py`` is the wall-clock check that planning
+from them stays within 1.15x of the best forced algorithm.  Nothing here
+runs at import or on a first call.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+import os
+import time
+from typing import Dict, Tuple
+
+import numpy as np
+
+from .calibrate import _time_best
+from .config import HASWELL
+
+__all__ = [
+    "HostProfile",
+    "HOST",
+    "available_cores",
+    "measure_backend_overhead",
+    "fit_host_profile",
+]
+
+
+def available_cores() -> int:
+    """Cores this process may run on (affinity mask, not the box's total)."""
+    try:
+        return max(1, len(os.sched_getaffinity(0)))
+    except AttributeError:  # pragma: no cover - non-Linux
+        return os.cpu_count() or 1
+
+
+@dataclasses.dataclass(frozen=True)
+class HostProfile:
+    """Measured per-unit costs of the NumPy fast kernels on this interpreter.
+
+    ``*_ns`` triples are ``(ns per unit of work, ns per mask nonzero, ns per
+    output row)`` where the unit of work is a flop(AB) for the push kernels
+    and a pulled (mask nonzero, B column entry) pair for ``inner``.  Only
+    algorithms that win somewhere on the Fig. 7 grid or R-MAT scale 10-13
+    carry coefficients — they are the live candidate set; the rest stay
+    available as a forced ``algo=``.
+    """
+
+    name: str = "host"
+    msa_ns: Tuple[float, float, float] = (24.2, 22.3, 884.0)
+    mca_ns: Tuple[float, float, float] = (53.6, 6.1, 87.0)
+    inner_ns: Tuple[float, float, float] = (32.5, 47.9, 37.6)
+    #: CSC build (radix transpose) per nnz(B), charged to ``inner`` unless
+    #: the operand already carries a memoised transpose
+    csc_nnz_ns: float = 20.9
+    #: fixed cost of one kernel call (one row band)
+    band_ns: float = 85e3
+    #: extra cost of a *split* plan per nonzero of A and M: row slicing of
+    #: both operands plus the COO merge of the band results
+    split_nnz_ns: float = 51.8
+    #: process pool: per dispatched task, per cold-spawned worker, and the
+    #: share of ideal speedup concurrent workers deliver.  The pessimistic
+    #: end of what fitter runs read with 2 workers on 2 cores (dispatch
+    #: 3-17 ms/task, spawn 29-59 ms/worker, efficiency 0.43-0.80): a
+    #: wrongly entered pool costs more than a wrongly skipped one saves
+    task_dispatch_s: float = 15e-3
+    worker_spawn_s: float = 60e-3
+    parallel_efficiency: float = 0.65
+    #: the same knobs, at the same values, the presets carry: read by the
+    #: planner's batch-tier and ``shards="auto"`` decisions
+    batch_crossover_flops: int = HASWELL.batch_crossover_flops
+    shard_memory_budget_bytes: int = HASWELL.shard_memory_budget_bytes
+
+    @property
+    def cores(self) -> int:
+        return available_cores()
+
+    @property
+    def candidates(self) -> Tuple[str, ...]:
+        """Algorithms with measured coefficients, i.e. the live set."""
+        return ("inner", "msa", "mca")
+
+    def seconds(self, cycles: float) -> float:
+        """Plans priced here store nanoseconds as cycles (nominal 1 GHz)."""
+        return cycles * 1e-9
+
+    def row_ns(self, algo: str, work: np.ndarray, mask_nnz: np.ndarray) -> np.ndarray:
+        """Predicted kernel nanoseconds per output row."""
+        per_work, per_mask, per_row = getattr(self, f"{algo}_ns")
+        return per_work * work + per_mask * mask_nnz + per_row
+
+    def pool_seconds(self, serial_s: float, workers: int, *, cold: bool) -> float:
+        """Predicted wall seconds of ``serial_s`` of kernel work fanned out
+        to ``workers`` pool processes."""
+        return (
+            serial_s / (workers * self.parallel_efficiency)
+            + workers * self.task_dispatch_s
+            + (workers * self.worker_spawn_s if cold else 0.0)
+        )
+
+
+#: the checked-in profile every ``machine=None`` plan is priced from
+HOST = HostProfile()
+
+
+# ----------------------------------------------------------------------
+# the fitter that produced HOST's constants
+# ----------------------------------------------------------------------
+def _tc_triple(scale: int):
+    """The triangle-counting operand ``L`` of an R-MAT graph (A = B = M)."""
+    from ..graphs import relabel_by_degree, rmat
+
+    return relabel_by_degree(rmat(scale, seed=3).pattern()).tril(-1)
+
+
+def measure_backend_overhead(
+    workers: int = 2, *, repeats: int = 3, scales: Tuple[int, int] = (11, 14)
+) -> Dict[str, float]:
+    """Measured fixed costs and efficiency of the process backend.
+
+    Runs R-MAT triangle counting at two sizes serially (``S``) and through
+    a warm ``workers``-process pool (``T``) and solves ``T = S / (workers *
+    efficiency) + dispatch`` for both unknowns, so ``dispatch_seconds`` is
+    what a real call pays — publishing operands into shared memory,
+    attaching them in workers, pickling results back, merging — not the
+    cost of an empty task.  ``spawn_seconds`` is the first (cold) call's
+    excess over a warm one.  The pool is shut down first so the spawn is
+    really measured, and left warm afterwards.
+    """
+    from ..core.masked_spgemm import masked_spgemm
+    from ..parallel.executor import parallel_masked_spgemm
+    from ..parallel.pool import process_backend_available, shutdown_pool
+    from ..semiring import PLUS_PAIR
+
+    if not process_backend_available():  # pragma: no cover - platform gate
+        inf = float("inf")
+        return {"spawn_seconds": inf, "dispatch_seconds": inf, "parallel_efficiency": 0.0}
+
+    def pooled(low):
+        parallel_masked_spgemm(
+            low, low, low, algo="msa", semiring=PLUS_PAIR,
+            threads=workers, backend="process",
+        )
+
+    small, big = (_tc_triple(s) for s in scales)
+    shutdown_pool()
+    t0 = time.perf_counter()
+    pooled(small)  # cold: includes worker spawn
+    cold = time.perf_counter() - t0
+    serial, pool = [], []
+    for low in (small, big):
+        serial.append(_time_best(
+            lambda: masked_spgemm(low, low, low, algo="msa", semiring=PLUS_PAIR), repeats
+        ))
+        pool.append(_time_best(lambda: pooled(low), repeats))
+    slope = max(1e-9, (pool[1] - pool[0]) / max(serial[1] - serial[0], 1e-9))
+    return {
+        "spawn_seconds": max(0.0, cold - pool[0]),
+        "dispatch_seconds": max(1e-6, pool[0] - serial[0] * slope),
+        "parallel_efficiency": float(min(1.0, 1.0 / (workers * slope))),
+    }
+
+
+def _calibration_triples(quick: bool):
+    """The Fig. 7 ER density grid plus R-MAT triangle-counting triples."""
+    from ..graphs import erdos_renyi
+    from ..semiring import PLUS_PAIR, PLUS_TIMES
+
+    n = 1024 if quick else 4096
+    degrees = (1, 8, 32) if quick else (1, 4, 16, 64)
+    for d in degrees:
+        a = erdos_renyi(n, n, d, seed=d)
+        b = erdos_renyi(n, n, d, seed=d + 1000)
+        for dm in degrees:
+            yield a, b, erdos_renyi(n, n, dm, seed=dm + 2000), PLUS_TIMES
+    # other row counts separate the per-row and fixed terms from the
+    # per-nonzero ones: a short-fat operand and two small square ones
+    yield erdos_renyi(64, n, 64, seed=7), b, erdos_renyi(64, n, 64, seed=8), PLUS_TIMES
+    for small in (128, 512):
+        yield tuple(erdos_renyi(small, small, 4, seed=small + i) for i in range(3)) + (
+            PLUS_TIMES,
+        )
+    for scale in (8, 9) if quick else (10, 11, 12, 13):
+        low = _tc_triple(scale)
+        yield low, low, low, PLUS_PAIR
+
+
+def fit_host_profile(*, quick: bool = False, repeats: int = 3) -> Tuple[HostProfile, dict]:
+    """Measure this interpreter and fit a :class:`HostProfile`.
+
+    Times every live kernel on the calibration triples, regresses each
+    algorithm's seconds on ``(work, mask nnz, rows, 1)`` by the same
+    relative-error non-negative least squares ``repro.machine.fit`` uses,
+    times the CSC build and a two-band split, measures the process pool
+    (:func:`measure_backend_overhead`), and returns ``(profile, report)``
+    — ``report`` carries the raw samples and per-algorithm median relative
+    error so the constants can be audited.  Takes about a minute
+    (``quick``: seconds, for tests).
+    """
+    from ..core.masked_spgemm import masked_spgemm
+    from ..engine import execute, plan
+    from ..sparse import CSC
+    from .fit import nonneg_lstsq
+    from .traffic import flops_per_row, pulls_per_row
+
+    base = HOST
+    samples: Dict[str, list] = {algo: [] for algo in base.candidates}
+    csc_rows, split_rows = [], []
+    for a, b, m, sr in _calibration_triples(quick):
+        csc = CSC.from_csr(b)
+        flops = int(flops_per_row(a, b).sum())
+        work = {"msa": flops, "mca": flops, "inner": int(pulls_per_row(b, m).sum())}
+        for algo in base.candidates:
+            secs = _time_best(
+                lambda: masked_spgemm(a, b, m, algo=algo, semiring=sr, b_csc=csc),
+                repeats,
+            )
+            samples[algo].append((work[algo], m.nnz, a.nrows, 1.0, secs))
+        csc_rows.append((b.nnz, _time_best(lambda: CSC.from_csr(b), repeats)))
+        one = plan(a, b, m, algo="msa", threads=1, backend="serial")
+        two = dataclasses.replace(
+            one,
+            bands=[
+                dataclasses.replace(one.bands[0], rows=one.bands[0].rows[: a.nrows // 2]),
+                dataclasses.replace(one.bands[0], rows=one.bands[0].rows[a.nrows // 2 :]),
+            ],
+        )
+        t_one = _time_best(lambda: execute(one, a, b, m, semiring=sr), repeats)
+        t_two = _time_best(lambda: execute(two, a, b, m, semiring=sr), repeats)
+        split_rows.append((a.nnz + m.nnz, max(0.0, t_two - t_one)))
+
+    changes: dict = {}
+    fixed_ns = []
+    errors: Dict[str, float] = {}
+    for algo, rows in samples.items():
+        data = np.asarray(rows, dtype=np.float64)
+        x, y = data[:, :4], data[:, 4] * 1e9
+        theta = nonneg_lstsq(x, y, 1.0 / y)
+        changes[f"{algo}_ns"] = tuple(float(t) for t in theta[:3])
+        fixed_ns.append(float(theta[3]))
+        errors[algo] = float(np.median(np.abs(x @ theta - y) / y))
+
+    def median_ns_per_nnz(pairs) -> float:
+        nnz, secs = np.asarray(pairs, dtype=np.float64).T
+        return float(np.median(secs / np.maximum(nnz, 1.0)) * 1e9)
+
+    changes.update(
+        csc_nnz_ns=median_ns_per_nnz(csc_rows),
+        band_ns=float(np.median(fixed_ns)),
+        split_nnz_ns=median_ns_per_nnz(split_rows),
+    )
+    # two workers even on one core: the measured efficiency (~0.5 there)
+    # is then exactly what keeps the planner off the pool
+    overhead = measure_backend_overhead(2, scales=(8, 10) if quick else (11, 14))
+    if np.isfinite(overhead["dispatch_seconds"]):
+        changes["task_dispatch_s"] = overhead["dispatch_seconds"] / 2
+        changes["worker_spawn_s"] = overhead["spawn_seconds"] / 2
+        changes["parallel_efficiency"] = overhead["parallel_efficiency"]
+    report = {
+        "cores": available_cores(),
+        "median_relative_error": errors,
+        "samples": {k: [list(r) for r in v] for k, v in samples.items()},
+        "backend_overhead": overhead,
+    }
+    return dataclasses.replace(base, **changes), report

@@ -33,6 +33,7 @@ from ..sparse import CSR
 
 __all__ = [
     "flops_per_row",
+    "pulls_per_row",
     "total_flops",
     "useful_flops_per_row",
     "pull_traffic_words",
@@ -45,13 +46,23 @@ def flops_per_row(a: CSR, b: CSR) -> np.ndarray:
     """``flops(A[i,:] @ B)`` for every row i: the number of scalar products a
     push-based algorithm evaluates *without* a mask.  (The paper counts one
     "flop" per multiply; we follow that convention.)"""
-    b_row_nnz = b.row_nnz()
-    if a.nnz == 0:
-        return np.zeros(a.nrows, dtype=np.int64)
-    contrib = b_row_nnz[a.indices]
-    out = np.zeros(a.nrows, dtype=np.int64)
-    np.add.at(out, np.repeat(np.arange(a.nrows), a.row_nnz()), contrib)
-    return out
+    return _row_sums(a, b.row_nnz()[a.indices])
+
+
+def pulls_per_row(b: CSR, mask: CSR) -> np.ndarray:
+    """``sum_{j in M[i,:]} nnz(B[:,j])`` for every row i: the (mask nonzero,
+    B column entry) pairs the pull-based inner kernel fetches — the exact
+    per-row form of Section 4.1's ``nnz(M) * nnz(B)/n`` expectation."""
+    col_nnz = np.bincount(b.indices, minlength=b.ncols)
+    return _row_sums(mask, col_nnz[mask.indices])
+
+
+def _row_sums(mat: CSR, per_entry: np.ndarray) -> np.ndarray:
+    """Per-row sums of one int64 per stored entry: exact, and one cumsum
+    instead of a per-element ``add.at`` scatter."""
+    cs = np.zeros(mat.nnz + 1, dtype=np.int64)
+    np.cumsum(per_entry, out=cs[1:])
+    return cs[mat.indptr[1:]] - cs[mat.indptr[:-1]]
 
 
 def total_flops(a: CSR, b: CSR) -> int:

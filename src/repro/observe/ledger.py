@@ -22,9 +22,10 @@ ledger.
 from __future__ import annotations
 
 import math
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List
 
-from ..machine.config import MACHINES, MachineConfig
+from ..machine.config import MACHINES
+from ..machine.host import HOST, HostProfile
 
 __all__ = [
     "LEDGER_SCHEMA_VERSION",
@@ -66,11 +67,12 @@ def _spans(tracer_or_spans) -> list:
     return list(spans)
 
 
-def _resolve_machine(spans, machine) -> Optional[MachineConfig]:
+def _resolve_machine(spans, machine):
     """The machine to convert modeled cycles to seconds with.
 
     Prefers the explicit argument; otherwise recovers the planning
-    machine's name from an ``engine.execute`` span's plan attrs.
+    machine's name (a preset, or the host profile) from an
+    ``engine.execute`` span's plan attrs.
     """
     if machine is not None:
         return machine
@@ -80,11 +82,16 @@ def _resolve_machine(spans, machine) -> Optional[MachineConfig]:
             name = plan.get("machine")
             if name in MACHINES:
                 return MACHINES[name]
+            if name == HOST.name:
+                return HOST
     return None
 
 
-def _bucket_cycles(attrs: Dict[str, Any], m: MachineConfig) -> float:
-    """Coarse modeled cycles for one batch-bucket chunk."""
+def _bucket_cycles(attrs: Dict[str, Any], m) -> float:
+    """Coarse modeled cycles for one batch-bucket chunk (0 — no prediction
+    — under the host profile, which prices whole bands, not chunks)."""
+    if isinstance(m, HostProfile):
+        return 0.0
     flops = float(attrs.get("flops", 0) or 0)
     rows = float(attrs.get("rows", 0) or 0)
     return (

@@ -136,8 +136,7 @@ class CSR:
                 np.add.at(out_vals, seg, vals)
                 rows, cols, vals = rows[keep], cols[keep], out_vals
         indptr = np.zeros(nrows + 1, dtype=INDEX_DTYPE)
-        np.add.at(indptr, rows + 1, 1)
-        np.cumsum(indptr, out=indptr)
+        np.cumsum(np.bincount(rows, minlength=nrows), out=indptr[1:])
         return cls((nrows, ncols), indptr, cols, vals, sorted_indices=True, check=False)
 
     @classmethod
@@ -305,9 +304,29 @@ class CSR:
 
     def transpose(self) -> "CSR":
         """Transpose.  The result has sorted rows (CSR of the transpose is
-        the CSC of the original, so this also serves as the CSC builder)."""
-        rows, cols, vals = self.to_coo()
-        return CSR.from_coo((self.ncols, self.nrows), cols, rows, vals)
+        the CSC of the original, so this also serves as the CSC builder).
+
+        Sorted, duplicate-free rows transpose by one *stable* sort on the
+        column id alone (entries are already row-major, so stability keeps
+        each output row ascending): an LSD radix pass per 16-bit digit,
+        which NumPy runs as a counting sort.  Anything else goes through
+        :meth:`from_coo`, which also sums duplicates."""
+        if not self.sorted_indices:
+            rows, cols, vals = self.to_coo()
+            return CSR.from_coo((self.ncols, self.nrows), cols, rows, vals)
+        order = np.argsort(self.indices.astype(np.uint16), kind="stable")
+        shift = 16
+        while (self.ncols - 1) >> shift:
+            digit = (self.indices[order] >> shift).astype(np.uint16)
+            order = order[np.argsort(digit, kind="stable")]
+            shift += 16
+        indptr = np.zeros(self.ncols + 1, dtype=INDEX_DTYPE)
+        np.cumsum(np.bincount(self.indices, minlength=self.ncols), out=indptr[1:])
+        rows = np.repeat(np.arange(self.nrows, dtype=INDEX_DTYPE), np.diff(self.indptr))
+        return CSR(
+            (self.ncols, self.nrows), indptr, rows[order], self.data[order],
+            sorted_indices=True, check=False,
+        )
 
     def pattern(self) -> "CSR":
         """Same structure with all stored values set to 1.0."""

@@ -128,13 +128,18 @@ class TestProcessBackendInternals:
         assert process_backend_available()
 
     def test_planner_picks_process_above_crossover(self):
+        """With the worker count forced, the host planner enters the pool
+        exactly when the predicted kernel seconds repay its dispatch."""
         import dataclasses
 
+        from repro.machine import HOST
+
         g = rmat(6, seed=3)
-        cheap = dataclasses.replace(HASWELL, process_crossover_cycles=1.0)
+        cheap = dataclasses.replace(HOST, task_dispatch_s=0.0, worker_spawn_s=0.0,
+                                    parallel_efficiency=1.0)
         pl = Planner(cheap).plan(g, g, g, threads=WORKERS)
         assert pl.backend == "process"
-        steep = dataclasses.replace(HASWELL, process_crossover_cycles=1e18)
+        steep = dataclasses.replace(HOST, task_dispatch_s=1e6)
         pl = Planner(steep).plan(g, g, g, threads=WORKERS)
         assert pl.backend == "thread"
 

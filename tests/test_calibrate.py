@@ -1,10 +1,8 @@
 """Tests for local machine calibration."""
 
-import numpy as np
 import pytest
 
 from repro.machine import (
-    HASWELL,
     RowCostModel,
     calibrate_machine,
     measure_touch_costs,
@@ -70,28 +68,34 @@ class TestCalibrateMachine:
 
 @pytest.mark.backend
 class TestProcessCrossoverCalibration:
-    """Backend-overhead calibration (spawns a small worker pool)."""
+    """The host fitter's process-pool measurements (spawns a small pool)."""
 
     def test_measure_backend_overhead(self):
         from repro.machine import measure_backend_overhead
         from repro.parallel import shutdown_pool
 
-        ov = measure_backend_overhead(2)
+        ov = measure_backend_overhead(2, repeats=1, scales=(6, 8))
         assert ov["dispatch_seconds"] > 0
         assert ov["spawn_seconds"] >= 0
+        assert 0 < ov["parallel_efficiency"] <= 1
         shutdown_pool()
 
     def test_calibrate_returns_new_config(self):
-        from repro.machine import calibrate_process_crossover
+        from repro.machine import HOST, HostProfile, fit_host_profile
         from repro.parallel import shutdown_pool
 
-        fitted = calibrate_process_crossover(HASWELL, workers=2)
-        assert fitted is not HASWELL
-        assert fitted.process_crossover_cycles > 0
-        assert fitted.process_dispatch_seconds > 0
-        # untouched fields carry over
-        assert fitted.cores == HASWELL.cores
-        assert fitted.name == HASWELL.name
-        # the input preset is frozen and unchanged
-        assert HASWELL.process_crossover_cycles == 2.0e6
+        fitted, report = fit_host_profile(quick=True, repeats=1)
+        assert fitted is not HOST and isinstance(fitted, HostProfile)
+        for algo in HOST.candidates:
+            per_work, per_mask, per_row = getattr(fitted, f"{algo}_ns")
+            assert per_work >= 0 and per_mask >= 0 and per_row >= 0
+            assert per_work + per_mask + per_row > 0
+            assert report["median_relative_error"][algo] >= 0
+        assert fitted.task_dispatch_s > 0
+        assert fitted.csc_nnz_ns > 0
+        # knobs the fitter does not measure carry over
+        assert fitted.batch_crossover_flops == HOST.batch_crossover_flops
+        assert fitted.name == HOST.name
+        # the checked-in profile is frozen and unchanged
+        assert HOST == HostProfile()
         shutdown_pool()

@@ -35,6 +35,7 @@ from repro.engine import ExecutionSession
 from repro.graphs import erdos_renyi, relabel_by_degree, rmat
 from repro.machine import (
     HASWELL,
+    HOST,
     MachineConfig,
     OpCounter,
     evaluate_config,
@@ -268,7 +269,7 @@ class TestFit:
     def test_resolve_machine_presets_and_fitted(self, fitted, tmp_path,
                                                 monkeypatch):
         monkeypatch.delenv(MACHINE_ENV, raising=False)
-        assert resolve_machine(None) is HASWELL
+        assert resolve_machine(None) is HOST  # the live default: measured host
         assert resolve_machine(HASWELL) is HASWELL
         assert resolve_machine("haswell") is HASWELL
         monkeypatch.delenv(FITTED_PATH_ENV, raising=False)

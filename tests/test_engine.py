@@ -91,17 +91,18 @@ class TestPlanner:
 
     def test_explain_reports_choices(self, triple):
         a, b, m = triple
-        text = plan(a, b, m).explain()
+        text = plan(a, b, m, machine=HASWELL).explain()
         assert "algo=" in text
         assert "phases=" in text
         assert "partition" in text
         assert HASWELL.name in text
+        assert "on host" in plan(a, b, m).explain()
 
     def test_as_dict_jsonable(self, triple):
         a, b, m = triple
         d = plan(a, b, m, memory_budget_bytes=10_000).as_dict()
         json.dumps(d)  # must not raise
-        assert d["machine"] == "haswell"
+        assert d["machine"] == "host"  # no machine= means this interpreter
         assert sum(band["nrows"] for band in d["bands"]) == a.nrows
 
     def test_machine_changes_estimates(self, triple):
@@ -180,8 +181,10 @@ class TestPlanner:
 # ----------------------------------------------------------------------
 class TestAutoSelection:
     def test_density_grid_selects_multiple_algorithms(self):
-        """Paper Fig. 7 via the planner: sweeping input/mask density must
-        produce at least three distinct algorithm choices."""
+        """Paper Fig. 7 via the planner on the paper's machine: sweeping
+        input/mask density must produce at least three distinct algorithm
+        choices.  (What wins on *this* interpreter is a measured question:
+        ``tests/test_host_planner.py``, ``benchmarks/test_auto_regret.py``.)"""
         n = 512
         degrees = (1, 4, 16, 64)
         chosen = set()
@@ -190,7 +193,7 @@ class TestAutoSelection:
             b = erdos_renyi(n, n, d_in, seed=d_in + 1000)
             for d_m in degrees:
                 m = erdos_renyi(n, n, d_m, seed=d_m + 2000)
-                per_algo = plan(a, b, m).nrows_per_algo()
+                per_algo = plan(a, b, m, machine="haswell").nrows_per_algo()
                 chosen.add(max(per_algo, key=per_algo.get))
         assert len(chosen) >= 3, chosen
         assert chosen <= set(PLAN_CANDIDATES)
