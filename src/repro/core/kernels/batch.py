@@ -39,7 +39,9 @@ import numpy as np
 
 from ...machine.traffic import flops_per_row as per_row_flops
 from ...observe import tracer as _obs
+from ...semiring import PLUS_PAIR, Semiring
 from ...sparse import CSR
+from ...sparse.csr import rows_entries
 
 __all__ = [
     "BATCH_TIERS",
@@ -53,6 +55,7 @@ __all__ = [
     "bucket_batches",
     "rows_entries",
     "expand_keys",
+    "product_values",
     "FusedSlab",
 ]
 
@@ -183,56 +186,66 @@ def bucket_batches(
                     yield b, chunk_rows
 
 
-def rows_entries(
-    indptr: np.ndarray, rows: np.ndarray
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Gather the CSR entry positions of a scattered row set.
-
-    Returns ``(pos, local)``: ``pos`` indexes ``indices``/``data`` for every
-    entry of the given rows (rows in the order given, entries in CSR order
-    within a row), ``local`` is the position of each entry's row *within*
-    ``rows``.
-    """
-    starts = indptr[rows]
-    counts = indptr[rows + 1] - starts
-    total = int(counts.sum())
-    if total == 0:
-        e = np.empty(0, dtype=np.int64)
-        return e, e.copy()
-    block_ofs = np.repeat(np.cumsum(counts) - counts, counts)
-    pos = np.arange(total, dtype=np.int64) - block_ofs + np.repeat(starts, counts)
-    local = np.repeat(np.arange(rows.size, dtype=np.int64), counts)
-    return pos, local
-
-
 def expand_keys(
-    a: CSR, b: CSR, rows: np.ndarray
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    a: CSR, b: CSR, rows: np.ndarray, key_rows: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Keys-only product expansion of a scattered row set.
 
-    Returns ``(p_local, p_src, p_bpos)`` of length ``flops(rows)``:
-    ``p_local`` is the row's position within ``rows``, ``p_src`` the
-    product's A-entry position (into ``a.data``) and ``p_bpos`` its B-entry
-    position (into ``b.indices``/``b.data``).  Column is ``b.indices[p_bpos]``;
-    the value ``mult(a.data[p_src], b.data[p_bpos])`` is *not* computed —
-    kernels multiply only the products that survive the mask filter, which
-    is elementwise and therefore bitwise identical to filtering after an
-    eager multiply.  Products keep the per-row tier's order: grouped by row
-    (in ``rows`` order), then A-entry order, then B-row order.
+    Returns ``(p_keys, p_bpos, a_pos, ends)``.  The first two have length
+    ``flops(rows)``: ``p_keys`` is each product's flat output key
+    ``key_rows[i] * ncols + col`` (``i`` the row's position within ``rows``
+    — pass ``rows`` itself for global keys, an ``arange`` for chunk-local
+    ones) and ``p_bpos`` its B-entry position (into ``b.indices``/``b.data``).
+    The other two have one element per A-entry of ``rows``: ``a_pos`` its
+    position in ``a.data`` and ``ends`` the running product count, so
+    A-entry ``j`` produced the products ``ends[j-1] <= p < ends[j]``.
+    Values are *not* computed here — :func:`product_values` multiplies only
+    the products that survive the mask filter, which is elementwise and
+    therefore bitwise identical to filtering after an eager multiply.
+    Products keep the per-row tier's order: grouped by row (in ``rows``
+    order), then A-entry order, then B-row order.
     """
     a_pos, a_local = rows_entries(a.indptr, rows)
-    a_cols = a.indices[a_pos]
-    starts = b.indptr[a_cols]
-    counts = b.indptr[a_cols + 1] - starts
-    total = int(counts.sum())
+    a_cols = a.indices.take(a_pos)
+    starts = b.indptr.take(a_cols)
+    counts = b.indptr.take(a_cols + 1) - starts
+    ends = np.cumsum(counts)
+    total = int(ends[-1]) if ends.size else 0
     if total == 0:
         e = np.empty(0, dtype=np.int64)
-        return e, e.copy(), e.copy()
-    block_ofs = np.repeat(np.cumsum(counts) - counts, counts)
-    p_bpos = np.arange(total, dtype=np.int64) - block_ofs + np.repeat(starts, counts)
-    p_local = np.repeat(a_local, counts)
-    p_src = np.repeat(a_pos, counts)
-    return p_local, p_src, p_bpos
+        return e, e.copy(), a_pos, ends
+    p_bpos = np.repeat(starts - (ends - counts), counts)
+    p_bpos += np.arange(total, dtype=np.int64)
+    p_keys = np.repeat(key_rows.take(a_local) * np.int64(b.ncols), counts)
+    p_keys += b.indices.take(p_bpos)
+    return p_keys, p_bpos, a_pos, ends
+
+
+def product_values(
+    semiring: Semiring,
+    a: CSR,
+    b: CSR,
+    a_pos: np.ndarray,
+    ends: np.ndarray,
+    p_bpos: np.ndarray,
+    idx: np.ndarray,
+) -> np.ndarray:
+    """Semiring products of the surviving expansion positions ``idx``
+    (ascending; the other arguments are :func:`expand_keys`'s).  Each
+    A-entry's survivor count comes from a binary search of its product
+    range's end in ``idx`` — one search per A-entry, not per product — and
+    none at all when the multiply ignores its operands."""
+    if semiring.mult_ufunc is PLUS_PAIR.mult_ufunc:
+        return np.ones(idx.shape[0], dtype=np.float64)
+    survivors = np.searchsorted(idx, ends)
+    survivors[1:] -= survivors[:-1].copy()
+    return np.asarray(
+        semiring.mult_ufunc(
+            a.data.take(np.repeat(a_pos, survivors)),
+            b.data.take(p_bpos.take(idx)),
+        ),
+        dtype=np.float64,
+    )
 
 
 class FusedSlab:
@@ -282,6 +295,23 @@ class FusedSlab:
         self.indices[dest] = cols
         self.data[dest] = vals
         self._written += k
+
+    def write_rows(
+        self, rows: np.ndarray, counts: np.ndarray, cols: np.ndarray,
+        vals: np.ndarray,
+    ) -> None:
+        """Place whole finished rows: ``counts[i]`` entries of ``rows[i]``,
+        concatenated in ``rows`` order (columns ascending within a row)."""
+        if bool(np.any(counts != self.indptr[rows + 1] - self.indptr[rows])):
+            raise AssertionError(
+                "symbolic/numeric mismatch: numeric pass emitted a "
+                "different number of entries for a row than the symbolic "
+                "bound allocated"
+            )
+        dest, _ = rows_entries(self.indptr, rows)
+        self.indices[dest] = cols
+        self.data[dest] = vals
+        self._written += int(cols.shape[0])
 
     def finish(self) -> CSR:
         """The finished matrix; raises if any allocated cell went unwritten."""

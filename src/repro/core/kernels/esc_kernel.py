@@ -41,7 +41,7 @@ from ...semiring import PLUS_TIMES, Semiring
 from ...sparse import CSR
 from .arena import get_arena
 from .batch import FusedSlab, bucket_batches, expand_keys, per_row_flops, \
-    resolve_tier
+    product_values, resolve_tier
 from .expand import DEFAULT_FLOP_BUDGET, expand_products, iter_row_blocks, row_keys
 
 __all__ = ["masked_spgemm_esc_fast"]
@@ -168,15 +168,12 @@ def _esc_bucketed(
 ):
     """The bucketed tier: size-class chunks, lazy multiply after the filter."""
     pr = _probes._INSTALLED
-    mult = semiring.mult_ufunc
-    nn = np.int64(n)
     for bkt, rows in bucket_batches(
         per_row, flop_budget, include_empty=False
     ):
-        p_local, p_src, p_bpos = expand_keys(a, b, rows)
-        if p_local.shape[0] == 0:
+        p_keys, p_bpos, a_pos, ends = expand_keys(a, b, rows, rows)
+        if p_keys.shape[0] == 0:
             continue
-        p_keys = rows[p_local] * nn + b.indices[p_bpos]
         if counter is not None:
             counter.accum_inserts += int(p_keys.shape[0])
         if pr is not None:
@@ -188,15 +185,13 @@ def _esc_bucketed(
             inside = m_keys[pos_c] == p_keys
         else:
             inside = np.zeros(p_keys.shape[0], dtype=bool)
-        keep = ~inside if complement else inside
+        keep = np.flatnonzero(~inside if complement else inside)
         p_keys = p_keys[keep]
         if counter is not None:
             counter.flops += int(p_keys.shape[0])
         if p_keys.shape[0] == 0:
             continue
-        vals = np.asarray(
-            mult(a.data[p_src[keep]], b.data[p_bpos[keep]]), dtype=np.float64
-        )
+        vals = product_values(semiring, a, b, a_pos, ends, p_bpos, keep)
         # --- sort + compress ---
         order = np.argsort(p_keys, kind="stable")
         heads, red = _compress(p_keys, vals, order, semiring, boundary_lease)

@@ -49,7 +49,7 @@ from ...observe.tracer import traced_kernel
 from ...semiring import PLUS_TIMES, Semiring
 from ...sparse import CSR
 from .arena import get_arena
-from .batch import FusedSlab, expand_keys, resolve_tier
+from .batch import FusedSlab, expand_keys, product_values, resolve_tier
 from .compiled import add_at as _c_add_at
 from .expand import DEFAULT_FLOP_BUDGET, expand_products, iter_row_blocks, row_keys
 
@@ -336,7 +336,6 @@ def _hash_batched(
     membership, arithmetic probe certification, optional fused output."""
     n = b.ncols
     ident = semiring.add_identity
-    mult = semiring.mult_ufunc
     add_ufunc = semiring.add_ufunc
     pr = _probes._INSTALLED
     chain_hist = pr.hist("hash.probe_chain") if pr is not None else None
@@ -361,10 +360,8 @@ def _hash_batched(
             m_cols = mask.indices[mlo:mhi]
             m_keys = row_keys(m_rows, m_cols, n)
             nm = int(m_keys.shape[0])
-            p_local, p_src, p_bpos = expand_keys(
-                a, b, np.arange(lo, hi, dtype=np.int64)
-            )
-            p_keys = (np.int64(lo) + p_local) * np.int64(n) + b.indices[p_bpos]
+            block = np.arange(lo, hi, dtype=np.int64)
+            p_keys, p_bpos, a_pos, ends = expand_keys(a, b, block, block)
             np_ = int(p_keys.shape[0])
             if counter is not None:
                 counter.accum_allowed += nm
@@ -403,14 +400,13 @@ def _hash_batched(
                     chain_hist.record_array(probes)
 
             if complement:
-                keep = ~found
-                vals_kept = np.asarray(
-                    mult(a.data[p_src[keep]], b.data[p_bpos[keep]]),
-                    dtype=np.float64,
+                keep = np.flatnonzero(~found)
+                vals_kept = product_values(
+                    semiring, a, b, a_pos, ends, p_bpos, keep
                 )
                 keys, vals = _sort_reduce(p_keys[keep], vals_kept, semiring)
                 if counter is not None:
-                    counter.flops += int(keep.sum())
+                    counter.flops += int(keep.shape[0])
                     counter.accum_removes += int(keys.shape[0])
                 g_rows, g_cols, g_vals = keys // n, keys % n, vals
                 if table is not None:
@@ -419,9 +415,8 @@ def _hash_batched(
                 vals_m = vals_lease.require(max(1, nm))
                 set_m = set_lease.require(max(1, nm))
                 kept_idx = idxc[found]
-                vals_kept = np.asarray(
-                    mult(a.data[p_src[found]], b.data[p_bpos[found]]),
-                    dtype=np.float64,
+                vals_kept = product_values(
+                    semiring, a, b, a_pos, ends, p_bpos, np.flatnonzero(found)
                 )
                 _c_add_at(vals_m, kept_idx, vals_kept, add_ufunc)
                 set_m[kept_idx] = True

@@ -1,40 +1,42 @@
 """Vectorized MSA kernel.
 
-The fast counterpart of Algorithm 2: per row batch it
+The fast counterpart of Algorithm 2, as one body over row chunks.  The
+accumulator keeps the MSA's dense, column-addressed *lookup* but stores,
+MCA-style (Section 5.4), the *rank* of each allowed cell instead of a state
+and a value: per chunk it
 
-1. marks allowed positions by scattering the mask into a dense state array
-   (``set_allowed``),
-2. scatters the allowed products into a dense value array with the
-   semiring's ``add_ufunc.at`` (``insert``; masked-out products are filtered
-   *before* the multiply-accumulate, preserving the lazy-evaluation
-   semantics of the INSERT lambda),
-3. gathers the output through the mask in mask order (``remove``), which
-   keeps the row sorted exactly as the reference does.
+1. scatters ``1..nc`` into a dense int32 ``rank`` array at the chunk's
+   ``nc`` allowed cells (``set_allowed``; 0 == NOTALLOWED),
+2. gathers ``rank`` at every product key — one pass that is both the mask
+   test and the compression — and multiplies only the survivors
+   (``insert``; the lazy-evaluation semantics of the INSERT lambda),
+3. accumulates survivors into ``nc``-long arrays — ``np.bincount`` for
+   ``np.add`` monoids (sequential in product order, so bit-identical to
+   ``add.at``), ``add_ufunc.at`` otherwise — where SET is "count > 0",
+4. emits the SET cells, which are already in mask order (``remove``), so
+   rows come out sorted exactly as the reference builds them.
 
-The dense arrays cover ``batch_rows x ncols`` and are reused across batches
-— the same "dirty-cell reset" trick the scalar MSA uses, amortised — and,
-via the scratch arena (:mod:`repro.core.kernels.arena`), across *calls*:
-iterative workloads re-lease the same state/value buffers instead of
-reallocating and re-zeroing them every invocation.
+With a plain mask the allowed cells are the mask entries.  With a
+complemented mask they are the cells some product lands on minus the mask
+entries, found by a bitmap scatter and one scan of the chunk's dense range.
 
-Two batching tiers (``batch=`` knob, see :mod:`repro.core.kernels.batch`):
+The ``rank`` and bitmap arrays cover ``chunk_rows x ncols``, are reset
+cell-by-cell after each chunk and leased from the scratch arena
+(:mod:`repro.core.kernels.arena`), so iterative workloads reuse them across
+*calls* as well.  The chunk budgets keep every temporary around a megabyte,
+which the allocator recycles instead of mapping afresh.
 
-* ``"perrow"`` — the historical contiguous flop-budget row blocks;
-* ``"bucket"`` — rows grouped by power-of-two flops/row size class and run
-  as whole-array chunks with keys-only (lazily multiplied) expansion, plus
-  direct-to-CSR output via :class:`~repro.core.kernels.batch.FusedSlab`
-  when a two-phase symbolic bound (``row_nnz``) is supplied.
-
-Both tiers produce bit-for-bit identical matrices and ``OpCounter`` totals
-— every charged quantity is a per-row sum, invariant to row grouping.
-
-The complemented variant flips step 1/2's membership test and gathers
-through the set of actually-touched positions instead of the mask.
+Chunks come from the ``batch=`` tier (:mod:`repro.core.kernels.batch`):
+power-of-two flops/row size classes at/above the crossover
+(``"bucket"``), contiguous flop-budget row blocks below it (``"perrow"``).
+Values and ``OpCounter`` totals do not depend on the tier — every output
+row is produced by one chunk with its products in expansion order, and
+every charged quantity is a per-row sum.
 """
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Iterator, Optional, Tuple
 
 import numpy as np
 
@@ -45,11 +47,22 @@ from ...semiring import PLUS_TIMES, Semiring
 from ...sparse import CSR
 from .arena import get_arena
 from .batch import FusedSlab, bucket_batches, expand_keys, per_row_flops, \
-    resolve_tier, rows_entries
-from .compiled import add_at as _c_add_at
-from .expand import DEFAULT_FLOP_BUDGET, expand_products, iter_row_blocks
+    plan_flop_blocks, product_values, resolve_tier, rows_entries
 
 __all__ = ["masked_spgemm_msa_fast"]
+
+#: products per chunk / dense cells per chunk: temporaries of about 1 MB
+MSA_FLOP_BUDGET = 1 << 17
+MSA_DENSE_BUDGET = 1 << 20
+
+
+def _row_blocks(
+    per_row: np.ndarray, flop_budget: int, max_width: int
+) -> Iterator[Tuple[None, np.ndarray]]:
+    """Contiguous flop-budget blocks, split to at most ``max_width`` rows."""
+    for lo, hi in plan_flop_blocks(per_row, flop_budget):
+        for sub in range(lo, hi, max_width):
+            yield None, np.arange(sub, min(hi, sub + max_width), dtype=np.int64)
 
 
 @traced_kernel("msa")
@@ -61,260 +74,126 @@ def masked_spgemm_msa_fast(
     complement: bool = False,
     semiring: Semiring = PLUS_TIMES,
     counter: Optional[OpCounter] = None,
-    flop_budget: int = DEFAULT_FLOP_BUDGET,
-    dense_budget: int = 1 << 22,
+    flop_budget: int = MSA_FLOP_BUDGET,
+    dense_budget: int = MSA_DENSE_BUDGET,
     batch: str = "auto",
     row_nnz: Optional[np.ndarray] = None,
 ) -> CSR:
     """Vectorized MSA masked SpGEMM (see module docs).
 
-    ``batch`` selects the batching tier (``"auto"`` | ``"bucket"`` |
+    ``batch`` selects the chunking tier (``"auto"`` | ``"bucket"`` |
     ``"perrow"``); ``row_nnz`` optionally carries the exact two-phase
-    symbolic bound, enabling fused direct-to-CSR output on the bucketed
-    tier (ignored on the per-row tier).
+    symbolic bound, so finished rows are written straight into the final
+    CSR arrays and checked against it.
     """
     a = a.sort_indices()
     b = b.sort_indices()
     mask = mask.sort_indices()
     n = b.ncols
+    nn = np.int64(n)
+    # chunks are capped so width * n dense cells fit the dense budget
     max_width = max(1, dense_budget // max(1, n))
     per_row = per_row_flops(a, b)
-    tier = resolve_tier(a, b, batch, per_row=per_row)
-    ident = semiring.add_identity
-    add_at = semiring.add_ufunc.at
-
-    out_rows = []
-    out_cols = []
-    out_vals = []
-    slab = (
-        FusedSlab((a.nrows, n), row_nnz)
-        if tier == "bucket" and row_nnz is not None
-        else None
-    )
-
-    def blocks():
-        # flop-budget blocks, further split so width * n dense cells fit the
-        # dense budget (the MSA's working set)
-        for blo, bhi in iter_row_blocks(a, b, flop_budget):
-            for sub in range(blo, bhi, max_width):
-                yield sub, min(bhi, sub + max_width)
-
-    # dense per-batch accumulators, addressed by local_row * n + col; leased
-    # from the arena so iterative callers reuse them across invocations (the
-    # per-batch dirty-cell resets below are exactly the arena's cleanliness
-    # contract)
-    arena = get_arena()
-    with arena.lease("msa.state", np.bool_, False) as state_lease, \
-            arena.lease(("msa.values", float(ident)), np.float64, ident) as values_lease, \
-            arena.lease("msa.set", np.bool_, False) as set_lease:
-        if tier == "bucket":
-            _msa_bucketed(
-                a, b, mask, per_row, n, complement, semiring, counter,
-                flop_budget, max_width, state_lease, values_lease, set_lease,
-                slab, out_rows, out_cols, out_vals,
-            )
-        else:
-            _msa_blocks(
-                a, b, mask, blocks(), n, complement, semiring, counter,
-                add_at, ident, state_lease, values_lease,
-                out_rows, out_cols, out_vals,
-            )
-
-    if slab is not None:
-        c = slab.finish()
-        if counter is not None:
-            counter.output_nnz += c.nnz
-        return c
-    if out_rows:
-        rows = np.concatenate(out_rows)
-        cols = np.concatenate(out_cols)
-        vals = np.concatenate(out_vals)
+    if resolve_tier(a, b, batch, per_row=per_row) == "bucket":
+        chunks = bucket_batches(per_row, flop_budget, width_cap=max_width)
     else:
-        rows = cols = np.empty(0, dtype=np.int64)
-        vals = np.empty(0, dtype=np.float64)
-    if counter is not None:
-        counter.output_nnz += int(rows.shape[0])
-    return CSR.from_coo((a.nrows, n), rows, cols, vals)
-
-
-def _msa_bucketed(
-    a, b, mask, per_row, n, complement, semiring, counter, flop_budget,
-    max_width, state_lease, values_lease, set_lease, slab,
-    out_rows, out_cols, out_vals,
-):
-    """The bucketed tier: one whole-array pass per same-size-class chunk."""
-    pr = _probes._INSTALLED
+        chunks = _row_blocks(per_row, flop_budget, max_width)
     ident = semiring.add_identity
-    mult = semiring.mult_ufunc
     add_ufunc = semiring.add_ufunc
-    nn = np.int64(n)
-    for bkt, rows in bucket_batches(per_row, flop_budget, width_cap=max_width):
-        need = rows.size * n
-        state = state_lease.require(need)
-        values = values_lease.require(need)
-        m_pos, m_local = rows_entries(mask.indptr, rows)
-        m_cols = mask.indices[m_pos]
-        m_flat = m_local * nn + m_cols
-        nm = int(m_flat.shape[0])
-        if bkt:
-            p_local, p_src, p_bpos = expand_keys(a, b, rows)
-            p_flat = p_local * nn + b.indices[p_bpos]
-        else:
-            p_src = p_bpos = p_flat = np.empty(0, dtype=np.int64)
-        if counter is not None:
-            counter.accum_allowed += nm
-            counter.accum_inserts += int(p_flat.shape[0])
-        if pr is not None:
-            pr.hist("batch.bucket_occupancy").record(int(rows.size))
+    plain_sum = add_ufunc is np.add and ident == 0
+    pr = _probes._INSTALLED  # one read; recordings below are per chunk
 
-        if complement:
-            state[m_flat] = True  # True == forbidden in this mode
-            keep = ~state[p_flat]
-            kept = p_flat[keep]
-            vals_kept = np.asarray(
-                mult(a.data[p_src[keep]], b.data[p_bpos[keep]]),
-                dtype=np.float64,
+    slab = FusedSlab((a.nrows, n), row_nnz) if row_nnz is not None else None
+    finished = []  # 1P: (rows, counts, cols, vals) per chunk, placed at the end
+
+    # the leases' cleanliness contract is the per-chunk cell resets below; an
+    # exception mid-chunk discards the buffers instead of returning them
+    arena = get_arena()
+    with arena.lease("msa.rank", np.int32, 0) as rank_lease, \
+            arena.lease("msa.bitmap", np.bool_, False) as bitmap_lease:
+        for bkt, rows in chunks:
+            need = rows.size * n
+            m_pos, m_local = rows_entries(mask.indptr, rows)
+            m_cols = mask.indices.take(m_pos)
+            m_flat = m_local * nn + m_cols
+            nm = int(m_flat.shape[0])
+            p_flat, p_bpos, a_pos, ends = expand_keys(
+                a, b, rows, np.arange(rows.size, dtype=np.int64)
             )
-            _c_add_at(values, kept, vals_kept, add_ufunc)
             if counter is not None:
-                counter.flops += int(keep.sum())
-            touched = np.unique(kept)
-            gathered = values[touched].copy()
-            g_rows = rows[touched // nn]
-            g_cols = touched % nn
-            # reset only the dirtied cells
-            values[touched] = ident
-            state[m_flat] = False
+                counter.accum_allowed += nm
+                counter.accum_inserts += int(p_flat.shape[0])
+            if pr is not None and bkt is not None:
+                pr.hist("batch.bucket_occupancy").record(int(rows.size))
+
+            if complement:
+                bitmap = bitmap_lease.require(need)
+                bitmap[p_flat] = True
+                bitmap[m_flat] = False  # mask entries are NOTALLOWED here
+                cells = np.flatnonzero(bitmap)
+                bitmap[cells] = False
+                local = cells // nn
+                cols = cells - local * nn
+            else:
+                cells, local, cols = m_flat, m_local, m_cols
+            nc = int(cells.shape[0])
+
+            rank = rank_lease.require(need)
+            rank[cells] = np.arange(1, nc + 1, dtype=np.int32)
+            hit = rank.take(p_flat)
+            rank[cells] = 0
+            idx = np.flatnonzero(hit != 0)  # nonzero() is fast on bool only
+            r = hit.take(idx)
+            vals = product_values(semiring, a, b, a_pos, ends, p_bpos, idx)
+            times_set = np.bincount(r, minlength=nc + 1)[1:]
+            if plain_sum:
+                acc = np.bincount(r, weights=vals, minlength=nc + 1)[1:]
+            else:
+                acc = np.full(nc + 1, ident, dtype=np.float64)
+                add_ufunc.at(acc, r, vals)
+                acc = acc[1:]
+            if not complement:  # complement cells are SET by construction
+                emit = np.flatnonzero(times_set != 0)
+                local, cols, acc = local.take(emit), cols.take(emit), acc.take(emit)
+            counts = np.bincount(local, minlength=rows.size)
+
             if counter is not None:
-                counter.accum_removes += int(touched.shape[0])
-                counter.spa_resets += int(touched.shape[0] + nm)
+                counter.flops += int(idx.shape[0])
+                counter.accum_removes += nc
+                counter.spa_resets += nc + nm if complement else nm
             if pr is not None:
-                pr.hist("msa.reset_cells").record(int(touched.shape[0] + nm))
-        else:
-            state[m_flat] = True  # True == ALLOWED
-            keep = state[p_flat]
-            kept = p_flat[keep]
-            vals_kept = np.asarray(
-                mult(a.data[p_src[keep]], b.data[p_bpos[keep]]),
-                dtype=np.float64,
-            )
-            _c_add_at(values, kept, vals_kept, add_ufunc)
-            if counter is not None:
-                counter.flops += int(keep.sum())
-            is_set = set_lease.require(need)
-            is_set[kept] = True
-            emit = is_set[m_flat]
-            sel = m_flat[emit]
-            gathered = values[sel].copy()
-            g_rows = rows[m_local[emit]]
-            g_cols = m_cols[emit]
-            values[m_flat] = ident
-            state[m_flat] = False
-            is_set[kept] = False
-            if counter is not None:
-                counter.accum_removes += nm
-                counter.spa_resets += nm
-            if pr is not None:
-                pr.hist("msa.touched_per_mask_pct").record(
-                    int(100 * int(emit.sum()) // max(1, nm))
-                )
-                pr.hist("msa.reset_cells").record(nm)
-                if rows.size:
-                    hits = np.bincount(m_local[emit], minlength=rows.size)
-                    pr.hist("mask.row_hits").record_array(hits)
-                    pr.hist("mask.row_misses").record_array(
-                        np.bincount(m_local, minlength=rows.size) - hits
+                if complement:
+                    pr.hist("msa.reset_cells").record(nc + nm)
+                else:
+                    # touched cells vs nnz(m): what fraction of the mask's
+                    # dense footprint the chunk actually used (the reset-list
+                    # amortisation the paper's Section 5.2 argues for)
+                    pr.hist("msa.touched_per_mask_pct").record(
+                        int(100 * int(cols.shape[0]) // max(1, nm))
                     )
-        if slab is not None:
-            slab.write(g_rows, g_cols, gathered)
-        elif g_rows.shape[0]:
-            out_rows.append(g_rows)
-            out_cols.append(g_cols)
-            out_vals.append(gathered)
+                    pr.hist("msa.reset_cells").record(nm)
+                    if rows.size:
+                        pr.hist("mask.row_hits").record_array(counts)
+                        pr.hist("mask.row_misses").record_array(
+                            np.bincount(m_local, minlength=rows.size) - counts
+                        )
+            if slab is not None:
+                slab.write_rows(rows, counts, cols, acc)
+            else:
+                finished.append((rows, counts, cols, acc))
 
-
-def _msa_blocks(
-    a, b, mask, blocks, n, complement, semiring, counter, add_at, ident,
-    state_lease, values_lease, out_rows, out_cols, out_vals,
-):
-    """The per-row tier's block loop over leased dense scratch."""
-    pr = _probes._INSTALLED  # one read; recordings below are per block
-    for lo, hi in blocks:
-        width = hi - lo
-        need = width * n
-        state = state_lease.require(need)
-        values = values_lease.require(need)
-        mlo, mhi = int(mask.indptr[lo]), int(mask.indptr[hi])
-        m_rows_local = (
-            np.repeat(np.arange(lo, hi, dtype=np.int64), np.diff(mask.indptr[lo : hi + 1]))
-            - lo
+    if slab is None:
+        # every output row belongs to exactly one chunk, so the row counts
+        # fix the final layout: no sort, no duplicate scan
+        rows, counts, cols, vals = (
+            map(np.concatenate, zip(*finished)) if finished
+            else (np.empty(0, dtype=np.int64),) * 4
         )
-        m_cols = mask.indices[mlo:mhi]
-        m_flat = m_rows_local * np.int64(n) + m_cols
-
-        prod_rows, prod_cols, prod_vals = expand_products(a, b, lo, hi, semiring)
-        p_flat = (prod_rows - lo) * np.int64(n) + prod_cols
-        if counter is not None:
-            counter.accum_allowed += int(m_flat.shape[0])
-            counter.accum_inserts += int(p_flat.shape[0])
-
-        if complement:
-            # mark mask positions NOTALLOWED, keep products outside them
-            state[m_flat] = True  # True == forbidden in this mode
-            keep = ~state[p_flat]
-            kept = p_flat[keep]
-            add_at(values, kept, prod_vals[keep])
-            if counter is not None:
-                counter.flops += int(keep.sum())
-            touched = np.unique(kept)
-            gathered = values[touched]
-            out_rows.append(touched // n + lo)
-            out_cols.append(touched % n)
-            out_vals.append(gathered)
-            # reset only the dirtied cells
-            values[touched] = ident
-            state[m_flat] = False
-            if counter is not None:
-                counter.accum_removes += int(touched.shape[0])
-                counter.spa_resets += int(touched.shape[0] + m_flat.shape[0])
-            if pr is not None:
-                pr.hist("msa.reset_cells").record(
-                    int(touched.shape[0] + m_flat.shape[0])
-                )
-        else:
-            state[m_flat] = True  # True == ALLOWED
-            keep = state[p_flat]
-            kept = p_flat[keep]
-            add_at(values, kept, prod_vals[keep])
-            if counter is not None:
-                counter.flops += int(keep.sum())
-            # mark SET positions: a parallel boolean scatter
-            is_set = np.zeros_like(state)
-            is_set[kept] = True
-            emit = is_set[m_flat]
-            gathered = values[m_flat[emit]]
-            out_rows.append(m_rows_local[emit] + lo)
-            out_cols.append(m_cols[emit])
-            out_vals.append(gathered)
-            values[m_flat] = ident
-            state[m_flat] = False
-            if counter is not None:
-                counter.accum_removes += int(m_flat.shape[0])
-                counter.spa_resets += int(m_flat.shape[0])
-            if pr is not None:
-                # touched cells vs nnz(m): what fraction of the mask's dense
-                # footprint the row block actually used (the reset-list
-                # amortisation the paper's Section 5.2 argues for)
-                nm = int(m_flat.shape[0])
-                pr.hist("msa.touched_per_mask_pct").record(
-                    int(100 * int(emit.sum()) // max(1, nm))
-                )
-                pr.hist("msa.reset_cells").record(nm)
-                if hi > lo:
-                    hits = np.bincount(
-                        m_rows_local[emit], minlength=hi - lo
-                    )
-                    pr.hist("mask.row_hits").record_array(hits)
-                    pr.hist("mask.row_misses").record_array(
-                        np.bincount(m_rows_local, minlength=hi - lo) - hits
-                    )
+        row_nnz = np.zeros(a.nrows, dtype=np.int64)
+        row_nnz[rows] = counts
+        slab = FusedSlab((a.nrows, n), row_nnz)
+        slab.write_rows(rows, counts, cols, vals)
+    c = slab.finish()
+    if counter is not None:
+        counter.output_nnz += c.nnz
+    return c

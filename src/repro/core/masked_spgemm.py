@@ -40,6 +40,7 @@ algorithmic lower bound for merging without an accumulator array).
 
 from __future__ import annotations
 
+import functools
 from typing import Optional
 
 from ..machine import MachineConfig, OpCounter
@@ -100,6 +101,22 @@ def supports_complement(algo: str) -> bool:
     return algo.lower() not in _NO_COMPLEMENT
 
 
+def in_session_call(fn):
+    """Run ``fn`` inside the call scope of its ``session=`` argument
+    (:meth:`repro.engine.ExecutionSession.call`): the session digests each
+    operand once per outermost decorated call, never across calls."""
+
+    @functools.wraps(fn)
+    def scoped(*args, session=None, **kwargs):
+        if not session:  # None, or the apps' ``False`` sentinel
+            return fn(*args, session=session, **kwargs)
+        with session.call():
+            return fn(*args, session=session, **kwargs)
+
+    return scoped
+
+
+@in_session_call
 def masked_spgemm(
     a: CSR,
     b: CSR,

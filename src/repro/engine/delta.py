@@ -131,18 +131,18 @@ def _digests(session, mat, fp, *, values: bool) -> np.ndarray:
     return session.block_digests(mat, fp=fp, values=values)
 
 
-def _dirty_rows(session, old, new, f_old, f_new, *, values: bool) -> np.ndarray:
+def _dirty_rows(session, old, d_old, new, f_old, f_new, *, values: bool) -> np.ndarray:
     """Exact dirty rows of one operand between two calls.
 
-    Fast path on equal fingerprints; otherwise block digests localise the
-    change and :func:`changed_rows` names the rows inside dirty blocks.
+    Fast path on equal fingerprints; otherwise block digests (``d_old`` is
+    the vector stored with the state) localise the change and
+    :func:`changed_rows` names the rows inside dirty blocks.
     """
     if values:
         if f_old.key == f_new.key:
             return np.empty(0, dtype=np.int64)
     elif f_old.structure_key == f_new.structure_key:
         return np.empty(0, dtype=np.int64)
-    d_old = _digests(session, old, f_old, values=values)
     d_new = _digests(session, new, f_new, values=values)
     blocks = dirty_blocks(d_old, d_new)
     if blocks.size == 0:
@@ -296,7 +296,9 @@ def delta_execute(
                 _digests(session, a, fa, values=True),
                 _digests(session, b, fb, values=True),
                 _digests(session, mask, fm, values=False),
-                plan, result,
+                # a private copy: callers own what a call returned, and
+                # writing into it must not reach later hits and patches
+                plan, result.copy(),
             ),
         )
 
@@ -319,12 +321,23 @@ def delta_execute(
         session.delta_hits += 1
         if counter is not None:
             counter.rows_patched += nrows
-        return state.result
+        return state.result.copy()
 
-    a_dirty = _dirty_rows(session, state.a, a, state.fa, fa, values=True)
-    m_dirty = _dirty_rows(session, state.mask, mask, state.fm, fm, values=False)
-    b_changed = _dirty_rows(session, state.b, b, state.fb, fb, values=True)
-    b_touched = _propagate_b(session, a, fa, b_changed)
+    # an operand written to in place since the state was stored is its own
+    # "old" version: the content to diff against is gone
+    overwritten = (
+        (a is state.a and fa.key != state.fa.key)
+        or (b is state.b and fb.key != state.fb.key)
+        or (mask is state.mask and fm.structure_key != state.fm.structure_key)
+    )
+    if overwritten:
+        a_dirty = np.arange(nrows, dtype=np.int64)
+        m_dirty = b_touched = np.empty(0, dtype=np.int64)
+    else:
+        a_dirty = _dirty_rows(session, state.a, state.da, a, state.fa, fa, values=True)
+        m_dirty = _dirty_rows(session, state.mask, state.dm, mask, state.fm, fm, values=False)
+        b_changed = _dirty_rows(session, state.b, state.db, b, state.fb, fb, values=True)
+        b_touched = _propagate_b(session, a, fa, b_changed)
     dirty = np.unique(np.concatenate([a_dirty, m_dirty, b_touched]))
     dplan = DeltaPlan(
         nrows=nrows, dirty_rows=dirty, a_dirty=a_dirty,
@@ -337,7 +350,7 @@ def delta_execute(
         if counter is not None:
             counter.rows_patched += nrows
         store(state.plan, state.result)
-        return state.result
+        return state.result.copy()
 
     if mode != "force" and dplan.fraction > threshold:
         session.delta_fallbacks += 1

@@ -20,7 +20,7 @@ from typing import List, Optional
 import numpy as np
 
 from ..core.chunked import column_panels, restrict_columns
-from ..core.masked_spgemm import masked_spgemm
+from ..core.masked_spgemm import in_session_call, masked_spgemm
 from ..machine import OpCounter, flops_per_row
 from ..observe import runtime as _runtime
 from ..observe import tracer as _obs
@@ -205,6 +205,7 @@ def _preflight_process_backend(plan: ExecutionPlan, semiring: Semiring) -> str:
     return "thread"
 
 
+@in_session_call
 def execute(
     plan: ExecutionPlan,
     a: CSR,
@@ -341,6 +342,7 @@ def execute(
         )
 
 
+@in_session_call
 def plan_and_execute(
     a: CSR,
     b: CSR,

@@ -9,11 +9,12 @@ process backend republishes every operand into fresh shared-memory
 segments.  An :class:`ExecutionSession` amortises all of that across
 calls:
 
-* **operand fingerprints** (:class:`Fingerprint`) — identity fast path
-  (same CSR object, same backing arrays → cached digest) over a content
-  digest (blake2b over ``indptr``/``indices`` for structure, over ``data``
-  for values).  Content keys make every downstream cache safe: a *new*
-  object with equal bytes hits, a changed operand misses.
+* **operand fingerprints** (:class:`Fingerprint`) — a content digest
+  (blake2b over ``indptr``/``indices`` for structure, over ``data`` for
+  values), taken once per distinct operand object per call
+  (:meth:`ExecutionSession.call`) and never trusted across calls.  Content
+  keys make every downstream cache safe: a *new* object with equal bytes
+  hits, a changed operand — including one written to in place — misses.
 * **plan cache** — LRU of :class:`~repro.engine.ExecutionPlan` keyed on
   the operands' structure digests plus the forced planning knobs and
   semiring; planning is structure-driven, so values-only changes reuse
@@ -34,19 +35,19 @@ shows up only in wall time and in the ``plan_cache_hits`` /
 ``segments_reused`` / ``bytes_republished`` counters (surfaced through
 ``OpCounter``, ``metrics()`` and ``report()``).
 
-Invalidation contract: caches key on *content*, so stale entries are
-unreachable, not wrong — with one exception.  The identity fast path
-trusts that a previously fingerprinted CSR object whose three backing
-arrays are the same objects has not been mutated *in place*.  Code that
-writes into ``mat.data[...]`` (none of this repo's apps do) must call
-:meth:`ExecutionSession.invalidate` on the matrix, or run the session
-with ``strict=True`` to re-digest every call.  See ``docs/sessions.md``.
+Invalidation contract: caches key on *content* and operands are digested
+again on every call, so stale entries are unreachable, not wrong — also
+after ``mat.data[...]`` was written in place between calls.  Mutating an
+operand *during* a call is not supported.
+:meth:`ExecutionSession.invalidate` only frees entries early.  See
+``docs/sessions.md``.
 """
 
 from __future__ import annotations
 
 import hashlib
 from collections import OrderedDict
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
@@ -136,8 +137,8 @@ class ExecutionSession:
         every reuse cache — the cold-start baseline for A/B timing
         (``python -m repro.bench --no-session`` uses this).
     strict:
-        Re-digest operands on every call instead of trusting the identity
-        fast path; required only if operand arrays are mutated in place.
+        Accepted for compatibility and ignored: every call re-digests its
+        operands, which is what ``strict=True`` used to ask for.
     plan_cache_size / csc_cache_size / bound_cache_size /
     fingerprint_cache_size:
         LRU capacities (entries).
@@ -166,16 +167,16 @@ class ExecutionSession:
         self.machine = self.planner.machine
         self.plan_defaults = dict(plan_defaults or {})
         self.caching = bool(caching)
-        self.strict = bool(strict)
         self._plan_cache_size = int(plan_cache_size)
         self._csc_cache_size = int(csc_cache_size)
         self._bound_cache_size = int(bound_cache_size)
         self._fp_cache_size = int(fingerprint_cache_size)
         self._segment_cache_bytes = segment_cache_bytes
-        #: id(mat) -> (mat, (id(indptr), id(indices), id(data)), Fingerprint).
+        #: id(mat) -> (mat, Fingerprint), alive only inside :meth:`call`.
         #: Holding ``mat`` strongly guarantees the id is never recycled
-        #: while the entry lives (the LRU bounds how long that is).
+        #: while the entry lives.
         self._fps: "OrderedDict[int, tuple]" = OrderedDict()
+        self._call_depth = 0
         self._plans: "OrderedDict[tuple, object]" = OrderedDict()
         self._cscs: "OrderedDict[tuple, CSC]" = OrderedDict()
         self._dforms: "OrderedDict[tuple, object]" = OrderedDict()
@@ -211,38 +212,51 @@ class ExecutionSession:
         self.delta_fallbacks = 0
 
     # -- fingerprints --------------------------------------------------
+    @contextmanager
+    def call(self):
+        """Scope of one call on the session (re-entrant).
+
+        Inside it each distinct operand object is digested once, however
+        many caches ask for its fingerprint; the memo is dropped when the
+        outermost scope ends, so nothing is trusted across calls and an
+        operand written to in place between two calls is seen as changed.
+        """
+        outermost = self._call_depth == 0
+        self._call_depth += 1
+        try:
+            yield self
+        finally:
+            self._call_depth -= 1
+            if outermost:
+                self._fps.clear()
+
     def fingerprint(self, mat: CSR) -> Fingerprint:
-        """Fingerprint with an identity fast path (see module docs)."""
+        """Content fingerprint of ``mat``; digested once per :meth:`call`
+        scope, on every request outside one."""
         key = id(mat)
         ent = self._fps.get(key)
-        if (
-            ent is not None
-            and not self.strict
-            and ent[0] is mat
-            and ent[1] == (id(mat.indptr), id(mat.indices), id(mat.data))
-        ):
-            self._fps.move_to_end(key)
-            return ent[2]
+        if ent is not None and ent[0] is mat:
+            return ent[1]
         fp = fingerprint_csr(mat)
         self.fingerprint_digests += 1
-        self._fps[key] = (mat, (id(mat.indptr), id(mat.indices), id(mat.data)), fp)
-        self._fps.move_to_end(key)
-        while len(self._fps) > self._fp_cache_size:
-            self._fps.popitem(last=False)
+        if self._call_depth:
+            self._fps[key] = (mat, fp)
+            while len(self._fps) > self._fp_cache_size:
+                self._fps.popitem(last=False)
         return fp
 
     def invalidate(self, mat=None) -> None:
         """Evict the caches that depend on one operand's content.
 
-        ``mat`` may be a :class:`~repro.sparse.CSR` (its *cached*
-        fingerprint — the stale one, if the matrix was mutated in place —
-        names the entries to drop) or a :class:`Fingerprint` directly;
-        ``None`` clears every cache.  Eviction is *targeted*: only
-        plan-cache, CSC/DCSR/DCSC-memo, bound-memo, digest and delta-state
-        entries keyed by that operand's structure or content digest are
-        dropped — entries for unrelated operands survive.  Needed only
-        after mutating a fingerprinted matrix's arrays *in place* —
-        content keys make every other cache self-invalidating."""
+        ``mat`` may be a :class:`~repro.sparse.CSR` (digested as it is now)
+        or a :class:`Fingerprint` — e.g. one taken before the matrix was
+        written to in place; ``None`` clears every cache.  Eviction is
+        *targeted*: only plan-cache, CSC/DCSR/DCSC-memo, bound-memo, digest
+        and delta-state entries keyed by that operand's structure or
+        content digest are dropped — entries for unrelated operands
+        survive.  Never needed for correctness (content keys make every
+        cache self-invalidating); it frees the entries before the LRUs
+        would."""
         if mat is None:
             self._fps.clear()
             self._plans.clear()
@@ -255,11 +269,7 @@ class ExecutionSession:
         if isinstance(mat, Fingerprint):
             fp = mat
         else:
-            ent = self._fps.pop(id(mat), None)
-            # no cached fingerprint: digest the matrix as-is (exact for a
-            # *new* object; after an unseen in-place mutation the stale
-            # entries are unreachable by content anyway)
-            fp = ent[2] if ent is not None else fingerprint_csr(mat)
+            fp = fingerprint_csr(mat)
             memo = getattr(mat, "_csc_memo", None)
             if memo is not None and memo[0] == fp.key:
                 mat._csc_memo = None
@@ -322,16 +332,17 @@ class ExecutionSession:
             return target.plan(
                 a, b, mask, complement=complement, phases=phases, **merged
             )
-        key = (
-            self.fingerprint(a).structure_key,
-            self.fingerprint(b).structure_key,
-            self.fingerprint(mask).structure_key,
-            bool(complement),
-            phases,
-            semiring_name,
-            target.machine,
-            tuple(sorted(merged.items())),
-        )
+        with self.call():  # a, b and mask are often one object
+            key = (
+                self.fingerprint(a).structure_key,
+                self.fingerprint(b).structure_key,
+                self.fingerprint(mask).structure_key,
+                bool(complement),
+                phases,
+                semiring_name,
+                target.machine,
+                tuple(sorted(merged.items())),
+            )
         pl = self._plans.get(key)
         if pl is not None:
             self._plans.move_to_end(key)
@@ -509,13 +520,14 @@ class ExecutionSession:
         return row_nnz
 
     def _bound_key(self, kind: str, a, b, mask, complement: bool) -> tuple:
-        return (
-            kind,
-            self.fingerprint(a).structure_key,
-            self.fingerprint(b).structure_key,
-            self.fingerprint(mask).structure_key,
-            bool(complement),
-        )
+        with self.call():
+            return (
+                kind,
+                self.fingerprint(a).structure_key,
+                self.fingerprint(b).structure_key,
+                self.fingerprint(mask).structure_key,
+                bool(complement),
+            )
 
     def _store_bound(self, key: tuple, value) -> None:
         self._bounds[key] = value

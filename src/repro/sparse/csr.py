@@ -22,10 +22,33 @@ from typing import Iterator, Tuple
 
 import numpy as np
 
-__all__ = ["CSR"]
+__all__ = ["CSR", "rows_entries"]
 
 INDEX_DTYPE = np.int64
 VALUE_DTYPE = np.float64
+
+
+def rows_entries(
+    indptr: np.ndarray, rows: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Gather the CSR entry positions of a scattered row set.
+
+    Returns ``(pos, local)``: ``pos`` indexes ``indices``/``data`` for every
+    entry of the given rows (rows in the order given, entries in CSR order
+    within a row), ``local`` is the position of each entry's row *within*
+    ``rows``.
+    """
+    starts = indptr.take(rows)
+    counts = indptr.take(rows + 1) - starts
+    ends = np.cumsum(counts)
+    total = int(ends[-1]) if ends.size else 0
+    if total == 0:
+        e = np.empty(0, dtype=INDEX_DTYPE)
+        return e, e.copy()
+    pos = np.repeat(starts - (ends - counts), counts)
+    pos += np.arange(total, dtype=INDEX_DTYPE)
+    local = np.repeat(np.arange(rows.size, dtype=INDEX_DTYPE), counts)
+    return pos, local
 
 
 class CSR:
@@ -121,8 +144,13 @@ class CSR:
                 raise ValueError("row index out of range")
             if cols.min() < 0 or cols.max() >= ncols:
                 raise ValueError("column index out of range")
-        # Sort lexicographically by (row, col).
-        order = np.lexsort((cols, rows))
+        # Sort by (row, col): one stable sort of the fused key where it
+        # fits an int64, lexsort (also stable) otherwise — so duplicates are
+        # summed in input order either way.
+        if nrows * ncols < 2**63:
+            order = np.argsort(rows * INDEX_DTYPE(ncols) + cols, kind="stable")
+        else:
+            order = np.lexsort((cols, rows))
         rows, cols, vals = rows[order], cols[order], vals[order]
         if rows.size:
             dup = (rows[1:] == rows[:-1]) & (cols[1:] == cols[:-1])
@@ -421,20 +449,34 @@ class CSR:
             raise ValueError("perm must be a permutation of range(n)")
         inv = np.empty_like(perm)
         inv[perm] = np.arange(self.nrows, dtype=INDEX_DTYPE)
-        rows, cols, vals = self.to_coo()
-        return CSR.from_coo(self.shape, inv[rows], inv[cols], vals)
+        # rows gathered in their new order arrive grouped by new row, so
+        # from_coo's one stable sort only reorders columns within rows
+        pos, new_rows = rows_entries(self.indptr, perm)
+        return CSR.from_coo(
+            self.shape, new_rows, inv.take(self.indices.take(pos)),
+            self.data.take(pos),
+        )
+
+    def _keep_diagonals(self, pred) -> "CSR":
+        """Entries whose diagonal ``col - row`` satisfies ``pred``: a filter
+        of the three arrays, which keeps row order and sortedness (no COO
+        round trip, no sort)."""
+        s = self.sort_indices()
+        rows = np.repeat(np.arange(s.nrows, dtype=INDEX_DTYPE), np.diff(s.indptr))
+        keep = pred(s.indices - rows)
+        kept_before = np.concatenate(([0], np.cumsum(keep)))
+        return CSR(
+            s.shape, kept_before[s.indptr], s.indices[keep], s.data[keep],
+            sorted_indices=True, check=False,
+        )
 
     def tril(self, k: int = -1) -> "CSR":
         """Lower-triangular part (entries with ``col - row <= k``)."""
-        rows, cols, vals = self.to_coo()
-        keep = cols - rows <= k
-        return CSR.from_coo(self.shape, rows[keep], cols[keep], vals[keep])
+        return self._keep_diagonals(lambda d: d <= k)
 
     def triu(self, k: int = 1) -> "CSR":
         """Upper-triangular part (entries with ``col - row >= k``)."""
-        rows, cols, vals = self.to_coo()
-        keep = cols - rows >= k
-        return CSR.from_coo(self.shape, rows[keep], cols[keep], vals[keep])
+        return self._keep_diagonals(lambda d: d >= k)
 
     # ------------------------------------------------------------------
     # comparisons

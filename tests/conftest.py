@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import time
+
 import numpy as np
 import pytest
 
@@ -38,3 +40,38 @@ def assert_csr_equal(got: CSR, want: CSR, *, tol=1e-12, msg=""):
     assert np.array_equal(g.indptr, w.indptr), f"indptr differ {msg}"
     assert np.array_equal(g.indices, w.indices), f"indices differ {msg}"
     assert np.allclose(g.data, w.data, rtol=1e-10, atol=tol), f"data differ {msg}"
+
+
+def assert_overhead_per_call(plain, instrumented, budget_us, *, calls=20,
+                             trials=15, attempts=3):
+    """Assert ``instrumented()`` costs at most ``budget_us`` microseconds
+    per call more than ``plain()``.
+
+    An absolute budget, so the verdict does not move with how fast the
+    wrapped kernel happens to be.  The two sides are timed strictly
+    interleaved (plain, instrumented, plain, ...) so allocator state and
+    frequency drift hit both alike; min-of-trials discards noisy rounds,
+    and a sustained contention burst gets a fresh attempt rather than a
+    spurious failure.
+    """
+    def timed(fn):
+        t0 = time.perf_counter()
+        for _ in range(calls):
+            fn()
+        return time.perf_counter() - t0
+
+    plain()
+    instrumented()  # warm both paths (allocators, caches, registries)
+    for _ in range(attempts):
+        t_plain = t_instr = float("inf")
+        for _ in range(trials):
+            t_plain = min(t_plain, timed(plain))
+            t_instr = min(t_instr, timed(instrumented))
+        extra_us = (t_instr - t_plain) / calls * 1e6
+        if extra_us <= budget_us:
+            return
+    raise AssertionError(
+        f"overhead {extra_us:.1f} us per call exceeds the {budget_us} us "
+        f"budget ({t_instr / calls * 1e6:.1f} us instrumented vs "
+        f"{t_plain / calls * 1e6:.1f} us plain)"
+    )

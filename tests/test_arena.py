@@ -166,6 +166,27 @@ class TestKernelsOnReusedBuffers:
         got = masked_spgemm(a, a, m, algo="msa", impl="fast")
         assert_csr_equal(got, scipy_masked_spgemm(a, a, m))
 
+    def test_exception_mid_chunk_discards_the_rank_lease(self, monkeypatch):
+        from repro.core.kernels import msa_kernel
+
+        a = random_csr(20, 20, 3, seed=61)
+        m = random_csr(20, 20, 3, seed=62)
+        want = scipy_masked_spgemm(a, a, m)
+        masked_spgemm(a, a, m, algo="msa", impl="fast")  # park msa.rank
+        assert "msa.rank" in get_arena()._buffers
+
+        def boom(*args, **kwargs):
+            raise RuntimeError("mid-chunk")
+
+        monkeypatch.setattr(msa_kernel, "product_values", boom)
+        before = arena_stats()["discarded"]
+        with pytest.raises(RuntimeError, match="mid-chunk"):
+            masked_spgemm(a, a, m, algo="msa", impl="fast")
+        monkeypatch.undo()
+        assert arena_stats()["discarded"] > before
+        assert "msa.rank" not in get_arena()._buffers
+        assert_csr_equal(masked_spgemm(a, a, m, algo="msa", impl="fast"), want)
+
     def test_nonzero_identity_semiring_buffers(self):
         # MIN_PLUS has +inf identity: its value buffers must not be shared
         # with PLUS_TIMES's zero-filled ones (fill is part of the key)

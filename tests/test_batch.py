@@ -14,6 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from repro.baselines import scipy_masked_spgemm
 from repro.core.kernels import compiled as compiled_mod
 from repro.core.kernels.batch import (
     BATCH_TIERS,
@@ -25,9 +26,11 @@ from repro.core.kernels.batch import (
     expand_keys,
     per_row_flops,
     plan_flop_blocks,
+    product_values,
     resolve_tier,
 )
 from repro.core.kernels.expand import expand_products
+from repro.core.kernels.msa_kernel import MSA_FLOP_BUDGET, masked_spgemm_msa_fast
 from repro.core.masked_spgemm import masked_spgemm
 from repro.engine import ExecutionSession, Planner, execute
 from repro.graphs import erdos_renyi, rmat
@@ -35,7 +38,7 @@ from repro.machine import OpCounter
 from repro.machine.config import MachineConfig
 from repro.observe import probes as _probes
 from repro.parallel.pool import shutdown_pool
-from repro.semiring import MIN_PLUS, PLUS_PAIR, PLUS_TIMES
+from repro.semiring import MIN_PLUS, PLUS_PAIR, PLUS_TIMES, STANDARD_SEMIRINGS
 from repro.sparse import CSR, read_mtx
 
 pytestmark = pytest.mark.batch
@@ -152,12 +155,16 @@ class TestHelpers:
         a = _rand_csr(25, 18, 0.25, 2)
         b = _rand_csr(18, 30, 0.25, 3)
         rows = np.arange(a.nrows, dtype=np.int64)
-        p_local, p_src, p_bpos = expand_keys(a, b, rows)
+        p_keys, p_bpos, a_pos, ends = expand_keys(a, b, rows, rows)
         pr, pc, pv = expand_products(a, b, 0, a.nrows, PLUS_TIMES)
-        assert np.array_equal(rows[p_local], pr)
+        assert np.array_equal(p_keys, pr * b.ncols + pc)
         assert np.array_equal(b.indices[p_bpos], pc)
-        lazy = PLUS_TIMES.mult_ufunc(a.data[p_src], b.data[p_bpos])
-        assert np.array_equal(np.asarray(lazy, dtype=np.float64), pv)
+        # lazily multiplying any subset equals filtering the eager products
+        for idx in (np.arange(pv.size), np.flatnonzero(pc % 3 == 0)):
+            lazy = product_values(PLUS_TIMES, a, b, a_pos, ends, p_bpos, idx)
+            assert np.array_equal(lazy, pv[idx])
+        ones = product_values(PLUS_PAIR, a, b, a_pos, ends, p_bpos, idx)
+        assert np.array_equal(ones, np.ones(idx.size))
 
     def test_fused_slab_detects_symbolic_mismatch(self):
         slab = FusedSlab((2, 4), np.array([1, 1], dtype=np.int64))
@@ -271,6 +278,202 @@ class TestBucketBoundaries:
         b = _rand_csr(30, 30, 0.2, 21)
         m = _rand_csr(30, 30, 0.4, 22)
         self._assert_tiers_identical(a, b, m, semiring=MIN_PLUS)
+
+
+# ----------------------------------------------------------------------
+# the one MSA body against the reference tier, on adversarial operands
+# ----------------------------------------------------------------------
+def _bits(c: CSR):
+    return (c.shape, c.indptr.tobytes(), c.indices.tobytes(), c.data.tobytes())
+
+
+def _signed_csr(nr, nc, density, seed, dtype=np.float64):
+    g = _rand_csr(nr, nc, density, seed)
+    vals = (g.data - 0.5).astype(dtype)
+    return CSR(g.shape, g.indptr, g.indices, vals, sorted_indices=True)
+
+
+def _without_rows(g: CSR, rows) -> CSR:
+    r, c, v = g.to_coo()
+    keep = ~np.isin(r, rows)
+    return CSR.from_coo(g.shape, r[keep], c[keep], v[keep])
+
+
+def _adversarial():
+    a = _signed_csr(24, 18, 0.3, 40)
+    b = _signed_csr(18, 20, 0.3, 41)
+    m = _rand_csr(24, 20, 0.4, 42)
+    evens = np.arange(0, 24, 2)
+    yield "empty-mask-rows", a, b, _without_rows(m, evens)
+    yield "empty-a-rows", _without_rows(a, evens), b, m
+    yield "mask-without-nonzeros", a, b, CSR.empty((24, 20))
+    yield "one-column", a, _signed_csr(18, 1, 0.6, 43), _rand_csr(24, 1, 0.7, 44)
+    yield "float32", _signed_csr(24, 18, 0.3, 45, np.float32), \
+        _signed_csr(18, 20, 0.3, 46, np.float32), m
+    # no explicit zeros: the reference's first insert keeps a -0.0 product's
+    # sign where the fast tier's 0.0 + -0.0 does not
+    ints = np.random.default_rng(47).choice([-3, -2, -1, 1, 2, 3], size=a.nnz)
+    yield "int-valued", CSR(a.shape, a.indptr, a.indices, ints,
+                            sorted_indices=True), b, m
+    # 1*1 + (-1)*1: a PLUS sum that cancels to exactly 0.0 stays SET
+    yield "cancelling-sum", \
+        CSR.from_coo((1, 2), [0, 0], [0, 1], [1.0, -1.0]), \
+        CSR.from_coo((2, 1), [0, 1], [0, 0], [1.0, 1.0]), \
+        CSR.from_coo((1, 1), [0], [0], [1.0])
+
+
+def _msa_charges(a, b, m, complement, reference: OpCounter) -> dict:
+    """What one MSA call charges: every field is a per-row sum, so the
+    totals follow from the operands and the reference tier's exact
+    useful-flop and output counts."""
+    want = OpCounter().as_dict()
+    out = reference.output_nnz
+    want.update(
+        accum_allowed=m.nnz,
+        accum_inserts=int(per_row_flops(a, b).sum()),
+        flops=reference.flops,
+        accum_removes=out if complement else m.nnz,
+        spa_resets=out + m.nnz if complement else m.nnz,
+        output_nnz=out,
+    )
+    return want
+
+
+class TestMsaAgainstReference:
+    """Values bitwise equal to the pseudocode-faithful reference tier, and
+    ``OpCounter``s equal to the kernel's per-row-sum charges, over
+    semirings x complement x phases x batch."""
+
+    @pytest.mark.parametrize(
+        "a, b, m", [pytest.param(*t[1:], id=t[0]) for t in _adversarial()]
+    )
+    def test_adversarial_operands(self, a, b, m):
+        for sr in STANDARD_SEMIRINGS.values():
+            fast = {}
+            for complement in (False, True):
+                ref_c = OpCounter()
+                want = masked_spgemm(
+                    a, b, m, algo="msa", impl="reference",
+                    complement=complement, semiring=sr, counter=ref_c,
+                )
+                charges = {1: _msa_charges(a, b, m, complement, ref_c)}
+                for phases in (1, 2):
+                    for tier in BATCH_TIERS:
+                        got, got_c = _run(
+                            a, b, m, "msa", tier, phases=phases,
+                            complement=complement, semiring=sr,
+                        )
+                        where = (sr.name, complement, phases, tier)
+                        if a.data.dtype == np.float64:
+                            assert _bits(got) == _bits(want), where
+                        else:
+                            # the scalar reference rounds float32 products
+                            # differently; the fast tiers still agree bitwise
+                            assert got.indices.tobytes() == want.indices.tobytes()
+                            assert np.allclose(got.data, want.data, rtol=1e-5)
+                            assert _bits(got) == _bits(
+                                fast.setdefault(complement, got)), where
+                        # 2P adds the symbolic sweep's charges: the same
+                        # for every tier, whatever they are
+                        assert got_c == charges.setdefault(phases, got_c), where
+                assert {
+                    k: v for k, v in charges[2].items() if charges[1][k] != v
+                }.keys() <= {"symbolic_flops"}
+
+    def test_cancelled_sum_is_emitted(self):
+        _, a, b, m = list(_adversarial())[-1]
+        out = masked_spgemm(a, b, m, algo="msa")
+        assert out.nnz == 1 and out.data[0] == 0.0
+
+    @pytest.mark.parametrize("tier", ("bucket", "perrow"))
+    @pytest.mark.parametrize("complement", (False, True))
+    def test_chunk_budgets_do_not_change_results(self, tier, complement):
+        # a mega-row above flop_budget gets a chunk of its own, and a dense
+        # budget below ncols clamps every chunk to one row
+        a = _signed_csr(20, 40, 0.1, 50)
+        a = CSR.from_coo(a.shape, *(np.concatenate(x) for x in zip(
+            a.to_coo(), (np.zeros(40, np.int64), np.arange(40), np.ones(40)))))
+        b = _signed_csr(40, 30, 0.6, 51)
+        m = _rand_csr(20, 30, 0.5, 52)
+        assert int(per_row_flops(a, b)[0]) > 64
+        for sr in (PLUS_TIMES, MIN_PLUS):
+            want_c = OpCounter()
+            want = masked_spgemm(a, b, m, algo="msa", impl="reference",
+                                 complement=complement, semiring=sr,
+                                 counter=want_c)
+            for budgets in ({"flop_budget": 64}, {"dense_budget": 29},
+                            {"flop_budget": 1, "dense_budget": 1}):
+                got_c = OpCounter()
+                got = masked_spgemm_msa_fast(
+                    a, b, m, batch=tier, complement=complement, semiring=sr,
+                    counter=got_c, **budgets,
+                )
+                assert _bits(got) == _bits(want), (sr.name, budgets)
+                assert got_c.as_dict() == _msa_charges(
+                    a, b, m, complement, want_c
+                ), (sr.name, budgets)
+
+    def test_mega_row_above_the_default_flop_budget(self):
+        k = 400
+        a = CSR.from_coo((3, k), np.zeros(k, np.int64), np.arange(k),
+                         np.linspace(-1.0, 1.0, k))
+        b = _signed_csr(k, k, 0.9, 53)
+        m = _rand_csr(3, k, 0.5, 54)
+        assert int(per_row_flops(a, b)[0]) > MSA_FLOP_BUDGET
+        ref = scipy_masked_spgemm(a, b, m)
+        for tier in BATCH_TIERS:
+            got = masked_spgemm(a, b, m, algo="msa", batch=tier)
+            assert np.array_equal(got.indices, ref.indices)
+            assert np.allclose(got.data, ref.data, rtol=1e-12, atol=1e-12)
+        assert _bits(masked_spgemm(a, b, m, algo="msa", batch="bucket")) == \
+            _bits(masked_spgemm(a, b, m, algo="msa", batch="perrow"))
+
+
+#: ``probing()`` exports of the two-body kernel this one replaced, on
+#: ``rmat(7, seed=5).pattern().tril(-1)`` with PLUS_PAIR, keyed
+#: ``tier/complement``: histogram -> (count, total, max, leading buckets)
+_PINNED_MSA_PROBES = {
+    "bucket/False": {
+        "batch.bucket_occupancy": (10, 128, 29, [0, 0, 1, 3, 2, 4]),
+        "mask.row_hits": (128, 743, 31, [21, 13, 24, 34, 25, 11]),
+        "mask.row_misses": (128, 205, 6, [8, 70, 41, 9]),
+        "msa.reset_cells": (10, 948, 278, [0, 0, 1, 1, 1, 2, 0, 2, 1, 2]),
+        "msa.touched_per_mask_pct": (10, 603, 85, [1, 0, 0, 0, 0, 0, 3, 6]),
+    },
+    "bucket/True": {
+        "batch.bucket_occupancy": (10, 128, 29, [0, 0, 1, 3, 2, 4]),
+        "msa.reset_cells": (10, 2920, 1011, [0, 0, 1, 1, 1, 1, 0, 0, 2, 2, 2]),
+    },
+    "perrow/False": {
+        "mask.row_hits": (128, 743, 31, [21, 13, 24, 34, 25, 11]),
+        "mask.row_misses": (128, 205, 6, [8, 70, 41, 9]),
+        "msa.reset_cells": (1, 948, 948, [0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1]),
+        "msa.touched_per_mask_pct": (1, 78, 78, [0, 0, 0, 0, 0, 0, 0, 1]),
+    },
+    "perrow/True": {
+        "msa.reset_cells": (1, 2920, 2920, [0] * 12 + [1]),
+    },
+}
+
+
+class TestMsaProbes:
+    @pytest.mark.parametrize("case", sorted(_PINNED_MSA_PROBES))
+    def test_histograms_match_the_replaced_kernel(self, case):
+        tier, complement = case.split("/")
+        g = rmat(7, seed=5).pattern().tril(-1)
+        with _probes.probing() as pr:
+            masked_spgemm(g, g, g, algo="msa", batch=tier,
+                          complement=complement == "True", semiring=PLUS_PAIR)
+        got = {
+            name: (h["count"], h["total"], h["max"], h["buckets"])
+            for name, h in pr.export().items()
+        }
+        want = {
+            name: (count, total, top, lead + [0] * (16 - len(lead)))
+            for name, (count, total, top, lead) in
+            _PINNED_MSA_PROBES[case].items()
+        }
+        assert got == want
 
 
 # ----------------------------------------------------------------------
@@ -471,9 +674,10 @@ class TestCompiledSeam:
 
         monkeypatch.setattr(compiled_mod, "_COMPILED_ADD_AT", fake)
         g = rmat(6, seed=3).pattern().tril(-1)
-        ref = masked_spgemm(g, g, g, algo="msa", batch="perrow",
+        # hash is the kernel on the seam: msa sums with bincount instead
+        ref = masked_spgemm(g, g, g, algo="hash", batch="perrow",
                             semiring=PLUS_PAIR)
-        out = masked_spgemm(g, g, g, algo="msa", batch="bucket",
+        out = masked_spgemm(g, g, g, algo="hash", batch="bucket",
                             semiring=PLUS_PAIR)
         assert calls, "compiled seam was never exercised"
         assert _identical(out, ref)

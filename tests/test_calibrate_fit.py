@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import json
 import os
-import time
 
 import numpy as np
 import pytest
@@ -51,6 +50,8 @@ from repro.observe import current, metrics, predictions, report, tracing
 from repro.parallel import shutdown_pool
 from repro.parallel.pool import process_backend_available
 from repro.semiring import PLUS_PAIR, PLUS_TIMES
+
+from .conftest import assert_overhead_per_call
 
 pytestmark = pytest.mark.calibrate
 
@@ -428,42 +429,15 @@ class TestIntegration:
 
     def test_bucket_tier_disabled_overhead_under_two_percent(self):
         """The instrumented ``bucket_batches`` untraced path: one global
-        read per call, one branch per chunk (mirrors the per-row tier's
-        2% + floor bound in tests/test_observe.py)."""
+        read per call, one branch per chunk — inside the same absolute
+        30 us-per-call budget as the tracer's disabled path
+        (tests/test_observe.py)."""
         a, b, m = _triple()
         bare = masked_spgemm_msa_fast.__wrapped__
-
-        def run_wrapped():
-            masked_spgemm_msa_fast(a, b, m, semiring=PLUS_TIMES,
-                                   batch="bucket")
-
-        def run_bare():
-            bare(a, b, m, semiring=PLUS_TIMES, batch="bucket")
-
-        run_wrapped()
-        run_bare()
-
-        def timed(fn, calls=20):
-            t0 = time.perf_counter()
-            for _ in range(calls):
-                fn()
-            return time.perf_counter() - t0
-
         assert current() is None
-        # strictly interleave the two measurements (bare, wrapped, bare,
-        # ...) so allocator state and frequency drift hit both paths
-        # equally; min-of-trials discards noisy rounds, and a sustained
-        # contention burst (single-core CI) gets a fresh attempt rather
-        # than a spurious failure
-        for attempt in range(3):
-            t_bare = float("inf")
-            t_wrapped = float("inf")
-            for _ in range(15):
-                t_bare = min(t_bare, timed(run_bare))
-                t_wrapped = min(t_wrapped, timed(run_wrapped))
-            if t_wrapped <= t_bare * 1.02 + 200e-6:
-                return
-        raise AssertionError(
-            f"disabled-path overhead too high: {t_wrapped:.6f}s wrapped "
-            f"vs {t_bare:.6f}s bare"
+        assert_overhead_per_call(
+            lambda: bare(a, b, m, semiring=PLUS_TIMES, batch="bucket"),
+            lambda: masked_spgemm_msa_fast(a, b, m, semiring=PLUS_TIMES,
+                                           batch="bucket"),
+            budget_us=30,
         )

@@ -339,7 +339,9 @@ class TestDeltaModes:
             c = OpCounter()
             r2 = masked_spgemm(a, b, m, algo="auto", session=sess,
                                delta="auto", counter=c)
-            assert r2 is r1
+            # served from the state, but never the state's own object
+            assert r2 is not r1
+            _same(r2, r1)
             assert c.rows_patched == a.nrows
             assert c.rows_recomputed == 0
             assert sess.stats()["delta_hits"] == 1
@@ -356,7 +358,9 @@ class TestDeltaModes:
             c = OpCounter()
             r2 = masked_spgemm(a, b, m2, algo="auto", session=sess,
                                delta="force", counter=c)
-            assert r2 is r1  # mask values never reach the product
+            # mask values never reach the product
+            assert r2 is not r1
+            _same(r2, r1)
             assert c.rows_patched == a.nrows
 
     def test_large_delta_falls_back(self):

@@ -106,8 +106,8 @@ class TestHostChoices:
         """Half the rows pull-regime, half push-regime: two bands; the same
         plan under a profile where splitting is ruinous: one band."""
         n = 2048
-        a = erdos_renyi(n, n, 32, seed=1)
-        b = erdos_renyi(n, n, 32, seed=2)
+        a = erdos_renyi(n, n, 64, seed=1)
+        b = erdos_renyi(n, n, 64, seed=2)
         sparse = erdos_renyi(n, n, 1, seed=3).select_rows(np.arange(n // 2))
         dense = erdos_renyi(n, n, 256, seed=4).select_rows(np.arange(n // 2, n))
         r1, c1, v1 = sparse.to_coo()

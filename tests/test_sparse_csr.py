@@ -214,6 +214,116 @@ class TestTransforms:
         assert_csr_equal(again, a)
 
 
+# ----------------------------------------------------------------------
+# sort-free structural ops against their COO-round-trip predecessors
+# ----------------------------------------------------------------------
+def _from_coo_lexsort(shape, rows, cols, vals):
+    """``CSR.from_coo`` as it was: lexsort, then sum duplicate runs."""
+    rows = np.asarray(rows, dtype=np.int64)
+    cols = np.asarray(cols, dtype=np.int64)
+    vals = np.asarray(vals)
+    order = np.lexsort((cols, rows))
+    rows, cols, vals = rows[order], cols[order], vals[order]
+    if rows.size:
+        dup = (rows[1:] == rows[:-1]) & (cols[1:] == cols[:-1])
+        if dup.any():
+            keep = np.concatenate(([True], ~dup))
+            out = np.zeros(int(keep.sum()), dtype=vals.dtype)
+            np.add.at(out, np.cumsum(keep) - 1, vals)
+            rows, cols, vals = rows[keep], cols[keep], out
+    indptr = np.zeros(shape[0] + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows, minlength=shape[0]), out=indptr[1:])
+    return CSR(shape, indptr, cols, vals, sorted_indices=True, check=False)
+
+
+def _tril_roundtrip(g, k):
+    r, c, v = g.to_coo()
+    keep = c - r <= k
+    return _from_coo_lexsort(g.shape, r[keep], c[keep], v[keep])
+
+
+def _triu_roundtrip(g, k):
+    r, c, v = g.to_coo()
+    keep = c - r >= k
+    return _from_coo_lexsort(g.shape, r[keep], c[keep], v[keep])
+
+
+def _permute_roundtrip(g, perm):
+    inv = np.empty_like(perm)
+    inv[perm] = np.arange(g.nrows)
+    r, c, v = g.to_coo()
+    return _from_coo_lexsort(g.shape, inv[r], inv[c], v)
+
+
+def _assert_bitwise(got: CSR, want: CSR):
+    assert got.shape == want.shape and got.sorted_indices
+    assert got.indptr.tobytes() == want.indptr.tobytes()
+    assert got.indices.tobytes() == want.indices.tobytes()
+    assert got.data.dtype == want.data.dtype
+    assert got.data.tobytes() == want.data.tobytes()
+
+
+def _noncanonical(n, nnz, seed, dtype=np.float64):
+    """Unsorted rows with duplicate coordinates (values sum in input order)."""
+    rng = np.random.default_rng(seed)
+    rows = np.sort(rng.integers(0, n, size=nnz))
+    cols = rng.integers(0, n, size=nnz)
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
+    return CSR((n, n), indptr, cols, (rng.random(nnz) - 0.5).astype(dtype))
+
+
+class TestSortFreeStructuralOps:
+    def _operands(self):
+        yield random_csr(40, 40, 5, seed=1)
+        yield _noncanonical(30, 400, seed=2)
+        yield _noncanonical(30, 400, seed=3, dtype=np.float32)
+        yield CSR.empty((7, 7))
+        yield random_csr(1, 1, 1, seed=4)
+
+    def test_from_coo_matches_lexsort(self):
+        rng = np.random.default_rng(5)
+        for dtype in (np.float64, np.float32):
+            rows = rng.integers(0, 25, size=600)
+            cols = rng.integers(0, 31, size=600)  # duplicates guaranteed
+            vals = (rng.random(600) - 0.5).astype(dtype)
+            _assert_bitwise(CSR.from_coo((25, 31), rows, cols, vals),
+                            _from_coo_lexsort((25, 31), rows, cols, vals))
+        _assert_bitwise(CSR.from_coo((3, 3), [], [], []),
+                        _from_coo_lexsort((3, 3), [], [], np.empty(0)))
+
+    def test_from_coo_key_overflow_takes_the_fallback(self):
+        # nrows * ncols >= 2**63: row * ncols + col does not fit an int64
+        shape = (5, 2**62)
+        rows = [4, 0, 4, 4, 2]
+        cols = [2**62 - 1, 7, 3, 2**62 - 1, 2**61]
+        vals = [1.0, 2.0, 3.0, 4.0, 5.0]
+        got = CSR.from_coo(shape, rows, cols, vals)
+        _assert_bitwise(got, _from_coo_lexsort(shape, rows, cols, vals))
+        assert got.indices.tolist() == [7, 2**61, 3, 2**62 - 1]
+        assert got.data.tolist() == [2.0, 5.0, 3.0, 5.0]
+
+    def test_tril_triu_match_the_roundtrip(self):
+        for g in self._operands():
+            for k in (-3, -1, 0, 1, 2):
+                _assert_bitwise(g.tril(k), _tril_roundtrip(g, k))
+                _assert_bitwise(g.triu(k), _triu_roundtrip(g, k))
+
+    def test_tril_does_not_alias_its_input(self):
+        g = random_csr(10, 10, 3, seed=6)
+        low = g.tril(10)  # keeps everything
+        assert low.nnz == g.nnz
+        low.data[:] = -1.0
+        assert not (g.data == -1.0).any()
+
+    def test_permute_matches_the_roundtrip(self):
+        for i, g in enumerate(self._operands()):
+            perm = np.random.default_rng(10 + i).permutation(g.nrows)
+            _assert_bitwise(g.permute(perm), _permute_roundtrip(g, perm))
+        g = random_csr(12, 12, 4, seed=7)
+        _assert_bitwise(g.permute(np.arange(12)), g)
+
+
 class TestEquality:
     def test_equals_self(self):
         a = random_csr(10, 10, 3, seed=20)
