@@ -12,7 +12,7 @@ asserted end to end on the Fig. 10 R-MAT case:
   tiny machines time too noisily to hold a ratio.
 
 Both arms share every other knob: the same session machinery, the same
-plan cache, the same operands.  The measured contrast is purely "recompute
+planner, the same operands.  The measured contrast is purely "recompute
 the dirty rows" vs "recompute every row" — the per-iteration work the
 ``rows_recomputed`` counter certifies.
 

@@ -40,7 +40,7 @@ from ..engine import resolve_session
 from ..machine import OpCounter
 from ..observe import timed_span
 from ..semiring import PLUS_TIMES
-from ..sparse import CSR
+from ..sparse import CSR, ewise_add
 from ..core import masked_spgemm
 from ..core.masked_spgemm import supports_complement
 
@@ -63,18 +63,20 @@ class BetweennessResult:
     counter: OpCounter = field(default_factory=OpCounter)
 
 
-def _lookup(mat: CSR, rows: np.ndarray, cols: np.ndarray, default: float) -> np.ndarray:
-    """Values of ``mat`` at the given coordinates (``default`` if absent)."""
-    if mat.nnz == 0:
-        return np.full(rows.shape[0], default)
-    m_rows = np.repeat(np.arange(mat.nrows, dtype=np.int64), mat.row_nnz())
-    keys = m_rows * np.int64(mat.ncols) + mat.indices
-    q = rows * np.int64(mat.ncols) + cols
-    idx = np.searchsorted(keys, q)
-    idx_c = np.minimum(idx, keys.shape[0] - 1)
-    hit = keys[idx_c] == q
-    out = np.full(rows.shape[0], default)
-    out[hit] = mat.data[idx_c[hit]]
+def _flat_keys(mat: CSR) -> np.ndarray:
+    """Row-major flat key ``row * ncols + col`` of every stored entry."""
+    rows = np.repeat(np.arange(mat.nrows, dtype=np.int64), mat.row_nnz())
+    return rows * np.int64(mat.ncols) + mat.indices
+
+
+def _lookup(keys: np.ndarray, vals: np.ndarray, q: np.ndarray, default: float) -> np.ndarray:
+    """Values of the matrix with flat ``keys`` / ``vals`` at the flat
+    coordinates ``q`` (``default`` where absent)."""
+    out = np.full(q.shape[0], default)
+    if keys.shape[0]:
+        idx = np.minimum(np.searchsorted(keys, q), keys.shape[0] - 1)
+        hit = keys[idx] == q
+        out[hit] = vals[idx[hit]]
     return out
 
 
@@ -194,25 +196,20 @@ def _betweenness_body(
             if frontier.nnz == 0:
                 break
             frontiers.append(frontier)
-            fr, fc, fv = frontier.to_coo()
-            nr, nc, nv = numsp.to_coo()
-            numsp = CSR.from_coo(
-                (s, n),
-                np.concatenate([nr, fr]),
-                np.concatenate([nc, fc]),
-                np.concatenate([nv, fv]),
-            )
+            numsp = ewise_add(numsp, frontier)
 
         depth = len(frontiers) - 1
 
         # ---- backward sweep ----
         delta = CSR.empty((s, n))
+        numsp_keys = _flat_keys(numsp)  # numsp is final: one key array per sweep
         for d in range(depth, 0, -1):
             f_d = frontiers[d]
             rows, cols, _ = f_d.to_coo()
+            f_keys = rows * np.int64(n) + cols
             # w = f_d .* ((1 + delta) / numsp)
-            dvals = _lookup(delta, rows, cols, 0.0)
-            spv = _lookup(numsp, rows, cols, 1.0)
+            dvals = _lookup(_flat_keys(delta), delta.data, f_keys, 0.0)
+            spv = _lookup(numsp_keys, numsp.data, f_keys, 1.0)
             w = CSR.from_coo((s, n), rows, cols, (1.0 + dvals) / spv)
             if call_log is not None:
                 call_log.append((w, a_t, frontiers[d - 1], False))
@@ -230,14 +227,11 @@ def _betweenness_body(
             spgemm_time += sp_b.seconds
             backward_time += sp_b.seconds
             # delta += t_d .* numsp (on t_d's pattern)
-            tr, tc, tv = t_d.to_coo()
-            contrib = tv * _lookup(numsp, tr, tc, 0.0)
-            dr, dc, dv = delta.to_coo()
-            delta = CSR.from_coo(
-                (s, n),
-                np.concatenate([dr, tr]),
-                np.concatenate([dc, tc]),
-                np.concatenate([dv, contrib]),
+            contrib = t_d.data * _lookup(numsp_keys, numsp.data, _flat_keys(t_d), 0.0)
+            delta = ewise_add(
+                delta,
+                CSR(t_d.shape, t_d.indptr, t_d.indices, contrib,
+                    sorted_indices=t_d.sorted_indices, check=False),
             )
 
         # centrality: column sums of delta, excluding each source's own entry

@@ -83,12 +83,14 @@ def ktruss(
     or ``False`` to disable caching entirely.
 
     ``delta`` (default ``"auto"``) makes each sessioned iteration
-    incremental (see ``docs/incremental.md``): the pruning loop removes a
-    shrinking edge set per round, so once the delta is small only the
-    dirty output rows are recomputed and spliced into the previous
-    round's support matrix — bit-for-bit identical to full recomputation,
-    with the saved work certified by ``counter.rows_patched``.  Pass
-    ``None`` to recompute fully every round; ignored without a session.
+    incremental where that pays (see ``docs/incremental.md``): when the
+    first pruning round's dirty rows are predicted cheaper to recompute
+    than the whole product, only they are recomputed and spliced into the
+    previous round's support matrix — bit-for-bit identical to full
+    recomputation, with the saved work certified by
+    ``counter.rows_patched``; otherwise (every R-MAT scale measured: the
+    pruned edges sit at hubs) the loop runs full from then on, exactly as
+    with ``None``.  Ignored without a session.
     """
     if k < 3:
         raise ValueError("k must be >= 3")

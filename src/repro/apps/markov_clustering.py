@@ -104,11 +104,12 @@ def markov_clustering(
     ``M_strong`` keeps each column's heavier half — the flop-saving trick
     enabled by masked SpGEMM.  ``session`` (an
     :class:`~repro.engine.ExecutionSession`; default: loop-local when the
-    masked expansion is in play, ``False`` disables) caches plans across
-    the expansion iterations.  ``delta`` (default ``"auto"``; ignored
-    without a session) makes the sessioned expansion incremental: as the
-    iteration converges, M's rows stabilise and only the still-moving
-    rows are recomputed (``docs/incremental.md``).
+    masked expansion is in play, ``False`` disables) carries the
+    cross-call caches of the expansion iterations.  ``delta`` (default
+    ``"auto"``; ignored without a session) makes the sessioned expansion
+    incremental while the first transition's still-moving rows are
+    predicted cheaper to recompute than all of them
+    (``docs/incremental.md``).
     """
     if a.nrows != a.ncols:
         raise ValueError("adjacency must be square")

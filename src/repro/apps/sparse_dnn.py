@@ -170,12 +170,11 @@ def sparse_dnn_forward_topk(
     The weight layers are constant across batches, so a long-lived
     ``session`` (an :class:`~repro.engine.ExecutionSession`; default:
     loop-local for ``algo="auto"``, ``False`` disables) keeps their
-    fingerprints and published segments warm across calls.  ``delta``
+    published segments warm across process-backend calls.  ``delta``
     (default ``"auto"``; ignored without a session) threads the layers
-    through the incremental engine — per-layer operands usually change
-    wholesale, so most calls diff and fall back, but repeated batches on
-    identical activations return the cached result outright
-    (``docs/incremental.md``).
+    through the incremental engine — per-layer operands change
+    wholesale, so the first transition is priced, runs full and the
+    engine stops tracking the problem (``docs/incremental.md``).
     """
     counter = counter if counter is not None else OpCounter()
     session, owned = resolve_session(session, auto=(algo == "auto"))

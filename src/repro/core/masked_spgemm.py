@@ -54,7 +54,7 @@ from .kernels.inner_kernel import masked_spgemm_inner_fast
 from .kernels.mca_kernel import masked_spgemm_mca_fast
 from .kernels.msa_kernel import masked_spgemm_msa_fast
 from .reference import masked_spgemm_reference
-from .symbolic import one_phase_bound, symbolic_masked
+from .symbolic import symbolic_masked
 
 __all__ = [
     "masked_spgemm",
@@ -204,23 +204,24 @@ def masked_spgemm(
         Ignored by algorithms without a bucketed tier.
     session:
         Optional :class:`repro.engine.ExecutionSession` holding cross-call
-        caches for iterative workloads: plan cache, CSC transpose memo,
-        symbolic-bound memo and (for the process backend) the shm segment
-        registry.  Results are bit-for-bit identical with or without one.
+        caches for iterative workloads: CSC transpose memo, 2P
+        symbolic-bound memo, delta state and (for the process backend) the
+        shm segment registry.  Results are bit-for-bit identical with or without one.
         ``False`` (the app-level "disable caching" sentinel) is accepted
         and means the same as ``None`` here: no cross-call caching.
     delta:
         Incremental execution against the session's cached state (see
         ``docs/incremental.md``): ``None`` (default) recomputes fully;
         ``"auto"`` diffs consecutive operands and recomputes only the
-        dirty output rows, falling back to a full run when the dirty
-        fraction exceeds :data:`repro.engine.delta.DELTA_MAX_FRACTION`;
-        a float in ``(0, 1]`` overrides that threshold; ``"force"``
-        always patches (test hook).  Any non-``None`` value routes
-        through the engine; a caching ``session`` is required —
-        ``"auto"`` silently degrades to a full run without one,
-        ``"force"`` raises.  Results are bit-for-bit identical to a
-        full recompute on every backend, sharded or not.
+        dirty output rows when that is predicted cheaper than a full run
+        from this host's measured per-row costs — otherwise it runs full
+        and stops tracking the problem for the rest of the session; a
+        float in ``(0, 1]`` patches while the dirty-row share stays at or
+        under it; ``"force"`` always patches (test hook).  Any
+        non-``None`` value routes through the engine; a caching
+        ``session`` is required — ``"auto"`` silently degrades to a full
+        run without one, ``"force"`` raises.  Results are bit-for-bit
+        identical to a full recompute on every backend, sharded or not.
     """
     if machine is not None and not isinstance(machine, MachineConfig):
         # accept preset names and "fitted" wherever a config is accepted
@@ -346,14 +347,7 @@ def masked_spgemm(
                 )
         expected_nnz = int(row_nnz.sum())
     else:
-        # 1P: the mask-derived scratch bound is what a C implementation
-        # would allocate; computing it here keeps the 1P path honest about
-        # that (cheap) sizing pass even though rows are assembled
-        # functionally in Python.
-        if session is not None:
-            session.one_phase_bound(a, b, mask, complement=complement)
-        else:
-            one_phase_bound(a, b, mask, complement=complement)
+        # 1P: the kernels size their scratch from the mask bound themselves
         expected_nnz = None
         row_nnz = None
 

@@ -19,14 +19,13 @@ fronts over this pipeline; later scaling work (sharding, batching,
 multi-backend) plugs in here.
 """
 
-from .delta import DELTA_MAX_FRACTION, DeltaPlan, delta_execute
+from .delta import DeltaPlan, delta_execute
 from .executor import execute, plan_and_execute
 from .plan import ExecutionPlan, RowBand, ShardGrid
 from .planner import PLAN_CANDIDATES, Planner, plan
 from .session import ExecutionSession, Fingerprint, fingerprint_csr, resolve_session
 
 __all__ = [
-    "DELTA_MAX_FRACTION",
     "DeltaPlan",
     "delta_execute",
     "ExecutionPlan",

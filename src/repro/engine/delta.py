@@ -34,11 +34,16 @@ in values *and* structure.  The patch differs only in work, which the
 ``rows_recomputed`` / ``rows_patched`` / ``delta_fallbacks`` counters and
 the ``engine.delta`` prediction-ledger rows certify.
 
-Fallback policy: when the dirty fraction exceeds the threshold
-(:data:`DELTA_MAX_FRACTION`, or the fraction passed as ``delta=``), a
-patch would do most of a full run's work while paying the diff on top, so
-the call falls through to the ordinary sessioned plan-and-execute path
-(``delta_fallbacks`` is charged).  ``delta="force"`` disables the
+Fallback policy: ``delta="auto"`` prices the patch the way the planner
+prices everything else — the host profile's per-row nanoseconds summed over
+the dirty rows, plus the measured per-nonzero cost of slicing/splicing and
+of the bookkeeping an engaged slot pays on every call (hash pass, diff,
+state copy) — against the same sum over all rows.  When the patch does not
+win, the call falls through to the ordinary sessioned plan-and-execute
+path (``delta_fallbacks`` is charged) and the slot *disengages*: for the
+rest of the session it runs exactly as ``delta=None`` would — no state, no
+digest, no result copy.  A fraction passed as ``delta=`` keeps the plain
+dirty-row-share rule (and stays engaged); ``delta="force"`` disables the
 fallback — the test hook that proves the patch path alone is exact.
 See ``docs/incremental.md``.
 """
@@ -50,20 +55,17 @@ from typing import Optional
 
 import numpy as np
 
-from ..machine import MachineConfig, OpCounter, resolve_machine
+from ..core.masked_spgemm import in_session_call
+from ..machine import HOST, HostProfile, OpCounter, flops_per_row, resolve_machine
 from ..observe import tracer as _obs
 from ..semiring import PLUS_TIMES, Semiring
-from ..sparse import CSR, block_digests, changed_rows, dirty_blocks
+from ..sparse import CSR, changed_rows, dirty_blocks
 from ..sparse.diff import DELTA_BLOCK_ROWS
 from .executor import execute
 from .plan import ExecutionPlan, RowBand
+from .planner import host_row_ns
 
-__all__ = ["DELTA_MAX_FRACTION", "DeltaPlan", "delta_execute"]
-
-#: default dirty-row fraction beyond which a patch falls back to a full
-#: recompute: past half the rows, slicing + splicing costs more than the
-#: recompute saves (the bench history's ktruss-delta scheme tracks this)
-DELTA_MAX_FRACTION = 0.5
+__all__ = ["DeltaPlan", "delta_execute"]
 
 
 @dataclass(frozen=True)
@@ -107,43 +109,31 @@ class _DeltaState:
         self.result = result
 
 
-def _resolve_mode(delta):
-    """Normalise the ``delta=`` knob to ``(mode, threshold)``."""
+def _resolve_threshold(delta) -> Optional[float]:
+    """Normalise the ``delta=`` knob to the dirty-row share above which a
+    call falls back: ``None`` is the priced ``"auto"`` rule, ``"force"``
+    never falls back."""
     if delta in ("auto", True):
-        return "auto", DELTA_MAX_FRACTION
+        return None
     if delta == "force":
-        return "force", 1.0
+        return float("inf")
     if isinstance(delta, (int, float)) and not isinstance(delta, bool):
         frac = float(delta)
         if not (0.0 < frac <= 1.0):
             raise ValueError(
                 f"a numeric delta= threshold must lie in (0, 1], got {delta!r}"
             )
-        return "auto", frac
+        return frac
     raise ValueError(
         "delta must be 'auto', 'force', a dirty-fraction threshold in "
         f"(0, 1] or None, got {delta!r}"
     )
 
 
-def _digests(session, mat, fp, *, values: bool) -> np.ndarray:
-    """Session-memoised block digest vector of an operand."""
-    return session.block_digests(mat, fp=fp, values=values)
-
-
-def _dirty_rows(session, old, d_old, new, f_old, f_new, *, values: bool) -> np.ndarray:
-    """Exact dirty rows of one operand between two calls.
-
-    Fast path on equal fingerprints; otherwise block digests (``d_old`` is
-    the vector stored with the state) localise the change and
-    :func:`changed_rows` names the rows inside dirty blocks.
-    """
-    if values:
-        if f_old.key == f_new.key:
-            return np.empty(0, dtype=np.int64)
-    elif f_old.structure_key == f_new.structure_key:
-        return np.empty(0, dtype=np.int64)
-    d_new = _digests(session, new, f_new, values=values)
+def _dirty_rows(old, d_old, new, d_new, *, values: bool) -> np.ndarray:
+    """Exact dirty rows of one operand between two calls: the block digest
+    vectors (``d_old`` is the one stored with the state) localise the
+    change and :func:`changed_rows` names the rows inside dirty blocks."""
     blocks = dirty_blocks(d_old, d_new)
     if blocks.size == 0:
         return np.empty(0, dtype=np.int64)
@@ -232,6 +222,26 @@ def _slot_key(a, b, mask, *, complement, phases, semiring, impl, backend,
     )
 
 
+def _patch_pays(host: HostProfile, plan, a, b, mask, dirty, result_nnz: int) -> bool:
+    """The priced ``delta="auto"`` rule: is recomputing ``dirty`` under the
+    cached ``plan``'s algorithm assignment, splicing it into the previous
+    result and keeping the slot engaged predicted cheaper than a full run?"""
+    fl = flops_per_row(a, b)
+    is_dirty = np.zeros(a.nrows, dtype=bool)
+    is_dirty[dirty] = True
+    full = patch = 0.0
+    for band in plan.bands:
+        ns = host_row_ns(host, band.algo, b, mask, fl)[band.rows]
+        hit = is_dirty[band.rows]
+        full += float(ns.sum()) + host.band_ns
+        if hit.any():
+            patch += float(ns[hit].sum()) + host.band_ns
+    moved = int(a.row_nnz()[dirty].sum() + mask.row_nnz()[dirty].sum()) + result_nnz
+    kept = sum(m.nnz for m in {id(m): m for m in (a, b, mask)}.values()) + result_nnz
+    return patch + host.splice_nnz_ns * moved + host.delta_nnz_ns * kept < full
+
+
+@in_session_call
 def delta_execute(
     a: CSR,
     b: CSR,
@@ -253,32 +263,28 @@ def delta_execute(
     """Incremental ``C = M .* (A @ B)`` against the session's cached state.
 
     The first call on a problem slot (and any call whose operand shapes
-    changed, whose dirty fraction exceeds the threshold, or whose session
-    state was invalidated) runs the ordinary sessioned plan-and-execute
-    path and caches operands, block digests, plan and result.  Subsequent
-    calls diff, patch and splice.  Results are bit-for-bit identical to a
-    full recompute in every case.
+    changed, whose patch does not pay, or whose session state was
+    invalidated) runs the ordinary sessioned plan-and-execute path;
+    while the slot is engaged it caches operands, block digests, plan and
+    result, and subsequent calls diff, patch and splice.  Results are
+    bit-for-bit identical to a full recompute in every case.
     """
-    mode, threshold = _resolve_mode(delta)
-    if machine is not None and not isinstance(machine, MachineConfig):
+    threshold = _resolve_threshold(delta)
+    priced = threshold is None
+    if machine is not None:
         machine = resolve_machine(machine)
     nrows = a.nrows
     slot = _slot_key(
         a, b, mask, complement=complement, phases=phases, semiring=semiring,
         impl=impl, backend=backend, machine=machine, plan_kwargs=plan_kwargs,
     )
-    fa, fb, fm = (
-        session.fingerprint(a),
-        session.fingerprint(b),
-        session.fingerprint(mask),
-    )
 
     def full_run():
+        if counter is not None:
+            counter.rows_recomputed += nrows
         pl = session.plan(
             a, b, mask,
-            complement=complement, phases=phases,
-            semiring_name=getattr(semiring, "name", None),
-            counter=counter, backend=backend,
+            complement=complement, phases=phases, backend=backend,
             machine=machine, planner=planner, **plan_kwargs,
         )
         c = execute(
@@ -288,18 +294,22 @@ def delta_execute(
         )
         return pl, c
 
+    if priced and slot in session._delta_off:
+        return full_run()[1]
+
+    fa, fb, fm = (
+        session.fingerprint(a),
+        session.fingerprint(b),
+        session.fingerprint(mask),
+    )
+    da, db = session.block_digests(a)[1], session.block_digests(b)[1]
+    dm = session.block_digests(mask)[0]
+
     def store(plan, result):
+        # ``result`` must be private to the state: callers own what a call
+        # returned, and writing into it must not reach later hits and patches
         session._delta_store(
-            slot,
-            _DeltaState(
-                a, b, mask, fa, fb, fm,
-                _digests(session, a, fa, values=True),
-                _digests(session, b, fb, values=True),
-                _digests(session, mask, fm, values=False),
-                # a private copy: callers own what a call returned, and
-                # writing into it must not reach later hits and patches
-                plan, result.copy(),
-            ),
+            slot, _DeltaState(a, b, mask, fa, fb, fm, da, db, dm, plan, result)
         )
 
     state = session._delta_get(slot)
@@ -307,21 +317,8 @@ def delta_execute(
         fa.shape, fb.shape, fm.shape
     ):
         pl, c = full_run()
-        if counter is not None:
-            counter.rows_recomputed += nrows
-        store(pl, c)
+        store(pl, c.copy())
         return c
-
-    # identical problem: A and B byte-equal, mask structure-equal
-    if (
-        fa.key == state.fa.key
-        and fb.key == state.fb.key
-        and fm.structure_key == state.fm.structure_key
-    ):
-        session.delta_hits += 1
-        if counter is not None:
-            counter.rows_patched += nrows
-        return state.result.copy()
 
     # an operand written to in place since the state was stored is its own
     # "old" version: the content to diff against is gone
@@ -330,13 +327,21 @@ def delta_execute(
         or (b is state.b and fb.key != state.fb.key)
         or (mask is state.mask and fm.structure_key != state.fm.structure_key)
     )
+    empty = np.empty(0, dtype=np.int64)
     if overwritten:
         a_dirty = np.arange(nrows, dtype=np.int64)
-        m_dirty = b_touched = np.empty(0, dtype=np.int64)
+        m_dirty = b_touched = empty
     else:
-        a_dirty = _dirty_rows(session, state.a, state.da, a, state.fa, fa, values=True)
-        m_dirty = _dirty_rows(session, state.mask, state.dm, mask, state.fm, fm, values=False)
-        b_changed = _dirty_rows(session, state.b, state.db, b, state.fb, fb, values=True)
+        a_dirty = _dirty_rows(state.a, state.da, a, da, values=True)
+        # the iterative apps pass one matrix in several roles (k-truss:
+        # A = B = M): its rows are diffed once, and as a mask its
+        # structural changes are already among A's dirty rows
+        b_changed = a_dirty if (b is a and state.b is state.a) else _dirty_rows(
+            state.b, state.db, b, db, values=True
+        )
+        m_dirty = empty if (mask is a and state.mask is state.a) else _dirty_rows(
+            state.mask, state.dm, mask, dm, values=False
+        )
         b_touched = _propagate_b(session, a, fa, b_changed)
     dirty = np.unique(np.concatenate([a_dirty, m_dirty, b_touched]))
     dplan = DeltaPlan(
@@ -345,20 +350,31 @@ def delta_execute(
     )
 
     if dplan.dirty_count == 0:
-        # differing bytes that cannot reach the output (mask values only)
+        # identical problem, or differing bytes that cannot reach the
+        # output (mask values only)
         session.delta_hits += 1
         if counter is not None:
             counter.rows_patched += nrows
         store(state.plan, state.result)
         return state.result.copy()
 
-    if mode != "force" and dplan.fraction > threshold:
+    if priced:
+        host = session.machine if isinstance(session.machine, HostProfile) else HOST
+        fall_back = not _patch_pays(
+            host, state.plan, a, b, mask, dirty, state.result.nnz
+        )
+    else:
+        fall_back = dplan.fraction > threshold
+    if fall_back:
         session.delta_fallbacks += 1
         if counter is not None:
             counter.delta_fallbacks += 1
-            counter.rows_recomputed += nrows
         pl, c = full_run()
-        store(pl, c)
+        if priced:  # the slot did not cover its bookkeeping: disengage
+            session._delta.pop(slot)
+            session._delta_off.add(slot)
+        else:
+            store(pl, c.copy())
         return c
 
     patched = _patch_plan(state.plan, dirty, nrows)
@@ -392,5 +408,5 @@ def delta_execute(
     if counter is not None:
         counter.rows_recomputed += dplan.dirty_count
         counter.rows_patched += nrows - dplan.dirty_count
-    store(state.plan, result)
+    store(state.plan, result.copy())
     return result

@@ -363,12 +363,10 @@ def plan_and_execute(
 ) -> CSR:
     """Plan and immediately execute — the ``algo="auto"`` one-call path.
 
-    With a ``session``, planning goes through the session's plan cache
-    (keyed on operand structure fingerprints + planner knobs) and execution
-    reuses the session's CSC memo and shm segment registry.  Explicit
-    ``machine=``/``planner=`` arguments are still honoured alongside a
-    session: a forced machine partitions the plan cache, a forced foreign
-    planner plans uncached (see :meth:`ExecutionSession.plan`).
+    With a ``session``, planning uses the session's planner and
+    ``plan_defaults`` (explicit ``machine=``/``planner=`` arguments are
+    still honoured, see :meth:`ExecutionSession.plan`) and execution reuses
+    the session's CSC memo and shm segment registry.
 
     ``delta`` (``"auto"``, ``"force"`` or a dirty-fraction threshold)
     routes the call through :func:`repro.engine.delta.delta_execute`:
@@ -398,9 +396,7 @@ def plan_and_execute(
     if session is not None and session.caching:
         pl = session.plan(
             a, b, mask,
-            complement=complement, phases=phases,
-            semiring_name=getattr(semiring, "name", None),
-            counter=counter, backend=backend,
+            complement=complement, phases=phases, backend=backend,
             machine=machine, planner=planner, **plan_kwargs,
         )
         return execute(

@@ -78,6 +78,17 @@ _WORD = 8  # bytes per index/value word, as in the paper's analysis
 _MODELED_PROCESS_CROSSOVER_CYCLES = 2.0e6
 
 
+def host_row_ns(host: HostProfile, algo: str, b, mask, fl) -> np.ndarray:
+    """Measured-coefficient nanoseconds per output row for ``algo``
+    (algorithms without coefficients are priced as ``msa``); ``fl`` is
+    ``flops_per_row(a, b)``.  The planner and the delta engine's
+    patch-or-full decision price rows with this one function."""
+    if algo == "inner":
+        return host.row_ns("inner", pulls_per_row(b, mask), mask.row_nnz())
+    key = algo if algo in host.candidates else "msa"
+    return host.row_ns(key, fl, mask.row_nnz())
+
+
 class Planner:
     """Constructs execution plans from matrix statistics + the cost model.
 
@@ -297,14 +308,6 @@ class Planner:
             )
         return cand
 
-    def _host_row_ns(self, algo: str, b, mask, fl) -> np.ndarray:
-        """Measured-coefficient nanoseconds per output row for ``algo``
-        (algorithms without coefficients are priced as ``msa``)."""
-        if algo == "inner":
-            return self.machine.row_ns("inner", pulls_per_row(b, mask), mask.row_nnz())
-        key = algo if algo in self.machine.candidates else "msa"
-        return self.machine.row_ns(key, fl, mask.row_nnz())
-
     def _host_bands(self, a, b, mask, fl, complement: bool, notes):
         """Bands from the host profile's linear kernel costs.
 
@@ -320,7 +323,7 @@ class Planner:
         cand = self._supported(self.candidates, complement, notes) or ["msa"]
         if a.nrows == 0:
             return [], {}
-        cost = np.stack([self._host_row_ns(c, b, mask, fl) for c in cand])
+        cost = np.stack([host_row_ns(host, c, b, mask, fl) for c in cand])
         setup = np.full(len(cand), host.band_ns)
         if "inner" in cand and getattr(b, "_csc_memo", None) is None:
             setup[cand.index("inner")] += host.csc_nnz_ns * b.nnz
@@ -567,7 +570,7 @@ class Planner:
         serial_s = sum(band.est_cycles for band in bands) * 1e-9
         if serial_s <= 0.0 and bands:  # forced algo: price it here
             serial_s = float(
-                self._host_row_ns(bands[0].algo, b, mask, fl).sum() + host.band_ns
+                host_row_ns(host, bands[0].algo, b, mask, fl).sum() + host.band_ns
             ) * 1e-9
         can_pool = process_backend_available()
 

@@ -1,24 +1,23 @@
-"""Cross-call execution sessions: fingerprints, plan cache, segment reuse.
+"""Cross-call execution sessions: on-demand fingerprints, segment reuse.
 
 The paper's flagship workloads are iterative — k-truss re-multiplies a
 shrinking adjacency every pruning round (Section 8.3), batched BC performs
 ~2·diameter masked products per batch against a *constant* A (Section 8.4)
-— yet a bare ``masked_spgemm`` call is a cold start: the planner
-re-classifies rows, the inner-product kernel re-transposes B, and the
-process backend republishes every operand into fresh shared-memory
-segments.  An :class:`ExecutionSession` amortises all of that across
-calls:
+— yet a bare ``masked_spgemm`` call is a cold start: the inner-product
+kernel re-transposes B and the process backend republishes every operand
+into fresh shared-memory segments.  An :class:`ExecutionSession` amortises
+that across calls, and every cache pays for its own key:
 
 * **operand fingerprints** (:class:`Fingerprint`) — a content digest
-  (blake2b over ``indptr``/``indices`` for structure, over ``data`` for
-  values), taken once per distinct operand object per call
-  (:meth:`ExecutionSession.call`) and never trusted across calls.  Content
-  keys make every downstream cache safe: a *new* object with equal bytes
+  (blake2b over per-row-block structure and value digests), taken only
+  when a cache below asks for it, once per distinct operand object per
+  call (:meth:`ExecutionSession.call`) and never trusted across calls.
+  Content keys make every cache safe: a *new* object with equal bytes
   hits, a changed operand — including one written to in place — misses.
-* **plan cache** — LRU of :class:`~repro.engine.ExecutionPlan` keyed on
-  the operands' structure digests plus the forced planning knobs and
-  semiring; planning is structure-driven, so values-only changes reuse
-  the plan.
+  A digest costs about as much as planning the call, so nothing whose
+  hit saves less is keyed: plans are rebuilt (0.5-2 ms) and the 1P bound
+  is not memoised, which is why a serial ``msa``/``mca``-planned call
+  digests nothing (``docs/sessions.md`` has the table).
 * **segment registry** (:class:`~repro.parallel.segment_cache.SegmentCache`)
   — published shm segments (and derived CSC transposes) stay alive across
   calls; only operands whose fingerprint changed are republished, and a
@@ -26,14 +25,14 @@ calls:
 * **derived-CSC memo** — ``CSC.from_csr`` (a lexsort transpose) runs once
   per operand content; the result is memoised on the session *and* on the
   CSR object itself behind the fingerprint.
-* **symbolic bound memo** — 1P mask bounds and 2P symbolic sweeps are
-  cached per structure; on a hit the recorded counter delta is replayed,
-  so sessioned and sessionless runs report identical ``OpCounter`` totals.
+* **symbolic bound memo** — 2P symbolic sweeps are cached per structure;
+  on a hit the recorded counter delta is replayed, so sessioned and
+  sessionless runs report identical ``OpCounter`` totals.
 
 Results are bit-for-bit identical with or without a session; the reuse
-shows up only in wall time and in the ``plan_cache_hits`` /
-``segments_reused`` / ``bytes_republished`` counters (surfaced through
-``OpCounter``, ``metrics()`` and ``report()``).
+shows up only in wall time and in the ``segments_reused`` /
+``bytes_republished`` counters (surfaced through ``OpCounter``,
+``metrics()`` and ``report()``).
 
 Invalidation contract: caches key on *content* and operands are digested
 again on every call, so stale entries are unreachable, not wrong — also
@@ -53,8 +52,9 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from ..machine import MachineConfig, OpCounter, resolve_machine
+from ..machine import OpCounter, resolve_machine
 from ..sparse import CSC, CSR, DCSC, DCSR
+from ..sparse.diff import block_digest_pair
 from .planner import Planner
 
 __all__ = [
@@ -65,19 +65,15 @@ __all__ = [
 ]
 
 
-def _buf(arr: np.ndarray):
-    return memoryview(np.ascontiguousarray(arr))
-
-
 @dataclass(frozen=True)
 class Fingerprint:
     """Content identity of a CSR operand.
 
-    ``structure`` digests ``(shape, sorted_indices, indptr, indices)`` and
-    drives plan/bound caching (planning never reads values); ``values``
-    digests ``data`` and, together with ``structure``, keys the published
-    segments.  Equal fingerprints ⇒ equal bytes (up to digest collision,
-    128-bit blake2b — negligible).
+    ``structure`` digests ``(shape, sorted_indices, row counts, indices)``
+    and keys the symbolic-bound memo (which never reads values); ``values``
+    additionally digests ``data`` and, together with ``structure``, keys
+    the published segments.  Equal fingerprints ⇒ equal bytes (up to
+    digest collision, 128-bit blake2b — negligible).
     """
 
     shape: Tuple[int, int]
@@ -96,15 +92,18 @@ class Fingerprint:
         return (self.shape, self.nnz, self.structure)
 
 
-def fingerprint_csr(mat: CSR) -> Fingerprint:
-    """Digest a CSR operand (one linear pass over its three arrays)."""
+def fingerprint_csr(mat: CSR, digests=None) -> Fingerprint:
+    """Digest a CSR operand (one linear pass over its three arrays).
+
+    The fingerprint is derived from the operand's block-digest vectors
+    (:func:`repro.sparse.diff.block_digest_pair`; pass them as ``digests``
+    when already taken), so the delta engine's diff and every content key
+    come out of the same single hash pass."""
+    structure, content = block_digest_pair(mat) if digests is None else digests
     hs = hashlib.blake2b(digest_size=16)
     hs.update(f"{mat.shape[0]}x{mat.shape[1]}|{int(mat.sorted_indices)}".encode())
-    hs.update(_buf(mat.indptr))
-    hs.update(_buf(mat.indices))
-    hv = hashlib.blake2b(digest_size=16)
-    hv.update(mat.data.dtype.str.encode())
-    hv.update(_buf(mat.data))
+    hs.update(structure.tobytes())
+    hv = hashlib.blake2b(content.tobytes(), digest_size=16)
     return Fingerprint(mat.shape, mat.nnz, hs.hexdigest(), hv.hexdigest())
 
 
@@ -136,11 +135,7 @@ class ExecutionSession:
         ``False`` keeps the planner/plan-defaults behaviour but disables
         every reuse cache — the cold-start baseline for A/B timing
         (``python -m repro.bench --no-session`` uses this).
-    strict:
-        Accepted for compatibility and ignored: every call re-digests its
-        operands, which is what ``strict=True`` used to ask for.
-    plan_cache_size / csc_cache_size / bound_cache_size /
-    fingerprint_cache_size:
+    csc_cache_size / bound_cache_size:
         LRU capacities (entries).
     segment_cache_bytes:
         Byte budget of the shared-memory segment registry.
@@ -156,43 +151,34 @@ class ExecutionSession:
         planner: Optional[Planner] = None,
         plan_defaults: Optional[dict] = None,
         caching: bool = True,
-        strict: bool = False,
-        plan_cache_size: int = 128,
         csc_cache_size: int = 16,
         bound_cache_size: int = 64,
-        fingerprint_cache_size: int = 64,
         segment_cache_bytes: Optional[int] = None,
     ) -> None:
         self.planner = planner if planner is not None else Planner(machine)
         self.machine = self.planner.machine
         self.plan_defaults = dict(plan_defaults or {})
         self.caching = bool(caching)
-        self._plan_cache_size = int(plan_cache_size)
         self._csc_cache_size = int(csc_cache_size)
         self._bound_cache_size = int(bound_cache_size)
-        self._fp_cache_size = int(fingerprint_cache_size)
         self._segment_cache_bytes = segment_cache_bytes
-        #: id(mat) -> (mat, Fingerprint), alive only inside :meth:`call`.
-        #: Holding ``mat`` strongly guarantees the id is never recycled
-        #: while the entry lives.
-        self._fps: "OrderedDict[int, tuple]" = OrderedDict()
+        #: id(mat) -> (mat, Fingerprint, block digest vectors), alive only
+        #: inside :meth:`call`.  Holding ``mat`` strongly guarantees the id
+        #: is never recycled while the entry lives.
+        self._fps: dict = {}
         self._call_depth = 0
-        self._plans: "OrderedDict[tuple, object]" = OrderedDict()
         self._cscs: "OrderedDict[tuple, CSC]" = OrderedDict()
         self._dforms: "OrderedDict[tuple, object]" = OrderedDict()
         self._bounds: "OrderedDict[tuple, tuple]" = OrderedDict()
-        #: per-content block digest vectors (repro.sparse.block_digests),
-        #: keyed (content key, block_rows, values); the delta engine's
-        #: diff stage digests each operand content at most once
-        self._digests: "OrderedDict[tuple, object]" = OrderedDict()
         #: problem slot -> delta state (operands, digests, plan, result)
         #: retained by repro.engine.delta between incremental calls
         self._delta: "OrderedDict[tuple, object]" = OrderedDict()
         self._delta_cache_size = 8
+        #: slots whose priced patch did not cover its bookkeeping: they run
+        #: as if ``delta=None`` for the rest of the session
+        self._delta_off: set = set()
         self._segments = None  # lazy SegmentCache
         # reuse telemetry
-        self.plan_cache_hits = 0
-        self.plan_cache_misses = 0
         self.csc_cache_hits = 0
         self.csc_cache_misses = 0
         self.shard_form_hits = 0
@@ -230,20 +216,28 @@ class ExecutionSession:
             if outermost:
                 self._fps.clear()
 
+    def _digest(self, mat: CSR) -> tuple:
+        ent = self._fps.get(id(mat))
+        if ent is None or ent[0] is not mat:
+            vectors = block_digest_pair(mat)
+            ent = (mat, fingerprint_csr(mat, vectors), vectors)
+            self.fingerprint_digests += 1
+            if self._call_depth:
+                self._fps[id(mat)] = ent
+        return ent
+
     def fingerprint(self, mat: CSR) -> Fingerprint:
         """Content fingerprint of ``mat``; digested once per :meth:`call`
-        scope, on every request outside one."""
-        key = id(mat)
-        ent = self._fps.get(key)
-        if ent is not None and ent[0] is mat:
-            return ent[1]
-        fp = fingerprint_csr(mat)
-        self.fingerprint_digests += 1
-        if self._call_depth:
-            self._fps[key] = (mat, fp)
-            while len(self._fps) > self._fp_cache_size:
-                self._fps.popitem(last=False)
-        return fp
+        scope, on every request outside one.  Nothing on the serial path
+        asks for one: call this only where a hit saves more than the hash
+        pass costs."""
+        return self._digest(mat)[1]
+
+    def block_digests(self, mat: CSR) -> tuple:
+        """``(structure, content)`` block digest vectors of ``mat``
+        (:func:`repro.sparse.diff.block_digest_pair`) — the same hash pass
+        its :meth:`fingerprint` is derived from."""
+        return self._digest(mat)[2]
 
     def invalidate(self, mat=None) -> None:
         """Evict the caches that depend on one operand's content.
@@ -251,20 +245,13 @@ class ExecutionSession:
         ``mat`` may be a :class:`~repro.sparse.CSR` (digested as it is now)
         or a :class:`Fingerprint` — e.g. one taken before the matrix was
         written to in place; ``None`` clears every cache.  Eviction is
-        *targeted*: only plan-cache, CSC/DCSR/DCSC-memo, bound-memo, digest
-        and delta-state entries keyed by that operand's structure or
-        content digest are dropped — entries for unrelated operands
-        survive.  Never needed for correctness (content keys make every
-        cache self-invalidating); it frees the entries before the LRUs
-        would."""
+        *targeted*: only CSC/DCSR/DCSC-memo, bound-memo and delta-state
+        entries keyed by that operand's structure or content digest are
+        dropped — entries for unrelated operands survive.  Never needed
+        for correctness (content keys make every cache self-invalidating);
+        it frees the entries before the LRUs would."""
         if mat is None:
-            self._fps.clear()
-            self._plans.clear()
-            self._cscs.clear()
-            self._dforms.clear()
-            self._bounds.clear()
-            self._digests.clear()
-            self._delta.clear()
+            self._clear()
             return
         if isinstance(mat, Fingerprint):
             fp = mat
@@ -274,25 +261,19 @@ class ExecutionSession:
             if memo is not None and memo[0] == fp.key:
                 mat._csc_memo = None
         sk, key = fp.structure_key, fp.key
-        self._plans = OrderedDict(
-            (k, v) for k, v in self._plans.items() if sk not in k[:3]
-        )
         self._bounds = OrderedDict(
-            (k, v) for k, v in self._bounds.items() if sk not in k[1:4]
+            (k, v) for k, v in self._bounds.items() if sk not in k[:3]
         )
         self._cscs.pop(key, None)
         self._dforms.pop(("dcsr",) + key, None)
         self._dforms.pop(("dcsc",) + key, None)
-        self._digests = OrderedDict(
-            (k, v) for k, v in self._digests.items() if k[0] not in (key, sk)
-        )
         self._delta = OrderedDict(
             (k, v)
             for k, v in self._delta.items()
             if key not in (v.fa.key, v.fb.key) and sk != v.fm.structure_key
         )
 
-    # -- plan cache ----------------------------------------------------
+    # -- planning ------------------------------------------------------
     def plan(
         self,
         a: CSR,
@@ -301,63 +282,22 @@ class ExecutionSession:
         *,
         complement: bool = False,
         phases: Optional[int] = None,
-        semiring_name: Optional[str] = None,
-        counter: Optional[OpCounter] = None,
         machine=None,
         planner: Optional[Planner] = None,
         **plan_kwargs,
     ):
-        """Plan via the session's planner, reusing a cached plan when the
-        operands' structure and the forced knobs are unchanged.  Knobs
-        left ``None`` fall back to :attr:`plan_defaults`.
-
-        A per-call ``machine`` override is honoured and becomes part of
-        the cache key (plans for different cost-model targets never mix);
-        a per-call ``planner`` override (other than the session's own) is
-        honoured but planned *uncached* — a foreign planner's knobs are
-        not keyable, so its plans must not shadow the session's.
+        """Plan via the session's planner; knobs left ``None`` fall back to
+        :attr:`plan_defaults`.  A per-call ``planner`` or ``machine``
+        override is honoured.  Plans are not cached: building one costs
+        less than digesting the three operands that would key it.
         """
         merged = dict(self.plan_defaults)
         merged.update({k: v for k, v in plan_kwargs.items() if v is not None})
-        if planner is not None and planner is not self.planner:
-            return planner.plan(
-                a, b, mask, complement=complement, phases=phases, **merged
-            )
-        target = self.planner
-        if machine is not None and not isinstance(machine, MachineConfig):
-            machine = resolve_machine(machine)
-        if machine is not None and machine != self.machine:
-            target = Planner(machine)
-        if not self.caching:
-            return target.plan(
-                a, b, mask, complement=complement, phases=phases, **merged
-            )
-        with self.call():  # a, b and mask are often one object
-            key = (
-                self.fingerprint(a).structure_key,
-                self.fingerprint(b).structure_key,
-                self.fingerprint(mask).structure_key,
-                bool(complement),
-                phases,
-                semiring_name,
-                target.machine,
-                tuple(sorted(merged.items())),
-            )
-        pl = self._plans.get(key)
-        if pl is not None:
-            self._plans.move_to_end(key)
-            self.plan_cache_hits += 1
-            if counter is not None:
-                counter.plan_cache_hits += 1
-            return pl
-        pl = target.plan(
-            a, b, mask, complement=complement, phases=phases, **merged
-        )
-        self.plan_cache_misses += 1
-        self._plans[key] = pl
-        while len(self._plans) > self._plan_cache_size:
-            self._plans.popitem(last=False)
-        return pl
+        if planner is None:
+            planner = self.planner
+            if machine is not None and resolve_machine(machine) != self.machine:
+                planner = Planner(machine)
+        return planner.plan(a, b, mask, complement=complement, phases=phases, **merged)
 
     # -- derived CSC ---------------------------------------------------
     def csc_of(self, mat: CSR, fp: Optional[Fingerprint] = None) -> CSC:
@@ -421,36 +361,7 @@ class ExecutionSession:
             self._dforms.popitem(last=False)
         return form
 
-    # -- block digests / delta state (repro.engine.delta) --------------
-    def block_digests(
-        self,
-        mat: CSR,
-        *,
-        fp: Optional[Fingerprint] = None,
-        values: bool = True,
-        block_rows: Optional[int] = None,
-    ):
-        """Chunked digest vector of ``mat``
-        (:func:`repro.sparse.block_digests`), memoised per content — the
-        delta engine digests each operand content at most once, so the
-        unchanged side of a diff costs one LRU lookup."""
-        from ..sparse.diff import DELTA_BLOCK_ROWS, block_digests
-
-        br = DELTA_BLOCK_ROWS if block_rows is None else int(block_rows)
-        if not self.caching:
-            return block_digests(mat, block_rows=br, values=values)
-        fp = self.fingerprint(mat) if fp is None else fp
-        key = ((fp.key if values else fp.structure_key), br, values)
-        hit = self._digests.get(key)
-        if hit is not None:
-            self._digests.move_to_end(key)
-            return hit
-        vec = block_digests(mat, block_rows=br, values=values)
-        self._digests[key] = vec
-        while len(self._digests) > self._fp_cache_size:
-            self._digests.popitem(last=False)
-        return vec
-
+    # -- delta state (repro.engine.delta) ------------------------------
     def _delta_get(self, slot: tuple):
         state = self._delta.get(slot)
         if state is not None:
@@ -464,24 +375,6 @@ class ExecutionSession:
             self._delta.popitem(last=False)
 
     # -- symbolic bounds -----------------------------------------------
-    def one_phase_bound(self, a: CSR, b: CSR, mask: CSR, *, complement: bool):
-        """Cached :func:`repro.core.symbolic.one_phase_bound` (pure
-        structure function, charges no counters)."""
-        from ..core.symbolic import one_phase_bound
-
-        if not self.caching:
-            return one_phase_bound(a, b, mask, complement=complement)
-        key = self._bound_key("1p", a, b, mask, complement)
-        hit = self._bounds.get(key)
-        if hit is not None:
-            self._bounds.move_to_end(key)
-            self.bound_cache_hits += 1
-            return hit
-        result = one_phase_bound(a, b, mask, complement=complement)
-        self.bound_cache_misses += 1
-        self._store_bound(key, result)
-        return result
-
     def symbolic_bounds(
         self,
         a: CSR,
@@ -501,7 +394,13 @@ class ExecutionSession:
         if not self.caching:
             return symbolic_masked(a, b, mask, complement=complement,
                                    counter=counter)
-        key = self._bound_key("2p", a, b, mask, complement)
+        with self.call():  # a, b and mask are often one object
+            key = (
+                self.fingerprint(a).structure_key,
+                self.fingerprint(b).structure_key,
+                self.fingerprint(mask).structure_key,
+                bool(complement),
+            )
         hit = self._bounds.get(key)
         if hit is not None:
             self._bounds.move_to_end(key)
@@ -516,23 +415,10 @@ class ExecutionSession:
         if counter is not None:
             counter.merge(charged)
         self.bound_cache_misses += 1
-        self._store_bound(key, (row_nnz, charged))
-        return row_nnz
-
-    def _bound_key(self, kind: str, a, b, mask, complement: bool) -> tuple:
-        with self.call():
-            return (
-                kind,
-                self.fingerprint(a).structure_key,
-                self.fingerprint(b).structure_key,
-                self.fingerprint(mask).structure_key,
-                bool(complement),
-            )
-
-    def _store_bound(self, key: tuple, value) -> None:
-        self._bounds[key] = value
+        self._bounds[key] = (row_nnz, charged)
         while len(self._bounds) > self._bound_cache_size:
             self._bounds.popitem(last=False)
+        return row_nnz
 
     # -- segment registry ----------------------------------------------
     @property
@@ -552,8 +438,6 @@ class ExecutionSession:
     def stats(self) -> dict:
         """Flat reuse-counter dict (the ``"session"`` key of ``metrics()``)."""
         out = {
-            "plan_cache_hits": self.plan_cache_hits,
-            "plan_cache_misses": self.plan_cache_misses,
             "csc_cache_hits": self.csc_cache_hits,
             "csc_cache_misses": self.csc_cache_misses,
             "shard_form_hits": self.shard_form_hits,
@@ -603,13 +487,15 @@ class ExecutionSession:
         if self._segments is not None:
             self._segments.close()
             self._segments = None
-        self._plans.clear()
+        self._clear()
+
+    def _clear(self) -> None:
         self._fps.clear()
         self._cscs.clear()
         self._dforms.clear()
         self._bounds.clear()
-        self._digests.clear()
         self._delta.clear()
+        self._delta_off.clear()
 
     def __enter__(self) -> "ExecutionSession":
         return self

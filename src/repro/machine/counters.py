@@ -27,15 +27,18 @@ Counter semantics:
 * ``symbolic_flops`` — work done in a 2P symbolic phase.
 * ``rows_recomputed`` / ``rows_patched`` / ``delta_fallbacks`` — the
   delta engine's work certificate (:mod:`repro.engine.delta`): output rows
-  re-executed because their inputs changed, rows spliced unchanged from
-  the cached result, and incremental calls that fell back to a full
-  recompute because the dirty fraction exceeded the threshold.
-* ``plan_cache_hits`` / ``segments_reused`` / ``bytes_republished`` —
-  cross-call reuse wins of an :class:`~repro.engine.ExecutionSession`
-  (plan reused from the session's LRU; shared-memory operand segments
-  served from the session registry instead of republished; bytes rewritten
-  in place for a values-only operand change).  Zero in sessionless runs,
-  so backend-equivalence comparisons are unaffected.
+  re-executed because their inputs changed (every row of a full run on
+  the delta path), rows spliced unchanged from the cached result, and
+  incremental calls that fell back to a full recompute because the patch
+  was not predicted to pay (or the dirty fraction exceeded a numeric
+  threshold).
+* ``segments_reused`` / ``bytes_republished`` — cross-call reuse wins of
+  an :class:`~repro.engine.ExecutionSession` (shared-memory operand
+  segments served from the session registry instead of republished; bytes
+  rewritten in place for a values-only operand change).  Zero in
+  sessionless runs, so backend-equivalence comparisons are unaffected.
+  ``plan_cache_hits`` is kept for stored snapshots and the ladder's traced
+  rungs; plans are no longer cached, so it stays 0.
 
 Schema growth: counters cross process and file boundaries (pool workers
 pickle them back; the benchmark history stores their dict form), so every

@@ -71,7 +71,7 @@ class HostProfile:
     name: str = "host"
     msa_ns: Tuple[float, float, float] = (8.0, 18.0, 390.0)
     mca_ns: Tuple[float, float, float] = (53.6, 6.1, 87.0)
-    inner_ns: Tuple[float, float, float] = (32.5, 47.9, 37.6)
+    inner_ns: Tuple[float, float, float] = (8.6, 32.2, 182.0)
     #: CSC build (radix transpose) per nnz(B), charged to ``inner`` unless
     #: the operand already carries a memoised transpose
     csc_nnz_ns: float = 20.9
@@ -80,6 +80,13 @@ class HostProfile:
     #: extra cost of a *split* plan per nonzero of A and M: row slicing of
     #: both operands plus the COO merge of the band results
     split_nnz_ns: float = 27.4
+    #: delta patch (``repro.engine.delta``): per nonzero *moved* — the dirty
+    #: rows of A and M sliced out plus the previous result spliced
+    splice_nnz_ns: float = 27.3
+    #: what an engaged delta slot pays on every call, per stored nonzero of
+    #: the distinct operands and the previous result: hash pass, row diff,
+    #: dirty-row propagation and the state's private result copy
+    delta_nnz_ns: float = 38.0
     #: process pool: per dispatched task, per cold-spawned worker, and the
     #: share of ideal speedup concurrent workers deliver.  The pessimistic
     #: end of what fitter runs read with 2 workers on 2 cores (dispatch
@@ -213,7 +220,8 @@ def fit_host_profile(*, quick: bool = False, repeats: int = 3) -> Tuple[HostProf
     Times every live kernel on the calibration triples, regresses each
     algorithm's seconds on ``(work, mask nnz, rows, 1)`` by the same
     relative-error non-negative least squares ``repro.machine.fit`` uses,
-    times the CSC build and a two-band split, measures the process pool
+    times the CSC build, a two-band split and the delta engine's splice
+    and per-call bookkeeping, measures the process pool
     (:func:`measure_backend_overhead`), and returns ``(profile, report)``
     — ``report`` carries the raw samples and per-algorithm median relative
     error so the constants can be audited.  Takes about a minute
@@ -221,13 +229,15 @@ def fit_host_profile(*, quick: bool = False, repeats: int = 3) -> Tuple[HostProf
     """
     from ..core.masked_spgemm import masked_spgemm
     from ..engine import execute, plan
-    from ..sparse import CSC
+    from ..parallel.executor import row_slice
+    from ..sparse import CSC, changed_rows
+    from ..sparse.diff import block_digest_pair
     from .fit import nonneg_lstsq
     from .traffic import flops_per_row, pulls_per_row
 
     base = HOST
     samples: Dict[str, list] = {algo: [] for algo in base.candidates}
-    csc_rows, split_rows = [], []
+    csc_rows, split_rows, splice_rows, delta_rows = [], [], [], []
     for a, b, m, sr in _calibration_triples(quick):
         csc = CSC.from_csr(b)
         flops = int(flops_per_row(a, b).sum())
@@ -252,6 +262,18 @@ def fit_host_profile(*, quick: bool = False, repeats: int = 3) -> Tuple[HostProf
         t_one = _time_best(lambda: execute(one, a, b, m, semiring=sr), repeats)
         t_two = _time_best(lambda: execute(two, a, b, m, semiring=sr), repeats)
         split_rows.append((a.nnz + m.nnz, max(0.0, t_two - t_one)))
+        if a is m:  # the iterative apps' shape: A = B = M, one row in four changed
+            nxt = a.select_rows(np.flatnonzero(np.arange(a.nrows) % 4))
+            c, dirty = execute(one, a, b, m, semiring=sr), changed_rows(a, nxt)
+            moved = 2 * (a.nnz - nxt.nnz) + c.nnz
+            splice_rows.append((moved, _time_best(
+                lambda: (row_slice(a, dirty), row_slice(m, dirty), c.replace_rows(dirty, c)),
+                repeats,
+            )))
+            delta_rows.append((nxt.nnz + c.nnz, _time_best(
+                lambda: (block_digest_pair(nxt), changed_rows(a, nxt), CSC.from_csr(nxt), c.copy()),
+                repeats,
+            )))
 
     changes: dict = {}
     fixed_ns = []
@@ -272,6 +294,8 @@ def fit_host_profile(*, quick: bool = False, repeats: int = 3) -> Tuple[HostProf
         csc_nnz_ns=median_ns_per_nnz(csc_rows),
         band_ns=float(np.median(fixed_ns)),
         split_nnz_ns=median_ns_per_nnz(split_rows),
+        splice_nnz_ns=median_ns_per_nnz(splice_rows),
+        delta_nnz_ns=median_ns_per_nnz(delta_rows),
     )
     # two workers even on one core: the measured efficiency (~0.5 there)
     # is then exactly what keeps the planner off the pool

@@ -183,8 +183,9 @@ def report(tracer, *, plan=None, probes=None, session=None,
         lines.append("")
         lines.append("=== session reuse ===")
         lines.append(
-            f"  plan cache      hits={st['plan_cache_hits']:<8d} "
-            f"misses={st['plan_cache_misses']}"
+            f"  digests         taken={st['fingerprint_digests']:<7d} "
+            f"delta hits={st['delta_hits']} patches={st['delta_patches']} "
+            f"fallbacks={st['delta_fallbacks']}"
         )
         lines.append(
             f"  csc memo        hits={st['csc_cache_hits']:<8d} "

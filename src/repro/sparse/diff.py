@@ -6,9 +6,10 @@ to the *change*, not the matrix.  Two tiers cooperate:
 
 * :func:`block_digests` — a chunked digest vector: one blake2b digest per
   block of :data:`DELTA_BLOCK_ROWS` rows (per-row counts + the block's
-  index slice, plus its value slice when ``values=True``).  Comparing two
-  digest vectors (:func:`dirty_blocks`) localises every change to a block
-  in ``O(nblocks)`` without touching clean payload bytes.
+  index slice, plus its value slice when ``values=True``;
+  :func:`block_digest_pair` yields both vectors from one hash pass).
+  Comparing two digest vectors (:func:`dirty_blocks`) localises every
+  change to a block in ``O(nblocks)`` without touching clean payload bytes.
 * :func:`changed_rows` — the exact per-row refinement, vectorised: rows
   whose counts differ are dirty outright; equal-count candidate rows are
   compared element-wise by mapping each new element back to its old
@@ -25,7 +26,7 @@ never wrong.
 from __future__ import annotations
 
 import hashlib
-from typing import Optional
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -33,6 +34,7 @@ from .csr import CSR, INDEX_DTYPE
 
 __all__ = [
     "DELTA_BLOCK_ROWS",
+    "block_digest_pair",
     "block_digests",
     "dirty_blocks",
     "changed_rows",
@@ -48,22 +50,23 @@ def _buf(arr: np.ndarray) -> memoryview:
     return memoryview(np.ascontiguousarray(arr))
 
 
-def block_digests(
-    mat: CSR, *, block_rows: int = DELTA_BLOCK_ROWS, values: bool = True
-) -> np.ndarray:
-    """Per-row-block digest vector of a CSR operand.
+def block_digest_pair(
+    mat: CSR, block_rows: int = DELTA_BLOCK_ROWS, values: bool = True
+) -> Tuple[np.ndarray, Optional[np.ndarray]]:
+    """``(structure, content)`` per-row-block digest vectors in one pass.
 
-    Returns an ``("S16",)`` array of ``ceil(nrows / block_rows)`` blake2b
-    digests; block ``i`` covers rows ``[i*block_rows, (i+1)*block_rows)``
-    and digests the block's per-row counts, its index slice and (with
-    ``values=True``) its value slice.  Equal blocks ⇒ equal digests;
-    unequal digests ⇒ the block contains at least one changed row.
+    Both are ``("S16",)`` arrays of ``ceil(nrows / block_rows)`` blake2b
+    digests; block ``i`` covers rows ``[i*block_rows, (i+1)*block_rows)``.
+    ``structure[i]`` digests the block's per-row counts and its index
+    slice; ``content[i]`` continues that hash over the block's value slice
+    (``None`` with ``values=False``), so every byte is hashed once.
     """
     if block_rows <= 0:
         raise ValueError("block_rows must be positive")
     nrows = mat.nrows
     nblocks = -(-nrows // block_rows) if nrows else 0
-    out = np.empty(nblocks, dtype="S16")
+    structure = np.empty(nblocks, dtype="S16")
+    content = np.empty(nblocks, dtype="S16") if values else None
     counts = np.diff(mat.indptr)
     for bi in range(nblocks):
         lo = bi * block_rows
@@ -72,11 +75,23 @@ def block_digests(
         h = hashlib.blake2b(digest_size=16)
         h.update(_buf(counts[lo:hi]))
         h.update(_buf(mat.indices[plo:phi]))
+        structure[bi] = h.digest()
         if values:
             h.update(mat.data.dtype.str.encode())
             h.update(_buf(mat.data[plo:phi]))
-        out[bi] = h.digest()
-    return out
+            content[bi] = h.digest()
+    return structure, content
+
+
+def block_digests(
+    mat: CSR, *, block_rows: int = DELTA_BLOCK_ROWS, values: bool = True
+) -> np.ndarray:
+    """Per-row-block digest vector of a CSR operand: the ``content``
+    vector of :func:`block_digest_pair`, or its ``structure`` vector with
+    ``values=False``.  Equal blocks ⇒ equal digests; unequal digests ⇒ the
+    block contains at least one changed row."""
+    structure, content = block_digest_pair(mat, block_rows, values)
+    return content if values else structure
 
 
 def dirty_blocks(old: np.ndarray, new: np.ndarray) -> np.ndarray:

@@ -187,6 +187,29 @@ class TestKernelsOnReusedBuffers:
         assert "msa.rank" not in get_arena()._buffers
         assert_csr_equal(masked_spgemm(a, a, m, algo="msa", impl="fast"), want)
 
+    def test_inner_rank_lease_is_left_clean_or_discarded(self):
+        import dataclasses
+
+        from repro.semiring import PLUS_TIMES
+
+        a = random_csr(20, 20, 3, seed=61)
+        m = random_csr(20, 20, 3, seed=62)
+        want = scipy_masked_spgemm(a, a, m)
+        assert_csr_equal(masked_spgemm(a, a, m, algo="inner", impl="fast"), want)
+        parked = get_arena()._buffers["inner.rank"]
+        assert parked.dtype == np.int32 and not parked.any()
+
+        def boom(x, y):
+            raise RuntimeError("mid-block")
+
+        bad = dataclasses.replace(PLUS_TIMES, name="boom", mult_ufunc=boom)
+        before = arena_stats()["discarded"]
+        with pytest.raises(RuntimeError, match="mid-block"):
+            masked_spgemm(a, a, m, algo="inner", impl="fast", semiring=bad)
+        assert arena_stats()["discarded"] > before
+        assert "inner.rank" not in get_arena()._buffers
+        assert_csr_equal(masked_spgemm(a, a, m, algo="inner", impl="fast"), want)
+
     def test_nonzero_identity_semiring_buffers(self):
         # MIN_PLUS has +inf identity: its value buffers must not be shared
         # with PLUS_TIMES's zero-filled ones (fill is part of the key)

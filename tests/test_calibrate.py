@@ -93,6 +93,8 @@ class TestProcessCrossoverCalibration:
             assert report["median_relative_error"][algo] >= 0
         assert fitted.task_dispatch_s > 0
         assert fitted.csc_nnz_ns > 0
+        # the delta engine's two per-nonzero costs come out of the same run
+        assert fitted.splice_nnz_ns > 0 and fitted.delta_nnz_ns > 0
         # knobs the fitter does not measure carry over
         assert fitted.batch_crossover_flops == HOST.batch_crossover_flops
         assert fitted.name == HOST.name

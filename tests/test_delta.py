@@ -21,11 +21,7 @@ import numpy as np
 import pytest
 
 from repro.core import masked_spgemm
-from repro.engine import (
-    DELTA_MAX_FRACTION,
-    ExecutionSession,
-    ShardGrid,
-)
+from repro.engine import ExecutionSession, ShardGrid
 from repro.graphs import erdos_renyi, rmat
 from repro.machine import OpCounter
 from repro.parallel import (
@@ -255,25 +251,28 @@ class TestTargetedInvalidate:
         a = erdos_renyi(48, 48, 3, seed=1, values="uniform")
         u = erdos_renyi(48, 48, 3, seed=9, values="uniform")
         with ExecutionSession() as sess:
-            pa = sess.plan(a, a, a)
-            pu = sess.plan(u, u, u)
             ca, cu = sess.csc_of(a), sess.csc_of(u)
-            bu = sess.one_phase_bound(u, u, u, complement=False)
+            sess.symbolic_bounds(a, a, a, complement=False)
+            bu = sess.symbolic_bounds(u, u, u, complement=False)
             sess.invalidate(a)
             # unrelated entries survive the eviction untouched
-            assert sess.plan(u, u, u) is pu
             assert sess.csc_of(u) is cu
-            assert sess.one_phase_bound(u, u, u, complement=False) is bu
+            assert sess.symbolic_bounds(u, u, u, complement=False) is bu
+            assert sess.bound_cache_hits == 1
             # dependent entries are gone: same content rebuilds fresh
-            assert sess.plan(a, a, a) is not pa
             assert sess.csc_of(a) is not ca
+            sess.symbolic_bounds(a, a, a, complement=False)
+            assert sess.bound_cache_hits == 1
 
     def test_invalidate_none_clears_everything(self):
         a = erdos_renyi(48, 48, 3, seed=1, values="uniform")
         with ExecutionSession() as sess:
-            pa = sess.plan(a, a, a)
+            ca = sess.csc_of(a)
+            masked_spgemm(a, a, a, algo="auto", session=sess, delta="force")
+            a._csc_memo = None  # the object-level memo outlives the session's
             sess.invalidate()
-            assert sess.plan(a, a, a) is not pa
+            assert sess.csc_of(a) is not ca
+            assert not sess._delta and not sess._bounds
 
     def test_delta_state_evicted_for_operand_only(self):
         a = erdos_renyi(48, 48, 4, seed=1, values="uniform")
@@ -393,7 +392,6 @@ class TestDeltaModes:
                           counter=c)
             assert c.delta_fallbacks == 0
             assert 0 < c.rows_recomputed < a.nrows
-        assert DELTA_MAX_FRACTION == 0.5
 
     def test_b_change_propagates_through_a_columns(self):
         a, b, m = self._problem()
@@ -411,6 +409,104 @@ class TestDeltaModes:
             np.arange(a.nrows), np.diff(a.indptr))[a.indices == row])
         assert c.rows_recomputed == readers.size
         assert c.rows_patched == a.nrows - readers.size
+
+
+# ----------------------------------------------------------------------
+# the priced delta="auto" rule and slot disengagement
+# ----------------------------------------------------------------------
+def _drop_edge(g: CSR, u: int, w: int) -> CSR:
+    r, c, v = g.to_coo()
+    keep = ~(((r == u) & (c == w)) | ((r == w) & (c == u)))
+    return CSR.from_coo(g.shape, r[keep], c[keep], v[keep])
+
+
+class TestPricedDelta:
+    """A = B = M = an R-MAT adjacency (the k-truss shape): dropping one
+    edge dirties both endpoints and every row that reads them."""
+
+    @pytest.fixture(scope="class")
+    def graph(self):
+        return rmat(10, seed=1).pattern()
+
+    def _transition(self, g, u, w, delta):
+        from repro.semiring import PLUS_PAIR
+
+        g2 = _drop_edge(g, u, w)
+        ref_c = OpCounter()
+        ref = masked_spgemm(g2, g2, g2, algo="auto", semiring=PLUS_PAIR,
+                            counter=ref_c)
+        sess, c = ExecutionSession(), OpCounter()
+        masked_spgemm(g, g, g, algo="auto", semiring=PLUS_PAIR, session=sess,
+                      delta=delta)
+        got = masked_spgemm(g2, g2, g2, algo="auto", semiring=PLUS_PAIR,
+                            session=sess, delta=delta, counter=c)
+        _same(got, ref)
+        return sess, c, ref_c, g2
+
+    def _hub_edge(self, g):
+        deg = g.row_nnz()
+        hub = int(np.argmax(deg))
+        nbrs = g.indices[g.indptr[hub]:g.indptr[hub + 1]]
+        return hub, int(nbrs[np.argmin(deg[nbrs])])
+
+    def _tail_edge(self, g):
+        deg = g.row_nnz()
+        r, c, _ = g.to_coo()
+        e = int(np.argmin(deg[r] + deg[c]))  # the edge with the fewest readers
+        return int(r[e]), int(c[e])
+
+    def test_hub_transition_runs_full_and_disengages(self, graph):
+        from repro.engine.planner import host_row_ns
+        from repro.machine import HOST, flops_per_row
+        from repro.semiring import PLUS_PAIR
+
+        hub, leaf = self._hub_edge(graph)
+        sess, c, ref_c, g2 = self._transition(graph, hub, leaf, "auto")
+        # under half the rows are dirty, yet they are the hub's readers and
+        # carry most of the predicted kernel time
+        dirty = np.zeros(g2.nrows, dtype=bool)
+        for t in (hub, leaf):
+            dirty[t] = True
+            dirty[g2.indices[g2.indptr[t]:g2.indptr[t + 1]]] = True
+        ns = host_row_ns(HOST, "msa", g2, g2, flops_per_row(g2, g2))
+        assert dirty.mean() < 0.5 and ns[dirty].sum() > 0.8 * ns.sum()
+        assert c.delta_fallbacks == 1 and c.rows_patched == 0
+        assert c.flops == ref_c.flops  # a full run, exactly delta=None's work
+        # disengaged: no state kept, and later calls digest nothing
+        assert not sess._delta
+        digests = sess.fingerprint_digests
+        for g in (graph, g2):
+            c3 = OpCounter()
+            got = masked_spgemm(g, g, g, algo="auto", semiring=PLUS_PAIR,
+                                session=sess, delta="auto", counter=c3)
+            _same(got, masked_spgemm(g, g, g, algo="auto", semiring=PLUS_PAIR))
+            assert c3.delta_fallbacks == 0 and c3.rows_patched == 0
+        assert sess.fingerprint_digests == digests
+        assert not sess._delta
+        sess.close()
+
+    def test_tail_transition_patches_and_stays_engaged(self, graph):
+        sess, c, ref_c, g2 = self._transition(graph, *self._tail_edge(graph), "auto")
+        assert c.delta_fallbacks == 0
+        assert 0 < c.rows_recomputed < graph.nrows // 10
+        assert c.rows_patched == graph.nrows - c.rows_recomputed
+        assert c.flops < ref_c.flops
+        assert len(sess._delta) == 1 and sess.stats()["delta_patches"] == 1
+        sess.close()
+
+    def test_force_patches_the_hub_transition_too(self, graph):
+        sess, c, ref_c, _ = self._transition(graph, *self._hub_edge(graph), "force")
+        assert c.delta_fallbacks == 0
+        assert 0 < c.rows_patched < graph.nrows
+        assert c.flops < ref_c.flops
+        assert len(sess._delta) == 1
+        sess.close()
+
+    def test_numeric_threshold_stays_engaged_after_fallback(self, graph):
+        sess, c, ref_c, _ = self._transition(graph, *self._hub_edge(graph), 0.1)
+        assert c.delta_fallbacks == 1 and c.flops == ref_c.flops
+        assert len(sess._delta) == 1  # the fraction rule never disengages
+        sess.close()
 
 
 # ----------------------------------------------------------------------
