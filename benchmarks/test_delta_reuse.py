@@ -3,8 +3,9 @@
 The tentpole claim of the incremental engine (``docs/incremental.md``),
 asserted end to end on the Fig. 10 R-MAT case:
 
-* a sessioned k-truss with ``delta="auto"`` is **bit-for-bit identical**
-  to the plain full-recompute run (always asserted, any machine), and
+* the default k-truss (``delta="auto"``: support decrement, priced per
+  round) is **bit-for-bit identical** to the full-recompute run, with the
+  flops each round ran reported (always asserted, any machine), and
 * a *late* iteration — a handful of edges pruned from a scale-10 R-MAT
   adjacency — runs **at least 2x faster** through the delta patch than
   through a full sessioned recompute of the same product.  The speedup
@@ -96,34 +97,34 @@ def _ab_timing(g: CSR, g2: CSR, repeats: int = REPEATS):
 
 
 def test_ktruss_delta_identical(benchmark, save_result):
-    """Sessioned ``delta="auto"`` k-truss == plain k-truss, bit for bit —
-    the contract that makes the speedup below safe to take."""
+    """Default (support-decrement) k-truss == full-recompute k-truss, bit
+    for bit, with the flops each round ran as the saved-work certificate."""
     g = rmat(10, seed=13)
-    counter = OpCounter()
 
     def run():
         base = ktruss(g, 5, algo="auto", session=False, delta=None)
         with ExecutionSession() as sess:
-            res = ktruss(g, 5, algo="auto", session=sess, delta="auto",
-                         counter=counter)
+            res = ktruss(g, 5, algo="auto", session=sess, delta="auto")
         return base, res
 
     base, res = benchmark.pedantic(run, rounds=1, iterations=1)
-    assert np.array_equal(res.truss.to_dense(), base.truss.to_dense())
+    for got, want in zip(res.truss.segment_arrays(), base.truss.segment_arrays()):
+        assert np.array_equal(got, want)
+    assert np.array_equal(res.support, base.support)
     assert res.iterations == base.iterations
-    total = res.iterations * g.nrows
+    assert res.edges_per_iter == base.edges_per_iter
+    assert res.flops < base.flops
     data = {
         "graph": "rmat-10", "k": 5, "iterations": res.iterations,
-        "rows_recomputed": counter.rows_recomputed,
-        "rows_patched": counter.rows_patched,
-        "delta_fallbacks": counter.delta_fallbacks,
-        "rows_total": total,
+        "edges_per_iter": res.edges_per_iter,
+        "flops_per_iter": res.flops_per_iter,
+        "flops_per_iter_full": base.flops_per_iter,
+        "delta_fallbacks": res.counter.delta_fallbacks,
     }
     save_result(
-        f"k-truss (k=5, rmat-10) delta=auto vs plain: identical over "
-        f"{res.iterations} iterations; rows recomputed "
-        f"{counter.rows_recomputed}/{total}, patched {counter.rows_patched}, "
-        f"fallbacks {counter.delta_fallbacks}",
+        f"k-truss (k=5, rmat-10) delta=auto vs delta=None: identical over "
+        f"{res.iterations} rounds; flops per round {res.flops_per_iter} "
+        f"vs {base.flops_per_iter}",
         data=data, title="delta reuse — k-truss identity",
     )
 

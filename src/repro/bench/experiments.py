@@ -70,11 +70,12 @@ def tc_cases(graphs: Dict[str, CSR]) -> Dict[str, List[Call]]:
 
 
 def ktruss_cases(graphs: Dict[str, CSR], k: int = 5) -> Dict[str, List[Call]]:
-    """k-truss: the full pruning iteration's call sequence per graph."""
+    """k-truss: the paper's ``(A, A, A)`` call per pruning round per graph
+    (``delta=None``: the shipped default multiplies the whole graph once)."""
     cases = {}
     for name, g in graphs.items():
         log: List[Call] = []
-        ktruss(g, k, algo="msa", call_log=log)
+        ktruss(g, k, algo="msa", call_log=log, delta=None)
         cases[name] = log
     return cases
 

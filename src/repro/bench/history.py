@@ -250,14 +250,10 @@ def session_app_records(
     certify per-shard segment reuse in the cache telemetry.
 
     ``ktruss-delta`` is the incremental twin of ``ktruss-session``
-    (``docs/incremental.md``): the same pruning loop with ``delta="auto"``,
-    so late iterations recompute only dirty rows.  Its
-    ``rows_recomputed`` / ``rows_patched`` / ``delta_fallbacks`` counters
-    are the scheme's work certificate (``ktruss-session`` pins
+    (``docs/incremental.md``): the same pruning loop at its default
+    ``delta="auto"``, so rounds after the first decrement the support by
+    two products over the removed edges (``ktruss-session`` pins
     ``delta=None`` so it stays the full-recompute sessioned baseline).
-    Note the first repeat's counters differ from later ones (the session
-    starts cold); the recorded counter is the *last* repeat's, which is
-    deterministic for ``repeats >= 2``.
 
     ``tc-batched`` is the bucketed-tier twin (``docs/kernels.md``): the
     TC masked SpGEMM forced onto ``batch="bucket"`` with ``phases=2``,

@@ -372,17 +372,15 @@ class CSR:
         keep = np.abs(self.data) > tol
         if keep.all():
             return self
-        rows, cols, vals = self.to_coo()
-        return CSR.from_coo(self.shape, rows[keep], cols[keep], vals[keep])
+        return self._keep_entries(keep).sort_indices()
 
     def select_rows(self, mask_or_index: np.ndarray) -> "CSR":
         """Keep only rows selected by a boolean mask or index array; other
         rows become empty (the shape is unchanged)."""
         sel = np.zeros(self.nrows, dtype=bool)
         sel[mask_or_index] = True
-        rows, cols, vals = self.to_coo()
-        keep = sel[rows]
-        return CSR.from_coo(self.shape, rows[keep], cols[keep], vals[keep])
+        keep = np.repeat(sel, np.diff(self.indptr))
+        return self._keep_entries(keep).sort_indices()
 
     def replace_rows(self, rows: np.ndarray, source: "CSR") -> "CSR":
         """Splice ``source``'s rows ``rows`` into this matrix.
@@ -457,26 +455,30 @@ class CSR:
             self.data.take(pos),
         )
 
-    def _keep_diagonals(self, pred) -> "CSR":
-        """Entries whose diagonal ``col - row`` satisfies ``pred``: a filter
-        of the three arrays, which keeps row order and sortedness (no COO
-        round trip, no sort)."""
-        s = self.sort_indices()
-        rows = np.repeat(np.arange(s.nrows, dtype=INDEX_DTYPE), np.diff(s.indptr))
-        keep = pred(s.indices - rows)
-        kept_before = np.concatenate(([0], np.cumsum(keep)))
+    def _keep_entries(self, keep: np.ndarray) -> "CSR":
+        """Entries whose flag in the boolean ``keep`` (one per stored entry)
+        is set: a filter of the three arrays, which keeps entry order and
+        so sortedness (no COO round trip, no sort)."""
+        kept = np.flatnonzero(keep)
         return CSR(
-            s.shape, kept_before[s.indptr], s.indices[keep], s.data[keep],
-            sorted_indices=True, check=False,
+            self.shape, np.searchsorted(kept, self.indptr),
+            self.indices.take(kept), self.data.take(kept),
+            sorted_indices=self.sorted_indices, check=False,
+        )
+
+    def _diagonals(self) -> np.ndarray:
+        """``col - row`` of every stored entry."""
+        return self.indices - np.repeat(
+            np.arange(self.nrows, dtype=INDEX_DTYPE), np.diff(self.indptr)
         )
 
     def tril(self, k: int = -1) -> "CSR":
         """Lower-triangular part (entries with ``col - row <= k``)."""
-        return self._keep_diagonals(lambda d: d <= k)
+        return self._keep_entries(self._diagonals() <= k).sort_indices()
 
     def triu(self, k: int = 1) -> "CSR":
         """Upper-triangular part (entries with ``col - row >= k``)."""
-        return self._keep_diagonals(lambda d: d >= k)
+        return self._keep_entries(self._diagonals() >= k).sort_indices()
 
     # ------------------------------------------------------------------
     # comparisons

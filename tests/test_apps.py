@@ -1,6 +1,8 @@
 """Application tests: Triangle Counting, k-truss, Betweenness Centrality,
 BFS — validated against networkx oracles."""
 
+import functools
+
 import networkx as nx
 import numpy as np
 import pytest
@@ -12,9 +14,12 @@ from repro.apps import (
     triangle_count,
     triangle_count_detail,
 )
-from repro.core import ALGOS, supports_complement
-from repro.graphs import erdos_renyi_graph, rmat
-from repro.machine import OpCounter
+from repro.core import ALGOS, masked_spgemm, supports_complement
+from repro.engine import ExecutionSession
+from repro.graphs import erdos_renyi, erdos_renyi_graph, rmat
+from repro.machine import OpCounter, total_flops
+from repro.parallel import active_segments, process_backend_available, shutdown_pool
+from repro.semiring import PLUS_PAIR
 from repro.sparse import CSR
 
 COMPLEMENT_ALGOS = [a for a in ALGOS if supports_complement(a)]
@@ -142,6 +147,156 @@ class TestKTruss:
     def test_empty_graph(self):
         res = ktruss(CSR.empty((10, 10)), 5)
         assert res.truss.nnz == 0
+
+
+def _clique_plus_weak_vertex() -> CSR:
+    """An 8-clique and a vertex tied to two of its members, in a 600-vertex
+    universe: round 1 removes only the two weak edges."""
+    r, c = np.nonzero(~np.eye(8, dtype=bool))
+    r = np.concatenate([r, [8, 0, 8, 1]])
+    c = np.concatenate([c, [0, 8, 1, 8]])
+    return CSR.from_coo((600, 600), r, c)
+
+
+#: R-MAT prunes few edges at hubs (the decrement pays); ER at degree 8
+#: loses most edges in round 1 (it does not); er256/32 mixes both
+DIFF_GRAPHS = {
+    **{f"rmat{s}": lambda s=s: rmat(s, seed=1) for s in (7, 8, 9, 10)},
+    "er256/8": lambda: erdos_renyi(256, 256, 8, seed=2),
+    "er512/32": lambda: erdos_renyi(512, 512, 32, seed=2),
+    "er256/32": lambda: erdos_renyi(256, 256, 32, seed=2),
+    "clique+weak": _clique_plus_weak_vertex,
+    "empty": lambda: CSR.empty((10, 10)),
+}
+
+
+@functools.cache
+def _diff_graph(name):
+    return DIFF_GRAPHS[name]()
+
+
+@functools.cache
+def _diff_case(name, k):
+    """``(graph, its delta=None run)``, built once per module."""
+    g = _diff_graph(name)
+    return g, ktruss(g, k, session=False, delta=None)
+
+
+def _assert_same_run(got, ref):
+    for x, y in zip(got.truss.segment_arrays(), ref.truss.segment_arrays()):
+        assert x.dtype == y.dtype and np.array_equal(x, y)
+    assert got.iterations == ref.iterations
+    assert got.edges_per_iter == ref.edges_per_iter
+    assert len(got.flops_per_iter) == got.iterations
+    assert got.flops == sum(got.flops_per_iter)
+    # the decremented support is the fresh product's, bit for bit
+    t = got.truss
+    fresh = masked_spgemm(t, t, t, algo="msa", semiring=PLUS_PAIR).data
+    assert got.support.tobytes() == fresh.tobytes() == ref.support.tobytes()
+
+
+class TestKTrussDecrement:
+    """``delta="auto"`` / ``"force"`` (support decrement) against
+    ``delta=None`` (the paper's full product every round)."""
+
+    @pytest.mark.parametrize("delta", ["auto", "force"])
+    @pytest.mark.parametrize("k", [3, 4, 5])
+    @pytest.mark.parametrize("name", list(DIFF_GRAPHS))
+    def test_graphs(self, name, k, delta):
+        g, ref = _diff_case(name, k)
+        _assert_same_run(ktruss(g, k, delta=delta), ref)
+
+    @pytest.mark.parametrize(
+        "name,k", [("rmat7", 5), ("rmat8", 5), ("rmat9", 5), ("rmat10", 5), ("clique+weak", 4)]
+    )
+    def test_rule_decrements_where_few_edges_go(self, name, k):
+        g, ref = _diff_case(name, k)
+        got = ktruss(g, k)
+        assert got.iterations >= 2
+        assert got.flops_per_iter == ktruss(g, k, delta="force").flops_per_iter
+        assert got.flops_per_iter[0] == ref.flops_per_iter[0]
+        assert all(a < b for a, b in zip(got.flops_per_iter[1:], ref.flops_per_iter[1:]))
+        assert sum(got.flops_per_iter) < got.iterations * got.flops_per_iter[0]
+
+    @pytest.mark.parametrize("name,k", [("er256/8", 3), ("er256/8", 4), ("er256/8", 5), ("er512/32", 5)])
+    def test_rule_takes_the_full_branch_where_most_edges_go(self, name, k):
+        g, ref = _diff_case(name, k)
+        assert ref.iterations >= 2
+        assert ktruss(g, k).flops_per_iter == ref.flops_per_iter
+        assert ktruss(g, k, delta="force").flops_per_iter != ref.flops_per_iter
+
+    def test_rule_is_priced_per_round(self):
+        g, ref = _diff_case("er256/32", 5)
+        got, forced = ktruss(g, 5), ktruss(g, 5, delta="force")
+        assert got.flops_per_iter != ref.flops_per_iter
+        assert got.flops_per_iter != forced.flops_per_iter
+        # each round took the branch the rule names, read from the forced
+        # run's own (R, A', A') / (R, R, A') triples
+        log = []
+        ktruss(g, 5, delta="force", call_log=log)
+        for rnd, ((r, cur, _, _), _) in enumerate(zip(log[1::2], log[2::2]), 1):
+            pays = 2 * total_flops(r, cur) + total_flops(r, r) < total_flops(cur, cur)
+            want = forced.flops_per_iter[rnd] if pays else ref.flops_per_iter[rnd]
+            assert got.flops_per_iter[rnd] == want
+
+    @pytest.mark.parametrize("delta", ["auto", "force", None])
+    @pytest.mark.parametrize("algo", ["auto", "msa", "hash", "mca", "inner", "esc"])
+    @pytest.mark.parametrize("name,k", [("rmat7", 5), ("er256/32", 4), ("clique+weak", 4)])
+    def test_algorithms(self, name, k, algo, delta):
+        g, ref = _diff_case(name, k)
+        _assert_same_run(ktruss(g, k, algo=algo, delta=delta), ref)
+
+    @pytest.mark.parametrize("delta", ["auto", "force", None])
+    @pytest.mark.parametrize("session", [False, "own", None])
+    def test_sessions(self, session, delta):
+        g, ref = _diff_case("rmat8", 5)
+        if session == "own":
+            with ExecutionSession() as sess:
+                got = ktruss(g, 5, session=sess, delta=delta)
+                assert sess.stats()["fingerprint_digests"] == 0
+        else:
+            got = ktruss(g, 5, session=session, delta=delta)
+        _assert_same_run(got, ref)
+        assert got.counter.delta_fallbacks == got.counter.rows_patched == 0
+
+    @pytest.mark.skipif(not process_backend_available(), reason="no process backend")
+    @pytest.mark.parametrize("delta", ["auto", "force", None])
+    @pytest.mark.parametrize(
+        "kw",
+        [{"backend": "process"}, {"shards": (2, 2)}, {"shards": (2, 2), "backend": "process"}],
+        ids=["process", "shards", "shards-process"],
+    )
+    def test_backends_and_shards(self, kw, delta):
+        g, ref = _diff_case("rmat7", 5)
+        try:
+            _assert_same_run(ktruss(g, 5, delta=delta, **kw), ref)
+        finally:
+            shutdown_pool()
+        assert active_segments() == ()
+
+    def test_call_log_and_flops_are_the_products_run(self):
+        g, ref = _diff_case("rmat8", 5)
+        log = []
+        got = ktruss(g, 5, call_log=log)
+        assert len(log) == 1 + 2 * (got.iterations - 1)
+        assert got.flops == sum(total_flops(a, b) for a, b, _, _ in log)
+        assert not any(comp for *_, comp in log)
+        a, b, m, _ = log[0]
+        assert a is b is m and a.nnz == got.edges_per_iter[0]
+        for rnd, ((r1, cur, m1, _), (r2, r3, m2, _)) in enumerate(zip(log[1::2], log[2::2]), 1):
+            assert r1 is r2 is r3 and cur is m1 is m2
+            assert cur.nnz == got.edges_per_iter[rnd]
+            assert r1.nnz == got.edges_per_iter[rnd - 1] - cur.nnz
+            assert got.flops_per_iter[rnd] == total_flops(r1, cur) + total_flops(r1, r1)
+        full = []
+        ktruss(g, 5, call_log=full, delta=None)
+        assert [m.nnz for _, _, m, _ in full] == ref.edges_per_iter
+        assert all(a is b is m for a, b, m, _ in full)
+
+    @pytest.mark.parametrize("delta", [0.5, 1, 0, "bogus", False])
+    def test_numeric_delta_raises(self, graph, delta):
+        with pytest.raises(ValueError, match="delta must be"):
+            ktruss(graph, 4, delta=delta)
 
 
 class TestBetweenness:

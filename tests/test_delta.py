@@ -645,8 +645,8 @@ class TestLedger:
 class TestApps:
     def test_ktruss_small_delta_certified(self):
         # an 8-clique plus one weak vertex in a 600-vertex universe: the
-        # first prune removes only the weak edges, so iteration 2 is a
-        # genuine small-delta patch — 9 dirty rows, not 600
+        # first prune removes only the weak edges, so round 2 decrements
+        # the support by two products over those 4 entries
         from repro.apps import ktruss
 
         n = 600
@@ -668,23 +668,27 @@ class TestApps:
                          counter=cnt)
         assert np.array_equal(res.truss.to_dense(), base.truss.to_dense())
         assert res.iterations == base.iterations == 2
-        # iteration 1 ran cold (600 rows); iteration 2 patched: rows
-        # {0..8} dirty through the pruned edges and their A-columns
-        assert cnt.rows_recomputed == n + 9
-        assert cnt.rows_patched == n - 9
+        assert base.flops_per_iter == [426, 392]
+        assert res.flops_per_iter == [426, 14 + 6]
         assert cnt.delta_fallbacks == 0
-        assert cnt.rows_recomputed < res.iterations * n  # the certificate
+        # the certificate
+        assert sum(res.flops_per_iter) < res.iterations * res.flops_per_iter[0]
 
     def test_ktruss_delta_equals_plain_on_rmat(self):
-        # hub-heavy graphs mostly fall back — results must stay identical
+        # pruned edges sit at hubs, where the engine's row-dirty delta
+        # never paid; the support decrement does
         from repro.apps import ktruss
 
         g = rmat(7, seed=10)
         base = ktruss(g, 5, algo="auto", session=False, delta=None)
+        cnt = OpCounter()
         with ExecutionSession() as sess:
-            res = ktruss(g, 5, algo="auto", session=sess, delta="auto")
+            res = ktruss(g, 5, algo="auto", session=sess, delta="auto",
+                         counter=cnt)
         assert np.array_equal(res.truss.to_dense(), base.truss.to_dense())
         assert res.iterations == base.iterations
+        assert cnt.delta_fallbacks == 0
+        assert sum(res.flops_per_iter) < res.iterations * res.flops_per_iter[0]
 
     def test_streaming_matches_full_recompute(self):
         from repro.apps import edge_stream_from_graph, sliding_window_triangles

@@ -248,6 +248,22 @@ def _triu_roundtrip(g, k):
     return _from_coo_lexsort(g.shape, r[keep], c[keep], v[keep])
 
 
+def _drop_zeros_roundtrip(g, tol):
+    keep = np.abs(g.data) > tol
+    if keep.all():
+        return g
+    r, c, v = g.to_coo()
+    return _from_coo_lexsort(g.shape, r[keep], c[keep], v[keep])
+
+
+def _select_rows_roundtrip(g, sel):
+    flag = np.zeros(g.nrows, dtype=bool)
+    flag[sel] = True
+    r, c, v = g.to_coo()
+    keep = flag[r]
+    return _from_coo_lexsort(g.shape, r[keep], c[keep], v[keep])
+
+
 def _permute_roundtrip(g, perm):
     inv = np.empty_like(perm)
     inv[perm] = np.arange(g.nrows)
@@ -315,6 +331,53 @@ class TestSortFreeStructuralOps:
         assert low.nnz == g.nnz
         low.data[:] = -1.0
         assert not (g.data == -1.0).any()
+
+    def test_drop_zeros_matches_the_roundtrip(self):
+        for g in self._operands():
+            for tol in (0.0, 0.2, 0.45, 1.0):  # all kept .. none kept
+                want = _drop_zeros_roundtrip(g, tol)
+                got = g.drop_zeros(tol)
+                if want is g:
+                    assert got is g
+                else:
+                    _assert_bitwise(got, want)
+        g = random_csr(20, 20, 4, seed=8)
+        g.data[::3] = 0.0
+        _assert_bitwise(g.drop_zeros(), _drop_zeros_roundtrip(g, 0.0))
+
+    def test_select_rows_matches_the_roundtrip(self):
+        for i, g in enumerate(self._operands()):
+            rng = np.random.default_rng(20 + i)
+            for sel in (
+                np.arange(g.nrows),  # all kept
+                np.empty(0, dtype=np.int64),  # none kept
+                rng.choice(g.nrows, size=g.nrows // 2, replace=False),
+                rng.random(g.nrows) < 0.3,  # boolean mask
+            ):
+                _assert_bitwise(g.select_rows(sel), _select_rows_roundtrip(g, sel))
+
+    def test_keep_entries_is_an_order_preserving_filter(self):
+        # the shared filter itself (k-truss builds A' and R with it): rows
+        # 0 and 3 empty, row 2 emptied by the filter, unsorted input stays
+        # in its entry order and keeps its unsorted flag
+        g = CSR((5, 6), [0, 0, 3, 5, 5, 7], [4, 1, 2, 5, 0, 3, 1],
+                np.arange(7.0))
+        keep = np.array([1, 0, 1, 0, 0, 1, 1], dtype=bool)
+        got = g._keep_entries(keep)
+        assert not got.sorted_indices
+        assert got.indptr.tolist() == [0, 0, 2, 2, 2, 4]
+        assert got.indices.tolist() == [4, 2, 3, 1]
+        assert got.data.tolist() == [0.0, 2.0, 5.0, 6.0]
+        for flags in (np.ones(7, dtype=bool), np.zeros(7, dtype=bool)):
+            got = g._keep_entries(flags)
+            want = g if flags.all() else CSR.empty(g.shape)
+            assert got.check() is got
+            assert got.indptr.tolist() == want.indptr.tolist()
+            assert got.indices.tolist() == want.indices.tolist()
+        # filtering commutes with sorting (order = the sort's permutation)
+        order = [1, 2, 0, 4, 3, 6, 5]
+        _assert_bitwise(g.sort_indices()._keep_entries(keep[order]),
+                        g._keep_entries(keep).sort_indices())
 
     def test_permute_matches_the_roundtrip(self):
         for i, g in enumerate(self._operands()):
