@@ -13,6 +13,12 @@ assertion (process >= 1.5x serial at 4 workers, an ISSUE acceptance
 criterion) therefore only fires when the host actually has >= 4 CPUs;
 otherwise the numbers are recorded for inspection and only sanity bounds
 are enforced.  Bitwise equality across backends is asserted always.
+
+``test_grid_scaling_rmat_tc`` is the grid case of the same bench: the same
+TC product cut into a 4 x 4 grid (``shards=``, ``docs/parallel.md``) next
+to the plain row partition at every backend/worker count.  No grid beats
+the 1 x 1 call at these sizes on this host; the bitwise assertion is the
+contract, the timings are the machine's business.
 """
 
 from __future__ import annotations
@@ -22,6 +28,8 @@ import time
 
 import numpy as np
 
+from repro.core import masked_spgemm
+from repro.engine import execute, plan
 from repro.graphs import rmat
 from repro.parallel import (
     active_segments,
@@ -32,6 +40,7 @@ from repro.semiring import PLUS_PAIR
 
 WORKER_COUNTS = (1, 2, 4, 8)
 BACKENDS = ("serial", "thread", "process")
+GRID = (4, 4)
 
 
 def _tc_operands(scale=10, seed=9):
@@ -120,6 +129,68 @@ def test_backend_scaling_rmat_tc(benchmark, results_dir, save_result):
     # the acceptance criterion needs real cores to be meaningful
     if cpus >= 4:
         assert base / times[("process", 4)] > 1.5, times
+
+    shutdown_pool()
+    assert active_segments() == ()
+
+
+def test_grid_scaling_rmat_tc(benchmark, results_dir, save_result):
+    low = _tc_operands()
+
+    def spgemm(backend, workers, shards):
+        pl = plan(low, low, low, algo="msa", threads=workers, shards=shards)
+        return execute(pl, low, low, low, backend=backend, semiring=PLUS_PAIR)
+
+    def run():
+        spgemm("process", max(WORKER_COUNTS), GRID)  # warm the pool
+        times = {}
+        for backend in BACKENDS[1:]:
+            for workers in WORKER_COUNTS:
+                for mode, shards in (("rows", None), ("grid", GRID)):
+                    times[(backend, workers, mode)] = _timed(
+                        lambda: spgemm(backend, workers, shards)
+                    )
+        return times
+
+    times = benchmark.pedantic(run, rounds=1, iterations=1)
+
+    # --- bitwise equivalence: the grid == the plain call on every backend ---
+    ref = masked_spgemm(low, low, low, algo="msa", semiring=PLUS_PAIR)
+    for backend in BACKENDS:
+        got = spgemm(backend, 2, GRID)
+        assert got.shape == ref.shape, backend
+        assert np.array_equal(got.indptr, ref.indptr), backend
+        assert np.array_equal(got.indices, ref.indices), backend
+        assert np.array_equal(got.data, ref.data), backend
+
+    cpus = os.cpu_count() or 1
+    base = times[("thread", 1, "rows")]
+    record = {
+        "workload": "rmat scale=10 triangle-count spgemm (msa, plus_pair)",
+        "nnz": int(low.nnz),
+        "grid": list(GRID),
+        "cpu_count": cpus,
+        "runs": [
+            {"backend": backend, "workers": workers, "mode": mode,
+             "seconds": t, "speedup_vs_1thread": base / t}
+            for (backend, workers, mode), t in sorted(times.items())
+        ],
+    }
+    lines = [f"Grid scaling, R-MAT TC, grid {GRID} (cpu_count={cpus}):"]
+    for (backend, workers, mode), t in sorted(times.items()):
+        lines.append(
+            f"  {backend:>7s} x{workers} {mode:>5s}: {t * 1e3:8.1f} ms  "
+            f"({base / t:4.2f}x vs 1-thread row partition)"
+        )
+    save_result("\n".join(lines), data=record,
+                title="grid vs row-partition masked SpGEMM scaling")
+
+    # sanity bound: a grid may cost (it exists to bound memory), but must
+    # never catastrophically regress the same backend/worker count
+    for backend in BACKENDS[1:]:
+        for workers in WORKER_COUNTS:
+            g, r = times[(backend, workers, "grid")], times[(backend, workers, "rows")]
+            assert g < 10.0 * r + 0.05, (backend, workers, g, r)
 
     shutdown_pool()
     assert active_segments() == ()

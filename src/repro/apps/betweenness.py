@@ -102,8 +102,8 @@ def betweenness_centrality(
     for undirected graphs networkx halves the scores).
 
     ``backend`` (``algo="auto"`` only) forces the execution backend of the
-    per-level masked SpGEMMs.  ``shards`` passes the shard-grid knob
-    through to every level's masked SpGEMM (see ``docs/sharding.md``).
+    per-level masked SpGEMMs.  ``shards`` passes the grid knob
+    through to every level's masked SpGEMM (see ``docs/parallel.md``).
     ``session`` controls cross-call caching —
     an :class:`~repro.engine.ExecutionSession`, ``None`` (default: open a
     loop-local one for ``algo="auto"``), or ``False`` to disable.  BC is

@@ -95,8 +95,8 @@ def ktruss(
     recorded run.  ``backend`` (``algo="auto"`` only) forces the execution
     backend of each masked SpGEMM — iterative apps like this are exactly
     where the persistent process pool amortises its spawn cost.
-    ``shards`` is passed through to every masked SpGEMM (see
-    ``docs/sharding.md``).
+    ``shards`` is passed through to every masked SpGEMM (the grid knob,
+    see ``docs/parallel.md``).
 
     ``session`` controls cross-call caching: pass an
     :class:`~repro.engine.ExecutionSession` to share one across apps,
@@ -108,7 +108,7 @@ def ktruss(
     if delta is not None and delta not in ("auto", "force"):
         raise ValueError(f"delta must be 'auto', 'force' or None, got {delta!r}")
     counter = counter if counter is not None else OpCounter()
-    # sharded runs route through the engine even with a forced algo, so
+    # grid runs route through the engine even with a forced algo, so
     # they benefit from (and default to) a loop-local session as well
     engine_path = algo == "auto" or shards is not None
     session, owned = resolve_session(session, auto=engine_path)

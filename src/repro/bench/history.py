@@ -244,10 +244,13 @@ def session_app_records(
     gate (:mod:`repro.bench.regress`) can tell "the cache stopped hitting"
     apart from "the kernels got slower".
 
-    ``tc-sharded`` is the shard-grid twin of the TC workload
-    (``docs/sharding.md``): the same triangle-count masked SpGEMM run on a
-    2x2 shard grid over the process backend, sessioned so the repeats
-    certify per-shard segment reuse in the cache telemetry.
+    ``tc-sharded`` is the grid twin of the TC workload
+    (``docs/parallel.md``): the same triangle-count masked SpGEMM run as a
+    ``shards=(2, 2)`` process-backend call, sessioned so the repeats
+    certify segment reuse in the cache telemetry — which now counts
+    per-operand / per-column-panel segments (A once, two B panels, two
+    mask panels), not per-shard DCSR segments, so its ``segments_reused``
+    is not comparable with records taken before the grid unification.
 
     ``ktruss-delta`` is the incremental twin of ``ktruss-session``
     (``docs/incremental.md``): the same pruning loop at its default

@@ -16,7 +16,8 @@ Public entry points:
 """
 
 from . import accumulators, kernels
-from .chunked import column_panels, masked_spgemm_chunked, restrict_columns
+from ..sparse.ops import column_panels, restrict_columns
+from .chunked import masked_spgemm_chunked
 from .hybrid import classify_rows, masked_spgemm_hybrid
 from .kernels.saxpy_kernel import masked_spgemm_multiply_then_mask, spgemm_saxpy_fast
 from .masked_spgemm import (

@@ -11,41 +11,24 @@ This complements the row blocking inside the fast kernels (which bounds
 the *expansion*, not the mask/accumulator footprint).  Peak footprint per
 panel is ~``nnz(B_panel) + nnz(M_panel) + panel_output``.
 
-The panel loop itself lives in the execution engine
-(:func:`repro.engine.execute` runs any plan with a ``panel_width``); this
-module keeps the panel geometry helpers and
-:func:`masked_spgemm_chunked`, the historical front door, which now builds
-a forced single-band plan with ``panel_width`` set and executes it.  The
+Column panels are one spelling of the execution engine's grid (a ``1 x K``
+grid, see ``docs/parallel.md``); this module keeps only
+:func:`masked_spgemm_chunked`, the historical front door, which builds a
+forced single-band plan with ``panel_width`` set and executes it.  The
 planner can also *choose* panelling from a memory budget
-(``Planner.plan(..., memory_budget_bytes=...)``).
+(``Planner.plan(..., memory_budget_bytes=...)``); the panel geometry
+helpers live in :mod:`repro.sparse.ops`.
 """
 
 from __future__ import annotations
 
-from typing import Iterator, Optional, Tuple
+from typing import Optional
 
 from ..machine import OpCounter
 from ..semiring import PLUS_TIMES, Semiring
 from ..sparse import CSR
 
-__all__ = ["masked_spgemm_chunked", "column_panels", "restrict_columns"]
-
-
-def restrict_columns(mat: CSR, lo: int, hi: int) -> CSR:
-    """Columns ``[lo, hi)`` of ``mat`` as a narrow CSR of width ``hi-lo``."""
-    rows, cols, vals = mat.sort_indices().to_coo()
-    keep = (cols >= lo) & (cols < hi)
-    return CSR.from_coo(
-        (mat.nrows, hi - lo), rows[keep], cols[keep] - lo, vals[keep]
-    )
-
-
-def column_panels(ncols: int, panel_width: int) -> Iterator[Tuple[int, int]]:
-    """Yield ``(lo, hi)`` panel bounds."""
-    if panel_width <= 0:
-        raise ValueError("panel_width must be positive")
-    for lo in range(0, ncols, panel_width):
-        yield lo, min(ncols, lo + panel_width)
+__all__ = ["masked_spgemm_chunked"]
 
 
 def masked_spgemm_chunked(

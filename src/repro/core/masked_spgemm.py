@@ -184,14 +184,14 @@ def masked_spgemm(
         algorithms run in-process; use
         :func:`repro.parallel.parallel_masked_spgemm` to parallelise them.
     shards:
-        Shard-grid knob (see ``docs/sharding.md``): ``None`` (default)
-        runs unsharded; ``"auto"`` lets the planner shard when the operand
-        working set exceeds the machine's ``shard_memory_budget_bytes``;
-        ``(row_blocks, col_panels)`` forces an evenly-spaced grid; an
-        explicit :class:`~repro.engine.ShardGrid` is used verbatim.  Any
+        Grid knob (see ``docs/parallel.md``): ``None`` (default) is the
+        plain ``1 x 1`` call; ``(row_blocks, col_panels)`` cuts the output
+        into an evenly-spaced grid; an explicit
+        :class:`~repro.engine.ShardGrid` is used verbatim.  Any
         non-``None`` value routes execution through the engine (with the
-        given ``algo`` forced, or the planner's choice for ``"auto"``);
-        results are bit-for-bit identical to the unsharded path.
+        given ``algo`` forced, or the planner's choice for ``"auto"``),
+        which runs one work item per grid cell and drops cells whose mask
+        cell is empty; results are bit-for-bit identical to the plain call.
     batch:
         Batching tier of the MSA/Hash/ESC fast kernels (see
         ``docs/kernels.md``): ``"auto"`` (default) picks the bucketed tier
@@ -221,7 +221,7 @@ def masked_spgemm(
         non-``None`` value routes through the engine; a caching
         ``session`` is required — ``"auto"`` silently degrades to a full
         run without one, ``"force"`` raises.  Results are bit-for-bit
-        identical to a full recompute on every backend, sharded or not.
+        identical to a full recompute on every backend and grid.
     """
     if machine is not None and not isinstance(machine, MachineConfig):
         # accept preset names and "fitted" wherever a config is accepted
@@ -280,7 +280,7 @@ def masked_spgemm(
     if key == "auto" or shards is not None or (delta is not None and delta is not False):
         # route through the execution engine: the planner picks per-row-band
         # algorithms, phases, partition and thread count from the cost model
-        # (a forced algo with shards= keeps the algo and shards the dispatch;
+        # (a forced algo with shards= keeps the algo and grids the dispatch;
         # delta= additionally threads the call through the incremental path)
         from ..engine import plan_and_execute
 

@@ -7,16 +7,16 @@ selection — realised as an explicit three-stage pipeline:
    statistics, the :class:`~repro.machine.MachineConfig` and the per-row
    cost model, and emits an
 2. :class:`ExecutionPlan` — an inspectable record of per-row-band algorithm
-   choices, 1P/2P phase strategy, row partition + thread count and optional
-   column panels, with :meth:`~ExecutionPlan.explain` for auditability —
-   which
-3. :func:`execute` runs, threading a single
-   :class:`~repro.machine.OpCounter` through every stage.
+   choices, 1P/2P phase strategy, row partition + thread count and the
+   grid (row blocks x column panels, 1x1 by default), with
+   :meth:`~ExecutionPlan.explain` for auditability — which
+3. :func:`execute` runs as one loop over work items (band x row part x
+   column panel), threading a single :class:`~repro.machine.OpCounter`
+   through every stage.
 
 ``masked_spgemm(..., algo="auto")``, ``masked_spgemm_hybrid``,
 ``masked_spgemm_chunked`` and ``parallel_masked_spgemm`` are all thin
-fronts over this pipeline; later scaling work (sharding, batching,
-multi-backend) plugs in here.
+fronts over this pipeline.
 """
 
 from .delta import DeltaPlan, delta_execute

@@ -23,8 +23,8 @@ refinement (:func:`repro.sparse.changed_rows`) inside dirty blocks names
 them — and resolves a :class:`DeltaPlan`.  Execution then takes the patch
 path: the cached full plan's row bands are intersected with the dirty set
 into a ``partial`` :class:`~repro.engine.ExecutionPlan` (same algorithms,
-phases, backend, threads and shard grid), only those bands/shard cells
-run, and the output is spliced into the cached result via
+phases, backend, threads and grid), only the work items that own dirty
+rows run, and the output is spliced into the cached result via
 :meth:`~repro.sparse.CSR.replace_rows`.
 
 Bit-for-bit contract: every kernel in this library assembles each output
@@ -61,7 +61,7 @@ from ..observe import tracer as _obs
 from ..semiring import PLUS_TIMES, Semiring
 from ..sparse import CSR, changed_rows, dirty_blocks
 from ..sparse.diff import DELTA_BLOCK_ROWS
-from .executor import execute
+from .executor import _execute, execute
 from .plan import ExecutionPlan, RowBand
 from .planner import host_row_ns
 
@@ -168,10 +168,10 @@ def _propagate_b(session, a, fa, b_changed: np.ndarray) -> np.ndarray:
 def _patch_plan(plan: ExecutionPlan, dirty: np.ndarray, nrows: int) -> ExecutionPlan:
     """Restrict a cached full plan to the dirty rows.
 
-    Algorithm assignment, phases, partition, threads, backend, panel
-    width and shard grid are inherited — the bit-for-bit contract makes a
-    stale assignment safe, and inheriting it keeps the patch on the same
-    dispatch machinery (bands, shard cells, segments) as the full run.
+    Algorithm assignment, phases, partition, threads, backend and grid
+    are inherited — the bit-for-bit contract makes a stale assignment
+    safe, and inheriting it keeps the patch on the same work-item loop
+    (and the same published segments) as the full run.
     Modeled cycles/bytes are scaled by each band's surviving row share so
     the prediction ledger prices the patch, not the full problem.
     """
@@ -202,8 +202,7 @@ def _patch_plan(plan: ExecutionPlan, dirty: np.ndarray, nrows: int) -> Execution
         threads=plan.threads,
         partition=plan.partition,
         backend=plan.backend,
-        panel_width=plan.panel_width,
-        shards=plan.shards,
+        grid=plan.grid,
         machine=plan.machine,
         mode="delta",
         partial=True,
@@ -287,7 +286,7 @@ def delta_execute(
             complement=complement, phases=phases, backend=backend,
             machine=machine, planner=planner, **plan_kwargs,
         )
-        c = execute(
+        c = _execute(
             pl, a, b, mask,
             semiring=semiring, impl=impl, counter=counter,
             backend=None, b_csc=b_csc, session=session,

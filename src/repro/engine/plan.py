@@ -14,8 +14,9 @@ competing entry points:
   (Section 3's coarse-grained parallelism, previously hard-wired into
   ``parallel_masked_spgemm``) and which executor carries it out
   (``serial`` | ``thread`` | ``process`` — the shared-memory worker pool),
-* **column panels** — the optional memory-bounding of the old
-  ``masked_spgemm_chunked``.
+* **grid** — the 2-D block decomposition of the output (row blocks x
+  column panels, ``1 x 1`` by default): column panels bound memory like
+  the old ``masked_spgemm_chunked``, row blocks replace the row partition.
 
 Plans are produced by :class:`repro.engine.Planner` (cost-model driven) or
 constructed by hand, and consumed by :func:`repro.engine.execute`.  They are
@@ -84,17 +85,17 @@ class RowBand:
 
 @dataclass(frozen=True)
 class ShardGrid:
-    """A 2-D shard decomposition of the output: row blocks x column panels.
+    """The 2-D block decomposition of the output: row blocks x column panels.
 
     ``row_bounds``/``col_bounds`` are monotone boundary tuples spanning
     ``[0, nrows]`` / ``[0, ncols]``; cell ``(i, j)`` covers output rows
     ``[row_bounds[i], row_bounds[i+1])`` and columns
-    ``[col_bounds[j], col_bounds[j+1])``.  The executor materialises each
-    cell's operands doubly-compressed (DCSR row blocks of A, DCSC column
-    panels of B, DCSR mask cells) and prunes any cell whose mask cell is
-    empty before dispatch — the masked analogue of hypersparse pruning.
-    Bounds are plain int tuples so a grid is hashable (plan-cache keys)
-    and JSON-able (:meth:`as_dict`).
+    ``[col_bounds[j], col_bounds[j+1])``.  ``1 x 1`` is the plain call,
+    ``R x 1`` a row partition, ``1 x K`` the column-panelled multiply.  The
+    executor splits B and the mask into the column panels once per call,
+    takes row blocks as zero-copy views of A, and drops any cell whose mask
+    cell is empty before dispatch (plain mask only).  Bounds are plain int
+    tuples so a grid is hashable and JSON-able (:meth:`as_dict`).
     """
 
     row_bounds: Tuple[int, ...]
@@ -137,11 +138,11 @@ class ShardGrid:
             (self.col_bounds, int(shape[1]), "col_bounds"),
         ):
             if len(bounds) < 2:
-                raise ValueError(f"shard {what} needs at least one block")
+                raise ValueError(f"grid {what} needs at least one block")
             if bounds[0] != 0 or bounds[-1] != dim:
-                raise ValueError(f"shard {what} must span [0, {dim}]")
+                raise ValueError(f"grid {what} must span [0, {dim}]")
             if any(b > c for b, c in zip(bounds, bounds[1:])):
-                raise ValueError(f"shard {what} must be non-decreasing")
+                raise ValueError(f"grid {what} must be non-decreasing")
         return self
 
     def as_dict(self) -> dict:
@@ -171,8 +172,9 @@ class ExecutionPlan:
     threads: int = 1
     partition: str = "balanced"  #: "block" | "cyclic" | "balanced"
     backend: str = "thread"  #: "serial" | "thread" | "process"
-    panel_width: Optional[int] = None  #: column-panel width, or None
-    shards: Optional[ShardGrid] = None  #: 2-D shard grid, or None (unsharded)
+    #: row blocks x column panels of the output; ``None`` becomes the 1x1
+    #: grid (the plain call)
+    grid: Optional[ShardGrid] = None
     #: what the plan was priced for: "host" (measured HostProfile) or the
     #: name of a modeled MachineConfig
     machine: str = "haswell"
@@ -183,6 +185,12 @@ class ExecutionPlan:
     partial: bool = False
     estimates: Dict[str, float] = field(default_factory=dict)
     notes: List[str] = field(default_factory=list)
+
+    def __post_init__(self) -> None:
+        if self.grid is None:
+            self.grid = ShardGrid(
+                (0, int(self.shape[0])), (0, int(self.shape[1]))
+            )
 
     # ------------------------------------------------------------------
     def algos(self) -> Tuple[str, ...]:
@@ -217,18 +225,10 @@ class ExecutionPlan:
             raise ValueError("partition must be 'block', 'cyclic' or 'balanced'")
         if self.backend not in ("serial", "thread", "process"):
             raise ValueError("backend must be 'serial', 'thread' or 'process'")
-        if self.panel_width is not None and self.panel_width <= 0:
-            raise ValueError("panel_width must be positive")
-        if self.shards is not None:
-            if not isinstance(self.shards, ShardGrid):
-                raise ValueError("shards must be a ShardGrid or None")
-            if self.panel_width is not None:
-                raise ValueError(
-                    "panel_width and shards are mutually exclusive: the shard "
-                    "grid's column panels already bound the working set"
-                )
-            self.shards.validate(self.shape)
-        counts = np.zeros(nrows, dtype=np.int64)
+        if not isinstance(self.grid, ShardGrid):
+            raise ValueError("grid must be a ShardGrid")
+        self.grid.validate(self.shape)
+        band_rows = []
         for band in self.bands:
             if band.algo not in _KNOWN_ALGOS:
                 raise ValueError(f"plan references unknown algorithm {band.algo!r}")
@@ -245,7 +245,11 @@ class ExecutionPlan:
             r = np.asarray(band.rows)
             if r.size and (int(r.min()) < 0 or int(r.max()) >= nrows):
                 raise ValueError("band rows out of range")
-            np.add.at(counts, r, 1)
+            band_rows.append(r)
+        counts = (
+            np.bincount(np.concatenate(band_rows), minlength=nrows)
+            if band_rows else np.zeros(nrows, dtype=np.int64)
+        )
         if self.partial:
             if self.bands and not bool(np.all(counts <= 1)):
                 raise ValueError(
@@ -270,8 +274,7 @@ class ExecutionPlan:
             "threads": self.threads,
             "partition": self.partition,
             "backend": self.backend,
-            "panel_width": self.panel_width,
-            "shards": self.shards.as_dict() if self.shards is not None else None,
+            "grid": self.grid.as_dict(),
             "machine": self.machine,
             "mode": self.mode,
             "partial": self.partial,
@@ -301,8 +304,9 @@ class ExecutionPlan:
             f"  phases={self.phases}P  threads={self.threads} "
             f"({self.partition} partition, {self.backend} backend)  "
             + (
-                f"column panels of width {self.panel_width}"
-                if self.panel_width
+                f"grid {self.grid.nrb}x{self.grid.ncp} (row blocks x column "
+                "panels; cells with an empty mask cell are dropped)"
+                if self.grid.ncells > 1
                 else "no column panels"
             ),
         ]
@@ -311,12 +315,6 @@ class ExecutionPlan:
             lines.append(
                 f"  partial plan: {covered} of {self.shape[0]} output rows "
                 "(delta patch — untouched rows come from the cached result)"
-            )
-        if self.shards is not None:
-            lines.append(
-                f"  shard grid {self.shards.nrb}x{self.shards.ncp} "
-                "(DCSR row blocks x DCSC column panels; empty mask cells "
-                "pruned before dispatch)"
             )
         for i, band in enumerate(self.bands):
             pct = 100.0 * band.nrows / nrows

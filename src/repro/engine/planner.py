@@ -18,8 +18,8 @@
   the paper's machines, not this one.
 
 Either way the planner then fixes the 1P/2P phase strategy, the row
-partition and, given a memory budget, the column panelling of the
-out-of-core path.
+partition and the grid — ``1 x 1`` unless the caller spells one
+(``shards=``, ``panel_width=``) or a memory budget asks for column panels.
 
 Three banding policies:
 
@@ -171,22 +171,21 @@ class Planner:
     ) -> ExecutionPlan:
         """Build a plan for ``C = M .* (A @ B)`` (``!M`` with complement).
 
-        Any of ``algo``, ``phases``, ``threads``, ``partition``, ``backend``
-        and ``panel_width`` may be forced; everything left ``None`` (or
-        ``algo="auto"``) is decided by the cost model.  ``memory_budget_bytes``
-        turns on column panelling when the working set exceeds it.  On the
-        host, ``"process"`` (the shared-memory worker pool) is chosen only
-        when the predicted kernel seconds repay its measured dispatch and
-        spawn cost on the cores actually available.
+        Any of ``algo``, ``phases``, ``threads``, ``partition`` and
+        ``backend`` may be forced; everything left ``None`` (or
+        ``algo="auto"``) is decided by the cost model.  On the host,
+        ``"process"`` (the shared-memory worker pool) is chosen only when
+        the predicted kernel seconds repay its measured dispatch and spawn
+        cost on the cores actually available.
 
-        ``shards`` turns on the doubly-compressed shard grid (row blocks of
-        A x column panels of B/M; see ``docs/sharding.md``): ``None`` keeps
-        the plan unsharded, an ``(nrb, ncp)`` tuple forces the grid shape,
-        ``"auto"`` shards exactly when the operands' working set exceeds
-        :attr:`MachineConfig.shard_memory_budget_bytes`, and an explicit
-        :class:`~repro.engine.plan.ShardGrid` is honoured verbatim.  A
-        sharded plan is mutually exclusive with ``panel_width`` (its column
-        panels already bound the working set).
+        ``shards`` and ``panel_width`` are two spellings of the plan's one
+        ``grid`` (see ``docs/parallel.md``): ``shards=(nrb, ncp)`` is an
+        evenly-spaced grid of row blocks x column panels, an explicit
+        :class:`~repro.engine.plan.ShardGrid` is honoured verbatim, and
+        ``panel_width=w`` is the ``1 x K`` grid of width-``w`` column
+        panels; giving both raises.  With neither, ``memory_budget_bytes``
+        picks a panel width when B and the mask exceed it — the one budget
+        rule — and otherwise the grid stays ``1 x 1``.
 
         ``batch`` forces the fast kernels' batching tier (``"bucket"`` |
         ``"perrow"``; ``None``/``"auto"`` lets the planner decide per band
@@ -256,22 +255,9 @@ class Planner:
                 backend = self._pick_backend(fl, bands, threads, notes)
         if partition is None:
             partition = self._pick_partition(fl, notes)
-        shard_grid = (
-            self._pick_shards(a, b, mask, shards, complement, notes)
-            if shards is not None
-            else None
+        grid = self._pick_grid(
+            b, mask, shards, panel_width, memory_budget_bytes, complement, notes
         )
-        if shard_grid is not None and panel_width is not None:
-            raise ValueError(
-                "panel_width and shards are mutually exclusive: the shard "
-                "grid's column panels already bound the working set"
-            )
-        if (
-            panel_width is None
-            and memory_budget_bytes is not None
-            and shard_grid is None
-        ):
-            panel_width = self._pick_panel_width(b, mask, memory_budget_bytes, notes)
         if mask.nnz == 0 and not complement:
             notes.append("mask is empty: the output is empty regardless of algorithm")
 
@@ -283,8 +269,7 @@ class Planner:
             threads=threads,
             partition=partition,
             backend=backend,
-            panel_width=panel_width,
-            shards=shard_grid,
+            grid=grid,
             machine=self.machine.name,
             mode=mode,
             estimates=estimates,
@@ -464,8 +449,7 @@ class Planner:
         ``batch_crossover_flops`` (or whatever ``batch=`` forces); the rest
         are pinned to ``"perrow"``.  Both tiers are bit-for-bit identical,
         so this is a pure performance decision — recorded on the band, with
-        a census note mirroring the shard census, so ``explain()`` shows
-        what will run batched and why.
+        a census note, so ``explain()`` shows what will run batched and why.
         """
         if not bands:
             return
@@ -617,93 +601,56 @@ class Planner:
             return "balanced"
         return "block"
 
-    def _pick_shards(self, a, b, mask, shards, complement: bool, notes):
-        """Resolve the ``shards`` knob into a :class:`ShardGrid` (or None).
-
-        ``"auto"`` shards exactly when the operands' index+value working set
-        exceeds :attr:`MachineConfig.shard_memory_budget_bytes`, sizing the
-        grid so each cell's share of the working set fits the budget (rows
-        and columns split as close to square as the factor allows).  A
-        resolved grid gets a census note — how many cells actually carry
-        mask entries — because those are the only cells the executor will
-        dispatch (plain mask; a complemented mask is dense precisely where
-        the mask is empty, so nothing prunes).
-        """
-        nrows, ncols = a.nrows, b.ncols
-        grid: Optional[ShardGrid]
+    @staticmethod
+    def _pick_grid(b, mask, shards, panel_width, budget_bytes, complement, notes):
+        """Resolve ``shards`` / ``panel_width`` / the memory budget into the
+        plan's one :class:`ShardGrid` (``None``: the 1x1 plain call)."""
+        nrows, ncols = mask.shape
+        if shards is not None and panel_width is not None:
+            raise ValueError(
+                "panel_width and shards are mutually exclusive: both spell "
+                "the grid's column panels"
+            )
+        if panel_width is not None and panel_width <= 0:
+            raise ValueError("panel_width must be positive")
+        if shards is None and panel_width is None and budget_bytes is not None:
+            if budget_bytes <= 0:
+                raise ValueError("memory_budget_bytes must be positive")
+            footprint = 2 * (b.nnz + mask.nnz) * _WORD
+            if footprint > budget_bytes and ncols:
+                panel_width = max(1, int(ncols * budget_bytes / footprint))
+                notes.append(
+                    f"column panels of width {panel_width} "
+                    f"(working set ~{footprint} B > budget {budget_bytes} B)"
+                )
         if isinstance(shards, ShardGrid):
             grid = shards.validate((nrows, ncols))
-        elif isinstance(shards, str):
-            if shards.lower() != "auto":
+        elif shards is not None:
+            if isinstance(shards, str) or len(shards) != 2:
                 raise ValueError(
-                    f"shards must be 'auto', an (nrb, ncp) tuple or a "
-                    f"ShardGrid, got {shards!r}"
+                    f"shards must be an (nrb, ncp) tuple or a ShardGrid, "
+                    f"got {shards!r}"
                 )
-            budget = int(self.machine.shard_memory_budget_bytes)
-            footprint = 2 * _WORD * (a.nnz + b.nnz + mask.nnz)
-            if budget <= 0 or footprint <= budget or nrows == 0 or ncols == 0:
-                notes.append(
-                    f"sharding auto: working set ~{footprint} B fits the "
-                    f"{budget} B shard budget; unsharded"
-                )
-                return None
-            factor = -(-footprint // budget)  # ceil
-            nrb = min(nrows, int(np.ceil(np.sqrt(factor))))
-            ncp = min(ncols, int(-(-factor // max(nrb, 1))))
-            if nrb * ncp <= 1:
-                return None
+            nrb = max(1, min(int(shards[0]), nrows))
+            ncp = max(1, min(int(shards[1]), ncols))
             grid = ShardGrid.regular((nrows, ncols), nrb, ncp)
-            notes.append(
-                f"sharding auto: working set ~{footprint} B > budget "
-                f"{budget} B; grid {nrb}x{ncp}"
+        elif panel_width is not None and panel_width < ncols:
+            grid = ShardGrid(
+                (0, nrows), tuple(range(0, ncols, panel_width)) + (ncols,)
             )
         else:
-            nrb, ncp = shards
-            nrb = max(1, min(int(nrb), max(1, nrows)))
-            ncp = max(1, min(int(ncp), max(1, ncols)))
-            if nrb * ncp <= 1:
-                notes.append("shard grid 1x1 degenerates to the unsharded path")
-                return None
-            grid = ShardGrid.regular((nrows, ncols), nrb, ncp)
-        if complement:
-            notes.append(
-                f"complemented mask: all {grid.ncells} shard cells run "
-                "(empty mask cells are dense under the complement)"
-            )
-        else:
-            nonempty = _count_nonempty_cells(mask, grid)
-            notes.append(
-                f"shard grid {grid.nrb}x{grid.ncp}: {nonempty}/{grid.ncells} "
-                f"cells carry mask entries ({grid.ncells - nonempty} pruned "
-                "before dispatch)"
-            )
-        return grid
-
-    def _pick_panel_width(self, b, mask, budget_bytes: int, notes):
-        if budget_bytes <= 0:
-            raise ValueError("memory_budget_bytes must be positive")
-        ncols = b.ncols
-        footprint = 2 * (b.nnz + mask.nnz) * _WORD
-        if footprint <= budget_bytes or ncols == 0:
             return None
-        width = max(1, int(ncols * budget_bytes / footprint))
+        if grid.ncells <= 1:
+            notes.append("grid 1x1 degenerates to the plain call")
+            return None
         notes.append(
-            f"column panels of width {width} "
-            f"(working set ~{footprint} B > budget {budget_bytes} B)"
+            f"complemented mask: all {grid.ncells} grid cells run (an empty "
+            "mask cell is dense under the complement)"
+            if complement else
+            f"grid {grid.nrb}x{grid.ncp}: cells whose mask cell is empty are "
+            "dropped before dispatch"
         )
-        return width
-
-
-def _count_nonempty_cells(mask, grid: ShardGrid) -> int:
-    """How many shard cells carry at least one mask entry (one O(nnz) pass)."""
-    if mask.nnz == 0:
-        return 0
-    rb = np.asarray(grid.row_bounds, dtype=np.int64)
-    cb = np.asarray(grid.col_bounds, dtype=np.int64)
-    rows = np.repeat(np.arange(mask.nrows, dtype=np.int64), mask.row_nnz())
-    ri = np.searchsorted(rb, rows, side="right") - 1
-    ci = np.searchsorted(cb, mask.indices, side="right") - 1
-    return int(np.unique(ri * grid.ncp + ci).size)
+        return grid
 
 
 def plan(a, b, mask, *, machine=None, **kwargs) -> ExecutionPlan:

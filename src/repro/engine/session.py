@@ -19,9 +19,10 @@ that across calls, and every cache pays for its own key:
   is not memoised, which is why a serial ``msa``/``mca``-planned call
   digests nothing (``docs/sessions.md`` has the table).
 * **segment registry** (:class:`~repro.parallel.segment_cache.SegmentCache`)
-  — published shm segments (and derived CSC transposes) stay alive across
-  calls; only operands whose fingerprint changed are republished, and a
-  values-only change rewrites the data segment in place.
+  — published shm segments (operands, derived CSC transposes and a grid
+  plan's column panels) stay alive across calls; only operands whose
+  fingerprint changed are republished, and a values-only change rewrites
+  the data segment in place.
 * **derived-CSC memo** — ``CSC.from_csr`` (a lexsort transpose) runs once
   per operand content; the result is memoised on the session *and* on the
   CSR object itself behind the fingerprint.
@@ -53,7 +54,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from ..machine import OpCounter, resolve_machine
-from ..sparse import CSC, CSR, DCSC, DCSR
+from ..sparse import CSC, CSR
 from ..sparse.diff import block_digest_pair
 from .planner import Planner
 
@@ -168,7 +169,6 @@ class ExecutionSession:
         self._fps: dict = {}
         self._call_depth = 0
         self._cscs: "OrderedDict[tuple, CSC]" = OrderedDict()
-        self._dforms: "OrderedDict[tuple, object]" = OrderedDict()
         self._bounds: "OrderedDict[tuple, tuple]" = OrderedDict()
         #: problem slot -> delta state (operands, digests, plan, result)
         #: retained by repro.engine.delta between incremental calls
@@ -181,8 +181,6 @@ class ExecutionSession:
         # reuse telemetry
         self.csc_cache_hits = 0
         self.csc_cache_misses = 0
-        self.shard_form_hits = 0
-        self.shard_form_misses = 0
         self.bound_cache_hits = 0
         self.bound_cache_misses = 0
         #: 2P numeric passes that consumed a memoised symbolic bound on the
@@ -245,7 +243,7 @@ class ExecutionSession:
         ``mat`` may be a :class:`~repro.sparse.CSR` (digested as it is now)
         or a :class:`Fingerprint` — e.g. one taken before the matrix was
         written to in place; ``None`` clears every cache.  Eviction is
-        *targeted*: only CSC/DCSR/DCSC-memo, bound-memo and delta-state
+        *targeted*: only CSC-memo, bound-memo and delta-state
         entries keyed by that operand's structure or content digest are
         dropped — entries for unrelated operands survive.  Never needed
         for correctness (content keys make every cache self-invalidating);
@@ -265,8 +263,6 @@ class ExecutionSession:
             (k, v) for k, v in self._bounds.items() if sk not in k[:3]
         )
         self._cscs.pop(key, None)
-        self._dforms.pop(("dcsr",) + key, None)
-        self._dforms.pop(("dcsc",) + key, None)
         self._delta = OrderedDict(
             (k, v)
             for k, v in self._delta.items()
@@ -329,37 +325,6 @@ class ExecutionSession:
         while len(self._cscs) > self._csc_cache_size:
             self._cscs.popitem(last=False)
         return csc
-
-    # -- doubly-compressed forms (sharded execution) -------------------
-    def dcsr_of(self, mat: CSR, fp: Optional[Fingerprint] = None) -> DCSR:
-        """``DCSR.from_csr(mat)``, compressing at most once per content.
-
-        The sharded executor's A-side source form: row blocks slice out of
-        it in ``O(log nzr + block nnz)``, so an iterative app compresses
-        its (unchanged) operand once per session, not once per call."""
-        return self._dform("dcsr", DCSR.from_csr, mat, fp)
-
-    def dcsc_of(self, mat: CSR, fp: Optional[Fingerprint] = None) -> DCSC:
-        """``DCSC.from_csr(mat)`` (a transpose + compress), memoised per
-        content — the sharded executor's B-side source form."""
-        return self._dform("dcsc", DCSC.from_csr, mat, fp)
-
-    def _dform(self, kind: str, build, mat: CSR, fp):
-        if not self.caching:
-            return build(mat)
-        fp = self.fingerprint(mat) if fp is None else fp
-        key = (kind,) + fp.key
-        hit = self._dforms.get(key)
-        if hit is not None:
-            self._dforms.move_to_end(key)
-            self.shard_form_hits += 1
-            return hit
-        form = build(mat)
-        self.shard_form_misses += 1
-        self._dforms[key] = form
-        while len(self._dforms) > self._csc_cache_size:
-            self._dforms.popitem(last=False)
-        return form
 
     # -- delta state (repro.engine.delta) ------------------------------
     def _delta_get(self, slot: tuple):
@@ -440,8 +405,6 @@ class ExecutionSession:
         out = {
             "csc_cache_hits": self.csc_cache_hits,
             "csc_cache_misses": self.csc_cache_misses,
-            "shard_form_hits": self.shard_form_hits,
-            "shard_form_misses": self.shard_form_misses,
             "bound_cache_hits": self.bound_cache_hits,
             "bound_cache_misses": self.bound_cache_misses,
             "fused_numeric_hits": self.fused_numeric_hits,
@@ -492,7 +455,6 @@ class ExecutionSession:
     def _clear(self) -> None:
         self._fps.clear()
         self._cscs.clear()
-        self._dforms.clear()
         self._bounds.clear()
         self._delta.clear()
         self._delta_off.clear()

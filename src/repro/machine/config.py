@@ -47,12 +47,6 @@ class MachineConfig:
     #: cycles per hash probe / heap op beyond the memory cost
     probe_cycles: float = 3.0
     heap_cycles: float = 8.0
-    #: operand working-set bytes above which ``shards="auto"`` splits the
-    #: problem into a doubly-compressed shard grid (row blocks of A x
-    #: column panels of B/M); below it the auto path stays unsharded.  The
-    #: default is generous next to CI-sized graphs — sharding is opt-in
-    #: until operands genuinely outgrow one node's comfortable footprint.
-    shard_memory_budget_bytes: int = 256 << 20
     #: upper-bound flops at/above which ``batch="auto"`` runs the fast
     #: kernels' bucketed tier (row-size-class batches, lazy expansion,
     #: symbolic/numeric fusion); below it the fixed bucketing overhead

@@ -95,10 +95,9 @@ class HostProfile:
     task_dispatch_s: float = 15e-3
     worker_spawn_s: float = 60e-3
     parallel_efficiency: float = 0.65
-    #: the same knobs, at the same values, the presets carry: read by the
-    #: planner's batch-tier and ``shards="auto"`` decisions
+    #: the same knob, at the same value, the presets carry: read by the
+    #: planner's batch-tier decision
     batch_crossover_flops: int = HASWELL.batch_crossover_flops
-    shard_memory_budget_bytes: int = HASWELL.shard_memory_budget_bytes
 
     @property
     def cores(self) -> int:

@@ -15,7 +15,7 @@ Live inspector::
     python -m repro.observe top --scale 10 --backend process
     python -m repro.observe top --json --iterations 3 > runtime.ndjson
 
-Drives a sessioned sharded triangle-count workload while a
+Drives a sessioned 2x2-grid triangle-count workload while a
 :class:`~repro.observe.runtime.RuntimeSampler` runs, and refreshes a
 terminal dashboard (fleet table, sparkline series, cache/arena gauges)
 every sampling interval.  ``--json`` swaps the dashboard for
@@ -115,7 +115,8 @@ def top_main(argv=None) -> int:
                         choices=("serial", "thread", "process"))
     parser.add_argument("--shards", type=int, nargs=2, default=(2, 2),
                         metavar=("R", "C"),
-                        help="shard grid of the driven workload")
+                        help="grid (row blocks, column panels) of the "
+                             "driven workload")
     parser.add_argument("--iterations", type=int, default=0,
                         help="sessioned TC calls to drive (0 = by --duration)")
     parser.add_argument("--duration", type=float, default=10.0,
@@ -143,8 +144,8 @@ def top_main(argv=None) -> int:
     stop = threading.Event()
 
     def drive() -> None:
-        # the sharded sessioned TC workload (docs/sharding.md): dozens of
-        # pool tasks per call, so every series — shm, queue depth, worker
+        # the sessioned grid TC workload (docs/parallel.md): several pool
+        # tasks per call, so every series — shm, queue depth, worker
         # heartbeats, segment-cache occupancy — has something to show
         try:
             with ExecutionSession() as session:

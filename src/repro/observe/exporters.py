@@ -41,7 +41,7 @@ __all__ = [
 #: version of the :func:`metrics` dict layout; bumped whenever a key is
 #: renamed/removed or its meaning changes (additions do not bump it), so
 #: downstream consumers of archived metrics JSON can dispatch on it
-METRICS_SCHEMA_VERSION = 1
+METRICS_SCHEMA_VERSION = 2  # 2: the "shards" census key is gone
 
 #: span-name prefixes whose counter deltas partition the counted work:
 #: every operation is charged inside exactly one of these spans, so summing
@@ -183,7 +183,6 @@ def metrics(tracer_or_spans, *, machine=None, probes=None, session=None,
     return {
         "schema_version": METRICS_SCHEMA_VERSION,
         "batch": _batch_census(spans),
-        "shards": _shard_census(spans),
         "predictions": _predictions(spans, machine=machine),
         "span_count": len(spans),
         "process_count": len(pids),
@@ -236,23 +235,6 @@ def _batch_census(spans) -> dict:
         "bucket_census": {str(k): buckets[k] for k in sorted(buckets)},
         "bucket_chunks": chunk_count,
     }
-
-
-def _shard_census(spans) -> dict:
-    """Shard-grid census: the executed grid plus per-cell span counts."""
-    for sp in spans:
-        if sp.name != "engine.shard":
-            continue
-        a = sp.attrs
-        return {
-            "grid": a.get("grid"),
-            "cells": a.get("cells"),
-            "nonempty_cells": a.get("nonempty_cells"),
-            "tasks": a.get("tasks"),
-            "backend": a.get("backend"),
-            "cell_spans": sum(1 for s in spans if s.name == "parallel.shard"),
-        }
-    return {}
 
 
 def write_chrome_trace(path, tracer_or_spans) -> None:

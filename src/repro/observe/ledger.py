@@ -2,13 +2,13 @@
 
 The planner annotates every :class:`~repro.engine.RowBand` with the cost
 model's prediction (``est_cycles``/``est_bytes``); the executors stamp
-those predictions — apportioned per shard cell, per batch-bucket chunk —
+those predictions — apportioned per work item, per batch-bucket chunk —
 into the spans the tracer already records on all three backends (worker
 spans arrive via :meth:`~repro.observe.Tracer.ingest`, predictions
 riding in their attrs).  This module turns a finished trace into
 *prediction rows*: one ``(modeled_cycles, modeled_bytes,
-measured_seconds, counters, attrs)`` record per executed band, shard
-cell, batch bucket and push/pull direction decision, plus a per-kind
+measured_seconds, counters, attrs)`` record per executed band, work
+item, batch bucket and push/pull direction decision, plus a per-kind
 misprediction summary (measured/modeled ratio, MAD of the log-ratios, a
 systematic-bias flag).
 
@@ -38,13 +38,14 @@ __all__ = [
 
 LEDGER_SCHEMA_VERSION = 1
 
-#: span name → ledger row kind.  ``engine.band`` covers the banded
-#: (unsharded) path, ``parallel.shard`` the shard-grid cells on every
-#: backend, ``kernel.bucket`` the batched tier's size-class chunks and
+#: span name → ledger row kind.  ``engine.band`` covers a plan's row
+#: bands, ``engine.cell`` the work items (band x row part x column panel)
+#: they are cut into on every backend — the plain call is a band with no
+#: item under it — ``kernel.bucket`` the batched tier's size-class chunks and
 #: ``app.bfs.level`` the per-iteration push/pull decision.
 PREDICTION_KINDS = {
     "engine.band": "band",
-    "parallel.shard": "shard-cell",
+    "engine.cell": "cell",
     "kernel.bucket": "batch-bucket",
     "app.bfs.level": "spmv-direction",
     "engine.delta": "delta-patch",
@@ -101,7 +102,7 @@ def _bucket_cycles(attrs: Dict[str, Any], m) -> float:
 
 
 def prediction_rows(tracer_or_spans, *, machine=None) -> List[dict]:
-    """One prediction row per executed band / shard cell / batch bucket /
+    """One prediction row per executed band / work item / batch bucket /
     direction decision found in the trace.
 
     Each row carries the model's prediction next to the measurement::
@@ -127,7 +128,7 @@ def prediction_rows(tracer_or_spans, *, machine=None) -> List[dict]:
             key = f"band:{attrs.get('band')}"
             cycles = float(attrs.get("est_cycles", 0.0) or 0.0)
             bytes_ = float(attrs.get("est_bytes", 0.0) or 0.0)
-        elif kind == "shard-cell":
+        elif kind == "cell":
             cell = attrs.get("cell")
             key = "cell:" + (",".join(str(c) for c in cell) if cell else "?")
             cycles = float(attrs.get("est_cycles", 0.0) or 0.0)

@@ -15,7 +15,7 @@ from typing import Dict, List, Optional
 
 from . import probes as _probes
 from . import runtime as _runtime
-from .exporters import _batch_census, _shard_census
+from .exporters import _batch_census
 from .ledger import format_predictions, predictions
 from .probes import BUCKET_LABELS
 
@@ -39,7 +39,7 @@ def format_span_tree(spans: List, *, main_pid: Optional[int] = None) -> str:
 
     def emit(sp, depth: int) -> None:
         extras = []
-        for key in ("algo", "phase", "backend", "partition", "band", "rows",
+        for key in ("algo", "phase", "backend", "cell", "band", "rows",
                     "iteration", "depth"):
             if key in sp.attrs:
                 extras.append(f"{key}={sp.attrs[key]}")
@@ -153,17 +153,6 @@ def report(tracer, *, plan=None, probes=None, session=None,
             lines.append(f"  bucket census: {rendered}{more}")
         if batch["bucket_chunks"]:
             lines.append(f"  bucketed chunks executed: {batch['bucket_chunks']}")
-
-    shards = _shard_census(spans)
-    if shards:
-        lines.append("")
-        lines.append("=== shard census (executed) ===")
-        grid = shards.get("grid")
-        lines.append(
-            f"  grid {grid}  cells={shards.get('cells')} "
-            f"nonempty={shards.get('nonempty_cells')} tasks={shards.get('tasks')} "
-            f"cell spans={shards.get('cell_spans')}"
-        )
 
     preds = predictions(spans)
     if preds["rows"]:

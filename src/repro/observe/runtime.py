@@ -16,11 +16,11 @@ worker is doing all the work.  This module is the always-on view:
   (:func:`repro.parallel.shm.active_segment_bytes`), session segment-cache
   occupancy, kernel-arena footprint, pool size, in-flight/completed task
   counts and spans/calls-per-second throughput.
-* **Worker heartbeats** — each :class:`~repro.parallel.pool.PartitionTask`
-  / :class:`~repro.parallel.pool.ShardTask` result optionally carries a
-  compact heartbeat (pid, RSS, CPU seconds, tasks completed, derived-form
-  cache occupancy) that the coordinator ingests exactly like span/probe
-  batches (:meth:`RuntimeSampler.ingest_heartbeats`) — per-worker health
+* **Worker heartbeats** — each :class:`~repro.parallel.pool.Task` result
+  optionally carries a compact heartbeat (pid, RSS, CPU seconds, tasks
+  completed, cached segment attachments) that the coordinator ingests
+  exactly like span/probe batches
+  (:meth:`RuntimeSampler.ingest_heartbeats`) — per-worker health
   and load-balance series with zero extra IPC.  A staleness detector
   flags workers whose heartbeats stop arriving.
 * **Live inspector** — ``python -m repro.observe top`` renders the ring

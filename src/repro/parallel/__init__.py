@@ -1,9 +1,9 @@
-"""Row-parallel execution: partitioners, the partitioned runner the
-execution engine (:mod:`repro.engine`) drives for plans with threads > 1,
-the sharded runner (:mod:`repro.parallel.shards`) for plans carrying a
-shard grid, and the shared-memory process backend (segment publication in
-:mod:`repro.parallel.shm`, the persistent worker pool in
-:mod:`repro.parallel.pool`)."""
+"""Row-parallel execution: partitioners, the row-slicing primitives and
+historical front door (:mod:`repro.parallel.executor`), and the
+shared-memory process backend (segment publication in
+:mod:`repro.parallel.shm`, the persistent worker pool and the one task
+type every backend runs in :mod:`repro.parallel.pool`).  The loop that
+cuts a plan into tasks lives in :mod:`repro.engine.executor`."""
 
 from .executor import (
     BACKENDS,
@@ -11,7 +11,6 @@ from .executor import (
     parallel_masked_spgemm,
     row_block,
     row_slice,
-    run_partitioned,
 )
 from .partition import (
     balanced_partition,
@@ -26,8 +25,7 @@ from .pool import (
     shutdown_pool,
 )
 from .segment_cache import SegmentCache
-from .shards import mask_cells, run_sharded
-from .shm import SegmentGroup, active_segments, attach_csr, attach_dcsr
+from .shm import SegmentGroup, active_segments, attach_csr
 
 __all__ = [
     "BACKENDS",
@@ -35,7 +33,6 @@ __all__ = [
     "parallel_masked_spgemm",
     "row_block",
     "row_slice",
-    "run_partitioned",
     "balanced_partition",
     "block_partition",
     "chunk_schedule",
@@ -48,7 +45,4 @@ __all__ = [
     "SegmentGroup",
     "active_segments",
     "attach_csr",
-    "attach_dcsr",
-    "mask_cells",
-    "run_sharded",
 ]

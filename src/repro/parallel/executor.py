@@ -1,16 +1,11 @@
-"""Row-parallel masked SpGEMM execution primitives.
+"""Row-parallel masked SpGEMM: the row-slicing primitives and the
+historical front door.
 
-This module provides the low-level partitioned runner the execution engine
-(:mod:`repro.engine`) uses for any plan with ``threads > 1``: output rows
-are partitioned across workers, each worker runs the planned kernel on its
-row slice, and the per-partition results — matrices *and* operation
-counters — are merged.  Patterns are disjoint by construction, so the
-matrix merge is a concatenation, and counter merging makes a parallel run
-report exactly the flops a serial run would.
+The execution engine (:mod:`repro.engine.executor`) cuts every plan into
+work items — band x row part x column panel — and runs them on one of
+three backends:
 
-Three backends run the same partitioned decomposition:
-
-* ``"serial"`` — partitions run one after another in the caller's thread
+* ``"serial"`` — items run one after another in the caller's thread
   (deterministic baseline; also what ``threads=1`` degenerates to);
 * ``"thread"`` — a ``ThreadPoolExecutor``; under CPython's GIL this yields
   limited real speedup (NumPy releases the GIL inside large kernels, so
@@ -19,38 +14,30 @@ Three backends run the same partitioned decomposition:
 * ``"process"`` — the shared-memory multiprocess backend: operands are
   published once into named shared segments (:mod:`repro.parallel.shm`),
   workers in a persistent pool (:mod:`repro.parallel.pool`) attach them as
-  zero-copy views, and per-partition COO results come back by pickle.
-  This is the backend that actually scales on multicore hosts.
+  zero-copy views, and per-item COO results come back by pickle.
 
 All three produce bit-for-bit identical matrices and identical merged
-``OpCounter`` totals; ``tests/test_backends.py`` enforces it.
-
-:func:`parallel_masked_spgemm` remains as the historical front door; it
-builds a forced :class:`~repro.engine.ExecutionPlan` and hands it to the
-engine, so every execution path is planned and inspectable.  It matches the
-paper's coarse-grained row parallelism; within-row parallelism is
-deliberately absent, as in the paper.
+``OpCounter`` totals; ``tests/test_backends.py`` enforces it.  This module
+holds what the items are sliced with (:func:`row_block`,
+:func:`row_slice`) and :func:`parallel_masked_spgemm`, the historical
+front door, which builds a forced :class:`~repro.engine.ExecutionPlan`
+and hands it to the engine, so every execution path is planned and
+inspectable.  It matches the paper's coarse-grained row parallelism;
+within-row parallelism is deliberately absent, as in the paper.
 """
 
 from __future__ import annotations
 
-import logging
-from concurrent.futures import ThreadPoolExecutor
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
 from ..machine import OpCounter
-from ..observe import probes as _probes
-from ..observe import runtime as _runtime
-from ..observe import tracer as _obs
 from ..semiring import PLUS_TIMES, Semiring
-from ..sparse import CSC, CSR
-from ..core.masked_spgemm import masked_spgemm
+from ..sparse import CSR
 
 __all__ = [
     "parallel_masked_spgemm",
-    "run_partitioned",
     "row_slice",
     "row_block",
     "normalize_backend",
@@ -59,8 +46,6 @@ __all__ = [
 
 #: canonical backend names (aliases: "threads" -> "thread")
 BACKENDS = ("serial", "thread", "process")
-
-_log = logging.getLogger("repro.parallel")
 
 
 def normalize_backend(backend: str) -> str:
@@ -95,9 +80,9 @@ def row_slice(mat: CSR, rows: np.ndarray) -> CSR:
     ``indices``/``data`` stay views into the parent.  Scattered row sets
     fall back to :meth:`CSR.select_rows`.
 
-    For partitioned execution prefer :func:`row_block`, which drops the
+    For contiguous row parts prefer :func:`row_block`, which drops the
     empty frame entirely instead of carrying an ``nrows+1`` pointer array
-    per partition.
+    per part.
     """
     rows = np.asarray(rows)
     rng = _contiguous_range(rows)
@@ -139,257 +124,6 @@ def row_block(mat: CSR, lo: int, hi: int) -> CSR:
         mat.data[start:stop],
         sorted_indices=mat.sorted_indices,
         check=False,
-    )
-
-
-def _merge_triples(
-    triples: List[Tuple[np.ndarray, np.ndarray, np.ndarray]],
-    shape,
-    *,
-    counters: Optional[Sequence[OpCounter]] = None,
-    counter: Optional[OpCounter] = None,
-) -> CSR:
-    """Concatenate disjoint per-partition COO results (already in global row
-    coordinates) and fold the workers' per-partition ``OpCounter``s into the
-    caller's counter, so parallel runs report the same operation totals as
-    serial runs."""
-    if counter is not None and counters is not None:
-        for c in counters:
-            counter.merge(c)
-    if not triples:
-        return CSR.empty(shape)
-    rows, cols, vals = zip(*triples)
-    return CSR.from_coo(
-        shape, np.concatenate(rows), np.concatenate(cols), np.concatenate(vals)
-    )
-
-
-def run_partitioned(
-    a: CSR,
-    b: CSR,
-    mask: CSR,
-    *,
-    algo: str,
-    parts: Sequence[np.ndarray],
-    phases: int = 1,
-    complement: bool = False,
-    semiring: Semiring = PLUS_TIMES,
-    impl: str = "auto",
-    backend: str = "thread",
-    counter: Optional[OpCounter] = None,
-    b_csc: Optional[CSC] = None,
-    batch: str = "auto",
-    session=None,
-) -> CSR:
-    """Execute one algorithm over an explicit row partition.
-
-    The engine's workhorse for parallel plan bands: every partition runs
-    under its own :class:`OpCounter` (workers never share mutable state)
-    and :func:`_merge_triples` folds them into ``counter`` at the end.
-    Contiguous partitions are sliced with :func:`row_block` (compact, no
-    per-partition ``nrows+1`` pointer array); scattered ones fall back to
-    shape-preserving :func:`row_slice`.
-
-    ``session`` (an :class:`~repro.engine.ExecutionSession`) makes the
-    process backend serve operand segments from the session's cross-call
-    registry instead of publishing/unlinking per call, and amortises the
-    inner-product CSC build.
-    """
-    backend = normalize_backend(backend)
-    if session is not None and not session.caching:
-        session = None
-    if b_csc is None and algo.lower() == "inner":
-        b_csc = session.csc_of(b) if session is not None else CSC.from_csr(b)
-    shape = (a.nrows, b.ncols)
-
-    if backend == "process" and len(parts) > 1:
-        result = _run_partitioned_process(
-            a, b, mask,
-            algo=algo, parts=parts, phases=phases, complement=complement,
-            semiring=semiring, impl=impl, counter=counter, b_csc=b_csc,
-            batch=batch, session=session,
-        )
-        if result is not None:
-            return result
-        # untransferable semiring or missing platform support: degrade
-        # gracefully, but never silently — the backend switch changes the
-        # run's performance characteristics
-        _log.warning(
-            "process backend fell back to thread for semiring %r "
-            "(untransferable or platform unsupported)", semiring.name,
-        )
-        backend = "thread"
-
-    counters = [OpCounter() for _ in parts]
-
-    def work(idx: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        rows = np.asarray(parts[idx])
-        tr = _obs.current()
-        part_cm = (
-            tr.span(
-                "parallel.partition",
-                {"partition": idx, "backend": backend, "algo": algo,
-                 "rows": int(rows.size)},
-                counter=counters[idx],
-            )
-            if tr is not None else _obs.NULL_SPAN
-        )
-        with part_cm:
-            if rows.size == 0:
-                e = np.empty(0, dtype=np.int64)
-                return e, e, np.empty(0, dtype=np.float64)
-            rng = _contiguous_range(rows)
-            if rng is not None:
-                lo, hi = rng
-                a_s, m_s, offset = row_block(a, lo, hi), row_block(mask, lo, hi), lo
-            else:
-                a_s, m_s, offset = row_slice(a, rows), row_slice(mask, rows), 0
-            c = masked_spgemm(
-                a_s,
-                b,
-                m_s,
-                algo=algo,
-                phases=phases,
-                complement=complement,
-                semiring=semiring,
-                impl=impl,
-                counter=counters[idx],
-                b_csc=b_csc,
-                batch=batch,
-            )
-            r, cc, v = c.to_coo()
-            return (r + offset if offset else r), cc, v
-
-    if backend == "serial" or len(parts) == 1:
-        triples = [work(i) for i in range(len(parts))]
-    else:
-        with ThreadPoolExecutor(max_workers=len(parts)) as pool:
-            triples = list(pool.map(work, range(len(parts))))
-
-    return _merge_triples(triples, shape, counters=counters, counter=counter)
-
-
-def _run_partitioned_process(
-    a: CSR,
-    b: CSR,
-    mask: CSR,
-    *,
-    algo: str,
-    parts: Sequence[np.ndarray],
-    phases: int,
-    complement: bool,
-    semiring: Semiring,
-    impl: str,
-    counter: Optional[OpCounter],
-    b_csc: Optional[CSC],
-    batch: str = "auto",
-    session=None,
-) -> Optional[CSR]:
-    """The shared-memory process backend; ``None`` means "fall back to
-    threads" (untransferable semiring or missing platform support).
-
-    With a ``session``, operand segments come from the session's
-    :class:`~repro.parallel.segment_cache.SegmentCache`: unchanged
-    operands (by content fingerprint) are *reused*, values-only changes
-    are rewritten in place, and nothing is unlinked at call end — the
-    session owns the lifecycle.  Sessionless calls keep the historical
-    publish-use-unlink cycle.
-    """
-    from . import pool as _pool
-    from . import shm as _shm
-
-    if not _pool.process_backend_available():
-        return None
-    token = _pool.encode_semiring(semiring)
-    if token is None:
-        return None
-    tracer = _obs.current()
-    probes = _probes.current()
-
-    cache = session.segment_cache if session is not None else None
-    group = None
-    if cache is not None:
-        cache.begin_call()
-        seg_before = (cache.segments_reused, cache.bytes_republished)
-    else:
-        group = _shm.SegmentGroup()
-    try:
-        if cache is not None:
-            a_spec = cache.publish_csr(a, session.fingerprint(a))
-            # content keys dedupe identical operands (TC/k-truss publish once)
-            b_spec = cache.publish_csr(b, session.fingerprint(b))
-            m_spec = cache.publish_csr(mask, session.fingerprint(mask))
-            csc_spec = (
-                cache.publish_csc(session.fingerprint(b), b_csc)
-                if b_csc is not None and algo.lower() == "inner"
-                else None
-            )
-        else:
-            a_spec = group.publish_csr(a)
-            b_spec = group.publish_csr(b)
-            m_spec = group.publish_csr(mask)
-            csc_spec = (
-                group.publish_csc(b_csc)
-                if b_csc is not None and algo.lower() == "inner"
-                else None
-            )
-        tasks = []
-        for rows in parts:
-            rows = np.asarray(rows, dtype=np.int64)
-            rng = _contiguous_range(rows)
-            rows_desc = ("range", rng[0], rng[1]) if rng else ("rows", rows)
-            if rows.size == 0:
-                rows_desc = ("range", 0, 0)
-            tasks.append(
-                _pool.PartitionTask(
-                    a=a_spec,
-                    b=b_spec,
-                    mask=m_spec,
-                    b_csc=csc_spec,
-                    rows=rows_desc,
-                    algo=algo,
-                    phases=phases,
-                    complement=complement,
-                    impl=impl,
-                    semiring=token,
-                    trace=tracer is not None,
-                    probe=probes is not None,
-                    batch=batch,
-                    heartbeat=_runtime.current() is not None,
-                )
-            )
-        triples, counters, span_batches, probe_batches, heartbeats = (
-            _pool.run_tasks(len(parts), tasks)
-        )
-    finally:
-        if group is not None:
-            group.close()
-        else:
-            cache.end_call()
-
-    if cache is not None and counter is not None:
-        counter.segments_reused += cache.segments_reused - seg_before[0]
-        counter.bytes_republished += cache.bytes_republished - seg_before[1]
-
-    if tracer is not None:
-        # worker-side spans (partition + nested kernel spans) land on the
-        # coordinator timeline with their worker pid/tid labels intact;
-        # one ingest per task batch — ids are only unique within a batch
-        for batch in span_batches:
-            if batch:
-                tracer.ingest(batch)
-    if probes is not None:
-        # histogram merges commute, so worker exports fold straight in
-        for payload in probe_batches:
-            if payload:
-                probes.ingest(payload)
-    sampler = _runtime.current()
-    if sampler is not None:
-        # worker heartbeats fold into the fleet-health series exactly like
-        # span/probe batches fold into their registries
-        sampler.ingest_heartbeats(heartbeats)
-    return _merge_triples(
-        triples, (a.nrows, b.ncols), counters=counters, counter=counter
     )
 
 

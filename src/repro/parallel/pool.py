@@ -9,14 +9,16 @@ subsequent process-backend call; ``atexit`` (or an explicit
 :func:`shutdown_pool` / the :func:`process_pool` context manager) tears it
 down.
 
-Task protocol: the parent publishes the CSR operands into shared memory
-(:mod:`repro.parallel.shm`) and submits one :class:`PartitionTask` per row
-partition.  A task carries only segment *addresses*, the partition's row
-range, and scalar knobs — a few hundred bytes — while workers attach the
-segments as zero-copy NumPy views.  Each worker runs the planned kernel
-under its own :class:`~repro.machine.OpCounter` and returns its partial
-output as COO triples plus the counter, which the caller merges exactly
-like the thread backend, so results and counters are identical across
+Task protocol: the engine cuts a plan into work items (band x row part x
+column panel, :mod:`repro.engine.executor`) and every backend runs each
+one through :func:`run_task`.  For the process backend the parent
+publishes the operands into shared memory (:mod:`repro.parallel.shm`) and
+the :class:`Task` carries only segment *addresses*, the item's row
+descriptor and scalar knobs — a few hundred bytes — while workers attach
+the segments as zero-copy NumPy views; in-process backends put the CSR
+operands in the same fields.  Each item runs under its own
+:class:`~repro.machine.OpCounter` and returns its partial output as COO
+triples plus the counter, so results and counters are identical across
 ``serial`` / ``thread`` / ``process``.
 
 Semirings cross the boundary by *name* for the standard registry
@@ -30,25 +32,24 @@ from __future__ import annotations
 
 import atexit
 import pickle
-from collections import OrderedDict
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple, Union
 
 import multiprocessing as mp
 
-import numpy as np
-
 from ..machine import OpCounter
-from ..observe.tracer import NULL_SPAN as _NULL_CM
+from ..observe import tracer as _obs
 from ..semiring import STANDARD_SEMIRINGS, Semiring
+from ..sparse import CSC, CSR
 from . import shm as _shm
+from .executor import row_block, row_slice
 
 __all__ = [
-    "PartitionTask",
-    "ShardTask",
+    "Task",
+    "run_task",
     "get_pool",
     "shutdown_pool",
     "pool_size",
@@ -190,316 +191,131 @@ def decode_semiring(token) -> Semiring:
 # tasks
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
-class PartitionTask:
-    """One row partition of one masked-SpGEMM call (picklable, tiny)."""
+class Task:
+    """One work item of one masked-SpGEMM call: a band's rows in one row
+    part, against one column panel.
 
-    a: _shm.CSRSegments
-    b: _shm.CSRSegments
-    mask: _shm.CSRSegments
-    b_csc: Optional[_shm.CSRSegments]
-    #: ("range", lo, hi) for contiguous partitions, ("rows", ndarray) else
+    The operand fields hold :class:`~repro.parallel.shm.CSRSegments`
+    addresses when the item crosses the process boundary (picklable, tiny)
+    and the CSR/CSC objects themselves on the serial and thread backends;
+    ``semiring`` likewise holds the :func:`encode_semiring` token or the
+    semiring.
+    """
+
+    a: Union[CSR, _shm.CSRSegments]  #: the whole A
+    b: Union[CSR, _shm.CSRSegments]  #: B's column panel
+    mask: Union[CSR, _shm.CSRSegments]  #: the mask's column panel
+    b_csc: Union[CSC, _shm.CSRSegments, None]  #: the panel's CSC (inner only)
+    #: rows of A and the mask this item owns: ("range", lo, hi) for a
+    #: contiguous run (a zero-copy view), ("rows", ndarray) otherwise
     rows: tuple
+    col_offset: int  #: first output column of the panel
     algo: str
     phases: int
     complement: bool
     impl: str
-    semiring: tuple
-    #: record worker-side spans and ship them back with the result
-    trace: bool = False
-    #: record worker-side probe histograms and ship them back likewise
-    probe: bool = False
-    #: kernel batching tier ("auto" | "bucket" | "perrow"); the planner's
-    #: per-band resolution rides along so workers run the same tier
+    semiring: Union[Semiring, tuple]
+    #: kernel batching tier of the item's band ("auto" | "bucket" | "perrow")
     batch: str = "auto"
-    #: ship a compact worker heartbeat (pid, RSS, CPU, tasks done, form
-    #: cache occupancy) back with the result — set while a
+    #: span attributes: (band, row part, panel) and the item's apportioned
+    #: share of the band's modeled cycles/bytes for the prediction ledger
+    cell: Tuple[int, int, int] = (0, 0, 0)
+    backend: str = "serial"
+    est_cycles: float = 0.0
+    est_bytes: float = 0.0
+    #: worker side only — record spans / probe histograms under a
+    #: task-local registry and ship them back with the result
+    trace: bool = False
+    probe: bool = False
+    #: ship a compact worker heartbeat (pid, RSS, CPU, tasks done, cached
+    #: attachments) back with the result — set while a
     #: :class:`~repro.observe.runtime.RuntimeSampler` is installed
     heartbeat: bool = False
 
 
-def _run_task(task: PartitionTask):
-    """Worker entry point: attach, slice, run, return COO + counter (+spans).
+def _rows_of(mat: CSR, desc: tuple) -> Tuple[CSR, int]:
+    """The item's rows of ``mat`` and the offset that lifts the slice's row
+    ids back to global ones."""
+    if desc[0] == "range":
+        lo, hi = int(desc[1]), int(desc[2])
+        if lo == 0 and hi == mat.nrows:
+            return mat, 0
+        return row_block(mat, lo, hi), lo
+    return row_slice(mat, desc[1]), 0
 
-    Runs in a pool worker.  The returned row indices are *global* (the
-    contiguous fast path offsets them), so the parent's merge is a plain
-    concatenation, identical to the serial and thread backends.
 
-    When ``task.trace`` is set, a worker-local tracer is installed for the
-    duration of the task: the partition span and every nested kernel span
-    it encloses come back serialized in the payload, and the coordinator
-    merges them onto its timeline (:meth:`repro.observe.Tracer.ingest`).
-    The tracer is uninstalled in ``finally`` — the pool is persistent, and
-    later untraced calls must not pay for (or leak into) this one.
+def run_task(task: Task):
+    """Run one work item: slice, multiply, return global COO + counter.
+
+    The single entry point of all three backends.  In a pool worker the
+    operands arrive as segment addresses and are attached as zero-copy
+    views; when ``task.trace`` / ``task.probe`` are set a task-local tracer
+    / probe registry is installed for the duration of the task, so the
+    item span and every nested kernel span come back serialized in the
+    payload and the coordinator merges them onto its timeline
+    (:meth:`repro.observe.Tracer.ingest`).  Both are uninstalled in
+    ``finally`` — the pool is persistent, and later untraced calls must
+    not pay for (or leak into) this one.  In-process the ambient tracer
+    records the same span directly.
     """
     from ..core.masked_spgemm import masked_spgemm
-    from .executor import row_block, row_slice
 
-    tracer = None
-    prev = None
-    probes = None
-    prev_probes = None
+    tracer = probes = None
     if task.trace:
-        from ..observe.tracer import Tracer, set_tracer
-
-        tracer = Tracer()
-        prev = set_tracer(tracer)
+        tracer = _obs.Tracer()
+        prev = _obs.set_tracer(tracer)
     if task.probe:
         from ..observe.probes import ProbeRegistry, set_probes
 
         probes = ProbeRegistry()
         prev_probes = set_probes(probes)
     try:
-        a = _shm.attach_csr(task.a)
-        b = _shm.attach_csr(task.b)
-        mask = _shm.attach_csr(task.mask)
-        b_csc = _shm.attach_csc(task.b_csc)
-        semiring = decode_semiring(task.semiring)
+        remote = isinstance(task.a, _shm.CSRSegments)
+        a = _shm.attach_csr(task.a) if remote else task.a
+        b = _shm.attach_csr(task.b) if remote else task.b
+        mask = _shm.attach_csr(task.mask) if remote else task.mask
+        b_csc = _shm.attach_csc(task.b_csc) if remote else task.b_csc
+        semiring = decode_semiring(task.semiring) if remote else task.semiring
         counter = OpCounter()
-
-        if task.rows[0] == "range":
-            rows_attr = int(task.rows[2]) - int(task.rows[1])
-        else:
-            rows_attr = int(np.asarray(task.rows[1]).size)
+        a_s, offset = _rows_of(a, task.rows)
+        m_s, _ = _rows_of(mask, task.rows)
+        tr = _obs.current()
         span_cm = (
-            tracer.span(
-                "parallel.partition",
-                {"backend": "process", "algo": task.algo, "rows": rows_attr},
+            tr.span(
+                "engine.cell",
+                {"cell": list(task.cell), "backend": task.backend,
+                 "algo": task.algo, "rows": a_s.nrows, "cols": b.ncols,
+                 "batch": task.batch, "est_cycles": task.est_cycles,
+                 "est_bytes": task.est_bytes},
                 counter=counter,
             )
-            if tracer is not None else _NULL_CM
+            if tr is not None else _obs.NULL_SPAN
         )
         # compute inside the span, build the payload after it closes so the
-        # partition span itself is part of the exported records
+        # item span itself is part of the exported records
         with span_cm:
-            empty = None
-            if task.rows[0] == "range":
-                lo, hi = task.rows[1], task.rows[2]
-                if hi <= lo:
-                    empty = True
-                else:
-                    a_s, m_s, offset = (
-                        row_block(a, lo, hi), row_block(mask, lo, hi), lo,
-                    )
-            else:
-                rows = np.asarray(task.rows[1], dtype=np.int64)
-                if rows.size == 0:
-                    empty = True
-                else:
-                    a_s, m_s, offset = row_slice(a, rows), row_slice(mask, rows), 0
-            if empty:
-                r = cc = np.empty(0, np.int64)
-                v = np.empty(0, np.float64)
-            else:
-                c = masked_spgemm(
-                    a_s,
-                    b,
-                    m_s,
-                    algo=task.algo,
-                    phases=task.phases,
-                    complement=task.complement,
-                    semiring=semiring,
-                    impl=task.impl,
-                    counter=counter,
-                    b_csc=b_csc,
-                    batch=getattr(task, "batch", "auto"),
-                )
-                r, cc, v = c.to_coo()
-                if offset:
-                    r = r + offset
-        return _coo_payload(r, cc, v, counter, tracer, probes,
-                            _worker_heartbeat(task))
-    finally:
-        if probes is not None:
-            from ..observe.probes import set_probes
-
-            set_probes(prev_probes)
-        if tracer is not None:
-            from ..observe.tracer import set_tracer
-
-            set_tracer(prev)
-
-
-@dataclass(frozen=True)
-class ShardTask:
-    """One shard-grid cell of one masked-SpGEMM call (picklable, tiny).
-
-    Operands are *doubly-compressed* shard segments: the A row block and
-    the mask cell as DCSR, the B column panel as the DCSR of its transpose
-    (rewrapped worker-side — the same convention CSC uses to cross the
-    boundary).  ``bands`` restricts the plan's row bands to the block, in
-    block-local coordinates; ``row_offset``/``col_offset`` lift the cell's
-    COO output back into the global frame.
-    """
-
-    a: _shm.DCSRSegments  #: A row block, shape (block_h, K)
-    b_t: _shm.DCSRSegments  #: transpose of the B column panel, shape (panel_w, K)
-    mask: _shm.DCSRSegments  #: mask cell, shape (block_h, panel_w)
-    cell: Tuple[int, int]  #: (row-block index, column-panel index)
-    row_offset: int
-    col_offset: int
-    #: ((algo, rows_desc), ...) — rows_desc is ("range", lo, hi) or
-    #: ("rows", ndarray), both local to the row block
-    bands: tuple
-    phases: int
-    complement: bool
-    impl: str
-    semiring: tuple
-    trace: bool = False
-    probe: bool = False
-    #: the cell's apportioned share of the plan's modeled cycles/bytes —
-    #: stamped into the worker's ``parallel.shard`` span so the prediction
-    #: ledger sees the same modeled-vs-measured pairs on every backend
-    est_cycles: float = 0.0
-    est_bytes: float = 0.0
-    #: ship a worker heartbeat back with the result (see PartitionTask)
-    heartbeat: bool = False
-
-
-#: per-worker cache of CSR forms derived from published shards, keyed by
-#: (content token, kind).  Conversions copy out of shared memory
-#: (``DCSR.to_csr`` materialises fresh arrays), so cached forms outlive the
-#: segments; tokens change whenever published bytes change, so a session's
-#: values-only rewrite can never be served a stale conversion.
-_SHARD_FORMS: "OrderedDict[tuple, object]" = OrderedDict()
-_SHARD_FORMS_MAX = 32
-
-
-def _shard_form(spec: _shm.DCSRSegments, kind: str):
-    """The CSR-ish form a kernel wants, cached per worker by content token.
-
-    ``"csr"`` expands the published DCSR; ``"csr_t"`` is its transpose —
-    for a B-panel spec (published as the panel's transpose) that makes
-    ``"csr"`` the (panel_w, K) transpose usable directly as CSC backing and
-    ``"csr_t"`` the (K, panel_w) panel itself.
-    """
-    key = (spec.token, kind)
-    hit = _SHARD_FORMS.get(key)
-    if hit is not None:
-        _SHARD_FORMS.move_to_end(key)
-        return hit
-    if kind == "csr":
-        out = _shm.attach_dcsr(spec).to_csr()
-    elif kind == "csr_t":
-        out = _shard_form(spec, "csr").transpose()
-    else:  # pragma: no cover - internal misuse
-        raise ValueError(f"unknown shard form {kind!r}")
-    _SHARD_FORMS[key] = out
-    while len(_SHARD_FORMS) > _SHARD_FORMS_MAX:
-        _SHARD_FORMS.popitem(last=False)
-    return out
-
-
-def clear_shard_forms() -> None:
-    """Drop this process's derived-form cache (tests / pool shutdown)."""
-    _SHARD_FORMS.clear()
-
-
-def _run_shard_task(task: ShardTask):
-    """Worker entry point for one shard cell: attach, expand (cached by
-    content token), run each band's kernel on the cell, return global COO.
-
-    Mirrors :func:`_run_task`'s tracer/probe discipline — install per task,
-    uninstall in ``finally`` — but operates on a (block_h x panel_w) cell:
-    every band of the plan that intersects the row block runs against the
-    cell's B panel and mask cell, and the COO triples come back already
-    lifted by the cell's row/column offsets so the parent's merge is plain
-    concatenation across cells.
-    """
-    from ..core.masked_spgemm import masked_spgemm
-    from ..sparse import CSC
-    from .executor import row_block, row_slice
-
-    tracer = None
-    prev = None
-    probes = None
-    prev_probes = None
-    if task.trace:
-        from ..observe.tracer import Tracer, set_tracer
-
-        tracer = Tracer()
-        prev = set_tracer(tracer)
-    if task.probe:
-        from ..observe.probes import ProbeRegistry, set_probes
-
-        probes = ProbeRegistry()
-        prev_probes = set_probes(probes)
-    try:
-        semiring = decode_semiring(task.semiring)
-        counter = OpCounter()
-        bh, pw = task.mask.shape
-        span_cm = (
-            tracer.span(
-                "parallel.shard",
-                {
-                    "backend": "process",
-                    "cell": list(task.cell),
-                    "rows": int(bh),
-                    "cols": int(pw),
-                    "est_cycles": task.est_cycles,
-                    "est_bytes": task.est_bytes,
-                },
-                counter=counter,
+            c = masked_spgemm(
+                a_s, b, m_s,
+                algo=task.algo, phases=task.phases, complement=task.complement,
+                semiring=semiring, impl=task.impl, counter=counter,
+                b_csc=b_csc, batch=task.batch,
             )
-            if tracer is not None else _NULL_CM
+            r, cc, v = c.to_coo()
+            if offset:
+                r += offset
+            if task.col_offset:
+                cc += task.col_offset
+        return (
+            r, cc, v, counter,
+            tracer.export() if tracer is not None else [],
+            probes.export() if probes is not None else {},
+            _worker_heartbeat(task) if remote else None,
         )
-        with span_cm:
-            a_csr = _shard_form(task.a, "csr")
-            b_t = _shard_form(task.b_t, "csr")
-            b_csr = _shard_form(task.b_t, "csr_t")
-            b_csc = CSC((b_t.ncols, b_t.nrows), b_t)
-            mask_csr = _shard_form(task.mask, "csr")
-            rs: List[np.ndarray] = []
-            cs: List[np.ndarray] = []
-            vs: List[np.ndarray] = []
-            for algo, rows_desc in task.bands:
-                if rows_desc[0] == "range":
-                    lo, hi = int(rows_desc[1]), int(rows_desc[2])
-                    if hi <= lo:
-                        continue
-                    a_s = row_block(a_csr, lo, hi)
-                    m_s = row_block(mask_csr, lo, hi)
-                    offset = lo
-                else:
-                    rows = np.asarray(rows_desc[1], dtype=np.int64)
-                    if rows.size == 0:
-                        continue
-                    a_s = row_slice(a_csr, rows)
-                    m_s = row_slice(mask_csr, rows)
-                    offset = 0
-                c = masked_spgemm(
-                    a_s,
-                    b_csr,
-                    m_s,
-                    algo=algo,
-                    phases=task.phases,
-                    complement=task.complement,
-                    semiring=semiring,
-                    impl=task.impl,
-                    counter=counter,
-                    b_csc=b_csc,
-                )
-                r, cc, v = c.to_coo()
-                rs.append(r + (offset + task.row_offset))
-                cs.append(cc + task.col_offset)
-                vs.append(v)
-            if rs:
-                r = np.concatenate(rs)
-                cc = np.concatenate(cs)
-                v = np.concatenate(vs)
-            else:
-                r = cc = np.empty(0, np.int64)
-                v = np.empty(0, np.float64)
-        return _coo_payload(r, cc, v, counter, tracer, probes,
-                            _worker_heartbeat(task))
     finally:
         if probes is not None:
-            from ..observe.probes import set_probes
-
             set_probes(prev_probes)
         if tracer is not None:
-            from ..observe.tracer import set_tracer
-
-            set_tracer(prev)
+            _obs.set_tracer(prev)
 
 
 #: worker-side lifetime task count — always maintained (one integer add),
@@ -513,83 +329,48 @@ def _worker_heartbeat(task) -> Optional[dict]:
     Runs in the pool worker as part of every task.  The task counter is
     bumped unconditionally so heartbeats stay accurate when a sampler is
     installed mid-run; the (slightly costlier) ``/proc`` reads happen only
-    on the sampled path.  ``getattr`` keeps old pickled tasks valid.
+    on the sampled path.
     """
     global _WORKER_TASKS_DONE
     _WORKER_TASKS_DONE += 1
-    if not getattr(task, "heartbeat", False):
+    if not task.heartbeat:
         return None
     from ..observe.runtime import worker_heartbeat
 
     return worker_heartbeat(
         tasks_completed=_WORKER_TASKS_DONE,
-        cached_forms=len(_SHARD_FORMS),
+        cached_forms=len(_shm._ATTACHED),
     )
 
 
-def _coo_payload(rows, cols, vals, counter, tracer=None, probes=None,
-                 heartbeat=None):
-    spans = tracer.export() if tracer is not None else []
-    probe_export = probes.export() if probes is not None else {}
-    return rows, cols, vals, counter, spans, probe_export, heartbeat
+def run_tasks(workers: int, tasks: Sequence[Task]) -> List[tuple]:
+    """Run tasks on the persistent pool; one :func:`run_task` payload per
+    task, in task order.
 
-
-def run_tasks(
-    workers: int, tasks: Sequence, fn=_run_task
-) -> Tuple[
-    List[Tuple[np.ndarray, np.ndarray, np.ndarray]],
-    List[OpCounter],
-    List[List[dict]],
-    List[dict],
-    List[Optional[dict]],
-]:
-    """Run partition (or shard) tasks on the persistent pool, in order.
-
-    Results come back ordered by partition index (futures are awaited in
-    order), which keeps the merged output deterministic.  The third return
-    value holds the serialized worker spans as one batch *per task* (all
-    empty unless the tasks were submitted with ``trace=True``) — batches
-    must stay separate because each task ran under a fresh worker tracer
-    whose span ids start at 1, and ``Tracer.ingest`` remaps ids batch by
-    batch; flattening would cross-link spans from different tasks.  The
-    fourth holds each task's probe-histogram export (empty dict unless
-    submitted with ``probe=True``); histogram merges commute, so these may
-    be ingested in any order.  The fifth holds each task's worker
-    heartbeat (``None`` unless submitted with ``heartbeat=True``) for
-    :meth:`repro.observe.runtime.RuntimeSampler.ingest_heartbeats`.
-    ``fn`` selects the worker entry point — :func:`_run_task` for
-    :class:`PartitionTask`, :func:`_run_shard_task` for
-    :class:`ShardTask`; both speak the same payload protocol.  A broken
-    pool (a worker was OOM-killed or crashed) is discarded so the next call
-    starts clean, and the error propagates to the caller.
+    Futures are awaited in order, which keeps the merged output
+    deterministic.  Payloads stay one per task because each task ran under
+    a fresh worker tracer whose span ids start at 1, and ``Tracer.ingest``
+    remaps ids batch by batch; flattening the span batches would cross-link
+    spans from different tasks.  A broken pool (a worker was OOM-killed or
+    crashed) is discarded so the next call starts clean, and the error
+    propagates to the caller.
     """
     pool = get_pool(workers)
     _POOL_TASKS["submitted"] += len(tasks)
-    futures = [pool.submit(fn, t) for t in tasks]
-    triples: List[Tuple[np.ndarray, np.ndarray, np.ndarray]] = []
-    counters: List[OpCounter] = []
-    span_batches: List[List[dict]] = []
-    probe_batches: List[dict] = []
-    heartbeats: List[Optional[dict]] = []
-    consumed = 0
+    futures = [pool.submit(run_task, t) for t in tasks]
+    payloads: List[tuple] = []
     try:
         for fut in futures:
-            rows, cols, vals, counter, spans, probe_export, hb = fut.result()
-            consumed += 1
+            payloads.append(fut.result())
             _POOL_TASKS["completed"] += 1
-            triples.append((rows, cols, vals))
-            counters.append(counter)
-            span_batches.append(spans)
-            probe_batches.append(probe_export)
-            heartbeats.append(hb)
     except BrokenProcessPool:
         shutdown_pool()
         raise
     finally:
         # rebalance abandoned futures on error so the sampler's queue-depth
         # gauge returns to zero instead of reporting phantom in-flight work
-        _POOL_TASKS["completed"] += len(tasks) - consumed
-    return triples, counters, span_batches, probe_batches, heartbeats
+        _POOL_TASKS["completed"] += len(tasks) - len(payloads)
+    return payloads
 
 
 # Registered at import time — not lazily in get_pool — so interpreter exit

@@ -20,18 +20,14 @@ across calls, keyed by operand *content fingerprint*:
   the operand; the least-recently-used unpinned entries are evicted when
   the byte budget overflows (eviction closes + unlinks the entry's group).
 
-Derived operands (the CSC transpose the inner-product kernel wants) are
-cached under the *base* operand's fingerprint, so a constant ``B`` keeps
-its transpose segments alive too.  The sharded execution path
-(:mod:`repro.parallel.shards`) publishes *per-shard* DCSR segments under
-each shard's **own** content digest — not the parent operand's
-fingerprint — so reuse survives the parent changing: when an iterative
-app prunes a few edges (k-truss), every row block and mask cell whose
-bytes are untouched is still served from the cache, and a values-only
-change to a shard rewrites just its data segment in place (with a fresh
-content token, so workers drop stale derived forms).  Content keys also
-dedupe within a call: in triangle counting A and M are the same matrix,
-so a mask cell that equals an A row block publishes once.
+Derived operands — the CSC transpose the inner-product kernel wants, and
+the column panels a grid plan cuts B and the mask into — are cached under
+the *base* operand's fingerprint plus a tag (``("csc",)`` for the
+transpose, ``("csr", lo, hi)`` / ``("csc", lo, hi)`` for a column panel
+and its transpose), so a constant ``B`` keeps its transpose and panel
+segments alive too.  Reuse is per operand / panel: any change to an
+operand republishes (or, for a values-only change, rewrites in place) the
+segments derived from it.
 
 Entries touched since :meth:`SegmentCache.begin_call` are pinned — a
 pinned segment is never evicted, rewritten in place, or dropped while the
@@ -45,16 +41,13 @@ segment this cache owned.
 
 from __future__ import annotations
 
-import dataclasses
-import hashlib
 import weakref
 from collections import OrderedDict
 from typing import Dict, Optional, Set
 
 import numpy as np
 
-from ..sparse import CSC, CSR
-from ..sparse.dcsr import DCSR
+from ..sparse import CSR
 from . import shm as _shm
 
 __all__ = ["SegmentCache", "DEFAULT_SEGMENT_CACHE_BYTES", "live_cache_stats"]
@@ -87,40 +80,8 @@ def live_cache_stats() -> dict:
 DEFAULT_SEGMENT_CACHE_BYTES = 256 << 20
 
 
-def _content_token(full_key: tuple) -> str:
-    """Stable short content address for a published shard.
-
-    Full keys embed the shard's structure and value digests, so equal
-    keys mean equal bytes — hashing the key is as good as re-hashing the
-    shard arrays.
-    """
-    return "t" + hashlib.blake2b(repr(full_key).encode(), digest_size=8).hexdigest()
-
-
-def _shard_digests(shard: DCSR) -> tuple:
-    """(structure, values) content digests of one DCSR shard.
-
-    One linear pass over the shard's arrays — the same discipline
-    :func:`~repro.engine.session.fingerprint_csr` applies to whole
-    operands, at shard granularity so reuse survives the parent changing.
-    """
-    hs = hashlib.blake2b(digest_size=16)
-    hs.update(f"{shard.shape[0]}x{shard.shape[1]}".encode())
-    for arr in (shard.rows, shard.indptr, shard.indices):
-        hs.update(memoryview(np.ascontiguousarray(arr)))
-    hv = hashlib.blake2b(digest_size=16)
-    hv.update(shard.data.dtype.str.encode())
-    hv.update(memoryview(np.ascontiguousarray(shard.data)))
-    return hs.hexdigest(), hv.hexdigest()
-
-
-def _spec_nbytes(spec) -> int:
-    """Published bytes of a CSRSegments or DCSRSegments spec."""
-    parts = [spec.indptr, spec.indices, spec.data]
-    rows = getattr(spec, "rows", None)
-    if rows is not None:
-        parts.append(rows)
-    return sum(s.nbytes for s in parts)
+def _spec_nbytes(spec: _shm.CSRSegments) -> int:
+    return spec.indptr.nbytes + spec.indices.nbytes + spec.data.nbytes
 
 
 class _Entry:
@@ -184,44 +145,15 @@ class SegmentCache:
         self._pinned.clear()
 
     # -- publishing ----------------------------------------------------
-    def publish_csr(self, mat: CSR, fp) -> _shm.CSRSegments:
-        """Segments for ``mat``, served from cache when the fingerprint
-        (an :class:`~repro.engine.session.Fingerprint`) matches."""
-        full_key = ("csr",) + fp.key
-        return self._publish(full_key, ("csr",) + fp.structure_key, mat,
-                             lambda group: group.publish_csr(mat))
+    def publish_csr(self, mat: CSR, fp, tag: tuple = ("csr",)) -> _shm.CSRSegments:
+        """Segments for ``mat``, served from cache when ``tag`` plus the
+        fingerprint (an :class:`~repro.engine.session.Fingerprint`) match.
 
-    def publish_csc(self, base_fp, csc: CSC) -> _shm.CSRSegments:
-        """Segments for a derived CSC, keyed by the *base* CSR operand's
-        fingerprint (the transpose is a pure function of it)."""
-        t = csc.to_transposed_csr()
-        return self._publish(("csc",) + base_fp.key,
-                             ("csc",) + base_fp.structure_key, t,
-                             lambda group: group.publish_csr(t))
-
-    def publish_dcsr(self, shard: DCSR) -> _shm.DCSRSegments:
-        """Segments for a DCSR shard, keyed by the shard's own content.
-
-        Per-shard content addressing is what lets iterative apps keep
-        their reuse when the *parent* operand changes: a k-truss round
-        that prunes a handful of edges invalidates only the row blocks
-        and mask cells those edges lived in, and every other shard is a
-        full-key hit.  The spec's content ``token`` is derived from the
-        full key and refreshed on a values-only rewrite, so workers'
-        caches of derived forms can never serve stale conversions.
-        """
-        sdig, vdig = _shard_digests(shard)
-        full_key = ("dcsr", shard.shape, sdig, vdig)
-        struct_key = ("dcsr", shard.shape, sdig)
-        token = _content_token(full_key)
-        return self._publish(
-            full_key, struct_key, shard,
-            lambda group: group.publish_dcsr(shard, token=token),
-            retoken=token,
-        )
-
-    def _publish(self, full_key: tuple, struct_key: tuple, mat,
-                 publish_fn, retoken: Optional[str] = None):
+        ``fp`` is ``mat``'s own fingerprint for a plain operand; for a form
+        derived from an operand (its CSC transpose, a column panel) it is
+        the *base* operand's, and ``tag`` names the derivation — the form
+        is a pure function of the two."""
+        full_key, struct_key = tag + fp.key, tag + fp.structure_key
         ent = self._entries.get(full_key)
         if ent is not None:
             self._entries.move_to_end(full_key)
@@ -243,8 +175,6 @@ class SegmentCache:
             ):
                 # values-only change: rewrite the data segment in place
                 _shm.rewrite_array(ent.spec.data, mat.data)
-                if retoken is not None:
-                    ent.spec = dataclasses.replace(ent.spec, token=retoken)
                 del self._entries[old_key]
                 ent.key = full_key
                 self._entries[full_key] = ent
@@ -259,7 +189,7 @@ class SegmentCache:
                 self._drop(old_key)
 
         group = _shm.SegmentGroup()
-        spec = publish_fn(group)
+        spec = group.publish_csr(mat)
         ent = _Entry(full_key, struct_key, group, spec, _spec_nbytes(spec))
         self._entries[full_key] = ent
         self._by_structure[struct_key] = full_key

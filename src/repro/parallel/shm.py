@@ -44,19 +44,17 @@ except ImportError:  # pragma: no cover
     resource_tracker = None
     HAVE_SHARED_MEMORY = False
 
-from ..sparse import CSC, CSR, DCSR
+from ..sparse import CSC, CSR
 
 __all__ = [
     "HAVE_SHARED_MEMORY",
     "SegmentSpec",
     "CSRSegments",
-    "DCSRSegments",
     "SegmentGroup",
     "rewrite_array",
     "attach_array",
     "attach_csr",
     "attach_csc",
-    "attach_dcsr",
     "active_segments",
     "clear_attachments",
 ]
@@ -85,27 +83,6 @@ class CSRSegments:
 
     shape: Tuple[int, int]
     sorted_indices: bool
-    indptr: SegmentSpec
-    indices: SegmentSpec
-    data: SegmentSpec
-
-
-@dataclass(frozen=True)
-class DCSRSegments:
-    """A DCSR shard published as four shared segments (plus metadata).
-
-    The sharded executor's transfer form: DCSC panels ship as the DCSR of
-    their transpose (rewrapped worker-side), mirroring how CSC crosses the
-    boundary as :class:`CSRSegments` of the transpose.  ``token`` is a
-    content address: it changes whenever the published bytes change (fresh
-    publication, or an in-place values rewrite by the session segment
-    cache), so workers can key caches of *derived* forms — the CSR a shard
-    expands to before hitting a kernel — on it without risking staleness.
-    """
-
-    shape: Tuple[int, int]
-    token: str
-    rows: SegmentSpec
     indptr: SegmentSpec
     indices: SegmentSpec
     data: SegmentSpec
@@ -218,28 +195,6 @@ class SegmentGroup:
             data=self.publish_array(mat.data),
         )
 
-    def publish_csc(self, mat: CSC) -> CSRSegments:
-        """Publish a CSC operand (as the CSR of its transpose)."""
-        return self.publish_csr(mat.to_transposed_csr())
-
-    def publish_dcsr(self, mat: DCSR, *, token: Optional[str] = None) -> DCSRSegments:
-        """Publish a DCSR shard's four arrays.
-
-        ``token`` defaults to the data segment's (globally unique) name —
-        correct for one-shot publication; the session segment cache passes
-        a content-derived token instead so reused shards keep a stable
-        address across calls and rewritten shards get a fresh one.
-        """
-        data = self.publish_array(mat.data)
-        return DCSRSegments(
-            shape=mat.shape,
-            token=token if token is not None else data.name,
-            rows=self.publish_array(mat.rows),
-            indptr=self.publish_array(mat.indptr),
-            indices=self.publish_array(mat.indices),
-            data=data,
-        )
-
     # -- lifecycle -----------------------------------------------------
     def _segment(self, nbytes: int) -> "shared_memory.SharedMemory":
         if self._closed:
@@ -274,7 +229,7 @@ class SegmentGroup:
 #: per-process attachment cache (LRU: name -> SharedMemory).  Workers are
 #: reused across calls; partitions of one call share operands, so the first
 #: task attaches and the rest hit the cache.  Eviction must be
-#: least-recently-used: the sharded runner attaches dozens of small
+#: least-recently-used: a many-panel grid attaches dozens of small
 #: segments per call, and evicting newest-first would close segments whose
 #: NumPy views are alive in the task currently running.
 _ATTACHED: "OrderedDict[str, shared_memory.SharedMemory]" = OrderedDict()
@@ -365,15 +320,3 @@ def attach_csc(spec: Optional[CSRSegments]) -> Optional[CSC]:
         return None
     t = attach_csr(spec)
     return CSC((t.ncols, t.nrows), t)
-
-
-def attach_dcsr(spec: DCSRSegments) -> DCSR:
-    """Zero-copy DCSR view of a published shard (no validation re-run)."""
-    return DCSR(
-        spec.shape,
-        attach_array(spec.rows),
-        attach_array(spec.indptr),
-        attach_array(spec.indices),
-        attach_array(spec.data),
-        check=False,
-    )

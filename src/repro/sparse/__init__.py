@@ -12,6 +12,7 @@ from .dcsr import DCSC, DCSR
 from .diff import DELTA_BLOCK_ROWS, block_digests, changed_rows, dirty_blocks
 from .ops import (
     apply_mask,
+    column_panels,
     ewise_add,
     ewise_mult,
     mask_pattern,
@@ -20,7 +21,9 @@ from .ops import (
     pattern_intersection,
     pattern_union,
     reduce_sum,
+    restrict_columns,
     row_reduce,
+    split_columns,
 )
 from .io import load_npz, read_mtx, save_npz, write_mtx
 
@@ -43,6 +46,9 @@ __all__ = [
     "pattern_union",
     "reduce_sum",
     "row_reduce",
+    "column_panels",
+    "restrict_columns",
+    "split_columns",
     "read_mtx",
     "write_mtx",
     "save_npz",

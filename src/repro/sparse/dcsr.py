@@ -7,12 +7,10 @@ rows that have nonzeros, plus the list of those row ids.
 
 SS:GB uses DCSR/DCSC for its hypersparse case (paper Section 3).  This
 reproduction's kernels are CSR-centric (like the paper's, "to isolate the
-algorithmic tradeoffs"), so the doubly-compressed formats are the
-storage/transfer tier: k-truss iterations and BC frontiers become
-hypersparse quickly, and — since the sharded execution path (see
-``docs/sharding.md``) splits operands into row blocks of A and column
-panels of B/M whose cells are mostly empty rows/columns — the shard grid
-stores and ships every cell doubly-compressed.
+algorithmic tradeoffs"), so the doubly-compressed formats are a storage
+tier only: k-truss iterations and BC frontiers become hypersparse quickly.
+The execution engine does not use them — its grid (``docs/parallel.md``)
+cuts plain CSR operands into zero-copy row blocks and column panels.
 
 Arrays (DCSR; :class:`DCSC` is the same structure over the transpose):
 
@@ -71,11 +69,8 @@ class DCSR:
     def from_sorted_coo(cls, shape, rows, cols, vals) -> "DCSR":
         """Build from ``(row, col)``-lexicographically-sorted COO triples.
 
-        The shard builder's constructor: binning a sorted CSR's entries
-        into grid cells preserves lexicographic order within each cell, so
-        each cell's DCSR assembles in O(cell nnz) without touching the
-        cell's (mostly empty) row space.  The row-boundary scan doubles as
-        the ``indptr``.
+        Assembles in O(nnz) without touching the (mostly empty) row
+        space; the row-boundary scan doubles as the ``indptr``.
         """
         rows = np.ascontiguousarray(rows, dtype=INDEX_DTYPE)
         if rows.size == 0:
@@ -99,10 +94,9 @@ class DCSR:
     def row_block(self, lo: int, hi: int) -> "DCSR":
         """Compact DCSR of rows ``[lo, hi)`` — shape ``(hi - lo, ncols)``.
 
-        The sharded executor's A-side slicer: two binary searches over the
-        nonempty-row list plus array views, so slicing a block costs
-        O(log nzr + block nzr) regardless of the block's height — the
-        doubly-compressed analogue of
+        Two binary searches over the nonempty-row list plus array views,
+        so slicing a block costs O(log nzr + block nzr) regardless of the
+        block's height — the doubly-compressed analogue of
         :func:`repro.parallel.executor.row_block`.  Row ids are rebased to
         the block-local frame; ``indices``/``data`` stay views.
         """
@@ -188,18 +182,18 @@ class DCSC:
     Mirrors :class:`repro.sparse.csc.CSC`'s thin-veneer design — a column
     view over the row format — but over :class:`DCSR`, so a column *panel*
     slices out of the compressed column list in O(log nzc + panel nnz)
-    (:meth:`column_panel`).  This is the B/M-side shard format: a column
-    panel of B touches only the panel's nonempty columns, never the O(ncols)
-    pointer space a CSC panel would carry.
+    (:meth:`column_panel`): a column panel touches only the panel's
+    nonempty columns, never the O(ncols) pointer space a CSC panel would
+    carry.
     """
 
     __slots__ = ("shape", "_t")
 
-    def __init__(self, shape, dcsr_of_transpose: DCSR) -> None:
+    def __init__(self, shape, transpose_dcsr: DCSR) -> None:
         self.shape = (int(shape[0]), int(shape[1]))
-        if dcsr_of_transpose.shape != (self.shape[1], self.shape[0]):
+        if transpose_dcsr.shape != (self.shape[1], self.shape[0]):
             raise ValueError("transpose DCSR has incompatible shape")
-        self._t = dcsr_of_transpose
+        self._t = transpose_dcsr
 
     # ------------------------------------------------------------------
     @classmethod
@@ -244,10 +238,9 @@ class DCSC:
     def column_panel(self, lo: int, hi: int) -> "DCSC":
         """Compact DCSC of columns ``[lo, hi)`` — shape ``(nrows, hi - lo)``.
 
-        The sharded executor's B/M-side slicer: delegates to
-        :meth:`DCSR.row_block` on the transpose, so a panel costs
-        O(log nzc + panel nnz).  Column ids are rebased to the panel-local
-        frame.
+        Delegates to :meth:`DCSR.row_block` on the transpose, so a panel
+        costs O(log nzc + panel nnz).  Column ids are rebased to the
+        panel-local frame.
         """
         return DCSC((self.shape[0], hi - lo), self._t.row_block(lo, hi))
 
@@ -258,9 +251,8 @@ class DCSC:
     def to_transposed_dcsr(self) -> DCSR:
         """The backing DCSR of the transpose (no copy).
 
-        The publication form for shared-memory transfer: a DCSC shard ships
-        as its transpose's DCSR arrays and is rewrapped on the far side —
-        the same convention as :meth:`repro.sparse.csc.CSC.to_transposed_csr`.
+        The same convention as
+        :meth:`repro.sparse.csc.CSC.to_transposed_csr`.
         """
         return self._t
 

@@ -1,4 +1,5 @@
-"""Backend equivalence suite: serial / thread / process, bit for bit.
+"""Backend and grid equivalence suite: every spelling of the one work-item
+loop, bit for bit.
 
 Every plan shape the engine tests exercise (forced algorithms, complemented
 masks, 1P/2P phases, every partition strategy, column panels, auto plans)
@@ -7,6 +8,18 @@ is run under all three execution backends on the same problems
 must agree *exactly* — identical ``indptr`` / ``indices`` / ``data`` arrays
 and identical :class:`OpCounter` totals — because they are different
 executors of the same decomposition, not different algorithms.
+
+:class:`TestGridEquivalence` is the grid half of that contract: the
+executor cuts every plan into work items *band x row part x column panel*
+(``docs/parallel.md``), so a row partition (``R x 1``), a column-panelled
+multiply (``1 x K``), a grid (``R x K``) and a delta patch are spellings of
+one loop, and every spelling must equal the plain ``masked_spgemm(algo=X)``
+call in values *and* — for the algorithms whose counters are additive
+under row/column slicing (inner/msa/mca/esc; hash sizes its table per
+flop-budget batch and the heap schemes' merge costs depend on row extent,
+so only their *outputs* are compared with the plain call) — in
+:class:`OpCounter` totals.  ``tests/test_shards.py`` holds the planner
+spellings, the column split and the pruning / session-reuse cases.
 
 Segment hygiene is asserted too: after the pool is shut down and every
 publication group closed, no shared-memory segment this process created is
@@ -23,17 +36,18 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.core import ALL_ALGOS, supports_complement
-from repro.engine import Planner, execute, plan
+from repro.core import ALL_ALGOS, masked_spgemm, supports_complement
+from repro.engine import ExecutionSession, Planner, ShardGrid, execute, plan
 from repro.graphs import erdos_renyi, rmat
 from repro.machine import HASWELL, OpCounter
+from repro.observe import tracing
 from repro.parallel import (
     active_segments,
     process_backend_available,
     shutdown_pool,
 )
 from repro.parallel.shm import SegmentGroup, attach_csr
-from repro.sparse import read_mtx
+from repro.sparse import CSR, read_mtx
 
 pytestmark = pytest.mark.backend
 
@@ -192,8 +206,8 @@ class TestSegmentHygiene:
         assert np.array_equal(first.data, second.data)
 
     def test_no_shard_segments_leak_across_calls(self, square_problem):
-        """Sessionless sharded process calls publish per-shard segment
-        groups; every one of them must die with its call."""
+        """Sessionless grid process calls publish A and every column panel
+        of B and the mask; every segment must die with its call."""
         a, b, m = square_problem
         pl = plan(a, b, m, algo="msa", threads=WORKERS, shards=(3, 2))
         for _ in range(3):
@@ -201,8 +215,8 @@ class TestSegmentHygiene:
             assert active_segments() == ()
 
     def test_session_shard_segments_die_with_session_close(self, square_problem):
-        """A session pins shard segments *across* calls — they must all
-        unlink when the session closes, not before."""
+        """A session pins operand and panel segments *across* calls — they
+        must all unlink when the session closes, not before."""
         from repro.engine import ExecutionSession
 
         a, b, m = square_problem
@@ -210,25 +224,184 @@ class TestSegmentHygiene:
         with ExecutionSession() as ses:
             execute(pl, a, b, m, backend="process", session=ses)
             held = active_segments()
-            assert held != ()  # the registry keeps shard segments alive
+            assert held != ()  # the registry keeps the segments alive
             execute(pl, a, b, m, backend="process", session=ses)
             # reuse, not republication: no segment growth on the warm call
             assert active_segments() == held
         assert active_segments() == ()
 
-    def test_dcsr_segments_round_trip(self, square_problem):
-        from repro.parallel.shm import attach_dcsr, clear_attachments
-        from repro.sparse import DCSR
 
-        a, _, _ = square_problem
-        d = DCSR.from_csr(a)
-        with SegmentGroup() as group:
-            spec = group.publish_dcsr(d)
-            back = attach_dcsr(spec)
-            assert np.array_equal(back.rows, d.rows)
-            assert np.array_equal(back.indptr, d.indptr)
-            assert np.array_equal(back.indices, d.indices)
-            assert np.array_equal(back.data, d.data)
-            del back
-        clear_attachments()
+# ----------------------------------------------------------------------
+# one grid: R x 1, 1 x K, R x K, partial — all the plain call
+# ----------------------------------------------------------------------
+#: algorithms whose OpCounter totals are invariant under row/column slicing
+ADDITIVE_COUNTER_ALGOS = ("inner", "msa", "mca", "esc")
+
+
+def _rand(rng, n, m, k):
+    return CSR.from_coo(
+        (n, m), rng.integers(0, n, k), rng.integers(0, m, k), rng.random(k)
+    )
+
+
+def _grid_cases():
+    g = rmat(5, seed=3)  # 32 vertices: the reference-tier heap schemes are slow
+    n = g.nrows
+    tiny = erdos_renyi(5, 5, 2, seed=11)
+    rng = np.random.default_rng(5)
+    rect = (_rand(rng, 30, 50, 200), _rand(rng, 50, 20, 220),
+            _rand(rng, 30, 20, 150))
+    sq = (g, g, g)
+    return [
+        ("1x1", sq, (1, 1)),
+        ("Rx1", sq, (3, 1)),
+        ("1xK", sq, (1, 3)),
+        ("RxK", sq, (3, 2)),
+        ("irregular", sq, ShardGrid((0, 1, n // 3, n // 3, n), (0, n // 4, n))),
+        ("more-blocks-than-rows", (tiny, tiny, tiny), (64, 64)),
+        ("rectangular", rect, (4, 3)),
+    ]
+
+
+def _assert_same(got: CSR, ref: CSR, label="") -> None:
+    assert got.shape == ref.shape, label
+    assert np.array_equal(got.indptr, ref.indptr), label
+    assert np.array_equal(got.indices, ref.indices), label
+    assert np.array_equal(got.data, ref.data), label
+    # column indices ascend within every output row: the invariant delta
+    # splicing and k-truss's searchsorted alignment rely on
+    assert got.sorted_indices, label
+    rows = np.repeat(np.arange(got.nrows), got.row_nnz())
+    assert np.all(np.diff(got.indices)[rows[1:] == rows[:-1]] > 0), label
+
+
+_PLAIN: dict = {}
+
+
+def _plain_and_serial(case, algo):
+    """The plain call's result and counter and the serial grid run's
+    counter, computed once per (case, algo) for all three backends."""
+    name, (a, b, m), shards = case
+    if (name, algo) not in _PLAIN:
+        ref_counter, serial_counter = OpCounter(), OpCounter()
+        ref = masked_spgemm(a, b, m, algo=algo, counter=ref_counter)
+        masked_spgemm(a, b, m, algo=algo, shards=shards, backend="serial",
+                      counter=serial_counter)
+        _PLAIN[name, algo] = (ref, ref_counter, serial_counter)
+    return _PLAIN[name, algo]
+
+
+def _cell_spans(tr):
+    return [sp for sp in tr.spans if sp.name == "engine.cell"]
+
+
+class TestGridEquivalence:
+    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("algo", ALL_ALGOS)
+    @pytest.mark.parametrize("case", _grid_cases(), ids=lambda c: c[0])
+    def test_every_grid_is_the_plain_call(self, case, algo, backend):
+        _, (a, b, m), shards = case
+        ref, ref_counter, serial_counter = _plain_and_serial(case, algo)
+        counter = OpCounter()
+        got = masked_spgemm(a, b, m, algo=algo, shards=shards, backend=backend,
+                            counter=counter)
+        _assert_same(got, ref, f"{algo}/{backend}")
+        assert counter == serial_counter, f"{algo}/{backend}"
+        # (a dropped cell's products are never expanded — the saved work
+        # shows as fewer ``accum_inserts``; only the 5x5 case drops any)
+        if algo in ADDITIVE_COUNTER_ALGOS and case[0] != "more-blocks-than-rows":
+            assert counter == ref_counter, f"{algo}/{backend}"
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("batch", ["auto", "bucket", "perrow"])
+    @pytest.mark.parametrize("phases", [1, 2])
+    @pytest.mark.parametrize("complement", [False, True])
+    def test_options_ride_every_item(self, complement, phases, batch, backend):
+        g = rmat(6, seed=3)
+        for algo in ("inner", "msa", "hash", "mca", "esc"):
+            if complement and not supports_complement(algo):
+                continue
+            kw = dict(algo=algo, complement=complement, phases=phases,
+                      batch=batch)
+            ref_counter, counter = OpCounter(), OpCounter()
+            ref = masked_spgemm(g, g, g, counter=ref_counter, **kw)
+            got = masked_spgemm(g, g, g, shards=(3, 2), backend=backend,
+                                counter=counter, **kw)
+            _assert_same(got, ref, f"{kw}/{backend}")
+            if algo in ADDITIVE_COUNTER_ALGOS:
+                assert counter == ref_counter, f"{kw}/{backend}"
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("shards", [(2, 2), (3, 1), (1, 3)],
+                             ids=["2x2", "3x1", "1x3"])
+    def test_forced_batch_tier_reaches_the_kernels(self, shards, backend):
+        """Regression: ``batch=`` was dropped under ``shards=`` (the shard
+        task had no such field), so a forced tier silently ran per-row."""
+        g = rmat(8, seed=3)
+        for tier in ("bucket", "perrow"):
+            with tracing() as tr:
+                masked_spgemm(g, g, g, algo="hash", batch=tier, shards=shards,
+                              backend=backend)
+            kernels = [sp for sp in tr.spans if sp.name == "kernel.hash"]
+            assert len(kernels) == len(_cell_spans(tr)) > 1
+            assert {sp.attrs["batch"] for sp in kernels} == {tier}
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("partition", ["block", "cyclic", "balanced"])
+    def test_row_partitions_with_and_without_panels(self, partition, backend):
+        g = rmat(6, seed=3)
+        for algo in ("inner", "msa", "hash", "mca", "esc"):
+            ref_counter = OpCounter()
+            ref = masked_spgemm(g, g, g, algo=algo, counter=ref_counter)
+            for panel_width in (None, 24):
+                pl = plan(g, g, g, algo=algo, threads=3, partition=partition,
+                          panel_width=panel_width)
+                got, counter = _run(pl, g, g, g, backend)
+                _assert_same(got, ref, f"{algo}/{partition}/{panel_width}")
+                if algo in ADDITIVE_COUNTER_ALGOS:
+                    assert counter == ref_counter, f"{algo}/{partition}"
+
+    def test_panel_width_is_the_one_by_k_grid(self):
+        """``panel_width=w`` and ``shards=`` with the same column bounds are
+        one plan: same grid, same values, same counters — every algorithm."""
+        g = rmat(6, seed=3)
+        n, w = g.ncols, 24
+        grid = ShardGrid((0, n), tuple(range(0, n, w)) + (n,))
+        for algo in ALL_ALGOS:
+            by_width = plan(g, g, g, algo=algo, panel_width=w)
+            by_grid = plan(g, g, g, algo=algo, shards=grid)
+            assert by_width.grid == by_grid.grid == grid
+            got_w, counter_w = _run(by_width, g, g, g, "serial")
+            got_g, counter_g = _run(by_grid, g, g, g, "serial")
+            _assert_same(got_w, got_g, algo)
+            assert counter_w == counter_g, algo
+
+    @pytest.mark.parametrize("case", _grid_cases()[3:5], ids=lambda c: c[0])
+    def test_column_orientation_transposes_the_grid(self, case):
+        _, (a, b, m), shards = case
+        for algo in ("msa", "hash", "esc"):
+            ref = masked_spgemm(a, b, m, algo=algo)
+            got = masked_spgemm(a, b, m, algo=algo, orientation="column",
+                                shards=shards)
+            _assert_same(got, ref, algo)
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_partial_plan_runs_dirty_row_blocks_only(self, backend):
+        """A delta patch is the same loop restricted to dirty rows: row
+        blocks that own none of them are neither dispatched nor (process
+        backend) republished."""
+        n = 64
+        a = erdos_renyi(n, n, 6, seed=1, values="uniform")
+        b = erdos_renyi(n, n, 6, seed=2, values="uniform")
+        m = erdos_renyi(n, n, 6, seed=5)
+        a2 = a.copy()
+        a2.data[a2.indptr[5]:a2.indptr[6]] *= 3.0  # row 5: block 0 of 4
+        kw = dict(algo="msa", shards=(4, 2), backend=backend)
+        with ExecutionSession() as sess:
+            masked_spgemm(a, b, m, session=sess, delta="force", **kw)
+            with tracing() as tr:
+                got = masked_spgemm(a2, b, m, session=sess, delta="force", **kw)
+        _assert_same(got, masked_spgemm(a2, b, m, algo="msa"), backend)
+        cells = _cell_spans(tr)
+        assert cells and {sp.attrs["cell"][1] for sp in cells} == {0}
         assert active_segments() == ()

@@ -3,7 +3,7 @@
 The modeled→measured loop, closed end to end:
 
 1. Every executed unit leaves a prediction row — row bands on all three
-   backends (sessioned or not), shard cells on the sharded path, bucket
+   backends (sessioned or not), work items on a grid plan, bucket
    chunks on the batched tier, push/pull decisions in direction BFS —
    and every row pairs the plan's modeled cycles/bytes with the span's
    measured seconds and counter delta.
@@ -133,12 +133,12 @@ class TestLedgerRows:
             masked_spgemm(low, low, low, algo="msa", shards=(2, 2),
                           backend=backend, semiring=PLUS_PAIR)
         rows = [r for r in predictions(tr)["rows"]
-                if r["kind"] == "shard-cell"]
-        cell_spans = [sp for sp in tr.spans if sp.name == "parallel.shard"]
+                if r["kind"] == "cell"]
+        cell_spans = [sp for sp in tr.spans if sp.name == "engine.cell"]
         assert rows and len(rows) == len(cell_spans)
         assert all(r["measured_seconds"] > 0.0 for r in rows)
-        # forced-algo shard plans carry no cost sweep, so estimates may be
-        # zero — but the keys must name distinct cells
+        # forced-algo plans carry no cost sweep, so estimates may be
+        # zero — but the keys must name distinct work items
         keys = {r["key"] for r in rows}
         assert len(keys) == len(rows)
 
@@ -147,9 +147,13 @@ class TestLedgerRows:
         with tracing() as tr:
             masked_spgemm(low, low, low, algo="auto", shards=(2, 2),
                           backend="serial", semiring=PLUS_PAIR)
-        rows = [r for r in predictions(tr)["rows"]
-                if r["kind"] == "shard-cell"]
+        rows = [r for r in predictions(tr)["rows"] if r["kind"] == "cell"]
+        bands = [r for r in predictions(tr)["rows"] if r["kind"] == "band"]
         assert rows
+        # the items' shares sum back to their bands' modeled totals
+        assert sum(r["modeled_cycles"] for r in rows) == pytest.approx(
+            sum(r["modeled_cycles"] for r in bands)
+        )
         assert sum(r["modeled_cycles"] for r in rows) > 0.0
 
     def test_bucket_rows_on_batched_tier(self):
@@ -210,7 +214,7 @@ class TestLedgerRows:
         assert summary["rows"] >= 1
         assert summary["measured_seconds"] > 0.0
         assert summary["bias"] in ("optimistic", "pessimistic", "centered")
-        # batch + shard census ride along in the same export
+        # the batch census rides along in the same export
         assert mx["batch"]["rows_by_tier"]
         text = report(tr)
         assert "prediction ledger" in text

@@ -1,14 +1,13 @@
 """Incremental masked-SpGEMM suite: row diffs, patched plans, targeted
 invalidation — and above all the bit-for-bit contract: a delta patch must
-equal a full recompute exactly, in structure and values, on every backend,
-sharded or not.
+equal a full recompute exactly, in structure and values, on every backend
+and grid.
 
 Covers the diff helpers (:func:`repro.sparse.block_digests`,
 :func:`repro.sparse.changed_rows`, :func:`repro.sparse.dirty_blocks`), the
 splice primitive (:meth:`repro.sparse.CSR.replace_rows`), the session's
-targeted :meth:`~repro.engine.ExecutionSession.invalidate`, the sharded
-values-only republish (one-shard value delta rewrites exactly that shard's
-bytes), the fallback policy and its counters, the prediction-ledger rows,
+targeted :meth:`~repro.engine.ExecutionSession.invalidate`, the fallback
+policy and its counters, the prediction-ledger rows,
 and the apps that default onto the path (k-truss, streaming windows).
 
 The module carries the ``delta`` marker so CI runs it inside the
@@ -21,7 +20,7 @@ import numpy as np
 import pytest
 
 from repro.core import masked_spgemm
-from repro.engine import ExecutionSession, ShardGrid
+from repro.engine import ExecutionSession
 from repro.graphs import erdos_renyi, rmat
 from repro.machine import OpCounter
 from repro.parallel import (
@@ -40,11 +39,6 @@ from repro.sparse import (
 pytestmark = pytest.mark.delta
 
 BACKENDS = ("serial", "thread", "process")
-
-needs_process = pytest.mark.skipif(
-    not process_backend_available(),
-    reason="platform lacks shared-memory process support",
-)
 
 
 @pytest.fixture(scope="module", autouse=True)
@@ -510,7 +504,7 @@ class TestPricedDelta:
 
 
 # ----------------------------------------------------------------------
-# bit-for-bit equivalence: every backend, sharded and unsharded
+# bit-for-bit equivalence: every backend, on the 1x1 and a 2x2 grid
 # ----------------------------------------------------------------------
 class TestDeltaEquivalence:
     @pytest.mark.parametrize("backend", BACKENDS)
@@ -572,44 +566,6 @@ class TestDeltaEquivalence:
             got = masked_spgemm(a2, b, m, algo="auto", complement=True,
                                 session=sess, delta="force")
             _same(got, ref)
-
-
-# ----------------------------------------------------------------------
-# sharded values-only republish (process backend)
-# ----------------------------------------------------------------------
-@needs_process
-class TestShardedRepublish:
-    def test_one_shard_value_delta_republishes_that_shard_only(self):
-        n = 64
-        a = erdos_renyi(n, n, 6, seed=1, values="uniform")
-        b = erdos_renyi(n, n, 6, seed=2, values="uniform")
-        m = erdos_renyi(n, n, 6, seed=5)
-        grid = ShardGrid.regular((n, n), 2, 2)
-        from repro.parallel.shards import mask_cells
-
-        ncells = len(mask_cells(m, grid))
-        assert ncells == 4  # a dense-ish mask fills every cell
-        # values-only change confined to A's first row block
-        a2 = _scale_row(a, 5)
-        assert 5 < grid.row_bounds[1]
-        ref = masked_spgemm(a2, b, m, algo="msa")
-        with ExecutionSession() as sess:
-            c1, c2 = OpCounter(), OpCounter()
-            masked_spgemm(a, b, m, algo="msa", shards=(2, 2),
-                          backend="process", session=sess, counter=c1)
-            got = masked_spgemm(a2, b, m, algo="msa", shards=(2, 2),
-                                backend="process", session=sess, counter=c2)
-            _same(got, ref)
-            st = sess.segment_cache.stats()
-            # exactly block 0's data bytes were rewritten in place
-            block0_nbytes = int(a.indptr[grid.row_bounds[1]]) * a.data.itemsize
-            assert st["values_republished"] == 1
-            assert c2.bytes_republished == block0_nbytes
-            # every other shard was served from the cache untouched:
-            # A block 1, both B panels, all mask cells
-            assert c2.segments_reused == 1 + 2 + ncells
-        assert active_segments() == ()
-        shutdown_pool()
 
 
 # ----------------------------------------------------------------------

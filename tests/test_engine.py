@@ -130,9 +130,11 @@ class TestPlanner:
         b = random_csr(60, 200, 6, seed=12)
         m = random_csr(60, 200, 8, seed=13)
         tight = plan(a, b, m, memory_budget_bytes=2_000)
-        assert tight.panel_width is not None and 0 < tight.panel_width < b.ncols
+        # the budget is the one rule that picks a grid: 1 x K column panels
+        assert tight.grid.nrb == 1 and 1 < tight.grid.ncp <= b.ncols
+        assert any("column panels of width" in n for n in tight.notes)
         roomy = plan(a, b, m, memory_budget_bytes=1 << 30)
-        assert roomy.panel_width is None
+        assert roomy.grid.ncells == 1
 
     def test_invalid_inputs(self, triple):
         a, b, m = triple

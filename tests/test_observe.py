@@ -304,15 +304,15 @@ class TestProcessBackendTracing:
         assert len(worker_pids) >= 2, (
             f"expected spans from >=2 worker processes, got {worker_pids}"
         )
-        part = [sp for sp in tr.spans if sp.name == "parallel.partition"]
+        part = [sp for sp in tr.spans if sp.name == "engine.cell"]
         assert part and all(sp.pid != me for sp in part)
         assert all(sp.attrs.get("backend") == "process" for sp in part)
         kern = [sp for sp in tr.spans if sp.name.startswith("kernel.")]
         assert kern and all(sp.pid != me for sp in kern)
 
         # parent links survive the merge: every worker kernel span hangs
-        # under a partition span from the *same* pid (a flattened-ingest
-        # id collision would cross-link kernels onto a foreign partition).
+        # under a work-item span from the *same* pid (a flattened-ingest
+        # id collision would cross-link kernels onto a foreign item).
         # kernel.bucket chunk spans nest one level deeper, inside the
         # kernel whose batched tier emitted them.
         by_id = {sp.span_id: sp for sp in tr.spans}
@@ -321,7 +321,7 @@ class TestProcessBackendTracing:
             if sp.name == "kernel.bucket":
                 assert parent.name.startswith("kernel.")
             else:
-                assert parent.name == "parallel.partition"
+                assert parent.name == "engine.cell"
             assert parent.pid == sp.pid
             assert parent.t0 <= sp.t0 and sp.t1 <= parent.t1
 
@@ -531,7 +531,7 @@ class TestLedgerBiasFlags:
         from repro.observe import misprediction_summary
 
         rows = self._rows([100.0], kind="band") + \
-            self._rows([0.01], kind="shard-cell")
+            self._rows([0.01], kind="cell")
         summary = misprediction_summary(rows)
         assert summary["band"]["bias"] == "optimistic"
-        assert summary["shard-cell"]["bias"] == "pessimistic"
+        assert summary["cell"]["bias"] == "pessimistic"

@@ -26,7 +26,9 @@ from repro.core import masked_spgemm
 from repro.engine import (
     ExecutionSession,
     Fingerprint,
+    execute,
     fingerprint_csr,
+    plan,
     plan_and_execute,
     resolve_session,
 )
@@ -35,10 +37,8 @@ from repro.machine import OpCounter
 from repro.parallel import (
     active_segments,
     process_backend_available,
-    run_partitioned,
     shutdown_pool,
 )
-from repro.parallel.partition import block_partition
 from repro.sparse import CSR, read_mtx
 
 pytestmark = pytest.mark.session
@@ -416,12 +416,11 @@ needs_process = pytest.mark.skipif(
 )
 
 
-def _process_run(a, b, m, session, algo="msa", parts=2, **kw):
+def _process_run(a, b, m, session, algo="msa", parts=2, backend="process"):
+    """A forced ``algo`` plan cut into ``parts`` block row parts."""
     counter = OpCounter()
-    c = run_partitioned(
-        a, b, m, algo=algo, parts=block_partition(a.nrows, parts),
-        backend="process", counter=counter, session=session, **kw,
-    )
+    pl = plan(a, b, m, algo=algo, threads=parts, partition="block")
+    c = execute(pl, a, b, m, backend=backend, counter=counter, session=session)
     return c, counter
 
 
@@ -446,10 +445,7 @@ class TestSegmentReuse:
             b.data[:] = b.data * 2.0
             sess.invalidate(b)
             got, c3 = _process_run(a, b, a, sess)
-            serial = run_partitioned(
-                a, b, a, algo="msa", parts=block_partition(64, 2),
-                backend="serial",
-            )
+            serial, _ = _process_run(a, b, a, None, backend="serial")
             assert np.array_equal(got.indptr, serial.indptr)
             assert np.array_equal(got.indices, serial.indices)
             assert np.array_equal(got.data, serial.data)
@@ -484,10 +480,7 @@ class TestSegmentReuse:
         a = erdos_renyi(64, 64, 4, seed=1, values="uniform")
         b = erdos_renyi(64, 64, 4, seed=2, values="uniform")
         m = a.pattern()
-        serial = run_partitioned(
-            a, b, m, algo="msa", parts=block_partition(64, 2),
-            backend="serial",
-        )
+        serial, _ = _process_run(a, b, m, None, backend="serial")
         with ExecutionSession() as sess:
             got, _ = _process_run(a, b, m, sess)
             st = sess.segment_cache.stats()

@@ -1,50 +1,52 @@
-"""Sharded masked-SpGEMM suite: planner grids, cell binning, equivalence.
+"""Grid spellings, column split, pruning and session reuse.
 
-The shard grid (``docs/sharding.md``) tiles the output into DCSR row
-blocks × DCSC column panels and dispatches one task per *nonempty* mask
-cell.  The contract under test:
+``shards=`` / ``panel_width=`` / ``memory_budget_bytes=`` are planner
+spellings of the plan's one ``grid`` (``docs/parallel.md``); the executor
+cuts B and the mask into the grid's column panels in one pass
+(:func:`repro.sparse.split_columns`), takes row blocks as views of A and
+runs one work item per cell whose mask cell is nonempty.  The contract
+under test:
 
-* the planner resolves the ``shards`` knob (tuple / ``"auto"`` / explicit
-  :class:`ShardGrid`) and records a cell census in the plan notes;
-* sharded execution is **bit-for-bit identical** to the unsharded path on
-  all three backends, for every algorithm, complement masks and 2P plans;
-* :class:`OpCounter` totals are identical too for the algorithms whose
-  counters are additive under row/column slicing (inner/msa/mca/esc —
-  hash sizes its table per flop-budget batch and the heap schemes' merge
-  costs depend on row extent, so only their *outputs* are asserted);
-* mask-empty cells are provably pruned before dispatch (task count <
-  grid size, visible in the ``engine.shard`` span and the plan notes);
-* sessions reuse unchanged shard segments across calls
-  (``segments_reused > 0``).
+* the planner resolves the spellings into one :class:`ShardGrid` and
+  notes the pruning rule;
+* the column split partitions an operand exactly (cells reassemble to it);
+* ``shards=`` execution is **bit-for-bit identical** to the plain call on
+  all three backends, for every algorithm, complement masks and 2P plans,
+  on karate / ER / R-MAT (``tests/test_backends.py::TestGridEquivalence``
+  holds the wider option lattice on one graph);
+* mask-empty cells are dropped before dispatch (item count < grid size,
+  visible as ``engine.cell`` spans);
+* sessions reuse unchanged operand / panel segments across calls
+  (``segments_reused > 0``) and rewrite a values-only change in place.
 
-Carries both the ``shard`` and ``backend`` markers: CI's backend-smoke
-job runs it alongside the backend-equivalence suite.
+Carries the ``backend`` marker: CI's backend-smoke job runs it alongside
+the backend-equivalence suite.
 """
 
 from __future__ import annotations
 
-import dataclasses
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from repro.core import ALL_ALGOS, masked_spgemm, supports_complement
-from repro.engine import ExecutionSession, Planner, ShardGrid, plan
+from repro.core import ALL_ALGOS, masked_spgemm
+from repro.engine import ExecutionSession, ShardGrid, plan
 from repro.graphs import erdos_renyi, rmat
-from repro.machine import HASWELL, OpCounter
-from repro.observe import Tracer, set_tracer
-from repro.parallel import active_segments, mask_cells, shutdown_pool
-from repro.sparse import CSR, read_mtx
+from repro.machine import OpCounter
+from repro.observe import tracing
+from repro.parallel import active_segments, shutdown_pool
+from repro.sparse import CSR, read_mtx, split_columns
 
-pytestmark = [pytest.mark.shard, pytest.mark.backend]
+pytestmark = pytest.mark.backend
 
 DATA = Path(__file__).parent.parent / "data"
 WORKERS = 2
 BACKENDS = ("serial", "thread", "process")
 
-#: algorithms whose OpCounter totals are invariant under the shard
-#: decomposition (see module docstring for why hash/heap/heapdot are not)
+#: algorithms whose OpCounter totals are invariant under row/column
+#: slicing (hash sizes its table per flop-budget batch and the heap
+#: schemes' merge costs depend on row extent)
 ADDITIVE_COUNTER_ALGOS = ("inner", "msa", "mca", "esc")
 
 
@@ -88,6 +90,8 @@ class TestShardGrid:
         assert sum(hi - lo for lo, hi in g.col_panels()) == 7
 
     def test_grid_is_hashable_plan_cache_key_material(self):
+        # (the name predates the plan cache's removal; grids are still
+        # compared and hashed, e.g. by the delta slot key)
         a = ShardGrid.regular((10, 10), 2, 2)
         b = ShardGrid.regular((10, 10), 2, 2)
         assert a == b and hash(a) == hash(b)
@@ -109,44 +113,44 @@ class TestShardGrid:
 
     def test_empty_blocks_are_legal(self):
         # non-decreasing allows zero-height blocks (adaptive grids may
-        # emit them); the executor simply finds their mask cells empty
+        # emit them); the executor simply finds no band rows in them
         ShardGrid((0, 5, 5, 10), (0, 10)).validate((10, 10))
 
 
 class TestPlannerSharding:
     def test_tuple_grid(self, graph):
         pl = plan(graph, graph, graph, algo="msa", shards=(3, 2))
-        assert pl.shards is not None
-        assert (pl.shards.nrb, pl.shards.ncp) == (3, 2)
-        assert any("cells carry mask entries" in n for n in pl.notes)
-        assert "shard grid 3x2" in pl.explain()
+        assert (pl.grid.nrb, pl.grid.ncp) == (3, 2)
+        assert any("dropped before dispatch" in n for n in pl.notes)
+        assert "grid 3x2" in pl.explain()
 
     def test_explicit_grid_used_verbatim(self, graph):
         n = graph.nrows
         grid = ShardGrid((0, 1, n), (0, n))
         pl = plan(graph, graph, graph, algo="msa", shards=grid)
-        assert pl.shards == grid
+        assert pl.grid == grid
 
     def test_one_by_one_degenerates_to_unsharded(self, graph):
         pl = plan(graph, graph, graph, algo="msa", shards=(1, 1))
-        assert pl.shards is None
+        assert pl.grid == plan(graph, graph, graph, algo="msa").grid
+        assert pl.grid.ncells == 1
         assert any("degenerates" in n for n in pl.notes)
 
     def test_auto_respects_memory_budget(self, graph):
-        roomy = Planner(HASWELL)
-        pl = roomy.plan(graph, graph, graph, shards="auto")
-        assert pl.shards is None  # tiny graphs fit the default 256 MiB
-        tiny = Planner(
-            dataclasses.replace(HASWELL, shard_memory_budget_bytes=64)
-        )
-        pl = tiny.plan(graph, graph, graph, shards="auto")
-        assert pl.shards is not None
-        assert pl.shards.ncells > 1
-        assert any("sharding auto" in n for n in pl.notes)
+        """``memory_budget_bytes`` is the one budget -> grid rule."""
+        pl = plan(graph, graph, graph, memory_budget_bytes=256 << 20)
+        assert pl.grid.ncells == 1  # tiny graphs fit a roomy budget
+        pl = plan(graph, graph, graph, memory_budget_bytes=64)
+        assert pl.grid.nrb == 1 and pl.grid.ncp > 1
+        assert any("column panels of width" in n for n in pl.notes)
+        # a spelled grid is taken as given, whatever the budget says
+        pl = plan(graph, graph, graph, shards=(2, 2), memory_budget_bytes=64)
+        assert (pl.grid.nrb, pl.grid.ncp) == (2, 2)
 
     def test_bad_shards_knob_rejected(self, graph):
-        with pytest.raises(ValueError, match="shards must be"):
-            plan(graph, graph, graph, shards="always")
+        for bad in ("always", "auto", (2, 2, 2)):
+            with pytest.raises(ValueError, match="shards must be"):
+                plan(graph, graph, graph, shards=bad)
 
     def test_shards_exclusive_with_panel_width(self, graph):
         with pytest.raises(ValueError, match="mutually exclusive"):
@@ -156,40 +160,49 @@ class TestPlannerSharding:
         pl = plan(
             graph, graph, graph, algo="msa", shards=(2, 2), complement=True
         )
-        assert any("complemented mask" in n and "all" in n for n in pl.notes)
+        assert any("complemented mask" in n and "all 4" in n for n in pl.notes)
 
     def test_plan_as_dict_round_trips_grid(self, graph):
         pl = plan(graph, graph, graph, algo="msa", shards=(3, 2))
-        d = pl.as_dict()["shards"]
+        d = pl.as_dict()["grid"]
         assert d["grid"] == [3, 2]
-        assert d["row_bounds"] == list(pl.shards.row_bounds)
+        assert d["row_bounds"] == list(pl.grid.row_bounds)
+        assert d["col_bounds"] == list(pl.grid.col_bounds)
 
 
 # ----------------------------------------------------------------------
-# mask_cells binning
+# the one-pass column split
 # ----------------------------------------------------------------------
+def _cell_nnz(panels, grid) -> np.ndarray:
+    """nnz of every grid cell, read off the panels' row pointers (what the
+    executor's pruning reads)."""
+    rb = np.asarray(grid.row_bounds)
+    return np.stack([np.diff(p.indptr[rb]) for p in panels], axis=1)
+
+
 class TestMaskCells:
     def test_cells_partition_the_mask(self, graph):
         grid = ShardGrid.regular(graph.shape, 3, 2)
-        cells = mask_cells(graph, grid)
-        assert sum(c.nnz for c in cells.values()) == graph.nnz
-        for (i, j), cell in cells.items():
-            assert cell.nnz > 0
-            lo_r, hi_r = grid.row_bounds[i], grid.row_bounds[i + 1]
-            lo_c, hi_c = grid.col_bounds[j], grid.col_bounds[j + 1]
-            assert cell.shape == (hi_r - lo_r, hi_c - lo_c)
-            rows, cols, _ = cell.to_csr().to_coo()
-            assert rows.size == 0 or (rows.min() >= 0 and rows.max() < hi_r - lo_r)
-            assert cols.size == 0 or (cols.min() >= 0 and cols.max() < hi_c - lo_c)
+        panels = split_columns(graph, grid.col_bounds)
+        assert len(panels) == grid.ncp
+        assert sum(p.nnz for p in panels) == graph.nnz
+        assert _cell_nnz(panels, grid).sum() == graph.nnz
+        for (lo, hi), panel in zip(grid.col_panels(), panels):
+            assert panel.shape == (graph.nrows, hi - lo)
+            assert panel.sorted_indices
+            panel.check()
+            assert panel.nnz == 0 or (
+                panel.indices.min() >= 0 and panel.indices.max() < hi - lo
+            )
 
     def test_cells_reassemble_to_the_mask(self, graph):
         grid = ShardGrid.regular(graph.shape, 4, 3)
-        cells = mask_cells(graph, grid)
         rs, cs, vs = [], [], []
-        for (i, j), cell in cells.items():
-            r, c, v = cell.to_csr().to_coo()
-            rs.append(r + grid.row_bounds[i])
-            cs.append(c + grid.col_bounds[j])
+        for (lo, _), panel in zip(grid.col_panels(),
+                                  split_columns(graph, grid.col_bounds)):
+            r, c, v = panel.to_coo()
+            rs.append(r)
+            cs.append(c + lo)
             vs.append(v)
         back = CSR.from_coo(
             graph.shape,
@@ -199,15 +212,16 @@ class TestMaskCells:
 
     def test_empty_mask_has_no_cells(self):
         grid = ShardGrid.regular((8, 8), 2, 2)
-        assert mask_cells(CSR.empty((8, 8)), grid) == {}
+        panels = split_columns(CSR.empty((8, 8)), grid.col_bounds)
+        assert not _cell_nnz(panels, grid).any()
 
     def test_block_diagonal_mask_touches_diagonal_cells_only(self):
         n = 12
         rows = np.arange(n)
         m = CSR.from_coo((n, n), rows, rows, np.ones(n))
         grid = ShardGrid.regular((n, n), 3, 3)
-        cells = mask_cells(m, grid)
-        assert set(cells) == {(0, 0), (1, 1), (2, 2)}
+        cells = _cell_nnz(split_columns(m, grid.col_bounds), grid)
+        assert np.array_equal(cells != 0, np.eye(3, dtype=bool))
 
 
 # ----------------------------------------------------------------------
@@ -295,8 +309,13 @@ class TestShardedEquivalence:
 
 
 # ----------------------------------------------------------------------
-# pruning proof + session shard reuse
+# pruning proof + session segment reuse
 # ----------------------------------------------------------------------
+def _cells(tr):
+    return sorted(tuple(sp.attrs["cell"][1:]) for sp in tr.spans
+                  if sp.name == "engine.cell")
+
+
 class TestPruningAndSessions:
     def test_empty_cells_pruned_before_dispatch(self):
         """A block-diagonal mask on a 3x3 grid dispatches 3 of 9 cells."""
@@ -304,45 +323,27 @@ class TestPruningAndSessions:
         rows = np.arange(n)
         m = CSR.from_coo((n, n), rows, rows, np.ones(n))
         g = erdos_renyi(n, n, 4, seed=13, values="uniform")
-        pl = plan(g, g, m, algo="msa", shards=(3, 3))
-        assert any("6 pruned" in note for note in pl.notes)
-        tr = Tracer()
-        prev = set_tracer(tr)
-        try:
+        with tracing() as tr:
             got = masked_spgemm(g, g, m, algo="msa", shards=(3, 3))
-        finally:
-            set_tracer(prev)
         _same(got, masked_spgemm(g, g, m, algo="msa"))
-        (shard_span,) = [sp for sp in tr.spans if sp.name == "engine.shard"]
-        assert shard_span.attrs["cells"] == 9
-        assert shard_span.attrs["nonempty_cells"] == 3
-        assert shard_span.attrs["tasks"] == 3
-        cell_spans = [sp for sp in tr.spans if sp.name == "parallel.shard"]
-        assert len(cell_spans) == 3
-        assert sorted(tuple(sp.attrs["cell"]) for sp in cell_spans) == [
-            (0, 0), (1, 1), (2, 2),
-        ]
+        assert _cells(tr) == [(0, 0), (1, 1), (2, 2)]
 
     def test_complement_dispatches_every_cell(self):
         n = 30
         rows = np.arange(n)
         m = CSR.from_coo((n, n), rows, rows, np.ones(n))
         g = erdos_renyi(n, n, 4, seed=13, values="uniform")
-        tr = Tracer()
-        prev = set_tracer(tr)
-        try:
+        with tracing() as tr:
             got = masked_spgemm(
                 g, g, m, algo="msa", complement=True, shards=(3, 3)
             )
-        finally:
-            set_tracer(prev)
         _same(got, masked_spgemm(g, g, m, algo="msa", complement=True))
-        (shard_span,) = [sp for sp in tr.spans if sp.name == "engine.shard"]
-        assert shard_span.attrs["tasks"] == 9
+        assert len(_cells(tr)) == 9
 
     def test_session_reuses_shard_segments(self):
-        """Re-multiplying unchanged operands serves every shard from the
-        session's segment registry — the k-truss fixed-point pattern."""
+        """Re-multiplying unchanged operands serves A and every column
+        panel from the session's segment registry — the k-truss
+        fixed-point pattern."""
         g = rmat(6, seed=3)
         ref = masked_spgemm(g, g, g, algo="msa")
         with ExecutionSession() as ses:
@@ -351,16 +352,19 @@ class TestPruningAndSessions:
                 g, g, g, algo="msa", shards=(3, 2), backend="process",
                 session=ses, counter=c1,
             )
+            published = ses.stats()["segments_published"]
             r2 = masked_spgemm(
                 g, g, g, algo="msa", shards=(3, 2), backend="process",
                 session=ses, counter=c2,
             )
             _same(r1, ref)
             _same(r2, ref)
-            assert c1.segments_reused == 0  # cold: everything published
-            assert c2.segments_reused > 0  # warm: shards served from cache
-            stats = ses.stats()
-            assert stats["shard_form_hits"] > 0  # DCSR/DCSC memo hit too
+            # cold: A and the two panels published once (B = M here, so
+            # the mask's panels are the B panels' segments)
+            assert published == 3 and c1.segments_reused == 2
+            # warm: all five served from the registry, nothing republished
+            assert c2.segments_reused == 5
+            assert ses.stats()["segments_published"] == published
         assert active_segments() == ()
 
     def test_sessioned_ktruss_reuses_shards(self):
@@ -370,8 +374,8 @@ class TestPruningAndSessions:
         base = ktruss(g, k=3)
         res = ktruss(g, k=3, algo="msa", shards=(2, 2), backend="process")
         _same(res.truss, base.truss)
-        # the fixed-point iteration re-multiplies an unchanged adjacency:
-        # its shard segments must come from the session registry
+        # one matrix plays several roles in every product of the loop: its
+        # segments must come from the session registry
         assert res.counter.segments_reused > 0
         shutdown_pool()
         assert active_segments() == ()
@@ -388,12 +392,15 @@ class TestPruningAndSessions:
                 g, g, g, algo="msa", shards=(2, 2), backend="process",
                 session=ses, counter=c1,
             )
+            held = active_segments()
             got = masked_spgemm(
                 g2, g, g, algo="msa", shards=(2, 2), backend="process",
                 session=ses, counter=c2,
             )
             _same(got, masked_spgemm(g2, g, g, algo="msa"))
-            # A's shard data segments were rewritten in place, not republished
-            assert c2.bytes_republished > 0
-            assert c2.segments_reused > 0  # B and the mask reused outright
+            # A's data segment was rewritten in place, not republished
+            assert c2.bytes_republished == g2.data.nbytes
+            assert ses.stats()["values_republished"] == 1
+            assert active_segments() == held
+            assert c2.segments_reused == 4  # B's and the mask's panels
         assert active_segments() == ()
