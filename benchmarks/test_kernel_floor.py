@@ -3,8 +3,10 @@
 ROADMAP aim 1's first bar (Fig. 1 in wall clock): on R-MAT triangle
 counting, ``L .* (L @ L)`` on PLUS_PAIR with ``L`` the degree-relabelled
 lower triangle, the masked kernel ``masked_spgemm(L, L, L, algo="msa")``
-must take at most 2.0x the time of scipy computing the whole product and
-masking it afterwards, ``(L @ L).multiply(L)``, at scale 12-14.
+against scipy computing the whole product and masking it afterwards,
+``(L @ L).multiply(L)``, at scale 12-14: at most 0.75x scipy's time on the
+native tier (``core/kernels/native.c``; skipped where no compiler exists)
+and at most 2.0x for the NumPy body, timed under ``native.disabled()``.
 
 Same method as ``test_auto_regret.py``: every time is a best-of-5 in this
 process, the rounds interleave the two calls so drift on a shared host hits
@@ -18,13 +20,15 @@ import time
 import numpy as np
 
 from repro.core import masked_spgemm
+from repro.core.kernels import native
 from repro.graphs import relabel_by_degree, rmat
 from repro.machine import total_flops
 from repro.semiring import PLUS_PAIR
 
 TC_SCALES = (12, 13, 14)
 REPEATS = 5
-MAX_VS_SCIPY = 2.0
+#: tier -> allowed msa / scipy time
+MAX_VS_SCIPY = {"native": 0.75, "numpy": 2.0}
 
 
 def test_kernel_floor(benchmark, save_result):
@@ -33,10 +37,17 @@ def test_kernel_floor(benchmark, save_result):
         for scale in TC_SCALES:
             low = relabel_by_degree(rmat(scale, seed=3).pattern()).tril(-1)
             ref = low.to_scipy()
-            calls = {
-                "msa": lambda: masked_spgemm(low, low, low, algo="msa", semiring=PLUS_PAIR),
-                "scipy": lambda: (ref @ ref).multiply(ref).tocsr(),
-            }
+
+            def msa():
+                return masked_spgemm(low, low, low, algo="msa", semiring=PLUS_PAIR)
+
+            def numpy_msa():
+                with native.disabled():
+                    return msa()
+
+            calls = {"numpy": numpy_msa, "scipy": lambda: (ref @ ref).multiply(ref).tocsr()}
+            if native.load() is not None:
+                calls["native"] = msa
             best, out = {}, {}
             for _ in range(REPEATS):
                 for name, call in calls.items():
@@ -47,37 +58,44 @@ def test_kernel_floor(benchmark, save_result):
                     best[name] = min(best.get(name, dt), dt)
             want = out["scipy"]
             want.sort_indices()
-            rows.append(
-                {
-                    "scale": scale,
-                    "flops": int(total_flops(low, low)),
-                    "msa_s": best["msa"],
-                    "scipy_s": best["scipy"],
-                    "equal": np.array_equal(out["msa"].indptr, want.indptr)
-                    and np.array_equal(out["msa"].indices, want.indices)
-                    and np.array_equal(out["msa"].data, want.data),
-                }
-            )
+            scipy_s = best.pop("scipy")
+            for tier, msa_s in best.items():
+                rows.append(
+                    {
+                        "scale": scale,
+                        "tier": tier,
+                        "flops": int(total_flops(low, low)),
+                        "msa_s": msa_s,
+                        "scipy_s": scipy_s,
+                        "equal": all(
+                            np.array_equal(getattr(out[tier], f), getattr(want, f))
+                            for f in ("indptr", "indices", "data")
+                        ),
+                    }
+                )
         return rows
 
     rows = benchmark.pedantic(run, rounds=1, iterations=1)
 
     lines = [
         f"forced msa vs scipy (L@L).multiply(L), R-MAT TC (best of {REPEATS})",
-        f"{'scale':>5} {'flops':>10} {'scipy ms':>9} {'msa ms':>8} {'msa/scipy':>9} "
-        f"{'ns/product':>10} {'GFLOPS':>7}",
+        f"{'scale':>5} {'tier':>6} {'flops':>10} {'scipy ms':>9} {'msa ms':>8} "
+        f"{'msa/scipy':>9} {'ns/product':>10} {'GFLOPS':>7}",
     ]
     for r in rows:
         r["vs_scipy_x"] = r["msa_s"] / r["scipy_s"]
         r["ns_per_product"] = r["msa_s"] / r["flops"] * 1e9
         r["gflops"] = 2.0 * r["flops"] / r["msa_s"] / 1e9
         lines.append(
-            f"{r['scale']:5d} {r['flops']:10d} {r['scipy_s'] * 1e3:9.2f} "
+            f"{r['scale']:5d} {r['tier']:>6} {r['flops']:10d} {r['scipy_s'] * 1e3:9.2f} "
             f"{r['msa_s'] * 1e3:8.2f} {r['vs_scipy_x']:8.2f}x "
             f"{r['ns_per_product']:10.1f} {r['gflops']:7.3f}"
         )
     save_result("\n".join(lines), data={"rows": rows}, title="kernel floor")
 
     assert all(r["equal"] for r in rows), [r["scale"] for r in rows if not r["equal"]]
-    bad = [(r["scale"], round(r["vs_scipy_x"], 2)) for r in rows if r["vs_scipy_x"] > MAX_VS_SCIPY]
-    assert not bad, f"forced msa slower than {MAX_VS_SCIPY}x scipy multiply-then-mask: {bad}"
+    bad = [
+        (r["scale"], r["tier"], round(r["vs_scipy_x"], 2))
+        for r in rows if r["vs_scipy_x"] > MAX_VS_SCIPY[r["tier"]]
+    ]
+    assert not bad, f"forced msa over its bound {MAX_VS_SCIPY} x scipy multiply-then-mask: {bad}"

@@ -1,69 +1,105 @@
-"""Benchmark — the real thread-pool driver under the GIL (honesty check).
+"""Benchmark — the thread backend over the GIL-free native kernels.
 
-DESIGN.md documents that this container cannot reproduce thread scaling in
-wall clock (single core + GIL); the scaling *figures* use the makespan
-simulator instead.  This bench keeps that claim honest by actually
-measuring the thread driver:
+``ctypes`` releases the GIL around every call into ``native.c``, so row
+parts dispatched to the thread backend overlap for as long as they are
+inside a native loop (``docs/parallel.md``, "Backends and the GIL").  This
+bench measures that on R-MAT triangle counting:
 
-* results are identical at every thread count (determinism),
-* the measured "speedup" is recorded — expected ~1x here; on a multicore
-  host with NumPy releasing the GIL inside kernels it would exceed 1 —
-  and asserted only to not collapse (no pathological slowdown).
+* results are bit-identical at 1 / 2 / 4 threads (always asserted);
+* the measured speedup is *reported*;
+* ``>= 1.3x`` at 2 threads is asserted only when a probe run just before —
+  two processes burning CPU side by side against one alone — shows the
+  second core is really free.  On a shared container it often is not (two
+  concurrent burns took 1.9x the time of one in two of three probes when
+  this was written), and then no thread-speed number means anything.
+
+Without a compiler the NumPy bodies run under the GIL and the table shows
+~1x, as it always did.
 """
 
-import os
+import multiprocessing as mp
 import time
 
-from repro.graphs import erdos_renyi
+import numpy as np
+
+from repro.core.kernels import native
+from repro.graphs import relabel_by_degree, rmat
 from repro.parallel import parallel_masked_spgemm
+from repro.semiring import PLUS_PAIR
+
+SCALE = 14
+THREADS = (1, 2, 4)
+MIN_SPEEDUP_2 = 1.3
+#: two concurrent burns within this multiple of one burn => the core is free
+FREE_CORE_X = 1.25
 
 
-def test_thread_driver_scaling_honesty(benchmark, save_result):
-    n = 8000
-    a = erdos_renyi(n, n, 10, seed=1)
-    b = erdos_renyi(n, n, 10, seed=2)
-    m = erdos_renyi(n, n, 6, seed=3)
+def _burn(n: int = 6_000_000) -> int:
+    total = 0
+    for i in range(n):
+        total += i * i
+    return total
 
-    def timed(threads):
-        best = float("inf")
-        for _ in range(3):
-            t0 = time.perf_counter()
-            parallel_masked_spgemm(a, b, m, algo="msa", threads=threads)
-            best = min(best, time.perf_counter() - t0)
-        return best
+
+def second_core_free_x() -> float:
+    """Wall time of two concurrent CPU burns over one: ~1.0 when a second
+    core is available to this container right now, ~2.0 when it is not."""
+    ctx = mp.get_context("spawn")
+
+    def run(k: int) -> float:
+        procs = [ctx.Process(target=_burn) for _ in range(k)]
+        t0 = time.perf_counter()
+        for p in procs:
+            p.start()
+        for p in procs:
+            p.join()
+        return time.perf_counter() - t0
+
+    run(1)  # interpreter start-up caches warm
+    return run(2) / run(1)
+
+
+def test_thread_backend_over_native_kernels(benchmark, save_result):
+    low = relabel_by_degree(rmat(SCALE, seed=3).pattern()).tril(-1)
+
+    def call(threads):
+        return parallel_masked_spgemm(
+            low, low, low, algo="msa", semiring=PLUS_PAIR,
+            threads=threads, backend="thread" if threads > 1 else "serial",
+        )
 
     def run():
-        return {p: timed(p) for p in (1, 2, 4)}
+        free_x = second_core_free_x()
+        best, out = {}, {}
+        for _ in range(5):  # interleaved, each timed call after an untimed one
+            for p in THREADS:
+                call(p)
+                t0 = time.perf_counter()
+                out[p] = call(p)
+                dt = time.perf_counter() - t0
+                best[p] = min(best.get(p, dt), dt)
+        return free_x, best, out
 
-    times = benchmark.pedantic(run, rounds=1, iterations=1)
-    base = times[1]
+    free_x, best, out = benchmark.pedantic(run, rounds=1, iterations=1)
+    tier = "native" if native.load() is not None else "numpy"
+    core_free = free_x <= FREE_CORE_X
     lines = [
-        f"Real ThreadPoolExecutor scaling (cpu_count={os.cpu_count()}, "
-        "GIL-bound container):"
+        f"thread backend, forced msa, R-MAT TC scale {SCALE}, {tier} tier (best of 5)",
+        f"two concurrent CPU burns took {free_x:.2f}x one: second core "
+        + ("free" if core_free else "NOT free - speedup reported, not asserted"),
     ]
-    for p, t in times.items():
-        lines.append(f"  threads={p}: {t * 1e3:8.1f} ms  "
-                     f"speedup {base / t:4.2f}x")
-    save_result("\n".join(lines))
+    for p in THREADS:
+        lines.append(f"  threads={p}: {best[p] * 1e3:8.1f} ms  speedup {best[1] / best[p]:4.2f}x")
+    rows = [{"threads": p, "seconds": best[p], "speedup": best[1] / best[p]} for p in THREADS]
+    save_result("\n".join(lines), title="real threads",
+                data={"tier": tier, "second_core_free_x": free_x, "rows": rows})
 
-    # honesty bound: threading may not help here, but it must not
-    # catastrophically hurt (partition/merge overhead stays moderate)
-    for p, t in times.items():
-        assert t < 3.0 * base, (p, t, base)
-
-
-def test_thread_driver_determinism(benchmark):
-    n = 3000
-    a = erdos_renyi(n, n, 8, seed=4)
-    b = erdos_renyi(n, n, 8, seed=5)
-    m = erdos_renyi(n, n, 5, seed=6)
-
-    def run():
-        r1 = parallel_masked_spgemm(a, b, m, threads=1)
-        r4 = parallel_masked_spgemm(a, b, m, threads=4, partition="cyclic")
-        r8 = parallel_masked_spgemm(a, b, m, threads=8, partition="balanced")
-        return r1, r4, r8
-
-    r1, r4, r8 = benchmark.pedantic(run, rounds=1, iterations=1)
-    assert r1.equals(r4)
-    assert r1.equals(r8)
+    for p in THREADS[1:]:
+        assert all(
+            np.array_equal(x, y)
+            for x, y in zip(out[1].segment_arrays(), out[p].segment_arrays())
+        ), p
+        # overlap or not, fanning out must not collapse
+        assert best[p] < 3.0 * best[1], (p, best)
+    if tier == "native" and core_free:
+        assert best[1] / best[2] >= MIN_SPEEDUP_2, (best, free_x)

@@ -23,8 +23,8 @@ and the eager value expansion still cost interpreter time proportional to
 Equivalence contract (enforced by ``tests/test_batch.py``): values are
 bit-for-bit identical to the per-row tier because every output row is
 produced by exactly one chunk, a row's products keep their expansion order
-within the chunk, and scatter-accumulation (``ufunc.at`` or the compiled
-tier) applies them sequentially.  ``OpCounter`` totals are identical
+within the chunk, and scatter-accumulation (``ufunc.at`` / ``bincount``)
+applies them sequentially.  ``OpCounter`` totals are identical
 because every charged quantity (mask entries, expanded products, kept
 flops, removals, resets) is a per-row sum, invariant to how rows are
 grouped — the hash kernel additionally keeps the per-row tier's exact

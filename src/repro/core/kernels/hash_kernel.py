@@ -50,7 +50,6 @@ from ...semiring import PLUS_TIMES, Semiring
 from ...sparse import CSR
 from .arena import get_arena
 from .batch import FusedSlab, expand_keys, product_values, resolve_tier
-from .compiled import add_at as _c_add_at
 from .expand import DEFAULT_FLOP_BUDGET, expand_products, iter_row_blocks, row_keys
 
 __all__ = ["masked_spgemm_hash_fast", "VectorHashTable"]
@@ -418,7 +417,7 @@ def _hash_batched(
                 vals_kept = product_values(
                     semiring, a, b, a_pos, ends, p_bpos, np.flatnonzero(found)
                 )
-                _c_add_at(vals_m, kept_idx, vals_kept, add_ufunc)
+                add_ufunc.at(vals_m, kept_idx, vals_kept)
                 set_m[kept_idx] = True
                 if counter is not None:
                     counter.flops += int(found.sum())

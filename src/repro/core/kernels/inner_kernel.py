@@ -33,9 +33,11 @@ from typing import Iterator, Optional, Tuple
 import numpy as np
 
 from ...machine import OpCounter
+from ...observe import tracer as _obs
 from ...observe.tracer import traced_kernel
 from ...semiring import PLUS_TIMES, Semiring
 from ...sparse import CSC, CSR
+from . import native as _native
 from .arena import get_arena
 from .batch import plan_flop_blocks
 from .expand import row_keys
@@ -64,6 +66,33 @@ def _mask_blocks(
             lo = hi
 
 
+def _inner_native(nat, a: CSR, csc: CSC, mask: CSR, counter) -> CSR:
+    """The whole call as ``native.c``'s inner row loop (no blocks);
+    values and counters are those of the NumPy body below."""
+    lib, op = nat
+    shape = (a.nrows, csc.ncols)
+    bt = csc.to_transposed_csr()
+    _native.validate(lib, (a, bt, mask), a.ncols == csc.nrows and mask.shape == shape)
+    cnt = np.zeros(1, dtype=np.int64)  # matched products
+    indptr = np.empty(a.nrows + 1, dtype=np.int64)
+    cols = np.empty(mask.nnz, dtype=np.int64)  # the mask bounds the output
+    vals = np.empty(mask.nnz, dtype=np.float64)
+    # the C loop zeroes the lookup cells it set after each row: the lease's
+    # cleanliness contract, as in the NumPy body
+    with get_arena().lease("native.where", np.int32, 0) as where:
+        nnz = lib.repro_inner(op, a.nrows, *(
+            x.ctypes.data for x in (a.indptr, a.indices, a.data, bt.indptr, bt.indices,
+                                    bt.data, mask.indptr, mask.indices,
+                                    where.require(a.ncols), indptr, cols, vals, cnt)))
+    if counter is not None:
+        counter.mask_scans += mask.nnz
+        counter.flops += int(cnt[0])
+        counter.useful_flops += nnz
+        counter.output_nnz += nnz
+    return CSR(shape, indptr, cols[:nnz].copy(), vals[:nnz].copy(),
+               sorted_indices=True, check=False)
+
+
 @traced_kernel("inner")
 def masked_spgemm_inner_fast(
     a: CSR,
@@ -88,6 +117,10 @@ def masked_spgemm_inner_fast(
             counter.mask_scans += mask.nnz
         return CSR.empty((a.nrows, n))
     csc = b_csc if b_csc is not None else CSC.from_csr(b)
+    nat = _native.kernels(semiring, a.data, csc.data)
+    _obs.annotate(tier="numpy" if nat is None else "native")
+    if nat is not None:
+        return _inner_native(nat, a, csc, mask, counter)
 
     # flat key of every A entry; a block's keys minus its first row's base
     # address the block-local rank array

@@ -42,9 +42,11 @@ import numpy as np
 
 from ...machine import OpCounter
 from ...observe import probes as _probes
+from ...observe import tracer as _obs
 from ...observe.tracer import traced_kernel
 from ...semiring import PLUS_TIMES, Semiring
 from ...sparse import CSR
+from . import native as _native
 from .arena import get_arena
 from .batch import FusedSlab, bucket_batches, expand_keys, per_row_flops, \
     plan_flop_blocks, product_values, resolve_tier, rows_entries
@@ -63,6 +65,61 @@ def _row_blocks(
     for lo, hi in plan_flop_blocks(per_row, flop_budget):
         for sub in range(lo, hi, max_width):
             yield None, np.arange(sub, min(hi, sub + max_width), dtype=np.int64)
+
+
+def _msa_native(nat, a: CSR, b: CSR, mask: CSR, complement, counter, row_nnz) -> CSR:
+    """The whole call as one of ``native.c``'s MSA row loops (no chunks);
+    values and counters are those of the NumPy body below."""
+    lib, op = nat
+    nrows, n = a.nrows, b.ncols
+    _native.validate(lib, (a, b, mask), a.ncols == b.nrows and mask.shape == (nrows, n))
+    cnt = np.zeros(4, dtype=np.int64)  # flops, inserts, nnz, capacity wanted
+    indptr = np.empty(nrows + 1, dtype=np.int64)
+    # a plain mask bounds the output; a complemented one grows on demand
+    cap = mask.nnz if not complement else (
+        int(row_nnz.sum()) if row_nnz is not None else max(4096, a.nnz + mask.nnz)
+    )
+    cols = np.empty(cap, dtype=np.int64)
+    vals = np.empty(cap, dtype=np.float64)
+    operands = [x.ctypes.data for x in (a.indptr, a.indices, a.data, b.indptr,
+                                        b.indices, b.data, mask.indptr, mask.indices)]
+    # the C loops restore every touched cell after each row: the leases'
+    # cleanliness contract, as in the NumPy body
+    arena = get_arena()
+    with arena.lease("native.state", np.uint8, 0) as state, \
+            arena.lease("native.values", np.float64, 0.0) as values, \
+            arena.lease("native.touched", np.int64, None) as touched:
+        scratch = [state.require(n).ctypes.data, values.require(n).ctypes.data]
+        if not complement:
+            cnt[2] = lib.repro_msa(op, nrows, *operands, *scratch, indptr.ctypes.data,
+                                   cols.ctypes.data, vals.ctypes.data, cnt.ctypes.data)
+        else:
+            scratch.append(touched.require(n).ctypes.data)
+            row = 0
+            while True:
+                row = lib.repro_msa_complement(
+                    op, row, nrows, n, *operands, *scratch, indptr.ctypes.data,
+                    cols.ctypes.data, vals.ctypes.data, cap, cnt.ctypes.data)
+                if row >= nrows:
+                    break
+                cap = max(2 * cap, int(cnt[3]))
+                cols, vals = (np.concatenate((x[:cnt[2]], np.empty(cap - cnt[2], x.dtype)))
+                              for x in (cols, vals))
+    flops, inserts, nnz, _ = map(int, cnt)
+    if row_nnz is not None and not np.array_equal(np.diff(indptr), row_nnz):
+        raise AssertionError(
+            "symbolic/numeric mismatch: numeric pass emitted a different number "
+            "of entries for a row than the symbolic bound allocated"
+        )
+    if counter is not None:
+        counter.accum_allowed += mask.nnz
+        counter.accum_inserts += inserts
+        counter.flops += flops
+        counter.accum_removes += nnz if complement else mask.nnz
+        counter.spa_resets += mask.nnz + (nnz if complement else 0)
+        counter.output_nnz += nnz
+    return CSR((nrows, n), indptr, cols[:nnz].copy(), vals[:nnz].copy(),
+               sorted_indices=True, check=False)
 
 
 @traced_kernel("msa")
@@ -89,6 +146,10 @@ def masked_spgemm_msa_fast(
     a = a.sort_indices()
     b = b.sort_indices()
     mask = mask.sort_indices()
+    nat = _native.kernels(semiring, a.data, b.data)
+    _obs.annotate(tier="numpy" if nat is None else "native")
+    if nat is not None:
+        return _msa_native(nat, a, b, mask, complement, counter, row_nnz)
     n = b.ncols
     nn = np.int64(n)
     # chunks are capped so width * n dense cells fit the dense budget

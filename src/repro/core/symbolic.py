@@ -19,8 +19,10 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from ..machine import OpCounter, flops_per_row
+from ..machine import OpCounter, flops_per_row, total_flops
 from ..sparse import CSR
+from .kernels import native as _native
+from .kernels.arena import get_arena
 from .kernels.expand import DEFAULT_FLOP_BUDGET, expand_products, iter_row_blocks, row_keys
 
 __all__ = ["symbolic_masked", "one_phase_bound"]
@@ -43,6 +45,22 @@ def symbolic_masked(
     mask = mask.sort_indices()
     n = b.ncols
     out = np.zeros(a.nrows, dtype=np.int64)
+    lib = _native.load()  # pattern only: every semiring and dtype is eligible
+    if lib is not None:
+        # native.c's count-only row loop (set-allowed, erase-on-hit, count;
+        # complement: first-touch count); the charge is the closed form of
+        # the per-block sum below
+        _native.validate(lib, (a, b, mask), a.ncols == b.nrows and mask.shape == (a.nrows, n))
+        arena = get_arena()
+        with arena.lease("native.state", np.uint8, 0) as state, \
+                arena.lease("native.touched", np.int64, None) as touched:
+            lib.repro_symbolic(int(complement), a.nrows, *(
+                x.ctypes.data for x in (a.indptr, a.indices, b.indptr, b.indices,
+                                        mask.indptr, mask.indices, state.require(n),
+                                        touched.require(n if complement else 0), out)))
+        if counter is not None:
+            counter.symbolic_flops += total_flops(a, b)
+        return out
     m_rows_all = np.repeat(np.arange(mask.nrows, dtype=np.int64), mask.row_nnz())
     m_keys_all = row_keys(m_rows_all, mask.indices, n)
     for lo, hi in iter_row_blocks(a, b, flop_budget):

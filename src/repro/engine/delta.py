@@ -56,7 +56,8 @@ from typing import Optional
 import numpy as np
 
 from ..core.masked_spgemm import in_session_call
-from ..machine import HOST, HostProfile, OpCounter, flops_per_row, resolve_machine
+from ..machine import HostProfile, OpCounter, flops_per_row, host_profile, \
+    resolve_machine
 from ..observe import tracer as _obs
 from ..semiring import PLUS_TIMES, Semiring
 from ..sparse import CSR, changed_rows, dirty_blocks
@@ -358,7 +359,8 @@ def delta_execute(
         return state.result.copy()
 
     if priced:
-        host = session.machine if isinstance(session.machine, HostProfile) else HOST
+        host = session.machine if isinstance(session.machine, HostProfile) \
+            else host_profile()
         fall_back = not _patch_pays(
             host, state.plan, a, b, mask, dirty, state.result.nnz
         )

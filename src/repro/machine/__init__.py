@@ -37,9 +37,11 @@ from .fit import (
 )
 from .host import (
     HOST,
+    HOST_NATIVE,
     HostProfile,
     available_cores,
     fit_host_profile,
+    host_profile,
     measure_backend_overhead,
 )
 from .kernel_traces import TRACEABLE_ALGOS, build_trace, replay_miss_rate
@@ -61,7 +63,9 @@ __all__ = [
     "calibrate_machine",
     "measure_backend_overhead",
     "HOST",
+    "HOST_NATIVE",
     "HostProfile",
+    "host_profile",
     "available_cores",
     "fit_host_profile",
     "measure_touch_costs",

@@ -7,13 +7,16 @@ fitted config with provenance.  The fit is deterministic for a fixed
 history, so CI can assert the output bit for bit.
 
 ``python -m repro.machine host`` measures this interpreter and prints, as
-JSON, the :class:`HostProfile` coefficients live planning reads next to
-the values checked in as :data:`repro.machine.host.HOST`.
+JSON, whether the native kernel tier loaded and, per tier (``numpy`` and,
+when loaded, ``native``), the :class:`HostProfile` coefficients live
+planning reads next to the values checked in as
+:data:`repro.machine.host.HOST` / :data:`~repro.machine.host.HOST_NATIVE`.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 
@@ -73,16 +76,26 @@ def _cmd_fit(args: argparse.Namespace) -> int:
 def _cmd_host(args: argparse.Namespace) -> int:
     import dataclasses
 
-    from .host import HOST, fit_host_profile
+    from ..core.kernels import native
+    from .host import HOST, HOST_NATIVE, fit_host_profile
 
-    profile, report = fit_host_profile(quick=args.quick)
-    if not args.samples:
-        del report["samples"]
+    st = native.status()
     doc = {
-        "checked_in": dataclasses.asdict(HOST),
-        "measured": dataclasses.asdict(profile),
-        "report": report,
+        "native": "loaded" if st["loaded"] else f"unavailable ({st['reason']})",
+        "checked_in": {"numpy": dataclasses.asdict(HOST),
+                       "native": dataclasses.asdict(HOST_NATIVE)},
+        "measured": {}, "report": {},
     }
+    tiers = {"numpy": native.disabled}
+    if st["loaded"]:
+        tiers["native"] = contextlib.nullcontext
+    for tier, scope in tiers.items():
+        with scope():
+            profile, report = fit_host_profile(quick=args.quick)
+        if not args.samples:
+            del report["samples"]
+        doc["measured"][tier] = dataclasses.asdict(profile)
+        doc["report"][tier] = report
     json.dump(doc, sys.stdout, indent=1, sort_keys=True)
     sys.stdout.write("\n")
     return 0

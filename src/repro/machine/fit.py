@@ -41,7 +41,7 @@ from typing import Dict, Iterable, List, Optional
 import numpy as np
 
 from .config import HASWELL, MACHINES, MachineConfig
-from .host import HOST, HostProfile
+from .host import HostProfile, host_profile
 
 __all__ = [
     "FIT_SCHEMA_VERSION",
@@ -413,14 +413,16 @@ def load_fitted(path: Optional[str] = None) -> MachineConfig:
 def default_machine():
     """What plans are priced from when no ``machine=`` is given anywhere.
 
-    The measured :data:`~repro.machine.host.HOST` profile of this
-    interpreter, unless the ``REPRO_MACHINE`` environment variable names a
-    preset or ``"fitted"`` — the hook CI uses to re-run entire equivalence
+    The measured profile of this interpreter
+    (:func:`~repro.machine.host.host_profile`: ``HOST_NATIVE`` when the
+    native kernel tier loads, ``HOST`` otherwise), unless the
+    ``REPRO_MACHINE`` environment variable names a preset or ``"fitted"``
+    — the hook CI uses to re-run entire equivalence
     suites under a modeled config without touching a single call site.
     """
     name = os.environ.get(MACHINE_ENV, "").strip()
     if not name:
-        return HOST
+        return host_profile()
     return resolve_machine(name)
 
 

@@ -2,11 +2,14 @@
 
 :class:`~repro.machine.MachineConfig` presets model the *paper's* machines
 (cycles of a C implementation on Haswell/KNL) and stay the instrument for
-reproducing its figures.  They say nothing about what a NumPy kernel costs
-in this process, so every live decision — which algorithm, how many bands,
+reproducing its figures.  They say nothing about what a kernel costs in
+this process, so every live decision — which algorithm, how many bands,
 whether to fan out — is priced from a :class:`HostProfile` instead: a
 handful of checked-in nanoseconds-per-unit coefficients of the fast
-kernels plus the core count the process may actually use.
+kernels plus the core count the process may actually use.  There are two
+checked-in sets, one per kernel tier: :data:`HOST` (the NumPy bodies) and
+:data:`HOST_NATIVE` (the C row loops of ``core/kernels/native.c``);
+:func:`host_profile` returns the one for the tier this process runs.
 
 The kernels' wall time is linear in statistics the planner already has:
 
@@ -19,9 +22,9 @@ The kernels' wall time is linear in statistics the planner already has:
 * the process pool: seconds per dispatched task, seconds per cold-spawned
   worker, and the fraction of ideal speedup two busy workers deliver.
 
-:data:`HOST` holds the coefficients fitted by :func:`fit_host_profile`
-(``python -m repro.machine host``; medians of five runs) on the Fig. 7
-density grid and R-MAT triangle counting;
+:data:`HOST` / :data:`HOST_NATIVE` hold the coefficients fitted by
+:func:`fit_host_profile` (``python -m repro.machine host``; medians of
+five runs) on the Fig. 7 density grid and R-MAT triangle counting;
 ``benchmarks/test_auto_regret.py`` is the wall-clock check that planning
 from them stays within 1.15x of the best forced algorithm.  Nothing here
 runs at import or on a first call.
@@ -42,6 +45,8 @@ from .config import HASWELL
 __all__ = [
     "HostProfile",
     "HOST",
+    "HOST_NATIVE",
+    "host_profile",
     "available_cores",
     "measure_backend_overhead",
     "fit_host_profile",
@@ -58,17 +63,18 @@ def available_cores() -> int:
 
 @dataclasses.dataclass(frozen=True)
 class HostProfile:
-    """Measured per-unit costs of the NumPy fast kernels on this interpreter.
+    """Measured per-unit costs of the fast kernels on this interpreter.
 
     ``*_ns`` triples are ``(ns per unit of work, ns per mask nonzero, ns per
     output row)`` where the unit of work is a flop(AB) for the push kernels
-    and a pulled (mask nonzero, B column entry) pair for ``inner``.  Only
-    algorithms that win somewhere on the Fig. 7 grid or R-MAT scale 10-13
-    carry coefficients — they are the live candidate set; the rest stay
-    available as a forced ``algo=``.
+    and a pulled (mask nonzero, B column entry) pair for ``inner``.
+    ``candidates`` is the live set — the algorithms that win somewhere on
+    the Fig. 7 grid or R-MAT scale 10-13 under this tier's kernels; the
+    rest stay available as a forced ``algo=``.
     """
 
     name: str = "host"
+    candidates: Tuple[str, ...] = ("inner", "msa", "mca")
     msa_ns: Tuple[float, float, float] = (8.0, 18.0, 390.0)
     mca_ns: Tuple[float, float, float] = (53.6, 6.1, 87.0)
     inner_ns: Tuple[float, float, float] = (8.6, 32.2, 182.0)
@@ -103,11 +109,6 @@ class HostProfile:
     def cores(self) -> int:
         return available_cores()
 
-    @property
-    def candidates(self) -> Tuple[str, ...]:
-        """Algorithms with measured coefficients, i.e. the live set."""
-        return ("inner", "msa", "mca")
-
     def seconds(self, cycles: float) -> float:
         """Plans priced here store nanoseconds as cycles (nominal 1 GHz)."""
         return cycles * 1e-9
@@ -127,8 +128,32 @@ class HostProfile:
         )
 
 
-#: the checked-in profile every ``machine=None`` plan is priced from
+#: the checked-in profile of the NumPy kernel bodies
 HOST = HostProfile()
+
+#: the checked-in profile of the native tier (``core/kernels/native.c``):
+#: ``msa`` / ``inner`` / the per-call cost re-fitted with the C loops live.
+#: ``mca`` has no native loop and native ``msa`` beats every call the NumPy
+#: profile gives to ``mca``, so it is forced-only here like hash / esc.
+HOST_NATIVE = dataclasses.replace(
+    HOST,
+    candidates=("inner", "msa"),
+    msa_ns=(1.30, 2.61, 37.4),
+    inner_ns=(1.51, 5.85, 29.0),
+    band_ns=65.9e3,
+)
+
+
+def host_profile() -> HostProfile:
+    """The profile every ``machine=None`` plan is priced from: the one
+    fitted on the kernel tier this process runs — :data:`HOST_NATIVE` when
+    the native library loads (built on first use, so the first host plan
+    may pay the one-time compile), :data:`HOST` otherwise.  A call that
+    falls back to NumPy under ``HOST_NATIVE`` (custom semiring, float32
+    values) is priced optimistically: values never change, only regret."""
+    from ..core.kernels import native
+
+    return HOST if native.load() is None else HOST_NATIVE
 
 
 # ----------------------------------------------------------------------
@@ -214,7 +239,10 @@ def _calibration_triples(quick: bool):
 
 
 def fit_host_profile(*, quick: bool = False, repeats: int = 3) -> Tuple[HostProfile, dict]:
-    """Measure this interpreter and fit a :class:`HostProfile`.
+    """Measure this interpreter and fit a :class:`HostProfile` for the
+    kernel tier that is live (:func:`host_profile`; run it inside
+    ``native.disabled()`` to fit the NumPy bodies on a host that has the
+    native tier).
 
     Times every live kernel on the calibration triples, regresses each
     algorithm's seconds on ``(work, mask nnz, rows, 1)`` by the same
@@ -234,7 +262,7 @@ def fit_host_profile(*, quick: bool = False, repeats: int = 3) -> Tuple[HostProf
     from .fit import nonneg_lstsq
     from .traffic import flops_per_row, pulls_per_row
 
-    base = HOST
+    base = host_profile()  # the live tier: fit under native.disabled() for HOST
     samples: Dict[str, list] = {algo: [] for algo in base.candidates}
     csc_rows, split_rows, splice_rows, delta_rows = [], [], [], []
     for a, b, m, sr in _calibration_triples(quick):

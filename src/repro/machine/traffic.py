@@ -58,11 +58,15 @@ def pulls_per_row(b: CSR, mask: CSR) -> np.ndarray:
 
 
 def _row_sums(mat: CSR, per_entry: np.ndarray) -> np.ndarray:
-    """Per-row sums of one int64 per stored entry: exact, and one cumsum
-    instead of a per-element ``add.at`` scatter."""
-    cs = np.zeros(mat.nnz + 1, dtype=np.int64)
-    np.cumsum(per_entry, out=cs[1:])
-    return cs[mat.indptr[1:]] - cs[mat.indptr[:-1]]
+    """Per-row sums of one int64 per stored entry: exact, one ``reduceat``
+    over the non-empty rows (whose entry ranges tile the array, so each
+    segment ends where the next begins)."""
+    out = np.zeros(mat.nrows, dtype=np.int64)
+    starts = mat.indptr[:-1]
+    nonempty = starts < mat.indptr[1:]
+    if per_entry.shape[0]:
+        out[nonempty] = np.add.reduceat(per_entry, starts[nonempty])
+    return out
 
 
 def total_flops(a: CSR, b: CSR) -> int:

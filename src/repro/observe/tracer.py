@@ -54,6 +54,7 @@ __all__ = [
     "set_tracer",
     "tracing",
     "span",
+    "annotate",
     "timed_span",
     "traced_kernel",
     "NULL_SPAN",
@@ -319,6 +320,17 @@ def span(name: str, attrs: Optional[Dict[str, Any]] = None, counter=None):
     if tr is None:
         return NULL_SPAN
     return tr.span(name, attrs, counter)
+
+
+def annotate(**attrs: Any) -> None:
+    """Add attrs to the calling thread's innermost open span (no-op when
+    tracing is off or no span is open): how code inside a span reports a
+    decision it made there, e.g. a kernel's ``tier``."""
+    tr = _INSTALLED
+    if tr is not None:
+        stack = tr._stack()
+        if stack:
+            stack[-1].attrs.update(attrs)
 
 
 class timed_span:

@@ -16,6 +16,37 @@ def random_csr(nrows, ncols, degree, seed=0, values="uniform") -> CSR:
     return erdos_renyi(nrows, ncols, degree, seed=seed, values=values)
 
 
+def native_required():
+    """Skip marker for tests that need the native kernel tier loaded."""
+    from repro.core.kernels import native
+
+    return pytest.mark.skipif(
+        native.load() is None, reason="no C compiler: native tier unavailable"
+    )
+
+
+class NativeSpy:
+    """Stands in for the loaded native library (``native._lib``) and
+    records which of its functions were looked up."""
+
+    def __init__(self, lib):
+        self.lib, self.calls = lib, []
+
+    def __getattr__(self, name):
+        self.calls.append(name)
+        return getattr(self.lib, name)
+
+
+@pytest.fixture
+def numpy_tier():
+    """Run the test on the NumPy kernel bodies (for tests that assert an
+    artefact of those bodies: lease names, per-chunk spans)."""
+    from repro.core.kernels import native
+
+    with native.disabled():
+        yield
+
+
 @pytest.fixture
 def small_triple():
     """A, B, M with compatible shapes for masked SpGEMM tests."""

@@ -166,7 +166,7 @@ class TestKernelsOnReusedBuffers:
         got = masked_spgemm(a, a, m, algo="msa", impl="fast")
         assert_csr_equal(got, scipy_masked_spgemm(a, a, m))
 
-    def test_exception_mid_chunk_discards_the_rank_lease(self, monkeypatch):
+    def test_exception_mid_chunk_discards_the_rank_lease(self, monkeypatch, numpy_tier):
         from repro.core.kernels import msa_kernel
 
         a = random_csr(20, 20, 3, seed=61)
@@ -187,7 +187,7 @@ class TestKernelsOnReusedBuffers:
         assert "msa.rank" not in get_arena()._buffers
         assert_csr_equal(masked_spgemm(a, a, m, algo="msa", impl="fast"), want)
 
-    def test_inner_rank_lease_is_left_clean_or_discarded(self):
+    def test_inner_rank_lease_is_left_clean_or_discarded(self, numpy_tier):
         import dataclasses
 
         from repro.semiring import PLUS_TIMES

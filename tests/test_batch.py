@@ -4,9 +4,11 @@ equivalence of the bucketed tier against the per-row tier.
 The contract under test (docs/kernels.md): ``batch="bucket"`` and
 ``batch="perrow"`` produce identical matrices (values included) and
 identical ``OpCounter`` totals — on every backend, with and without
-sessions, fused (2P + symbolic bound) or not — and the compiled-tier seam
-(:mod:`repro.core.kernels.compiled`) never changes results whichever side
-dispatches.
+sessions, fused (2P + symbolic bound) or not — and the native-tier seam
+(:mod:`repro.core.kernels.native`) never changes results whichever side
+dispatches.  ``batch=`` is how the *NumPy* bodies chunk rows (the native
+loops have no chunks), so everything but the seam class runs on the NumPy
+tier; ``tests/test_native.py`` is the native-vs-NumPy differential.
 """
 
 from pathlib import Path
@@ -15,7 +17,7 @@ import numpy as np
 import pytest
 
 from repro.baselines import scipy_masked_spgemm
-from repro.core.kernels import compiled as compiled_mod
+from repro.core.kernels import native
 from repro.core.kernels.batch import (
     BATCH_TIERS,
     DEFAULT_BATCH_CROSSOVER_FLOPS,
@@ -40,6 +42,8 @@ from repro.observe import probes as _probes
 from repro.parallel.pool import shutdown_pool
 from repro.semiring import MIN_PLUS, PLUS_PAIR, PLUS_TIMES, STANDARD_SEMIRINGS
 from repro.sparse import CSR, read_mtx
+
+from .conftest import NativeSpy, native_required
 
 pytestmark = pytest.mark.batch
 
@@ -79,6 +83,15 @@ def _run(a, b, m, algo, tier, **kw):
 def _pool_teardown():
     yield
     shutdown_pool()
+
+
+@pytest.fixture(autouse=True)
+def _numpy_bodies(request):
+    if request.cls is TestCompiledSeam:
+        yield
+    else:
+        with native.disabled():
+            yield
 
 
 # ----------------------------------------------------------------------
@@ -273,7 +286,7 @@ class TestBucketBoundaries:
             assert _identical(o1, o2) and c1.as_dict() == c2.as_dict()
 
     def test_non_add_semiring_equivalence(self):
-        # MIN_PLUS routes around the compiled seam (add_ufunc is minimum)
+        # MIN_PLUS routes around the native seam (add_ufunc is minimum)
         a = _rand_csr(30, 30, 0.2, 20)
         b = _rand_csr(30, 30, 0.2, 21)
         m = _rand_csr(30, 30, 0.4, 22)
@@ -647,64 +660,68 @@ class TestPlanReporting:
 
 
 # ----------------------------------------------------------------------
-# compiled-tier seam
+# native-tier seam (successor of the numba ``add_at`` seam)
 # ----------------------------------------------------------------------
+needs_native = native_required()
+
+
 class TestCompiledSeam:
     def test_status_shape(self):
-        st = compiled_mod.status()
-        assert set(st) == {"mode", "have_numba", "enabled"}
-        assert st["mode"] in ("auto", "off", "require")
+        st = native.status()
+        assert set(st) == {"loaded", "path", "reason"}
+        assert st["loaded"] == (st["reason"] is None) == (st["path"] is not None)
+        with native.disabled():
+            assert native.status() == {"loaded": False, "path": None,
+                                       "reason": "disabled"}
 
-    def test_add_at_fallback_matches_ufunc(self):
-        rng = np.random.default_rng(30)
-        target = np.zeros(16)
-        idx = rng.integers(0, 16, size=200).astype(np.int64)
-        vals = rng.random(200)
-        want = np.zeros(16)
-        np.add.at(want, idx, vals)
-        compiled_mod.add_at(target, idx, vals)
-        assert np.array_equal(target, want)
+    def test_numpy_fallback_matches_native(self):
+        a = _rand_csr(30, 40, 0.2, 30)
+        b = _rand_csr(40, 30, 0.2, 31)
+        m = _rand_csr(30, 30, 0.4, 32)
+        for algo, complement in (("msa", False), ("msa", True), ("inner", False)):
+            got = _run(a, b, m, algo, "auto", complement=complement)
+            with native.disabled():
+                want = _run(a, b, m, algo, "auto", complement=complement)
+            assert _identical(got[0], want[0]) and got[1] == want[1]
 
+    @needs_native
     def test_seam_dispatches_compiled_when_eligible(self, monkeypatch):
-        calls = []
-
-        def fake(target, idx, vals):
-            calls.append(idx.shape[0])
-            np.add.at(target, idx, vals)  # same sequential semantics
-
-        monkeypatch.setattr(compiled_mod, "_COMPILED_ADD_AT", fake)
+        spy = NativeSpy(native.load())
+        monkeypatch.setattr(native, "_lib", spy)
         g = rmat(6, seed=3).pattern().tril(-1)
-        # hash is the kernel on the seam: msa sums with bincount instead
-        ref = masked_spgemm(g, g, g, algo="hash", batch="perrow",
-                            semiring=PLUS_PAIR)
-        out = masked_spgemm(g, g, g, algo="hash", batch="bucket",
-                            semiring=PLUS_PAIR)
-        assert calls, "compiled seam was never exercised"
+        with native.disabled():
+            ref = masked_spgemm(g, g, g, algo="msa", semiring=PLUS_PAIR)
+        assert not spy.calls
+        out = masked_spgemm(g, g, g, algo="msa", semiring=PLUS_PAIR)
+        assert "repro_msa" in spy.calls, "native seam was never exercised"
+        masked_spgemm(g, g, g, algo="inner", semiring=PLUS_PAIR)
+        masked_spgemm(g, g, g, algo="msa", semiring=PLUS_PAIR, phases=2)
+        assert {"repro_inner", "repro_symbolic"} <= set(spy.calls)
         assert _identical(out, ref)
-        assert compiled_mod.compiled_enabled()
 
     def test_seam_bypasses_compiled_for_non_add_semirings(self, monkeypatch):
-        def fake(target, idx, vals):  # pragma: no cover - must not run
-            raise AssertionError("compiled path taken for a non-add semiring")
+        class Boom:
+            def __getattr__(self, name):  # pragma: no cover - must not run
+                raise AssertionError(f"native {name} taken for an ineligible call")
 
-        monkeypatch.setattr(compiled_mod, "_COMPILED_ADD_AT", fake)
-        target = np.full(4, np.inf)
-        compiled_mod.add_at(
-            target,
-            np.array([1, 1], dtype=np.int64),
-            np.array([3.0, 2.0]),
-            add_ufunc=np.minimum,
-        )
-        assert target[1] == 2.0
+        a = _rand_csr(20, 20, 0.3, 33)
+        with native.disabled():
+            want = masked_spgemm(a, a, a, algo="msa", semiring=MIN_PLUS)
+            want32 = masked_spgemm(a.astype(np.float32), a, a, algo="msa")
+        monkeypatch.setattr(native, "_lib", Boom())
+        assert _identical(masked_spgemm(a, a, a, algo="msa", semiring=MIN_PLUS), want)
+        assert _identical(masked_spgemm(a, a, a, algo="inner", semiring=MIN_PLUS), want)
+        assert _identical(masked_spgemm(a.astype(np.float32), a, a, algo="msa"), want32)
+        with _probes.probing():
+            masked_spgemm(a, a, a, algo="msa")  # probes installed: NumPy body
 
-    @pytest.mark.skipif(
-        not compiled_mod.HAVE_NUMBA, reason="numba not installed"
-    )
+    @needs_native
     def test_compiled_tier_bitwise_equivalence(self):
-        # the numba CI leg runs this for real; local runs skip cleanly
-        assert compiled_mod.compiled_enabled()
         g = rmat(7, seed=5).pattern().tril(-1)
-        for algo in BATCHABLE:
-            o1, c1 = _run(g, g, g, algo, "perrow", semiring=PLUS_PAIR)
-            o2, c2 = _run(g, g, g, algo, "bucket", semiring=PLUS_PAIR)
-            assert _identical(o1, o2) and c1 == c2
+        for algo in ("msa", "inner"):
+            for phases in (1, 2):
+                got = _run(g, g, g, algo, "auto", semiring=PLUS_PAIR, phases=phases)
+                with native.disabled():
+                    want = _run(g, g, g, algo, "auto", semiring=PLUS_PAIR,
+                                phases=phases)
+                assert _identical(got[0], want[0]) and got[1] == want[1]

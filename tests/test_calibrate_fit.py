@@ -34,11 +34,11 @@ from repro.engine import ExecutionSession
 from repro.graphs import erdos_renyi, relabel_by_degree, rmat
 from repro.machine import (
     HASWELL,
-    HOST,
     MachineConfig,
     OpCounter,
     evaluate_config,
     fit_machine,
+    host_profile,
     load_fitted,
     load_fitted_payload,
     resolve_machine,
@@ -156,7 +156,7 @@ class TestLedgerRows:
         )
         assert sum(r["modeled_cycles"] for r in rows) > 0.0
 
-    def test_bucket_rows_on_batched_tier(self):
+    def test_bucket_rows_on_batched_tier(self, numpy_tier):
         a, b, m = _triple(seed=7, n=120)
         with tracing() as tr:
             masked_spgemm(a, b, m, algo="msa", batch="bucket",
@@ -274,7 +274,7 @@ class TestFit:
     def test_resolve_machine_presets_and_fitted(self, fitted, tmp_path,
                                                 monkeypatch):
         monkeypatch.delenv(MACHINE_ENV, raising=False)
-        assert resolve_machine(None) is HOST  # the live default: measured host
+        assert resolve_machine(None) is host_profile()  # the live default: measured host
         assert resolve_machine(HASWELL) is HASWELL
         assert resolve_machine("haswell") is HASWELL
         monkeypatch.delenv(FITTED_PATH_ENV, raising=False)

@@ -4,6 +4,9 @@ explicit presets keep the modeled plans they always produced.
 
 Everything here is deterministic — decisions are read off plans, never off
 a wall clock (``benchmarks/test_auto_regret.py`` is the wall-clock gate).
+The classes that pin decisions of the NumPy tier's ``HOST`` coefficients run
+under the ``numpy_tier`` fixture; ``TestNativeProfile`` pins the same
+decisions under ``HOST_NATIVE``, which needs no compiler to plan from.
 Also holds the bitwise old-vs-new checks of the kernel rewrites that rode
 along: the ``inner`` lookup (block search, then the dense rank array) and
 the radix ``CSR.transpose``.
@@ -21,7 +24,7 @@ from repro.core.kernels.expand import row_keys
 from repro.core.kernels.inner_kernel import masked_spgemm_inner_fast
 from repro.engine import ExecutionSession, Planner, plan
 from repro.graphs import erdos_renyi, relabel_by_degree, rmat
-from repro.machine import HOST, HostProfile, OpCounter
+from repro.machine import HOST, HOST_NATIVE, HostProfile, OpCounter
 from repro.parallel import shutdown_pool
 from repro.semiring import PLUS_PAIR, PLUS_TIMES, Semiring
 from repro.sparse import CSC, CSR
@@ -57,6 +60,7 @@ SLOW = dataclasses.replace(
 )
 
 
+@pytest.mark.usefixtures("numpy_tier")
 class TestHostChoices:
     def test_default_machine_is_the_checked_in_profile(self):
         assert Planner().machine is HOST
@@ -147,6 +151,58 @@ class TestHostChoices:
         for sr in (PLUS_TIMES, PLUS_PAIR):
             got = masked_spgemm(a, b, m, algo="auto", semiring=sr)
             assert _bitwise(got, masked_spgemm(a, b, m, algo=pl.algo, semiring=sr))
+
+
+class TestNativeProfile:
+    """The same decisions under the native tier's coefficients."""
+
+    def test_default_machine_follows_the_kernel_tier(self):
+        from repro.core.kernels import native
+
+        want = HOST if native.load() is None else HOST_NATIVE
+        assert Planner().machine is want
+        assert HOST_NATIVE.name == "host" and plan(*_tc(8)).machine == "host"
+        # only the kernel coefficients and the live set differ
+        same = dataclasses.replace(
+            HOST_NATIVE, candidates=HOST.candidates, msa_ns=HOST.msa_ns,
+            inner_ns=HOST.inner_ns, band_ns=HOST.band_ns,
+        )
+        assert same == HOST
+
+    def test_ladder_shapes_keep_their_plans(self):
+        planner = Planner(HOST_NATIVE)
+        tc = planner.plan(*_tc(10))
+        assert [band.algo for band in tc.bands] == ["msa"]
+        assert (tc.threads, tc.backend, tc.phases) == (1, "serial", 1)
+        er = planner.plan(*_er(1024, 64, 4))
+        assert er.nrows_per_algo() == {"inner": 1024}
+        assert (er.threads, er.backend) == (1, "serial")
+
+    def test_mca_is_forced_only(self):
+        planner = Planner(HOST_NATIVE)
+        a, b, m = _er(1024, 1, 64)  # the NumPy profile's mca regime
+        pl = planner.plan(a, b, m)
+        assert pl.nrows_per_algo() == {"msa": 1024}
+        assert set(pl.estimates) == {"inner", "msa"}
+        with pytest.raises(ValueError, match="no measured coefficients"):
+            Planner(HOST_NATIVE, candidates=("mca",))
+        forced = planner.plan(a, b, m, algo="mca")
+        assert forced.algos() == ("mca",)
+        assert _bitwise(masked_spgemm(a, b, m, algo="mca"), masked_spgemm(a, b, m, algo="auto"))
+
+    def test_rows_still_split_when_the_saving_beats_the_split(self):
+        # (denser inputs than the NumPy-profile test: the C loops shrink the
+        # saving per row, the slice+merge cost per nonzero is what it was)
+        n = 2048
+        a = erdos_renyi(n, n, 256, seed=1)
+        b = erdos_renyi(n, n, 256, seed=2)
+        sparse = erdos_renyi(n, n, 1, seed=3).select_rows(np.arange(n // 2))
+        dense = erdos_renyi(n, n, 1024, seed=4).select_rows(np.arange(n // 2, n))
+        m = CSR.from_coo(
+            (n, n), *(np.concatenate(parts) for parts in zip(sparse.to_coo(), dense.to_coo()))
+        )
+        per = Planner(HOST_NATIVE).plan(a, b, m).nrows_per_algo()
+        assert set(per) == {"inner", "msa"} and abs(per["inner"] - n // 2) < n // 8
 
 
 class TestWorkersFollowTheHost:
@@ -250,6 +306,7 @@ class TestPresetsUnchanged:
             assert s.plan(a, b, m, machine=HOST).machine == "host"
 
 
+@pytest.mark.usefixtures("numpy_tier")
 class TestExplain:
     def test_explain_reports_predictions_cores_and_the_pool_decision(self):
         pl = plan(*_tc(10))

@@ -388,8 +388,9 @@ class TestDerivedCaches:
     def test_inplace_write_to_b_between_inner_calls_is_seen(self):
         # the CSC memo keys on content digested at every call: writing into
         # B in place between two inner-planned calls must miss it
-        a = erdos_renyi(128, 128, 16, seed=1, values="uniform")
-        b = erdos_renyi(128, 128, 16, seed=2, values="uniform")
+        # (dense enough that every row pulls under either kernel tier's profile)
+        a = erdos_renyi(128, 128, 32, seed=1, values="uniform")
+        b = erdos_renyi(128, 128, 32, seed=2, values="uniform")
         m = erdos_renyi(128, 128, 1, seed=3)
         with ExecutionSession() as sess:
             assert sess.plan(a, b, m).nrows_per_algo() == {"inner": 128}
