@@ -18,8 +18,18 @@ Backward (dependency) sweep — uses the **plain** mask:
     t_d   = frontier_{d-1} .* (w_d @ A^T)                   (masked SpGEMM)
     delta += t_d .* numsp_{(d-1) pattern values}
 
-Finally ``bc(v) = sum_q delta[q, v]`` over the batch, excluding each
-source's own row entry (Brandes's ``w != s`` guard).
+The complemented mask makes the BFS levels *disjoint*: a cell enters
+``numsp`` in exactly one ``frontier_d``.  So ``numsp`` restricted to level
+``d`` is ``frontier_d``'s own values, ``delta`` restricted to level ``d`` is
+exactly ``t_{d+1}``'s contribution, and neither matrix has to exist: the
+sweep keeps one ``delta_d`` vector per level, aligned with ``frontier_d``'s
+stored entries (``w_d`` reuses its ``indptr`` / ``indices``), and aligns
+``t_d`` — a sub-pattern of ``frontier_{d-1}`` — by one sorted key search.
+``numsp`` itself survives only as the forward sweep's mask.
+
+Finally ``bc(v) = sum_q delta[q, v]`` over the batch, accumulated level by
+level; level 0 holds precisely each source's own entry (Brandes's
+``w != s`` guard) and is skipped.
 
 For undirected graphs ``A^T = A``; we multiply by ``A`` transposed
 explicitly so directed graphs are also handled.
@@ -65,19 +75,7 @@ class BetweennessResult:
 
 def _flat_keys(mat: CSR) -> np.ndarray:
     """Row-major flat key ``row * ncols + col`` of every stored entry."""
-    rows = np.repeat(np.arange(mat.nrows, dtype=np.int64), mat.row_nnz())
-    return rows * np.int64(mat.ncols) + mat.indices
-
-
-def _lookup(keys: np.ndarray, vals: np.ndarray, q: np.ndarray, default: float) -> np.ndarray:
-    """Values of the matrix with flat ``keys`` / ``vals`` at the flat
-    coordinates ``q`` (``default`` where absent)."""
-    out = np.full(q.shape[0], default)
-    if keys.shape[0]:
-        idx = np.minimum(np.searchsorted(keys, q), keys.shape[0] - 1)
-        hit = keys[idx] == q
-        out[hit] = vals[idx[hit]]
-    return out
+    return mat.row_ids() * np.int64(mat.ncols) + mat.indices
 
 
 def betweenness_centrality(
@@ -201,23 +199,23 @@ def _betweenness_body(
         depth = len(frontiers) - 1
 
         # ---- backward sweep ----
-        delta = CSR.empty((s, n))
-        numsp_keys = _flat_keys(numsp)  # numsp is final: one key array per sweep
+        out = np.zeros(n)
+        delta = np.zeros(frontiers[depth].nnz)  # delta_d, aligned with frontiers[d]
         for d in range(depth, 0, -1):
-            f_d = frontiers[d]
-            rows, cols, _ = f_d.to_coo()
-            f_keys = rows * np.int64(n) + cols
-            # w = f_d .* ((1 + delta) / numsp)
-            dvals = _lookup(_flat_keys(delta), delta.data, f_keys, 0.0)
-            spv = _lookup(numsp_keys, numsp.data, f_keys, 1.0)
-            w = CSR.from_coo((s, n), rows, cols, (1.0 + dvals) / spv)
+            f_d, below = frontiers[d], frontiers[d - 1]
+            out += np.bincount(f_d.indices, weights=delta, minlength=n)
+            # w = f_d .* ((1 + delta) / numsp): numsp on level d is f_d's values
+            # (every masked product comes back with sorted rows, so the
+            # levels' entries and t_d's below are in one row-major order)
+            w = CSR(f_d.shape, f_d.indptr, f_d.indices, (1.0 + delta) / f_d.data,
+                    sorted_indices=True, check=False)
             if call_log is not None:
-                call_log.append((w, a_t, frontiers[d - 1], False))
+                call_log.append((w, a_t, below, False))
             with timed_span(
                 "bc.backward", {"depth": d}, counter=counter
             ) as sp_b:
                 t_d = masked_spgemm(
-                    w, a_t, frontiers[d - 1], algo=algo, impl=impl,
+                    w, a_t, below, algo=algo, impl=impl,
                     phases=phases, semiring=PLUS_TIMES, counter=counter,
                     backend=backend
                     if (algo == "auto" or shards is not None)
@@ -226,19 +224,12 @@ def _betweenness_body(
                 )
             spgemm_time += sp_b.seconds
             backward_time += sp_b.seconds
-            # delta += t_d .* numsp (on t_d's pattern)
-            contrib = t_d.data * _lookup(numsp_keys, numsp.data, _flat_keys(t_d), 0.0)
-            delta = ewise_add(
-                delta,
-                CSR(t_d.shape, t_d.indptr, t_d.indices, contrib,
-                    sorted_indices=t_d.sorted_indices, check=False),
-            )
-
-        # centrality: column sums of delta, excluding each source's own entry
-        out = np.zeros(n)
-        dr, dc, dv = delta.to_coo()
-        own = dc == sources[dr]
-        np.add.at(out, dc[~own], dv[~own])
+            if d == 1:  # level 0 is each source's own entry: never summed
+                break
+            # delta_{d-1} = t_d .* numsp on t_d's pattern, a subset of level d-1
+            at = np.searchsorted(_flat_keys(below), _flat_keys(t_d))
+            delta = np.zeros(below.nnz)
+            delta[at] = t_d.data * below.data[at]
     total = sp_total.seconds
     teps = s * a.nnz / total if total > 0 else 0.0
     return BetweennessResult(

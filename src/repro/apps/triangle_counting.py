@@ -17,12 +17,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
+import numpy as np
+
 from ..machine import OpCounter
 from ..observe import timed_span
 from ..semiring import PLUS_PAIR
 from ..sparse import CSR, reduce_sum
 from ..core import masked_spgemm
-from ..graphs import relabel_by_degree
+from ..graphs.relabel import degree_sort_permutation
 
 __all__ = ["triangle_count", "triangle_count_detail", "TriangleCountResult"]
 
@@ -39,10 +41,20 @@ class TriangleCountResult:
 
 
 def _prepare(a: CSR, relabel: bool) -> CSR:
+    """``tril(P A P^T, -1)`` of the pattern of ``a`` — the bytes of
+    ``relabel_by_degree(a.pattern()).tril(-1)`` — built directly: relabel
+    the coordinates, keep ``col < row`` and order only that half."""
     g = a.pattern()
-    if relabel:
-        g = relabel_by_degree(g)
-    return g.tril(-1)
+    if not relabel:
+        return g.tril(-1)
+    if g.nrows != g.ncols:
+        raise ValueError("permute requires a square matrix")
+    perm = degree_sort_permutation(g)
+    new_id = np.empty_like(perm)
+    new_id[perm] = np.arange(g.nrows, dtype=perm.dtype)
+    rows, cols = np.repeat(new_id, g.row_nnz()), new_id.take(g.indices)
+    low = np.flatnonzero(cols < rows)
+    return CSR.from_coo(g.shape, rows.take(low), cols.take(low))
 
 
 def triangle_count(

@@ -3,7 +3,8 @@
  * The paper's Algorithm 2 (MSA) and Section 4.1 (Inner) row loops plus the
  * count-only symbolic row, one accumulator per call (the thread backend
  * runs one call per row part, so that is one accumulator per thread; no
- * atomics).  Built and loaded by native.py; see docs/kernels.md.
+ * atomics), and the counting sort repro.sparse orders entries with.
+ * Built and loaded by native.py; see docs/kernels.md.
  *
  * Contract with the NumPy bodies (msa_kernel.py / inner_kernel.py /
  * symbolic.py), which stay the reference and the fallback:
@@ -89,6 +90,46 @@ i64 repro_check(i64 nrows, i64 ncols, const i64 *p, const i64 *j, i64 nnz)
     for (i64 t = 0; t < nnz; t++)
         bad |= (uint64_t)j[t] >= (uint64_t)ncols;
     return bad ? 2 : 0;
+}
+
+/* ------------------------------------------------------------------ */
+/* Stable counting sort of n keys in [0, nbuckets): the one ordering  */
+/* loop under CSR.from_coo / CSR.transpose.  order[] gets the input   */
+/* positions in key order, ties in input order -- the permutation of  */
+/* np.argsort(kind="stable"), so what is built from it is byte-equal  */
+/* to the NumPy bodies' result; start[nbuckets + 1] gets the bucket   */
+/* offsets (the indptr of the keyed axis).  A payload may ride the    */
+/* same pass: idst[] / vdst[] get isrc[] (int64) / vsrc[] (any 8-byte */
+/* value) in the new order.  order, isrc and vsrc may each be NULL.   */
+/* Returns -1, with nothing written, when a key is out of range.      */
+/* ------------------------------------------------------------------ */
+i64 repro_bucket_order(i64 n, i64 nbuckets, const i64 *key, i64 *start,
+                       i64 *order, const i64 *isrc, i64 *idst,
+                       const uint64_t *vsrc, uint64_t *vdst)
+{
+    int bad = 0;
+    for (i64 t = 0; t < n; t++)
+        bad |= (uint64_t)key[t] >= (uint64_t)nbuckets;
+    if (bad)
+        return -1;
+    memset(start, 0, (size_t)(nbuckets + 1) * sizeof(i64));
+    for (i64 t = 0; t < n; t++)
+        start[key[t] + 1]++;
+    for (i64 k = 0; k < nbuckets; k++)
+        start[k + 1] += start[k];
+    for (i64 t = 0; t < n; t++) { /* start[k]: bucket k's write cursor */
+        const i64 at = start[key[t]]++;
+        if (order)
+            order[at] = t;
+        if (isrc)
+            idst[at] = isrc[t];
+        if (vsrc)
+            vdst[at] = vsrc[t];
+    }
+    /* each cursor stopped at its bucket's end: the next bucket's start */
+    memmove(start + 1, start, (size_t)nbuckets * sizeof(i64));
+    start[0] = 0;
+    return 0;
 }
 
 /* ------------------------------------------------------------------ */

@@ -9,6 +9,7 @@ never depend on the tier, only wall time.
 
 from __future__ import annotations
 
+import _ctypes
 import contextlib
 import ctypes
 import hashlib
@@ -33,6 +34,7 @@ _OPS = {"plus_times": 0, "plus_pair": 1, "plus_and": 2, "plus_first": 3, "plus_s
 _SIGNATURES = {  # q = int64, p = pointer; every function returns int64
     "repro_check": "qqppq", "repro_msa": "qq" + "p" * 14, "repro_symbolic": "qq" + "p" * 9,
     "repro_inner": "qq" + "p" * 13, "repro_msa_complement": "qqqq" + "p" * 14 + "qp",
+    "repro_bucket_order": "qq" + "p" * 7,  # called from repro.sparse.csr, not from a kernel
 }
 
 _lock = threading.Lock()
@@ -79,6 +81,7 @@ def _open() -> ctypes.CDLL:
             finally:
                 with contextlib.suppress(OSError):
                     os.unlink(tmp)
+        lib = None
         try:
             _check_owner(target)
             lib = ctypes.CDLL(str(target))
@@ -90,6 +93,8 @@ def _open() -> ctypes.CDLL:
         except (OSError, AttributeError):
             if rebuild:
                 raise
+            if lib is not None:  # lacks a symbol: unload it, or dlopen hands it back by path
+                _ctypes.dlclose(lib._handle)
 
 
 def load() -> ctypes.CDLL | None:

@@ -168,6 +168,7 @@ class Planner:
         memory_budget_bytes: Optional[int] = None,
         shards=None,
         batch: Optional[str] = None,
+        _csc_ready: bool = False,
     ) -> ExecutionPlan:
         """Build a plan for ``C = M .* (A @ B)`` (``!M`` with complement).
 
@@ -193,6 +194,10 @@ class Planner:
         bit-for-bit identical, so this is purely a performance choice; the
         resolved tier and the band's flops-size-class census land on each
         :class:`~repro.engine.plan.RowBand` for ``explain()``/``as_dict()``.
+
+        ``_csc_ready`` is internal: :meth:`ExecutionSession.plan` sets it when
+        the call already holds B's fingerprint and the memoised CSC behind
+        it, and only then is ``inner`` not charged the CSC build.
         """
         if a.ncols != b.nrows:
             raise ValueError(
@@ -219,7 +224,9 @@ class Planner:
             bands, mode = self._forced_bands(a, algo, complement), "forced"
             chosen_phases = 1 if phases is None else phases
         elif self.host:
-            bands, estimates = self._host_bands(a, b, mask, fl, complement, notes)
+            bands, estimates = self._host_bands(
+                a, b, mask, fl, complement, notes, _csc_ready
+            )
             mode = "auto"
             # the symbolic sweep is pure extra work for these kernels (they
             # size scratch from the mask bound): 1P unless the caller asks
@@ -293,13 +300,14 @@ class Planner:
             )
         return cand
 
-    def _host_bands(self, a, b, mask, fl, complement: bool, notes):
+    def _host_bands(self, a, b, mask, fl, complement: bool, notes, csc_ready: bool):
         """Bands from the host profile's linear kernel costs.
 
         Every non-empty subset of the candidates is priced as "each row
         runs its cheapest member": the sum of those row costs, one fixed
-        band cost per member, the CSC build if ``inner`` is a member and B
-        carries no memoised transpose, and — for a split plan — the
+        band cost per member, the CSC build if ``inner`` is a member
+        (unless ``csc_ready``: a session holding B's fingerprint and its
+        memoised transpose says so) and — for a split plan — the
         measured per-nonzero cost of slicing A and M and merging the band
         results.  The cheapest subset wins, so rows are split exactly when
         the predicted saving exceeds what the split costs.
@@ -310,7 +318,7 @@ class Planner:
             return [], {}
         cost = np.stack([host_row_ns(host, c, b, mask, fl) for c in cand])
         setup = np.full(len(cand), host.band_ns)
-        if "inner" in cand and getattr(b, "_csc_memo", None) is None:
+        if "inner" in cand and not csc_ready:
             setup[cand.index("inner")] += host.csc_nnz_ns * b.nnz
         estimates = {
             c: float(cost[i].sum() + setup[i]) * 1e-9 for i, c in enumerate(cand)

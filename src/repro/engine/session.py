@@ -15,17 +15,21 @@ that across calls, and every cache pays for its own key:
   Content keys make every cache safe: a *new* object with equal bytes
   hits, a changed operand — including one written to in place — misses.
   A digest costs about as much as planning the call, so nothing whose
-  hit saves less is keyed: plans are rebuilt (0.5-2 ms) and the 1P bound
-  is not memoised, which is why a serial ``msa``/``mca``-planned call
-  digests nothing (``docs/sessions.md`` has the table).
+  hit saves less is keyed: plans are rebuilt (0.5-2 ms), the 1P bound is
+  not memoised and a CSC is rebuilt unless its key is already at hand,
+  which is why a serial call digests nothing (``docs/sessions.md`` has
+  the table).
 * **segment registry** (:class:`~repro.parallel.segment_cache.SegmentCache`)
   — published shm segments (operands, derived CSC transposes and a grid
   plan's column panels) stay alive across calls; only operands whose
   fingerprint changed are republished, and a values-only change rewrites
   the data segment in place.
-* **derived-CSC memo** — ``CSC.from_csr`` (a lexsort transpose) runs once
-  per operand content; the result is memoised on the session *and* on the
-  CSR object itself behind the fingerprint.
+* **derived-CSC memo** — ``CSC.from_csr`` results are memoised on the
+  session *and* on the CSR object itself behind the fingerprint, and read
+  only by calls that hold that fingerprint anyway (the delta engine, a
+  call scope that already digested the operand for another cache): a
+  digest costs more than the counting-pass transpose it would save, so no
+  call takes one for this.
 * **symbolic bound memo** — 2P symbolic sweeps are cached per structure;
   on a hit the recorded counter delta is replayed, so sessioned and
   sessionless runs report identical ``OpCounter`` totals.
@@ -293,35 +297,45 @@ class ExecutionSession:
             planner = self.planner
             if machine is not None and resolve_machine(machine) != self.machine:
                 planner = Planner(machine)
+        # the CSC build is free exactly when csc_of() will find it memoised
+        fp = self._known_fingerprint(b) if self.caching else None
+        if fp is not None and self._memoised_csc(b, fp) is not None:
+            merged["_csc_ready"] = True
         return planner.plan(a, b, mask, complement=complement, phases=phases, **merged)
 
     # -- derived CSC ---------------------------------------------------
-    def csc_of(self, mat: CSR, fp: Optional[Fingerprint] = None) -> CSC:
-        """``CSC.from_csr(mat)``, transposing at most once per content.
+    def _known_fingerprint(self, mat: CSR) -> Optional[Fingerprint]:
+        """``mat``'s fingerprint if this call scope has already paid for it."""
+        ent = self._fps.get(id(mat))
+        return ent[1] if ent is not None and ent[0] is mat else None
 
-        The result is memoised both in the session LRU and on the CSR
-        object itself (``mat._csc_memo``, guarded by the fingerprint), so
-        BC's backward sweep stops re-transposing a constant A even when
-        the session turns over."""
-        if not self.caching:
-            return CSC.from_csr(mat)
-        fp = self.fingerprint(mat) if fp is None else fp
+    def _memoised_csc(self, mat: CSR, fp: Fingerprint) -> Optional[CSC]:
         memo = getattr(mat, "_csc_memo", None)
         if memo is not None and memo[0] == fp.key:
-            self.csc_cache_hits += 1
-            self._cscs[fp.key] = memo[1]
-            self._cscs.move_to_end(fp.key)
             return memo[1]
-        csc = self._cscs.get(fp.key)
-        if csc is not None:
-            self._cscs.move_to_end(fp.key)
+        return self._cscs.get(fp.key)
+
+    def csc_of(self, mat: CSR, fp: Optional[Fingerprint] = None) -> CSC:
+        """``CSC.from_csr(mat)``, memoised per content — when the key is free.
+
+        Reuse pays for its own key: digesting ``mat`` costs more than the
+        transpose a hit would save (``docs/sessions.md``), so the memo — the
+        session LRU and ``mat._csc_memo`` on the object, both guarded by the
+        fingerprint — is consulted only when the caller passes ``fp`` (the
+        delta engine does) or this call scope has already digested ``mat``
+        for another consumer.  Otherwise the CSC is simply built."""
+        fp = fp or self._known_fingerprint(mat)
+        if fp is None or not self.caching:
+            return CSC.from_csr(mat)
+        csc = self._memoised_csc(mat, fp)
+        if csc is None:
+            csc = CSC.from_csr(mat)
+            self.csc_cache_misses += 1
+        else:
             self.csc_cache_hits += 1
-            mat._csc_memo = (fp.key, csc)
-            return csc
-        csc = CSC.from_csr(mat)
-        self.csc_cache_misses += 1
         mat._csc_memo = (fp.key, csc)
         self._cscs[fp.key] = csc
+        self._cscs.move_to_end(fp.key)
         while len(self._cscs) > self._csc_cache_size:
             self._cscs.popitem(last=False)
         return csc

@@ -16,7 +16,8 @@ The kernels' wall time is linear in statistics the planner already has:
 * push kernels (``msa``, ``mca``): ``flops(A[i,:] B)`` products expanded and
   ``nnz(M[i,:])`` mask entries scattered/gathered per row;
 * ``inner``: pulled pairs ``sum_{(i,j) in M} nnz(B[:,j])`` plus a per-mask-
-  nonzero term, and ``nnz(B)`` for the CSC build when nothing memoises it;
+  nonzero term, and ``nnz(B)`` for the CSC build, which every call pays
+  unless it holds the fingerprint of a memoised one;
 * every kernel call / row band: a fixed cost, and for a split plan the row
   slicing and the final merge, linear in the sliced nonzeros;
 * the process pool: seconds per dispatched task, seconds per cold-spawned
@@ -78,9 +79,10 @@ class HostProfile:
     msa_ns: Tuple[float, float, float] = (8.0, 18.0, 390.0)
     mca_ns: Tuple[float, float, float] = (53.6, 6.1, 87.0)
     inner_ns: Tuple[float, float, float] = (8.6, 32.2, 182.0)
-    #: CSC build (radix transpose) per nnz(B), charged to ``inner`` unless
-    #: the operand already carries a memoised transpose
-    csc_nnz_ns: float = 20.9
+    #: CSC build (``CSR.transpose``: this tier's radix passes) per nnz(B),
+    #: charged to ``inner`` unless the call already holds the fingerprint
+    #: that guards a memoised transpose (``ExecutionSession.csc_of``)
+    csc_nnz_ns: float = 14.1
     #: fixed cost of one kernel call (one row band)
     band_ns: float = 85e3
     #: extra cost of a *split* plan per nonzero of A and M: row slicing of
@@ -132,7 +134,8 @@ class HostProfile:
 HOST = HostProfile()
 
 #: the checked-in profile of the native tier (``core/kernels/native.c``):
-#: ``msa`` / ``inner`` / the per-call cost re-fitted with the C loops live.
+#: ``msa`` / ``inner`` / the per-call cost / the CSC build (one counting
+#: pass) re-fitted with the C loops live.
 #: ``mca`` has no native loop and native ``msa`` beats every call the NumPy
 #: profile gives to ``mca``, so it is forced-only here like hash / esc.
 HOST_NATIVE = dataclasses.replace(
@@ -140,6 +143,7 @@ HOST_NATIVE = dataclasses.replace(
     candidates=("inner", "msa"),
     msa_ns=(1.30, 2.61, 37.4),
     inner_ns=(1.51, 5.85, 29.0),
+    csc_nnz_ns=9.3,
     band_ns=65.9e3,
 )
 

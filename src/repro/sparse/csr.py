@@ -51,6 +51,40 @@ def rows_entries(
     return pos, local
 
 
+def _bucket_order(keys, nbuckets: int, ints, vals=None, *, order: bool = False):
+    """Stable counting sort of the int64 ``keys`` in ``[0, nbuckets)`` on the
+    native tier (``repro_bucket_order`` in ``core/kernels/native.c``).
+
+    Returns ``(start, order, ints, vals)`` — the ``nbuckets + 1`` bucket
+    offsets, the sorting permutation (``None`` unless asked for) and the
+    two payload arrays in key order — or ``None`` when the library is
+    unavailable or disabled, and the caller runs its NumPy body.  The
+    permutation is ``np.argsort(keys, kind="stable")``'s, so both bodies
+    build the same bytes.  8-byte ``vals`` ride the sorting pass; others
+    are gathered after it.
+    """
+    from ..core.kernels import native  # lazy: importing repro.sparse never imports repro.core
+
+    lib = native.load()
+    if lib is None:
+        return None
+    keys, ints = (np.ascontiguousarray(x, dtype=INDEX_DTYPE) for x in (keys, ints))
+    rides = vals is not None and vals.dtype.itemsize == 8
+    if rides:
+        vals = np.ascontiguousarray(vals)
+    start = np.empty(nbuckets + 1, dtype=INDEX_DTYPE)
+    perm = np.empty_like(keys) if order or (vals is not None and not rides) else None
+    ints_out, vals_out = np.empty_like(ints), np.empty_like(vals) if rides else None
+    args = (keys, start, perm, ints, ints_out, vals if rides else None, vals_out)
+    if lib.repro_bucket_order(
+        keys.shape[0], nbuckets, *(None if x is None else x.ctypes.data for x in args)
+    ):
+        raise ValueError("index out of range")
+    if vals is not None and not rides:
+        vals_out = vals.take(perm)
+    return start, perm, ints_out, vals_out
+
+
 class CSR:
     """A CSR sparse matrix over NumPy arrays.
 
@@ -126,7 +160,9 @@ class CSR:
         """Build a CSR matrix from coordinate triples.
 
         Duplicate ``(row, col)`` entries are summed (``sum_duplicates=True``,
-        the default) or rejected.  The result has sorted row segments.
+        the default) or rejected: a run of duplicates becomes its first value
+        plus the rest in input order, an entry stored once keeps its value
+        bit for bit.  The result has sorted row segments and owns its arrays.
         """
         rows = np.asarray(rows, dtype=INDEX_DTYPE)
         cols = np.asarray(cols, dtype=INDEX_DTYPE)
@@ -144,25 +180,41 @@ class CSR:
                 raise ValueError("row index out of range")
             if cols.min() < 0 or cols.max() >= ncols:
                 raise ValueError("column index out of range")
-        # Sort by (row, col): one stable sort of the fused key where it
-        # fits an int64, lexsort (also stable) otherwise — so duplicates are
-        # summed in input order either way.
-        if nrows * ncols < 2**63:
-            order = np.argsort(rows * INDEX_DTYPE(ncols) + cols, kind="stable")
-        else:
+        # Order by (row, col) with a stable sort, so duplicates meet in input
+        # order.  Input whose fused key is already non-decreasing is left
+        # alone; otherwise two counting passes (column, then row) where their
+        # O(max(nrows, ncols)) offsets are in proportion to the entries, one
+        # stable sort of the fused key where not (and on the NumPy tier), and
+        # lexsort where the key overflows an int64.  All three agree.
+        nnz, order = rows.size, None
+        if nrows * ncols >= 2**63:
             order = np.lexsort((cols, rows))
-        rows, cols, vals = rows[order], cols[order], vals[order]
-        if rows.size:
+        else:
+            key = rows * INDEX_DTYPE(ncols) + cols
+            if nnz > 1 and not (key[1:] >= key[:-1]).all():
+                if max(nrows, ncols) <= 4 * nnz + 1024:
+                    by_col = _bucket_order(cols, ncols, rows, order=True)
+                    by_row = by_col and _bucket_order(by_col[2], nrows, by_col[1])
+                    order = by_row[2] if by_row else None
+                if order is None:
+                    order = np.argsort(key, kind="stable")
+        if order is None:  # the result never aliases the caller's arrays
+            cols, vals = cols.copy(), vals.copy()
+        else:
+            rows, cols, vals = rows.take(order), cols.take(order), vals.take(order)
+        if nnz:
             dup = (rows[1:] == rows[:-1]) & (cols[1:] == cols[:-1])
             if dup.any():
                 if not sum_duplicates:
                     raise ValueError("duplicate coordinates present")
-                # segment-reduce duplicate runs
+                # each run of duplicates starts from its first value and adds
+                # the rest in input order; an entry stored once is not touched
+                # (``0.0 + v`` would lose the sign of a stored -0.0)
                 keep = np.concatenate(([True], ~dup))
-                seg = np.cumsum(keep) - 1
-                out_vals = np.zeros(int(seg[-1]) + 1, dtype=vals.dtype)
-                np.add.at(out_vals, seg, vals)
-                rows, cols, vals = rows[keep], cols[keep], out_vals
+                again = np.flatnonzero(dup) + 1
+                rows, cols, summed = rows[keep], cols[keep], vals[keep]
+                np.add.at(summed, (np.cumsum(keep) - 1)[again], vals[again])
+                vals = summed
         indptr = np.zeros(nrows + 1, dtype=INDEX_DTYPE)
         np.cumsum(np.bincount(rows, minlength=nrows), out=indptr[1:])
         return cls((nrows, ncols), indptr, cols, vals, sorted_indices=True, check=False)
@@ -301,12 +353,13 @@ class CSR:
             check=False,
         )
 
+    def row_ids(self) -> np.ndarray:
+        """The row index of every stored entry, in storage order."""
+        return np.repeat(np.arange(self.nrows, dtype=INDEX_DTYPE), np.diff(self.indptr))
+
     def to_coo(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Return ``(rows, cols, vals)`` coordinate arrays."""
-        rows = np.repeat(
-            np.arange(self.nrows, dtype=INDEX_DTYPE), np.diff(self.indptr)
-        )
-        return rows, self.indices.copy(), self.data.copy()
+        """Return ``(rows, cols, vals)`` coordinate arrays (copies)."""
+        return self.row_ids(), self.indices.copy(), self.data.copy()
 
     def to_dense(self) -> np.ndarray:
         out = np.zeros(self.shape, dtype=self.data.dtype)
@@ -336,24 +389,28 @@ class CSR:
 
         Sorted, duplicate-free rows transpose by one *stable* sort on the
         column id alone (entries are already row-major, so stability keeps
-        each output row ascending): an LSD radix pass per 16-bit digit,
-        which NumPy runs as a counting sort.  Anything else goes through
-        :meth:`from_coo`, which also sums duplicates."""
+        each output row ascending): the native tier's counting pass, which
+        moves the row ids and values as it goes, or an LSD radix pass per
+        16-bit digit, which NumPy runs as a counting sort.  Anything else
+        goes through :meth:`from_coo`, which also sums duplicates."""
+        rows = self.row_ids()
         if not self.sorted_indices:
-            rows, cols, vals = self.to_coo()
-            return CSR.from_coo((self.ncols, self.nrows), cols, rows, vals)
-        order = np.argsort(self.indices.astype(np.uint16), kind="stable")
-        shift = 16
-        while (self.ncols - 1) >> shift:
-            digit = (self.indices[order] >> shift).astype(np.uint16)
-            order = order[np.argsort(digit, kind="stable")]
-            shift += 16
-        indptr = np.zeros(self.ncols + 1, dtype=INDEX_DTYPE)
-        np.cumsum(np.bincount(self.indices, minlength=self.ncols), out=indptr[1:])
-        rows = np.repeat(np.arange(self.nrows, dtype=INDEX_DTYPE), np.diff(self.indptr))
+            return CSR.from_coo((self.ncols, self.nrows), self.indices, rows, self.data)
+        moved = _bucket_order(self.indices, self.ncols, rows, self.data)
+        if moved is not None:
+            indptr, _, rows, data = moved
+        else:
+            order = np.argsort(self.indices.astype(np.uint16), kind="stable")
+            shift = 16
+            while max(self.ncols - 1, 0) >> shift:  # (0 - 1) >> 16 is -1: never false
+                digit = (self.indices[order] >> shift).astype(np.uint16)
+                order = order[np.argsort(digit, kind="stable")]
+                shift += 16
+            indptr = np.zeros(self.ncols + 1, dtype=INDEX_DTYPE)
+            np.cumsum(np.bincount(self.indices, minlength=self.ncols), out=indptr[1:])
+            rows, data = rows[order], self.data[order]
         return CSR(
-            (self.ncols, self.nrows), indptr, rows[order], self.data[order],
-            sorted_indices=True, check=False,
+            (self.ncols, self.nrows), indptr, rows, data, sorted_indices=True, check=False
         )
 
     def pattern(self) -> "CSR":
@@ -443,12 +500,17 @@ class CSR:
         if self.nrows != self.ncols:
             raise ValueError("permute requires a square matrix")
         perm = np.asarray(perm, dtype=INDEX_DTYPE)
-        if perm.shape[0] != self.nrows or np.unique(perm).shape[0] != self.nrows:
+        n = self.nrows
+        if (
+            perm.shape != (n,)
+            or (n and (perm.min() < 0 or perm.max() >= n))
+            or not (np.bincount(perm, minlength=n) == 1).all()
+        ):
             raise ValueError("perm must be a permutation of range(n)")
         inv = np.empty_like(perm)
-        inv[perm] = np.arange(self.nrows, dtype=INDEX_DTYPE)
-        # rows gathered in their new order arrive grouped by new row, so
-        # from_coo's one stable sort only reorders columns within rows
+        inv[perm] = np.arange(n, dtype=INDEX_DTYPE)
+        # rows gathered in their new order arrive grouped by new row, so the
+        # NumPy tier's stable sort only reorders columns within rows
         pos, new_rows = rows_entries(self.indptr, perm)
         return CSR.from_coo(
             self.shape, new_rows, inv.take(self.indices.take(pos)),
@@ -468,9 +530,7 @@ class CSR:
 
     def _diagonals(self) -> np.ndarray:
         """``col - row`` of every stored entry."""
-        return self.indices - np.repeat(
-            np.arange(self.nrows, dtype=INDEX_DTYPE), np.diff(self.indptr)
-        )
+        return self.indices - self.row_ids()
 
     def tril(self, k: int = -1) -> "CSR":
         """Lower-triangular part (entries with ``col - row <= k``)."""

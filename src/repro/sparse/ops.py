@@ -36,10 +36,20 @@ __all__ = [
 
 
 def _coo(mat: CSR):
+    """``(keys, rows, cols, vals)`` of the canonical form of ``mat``: row-major
+    flat keys and the coordinate arrays, read-only views where they can be."""
     mat = mat.sort_indices()
-    rows, cols, vals = mat.to_coo()
-    keys = rows * mat.ncols + cols
-    return keys, rows, cols, vals
+    rows = mat.row_ids()
+    return rows * mat.ncols + mat.indices, rows, mat.indices, mat.data
+
+
+def _find(keys: np.ndarray, queries: np.ndarray):
+    """Where each of ``queries`` sits among the sorted ``keys``: the insertion
+    positions and the flags of the queries that are present."""
+    pos = np.searchsorted(keys, queries)
+    if not keys.shape[0]:
+        return pos, np.zeros(queries.shape[0], dtype=bool)
+    return pos, keys[np.minimum(pos, keys.shape[0] - 1)] == queries
 
 
 def ewise_mult(a: CSR, b: CSR, op: Callable = np.multiply) -> CSR:
@@ -53,53 +63,47 @@ def ewise_mult(a: CSR, b: CSR, op: Callable = np.multiply) -> CSR:
         raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
     ka, ra, ca, va = _coo(a)
     kb, _, _, vb = _coo(b)
-    ia = np.searchsorted(kb, ka)
-    ia_clip = np.minimum(ia, kb.shape[0] - 1) if kb.shape[0] else ia
-    match = np.zeros(ka.shape[0], dtype=bool)
-    if kb.shape[0]:
-        match = kb[ia_clip] == ka
-        match &= ia < kb.shape[0]
-    rows, cols = ra[match], ca[match]
+    ia, match = _find(kb, ka)
     vals = op(va[match], vb[ia[match]])
-    return CSR.from_coo(a.shape, rows, cols, vals)
+    return CSR.from_coo(a.shape, ra[match], ca[match], vals)
 
 
 def ewise_add(a: CSR, b: CSR, op: Callable = np.add) -> CSR:
-    """Element-wise add (set *union* of patterns).  Where both matrices have
-    an entry, ``op`` combines them; elsewhere the single value is kept."""
+    """Element-wise add (set *union* of patterns): ``op(a, b)`` where both
+    matrices store an entry, the stored value — bit for bit — elsewhere.
+
+    A merge of the two sorted entry lists: ``b``'s keys are located among
+    ``a``'s, the ones present combine in place and the rest are spliced in
+    between, so nothing is sorted again.
+    """
     if a.shape != b.shape:
         raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
-    ra, ca, va = a.sort_indices().to_coo()
-    rb, cb, vb = b.sort_indices().to_coo()
-    if op is np.add:
+    if op is np.add and a.nrows * a.ncols >= 2**63:
+        # no flat key fits an int64: from_coo's lexsort path sums the overlap
+        (_, ra, ca, va), (_, rb, cb, vb) = _coo(a), _coo(b)
         return CSR.from_coo(
-            a.shape,
-            np.concatenate([ra, rb]),
-            np.concatenate([ca, cb]),
+            a.shape, np.concatenate([ra, rb]), np.concatenate([ca, cb]),
             np.concatenate([va, vb]),
         )
-    # generic op: merge by key
-    ka = ra * a.ncols + ca
-    kb = rb * a.ncols + cb
-    keys = np.union1d(ka, kb)
-    out = np.zeros(keys.shape[0], dtype=VALUE_DTYPE)
-    ia = np.searchsorted(keys, ka)
-    ib = np.searchsorted(keys, kb)
-    in_a = np.zeros(keys.shape[0], dtype=bool)
-    in_b = np.zeros(keys.shape[0], dtype=bool)
-    avals = np.zeros(keys.shape[0], dtype=VALUE_DTYPE)
-    bvals = np.zeros(keys.shape[0], dtype=VALUE_DTYPE)
-    in_a[ia] = True
-    in_b[ib] = True
-    avals[ia] = va
-    bvals[ib] = vb
-    both = in_a & in_b
-    out[both] = op(avals[both], bvals[both])
-    only_a = in_a & ~in_b
-    only_b = in_b & ~in_a
-    out[only_a] = avals[only_a]
-    out[only_b] = bvals[only_b]
-    return CSR.from_coo(a.shape, keys // a.ncols, keys % a.ncols, out)
+    ka, _, ca, va = _coo(a)
+    kb, rb, cb, vb = _coo(b)
+    pos, both = _find(ka, kb)
+    new = np.flatnonzero(~both)  # b's entries that a lacks ...
+    at = pos[new] + np.arange(new.shape[0], dtype=INDEX_DTYPE)  # ... and where they land
+    total = ka.shape[0] + new.shape[0]
+    from_a = np.ones(total, dtype=bool)
+    from_a[at] = False
+    a_at = np.flatnonzero(from_a)
+    cols = np.empty(total, dtype=INDEX_DTYPE)
+    cols[a_at], cols[at] = ca, cb[new]
+    shared = pos[both]
+    combined = op(va[shared], vb[both])
+    vals = np.empty(total, dtype=np.result_type(va, vb, combined))
+    vals[a_at], vals[at] = va, vb[new]
+    vals[a_at[shared]] = combined
+    indptr = a.indptr.copy()
+    indptr[1:] += np.cumsum(np.bincount(rb[new], minlength=a.nrows))
+    return CSR(a.shape, indptr, cols, vals, sorted_indices=True, check=False)
 
 
 def mask_pattern(mat: CSR, mask: CSR, *, complement: bool = False) -> CSR:
@@ -109,13 +113,7 @@ def mask_pattern(mat: CSR, mask: CSR, *, complement: bool = False) -> CSR:
     if mat.shape != mask.shape:
         raise ValueError(f"shape mismatch: {mat.shape} vs {mask.shape}")
     km, rm, cm, vm = _coo(mat)
-    kk, _, _, _ = _coo(mask)
-    if kk.shape[0]:
-        pos = np.searchsorted(kk, km)
-        pos_c = np.minimum(pos, kk.shape[0] - 1)
-        inside = (kk[pos_c] == km) & (pos < kk.shape[0])
-    else:
-        inside = np.zeros(km.shape[0], dtype=bool)
+    inside = _find(_coo(mask)[0], km)[1]
     keep = ~inside if complement else inside
     return CSR.from_coo(mat.shape, rm[keep], cm[keep], vm[keep])
 
@@ -135,8 +133,7 @@ def row_reduce(mat: CSR, op: Callable = np.add) -> np.ndarray:
     out = np.zeros(mat.nrows, dtype=VALUE_DTYPE)
     if mat.nnz == 0:
         return out
-    rows = np.repeat(np.arange(mat.nrows, dtype=INDEX_DTYPE), mat.row_nnz())
-    getattr(op, "at", np.add.at)(out, rows, mat.data)
+    getattr(op, "at", np.add.at)(out, mat.row_ids(), mat.data)
     return out
 
 
@@ -188,7 +185,7 @@ def split_columns(mat: CSR, bounds: Sequence[int]) -> List[CSR]:
     npanels = bounds.size - 1
     if npanels == 1 and bounds[0] == 0 and bounds[1] == mat.ncols:
         return [mat]
-    rows = np.repeat(np.arange(mat.nrows, dtype=INDEX_DTYPE), mat.row_nnz())
+    rows = mat.row_ids()
     panel = np.searchsorted(bounds, mat.indices, side="right") - 1
     order = np.argsort(panel, kind="stable")
     cuts = np.searchsorted(panel[order], np.arange(npanels + 1))

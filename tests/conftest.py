@@ -27,7 +27,12 @@ def native_required():
 
 class NativeSpy:
     """Stands in for the loaded native library (``native._lib``) and
-    records which of its functions were looked up."""
+    records which of its functions were looked up: ``calls`` holds every
+    name, ``kernel_calls`` only the masked-SpGEMM row loops — eligibility
+    (semiring, dtype, probes) gates those, while ``repro.sparse`` reaches
+    ``repro_bucket_order`` whatever the semiring."""
+
+    KERNEL_LOOPS = ("repro_msa", "repro_msa_complement", "repro_inner", "repro_symbolic")
 
     def __init__(self, lib):
         self.lib, self.calls = lib, []
@@ -35,6 +40,10 @@ class NativeSpy:
     def __getattr__(self, name):
         self.calls.append(name)
         return getattr(self.lib, name)
+
+    @property
+    def kernel_calls(self):
+        return [name for name in self.calls if name in self.KERNEL_LOOPS]
 
 
 @pytest.fixture

@@ -29,6 +29,83 @@ def _nx(g: CSR) -> nx.Graph:
     return nx.from_scipy_sparse_array(g.to_scipy())
 
 
+def _bc_reference_sweep(a, sources, *, algo, session, backend, call_log, counter):
+    """The betweenness sweep as it stood before the level-aligned rewrite —
+    a growing ``delta`` matrix, flat-key lookups, COO round trips — kept here
+    as the reference the shipped body is judged by.  Returns ``(centrality,
+    depth)``; products, operands and counters must match the shipped body's."""
+    from repro.engine import resolve_session
+    from repro.semiring import PLUS_TIMES
+    from repro.sparse import ewise_add
+
+    def flat_keys(mat):
+        rows = np.repeat(np.arange(mat.nrows, dtype=np.int64), mat.row_nnz())
+        return rows * np.int64(mat.ncols) + mat.indices
+
+    def lookup(keys, vals, q, default):
+        out = np.full(q.shape[0], default)
+        if keys.shape[0]:
+            idx = np.minimum(np.searchsorted(keys, q), keys.shape[0] - 1)
+            hit = keys[idx] == q
+            out[hit] = vals[idx[hit]]
+        return out
+
+    a = a.pattern()
+    n, sources = a.nrows, np.asarray(list(sources), dtype=np.int64)
+    s = sources.shape[0]
+    session, owned = resolve_session(session, auto=(algo == "auto"))
+    kw = dict(algo=algo, semiring=PLUS_TIMES, counter=counter, session=session,
+              backend=backend if algo == "auto" else None)
+    try:
+        a_t = a.transpose()
+        frontier = CSR.from_coo((s, n), np.arange(s, dtype=np.int64), sources, np.ones(s))
+        numsp, frontiers = frontier.copy(), [frontier]
+        while frontier.nnz:
+            call_log.append((frontier, a, numsp, True))
+            frontier = masked_spgemm(frontier, a, numsp, complement=True, **kw)
+            if frontier.nnz == 0:
+                break
+            frontiers.append(frontier)
+            numsp = ewise_add(numsp, frontier)
+        depth = len(frontiers) - 1
+        delta = CSR.empty((s, n))
+        numsp_keys = flat_keys(numsp)
+        for d in range(depth, 0, -1):
+            rows, cols, _ = frontiers[d].to_coo()
+            f_keys = rows * np.int64(n) + cols
+            dvals = lookup(flat_keys(delta), delta.data, f_keys, 0.0)
+            spv = lookup(numsp_keys, numsp.data, f_keys, 1.0)
+            w = CSR.from_coo((s, n), rows, cols, (1.0 + dvals) / spv)
+            call_log.append((w, a_t, frontiers[d - 1], False))
+            t_d = masked_spgemm(w, a_t, frontiers[d - 1], **kw)
+            contrib = t_d.data * lookup(numsp_keys, numsp.data, flat_keys(t_d), 0.0)
+            delta = ewise_add(delta, CSR(t_d.shape, t_d.indptr, t_d.indices, contrib,
+                                         sorted_indices=t_d.sorted_indices, check=False))
+        out = np.zeros(n)
+        dr, dc, dv = delta.to_coo()
+        own = dc == sources[dr]
+        np.add.at(out, dc[~own], dv[~own])
+        return out, depth
+    finally:
+        if owned and session is not None:
+            session.close()
+
+
+def _bc_graphs():
+    yield "undirected", erdos_renyi_graph(90, 5, seed=11)
+    yield "directed", erdos_renyi(80, 80, 3, seed=12)
+    # two components and some isolated vertices
+    half = erdos_renyi_graph(30, 4, seed=13)
+    r, c, v = half.to_coo()
+    yield "disconnected", CSR.from_coo((70, 70), np.concatenate([r, r + 35]),
+                                       np.concatenate([c, c + 35]), np.concatenate([v, v]))
+    # a directed path into a sink: vertex 5 has no out-edges, and sources it
+    yield "sink-source", CSR.from_coo((6, 6), [0, 1, 2, 3, 4, 0], [1, 2, 3, 4, 5, 5], np.ones(6))
+
+
+BC_GRAPHS = dict(_bc_graphs())
+
+
 @pytest.fixture(scope="module")
 def graph():
     return erdos_renyi_graph(120, 7, seed=42)
@@ -312,6 +389,47 @@ class TestBetweenness:
         base = betweenness_centrality(graph, sources=range(30), algo="msa")
         got = betweenness_centrality(graph, sources=range(30), algo=algo)
         assert np.allclose(got.centrality, base.centrality)
+
+    @pytest.mark.parametrize("name", BC_GRAPHS)
+    @pytest.mark.parametrize("algo", ["auto", "msa", "hash", "esc"])
+    def test_matches_the_reference_sweep(self, name, algo):
+        """Level-aligned vectors against the matrix-valued sweep they replace:
+        same depth, same eleven-or-so products on byte-equal operands, same
+        counters; centrality to 1e-12 (only the final summation order moved)."""
+        g = BC_GRAPHS[name]
+        n = g.nrows
+        batches = {"one": [n - 1], "some": list(range(0, n, max(1, n // 16)))[:16],
+                   "all": list(range(n))}
+        for sources in batches.values():
+            for session in (None, False):
+                for backend in ("serial", "thread"):
+                    log, ref_log = [], []
+                    c, ref_c = OpCounter(), OpCounter()
+                    got = betweenness_centrality(g, sources, algo=algo, session=session,
+                                                 backend=backend, call_log=log, counter=c)
+                    want, depth = _bc_reference_sweep(
+                        g, sources, algo=algo, session=session, backend=backend,
+                        call_log=ref_log, counter=ref_c)
+                    case = (name, algo, len(sources), session, backend)
+                    assert got.depth == depth, case
+                    assert len(log) == len(ref_log) == 2 * depth + 1, case
+                    for (a, b, m, comp), (ra, rb, rm, rcomp) in zip(log, ref_log):
+                        assert comp == rcomp, case
+                        for x, y in ((a, ra), (b, rb), (m, rm)):
+                            assert x.shape == y.shape and x.sorted_indices, case
+                            assert x.indptr.tobytes() == y.indptr.tobytes(), case
+                            assert x.indices.tobytes() == y.indices.tobytes(), case
+                            assert x.data.tobytes() == y.data.tobytes(), case
+                    assert c.as_dict() == ref_c.as_dict(), case
+                    assert np.allclose(got.centrality, want, rtol=1e-12,
+                                       atol=1e-12 * max(1.0, want.max())), case
+
+    def test_directed_graph_matches_networkx(self):
+        g = BC_GRAPHS["directed"]
+        res = betweenness_centrality(g, sources=range(g.nrows))
+        want = nx.betweenness_centrality(
+            nx.from_scipy_sparse_array(g.to_scipy(), create_using=nx.DiGraph), normalized=False)
+        assert np.allclose(res.centrality, [want[v] for v in range(g.nrows)], atol=1e-8)
 
     def test_subset_batch_partial_sums(self, graph, graph_nx):
         """Batch BC equals the Brandes partial sum over the batch sources."""

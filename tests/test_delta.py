@@ -245,27 +245,32 @@ class TestTargetedInvalidate:
         a = erdos_renyi(48, 48, 3, seed=1, values="uniform")
         u = erdos_renyi(48, 48, 3, seed=9, values="uniform")
         with ExecutionSession() as sess:
-            ca, cu = sess.csc_of(a), sess.csc_of(u)
+            # the CSC memo is live only behind a fingerprint (as the delta
+            # engine passes one)
+            fa, fu = sess.fingerprint(a), sess.fingerprint(u)
+            ca, cu = sess.csc_of(a, fa), sess.csc_of(u, fu)
             sess.symbolic_bounds(a, a, a, complement=False)
             bu = sess.symbolic_bounds(u, u, u, complement=False)
             sess.invalidate(a)
             # unrelated entries survive the eviction untouched
-            assert sess.csc_of(u) is cu
+            assert sess.csc_of(u, fu) is cu
             assert sess.symbolic_bounds(u, u, u, complement=False) is bu
             assert sess.bound_cache_hits == 1
             # dependent entries are gone: same content rebuilds fresh
-            assert sess.csc_of(a) is not ca
+            assert sess.csc_of(a, fa) is not ca
             sess.symbolic_bounds(a, a, a, complement=False)
             assert sess.bound_cache_hits == 1
 
     def test_invalidate_none_clears_everything(self):
         a = erdos_renyi(48, 48, 3, seed=1, values="uniform")
         with ExecutionSession() as sess:
-            ca = sess.csc_of(a)
+            fa = sess.fingerprint(a)
+            ca = sess.csc_of(a, fa)
             masked_spgemm(a, a, a, algo="auto", session=sess, delta="force")
+            assert sess.csc_of(a, fa) is ca
             a._csc_memo = None  # the object-level memo outlives the session's
             sess.invalidate()
-            assert sess.csc_of(a) is not ca
+            assert sess.csc_of(a, fa) is not ca
             assert not sess._delta and not sess._bounds
 
     def test_delta_state_evicted_for_operand_only(self):

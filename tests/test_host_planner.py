@@ -100,11 +100,18 @@ class TestHostChoices:
         )
 
     def test_memoised_csc_is_not_charged_again(self):
+        # ... when the call holds the fingerprint that guards the memo; a
+        # call without one rebuilds the CSC, so it is charged the build
         a, b, m = _er(512, 64, 1)
         cold = plan(a, b, m).estimates["inner"]
         with ExecutionSession() as s:
-            s.csc_of(b)
-            warm = plan(a, b, m).estimates["inner"]
+            s.csc_of(b, s.fingerprint(b))
+            assert b._csc_memo is not None
+            assert plan(a, b, m).estimates["inner"] == cold
+            assert s.plan(a, b, m).estimates["inner"] == cold
+            with s.call():
+                s.fingerprint(b)  # what the delta engine does before planning
+                warm = s.plan(a, b, m).estimates["inner"]
         assert cold - warm == pytest.approx(HOST.csc_nnz_ns * b.nnz * 1e-9)
 
     def test_rows_split_only_when_the_saving_beats_the_split(self):
@@ -162,10 +169,11 @@ class TestNativeProfile:
         want = HOST if native.load() is None else HOST_NATIVE
         assert Planner().machine is want
         assert HOST_NATIVE.name == "host" and plan(*_tc(8)).machine == "host"
-        # only the kernel coefficients and the live set differ
+        # only the coefficients of what has a C loop — the two kernels, the
+        # per-call cost, the CSC build — and the live set differ
         same = dataclasses.replace(
             HOST_NATIVE, candidates=HOST.candidates, msa_ns=HOST.msa_ns,
-            inner_ns=HOST.inner_ns, band_ns=HOST.band_ns,
+            inner_ns=HOST.inner_ns, band_ns=HOST.band_ns, csc_nnz_ns=HOST.csc_nnz_ns,
         )
         assert same == HOST
 

@@ -340,23 +340,37 @@ class TestDerivedCaches:
     def test_csc_memoised_on_session_and_object(self):
         a = erdos_renyi(48, 48, 3, seed=7, values="uniform")
         sess = ExecutionSession()
-        c1 = sess.csc_of(a)
-        c2 = sess.csc_of(a)
-        assert c1 is c2
-        assert sess.csc_cache_hits == 1
+        # no key at hand: the CSC is built — a digest would cost more than
+        # the build it guards — and nothing is kept or counted
+        assert sess.csc_of(a) is not sess.csc_of(a)
+        assert a._csc_memo is None and not sess._cscs
+        assert (sess.fingerprint_digests, sess.csc_cache_hits, sess.csc_cache_misses) == (0, 0, 0)
+        # a caller that holds the fingerprint (the delta engine) gets the memo
+        fp = fingerprint_csr(a)
+        c1 = sess.csc_of(a, fp)
+        assert sess.csc_of(a, fp) is c1
+        assert (sess.csc_cache_hits, sess.csc_cache_misses) == (1, 1)
+        # so does a call scope that digested the operand for another consumer
+        with sess.call():
+            assert sess.csc_of(a) is not c1
+            sess.fingerprint(a)
+            assert sess.csc_of(a) is c1
+        assert sess.csc_of(a) is not c1  # the scope ended: the key is gone
         # a fresh session finds the object-level memo (same content)
         sess2 = ExecutionSession()
-        assert sess2.csc_of(a) is c1
+        assert sess2.csc_of(a, fp) is c1
         assert sess2.csc_cache_misses == 0
 
     def test_csc_memo_invalidated_by_content_change(self):
         a = erdos_renyi(48, 48, 3, seed=7, values="uniform")
         sess = ExecutionSession()
-        c1 = sess.csc_of(a)
+        c1 = sess.csc_of(a, fingerprint_csr(a))
         a.data[:] = a.data * 2.0
+        assert sess.csc_of(a, fingerprint_csr(a)) is not c1  # new content, new key
+        a.data[:] = a.data / 2.0
+        assert sess.csc_of(a, fingerprint_csr(a)) is c1
         sess.invalidate(a)
-        c2 = sess.csc_of(a)
-        assert c2 is not c1
+        assert sess.csc_of(a, fingerprint_csr(a)) is not c1
 
     def test_symbolic_bounds_replay_counter(self, square_problem):
         a, b, m = square_problem
@@ -382,12 +396,16 @@ class TestDerivedCaches:
                 masked_spgemm(a, b, m, algo=algo, session=sess)
             assert sess.fingerprint_digests == 0
             assert sess.bound_cache_misses == 0
+            # nor does a pull call: building B's CSC costs less than the
+            # digest that would guard a memo of it
             masked_spgemm(a, b, m, algo="inner", session=sess)
-            assert sess.fingerprint_digests == 1  # B, for the CSC memo
+            assert sess.fingerprint_digests == 0
+            assert (sess.csc_cache_hits, sess.csc_cache_misses) == (0, 0)
 
     def test_inplace_write_to_b_between_inner_calls_is_seen(self):
-        # the CSC memo keys on content digested at every call: writing into
-        # B in place between two inner-planned calls must miss it
+        # inner-planned calls rebuild B's CSC (no digest for a CSC alone), so
+        # a write into B in place between two calls is simply seen; behind a
+        # fingerprint the memo follows the content too
         # (dense enough that every row pulls under either kernel tier's profile)
         a = erdos_renyi(128, 128, 32, seed=1, values="uniform")
         b = erdos_renyi(128, 128, 32, seed=2, values="uniform")
@@ -395,13 +413,17 @@ class TestDerivedCaches:
         with ExecutionSession() as sess:
             assert sess.plan(a, b, m).nrows_per_algo() == {"inner": 128}
             c1 = masked_spgemm(a, b, m, algo="auto", session=sess)
-            assert (sess.csc_cache_misses, sess.fingerprint_digests) == (1, 1)
             b.data[:] *= 2
             c2 = masked_spgemm(a, b, m, algo="auto", session=sess)
-            assert (sess.csc_cache_misses, sess.csc_cache_hits) == (2, 0)
             c3 = masked_spgemm(a, b, m, algo="auto", session=sess)
-            assert (sess.csc_cache_misses, sess.csc_cache_hits) == (2, 1)
-            assert sess.fingerprint_digests == 3  # B only, once per call
+            assert sess.fingerprint_digests == 0
+            assert (sess.csc_cache_misses, sess.csc_cache_hits) == (0, 0)
+            keyed = sess.csc_of(b, sess.fingerprint(b))
+            b.data[:] *= 2
+            rekeyed = sess.csc_of(b, sess.fingerprint(b))
+            assert rekeyed is not keyed and np.array_equal(rekeyed.data, 2.0 * keyed.data)
+            assert (sess.csc_cache_misses, sess.csc_cache_hits) == (2, 0)
+            b.data[:] /= 2
         assert np.array_equal(c2.data, 2.0 * c1.data)
         ref = masked_spgemm(a, b, m, algo="auto")
         assert np.array_equal(c2.indices, ref.indices)

@@ -180,8 +180,11 @@ class TestTransforms:
 
     def test_permute_rejects_bad_perm(self):
         a = random_csr(4, 4, 2, seed=15)
-        with pytest.raises(ValueError, match="permutation"):
-            a.permute(np.array([0, 0, 1, 2]))
+        for bad in ([0, 0, 1, 2], [0, 1, 2, 4], [0, 1, 2, -1], [0, 1, 2], [0, 1, 2, 3, 3],
+                    [[0, 1], [2, 3]]):
+            with pytest.raises(ValueError, match="perm must be a permutation of range"):
+                a.permute(np.array(bad))
+        assert CSR.empty((0, 0)).permute(np.empty(0, dtype=np.int64)).shape == (0, 0)
 
     def test_select_rows(self):
         a = random_csr(10, 8, 3, seed=16)
