@@ -8,6 +8,12 @@ against scipy computing the whole product and masking it afterwards,
 native tier (``core/kernels/native.c``; skipped where no compiler exists)
 and at most 2.0x for the NumPy body, timed under ``native.disabled()``.
 
+And ROADMAP item 1's bar for two-phase execution, on the NumPy tier: the
+count-only symbolic pass (``symbolic_masked``, the push frame's count-only
+mode) costs at most 1.5x the numeric ``msa`` pass it sizes, at scale 12 (it
+was 23x as its own eager-expansion loop; the native tier's ratio is
+``docs/algorithms.md``'s).
+
 Same method as ``test_auto_regret.py``: every time is a best-of-5 in this
 process, the rounds interleave the two calls so drift on a shared host hits
 them alike, and every timed call directly follows an untimed call of the
@@ -21,6 +27,7 @@ import numpy as np
 
 from repro.core import masked_spgemm
 from repro.core.kernels import native
+from repro.core.symbolic import symbolic_masked
 from repro.graphs import relabel_by_degree, rmat
 from repro.machine import total_flops
 from repro.semiring import PLUS_PAIR
@@ -29,6 +36,9 @@ TC_SCALES = (12, 13, 14)
 REPEATS = 5
 #: tier -> allowed msa / scipy time
 MAX_VS_SCIPY = {"native": 0.75, "numpy": 2.0}
+SYMBOLIC_SCALE = 12
+#: allowed symbolic / numeric msa time on the NumPy tier
+MAX_SYMBOLIC_VS_NUMERIC = 1.5
 
 
 def test_kernel_floor(benchmark, save_result):
@@ -99,3 +109,39 @@ def test_kernel_floor(benchmark, save_result):
         for r in rows if r["vs_scipy_x"] > MAX_VS_SCIPY[r["tier"]]
     ]
     assert not bad, f"forced msa over its bound {MAX_VS_SCIPY} x scipy multiply-then-mask: {bad}"
+
+
+def test_symbolic_pass_costs_no_more_than_the_numeric_pass(benchmark, save_result):
+    low = relabel_by_degree(rmat(SYMBOLIC_SCALE, seed=3).pattern()).tril(-1)
+    calls = {
+        "numeric": lambda: masked_spgemm(low, low, low, algo="msa", semiring=PLUS_PAIR),
+        "symbolic": lambda: symbolic_masked(low, low, low),
+    }
+
+    def run():
+        best, out = {}, {}
+        with native.disabled():
+            for _ in range(REPEATS):
+                for name, call in calls.items():
+                    call()
+                    t0 = time.perf_counter()
+                    out[name] = call()
+                    dt = time.perf_counter() - t0
+                    best[name] = min(best.get(name, dt), dt)
+        return best, out
+
+    best, out = benchmark.pedantic(run, rounds=1, iterations=1)
+    ratio = best["symbolic"] / best["numeric"]
+    save_result(
+        f"2P on the NumPy tier, R-MAT TC scale {SYMBOLIC_SCALE} (best of {REPEATS}): "
+        f"symbolic {best['symbolic'] * 1e3:.2f} ms, numeric msa "
+        f"{best['numeric'] * 1e3:.2f} ms, {ratio:.2f}x",
+        data={"scale": SYMBOLIC_SCALE, "symbolic_s": best["symbolic"],
+              "numeric_s": best["numeric"], "symbolic_vs_numeric_x": ratio},
+        title="symbolic vs numeric",
+    )
+    assert np.array_equal(out["symbolic"], np.diff(out["numeric"].indptr))
+    assert ratio <= MAX_SYMBOLIC_VS_NUMERIC, (
+        f"count-only symbolic pass {ratio:.2f}x the numeric msa pass "
+        f"(bound {MAX_SYMBOLIC_VS_NUMERIC}x)"
+    )

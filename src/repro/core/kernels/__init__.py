@@ -1,4 +1,7 @@
-"""Vectorized NumPy fast paths for the paper's algorithms."""
+"""The fast kernel tiers (``docs/kernels.md``).  NumPy: :mod:`.batch` holds the
+one chunked push loop and its three accumulator strategies — MSA, MCA, Hash,
+ESC and the 2P symbolic pass are that loop — beside the pull kernel and the
+unmasked saxpy.  Native: :mod:`.native` loads ``native.c``'s row loops."""
 
 from .arena import Lease, ScratchArena, arena_stats, clear_arena, get_arena
 from .esc_kernel import masked_spgemm_esc_fast

@@ -1,16 +1,12 @@
-"""Shared machinery for the vectorized (fast) kernels.
+"""Eager product expansion in contiguous row blocks.
 
-The push-based fast kernels all start from the same *product expansion*: the
-multiset of scalar products ``{A[i,k] * B[k,j]}`` written as flat arrays
-``(prod_rows, prod_cols, prod_vals)`` of length ``flops(A B)`` (paper
-notation).  Building it is pure NumPy gather/repeat — no Python-level loop
-over nonzeros — and corresponds exactly to memory-access patterns 1-3 of
-Section 4.2 (read A, fetch B row extents, stanza-read B rows).
-
-Because the expansion materialises ``flops(AB)`` words, kernels process the
-output rows in *row blocks* chosen so each block expands to at most
-``flop_budget`` products; this mirrors how a real implementation tiles for
-cache and keeps peak memory bounded.
+The multiset of scalar products ``{A[i,k] * B[k,j]}`` of a row block as flat
+arrays ``(prod_rows, prod_cols, prod_vals)`` of length ``flops(A B)`` — pure
+NumPy gather/repeat, memory-access patterns 1-3 of Section 4.2 (read A, fetch
+B row extents, stanza-read B rows) — in blocks that expand to at most
+``flop_budget`` products.  The unmasked saxpy product multiplies everything
+and uses it directly; the masked push kernels expand keys only
+(:func:`repro.core.kernels.batch.expand_keys`), with this as the oracle.
 """
 
 from __future__ import annotations
@@ -68,12 +64,8 @@ def iter_row_blocks(
     a: CSR, b: CSR, flop_budget: int = DEFAULT_FLOP_BUDGET
 ) -> Iterator[Tuple[int, int]]:
     """Yield ``(row_lo, row_hi)`` blocks whose expansion stays within the
-    flop budget (single rows may exceed it; they get a block of their own).
-
-    Block boundaries come from a vectorized cumulative-sum cut
-    (:func:`repro.core.kernels.batch.plan_flop_blocks`) — no per-row Python
-    loop — and are identical to the historical greedy walk's.
-    """
+    flop budget (single rows may exceed it; they get a block of their own):
+    :func:`repro.core.kernels.batch.plan_flop_blocks` over ``flops_per_row``."""
     from .batch import per_row_flops, plan_flop_blocks
 
     yield from plan_flop_blocks(per_row_flops(a, b), flop_budget)

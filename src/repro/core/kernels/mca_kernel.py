@@ -1,18 +1,12 @@
 """Vectorized MCA kernel.
 
-The fast counterpart of Algorithm 3.  The compressed key of a mask nonzero
-is its *rank* — its index within the block's (row-major, column-sorted) mask
-entries — so the whole block's compressed index space is just
-``arange(nnz(mask_block))``, and the merge of each product against the mask
-row is one batched ``searchsorted`` of product flat-keys into the sorted
-mask flat-keys (binary search replaces the reference's two-pointer walk;
-both realize the "compute the rank of column j inside the mask row" step of
-Section 5.4).
-
-Products whose key is absent from the mask are dropped *before* the
-multiply-accumulate; survivors accumulate into compact ``values``/``set``
-arrays of length ``nnz(mask_block)`` — the whole point of MCA: the working
-set is proportional to the mask, never to ``ncols``.
+The fast counterpart of Algorithm 3: the push frame over the sorted-rank
+accumulator (:class:`repro.core.kernels.batch.SortedRank`, which describes
+the algorithm) on contiguous flop-budget row blocks.  The batched
+``searchsorted`` of product keys into the block's sorted mask keys replaces
+the reference's two-pointer walk; both realize the "compute the rank of
+column j inside the mask row" step of Section 5.4, and products absent from
+the mask are dropped *before* the multiply.
 
 MCA does not support complemented masks (the compressed space has no slots
 for out-of-mask columns); the dispatcher enforces this.
@@ -22,14 +16,12 @@ from __future__ import annotations
 
 from typing import Optional
 
-import numpy as np
-
 from ...machine import OpCounter
-from ...observe import probes as _probes
 from ...observe.tracer import traced_kernel
 from ...semiring import PLUS_TIMES, Semiring
 from ...sparse import CSR
-from .expand import DEFAULT_FLOP_BUDGET, expand_products, iter_row_blocks, row_keys
+from .expand import DEFAULT_FLOP_BUDGET
+from .batch import Chunk, SortedRank, push_product, record_mask_routing
 
 __all__ = ["masked_spgemm_mca_fast"]
 
@@ -48,72 +40,26 @@ def masked_spgemm_mca_fast(
     """Vectorized MCA masked SpGEMM (see module docs)."""
     if complement:
         raise ValueError("MCA does not support complemented masks (paper, Sec. 8.4)")
-    a = a.sort_indices()
-    b = b.sort_indices()
-    mask = mask.sort_indices()
-    n = b.ncols
-    ident = semiring.add_identity
-    add_at = semiring.add_ufunc.at
+    return push_product(
+        a, b, mask, SortedRank("mca", semiring), complement=False,
+        semiring=semiring, counter=counter, flop_budget=flop_budget,
+        batch="perrow", charge=_charge, record=_record,
+    )
 
-    out_rows = []
-    out_cols = []
-    out_vals = []
 
-    pr = _probes._INSTALLED  # one read; recordings below are per block
-    for lo, hi in iter_row_blocks(a, b, flop_budget):
-        mlo, mhi = int(mask.indptr[lo]), int(mask.indptr[hi])
-        nm = mhi - mlo
-        if nm == 0:
-            continue
-        m_rows = np.repeat(
-            np.arange(lo, hi, dtype=np.int64), np.diff(mask.indptr[lo : hi + 1])
-        )
-        m_cols = mask.indices[mlo:mhi]
-        m_keys = row_keys(m_rows, m_cols, n)  # sorted by construction
+# a block without mask entries has nothing to merge against: it charges and
+# records nothing
+def _charge(counter: OpCounter, ch: Chunk) -> None:
+    if ch.nm:
+        counter.accum_inserts += ch.products
+        counter.mask_scans += ch.products
+        counter.flops += ch.kept
+        counter.accum_removes += ch.nm
 
-        prod_rows, prod_cols, prod_vals = expand_products(a, b, lo, hi, semiring)
-        p_keys = row_keys(prod_rows, prod_cols, n)
-        if counter is not None:
-            counter.accum_inserts += int(p_keys.shape[0])
-            counter.mask_scans += int(p_keys.shape[0])
 
-        # rank of each product key inside the mask (the compressed index)
-        rank = np.searchsorted(m_keys, p_keys)
-        rank_c = np.minimum(rank, nm - 1)
-        match = m_keys[rank_c] == p_keys
-
-        values = np.full(nm, ident, dtype=np.float64)
-        is_set = np.zeros(nm, dtype=bool)
-        kept = rank_c[match]
-        add_at(values, kept, prod_vals[match])
-        is_set[kept] = True
-        if counter is not None:
-            counter.flops += int(match.sum())
-            counter.accum_removes += nm
-        if pr is not None:
-            # compressed-space utilisation: SET ranks vs nnz(mask block) —
-            # MCA's working set is exactly nm, so this is its hit rate
-            pr.hist("mca.touched_per_mask_pct").record(
-                int(100 * int(is_set.sum()) // max(1, nm))
-            )
-            if hi > lo:
-                hits = np.bincount(m_rows[is_set] - lo, minlength=hi - lo)
-                pr.hist("mask.row_hits").record_array(hits)
-                pr.hist("mask.row_misses").record_array(
-                    np.bincount(m_rows - lo, minlength=hi - lo) - hits
-                )
-
-        out_rows.append(m_rows[is_set])
-        out_cols.append(m_cols[is_set])
-        out_vals.append(values[is_set])
-
-    if out_rows:
-        rows = np.concatenate(out_rows)
-        cols = np.concatenate(out_cols)
-        vals = np.concatenate(out_vals)
-    else:
-        rows = cols = np.empty(0, dtype=np.int64)
-        vals = np.empty(0, dtype=np.float64)
-    if counter is not None:
-        counter.output_nnz += int(rows.shape[0])
-    return CSR.from_coo((a.nrows, n), rows, cols, vals)
+def _record(pr, ch: Chunk) -> None:
+    if ch.nm:
+        # compressed-space utilisation: SET ranks vs nnz(mask block) —
+        # MCA's working set is exactly nm, so this is its hit rate
+        pr.hist("mca.touched_per_mask_pct").record(int(100 * ch.out // ch.nm))
+        record_mask_routing(pr, ch)

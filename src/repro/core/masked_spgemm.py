@@ -193,15 +193,16 @@ def masked_spgemm(
         which runs one work item per grid cell and drops cells whose mask
         cell is empty; results are bit-for-bit identical to the plain call.
     batch:
-        Batching tier of the MSA/Hash/ESC fast kernels (see
-        ``docs/kernels.md``): ``"auto"`` (default) picks the bucketed tier
-        when the call's upper-bound flops reach the machine's
-        ``batch_crossover_flops``, ``"bucket"`` / ``"perrow"`` force a
-        tier.  With ``algo="auto"`` the planner decides per row band (a
-        forced tier applies to every band).  Both tiers are bit-for-bit
-        identical in values and counters; on the bucketed tier a 2P call
-        additionally fuses the symbolic bound into output formation.
-        Ignored by algorithms without a bucketed tier.
+        How the NumPy tier's push loop chunks rows (see
+        ``docs/kernels.md``): ``"bucket"`` — power-of-two size classes of
+        the rows' upper-bound flops — or ``"perrow"`` — contiguous
+        flop-budget row blocks; ``"auto"`` (default) buckets when the
+        call's upper-bound flops reach the crossover (``1 << 18``, or the
+        ``batch_crossover_flops`` of a given ``machine``).  With
+        ``algo="auto"`` the planner decides per row band (a forced value
+        applies to every band).  Values and counters are bit-for-bit the
+        same either way.  It selects for ``msa`` and ``esc``; it is a
+        no-op for ``hash``, the native loops and every other algorithm.
     session:
         Optional :class:`repro.engine.ExecutionSession` holding cross-call
         caches for iterative workloads: CSC transpose memo, 2P
@@ -310,19 +311,15 @@ def masked_spgemm(
         raise ValueError(f"{ALGO_LABELS[key]} does not support complemented masks")
 
     use_fast = impl == "fast" or (impl == "auto" and key in _FAST)
-    batch_tier = batch
-    if use_fast and key in BATCHABLE_ALGOS:
-        from ..machine import resolve_machine as _resolve_machine
-
-        batch_tier = resolve_tier(
-            a, b, batch,
-            crossover=_resolve_machine(machine).batch_crossover_flops,
-        )
-    # 2P + bucketed tier fuses the symbolic bound into output formation:
-    # the kernel allocates the final CSR slab from row_nnz and writes
-    # finished rows in place (no COO re-sort, no separate counting sweep
+    # the chunked kernels take batch= and, under 2P, fuse the symbolic bound
+    # into output formation: the final CSR slab is allocated from row_nnz
+    # and finished rows are written in place (no separate counting sweep
     # beyond the one whose bound the session may already memoise)
-    fused = batch_tier == "bucket" and use_fast and key in BATCHABLE_ALGOS
+    chunked = use_fast and key in BATCHABLE_ALGOS
+    if chunked and machine is not None:
+        # "auto" is otherwise resolved where the chunks are made, against
+        # the default crossover; a named machine brings its own
+        batch = resolve_tier(a, b, batch, crossover=machine.batch_crossover_flops)
     hits_before = session.bound_cache_hits if session is not None else 0
 
     if phases == 2:
@@ -362,13 +359,13 @@ def masked_spgemm(
         kwargs = dict(complement=complement, semiring=semiring, counter=counter)
         if key == "inner":
             kwargs["b_csc"] = b_csc
-        if key in BATCHABLE_ALGOS:
-            kwargs["batch"] = batch_tier
-            if fused and row_nnz is not None:
+        if chunked:
+            kwargs["batch"] = batch
+            if row_nnz is not None:
                 kwargs["row_nnz"] = row_nnz
         c = _FAST[key](a, b, mask, **kwargs)
         if (
-            fused
+            chunked
             and row_nnz is not None
             and session is not None
             and session.bound_cache_hits > hits_before

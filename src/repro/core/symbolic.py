@@ -23,7 +23,8 @@ from ..machine import OpCounter, flops_per_row, total_flops
 from ..sparse import CSR
 from .kernels import native as _native
 from .kernels.arena import get_arena
-from .kernels.expand import DEFAULT_FLOP_BUDGET, expand_products, iter_row_blocks, row_keys
+from .kernels.batch import DenseRank, push_product
+from .kernels.msa_kernel import MSA_DENSE_BUDGET, MSA_FLOP_BUDGET
 
 __all__ = ["symbolic_masked", "one_phase_bound"]
 
@@ -35,21 +36,21 @@ def symbolic_masked(
     *,
     complement: bool = False,
     counter: Optional[OpCounter] = None,
-    flop_budget: int = DEFAULT_FLOP_BUDGET,
+    flop_budget: int = MSA_FLOP_BUDGET,
 ) -> np.ndarray:
     """Exact per-row output nonzero counts of ``M .* (A @ B)`` (pattern
-    only).  Index traversal mirrors the numeric phase; every inspected
-    product is charged to ``counter.symbolic_flops``."""
+    only).  Index traversal mirrors the numeric MSA pass — ``native.c``'s
+    count-only row loop (set-allowed, erase-on-hit, count; complement:
+    first-touch count), else the push frame's count-only mode over the
+    dense-rank strategy — and every inspected product is charged to
+    ``counter.symbolic_flops``."""
     a = a.sort_indices()
     b = b.sort_indices()
     mask = mask.sort_indices()
     n = b.ncols
-    out = np.zeros(a.nrows, dtype=np.int64)
     lib = _native.load()  # pattern only: every semiring and dtype is eligible
     if lib is not None:
-        # native.c's count-only row loop (set-allowed, erase-on-hit, count;
-        # complement: first-touch count); the charge is the closed form of
-        # the per-block sum below
+        out = np.zeros(a.nrows, dtype=np.int64)
         _native.validate(lib, (a, b, mask), a.ncols == b.nrows and mask.shape == (a.nrows, n))
         arena = get_arena()
         with arena.lease("native.state", np.uint8, 0) as state, \
@@ -58,35 +59,14 @@ def symbolic_masked(
                 x.ctypes.data for x in (a.indptr, a.indices, b.indptr, b.indices,
                                         mask.indptr, mask.indices, state.require(n),
                                         touched.require(n if complement else 0), out)))
-        if counter is not None:
-            counter.symbolic_flops += total_flops(a, b)
-        return out
-    m_rows_all = np.repeat(np.arange(mask.nrows, dtype=np.int64), mask.row_nnz())
-    m_keys_all = row_keys(m_rows_all, mask.indices, n)
-    for lo, hi in iter_row_blocks(a, b, flop_budget):
-        prod_rows, prod_cols, _ = expand_products(a, b, lo, hi, _PatternSemiring)
-        if prod_rows.shape[0] == 0:
-            continue
-        if counter is not None:
-            counter.symbolic_flops += int(prod_rows.shape[0])
-        p_keys = np.unique(row_keys(prod_rows, prod_cols, n))
-        if m_keys_all.shape[0] == 0:
-            inside = np.zeros(p_keys.shape[0], dtype=bool)
-        else:
-            idx = np.searchsorted(m_keys_all, p_keys)
-            idx_c = np.minimum(idx, m_keys_all.shape[0] - 1)
-            inside = m_keys_all[idx_c] == p_keys
-        keep = p_keys[~inside] if complement else p_keys[inside]
-        np.add.at(out, keep // n, 1)
+    else:
+        out = push_product(
+            a, b, mask, DenseRank(), complement=complement,
+            flop_budget=flop_budget, dense_budget=MSA_DENSE_BUDGET, count_only=True,
+        )
+    if counter is not None:
+        counter.symbolic_flops += total_flops(a, b)
     return out
-
-
-class _PatternSemiring:
-    """Value-free stand-in semiring for symbolic expansion."""
-
-    @staticmethod
-    def mult_ufunc(x, y):
-        return np.zeros(np.broadcast(x, y).shape, dtype=np.float64)
 
 
 def one_phase_bound(

@@ -77,7 +77,7 @@ class HostProfile:
     name: str = "host"
     candidates: Tuple[str, ...] = ("inner", "msa", "mca")
     msa_ns: Tuple[float, float, float] = (8.0, 18.0, 390.0)
-    mca_ns: Tuple[float, float, float] = (53.6, 6.1, 87.0)
+    mca_ns: Tuple[float, float, float] = (39.5, 8.9, 175.0)
     inner_ns: Tuple[float, float, float] = (8.6, 32.2, 182.0)
     #: CSC build (``CSR.transpose``: this tier's radix passes) per nnz(B),
     #: charged to ``inner`` unless the call already holds the fingerprint

@@ -167,7 +167,7 @@ class TestKernelsOnReusedBuffers:
         assert_csr_equal(got, scipy_masked_spgemm(a, a, m))
 
     def test_exception_mid_chunk_discards_the_rank_lease(self, monkeypatch, numpy_tier):
-        from repro.core.kernels import msa_kernel
+        from repro.core.kernels import batch
 
         a = random_csr(20, 20, 3, seed=61)
         m = random_csr(20, 20, 3, seed=62)
@@ -178,7 +178,7 @@ class TestKernelsOnReusedBuffers:
         def boom(*args, **kwargs):
             raise RuntimeError("mid-chunk")
 
-        monkeypatch.setattr(msa_kernel, "product_values", boom)
+        monkeypatch.setattr(batch, "product_values", boom)
         before = arena_stats()["discarded"]
         with pytest.raises(RuntimeError, match="mid-chunk"):
             masked_spgemm(a, a, m, algo="msa", impl="fast")

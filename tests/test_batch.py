@@ -32,6 +32,7 @@ from repro.core.kernels.batch import (
     resolve_tier,
 )
 from repro.core.kernels.expand import expand_products
+from repro.core.kernels.hash_kernel import VectorHashTable, masked_spgemm_hash_fast
 from repro.core.kernels.msa_kernel import MSA_FLOP_BUDGET, masked_spgemm_msa_fast
 from repro.core.masked_spgemm import masked_spgemm
 from repro.engine import ExecutionSession, Planner, execute
@@ -182,11 +183,11 @@ class TestHelpers:
     def test_fused_slab_detects_symbolic_mismatch(self):
         slab = FusedSlab((2, 4), np.array([1, 1], dtype=np.int64))
         with pytest.raises(AssertionError, match="symbolic/numeric mismatch"):
-            slab.write(
-                np.array([0, 0]), np.array([1, 2]), np.array([1.0, 2.0])
+            slab.write_rows(
+                np.array([0]), np.array([2]), np.array([1, 2]), np.array([1.0, 2.0])
             )
         slab2 = FusedSlab((2, 4), np.array([1, 1], dtype=np.int64))
-        slab2.write(np.array([0]), np.array([1]), np.array([1.0]))
+        slab2.write_rows(np.array([0]), np.array([1]), np.array([1]), np.array([1.0]))
         with pytest.raises(AssertionError, match="symbolic/numeric mismatch"):
             slab2.finish()
 
@@ -545,16 +546,40 @@ class TestBackendEquivalence:
             assert stats["fused_numeric_hits"] == stats["bound_cache_hits"]
 
     def test_probe_histograms_match_between_tiers_for_hash(self, graph):
-        g = graph
-        exports = {}
-        for tier in ("perrow", "bucket"):
+        """The kernel's arithmetic chain lengths (``_lookup_probes``)
+        against the per-key walk, ``VectorHashTable.lookup``, over the same
+        tables: equal ``hash_probes`` and ``hash.probe_chain`` histogram."""
+        g = graph.sort_indices()
+        budget = 200  # several blocks, so several table geometries
+        keys = g.row_ids() * g.ncols + g.indices
+        for complement in (False, True):
+            runs = {}
+            for tier in ("perrow", "bucket"):
+                counter = OpCounter()
+                with _probes.probing() as pr:
+                    masked_spgemm_hash_fast(
+                        g, g, g, batch=tier, complement=complement,
+                        semiring=PLUS_PAIR, counter=counter, flop_budget=budget)
+                runs[tier] = (counter.hash_probes, pr.export())
+            # the blocks, and so the tables, are the same under every spelling
+            assert runs["perrow"] == runs["bucket"]
+
+            walked = OpCounter()
             with _probes.probing() as pr:
-                masked_spgemm(g, g, g, algo="hash", batch=tier,
-                              semiring=PLUS_PAIR)
-            exports[tier] = pr.export()
-        # hash keeps the per-row tier's blocks, so every histogram —
-        # probe chains included — must be bit-for-bit identical
-        assert exports["perrow"] == exports["bucket"]
+                chain = pr.hist("hash.probe_chain")
+                for lo, hi in plan_flop_blocks(per_row_flops(g, g), budget):
+                    m_keys = keys[g.indptr[lo]:g.indptr[hi]]
+                    if m_keys.size == 0 and not complement:
+                        continue  # nothing is allowed: nothing is looked up
+                    table = VectorHashTable(max(1, m_keys.size), walked,
+                                            chain_hist=chain)
+                    table.insert(m_keys)
+                    block = np.arange(lo, hi, dtype=np.int64)
+                    table.lookup(expand_keys(g, g, block, block)[0])
+            probes, export = runs["bucket"]
+            assert probes == walked.hash_probes > 0
+            assert export["hash.probe_chain"] == pr.export()["hash.probe_chain"]
+            assert export["hash.probe_chain"]["total"] == probes
 
 
 # ----------------------------------------------------------------------

@@ -1,6 +1,8 @@
 """Unit tests for the vectorized kernel machinery (expansion, vector hash
 table, block iteration) — the parts of the fast tier with their own logic."""
 
+import contextlib
+
 import numpy as np
 import pytest
 
@@ -11,13 +13,18 @@ from repro.core.kernels import (
     iter_row_blocks,
     row_keys,
 )
+from repro.core import masked_spgemm
+from repro.core.kernels import native
 from repro.core.kernels.msa_kernel import masked_spgemm_msa_fast
 from repro.core.kernels.hash_kernel import masked_spgemm_hash_fast
+from repro.core.symbolic import symbolic_masked
 from repro.baselines import scipy_masked_spgemm
 from repro.machine import OpCounter, total_flops
-from repro.semiring import PLUS_TIMES
+from repro.semiring import MIN_PLUS, PLUS_PAIR, PLUS_TIMES
+from repro.sparse import CSR
 
 from .conftest import assert_csr_equal, random_csr
+from .test_native import OPERANDS, _bytes
 
 
 class TestExpandProducts:
@@ -180,3 +187,59 @@ class TestKernelBlocking:
         masked_spgemm_msa_fast(a, b, m, counter=c)
         assert c.accum_inserts == total_flops(a, b)
         assert c.accum_allowed == m.nnz
+
+
+def _random_values(mat: CSR, seed: int) -> CSR:
+    """``mat``'s pattern with finite random values (the operand sets carry
+    NaN / inf / signed zeros, which no tolerance comparison survives)."""
+    mat = mat.sort_indices()
+    data = np.random.default_rng(seed).uniform(-1.0, 1.0, mat.nnz)
+    return CSR(mat.shape, mat.indptr, mat.indices, data, sorted_indices=True)
+
+
+@pytest.mark.batch  # the native-tier CI job runs this marker with both tiers live
+class TestCrossAlgorithmIdentity:
+    """The byte-identity classes of the push algorithms (docs/kernels.md):
+    with a plain mask ``msa``, ``mca`` and ``hash`` accumulate each output
+    cell sequentially in product order, with a complemented mask ``hash``
+    and ``esc`` both stable-sort and segment-reduce — so within a class the
+    CSR bytes are equal, under either ``batch`` spelling, and each agrees
+    with the reference tier.  And the 2P symbolic pass counts exactly what
+    the numeric pass emits, on both kernel tiers."""
+
+    CLASSES = ((False, ("msa", "mca", "hash")), (True, ("hash", "esc")))
+
+    @pytest.mark.parametrize("name", OPERANDS)
+    def test_classes_are_byte_equal(self, name, numpy_tier):
+        a, b, m = OPERANDS[name]
+        ra, rb = _random_values(a, 1), _random_values(b, 2)
+        for sr, x, y in ((PLUS_TIMES, ra, rb), (PLUS_PAIR, a, b), (MIN_PLUS, ra, rb)):
+            for complement, algos in self.CLASSES:
+                want = masked_spgemm(x, y, m, algo="msa", impl="reference",
+                                     complement=complement, semiring=sr)
+                first = None
+                for batch in ("perrow", "bucket"):
+                    for algo in algos:
+                        got = masked_spgemm(x, y, m, algo=algo, batch=batch,
+                                            complement=complement, semiring=sr)
+                        case = (name, sr.name, complement, batch, algo)
+                        first = got if first is None else first
+                        assert _bytes(got) == _bytes(first), case
+                        assert_csr_equal(got, want, msg=str(case))
+
+    @pytest.mark.parametrize("name", OPERANDS)
+    @pytest.mark.parametrize("tier", ("numpy", "native"))
+    @pytest.mark.parametrize("complement", (False, True))
+    def test_symbolic_counts_what_numeric_emits(self, name, tier, complement):
+        if tier == "native" and native.load() is None:
+            pytest.skip("no C compiler: native tier unavailable")
+        a, b, m = OPERANDS[name]
+        with native.disabled() if tier == "numpy" else contextlib.nullcontext():
+            counter = OpCounter()
+            counts = symbolic_masked(a, b, m, complement=complement, counter=counter)
+            numeric = masked_spgemm(a, b, m, algo="msa", complement=complement,
+                                    semiring=PLUS_PAIR)
+        assert counts.dtype == np.int64
+        assert np.array_equal(counts, np.diff(numeric.indptr))
+        assert counter.symbolic_flops == total_flops(a.sort_indices(), b.sort_indices())
+        assert {k for k, v in counter.as_dict().items() if v} <= {"symbolic_flops"}
