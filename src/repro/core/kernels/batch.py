@@ -81,11 +81,6 @@ BATCHABLE_ALGOS = frozenset({"msa", "hash", "esc"})
 #: flops for the whole call (see MachineConfig.batch_crossover_flops)
 DEFAULT_BATCH_CROSSOVER_FLOPS = 1 << 18
 
-#: products per contiguous block when nothing observes where a block ends:
-#: the temporaries stay cache-sized (ESC on TC R-MAT 12, ms: 77 at 2^16, 90 at
-#: 2^18, 115 at 2^22; Hash 64 / 76 / 98)
-FINE_BLOCK_BUDGET = 1 << 16
-
 
 def resolve_tier(
     a: CSR,
@@ -176,7 +171,6 @@ def bucket_batches(
     ids = bucket_ids(per_row)
     if ids.size == 0:
         return
-    tr = _obs.current()
     order = np.argsort(ids, kind="stable")  # row order preserved per bucket
     sorted_ids = ids[order]
     boundaries = np.flatnonzero(np.diff(sorted_ids)) + 1
@@ -192,16 +186,7 @@ def bucket_batches(
             chunk = min(chunk, int(width_cap))
         chunk = max(1, chunk)
         for lo in range(0, rows.size, chunk):
-            chunk_rows = rows[lo : lo + chunk]
-            # the span stays open across the yield, so its duration is
-            # exactly the kernel's processing time for this chunk (the
-            # generator is suspended inside the with-block)
-            with _obs.NULL_SPAN if tr is None else tr.span(
-                "kernel.bucket",
-                {"bucket": b, "rows": int(chunk_rows.size),
-                 "flops": int(per_row[chunk_rows].sum())},
-            ):
-                yield b, chunk_rows
+            yield b, rows[lo : lo + chunk]
 
 
 def expand_keys(
@@ -503,7 +488,6 @@ def push_product(
     semiring: Semiring = PLUS_TIMES,
     counter: Optional[OpCounter] = None,
     flop_budget: int,
-    fine_blocks: bool = False,
     dense_budget: Optional[int] = None,
     batch: str = "auto",
     row_nnz: Optional[np.ndarray] = None,
@@ -514,9 +498,7 @@ def push_product(
     """``M .* (A @ B)`` (``!M`` with ``complement``) through ``strategy`` —
     see the module docs.  Chunks expand to at most ``flop_budget`` products
     (a single larger row gets its own) and address at most ``dense_budget``
-    cells of the chunk's ``rows x ncols`` dense range (at least one row);
-    ``fine_blocks`` cuts the contiguous blocks to ``FINE_BLOCK_BUDGET``, for
-    callers whose charges and recordings cannot tell where a block ends.
+    cells of the chunk's ``rows x ncols`` dense range (at least one row).
     ``charge(counter, chunk)`` / ``record(probes, chunk)`` run per chunk when
     a counter / a probe registry is there.  Returns the CSR, or with
     ``count_only`` (no multiply, no value accumulation) each row's output
@@ -529,13 +511,14 @@ def push_product(
     max_width = None if dense_budget is None else max(1, dense_budget // max(1, n))
     per_row = per_row_flops(a, b)
     tier = resolve_tier(a, b, batch, per_row=per_row)
-    if tier != batch:
-        _obs.annotate(batch=tier)  # the kernel span shows what "auto" became
+    # a kernel's span shows what "auto" became and, nested, its bucket
+    # chunks; the count-only pass is no kernel and leaves no trace
+    tr = None if count_only else _obs.current()
+    if tr is not None and tier != batch:
+        _obs.annotate(batch=tier)
     if tier == "bucket":
         chunks = bucket_batches(per_row, flop_budget, width_cap=max_width)
     else:
-        if fine_blocks:
-            flop_budget = min(flop_budget, FINE_BLOCK_BUDGET)
         chunks = row_blocks(per_row, flop_budget, max_width)
     pr = _probes._INSTALLED  # one read; recordings below are per chunk
     slab = FusedSlab((a.nrows, n), row_nnz) if row_nnz is not None else None
@@ -548,27 +531,31 @@ def push_product(
         arena = get_arena()
         leases = [stack.enter_context(arena.lease(*spec)) for spec in strategy.leases]
         for bucket, rows in chunks:
-            m_pos, m_local = rows_entries(mask.indptr, rows)
-            m_cols = mask.indices.take(m_pos)
-            p_keys, p_bpos, a_pos, ends = expand_keys(
-                a, b, rows, np.arange(rows.size, dtype=np.int64)
-            )
-            ch = Chunk(bucket, rows, n, complement, semiring, m_local, m_cols,
-                       m_local * nn + m_cols, p_keys,
-                       None if count_only else (a, b, a_pos, ends, p_bpos))
-            local, cols, vals = strategy(ch, *leases)
-            ch.counts = counts = np.bincount(local, minlength=rows.size)
-            ch.out = int(cols.shape[0])
-            if counter is not None and charge is not None:
-                charge(counter, ch)
-            if pr is not None and record is not None:
-                record(pr, ch)
-            if slab is not None:
-                slab.write_rows(rows, counts, cols, vals)
-            else:
-                counts_of[rows] = counts
-                if not count_only:
-                    finished.append((rows, counts, cols, vals))
+            with _obs.NULL_SPAN if tr is None or bucket is None else tr.span(
+                "kernel.bucket",
+                {"bucket": bucket, "rows": int(rows.size), "flops": int(per_row[rows].sum())},
+            ):
+                m_pos, m_local = rows_entries(mask.indptr, rows)
+                m_cols = mask.indices.take(m_pos)
+                p_keys, p_bpos, a_pos, ends = expand_keys(
+                    a, b, rows, np.arange(rows.size, dtype=np.int64)
+                )
+                ch = Chunk(bucket, rows, n, complement, semiring, m_local, m_cols,
+                           m_local * nn + m_cols, p_keys,
+                           None if count_only else (a, b, a_pos, ends, p_bpos))
+                local, cols, vals = strategy(ch, *leases)
+                ch.counts = counts = np.bincount(local, minlength=rows.size)
+                ch.out = int(cols.shape[0])
+                if counter is not None and charge is not None:
+                    charge(counter, ch)
+                if pr is not None and record is not None:
+                    record(pr, ch)
+                if slab is not None:
+                    slab.write_rows(rows, counts, cols, vals)
+                else:
+                    counts_of[rows] = counts
+                    if not count_only:
+                        finished.append((rows, counts, cols, vals))
 
     if count_only:
         return counts_of

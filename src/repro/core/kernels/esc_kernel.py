@@ -32,7 +32,7 @@ from ...machine import OpCounter
 from ...observe.tracer import traced_kernel
 from ...semiring import PLUS_TIMES, Semiring
 from ...sparse import CSR
-from .expand import DEFAULT_FLOP_BUDGET
+from .expand import DEFAULT_FLOP_BUDGET, FINE_FLOP_BUDGET
 from .batch import Chunk, SortCompress, push_product
 
 __all__ = ["masked_spgemm_esc_fast"]
@@ -53,16 +53,18 @@ def masked_spgemm_esc_fast(
 ) -> CSR:
     """Vectorized masked Expand-Sort-Compress (see module docs).
 
-    ``batch`` selects the chunker (``"auto"`` | ``"bucket"`` | ``"perrow"``);
-    ``row_nnz`` optionally carries the exact two-phase symbolic bound, so
-    finished rows are written straight into the final CSR arrays and
-    checked against it.
+    ``batch`` selects the chunker (``"auto"`` | ``"bucket"`` | ``"perrow"``;
+    forced contiguous blocks hold at most ``FINE_FLOP_BUDGET`` of the
+    ``flop_budget`` products); ``row_nnz`` optionally carries the exact
+    two-phase symbolic bound, so finished rows are written straight into
+    the final CSR arrays and checked against it.
     """
+    if batch == "perrow":  # "auto" takes blocks only below the crossover
+        flop_budget = min(flop_budget, FINE_FLOP_BUDGET)
     return push_product(
         a, b, mask, SortCompress(), complement=complement, semiring=semiring,
         counter=counter, flop_budget=flop_budget, batch=batch, row_nnz=row_nnz,
-        # every charge is a per-row sum and only bucket chunks are recorded
-        fine_blocks=True, charge=_charge, record=_record,
+        charge=_charge, record=_record,
     )
 
 

@@ -17,11 +17,13 @@ The table is for the *cost*: ``OpCounter.hash_probes`` and the
 or a probe registry asks, each block's :class:`VectorHashTable` is built by
 batched probe rounds (each round advances only the still-colliding lanes, so
 the number of rounds equals the longest chain) and every product lookup's
-chain length is reconstructed *arithmetically* (:func:`_lookup_probes`) —
+chain length is reconstructed *arithmetically* (:func:`_lookup_chains`) —
 exactly; :meth:`VectorHashTable.lookup` is the per-key walk it is tested
 against.  The table's geometry, and so its probe accounting, is per block:
-the blocks are the same under every ``batch=`` spelling, and with nobody
-asking no table is built.
+the blocks are the same under every ``batch=`` spelling.  With nobody asking
+no table is built and the blocks are capped at ``FINE_FLOP_BUDGET`` products
+— same bytes, and a counted or probed call (what every ``OpCounter``-carrying
+timing of this kernel measures) is 1.7-2.5x slower: ``docs/kernels.md``.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ from ...sparse import CSR
 from .arena import get_arena
 from .batch import BATCH_TIERS, Chunk, SortCompress, SortedRank, push_product, \
     record_mask_routing
-from .expand import DEFAULT_FLOP_BUDGET
+from .expand import DEFAULT_FLOP_BUDGET, FINE_FLOP_BUDGET
 
 __all__ = ["masked_spgemm_hash_fast", "VectorHashTable"]
 
@@ -121,8 +123,9 @@ class VectorHashTable:
         return slots >= 0, slots
 
 
-def _lookup_probes(table, m_slots, p_keys, idxc, found):
-    """Exact probe-chain length each product lookup *would* have walked.
+def _lookup_chains(table, m_keys, m_slots, p_keys, pos, found):
+    """``lengths[c]``: how many of the product lookups *would* have walked a
+    probe chain of exactly ``c`` slots.
 
     Linear probing with no deletions makes chains arithmetic: a present key
     inserted from home ``h`` into ``slot`` walked ``((slot - h) & mask) + 1``
@@ -130,20 +133,22 @@ def _lookup_probes(table, m_slots, p_keys, idxc, found):
     the lookup walks the same chain.  An absent key walks from its home to
     the first empty slot (inclusive): a reverse running minimum over the
     table gives every slot's next empty one, wrapping past the end to the
-    table's first.  Must run *before* any slot resets.
+    table's first.  A chain is thus a property of the mask key found or else
+    of the home slot, so the lookups are only *counted* per mask key and per
+    home slot; everything else is table-sized.  Must run *before* any slot
+    resets.
     """
-    h = (p_keys * _HASH_SCAL) & table.mask
-    probes = np.empty(p_keys.shape[0], dtype=np.int64)
-    hit = np.flatnonzero(found)
-    probes[hit] = ((m_slots.take(idxc.take(hit)) - h.take(hit)) & table.mask) + 1
-    absent = np.flatnonzero(~found)
-    if absent.shape[0]:
-        empty = table.keys == _EMPTY  # load factor <= 0.25: there is one
-        nxt = np.where(empty, np.arange(table.cap), table.cap + int(empty.argmax()))
-        nxt = np.minimum.accumulate(nxt[::-1])[::-1]
-        ha = h.take(absent)
-        probes[absent] = nxt.take(ha) - ha + 1
-    return probes
+    nm, cap = m_keys.shape[0], table.cap
+    hm = table._hash(m_keys)
+    hits = np.bincount(pos, weights=found, minlength=nm)[:nm]
+    # lookups per home slot, less those that found their key: the absent ones
+    absent = np.bincount(table._hash(p_keys), minlength=cap) \
+        - np.bincount(hm, weights=hits, minlength=cap)
+    empty = table.keys == _EMPTY  # load factor <= 0.25: there is one
+    nxt = np.where(empty, np.arange(cap), cap + int(empty.argmax()))
+    nxt = np.minimum.accumulate(nxt[::-1])[::-1]
+    chains = np.concatenate((((m_slots - hm) & table.mask) + 1, nxt - np.arange(cap) + 1))
+    return np.bincount(chains, weights=np.concatenate((hits, absent))).astype(np.int64)
 
 
 @traced_kernel("hash")
@@ -162,9 +167,11 @@ def masked_spgemm_hash_fast(
     """Vectorized Hash masked SpGEMM (see module docs).
 
     ``batch`` is validated and otherwise a no-op (the blocks are contiguous
-    under every spelling); ``row_nnz`` optionally carries the exact
-    two-phase symbolic bound, so finished rows are written straight into
-    the final CSR arrays and checked against it.
+    under every spelling, of at most ``flop_budget`` products — and at most
+    ``FINE_FLOP_BUDGET`` when no table is built, see the module docs);
+    ``row_nnz`` optionally carries the exact two-phase symbolic bound, so
+    finished rows are written straight into the final CSR arrays and
+    checked against it.
     """
     if batch not in BATCH_TIERS:
         raise ValueError(f"batch must be one of {BATCH_TIERS}, got {batch!r}")
@@ -175,36 +182,38 @@ def masked_spgemm_hash_fast(
         # the table hashes the flat output position; blocks are contiguous,
         # so that is the chunk-local key plus the first row's offset
         base = ch.rows[0] * np.int64(ch.ncols)
+        m_keys = ch.m_keys + base
         table = VectorHashTable(
             max(1, ch.nm), counter, keys_lease=keys_lease, chain_hist=chain_hist
         )
-        m_slots = table.insert(ch.m_keys + base)
+        m_slots = table.insert(m_keys)
         if pr is not None:
             # realized load factor, in percent (sized for <= 25%)
             pr.hist("hash.load_factor_pct").record(int(100 * ch.nm // table.cap))
         if ch.products:
-            probes = _lookup_probes(table, m_slots, ch.p_keys + base, pos, found)
+            lengths = _lookup_chains(table, m_keys, m_slots, ch.p_keys + base, pos, found)
             if counter is not None:
-                counter.hash_probes += int(probes.sum())
+                counter.hash_probes += int(lengths @ np.arange(lengths.shape[0]))
             if chain_hist is not None:
                 # chains are short: one record per distinct length
-                lengths = np.bincount(probes)
                 for length in np.flatnonzero(lengths):
                     chain_hist.record(length, lengths[length])
         # every slot insert() wrote is some key's returned slot
         table.keys[m_slots] = _EMPTY
 
     # with neither a counter nor probes installed there is nothing the hash
-    # table certifies — membership is a binary search either way, and nothing
-    # ties the blocks to the table's geometry
+    # table certifies — membership is a binary search either way — and nothing
+    # ties the blocks to the table's geometry: they are cut cache-sized
     on_lookup = certify if counter is not None or pr is not None else None
+    if on_lookup is None:
+        flop_budget = min(flop_budget, FINE_FLOP_BUDGET)
     with get_arena().lease("hash.keys", np.int64, _EMPTY) as keys_lease:
         return push_product(
             a, b, mask,
             SortCompress(on_lookup) if complement else SortedRank("hash", semiring, on_lookup),
             complement=complement, semiring=semiring, counter=counter,
             flop_budget=flop_budget, batch="perrow", row_nnz=row_nnz,
-            fine_blocks=on_lookup is None, charge=_charge, record=_record,
+            charge=_charge, record=_record,
         )
 
 

@@ -546,7 +546,7 @@ class TestBackendEquivalence:
             assert stats["fused_numeric_hits"] == stats["bound_cache_hits"]
 
     def test_probe_histograms_match_between_tiers_for_hash(self, graph):
-        """The kernel's arithmetic chain lengths (``_lookup_probes``)
+        """The kernel's arithmetic chain lengths (``_lookup_chains``)
         against the per-key walk, ``VectorHashTable.lookup``, over the same
         tables: equal ``hash_probes`` and ``hash.probe_chain`` histogram."""
         g = graph.sort_indices()

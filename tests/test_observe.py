@@ -173,6 +173,34 @@ class TestSpanIntegrity:
         ids = [sp.span_id for sp in coord.spans]
         assert len(ids) == len(set(ids)), "ingested ids must not collide"
 
+    @pytest.mark.parametrize("complement", [False, True])
+    def test_two_phase_symbolic_pass_leaves_no_chunk_telemetry(
+        self, numpy_tier, complement
+    ):
+        """The NumPy-tier symbolic pass is the push frame's count-only mode,
+        chunked like a kernel but not one: a traced 2P call shows the chunk
+        spans and the resolved ``batch`` of its numeric pass only."""
+        from repro.core import masked_spgemm
+        from repro.machine import total_flops
+
+        low = rmat(11, seed=3).pattern().tril(-1)
+        assert total_flops(low, low) >= 1 << 18  # "auto" buckets both passes
+        traces = {}
+        for phases in (1, 2):
+            with tracing() as traces[phases]:
+                masked_spgemm(low, low, low, algo="msa", phases=phases,
+                              complement=complement, semiring=PLUS_PAIR)
+        one, two = traces[1], traces[2]
+        by_id = {sp.span_id: sp for sp in two.spans}
+        chunks = [sp for sp in two.spans if sp.name == "kernel.bucket"]
+        assert chunks
+        assert all(by_id[sp.parent_id].name == "kernel.msa" for sp in chunks)
+        assert (metrics(two)["batch"]["bucket_chunks"]
+                == metrics(one)["batch"]["bucket_chunks"] == len(chunks))
+        (sym,) = [sp for sp in two.spans if sp.name == "spgemm.symbolic"]
+        assert "batch" not in sym.attrs
+        assert not [sp for sp in two.spans if sp.parent_id == sym.span_id]
+
 
 # ----------------------------------------------------------------------
 # 3. engine / kernels emit spans; exports are valid

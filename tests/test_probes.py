@@ -322,15 +322,35 @@ class TestSurfacing:
 class TestProbeOverhead:
     def test_enabled_overhead_under_three_percent(self):
         """Running the R-MAT triangle-count kernel with probe histograms
-        *enabled* stays inside an absolute budget over the disabled
-        configuration: 600 us per call.  Recording is one histogram pass
-        over the call's probe chains (0.15-0.4 ms here, where the call
-        itself takes ~9 ms — the 3% the bound was first stated as), and the
-        budget does not move when the kernel under it gets faster.  Both
-        sides carry a counter, so both build the table that certifies the
-        chains (without one the kernel builds none): the difference is the
-        recording.
+        *enabled* stays inside an absolute budget over the plain call.
+
+        The budget was 600 us (3% of the call it was first stated on) while
+        every forced-hash call built the hash table.  The one-body kernel
+        builds its ``VectorHashTable`` only for a counter or a probe
+        registry, so the plain call (~3.7 ms here, 9 ms before) has none and
+        probes-on pays for the table it alone asks for: insert rounds plus
+        the chain census, 2.5-3.8 ms measured at this size — the probed call
+        itself (~7 ms) is still faster than the old plain one.  5 ms bounds
+        that; the recording proper keeps the 600 us budget below.
         """
+        low = _tc_operand()
+
+        def run():
+            masked_spgemm(low, low, low, algo="hash", semiring=PLUS_PAIR)
+
+        def run_probed():
+            with probing():
+                run()
+
+        assert current() is None
+        assert_overhead_per_call(run, run_probed, budget_us=5000, calls=5,
+                                 trials=7)
+
+    def test_recording_overhead_over_a_counted_call(self):
+        """With a counter on both sides both build the table that certifies
+        the chains, so the difference is the recording alone — one histogram
+        pass over the call's chain census, mask routing and load factor
+        (0.1-0.4 ms here): the original 600 us budget."""
         low = _tc_operand()
 
         def run():
@@ -341,6 +361,5 @@ class TestProbeOverhead:
             with probing():
                 run()
 
-        assert current() is None
         assert_overhead_per_call(run, run_probed, budget_us=600, calls=5,
                                  trials=7)
