@@ -118,8 +118,9 @@ def test_ktruss_session_reuse(benchmark, save_result):
 def test_bc_session_reuse(benchmark, save_result):
     """Shared-session batched BC: the paper's best case — ``A`` and ``A^T``
     are constant across every level of every call, so after the first call
-    the big operands are served entirely from the segment registry and the
-    CSC memo."""
+    the big operands are served entirely from the segment registry.  (The
+    CSC memo stays cold on purpose — ``docs/sessions.md``: a digest costs
+    more than the transpose a hit would save, so no call takes one for it.)"""
     if not process_backend_available():
         import pytest
 
@@ -143,7 +144,6 @@ def test_bc_session_reuse(benchmark, save_result):
     assert np.array_equal(warm.centrality, cold.centrality)
     assert warm.depth == cold.depth
     assert stats["segments_reused"] > 0
-    assert stats["csc_cache_hits"] > 0
     assert counter.segments_reused > 0
 
     data = {

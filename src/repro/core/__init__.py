@@ -2,14 +2,14 @@
 
 Public entry points:
 
-* :func:`masked_spgemm` — the dispatcher over all algorithms/variants;
+* :func:`masked_spgemm` — the front door over all algorithms/variants;
   ``algo="auto"`` routes through the cost-model execution engine
   (:mod:`repro.engine`), which plans per-row-band algorithms, 1P/2P
   phases, row partitioning and optional column panels.
-* :func:`masked_spgemm_hybrid` — the future-work per-row hybrid (now a
-  ratio-banded plan executed by the engine).
-* :func:`masked_spgemm_chunked` — the memory-bounded panelled front
-  (now a forced-panel plan executed by the engine).
+* :func:`masked_spgemm_hybrid` — the future-work per-row hybrid: the
+  front door with a ratio-banded planner forced.
+* :func:`masked_spgemm_chunked` — the memory-bounded panelled front: the
+  front door with ``panel_width`` forced.
 * :func:`gustavson_spgemm` / :func:`spgemm_saxpy_fast` — plain SpGEMM.
 * :func:`masked_spgemm_multiply_then_mask` — the Figure-1 baseline.
 * :mod:`repro.core.accumulators` — MSA / Hash / MCA / Heap.
@@ -17,15 +17,16 @@ Public entry points:
 
 from . import accumulators, kernels
 from ..sparse.ops import column_panels, restrict_columns
-from .chunked import masked_spgemm_chunked
-from .hybrid import classify_rows, masked_spgemm_hybrid
 from .kernels.saxpy_kernel import masked_spgemm_multiply_then_mask, spgemm_saxpy_fast
 from .masked_spgemm import (
     ALGO_LABELS,
     ALGOS,
     ALL_ALGOS,
     EXTENSION_ALGOS,
+    classify_rows,
     masked_spgemm,
+    masked_spgemm_chunked,
+    masked_spgemm_hybrid,
     supports_complement,
 )
 from .reference import gustavson_spgemm, masked_spgemm_reference

@@ -12,7 +12,9 @@ linear probing, so the working set is proportional to ``nnz(m)`` instead of
 
 The complemented variant cannot size the table from the mask (any column
 outside the mask may be inserted), so it sizes from an upper bound on the
-row's unmasked output and marks mask keys NOTALLOWED.
+row's unmasked output and marks mask keys NOTALLOWED — which also take a
+slot each: the caller sizes for both where the bound's table cannot hold
+them (``masked_spgemm_reference``).
 """
 
 from __future__ import annotations
@@ -65,8 +67,8 @@ class _OpenAddressTable:
         i = (key * _HASH_SCAL) & self.mask
         chain = 0
         try:
-            while True:
-                chain += 1
+            # at most ``cap`` probes: a full table has no EMPTY slot to stop at
+            for chain in range(1, self.cap + 1):
                 self.counter.hash_probes += 1
                 k = self.keys[i]
                 if k == key:
@@ -74,12 +76,13 @@ class _OpenAddressTable:
                 if k == EMPTY:
                     if not create:
                         return -1
-                    if len(self.used) >= self.cap:
-                        raise RuntimeError("hash accumulator over capacity")
                     self.keys[i] = key
                     self.used.append(i)
                     return i
                 i = (i + 1) & self.mask
+            if create:
+                raise RuntimeError("hash accumulator over capacity")
+            return -1
         finally:
             if self.chain_hist is not None:
                 self.chain_hist.record(chain)

@@ -36,28 +36,41 @@ default), ``"reference"`` (pseudocode-faithful scalar code), or ``"auto"``
 (fast where available, reference otherwise — heap schemes are
 reference-only by design; they are the paper's slowest and serve as the
 algorithmic lower bound for merging without an accumulator array).
+
+This module is the **front door**: :func:`masked_spgemm` and its three
+historical spellings (``_hybrid``, ``_chunked``, ``parallel_`` — a dict of
+forced plan knobs each) check the spellings, then run the one algorithm
+the caller forced (:func:`repro.core.leaf.run_kernel`) or hand the call to
+:func:`repro.engine.plan_and_execute` (``docs/engine.md``, "Path of a call").
 """
 
 from __future__ import annotations
 
-import functools
 from typing import Optional
 
-from ..machine import MachineConfig, OpCounter
+from ..machine import HASWELL, MachineConfig, OpCounter, resolve_machine
 from ..observe import tracer as _obs
 from ..semiring import PLUS_TIMES, Semiring
 from ..sparse import CSC, CSR
 from .kernels.batch import BATCH_TIERS, BATCHABLE_ALGOS, resolve_tier
-from .kernels.esc_kernel import masked_spgemm_esc_fast
-from .kernels.hash_kernel import masked_spgemm_hash_fast
-from .kernels.inner_kernel import masked_spgemm_inner_fast
-from .kernels.mca_kernel import masked_spgemm_mca_fast
-from .kernels.msa_kernel import masked_spgemm_msa_fast
-from .reference import masked_spgemm_reference
-from .symbolic import symbolic_masked
+from .leaf import (
+    ALGO_LABELS,
+    ALGOS,
+    ALL_ALGOS,
+    EXTENSION_ALGOS,
+    caching_session,
+    check_operands,
+    classify_rows,
+    run_kernel,
+    supports_complement,
+)
 
 __all__ = [
     "masked_spgemm",
+    "masked_spgemm_hybrid",
+    "masked_spgemm_chunked",
+    "parallel_masked_spgemm",
+    "classify_rows",
     "ALGOS",
     "EXTENSION_ALGOS",
     "ALL_ALGOS",
@@ -65,58 +78,39 @@ __all__ = [
     "ALGO_LABELS",
 ]
 
-#: the paper's six algorithms (the scheme lists / figures use these)
-ALGOS = ("inner", "msa", "hash", "mca", "heap", "heapdot")
 
-#: extension algorithms implemented beyond the paper (DESIGN.md §7)
-EXTENSION_ALGOS = ("esc",)
-
-ALL_ALGOS = ALGOS + EXTENSION_ALGOS
-
-#: scheme labels as the paper prints them (Section 8) + extensions
-ALGO_LABELS = {
-    "inner": "Inner",
-    "msa": "MSA",
-    "hash": "Hash",
-    "mca": "MCA",
-    "heap": "Heap",
-    "heapdot": "HeapDot",
-    "esc": "ESC",
-}
-
-_FAST = {
-    "msa": masked_spgemm_msa_fast,
-    "hash": masked_spgemm_hash_fast,
-    "mca": masked_spgemm_mca_fast,
-    "inner": masked_spgemm_inner_fast,
-    "esc": masked_spgemm_esc_fast,
-}
-
-_NO_COMPLEMENT = frozenset({"inner", "mca"})
+def _check_spellings(algo: str, phases, impl: str, batch: str) -> str:
+    """Every front door's option-spelling checks; the algorithm key."""
+    key = algo.lower()
+    if batch not in BATCH_TIERS:
+        raise ValueError(f"batch must be one of {BATCH_TIERS}, got {batch!r}")
+    if key != "auto" and key not in ALL_ALGOS:
+        raise ValueError(
+            f"unknown algorithm {algo!r}; expected one of "
+            f"{('auto',) + ALL_ALGOS}"
+        )
+    if phases is not None and phases not in (1, 2):
+        raise ValueError("phases must be 1 or 2")
+    if impl not in ("fast", "reference", "auto"):
+        raise ValueError("impl must be 'fast', 'reference' or 'auto'")
+    return key
 
 
-def supports_complement(algo: str) -> bool:
-    """Whether the algorithm supports a complemented mask (the paper drops
-    MCA and Inner from the Betweenness Centrality benchmark for this)."""
-    return algo.lower() not in _NO_COMPLEMENT
+def _planned(a, b, mask, *, algo, phases, impl, batch="auto", **call) -> CSR:
+    """The internal call every front door is a spelling of: spellings
+    checked, then :func:`repro.engine.plan_and_execute` (shape checks,
+    machine, session scope, plan, work items) with the door's forced plan
+    knobs among ``call``."""
+    key = _check_spellings(algo, phases, impl, batch)
+    from ..engine.executor import plan_and_execute
+
+    return plan_and_execute(
+        a, b, mask,
+        algo=None if key == "auto" else key, phases=phases, impl=impl,
+        batch=None if batch == "auto" else batch, **call,
+    )
 
 
-def in_session_call(fn):
-    """Run ``fn`` inside the call scope of its ``session=`` argument
-    (:meth:`repro.engine.ExecutionSession.call`): the session digests each
-    operand once per outermost decorated call, never across calls."""
-
-    @functools.wraps(fn)
-    def scoped(*args, session=None, **kwargs):
-        if not session:  # None, or the apps' ``False`` sentinel
-            return fn(*args, session=session, **kwargs)
-        with session.call():
-            return fn(*args, session=session, **kwargs)
-
-    return scoped
-
-
-@in_session_call
 def masked_spgemm(
     a: CSR,
     b: CSR,
@@ -224,177 +218,171 @@ def masked_spgemm(
         run without one, ``"force"`` raises.  Results are bit-for-bit
         identical to a full recompute on every backend and grid.
     """
-    if machine is not None and not isinstance(machine, MachineConfig):
-        # accept preset names and "fitted" wherever a config is accepted
-        from ..machine import resolve_machine
-
-        machine = resolve_machine(machine)
     if orientation not in ("row", "column"):
         raise ValueError("orientation must be 'row' or 'column'")
-    if orientation == "column":
-        shards_t = shards
+    column = orientation == "column"
+    if column:
+        # column-by-column is the row algorithm on (B^T A^T)^T: operands and
+        # grid (which is in output coordinates) are transposed here, once
+        a, b, mask, b_csc = b.transpose(), a.transpose(), mask.transpose(), None
         if isinstance(shards, tuple):
-            shards_t = (shards[1], shards[0])
+            shards = (shards[1], shards[0])
         elif shards is not None and not isinstance(shards, str):
-            # an explicit ShardGrid is in output coordinates: transpose it
-            shards_t = type(shards)(shards.col_bounds, shards.row_bounds)
-        ct = masked_spgemm(
-            b.transpose(),
-            a.transpose(),
-            mask.transpose(),
-            algo=algo,
-            phases=phases,
-            complement=complement,
-            semiring=semiring,
-            impl=impl,
-            counter=counter,
-            orientation="row",
-            machine=machine,
-            backend=backend,
-            shards=shards_t,
-            batch=batch,
-            session=session,
-            delta=delta,
+            shards = type(shards)(shards.col_bounds, shards.row_bounds)
+    if (
+        algo.lower() == "auto" or shards is not None
+        or (delta is not None and delta is not False)
+    ):
+        # the planner picks per-row-band algorithms, phases, partition and
+        # worker count from the cost model (a forced algo with shards= keeps
+        # the algo and grids the dispatch; delta= additionally threads the
+        # call through the incremental path)
+        c = _planned(
+            a, b, mask,
+            algo=algo, phases=phases, impl=impl, batch=batch,
+            complement=complement, semiring=semiring, counter=counter,
+            b_csc=b_csc, machine=machine, backend=backend, shards=shards,
+            session=session, delta=delta,
         )
-        return ct.transpose()
-    key = algo.lower()
-    if batch not in BATCH_TIERS:
-        raise ValueError(f"batch must be one of {BATCH_TIERS}, got {batch!r}")
-    if key != "auto" and key not in ALL_ALGOS:
-        raise ValueError(
-            f"unknown algorithm {algo!r}; expected one of "
-            f"{('auto',) + ALL_ALGOS}"
-        )
-    if a.ncols != b.nrows:
-        raise ValueError(
-            f"inner dimensions of A and B do not agree: {a.shape} @ {b.shape}"
-        )
-    if mask.shape != (a.nrows, b.ncols):
-        raise ValueError(
-            f"mask shape {mask.shape} must match the output shape "
-            f"({a.nrows}, {b.ncols})"
-        )
-    if phases is not None and phases not in (1, 2):
-        raise ValueError("phases must be 1 or 2")
-    if impl not in ("fast", "reference", "auto"):
-        raise ValueError("impl must be 'fast', 'reference' or 'auto'")
-    if key == "auto" or shards is not None or (delta is not None and delta is not False):
-        # route through the execution engine: the planner picks per-row-band
-        # algorithms, phases, partition and thread count from the cost model
-        # (a forced algo with shards= keeps the algo and grids the dispatch;
-        # delta= additionally threads the call through the incremental path)
-        from ..engine import plan_and_execute
-
-        return plan_and_execute(
-            a,
-            b,
-            mask,
-            machine=machine,
-            complement=complement,
-            phases=phases,
-            semiring=semiring,
-            impl=impl,
-            counter=counter,
-            backend=backend,
-            b_csc=b_csc,
-            session=session,
-            delta=delta,
-            algo=None if key == "auto" else key,
-            shards=shards,
-            batch=None if batch == "auto" else batch,
-        )
-    phases = 1 if phases is None else phases
-    session = session or None
-    if session is not None and not session.caching:
-        session = None
-    if complement and not supports_complement(key):
-        raise ValueError(f"{ALGO_LABELS[key]} does not support complemented masks")
-
-    use_fast = impl == "fast" or (impl == "auto" and key in _FAST)
-    # the chunked kernels take batch= and, under 2P, fuse the symbolic bound
-    # into output formation: the final CSR slab is allocated from row_nnz
-    # and finished rows are written in place (no separate counting sweep
-    # beyond the one whose bound the session may already memoise)
-    chunked = use_fast and key in BATCHABLE_ALGOS
-    if chunked and machine is not None:
-        # "auto" is otherwise resolved where the chunks are made, against
-        # the default crossover; a named machine brings its own
-        batch = resolve_tier(a, b, batch, crossover=machine.batch_crossover_flops)
-    hits_before = session.bound_cache_hits if session is not None else 0
-
-    if phases == 2:
-        # symbolic sweep: exact output pattern size, charged to the counter.
-        # (The numeric phase of this reproduction assembles rows
-        # functionally, so the symbolic result is used as a cross-check and
-        # as the 2P cost; a C implementation would use it to allocate.)
-        tr = _obs.current()
-        sym_cm = (
-            tr.span("spgemm.symbolic", {"phase": "symbolic", "algo": key},
-                    counter=counter)
-            if tr is not None else _obs.NULL_SPAN
-        )
-        with sym_cm:
-            if session is not None:
-                row_nnz = session.symbolic_bounds(
-                    a, b, mask, complement=complement, counter=counter
-                )
-            else:
-                row_nnz = symbolic_masked(
-                    a, b, mask, complement=complement, counter=counter
-                )
-        expected_nnz = int(row_nnz.sum())
     else:
-        # 1P: the kernels size their scratch from the mask bound themselves
-        expected_nnz = None
-        row_nnz = None
-
-    if impl == "fast" and key not in _FAST:
-        raise ValueError(
-            f"{ALGO_LABELS[key]} has no vectorized fast path; use impl='auto' "
-            "or impl='reference'"
-        )
-    if key == "inner" and b_csc is None and session is not None:
-        b_csc = session.csc_of(b)
-    if use_fast:
-        kwargs = dict(complement=complement, semiring=semiring, counter=counter)
-        if key == "inner":
-            kwargs["b_csc"] = b_csc
-        if chunked:
-            kwargs["batch"] = batch
-            if row_nnz is not None:
-                kwargs["row_nnz"] = row_nnz
-        c = _FAST[key](a, b, mask, **kwargs)
-        if (
-            chunked
-            and row_nnz is not None
-            and session is not None
-            and session.bound_cache_hits > hits_before
-        ):
-            # the numeric pass consumed a memoised symbolic bound: the whole
-            # counting sweep was skipped AND output formation was fused
-            session.fused_numeric_hits += 1
-    else:
-        tr = _obs.current()
-        ref_cm = (
-            tr.span("kernel.reference", {"algo": key, "phase": "numeric"},
-                    counter=counter)
-            if tr is not None else _obs.NULL_SPAN
-        )
-        with ref_cm:
-            c = masked_spgemm_reference(
-                a,
-                b,
-                mask,
-                algo=key,
-                complement=complement,
-                semiring=semiring,
-                counter=counter,
-                b_csc=b_csc,
+        # a forced algorithm with no grid and no delta has nothing to plan
+        key = _check_spellings(algo, phases, impl, batch)
+        check_operands(a, b, mask)
+        if complement and not supports_complement(key):
+            raise ValueError(f"{ALGO_LABELS[key]} does not support complemented masks")
+        if machine is not None:
+            # "auto" is otherwise resolved where the chunks are made, against
+            # the default crossover; a named machine brings its own
+            machine = resolve_machine(machine)
+            if key in BATCHABLE_ALGOS and impl != "reference":
+                batch = resolve_tier(a, b, batch, crossover=machine.batch_crossover_flops)
+        session = caching_session(session)
+        with session.call() if session is not None else _obs.NULL_SPAN:
+            c = run_kernel(
+                a, b, mask,
+                algo=key, phases=1 if phases is None else phases,
+                complement=complement, semiring=semiring, impl=impl,
+                counter=counter, b_csc=b_csc, batch=batch, session=session,
             )
+    return c.transpose() if column else c
 
-    if phases == 2 and c.nnz != expected_nnz:
-        raise AssertionError(
-            f"symbolic/numeric mismatch: symbolic predicted {expected_nnz} "
-            f"nonzeros, numeric produced {c.nnz}"
-        )
-    return c
+
+def masked_spgemm_hybrid(
+    a: CSR,
+    b: CSR,
+    mask: CSR,
+    *,
+    machine: MachineConfig = HASWELL,
+    complement: bool = False,
+    semiring: Semiring = PLUS_TIMES,
+    counter: Optional[OpCounter] = None,
+    pull_ratio: float = 8.0,
+    push_ratio: float = 8.0,
+    impl: str = "auto",
+) -> CSR:
+    """Masked SpGEMM with a per-row algorithm choice by the ratio heuristic
+    — the paper's stated future work (Section 9: "hybrid algorithms that
+    can use different accumulators in the same Masked SpGEMM depending on
+    the density of the mask and parts of matrices being processed").
+
+    The front door with a ratio-banded planner (``banding="ratio"``, see
+    :func:`classify_rows`) and one worker forced; use ``masked_spgemm(...,
+    algo="auto")`` for the cost-model-driven choice.
+    """
+    from ..engine.planner import Planner
+
+    planner = Planner(
+        machine, banding="ratio", pull_ratio=pull_ratio, push_ratio=push_ratio
+    )
+    return _planned(
+        a, b, mask,
+        algo="auto", phases=1, impl=impl, complement=complement,
+        semiring=semiring, counter=counter, planner=planner, threads=1,
+    )
+
+
+def masked_spgemm_chunked(
+    a: CSR,
+    b: CSR,
+    mask: CSR,
+    *,
+    panel_width: int = 4096,
+    algo: str = "msa",
+    phases: int = 1,
+    complement: bool = False,
+    semiring: Semiring = PLUS_TIMES,
+    counter: Optional[OpCounter] = None,
+    impl: str = "auto",
+) -> CSR:
+    """``M .* (A @ B)`` computed one output-column panel at a time — the
+    memory-bounded (out-of-core style) spelling.
+
+    The front door with ``panel_width`` and one worker forced: a ``1 x K``
+    grid (``docs/parallel.md``) restricts ``B`` and the mask to one column
+    panel at a time, so peak footprint is ~``nnz(B_panel) + nnz(M_panel) +
+    panel_output``; output columns are disjoint across panels, so the
+    merge is free.  Equivalent to :func:`masked_spgemm` (tested to be).
+    Panels whose mask slice is empty are skipped entirely (plain mask) —
+    with a complemented mask no panel can be skipped (the complement is
+    dense there), so the panelling only bounds memory.  ``algo="auto"``
+    lets the cost-model planner pick the per-band algorithms; the planner
+    can also *choose* panelling (``Planner.plan(memory_budget_bytes=)``).
+    """
+    return _planned(
+        a, b, mask,
+        algo=algo, phases=phases, impl=impl, complement=complement,
+        semiring=semiring, counter=counter, threads=1, panel_width=panel_width,
+    )
+
+
+def parallel_masked_spgemm(
+    a: CSR,
+    b: CSR,
+    mask: CSR,
+    *,
+    algo: str = "msa",
+    threads: int = 4,
+    partition: str = "balanced",
+    phases: int = 1,
+    complement: bool = False,
+    semiring: Semiring = PLUS_TIMES,
+    impl: str = "auto",
+    backend: str = "thread",
+    counter: Optional[OpCounter] = None,
+    batch: Optional[str] = None,
+) -> CSR:
+    """Masked SpGEMM with row-parallel execution — the paper's
+    coarse-grained row parallelism (within-row parallelism is deliberately
+    absent, as in the paper).
+
+    ``partition``: ``"block"``, ``"cyclic"`` or ``"balanced"`` (flops-
+    weighted contiguous blocks).  ``backend``: ``"serial"``, ``"thread"``
+    (alias ``"threads"``), ``"process"`` (shared-memory worker pool), or
+    ``"auto"`` to let the planner's cost heuristic choose.  ``algo="auto"``
+    lets the cost-model planner choose the algorithm (the thread count and
+    partition stay as forced here).  ``batch`` forces the kernels'
+    batching tier (``"bucket"`` / ``"perrow"``, see ``docs/kernels.md``);
+    ``None`` lets the machine's flop crossover decide per band.
+
+    ``threads`` must be ``>= 1``; ``threads=1`` always takes the serial
+    path directly — no pool of any kind is built.
+
+    The front door with ``threads`` / ``partition`` / ``backend`` forced.
+    """
+    from ..parallel.executor import normalize_backend
+
+    if threads < 1:
+        raise ValueError("threads must be positive (>= 1)")
+    if str(backend).lower() == "auto":
+        forced_backend = None  # the planner's cost heuristic decides
+    else:
+        forced_backend = normalize_backend(backend)
+    if threads == 1:
+        forced_backend = "serial"  # never build a pool for one worker
+    return _planned(
+        a, b, mask,
+        algo=algo, phases=phases, impl=impl, batch="auto" if batch is None else batch,
+        complement=complement, semiring=semiring, counter=counter,
+        threads=min(threads, max(1, a.nrows)), partition=partition,
+        backend=forced_backend,
+    )

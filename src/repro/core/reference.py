@@ -35,6 +35,7 @@ from .accumulators import (
     heap_insert,
     heap_pop,
 )
+from .accumulators.hash import table_capacity
 
 __all__ = [
     "spgevm_esc",
@@ -388,8 +389,13 @@ def masked_spgemm_reference(
                 continue
             if algo == "hash":
                 if complement:
-                    # bound: the row's unmasked product size
+                    # bound: the row's unmasked product size; the mask keys
+                    # take a slot each too, so where the bound's table cannot
+                    # hold both it is sized for both (elsewhere the capacity,
+                    # and with it accum_init / hash_probes, is unchanged)
                     bound = int(sum(len(b.row(int(k))[0]) for k in u_cols))
+                    if bound + len(m_cols) > table_capacity(bound):
+                        bound += len(m_cols)
                     accum = HashComplement(max(1, bound), add, ident, counter)
                 else:
                     accum = HashAccumulator(max(1, len(m_cols)), add, ident, counter)

@@ -15,8 +15,9 @@ selection — realised as an explicit three-stage pipeline:
    through every stage.
 
 ``masked_spgemm(..., algo="auto")``, ``masked_spgemm_hybrid``,
-``masked_spgemm_chunked`` and ``parallel_masked_spgemm`` are all thin
-fronts over this pipeline.
+``masked_spgemm_chunked`` and ``parallel_masked_spgemm`` are spellings of
+one front door over this pipeline (:func:`plan_and_execute`); the engine
+runs :func:`repro.core.leaf.run_kernel` and never calls the door back.
 """
 
 from .delta import DeltaPlan, delta_execute

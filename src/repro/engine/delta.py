@@ -50,26 +50,22 @@ See ``docs/incremental.md``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+import dataclasses
+from typing import Callable, Optional, Tuple
 
 import numpy as np
 
-from ..core.masked_spgemm import in_session_call
-from ..machine import HostProfile, OpCounter, flops_per_row, host_profile, \
-    resolve_machine
+from ..machine import HostProfile, OpCounter, flops_per_row, host_profile
 from ..observe import tracer as _obs
-from ..semiring import PLUS_TIMES, Semiring
 from ..sparse import CSR, changed_rows, dirty_blocks
 from ..sparse.diff import DELTA_BLOCK_ROWS
-from .executor import _execute, execute
 from .plan import ExecutionPlan, RowBand
 from .planner import host_row_ns
 
 __all__ = ["DeltaPlan", "delta_execute"]
 
 
-@dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True)
 class DeltaPlan:
     """Resolved dirty-row analysis for one incremental call.
 
@@ -195,30 +191,9 @@ def _patch_plan(plan: ExecutionPlan, dirty: np.ndarray, nrows: int) -> Execution
                 batch=band.batch,
             )
         )
-    return ExecutionPlan(
-        shape=plan.shape,
-        bands=bands,
-        complement=plan.complement,
-        phases=plan.phases,
-        threads=plan.threads,
-        partition=plan.partition,
-        backend=plan.backend,
-        grid=plan.grid,
-        machine=plan.machine,
-        mode="delta",
-        partial=True,
+    return dataclasses.replace(
+        plan, bands=bands, mode="delta", partial=True, estimates={},
         notes=[f"delta patch: {int(dirty.size)}/{nrows} rows dirty"],
-    )
-
-
-def _slot_key(a, b, mask, *, complement, phases, semiring, impl, backend,
-              machine, plan_kwargs) -> tuple:
-    """One delta state per distinct problem a session serves."""
-    return (
-        a.shape, b.shape, mask.shape,
-        bool(complement), phases,
-        getattr(semiring, "name", None), impl, backend, machine,
-        tuple(sorted((k, v) for k, v in plan_kwargs.items() if v is not None)),
     )
 
 
@@ -241,61 +216,45 @@ def _patch_pays(host: HostProfile, plan, a, b, mask, dirty, result_nnz: int) -> 
     return patch + host.splice_nnz_ns * moved + host.delta_nnz_ns * kept < full
 
 
-@in_session_call
 def delta_execute(
     a: CSR,
     b: CSR,
     mask: CSR,
     *,
     session,
-    delta="auto",
-    machine=None,
-    complement: bool = False,
-    phases: Optional[int] = None,
-    semiring: Semiring = PLUS_TIMES,
-    impl: str = "auto",
+    delta,
+    slot: tuple,
+    full_run: Callable[[], Tuple[ExecutionPlan, CSR]],
+    run: Callable[[ExecutionPlan], CSR],
     counter: Optional[OpCounter] = None,
-    backend: Optional[str] = None,
-    b_csc=None,
-    planner=None,
-    **plan_kwargs,
 ) -> CSR:
     """Incremental ``C = M .* (A @ B)`` against the session's cached state.
 
-    The first call on a problem slot (and any call whose operand shapes
-    changed, whose patch does not pay, or whose session state was
-    invalidated) runs the ordinary sessioned plan-and-execute path;
-    while the slot is engaged it caches operands, block digests, plan and
-    result, and subsequent calls diff, patch and splice.  Results are
-    bit-for-bit identical to a full recompute in every case.
+    Called by :func:`repro.engine.plan_and_execute` inside the session's
+    call scope, which also supplies the two things this module does not
+    spell itself: ``full_run()`` — the ordinary sessioned plan-and-execute
+    of this very call, returning ``(plan, result)`` — and ``run(plan)``,
+    which executes a given plan on the same operands and options.  ``slot``
+    keys the problem (shapes, options, forced knobs): one delta state per
+    slot.
+
+    The first call on a slot (and any call whose operand shapes changed,
+    whose patch does not pay, or whose session state was invalidated) runs
+    ``full_run``; while the slot is engaged it caches operands, block
+    digests, plan and result, and subsequent calls diff, patch and splice.
+    Results are bit-for-bit identical to a full recompute in every case.
     """
     threshold = _resolve_threshold(delta)
     priced = threshold is None
-    if machine is not None:
-        machine = resolve_machine(machine)
     nrows = a.nrows
-    slot = _slot_key(
-        a, b, mask, complement=complement, phases=phases, semiring=semiring,
-        impl=impl, backend=backend, machine=machine, plan_kwargs=plan_kwargs,
-    )
 
-    def full_run():
+    def full():
         if counter is not None:
             counter.rows_recomputed += nrows
-        pl = session.plan(
-            a, b, mask,
-            complement=complement, phases=phases, backend=backend,
-            machine=machine, planner=planner, **plan_kwargs,
-        )
-        c = _execute(
-            pl, a, b, mask,
-            semiring=semiring, impl=impl, counter=counter,
-            backend=None, b_csc=b_csc, session=session,
-        )
-        return pl, c
+        return full_run()
 
     if priced and slot in session._delta_off:
-        return full_run()[1]
+        return full()[1]
 
     fa, fb, fm = (
         session.fingerprint(a),
@@ -316,7 +275,7 @@ def delta_execute(
     if state is None or (state.fa.shape, state.fb.shape, state.fm.shape) != (
         fa.shape, fb.shape, fm.shape
     ):
-        pl, c = full_run()
+        pl, c = full()
         store(pl, c.copy())
         return c
 
@@ -370,7 +329,7 @@ def delta_execute(
         session.delta_fallbacks += 1
         if counter is not None:
             counter.delta_fallbacks += 1
-        pl, c = full_run()
+        pl, c = full()
         if priced:  # the slot did not cover its bookkeeping: disengage
             session._delta.pop(slot)
             session._delta_off.add(slot)
@@ -399,11 +358,7 @@ def delta_execute(
         if tr is not None else _obs.NULL_SPAN
     )
     with patch_cm:
-        c_patch = execute(
-            patched, a, b, mask,
-            semiring=semiring, impl=impl, counter=counter,
-            backend=None, b_csc=b_csc, session=session,
-        )
+        c_patch = run(patched.validate())
         result = state.result.replace_rows(dirty, c_patch)
     session.delta_patches += 1
     if counter is not None:

@@ -21,6 +21,7 @@ reports exactly the work a monolithic run would.
 
 from __future__ import annotations
 
+import dataclasses
 import logging
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import ExitStack
@@ -28,7 +29,7 @@ from typing import List, Optional
 
 import numpy as np
 
-from ..core.masked_spgemm import in_session_call, masked_spgemm
+from ..core.leaf import caching_session, check_operands, run_kernel
 from ..machine import OpCounter, flops_per_row
 from ..observe import probes as _probes
 from ..observe import runtime as _runtime
@@ -44,7 +45,10 @@ from ..parallel.partition import (
 from ..semiring import PLUS_TIMES, Semiring
 from ..sparse import CSC, CSR
 from ..sparse.ops import split_columns
+from .delta import delta_execute
 from .plan import ExecutionPlan, RowBand
+from .planner import Planner
+from .session import plan_call
 
 __all__ = ["execute", "plan_and_execute"]
 
@@ -188,7 +192,6 @@ def _preflight_process_backend(plan: ExecutionPlan, semiring: Semiring) -> str:
     return "thread"
 
 
-@in_session_call
 def execute(
     plan: ExecutionPlan,
     a: CSR,
@@ -217,35 +220,30 @@ def execute(
     and the process backend serves operand and column-panel segments from
     the session's registry.  Results are bit-for-bit identical either way.
     """
-    return _execute(
-        plan.validate(), a, b, mask,
-        semiring=semiring, impl=impl, counter=counter, backend=backend,
-        b_csc=b_csc, session=session,
-    )
-
-
-def _execute(plan, a, b, mask, *, semiring, impl, counter, backend, b_csc,
-             session) -> CSR:
-    """:func:`execute` for a plan already validated (a planner's own)."""
-    backend = normalize_backend(plan.backend if backend is None else backend)
-    # ``False`` is the app-level "no caching" sentinel; accept it here too
-    session = session or None
-    if session is not None and not session.caching:
-        session = None
-    if a.ncols != b.nrows:
-        raise ValueError(
-            f"inner dimensions of A and B do not agree: {a.shape} @ {b.shape}"
-        )
+    plan.validate()
+    if backend is not None:
+        # the plan is the only carrier of the backend into the work-item loop
+        plan = dataclasses.replace(plan, backend=normalize_backend(backend))
+    check_operands(a, b, mask)
     if (a.nrows, b.ncols) != tuple(plan.shape):
         raise ValueError(
             f"plan shape {tuple(plan.shape)} does not match the operands' "
             f"output shape ({a.nrows}, {b.ncols})"
         )
-    if mask.shape != (a.nrows, b.ncols):
-        raise ValueError(
-            f"mask shape {mask.shape} must match the output shape "
-            f"({a.nrows}, {b.ncols})"
+    session = caching_session(session)
+    with session.call() if session is not None else _obs.NULL_SPAN:
+        return _execute(
+            plan, a, b, mask,
+            semiring=semiring, impl=impl, counter=counter, b_csc=b_csc,
+            session=session,
         )
+
+
+def _execute(plan, a, b, mask, *, semiring, impl, counter, b_csc, session) -> CSR:
+    """:func:`execute` past its checks: a validated plan (a planner's own)
+    for these operands, ``session`` a caching session inside its call scope
+    or ``None``."""
+    backend = plan.backend
     if not plan.bands or a.nrows == 0:
         return CSR.empty(plan.shape)
 
@@ -292,7 +290,7 @@ def _execute(plan, a, b, mask, *, semiring, impl, counter, backend, b_csc,
             # the plain call is its own single work item: hand back the
             # kernel's CSR untouched (no slice, no COO round trip)
             with band_span(0, first):
-                return masked_spgemm(
+                return run_kernel(
                     a, b, mask,
                     algo=first.algo, phases=plan.phases,
                     complement=plan.complement, semiring=semiring, impl=impl,
@@ -404,7 +402,6 @@ def _execute(plan, a, b, mask, *, semiring, impl, counter, backend, b_csc,
         )
 
 
-@in_session_call
 def plan_and_execute(
     a: CSR,
     b: CSR,
@@ -418,17 +415,20 @@ def plan_and_execute(
     counter: Optional[OpCounter] = None,
     backend: Optional[str] = None,
     b_csc: Optional[CSC] = None,
-    planner: Optional["Planner"] = None,
+    planner: Optional[Planner] = None,
     session=None,
     delta=None,
     **plan_kwargs,
 ) -> CSR:
-    """Plan and immediately execute — the ``algo="auto"`` one-call path.
+    """Plan and immediately execute — what every front door calls when
+    there is something to plan (``docs/engine.md``, "Path of a call").
 
-    With a ``session``, planning uses the session's planner and
-    ``plan_defaults`` (explicit ``machine=``/``planner=`` arguments are
-    still honoured, see :meth:`ExecutionSession.plan`) and execution reuses
-    the session's CSC memo and shm segment registry.
+    The session is normalised and its call scope opened here; the plan
+    comes from :func:`~repro.engine.session.plan_call` (the given
+    ``planner``, the session's with its ``plan_defaults``, or the one
+    cached for ``machine``), which receives every forced knob — the plan is
+    the only carrier of ``backend`` into the work-item loop — and execution
+    reuses the session's CSC memo and shm segment registry.
 
     ``delta`` (``"auto"``, ``"force"`` or a dirty-fraction threshold)
     routes the call through :func:`repro.engine.delta.delta_execute`:
@@ -437,38 +437,37 @@ def plan_and_execute(
     caching session — without one, ``"auto"`` degrades to a normal full
     run and ``"force"`` raises.
     """
-    from .planner import Planner
+    session = caching_session(session)
+    knobs = dict(plan_kwargs, complement=complement, phases=phases, backend=backend)
 
-    session = session or None
-    if delta is not None and delta is not False:
-        if session is not None and session.caching:
-            from .delta import delta_execute
+    def run(pl: ExecutionPlan) -> CSR:
+        # the planner validated its own plan: skip execute()'s second pass
+        return _execute(
+            pl, a, b, mask,
+            semiring=semiring, impl=impl, counter=counter, b_csc=b_csc,
+            session=session,
+        )
 
-            return delta_execute(
-                a, b, mask,
-                session=session, delta=delta, machine=machine,
-                complement=complement, phases=phases, semiring=semiring,
-                impl=impl, counter=counter, backend=backend, b_csc=b_csc,
-                planner=planner, **plan_kwargs,
-            )
+    def full_run():
+        pl = plan_call(
+            a, b, mask, session=session, machine=machine, planner=planner, **knobs
+        )
+        return pl, run(pl)
+
+    if session is None:
         if delta == "force":
-            raise ValueError(
-                "delta='force' requires a caching ExecutionSession"
-            )
-    if session is not None and session.caching:
-        pl = session.plan(
+            raise ValueError("delta='force' requires a caching ExecutionSession")
+        return full_run()[1]
+    with session.call():
+        if delta is None or delta is False:
+            return full_run()[1]
+        # one delta state per distinct problem the session serves
+        slot = (
+            a.shape, b.shape, mask.shape, getattr(semiring, "name", None), impl,
+            machine, tuple(sorted((k, v) for k, v in knobs.items() if v is not None)),
+        )
+        return delta_execute(
             a, b, mask,
-            complement=complement, phases=phases, backend=backend,
-            machine=machine, planner=planner, **plan_kwargs,
+            session=session, delta=delta, slot=slot, full_run=full_run,
+            run=run, counter=counter,
         )
-        backend = None  # already folded into the session's plan
-    else:
-        pl = (planner or Planner(machine)).plan(
-            a, b, mask, complement=complement, phases=phases, **plan_kwargs
-        )
-    # the planner validated its own plan: skip execute()'s second pass
-    return _execute(
-        pl, a, b, mask,
-        semiring=semiring, impl=impl, counter=counter, backend=backend,
-        b_csc=b_csc, session=session,
-    )

@@ -26,7 +26,7 @@ Three banding policies:
 * ``"cost"`` (default) — per-row argmin over the cost model, with small
   bands consolidated so dispatch overhead cannot swamp the win;
 * ``"ratio"`` — the ratio heuristics of the original hybrid dispatcher
-  (:func:`repro.core.hybrid.classify_rows`), kept for ablations (modeled
+  (:func:`repro.core.classify_rows`), kept for ablations (modeled
   presets only: it reads the preset's cache capacity);
 * ``"none"`` — one band, the cheapest whole-problem algorithm.
 
@@ -44,9 +44,14 @@ from typing import Dict, Optional, Sequence
 
 import numpy as np
 
-from ..core.hybrid import classify_rows
 from ..core.kernels.batch import BATCH_TIERS, BATCHABLE_ALGOS, bucket_census
-from ..core.masked_spgemm import ALGO_LABELS, ALL_ALGOS, supports_complement
+from ..core.leaf import (
+    ALGO_LABELS,
+    ALL_ALGOS,
+    check_operands,
+    classify_rows,
+    supports_complement,
+)
 from ..machine import HostProfile, RowCostModel, flops_per_row, pulls_per_row, \
     resolve_machine
 from ..parallel.executor import normalize_backend
@@ -77,6 +82,14 @@ _WORD = 8  # bytes per index/value word, as in the paper's analysis
 #: is measured seconds, see :meth:`HostProfile.pool_seconds`)
 _MODELED_PROCESS_CROSSOVER_CYCLES = 2.0e6
 
+#: cost banding on a modeled preset: bands carrying less than this fraction
+#: of the modeled work are folded into the remaining candidates
+#: (dispatch-overhead guard)
+MIN_BAND_FRACTION = 0.02
+
+#: target rows per worker when choosing a worker count
+ROWS_PER_THREAD = 512
+
 
 def host_row_ns(host: HostProfile, algo: str, b, mask, fl) -> np.ndarray:
     """Measured-coefficient nanoseconds per output row for ``algo``
@@ -105,12 +118,7 @@ class Planner:
         ``"cost"``, ``"ratio"`` or ``"none"`` (see module docs).
     pull_ratio / push_ratio:
         Thresholds for ``banding="ratio"`` (see
-        :func:`repro.core.hybrid.classify_rows`).
-    min_band_fraction:
-        Bands carrying less than this fraction of the modeled work are
-        folded into the remaining candidates (dispatch-overhead guard).
-    rows_per_thread:
-        Target rows per worker when choosing a thread count.
+        :func:`repro.core.classify_rows`).
     """
 
     def __init__(
@@ -121,8 +129,6 @@ class Planner:
         banding: str = "cost",
         pull_ratio: float = 8.0,
         push_ratio: float = 8.0,
-        min_band_fraction: float = 0.02,
-        rows_per_thread: int = 512,
     ) -> None:
         if banding not in ("cost", "ratio", "none"):
             raise ValueError("banding must be 'cost', 'ratio' or 'none'")
@@ -148,8 +154,6 @@ class Planner:
         self.banding = banding
         self.pull_ratio = pull_ratio
         self.push_ratio = push_ratio
-        self.min_band_fraction = min_band_fraction
-        self.rows_per_thread = rows_per_thread
 
     # ------------------------------------------------------------------
     def plan(
@@ -195,19 +199,11 @@ class Planner:
         resolved tier and the band's flops-size-class census land on each
         :class:`~repro.engine.plan.RowBand` for ``explain()``/``as_dict()``.
 
-        ``_csc_ready`` is internal: :meth:`ExecutionSession.plan` sets it when
-        the call already holds B's fingerprint and the memoised CSC behind
-        it, and only then is ``inner`` not charged the CSC build.
+        ``_csc_ready`` is internal: :func:`~repro.engine.session.plan_call`
+        sets it when the call already holds B's fingerprint and the memoised
+        CSC behind it, and only then is ``inner`` not charged the CSC build.
         """
-        if a.ncols != b.nrows:
-            raise ValueError(
-                f"inner dimensions of A and B do not agree: {a.shape} @ {b.shape}"
-            )
-        if mask.shape != (a.nrows, b.ncols):
-            raise ValueError(
-                f"mask shape {mask.shape} must match the output shape "
-                f"({a.nrows}, {b.ncols})"
-            )
+        check_operands(a, b, mask)
         if phases is not None and phases not in (1, 2):
             raise ValueError("phases must be 1 or 2")
         if algo is not None and algo.lower() == "auto":
@@ -396,7 +392,7 @@ class Planner:
         shares = {
             i: float(win_cycles[winner == i].sum()) / total for i in range(len(cand))
         }
-        keep = [i for i, s in shares.items() if s >= self.min_band_fraction]
+        keep = [i for i, s in shares.items() if s >= MIN_BAND_FRACTION]
         if not keep:
             keep = [max(shares, key=shares.get)]
         if len(keep) < len(cand):
@@ -507,10 +503,10 @@ class Planner:
         return chosen
 
     def _pick_threads(self, nrows: int, notes) -> int:
-        threads = int(min(self.machine.cores, max(1, nrows // self.rows_per_thread)))
+        threads = int(min(self.machine.cores, max(1, nrows // ROWS_PER_THREAD)))
         if threads > 1:
             notes.append(
-                f"{threads} threads (~{self.rows_per_thread} rows/worker, "
+                f"{threads} threads (~{ROWS_PER_THREAD} rows/worker, "
                 f"{self.machine.cores}-core {self.machine.name})"
             )
         return threads
@@ -551,14 +547,16 @@ class Planner:
         seconds, divided among workers at the measured parallel
         efficiency, still beat serial after paying the measured per-task
         dispatch (and per-worker spawn while the pool is cold).  With
-        nothing forced the choice is serial or ``process`` — the thread
-        backend measured slower than serial at every size that does not
-        already repay the pool — and never more than one worker on one
-        core.  Forced knobs are honoured; the other one follows.
+        nothing forced the choice is serial or ``process``, and never more
+        than one worker on one core; the thread backend is forced-only —
+        over the native kernels, which release the GIL, it does run ahead
+        of serial (``docs/parallel.md``: 25.2 vs 31.4 ms at scale 14 on two
+        cores), but no measured crossover prices it yet.  Forced knobs are
+        honoured; the other one follows.
         """
         host = self.machine
         cores = host.cores
-        by_rows = max(1, mask.nrows // self.rows_per_thread)
+        by_rows = max(1, mask.nrows // ROWS_PER_THREAD)
         serial_s = sum(band.est_cycles for band in bands) * 1e-9
         if serial_s <= 0.0 and bands:  # forced algo: price it here
             serial_s = float(

@@ -49,6 +49,7 @@ operand *during* a call is not supported.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 from collections import OrderedDict
 from contextlib import contextmanager
@@ -66,8 +67,16 @@ __all__ = [
     "ExecutionSession",
     "Fingerprint",
     "fingerprint_csr",
+    "plan_call",
     "resolve_session",
 ]
+
+#: LRU capacities (entries) of a session's derived-CSC memo, symbolic-bound
+#: memo and delta-state table; the shm segment registry's byte budget is
+#: :data:`repro.parallel.segment_cache.DEFAULT_SEGMENT_CACHE_BYTES`
+CSC_CACHE_SIZE = 16
+BOUND_CACHE_SIZE = 64
+DELTA_CACHE_SIZE = 8
 
 
 @dataclass(frozen=True)
@@ -140,10 +149,6 @@ class ExecutionSession:
         ``False`` keeps the planner/plan-defaults behaviour but disables
         every reuse cache — the cold-start baseline for A/B timing
         (``python -m repro.bench --no-session`` uses this).
-    csc_cache_size / bound_cache_size:
-        LRU capacities (entries).
-    segment_cache_bytes:
-        Byte budget of the shared-memory segment registry.
 
     Not thread-safe: one session serves one coordinator loop.  Workers
     never see the session — only the published segment specs.
@@ -156,17 +161,11 @@ class ExecutionSession:
         planner: Optional[Planner] = None,
         plan_defaults: Optional[dict] = None,
         caching: bool = True,
-        csc_cache_size: int = 16,
-        bound_cache_size: int = 64,
-        segment_cache_bytes: Optional[int] = None,
     ) -> None:
         self.planner = planner if planner is not None else Planner(machine)
         self.machine = self.planner.machine
         self.plan_defaults = dict(plan_defaults or {})
         self.caching = bool(caching)
-        self._csc_cache_size = int(csc_cache_size)
-        self._bound_cache_size = int(bound_cache_size)
-        self._segment_cache_bytes = segment_cache_bytes
         #: id(mat) -> (mat, Fingerprint, block digest vectors), alive only
         #: inside :meth:`call`.  Holding ``mat`` strongly guarantees the id
         #: is never recycled while the entry lives.
@@ -177,7 +176,6 @@ class ExecutionSession:
         #: problem slot -> delta state (operands, digests, plan, result)
         #: retained by repro.engine.delta between incremental calls
         self._delta: "OrderedDict[tuple, object]" = OrderedDict()
-        self._delta_cache_size = 8
         #: slots whose priced patch did not cover its bookkeeping: they run
         #: as if ``delta=None`` for the rest of the session
         self._delta_off: set = set()
@@ -274,34 +272,12 @@ class ExecutionSession:
         )
 
     # -- planning ------------------------------------------------------
-    def plan(
-        self,
-        a: CSR,
-        b: CSR,
-        mask: CSR,
-        *,
-        complement: bool = False,
-        phases: Optional[int] = None,
-        machine=None,
-        planner: Optional[Planner] = None,
-        **plan_kwargs,
-    ):
-        """Plan via the session's planner; knobs left ``None`` fall back to
-        :attr:`plan_defaults`.  A per-call ``planner`` or ``machine``
-        override is honoured.  Plans are not cached: building one costs
-        less than digesting the three operands that would key it.
-        """
-        merged = dict(self.plan_defaults)
-        merged.update({k: v for k, v in plan_kwargs.items() if v is not None})
-        if planner is None:
-            planner = self.planner
-            if machine is not None and resolve_machine(machine) != self.machine:
-                planner = Planner(machine)
-        # the CSC build is free exactly when csc_of() will find it memoised
-        fp = self._known_fingerprint(b) if self.caching else None
-        if fp is not None and self._memoised_csc(b, fp) is not None:
-            merged["_csc_ready"] = True
-        return planner.plan(a, b, mask, complement=complement, phases=phases, **merged)
+    def plan(self, a: CSR, b: CSR, mask: CSR, **knobs):
+        """:func:`plan_call` with this session: knobs left ``None`` fall
+        back to :attr:`plan_defaults`, a per-call ``planner=`` or
+        ``machine=`` is honoured.  Plans are not cached: building one costs
+        less than digesting the three operands that would key it."""
+        return plan_call(a, b, mask, session=self, **knobs)
 
     # -- derived CSC ---------------------------------------------------
     def _known_fingerprint(self, mat: CSR) -> Optional[Fingerprint]:
@@ -336,7 +312,7 @@ class ExecutionSession:
         mat._csc_memo = (fp.key, csc)
         self._cscs[fp.key] = csc
         self._cscs.move_to_end(fp.key)
-        while len(self._cscs) > self._csc_cache_size:
+        while len(self._cscs) > CSC_CACHE_SIZE:
             self._cscs.popitem(last=False)
         return csc
 
@@ -350,7 +326,7 @@ class ExecutionSession:
     def _delta_store(self, slot: tuple, state) -> None:
         self._delta[slot] = state
         self._delta.move_to_end(slot)
-        while len(self._delta) > self._delta_cache_size:
+        while len(self._delta) > DELTA_CACHE_SIZE:
             self._delta.popitem(last=False)
 
     # -- symbolic bounds -----------------------------------------------
@@ -395,7 +371,7 @@ class ExecutionSession:
             counter.merge(charged)
         self.bound_cache_misses += 1
         self._bounds[key] = (row_nnz, charged)
-        while len(self._bounds) > self._bound_cache_size:
+        while len(self._bounds) > BOUND_CACHE_SIZE:
             self._bounds.popitem(last=False)
         return row_nnz
 
@@ -407,10 +383,7 @@ class ExecutionSession:
         if self._segments is None:
             from ..parallel.segment_cache import SegmentCache
 
-            kwargs = {}
-            if self._segment_cache_bytes is not None:
-                kwargs["max_bytes"] = int(self._segment_cache_bytes)
-            self._segments = SegmentCache(**kwargs)
+            self._segments = SegmentCache()
         return self._segments
 
     # -- telemetry -----------------------------------------------------
@@ -478,6 +451,46 @@ class ExecutionSession:
 
     def __exit__(self, *exc) -> None:
         self.close()
+
+
+@functools.lru_cache(maxsize=8)
+def _planner_for(machine) -> Planner:
+    """The default-policy planner of a resolved machine (planners hold no
+    per-call state, so sessionless calls share one)."""
+    return Planner(machine)
+
+
+def plan_call(
+    a: CSR,
+    b: CSR,
+    mask: CSR,
+    *,
+    session: Optional[ExecutionSession] = None,
+    machine=None,
+    planner: Optional[Planner] = None,
+    **knobs,
+):
+    """The one planning spelling of :func:`repro.engine.plan_and_execute`
+    — sessioned, sessionless and the delta engine's full run alike — and of
+    :meth:`ExecutionSession.plan`: pick the planner (the given one, else
+    the session's unless ``machine`` names another, else the one cached for
+    the resolved ``machine``), let the session's ``plan_defaults`` fill the
+    knobs left ``None`` and hand every knob to :meth:`Planner.plan`."""
+    if planner is None:
+        if machine is not None or session is None:
+            machine = resolve_machine(machine)
+        if session is not None and (machine is None or machine == session.machine):
+            planner = session.planner
+        else:
+            planner = _planner_for(machine)
+    if session is not None:
+        knobs = {**session.plan_defaults,
+                 **{k: v for k, v in knobs.items() if v is not None}}
+        # the CSC build is free exactly when csc_of() will find it memoised
+        fp = session._known_fingerprint(b) if session.caching else None
+        if fp is not None and session._memoised_csc(b, fp) is not None:
+            knobs["_csc_ready"] = True
+    return planner.plan(a, b, mask, **knobs)
 
 
 def resolve_session(session, *, auto: bool = True, machine=None):

@@ -184,8 +184,7 @@ def measure_backend_overhead(
     excess over a warm one.  The pool is shut down first so the spawn is
     really measured, and left warm afterwards.
     """
-    from ..core.masked_spgemm import masked_spgemm
-    from ..parallel.executor import parallel_masked_spgemm
+    from ..core.masked_spgemm import masked_spgemm, parallel_masked_spgemm
     from ..parallel.pool import process_backend_available, shutdown_pool
     from ..semiring import PLUS_PAIR
 

@@ -1,5 +1,6 @@
-"""Row-parallel execution: partitioners, the row-slicing primitives and
-historical front door (:mod:`repro.parallel.executor`), and the
+"""Row-parallel execution: partitioners, the backend names and row-slicing
+primitives (:mod:`repro.parallel.executor`, which also re-exports the
+row-parallel spelling of the front door, ``parallel_masked_spgemm``), and the
 shared-memory process backend (segment publication in
 :mod:`repro.parallel.shm`, the persistent worker pool and the one task
 type every backend runs in :mod:`repro.parallel.pool`).  The loop that

@@ -1,5 +1,5 @@
-"""Row-parallel masked SpGEMM: the row-slicing primitives and the
-historical front door.
+"""Row-parallel masked SpGEMM: the backend names and the row-slicing
+primitives.
 
 The execution engine (:mod:`repro.engine.executor`) cuts every plan into
 work items — band x row part x column panel — and runs them on one of
@@ -19,11 +19,9 @@ three backends:
 All three produce bit-for-bit identical matrices and identical merged
 ``OpCounter`` totals; ``tests/test_backends.py`` enforces it.  This module
 holds what the items are sliced with (:func:`row_block`,
-:func:`row_slice`) and :func:`parallel_masked_spgemm`, the historical
-front door, which builds a forced :class:`~repro.engine.ExecutionPlan`
-and hands it to the engine, so every execution path is planned and
-inspectable.  It matches the paper's coarse-grained row parallelism;
-within-row parallelism is deliberately absent, as in the paper.
+:func:`row_slice`).  :func:`parallel_masked_spgemm` is a spelling of
+:func:`repro.core.masked_spgemm` and lives beside it (so that module may
+not import this one at module level); its name stays importable here.
 """
 
 from __future__ import annotations
@@ -32,8 +30,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from ..machine import OpCounter
-from ..semiring import PLUS_TIMES, Semiring
+from ..core.masked_spgemm import parallel_masked_spgemm  # re-export only
 from ..sparse import CSR
 
 __all__ = [
@@ -126,67 +123,3 @@ def row_block(mat: CSR, lo: int, hi: int) -> CSR:
         check=False,
     )
 
-
-def parallel_masked_spgemm(
-    a: CSR,
-    b: CSR,
-    mask: CSR,
-    *,
-    algo: str = "msa",
-    threads: int = 4,
-    partition: str = "balanced",
-    phases: int = 1,
-    complement: bool = False,
-    semiring: Semiring = PLUS_TIMES,
-    impl: str = "auto",
-    backend: str = "thread",
-    counter: Optional[OpCounter] = None,
-    batch: Optional[str] = None,
-) -> CSR:
-    """Masked SpGEMM with row-parallel execution.
-
-    ``partition``: ``"block"``, ``"cyclic"`` or ``"balanced"`` (flops-
-    weighted contiguous blocks).  ``backend``: ``"serial"``, ``"thread"``
-    (alias ``"threads"``), ``"process"`` (shared-memory worker pool), or
-    ``"auto"`` to let the planner's cost heuristic choose.  ``algo="auto"``
-    lets the cost-model planner choose the algorithm (the thread count and
-    partition stay as forced here).  ``batch`` forces the kernels'
-    batching tier (``"bucket"`` / ``"perrow"``, see ``docs/kernels.md``);
-    ``None`` lets the machine's flop crossover decide per band.
-
-    ``threads`` must be ``>= 1``; ``threads=1`` always takes the serial
-    path directly — no pool of any kind is built.
-
-    This is now a thin front over :mod:`repro.engine`: it builds a plan with
-    the given knobs forced and executes it.
-    """
-    if threads < 1:
-        raise ValueError("threads must be positive (>= 1)")
-    forced_backend: Optional[str]
-    if str(backend).lower() == "auto":
-        forced_backend = None  # the planner's cost heuristic decides
-    else:
-        forced_backend = normalize_backend(backend)
-    if partition not in ("block", "cyclic", "balanced"):
-        raise ValueError("partition must be 'block', 'cyclic' or 'balanced'")
-    if threads == 1:
-        forced_backend = "serial"  # never build a pool for one worker
-
-    from ..engine import Planner, execute
-
-    pl = Planner().plan(
-        a,
-        b,
-        mask,
-        algo=None if algo.lower() == "auto" else algo,
-        phases=phases,
-        complement=complement,
-        threads=min(threads, max(1, a.nrows)),
-        partition=partition,
-        backend=forced_backend,
-        batch=batch,
-    )
-    return execute(
-        pl, a, b, mask,
-        semiring=semiring, impl=impl, counter=counter,
-    )

@@ -40,6 +40,7 @@ from typing import List, Optional, Sequence, Tuple, Union
 
 import multiprocessing as mp
 
+from ..core.leaf import run_kernel
 from ..machine import OpCounter
 from ..observe import tracer as _obs
 from ..semiring import STANDARD_SEMIRINGS, Semiring
@@ -258,8 +259,6 @@ def run_task(task: Task):
     not pay for (or leak into) this one.  In-process the ambient tracer
     records the same span directly.
     """
-    from ..core.masked_spgemm import masked_spgemm
-
     tracer = probes = None
     if task.trace:
         tracer = _obs.Tracer()
@@ -294,7 +293,7 @@ def run_task(task: Task):
         # compute inside the span, build the payload after it closes so the
         # item span itself is part of the exported records
         with span_cm:
-            c = masked_spgemm(
+            c = run_kernel(
                 a_s, b, m_s,
                 algo=task.algo, phases=task.phases, complement=task.complement,
                 semiring=semiring, impl=task.impl, counter=counter,

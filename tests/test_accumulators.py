@@ -159,6 +159,17 @@ class TestHashSpecifics:
         for k in range(50):
             assert acc.remove(k * 131) == 1.0
 
+    def test_full_table_raises_instead_of_probing_forever(self):
+        from repro.core.accumulators import HashComplement
+
+        acc = HashComplement(1, ADD)
+        for k in range(acc.capacity):
+            acc.set_not_allowed(k)
+        # every slot holds another key: a lookup ends, a new key is refused
+        assert acc.remove(acc.capacity) is None
+        with pytest.raises(RuntimeError, match="over capacity"):
+            acc.insert(acc.capacity, 1.0)
+
     def test_probe_counting(self):
         c = OpCounter()
         acc = HashAccumulator(4, ADD, counter=c)

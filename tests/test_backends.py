@@ -163,6 +163,51 @@ class TestProcessBackendInternals:
         assert pl.backend == "serial"
 
 
+class TestForcedBackendReachesThePlanner:
+    """``backend=`` is a plan knob under every session spelling: the
+    sessionless door used to keep it from the planner (which planned
+    ``threads=1``) and apply it at execute time, where one item ran
+    in-process under a span that still said ``thread`` / ``process``."""
+
+    @pytest.mark.parametrize("backend", ["thread", "process"])
+    def test_same_plan_and_dispatch_with_and_without_a_session(self, backend):
+        import os
+
+        from repro.graphs import relabel_by_degree
+        from repro.semiring import PLUS_PAIR
+
+        if len(os.sched_getaffinity(0)) < 2:
+            pytest.skip("the host planner gives one core one worker")
+        low = relabel_by_degree(rmat(12, seed=1).pattern()).tril(-1)
+        serial = OpCounter()
+        ref = masked_spgemm(low, low, low, algo="auto", backend="serial",
+                            semiring=PLUS_PAIR, counter=serial)
+
+        def work(counter):
+            # all but the reuse a session's segment registry reports there
+            return {k: v for k, v in counter.as_dict().items()
+                    if k not in ("segments_reused", "bytes_republished")}
+
+        shapes = set()
+        with ExecutionSession() as own:
+            for session in (None, False, own):
+                counter = OpCounter()
+                with tracing() as tr:
+                    got = masked_spgemm(low, low, low, algo="auto", backend=backend,
+                                        semiring=PLUS_PAIR, counter=counter,
+                                        session=session)
+                _assert_same(got, ref, str(session))
+                assert work(counter) == work(serial), session
+                (run,) = [sp for sp in tr.spans if sp.name == "engine.execute"]
+                cells = _cell_spans(tr)
+                assert run.attrs["backend"] == run.attrs["plan"]["backend"] == backend
+                assert len(cells) >= 2, session
+                if backend == "process":
+                    assert len({sp.pid for sp in cells}) >= 2, session
+                shapes.add((run.attrs["plan"]["threads"], len(cells)))
+        assert len(shapes) == 1, shapes
+
+
 class TestSegmentHygiene:
     def test_no_segments_leak_across_calls(self, square_problem):
         a, b, m = square_problem

@@ -95,6 +95,17 @@ class TestComplement:
         full = scipy_masked_spgemm(a, b, CSR.from_dense(np.ones(m.shape)))
         assert_csr_equal(ewise_add(inside, outside), full)
 
+    def test_empty_b_complement_is_empty(self, algo, impl):
+        # the "empty-b" operand set of tests/test_native.py: a zero product
+        # bound against non-empty mask rows, whose keys take table slots
+        # too (the reference hash tier probed its full table forever)
+        from repro.graphs import erdos_renyi
+
+        a, m = erdos_renyi(20, 20, 3, seed=13), erdos_renyi(20, 20, 3, seed=14)
+        got = masked_spgemm(a, CSR.empty((20, 20)), m, algo=algo, impl=impl,
+                            complement=True)
+        assert_csr_equal(got, CSR.empty((20, 20)))
+
     def test_empty_mask_complement_is_full_product(self, algo, impl):
         a = random_csr(10, 12, 3, seed=41)
         b = random_csr(12, 9, 3, seed=42)
@@ -139,6 +150,135 @@ class TestUnsupportedCombos:
         m = random_csr(4, 5, 2, seed=48)
         with pytest.raises(ValueError, match="mask shape"):
             masked_spgemm(a, b, m)
+
+
+def _front_doors():
+    from repro.core import masked_spgemm_chunked, masked_spgemm_hybrid
+    from repro.parallel import parallel_masked_spgemm
+
+    return {"masked_spgemm": masked_spgemm, "hybrid": masked_spgemm_hybrid,
+            "chunked": masked_spgemm_chunked, "parallel": parallel_masked_spgemm}
+
+
+class TestOneFrontDoor:
+    """The four front doors are spellings of one call (``docs/engine.md``,
+    "Path of a call"): same checks, same texts, each step once."""
+
+    @pytest.mark.parametrize("door", _front_doors())
+    def test_every_door_raises_the_same_text(self, door, small_triple):
+        call = _front_doors()[door]
+        a, b, m = small_triple
+
+        def text(**kw):
+            with pytest.raises(ValueError) as err:
+                call(kw.pop("a", a), kw.pop("b", b), m, **kw)
+            return str(err.value)
+
+        bad_b = random_csr(b.nrows + 1, b.ncols, 2, seed=44)
+        assert text(b=bad_b) == (
+            f"inner dimensions of A and B do not agree: {a.shape} @ {bad_b.shape}")
+        bad_a = random_csr(a.nrows + 1, a.ncols, 2, seed=45)
+        assert text(a=bad_a) == (
+            f"mask shape {m.shape} must match the output shape "
+            f"({bad_a.nrows}, {b.ncols})")
+        if door == "hybrid":
+            return  # takes no algo=: it is the ratio-banded planner's choice
+        assert text(algo="quantum") == (
+            "unknown algorithm 'quantum'; expected one of "
+            f"{('auto',) + ALGOS + ('esc',)}")
+        assert text(algo="inner", complement=True) == (
+            "Inner does not support complemented masks")
+
+    @pytest.mark.parametrize("machine, sessioned", [(None, True), ("haswell", True),
+                                                    (None, False)])
+    def test_an_auto_call_takes_each_step_once(self, machine, sessioned, small_triple,
+                                               monkeypatch):
+        """Shape checks, machine resolution, session normalisation and the
+        session's call scope: each runs once between the door and the leaf."""
+        import repro.core.leaf as leaf
+        import repro.core.masked_spgemm as door
+        from repro.engine import ExecutionSession, executor, planner, session
+
+        a, b, m = small_triple
+        calls = {"check_operands": 0, "resolve_machine": 0, "caching_session": 0,
+                 "run_kernel": 0, "call": 0}
+
+        def spy(owner, name):
+            real = getattr(owner, name)
+
+            def counted(*args, **kw):
+                calls[name] += 1
+                return real(*args, **kw)
+
+            monkeypatch.setattr(owner, name, counted)
+
+        with ExecutionSession() as sess:
+            kw = dict(algo="auto", machine=machine, session=sess if sessioned else None)
+            want = masked_spgemm(a, b, m, **kw)
+            for module in (leaf, door, executor, planner, session):
+                for name in set(calls) & set(vars(module)):
+                    spy(module, name)
+            spy(sess, "call")
+            got = masked_spgemm(a, b, m, **kw)
+        assert_csr_equal(got, want)
+        # a session resolved its own machine when it was built
+        assert calls == {"check_operands": 1, "caching_session": 1, "run_kernel": 1,
+                         "resolve_machine": int(not sessioned or machine is not None),
+                         "call": int(sessioned)}
+
+
+class TestLayering:
+    """``repro.engine`` and ``repro.parallel`` sit below the front door: they
+    run :func:`repro.core.leaf.run_kernel` and never call back into
+    ``masked_spgemm``; within ``repro.core`` only the door looks up."""
+
+    @staticmethod
+    def _imports(path):
+        import ast
+
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom):
+                module = "." * node.level + (node.module or "")
+                yield module, [alias.name for alias in node.names]
+            elif isinstance(node, ast.Import):
+                yield from ((alias.name, []) for alias in node.names)
+
+    def test_no_import_of_the_door_below_it(self):
+        import re
+        from pathlib import Path
+
+        import repro
+
+        src = Path(repro.__file__).parent
+        door = re.compile(r"(^|\.)masked_spgemm(_hybrid|_chunked)?$")
+        found = [
+            (f"{pkg}/{path.name}", names)
+            for pkg in ("engine", "parallel")
+            for path in sorted((src / pkg).glob("*.py"))
+            for module, names in self._imports(path)
+            if any(door.search(n) for n in [module, *names])
+        ]
+        # the one mention: ``repro.parallel`` keeps its historical name for
+        # the row-parallel spelling, which lives beside the door
+        assert found == [("parallel/executor.py", ["parallel_masked_spgemm"])]
+        looks_up = [
+            (str(path.relative_to(src)), module)
+            for path in sorted((src / "core").rglob("*.py"))
+            if path.name != "masked_spgemm.py"
+            for module, _ in self._imports(path)
+            if re.search(r"(^|\.)engine(\.|$)", module)
+        ]
+        assert looks_up == []
+
+    def test_the_leaf_loads_without_the_engine(self):
+        import os
+        import subprocess
+        import sys
+
+        code = ("import sys, repro.parallel.pool, repro.core.leaf\n"
+                "assert 'repro.engine' not in sys.modules\n")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        subprocess.run([sys.executable, "-c", code], env=env, check=True)
 
 
 @pytest.mark.parametrize("semiring", [PLUS_PAIR, MIN_PLUS, MAX_TIMES],
