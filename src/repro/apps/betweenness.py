@@ -99,11 +99,11 @@ def betweenness_centrality(
     Brandes / networkx exactly (unnormalised, directed-sum convention:
     for undirected graphs networkx halves the scores).
 
-    ``backend`` (``algo="auto"`` only) forces the execution backend of the
-    per-level masked SpGEMMs.  ``shards`` passes the grid knob
-    through to every level's masked SpGEMM (see ``docs/parallel.md``).
-    ``session`` controls cross-call caching —
-    an :class:`~repro.engine.ExecutionSession`, ``None`` (default: open a
+    ``backend`` forces the execution backend of the per-level masked
+    SpGEMMs (``None``, the default: in-process, one worker).  ``shards``
+    passes the grid knob through to every level's masked SpGEMM (see
+    ``docs/parallel.md``).  ``session`` controls cross-call caching — an
+    :class:`~repro.engine.ExecutionSession`, ``None`` (default: open a
     loop-local one for ``algo="auto"``), or ``False`` to disable.  BC is
     the paper's best case for reuse: ``A`` and ``A^T`` are constant across
     every level, so their shm segments publish once and only the small
@@ -184,9 +184,7 @@ def _betweenness_body(
                 frontier = masked_spgemm(
                     frontier, a, numsp, algo=algo, impl=impl, phases=phases,
                     complement=True, semiring=PLUS_TIMES, counter=counter,
-                    backend=backend
-                    if (algo == "auto" or shards is not None)
-                    else None,
+                    backend=backend,
                     shards=shards, session=session,
                 )
             spgemm_time += sp_f.seconds
@@ -217,9 +215,7 @@ def _betweenness_body(
                 t_d = masked_spgemm(
                     w, a_t, below, algo=algo, impl=impl,
                     phases=phases, semiring=PLUS_TIMES, counter=counter,
-                    backend=backend
-                    if (algo == "auto" or shards is not None)
-                    else None,
+                    backend=backend,
                     shards=shards, session=session,
                 )
             spgemm_time += sp_b.seconds

@@ -92,9 +92,8 @@ def ktruss(
 
     ``call_log``, if given, receives one ``(a, b, mask, complement)`` tuple
     per masked SpGEMM call so benches can model every scheme from a single
-    recorded run.  ``backend`` (``algo="auto"`` only) forces the execution
-    backend of each masked SpGEMM — iterative apps like this are exactly
-    where the persistent process pool amortises its spawn cost.
+    recorded run.  ``backend`` forces the execution backend of each masked
+    SpGEMM (``None``, the default, runs them in-process on one worker).
     ``shards`` is passed through to every masked SpGEMM (the grid knob,
     see ``docs/parallel.md``).
 
@@ -110,8 +109,9 @@ def ktruss(
     counter = counter if counter is not None else OpCounter()
     # grid runs route through the engine even with a forced algo, so
     # they benefit from (and default to) a loop-local session as well
-    engine_path = algo == "auto" or shards is not None
-    session, owned = resolve_session(session, auto=engine_path)
+    session, owned = resolve_session(
+        session, auto=(algo == "auto" or shards is not None)
+    )
     spgemm_time = 0.0
     flops: List[int] = []
 
@@ -126,7 +126,7 @@ def ktruss(
             out = masked_spgemm(
                 x, y, mask, algo=algo, impl=impl, phases=phases,
                 semiring=PLUS_PAIR, counter=counter,
-                backend=backend if engine_path else None,
+                backend=backend,
                 shards=shards, session=session, delta=None,
             )
         spgemm_time += sp_mm.seconds

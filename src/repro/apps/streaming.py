@@ -129,9 +129,7 @@ def sliding_window_triangles(
                     support = masked_spgemm(
                         cur, cur, cur, algo=algo, semiring=PLUS_PAIR,
                         counter=counter,
-                        backend=backend
-                        if (algo == "auto" or shards is not None)
-                        else None,
+                        backend=backend,
                         shards=shards,
                         session=session,
                         delta=delta if session is not None else None,

@@ -80,8 +80,8 @@ def triangle_count_detail(
 ) -> TriangleCountResult:
     """Triangle counting with timing/counter detail for the benches.
 
-    ``backend`` (``algo="auto"`` only) forces the execution backend of the
-    underlying masked SpGEMM; ``None`` lets the planner's cost model pick.
+    ``backend`` forces the execution backend of the underlying masked
+    SpGEMM; ``None`` (default) runs it in-process on one worker.
     """
     counter = counter if counter is not None else OpCounter()
     # tracer spans double as the stage timers: tril/spgemm/reduce durations
@@ -104,7 +104,7 @@ def triangle_count_detail(
                 phases=phases,
                 semiring=PLUS_PAIR,
                 counter=counter,
-                backend=backend if algo == "auto" else None,
+                backend=backend,
             )
         with timed_span("tc.reduce"):
             tri = int(round(reduce_sum(c)))

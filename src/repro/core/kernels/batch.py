@@ -77,8 +77,13 @@ BATCH_TIERS = ("auto", "bucket", "perrow")
 #: fast kernels taking ``batch=`` (inner pulls; mca keeps hash's blocks)
 BATCHABLE_ALGOS = frozenset({"msa", "hash", "esc"})
 
-#: ``batch="auto"`` picks the bucketed tier at/above this many upper-bound
-#: flops for the whole call (see MachineConfig.batch_crossover_flops)
+#: ``batch="auto"`` feeds the push loop row-size-class chunks instead of
+#: contiguous row blocks at/above this many upper-bound flops (per call
+#: here, per row band in the planner); below it the fixed bucketing
+#: overhead (argsort, chunk bookkeeping) outweighs what same-size chunks
+#: save.  Values and counters do not depend on the chunker, so this is
+#: purely a performance crossover — it sits above the CI-sized graphs and
+#: below the Fig. 10/11 R-MAT scaling cases.
 DEFAULT_BATCH_CROSSOVER_FLOPS = 1 << 18
 
 

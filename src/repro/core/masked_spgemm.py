@@ -48,11 +48,11 @@ from __future__ import annotations
 
 from typing import Optional
 
-from ..machine import HASWELL, MachineConfig, OpCounter, resolve_machine
+from ..machine import HASWELL, MachineConfig, OpCounter
 from ..observe import tracer as _obs
 from ..semiring import PLUS_TIMES, Semiring
 from ..sparse import CSC, CSR
-from .kernels.batch import BATCH_TIERS, BATCHABLE_ALGOS, resolve_tier
+from .kernels.batch import BATCH_TIERS
 from .leaf import (
     ALGO_LABELS,
     ALGOS,
@@ -79,7 +79,9 @@ __all__ = [
 ]
 
 
-def _check_spellings(algo: str, phases, impl: str, batch: str) -> str:
+def _check_spellings(
+    algo: str, phases, impl: str, batch: str, backend=None, delta=None
+) -> str:
     """Every front door's option-spelling checks; the algorithm key."""
     key = algo.lower()
     if batch not in BATCH_TIERS:
@@ -93,6 +95,14 @@ def _check_spellings(algo: str, phases, impl: str, batch: str) -> str:
         raise ValueError("phases must be 1 or 2")
     if impl not in ("fast", "reference", "auto"):
         raise ValueError("impl must be 'fast', 'reference' or 'auto'")
+    if backend is not None:
+        from ..parallel.executor import normalize_backend
+
+        normalize_backend(backend)
+    if delta is not None and delta is not False:
+        from ..engine.delta import resolve_delta
+
+        resolve_delta(delta)
     return key
 
 
@@ -101,7 +111,9 @@ def _planned(a, b, mask, *, algo, phases, impl, batch="auto", **call) -> CSR:
     checked, then :func:`repro.engine.plan_and_execute` (shape checks,
     machine, session scope, plan, work items) with the door's forced plan
     knobs among ``call``."""
-    key = _check_spellings(algo, phases, impl, batch)
+    key = _check_spellings(
+        algo, phases, impl, batch, call.get("backend"), call.get("delta")
+    )
     from ..engine.executor import plan_and_execute
 
     return plan_and_execute(
@@ -169,14 +181,18 @@ def masked_spgemm(
         (``"haswell"``, ``"knl"``) or ``"fitted"`` for the
         history-calibrated config persisted by ``python -m repro.machine
         fit`` (``docs/calibration.md``) — plans for that modeled machine
-        instead (figure reproduction).  For explicit algorithms only the
-        batch crossover is consulted.
+        instead (figure reproduction).  An explicit algorithm with nothing
+        else to plan never reads it.
     backend:
-        Execution backend for ``algo="auto"``: ``None`` lets the planner
-        choose (``serial``, or ``process`` when the predicted work repays
-        the pool on the available cores), a string forces it.  Explicit
-        algorithms run in-process; use
-        :func:`repro.parallel.parallel_masked_spgemm` to parallelise them.
+        Execution backend, the caller's to pick: ``None`` (default) runs
+        one worker in-process — the host planner never fans out on its own
+        (``docs/parallel.md``, "Who picks the backend"; a modeled
+        ``machine=`` keeps its preset's rule).  ``"serial"``, ``"thread"``
+        or ``"process"`` forces it, with ``algo="auto"`` or an explicit
+        algorithm alike: the call goes through the engine, which cuts the
+        rows into ``min(cores, rows / 512)`` parts; use
+        :func:`repro.parallel.parallel_masked_spgemm` to force the worker
+        count as well.
     shards:
         Grid knob (see ``docs/parallel.md``): ``None`` (default) is the
         plain ``1 x 1`` call; ``(row_blocks, col_panels)`` cuts the output
@@ -191,8 +207,7 @@ def masked_spgemm(
         ``docs/kernels.md``): ``"bucket"`` — power-of-two size classes of
         the rows' upper-bound flops — or ``"perrow"`` — contiguous
         flop-budget row blocks; ``"auto"`` (default) buckets when the
-        call's upper-bound flops reach the crossover (``1 << 18``, or the
-        ``batch_crossover_flops`` of a given ``machine``).  With
+        call's upper-bound flops reach the crossover (``1 << 18``).  With
         ``algo="auto"`` the planner decides per row band (a forced value
         applies to every band).  Values and counters are bit-for-bit the
         same either way.  It selects for ``msa`` and ``esc``; it is a
@@ -230,12 +245,12 @@ def masked_spgemm(
         elif shards is not None and not isinstance(shards, str):
             shards = type(shards)(shards.col_bounds, shards.row_bounds)
     if (
-        algo.lower() == "auto" or shards is not None
+        algo.lower() == "auto" or shards is not None or backend is not None
         or (delta is not None and delta is not False)
     ):
-        # the planner picks per-row-band algorithms, phases, partition and
-        # worker count from the cost model (a forced algo with shards= keeps
-        # the algo and grids the dispatch; delta= additionally threads the
+        # the planner picks per-row-band algorithms, phases and partition
+        # from the cost model (a forced algo keeps the algo: shards= grids
+        # the dispatch, backend= cuts it into row parts, delta= threads the
         # call through the incremental path)
         c = _planned(
             a, b, mask,
@@ -245,17 +260,12 @@ def masked_spgemm(
             session=session, delta=delta,
         )
     else:
-        # a forced algorithm with no grid and no delta has nothing to plan
+        # a forced algorithm with no grid, backend or delta has nothing to
+        # plan (batch="auto" is resolved where the chunks are made)
         key = _check_spellings(algo, phases, impl, batch)
         check_operands(a, b, mask)
         if complement and not supports_complement(key):
             raise ValueError(f"{ALGO_LABELS[key]} does not support complemented masks")
-        if machine is not None:
-            # "auto" is otherwise resolved where the chunks are made, against
-            # the default crossover; a named machine brings its own
-            machine = resolve_machine(machine)
-            if key in BATCHABLE_ALGOS and impl != "reference":
-                batch = resolve_tier(a, b, batch, crossover=machine.batch_crossover_flops)
         session = caching_session(session)
         with session.call() if session is not None else _obs.NULL_SPAN:
             c = run_kernel(
@@ -358,11 +368,12 @@ def parallel_masked_spgemm(
     ``partition``: ``"block"``, ``"cyclic"`` or ``"balanced"`` (flops-
     weighted contiguous blocks).  ``backend``: ``"serial"``, ``"thread"``
     (alias ``"threads"``), ``"process"`` (shared-memory worker pool), or
-    ``"auto"`` to let the planner's cost heuristic choose.  ``algo="auto"``
-    lets the cost-model planner choose the algorithm (the thread count and
-    partition stay as forced here).  ``batch`` forces the kernels'
-    batching tier (``"bucket"`` / ``"perrow"``, see ``docs/kernels.md``);
-    ``None`` lets the machine's flop crossover decide per band.
+    ``"auto"`` for the planner's rule under a forced worker count
+    (``"thread"`` on the host).  ``algo="auto"`` lets the cost-model planner
+    choose the algorithm (the thread count and partition stay as forced here).
+    ``batch`` forces the kernels' batching tier (``"bucket"`` /
+    ``"perrow"``, see ``docs/kernels.md``); ``None`` lets the flop
+    crossover decide per band.
 
     ``threads`` must be ``>= 1``; ``threads=1`` always takes the serial
     path directly — no pool of any kind is built.
@@ -374,7 +385,7 @@ def parallel_masked_spgemm(
     if threads < 1:
         raise ValueError("threads must be positive (>= 1)")
     if str(backend).lower() == "auto":
-        forced_backend = None  # the planner's cost heuristic decides
+        forced_backend = None  # the planner's rule for a forced threads=
     else:
         forced_backend = normalize_backend(backend)
     if threads == 1:

@@ -106,7 +106,7 @@ class _DeltaState:
         self.result = result
 
 
-def _resolve_threshold(delta) -> Optional[float]:
+def resolve_delta(delta) -> Optional[float]:
     """Normalise the ``delta=`` knob to the dirty-row share above which a
     call falls back: ``None`` is the priced ``"auto"`` rule, ``"force"``
     never falls back."""
@@ -244,7 +244,7 @@ def delta_execute(
     digests, plan and result, and subsequent calls diff, patch and splice.
     Results are bit-for-bit identical to a full recompute in every case.
     """
-    threshold = _resolve_threshold(delta)
+    threshold = resolve_delta(delta)
     priced = threshold is None
     nrows = a.nrows
 

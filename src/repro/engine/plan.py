@@ -56,7 +56,7 @@ class RowBand:
     #: the prediction ledger pairs it with the measured counters
     est_bytes: float = 0.0
     #: batching tier the band's kernel runs ("auto" | "bucket" | "perrow");
-    #: planner-resolved from the machine's batch_crossover_flops for
+    #: planner-resolved against ``DEFAULT_BATCH_CROSSOVER_FLOPS`` for
     #: batchable algorithms, "perrow" for the rest
     batch: str = "auto"
     #: flops-size-class census of the band's rows ({bucket_id: nrows},
@@ -161,8 +161,7 @@ class ExecutionPlan:
     the planner's whole-problem seconds per candidate algorithm (for
     :meth:`explain`) — predicted from measured kernel costs when ``machine``
     is ``"host"``, modeled paper-machine time for a preset; ``notes`` records
-    free-form planner decisions, among them why the process pool was or was
-    not used and on how many available cores.
+    free-form planner decisions.
     """
 
     shape: Tuple[int, int]  #: output (and mask) shape

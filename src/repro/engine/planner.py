@@ -6,11 +6,11 @@
 * **the host** (``machine=None``, every shipped default): per-row seconds
   come from the measured :class:`~repro.machine.HostProfile` — linear in
   ``flops(AB)``, mask nonzeros and pulled pairs, statistics computed once
-  per plan — and the worker count from the cores this process may use.
-  Rows are split into bands only when the predicted saving beats the
-  measured cost of slicing and merging, and the process pool is used only
-  when the predicted kernel seconds repay its dispatch (and spawn, if it
-  is cold).
+  per plan.  Rows are split into bands only when the predicted saving
+  beats the measured cost of slicing and merging.  Worker count and
+  backend belong to the caller: one serial worker unless ``threads=`` or
+  ``backend=`` says otherwise (``docs/parallel.md``, "Who picks the
+  backend"), so a plan is a function of operands, options and profile.
 * **a modeled preset** (``"haswell"``, ``"knl"``, ``"fitted"`` or a
   :class:`~repro.machine.MachineConfig`): per-row *cycles* from
   :class:`repro.machine.RowCostModel` — Figure 7's regime map, computed
@@ -44,7 +44,12 @@ from typing import Dict, Optional, Sequence
 
 import numpy as np
 
-from ..core.kernels.batch import BATCH_TIERS, BATCHABLE_ALGOS, bucket_census
+from ..core.kernels.batch import (
+    BATCH_TIERS,
+    BATCHABLE_ALGOS,
+    DEFAULT_BATCH_CROSSOVER_FLOPS,
+    bucket_census,
+)
 from ..core.leaf import (
     ALGO_LABELS,
     ALL_ALGOS,
@@ -55,7 +60,7 @@ from ..core.leaf import (
 from ..machine import HostProfile, RowCostModel, flops_per_row, pulls_per_row, \
     resolve_machine
 from ..parallel.executor import normalize_backend
-from ..parallel.pool import pool_size, process_backend_available
+from ..parallel.pool import process_backend_available
 from .plan import ExecutionPlan, RowBand, ShardGrid
 
 __all__ = ["Planner", "plan", "PLAN_CANDIDATES"]
@@ -78,8 +83,8 @@ _WORD = 8  # bytes per index/value word, as in the paper's analysis
 
 #: modeled whole-problem cycles above which a *preset* plan with several
 #: workers uses the process backend (paper-machine cycles, not host time:
-#: it only keeps preset plans what they always were; the host's crossover
-#: is measured seconds, see :meth:`HostProfile.pool_seconds`)
+#: it only keeps preset plans what they always were; a host plan never
+#: picks a backend, see :meth:`Planner._host_workers`)
 _MODELED_PROCESS_CROSSOVER_CYCLES = 2.0e6
 
 #: cost banding on a modeled preset: bands carrying less than this fraction
@@ -178,10 +183,10 @@ class Planner:
 
         Any of ``algo``, ``phases``, ``threads``, ``partition`` and
         ``backend`` may be forced; everything left ``None`` (or
-        ``algo="auto"``) is decided by the cost model.  On the host,
-        ``"process"`` (the shared-memory worker pool) is chosen only when
-        the predicted kernel seconds repay its measured dispatch and spawn
-        cost on the cores actually available.
+        ``algo="auto"``) is decided by the cost model — except, on the
+        host, the worker count and backend: one serial worker unless the
+        caller forces ``threads`` (``"thread"`` follows) or a ``backend``
+        (``min(cores, rows / 512)`` workers follow).
 
         ``shards`` and ``panel_width`` are two spellings of the plan's one
         ``grid`` (see ``docs/parallel.md``): ``shards=(nrb, ncp)`` is an
@@ -194,7 +199,7 @@ class Planner:
 
         ``batch`` forces the fast kernels' batching tier (``"bucket"`` |
         ``"perrow"``; ``None``/``"auto"`` lets the planner decide per band
-        from :attr:`MachineConfig.batch_crossover_flops`).  Tiers are
+        against ``DEFAULT_BATCH_CROSSOVER_FLOPS``).  Tiers are
         bit-for-bit identical, so this is purely a performance choice; the
         resolved tier and the band's flops-size-class census land on each
         :class:`~repro.engine.plan.RowBand` for ``explain()``/``as_dict()``.
@@ -249,7 +254,7 @@ class Planner:
             backend = normalize_backend(backend)
         if self.host:
             threads, backend = self._host_workers(
-                b, mask, fl, bands, threads, backend, notes
+                mask.nrows, threads, backend, notes
             )
         else:
             if threads is None:
@@ -449,15 +454,14 @@ class Planner:
         """Resolve each band's kernel batching tier and bucket census.
 
         Batchable algorithms (MSA/Hash/ESC fast kernels) get the bucketed
-        tier exactly when the band's upper-bound flops reach the machine's
-        ``batch_crossover_flops`` (or whatever ``batch=`` forces); the rest
-        are pinned to ``"perrow"``.  Both tiers are bit-for-bit identical,
+        tier exactly when the band's upper-bound flops reach
+        ``DEFAULT_BATCH_CROSSOVER_FLOPS`` (or whatever ``batch=`` forces);
+        the rest are pinned to ``"perrow"``.  Both tiers are bit-for-bit identical,
         so this is a pure performance decision — recorded on the band, with
         a census note, so ``explain()`` shows what will run batched and why.
         """
         if not bands:
             return
-        crossover = int(self.machine.batch_crossover_flops)
         bucketed_rows = 0
         perrow_rows = 0
         any_batchable = False
@@ -471,8 +475,10 @@ class Planner:
             any_batchable = True
             if forced is not None and forced != "auto":
                 band.batch = forced
+            elif band_flops >= DEFAULT_BATCH_CROSSOVER_FLOPS:
+                band.batch = "bucket"
             else:
-                band.batch = "bucket" if band_flops >= crossover else "perrow"
+                band.batch = "perrow"
             if band.batch == "bucket":
                 bucketed_rows += band.nrows
             else:
@@ -485,7 +491,7 @@ class Planner:
             notes.append(
                 f"batch tiers: {bucketed_rows} rows bucketed, "
                 f"{perrow_rows} rows per-row "
-                f"(crossover {crossover} upper-bound flops)"
+                f"(crossover {DEFAULT_BATCH_CROSSOVER_FLOPS} upper-bound flops)"
             )
 
     def _pick_phases(self, model, bands, notes) -> int:
@@ -540,61 +546,29 @@ class Planner:
         )
         return "thread"
 
-    def _host_workers(self, b, mask, fl, bands, threads, backend, notes):
-        """Worker count and backend from predicted seconds and real cores.
+    def _host_workers(self, nrows: int, threads, backend, notes):
+        """Worker count and backend of a host plan: the caller's.
 
-        The pool is worth entering only if the plan's predicted serial
-        seconds, divided among workers at the measured parallel
-        efficiency, still beat serial after paying the measured per-task
-        dispatch (and per-worker spawn while the pool is cold).  With
-        nothing forced the choice is serial or ``process``, and never more
-        than one worker on one core; the thread backend is forced-only —
-        over the native kernels, which release the GIL, it does run ahead
-        of serial (``docs/parallel.md``: 25.2 vs 31.4 ms at scale 14 on two
-        cores), but no measured crossover prices it yet.  Forced knobs are
-        honoured; the other one follows.
+        Nothing here is priced, so nothing is picked: with neither knob
+        forced the plan is one serial worker.  A forced ``threads`` with no
+        ``backend`` runs on ``"thread"`` (``parallel_masked_spgemm``'s own
+        default); a forced parallel ``backend`` with no ``threads`` gets
+        ``min(cores, rows / ROWS_PER_THREAD)`` workers.  The measured tables
+        behind the rule are in ``docs/parallel.md`` ("Who picks the
+        backend").
         """
-        host = self.machine
-        cores = host.cores
-        by_rows = max(1, mask.nrows // ROWS_PER_THREAD)
-        serial_s = sum(band.est_cycles for band in bands) * 1e-9
-        if serial_s <= 0.0 and bands:  # forced algo: price it here
-            serial_s = float(
-                host_row_ns(host, bands[0].algo, b, mask, fl).sum() + host.band_ns
-            ) * 1e-9
-        can_pool = process_backend_available()
-
-        def pooled(workers: int) -> float:
-            return host.pool_seconds(serial_s, workers, cold=pool_size() < workers)
-
+        cores = self.machine.cores
         if threads is None and backend is None:
-            options = range(2, min(cores, by_rows) + 1) if can_pool else ()
-            best = min(options, key=pooled, default=1)
-            if best > 1 and pooled(best) < serial_s:
-                notes.append(
-                    f"process pool, {best} of {cores} cores: predicted "
-                    f"{serial_s * 1e3:.1f} ms serial vs {pooled(best) * 1e3:.1f} ms pooled"
-                )
-                return best, "process"
             notes.append(
-                f"serial on {cores} available core(s): predicted "
-                f"{serial_s * 1e3:.1f} ms of kernel work"
-                + (
-                    f" does not repay the pool ({pooled(2) * 1e3:.1f} ms with 2 workers)"
-                    if cores > 1 and can_pool
-                    else ""
-                )
+                f"serial on {cores} available core(s): worker count and "
+                "backend are the caller's (threads=, backend=)"
             )
             return 1, "serial"
         if threads is None:
+            by_rows = max(1, nrows // ROWS_PER_THREAD)
             threads = 1 if backend == "serial" else min(cores, by_rows)
         if backend is None:
-            if threads <= 1:
-                backend = "serial"
-            elif can_pool and pooled(threads) < serial_s:
-                backend = "process"
-            else:
-                backend = "thread"
+            backend = "thread" if threads > 1 else "serial"
         return threads, backend
 
     def _pick_partition(self, fl, notes) -> str:

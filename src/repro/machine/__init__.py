@@ -42,7 +42,6 @@ from .host import (
     available_cores,
     fit_host_profile,
     host_profile,
-    measure_backend_overhead,
 )
 from .kernel_traces import TRACEABLE_ALGOS, build_trace, replay_miss_rate
 from .report import breakdown_table, explain
@@ -61,7 +60,6 @@ __all__ = [
     "AccessTrace",
     "CacheSim",
     "calibrate_machine",
-    "measure_backend_overhead",
     "HOST",
     "HOST_NATIVE",
     "HostProfile",

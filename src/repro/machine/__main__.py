@@ -55,7 +55,6 @@ def _cmd_fit(args: argparse.Namespace) -> int:
         f"dram={m.dram_cycles:.3g}  probe={m.probe_cycles:.3g} "
         f"heap={m.heap_cycles:.3g} cycles (1 cycle = 1 ns)"
     )
-    print(f"  batch crossover={m.batch_crossover_flops} flops")
     res = prov["residual"]
     print(
         f"  fit residual: median |log10 ratio| = "

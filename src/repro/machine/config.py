@@ -47,14 +47,6 @@ class MachineConfig:
     #: cycles per hash probe / heap op beyond the memory cost
     probe_cycles: float = 3.0
     heap_cycles: float = 8.0
-    #: upper-bound flops at/above which ``batch="auto"`` feeds the push
-    #: loop row-size-class chunks instead of contiguous row blocks; below it
-    #: the fixed bucketing overhead (argsort, chunk bookkeeping) outweighs
-    #: what same-size chunks save.  Values and counters do not depend on the
-    #: chunker, so this knob is purely a performance crossover — the default
-    #: sits above the CI-sized graphs and below the Fig. 10/11 R-MAT scaling
-    #: cases.
-    batch_crossover_flops: int = 1 << 18
 
     def seconds(self, cycles: float) -> float:
         """Convert modeled cycles to seconds."""

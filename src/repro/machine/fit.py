@@ -71,7 +71,6 @@ FITTED_PARAMS = (
     "flop_cycles",
     "probe_cycles",
     "heap_cycles",
-    "batch_crossover_flops",
 )
 
 #: default on-disk location of the fitted config (cwd-relative), overridable
@@ -310,13 +309,6 @@ def fit_machine(
     values: Dict[str, float] = {}
     for pname in _CYCLE_FEATURES:
         values[pname] = params.get(pname, float(getattr(base, pname)))
-    # the batch crossover shifts inversely with the fitted per-flop cost (a
-    # k-times-slower flop amortises the fixed bucketing overhead at
-    # k-times-fewer flops)
-    flop_scale = values["flop_cycles"] / max(float(base.flop_cycles), 1e-12)
-    batch_crossover = int(
-        min(1 << 30, max(1 << 10, base.batch_crossover_flops / max(flop_scale, 1e-12)))
-    )
     machine = dataclasses.replace(
         base,
         name=name,
@@ -326,7 +318,6 @@ def fit_machine(
         flop_cycles=values["flop_cycles"],
         probe_cycles=values["probe_cycles"],
         heap_cycles=values["heap_cycles"],
-        batch_crossover_flops=batch_crossover,
     )
 
     residual = evaluate_config(machine, fit_set)

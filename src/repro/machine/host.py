@@ -3,10 +3,9 @@
 :class:`~repro.machine.MachineConfig` presets model the *paper's* machines
 (cycles of a C implementation on Haswell/KNL) and stay the instrument for
 reproducing its figures.  They say nothing about what a kernel costs in
-this process, so every live decision — which algorithm, how many bands,
-whether to fan out — is priced from a :class:`HostProfile` instead: a
-handful of checked-in nanoseconds-per-unit coefficients of the fast
-kernels plus the core count the process may actually use.  There are two
+this process, so every live decision — which algorithm, how many bands —
+is priced from a :class:`HostProfile` instead: a handful of checked-in
+nanoseconds-per-unit coefficients of the fast kernels.  There are two
 checked-in sets, one per kernel tier: :data:`HOST` (the NumPy bodies) and
 :data:`HOST_NATIVE` (the C row loops of ``core/kernels/native.c``);
 :func:`host_profile` returns the one for the tier this process runs.
@@ -19,9 +18,11 @@ The kernels' wall time is linear in statistics the planner already has:
   nonzero term, and ``nnz(B)`` for the CSC build, which every call pays
   unless it holds the fingerprint of a memoised one;
 * every kernel call / row band: a fixed cost, and for a split plan the row
-  slicing and the final merge, linear in the sliced nonzeros;
-* the process pool: seconds per dispatched task, seconds per cold-spawned
-  worker, and the fraction of ideal speedup two busy workers deliver.
+  slicing and the final merge, linear in the sliced nonzeros.
+
+Nothing here prices a worker: the count and the backend are the caller's
+(``docs/parallel.md``, "Who picks the backend"); :attr:`HostProfile.cores`
+only caps what a forced parallel ``backend=`` gets.
 
 :data:`HOST` / :data:`HOST_NATIVE` hold the coefficients fitted by
 :func:`fit_host_profile` (``python -m repro.machine host``; medians of
@@ -35,13 +36,11 @@ from __future__ import annotations
 
 import dataclasses
 import os
-import time
 from typing import Dict, Tuple
 
 import numpy as np
 
 from .calibrate import _time_best
-from .config import HASWELL
 
 __all__ = [
     "HostProfile",
@@ -49,7 +48,6 @@ __all__ = [
     "HOST_NATIVE",
     "host_profile",
     "available_cores",
-    "measure_backend_overhead",
     "fit_host_profile",
 ]
 
@@ -95,17 +93,6 @@ class HostProfile:
     #: the distinct operands and the previous result: hash pass, row diff,
     #: dirty-row propagation and the state's private result copy
     delta_nnz_ns: float = 38.0
-    #: process pool: per dispatched task, per cold-spawned worker, and the
-    #: share of ideal speedup concurrent workers deliver.  The pessimistic
-    #: end of what fitter runs read with 2 workers on 2 cores (dispatch
-    #: 3-17 ms/task, spawn 29-59 ms/worker, efficiency 0.43-0.80): a
-    #: wrongly entered pool costs more than a wrongly skipped one saves
-    task_dispatch_s: float = 15e-3
-    worker_spawn_s: float = 60e-3
-    parallel_efficiency: float = 0.65
-    #: the same knob, at the same value, the presets carry: read by the
-    #: planner's batch-tier decision
-    batch_crossover_flops: int = HASWELL.batch_crossover_flops
 
     @property
     def cores(self) -> int:
@@ -119,15 +106,6 @@ class HostProfile:
         """Predicted kernel nanoseconds per output row."""
         per_work, per_mask, per_row = getattr(self, f"{algo}_ns")
         return per_work * work + per_mask * mask_nnz + per_row
-
-    def pool_seconds(self, serial_s: float, workers: int, *, cold: bool) -> float:
-        """Predicted wall seconds of ``serial_s`` of kernel work fanned out
-        to ``workers`` pool processes."""
-        return (
-            serial_s / (workers * self.parallel_efficiency)
-            + workers * self.task_dispatch_s
-            + (workers * self.worker_spawn_s if cold else 0.0)
-        )
 
 
 #: the checked-in profile of the NumPy kernel bodies
@@ -170,53 +148,6 @@ def _tc_triple(scale: int):
     return relabel_by_degree(rmat(scale, seed=3).pattern()).tril(-1)
 
 
-def measure_backend_overhead(
-    workers: int = 2, *, repeats: int = 3, scales: Tuple[int, int] = (11, 14)
-) -> Dict[str, float]:
-    """Measured fixed costs and efficiency of the process backend.
-
-    Runs R-MAT triangle counting at two sizes serially (``S``) and through
-    a warm ``workers``-process pool (``T``) and solves ``T = S / (workers *
-    efficiency) + dispatch`` for both unknowns, so ``dispatch_seconds`` is
-    what a real call pays — publishing operands into shared memory,
-    attaching them in workers, pickling results back, merging — not the
-    cost of an empty task.  ``spawn_seconds`` is the first (cold) call's
-    excess over a warm one.  The pool is shut down first so the spawn is
-    really measured, and left warm afterwards.
-    """
-    from ..core.masked_spgemm import masked_spgemm, parallel_masked_spgemm
-    from ..parallel.pool import process_backend_available, shutdown_pool
-    from ..semiring import PLUS_PAIR
-
-    if not process_backend_available():  # pragma: no cover - platform gate
-        inf = float("inf")
-        return {"spawn_seconds": inf, "dispatch_seconds": inf, "parallel_efficiency": 0.0}
-
-    def pooled(low):
-        parallel_masked_spgemm(
-            low, low, low, algo="msa", semiring=PLUS_PAIR,
-            threads=workers, backend="process",
-        )
-
-    small, big = (_tc_triple(s) for s in scales)
-    shutdown_pool()
-    t0 = time.perf_counter()
-    pooled(small)  # cold: includes worker spawn
-    cold = time.perf_counter() - t0
-    serial, pool = [], []
-    for low in (small, big):
-        serial.append(_time_best(
-            lambda: masked_spgemm(low, low, low, algo="msa", semiring=PLUS_PAIR), repeats
-        ))
-        pool.append(_time_best(lambda: pooled(low), repeats))
-    slope = max(1e-9, (pool[1] - pool[0]) / max(serial[1] - serial[0], 1e-9))
-    return {
-        "spawn_seconds": max(0.0, cold - pool[0]),
-        "dispatch_seconds": max(1e-6, pool[0] - serial[0] * slope),
-        "parallel_efficiency": float(min(1.0, 1.0 / (workers * slope))),
-    }
-
-
 def _calibration_triples(quick: bool):
     """The Fig. 7 ER density grid plus R-MAT triangle-counting triples."""
     from ..graphs import erdos_renyi
@@ -251,8 +182,7 @@ def fit_host_profile(*, quick: bool = False, repeats: int = 3) -> Tuple[HostProf
     algorithm's seconds on ``(work, mask nnz, rows, 1)`` by the same
     relative-error non-negative least squares ``repro.machine.fit`` uses,
     times the CSC build, a two-band split and the delta engine's splice
-    and per-call bookkeeping, measures the process pool
-    (:func:`measure_backend_overhead`), and returns ``(profile, report)``
+    and per-call bookkeeping, and returns ``(profile, report)``
     — ``report`` carries the raw samples and per-algorithm median relative
     error so the constants can be audited.  Takes about a minute
     (``quick``: seconds, for tests).
@@ -327,17 +257,9 @@ def fit_host_profile(*, quick: bool = False, repeats: int = 3) -> Tuple[HostProf
         splice_nnz_ns=median_ns_per_nnz(splice_rows),
         delta_nnz_ns=median_ns_per_nnz(delta_rows),
     )
-    # two workers even on one core: the measured efficiency (~0.5 there)
-    # is then exactly what keeps the planner off the pool
-    overhead = measure_backend_overhead(2, scales=(8, 10) if quick else (11, 14))
-    if np.isfinite(overhead["dispatch_seconds"]):
-        changes["task_dispatch_s"] = overhead["dispatch_seconds"] / 2
-        changes["worker_spawn_s"] = overhead["spawn_seconds"] / 2
-        changes["parallel_efficiency"] = overhead["parallel_efficiency"]
     report = {
         "cores": available_cores(),
         "median_relative_error": errors,
         "samples": {k: [list(r) for r in v] for k, v in samples.items()},
-        "backend_overhead": overhead,
     }
     return dataclasses.replace(base, **changes), report

@@ -7,10 +7,11 @@ three backends:
 
 * ``"serial"`` — items run one after another in the caller's thread
   (deterministic baseline; also what ``threads=1`` degenerates to);
-* ``"thread"`` — a ``ThreadPoolExecutor``; under CPython's GIL this yields
-  limited real speedup (NumPy releases the GIL inside large kernels, so
-  some overlap occurs), but it is cheap to enter and shares operands for
-  free;
+* ``"thread"`` — a ``ThreadPoolExecutor``: cheap to enter, operands
+  shared for free.  Whether the parts overlap is the kernel tier's doing:
+  the native loops release the GIL (measured 1.1-1.35x over serial at
+  R-MAT scale 16-17 on two cores), the NumPy bodies re-take it between
+  array passes (measured 1.5-2x *slower* than serial at scale 15-17);
 * ``"process"`` — the shared-memory multiprocess backend: operands are
   published once into named shared segments (:mod:`repro.parallel.shm`),
   workers in a persistent pool (:mod:`repro.parallel.pool`) attach them as

@@ -65,23 +65,6 @@ class DCSR:
             mat.shape, nz_rows, indptr, mat.indices, mat.data, check=False
         )
 
-    @classmethod
-    def from_sorted_coo(cls, shape, rows, cols, vals) -> "DCSR":
-        """Build from ``(row, col)``-lexicographically-sorted COO triples.
-
-        Assembles in O(nnz) without touching the (mostly empty) row
-        space; the row-boundary scan doubles as the ``indptr``.
-        """
-        rows = np.ascontiguousarray(rows, dtype=INDEX_DTYPE)
-        if rows.size == 0:
-            empty = np.empty(0, dtype=INDEX_DTYPE)
-            return cls(shape, empty, np.zeros(1, dtype=INDEX_DTYPE),
-                       empty, np.empty(0, dtype=VALUE_DTYPE), check=False)
-        starts = np.concatenate(
-            ([0], np.flatnonzero(np.diff(rows)) + 1, [rows.size])
-        ).astype(INDEX_DTYPE)
-        return cls(shape, rows[starts[:-1]], starts, cols, vals, check=False)
-
     def to_csr(self) -> CSR:
         """Expand back to plain CSR."""
         nrows = self.shape[0]

@@ -142,20 +142,14 @@ class TestProcessBackendInternals:
         assert process_backend_available()
 
     def test_planner_picks_process_above_crossover(self):
-        """With the worker count forced, the host planner enters the pool
-        exactly when the predicted kernel seconds repay its dispatch."""
-        import dataclasses
-
-        from repro.machine import HOST
-
+        """There is no crossover: on the host the backend is the caller's —
+        a forced worker count runs on ``thread``, ``process`` only by name."""
         g = rmat(6, seed=3)
-        cheap = dataclasses.replace(HOST, task_dispatch_s=0.0, worker_spawn_s=0.0,
-                                    parallel_efficiency=1.0)
-        pl = Planner(cheap).plan(g, g, g, threads=WORKERS)
-        assert pl.backend == "process"
-        steep = dataclasses.replace(HOST, task_dispatch_s=1e6)
-        pl = Planner(steep).plan(g, g, g, threads=WORKERS)
-        assert pl.backend == "thread"
+        pl = Planner().plan(g, g, g, threads=WORKERS)
+        assert (pl.threads, pl.backend) == (WORKERS, "thread")
+        pl = Planner().plan(g, g, g, threads=WORKERS, backend="process")
+        assert (pl.threads, pl.backend) == (WORKERS, "process")
+        assert Planner().plan(g, g, g, backend="process").backend == "process"
 
     def test_serial_when_single_thread(self):
         g = rmat(6, seed=3)
@@ -206,6 +200,36 @@ class TestForcedBackendReachesThePlanner:
                     assert len({sp.pid for sp in cells}) >= 2, session
                 shapes.add((run.attrs["plan"]["threads"], len(cells)))
         assert len(shapes) == 1, shapes
+
+    @pytest.mark.parametrize("backend", ["thread", "process"])
+    def test_a_forced_algorithm_keeps_the_callers_backend(self, backend):
+        """``algo="msa", backend=...`` used to run one in-process kernel
+        span and no work item: a forced algorithm is planned too once the
+        caller names a backend, as with ``shards=`` and ``delta=``."""
+        import os
+
+        from repro.graphs import relabel_by_degree
+        from repro.semiring import PLUS_PAIR
+
+        if len(os.sched_getaffinity(0)) < 2:
+            pytest.skip("the host planner gives one core one worker")
+        low = relabel_by_degree(rmat(12, seed=1).pattern()).tril(-1)
+        plain = OpCounter()
+        ref = masked_spgemm(low, low, low, algo="msa", semiring=PLUS_PAIR,
+                            counter=plain)
+        counter = OpCounter()
+        with tracing() as tr:
+            got = masked_spgemm(low, low, low, algo="msa", backend=backend,
+                                semiring=PLUS_PAIR, counter=counter)
+        _assert_same(got, ref, backend)
+        assert counter.as_dict() == plain.as_dict()
+        (run,) = [sp for sp in tr.spans if sp.name == "engine.execute"]
+        assert run.attrs["plan"]["backend"] == backend
+        assert run.attrs["plan"]["mode"] == "forced"
+        cells = _cell_spans(tr)
+        assert len(cells) >= 2
+        if backend == "process":
+            assert len({sp.pid for sp in cells}) >= 2
 
 
 class TestSegmentHygiene:

@@ -38,7 +38,6 @@ from repro.core.masked_spgemm import masked_spgemm
 from repro.engine import ExecutionSession, Planner, execute
 from repro.graphs import erdos_renyi, rmat
 from repro.machine import OpCounter
-from repro.machine.config import MachineConfig
 from repro.observe import probes as _probes
 from repro.parallel.pool import shutdown_pool
 from repro.semiring import MIN_PLUS, PLUS_PAIR, PLUS_TIMES, STANDARD_SEMIRINGS
@@ -161,9 +160,8 @@ class TestHelpers:
         assert resolve_tier(a, b, "bucket", crossover=10**12) == "bucket"
         with pytest.raises(ValueError, match="batch must be one of"):
             resolve_tier(a, b, "bogus")
-        assert DEFAULT_BATCH_CROSSOVER_FLOPS == MachineConfig(
-            name="x", cores=1, ghz=1.0
-        ).batch_crossover_flops
+        assert DEFAULT_BATCH_CROSSOVER_FLOPS == 1 << 18
+        assert resolve_tier(a, b, "auto") == "perrow"
 
     def test_expand_keys_reproduces_expand_products(self):
         a = _rand_csr(25, 18, 0.25, 2)
@@ -651,18 +649,16 @@ class TestPlanReporting:
         assert "crossover" in text and "batch tiers:" in text
 
     def test_machine_crossover_drives_auto(self):
-        g = rmat(7, seed=5).pattern().tril(-1)
-        lo = MachineConfig(name="lo", cores=4, ghz=2.0, batch_crossover_flops=1)
-        hi = MachineConfig(name="hi", cores=4, ghz=2.0,
-                           batch_crossover_flops=1 << 60)
-        pl_lo = Planner(lo).plan(g, g, g)
-        pl_hi = Planner(hi).plan(g, g, g)
-        batchable_lo = [b for b in pl_lo.bands if b.algo in BATCHABLE]
-        if batchable_lo:
-            assert all(b.batch == "bucket" for b in batchable_lo)
-        assert all(
-            b.batch == "perrow" for b in pl_hi.bands if b.algo in BATCHABLE
-        )
+        """One crossover, the frame's: a forced plan's band buckets exactly
+        when ``resolve_tier`` would, on the host and on a preset alike."""
+        for scale in (10, 11):  # 258170 and 781363 flops around 1 << 18
+            g = rmat(scale, seed=5).pattern().tril(-1)
+            want = resolve_tier(g, g, "auto")
+            assert want == ("bucket" if scale == 11 else "perrow")
+            for machine in (None, "haswell"):
+                for algo in BATCHABLE:
+                    (band,) = Planner(machine).plan(g, g, g, algo=algo).bands
+                    assert band.batch == want, (scale, machine, algo)
 
     def test_invalid_batch_values_rejected(self):
         g = rmat(6, seed=5).pattern().tril(-1)

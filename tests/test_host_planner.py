@@ -239,27 +239,38 @@ class TestWorkersFollowTheHost:
             assert Planner(profile).plan(*triple, backend="process").threads == 1
 
     def test_pool_only_when_predicted_work_repays_it(self, monkeypatch):
+        """Nothing prices the pool, so nothing unforced enters it — however
+        much kernel work the profile predicts — and nothing reads it: the
+        same call plans the same whether the pool is cold or warm."""
+        import repro.parallel.pool as pool
+
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(4)))
         triple = _tc(11)
-        small = Planner().plan(*triple)
-        assert (small.threads, small.backend) == (1, "serial")
-        assert any("does not repay the pool" in n for n in small.notes)
-        big = Planner(SLOW).plan(*triple)
-        assert 2 <= big.threads <= 4 and big.backend == "process"
-        assert any("process pool" in n and "of 4 cores" in n for n in big.notes)
-        # dispatch so dear that nothing repays it: serial again
-        dear = dataclasses.replace(SLOW, task_dispatch_s=1e6)
-        assert Planner(dear).plan(*triple).backend == "serial"
+        for profile in (None, SLOW):
+            plans = []
+            for live in (0, 4):
+                monkeypatch.setattr(pool, "_POOL_WORKERS", live)
+                assert pool.pool_size() == live
+                plans.append(Planner(profile).plan(*triple))
+            cold, warm = plans
+            assert (cold.threads, cold.backend) == (1, "serial")
+            assert cold.as_dict() == warm.as_dict()
+            assert any("serial on 4 available core(s)" in n for n in cold.notes)
+            assert not any("pool" in n for n in cold.notes)
 
     def test_forced_knobs_are_honoured(self, monkeypatch):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(4)))
         triple = _tc(11)
-        assert Planner().plan(*triple, threads=3).threads == 3
-        assert Planner().plan(*triple, threads=3).backend == "thread"
-        assert Planner(SLOW).plan(*triple, threads=3).backend == "process"
-        forced = Planner().plan(*triple, backend="process")
-        assert forced.backend == "process" and forced.threads == 4
+        for profile in (None, SLOW):
+            by_threads = Planner(profile).plan(*triple, threads=3)
+            assert (by_threads.threads, by_threads.backend) == (3, "thread")
+            forced = Planner(profile).plan(*triple, backend="process")
+            assert (forced.backend, forced.threads) == ("process", 4)
+        assert Planner().plan(*triple, backend="thread").threads == 4
         assert Planner().plan(*triple, backend="serial").threads == 1
+        assert Planner().plan(*triple, threads=1).backend == "serial"
+        both = Planner().plan(*triple, threads=2, backend="process")
+        assert (both.threads, both.backend) == (2, "process")
 
 
 class TestPresetsUnchanged:
@@ -317,14 +328,20 @@ class TestPresetsUnchanged:
 @pytest.mark.usefixtures("numpy_tier")
 class TestExplain:
     def test_explain_reports_predictions_cores_and_the_pool_decision(self):
+        """... which is the caller's: the note names the two keywords."""
         pl = plan(*_tc(10))
         text = pl.explain()
         assert "predicted candidates on host" in text
         for algo in HOST.candidates:
             assert f"{algo} " in text
         cores = len(os.sched_getaffinity(0))
-        assert f"serial on {cores} available core(s)" in text
-        assert "crossover_cycles" not in text
+        assert (
+            f"serial on {cores} available core(s): worker count and backend "
+            "are the caller's (threads=, backend=)"
+        ) in text
+        assert "pool" not in text and "crossover_cycles" not in text
+        # forced knobs need no explaining
+        assert "available core" not in plan(*_tc(10), threads=2).explain()
         assert pl.as_dict()["estimates_seconds"] == pl.estimates
 
 

@@ -188,6 +188,17 @@ class TestOneFrontDoor:
             f"{('auto',) + ALGOS + ('esc',)}")
         assert text(algo="inner", complement=True) == (
             "Inner does not support complemented masks")
+        # caller-owned options are checked on the forced path as on the
+        # planned one, by every door that takes the keyword
+        for algo in ("msa", "auto"):
+            if door in ("masked_spgemm", "parallel"):
+                assert text(algo=algo, backend="bogus") == (
+                    "backend must be one of ('serial', 'thread', 'process') "
+                    "(or 'threads'), got 'bogus'")
+            if door == "masked_spgemm":  # with no session to validate it
+                assert text(algo=algo, delta="bogus") == (
+                    "delta must be 'auto', 'force', a dirty-fraction threshold "
+                    "in (0, 1] or None, got 'bogus'")
 
     @pytest.mark.parametrize("machine, sessioned", [(None, True), ("haswell", True),
                                                     (None, False)])

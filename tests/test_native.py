@@ -27,7 +27,6 @@ from repro.core.kernels.inner_kernel import masked_spgemm_inner_fast
 from repro.core.kernels.msa_kernel import masked_spgemm_msa_fast
 from repro.core.symbolic import symbolic_masked
 from repro.engine import Planner, execute
-from repro.graphs import erdos_renyi
 from repro.machine import HOST, HOST_NATIVE, OpCounter, resolve_machine
 from repro.observe import probes, tracing
 from repro.parallel.pool import shutdown_pool
@@ -35,6 +34,7 @@ from repro.semiring import MIN_PLUS, PLUS_PAIR, PLUS_TIMES, STANDARD_SEMIRINGS, 
 from repro.sparse import CSR
 
 from .conftest import NativeSpy, native_required
+from .lattice import ADVERSARIAL as OPERANDS
 
 needs_native = native_required()
 
@@ -42,64 +42,12 @@ needs_native = native_required()
 #: must take the NumPy body
 CLONE = Semiring("plus_times", lambda x, y: x + y, lambda a, b: a * b)
 SEMIRINGS = list(STANDARD_SEMIRINGS.values()) + [CLONE]
-#: values that make float identity hard: NaN, infinities, signed zeros and
-#: small integers whose sums cancel to 0.0
-SPECIAL = np.array([1.0, -1.0, 2.0, -2.0, 0.5, np.nan, np.inf, -np.inf, -0.0, 0.0])
 
 
 @pytest.fixture(scope="module", autouse=True)
 def _pool_teardown():
     yield
     shutdown_pool()
-
-
-def _special(mat: CSR, seed: int) -> CSR:
-    rng = np.random.default_rng(seed)
-    data = rng.choice(SPECIAL, size=mat.nnz, p=[0.2, 0.2, 0.1, 0.1, 0.1, 0.05, 0.05, 0.05, 0.1, 0.05])
-    return CSR(mat.shape, mat.indptr, mat.indices, data, sorted_indices=True, check=False)
-
-
-def _er(nr, nc, deg, seed):
-    return _special(erdos_renyi(nr, nc, deg, seed=seed), seed)
-
-
-def _with_empty_rows(mat: CSR, every: int) -> CSR:
-    return mat.select_rows(np.flatnonzero(np.arange(mat.nrows) % every))
-
-
-def _mega_row():
-    a = erdos_renyi(48, 64, 2, seed=11).to_dense()
-    a[7, :] = 1.0  # one row touches every row of B
-    r, c = np.nonzero(a)
-    return _special(CSR.from_coo(a.shape, r, c, np.ones(r.size)), 12)
-
-
-def _unsorted_with_duplicates():
-    # rows written back to front with one entry repeated: sort_indices()
-    # canonicalises (sorts, sums the duplicate) on both tiers alike
-    indptr = np.array([0, 4, 4, 7])
-    indices = np.array([5, 2, 2, 0, 6, 1, 1])
-    data = np.array([1.0, 2.0, -2.0, 0.5, 1.0, -1.0, 3.0])
-    return CSR((3, 8), indptr, indices, data, sorted_indices=False)
-
-
-def _operands():
-    yield "random", _er(40, 30, 4, 1), _er(30, 50, 4, 2), _er(40, 50, 6, 3)
-    yield "empty-rows", _with_empty_rows(_er(40, 30, 4, 4), 3), _er(30, 50, 4, 5), \
-        _with_empty_rows(_er(40, 50, 6, 6), 2)
-    yield "empty-mask", _er(20, 20, 3, 7), _er(20, 20, 3, 8), CSR.empty((20, 20))
-    yield "empty-a", CSR.empty((20, 20)), _er(20, 20, 3, 9), _er(20, 20, 3, 10)
-    yield "empty-b", _er(20, 20, 3, 13), CSR.empty((20, 20)), _er(20, 20, 3, 14)
-    yield "one-column", _er(30, 30, 3, 15), _er(30, 1, 1, 16), _er(30, 1, 1, 17)
-    yield "mega-row", _mega_row(), _er(64, 64, 3, 18), _er(48, 64, 8, 19)
-    yield "rect-64x4096", _er(64, 4096, 64, 20), _er(4096, 4096, 2, 21), _er(64, 4096, 16, 22)
-    # complement output (~40k cells) far beyond the first capacity guess
-    yield "dense-out", _er(200, 200, 20, 23), _er(200, 200, 20, 24), _er(200, 200, 2, 25)
-    u = _unsorted_with_duplicates()
-    yield "unsorted-dup", u, _er(8, 8, 3, 26), u
-
-
-OPERANDS = {name: (a, b, m) for name, a, b, m in _operands()}
 
 
 def _bytes(c: CSR):

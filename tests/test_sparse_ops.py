@@ -261,22 +261,6 @@ class TestDCSREdgeCases:
         assert cols.size == 0 and vals.size == 0
         assert_csr_equal(d.to_csr(), a)
 
-    def test_from_sorted_coo_matches_from_csr(self):
-        from repro.sparse import DCSR
-
-        a = random_csr(25, 25, 3, seed=41).sort_indices()
-        rows, cols, vals = a.to_coo()
-        d = DCSR.from_sorted_coo(a.shape, rows, cols, vals)
-        assert_csr_equal(d.to_csr(), a)
-
-    def test_from_sorted_coo_empty(self):
-        from repro.sparse import DCSR
-
-        e = np.empty(0, dtype=np.int64)
-        d = DCSR.from_sorted_coo((6, 6), e, e, np.empty(0))
-        assert d.nzr == 0 and d.nnz == 0
-        d.check()
-
     def test_row_block_slices_and_rebases(self):
         from repro.sparse import DCSR
 
