@@ -5,15 +5,19 @@ as much as the kernel: relabelling and ``tril`` before triangle counting,
 ``numsp`` merges and level alignment around betweenness centrality's eleven
 products.  This gate reads the share from the result's own fields,
 ``spgemm_seconds / total_seconds`` — a ratio inside one process and one
-call, so drift of a shared host cancels — and asserts at least 0.62 for
+call, so drift of a shared host cancels — and asserts at least
 
-* ``triangle_count_detail(rmat(14), algo="msa")`` and
-* ``betweenness_centrality(rmat(12), 64 sources)`` at its defaults
+* 0.40 for ``triangle_count_detail(rmat(14), algo="msa")`` and
+* 0.60 for ``betweenness_centrality(rmat(12), 64 sources)`` at its defaults
 
-(0.54 / 0.53 before the sparse glue went sort-free; 0.64-0.74 / 0.73-0.75
-after, the low end of the first on a busy host, where the prepare's random
-gathers slow down more than the kernel does).  Each share is the best of ``REPEATS`` calls, every timed call
-following an untimed one.  The table also reports, unasserted, the absolute
+(0.54 / 0.53 before the sparse glue went sort-free and 0.64-0.74 /
+0.73-0.75 after, when the bound was 0.62 for both; the same glue around a
+native MSA loop that no longer mispredicts, half the kernel time, reads
+0.46-0.56 / 0.68-0.70 — the high end of the first on a busy host, where
+the kernel slows down more than the prepare does.  A share falls when the
+kernel gets faster, so the bounds moved with the kernel; the absolute row,
+milliseconds outside SpGEMM, is printed beside them).  Each share is the
+best of ``REPEATS`` calls, every timed call following an untimed one.  The table also reports, unasserted, the absolute
 rows behind the shares — triangle-counting prepare, the BC call outside its
 products — and the CSC build in nanoseconds per stored entry on both tiers
 (``HostProfile.csc_nnz_ns`` is the checked-in form of that row).
@@ -31,7 +35,8 @@ from repro.graphs import rmat
 from repro.sparse import CSC
 
 REPEATS = 7
-MIN_SPGEMM_SHARE = 0.62
+#: cell -> least share of the call inside masked SpGEMM
+MIN_SPGEMM_SHARE = {"tc rmat-14 msa": 0.40, "bc rmat-12 x64": 0.60}
 
 
 def _calls(call) -> list:
@@ -78,15 +83,15 @@ def test_glue_share(benchmark, save_result):
     rows, extras = benchmark.pedantic(run, rounds=1, iterations=1)
 
     lines = [
-        f"share of the call inside masked SpGEMM (best of {REPEATS}; asserted >= "
-        f"{MIN_SPGEMM_SHARE:.2f})",
-        f"{'cell':16} {'share':>6} {'call ms':>8} {'outside SpGEMM ms':>18}",
+        f"share of the call inside masked SpGEMM (best of {REPEATS})",
+        f"{'cell':16} {'share':>6} {'at least':>8} {'call ms':>8} {'outside SpGEMM ms':>18}",
     ]
     for r in rows:
-        lines.append(f"{r['cell']:16} {r['share']:6.2f} {r['total_s'] * 1e3:8.1f} "
-                     f"{r['outside_s'] * 1e3:18.1f}")
+        lines.append(f"{r['cell']:16} {r['share']:6.2f} {MIN_SPGEMM_SHARE[r['cell']]:8.2f} "
+                     f"{r['total_s'] * 1e3:8.1f} {r['outside_s'] * 1e3:18.1f}")
     lines += [f"{name:32} {value:8.2f}" for name, value in extras.items()]
     save_result("\n".join(lines), data={"rows": rows, "extras": extras}, title="glue share")
 
-    low = [(r["cell"], round(r["share"], 3)) for r in rows if r["share"] < MIN_SPGEMM_SHARE]
+    low = [(r["cell"], round(r["share"], 3))
+           for r in rows if r["share"] < MIN_SPGEMM_SHARE[r["cell"]]]
     assert not low, f"masked SpGEMM is under {MIN_SPGEMM_SHARE} of the default call: {low}"

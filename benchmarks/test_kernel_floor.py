@@ -4,9 +4,20 @@ ROADMAP aim 1's first bar (Fig. 1 in wall clock): on R-MAT triangle
 counting, ``L .* (L @ L)`` on PLUS_PAIR with ``L`` the degree-relabelled
 lower triangle, the masked kernel ``masked_spgemm(L, L, L, algo="msa")``
 against scipy computing the whole product and masking it afterwards,
-``(L @ L).multiply(L)``, at scale 12-14: at most 0.75x scipy's time on the
-native tier (``core/kernels/native.c``; skipped where no compiler exists)
-and at most 2.0x for the NumPy body, timed under ``native.disabled()``.
+``(L @ L).multiply(L)``, at scale 12-14: at most 0.45x scipy's time and at
+most 2.2 ns per expanded product on the native tier
+(``core/kernels/native.c``; skipped where no compiler exists) and at most
+2.0x for the NumPy body, timed under ``native.disabled()``.
+
+The native MSA row pays no branch on whether a product meets the mask
+(``docs/kernels.md``, "filter + apply"), which is what the TC bound above
+measures, where a fifth to a third of the products do.  The second table
+keeps the regime where that branch was free on a printed table: forced
+``msa`` on PLUS_TIMES over Erdos-Renyi operands of degree 64 under masks of
+degree 1 / 4 / 64 and the ladder's ``er-sparse-mask`` triple (hit fraction
+<= 0.016), at most 3.0 ns per product -- a smoke bound; the criterion there
+is "never below 0.9x of the branchy loop", measured once per change to the
+loop and recorded in ``docs/kernels.md``.
 
 And ROADMAP item 1's bar for two-phase execution, on the NumPy tier: the
 count-only symbolic pass (``symbolic_masked``, the push frame's count-only
@@ -24,18 +35,27 @@ time, and nanoseconds per expanded product.
 import time
 
 import numpy as np
+import pytest
 
 from repro.core import masked_spgemm
 from repro.core.kernels import native
 from repro.core.symbolic import symbolic_masked
-from repro.graphs import relabel_by_degree, rmat
-from repro.machine import total_flops
+from repro.graphs import erdos_renyi, relabel_by_degree, rmat
+from repro.machine import OpCounter, total_flops
 from repro.semiring import PLUS_PAIR
 
 TC_SCALES = (12, 13, 14)
 REPEATS = 5
 #: tier -> allowed msa / scipy time
-MAX_VS_SCIPY = {"native": 0.75, "numpy": 2.0}
+MAX_VS_SCIPY = {"native": 0.45, "numpy": 2.0}
+#: allowed native ns per expanded product on the TC triples (hit fraction
+#: 0.21-0.36: the branchy loop read 2.6-4.3, filter + apply reads 1.1-1.5)
+MAX_NATIVE_NS = 2.2
+#: the predictable regime: ``(label, n, mask degree)`` of ER triples with A
+#: and B of degree 64, and the allowed native ns per product there
+ER_CELLS = (("er-4096 mask 1", 4096, 1), ("er-4096 mask 4", 4096, 4),
+            ("er-4096 mask 64", 4096, 64), ("er-sparse-mask", 8192, 4))
+MAX_PREDICTABLE_NS = 3.0
 SYMBOLIC_SCALE = 12
 #: allowed symbolic / numeric msa time on the NumPy tier
 MAX_SYMBOLIC_VS_NUMERIC = 1.5
@@ -109,6 +129,47 @@ def test_kernel_floor(benchmark, save_result):
         for r in rows if r["vs_scipy_x"] > MAX_VS_SCIPY[r["tier"]]
     ]
     assert not bad, f"forced msa over its bound {MAX_VS_SCIPY} x scipy multiply-then-mask: {bad}"
+    slow = [
+        (r["scale"], round(r["ns_per_product"], 2))
+        for r in rows if r["tier"] == "native" and r["ns_per_product"] > MAX_NATIVE_NS
+    ]
+    assert not slow, f"native msa over {MAX_NATIVE_NS} ns per expanded product: {slow}"
+
+
+def test_predictable_regime(benchmark, save_result):
+    if native.load() is None:
+        pytest.skip("no C compiler: native tier unavailable")
+
+    def run():
+        rows = []
+        for label, n, mask_degree in ER_CELLS:
+            a, b = erdos_renyi(n, n, 64, seed=1), erdos_renyi(n, n, 64, seed=2)
+            m = erdos_renyi(n, n, mask_degree, seed=3)
+            counter = OpCounter()
+            masked_spgemm(a, b, m, algo="msa", counter=counter)
+            best = float("inf")
+            for _ in range(REPEATS):
+                t0 = time.perf_counter()
+                masked_spgemm(a, b, m, algo="msa")
+                best = min(best, time.perf_counter() - t0)
+            rows.append({"cell": label, "products": counter.accum_inserts,
+                         "hit_frac": counter.flops / counter.accum_inserts, "msa_s": best,
+                         "ns_per_product": best / counter.accum_inserts * 1e9})
+        return rows
+
+    rows = benchmark.pedantic(run, rounds=1, iterations=1)
+    lines = [
+        f"forced native msa, PLUS_TIMES, ER degree 64 (best of {REPEATS})",
+        f"{'cell':>16} {'products':>10} {'hit frac':>8} {'msa ms':>8} {'ns/product':>10}",
+    ] + [
+        f"{r['cell']:>16} {r['products']:10d} {r['hit_frac']:8.4f} {r['msa_s'] * 1e3:8.2f} "
+        f"{r['ns_per_product']:10.2f}"
+        for r in rows
+    ]
+    save_result("\n".join(lines), data={"rows": rows}, title="kernel floor, predictable regime")
+    slow = [(r["cell"], round(r["ns_per_product"], 2))
+            for r in rows if r["ns_per_product"] > MAX_PREDICTABLE_NS]
+    assert not slow, f"native msa over {MAX_PREDICTABLE_NS} ns per expanded product: {slow}"
 
 
 def test_symbolic_pass_costs_no_more_than_the_numeric_pass(benchmark, save_result):

@@ -63,7 +63,8 @@ def _msa_native(nat, a: CSR, b: CSR, mask: CSR, complement, counter, row_nnz) ->
             cnt[2] = lib.repro_msa(op, nrows, *operands, *scratch, indptr.ctypes.data,
                                    cols.ctypes.data, vals.ctypes.data, cnt.ctypes.data)
         else:
-            scratch.append(touched.require(n).ctypes.data)
+            # one cell more than there are columns: msa_row's append stores, then advances
+            scratch.append(touched.require(n + 1).ctypes.data)
             row = 0
             while True:
                 row = lib.repro_msa_complement(

@@ -21,7 +21,9 @@
  *
  * Scratch (state: ncols bytes, val: ncols doubles, where: ncols(A) int32)
  * is all-zero at rest and restored cell by cell after every row; touched
- * (ncols int64) is a write-before-read list.
+ * (ncols + 1 int64) is a write-before-read list, and so is the MSA rows'
+ * hit buffer (HITS words on the C stack, so every call -- every thread of
+ * the thread backend -- has its own).
  */
 #include <stdint.h>
 #include <stdlib.h>
@@ -133,6 +135,77 @@ i64 repro_bucket_order(i64 n, i64 nbuckets, const i64 *key, i64 *start,
 }
 
 /* ------------------------------------------------------------------ */
+/* The product loop of one MSA row, in two steps, because whether a   */
+/* product meets the mask is a coin on skewed inputs (a fifth to a    */
+/* third of R-MAT triangle-counting products do) and a branch on it   */
+/* costs more than the product.  FILTER writes every product of the   */
+/* expansion to hit[] -- its position in B and its A entry, counted   */
+/* from the first A entry since the last flush, in one word -- and    */
+/* advances the cursor by the state test.  APPLY walks the hits that  */
+/* stayed, in buffer order = expansion order, whenever the rest of a  */
+/* B row may not fit, HITS entries of A have gone by, and at the end  */
+/* of the row; only a hit is multiplied, so a miss loads no value.    */
+/* `complement` is a compile-time constant: it picks the state a      */
+/* product misses on and appends first touches to touched[nt...] (a   */
+/* store and a conditional advance: it may write one cell past the    */
+/* live end).  Adds the hits applied to *flops and the products       */
+/* expanded to *inserts; returns the number of first touches.         */
+/* ------------------------------------------------------------------ */
+#define HITS 512
+
+INLINE i64 msa_apply(const int op, const int complement, i64 n,
+                     const uint64_t *hit, const double *ax, const i64 *bj,
+                     const double *bv, uint8_t *state, double *val,
+                     i64 *touched, i64 nt)
+{
+    for (i64 h = 0; h < n; h++) {
+        const i64 t = (i64)(hit[h] / HITS), c = bj[t];
+        const double x = READS_A(op) ? ax[hit[h] % HITS] : 0.0;
+        if (complement) {
+            touched[nt] = c;
+            nt += state[c] == EMPTY;
+        }
+        state[c] = SET;
+        val[c] = add(op, val[c], mul(op, x, READS_B(op) ? bv[t] : 0.0));
+    }
+    return nt;
+}
+
+INLINE i64 msa_row(const int op, const int complement, i64 a0, i64 a1,
+                   const i64 *aj, const double *av,
+                   const i64 *bp, const i64 *bj, const double *bv,
+                   uint8_t *state, double *val, i64 *touched,
+                   i64 *flops, i64 *inserts)
+{
+    uint64_t hit[HITS];
+    const uint8_t miss = complement ? MASKED : EMPTY;
+    i64 n = 0, j0 = a0, nt = 0;
+    for (i64 j = a0; j < a1; j++) {
+        const i64 k = aj[j], b1 = bp[k + 1];
+        i64 t = bp[k];
+        *inserts += b1 - t;
+        while (t < b1) {
+            if (b1 - t > HITS - n || j - j0 >= HITS) {
+                nt = msa_apply(op, complement, n, hit, av + j0, bj, bv, state,
+                               val, touched, nt);
+                *flops += n;
+                n = 0;
+                j0 = j;
+            }
+            /* room for the rest of the row, or the buffer is empty */
+            const i64 stop = b1 - t > HITS ? t + HITS : b1;
+            for (; t < stop; t++) {
+                hit[n] = (uint64_t)t * HITS + (uint64_t)(j - j0);
+                n += state[bj[t]] != miss;
+            }
+        }
+    }
+    *flops += n;
+    return msa_apply(op, complement, n, hit, av + j0, bj, bv, state, val,
+                     touched, nt);
+}
+
+/* ------------------------------------------------------------------ */
 /* MSA, plain mask: set-allowed / insert / gather over the mask row.   */
 /* Output needs at most nnz(M) cells, so it never runs out of room.    */
 /* cnt: [0] products kept (flops), [1] products expanded (inserts)     */
@@ -157,19 +230,8 @@ INLINE i64 msa_plain(const int op, i64 nrows,
         }
         for (i64 m = m0; m < m1; m++)
             state[mj[m]] = ALLOWED;
-        for (i64 j = a0; j < a1; j++) {
-            const i64 k = aj[j], b1 = bp[k + 1];
-            const double x = READS_A(op) ? av[j] : 0.0;
-            inserts += b1 - bp[k];
-            for (i64 t = bp[k]; t < b1; t++) {
-                const i64 c = bj[t];
-                if (state[c]) {
-                    state[c] = SET;
-                    val[c] = add(op, val[c], mul(op, x, READS_B(op) ? bv[t] : 0.0));
-                    flops++;
-                }
-            }
-        }
+        msa_row(op, 0, a0, a1, aj, av, bp, bj, bv, state, val, NULL, &flops,
+                &inserts);
         for (i64 m = m0; m < m1; m++) {
             const i64 c = mj[m];
             if (state[c] == SET) { /* a sum cancelling to 0.0 stays SET */
@@ -217,31 +279,15 @@ INLINE i64 msa_compl(const int op, i64 row0, i64 nrows, i64 ncols,
         cp[0] = 0;
     for (i = row0; i < nrows; i++) {
         const i64 a0 = ap[i], a1 = ap[i + 1], m0 = mp[i], m1 = mp[i + 1];
-        i64 nt = 0, flops = 0, inserts = 0, lo = ncols, hi = -1;
+        i64 flops = 0, inserts = 0, lo = ncols, hi = -1;
         if (a0 == a1) {
             cp[i + 1] = nnz;
             continue;
         }
         for (i64 m = m0; m < m1; m++)
             state[mj[m]] = MASKED;
-        for (i64 j = a0; j < a1; j++) {
-            const i64 k = aj[j], b1 = bp[k + 1];
-            const double x = READS_A(op) ? av[j] : 0.0;
-            inserts += b1 - bp[k];
-            for (i64 t = bp[k]; t < b1; t++) {
-                const i64 c = bj[t];
-                if (state[c] == MASKED)
-                    continue;
-                if (state[c] == EMPTY) {
-                    state[c] = SET;
-                    touched[nt++] = c;
-                    lo = c < lo ? c : lo;
-                    hi = c > hi ? c : hi;
-                }
-                val[c] = add(op, val[c], mul(op, x, READS_B(op) ? bv[t] : 0.0));
-                flops++;
-            }
-        }
+        i64 nt = msa_row(op, 1, a0, a1, aj, av, bp, bj, bv, state, val, touched,
+                         &flops, &inserts);
         for (i64 m = m0; m < m1; m++)
             state[mj[m]] = EMPTY;
         if (nnz + nt > cap) { /* out of room: clean up, ask for more */
@@ -251,6 +297,10 @@ INLINE i64 msa_compl(const int op, i64 row0, i64 nrows, i64 ncols,
             }
             cnt[3] = nnz + nt;
             break;
+        }
+        for (i64 t = 0; t < nt; t++) {
+            lo = touched[t] < lo ? touched[t] : lo;
+            hi = touched[t] > hi ? touched[t] : hi;
         }
         /* put the first-touch list in column order: re-collect it from the
          * state bytes of the touched span (eight at a time) when that span is
@@ -266,8 +316,8 @@ INLINE i64 msa_compl(const int op, i64 row0, i64 nrows, i64 ncols,
                         continue;
                     }
                 }
-                if (state[c])
-                    touched[nt++] = c;
+                touched[nt] = c; /* as in msa_apply: store, then advance */
+                nt += state[c] != EMPTY;
             }
         } else
             qsort(touched, (size_t)nt, sizeof(i64), cmp_i64);

@@ -119,10 +119,10 @@ HOST = HostProfile()
 HOST_NATIVE = dataclasses.replace(
     HOST,
     candidates=("inner", "msa"),
-    msa_ns=(1.30, 2.61, 37.4),
+    msa_ns=(1.13, 2.27, 27.5),
     inner_ns=(1.51, 5.85, 29.0),
     csc_nnz_ns=9.3,
-    band_ns=65.9e3,
+    band_ns=53.2e3,
 )
 
 

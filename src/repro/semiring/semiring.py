@@ -18,6 +18,7 @@ vectorized fast paths.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -110,20 +111,25 @@ def _and_ufunc(a, b):
     return np.logical_and(a, b).astype(np.float64)
 
 
-PLUS_TIMES = Semiring("plus_times", lambda x, y: x + y, lambda a, b: a * b)
+# ``+`` and ``*`` are ``operator.add`` / ``operator.mul``, not lambdas: CPython
+# specialises a lambda's ``x + y`` for floats and de-specialises it once a NumPy
+# scalar passes through, and the two paths add two NaNs of opposite sign in
+# opposite operand order -- the sign bit of a NaN sum would depend on what the
+# process ran before.
+PLUS_TIMES = Semiring("plus_times", operator.add, operator.mul)
 
 PLUS_PAIR = Semiring(
-    "plus_pair", lambda x, y: x + y, _pair, add_ufunc=np.add, mult_ufunc=_pair_ufunc
+    "plus_pair", operator.add, _pair, add_ufunc=np.add, mult_ufunc=_pair_ufunc
 )
 
 PLUS_AND = Semiring(
-    "plus_and", lambda x, y: x + y, _and, add_ufunc=np.add, mult_ufunc=_and_ufunc
+    "plus_and", operator.add, _and, add_ufunc=np.add, mult_ufunc=_and_ufunc
 )
 
 MIN_PLUS = Semiring(
     "min_plus",
     min,
-    lambda a, b: a + b,
+    operator.add,
     add_identity=np.inf,
     add_ufunc=np.minimum,
     mult_ufunc=np.add,
@@ -132,7 +138,7 @@ MIN_PLUS = Semiring(
 MAX_TIMES = Semiring(
     "max_times",
     max,
-    lambda a, b: a * b,
+    operator.mul,
     add_identity=-np.inf,
     add_ufunc=np.maximum,
     mult_ufunc=np.multiply,
@@ -156,12 +162,12 @@ MIN_FIRST = Semiring(
 )
 
 PLUS_FIRST = Semiring(
-    "plus_first", lambda x, y: x + y, _first, add_ufunc=np.add, mult_ufunc=_first_ufunc
+    "plus_first", operator.add, _first, add_ufunc=np.add, mult_ufunc=_first_ufunc
 )
 
 PLUS_SECOND = Semiring(
     "plus_second",
-    lambda x, y: x + y,
+    operator.add,
     _second,
     add_ufunc=np.add,
     mult_ufunc=_second_ufunc,

@@ -8,7 +8,7 @@ degree-sorted relabeling lives in :mod:`repro.graphs.relabel`).
 
 from .csr import CSR
 from .csc import CSC
-from .dcsr import DCSC, DCSR
+from .dcsr import DCSR
 from .diff import DELTA_BLOCK_ROWS, block_digests, changed_rows, dirty_blocks
 from .ops import (
     apply_mask,
@@ -31,7 +31,6 @@ __all__ = [
     "CSR",
     "CSC",
     "DCSR",
-    "DCSC",
     "DELTA_BLOCK_ROWS",
     "block_digests",
     "changed_rows",

@@ -1,4 +1,4 @@
-"""Doubly-compressed sparse storage (DCSR / DCSC) — the hypersparse case.
+"""Doubly-compressed sparse storage (DCSR) — the hypersparse case.
 
 Buluç & Gilbert [10] (the paper's heap-algorithm source) introduced DCSR
 for *hypersparse* matrices (``nnz < nrows``), where CSR's dense ``indptr``
@@ -7,12 +7,12 @@ rows that have nonzeros, plus the list of those row ids.
 
 SS:GB uses DCSR/DCSC for its hypersparse case (paper Section 3).  This
 reproduction's kernels are CSR-centric (like the paper's, "to isolate the
-algorithmic tradeoffs"), so the doubly-compressed formats are a storage
+algorithmic tradeoffs"), so the doubly-compressed format is a storage
 tier only: k-truss iterations and BC frontiers become hypersparse quickly.
-The execution engine does not use them — its grid (``docs/parallel.md``)
+The execution engine does not use it — its grid (``docs/parallel.md``)
 cuts plain CSR operands into zero-copy row blocks and column panels.
 
-Arrays (DCSR; :class:`DCSC` is the same structure over the transpose):
+Arrays:
 
 * ``rows`` — ids of the ``nzr`` nonempty rows, strictly increasing;
 * ``indptr`` — length ``nzr + 1`` offsets into ``indices``/``data``;
@@ -27,7 +27,7 @@ import numpy as np
 
 from .csr import CSR, INDEX_DTYPE, VALUE_DTYPE
 
-__all__ = ["DCSR", "DCSC"]
+__all__ = ["DCSR"]
 
 
 class DCSR:
@@ -73,29 +73,6 @@ class DCSR:
         indptr = np.concatenate(([0], np.cumsum(counts))).astype(INDEX_DTYPE)
         return CSR(self.shape, indptr, self.indices.copy(), self.data.copy(),
                    sorted_indices=True)
-
-    def row_block(self, lo: int, hi: int) -> "DCSR":
-        """Compact DCSR of rows ``[lo, hi)`` — shape ``(hi - lo, ncols)``.
-
-        Two binary searches over the nonempty-row list plus array views,
-        so slicing a block costs O(log nzr + block nzr) regardless of the
-        block's height — the doubly-compressed analogue of
-        :func:`repro.parallel.executor.row_block`.  Row ids are rebased to
-        the block-local frame; ``indices``/``data`` stay views.
-        """
-        if not (0 <= lo <= hi <= self.shape[0]):
-            raise ValueError(f"row block [{lo}, {hi}) out of range")
-        p0 = int(np.searchsorted(self.rows, lo, side="left"))
-        p1 = int(np.searchsorted(self.rows, hi, side="left"))
-        s0, s1 = int(self.indptr[p0]), int(self.indptr[p1])
-        return DCSR(
-            (hi - lo, self.shape[1]),
-            self.rows[p0:p1] - lo,
-            self.indptr[p0:p1 + 1] - s0,
-            self.indices[s0:s1],
-            self.data[s0:s1],
-            check=False,
-        )
 
     # ------------------------------------------------------------------
     @property
@@ -155,96 +132,5 @@ class DCSR:
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
             f"DCSR(shape={self.shape}, nnz={self.nnz}, nzr={self.nzr}, "
-            f"hypersparse={self.is_hypersparse()})"
-        )
-
-
-class DCSC:
-    """Doubly-compressed sparse column matrix: the DCSR of the transpose.
-
-    Mirrors :class:`repro.sparse.csc.CSC`'s thin-veneer design — a column
-    view over the row format — but over :class:`DCSR`, so a column *panel*
-    slices out of the compressed column list in O(log nzc + panel nnz)
-    (:meth:`column_panel`): a column panel touches only the panel's
-    nonempty columns, never the O(ncols) pointer space a CSC panel would
-    carry.
-    """
-
-    __slots__ = ("shape", "_t")
-
-    def __init__(self, shape, transpose_dcsr: DCSR) -> None:
-        self.shape = (int(shape[0]), int(shape[1]))
-        if transpose_dcsr.shape != (self.shape[1], self.shape[0]):
-            raise ValueError("transpose DCSR has incompatible shape")
-        self._t = transpose_dcsr
-
-    # ------------------------------------------------------------------
-    @classmethod
-    def from_csr(cls, mat: CSR) -> "DCSC":
-        """Compress a CSR matrix column-wise (empty columns drop out)."""
-        return cls(mat.shape, DCSR.from_csr(mat.transpose()))
-
-    # ------------------------------------------------------------------
-    @property
-    def nrows(self) -> int:
-        return self.shape[0]
-
-    @property
-    def ncols(self) -> int:
-        return self.shape[1]
-
-    @property
-    def nnz(self) -> int:
-        return self._t.nnz
-
-    @property
-    def cols(self) -> np.ndarray:
-        """Ids of the nonempty columns, strictly increasing."""
-        return self._t.rows
-
-    @property
-    def nzc(self) -> int:
-        """Number of nonempty columns."""
-        return self._t.nzr
-
-    def storage_words(self) -> int:
-        return self._t.storage_words()
-
-    def is_hypersparse(self) -> bool:
-        return self.nnz < self.shape[1]
-
-    def col(self, j: int) -> Tuple[np.ndarray, np.ndarray]:
-        """Row indices and values of column ``j`` (binary search)."""
-        return self._t.row(j)
-
-    # ------------------------------------------------------------------
-    def column_panel(self, lo: int, hi: int) -> "DCSC":
-        """Compact DCSC of columns ``[lo, hi)`` — shape ``(nrows, hi - lo)``.
-
-        Delegates to :meth:`DCSR.row_block` on the transpose, so a panel
-        costs O(log nzc + panel nnz).  Column ids are rebased to the
-        panel-local frame.
-        """
-        return DCSC((self.shape[0], hi - lo), self._t.row_block(lo, hi))
-
-    def to_csr(self) -> CSR:
-        """Expand back to a plain (row-major) CSR."""
-        return self._t.to_csr().transpose()
-
-    def to_transposed_dcsr(self) -> DCSR:
-        """The backing DCSR of the transpose (no copy).
-
-        The same convention as
-        :meth:`repro.sparse.csc.CSC.to_transposed_csr`.
-        """
-        return self._t
-
-    def check(self) -> "DCSC":
-        self._t.check()
-        return self
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return (
-            f"DCSC(shape={self.shape}, nnz={self.nnz}, nzc={self.nzc}, "
             f"hypersparse={self.is_hypersparse()})"
         )

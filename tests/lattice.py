@@ -18,7 +18,10 @@ Three consumers:
   whose digest or counters differ outside :data:`EXCEPTIONS` and exits
   non-zero if there is one — the parent-vs-change identity check of a
   refactor (CONTRIBUTING.md: clone the parent, copy this file in, digest
-  both trees, compare);
+  both trees, compare).  Both sides run the cases in the same order, and
+  need to: a sessioned ``algo="auto"`` call prices ``inner`` by whether B's
+  CSC is already memoised on the operand, so what ran before can move its
+  plan — the bytes never, the counters of a handful of calls;
 * ``tests/test_lattice.py`` runs a fixed sample under tier-1 against the
   reference tier.
 
@@ -106,6 +109,53 @@ def _adversarial():
     yield "dense-out", _er(200, 200, 20, 23), _er(200, 200, 20, 24), _er(200, 200, 2, 25)
     u = _unsorted_with_duplicates()
     yield "unsorted-dup", u, _er(8, 8, 3, 26), u
+    yield from _hit_buffer_edges()
+
+
+#: ``native.c``'s MSA rows park the products that meet the mask in a buffer
+#: of this many hits and accumulate them when it fills
+H = int(re.search(r"^#define HITS (\d+)$", native.SOURCE.read_text(), re.M).group(1))
+
+
+def _rows(shape, rows, seed) -> CSR:
+    """The CSR whose row ``i`` holds the ascending columns ``rows[i]``, valued
+    by :func:`_special`."""
+    indptr = np.cumsum([0] + [len(r) for r in rows])
+    return _special(CSR(shape, indptr, np.concatenate(rows).astype(np.int64),
+                        np.ones(indptr[-1]), sorted_indices=True, check=False), seed)
+
+
+def _hit_buffer_edges():
+    """Operand sets on the edges of the hit buffer, sized from ``H``."""
+    # B's rows hold one entry each, in column k mod H, so an A row of e
+    # entries expands to e products and a cell's products lie H apart: on
+    # both sides of a flush.  Per size, one mask row allows every column a
+    # product can reach (H-1, H, H+1 and 2H+3 hits; none under the
+    # complement), one only the column none can (no hit; every product
+    # under the complement) and one only column 0 (hits H entries of A apart)
+    sizes = (H - 1, H, H + 1, 2 * H + 3)
+    yield ("hits-at-the-edge",
+           _rows((12, sizes[-1]), [np.arange(e) for e in sizes] * 3, 27),
+           _rows((sizes[-1], H + 1), [[k % H] for k in range(sizes[-1])], 28),
+           _rows((12, H + 1), [np.arange(H)] * 4 + [[H]] * 4 + [[0]] * 4, 29))
+    # B rows of 1, H, H-1, 7 and 2H+3 (longer than the buffer) entries; A
+    # rows that fill the buffer exactly (1 + H-1), by one too many (1 + H),
+    # twice over, and meet the long row behind a part-filled buffer; every
+    # product of mask rows 1-3 and 5 hits, about half of the others'
+    n = 2 * H + 3
+    b = _rows((5, n), [[n - 1], np.arange(0, n, 2)[:H], np.arange(1, n, 2)[:H - 1],
+                       np.arange(7) * 3, np.arange(n)], 30)
+    fills = [[4], [0, 1], [0, 2], [1, 2], [2, 3, 4], [0, 1, 2, 3, 4], [3, 4], [1, 3]]
+    half = erdos_renyi(8, n, H, seed=32)
+    mask = _rows((8, n), [np.arange(n) if i in (1, 2, 3, 5) else half.indices[lo:hi]
+                          for i, (lo, hi) in enumerate(zip(half.indptr, half.indptr[1:]))], 32)
+    yield "long-b-row", _rows((8, 5), fills, 31), b, mask
+    # complement: rows 0 and 3 (no mask entry) touch every column and then
+    # meet more products, and the ~12 H cells of output outgrow the first
+    # capacity guess in a row that has already flushed
+    behind = min(H + 88, n - 1)  # a masked column the first flush has gone by
+    mask = _rows((12, n), [[]] + [[5, behind]] * 2 + [[]] + [[i] for i in range(8)], 33)
+    yield "full-touch", _rows((12, 5), [[0, 1, 2, 3, 4]] * 4 + fills, 34), b, mask
 
 
 #: the adversarial ``(a, b, mask)`` sets (``tests/test_native.py`` runs its
@@ -143,9 +193,8 @@ MACHINES = (None, "haswell")
 THREADS = (1, 2, 3)
 PARTITIONS = ("block", "cyclic", "balanced")
 
-#: what two runs of one call id may disagree on, as ``(what, call-id
-#: pattern, why)`` — ``what`` a counter name or ``"nan-sign"``; anything
-#: else that differs is a finding
+#: what two runs of one call id may disagree on, as ``(counter name,
+#: call-id pattern, why)``; anything else that differs is a finding
 EXCEPTIONS = (
     (
         "hash_probes",
@@ -153,15 +202,6 @@ EXCEPTIONS = (
         "the hash table is sized per block of rows, so probe counts are not "
         "additive under row slicing: a change in how many row parts a call "
         "is cut into moves them",
-    ),
-    (
-        "nan-sign",
-        r"algo=heap|impl=reference",
-        "the heap schemes and the reference tier do their arithmetic in the "
-        "interpreter, and CPython's specialised and generic float paths add "
-        "two NaNs of opposite sign in opposite operand order: the sign of a "
-        "NaN result depends on what the process ran before, so these calls' "
-        "NaNs are digested as one value",
     ),
 )
 
@@ -189,6 +229,7 @@ class Case(NamedTuple):
 #: the heap schemes are pure-Python reference loops, 0.4-1.5 s per call on
 #: the two largest sets: there they run the serial spellings only
 SERIAL_ONLY = {name: ("heap", "heapdot") for name in ("dense-out", "rmat-10-tc")}
+SERIAL_ONLY["hits-at-the-edge"] = ("heapdot",)  # 0.6 s per plain-mask call
 
 
 def _algo_complement(skip=()):
@@ -294,22 +335,20 @@ def execute(case: Case):
             yield (f"{case.id}:{step}", *call(triple, session=own))
 
 
-def csr_digest(c: CSR, *, nan_sign: bool = True) -> str:
-    """blake2b of the CSR's shape, dtypes and bytes (``nan_sign=False``:
-    every NaN as the one canonical NaN)."""
-    data = c.data if nan_sign else np.where(np.isnan(c.data), np.nan, c.data)
+def csr_digest(c: CSR) -> str:
+    """blake2b of the CSR's shape, dtypes and bytes."""
     h = hashlib.blake2b(digest_size=16)
     h.update(repr((c.shape, c.indptr.dtype.str, c.indices.dtype.str, c.data.dtype.str)).encode())
-    for arr in (c.indptr, c.indices, data):
+    for arr in (c.indptr, c.indices, c.data):
         h.update(np.ascontiguousarray(arr).tobytes())
     return h.hexdigest()
 
 
-def record(call_id: str, out, counter: OpCounter) -> dict:
+def record(out, counter: OpCounter) -> dict:
     """The JSON record of one call (zero counters dropped)."""
     if isinstance(out, Exception):
         return {"error": f"{type(out).__name__}: {out}"}
-    return {"csr": csr_digest(out, nan_sign=not excepted(call_id, "nan-sign")),
+    return {"csr": csr_digest(out),
             "counter": {k: v for k, v in counter.as_dict().items() if v}}
 
 
@@ -332,7 +371,7 @@ def digest(n: Optional[int] = None, tiers=TIERS) -> Dict[str, dict]:
         with tier_scope(tier):
             for case in chosen:
                 for call_id, result, counter in execute(case):
-                    out[f"{tier}/{call_id}"] = record(call_id, result, counter)
+                    out[f"{tier}/{call_id}"] = record(result, counter)
     return out
 
 

@@ -16,7 +16,7 @@ from repro.machine import OpCounter
 
 from . import lattice
 
-SAMPLE = 200
+SAMPLE = 250
 #: session / delta telemetry: what a call reused, not what it computed
 TELEMETRY = ("segments_reused", "bytes_republished", "rows_recomputed",
              "rows_patched", "delta_fallbacks")
@@ -113,9 +113,7 @@ def test_forced_spellings_are_the_plain_call(calls):
         phases = options.get("phases", 1)
         want, plain = _plain(memo, case, call_id, algo=options["algo"], phases=phases,
                              complement=options["complement"])
-        pinned = not lattice.excepted(call_id, "nan-sign")
-        assert lattice.csr_digest(got, nan_sign=pinned) == lattice.csr_digest(
-            want, nan_sign=pinned), call_id
+        assert lattice.csr_digest(got) == lattice.csr_digest(want), call_id
         checked += 1
         # (an item whose mask part is empty is dropped before dispatch, its
         # products never expanded: grids, panels and the all-empty mask)

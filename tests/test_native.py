@@ -324,6 +324,43 @@ class TestLoader:
         assert not fresh_loader.exists() or not list(fresh_loader.iterdir())
 
     @needs_native
+    def test_sanitized_build_over_the_adversarial_sets(self, tmp_path):
+        """``native.c`` under AddressSanitizer + UBSan: an overrun of the
+        stack hit buffer or of a leased scratch array is an abort here where
+        byte-equality would pass."""
+        libasan = subprocess.run([native._target()[0], "-print-file-name=libasan.so"],
+                                 capture_output=True, text=True).stdout.strip()
+        if not os.path.isabs(libasan):
+            pytest.skip("no libasan next to the C compiler")
+        env = dict(os.environ, XDG_CACHE_HOME=str(tmp_path), LD_PRELOAD=libasan,
+                   ASAN_OPTIONS="detect_leaks=0",
+                   PYTHONPATH=os.pathsep.join([str(Path(__file__).parents[1]), *sys.path]))
+        code = (
+            "from repro.core import masked_spgemm\n"
+            "from repro.core.kernels import native\n"
+            "from repro.core.kernels.arena import clear_arena\n"
+            "from repro.semiring import STANDARD_SEMIRINGS\n"
+            "native.FLAGS = tuple('-O1' if f == '-O2' else f for f in native.FLAGS) + (\n"
+            "    '-g', '-fsanitize=address,undefined', '-fno-sanitize-recover=all')\n"
+            "from tests.lattice import ADVERSARIAL  # builds its operands: the first load\n"
+            "assert hasattr(native.load(), '__asan_init'), native.status()\n"
+            "fields = ('indptr', 'indices', 'data')\n"
+            "for name, (a, b, m) in ADVERSARIAL.items():\n"
+            "    for sr in map(STANDARD_SEMIRINGS.get, native._OPS):\n"
+            "        for algo, complement in (('msa', False), ('msa', True), ('inner', False)):\n"
+            "            for phases in (1, 2):\n"
+            "                kw = dict(algo=algo, complement=complement, phases=phases, semiring=sr)\n"
+            "                clear_arena()  # leases exactly as long as asked: an overrun meets a redzone\n"
+            "                got = masked_spgemm(a, b, m, **kw)\n"
+            "                with native.disabled():\n"
+            "                    want = masked_spgemm(a, b, m, **kw)\n"
+            "                assert all(getattr(got, f).tobytes() == getattr(want, f).tobytes()\n"
+            "                           for f in fields), (name, kw)\n"
+        )
+        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+        assert done.returncode == 0, done.stderr[-3000:]
+
+    @needs_native
     def test_corrupt_cache_file_is_rebuilt_once(self, fresh_loader):
         _, target = native._target()
         target.write_bytes(b"\x7fELF truncated")

@@ -117,3 +117,38 @@ class TestSpecificSemirings:
         assert sr.mult(2.0, 5.0) == 5.0
         assert sr.plus(1.0, 2.0) == 3.0
         assert repr(sr) == "Semiring(plus_max)"
+
+
+class TestNaNSignDoesNotDependOnHistory:
+    """CPython specialises a lambda's ``x + y`` for floats and de-specialises
+    it once a NumPy scalar passes through, and the two paths add two NaNs of
+    opposite sign in opposite operand order; ``operator.add`` has one path."""
+
+    @staticmethod
+    def _burst(kind):
+        for _ in range(200):
+            PLUS_TIMES.add(kind(1.0), kind(2.0))
+            PLUS_TIMES.mult(kind(1.0), kind(2.0))
+
+    def test_scalar_operators(self):
+        nan, seen = float("nan"), []
+        for kind in (float, np.float64, float):
+            self._burst(kind)
+            seen.append((np.signbit(PLUS_TIMES.add(nan, -nan)),
+                         np.signbit(PLUS_TIMES.mult(nan, -nan))))
+        assert seen[0] == seen[1] == seen[2]
+
+    @pytest.mark.parametrize("algo", ["heap", "esc"])
+    def test_reference_tier_bytes(self, algo):
+        from repro.core import masked_spgemm
+
+        from .lattice import ADVERSARIAL
+
+        a, b, m = ADVERSARIAL["mega-row"]  # NaNs of both signs meet in its sums
+        seen = []
+        for kind in (float, np.float64):
+            self._burst(kind)
+            out = masked_spgemm(a, b, m, algo=algo, impl="reference", complement=True)
+            seen.append(out.data.tobytes())
+        assert np.isnan(np.frombuffer(seen[0])).any()
+        assert seen[0] == seen[1]

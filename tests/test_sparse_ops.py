@@ -261,33 +261,6 @@ class TestDCSREdgeCases:
         assert cols.size == 0 and vals.size == 0
         assert_csr_equal(d.to_csr(), a)
 
-    def test_row_block_slices_and_rebases(self):
-        from repro.sparse import DCSR
-
-        a = random_csr(30, 20, 2, seed=42)
-        d = DCSR.from_csr(a)
-        block = d.row_block(10, 25)
-        assert block.shape == (15, 20)
-        block.check()
-        want = a.sort_indices().to_scipy()[10:25].tocsr()
-        assert_csr_equal(block.to_csr(), CSR.from_scipy(want))
-
-    def test_row_block_empty_range(self):
-        from repro.sparse import DCSR
-
-        d = DCSR.from_csr(random_csr(10, 10, 2, seed=43))
-        block = d.row_block(4, 4)
-        assert block.shape == (0, 10) and block.nnz == 0
-
-    def test_row_block_out_of_range(self):
-        from repro.sparse import DCSR
-
-        d = DCSR.from_csr(random_csr(10, 10, 2, seed=44))
-        with pytest.raises(ValueError, match="out of range"):
-            d.row_block(3, 11)
-        with pytest.raises(ValueError, match="out of range"):
-            d.row_block(-1, 5)
-
     def test_check_rejects_bad_indptr_and_indices(self):
         from repro.sparse import DCSR
 
@@ -303,61 +276,3 @@ class TestDCSREdgeCases:
         with pytest.raises(ValueError, match="column index out of range"):
             DCSR((5, 5), np.array([1]), np.array([0, 1]), np.array([5]),
                  np.array([1.0]))
-
-
-class TestDCSC:
-    def test_roundtrip(self):
-        from repro.sparse import DCSC
-
-        a = random_csr(30, 40, 3, seed=45)
-        c = DCSC.from_csr(a)
-        assert_csr_equal(c.to_csr(), a.sort_indices())
-
-    def test_column_panel_slices_and_rebases(self):
-        from repro.sparse import DCSC
-
-        a = random_csr(20, 40, 3, seed=46)
-        c = DCSC.from_csr(a)
-        panel = c.column_panel(10, 30)
-        assert panel.shape == (20, 20)
-        panel.check()
-        want = a.sort_indices().to_scipy()[:, 10:30].tocsr()
-        assert_csr_equal(panel.to_csr(), CSR.from_scipy(want))
-
-    def test_col_lookup(self):
-        from repro.sparse import DCSC
-
-        a = random_csr(15, 15, 2, seed=47)
-        c = DCSC.from_csr(a)
-        csc = CSC.from_csr(a)
-        for j in range(15):
-            r1, v1 = csc.col(j)
-            r2, v2 = c.col(j)
-            assert np.array_equal(np.sort(r1), np.sort(r2))
-
-    def test_hypersparse_columns(self):
-        from repro.sparse import DCSC
-
-        # 3 nonempty columns out of 50000
-        a = CSR.from_coo(
-            (4, 50000), [0, 1, 2], [10, 20000, 49999], np.ones(3)
-        )
-        c = DCSC.from_csr(a)
-        assert c.nzc == 3 and c.is_hypersparse()
-        assert np.array_equal(c.cols, [10, 20000, 49999])
-
-    def test_transfer_form_round_trips(self):
-        from repro.sparse import DCSC, DCSR
-
-        a = random_csr(20, 30, 3, seed=48)
-        c = DCSC.from_csr(a)
-        t = c.to_transposed_dcsr()
-        back = DCSC((t.shape[1], t.shape[0]), t)
-        assert_csr_equal(back.to_csr(), a.sort_indices())
-
-    def test_shape_mismatch_rejected(self):
-        from repro.sparse import DCSC, DCSR
-
-        t = DCSR.from_csr(random_csr(5, 6, 2, seed=49))
-        with pytest.raises(ValueError, match="incompatible shape"):
-            DCSC((5, 6), t)  # needs the transpose's shape, (6, 5)
