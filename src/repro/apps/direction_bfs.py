@@ -13,10 +13,9 @@ work heuristic: pull when the frontier's outgoing-edge count exceeds
 simplified).  With ``machine=`` the decision instead goes through the
 machine cost model (:func:`repro.machine.estimate_spmv_direction`), which
 prices both directions in cycles from the frontier/unvisited statistics —
-the same model the planner uses for SpGEMM bands, so a fitted config
-(``machine="fitted"``) recalibrates BFS steering too.  Every level records
-its decision, the modeled cycle estimates and the frontier density in an
-``app.bfs.level`` span, which the prediction ledger
+the same model a paper-machine plan uses for SpGEMM bands.  Every level
+records its decision, the modeled cycle estimates and the frontier density
+in an ``app.bfs.level`` span, which the prediction ledger
 (:mod:`repro.observe.ledger`) pairs with the level's measured time.
 """
 
@@ -59,8 +58,8 @@ def direction_optimized_bfs(
     ``force``: pin the direction to ``"push"`` or ``"pull"`` (for the
     ablation bench); default chooses per level.
 
-    ``machine``: a :class:`~repro.machine.MachineConfig` (or a name such as
-    ``"haswell"`` / ``"fitted"``) routes the per-level decision through the
+    ``machine``: a :class:`~repro.machine.MachineConfig` (or a preset name,
+    ``"haswell"`` / ``"knl"``) routes the per-level decision through the
     cost model's :func:`~repro.machine.estimate_spmv_direction` instead of
     the ``alpha`` heuristic; ``None`` (default) keeps the heuristic.
     """

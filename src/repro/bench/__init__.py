@@ -20,17 +20,7 @@ from .experiments import (
     ktruss_cases,
     tc_cases,
 )
-from .history import (
-    append_run,
-    collect_run,
-    env_fingerprint,
-    latest_run,
-    load_history,
-    pinned_cases,
-    write_run,
-)
 from .perfprofile import PerformanceProfile, performance_profile
-from .regress import compare_runs, render_report
 from .reporting import (
     load_json,
     render_grid,
@@ -53,6 +43,24 @@ from .runner import (
     run_cases,
     scheme_by_name,
 )
+
+#: re-exported on first use: ``history`` and ``regress`` are also ``python
+#: -m`` commands, and an eager import here would put them in ``sys.modules``
+#: before runpy executes them as ``__main__``
+_HISTORY = ("append_run", "collect_run", "env_fingerprint", "latest_run",
+            "load_history", "pinned_cases", "write_run")
+_REGRESS = ("compare_runs", "render_report")
+
+
+def __getattr__(name):
+    if name in _HISTORY:
+        from . import history as module
+    elif name in _REGRESS:
+        from . import regress as module
+    else:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(module, name)
+
 
 __all__ = [
     "DensityGridResult",

@@ -8,7 +8,9 @@ repeats per (scheme, case, backend, threads) key, reduced to **median +
 MAD** — robust statistics a noisy shared runner cannot fake out the way it
 fakes out a single min — and written to two places:
 
-* ``BENCH_history.json`` — the append-only log at the repo root.  Each
+* ``BENCH_history.json`` — the append-only log, in the working directory
+  unless ``--history`` names another (none is committed: wall clock only
+  compares within one machine, ``docs/observability.md``).  Each
   :func:`collect_run` appends one *run* (environment fingerprint +
   records); runs are ordered by append, and carry the git SHA, so the log
   needs no wall-clock timestamps.

@@ -286,15 +286,6 @@ def main(argv=None) -> int:
 
     verdict = compare_runs(base_run, head_run, k_mad=args.k_mad,
                            min_rel=args.min_rel, max_rel=args.max_rel)
-    # record which machine calibration (if any) was active: a fitted config
-    # changes plan decisions, so a verdict is only comparable to verdicts
-    # gated under the same calibration provenance
-    from ..machine import load_fitted_payload
-
-    fitted = load_fitted_payload()
-    verdict["fitted_machine"] = (
-        fitted["provenance"] if fitted is not None else None
-    )
     print(render_report(verdict))
     if args.json_out:
         with open(args.json_out, "w") as fh:

@@ -177,12 +177,10 @@ def masked_spgemm(
         What the ``"auto"`` planner prices the plan from.  ``None``
         (default): this host — the measured
         :class:`~repro.machine.HostProfile` and the cores the process may
-        use.  A :class:`MachineConfig` or a string — a preset name
-        (``"haswell"``, ``"knl"``) or ``"fitted"`` for the
-        history-calibrated config persisted by ``python -m repro.machine
-        fit`` (``docs/calibration.md``) — plans for that modeled machine
-        instead (figure reproduction).  An explicit algorithm with nothing
-        else to plan never reads it.
+        use.  A paper machine — ``"haswell"``, ``"knl"`` or a
+        :class:`MachineConfig` — plans for that modeled machine instead
+        (figure reproduction).  An explicit algorithm with nothing else to
+        plan never reads it.
     backend:
         Execution backend, the caller's to pick: ``None`` (default) runs
         one worker in-process — the host planner never fans out on its own

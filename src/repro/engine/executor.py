@@ -450,7 +450,8 @@ def plan_and_execute(
 
     def full_run():
         pl = plan_call(
-            a, b, mask, session=session, machine=machine, planner=planner, **knobs
+            a, b, mask, session=session, machine=machine, planner=planner,
+            semiring=semiring, **knobs
         )
         return pl, run(pl)
 

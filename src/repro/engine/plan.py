@@ -50,7 +50,7 @@ class RowBand:
     algo: str  #: kernel key ("msa", "hash", "mca", "inner", "esc", ...)
     reason: str = ""  #: one-line rationale recorded by the planner
     #: modeled cycles for this band (0 if not modeled); host plans store
-    #: predicted nanoseconds, i.e. cycles at the fitted configs' nominal 1 GHz
+    #: predicted nanoseconds (``HostProfile.seconds``: 1 "cycle" is 1 ns)
     est_cycles: float = 0.0
     #: modeled memory traffic for this band in bytes (0 if not modeled);
     #: the prediction ledger pairs it with the measured counters

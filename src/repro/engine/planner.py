@@ -11,7 +11,7 @@
   backend belong to the caller: one serial worker unless ``threads=`` or
   ``backend=`` says otherwise (``docs/parallel.md``, "Who picks the
   backend"), so a plan is a function of operands, options and profile.
-* **a modeled preset** (``"haswell"``, ``"knl"``, ``"fitted"`` or a
+* **a paper machine** (``"haswell"``, ``"knl"`` or a
   :class:`~repro.machine.MachineConfig`): per-row *cycles* from
   :class:`repro.machine.RowCostModel` — Figure 7's regime map, computed
   rather than eyeballed — with the preset's core count.  This reproduces
@@ -137,8 +137,6 @@ class Planner:
     ) -> None:
         if banding not in ("cost", "ratio", "none"):
             raise ValueError("banding must be 'cost', 'ratio' or 'none'")
-        # a machine may be named: a preset ("haswell", "knl") or "fitted"
-        # (the history-calibrated config persisted by ``repro.machine fit``)
         self.machine = resolve_machine(machine)
         self.host = isinstance(self.machine, HostProfile)
         default = self.machine.candidates if self.host else PLAN_CANDIDATES
@@ -345,7 +343,7 @@ class Planner:
                         rows=rows,
                         algo=cand[i],
                         reason=_REASONS[cand[i]],
-                        # 1 "cycle" == 1 ns, the fitted-config convention
+                        # nanoseconds: 1 "cycle" is 1 ns (HostProfile.seconds)
                         est_cycles=float(cost[i, rows].sum() + setup[i]),
                     )
                 )

@@ -58,7 +58,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from ..machine import OpCounter, resolve_machine
+from ..machine import HOST_NATIVE, OpCounter, host_profile, resolve_machine
 from ..sparse import CSC, CSR
 from ..sparse.diff import block_digest_pair
 from .planner import Planner
@@ -134,10 +134,8 @@ class ExecutionSession:
     machine:
         What the session's planner prices plans from: ``None`` (default)
         is this host's measured :class:`~repro.machine.HostProfile`; a
-        :class:`MachineConfig`, a preset name (``"haswell"``, ``"knl"``)
-        or ``"fitted"`` (the history-calibrated config persisted by
-        ``python -m repro.machine fit``, see ``docs/calibration.md``)
-        selects a modeled machine instead.
+        paper machine (``"haswell"``, ``"knl"`` or a
+        :class:`MachineConfig`) selects that modeled machine instead.
     planner:
         A pre-built :class:`~repro.engine.Planner` to reuse (overrides
         ``machine``).
@@ -468,6 +466,7 @@ def plan_call(
     session: Optional[ExecutionSession] = None,
     machine=None,
     planner: Optional[Planner] = None,
+    semiring=None,
     **knobs,
 ):
     """The one planning spelling of :func:`repro.engine.plan_and_execute`
@@ -475,11 +474,21 @@ def plan_call(
     :meth:`ExecutionSession.plan`: pick the planner (the given one, else
     the session's unless ``machine`` names another, else the one cached for
     the resolved ``machine``), let the session's ``plan_defaults`` fill the
-    knobs left ``None`` and hand every knob to :meth:`Planner.plan`."""
+    knobs left ``None`` and hand every knob to :meth:`Planner.plan`.
+
+    ``semiring`` is the call's, when there is a call: with no ``machine``
+    and no ``planner``, a call the native tier cannot run is not priced
+    from ``HOST_NATIVE`` but from the NumPy bodies' ``HOST``
+    (:func:`repro.machine.host_profile`)."""
     if planner is None:
-        if machine is not None or session is None:
+        if machine is not None:
             machine = resolve_machine(machine)
-        if session is not None and (machine is None or machine == session.machine):
+        else:
+            machine = session.machine if session is not None else resolve_machine(None)
+            if semiring is not None and machine is HOST_NATIVE:
+                # the C loops' prices hold for the calls the C loops take
+                machine = host_profile(semiring, a.data, b.data)
+        if session is not None and machine == session.machine:
             planner = session.planner
         else:
             planner = _planner_for(machine)

@@ -20,21 +20,6 @@ from .cost_model import (
     estimate_spmv_direction,
 )
 from .counters import OpCounter
-from .fit import (
-    FITTED_PARAMS,
-    FIT_SCHEMA_VERSION,
-    MACHINE_ENV,
-    FitResult,
-    default_machine,
-    evaluate_config,
-    fit_machine,
-    load_fitted,
-    load_fitted_payload,
-    resolve_machine,
-    samples_from_history,
-    samples_from_predictions,
-    save_fitted,
-)
 from .host import (
     HOST,
     HOST_NATIVE,
@@ -42,6 +27,7 @@ from .host import (
     available_cores,
     fit_host_profile,
     host_profile,
+    resolve_machine,
 )
 from .kernel_traces import TRACEABLE_ALGOS, build_trace, replay_miss_rate
 from .report import breakdown_table, explain
@@ -79,18 +65,6 @@ __all__ = [
     "estimate_seconds",
     "estimate_spmv_direction",
     "OpCounter",
-    "FIT_SCHEMA_VERSION",
-    "FITTED_PARAMS",
-    "MACHINE_ENV",
-    "FitResult",
-    "default_machine",
-    "fit_machine",
-    "evaluate_config",
-    "samples_from_history",
-    "samples_from_predictions",
-    "save_fitted",
-    "load_fitted",
-    "load_fitted_payload",
     "resolve_machine",
     "TRACEABLE_ALGOS",
     "build_trace",

@@ -41,12 +41,14 @@ from typing import Dict, Tuple
 import numpy as np
 
 from .calibrate import _time_best
+from .config import MACHINES, MachineConfig
 
 __all__ = [
     "HostProfile",
     "HOST",
     "HOST_NATIVE",
     "host_profile",
+    "resolve_machine",
     "available_cores",
     "fit_host_profile",
 ]
@@ -99,7 +101,8 @@ class HostProfile:
         return available_cores()
 
     def seconds(self, cycles: float) -> float:
-        """Plans priced here store nanoseconds as cycles (nominal 1 GHz)."""
+        """Plans priced here store predicted nanoseconds where a modeled
+        machine's plans store cycles: 1 "cycle" is 1 ns."""
         return cycles * 1e-9
 
     def row_ns(self, algo: str, work: np.ndarray, mask_nnz: np.ndarray) -> np.ndarray:
@@ -126,21 +129,66 @@ HOST_NATIVE = dataclasses.replace(
 )
 
 
-def host_profile() -> HostProfile:
-    """The profile every ``machine=None`` plan is priced from: the one
-    fitted on the kernel tier this process runs — :data:`HOST_NATIVE` when
-    the native library loads (built on first use, so the first host plan
-    may pay the one-time compile), :data:`HOST` otherwise.  A call that
-    falls back to NumPy under ``HOST_NATIVE`` (custom semiring, float32
-    values) is priced optimistically: values never change, only regret."""
+def host_profile(semiring=None, *values) -> HostProfile:
+    """The profile a ``machine=None`` plan is priced from: the one fitted
+    on the kernel tier that runs it — :data:`HOST_NATIVE` when the native
+    library loads (built on first use, so the first host plan may pay the
+    one-time compile), :data:`HOST` otherwise.  Given a call's ``semiring``
+    and the value arrays its kernel reads, the tier is that call's:
+    ``HOST_NATIVE`` only if the library has a loop for them
+    (``native.kernels``; a custom semiring or float32 values run the NumPy
+    bodies and are priced from theirs)."""
     from ..core.kernels import native
 
-    return HOST if native.load() is None else HOST_NATIVE
+    live = native.load() if semiring is None else native.kernels(semiring, *values)
+    return HOST if live is None else HOST_NATIVE
+
+
+def resolve_machine(machine):
+    """Resolve a ``machine=`` argument: ``None`` is this host
+    (:func:`host_profile`), a :class:`HostProfile` or
+    :class:`~repro.machine.MachineConfig` is itself, and a string names one
+    of the paper's machines (``"haswell"``, ``"knl"``; any case)."""
+    if machine is None:
+        return host_profile()
+    if isinstance(machine, (MachineConfig, HostProfile)):
+        return machine
+    if isinstance(machine, str):
+        preset = MACHINES.get(machine.lower())
+        if preset is None:
+            raise ValueError(
+                f"unknown machine {machine!r}; expected None (this host), a "
+                f"HostProfile, a MachineConfig or one of {sorted(MACHINES)}"
+            )
+        return preset
+    raise TypeError(
+        f"machine must be a MachineConfig, a HostProfile, a name or None, "
+        f"got {type(machine)!r}"
+    )
 
 
 # ----------------------------------------------------------------------
 # the fitter that produced HOST's constants
 # ----------------------------------------------------------------------
+def nonneg_lstsq(x: np.ndarray, y: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Deterministic non-negative weighted least squares.
+
+    Solves ``min |w * (x @ theta - y)|`` and enforces ``theta >= 0`` by
+    iteratively dropping columns whose coefficient comes out non-positive
+    (they get 0) and re-solving.  All-zero columns are dropped up front.
+    """
+    theta = np.zeros(x.shape[1], dtype=np.float64)
+    active = [j for j in range(x.shape[1]) if float(np.abs(x[:, j]).sum()) > 0.0]
+    while active:
+        sol, *_ = np.linalg.lstsq(x[:, active] * w[:, None], y * w, rcond=None)
+        bad = [k for k, t in enumerate(sol) if t <= 0.0]
+        if not bad:
+            theta[active] = sol
+            break
+        active = [j for k, j in enumerate(active) if k not in bad]
+    return theta
+
+
 def _tc_triple(scale: int):
     """The triangle-counting operand ``L`` of an R-MAT graph (A = B = M)."""
     from ..graphs import relabel_by_degree, rmat
@@ -179,8 +227,9 @@ def fit_host_profile(*, quick: bool = False, repeats: int = 3) -> Tuple[HostProf
     native tier).
 
     Times every live kernel on the calibration triples, regresses each
-    algorithm's seconds on ``(work, mask nnz, rows, 1)`` by the same
-    relative-error non-negative least squares ``repro.machine.fit`` uses,
+    algorithm's seconds on ``(work, mask nnz, rows, 1)`` by relative-error
+    non-negative least squares (:func:`nonneg_lstsq`, weights ``1 / y``: a
+    2x miss on a microsecond call matters as much as on a millisecond one),
     times the CSC build, a two-band split and the delta engine's splice
     and per-call bookkeeping, and returns ``(profile, report)``
     — ``report`` carries the raw samples and per-algorithm median relative
@@ -192,7 +241,6 @@ def fit_host_profile(*, quick: bool = False, repeats: int = 3) -> Tuple[HostProf
     from ..parallel.executor import row_slice
     from ..sparse import CSC, changed_rows
     from ..sparse.diff import block_digest_pair
-    from .fit import nonneg_lstsq
     from .traffic import flops_per_row, pulls_per_row
 
     base = host_profile()  # the live tier: fit under native.disabled() for HOST

@@ -12,9 +12,8 @@ item, batch bucket and push/pull direction decision, plus a per-kind
 misprediction summary (measured/modeled ratio, MAD of the log-ratios, a
 systematic-bias flag).
 
-The rows are what :func:`repro.machine.fit.fit_machine` regresses
-against; the summary is what ``metrics()["predictions"]`` exports and
-``report()`` renders.  Nothing here runs unless a tracer was installed —
+The rows and their summary are what ``metrics()["predictions"]`` exports
+and ``report()`` renders.  Nothing here runs unless a tracer was installed —
 the disabled path of the span machinery is the disabled path of the
 ledger.
 """

@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import dataclasses
 import hashlib
 import json
 import re
@@ -52,7 +53,7 @@ from repro.core import (
 from repro.core.kernels import native
 from repro.engine import ExecutionSession
 from repro.graphs import erdos_renyi, relabel_by_degree, rmat
-from repro.machine import OpCounter
+from repro.machine import KNL, OpCounter
 from repro.parallel import parallel_masked_spgemm, shutdown_pool
 from repro.semiring import PLUS_PAIR, PLUS_TIMES
 from repro.sparse import CSR
@@ -189,7 +190,9 @@ BACKENDS = (None, "serial", "thread", "process")
 GRIDS = (None, (2, 2), (1, 3))
 SESSIONS = (None, False, "own")  # "own": three calls — cold, warm, mutated
 DELTAS = (None, "auto", "force")
-MACHINES = (None, "haswell")
+#: a paper machine that is no preset, passed as an object
+ODD = dataclasses.replace(KNL, name="odd", cores=3, hit_cycles=6.0)
+MACHINES = (None, "haswell", ODD)
 THREADS = (1, 2, 3)
 PARTITIONS = ("block", "cyclic", "balanced")
 
@@ -222,7 +225,7 @@ class Case(NamedTuple):
 
     @property
     def id(self) -> str:
-        opts = ",".join(f"{k}={v}" for k, v in self.options)
+        opts = ",".join(f"{k}={getattr(v, 'name', v)}" for k, v in self.options)
         return f"{self.operands}/{self.door}/{opts}"
 
 

@@ -1,6 +1,6 @@
-"""Prediction ledger + machine-fit suite (``calibrate`` marker).
+"""Prediction-ledger suite (``calibrate`` marker).
 
-The modeled→measured loop, closed end to end:
+The modeled→measured loop, per executed unit:
 
 1. Every executed unit leaves a prediction row — row bands on all three
    backends (sessioned or not), work items on a grid plan, bucket
@@ -9,10 +9,10 @@ The modeled→measured loop, closed end to end:
    measured seconds and counter delta.
 2. The counter deltas are bit-identical to the run's ``OpCounter``: the
    band spans partition exactly the work the run charged.
-3. ``python -m repro.machine fit`` is deterministic for a fixed history,
-   improves the held-out scheme over the default config, and the fitted
-   config is bit-for-bit output-equivalent across serial/thread/process
-   (a machine config changes *decisions*, never values).
+3. ``machine=`` is this host or a paper machine, and a paper machine that
+   is no preset — a ``MachineConfig`` passed as an object — is bit-for-bit
+   output-equivalent across serial/thread/process (a machine changes
+   *decisions*, never values).
 4. The disabled path stays free: the bucketed tier through the traced
    wrapper is within the same 2% envelope ``tests/test_observe.py``
    enforces for the per-row tier.
@@ -20,43 +20,39 @@ The modeled→measured loop, closed end to end:
 
 from __future__ import annotations
 
-import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
 from repro.apps.direction_bfs import direction_optimized_bfs
-from repro.bench.regress import main as regress_main
 from repro.core import masked_spgemm
 from repro.core.kernels.msa_kernel import masked_spgemm_msa_fast
-from repro.engine import ExecutionSession
+from repro.engine import ExecutionSession, Planner
 from repro.graphs import erdos_renyi, relabel_by_degree, rmat
 from repro.machine import (
     HASWELL,
-    MachineConfig,
+    HOST,
+    KNL,
+    MACHINES,
     OpCounter,
-    evaluate_config,
-    fit_machine,
     host_profile,
-    load_fitted,
-    load_fitted_payload,
     resolve_machine,
-    samples_from_history,
-    save_fitted,
 )
-from repro.machine.fit import _NON_WORK_COUNTERS, FITTED_PATH_ENV, MACHINE_ENV
 from repro.observe import current, metrics, predictions, report, tracing
 from repro.parallel import shutdown_pool
 from repro.parallel.pool import process_backend_available
 from repro.semiring import PLUS_PAIR, PLUS_TIMES
 
 from .conftest import assert_overhead_per_call
+from .lattice import ODD
 
 pytestmark = pytest.mark.calibrate
 
-HISTORY_PATH = os.path.join(os.path.dirname(__file__), "..",
-                            "BENCH_history.json")
+#: counter fields that are session telemetry, not work
+_NON_WORK_COUNTERS = ("plan_cache_hits", "segments_reused", "bytes_republished")
 
 
 def _triple(seed=1, n=60):
@@ -68,17 +64,6 @@ def _triple(seed=1, n=60):
 
 def _tc_low(scale=8, seed=5):
     return relabel_by_degree(rmat(scale, seed=seed).pattern()).tril(-1)
-
-
-@pytest.fixture(scope="module")
-def committed_history():
-    with open(HISTORY_PATH) as fh:
-        return json.load(fh)
-
-
-@pytest.fixture(scope="module")
-def fitted(committed_history):
-    return fit_machine(committed_history, holdout="MCA-1P")
 
 
 _BACKENDS = ["serial", "thread", "process"]
@@ -228,113 +213,39 @@ class TestLedgerRows:
 
 
 # ----------------------------------------------------------------------
-# 2. the fit: deterministic, improving, loadable
+# 2. machine= is this host or a paper machine
 # ----------------------------------------------------------------------
 
 
 class TestFit:
-    def test_fit_is_deterministic(self, committed_history, fitted):
-        again = fit_machine(committed_history, holdout="MCA-1P")
-        assert json.dumps(fitted.payload(), sort_keys=True) == json.dumps(
-            again.payload(), sort_keys=True
-        )
-
-    def test_fit_improves_heldout_scheme(self, fitted):
-        held = fitted.provenance["holdout"]
-        assert held is not None and held["scheme"] == "MCA-1P"
-        assert (held["fitted"]["median_abs_log10_ratio"]
-                < held["default"]["median_abs_log10_ratio"]), (
-            "the fitted config must beat the default on the held-out scheme"
-        )
-
-    def test_fit_reduces_residual_vs_default(self, committed_history,
-                                             fitted):
-        samples = samples_from_history(committed_history)
-        fit_err = evaluate_config(fitted.machine, samples)
-        base_err = evaluate_config(HASWELL, samples)
-        assert (fit_err["median_abs_log10_ratio"]
-                < base_err["median_abs_log10_ratio"])
-
-    def test_provenance_carries_env_and_counts(self, fitted):
-        prov = fitted.provenance
-        assert prov["base"] == HASWELL.name
-        assert prov["samples"] > 0
-        assert prov["params_fitted"]
-        assert "python" in prov["env"]
-
-    def test_save_load_roundtrip(self, fitted, tmp_path):
-        path = tmp_path / "fitted.json"
-        save_fitted(fitted, path)
-        assert load_fitted(path) == fitted.machine
-        payload = load_fitted_payload(path)
-        assert payload["provenance"] == json.loads(
-            json.dumps(fitted.provenance)
-        )
-
-    def test_resolve_machine_presets_and_fitted(self, fitted, tmp_path,
-                                                monkeypatch):
-        monkeypatch.delenv(MACHINE_ENV, raising=False)
+    def test_resolve_machine_presets_and_fitted(self):
         assert resolve_machine(None) is host_profile()  # the live default: measured host
-        assert resolve_machine(HASWELL) is HASWELL
+        for obj in (HASWELL, ODD, HOST):
+            assert resolve_machine(obj) is obj
         assert resolve_machine("haswell") is HASWELL
-        monkeypatch.delenv(FITTED_PATH_ENV, raising=False)
-        monkeypatch.chdir(tmp_path)
-        with pytest.raises(FileNotFoundError):
-            resolve_machine("fitted")
-        path = tmp_path / "cal.json"
-        save_fitted(fitted, path)
-        monkeypatch.setenv(FITTED_PATH_ENV, str(path))
-        got = resolve_machine("fitted")
-        assert isinstance(got, MachineConfig)
-        assert got == fitted.machine
-        with pytest.raises(ValueError):
-            resolve_machine("no-such-machine")
-
-    def test_machine_env_sets_the_default(self, fitted, tmp_path,
-                                          monkeypatch):
-        """REPRO_MACHINE=fitted makes every machine-less call target the
-        fitted config (the CI hook behind the calibrate job's equivalence
-        re-run) — and results stay identical to the default config's."""
-        from repro.engine import Planner
-
-        path = tmp_path / "cal.json"
-        save_fitted(fitted, path)
-        # PLUS_PAIR sums exact integers, so the result is bitwise invariant
-        # even when the fitted config picks different algorithms per band
-        low = _tc_low(scale=8, seed=13)
-        ref = masked_spgemm(low, low, low, algo="auto", semiring=PLUS_PAIR)
-        monkeypatch.setenv(FITTED_PATH_ENV, str(path))
-        monkeypatch.setenv(MACHINE_ENV, "fitted")
-        assert Planner().machine == fitted.machine
-        assert resolve_machine(None) == fitted.machine
-        got = masked_spgemm(low, low, low, algo="auto", semiring=PLUS_PAIR)
-        assert np.array_equal(got.indptr, ref.indptr)
-        assert np.array_equal(got.indices, ref.indices)
-        assert np.array_equal(got.data, ref.data)
-
-    def test_fit_cli_writes_deterministic_payload(self, tmp_path):
-        import subprocess
-        import sys
-
-        out1 = tmp_path / "a.json"
-        out2 = tmp_path / "b.json"
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.path.join(
-            os.path.dirname(HISTORY_PATH), "src"
-        ) + os.pathsep + env.get("PYTHONPATH", "")
-        for out in (out1, out2):
-            res = subprocess.run(
-                [sys.executable, "-m", "repro.machine", "fit",
-                 "--history", HISTORY_PATH, "--out", str(out)],
-                capture_output=True, text=True, env=env,
-            )
-            assert res.returncode == 0, res.stderr
-            assert "held-out" in res.stdout
-        assert out1.read_text() == out2.read_text()
+        assert resolve_machine("KNL") is KNL
+        for unknown in ("fitted", "no-such-machine"):
+            with pytest.raises(ValueError) as err:
+                resolve_machine(unknown)
+            assert str(err.value) == (
+                f"unknown machine {unknown!r}; expected None (this host), a "
+                f"HostProfile, a MachineConfig or one of {sorted(MACHINES)}")
+            with pytest.raises(ValueError, match="unknown machine"):
+                Planner(unknown)
+        # nothing in the environment names a machine
+        code = ("from repro.engine import plan\n"
+                "from repro.graphs import erdos_renyi\n"
+                "m = erdos_renyi(32, 32, 3, seed=1)\n"
+                "print(plan(m, m, m).machine)\n")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path),
+                   REPRO_MACHINE="knl", REPRO_MACHINE_FILE="nowhere.json")
+        res = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                             capture_output=True, text=True)
+        assert res.stdout.split() == ["host"]
 
 
 # ----------------------------------------------------------------------
-# 3. machine="fitted" changes decisions, never values
+# 3. a paper machine that is no preset changes decisions, never values
 # ----------------------------------------------------------------------
 
 
@@ -344,78 +255,53 @@ class TestFittedEquivalence:
         yield
         shutdown_pool()
 
-    @pytest.fixture()
-    def fitted_env(self, fitted, tmp_path, monkeypatch):
-        path = tmp_path / "fitted.json"
-        save_fitted(fitted, path)
-        monkeypatch.setenv(FITTED_PATH_ENV, str(path))
-        return path
-
-    def test_outputs_bit_for_bit_across_backends(self, fitted_env):
+    def test_outputs_bit_for_bit_across_backends(self):
         low = _tc_low(scale=9, seed=7)
-        results = {}
-        for backend in _BACKENDS:
-            if backend == "process" and not process_backend_available():
-                continue
-            results[backend] = masked_spgemm(
-                low, low, low, algo="auto", backend=backend,
-                machine="fitted", semiring=PLUS_PAIR,
-            )
         ref = masked_spgemm(low, low, low, algo="auto", backend="serial",
                             semiring=PLUS_PAIR)
-        for backend, got in results.items():
-            assert np.array_equal(got.indptr, ref.indptr), backend
-            assert np.array_equal(got.indices, ref.indices), backend
-            assert np.array_equal(got.data, ref.data), backend
+        with tracing() as tr:
+            for backend in _BACKENDS:
+                if backend == "process" and not process_backend_available():
+                    continue
+                got = masked_spgemm(low, low, low, algo="auto", backend=backend,
+                                    machine=ODD, semiring=PLUS_PAIR)
+                assert np.array_equal(got.indptr, ref.indptr), backend
+                assert np.array_equal(got.indices, ref.indices), backend
+                assert np.array_equal(got.data, ref.data), backend
+        plans = [sp.attrs["plan"] for sp in tr.spans if sp.name == "engine.execute"]
+        assert plans and {pl["machine"] for pl in plans} == {"odd"}
+        # decisions: the modeled machine bands the rows the host gives to one kernel
+        host = Planner().plan(low, low, low)
+        assert any(len(pl["bands"]) != len(host.bands) or pl["threads"] != host.threads
+                   for pl in plans)
 
-    def test_fitted_session_equivalence(self, fitted_env):
+    def test_fitted_session_equivalence(self):
         # PLUS_PAIR: exact integer sums, bitwise invariant to plan changes
         low = _tc_low(scale=8, seed=21)
-        with ExecutionSession(machine="fitted") as sess:
+        with ExecutionSession(machine=ODD) as sess:
             got = masked_spgemm(low, low, low, algo="auto",
                                 semiring=PLUS_PAIR, session=sess)
-            assert sess.machine.name == "fitted"
+            assert sess.machine is ODD
+            assert sess.plan(low, low, low).machine == "odd"
         ref = masked_spgemm(low, low, low, algo="auto", semiring=PLUS_PAIR)
         assert np.array_equal(got.indptr, ref.indptr)
         assert np.array_equal(got.indices, ref.indices)
         assert np.array_equal(got.data, ref.data)
 
-    def test_direction_bfs_fitted_same_levels(self, fitted_env):
+    def test_direction_bfs_fitted_same_levels(self):
         g = rmat(8, seed=9).pattern()
         ref = direction_optimized_bfs(g, 0)
-        got = direction_optimized_bfs(g, 0, machine="fitted")
+        got = direction_optimized_bfs(g, 0, machine=ODD)
         assert np.array_equal(got.levels, ref.levels)
         assert got.depth == ref.depth
 
 
 # ----------------------------------------------------------------------
-# 4. regress verdict provenance + disabled-path overhead
+# 4. history records + disabled-path overhead
 # ----------------------------------------------------------------------
 
 
 class TestIntegration:
-    def test_regress_verdict_carries_fitted_provenance(
-            self, fitted, tmp_path, monkeypatch):
-        out = tmp_path / "verdict.json"
-        monkeypatch.delenv(FITTED_PATH_ENV, raising=False)
-        monkeypatch.chdir(tmp_path)
-        rc = regress_main(["--baseline", HISTORY_PATH,
-                           "--head", HISTORY_PATH,
-                           "--json", str(out)])
-        assert rc == 0
-        doc = json.loads(out.read_text())
-        assert "fitted_machine" in doc and doc["fitted_machine"] is None
-
-        cal = tmp_path / "cal.json"
-        save_fitted(fitted, cal)
-        monkeypatch.setenv(FITTED_PATH_ENV, str(cal))
-        rc = regress_main(["--baseline", HISTORY_PATH,
-                           "--head", HISTORY_PATH,
-                           "--json", str(out)])
-        assert rc == 0
-        doc = json.loads(out.read_text())
-        assert doc["fitted_machine"]["samples"] == fitted.provenance["samples"]
-
     def test_history_records_carry_prediction_summary(self):
         from repro.bench.history import collect_record
         from repro.bench.runner import scheme_by_name

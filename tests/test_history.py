@@ -17,6 +17,9 @@ from __future__ import annotations
 
 import copy
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -341,6 +344,16 @@ class TestCLI:
                            "--history", "-", "--run-dir", str(tmp_path)])
         assert rc == 0
         assert not (tmp_path / HISTORY_BASENAME).exists()
+
+    def test_the_commands_import_their_module_once(self):
+        # runpy warns when the package has already imported what it is about
+        # to execute as __main__
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        for module in ("repro.bench.history", "repro.bench.regress"):
+            subprocess.run(
+                [sys.executable, "-W", "error::RuntimeWarning", "-m", module, "--help"],
+                env=env, check=True, capture_output=True,
+            )
 
     def test_bench_main_baseline_delegates_to_regress(
         self, tiny_run, tmp_path, monkeypatch

@@ -25,9 +25,12 @@ from repro.core.kernels.inner_kernel import masked_spgemm_inner_fast
 from repro.engine import ExecutionSession, Planner, plan
 from repro.graphs import erdos_renyi, relabel_by_degree, rmat
 from repro.machine import HOST, HOST_NATIVE, HostProfile, OpCounter
+from repro.observe import tracing
 from repro.parallel import shutdown_pool
-from repro.semiring import PLUS_PAIR, PLUS_TIMES, Semiring
+from repro.semiring import MIN_PLUS, PLUS_PAIR, PLUS_TIMES, Semiring
 from repro.sparse import CSC, CSR
+
+from .conftest import native_required
 
 
 def _tc(scale, seed=1):
@@ -211,6 +214,46 @@ class TestNativeProfile:
         )
         per = Planner(HOST_NATIVE).plan(a, b, m).nrows_per_algo()
         assert set(per) == {"inner", "msa"} and abs(per["inner"] - n // 2) < n // 8
+
+
+@native_required()
+class TestACallIsPricedFromTheTierThatRunsIt:
+    """``HOST_NATIVE`` prices only what the C loops run: a semiring or dtype
+    they do not take is planned from the NumPy bodies' ``HOST``."""
+
+    @staticmethod
+    def _auto_plan(a, b, m, **kw):
+        with tracing() as tr:
+            masked_spgemm(a, b, m, algo="auto", **kw)
+        (span,) = [sp for sp in tr.spans if sp.name == "engine.execute"]
+        return span.attrs["plan"]
+
+    def test_ineligible_calls_plan_as_under_host(self):
+        a, b, m = _er(1024, 1, 64)  # the NumPy profile's mca regime
+        want = Planner(HOST).plan(a, b, m).as_dict()
+        assert set(want["estimates_seconds"]) == set(HOST.candidates)
+        assert [band["algo"] for band in want["bands"]] == ["mca"]
+        assert self._auto_plan(a, b, m, semiring=MIN_PLUS) == want
+        assert self._auto_plan(a.astype(np.float32), b.astype(np.float32), m) == want
+        with ExecutionSession() as s:  # built on HOST_NATIVE
+            assert s.machine is HOST_NATIVE
+            assert self._auto_plan(a, b, m, semiring=MIN_PLUS, session=s) == want
+            assert s.plan(a, b, m, semiring=MIN_PLUS).as_dict() == want
+        # a machine the caller names is the caller's
+        named = self._auto_plan(a, b, m, semiring=MIN_PLUS, machine=HOST_NATIVE)
+        assert named == Planner(HOST_NATIVE).plan(a, b, m).as_dict()
+
+    def test_eligible_calls_keep_the_native_profile(self):
+        a, b, m = _er(1024, 1, 64)
+        want = Planner(HOST_NATIVE).plan(a, b, m).as_dict()
+        assert set(want["estimates_seconds"]) == {"inner", "msa"}
+        assert self._auto_plan(a, b, m) == want  # PLUS_TIMES, float64
+        # PLUS_PAIR reads no values, so their dtype does not matter
+        assert self._auto_plan(a.astype(np.float32), b.astype(np.float32), m,
+                               semiring=PLUS_PAIR) == want
+        with ExecutionSession() as s:
+            assert self._auto_plan(a, b, m, session=s) == want
+        assert plan(a, b, m).as_dict() == want  # no call, no semiring: the live tier
 
 
 class TestWorkersFollowTheHost:

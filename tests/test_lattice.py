@@ -72,7 +72,8 @@ def test_the_sample_is_fixed_and_spans_the_axes():
     assert seen["session"] == set(lattice.SESSIONS)
     assert seen["delta"] == set(lattice.DELTAS)
     assert seen["threads"] == set(lattice.THREADS)
-    assert "haswell" in seen["machine"] and seen["orientation"] == {"row", "column"}
+    assert seen["machine"] == set(lattice.MACHINES[1:])
+    assert seen["orientation"] == {"row", "column"}
 
 
 def test_only_a_sessionless_forced_delta_raises(calls):
