@@ -6,7 +6,7 @@ the simplest one" — as a gate: on R-MAT scale 10-12 the default
 most 1.05x the time of the same call with ``session=False``, i.e. every
 cache a default opens has to pay for its own key.  The default
 ``ktruss(g, 5)`` (loop-local session + ``delta="auto"``, the support
-decrement of ``docs/incremental.md``) has a stated win and a stated
+decrement of ``docs/algorithms.md``, "k-truss") has a stated win and a stated
 crossover against ``session=False, delta=None``: at most 0.6x on R-MAT
 10-12, and at most 1.05x on ``erdos_renyi(2048, 2048, 64)``, where round 1
 removes 69 % of the edges and the priced rule must take the full branch.

@@ -80,7 +80,7 @@ def ktruss(
 
     ``delta`` chooses how later rounds get the support of the pruned
     adjacency ``A'`` (``A = A' + R``, ``R`` the removed edges; see
-    ``docs/incremental.md``): ``None`` recomputes ``A' .* (A' @ A')``
+    ``docs/algorithms.md``, "k-truss"): ``None`` recomputes ``A' .* (A' @ A')``
     every round (the paper's formulation); ``"force"`` decrements the
     previous support by ``D + D^T + A' .* (R @ R)`` with
     ``D = A' .* (R @ A')`` — two products whose work scales with ``R`` —
@@ -127,7 +127,7 @@ def ktruss(
                 x, y, mask, algo=algo, impl=impl, phases=phases,
                 semiring=PLUS_PAIR, counter=counter,
                 backend=backend,
-                shards=shards, session=session, delta=None,
+                shards=shards, session=session,
             )
         spgemm_time += sp_mm.seconds
         return out

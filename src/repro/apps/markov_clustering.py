@@ -95,7 +95,6 @@ def markov_clustering(
     algo: str = "auto",
     counter: Optional[OpCounter] = None,
     session=None,
-    delta="auto",
 ) -> MCLResult:
     """Cluster the undirected graph ``a`` with MCL.
 
@@ -105,11 +104,7 @@ def markov_clustering(
     enabled by masked SpGEMM.  ``session`` (an
     :class:`~repro.engine.ExecutionSession`; default: loop-local when the
     masked expansion is in play, ``False`` disables) carries the
-    cross-call caches of the expansion iterations.  ``delta`` (default
-    ``"auto"``; ignored without a session) makes the sessioned expansion
-    incremental while the first transition's still-moving rows are
-    predicted cheaper to recompute than all of them
-    (``docs/incremental.md``).
+    cross-call caches of the expansion iterations.
     """
     if a.nrows != a.ncols:
         raise ValueError("adjacency must be square")
@@ -137,7 +132,6 @@ def markov_clustering(
                 mask = pattern_union(m.pattern(), hop2.pattern())
                 expanded = masked_spgemm(
                     m, m, mask, algo=algo, counter=counter, session=session,
-                    delta=delta if session is not None else None,
                 )
             else:
                 expanded = spgemm_saxpy_fast(m, m, counter=counter)

@@ -155,7 +155,6 @@ def sparse_dnn_forward_topk(
     algo: str = "auto",
     counter: Optional[OpCounter] = None,
     session=None,
-    delta="auto",
 ) -> DNNResult:
     """Budgeted inference: after each layer keep only the top-k activations
     per sample, and compute the next layer as a *masked* product restricted
@@ -170,11 +169,7 @@ def sparse_dnn_forward_topk(
     The weight layers are constant across batches, so a long-lived
     ``session`` (an :class:`~repro.engine.ExecutionSession`; default:
     loop-local for ``algo="auto"``, ``False`` disables) keeps their
-    published segments warm across process-backend calls.  ``delta``
-    (default ``"auto"``; ignored without a session) threads the layers
-    through the incremental engine — per-layer operands change
-    wholesale, so the first transition is priced, runs full and the
-    engine stops tracking the problem (``docs/incremental.md``).
+    published segments warm across process-backend calls.
     """
     counter = counter if counter is not None else OpCounter()
     session, owned = resolve_session(session, auto=(algo == "auto"))
@@ -186,8 +181,7 @@ def sparse_dnn_forward_topk(
             # reachable output pattern of the sparsified activations
             mask = spgemm_saxpy_fast(y.pattern(), w.pattern()).pattern()
             y = masked_spgemm(y, w, mask, algo=algo, semiring=PLUS_TIMES,
-                              counter=counter, session=session,
-                              delta=delta if session is not None else None)
+                              counter=counter, session=session)
             y = _relu_bias(y, b)
             nnzs.append(y.nnz)
     finally:

@@ -1,18 +1,11 @@
-"""Sliding-window graph analytics over an edge stream — the delta engine's
-first dynamic-graph workload.
+"""Sliding-window graph analytics over an edge stream.
 
-The ROADMAP names streaming/dynamic graphs as the scenario class the
-incremental engine (:mod:`repro.engine.delta`, ``docs/incremental.md``)
-opens up: a window sliding over an edge stream inserts a few edges at the
-front and deletes a few at the back each step, so consecutive adjacency
-snapshots differ in a handful of rows while the masked product
+A window sliding over an edge stream inserts a few edges at the front and
+deletes a few at the back each step, and the masked product
 ``S = A .* (A @ A)`` — per-edge triangle support, the same product k-truss
-and triangle counting iterate — is recomputed per step.  Under a session
-with ``delta="auto"`` each step recomputes only the rows the inserted and
-deleted edges (and their neighbourhoods, through B) actually touch, and
-splices them into the previous step's support matrix.  Results are
-bit-for-bit identical to recomputing every window from scratch; the
-saved work is certified by ``counter.rows_patched``.
+and triangle counting iterate — is recomputed for every window position.
+A loop-local session carries the cross-call caches between steps; results
+are bit-for-bit identical to a sessionless run.
 """
 
 from __future__ import annotations
@@ -81,7 +74,6 @@ def sliding_window_triangles(
     shards=None,
     counter: Optional[OpCounter] = None,
     session=None,
-    delta="auto",
     max_steps: Optional[int] = None,
 ) -> StreamingResult:
     """Triangle support over a window sliding along an edge stream.
@@ -94,11 +86,9 @@ def sliding_window_triangles(
     semiring — ``S[i, j]`` counts the triangles through edge ``(i, j)``
     — and the global triangle count ``sum(S) / 6``.
 
-    ``session`` / ``delta`` follow the iterative-app convention
-    (:func:`~repro.apps.ktruss`): ``algo="auto"`` opens a loop-local
-    session by default and ``delta="auto"`` makes each step incremental —
-    a small ``step``-to-``window`` ratio is exactly the near-O(delta)
-    regime ``docs/incremental.md`` describes.
+    ``session`` follows the iterative-app convention
+    (:func:`~repro.apps.ktruss`): ``algo="auto"`` (or a ``shards=`` grid)
+    opens a loop-local session by default, ``False`` disables it.
     """
     edges = np.asarray(edges, dtype=np.int64)
     if edges.ndim != 2 or edges.shape[1] != 2:
@@ -132,7 +122,6 @@ def sliding_window_triangles(
                         backend=backend,
                         shards=shards,
                         session=session,
-                        delta=delta if session is not None else None,
                     )
                 triangles.append(int(round(float(support.data.sum()) / 6.0)))
                 edge_counts.append(cur.nnz // 2)

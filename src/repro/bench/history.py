@@ -254,8 +254,8 @@ def session_app_records(
     mask panels), not per-shard DCSR segments, so its ``segments_reused``
     is not comparable with records taken before the grid unification.
 
-    ``ktruss-delta`` is the incremental twin of ``ktruss-session``
-    (``docs/incremental.md``): the same pruning loop at its default
+    ``ktruss-delta`` is the decrementing twin of ``ktruss-session``
+    (``docs/algorithms.md``, "k-truss"): the same pruning loop at its default
     ``delta="auto"``, so rounds after the first decrement the support by
     two products over the removed edges (``ktruss-session`` pins
     ``delta=None`` so it stays the full-recompute sessioned baseline).

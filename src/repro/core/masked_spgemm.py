@@ -79,9 +79,7 @@ __all__ = [
 ]
 
 
-def _check_spellings(
-    algo: str, phases, impl: str, batch: str, backend=None, delta=None
-) -> str:
+def _check_spellings(algo: str, phases, impl: str, batch: str, backend=None) -> str:
     """Every front door's option-spelling checks; the algorithm key."""
     key = algo.lower()
     if batch not in BATCH_TIERS:
@@ -99,10 +97,6 @@ def _check_spellings(
         from ..parallel.executor import normalize_backend
 
         normalize_backend(backend)
-    if delta is not None and delta is not False:
-        from ..engine.delta import resolve_delta
-
-        resolve_delta(delta)
     return key
 
 
@@ -111,9 +105,7 @@ def _planned(a, b, mask, *, algo, phases, impl, batch="auto", **call) -> CSR:
     checked, then :func:`repro.engine.plan_and_execute` (shape checks,
     machine, session scope, plan, work items) with the door's forced plan
     knobs among ``call``."""
-    key = _check_spellings(
-        algo, phases, impl, batch, call.get("backend"), call.get("delta")
-    )
+    key = _check_spellings(algo, phases, impl, batch, call.get("backend"))
     from ..engine.executor import plan_and_execute
 
     return plan_and_execute(
@@ -141,7 +133,6 @@ def masked_spgemm(
     shards=None,
     batch: str = "auto",
     session=None,
-    delta=None,
 ) -> CSR:
     """Compute ``C = M .* (A @ B)`` (``!M`` with ``complement=True``).
 
@@ -213,23 +204,10 @@ def masked_spgemm(
     session:
         Optional :class:`repro.engine.ExecutionSession` holding cross-call
         caches for iterative workloads: CSC transpose memo, 2P
-        symbolic-bound memo, delta state and (for the process backend) the
-        shm segment registry.  Results are bit-for-bit identical with or without one.
+        symbolic-bound memo and (for the process backend) the shm segment
+        registry.  Results are bit-for-bit identical with or without one.
         ``False`` (the app-level "disable caching" sentinel) is accepted
         and means the same as ``None`` here: no cross-call caching.
-    delta:
-        Incremental execution against the session's cached state (see
-        ``docs/incremental.md``): ``None`` (default) recomputes fully;
-        ``"auto"`` diffs consecutive operands and recomputes only the
-        dirty output rows when that is predicted cheaper than a full run
-        from this host's measured per-row costs — otherwise it runs full
-        and stops tracking the problem for the rest of the session; a
-        float in ``(0, 1]`` patches while the dirty-row share stays at or
-        under it; ``"force"`` always patches (test hook).  Any
-        non-``None`` value routes through the engine; a caching
-        ``session`` is required — ``"auto"`` silently degrades to a full
-        run without one, ``"force"`` raises.  Results are bit-for-bit
-        identical to a full recompute on every backend and grid.
     """
     if orientation not in ("row", "column"):
         raise ValueError("orientation must be 'row' or 'column'")
@@ -242,24 +220,20 @@ def masked_spgemm(
             shards = (shards[1], shards[0])
         elif shards is not None and not isinstance(shards, str):
             shards = type(shards)(shards.col_bounds, shards.row_bounds)
-    if (
-        algo.lower() == "auto" or shards is not None or backend is not None
-        or (delta is not None and delta is not False)
-    ):
+    if algo.lower() == "auto" or shards is not None or backend is not None:
         # the planner picks per-row-band algorithms, phases and partition
         # from the cost model (a forced algo keeps the algo: shards= grids
-        # the dispatch, backend= cuts it into row parts, delta= threads the
-        # call through the incremental path)
+        # the dispatch, backend= cuts it into row parts)
         c = _planned(
             a, b, mask,
             algo=algo, phases=phases, impl=impl, batch=batch,
             complement=complement, semiring=semiring, counter=counter,
             b_csc=b_csc, machine=machine, backend=backend, shards=shards,
-            session=session, delta=delta,
+            session=session,
         )
     else:
-        # a forced algorithm with no grid, backend or delta has nothing to
-        # plan (batch="auto" is resolved where the chunks are made)
+        # a forced algorithm with no grid or backend has nothing to plan
+        # (batch="auto" is resolved where the chunks are made)
         key = _check_spellings(algo, phases, impl, batch)
         check_operands(a, b, mask)
         if complement and not supports_complement(key):

@@ -20,15 +20,12 @@ one front door over this pipeline (:func:`plan_and_execute`); the engine
 runs :func:`repro.core.leaf.run_kernel` and never calls the door back.
 """
 
-from .delta import DeltaPlan, delta_execute
 from .executor import execute, plan_and_execute
 from .plan import ExecutionPlan, RowBand, ShardGrid
 from .planner import PLAN_CANDIDATES, Planner, plan
 from .session import ExecutionSession, Fingerprint, fingerprint_csr, resolve_session
 
 __all__ = [
-    "DeltaPlan",
-    "delta_execute",
     "ExecutionPlan",
     "RowBand",
     "ShardGrid",

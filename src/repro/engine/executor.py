@@ -9,8 +9,7 @@ Buluc & Gilbert: row parts come from the grid's row blocks (or, on a
 one-row-block grid, from ``plan.threads`` parts cut by ``plan.partition``),
 column panels from the grid's column bounds.  ``1 x 1`` is the plain
 call, ``R x 1`` a row partition, ``1 x K`` the panelled multiply, ``R x
-K`` a grid, a delta patch a grid restricted to dirty rows.  Each item is
-one :class:`~repro.parallel.pool.Task` run by
+K`` a grid.  Each item is one :class:`~repro.parallel.pool.Task` run by
 :func:`~repro.parallel.pool.run_task` — serially, across a thread pool, or
 across the shared-memory process pool per the plan's ``backend`` — and the
 disjoint partial results are merged by concatenation.  One
@@ -45,7 +44,6 @@ from ..parallel.partition import (
 from ..semiring import PLUS_TIMES, Semiring
 from ..sparse import CSC, CSR
 from ..sparse.ops import split_columns
-from .delta import delta_execute
 from .plan import ExecutionPlan, RowBand
 from .planner import Planner
 from .session import plan_call
@@ -417,7 +415,6 @@ def plan_and_execute(
     b_csc: Optional[CSC] = None,
     planner: Optional[Planner] = None,
     session=None,
-    delta=None,
     **plan_kwargs,
 ) -> CSR:
     """Plan and immediately execute — what every front door calls when
@@ -429,46 +426,17 @@ def plan_and_execute(
     cached for ``machine``), which receives every forced knob — the plan is
     the only carrier of ``backend`` into the work-item loop — and execution
     reuses the session's CSC memo and shm segment registry.
-
-    ``delta`` (``"auto"``, ``"force"`` or a dirty-fraction threshold)
-    routes the call through :func:`repro.engine.delta.delta_execute`:
-    consecutive calls on the same problem diff their operands and
-    recompute only dirty rows (``docs/incremental.md``).  Requires a
-    caching session — without one, ``"auto"`` degrades to a normal full
-    run and ``"force"`` raises.
     """
     session = caching_session(session)
-    knobs = dict(plan_kwargs, complement=complement, phases=phases, backend=backend)
-
-    def run(pl: ExecutionPlan) -> CSR:
+    with session.call() if session is not None else _obs.NULL_SPAN:
+        pl = plan_call(
+            a, b, mask, session=session, machine=machine, planner=planner,
+            semiring=semiring, complement=complement, phases=phases,
+            backend=backend, **plan_kwargs,
+        )
         # the planner validated its own plan: skip execute()'s second pass
         return _execute(
             pl, a, b, mask,
             semiring=semiring, impl=impl, counter=counter, b_csc=b_csc,
             session=session,
-        )
-
-    def full_run():
-        pl = plan_call(
-            a, b, mask, session=session, machine=machine, planner=planner,
-            semiring=semiring, **knobs
-        )
-        return pl, run(pl)
-
-    if session is None:
-        if delta == "force":
-            raise ValueError("delta='force' requires a caching ExecutionSession")
-        return full_run()[1]
-    with session.call():
-        if delta is None or delta is False:
-            return full_run()[1]
-        # one delta state per distinct problem the session serves
-        slot = (
-            a.shape, b.shape, mask.shape, getattr(semiring, "name", None), impl,
-            machine, tuple(sorted((k, v) for k, v in knobs.items() if v is not None)),
-        )
-        return delta_execute(
-            a, b, mask,
-            session=session, delta=delta, slot=slot, full_run=full_run,
-            run=run, counter=counter,
         )

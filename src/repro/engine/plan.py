@@ -177,11 +177,7 @@ class ExecutionPlan:
     #: what the plan was priced for: "host" (measured HostProfile) or the
     #: name of a modeled MachineConfig
     machine: str = "haswell"
-    mode: str = "auto"  #: "auto" | "ratio" | "forced" | "delta"
-    #: a partial plan covers only a subset of the output rows (each at most
-    #: once) — the delta engine's patch path re-executes dirty rows only and
-    #: splices them into a cached result (see docs/incremental.md)
-    partial: bool = False
+    mode: str = "auto"  #: "auto" | "ratio" | "forced"
     estimates: Dict[str, float] = field(default_factory=dict)
     notes: List[str] = field(default_factory=list)
 
@@ -249,18 +245,10 @@ class ExecutionPlan:
             np.bincount(np.concatenate(band_rows), minlength=nrows)
             if band_rows else np.zeros(nrows, dtype=np.int64)
         )
-        if self.partial:
-            if self.bands and not bool(np.all(counts <= 1)):
-                raise ValueError(
-                    "partial plan bands must cover each output row at most once"
-                )
-        else:
-            if self.bands and not bool(np.all(counts == 1)):
-                raise ValueError(
-                    "plan bands must cover every output row exactly once"
-                )
-            if not self.bands and nrows != 0:
-                raise ValueError("plan has no bands but the output has rows")
+        if self.bands and not bool(np.all(counts == 1)):
+            raise ValueError("plan bands must cover every output row exactly once")
+        if not self.bands and nrows != 0:
+            raise ValueError("plan has no bands but the output has rows")
         return self
 
     # ------------------------------------------------------------------
@@ -276,7 +264,6 @@ class ExecutionPlan:
             "grid": self.grid.as_dict(),
             "machine": self.machine,
             "mode": self.mode,
-            "partial": self.partial,
             "bands": [
                 {
                     "algo": band.algo,
@@ -309,12 +296,6 @@ class ExecutionPlan:
                 else "no column panels"
             ),
         ]
-        if self.partial:
-            covered = sum(band.nrows for band in self.bands)
-            lines.append(
-                f"  partial plan: {covered} of {self.shape[0]} output rows "
-                "(delta patch — untouched rows come from the cached result)"
-            )
         for i, band in enumerate(self.bands):
             pct = 100.0 * band.nrows / nrows
             if not band.est_cycles:

@@ -99,8 +99,7 @@ ROWS_PER_THREAD = 512
 def host_row_ns(host: HostProfile, algo: str, b, mask, fl) -> np.ndarray:
     """Measured-coefficient nanoseconds per output row for ``algo``
     (algorithms without coefficients are priced as ``msa``); ``fl`` is
-    ``flops_per_row(a, b)``.  The planner and the delta engine's
-    patch-or-full decision price rows with this one function."""
+    ``flops_per_row(a, b)``."""
     if algo == "inner":
         return host.row_ns("inner", pulls_per_row(b, mask), mask.row_nnz())
     key = algo if algo in host.candidates else "msa"

@@ -9,7 +9,7 @@ into fresh shared-memory segments.  An :class:`ExecutionSession` amortises
 that across calls, and every cache pays for its own key:
 
 * **operand fingerprints** (:class:`Fingerprint`) — a content digest
-  (blake2b over per-row-block structure and value digests), taken only
+  (blake2b over the structure, and over the values), taken only
   when a cache below asks for it, once per distinct operand object per
   call (:meth:`ExecutionSession.call`) and never trusted across calls.
   Content keys make every cache safe: a *new* object with equal bytes
@@ -26,10 +26,10 @@ that across calls, and every cache pays for its own key:
   the data segment in place.
 * **derived-CSC memo** — ``CSC.from_csr`` results are memoised on the
   session *and* on the CSR object itself behind the fingerprint, and read
-  only by calls that hold that fingerprint anyway (the delta engine, a
-  call scope that already digested the operand for another cache): a
-  digest costs more than the counting-pass transpose it would save, so no
-  call takes one for this.
+  only by calls that hold that fingerprint anyway (a call scope that
+  already digested the operand for another cache): a digest costs more
+  than the counting-pass transpose it would save, so no call takes one
+  for this.
 * **symbolic bound memo** — 2P symbolic sweeps are cached per structure;
   on a hit the recorded counter delta is replayed, so sessioned and
   sessionless runs report identical ``OpCounter`` totals.
@@ -60,7 +60,6 @@ import numpy as np
 
 from ..machine import HOST_NATIVE, OpCounter, host_profile, resolve_machine
 from ..sparse import CSC, CSR
-from ..sparse.diff import block_digest_pair
 from .planner import Planner
 
 __all__ = [
@@ -71,12 +70,11 @@ __all__ = [
     "resolve_session",
 ]
 
-#: LRU capacities (entries) of a session's derived-CSC memo, symbolic-bound
-#: memo and delta-state table; the shm segment registry's byte budget is
+#: LRU capacities (entries) of a session's derived-CSC memo and
+#: symbolic-bound memo; the shm segment registry's byte budget is
 #: :data:`repro.parallel.segment_cache.DEFAULT_SEGMENT_CACHE_BYTES`
 CSC_CACHE_SIZE = 16
 BOUND_CACHE_SIZE = 64
-DELTA_CACHE_SIZE = 8
 
 
 @dataclass(frozen=True)
@@ -106,18 +104,16 @@ class Fingerprint:
         return (self.shape, self.nnz, self.structure)
 
 
-def fingerprint_csr(mat: CSR, digests=None) -> Fingerprint:
-    """Digest a CSR operand (one linear pass over its three arrays).
-
-    The fingerprint is derived from the operand's block-digest vectors
-    (:func:`repro.sparse.diff.block_digest_pair`; pass them as ``digests``
-    when already taken), so the delta engine's diff and every content key
-    come out of the same single hash pass."""
-    structure, content = block_digest_pair(mat) if digests is None else digests
+def fingerprint_csr(mat: CSR) -> Fingerprint:
+    """Digest a CSR operand in one linear pass over its three arrays: one
+    blake2b over ``(shape, sorted flag, row counts, indices)``, one over
+    the value dtype and ``data``."""
     hs = hashlib.blake2b(digest_size=16)
     hs.update(f"{mat.shape[0]}x{mat.shape[1]}|{int(mat.sorted_indices)}".encode())
-    hs.update(structure.tobytes())
-    hv = hashlib.blake2b(content.tobytes(), digest_size=16)
+    hs.update(np.ascontiguousarray(np.diff(mat.indptr)))
+    hs.update(np.ascontiguousarray(mat.indices))
+    hv = hashlib.blake2b(mat.data.dtype.str.encode(), digest_size=16)
+    hv.update(np.ascontiguousarray(mat.data))
     return Fingerprint(mat.shape, mat.nnz, hs.hexdigest(), hv.hexdigest())
 
 
@@ -164,19 +160,13 @@ class ExecutionSession:
         self.machine = self.planner.machine
         self.plan_defaults = dict(plan_defaults or {})
         self.caching = bool(caching)
-        #: id(mat) -> (mat, Fingerprint, block digest vectors), alive only
-        #: inside :meth:`call`.  Holding ``mat`` strongly guarantees the id
-        #: is never recycled while the entry lives.
+        #: id(mat) -> (mat, Fingerprint), alive only inside :meth:`call`.
+        #: Holding ``mat`` strongly guarantees the id is never recycled
+        #: while the entry lives.
         self._fps: dict = {}
         self._call_depth = 0
         self._cscs: "OrderedDict[tuple, CSC]" = OrderedDict()
         self._bounds: "OrderedDict[tuple, tuple]" = OrderedDict()
-        #: problem slot -> delta state (operands, digests, plan, result)
-        #: retained by repro.engine.delta between incremental calls
-        self._delta: "OrderedDict[tuple, object]" = OrderedDict()
-        #: slots whose priced patch did not cover its bookkeeping: they run
-        #: as if ``delta=None`` for the rest of the session
-        self._delta_off: set = set()
         self._segments = None  # lazy SegmentCache
         # reuse telemetry
         self.csc_cache_hits = 0
@@ -188,12 +178,6 @@ class ExecutionSession:
         #: formation was fused into the numeric pass (docs/kernels.md)
         self.fused_numeric_hits = 0
         self.fingerprint_digests = 0
-        # delta-execution telemetry (repro.engine.delta): calls returned
-        # straight from the cached result, calls patched row-wise, and
-        # calls whose dirty fraction forced a full recompute
-        self.delta_hits = 0
-        self.delta_patches = 0
-        self.delta_fallbacks = 0
 
     # -- fingerprints --------------------------------------------------
     @contextmanager
@@ -214,28 +198,18 @@ class ExecutionSession:
             if outermost:
                 self._fps.clear()
 
-    def _digest(self, mat: CSR) -> tuple:
-        ent = self._fps.get(id(mat))
-        if ent is None or ent[0] is not mat:
-            vectors = block_digest_pair(mat)
-            ent = (mat, fingerprint_csr(mat, vectors), vectors)
-            self.fingerprint_digests += 1
-            if self._call_depth:
-                self._fps[id(mat)] = ent
-        return ent
-
     def fingerprint(self, mat: CSR) -> Fingerprint:
         """Content fingerprint of ``mat``; digested once per :meth:`call`
         scope, on every request outside one.  Nothing on the serial path
         asks for one: call this only where a hit saves more than the hash
         pass costs."""
-        return self._digest(mat)[1]
-
-    def block_digests(self, mat: CSR) -> tuple:
-        """``(structure, content)`` block digest vectors of ``mat``
-        (:func:`repro.sparse.diff.block_digest_pair`) — the same hash pass
-        its :meth:`fingerprint` is derived from."""
-        return self._digest(mat)[2]
+        fp = self._known_fingerprint(mat)
+        if fp is None:
+            fp = fingerprint_csr(mat)
+            self.fingerprint_digests += 1
+            if self._call_depth:
+                self._fps[id(mat)] = (mat, fp)
+        return fp
 
     def invalidate(self, mat=None) -> None:
         """Evict the caches that depend on one operand's content.
@@ -243,9 +217,9 @@ class ExecutionSession:
         ``mat`` may be a :class:`~repro.sparse.CSR` (digested as it is now)
         or a :class:`Fingerprint` — e.g. one taken before the matrix was
         written to in place; ``None`` clears every cache.  Eviction is
-        *targeted*: only CSC-memo, bound-memo and delta-state
-        entries keyed by that operand's structure or content digest are
-        dropped — entries for unrelated operands survive.  Never needed
+        *targeted*: only CSC-memo and bound-memo entries keyed by that
+        operand's structure or content digest are dropped — entries for
+        unrelated operands survive.  Never needed
         for correctness (content keys make every cache self-invalidating);
         it frees the entries before the LRUs would."""
         if mat is None:
@@ -263,11 +237,6 @@ class ExecutionSession:
             (k, v) for k, v in self._bounds.items() if sk not in k[:3]
         )
         self._cscs.pop(key, None)
-        self._delta = OrderedDict(
-            (k, v)
-            for k, v in self._delta.items()
-            if key not in (v.fa.key, v.fb.key) and sk != v.fm.structure_key
-        )
 
     # -- planning ------------------------------------------------------
     def plan(self, a: CSR, b: CSR, mask: CSR, **knobs):
@@ -295,9 +264,9 @@ class ExecutionSession:
         Reuse pays for its own key: digesting ``mat`` costs more than the
         transpose a hit would save (``docs/sessions.md``), so the memo — the
         session LRU and ``mat._csc_memo`` on the object, both guarded by the
-        fingerprint — is consulted only when the caller passes ``fp`` (the
-        delta engine does) or this call scope has already digested ``mat``
-        for another consumer.  Otherwise the CSC is simply built."""
+        fingerprint — is consulted only when the caller passes ``fp`` or
+        this call scope has already digested ``mat`` for another consumer.
+        Otherwise the CSC is simply built."""
         fp = fp or self._known_fingerprint(mat)
         if fp is None or not self.caching:
             return CSC.from_csr(mat)
@@ -313,19 +282,6 @@ class ExecutionSession:
         while len(self._cscs) > CSC_CACHE_SIZE:
             self._cscs.popitem(last=False)
         return csc
-
-    # -- delta state (repro.engine.delta) ------------------------------
-    def _delta_get(self, slot: tuple):
-        state = self._delta.get(slot)
-        if state is not None:
-            self._delta.move_to_end(slot)
-        return state
-
-    def _delta_store(self, slot: tuple, state) -> None:
-        self._delta[slot] = state
-        self._delta.move_to_end(slot)
-        while len(self._delta) > DELTA_CACHE_SIZE:
-            self._delta.popitem(last=False)
 
     # -- symbolic bounds -----------------------------------------------
     def symbolic_bounds(
@@ -394,9 +350,6 @@ class ExecutionSession:
             "bound_cache_misses": self.bound_cache_misses,
             "fused_numeric_hits": self.fused_numeric_hits,
             "fingerprint_digests": self.fingerprint_digests,
-            "delta_hits": self.delta_hits,
-            "delta_patches": self.delta_patches,
-            "delta_fallbacks": self.delta_fallbacks,
             "segments_reused": 0,
             "segments_published": 0,
             "values_republished": 0,
@@ -441,8 +394,6 @@ class ExecutionSession:
         self._fps.clear()
         self._cscs.clear()
         self._bounds.clear()
-        self._delta.clear()
-        self._delta_off.clear()
 
     def __enter__(self) -> "ExecutionSession":
         return self
@@ -470,7 +421,7 @@ def plan_call(
     **knobs,
 ):
     """The one planning spelling of :func:`repro.engine.plan_and_execute`
-    — sessioned, sessionless and the delta engine's full run alike — and of
+    — sessioned and sessionless alike — and of
     :meth:`ExecutionSession.plan`: pick the planner (the given one, else
     the session's unless ``machine`` names another, else the one cached for
     the resolved ``machine``), let the session's ``plan_defaults`` fill the

@@ -25,13 +25,6 @@ Counter semantics:
   ``nnz(m)/load_factor`` per row).
 * ``spa_resets`` — cells cleared when recycling a dense accumulator.
 * ``symbolic_flops`` — work done in a 2P symbolic phase.
-* ``rows_recomputed`` / ``rows_patched`` / ``delta_fallbacks`` — the
-  delta engine's work certificate (:mod:`repro.engine.delta`): output rows
-  re-executed because their inputs changed (every row of a full run on
-  the delta path), rows spliced unchanged from the cached result, and
-  incremental calls that fell back to a full recompute because the patch
-  was not predicted to pay (or the dirty fraction exceeded a numeric
-  threshold).
 * ``segments_reused`` / ``bytes_republished`` — cross-call reuse wins of
   an :class:`~repro.engine.ExecutionSession` (shared-memory operand
   segments served from the session registry instead of republished; bytes
@@ -39,6 +32,9 @@ Counter semantics:
   sessionless runs, so backend-equivalence comparisons are unaffected.
   ``plan_cache_hits`` is kept for stored snapshots and the ladder's traced
   rungs; plans are no longer cached, so it stays 0.
+* ``rows_recomputed`` / ``rows_patched`` / ``delta_fallbacks`` are kept
+  for stored snapshots and the ladder's traced rungs; nothing charges
+  them, so they stay 0.
 
 Schema growth: counters cross process and file boundaries (pool workers
 pickle them back; the benchmark history stores their dict form), so every
@@ -78,10 +74,7 @@ class OpCounter:
     plan_cache_hits: int = 0
     segments_reused: int = 0
     bytes_republished: int = 0
-    # delta-execution counters (repro.engine.delta): output rows actually
-    # recomputed vs. spliced unchanged from the cached result, and calls
-    # where the dirty fraction forced a full recompute.  Zero outside
-    # ``delta=`` runs, so equivalence comparisons are unaffected.
+    # kept for stored snapshots and the ladder's traced rungs; always 0
     rows_recomputed: int = 0
     rows_patched: int = 0
     delta_fallbacks: int = 0

@@ -47,7 +47,6 @@ PREDICTION_KINDS = {
     "engine.cell": "cell",
     "kernel.bucket": "batch-bucket",
     "app.bfs.level": "spmv-direction",
-    "engine.delta": "delta-patch",
 }
 
 #: coarse per-product cost (cycles/flop beyond the explicit terms) used to
@@ -132,10 +131,6 @@ def prediction_rows(tracer_or_spans, *, machine=None) -> List[dict]:
             key = "cell:" + (",".join(str(c) for c in cell) if cell else "?")
             cycles = float(attrs.get("est_cycles", 0.0) or 0.0)
             bytes_ = float(attrs.get("est_bytes", 0.0) or 0.0)
-        elif kind == "delta-patch":
-            key = f"delta:{attrs.get('rows_recomputed')}"
-            cycles = float(attrs.get("est_cycles", 0.0) or 0.0)
-            bytes_ = float(attrs.get("est_bytes", 0.0) or 0.0)
         elif kind == "batch-bucket":
             key = f"bucket:{attrs.get('bucket')}"
             cycles = _bucket_cycles(attrs, m) if m is not None else 0.0
@@ -168,8 +163,7 @@ def prediction_rows(tracer_or_spans, *, machine=None) -> List[dict]:
                 in (
                     "band", "rows", "reason", "batch", "backend", "bucket",
                     "cell", "direction", "level", "frontier_density",
-                    "decision_source", "rows_recomputed", "rows_patched",
-                    "dirty_fraction",
+                    "decision_source",
                 )
             },
         }

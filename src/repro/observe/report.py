@@ -171,11 +171,7 @@ def report(tracer, *, plan=None, probes=None, session=None,
         st = session.stats()
         lines.append("")
         lines.append("=== session reuse ===")
-        lines.append(
-            f"  digests         taken={st['fingerprint_digests']:<7d} "
-            f"delta hits={st['delta_hits']} patches={st['delta_patches']} "
-            f"fallbacks={st['delta_fallbacks']}"
-        )
+        lines.append(f"  digests         taken={st['fingerprint_digests']}")
         lines.append(
             f"  csc memo        hits={st['csc_cache_hits']:<8d} "
             f"misses={st['csc_cache_misses']}"

@@ -9,7 +9,6 @@ degree-sorted relabeling lives in :mod:`repro.graphs.relabel`).
 from .csr import CSR
 from .csc import CSC
 from .dcsr import DCSR
-from .diff import DELTA_BLOCK_ROWS, block_digests, changed_rows, dirty_blocks
 from .ops import (
     apply_mask,
     column_panels,
@@ -31,10 +30,6 @@ __all__ = [
     "CSR",
     "CSC",
     "DCSR",
-    "DELTA_BLOCK_ROWS",
-    "block_digests",
-    "changed_rows",
-    "dirty_blocks",
     "apply_mask",
     "ewise_add",
     "ewise_mult",

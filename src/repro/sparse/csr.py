@@ -439,61 +439,6 @@ class CSR:
         keep = np.repeat(sel, np.diff(self.indptr))
         return self._keep_entries(keep).sort_indices()
 
-    def replace_rows(self, rows: np.ndarray, source: "CSR") -> "CSR":
-        """Splice ``source``'s rows ``rows`` into this matrix.
-
-        The delta-patch primitive of :mod:`repro.engine.delta`: the result
-        keeps this matrix's rows everywhere except ``rows``, which are
-        taken verbatim (indices *and* values) from the equal-shaped
-        ``source``.  One vectorised ``O(nnz)`` scatter — no COO round
-        trip, no re-sort — so patching a cached result costs the payload
-        copy, not a rebuild.  Both matrices must carry the
-        ``sorted_indices`` invariant (every engine product does); the
-        result carries it too.  ``rows`` may be unsorted or contain
-        duplicates; an empty ``rows`` returns ``self`` unchanged.
-        """
-        if source.shape != self.shape:
-            raise ValueError(
-                f"replace_rows requires an equal-shaped source: "
-                f"{self.shape} vs {source.shape}"
-            )
-        if not (self.sorted_indices and source.sorted_indices):
-            raise ValueError(
-                "replace_rows requires sorted_indices on both matrices; "
-                "call sort_indices() first"
-            )
-        rows = np.unique(np.asarray(rows, dtype=INDEX_DTYPE))
-        if rows.size == 0:
-            return self
-        if int(rows[0]) < 0 or int(rows[-1]) >= self.nrows:
-            raise ValueError("row index out of range")
-        sel = np.zeros(self.nrows, dtype=bool)
-        sel[rows] = True
-        counts = np.where(sel, np.diff(source.indptr), np.diff(self.indptr))
-        indptr = np.zeros(self.nrows + 1, dtype=INDEX_DTYPE)
-        np.cumsum(counts, out=indptr[1:])
-        nnz = int(indptr[-1])
-        dtype = np.result_type(self.data.dtype, source.data.dtype)
-        indices = np.empty(nnz, dtype=INDEX_DTYPE)
-        data = np.empty(nnz, dtype=dtype)
-        for mat, pick in ((self, ~sel), (source, sel)):
-            take = np.flatnonzero(pick)
-            lens = np.diff(mat.indptr)[take]
-            total = int(lens.sum())
-            if not total:
-                continue
-            rep = np.repeat(np.arange(take.size, dtype=INDEX_DTYPE), lens)
-            off = np.arange(total, dtype=INDEX_DTYPE) - np.repeat(
-                np.cumsum(lens) - lens, lens
-            )
-            src = mat.indptr[take][rep] + off
-            dst = indptr[take][rep] + off
-            indices[dst] = mat.indices[src]
-            data[dst] = mat.data[src]
-        return CSR(
-            self.shape, indptr, indices, data, sorted_indices=True, check=False
-        )
-
     def permute(self, perm: np.ndarray) -> "CSR":
         """Symmetric permutation ``P A P^T`` for a square matrix: row and
         column ``i`` of the result is row/column ``perm[i]`` of ``self``."""

@@ -3,8 +3,8 @@
 Bit-for-bit identity of values *and* ``OpCounter``s across every spelling
 of a call is the library's contract.  This module is that contract as
 data: the axes (front door x ``algo`` x complement x phases x batch x
-orientation x backend x threads x grid x session x delta x machine x
-kernel tier), the operand sets they run over (the adversarial sets of
+orientation x backend x threads x grid x session x machine x kernel
+tier), the operand sets they run over (the adversarial sets of
 ``tests/test_native.py`` plus an R-MAT triangle-counting triple) and one
 record per call — ``(case id, blake2b of the CSR bytes, OpCounter)``; a
 call that raises records the error's type and text instead.
@@ -26,8 +26,8 @@ Three consumers:
   reference tier.
 
 The factorial is full where the axes interact (serial spellings; planned
-dispatch: backend x grid x session x delta) and one axis at a time
-elsewhere, ~35k calls per tier (see :func:`cases`).
+dispatch: backend x grid x session) and one axis at a time elsewhere,
+~22k calls per tier (see :func:`cases`).
 """
 
 from __future__ import annotations
@@ -189,7 +189,6 @@ ORIENTATIONS = ("row", "column")
 BACKENDS = (None, "serial", "thread", "process")
 GRIDS = (None, (2, 2), (1, 3))
 SESSIONS = (None, False, "own")  # "own": three calls — cold, warm, mutated
-DELTAS = (None, "auto", "force")
 #: a paper machine that is no preset, passed as an object
 ODD = dataclasses.replace(KNL, name="odd", cores=3, hit_cycles=6.0)
 MACHINES = (None, "haswell", ODD)
@@ -258,11 +257,11 @@ def cases() -> Iterator[Case]:
                        batch=batch, orientation=orientation)
         # planned dispatch: full factorial at 1P / auto batch / row
         planned = list(_algo_complement(skip=SERIAL_ONLY.get(name, ())))
-        for (algo, comp), backend, grid, session, delta in product(
-            planned, BACKENDS, GRIDS, SESSIONS, DELTAS
+        for (algo, comp), backend, grid, session in product(
+            planned, BACKENDS, GRIDS, SESSIONS
         ):
             yield case("masked_spgemm", algo=algo, complement=comp, backend=backend,
-                       grid=grid, session=session, delta=delta)
+                       grid=grid, session=session)
         # a modeled preset plans its own bands, workers and backend
         for comp, backend, grid, machine in product(
             (False, True), BACKENDS, GRIDS, MACHINES[1:]

@@ -12,8 +12,8 @@ executors of the same decomposition, not different algorithms.
 :class:`TestGridEquivalence` is the grid half of that contract: the
 executor cuts every plan into work items *band x row part x column panel*
 (``docs/parallel.md``), so a row partition (``R x 1``), a column-panelled
-multiply (``1 x K``), a grid (``R x K``) and a delta patch are spellings of
-one loop, and every spelling must equal the plain ``masked_spgemm(algo=X)``
+multiply (``1 x K``) and a grid (``R x K``) are spellings of one loop, and
+every spelling must equal the plain ``masked_spgemm(algo=X)``
 call in values *and* — for the algorithms whose counters are additive
 under row/column slicing (inner/msa/mca/esc; hash sizes its table per
 flop-budget batch and the heap schemes' merge costs depend on row extent,
@@ -205,7 +205,7 @@ class TestForcedBackendReachesThePlanner:
     def test_a_forced_algorithm_keeps_the_callers_backend(self, backend):
         """``algo="msa", backend=...`` used to run one in-process kernel
         span and no work item: a forced algorithm is planned too once the
-        caller names a backend, as with ``shards=`` and ``delta=``."""
+        caller names a backend, as with ``shards=``."""
         import os
 
         from repro.graphs import relabel_by_degree
@@ -301,7 +301,7 @@ class TestSegmentHygiene:
 
 
 # ----------------------------------------------------------------------
-# one grid: R x 1, 1 x K, R x K, partial — all the plain call
+# one grid: R x 1, 1 x K, R x K — all the plain call
 # ----------------------------------------------------------------------
 #: algorithms whose OpCounter totals are invariant under row/column slicing
 ADDITIVE_COUNTER_ALGOS = ("inner", "msa", "mca", "esc")
@@ -337,8 +337,8 @@ def _assert_same(got: CSR, ref: CSR, label="") -> None:
     assert np.array_equal(got.indptr, ref.indptr), label
     assert np.array_equal(got.indices, ref.indices), label
     assert np.array_equal(got.data, ref.data), label
-    # column indices ascend within every output row: the invariant delta
-    # splicing and k-truss's searchsorted alignment rely on
+    # column indices ascend within every output row: the invariant
+    # k-truss's searchsorted alignment relies on
     assert got.sorted_indices, label
     rows = np.repeat(np.arange(got.nrows), got.row_nnz())
     assert np.all(np.diff(got.indices)[rows[1:] == rows[:-1]] > 0), label
@@ -453,24 +453,3 @@ class TestGridEquivalence:
             got = masked_spgemm(a, b, m, algo=algo, orientation="column",
                                 shards=shards)
             _assert_same(got, ref, algo)
-
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_partial_plan_runs_dirty_row_blocks_only(self, backend):
-        """A delta patch is the same loop restricted to dirty rows: row
-        blocks that own none of them are neither dispatched nor (process
-        backend) republished."""
-        n = 64
-        a = erdos_renyi(n, n, 6, seed=1, values="uniform")
-        b = erdos_renyi(n, n, 6, seed=2, values="uniform")
-        m = erdos_renyi(n, n, 6, seed=5)
-        a2 = a.copy()
-        a2.data[a2.indptr[5]:a2.indptr[6]] *= 3.0  # row 5: block 0 of 4
-        kw = dict(algo="msa", shards=(4, 2), backend=backend)
-        with ExecutionSession() as sess:
-            masked_spgemm(a, b, m, session=sess, delta="force", **kw)
-            with tracing() as tr:
-                got = masked_spgemm(a2, b, m, session=sess, delta="force", **kw)
-        _assert_same(got, masked_spgemm(a2, b, m, algo="msa"), backend)
-        cells = _cell_spans(tr)
-        assert cells and {sp.attrs["cell"][1] for sp in cells} == {0}
-        assert active_segments() == ()

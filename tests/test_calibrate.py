@@ -68,7 +68,7 @@ class TestCalibrateMachine:
 
 @pytest.mark.backend
 class TestProcessCrossoverCalibration:
-    """The host fitter (kernel, split and delta costs; it prices no pool and
+    """The host fitter (kernel, CSC and split costs; it prices no pool and
     spawns none)."""
 
     def test_calibrate_returns_new_config(self):
@@ -87,8 +87,6 @@ class TestProcessCrossoverCalibration:
             assert per_work + per_mask + per_row > 0
             assert report["median_relative_error"][algo] >= 0
         assert fitted.csc_nnz_ns > 0
-        # the delta engine's two per-nonzero costs come out of the same run
-        assert fitted.splice_nnz_ns > 0 and fitted.delta_nnz_ns > 0
         # what the fitter does not measure carries over
         assert fitted.name == HOST.name
         assert "backend_overhead" not in report and pool_size() == 0

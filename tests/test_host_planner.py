@@ -113,7 +113,7 @@ class TestHostChoices:
             assert plan(a, b, m).estimates["inner"] == cold
             assert s.plan(a, b, m).estimates["inner"] == cold
             with s.call():
-                s.fingerprint(b)  # what the delta engine does before planning
+                s.fingerprint(b)  # as a content-keyed cache does before planning
                 warm = s.plan(a, b, m).estimates["inner"]
         assert cold - warm == pytest.approx(HOST.csc_nnz_ns * b.nnz * 1e-9)
 

@@ -16,10 +16,9 @@ from repro.machine import OpCounter
 
 from . import lattice
 
-SAMPLE = 250
-#: session / delta telemetry: what a call reused, not what it computed
-TELEMETRY = ("segments_reused", "bytes_republished", "rows_recomputed",
-             "rows_patched", "delta_fallbacks")
+SAMPLE = 210
+#: session telemetry: what a call reused, not what it computed
+TELEMETRY = ("segments_reused", "bytes_republished")
 #: algorithms whose work counters are additive under row slicing
 ADDITIVE = ("inner", "msa", "mca", "esc")
 
@@ -70,44 +69,34 @@ def test_the_sample_is_fixed_and_spans_the_axes():
     assert seen["backend"] == set(lattice.BACKENDS) | {"auto"}
     assert seen["grid"] == set(lattice.GRIDS)
     assert seen["session"] == set(lattice.SESSIONS)
-    assert seen["delta"] == set(lattice.DELTAS)
     assert seen["threads"] == set(lattice.THREADS)
     assert seen["machine"] == set(lattice.MACHINES[1:])
     assert seen["orientation"] == {"row", "column"}
 
 
-def test_only_a_sessionless_forced_delta_raises(calls):
-    for case, options, call_id, result, _ in calls:
-        if isinstance(result, Exception):
-            assert options.get("delta") == "force" and options["session"] != "own", (
-                call_id, result)
-            assert str(result) == "delta='force' requires a caching ExecutionSession"
-
-
 def test_sample_matches_the_reference_tier(calls):
     memo = {}
     for case, options, call_id, got, _ in calls:
-        if isinstance(got, Exception):
-            continue
+        assert not isinstance(got, Exception), (call_id, got)
         want, _ = _plain(memo, case, call_id, algo="msa", impl="reference",
                          complement=options["complement"])
         assert got.shape == want.shape, call_id
         assert np.array_equal(got.indptr, want.indptr), call_id
         assert np.array_equal(got.indices, want.indices), call_id
         assert np.allclose(got.data, want.data, rtol=1e-12, atol=0, equal_nan=True), call_id
-        # every kernel emits each row column-ascending: delta splicing, the
-        # grid merge and the apps' searchsorted alignments rest on it
+        # every kernel emits each row column-ascending: the grid merge and
+        # the apps' searchsorted alignments rest on it
         keys = got.row_ids() * (got.ncols + 1) + got.indices
         assert np.all(np.diff(keys) > 0), call_id
 
 
 def test_forced_spellings_are_the_plain_call(calls):
     """Same bytes as ``masked_spgemm(algo=X)`` on every door, backend, grid,
-    session and delta; same work counters where nothing was sliced away."""
+    and session; same work counters where nothing was sliced away."""
     memo, checked = {}, 0
     for case, options, call_id, got, counter in calls:
         if (
-            isinstance(got, Exception) or case.door == "hybrid"
+            case.door == "hybrid"
             or options["algo"] == "auto" or options.get("orientation") == "column"
         ):
             continue
@@ -120,7 +109,7 @@ def test_forced_spellings_are_the_plain_call(calls):
         # products never expanded: grids, panels and the all-empty mask)
         if (
             options["algo"] in ADDITIVE and case.door != "chunked"
-            and options.get("grid") is None and options.get("delta") is None
+            and options.get("grid") is None
             and case.operands != "empty-mask"
         ):
             assert _work(counter) == _work(plain), call_id

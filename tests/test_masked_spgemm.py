@@ -195,10 +195,6 @@ class TestOneFrontDoor:
                 assert text(algo=algo, backend="bogus") == (
                     "backend must be one of ('serial', 'thread', 'process') "
                     "(or 'threads'), got 'bogus'")
-            if door == "masked_spgemm":  # with no session to validate it
-                assert text(algo=algo, delta="bogus") == (
-                    "delta must be 'auto', 'force', a dirty-fraction threshold "
-                    "in (0, 1] or None, got 'bogus'")
 
     @pytest.mark.parametrize("machine, sessioned", [(None, True), ("haswell", True),
                                                     (None, False)])

@@ -71,6 +71,13 @@ def _pool_teardown():
     assert active_segments() == ()
 
 
+#: a process-backend grid: two work items, so the operands are published
+#: through the session's segment registry
+_PROCESS_GRID = (
+    ({"backend": "process", "shards": (2, 1)},) if process_backend_available() else ()
+)
+
+
 def _work_fields(counter: OpCounter) -> dict:
     return {
         f.name: getattr(counter, f.name)
@@ -141,79 +148,81 @@ class TestFingerprint:
         assert sess.fingerprint(a).key != f1.key
 
     def test_fingerprint_is_derived_from_the_block_digests(self):
-        from repro.sparse.diff import block_digest_pair
-
+        # the name predates the one-pass digest: equal bytes in a new object
+        # give an equal fingerprint, and any changed index, value, row
+        # boundary or sorted flag gives a different key
         a = erdos_renyi(600, 600, 3, seed=1, values="uniform")
         sess = ExecutionSession()
         with sess.call():
             fp = sess.fingerprint(a)
-            structure, content = sess.block_digests(a)
-        assert sess.fingerprint_digests == 1  # one hash pass serves both
-        want_s, want_c = block_digest_pair(a)
-        assert np.array_equal(structure, want_s) and np.array_equal(content, want_c)
-        assert fp == fingerprint_csr(a) == fingerprint_csr(a, (want_s, want_c))
+            assert sess.fingerprint(a) is fp
+        assert sess.fingerprint_digests == 1
+        assert fp == fingerprint_csr(a) == fingerprint_csr(
+            CSR(a.shape, a.indptr.copy(), a.indices.copy(), a.data.copy(),
+                sorted_indices=a.sorted_indices)
+        )
+        indices = a.indices.copy()
+        indices[-1] = (indices[-1] + 1) % a.ncols
+        data = a.data.copy()
+        data[a.nnz // 2] += 1.0
+        indptr = a.indptr.copy()
+        row = int(np.flatnonzero(np.diff(indptr) > 1)[0])
+        indptr[row + 1] -= 1  # one entry moves to the next row
+        assert a.sorted_indices
+        changed = [
+            CSR(a.shape, a.indptr, indices, a.data, sorted_indices=True, check=False),
+            CSR(a.shape, a.indptr, a.indices, data, sorted_indices=True),
+            CSR(a.shape, indptr, a.indices, a.data, sorted_indices=True, check=False),
+            CSR(a.shape, a.indptr, a.indices, a.data, sorted_indices=False),
+        ]
+        keys = {fp.key} | {fingerprint_csr(m).key for m in changed}
+        assert len(keys) == 1 + len(changed)
 
     def test_one_digest_per_distinct_operand_per_call(self):
+        # phases=2 keys its bound memo by all three operands' structure
         a = erdos_renyi(48, 48, 3, seed=1, values="uniform")
         b = erdos_renyi(48, 48, 3, seed=2, values="uniform")
         with ExecutionSession() as sess:
             for calls in (1, 2):
-                masked_spgemm(a, a, a, algo="auto", session=sess, delta="auto")
+                masked_spgemm(a, a, a, algo="auto", phases=2, session=sess)
                 assert sess.fingerprint_digests == calls
-            masked_spgemm(a, b, a, algo="auto", session=sess, delta="auto")
+            masked_spgemm(a, b, a, algo="auto", phases=2, session=sess)
             assert sess.fingerprint_digests == 4
 
-    @pytest.mark.parametrize("delta", (None, "auto", "force"))
-    def test_inplace_mutation_between_calls_recomputes(self, delta):
-        # ROADMAP 5a: the second call used to return the first call's object
-        a = erdos_renyi(64, 64, 4, seed=1, values="uniform")
-        with ExecutionSession() as sess:
-            c1 = masked_spgemm(a, a, a, algo="auto", session=sess, delta=delta)
-            first = c1.data.copy()
-            a.data[:] *= 2
-            c2 = masked_spgemm(a, a, a, algo="auto", session=sess, delta=delta)
-        ref = masked_spgemm(a, a, a, algo="auto")
-        assert c2 is not c1
-        assert np.array_equal(c1.data, first)
-        assert np.array_equal(c2.indices, ref.indices)
-        assert np.array_equal(c2.data, ref.data)
-        assert np.array_equal(c2.data, 4.0 * first)
+    def test_inplace_mutation_between_calls_recomputes(self):
+        # ROADMAP 5a: the second call used to return the first call's object;
+        # the plain call takes no digest, phases=2 keys the bound memo and a
+        # process-backend grid the segment registry by content
+        for kw in ({}, {"phases": 2}) + _PROCESS_GRID:
+            a = erdos_renyi(64, 64, 4, seed=1, values="uniform")
+            with ExecutionSession() as sess:
+                c1 = masked_spgemm(a, a, a, algo="auto", session=sess, **kw)
+                first = c1.data.copy()
+                a.data[:] *= 2
+                c2 = masked_spgemm(a, a, a, algo="auto", session=sess, **kw)
+            ref = masked_spgemm(a, a, a, algo="auto")
+            assert c2 is not c1, kw
+            assert np.array_equal(c1.data, first), kw
+            assert np.array_equal(c2.indices, ref.indices), kw
+            assert np.array_equal(c2.data, ref.data), kw
+            assert np.array_equal(c2.data, 4.0 * first), kw
 
     def test_inplace_structure_change_between_calls_recomputes(self):
-        a = erdos_renyi(64, 64, 4, seed=1, values="uniform")
         other = erdos_renyi(64, 64, 4, seed=2, values="uniform")
-        assert other.nnz != a.nnz or not np.array_equal(other.indices, a.indices)
-        with ExecutionSession() as sess:
-            masked_spgemm(a, a, a, algo="auto", session=sess, delta="force")
-            a.indptr, a.indices, a.data = other.indptr, other.indices, other.data
-            got = masked_spgemm(a, a, a, algo="auto", session=sess, delta="force")
         ref = masked_spgemm(other, other, other, algo="auto")
-        assert np.array_equal(got.indptr, ref.indptr)
-        assert np.array_equal(got.indices, ref.indices)
-        assert np.array_equal(got.data, ref.data)
-
-    def test_delta_results_never_alias_the_cached_state(self):
-        # a caller writing into any returned result must not corrupt the
-        # state later hits and patches are served from
-        a = erdos_renyi(64, 64, 4, seed=1, values="uniform")
-        ref = masked_spgemm(a, a, a, algo="auto")
-        with ExecutionSession() as sess:
-            seen = []
-            for _ in range(3):  # cold run, then two identical-call hits
-                c = masked_spgemm(a, a, a, algo="auto", session=sess,
-                                  delta="auto")
-                assert all(c is not s for s in seen)
-                assert np.array_equal(c.data, ref.data)
-                seen.append(c)
-                c.data[:] = -1.0
-            a2 = CSR(a.shape, a.indptr, a.indices, a.data.copy(),
-                     sorted_indices=True)
-            a2.data[: a2.indptr[1]] *= 2.0  # row 0 only: a patch
-            got = masked_spgemm(a2, a, a, algo="auto", session=sess,
-                                delta="force")
-        want = masked_spgemm(a2, a, a, algo="auto")
-        assert np.array_equal(got.indices, want.indices)
-        assert np.array_equal(got.data, want.data)
+        for kw in ({"phases": 2},) + _PROCESS_GRID:
+            a = erdos_renyi(64, 64, 4, seed=1, values="uniform")
+            assert other.nnz != a.nnz or not np.array_equal(other.indices, a.indices)
+            with ExecutionSession() as sess:
+                masked_spgemm(a, a, a, algo="auto", session=sess, **kw)
+                digests = sess.fingerprint_digests
+                assert digests > 0, kw
+                a.indptr, a.indices, a.data = other.indptr, other.indices, other.data
+                got = masked_spgemm(a, a, a, algo="auto", session=sess, **kw)
+                assert sess.fingerprint_digests > digests, kw
+            assert np.array_equal(got.indptr, ref.indptr), kw
+            assert np.array_equal(got.indices, ref.indices), kw
+            assert np.array_equal(got.data, ref.data), kw
 
     def test_fingerprint_is_frozen_dataclass(self):
         fp = fingerprint_csr(erdos_renyi(8, 8, 2, seed=1))
@@ -345,7 +354,7 @@ class TestDerivedCaches:
         assert sess.csc_of(a) is not sess.csc_of(a)
         assert a._csc_memo is None and not sess._cscs
         assert (sess.fingerprint_digests, sess.csc_cache_hits, sess.csc_cache_misses) == (0, 0, 0)
-        # a caller that holds the fingerprint (the delta engine) gets the memo
+        # a caller that holds the fingerprint gets the memo
         fp = fingerprint_csr(a)
         c1 = sess.csc_of(a, fp)
         assert sess.csc_of(a, fp) is c1

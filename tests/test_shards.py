@@ -90,8 +90,8 @@ class TestShardGrid:
         assert sum(hi - lo for lo, hi in g.col_panels()) == 7
 
     def test_grid_is_hashable_plan_cache_key_material(self):
-        # (the name predates the plan cache's removal; grids are still
-        # compared and hashed, e.g. by the delta slot key)
+        # (the name predates the plan cache's removal; a grid stays a
+        # frozen, hashable value)
         a = ShardGrid.regular((10, 10), 2, 2)
         b = ShardGrid.regular((10, 10), 2, 2)
         assert a == b and hash(a) == hash(b)
