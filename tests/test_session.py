@@ -189,23 +189,32 @@ class TestFingerprint:
             masked_spgemm(a, b, a, algo="auto", phases=2, session=sess)
             assert sess.fingerprint_digests == 4
 
-    def test_inplace_mutation_between_calls_recomputes(self):
-        # ROADMAP 5a: the second call used to return the first call's object;
-        # the plain call takes no digest, phases=2 keys the bound memo and a
-        # process-backend grid the segment registry by content
-        for kw in ({}, {"phases": 2}) + _PROCESS_GRID:
-            a = erdos_renyi(64, 64, 4, seed=1, values="uniform")
-            with ExecutionSession() as sess:
-                c1 = masked_spgemm(a, a, a, algo="auto", session=sess, **kw)
-                first = c1.data.copy()
-                a.data[:] *= 2
-                c2 = masked_spgemm(a, a, a, algo="auto", session=sess, **kw)
-            ref = masked_spgemm(a, a, a, algo="auto")
-            assert c2 is not c1, kw
-            assert np.array_equal(c1.data, first), kw
-            assert np.array_equal(c2.indices, ref.indices), kw
-            assert np.array_equal(c2.data, ref.data), kw
-            assert np.array_equal(c2.data, 4.0 * first), kw
+    #: one session path per case; the ids are the removed ``delta=`` modes',
+    #: kept so the case names stay stable.  The plain call takes no digest,
+    #: phases=2 keys the bound memo and a grid (process backend when there
+    #: is one) the segment registry by content
+    _MUTATION_PATHS = {
+        None: {},
+        "auto": {"phases": 2},
+        "force": (_PROCESS_GRID or ({"backend": "thread", "shards": (2, 1)},))[0],
+    }
+
+    @pytest.mark.parametrize("path", tuple(_MUTATION_PATHS))
+    def test_inplace_mutation_between_calls_recomputes(self, path):
+        # ROADMAP 5a: the second call used to return the first call's object
+        kw = self._MUTATION_PATHS[path]
+        a = erdos_renyi(64, 64, 4, seed=1, values="uniform")
+        with ExecutionSession() as sess:
+            c1 = masked_spgemm(a, a, a, algo="auto", session=sess, **kw)
+            first = c1.data.copy()
+            a.data[:] *= 2
+            c2 = masked_spgemm(a, a, a, algo="auto", session=sess, **kw)
+        ref = masked_spgemm(a, a, a, algo="auto")
+        assert c2 is not c1
+        assert np.array_equal(c1.data, first)
+        assert np.array_equal(c2.indices, ref.indices)
+        assert np.array_equal(c2.data, ref.data)
+        assert np.array_equal(c2.data, 4.0 * first)
 
     def test_inplace_structure_change_between_calls_recomputes(self):
         other = erdos_renyi(64, 64, 4, seed=2, values="uniform")
