@@ -28,6 +28,14 @@ depend on what ran before it (asserted: the plan made with the pool warm
 equals the one made with it cold), and the one default call that used to
 (scale 17 planned ``threads=2, process`` once a pool was up and took
 1.65-2x its own kernel on most calls) must stay within the same 1.15x.
+
+A third table gates what planning costs where the kernels are fastest, as
+absolute gaps — a ratio inflates whenever the kernel gets faster: over
+every product of ``ktruss(rmat(10), 5)`` and of BC on ``rmat(12)`` (64
+sources), ``auto`` minus the best forced algorithm of each product, summed
+over the app call, must stay within 0.2 ms per product; and ``auto`` on
+R-MAT 6 triangle counting, a 0.05 ms kernel, within 2x forced ``msa``.
+Every row of it is asserted, however small.
 """
 
 import time
@@ -35,7 +43,8 @@ import time
 import numpy as np
 import pytest
 
-from repro.core import masked_spgemm
+from repro.apps import betweenness_centrality, ktruss
+from repro.core import masked_spgemm, supports_complement
 from repro.engine import plan
 from repro.graphs import erdos_renyi, relabel_by_degree, rmat
 from repro.machine import available_cores
@@ -50,6 +59,12 @@ WARM_POOL_SCALES = (16, 17)
 REPEATS = 5
 MAX_REGRET = 1.15
 MIN_ASSERTED_S = 0.020
+#: the absolute gates: auto's per-product gap over an app call, and the
+#: tiny-call ratio on R-MAT 6 triangle counting
+MAX_GAP_PER_PRODUCT_S = 0.2e-3
+TINY_TC_REGRET = 2.0
+#: best-of repeats of the sub-millisecond products
+PRODUCT_REPEATS = 25
 
 
 def _tc(scale):
@@ -68,11 +83,11 @@ def _cells():
         yield f"tc rmat-{scale}", low, low, low, PLUS_PAIR
 
 
-def _timed(a, b, m, algo, sr):
+def _timed(a, b, m, algo, sr, complement=False):
     """Seconds and output of one call, directly after an untimed one."""
-    masked_spgemm(a, b, m, algo=algo, semiring=sr)
+    masked_spgemm(a, b, m, algo=algo, semiring=sr, complement=complement)
     t0 = time.perf_counter()
-    out = masked_spgemm(a, b, m, algo=algo, semiring=sr)
+    out = masked_spgemm(a, b, m, algo=algo, semiring=sr, complement=complement)
     return time.perf_counter() - t0, out
 
 
@@ -198,3 +213,79 @@ def test_auto_regret_with_a_warm_pool(benchmark, save_result):
     assert all(r["pure"] for r in rows), [(r["cell"], r["threads"], r["backend"]) for r in rows]
     bad = [(r["cell"], round(r["regret"], 2)) for r in rows if r["regret"] > MAX_REGRET]
     assert not bad, f"auto slower than {MAX_REGRET}x forced msa with a warm pool: {bad}"
+
+
+def _app_products():
+    """``(app, products, semiring)``: the recorded masked products of one
+    app call each."""
+    log = []
+    ktruss(rmat(10, seed=1), 5, call_log=log, session=False)
+    yield "ktruss rmat-10", log, PLUS_PAIR
+    g = rmat(12, seed=1)
+    sources = np.random.default_rng(1).choice(g.nrows, size=64, replace=False)
+    log = []
+    betweenness_centrality(g, sources, call_log=log, session=False)
+    yield "bc rmat-12", log, PLUS_TIMES
+
+
+def _best(a, b, m, algos, sr, complement=False):
+    """Best-of-``PRODUCT_REPEATS`` seconds per algorithm, rounds interleaved;
+    a forced algorithm over 2x off the best after the first round is not
+    timed again."""
+    best, live = {}, algos
+    for _ in range(PRODUCT_REPEATS):
+        for algo in live:
+            dt, _ = _timed(a, b, m, algo, sr, complement)
+            best[algo] = min(best.get(algo, dt), dt)
+        floor = min(best[k] for k in algos if k != "auto")
+        live = tuple(k for k in live if k == "auto" or best[k] <= 2 * floor)
+    return best
+
+
+def test_auto_gap_where_kernels_are_fastest(benchmark, save_result):
+    def run():
+        rows = []
+        for app, log, sr in _app_products():
+            gap, forced_s, auto_s = 0.0, 0.0, 0.0
+            for a, b, m, complement in log:
+                algos = tuple(
+                    k for k in FAST_ALGOS if not complement or supports_complement(k)
+                )
+                best = _best(a, b, m, algos + ("auto",), sr, complement)
+                floor = min(best[k] for k in algos)
+                gap += best["auto"] - floor
+                forced_s += floor
+                auto_s += best["auto"]
+            rows.append({
+                "cell": app, "products": len(log), "best_forced_s": forced_s,
+                "auto_s": auto_s, "gap_per_product_s": gap / len(log),
+            })
+        low = _tc(6)
+        best = _best(low, low, low, ("msa", "auto"), PLUS_PAIR)
+        rows.append({
+            "cell": "tc rmat-6", "products": 1, "best_forced_s": best["msa"],
+            "auto_s": best["auto"], "gap_per_product_s": best["auto"] - best["msa"],
+        })
+        return rows
+
+    rows = benchmark.pedantic(run, rounds=1, iterations=1)
+
+    lines = [
+        f"auto vs the best forced algorithm per product (best of {PRODUCT_REPEATS})",
+        f"{'cell':16} {'products':>8} {'forced ms':>10} {'auto ms':>9} {'gap/product ms':>15}",
+    ]
+    for r in rows:
+        lines.append(
+            f"{r['cell']:16} {r['products']:8d} {r['best_forced_s'] * 1e3:10.3f} "
+            f"{r['auto_s'] * 1e3:9.3f} {r['gap_per_product_s'] * 1e3:15.3f}"
+        )
+    save_result("\n".join(lines), data={"rows": rows}, title="auto gap per product")
+
+    tiny = rows[-1]
+    assert tiny["auto_s"] <= TINY_TC_REGRET * tiny["best_forced_s"], tiny
+    bad = [
+        (r["cell"], round(r["gap_per_product_s"] * 1e3, 3))
+        for r in rows[:-1]
+        if r["gap_per_product_s"] > MAX_GAP_PER_PRODUCT_S
+    ]
+    assert not bad, f"auto over {MAX_GAP_PER_PRODUCT_S * 1e3} ms per product: {bad}"

@@ -50,7 +50,7 @@ from ..engine import resolve_session
 from ..machine import OpCounter
 from ..observe import timed_span
 from ..semiring import PLUS_TIMES
-from ..sparse import CSR, ewise_add
+from ..sparse import CSC, CSR, ewise_add
 from ..core import masked_spgemm
 from ..core.masked_spgemm import supports_complement
 
@@ -103,11 +103,11 @@ def betweenness_centrality(
     SpGEMMs (``None``, the default: in-process, one worker).  ``shards``
     passes the grid knob through to every level's masked SpGEMM (see
     ``docs/parallel.md``).  ``session`` controls cross-call caching — an
-    :class:`~repro.engine.ExecutionSession`, ``None`` (default: open a
-    loop-local one for ``algo="auto"``), or ``False`` to disable.  BC is
-    the paper's best case for reuse: ``A`` and ``A^T`` are constant across
-    every level, so their shm segments publish once and only the small
-    frontier/numsp operands move per call.
+    :class:`~repro.engine.ExecutionSession` the caller opens, or ``None``
+    (default) / ``False`` for none.  BC is the paper's best case for reuse
+    on the process backend: ``A`` and ``A^T`` are constant across every
+    level, so under a session their shm segments publish once and only the
+    small frontier/numsp operands move per call.
     """
     if not supports_complement(algo):
         raise ValueError(
@@ -126,21 +126,15 @@ def betweenness_centrality(
     sources = np.asarray(list(sources), dtype=np.int64)
     s = sources.shape[0]
     counter = counter if counter is not None else OpCounter()
-    session, owned = resolve_session(
-        session, auto=(algo == "auto" or shards is not None)
-    )
+    session = resolve_session(session)
     # stage spans: per-step forward (complemented mask) / backward (plain
     # mask) breakdowns appear in trace exports; timed_span also feeds the
     # result's *_seconds fields when tracing is off
-    try:
-        return _betweenness_body(
-            a, sources, s, algo=algo, impl=impl, phases=phases,
-            counter=counter, call_log=call_log, backend=backend,
-            shards=shards, session=session,
-        )
-    finally:
-        if owned and session is not None:
-            session.close()
+    return _betweenness_body(
+        a, sources, s, algo=algo, impl=impl, phases=phases,
+        counter=counter, call_log=call_log, backend=backend,
+        shards=shards, session=session,
+    )
 
 
 def _betweenness_body(
@@ -160,6 +154,9 @@ def _betweenness_body(
     n = a.nrows
     with timed_span("bc.run", {"batch": s, "algo": algo}) as sp_total:
         a_t = a.transpose()
+        # the backward products multiply by A^T, whose CSC is A itself: an
+        # inner-product level reads it instead of transposing A^T back
+        a_t_csc = CSC(a_t.shape, a.sort_indices())
 
         # frontier_0: one unit entry per source row
         frontier = CSR.from_coo(
@@ -215,7 +212,7 @@ def _betweenness_body(
                 t_d = masked_spgemm(
                     w, a_t, below, algo=algo, impl=impl,
                     phases=phases, semiring=PLUS_TIMES, counter=counter,
-                    backend=backend,
+                    b_csc=a_t_csc, backend=backend,
                     shards=shards, session=session,
                 )
             spgemm_time += sp_b.seconds

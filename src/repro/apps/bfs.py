@@ -48,8 +48,8 @@ def multi_source_bfs(
     """Level-synchronous BFS from every source at once (one masked SpGEMM
     per level; the complemented mask is the visited set).  ``A`` is
     constant across levels, so a ``session`` (an
-    :class:`~repro.engine.ExecutionSession`; default: loop-local for
-    ``algo="auto"``, ``False`` disables) publishes it once."""
+    :class:`~repro.engine.ExecutionSession` the caller opens; default
+    ``None``: none) publishes it once."""
     n = a.nrows
     if a.ncols != n:
         raise ValueError("adjacency must be square")
@@ -60,28 +60,24 @@ def multi_source_bfs(
 
     frontier = CSR.from_coo((s, n), np.arange(s, dtype=np.int64), sources, np.ones(s))
     visited = frontier.copy()
-    session, owned = resolve_session(session, auto=(algo == "auto"))
+    session = resolve_session(session)
     d = 0
-    try:
-        while frontier.nnz:
-            d += 1
-            frontier = masked_spgemm(
-                frontier, a, visited, algo=algo, impl=impl, complement=True,
-                semiring=PLUS_PAIR, counter=counter, session=session,
-            )
-            if frontier.nnz == 0:
-                d -= 1
-                break
-            fr, fc, _ = frontier.to_coo()
-            levels[fr, fc] = d
-            vr, vc, vv = visited.to_coo()
-            visited = CSR.from_coo(
-                (s, n),
-                np.concatenate([vr, fr]),
-                np.concatenate([vc, fc]),
-                np.concatenate([vv, np.ones(fr.shape[0])]),
-            )
-    finally:
-        if owned and session is not None:
-            session.close()
+    while frontier.nnz:
+        d += 1
+        frontier = masked_spgemm(
+            frontier, a, visited, algo=algo, impl=impl, complement=True,
+            semiring=PLUS_PAIR, counter=counter, session=session,
+        )
+        if frontier.nnz == 0:
+            d -= 1
+            break
+        fr, fc, _ = frontier.to_coo()
+        levels[fr, fc] = d
+        vr, vc, vv = visited.to_coo()
+        visited = CSR.from_coo(
+            (s, n),
+            np.concatenate([vr, fr]),
+            np.concatenate([vc, fc]),
+            np.concatenate([vv, np.ones(fr.shape[0])]),
+        )
     return BFSResult(levels=levels, sources=sources, depth=d)

@@ -98,20 +98,16 @@ def ktruss(
     see ``docs/parallel.md``).
 
     ``session`` controls cross-call caching: pass an
-    :class:`~repro.engine.ExecutionSession` to share one across apps,
-    ``None`` (default, ``algo="auto"`` only) to open a loop-local session,
-    or ``False`` to disable caching entirely.
+    :class:`~repro.engine.ExecutionSession` to share one across calls;
+    ``None`` (default) and ``False`` run without one — a serial product
+    has nothing for a session to save (``docs/sessions.md``).
     """
     if k < 3:
         raise ValueError("k must be >= 3")
     if delta is not None and delta not in ("auto", "force"):
         raise ValueError(f"delta must be 'auto', 'force' or None, got {delta!r}")
     counter = counter if counter is not None else OpCounter()
-    # grid runs route through the engine even with a forced algo, so
-    # they benefit from (and default to) a loop-local session as well
-    session, owned = resolve_session(
-        session, auto=(algo == "auto" or shards is not None)
-    )
+    session = resolve_session(session)
     spgemm_time = 0.0
     flops: List[int] = []
 
@@ -135,46 +131,42 @@ def ktruss(
     # per-round spans (edges shrink as pruning proceeds — the paper's
     # sparsifying-mask observation) with the masked SpGEMMs nested inside;
     # timed_span keeps the result's second fields populated untraced
-    try:
-        with timed_span("ktruss.run", {"k": k, "algo": algo}) as sp_total:
-            # full symmetric pattern without diagonal
-            cur = _sym(a.pattern().triu(1))
-            keys = _keys(cur)  # filtered along with cur's entries
-            support = removed = None  # removed: set where a round decrements
-            edges = []
-            it = 0
-            for it in range(1, max_iters + 1):
-                edges.append(cur.nnz)
-                flops.append(0)
-                with timed_span(
-                    "ktruss.iter", {"iteration": it, "edges": cur.nnz}
-                ):
-                    if removed is not None:
-                        d = product(removed, cur, cur)
-                        rr = product(removed, removed, cur)
-                        support -= _aligned(
-                            keys,
-                            np.concatenate((_keys(d), _keys(d, True), _keys(rr))),
-                            np.concatenate((d.data, d.data, rr.data)),
-                        )
-                    else:
-                        s = product(cur, cur, cur)
-                        support = _aligned(keys, _keys(s), s.data)
-                    strong = support >= k - 2
-                    if strong.all():
-                        break
-                    kept = cur._keep_entries(strong)
-                    removed = (
-                        cur._keep_entries(~strong)
-                        if delta == "force"
-                        or (delta == "auto" and _decrement_pays(kept, cur))
-                        else None
+    with timed_span("ktruss.run", {"k": k, "algo": algo}) as sp_total:
+        # full symmetric pattern without diagonal
+        cur = _sym(a.pattern().triu(1))
+        keys = _keys(cur)  # filtered along with cur's entries
+        support = removed = None  # removed: set where a round decrements
+        edges = []
+        it = 0
+        for it in range(1, max_iters + 1):
+            edges.append(cur.nnz)
+            flops.append(0)
+            with timed_span(
+                "ktruss.iter", {"iteration": it, "edges": cur.nnz}
+            ):
+                if removed is not None:
+                    d = product(removed, cur, cur)
+                    rr = product(removed, removed, cur)
+                    support -= _aligned(
+                        keys,
+                        np.concatenate((_keys(d), _keys(d, True), _keys(rr))),
+                        np.concatenate((d.data, d.data, rr.data)),
                     )
-                    cur, keys, support = kept, keys[strong], support[strong]
-        total = sp_total.seconds
-    finally:
-        if owned and session is not None:
-            session.close()
+                else:
+                    s = product(cur, cur, cur)
+                    support = _aligned(keys, _keys(s), s.data)
+                strong = support >= k - 2
+                if strong.all():
+                    break
+                kept = cur._keep_entries(strong)
+                removed = (
+                    cur._keep_entries(~strong)
+                    if delta == "force"
+                    or (delta == "auto" and _decrement_pays(kept, cur))
+                    else None
+                )
+                cur, keys, support = kept, keys[strong], support[strong]
+    total = sp_total.seconds
     return KTrussResult(
         truss=cur,
         iterations=it,

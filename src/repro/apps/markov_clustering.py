@@ -102,16 +102,14 @@ def markov_clustering(
     masked one restricted to ``pattern(M) U pattern(M_strong^2)`` where
     ``M_strong`` keeps each column's heavier half — the flop-saving trick
     enabled by masked SpGEMM.  ``session`` (an
-    :class:`~repro.engine.ExecutionSession`; default: loop-local when the
-    masked expansion is in play, ``False`` disables) carries the
-    cross-call caches of the expansion iterations.
+    :class:`~repro.engine.ExecutionSession` the caller opens; ``None``, the
+    default, or ``False`` for none) carries the cross-call caches of the
+    expansion iterations.
     """
     if a.nrows != a.ncols:
         raise ValueError("adjacency must be square")
     counter = counter if counter is not None else OpCounter()
-    session, owned = resolve_session(
-        session, auto=(selective_expansion and algo == "auto")
-    )
+    session = resolve_session(session)
     n = a.nrows
     # add self loops (standard MCL initialisation) and normalise
     loops = CSR.from_coo((n, n), np.arange(n), np.arange(n), np.ones(n))
@@ -121,30 +119,26 @@ def markov_clustering(
     flops = 0
     converged = False
     it = 0
-    try:
-        for it in range(1, max_iters + 1):
-            from ..machine import total_flops
+    for it in range(1, max_iters + 1):
+        from ..machine import total_flops
 
-            flops += total_flops(m, m)
-            if selective_expansion:
-                strong = m.drop_zeros(float(np.median(m.data)) * 0.5)
-                hop2 = spgemm_saxpy_fast(strong.pattern(), strong.pattern())
-                mask = pattern_union(m.pattern(), hop2.pattern())
-                expanded = masked_spgemm(
-                    m, m, mask, algo=algo, counter=counter, session=session,
-                )
-            else:
-                expanded = spgemm_saxpy_fast(m, m, counter=counter)
-            nxt = _prune(_inflate(expanded, inflation), prune_threshold)
-            # convergence: stable pattern and values
-            if nxt.nnz == m.nnz and nxt.equals(m, rtol=0, atol=tol):
-                m = nxt
-                converged = True
-                break
+        flops += total_flops(m, m)
+        if selective_expansion:
+            strong = m.drop_zeros(float(np.median(m.data)) * 0.5)
+            hop2 = spgemm_saxpy_fast(strong.pattern(), strong.pattern())
+            mask = pattern_union(m.pattern(), hop2.pattern())
+            expanded = masked_spgemm(
+                m, m, mask, algo=algo, counter=counter, session=session,
+            )
+        else:
+            expanded = spgemm_saxpy_fast(m, m, counter=counter)
+        nxt = _prune(_inflate(expanded, inflation), prune_threshold)
+        # convergence: stable pattern and values
+        if nxt.nnz == m.nnz and nxt.equals(m, rtol=0, atol=tol):
             m = nxt
-    finally:
-        if owned and session is not None:
-            session.close()
+            converged = True
+            break
+        m = nxt
 
     labels_raw = _connected_components(m)
     ids = {r: k for k, r in enumerate(np.unique(labels_raw))}

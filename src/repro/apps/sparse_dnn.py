@@ -167,25 +167,21 @@ def sparse_dnn_forward_topk(
     the exact forward pass.
 
     The weight layers are constant across batches, so a long-lived
-    ``session`` (an :class:`~repro.engine.ExecutionSession`; default:
-    loop-local for ``algo="auto"``, ``False`` disables) keeps their
+    ``session`` (an :class:`~repro.engine.ExecutionSession` the caller
+    opens; ``None``, the default, or ``False`` for none) keeps their
     published segments warm across process-backend calls.
     """
     counter = counter if counter is not None else OpCounter()
-    session, owned = resolve_session(session, auto=(algo == "auto"))
+    session = resolve_session(session)
     y = x
     nnzs = []
-    try:
-        for w, b in zip(net.weights, net.biases):
-            y = _topk_rows(y, top_k)
-            # reachable output pattern of the sparsified activations
-            mask = spgemm_saxpy_fast(y.pattern(), w.pattern()).pattern()
-            y = masked_spgemm(y, w, mask, algo=algo, semiring=PLUS_TIMES,
-                              counter=counter, session=session)
-            y = _relu_bias(y, b)
-            nnzs.append(y.nnz)
-    finally:
-        if owned and session is not None:
-            session.close()
+    for w, b in zip(net.weights, net.biases):
+        y = _topk_rows(y, top_k)
+        # reachable output pattern of the sparsified activations
+        mask = spgemm_saxpy_fast(y.pattern(), w.pattern()).pattern()
+        y = masked_spgemm(y, w, mask, algo=algo, semiring=PLUS_TIMES,
+                          counter=counter, session=session)
+        y = _relu_bias(y, b)
+        nnzs.append(y.nnz)
     return DNNResult(activations=y, nnz_per_layer=nnzs,
                      flops=counter.flops, counter=counter)

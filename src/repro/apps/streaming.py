@@ -4,7 +4,7 @@ A window sliding over an edge stream inserts a few edges at the front and
 deletes a few at the back each step, and the masked product
 ``S = A .* (A @ A)`` — per-edge triangle support, the same product k-truss
 and triangle counting iterate — is recomputed for every window position.
-A loop-local session carries the cross-call caches between steps; results
+A caller's session carries the cross-call caches between steps; results
 are bit-for-bit identical to a sessionless run.
 """
 
@@ -87,8 +87,9 @@ def sliding_window_triangles(
     — and the global triangle count ``sum(S) / 6``.
 
     ``session`` follows the iterative-app convention
-    (:func:`~repro.apps.ktruss`): ``algo="auto"`` (or a ``shards=`` grid)
-    opens a loop-local session by default, ``False`` disables it.
+    (:func:`~repro.apps.ktruss`): an
+    :class:`~repro.engine.ExecutionSession` the caller opens, or ``None``
+    (default) / ``False`` for none.
     """
     edges = np.asarray(edges, dtype=np.int64)
     if edges.ndim != 2 or edges.shape[1] != 2:
@@ -96,45 +97,39 @@ def sliding_window_triangles(
     if window <= 0 or step <= 0:
         raise ValueError("window and step must be positive")
     counter = counter if counter is not None else OpCounter()
-    session, owned = resolve_session(
-        session, auto=(algo == "auto" or shards is not None)
-    )
+    session = resolve_session(session)
     triangles: List[int] = []
     edge_counts: List[int] = []
     support = CSR.empty((n, n))
     nsteps = 0
-    try:
-        with timed_span(
-            "streaming.run", {"window": window, "step": step, "algo": algo}
-        ) as sp_total:
-            pos = 0
-            while pos < edges.shape[0]:
-                active = edges[pos:pos + window]
-                cur = _window_adjacency(active, n)
-                with timed_span(
-                    "streaming.step",
-                    {"step": nsteps, "edges": cur.nnz // 2},
+    with timed_span(
+        "streaming.run", {"window": window, "step": step, "algo": algo}
+    ) as sp_total:
+        pos = 0
+        while pos < edges.shape[0]:
+            active = edges[pos:pos + window]
+            cur = _window_adjacency(active, n)
+            with timed_span(
+                "streaming.step",
+                {"step": nsteps, "edges": cur.nnz // 2},
+                counter=counter,
+            ):
+                support = masked_spgemm(
+                    cur, cur, cur, algo=algo, semiring=PLUS_PAIR,
                     counter=counter,
-                ):
-                    support = masked_spgemm(
-                        cur, cur, cur, algo=algo, semiring=PLUS_PAIR,
-                        counter=counter,
-                        backend=backend,
-                        shards=shards,
-                        session=session,
-                    )
-                triangles.append(int(round(float(support.data.sum()) / 6.0)))
-                edge_counts.append(cur.nnz // 2)
-                nsteps += 1
-                if max_steps is not None and nsteps >= max_steps:
-                    break
-                if pos + window >= edges.shape[0]:
-                    break
-                pos += step
-        total = sp_total.seconds
-    finally:
-        if owned and session is not None:
-            session.close()
+                    backend=backend,
+                    shards=shards,
+                    session=session,
+                )
+            triangles.append(int(round(float(support.data.sum()) / 6.0)))
+            edge_counts.append(cur.nnz // 2)
+            nsteps += 1
+            if max_steps is not None and nsteps >= max_steps:
+                break
+            if pos + window >= edges.shape[0]:
+                break
+            pos += step
+    total = sp_total.seconds
     return StreamingResult(
         steps=nsteps,
         triangles=triangles,

@@ -197,8 +197,10 @@ def masked_spgemm(
         the rows' upper-bound flops — or ``"perrow"`` — contiguous
         flop-budget row blocks; ``"auto"`` (default) buckets when the
         call's upper-bound flops reach the crossover (``1 << 18``).  With
-        ``algo="auto"`` the planner decides per row band (a forced value
-        applies to every band).  Values and counters are bit-for-bit the
+        ``algo="auto"`` it is decided per row band: by the planner on a
+        parallel or preset plan, by the kernel where the chunks are made
+        on a serial host plan (whose bands are whole kernel calls); a
+        forced value applies to every band.  Values and counters are bit-for-bit the
         same either way.  It selects for ``msa`` and ``esc``; it is a
         no-op for ``hash``, the native loops and every other algorithm.
     session:

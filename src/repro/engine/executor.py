@@ -425,14 +425,16 @@ def plan_and_execute(
     ``planner``, the session's with its ``plan_defaults``, or the one
     cached for ``machine``), which receives every forced knob — the plan is
     the only carrier of ``backend`` into the work-item loop — and execution
-    reuses the session's CSC memo and shm segment registry.
+    reuses the session's CSC memo and shm segment registry.  A given
+    ``b_csc`` is the inner product's CSC, so the plan does not charge
+    ``inner`` for building one.
     """
     session = caching_session(session)
     with session.call() if session is not None else _obs.NULL_SPAN:
         pl = plan_call(
             a, b, mask, session=session, machine=machine, planner=planner,
             semiring=semiring, complement=complement, phases=phases,
-            backend=backend, **plan_kwargs,
+            backend=backend, _b_csc=b_csc, **plan_kwargs,
         )
         # the planner validated its own plan: skip execute()'s second pass
         return _execute(

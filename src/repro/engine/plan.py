@@ -38,6 +38,8 @@ __all__ = ["RowBand", "ShardGrid", "ExecutionPlan"]
 #: algorithms a plan may reference (kept in sync with repro.core by tests)
 _KNOWN_ALGOS = ("inner", "msa", "hash", "mca", "heap", "heapdot", "esc")
 _NO_COMPLEMENT = frozenset({"inner", "mca"})
+#: how a multi-worker plan cuts a band's rows into parts
+PARTITIONS = ("block", "cyclic", "balanced")
 #: batch tiers a band may carry (kept in sync with repro.core.kernels.batch)
 _KNOWN_BATCH = ("auto", "bucket", "perrow")
 
@@ -216,7 +218,7 @@ class ExecutionPlan:
             raise ValueError("phases must be 1 or 2")
         if self.threads <= 0:
             raise ValueError("threads must be positive")
-        if self.partition not in ("block", "cyclic", "balanced"):
+        if self.partition not in PARTITIONS:
             raise ValueError("partition must be 'block', 'cyclic' or 'balanced'")
         if self.backend not in ("serial", "thread", "process"):
             raise ValueError("backend must be 'serial', 'thread' or 'process'")

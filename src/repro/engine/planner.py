@@ -3,14 +3,19 @@
 
 ``machine`` plays one of two roles, and the planner prices rows accordingly:
 
-* **the host** (``machine=None``, every shipped default): per-row seconds
-  come from the measured :class:`~repro.machine.HostProfile` — linear in
-  ``flops(AB)``, mask nonzeros and pulled pairs, statistics computed once
-  per plan.  Rows are split into bands only when the predicted saving
-  beats the measured cost of slicing and merging.  Worker count and
-  backend belong to the caller: one serial worker unless ``threads=`` or
-  ``backend=`` says otherwise (``docs/parallel.md``, "Who picks the
-  backend"), so a plan is a function of operands, options and profile.
+* **the host** (``machine=None``, every shipped default): seconds come
+  from the measured :class:`~repro.machine.HostProfile` — linear in
+  ``flops(AB)``, mask nonzeros and pulled pairs.  A host plan is paid on
+  every ``algo="auto"`` call, so it decides in the cheapest of three
+  layers that can (:meth:`Planner._host_plan`; ``docs/engine.md``, "What a
+  host plan costs"): one candidate needs no decision; whole-problem
+  totals from the operand sizes decide a clear call, exact totals (one
+  gather per entry) a close one; and only when a row split could repay
+  its slicing and merging does a per-row census price every row.  Worker
+  count and backend belong to the caller: one serial worker unless
+  ``threads=`` or ``backend=`` says otherwise (``docs/parallel.md``, "Who
+  picks the backend"), so a plan is a function of operands, options and
+  profile.
 * **a paper machine** (``"haswell"``, ``"knl"`` or a
   :class:`~repro.machine.MachineConfig`): per-row *cycles* from
   :class:`repro.machine.RowCostModel` — Figure 7's regime map, computed
@@ -59,9 +64,10 @@ from ..core.leaf import (
 )
 from ..machine import HostProfile, RowCostModel, flops_per_row, pulls_per_row, \
     resolve_machine
+from ..machine.traffic import flops_per_entry, pulls_per_entry, row_sums
 from ..parallel.executor import normalize_backend
 from ..parallel.pool import process_backend_available
-from .plan import ExecutionPlan, RowBand, ShardGrid
+from .plan import PARTITIONS, ExecutionPlan, RowBand, ShardGrid
 
 __all__ = ["Planner", "plan", "PLAN_CANDIDATES"]
 
@@ -92,18 +98,13 @@ _MODELED_PROCESS_CROSSOVER_CYCLES = 2.0e6
 #: (dispatch-overhead guard)
 MIN_BAND_FRACTION = 0.02
 
+#: a host plan's O(1) whole-problem estimates decide its algorithm when the
+#: runner-up is predicted at least this many times slower than the cheapest;
+#: a closer call is decided on the exact flop and pull totals
+DECISIVE_MARGIN = 2.0
+
 #: target rows per worker when choosing a worker count
 ROWS_PER_THREAD = 512
-
-
-def host_row_ns(host: HostProfile, algo: str, b, mask, fl) -> np.ndarray:
-    """Measured-coefficient nanoseconds per output row for ``algo``
-    (algorithms without coefficients are priced as ``msa``); ``fl`` is
-    ``flops_per_row(a, b)``."""
-    if algo == "inner":
-        return host.row_ns("inner", pulls_per_row(b, mask), mask.row_nnz())
-    key = algo if algo in host.candidates else "msa"
-    return host.row_ns(key, fl, mask.row_nnz())
 
 
 class Planner:
@@ -174,7 +175,7 @@ class Planner:
         memory_budget_bytes: Optional[int] = None,
         shards=None,
         batch: Optional[str] = None,
-        _csc_ready: bool = False,
+        _b_csc=None,
     ) -> ExecutionPlan:
         """Build a plan for ``C = M .* (A @ B)`` (``!M`` with complement).
 
@@ -195,19 +196,31 @@ class Planner:
         rule — and otherwise the grid stays ``1 x 1``.
 
         ``batch`` forces the fast kernels' batching tier (``"bucket"`` |
-        ``"perrow"``; ``None``/``"auto"`` lets the planner decide per band
-        against ``DEFAULT_BATCH_CROSSOVER_FLOPS``).  Tiers are
-        bit-for-bit identical, so this is purely a performance choice; the
-        resolved tier and the band's flops-size-class census land on each
-        :class:`~repro.engine.plan.RowBand` for ``explain()``/``as_dict()``.
+        ``"perrow"``; ``None``/``"auto"`` decides per band against
+        ``DEFAULT_BATCH_CROSSOVER_FLOPS``).  Tiers are bit-for-bit
+        identical, so this is purely a performance choice.  A parallel or
+        preset plan resolves the tier and records it, with the band's
+        flops-size-class census, on each
+        :class:`~repro.engine.plan.RowBand` for ``explain()``/``as_dict()``;
+        a serial host plan reads no per-row flops and leaves ``"auto"`` to
+        the kernel, which resolves it on the same flops.
 
-        ``_csc_ready`` is internal: :func:`~repro.engine.session.plan_call`
-        sets it when the call already holds B's fingerprint and the memoised
-        CSC behind it, and only then is ``inner`` not charged the CSC build.
+        On the host the decision itself costs what it can repay: see
+        :meth:`_host_plan` for the three layers.  A serial host plan also
+        skips the partition's row-work CV and the final ``validate()`` —
+        it is valid by construction.
+
+        ``_b_csc`` is internal: B's CSC when the call already has it — the
+        caller's ``b_csc=``, or the session memo behind a fingerprint the
+        call holds (:func:`~repro.engine.session.plan_call`).  Only then is
+        ``inner`` not charged the CSC build, and a close call reads B's
+        column counts off it instead of counting them.
         """
         check_operands(a, b, mask)
         if phases is not None and phases not in (1, 2):
             raise ValueError("phases must be 1 or 2")
+        if partition is not None and partition not in PARTITIONS:
+            raise ValueError("partition must be 'block', 'cyclic' or 'balanced'")
         if algo is not None and algo.lower() == "auto":
             algo = None
         if batch is not None and batch not in BATCH_TIERS:
@@ -216,14 +229,22 @@ class Planner:
             )
 
         notes: list = []
-        fl = flops_per_row(a, b)  # shared by every decision below
+        if backend is not None:
+            backend = normalize_backend(backend)
+        if self.host:
+            threads, backend = self._host_workers(
+                mask.nrows, threads, backend, notes
+            )
+        # per-row flops feed the batch tiers, the row partition and a
+        # preset's backend; a serial host plan reads none of them
+        fl = None if self.host and threads == 1 else flops_per_row(a, b)
         estimates: Dict[str, float] = {}
         if algo is not None:
             bands, mode = self._forced_bands(a, algo, complement), "forced"
             chosen_phases = 1 if phases is None else phases
         elif self.host:
-            bands, estimates = self._host_bands(
-                a, b, mask, fl, complement, notes, _csc_ready
+            bands, estimates = self._host_plan(
+                a, b, mask, complement, notes, _b_csc
             )
             mode = "auto"
             # the symbolic sweep is pure extra work for these kernels (they
@@ -247,26 +268,21 @@ class Planner:
             )
 
         self._assign_batch(fl, bands, batch, notes)
-        if backend is not None:
-            backend = normalize_backend(backend)
-        if self.host:
-            threads, backend = self._host_workers(
-                mask.nrows, threads, backend, notes
-            )
-        else:
+        if not self.host:
             if threads is None:
                 threads = self._pick_threads(a.nrows, notes)
             if backend is None:
                 backend = self._pick_backend(fl, bands, threads, notes)
         if partition is None:
-            partition = self._pick_partition(fl, notes)
+            # one worker: there is nothing to partition
+            partition = "block" if fl is None else self._pick_partition(fl, notes)
         grid = self._pick_grid(
             b, mask, shards, panel_width, memory_budget_bytes, complement, notes
         )
         if mask.nnz == 0 and not complement:
             notes.append("mask is empty: the output is empty regardless of algorithm")
 
-        return ExecutionPlan(
+        pl = ExecutionPlan(
             shape=(a.nrows, b.ncols),
             bands=bands,
             complement=complement,
@@ -279,7 +295,10 @@ class Planner:
             mode=mode,
             estimates=estimates,
             notes=notes,
-        ).validate()
+        )
+        # a serial host plan is valid by construction: every knob was
+        # checked on the way in and its bands cover the rows once
+        return pl if fl is None else pl.validate()
 
     # ------------------------------------------------------------------
     # banding policies
@@ -298,23 +317,97 @@ class Planner:
             )
         return cand
 
-    def _host_bands(self, a, b, mask, fl, complement: bool, notes, csc_ready: bool):
+    def _host_plan(self, a, b, mask, complement: bool, notes, b_csc):
+        """Bands and whole-problem estimates of a host plan, in three layers
+        that each stop as soon as the decision is made:
+
+        1. *nothing to decide* — one candidate can run the mask (a
+           complemented one, or ``candidates=`` of one): its band;
+        2. *O(1) totals* — every candidate's whole-problem nanoseconds from
+           the operand sizes, ``flops ~ nnz(A) nnz(B) / nrows(B)`` and
+           ``pulls ~ nnz(M) nnz(B) / ncols(B)``; unless the cheapest beats
+           the runner-up by :data:`DECISIVE_MARGIN`, the exact totals
+           (one gather each, no per-row array) decide instead;
+        3. *a census only where a split can pay* — splitting rows saves at
+           most the winner's total above the per-mask, per-row and per-call
+           floor every plan pays; only when that exceeds one more band plus
+           the slice+merge cost does :meth:`_host_bands` price each row.
+        """
+        host = self.machine
+        cand = self._supported(self.candidates, complement, notes) or ["msa"]
+        nrows, m_nnz = a.nrows, mask.nnz
+        if nrows == 0:
+            return [], {}
+        # (ns per unit of work, per mask nonzero, per row) of each candidate
+        coefs = [getattr(host, f"{c}_ns") for c in cand]
+        pull = [c == "inner" for c in cand]
+        # everything but the work term: mask entries, rows, the call, the CSC
+        rest = [pm * m_nnz + pr * nrows + host.band_ns for _, pm, pr in coefs]
+        if "inner" in cand and b_csc is None:
+            rest[cand.index("inner")] += host.csc_nnz_ns * b.nnz
+        flops = a.nnz * b.nnz / max(1, b.nrows)
+        pulls = m_nnz * b.nnz / max(1, b.ncols)
+        ns = [k[0] * (pulls if p else flops) + r for k, p, r in zip(coefs, pull, rest)]
+        # a close call's exact work, one entry of A (flops) or M (pulls) each
+        per_a = per_m = None
+        if len(cand) > 1:
+            first, second = sorted(ns)[:2]
+            if second < DECISIVE_MARGIN * first:
+                if not all(pull):
+                    per_a = flops_per_entry(a, b)
+                    flops = int(per_a.sum())
+                if any(pull):
+                    per_m = pulls_per_entry(b, mask, b_csc)
+                    pulls = int(per_m.sum())
+                ns = [k[0] * (pulls if p else flops) + r
+                      for k, p, r in zip(coefs, pull, rest)]
+        best = ns.index(min(ns))
+        if len(cand) > 1 and self.banding == "cost":
+            floor = (
+                min(k[1] for k in coefs) * m_nnz
+                + min(k[2] for k in coefs) * nrows + host.band_ns
+            )
+            split_ns = host.split_nnz_ns * (a.nnz + m_nnz)
+            if ns[best] - floor > host.band_ns + split_ns:
+                fl = flops_per_row(a, b) if per_a is None else row_sums(a, per_a)
+                pl = None
+                if any(pull):
+                    pl = pulls_per_row(b, mask) if per_m is None else row_sums(mask, per_m)
+                return self._host_bands(
+                    a, b, mask, fl, pl, cand, notes, b_csc is not None
+                )
+            notes.append(
+                f"one {cand[best]} band: no per-row split repays its "
+                f"~{(split_ns + host.band_ns) * 1e-6:.2f} ms slice+merge cost"
+            )
+        band = RowBand(
+            rows=np.arange(nrows, dtype=np.int64),
+            algo=cand[best],
+            reason=_REASONS[cand[best]],
+            # nanoseconds: 1 "cycle" is 1 ns (HostProfile.seconds)
+            est_cycles=float(ns[best]),
+        )
+        return [band], {c: float(t) * 1e-9 for c, t in zip(cand, ns)}
+
+    def _host_bands(self, a, b, mask, fl, pl, cand, notes, csc_ready: bool):
         """Bands from the host profile's linear kernel costs.
 
         Every non-empty subset of the candidates is priced as "each row
         runs its cheapest member": the sum of those row costs, one fixed
         band cost per member, the CSC build if ``inner`` is a member
-        (unless ``csc_ready``: a session holding B's fingerprint and its
-        memoised transpose says so) and — for a split plan — the
-        measured per-nonzero cost of slicing A and M and merging the band
-        results.  The cheapest subset wins, so rows are split exactly when
-        the predicted saving exceeds what the split costs.
+        (unless ``csc_ready``: B's CSC is already at hand) and — for a
+        split plan — the measured per-nonzero cost of slicing A and M and
+        merging the band results.  The cheapest subset wins, so rows are split exactly when
+        the predicted saving exceeds what the split costs.  ``fl`` is
+        ``flops_per_row(a, b)``, ``pl`` ``pulls_per_row(b, mask)`` (read
+        only when ``inner`` is a candidate), ``cand`` the candidates that
+        can run the mask.
         """
         host = self.machine
-        cand = self._supported(self.candidates, complement, notes) or ["msa"]
-        if a.nrows == 0:
-            return [], {}
-        cost = np.stack([host_row_ns(host, c, b, mask, fl) for c in cand])
+        m_rows = mask.row_nnz()
+        cost = np.stack([
+            host.row_ns(c, pl if c == "inner" else fl, m_rows) for c in cand
+        ])
         setup = np.full(len(cand), host.band_ns)
         if "inner" in cand and not csc_ready:
             setup[cand.index("inner")] += host.csc_nnz_ns * b.nnz
@@ -322,9 +415,8 @@ class Planner:
             c: float(cost[i].sum() + setup[i]) * 1e-9 for i, c in enumerate(cand)
         }
         split_ns = host.split_nnz_ns * (a.nnz + mask.nnz)
-        sizes = (1,) if self.banding == "none" else range(1, len(cand) + 1)
         best_ns, best = float("inf"), ()
-        for size in sizes:
+        for size in range(1, len(cand) + 1):
             for members in combinations(range(len(cand)), size):
                 idx = list(members)
                 total = float(cost[idx].min(axis=0).sum() + setup[idx].sum())
@@ -456,23 +548,29 @@ class Planner:
         the rest are pinned to ``"perrow"``.  Both tiers are bit-for-bit identical,
         so this is a pure performance decision — recorded on the band, with
         a census note, so ``explain()`` shows what will run batched and why.
+
+        ``per`` is ``None`` on a serial host plan: each band is one kernel
+        call over exactly its rows, and the kernel resolves ``"auto"``
+        against the same crossover on the same flops where it cuts its
+        chunks, so only a forced tier is written down.
         """
         if not bands:
             return
+        if forced == "auto":
+            forced = None
         bucketed_rows = 0
         perrow_rows = 0
         any_batchable = False
         for band in bands:
-            rows = np.asarray(band.rows)
-            band_flops = int(per[rows].sum())
-            band.buckets = bucket_census(per[rows])
+            if per is not None:
+                band.buckets = bucket_census(per[band.rows])
             if band.algo not in BATCHABLE_ALGOS:
                 band.batch = "perrow"
                 continue
             any_batchable = True
-            if forced is not None and forced != "auto":
-                band.batch = forced
-            elif band_flops >= DEFAULT_BATCH_CROSSOVER_FLOPS:
+            if forced is not None or per is None:
+                band.batch = forced or "auto"
+            elif int(per[band.rows].sum()) >= DEFAULT_BATCH_CROSSOVER_FLOPS:
                 band.batch = "bucket"
             else:
                 band.batch = "perrow"
@@ -482,9 +580,9 @@ class Planner:
                 perrow_rows += band.nrows
         if not any_batchable:
             return
-        if forced is not None and forced != "auto":
+        if forced is not None:
             notes.append(f"batch tier forced to {forced!r} by caller")
-        else:
+        elif per is not None:
             notes.append(
                 f"batch tiers: {bucketed_rows} rows bucketed, "
                 f"{perrow_rows} rows per-row "

@@ -121,9 +121,9 @@ class ExecutionSession:
     """Cross-call reuse context for iterative masked SpGEMM.
 
     Thread it through ``masked_spgemm(session=...)`` (or the ``session=``
-    parameter of the iterative apps, which open one automatically for
-    ``algo="auto"``), and close it — ``with ExecutionSession() as sess:``
-    — to release the shared-memory segments it keeps alive.
+    parameter of the iterative apps, which run without one unless given
+    one), and close it — ``with ExecutionSession() as sess:`` — to release
+    the shared-memory segments it keeps alive.
 
     Parameters
     ----------
@@ -448,21 +448,13 @@ def plan_call(
                  **{k: v for k, v in knobs.items() if v is not None}}
         # the CSC build is free exactly when csc_of() will find it memoised
         fp = session._known_fingerprint(b) if session.caching else None
-        if fp is not None and session._memoised_csc(b, fp) is not None:
-            knobs["_csc_ready"] = True
+        if fp is not None and knobs.get("_b_csc") is None:
+            knobs["_b_csc"] = session._memoised_csc(b, fp)
     return planner.plan(a, b, mask, **knobs)
 
 
-def resolve_session(session, *, auto: bool = True, machine=None):
-    """Normalise an app-level ``session`` argument.
-
-    Returns ``(session_or_None, owned)``: ``None`` opens a fresh session
-    when ``auto`` (the app closes it — ``owned=True``), ``False`` disables
-    sessions entirely, and an :class:`ExecutionSession` instance is used
-    as-is (the caller keeps ownership).
-    """
-    if session is False or (session is None and not auto):
-        return None, False
-    if session is None:
-        return ExecutionSession(machine=machine), True
-    return session, False
+def resolve_session(session):
+    """Normalise an app-level ``session`` argument: ``None`` (the default of
+    every app) and ``False`` mean no session; an :class:`ExecutionSession`
+    is used as-is and stays the caller's to close."""
+    return None if session is None or session is False else session

@@ -28,8 +28,10 @@ only caps what a forced parallel ``backend=`` gets.
 :func:`fit_host_profile` (``python -m repro.machine host``; medians of
 five runs) on the Fig. 7 density grid and R-MAT triangle counting;
 ``benchmarks/test_auto_regret.py`` is the wall-clock check that planning
-from them stays within 1.15x of the best forced algorithm.  Nothing here
-runs at import or on a first call.
+from them stays within 1.15x of the best forced algorithm on calls of
+20 ms and more, and — where the kernels are fastest — within 0.2 ms per
+product of an app call (within 2x on R-MAT 6 triangle counting).
+Nothing here runs at import or on a first call.
 """
 
 from __future__ import annotations

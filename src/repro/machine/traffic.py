@@ -32,8 +32,11 @@ import numpy as np
 from ..sparse import CSR
 
 __all__ = [
+    "flops_per_entry",
+    "pulls_per_entry",
     "flops_per_row",
     "pulls_per_row",
+    "row_sums",
     "total_flops",
     "useful_flops_per_row",
     "pull_traffic_words",
@@ -42,22 +45,38 @@ __all__ = [
 ]
 
 
+def flops_per_entry(a: CSR, b: CSR) -> np.ndarray:
+    """``nnz(B[k,:])`` for every stored ``A[i,k]``, in A's entry order: the
+    products that entry expands to (their sum is ``flops(AB)``)."""
+    return (b.indptr[1:] - b.indptr[:-1])[a.indices]
+
+
+def pulls_per_entry(b: CSR, mask: CSR, b_csc=None) -> np.ndarray:
+    """``nnz(B[:,j])`` for every stored ``M[i,j]``, in M's entry order: the
+    B column entries the pull-based inner kernel fetches for it.  Given
+    B's CSC, the column counts come off its pointers instead of a count."""
+    if b_csc is None:
+        col_nnz = np.bincount(b.indices, minlength=b.ncols)
+    else:
+        col_nnz = b_csc.indptr[1:] - b_csc.indptr[:-1]
+    return col_nnz[mask.indices]
+
+
 def flops_per_row(a: CSR, b: CSR) -> np.ndarray:
     """``flops(A[i,:] @ B)`` for every row i: the number of scalar products a
     push-based algorithm evaluates *without* a mask.  (The paper counts one
     "flop" per multiply; we follow that convention.)"""
-    return _row_sums(a, b.row_nnz()[a.indices])
+    return row_sums(a, flops_per_entry(a, b))
 
 
 def pulls_per_row(b: CSR, mask: CSR) -> np.ndarray:
     """``sum_{j in M[i,:]} nnz(B[:,j])`` for every row i: the (mask nonzero,
     B column entry) pairs the pull-based inner kernel fetches — the exact
     per-row form of Section 4.1's ``nnz(M) * nnz(B)/n`` expectation."""
-    col_nnz = np.bincount(b.indices, minlength=b.ncols)
-    return _row_sums(mask, col_nnz[mask.indices])
+    return row_sums(mask, pulls_per_entry(b, mask))
 
 
-def _row_sums(mat: CSR, per_entry: np.ndarray) -> np.ndarray:
+def row_sums(mat: CSR, per_entry: np.ndarray) -> np.ndarray:
     """Per-row sums of one int64 per stored entry: exact, one ``reduceat``
     over the non-empty rows (whose entry ranges tile the array, so each
     segment ends where the next begins)."""

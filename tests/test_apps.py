@@ -20,7 +20,7 @@ from repro.graphs import erdos_renyi, erdos_renyi_graph, rmat
 from repro.machine import OpCounter, total_flops
 from repro.parallel import active_segments, process_backend_available, shutdown_pool
 from repro.semiring import PLUS_PAIR
-from repro.sparse import CSR
+from repro.sparse import CSC, CSR
 
 COMPLEMENT_ALGOS = [a for a in ALGOS if supports_complement(a)]
 
@@ -53,42 +53,39 @@ def _bc_reference_sweep(a, sources, *, algo, session, backend, call_log, counter
     a = a.pattern()
     n, sources = a.nrows, np.asarray(list(sources), dtype=np.int64)
     s = sources.shape[0]
-    session, owned = resolve_session(session, auto=(algo == "auto"))
+    session = resolve_session(session)
     kw = dict(algo=algo, semiring=PLUS_TIMES, counter=counter, session=session,
               backend=backend if algo == "auto" else None)
-    try:
-        a_t = a.transpose()
-        frontier = CSR.from_coo((s, n), np.arange(s, dtype=np.int64), sources, np.ones(s))
-        numsp, frontiers = frontier.copy(), [frontier]
-        while frontier.nnz:
-            call_log.append((frontier, a, numsp, True))
-            frontier = masked_spgemm(frontier, a, numsp, complement=True, **kw)
-            if frontier.nnz == 0:
-                break
-            frontiers.append(frontier)
-            numsp = ewise_add(numsp, frontier)
-        depth = len(frontiers) - 1
-        delta = CSR.empty((s, n))
-        numsp_keys = flat_keys(numsp)
-        for d in range(depth, 0, -1):
-            rows, cols, _ = frontiers[d].to_coo()
-            f_keys = rows * np.int64(n) + cols
-            dvals = lookup(flat_keys(delta), delta.data, f_keys, 0.0)
-            spv = lookup(numsp_keys, numsp.data, f_keys, 1.0)
-            w = CSR.from_coo((s, n), rows, cols, (1.0 + dvals) / spv)
-            call_log.append((w, a_t, frontiers[d - 1], False))
-            t_d = masked_spgemm(w, a_t, frontiers[d - 1], **kw)
-            contrib = t_d.data * lookup(numsp_keys, numsp.data, flat_keys(t_d), 0.0)
-            delta = ewise_add(delta, CSR(t_d.shape, t_d.indptr, t_d.indices, contrib,
-                                         sorted_indices=t_d.sorted_indices, check=False))
-        out = np.zeros(n)
-        dr, dc, dv = delta.to_coo()
-        own = dc == sources[dr]
-        np.add.at(out, dc[~own], dv[~own])
-        return out, depth
-    finally:
-        if owned and session is not None:
-            session.close()
+    a_t = a.transpose()
+    a_t_csc = CSC(a_t.shape, a.sort_indices())  # the shipped body's, too
+    frontier = CSR.from_coo((s, n), np.arange(s, dtype=np.int64), sources, np.ones(s))
+    numsp, frontiers = frontier.copy(), [frontier]
+    while frontier.nnz:
+        call_log.append((frontier, a, numsp, True))
+        frontier = masked_spgemm(frontier, a, numsp, complement=True, **kw)
+        if frontier.nnz == 0:
+            break
+        frontiers.append(frontier)
+        numsp = ewise_add(numsp, frontier)
+    depth = len(frontiers) - 1
+    delta = CSR.empty((s, n))
+    numsp_keys = flat_keys(numsp)
+    for d in range(depth, 0, -1):
+        rows, cols, _ = frontiers[d].to_coo()
+        f_keys = rows * np.int64(n) + cols
+        dvals = lookup(flat_keys(delta), delta.data, f_keys, 0.0)
+        spv = lookup(numsp_keys, numsp.data, f_keys, 1.0)
+        w = CSR.from_coo((s, n), rows, cols, (1.0 + dvals) / spv)
+        call_log.append((w, a_t, frontiers[d - 1], False))
+        t_d = masked_spgemm(w, a_t, frontiers[d - 1], b_csc=a_t_csc, **kw)
+        contrib = t_d.data * lookup(numsp_keys, numsp.data, flat_keys(t_d), 0.0)
+        delta = ewise_add(delta, CSR(t_d.shape, t_d.indptr, t_d.indices, contrib,
+                                     sorted_indices=t_d.sorted_indices, check=False))
+    out = np.zeros(n)
+    dr, dc, dv = delta.to_coo()
+    own = dc == sources[dr]
+    np.add.at(out, dc[~own], dv[~own])
+    return out, depth
 
 
 def _bc_graphs():

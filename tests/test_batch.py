@@ -638,15 +638,19 @@ class TestPlanReporting:
             assert band.batch in BATCH_TIERS
 
     def test_explain_renders_tier_and_census(self):
+        # a parallel plan cuts its bands by flops, so it takes the census
         g = rmat(7, seed=5).pattern().tril(-1)
-        text = Planner().plan(g, g, g, batch="bucket").explain()
+        text = Planner().plan(g, g, g, batch="bucket", threads=2).explain()
         assert "batch=" in text and "buckets{" in text
         assert "batch tier forced to 'bucket' by caller" in text
 
     def test_auto_note_mentions_crossover(self):
         g = rmat(7, seed=5).pattern().tril(-1)
-        text = Planner().plan(g, g, g).explain()
+        text = Planner().plan(g, g, g, threads=2).explain()
         assert "crossover" in text and "batch tiers:" in text
+        # a serial host plan leaves "auto" to the kernel, which resolves it
+        # on the same flops against the same crossover
+        assert "batch tiers:" not in Planner().plan(g, g, g).explain()
 
     def test_machine_crossover_drives_auto(self):
         """One crossover, the frame's: a forced plan's band buckets exactly
@@ -655,10 +659,15 @@ class TestPlanReporting:
             g = rmat(scale, seed=5).pattern().tril(-1)
             want = resolve_tier(g, g, "auto")
             assert want == ("bucket" if scale == 11 else "perrow")
-            for machine in (None, "haswell"):
+            for machine, kw in ((None, {"threads": 2}), ("haswell", {})):
                 for algo in BATCHABLE:
-                    (band,) = Planner(machine).plan(g, g, g, algo=algo).bands
+                    (band,) = Planner(machine).plan(g, g, g, algo=algo, **kw).bands
                     assert band.batch == want, (scale, machine, algo)
+            # serial host plan: the band is the whole call, whose kernel
+            # resolves "auto" to exactly ``want``
+            for algo in BATCHABLE:
+                (band,) = Planner().plan(g, g, g, algo=algo).bands
+                assert band.batch == "auto"
 
     def test_invalid_batch_values_rejected(self):
         g = rmat(6, seed=5).pattern().tril(-1)

@@ -3,7 +3,7 @@
 Covers the session's targeted :meth:`~repro.engine.ExecutionSession.invalidate`
 and the iterative apps: k-truss's support decrement (``ktruss(delta=)``)
 against the full product every round, and the streaming window and MCL
-with their default loop-local session against ``session=False``.
+with a caller's session against ``session=False``.
 """
 
 from __future__ import annotations
@@ -119,7 +119,9 @@ class TestApps:
         edges = edge_stream_from_graph(g, seed=0)
         full = sliding_window_triangles(edges, 128, window=200, step=25,
                                         session=False)
-        sessioned = sliding_window_triangles(edges, 128, window=200, step=25)
+        with ExecutionSession() as sess:
+            sessioned = sliding_window_triangles(edges, 128, window=200, step=25,
+                                                 session=sess)
         assert sessioned.steps == full.steps > 1
         assert sessioned.triangles == full.triangles
         assert sessioned.edges_per_step == full.edges_per_step
@@ -170,6 +172,8 @@ class TestApps:
         g = erdos_renyi(64, 64, 4, seed=6)
         base = markov_clustering(g, selective_expansion=True, algo="auto",
                                  session=False)
-        res = markov_clustering(g, selective_expansion=True, algo="auto")
+        with ExecutionSession() as sess:
+            res = markov_clustering(g, selective_expansion=True, algo="auto",
+                                    session=sess)
         assert np.array_equal(res.labels, base.labels)
         assert res.iterations == base.iterations

@@ -14,6 +14,7 @@ the radix ``CSR.transpose``.
 
 import dataclasses
 import hashlib
+import json
 import os
 
 import numpy as np
@@ -386,6 +387,180 @@ class TestExplain:
         # forced knobs need no explaining
         assert "available core" not in plan(*_tc(10), threads=2).explain()
         assert pl.as_dict()["estimates_seconds"] == pl.estimates
+
+
+def _canon(obj):
+    """``as_dict()`` with floats to 9 significant digits, for a digest."""
+    if isinstance(obj, float):
+        return float(f"{obj:.9g}")
+    if isinstance(obj, dict):
+        return {str(k): _canon(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_canon(v) for v in obj]
+    return obj
+
+
+def _census(planner, a, b, m, complement=False):
+    """The full per-row census every host plan ran before the decision
+    layers: the bands ``Planner._host_bands`` prices row by row."""
+    from repro.machine import flops_per_row, pulls_per_row
+
+    cand = planner._supported(planner.candidates, complement, [])
+    return planner._host_bands(
+        a, b, m, flops_per_row(a, b), pulls_per_row(b, m), cand, [], False
+    )[0]
+
+
+def _parity_calls():
+    """The Fig. 7 ER grid at n=1024, R-MAT TC at scales 6-11 and the
+    recorded products of ``ktruss(rmat(10), 5)`` and BC on ``rmat(10)``."""
+    from repro.apps import betweenness_centrality, ktruss
+
+    degrees = (1, 2, 4, 8, 16, 32, 64)
+    for d in degrees:
+        a = erdos_renyi(1024, 1024, d, seed=d)
+        b = erdos_renyi(1024, 1024, d, seed=d + 1000)
+        for dm in degrees:
+            yield f"er-{d}-{dm}", (a, b, erdos_renyi(1024, 1024, dm, seed=dm + 2000), False)
+    for scale in range(6, 12):
+        yield f"tc-{scale}", _tc(scale) + (False,)
+    log = []
+    ktruss(rmat(10, seed=1), 5, call_log=log, session=False)
+    for i, call in enumerate(log):
+        yield f"ktruss-{i}", call
+    g = rmat(10, seed=1)
+    sources = np.random.default_rng(1).choice(g.nrows, size=64, replace=False)
+    log = []
+    betweenness_centrality(g, sources, call_log=log, session=False)
+    for i, call in enumerate(log):
+        yield f"bc-{i}", call
+
+
+class TestDecisionLayers:
+    """A host plan decides from O(1) totals and prices rows only where a
+    split could repay the census; the work it skips must stay skipped, and
+    the decisions must be the census's."""
+
+    @pytest.fixture
+    def no_census(self, monkeypatch):
+        import repro.engine.planner as planner_module
+
+        def census(*args, **kwargs):
+            raise AssertionError("the plan read a per-row statistic")
+
+        monkeypatch.setattr(planner_module, "flops_per_row", census)
+        monkeypatch.setattr(planner_module, "pulls_per_row", census)
+        monkeypatch.setattr(planner_module, "row_sums", census)
+        monkeypatch.setattr(planner_module.Planner, "_host_bands", census)
+
+    @pytest.mark.parametrize("profile", [HOST, HOST_NATIVE], ids=["numpy", "native"])
+    def test_fast_layers_read_no_per_row_statistic(self, no_census, profile):
+        er = _er(1024, 64, 4)
+        calls = [
+            (Planner(profile), er, {"complement": True}),
+            (Planner(profile, candidates=("msa",)), er, {}),
+            (Planner(profile), _tc(6), {}),
+        ]
+        if profile is HOST_NATIVE:
+            # the er-sparse-mask shapes: the slice of a 64-degree A costs
+            # more than any split of the native kernels could save
+            calls.append((Planner(profile), er, {}))
+        for planner, (a, b, m), kw in calls:
+            pl = planner.plan(a, b, m, **kw)
+            assert len(pl.bands) == 1 and pl.bands[0].is_full(a.nrows)
+            assert (pl.threads, pl.backend, pl.partition) == (1, "serial", "block")
+            pl.validate()
+        assert Planner(HOST_NATIVE).plan(*er).algo == "inner"
+        assert Planner(HOST_NATIVE).plan(*_tc(6)).algo == "msa"
+
+    @pytest.mark.parametrize("profile", [HOST, HOST_NATIVE], ids=["numpy", "native"])
+    def test_one_band_wherever_the_census_finds_one_and_the_same_algorithm(
+        self, profile
+    ):
+        planner = Planner(profile)
+        for name, (a, b, m, complement) in _parity_calls():
+            census = _census(planner, a, b, m, complement)
+            got = planner.plan(a, b, m, complement=complement)
+            if len(census) == 1:
+                assert got.algos() == (census[0].algo,), name
+            else:
+                assert got.nrows_per_algo() == {
+                    band.algo: band.nrows for band in census
+                }, name
+        # BC's pull product: the 63788-entry w against the 2024-entry mask
+        # of rmat(12) (the one split-free win planning buys on BC)
+        g = rmat(12, seed=1)
+        sources = np.random.default_rng(1).choice(g.nrows, size=64, replace=False)
+        from repro.apps import betweenness_centrality
+
+        log = []
+        betweenness_centrality(g, sources, call_log=log, session=False)
+        algos = [Planner(HOST_NATIVE).plan(a, b, m, complement=c).algo
+                 for a, b, m, c in log]
+        assert algos.count("inner") == 1
+        assert all(algo == "msa" for algo, call in zip(algos, log) if call[3])
+
+    def test_a_split_still_comes_from_the_census(self):
+        # rows of two regimes (TestNativeProfile's split case): the bound
+        # lets the census run, and the census splits
+        n = 2048
+        a = erdos_renyi(n, n, 256, seed=1)
+        b = erdos_renyi(n, n, 256, seed=2)
+        sparse = erdos_renyi(n, n, 1, seed=3).select_rows(np.arange(n // 2))
+        dense = erdos_renyi(n, n, 1024, seed=4).select_rows(np.arange(n // 2, n))
+        m = CSR.from_coo(
+            (n, n), *(np.concatenate(parts) for parts in zip(sparse.to_coo(), dense.to_coo()))
+        )
+        planner = Planner(HOST_NATIVE)
+        got = planner.plan(a, b, m)
+        assert got.nrows_per_algo() == {
+            band.algo: band.nrows for band in _census(planner, a, b, m)
+        }
+        assert len(got.bands) == 2
+
+    def test_preset_plans_are_the_parents(self):
+        """Modeled presets plan in full: ``as_dict()`` digests captured
+        before the host decision layers landed."""
+        low = _tc(10)
+        er = (erdos_renyi(512, 512, 16, seed=1), erdos_renyi(512, 512, 16, seed=2),
+              erdos_renyi(512, 512, 2, seed=3))
+        cases = {
+            "93d3da601a46eec1": lambda: plan(*low, machine="haswell"),
+            "5e82369e657677ac": lambda: plan(*er, machine="knl"),
+            "5a3443913c2954c9": lambda: plan(*er, machine="haswell", complement=True),
+            "3f8f658f44be56d8": lambda: plan(
+                *er, machine="haswell", algo="hash", threads=3, batch="bucket"),
+            "97cbff5cdf4d0568": lambda: Planner("haswell", banding="ratio").plan(*low),
+            "6a0cc82834222542": lambda: Planner("knl", banding="none").plan(*er),
+        }
+        for want, make in cases.items():
+            text = json.dumps(_canon(make().as_dict()), sort_keys=True)
+            assert hashlib.blake2b(text.encode(), digest_size=8).hexdigest() == want
+
+    def test_a_given_csc_is_not_charged_and_gives_the_column_counts(self):
+        a, b, m = _er(512, 64, 1)
+        csc = CSC.from_csr(b)
+        planner = Planner(HOST_NATIVE)
+        cold = planner.plan(a, b, m)
+        warm = planner.plan(a, b, m, _b_csc=csc)
+        assert cold.estimates["inner"] - warm.estimates["inner"] == pytest.approx(
+            HOST_NATIVE.csc_nnz_ns * b.nnz * 1e-9
+        )
+        with tracing() as tr:
+            got = masked_spgemm(a, b, m, algo="auto", b_csc=csc, machine=HOST_NATIVE)
+        (span,) = [sp for sp in tr.spans if sp.name == "engine.execute"]
+        assert span.attrs["plan"]["estimates_seconds"] == warm.estimates
+        assert _bitwise(got, masked_spgemm(a, b, m, algo="auto"))
+
+    def test_a_forced_batch_tier_reaches_a_serial_host_plan(self):
+        a, b, m = _er(256, 16, 16)
+        for tier in ("bucket", "perrow"):
+            pl = plan(a, b, m, batch=tier)
+            assert [band.batch for band in pl.bands] == [
+                tier if band.algo in ("msa", "hash", "esc") else "perrow"
+                for band in pl.bands
+            ]
+        assert all(band.batch in ("auto", "perrow") for band in plan(a, b, m).bands)
 
 
 # ----------------------------------------------------------------------

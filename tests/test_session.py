@@ -596,12 +596,11 @@ class TestEquivalence:
 # ----------------------------------------------------------------------
 class TestApps:
     def test_resolve_session_contract(self):
-        assert resolve_session(False) == (None, False)
-        assert resolve_session(None, auto=False) == (None, False)
-        sess, owned = resolve_session(None, auto=True)
-        assert isinstance(sess, ExecutionSession) and owned
-        mine = ExecutionSession()
-        assert resolve_session(mine) == (mine, False)
+        # an app runs without a session unless its caller passes one
+        assert resolve_session(False) is None
+        assert resolve_session(None) is None
+        with ExecutionSession() as mine:
+            assert resolve_session(mine) is mine
 
     def test_core_entry_points_accept_false_sentinel(self):
         # session=False must work on the core paths too, not just via

@@ -372,7 +372,9 @@ class TestPruningAndSessions:
 
         g = rmat(6, seed=3)
         base = ktruss(g, k=3)
-        res = ktruss(g, k=3, algo="msa", shards=(2, 2), backend="process")
+        with ExecutionSession() as sess:
+            res = ktruss(g, k=3, algo="msa", shards=(2, 2), backend="process",
+                         session=sess)
         _same(res.truss, base.truss)
         # one matrix plays several roles in every product of the loop: its
         # segments must come from the session registry
