@@ -17,14 +17,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-import numpy as np
-
 from ..machine import OpCounter
 from ..observe import timed_span
 from ..semiring import PLUS_PAIR
 from ..sparse import CSR, reduce_sum
 from ..core import masked_spgemm
-from ..graphs.relabel import degree_sort_permutation
+from ..graphs.relabel import lower_by_degree
 
 __all__ = ["triangle_count", "triangle_count_detail", "TriangleCountResult"]
 
@@ -41,20 +39,10 @@ class TriangleCountResult:
 
 
 def _prepare(a: CSR, relabel: bool) -> CSR:
-    """``tril(P A P^T, -1)`` of the pattern of ``a`` — the bytes of
-    ``relabel_by_degree(a.pattern()).tril(-1)`` — built directly: relabel
-    the coordinates, keep ``col < row`` and order only that half."""
-    g = a.pattern()
-    if not relabel:
-        return g.tril(-1)
-    if g.nrows != g.ncols:
-        raise ValueError("permute requires a square matrix")
-    perm = degree_sort_permutation(g)
-    new_id = np.empty_like(perm)
-    new_id[perm] = np.arange(g.nrows, dtype=perm.dtype)
-    rows, cols = np.repeat(new_id, g.row_nnz()), new_id.take(g.indices)
-    low = np.flatnonzero(cols < rows)
-    return CSR.from_coo(g.shape, rows.take(low), cols.take(low))
+    """The operand ``L``: :func:`~repro.graphs.lower_by_degree` of ``a`` (the
+    bytes of ``relabel_by_degree(a.pattern()).tril(-1)``; two counting
+    scatters on the native tier), or the pattern's ``tril(-1)`` unrelabelled."""
+    return lower_by_degree(a) if relabel else a.pattern().tril(-1)
 
 
 def triangle_count(

@@ -3,7 +3,8 @@
  * The paper's Algorithm 2 (MSA) and Section 4.1 (Inner) row loops plus the
  * count-only symbolic row, one accumulator per call (the thread backend
  * runs one call per row part, so that is one accumulator per thread; no
- * atomics), and the counting sort repro.sparse orders entries with.
+ * atomics), the counting sort repro.sparse orders entries with, and the
+ * two counting scatters that build triangle counting's operand.
  * Built and loaded by native.py; see docs/kernels.md.
  *
  * Contract with the NumPy bodies (msa_kernel.py / inner_kernel.py /
@@ -132,6 +133,61 @@ i64 repro_bucket_order(i64 n, i64 nbuckets, const i64 *key, i64 *start,
     memmove(start + 1, start, (size_t)nbuckets * sizeof(i64));
     start[0] = 0;
     return 0;
+}
+
+/* ------------------------------------------------------------------ */
+/* Triangle counting's operand L = tril(P A P^T, -1) of the pattern of */
+/* the n x n CSR (p, j), new vertex i being old vertex perm[i] (a     */
+/* permutation: the caller's degree order).  Count, prefix-sum,       */
+/* scatter, twice, and no sort.  The count pass also parks each old   */
+/* row's kept new column ids k = new_id[c] < i at the front of that   */
+/* row's own slots of lj (a store and a conditional advance).  The    */
+/* first scatter walks the new rows in order and appends i to row k   */
+/* of U = L^T, so U's rows come out ascending; the second walks U's   */
+/* rows in order and appends k to row i of L, so L's rows do too.     */
+/* new_id: n scratch; up, lp: n + 1; uj, lj: nnz.  Returns nnz(L);    */
+/* -1 / -2 where repro_check fails, -3 where a coordinate of L is     */
+/* stored twice (lj is then unspecified: the caller's NumPy body      */
+/* raises or sums, as it does without this loop).                    */
+/* ------------------------------------------------------------------ */
+i64 repro_lower_by_degree(i64 n, const i64 *p, const i64 *j, i64 nnz,
+                          const i64 *perm, i64 *new_id, i64 *up, i64 *uj,
+                          i64 *lp, i64 *lj)
+{
+    const i64 bad = repro_check(n, n, p, j, nnz);
+    if (bad)
+        return -bad;
+    for (i64 i = 0; i < n; i++)
+        new_id[perm[i]] = i;
+    memset(up, 0, (size_t)(n + 1) * sizeof(i64));
+    lp[0] = 0;
+    for (i64 r = 0; r < n; r++) { /* in old row order */
+        const i64 i = new_id[r];
+        i64 len = 0;
+        for (i64 t = p[r]; t < p[r + 1]; t++) {
+            const i64 k = new_id[j[t]], low = k < i;
+            up[k + 1] += low;
+            lj[p[r] + len] = k;
+            len += low;
+        }
+        lp[i + 1] = len;
+    }
+    for (i64 k = 0; k < n; k++) { /* up[k], lp[k]: row k's write cursors */
+        up[k + 1] += up[k];
+        lp[k + 1] += lp[k];
+    }
+    for (i64 i = 0; i < n; i++)
+        for (i64 t = p[perm[i]], t1 = t + lp[i + 1] - lp[i]; t < t1; t++)
+            uj[up[lj[t]]++] = i;
+    int dup = 0; /* U's cursors stopped at their row ends, L's do next */
+    for (i64 k = 0, t = 0; k < n; k++)
+        for (i64 prev = -1; t < up[k]; t++) {
+            dup |= uj[t] == prev;
+            lj[lp[prev = uj[t]]++] = k;
+        }
+    memmove(lp + 1, lp, (size_t)n * sizeof(i64));
+    lp[0] = 0;
+    return dup ? -3 : lp[n];
 }
 
 /* ------------------------------------------------------------------ */

@@ -34,7 +34,8 @@ _OPS = {"plus_times": 0, "plus_pair": 1, "plus_and": 2, "plus_first": 3, "plus_s
 _SIGNATURES = {  # q = int64, p = pointer; every function returns int64
     "repro_check": "qqppq", "repro_msa": "qq" + "p" * 14, "repro_symbolic": "qq" + "p" * 9,
     "repro_inner": "qq" + "p" * 13, "repro_msa_complement": "qqqq" + "p" * 14 + "qp",
-    "repro_bucket_order": "qq" + "p" * 7,  # called from repro.sparse.csr, not from a kernel
+    # called from repro.sparse.csr, not from a kernel
+    "repro_bucket_order": "qq" + "p" * 7, "repro_lower_by_degree": "qppq" + "p" * 6,
 }
 
 _lock = threading.Lock()

@@ -11,7 +11,7 @@ from .generators import (
     power_law,
     small_world,
 )
-from .relabel import degree_sort_permutation, relabel_by_degree
+from .relabel import degree_sort_permutation, lower_by_degree, relabel_by_degree
 from .rmat import GRAPH500_EDGE_FACTOR, GRAPH500_PARAMS, rmat
 from .suite import SUITE, load, load_all, suite_names
 
@@ -27,6 +27,7 @@ __all__ = [
     "small_world",
     "degree_sort_permutation",
     "relabel_by_degree",
+    "lower_by_degree",
     "GRAPH500_EDGE_FACTOR",
     "GRAPH500_PARAMS",
     "rmat",

@@ -186,9 +186,9 @@ def nonneg_lstsq(x: np.ndarray, y: np.ndarray, w: np.ndarray) -> np.ndarray:
 
 def _tc_triple(scale: int):
     """The triangle-counting operand ``L`` of an R-MAT graph (A = B = M)."""
-    from ..graphs import relabel_by_degree, rmat
+    from ..graphs import lower_by_degree, rmat
 
-    return relabel_by_degree(rmat(scale, seed=3).pattern()).tril(-1)
+    return lower_by_degree(rmat(scale, seed=3))
 
 
 def _calibration_triples(quick: bool):

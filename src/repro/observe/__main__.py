@@ -34,7 +34,7 @@ import time
 
 from ..apps import triangle_count_detail
 from ..engine import Planner
-from ..graphs import relabel_by_degree, rmat
+from ..graphs import lower_by_degree, rmat
 from ..machine import HASWELL, OpCounter
 from ..parallel.pool import process_backend_available, shutdown_pool
 from . import tracing, write_chrome_trace, write_metrics
@@ -57,7 +57,7 @@ def trace_main(argv=None) -> int:
         return 2
 
     g = rmat(args.scale, seed=1)
-    low = relabel_by_degree(g.pattern()).tril(-1)
+    low = lower_by_degree(g)
     # the same plan the auto path will build, for the report's plan section
     pl = Planner(HASWELL).plan(low, low, low, backend=args.backend)
 
@@ -139,7 +139,7 @@ def top_main(argv=None) -> int:
     from ..semiring import PLUS_PAIR
 
     g = rmat(args.scale, seed=1)
-    low = relabel_by_degree(g.pattern()).tril(-1)
+    low = lower_by_degree(g)
     errors: list = []
     stop = threading.Event()
 

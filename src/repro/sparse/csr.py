@@ -85,6 +85,36 @@ def _bucket_order(keys, nbuckets: int, ints, vals=None, *, order: bool = False):
     return start, perm, ints_out, vals_out
 
 
+def _lower_by_degree(a: "CSR", perm: np.ndarray):
+    """``tril(P A P^T, -1)`` of the pattern of the square ``a``, vertex ``i``
+    of the result being vertex ``perm[i]`` of ``a`` (a permutation), built
+    by the native tier's two counting scatters (``repro_lower_by_degree``
+    in ``core/kernels/native.c``): sorted rows, all-ones values.
+
+    ``None`` when the library is unavailable or disabled, when ``a`` does
+    not describe a CSR (a bad ``indptr`` or column index) or when a
+    coordinate of the result is stored twice: the caller's NumPy body then
+    raises or sums duplicates, and is the reference the bytes match.
+    """
+    from ..core.kernels import native  # lazy, as in _bucket_order
+
+    lib = native.load()
+    n, nnz = a.nrows, a.nnz
+    if lib is None or a.indptr.shape != (n + 1,) or perm.shape != (n,):
+        return None
+    indptr, indices, perm = (np.ascontiguousarray(x, dtype=INDEX_DTYPE)
+                             for x in (a.indptr, a.indices, perm))
+    new_id, up, lp = (np.empty(k, dtype=INDEX_DTYPE) for k in (n, n + 1, n + 1))
+    uj, lj = np.empty(nnz, dtype=INDEX_DTYPE), np.empty(nnz, dtype=INDEX_DTYPE)
+    got = lib.repro_lower_by_degree(
+        n, indptr.ctypes.data, indices.ctypes.data, nnz,
+        *(x.ctypes.data for x in (perm, new_id, up, uj, lp, lj)))
+    if got < 0:
+        return None
+    return CSR(a.shape, lp, lj[:got], np.ones(got, dtype=VALUE_DTYPE),
+               sorted_indices=True, check=False)
+
+
 class CSR:
     """A CSR sparse matrix over NumPy arrays.
 
@@ -319,8 +349,7 @@ class CSR:
         nnz = int(self.indptr[-1])
         if self.indices.shape[0] != nnz or self.data.shape[0] != nnz:
             raise ValueError("indices/data length mismatch with indptr")
-        if nnz and (self.indices.min() < 0 or self.indices.max() >= ncols):
-            raise ValueError("column index out of range")
+        self._check_columns()
         if self.sorted_indices and nnz:
             d = np.diff(self.indices)
             starts = self.indptr[1:-1]
@@ -329,6 +358,12 @@ class CSR:
             if bad.any():
                 raise ValueError("indices not strictly increasing within rows")
         return self
+
+    def _check_columns(self) -> None:
+        """``ValueError`` unless every stored column index is in ``[0, ncols)``
+        (``take`` would wrap a negative one)."""
+        if self.nnz and (self.indices.min() < 0 or self.indices.max() >= self.ncols):
+            raise ValueError("column index out of range")
 
     # ------------------------------------------------------------------
     # conversions / structural ops
@@ -452,6 +487,7 @@ class CSR:
             or not (np.bincount(perm, minlength=n) == 1).all()
         ):
             raise ValueError("perm must be a permutation of range(n)")
+        self._check_columns()
         inv = np.empty_like(perm)
         inv[perm] = np.arange(n, dtype=INDEX_DTYPE)
         # rows gathered in their new order arrive grouped by new row, so the

@@ -356,6 +356,15 @@ class TestLoader:
             "                    want = masked_spgemm(a, b, m, **kw)\n"
             "                assert all(getattr(got, f).tobytes() == getattr(want, f).tobytes()\n"
             "                           for f in fields), (name, kw)\n"
+            "from repro.apps.triangle_counting import _prepare\n"
+            "from repro.graphs import erdos_renyi\n"
+            "square = {id(g): g for abm in ADVERSARIAL.values() for g in abm if g.nrows == g.ncols}\n"
+            "for g in [*square.values(), erdos_renyi(300, 300, 6, seed=5)]:  # + a directed graph\n"
+            "    got = _prepare(g, True)\n"
+            "    with native.disabled():\n"
+            "        want = _prepare(g, True)\n"
+            "    assert all(getattr(got, f).tobytes() == getattr(want, f).tobytes()\n"
+            "               for f in fields), g\n"
         )
         done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
         assert done.returncode == 0, done.stderr[-3000:]

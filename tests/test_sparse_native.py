@@ -22,7 +22,9 @@ from hypothesis import strategies as st
 
 from repro.apps.triangle_counting import _prepare
 from repro.core.kernels import native
-from repro.graphs import erdos_renyi_graph, relabel_by_degree, rmat
+from repro.graphs import (
+    degree_sort_permutation, erdos_renyi, erdos_renyi_graph, relabel_by_degree, rmat,
+)
 from repro.sparse import CSC, CSR, ewise_add, ewise_mult
 
 from .conftest import NativeSpy, native_required
@@ -105,6 +107,27 @@ def _csr_cases():
 CSRS = dict(_csr_cases())
 
 
+def _graph_cases():
+    """Square patterns for ``permute`` and the triangle-counting prepare."""
+    yield "rmat", rmat(8, seed=3)
+    yield "er", erdos_renyi_graph(300, 6, seed=2)
+    yield "empty", CSR.empty((5, 5))
+    yield "path", CSR.from_coo((3, 3), [0, 1, 1, 2], [1, 0, 2, 1], np.ones(4))
+    # a directed graph: tril(P A P^T) is not triu(P A P^T) transposed
+    yield "non-symmetric", erdos_renyi(300, 300, 6, seed=5)
+    g = rmat(8, seed=4)
+    r, c, _ = g.to_coo()
+    loops = np.arange(0, g.nrows, 3)
+    yield "self-loops", CSR.from_coo(g.shape, np.r_[r, loops], np.r_[c, loops])
+    yield "isolated", CSR.from_coo((12, 12), [2, 5, 5, 9, 9, 2], [5, 2, 9, 5, 2, 9], np.ones(6))
+    order = np.lexsort((-g.indices, g.row_ids()))  # every row written back to front
+    yield "unsorted-rows", CSR(g.shape, g.indptr, g.indices[order], g.data)
+    yield "one-vertex", CSR((1, 1), np.array([0, 1]), np.array([0]), np.ones(1))
+
+
+GRAPHS = dict(_graph_cases())
+
+
 class TestDifferential:
     @pytest.mark.parametrize("name", COO)
     def test_from_coo(self, name):
@@ -134,12 +157,7 @@ class TestDifferential:
             _both_tiers(lambda: op(a, a))
             _both_tiers(lambda: op(a, CSR.empty(shape)))
 
-    @pytest.mark.parametrize(
-        "graph",
-        [rmat(8, seed=3), erdos_renyi_graph(300, 6, seed=2), CSR.empty((5, 5)),
-         CSR.from_coo((3, 3), [0, 1, 1, 2], [1, 0, 2, 1], np.ones(4))],
-        ids=["rmat", "er", "empty", "path"],
-    )
+    @pytest.mark.parametrize("graph", GRAPHS.values(), ids=GRAPHS.keys())
     def test_permute_and_the_fused_prepare(self, graph):
         perm = np.random.default_rng(4).permutation(graph.nrows)
         _both_tiers(lambda: graph.permute(perm))
@@ -168,6 +186,12 @@ class TestDifferential:
         for scope in (contextlib.nullcontext, native.disabled):
             with scope(), pytest.raises(ValueError):
                 liar.transpose()
+        # ... and one that ``take`` would have wrapped (-1) or refused with an
+        # IndexError: relabelling it raises as from_coo does
+        liar = CSR((3, 3), np.array([0, 2, 3, 4]), np.array([1, bad, 0, 0]), np.ones(4),
+                   check=False)
+        for build in (lambda: _prepare(liar, True), lambda: liar.permute(np.array([2, 0, 1]))):
+            assert _both_tiers(build) == (ValueError, "column index out of range")
 
     def test_duplicate_runs_start_from_their_first_value(self):
         # only the run is summed: the -0.0 stored once keeps its sign bit
@@ -217,6 +241,31 @@ class TestTheNativeLoop:
         shape, r, c, v = COO["key-overflow"]
         CSR.from_coo(shape, r, c, v)
         assert not spy.calls
+
+    def test_the_fused_prepare_reaches_its_loop(self, spy):
+        g = rmat(10, seed=1)
+        spy.calls.clear()
+        got = _prepare(g, True)
+        # the degree order's counting sort, then the two scatters
+        assert spy.calls == ["repro_bucket_order", "repro_lower_by_degree"]
+        assert _bytes(got) == _bytes(relabel_by_degree(g.pattern()).tril(-1))
+        # (1, 0) stored twice: the loop declines and the NumPy body sums it, as permute does
+        dup = CSR((3, 3), np.array([0, 2, 4, 6]), np.array([1, 1, 0, 0, 1, 0]), np.ones(6))
+        spy.calls.clear()
+        got = _prepare(dup, True)
+        assert spy.calls.count("repro_lower_by_degree") == 1
+        assert _bytes(got) == _bytes(relabel_by_degree(dup.pattern()).tril(-1))
+        assert got.data.tolist() == [2.0, 1.0, 1.0]
+
+    def test_degree_order_is_the_lexsort(self):
+        for g in GRAPHS.values():
+            deg = g.row_nnz()
+            for ascending, key in ((False, -deg), (True, deg)):
+                want = np.lexsort((np.arange(g.nrows), key))
+                for scope in (contextlib.nullcontext, native.disabled):
+                    with scope():
+                        got = degree_sort_permutation(g, ascending=ascending)
+                    assert got.dtype == np.int64 and np.array_equal(got, want)
 
     def test_permutation_is_the_stable_argsort(self):
         from repro.sparse.csr import _bucket_order
