@@ -72,7 +72,6 @@ __all__ = [
     "write_run",
     "latest_run",
     "run_artifact_name",
-    "runtime_summaries",
 ]
 
 #: bump when a record's shape changes; readers refuse newer majors
@@ -157,12 +156,6 @@ def record_key(record: dict) -> str:
     )
 
 
-#: sampling interval for ``sample_runtime`` collections — CI cases finish
-#: in tens of milliseconds, so the baseline needs a finer tick than the
-#: interactive default to land samples inside the timed region
-RUNTIME_SAMPLE_INTERVAL_S = 0.02
-
-
 def collect_record(
     scheme: Scheme,
     case_name: str,
@@ -172,7 +165,6 @@ def collect_record(
     semiring=PLUS_PAIR,
     backend: str = "serial",
     threads: int = 1,
-    sample_runtime: bool = False,
 ) -> dict:
     """Time one (scheme, case) key and attach its work certificate.
 
@@ -180,25 +172,10 @@ def collect_record(
     being measured); one *extra* pass runs under the tracer and probes to
     collect counter totals, modeled bytes-moved and the accumulator
     histograms.  Counters are deterministic, so one pass is exact.
-
-    ``sample_runtime`` additionally runs the timed repeats under a
-    :class:`~repro.observe.runtime.RuntimeSampler` and stores its compact
-    summary (peak RSS/shm, mean throughput) under ``"runtime"`` — the
-    per-key baseline :func:`repro.observe.runtime.drift` bands against.
     """
-    rt_summary = None
-    if sample_runtime:
-        from ..observe.runtime import sampling
-
-        with sampling(interval_s=RUNTIME_SAMPLE_INTERVAL_S) as rt:
-            samples = measured_sample_seconds(
-                scheme, calls, semiring=semiring, repeats=repeats
-            )
-        rt_summary = rt.summary()
-    else:
-        samples = measured_sample_seconds(
-            scheme, calls, semiring=semiring, repeats=repeats
-        )
+    samples = measured_sample_seconds(
+        scheme, calls, semiring=semiring, repeats=repeats
+    )
     arr = np.asarray(samples, dtype=float)
     median = float(np.median(arr))
     mad = float(np.median(np.abs(arr - np.median(arr))))
@@ -206,7 +183,7 @@ def collect_record(
         measured_sample_seconds(scheme, calls, semiring=semiring, repeats=1,
                                 counter=OpCounter())
         mx = _metrics(tracer, machine=HASWELL, probes=probes)
-    record = {
+    return {
         "scheme": scheme.name,
         "case": case_name,
         "backend": backend,
@@ -222,9 +199,6 @@ def collect_record(
         # — the full rows would bloat the history; fit regresses counters)
         "predictions": mx["predictions"]["summary"],
     }
-    if rt_summary is not None:
-        record["runtime"] = rt_summary
-    return record
 
 
 def session_app_records(
@@ -234,7 +208,6 @@ def session_app_records(
     seed: int = 3,
     bc_batch: int = 32,
     k: int = 5,
-    sample_runtime: bool = False,
 ) -> List[dict]:
     """Timing records for the session-enabled iterative apps.
 
@@ -292,18 +265,10 @@ def session_app_records(
              low, low, low, algo="hash", batch="bucket", phases=2,
              semiring=PLUS_PAIR, counter=c, session=s)),
     )
-    from contextlib import nullcontext
-
-    if sample_runtime:
-        from ..observe.runtime import sampling as _sampling
     records: List[dict] = []
     for name, backend, run_app in apps:
         samples: List[float] = []
-        # one sampler per app record — summaries must describe this key's
-        # repeats, not the whole collection's cumulative peaks
-        rt_cm = (_sampling(interval_s=RUNTIME_SAMPLE_INTERVAL_S)
-                 if sample_runtime else nullcontext())
-        with rt_cm as rt, ExecutionSession() as session:
+        with ExecutionSession() as session:
             for _ in range(max(1, repeats)):
                 # fresh counter per repeat: work counters are identical on
                 # every pass (the session guarantees it), so keeping the
@@ -334,8 +299,6 @@ def session_app_records(
             },
             "session": stats,
         })
-        if rt is not None:
-            records[-1]["runtime"] = rt.summary()
     return records
 
 
@@ -347,28 +310,23 @@ def collect_run(
     cwd: Optional[str] = None,
     include_session_apps: bool = True,
     session_rmat_scale: int = 8,
-    sample_runtime: bool = False,
 ) -> dict:
     """One history run: environment fingerprint + a record per key.
 
     ``include_session_apps`` appends the :func:`session_app_records`
     (sessioned k-truss / BC, at R-MAT scale ``session_rmat_scale``) to
-    the pinned sessionless scheme records.  ``sample_runtime`` attaches a
-    sampled runtime summary to every record (see :func:`collect_record`)
-    so the run can serve as a drift baseline.
+    the pinned sessionless scheme records.
     """
     cases = cases if cases is not None else pinned_cases()
     schemes = list(schemes) if schemes is not None else pinned_schemes()
     records = [
-        collect_record(s, name, calls, repeats=repeats,
-                       sample_runtime=sample_runtime)
+        collect_record(s, name, calls, repeats=repeats)
         for s in schemes
         for name, calls in cases.items()
     ]
     if include_session_apps:
         records.extend(session_app_records(repeats=repeats,
-                                           rmat_scale=session_rmat_scale,
-                                           sample_runtime=sample_runtime))
+                                           rmat_scale=session_rmat_scale))
     return {
         "schema_version": SCHEMA_VERSION,
         "env": env_fingerprint(cwd),
@@ -439,33 +397,6 @@ def run_artifact_name(run: dict) -> str:
     return f"BENCH_{sha[:12] if sha != 'unknown' else sha}.json"
 
 
-def runtime_summaries(payload: dict, key: str):
-    """All stored runtime baselines for one record key.
-
-    Walks **every** run of a history payload (or a single-run artifact)
-    and returns ``(summaries, ledgers)``: the ``"runtime"`` summaries of
-    each record whose :func:`record_key` equals ``key``, paired with that
-    record's prediction-ledger summaries (``{}`` when untraced).  These
-    are the baseline populations :func:`repro.observe.runtime.drift`
-    MAD-bands a fresh run's sampled summary against — records collected
-    without ``sample_runtime`` contribute nothing, so old history files
-    work unchanged.
-    """
-    _check_schema(payload, "<payload>")
-    if "records" in payload and "runs" not in payload:
-        runs = [payload]
-    else:
-        runs = payload.get("runs") or []
-    summaries: List[dict] = []
-    ledgers: List[dict] = []
-    for run in runs:
-        for rec in run.get("records", []):
-            if record_key(rec) == key and rec.get("runtime"):
-                summaries.append(rec["runtime"])
-                ledgers.append(rec.get("predictions") or {})
-    return summaries, ledgers
-
-
 # ----------------------------------------------------------------------
 # CLI
 # ----------------------------------------------------------------------
@@ -486,18 +417,13 @@ def main(argv=None) -> int:
     parser.add_argument("--rmat-scale", type=int, default=8,
                         help="R-MAT scale of the pinned TC case and the "
                              "sessioned app records")
-    parser.add_argument("--sample-runtime", action="store_true",
-                        help="run each key under the runtime sampler and "
-                             "store its peak-RSS/shm/throughput summary "
-                             "(the drift detector's baseline)")
     args = parser.parse_args(argv)
     if args.repeats < 1:
         parser.error("--repeats must be >= 1")
 
     run = collect_run(repeats=args.repeats,
                       cases=pinned_cases(rmat_scale=args.rmat_scale),
-                      session_rmat_scale=args.rmat_scale,
-                      sample_runtime=args.sample_runtime)
+                      session_rmat_scale=args.rmat_scale)
     artifact = os.path.join(args.run_dir, run_artifact_name(run))
     write_run(artifact, run)
     print(f"wrote {artifact} ({len(run['records'])} records)")

@@ -38,7 +38,7 @@ from __future__ import annotations
 import json
 import os
 import sys
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from .history import SCHEMA_VERSION, latest_run, record_key
 from .reporting import render_table
@@ -59,33 +59,6 @@ DEFAULT_MAX_REL = 0.5
 
 #: MAD -> sigma for normally distributed noise
 _MAD_SIGMA = 1.4826
-
-
-def _runtime_drift(base: dict, head: dict, *, k_mad: float, min_rel: float,
-                   max_rel: float) -> Optional[dict]:
-    """Compact runtime-drift verdict for one record pair, or ``None``.
-
-    Only records collected with ``--sample-runtime`` carry a ``"runtime"``
-    summary; when both sides do, the sampled peaks/throughput (plus the
-    prediction-ledger ratios, when traced) go through
-    :func:`repro.observe.runtime.drift` with this gate's band parameters.
-    Advisory: memory/latency anomalies ride on the row, they do not flip
-    the timing gate's verdict.
-    """
-    base_rt = base.get("runtime")
-    head_rt = head.get("runtime")
-    if not base_rt or not head_rt:
-        return None
-    from ..observe.runtime import drift
-
-    base_ledger = base.get("predictions") or {}
-    verdict = drift(
-        head_rt, [base_rt],
-        head_ledger=head.get("predictions") or None,
-        baseline_ledgers=[base_ledger] if base_ledger else None,
-        k_mad=k_mad, min_rel=min_rel, max_rel=max_rel,
-    )
-    return {"verdict": verdict["verdict"], "flagged": verdict["flagged"]}
 
 
 def compare_records(
@@ -118,10 +91,6 @@ def compare_records(
         # session-enabled records carry cache telemetry; a shift there with
         # unchanged counters means the caching regressed, not the kernels
         "cache_changed": base.get("session") != head.get("session"),
-        # sampled-runtime records additionally carry a drift verdict over
-        # peak RSS/shm and throughput (None when either side is unsampled)
-        "runtime_drift": _runtime_drift(base, head, k_mad=k_mad,
-                                        min_rel=min_rel, max_rel=max_rel),
     }
 
 
@@ -146,10 +115,6 @@ def compare_runs(
     added = sorted(head_by_key.keys() - base_by_key.keys())
     regressions = [c["key"] for c in comparisons if c["status"] == "regressed"]
     improvements = [c["key"] for c in comparisons if c["status"] == "improved"]
-    runtime_drifts = [
-        c["key"] for c in comparisons
-        if (c.get("runtime_drift") or {}).get("verdict") == "drift"
-    ]
     base_env = base_run.get("env", {})
     head_env = head_run.get("env", {})
     env_mismatch = sorted(
@@ -167,9 +132,6 @@ def compare_runs(
         "env_mismatch": env_mismatch,
         "regressions": regressions,
         "improvements": improvements,
-        # advisory: keys whose sampled memory/throughput drifted out of the
-        # MAD band even if their timing stayed inside it
-        "runtime_drifts": runtime_drifts,
         "missing_in_head": missing,
         "new_in_head": added,
         "comparisons": comparisons,
@@ -179,20 +141,14 @@ def compare_runs(
 def _change_note(c: dict) -> str:
     """Cause attribution suffix for a non-ok row: counters changed means
     the algorithm did different work; cache counters changed (with stable
-    work counters) points at the session caches instead.  Runtime drift is
-    orthogonal to timing status, so its note rides on any row."""
-    drift = c.get("runtime_drift") or {}
-    drift_note = (
-        " (runtime drift: " + ", ".join(drift["flagged"]) + ")"
-        if drift.get("verdict") == "drift" else ""
-    )
+    work counters) points at the session caches instead."""
     if c["status"] == "ok":
-        return drift_note
+        return ""
     if c["counters_changed"]:
-        return " (counters changed)" + drift_note
+        return " (counters changed)"
     if c.get("cache_changed"):
-        return " (cache counters changed)" + drift_note
-    return drift_note
+        return " (cache counters changed)"
+    return ""
 
 
 def render_report(verdict: dict) -> str:
@@ -224,9 +180,6 @@ def render_report(verdict: dict) -> str:
                         ("new in head", verdict["new_in_head"])):
         if keys:
             lines.append(f"note: {label}: " + ", ".join(keys))
-    if verdict.get("runtime_drifts"):
-        lines.append("note: runtime drift (advisory): "
-                     + ", ".join(verdict["runtime_drifts"]))
     lines.append(f"verdict: {verdict['verdict'].upper()}"
                  + (f" ({len(verdict['regressions'])} key(s))"
                     if verdict["regressions"] else ""))

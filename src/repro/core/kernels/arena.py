@@ -34,7 +34,6 @@ buffers the kernel fully overwrites before reading.
 from __future__ import annotations
 
 import threading
-import weakref
 from contextlib import contextmanager
 from typing import Dict, Hashable, Iterator, Optional
 
@@ -46,7 +45,6 @@ __all__ = [
     "get_arena",
     "clear_arena",
     "arena_stats",
-    "all_arena_stats",
 ]
 
 
@@ -88,7 +86,6 @@ class ScratchArena:
         self.hits = 0
         self.misses = 0
         self.discarded = 0
-        _ALL_ARENAS.add(self)
 
     @contextmanager
     def lease(self, key: Hashable, dtype, fill) -> Iterator[Lease]:
@@ -122,12 +119,8 @@ class ScratchArena:
         self._buffers.clear()
 
     def nbytes(self) -> int:
-        """Total bytes currently cached.
-
-        Snapshots the buffer dict first (atomic under the GIL) so a
-        sampler thread reading a busy arena never races its mutation.
-        """
-        return sum(int(b.nbytes) for b in list(self._buffers.values()))
+        """Total bytes currently cached."""
+        return sum(int(b.nbytes) for b in self._buffers.values())
 
     def stats(self) -> dict:
         return {
@@ -138,12 +131,6 @@ class ScratchArena:
             "nbytes": self.nbytes(),
         }
 
-
-#: every live arena across all threads, weakly held — ``get_arena`` keeps
-#: the per-thread isolation (each thread leases only from its own arena),
-#: this registry only lets the runtime sampler *read* the fleet-wide
-#: footprint from its own thread
-_ALL_ARENAS: "weakref.WeakSet[ScratchArena]" = weakref.WeakSet()
 
 _LOCAL = threading.local()
 
@@ -166,21 +153,3 @@ def arena_stats() -> dict:
     """Hit/miss/footprint statistics of the calling thread's arena."""
     return get_arena().stats()
 
-
-def all_arena_stats() -> dict:
-    """Statistics summed across every live arena, on any thread.
-
-    ``arena_stats`` is deliberately thread-local (the sampler thread's own
-    arena is always empty); the runtime sampler's ``arena_bytes`` gauge
-    needs the whole process's scratch footprint, which is this sum.
-    Buffer byte counts are reads of plain attributes, safe against
-    concurrent leases to within one buffer's staleness.
-    """
-    totals = {"arenas": 0, "hits": 0, "misses": 0, "discarded": 0,
-              "buffers": 0, "nbytes": 0}
-    for arena in list(_ALL_ARENAS):
-        st = arena.stats()
-        totals["arenas"] += 1
-        for key in ("hits", "misses", "discarded", "buffers", "nbytes"):
-            totals[key] += st[key]
-    return totals

@@ -31,7 +31,6 @@ import numpy as np
 from ..core.leaf import caching_session, check_operands, run_kernel
 from ..machine import OpCounter, flops_per_row
 from ..observe import probes as _probes
-from ..observe import runtime as _runtime
 from ..observe import tracer as _obs
 from ..parallel import pool as _pool
 from ..parallel import shm as _shm
@@ -51,30 +50,6 @@ from .session import plan_call
 __all__ = ["execute", "plan_and_execute"]
 
 _log = logging.getLogger("repro.engine")
-
-
-class _CallNote:
-    """Feeds the runtime sampler's calls-per-second throughput series.
-
-    One shared instance wraps every :func:`execute`; exit performs a
-    single module-attribute check, so the sampler-off path pays one
-    no-op ``with`` per engine call and allocates nothing — the same
-    disabled-path discipline as the tracer's ``NULL_SPAN``.
-    """
-
-    __slots__ = ()
-
-    def __enter__(self):
-        return None
-
-    def __exit__(self, *exc):
-        sampler = _runtime._INSTALLED
-        if sampler is not None:
-            sampler.note_call()
-        return False
-
-
-_CALL_NOTE = _CallNote()
 
 
 def _row_parts(plan: ExecutionPlan, band: RowBand, fl) -> List[np.ndarray]:
@@ -141,8 +116,8 @@ class _Published:
 
 def _run_tasks(tasks, backend: str, workers: int, counter: Optional[OpCounter]):
     """Run work items on ``backend``; fold their counters (and a pool
-    worker's spans, probes and heartbeats) into the caller's; return the
-    COO triples in item order."""
+    worker's spans and probes) into the caller's; return the COO triples
+    in item order."""
     workers = max(1, min(workers, len(tasks)))
     if backend == "process":
         payloads = _pool.run_tasks(workers, tasks)
@@ -151,9 +126,9 @@ def _run_tasks(tasks, backend: str, workers: int, counter: Optional[OpCounter]):
             payloads = list(tp.map(_pool.run_task, tasks))
     else:
         payloads = [_pool.run_task(t) for t in tasks]
-    tracer, probes, sampler = _obs.current(), _probes.current(), _runtime.current()
+    tracer, probes = _obs.current(), _probes.current()
     triples = []
-    for r, c, v, item_counter, spans, probe_export, heartbeat in payloads:
+    for r, c, v, item_counter, spans, probe_export in payloads:
         triples.append((r, c, v))
         if counter is not None:
             counter.merge(item_counter)
@@ -162,8 +137,6 @@ def _run_tasks(tasks, backend: str, workers: int, counter: Optional[OpCounter]):
             tracer.ingest(spans)
         if probe_export and probes is not None:
             probes.ingest(probe_export)
-    if sampler is not None:
-        sampler.ingest_heartbeats([payload[6] for payload in payloads])
     return triples
 
 
@@ -279,7 +252,7 @@ def _execute(plan, a, b, mask, *, semiring, impl, counter, b_csc, session) -> CS
             counter=counter,
         )
 
-    with _CALL_NOTE, exec_cm, ExitStack() as stack:
+    with exec_cm, ExitStack() as stack:
         first = plan.bands[0]
         if (
             grid.ncells == 1 and plan.threads == 1
@@ -383,7 +356,6 @@ def _execute(plan, a, b, mask, *, semiring, impl, counter, b_csc, session) -> CS
                         est_bytes=band.est_bytes * weight / total,
                         trace=remote and tr is not None,
                         probe=remote and _probes.current() is not None,
-                        heartbeat=remote and _runtime.current() is not None,
                     )
                     for part, k, desc, weight in items
                 ]

@@ -362,24 +362,6 @@ class ExecutionSession:
             out.update(self._segments.stats())
         return out
 
-    def metrics(self) -> dict:
-        """Session stats plus the persistent kernel-arena telemetry (the
-        scratch leases already live for the process lifetime; the session
-        surfaces them next to its own reuse counters), the process pool's
-        gauges, and — when a :mod:`repro.observe.runtime` sampler is
-        installed — its drift-ready summary under ``"runtime"``."""
-        from ..core.kernels.arena import arena_stats
-        from ..observe import runtime as _runtime
-        from ..parallel.pool import pool_stats
-
-        sampler = _runtime.current()
-        return {
-            "session": self.stats(),
-            "arena": arena_stats(),
-            "pool": pool_stats(),
-            "runtime": sampler.summary() if sampler is not None else {},
-        }
-
     # -- lifecycle -----------------------------------------------------
     def close(self) -> None:
         """Release everything the session keeps alive — most importantly

@@ -24,19 +24,6 @@ With no tracer installed every instrumented call site costs one attribute
 check — see :mod:`repro.observe.tracer` for the contract and
 ``docs/observability.md`` for the span model, probe histograms and
 exporters.
-
-*Continuous* telemetry — what happens between calls — lives in
-:mod:`repro.observe.runtime`::
-
-    from repro.observe.runtime import sampling
-
-    with sampling() as rt:            # 250 ms ring-buffer sampling
-        run_many_iterations()
-    rt.summary()                      # peaks + throughput for drift checks
-    print(rt.fleet())                 # per-worker heartbeat health
-
-``python -m repro.observe top`` renders the same series live; the
-sampler-off path costs one module-attribute check, like the tracer's.
 """
 
 from .exporters import (
@@ -65,16 +52,6 @@ from .probes import (
     set_probes,
 )
 from .report import format_probes, format_span_tree, report
-from .runtime import (
-    RUNTIME_SCHEMA_VERSION,
-    RingSeries,
-    RuntimeSampler,
-    drift,
-    drift_against_history,
-    format_top,
-    sampling,
-    set_sampler,
-)
 from .tracer import (
     NULL_SPAN,
     Span,
@@ -97,14 +74,6 @@ __all__ = [
     "timed_span",
     "traced_kernel",
     "NULL_SPAN",
-    "RUNTIME_SCHEMA_VERSION",
-    "RingSeries",
-    "RuntimeSampler",
-    "sampling",
-    "set_sampler",
-    "drift",
-    "drift_against_history",
-    "format_top",
     "METRICS_SCHEMA_VERSION",
     "chrome_trace",
     "metrics",

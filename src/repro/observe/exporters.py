@@ -26,7 +26,6 @@ import json
 from typing import Dict, List
 
 from . import probes as _probes
-from . import runtime as _runtime
 from .ledger import predictions as _predictions
 
 __all__ = [
@@ -41,7 +40,8 @@ __all__ = [
 #: version of the :func:`metrics` dict layout; bumped whenever a key is
 #: renamed/removed or its meaning changes (additions do not bump it), so
 #: downstream consumers of archived metrics JSON can dispatch on it
-METRICS_SCHEMA_VERSION = 2  # 2: the "shards" census key is gone
+#: (2: the "shards" census key is gone; 3: the "runtime" key is gone)
+METRICS_SCHEMA_VERSION = 3
 
 #: span-name prefixes whose counter deltas partition the counted work:
 #: every operation is charged inside exactly one of these spans, so summing
@@ -130,14 +130,13 @@ def estimated_bytes_moved(counter_totals: Dict[str, int], machine=None) -> int:
     return int(words) * word_bytes
 
 
-def metrics(tracer_or_spans, *, machine=None, probes=None, session=None,
-            runtime=None) -> dict:
+def metrics(tracer_or_spans, *, machine=None, probes=None, session=None) -> dict:
     """Flat metrics summary of a trace (see module docs).
 
     ``tracer_or_spans`` may be ``None`` (tracing was never enabled): the
-    summary still carries its schema version plus whatever probe, session
-    and runtime telemetry exists — observability outside ``trace()``
-    blocks, not an error.
+    summary still carries its schema version plus whatever probe and
+    session telemetry exists — observability outside ``trace()`` blocks,
+    not an error.
 
     ``probes`` may be a :class:`~repro.observe.probes.ProbeRegistry`; when
     omitted, the currently installed registry (if any) is used, so a
@@ -150,17 +149,9 @@ def metrics(tracer_or_spans, *, machine=None, probes=None, session=None,
     cache telemetry (plan / CSC / bound hit counts, segment reuse and
     republished bytes) lands under the ``"session"`` key ({} when absent)
     — see ``docs/sessions.md``.
-
-    ``runtime`` may be a :class:`~repro.observe.runtime.RuntimeSampler`;
-    when omitted, the installed sampler (if any) is used.  Its ring-buffer
-    export — RSS/shm/queue-depth series, worker heartbeat series, the
-    drift-ready summary — lands under the ``"runtime"`` key ({} when no
-    sampler ran).
     """
     if probes is None:
         probes = _probes.current()
-    if runtime is None:
-        runtime = _runtime.current()
     spans = _spans(tracer_or_spans)
     by_name: Dict[str, dict] = {}
     by_phase: Dict[str, float] = {}
@@ -194,7 +185,6 @@ def metrics(tracer_or_spans, *, machine=None, probes=None, session=None,
         "machine": getattr(machine, "name", None),
         "probes": probes.export() if probes is not None else {},
         "session": session.stats() if session is not None else {},
-        "runtime": runtime.export() if runtime is not None else {},
     }
 
 

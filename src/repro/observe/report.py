@@ -14,7 +14,6 @@ from __future__ import annotations
 from typing import Dict, List, Optional
 
 from . import probes as _probes
-from . import runtime as _runtime
 from .exporters import _batch_census
 from .ledger import format_predictions, predictions
 from .probes import BUCKET_LABELS
@@ -89,8 +88,7 @@ def format_probes(export: dict) -> str:
     return "\n".join(lines)
 
 
-def report(tracer, *, plan=None, probes=None, session=None,
-           runtime=None) -> str:
+def report(tracer, *, plan=None, probes=None, session=None) -> str:
     """Render a full trace report (plan, span tree, modeled vs measured,
     and — when a probe registry is installed or passed — the accumulator
     micro-telemetry histograms).  Passing an
@@ -98,16 +96,11 @@ def report(tracer, *, plan=None, probes=None, session=None,
     (plan-cache and segment-registry hit rates).
 
     ``tracer`` may be ``None`` — an *untraced* sessioned run still gets
-    its session, pool and runtime telemetry sections, so cache behaviour
-    is never invisible outside ``trace()`` blocks.  ``runtime`` may be a
-    :class:`~repro.observe.runtime.RuntimeSampler` (default: the installed
-    one); when present a "=== runtime ===" block summarises the sampled
-    series and the worker fleet.
+    its session and pool section, so cache behaviour is never invisible
+    outside ``trace()`` blocks.
     """
     if probes is None:
         probes = _probes.current()
-    if runtime is None:
-        runtime = _runtime.current()
     spans = tracer.spans if tracer is not None else []
     lines: List[str] = []
     if plan is not None:
@@ -192,35 +185,6 @@ def report(tracer, *, plan=None, probes=None, session=None,
         )
         lines.append(f"  process pool    size={_pool_size()}")
 
-    if runtime is not None:
-        summary = runtime.summary()
-        lines.append("")
-        lines.append("=== runtime ===")
-        lines.append(
-            f"  sampled {summary['samples']} ticks @ "
-            f"{summary['interval_s'] * 1e3:.0f} ms  "
-            f"calls={summary['calls_completed']} "
-            f"mean cpu={summary['mean_cpu_percent']:.1f}% "
-            f"mean spans/s={summary['mean_spans_per_s']:.1f}"
-        )
-        lines.append(
-            f"  peaks: rss={summary['peak_rss_bytes']:.0f} B "
-            f"shm={summary['peak_shm_bytes']:.0f} B "
-            f"segcache={summary['peak_segcache_bytes']:.0f} B "
-            f"inflight={summary['peak_tasks_inflight']:.0f}"
-        )
-        stale = runtime.stale_workers()
-        lines.append(
-            f"  workers: {summary['workers_seen']} seen, "
-            f"{summary['heartbeats']} heartbeats"
-            + (f", STALE pids {stale}" if stale else "")
-        )
-        for w in runtime.fleet():
-            lines.append(
-                f"    pid {w['pid']:<8d} rss={w['rss_bytes']:.0f} B "
-                f"(peak {w['peak_rss_bytes']:.0f}) cpu={w['cpu_seconds']:.2f} s "
-                f"tasks={w['tasks_completed']} forms={w['cached_forms']}"
-            )
     return "\n".join(lines)
 
 

@@ -210,15 +210,6 @@ class Tracer:
         with self._lock:
             return list(self._spans)
 
-    def span_count(self) -> int:
-        """Number of finished spans — a gauge read, no copy.
-
-        The runtime sampler derives its spans-per-second series from
-        deltas of this; ``len`` of a list is atomic under the GIL, so no
-        lock is needed for a monotone counter read.
-        """
-        return len(self._spans)
-
     def export(self) -> List[dict]:
         """Finished spans as plain dicts — picklable, JSON-able."""
         return [sp.as_dict() for sp in self.spans]

@@ -55,7 +55,6 @@ __all__ = [
     "shutdown_pool",
     "pool_size",
     "pool_pids",
-    "pool_stats",
     "process_pool",
     "process_backend_available",
     "run_tasks",
@@ -85,9 +84,6 @@ def _context() -> mp.context.BaseContext:
 # ----------------------------------------------------------------------
 _POOL: Optional[ProcessPoolExecutor] = None
 _POOL_WORKERS = 0
-#: lifetime task counters (coordinator side) — the runtime sampler's
-#: queue-depth series reads submitted - completed
-_POOL_TASKS = {"submitted": 0, "completed": 0}
 
 
 def get_pool(workers: int) -> ProcessPoolExecutor:
@@ -128,30 +124,12 @@ def pool_pids() -> Tuple[int, ...]:
     """Pids of the live pool worker processes (empty when no pool runs).
 
     Workers spawn lazily, so right after :func:`get_pool` this may be
-    shorter than :func:`pool_size`; after a dispatch it is the fleet the
-    heartbeat series should cover.
+    shorter than :func:`pool_size`.
     """
     if _POOL is None:
         return ()
     procs = getattr(_POOL, "_processes", None) or {}
     return tuple(sorted(pid for pid, p in list(procs.items()) if p.is_alive()))
-
-
-def pool_stats() -> dict:
-    """Coordinator-side pool gauges for samplers and ``metrics()``.
-
-    ``tasks_inflight`` is submitted-minus-completed at this instant —
-    the queue depth the runtime sampler's ring buffer tracks.
-    """
-    submitted = _POOL_TASKS["submitted"]
-    completed = _POOL_TASKS["completed"]
-    return {
-        "size": _POOL_WORKERS,
-        "pids": list(pool_pids()),
-        "tasks_submitted": submitted,
-        "tasks_completed": completed,
-        "tasks_inflight": max(0, submitted - completed),
-    }
 
 
 @contextmanager
@@ -228,10 +206,6 @@ class Task:
     #: task-local registry and ship them back with the result
     trace: bool = False
     probe: bool = False
-    #: ship a compact worker heartbeat (pid, RSS, CPU, tasks done, cached
-    #: attachments) back with the result — set while a
-    #: :class:`~repro.observe.runtime.RuntimeSampler` is installed
-    heartbeat: bool = False
 
 
 def _rows_of(mat: CSR, desc: tuple) -> Tuple[CSR, int]:
@@ -308,38 +282,12 @@ def run_task(task: Task):
             r, cc, v, counter,
             tracer.export() if tracer is not None else [],
             probes.export() if probes is not None else {},
-            _worker_heartbeat(task) if remote else None,
         )
     finally:
         if probes is not None:
             set_probes(prev_probes)
         if tracer is not None:
             _obs.set_tracer(prev)
-
-
-#: worker-side lifetime task count — always maintained (one integer add),
-#: reported only when a task asks for a heartbeat
-_WORKER_TASKS_DONE = 0
-
-
-def _worker_heartbeat(task) -> Optional[dict]:
-    """Build this worker's heartbeat if the task asked for one.
-
-    Runs in the pool worker as part of every task.  The task counter is
-    bumped unconditionally so heartbeats stay accurate when a sampler is
-    installed mid-run; the (slightly costlier) ``/proc`` reads happen only
-    on the sampled path.
-    """
-    global _WORKER_TASKS_DONE
-    _WORKER_TASKS_DONE += 1
-    if not task.heartbeat:
-        return None
-    from ..observe.runtime import worker_heartbeat
-
-    return worker_heartbeat(
-        tasks_completed=_WORKER_TASKS_DONE,
-        cached_forms=len(_shm._ATTACHED),
-    )
 
 
 def run_tasks(workers: int, tasks: Sequence[Task]) -> List[tuple]:
@@ -355,21 +303,12 @@ def run_tasks(workers: int, tasks: Sequence[Task]) -> List[tuple]:
     propagates to the caller.
     """
     pool = get_pool(workers)
-    _POOL_TASKS["submitted"] += len(tasks)
     futures = [pool.submit(run_task, t) for t in tasks]
-    payloads: List[tuple] = []
     try:
-        for fut in futures:
-            payloads.append(fut.result())
-            _POOL_TASKS["completed"] += 1
+        return [fut.result() for fut in futures]
     except BrokenProcessPool:
         shutdown_pool()
         raise
-    finally:
-        # rebalance abandoned futures on error so the sampler's queue-depth
-        # gauge returns to zero instead of reporting phantom in-flight work
-        _POOL_TASKS["completed"] += len(tasks) - len(payloads)
-    return payloads
 
 
 # Registered at import time — not lazily in get_pool — so interpreter exit

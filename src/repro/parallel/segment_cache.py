@@ -41,7 +41,6 @@ segment this cache owned.
 
 from __future__ import annotations
 
-import weakref
 from collections import OrderedDict
 from typing import Dict, Optional, Set
 
@@ -50,30 +49,7 @@ import numpy as np
 from ..sparse import CSR
 from . import shm as _shm
 
-__all__ = ["SegmentCache", "DEFAULT_SEGMENT_CACHE_BYTES", "live_cache_stats"]
-
-#: every live cache, weakly held — the runtime sampler's occupancy gauges
-#: aggregate over whatever sessions currently exist without keeping any
-#: of them (or their segments) alive
-_LIVE_CACHES: "weakref.WeakSet[SegmentCache]" = weakref.WeakSet()
-
-
-def live_cache_stats() -> dict:
-    """Occupancy aggregated over all live :class:`SegmentCache` instances.
-
-    What the :class:`~repro.observe.runtime.RuntimeSampler` samples — a
-    process may hold several sessions (apps open their own), and the
-    sampler wants the sum, not one cache's view.
-    """
-    totals = {"caches": 0, "cached_entries": 0, "cached_bytes": 0,
-              "segments_reused": 0, "segments_published": 0}
-    for cache in list(_LIVE_CACHES):
-        totals["caches"] += 1
-        totals["cached_entries"] += len(cache._entries)
-        totals["cached_bytes"] += cache._total_bytes
-        totals["segments_reused"] += cache.segments_reused
-        totals["segments_published"] += cache.segments_published
-    return totals
+__all__ = ["SegmentCache", "DEFAULT_SEGMENT_CACHE_BYTES"]
 
 #: default byte budget for cached segments (generous for CI-sized graphs,
 #: small next to a production host's shared-memory allowance)
@@ -113,7 +89,6 @@ class SegmentCache:
         self.values_republished = 0
         self.bytes_published = 0
         self.bytes_republished = 0
-        _LIVE_CACHES.add(self)
 
     # -- introspection -------------------------------------------------
     def __len__(self) -> int:

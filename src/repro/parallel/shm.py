@@ -144,15 +144,6 @@ def active_segments() -> Tuple[str, ...]:
     return tuple(sorted(_OWNED))
 
 
-def active_segment_bytes() -> int:
-    """Total bytes of the segments this process currently owns.
-
-    The runtime sampler's ``shm_bytes`` gauge — what the fleet's shared
-    pages cost the host right now, summed over live published segments.
-    """
-    return sum(int(seg.size) for seg in _OWNED.values())
-
-
 @atexit.register
 def _sweep_owned() -> None:  # pragma: no cover - interpreter shutdown
     for shm in list(_OWNED.values()):

@@ -23,7 +23,9 @@ spellings, the column split and the pruning / session-reuse cases.
 
 Segment hygiene is asserted too: after the pool is shut down and every
 publication group closed, no shared-memory segment this process created is
-still registered or attachable.
+still registered or attachable; and a subprocess that exits *without*
+calling ``shutdown_pool()`` leaves no pool process and no segment behind
+(the import-time ``atexit`` hooks are the cleanup of last resort).
 
 The whole module carries the ``backend`` marker so CI can run it as a
 dedicated smoke job (``pytest -m backend``).
@@ -31,6 +33,11 @@ dedicated smoke job (``pytest -m backend``).
 
 from __future__ import annotations
 
+import json
+import os
+import subprocess
+import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -232,6 +239,34 @@ class TestForcedBackendReachesThePlanner:
             assert len({sp.pid for sp in cells}) >= 2
 
 
+_LEAK_SCRIPT = r"""
+import json, sys
+from repro.core import masked_spgemm
+from repro.engine import ExecutionSession
+from repro.graphs import relabel_by_degree, rmat
+from repro.parallel import shm
+from repro.parallel.pool import pool_pids, process_backend_available
+from repro.semiring import PLUS_PAIR
+
+if not process_backend_available():
+    print(json.dumps({"skip": True}))
+    sys.exit(0)
+
+low = relabel_by_degree(rmat(9, seed=7).pattern()).tril(-1)
+with ExecutionSession() as session:
+    masked_spgemm(low, low, low, algo="msa", shards=(2, 2),
+                  backend="process", semiring=PLUS_PAIR, session=session)
+    # report live state mid-session, then exit WITHOUT shutdown_pool():
+    # the import-time atexit hooks must reap the pool and the segments
+    print(json.dumps({
+        "skip": False,
+        "segments": list(shm.active_segments()),
+        "pids": list(pool_pids()),
+    }))
+sys.exit(0)
+"""
+
+
 class TestSegmentHygiene:
     def test_no_segments_leak_across_calls(self, square_problem):
         a, b, m = square_problem
@@ -298,6 +333,43 @@ class TestSegmentHygiene:
             # reuse, not republication: no segment growth on the warm call
             assert active_segments() == held
         assert active_segments() == ()
+
+    @pytest.mark.skipif(
+        not process_backend_available(), reason="no shared-memory support"
+    )
+    def test_hard_exit_reaps_pool_and_segments(self):
+        env = dict(os.environ)
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        env["PYTHONPATH"] = os.path.abspath(src)
+        proc = subprocess.run(
+            [sys.executable, "-c", _LEAK_SCRIPT],
+            capture_output=True, text=True, timeout=180, env=env,
+        )
+        assert proc.returncode == 0, proc.stderr
+        state = json.loads(proc.stdout.strip().splitlines()[-1])
+        if state.get("skip"):
+            pytest.skip("child had no shared-memory support")
+        assert state["segments"], "run must have published shm segments"
+        assert state["pids"], "run must have spawned pool workers"
+
+        # no segment survived the interpreter exit
+        for name in state["segments"]:
+            assert not os.path.exists(os.path.join("/dev/shm", name)), (
+                f"leaked shared-memory segment {name}"
+            )
+        # no worker survived either (atexit shutdown_pool reaped them)
+        for pid in state["pids"]:
+            try:
+                os.kill(pid, 0)
+            except (ProcessLookupError, PermissionError):
+                continue
+            # pid exists: give a just-exiting worker a moment, then re-check
+            time.sleep(1.0)
+            try:
+                os.kill(pid, 0)
+            except (ProcessLookupError, PermissionError):
+                continue
+            raise AssertionError(f"leaked pool worker pid {pid}")
 
 
 # ----------------------------------------------------------------------

@@ -22,6 +22,7 @@ from __future__ import annotations
 import json
 import logging
 import os
+import re
 import time
 
 import numpy as np
@@ -453,12 +454,18 @@ class TestExportEdgeCases:
 
     def test_metrics_on_never_enabled_tracer(self):
         """``metrics(None)`` — observability was never switched on — must
-        export as cleanly as an empty trace, with the runtime section
-        empty rather than absent."""
+        export as cleanly as an empty trace, with the probe and session
+        sections empty rather than absent."""
         m = metrics(None, machine=HASWELL)
         assert m["span_count"] == 0
         assert m["counter_totals"] == {}
-        assert m["runtime"] == {}
+        assert m["probes"] == {} and m["session"] == {}
+        assert set(m) == {
+            "schema_version", "batch", "predictions", "span_count",
+            "process_count", "wall_seconds", "seconds_by_name",
+            "seconds_by_phase", "counter_totals", "bytes_moved_estimate",
+            "machine", "probes", "session",
+        }
         json.dumps(m)
 
     def test_chrome_trace_on_never_enabled_tracer(self):
@@ -490,6 +497,24 @@ class TestExportEdgeCases:
         assert "segment cache" in text
         assert "process pool" in text
         assert "digests" in text and "plan cache" not in text
+
+
+class TestDemoCli:
+    def test_printed_plan_is_the_executed_plan(self, tmp_path, capsys):
+        """``python -m repro.observe`` reports the plan its traced call
+        ran: the host planner's, not a modeled preset's."""
+        from repro.observe.__main__ import main
+
+        assert main(["--scale", "8", "--backend", "serial",
+                     "--out", str(tmp_path)]) == 0
+        out = capsys.readouterr().out
+        planned = out.split("=== planned ===", 1)[1].split("=== measured", 1)[0]
+        printed = [(algo, int(rows)) for algo, rows in re.findall(
+            r"band \d+: algo=(\w+)\s+rows=(\d+)", planned)]
+        doc = json.loads((tmp_path / "tc_rmat.trace.json").read_text())
+        (run,) = [e for e in doc["traceEvents"] if e["name"] == "engine.execute"]
+        executed = [(b["algo"], b["nrows"]) for b in run["args"]["plan"]["bands"]]
+        assert printed and printed == executed
 
 
 # ----------------------------------------------------------------------
