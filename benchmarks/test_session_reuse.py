@@ -7,19 +7,20 @@ must
 
 * produce **bit-for-bit identical** results to the cold-start path
   (always asserted, any machine), while
-* actually hitting the caches — ``segments_reused`` on the process
-  backend strictly positive — and
+* actually hitting the segment registry — ``segments_reused`` strictly
+  positive — and
 * run **measurably faster** than cold starts on the process backend,
   where republishing every operand each call is the dominant per-call
   overhead.  The speedup assertion is gated on ``cpu_count >= 4``: on
   smaller machines the process pool exists but parallel wins (and hence
   stable timing contrast) do not.
 
-Both arms use *identical* plan knobs (same ``plan_defaults``), so the
-measured delta is purely cross-call persistence: the cold arm opens a
-fresh session per call and closes it (memos and shm segments all drop
-between calls — exactly what ``session=None`` apps do today),
-while the warm arm shares one session across every call.
+Both arms pass the app *identical* execution knobs (``APP_KNOBS``: the
+process backend on a four-row-block grid), so the measured delta is purely
+cross-call persistence: the cold arm opens a fresh session per call and
+closes it (its shm segments drop between calls — exactly what
+``session=None`` apps do today), while the warm arm shares one session
+across every call.
 
 Each test writes a ``.json`` twin carrying the timings and the warm
 session's cache telemetry so a results directory documents the reuse,
@@ -41,9 +42,9 @@ from repro.parallel import process_backend_available, shutdown_pool
 
 MANY_CORES = (os.cpu_count() or 1) >= 4
 
-#: both arms run the same forced-parallel process-backend plans; only the
-#: session lifetime differs
-PLAN_DEFAULTS = {"threads": 4, "backend": "process"}
+#: both arms run the same process-backend grid; only the session lifetime
+#: differs
+APP_KNOBS = {"backend": "process", "shards": (4, 1)}
 
 
 def _ab_timing(run, repeats=3):
@@ -51,17 +52,17 @@ def _ab_timing(run, repeats=3):
 
     ``run(session)`` executes one app call.  Cold arm: a fresh session per
     call, closed after it.  Warm arm: all ``repeats`` calls share one
-    session, so later passes hit the caches exactly as an iterative
+    session, so later passes hit the registry exactly as an iterative
     caller's would.
     """
     cold_best, cold_res = float("inf"), None
     for _ in range(repeats):
         t0 = time.perf_counter()
-        with ExecutionSession(plan_defaults=dict(PLAN_DEFAULTS)) as s:
+        with ExecutionSession() as s:
             cold_res = run(s)
         cold_best = min(cold_best, time.perf_counter() - t0)
     warm_best, warm_res = float("inf"), None
-    with ExecutionSession(plan_defaults=dict(PLAN_DEFAULTS)) as session:
+    with ExecutionSession() as session:
         for _ in range(repeats):
             t0 = time.perf_counter()
             warm_res = run(session)
@@ -82,7 +83,8 @@ def test_ktruss_session_reuse(benchmark, save_result):
     counter = OpCounter()
 
     def run(session):
-        return ktruss(g, 5, algo="auto", counter=counter, session=session)
+        return ktruss(g, 5, algo="auto", counter=counter, session=session,
+                      **APP_KNOBS)
 
     try:
         cold_s, warm_s, stats, cold, warm = benchmark.pedantic(
@@ -97,7 +99,7 @@ def test_ktruss_session_reuse(benchmark, save_result):
     assert counter.segments_reused > 0
 
     data = {
-        "graph": "rmat-10", "k": 5, "plan_defaults": PLAN_DEFAULTS,
+        "graph": "rmat-10", "k": 5, "app_knobs": APP_KNOBS,
         "cold_best_s": cold_s, "warm_best_s": warm_s,
         "speedup": cold_s / warm_s if warm_s > 0 else float("inf"),
         "session": stats,
@@ -118,9 +120,7 @@ def test_ktruss_session_reuse(benchmark, save_result):
 def test_bc_session_reuse(benchmark, save_result):
     """Shared-session batched BC: the paper's best case — ``A`` and ``A^T``
     are constant across every level of every call, so after the first call
-    the big operands are served entirely from the segment registry.  (The
-    CSC memo stays cold on purpose — ``docs/sessions.md``: a digest costs
-    more than the transpose a hit would save, so no call takes one for it.)"""
+    the big operands are served entirely from the segment registry."""
     if not process_backend_available():
         import pytest
 
@@ -131,7 +131,7 @@ def test_bc_session_reuse(benchmark, save_result):
     def run(session):
         return betweenness_centrality(
             g, batch_size=64, algo="auto", seed=1,
-            counter=counter, session=session,
+            counter=counter, session=session, **APP_KNOBS,
         )
 
     try:
@@ -147,7 +147,7 @@ def test_bc_session_reuse(benchmark, save_result):
     assert counter.segments_reused > 0
 
     data = {
-        "graph": "rmat-10", "batch": 64, "plan_defaults": PLAN_DEFAULTS,
+        "graph": "rmat-10", "batch": 64, "app_knobs": APP_KNOBS,
         "cold_best_s": cold_s, "warm_best_s": warm_s,
         "speedup": cold_s / warm_s if warm_s > 0 else float("inf"),
         "session": stats,
@@ -156,8 +156,7 @@ def test_bc_session_reuse(benchmark, save_result):
         f"BC (batch 64, rmat-10, process backend): "
         f"per-call session {cold_s * 1e3:.1f} ms, shared {warm_s * 1e3:.1f} ms "
         f"({data['speedup']:.2f}x); "
-        f"segments reused {stats['segments_reused']}, "
-        f"csc hits {stats['csc_cache_hits']}",
+        f"segments reused {stats['segments_reused']}",
         data=data, title="session reuse — betweenness centrality",
     )
     if MANY_CORES:

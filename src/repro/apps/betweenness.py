@@ -102,12 +102,12 @@ def betweenness_centrality(
     ``backend`` forces the execution backend of the per-level masked
     SpGEMMs (``None``, the default: in-process, one worker).  ``shards``
     passes the grid knob through to every level's masked SpGEMM (see
-    ``docs/parallel.md``).  ``session`` controls cross-call caching — an
-    :class:`~repro.engine.ExecutionSession` the caller opens, or ``None``
-    (default) / ``False`` for none.  BC is the paper's best case for reuse
-    on the process backend: ``A`` and ``A^T`` are constant across every
-    level, so under a session their shm segments publish once and only the
-    small frontier/numsp operands move per call.
+    ``docs/parallel.md``).  ``session`` is the process backend's segment
+    registry — an :class:`~repro.engine.ExecutionSession` the caller
+    opens, or ``None`` (default) / ``False`` for none.  BC is the paper's
+    best case for reuse on the process backend: ``A`` and ``A^T`` are
+    constant across every level, so under a session their shm segments
+    publish once and only the small frontier/numsp operands move per call.
     """
     if not supports_complement(algo):
         raise ValueError(

@@ -18,7 +18,6 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from ..engine import resolve_session
 from ..machine import OpCounter
 from ..semiring import PLUS_PAIR
 from ..sparse import CSR
@@ -43,13 +42,9 @@ def multi_source_bfs(
     algo: str = "auto",
     impl: str = "auto",
     counter: Optional[OpCounter] = None,
-    session=None,
 ) -> BFSResult:
     """Level-synchronous BFS from every source at once (one masked SpGEMM
-    per level; the complemented mask is the visited set).  ``A`` is
-    constant across levels, so a ``session`` (an
-    :class:`~repro.engine.ExecutionSession` the caller opens; default
-    ``None``: none) publishes it once."""
+    per level; the complemented mask is the visited set)."""
     n = a.nrows
     if a.ncols != n:
         raise ValueError("adjacency must be square")
@@ -60,13 +55,12 @@ def multi_source_bfs(
 
     frontier = CSR.from_coo((s, n), np.arange(s, dtype=np.int64), sources, np.ones(s))
     visited = frontier.copy()
-    session = resolve_session(session)
     d = 0
     while frontier.nnz:
         d += 1
         frontier = masked_spgemm(
             frontier, a, visited, algo=algo, impl=impl, complement=True,
-            semiring=PLUS_PAIR, counter=counter, session=session,
+            semiring=PLUS_PAIR, counter=counter,
         )
         if frontier.nnz == 0:
             d -= 1

@@ -97,10 +97,11 @@ def ktruss(
     ``shards`` is passed through to every masked SpGEMM (the grid knob,
     see ``docs/parallel.md``).
 
-    ``session`` controls cross-call caching: pass an
-    :class:`~repro.engine.ExecutionSession` to share one across calls;
-    ``None`` (default) and ``False`` run without one — a serial product
-    has nothing for a session to save (``docs/sessions.md``).
+    ``session`` is an :class:`~repro.engine.ExecutionSession` whose segment
+    registry a ``backend="process"`` product publishes through; ``None``
+    (default) and ``False`` run without one —
+    a serial product has nothing for a session to save
+    (``docs/parallel.md``, "Segment registry").
     """
     if k < 3:
         raise ValueError("k must be >= 3")

@@ -27,7 +27,6 @@ from typing import List, Optional
 
 import numpy as np
 
-from ..engine import resolve_session
 from ..machine import OpCounter
 from ..sparse import CSR, pattern_union
 from ..core import masked_spgemm, spgemm_saxpy_fast
@@ -94,22 +93,17 @@ def markov_clustering(
     selective_expansion: bool = False,
     algo: str = "auto",
     counter: Optional[OpCounter] = None,
-    session=None,
 ) -> MCLResult:
     """Cluster the undirected graph ``a`` with MCL.
 
     ``selective_expansion=True`` replaces the plain expansion SpGEMM with a
     masked one restricted to ``pattern(M) U pattern(M_strong^2)`` where
     ``M_strong`` keeps each column's heavier half — the flop-saving trick
-    enabled by masked SpGEMM.  ``session`` (an
-    :class:`~repro.engine.ExecutionSession` the caller opens; ``None``, the
-    default, or ``False`` for none) carries the cross-call caches of the
-    expansion iterations.
+    enabled by masked SpGEMM.
     """
     if a.nrows != a.ncols:
         raise ValueError("adjacency must be square")
     counter = counter if counter is not None else OpCounter()
-    session = resolve_session(session)
     n = a.nrows
     # add self loops (standard MCL initialisation) and normalise
     loops = CSR.from_coo((n, n), np.arange(n), np.arange(n), np.ones(n))
@@ -127,9 +121,7 @@ def markov_clustering(
             strong = m.drop_zeros(float(np.median(m.data)) * 0.5)
             hop2 = spgemm_saxpy_fast(strong.pattern(), strong.pattern())
             mask = pattern_union(m.pattern(), hop2.pattern())
-            expanded = masked_spgemm(
-                m, m, mask, algo=algo, counter=counter, session=session,
-            )
+            expanded = masked_spgemm(m, m, mask, algo=algo, counter=counter)
         else:
             expanded = spgemm_saxpy_fast(m, m, counter=counter)
         nxt = _prune(_inflate(expanded, inflation), prune_threshold)

@@ -29,7 +29,6 @@ from typing import List, Optional
 
 import numpy as np
 
-from ..engine import resolve_session
 from ..machine import OpCounter
 from ..semiring import PLUS_TIMES
 from ..sparse import CSR
@@ -154,7 +153,6 @@ def sparse_dnn_forward_topk(
     top_k: int = 32,
     algo: str = "auto",
     counter: Optional[OpCounter] = None,
-    session=None,
 ) -> DNNResult:
     """Budgeted inference: after each layer keep only the top-k activations
     per sample, and compute the next layer as a *masked* product restricted
@@ -165,14 +163,8 @@ def sparse_dnn_forward_topk(
     product on the already-sparsified ``Y``; the masked numeric product then
     prices only those positions.  With ``top_k >= max row nnz`` this equals
     the exact forward pass.
-
-    The weight layers are constant across batches, so a long-lived
-    ``session`` (an :class:`~repro.engine.ExecutionSession` the caller
-    opens; ``None``, the default, or ``False`` for none) keeps their
-    published segments warm across process-backend calls.
     """
     counter = counter if counter is not None else OpCounter()
-    session = resolve_session(session)
     y = x
     nnzs = []
     for w, b in zip(net.weights, net.biases):
@@ -180,7 +172,7 @@ def sparse_dnn_forward_topk(
         # reachable output pattern of the sparsified activations
         mask = spgemm_saxpy_fast(y.pattern(), w.pattern()).pattern()
         y = masked_spgemm(y, w, mask, algo=algo, semiring=PLUS_TIMES,
-                          counter=counter, session=session)
+                          counter=counter)
         y = _relu_bias(y, b)
         nnzs.append(y.nnz)
     return DNNResult(activations=y, nnz_per_layer=nnzs,

@@ -4,8 +4,8 @@ A window sliding over an edge stream inserts a few edges at the front and
 deletes a few at the back each step, and the masked product
 ``S = A .* (A @ A)`` — per-edge triangle support, the same product k-truss
 and triangle counting iterate — is recomputed for every window position.
-A caller's session carries the cross-call caches between steps; results
-are bit-for-bit identical to a sessionless run.
+A caller's session keeps the process backend's published segments alive
+between steps; results are bit-for-bit identical to a sessionless run.
 """
 
 from __future__ import annotations

@@ -18,11 +18,6 @@ there (the directory's parent must exist — a typo'd path is an error, not
 a silently created tree).  ``--baseline`` skips the figures entirely and
 runs the benchmark-history regression gate (:mod:`repro.bench.regress`)
 against the given history file, propagating its exit code.
-
-Measured-mode profile figures run each (scheme, case) inside an
-:class:`~repro.engine.ExecutionSession` by default, so repeated passes hit
-the cross-call caches; ``--no-session`` disables that for A/B-ing true
-cold-start cost (see ``docs/sessions.md``).
 """
 
 from __future__ import annotations
@@ -61,16 +56,13 @@ def run_figure(num: int, args) -> str:
         )
     repeats = args.repeats
     trace_dir = args.trace_dir
-    use_session = mode == "measured" and not args.no_session
     if num == 8:
         prof = exp.fig08_tc_profiles(mode=mode, machine=machine, scale_factor=sf,
-                                     repeats=repeats, trace_dir=trace_dir,
-                                     use_session=use_session)
+                                     repeats=repeats, trace_dir=trace_dir)
         return render_profile(prof, title=f"Figure 8 — TC profiles ({mode})")
     if num == 9:
         prof = exp.fig09_tc_vs_ssgb(mode=mode, machine=machine, scale_factor=sf,
-                                    repeats=repeats, trace_dir=trace_dir,
-                                    use_session=use_session)
+                                    repeats=repeats, trace_dir=trace_dir)
         return render_profile(prof, title=f"Figure 9 — TC vs SS:GB ({mode})")
     if num == 10:
         res = exp.fig10_tc_rmat_scaling(machine=machine, mode=mode)
@@ -83,14 +75,12 @@ def run_figure(num: int, args) -> str:
     if num == 12:
         prof = exp.fig12_ktruss_profiles(mode=mode, machine=machine,
                                          scale_factor=sf, repeats=repeats,
-                                         trace_dir=trace_dir,
-                                         use_session=use_session)
+                                         trace_dir=trace_dir)
         return render_profile(prof, title=f"Figure 12 — k-truss profiles ({mode})")
     if num == 13:
         prof = exp.fig13_ktruss_vs_ssgb(mode=mode, machine=machine,
                                         scale_factor=sf, repeats=repeats,
-                                        trace_dir=trace_dir,
-                                        use_session=use_session)
+                                        trace_dir=trace_dir)
         return render_profile(prof, title=f"Figure 13 — k-truss vs SS:GB ({mode})")
     if num == 14:
         res = exp.fig14_ktruss_rmat_scaling(machine=machine, mode=mode)
@@ -104,8 +94,7 @@ def run_figure(num: int, args) -> str:
     if num == 16:
         prof = exp.fig16_bc_profiles(mode=mode, machine=machine,
                                      scale_factor=sf, batch_size=args.bc_batch,
-                                     repeats=repeats, trace_dir=trace_dir,
-                                     use_session=use_session)
+                                     repeats=repeats, trace_dir=trace_dir)
         return render_profile(prof, title=f"Figure 16 — BC profiles ({mode})")
     raise ValueError(f"unknown figure {num}")
 
@@ -131,10 +120,6 @@ def main(argv=None) -> int:
     parser.add_argument("--trace-dir",
                         help="measured mode: write per-(scheme, case) trace "
                              "and metrics JSON artifacts here")
-    parser.add_argument("--no-session", action="store_true",
-                        help="measured mode: disable the per-(scheme, case) "
-                             "ExecutionSession — time true cold starts "
-                             "instead of warmed cross-call caches")
     parser.add_argument("--baseline",
                         help="run the history regression gate against this "
                              "BENCH_history.json instead of any figure")

@@ -163,7 +163,6 @@ def fig08_tc_profiles(
     schemes: Optional[Sequence[Scheme]] = None,
     repeats: int = 1,
     trace_dir: Optional[str] = None,
-    use_session: bool = False,
 ) -> PerformanceProfile:
     """Figure 8: TC performance profiles of our 12 schemes."""
     graphs = _suite_graphs(suite, scale_factor)
@@ -172,8 +171,7 @@ def fig08_tc_profiles(
     if mode == "measured":
         schemes = [s for s in schemes if s.fast]
     times = run_cases(cases, schemes, mode=mode, machine=machine,
-                      semiring=PLUS_PAIR, repeats=repeats, trace_dir=trace_dir,
-                      use_session=use_session)
+                      semiring=PLUS_PAIR, repeats=repeats, trace_dir=trace_dir)
     return performance_profile(times)
 
 
@@ -185,15 +183,13 @@ def fig09_tc_vs_ssgb(
     machine: MachineConfig = HASWELL,
     repeats: int = 1,
     trace_dir: Optional[str] = None,
-    use_session: bool = False,
 ) -> PerformanceProfile:
     """Figure 9: our best TC schemes vs SS:DOT / SS:SAXPY."""
     graphs = _suite_graphs(suite, scale_factor)
     cases = tc_cases(graphs)
     ours = [s for s in OUR_SCHEMES_1P if s.name in ("MSA-1P", "MCA-1P", "Inner-1P", "Hash-1P")]
     times = run_cases(cases, ours + SSGB_SCHEMES, mode=mode, machine=machine,
-                      semiring=PLUS_PAIR, repeats=repeats, trace_dir=trace_dir,
-                      use_session=use_session)
+                      semiring=PLUS_PAIR, repeats=repeats, trace_dir=trace_dir)
     return performance_profile(times)
 
 
@@ -207,7 +203,6 @@ def fig12_ktruss_profiles(
     schemes: Optional[Sequence[Scheme]] = None,
     repeats: int = 1,
     trace_dir: Optional[str] = None,
-    use_session: bool = False,
 ) -> PerformanceProfile:
     """Figure 12: k-truss performance profiles of our schemes."""
     graphs = _suite_graphs(suite, scale_factor)
@@ -216,8 +211,7 @@ def fig12_ktruss_profiles(
     if mode == "measured":
         schemes = [s for s in schemes if s.fast]
     times = run_cases(cases, schemes, mode=mode, machine=machine,
-                      semiring=PLUS_PAIR, repeats=repeats, trace_dir=trace_dir,
-                      use_session=use_session)
+                      semiring=PLUS_PAIR, repeats=repeats, trace_dir=trace_dir)
     return performance_profile(times)
 
 
@@ -230,15 +224,13 @@ def fig13_ktruss_vs_ssgb(
     machine: MachineConfig = HASWELL,
     repeats: int = 1,
     trace_dir: Optional[str] = None,
-    use_session: bool = False,
 ) -> PerformanceProfile:
     """Figure 13: our best k-truss schemes vs SS:GB."""
     graphs = _suite_graphs(suite, scale_factor)
     cases = ktruss_cases(graphs, k)
     ours = [s for s in OUR_SCHEMES_1P if s.name in ("MSA-1P", "Inner-1P", "Hash-1P", "MCA-1P")]
     times = run_cases(cases, ours + SSGB_SCHEMES, mode=mode, machine=machine,
-                      semiring=PLUS_PAIR, repeats=repeats, trace_dir=trace_dir,
-                      use_session=use_session)
+                      semiring=PLUS_PAIR, repeats=repeats, trace_dir=trace_dir)
     return performance_profile(times)
 
 
@@ -260,7 +252,6 @@ def fig16_bc_profiles(
     machine: MachineConfig = HASWELL,
     repeats: int = 1,
     trace_dir: Optional[str] = None,
-    use_session: bool = False,
 ) -> PerformanceProfile:
     """Figure 16: BC profiles — schemes that support complement (the paper
     drops MCA, and excludes Heap/Inner/SS:DOT as prohibitively slow; we keep
@@ -272,8 +263,7 @@ def fig16_bc_profiles(
     keep = [s for s in OUR_SCHEMES if s.algo in ("msa", "hash")]
     keep += [s for s in SSGB_SCHEMES if s.name == "SS:SAXPY"]
     times = run_cases(cases, keep, mode=mode, machine=machine,
-                      repeats=repeats, trace_dir=trace_dir,
-                      use_session=use_session)
+                      repeats=repeats, trace_dir=trace_dir)
     return performance_profile(times)
 
 

@@ -206,18 +206,17 @@ def session_app_records(
     repeats: int = 3,
     rmat_scale: int = 8,
     seed: int = 3,
-    bc_batch: int = 32,
     k: int = 5,
 ) -> List[dict]:
-    """Timing records for the session-enabled iterative apps.
+    """Timing records for the iterative workloads, each run end-to-end with
+    ONE :class:`~repro.engine.ExecutionSession` shared across all repeats.
 
     Unlike the pinned scheme records (deliberately sessionless — they are
-    the cold-start baseline), these run k-truss and betweenness centrality
-    end-to-end with ONE :class:`~repro.engine.ExecutionSession` shared
-    across all repeats, the intended usage pattern.  Each record carries
-    the session's cache telemetry under ``"session"`` so the regression
-    gate (:mod:`repro.bench.regress`) can tell "the cache stopped hitting"
-    apart from "the kernels got slower".
+    the cold-start baseline), each record carries the session's telemetry
+    under ``"session"`` so the regression gate (:mod:`repro.bench.regress`)
+    can tell "the segment registry stopped hitting" apart from "the
+    kernels got slower".  A serial call under a session caches nothing,
+    so no record exists just to certify a session:
 
     ``tc-sharded`` is the grid twin of the TC workload
     (``docs/parallel.md``): the same triangle-count masked SpGEMM run as a
@@ -227,42 +226,24 @@ def session_app_records(
     mask panels), not per-shard DCSR segments, so its ``segments_reused``
     is not comparable with records taken before the grid unification.
 
-    ``ktruss-delta`` is the decrementing twin of ``ktruss-session``
-    (``docs/algorithms.md``, "k-truss"): the same pruning loop at its default
-    ``delta="auto"``, so rounds after the first decrement the support by
-    two products over the removed edges (``ktruss-session`` pins
-    ``delta=None`` so it stays the full-recompute sessioned baseline).
-
-    ``tc-batched`` is the bucketed-tier twin (``docs/kernels.md``): the
-    TC masked SpGEMM forced onto ``batch="bucket"`` with ``phases=2``,
-    sessioned so repeats after the first fuse the numeric pass against
-    the memoised symbolic bound (``fused_numeric_hits`` in the session
-    telemetry certifies it).
+    ``ktruss-delta`` is the k-truss pruning loop (``docs/algorithms.md``,
+    "k-truss") at its default ``delta="auto"``, so rounds after the first
+    decrement the support by two products over the removed edges; it runs
+    serially, so its telemetry certifies that the session took no digest.
     """
-    from ..apps import betweenness_centrality, ktruss
+    from ..apps import ktruss
     from ..core import masked_spgemm
     from ..engine import ExecutionSession
 
     g = rmat(rmat_scale, seed=seed + rmat_scale)
     low = g.pattern().tril(-1)
     apps = (
-        ("ktruss-session", "auto",
-         lambda s, c: ktruss(g, k, algo="auto", counter=c, session=s,
-                             delta=None)),
         ("ktruss-delta", "auto",
          lambda s, c: ktruss(g, k, algo="auto", counter=c, session=s,
                              delta="auto")),
-        ("bc-session", "auto",
-         lambda s, c: betweenness_centrality(
-             g, batch_size=bc_batch, algo="auto", seed=1, counter=c,
-             session=s)),
         ("tc-sharded", "process",
          lambda s, c: masked_spgemm(
              low, low, low, algo="msa", shards=(2, 2), backend="process",
-             semiring=PLUS_PAIR, counter=c, session=s)),
-        ("tc-batched", "serial",
-         lambda s, c: masked_spgemm(
-             low, low, low, algo="hash", batch="bucket", phases=2,
              semiring=PLUS_PAIR, counter=c, session=s)),
     )
     records: List[dict] = []
@@ -314,8 +295,8 @@ def collect_run(
     """One history run: environment fingerprint + a record per key.
 
     ``include_session_apps`` appends the :func:`session_app_records`
-    (sessioned k-truss / BC, at R-MAT scale ``session_rmat_scale``) to
-    the pinned sessionless scheme records.
+    (sessioned k-truss and sharded TC, at R-MAT scale
+    ``session_rmat_scale``) to the pinned sessionless scheme records.
     """
     cases = cases if cases is not None else pinned_cases()
     schemes = list(schemes) if schemes is not None else pinned_schemes()

@@ -88,8 +88,8 @@ def compare_records(
         "ratio": head_median / base_median if base_median > 0 else float("inf"),
         "status": status,
         "counters_changed": base.get("counters") != head.get("counters"),
-        # session-enabled records carry cache telemetry; a shift there with
-        # unchanged counters means the caching regressed, not the kernels
+        # sessioned records carry segment-registry telemetry; a shift there
+        # with unchanged counters means the reuse regressed, not the kernels
         "cache_changed": base.get("session") != head.get("session"),
     }
 
@@ -141,7 +141,7 @@ def compare_runs(
 def _change_note(c: dict) -> str:
     """Cause attribution suffix for a non-ok row: counters changed means
     the algorithm did different work; cache counters changed (with stable
-    work counters) points at the session caches instead."""
+    work counters) points at the session's segment registry instead."""
     if c["status"] == "ok":
         return ""
     if c["counters_changed"]:

@@ -100,8 +100,7 @@ def scheme_by_name(name: str) -> Scheme:
     return _BY_NAME[name]
 
 
-def _run_call(scheme: Scheme, call: Call, semiring: Semiring, counter=None,
-              session=None) -> CSR:
+def _run_call(scheme: Scheme, call: Call, semiring: Semiring, counter=None) -> CSR:
     a, b, m, compl = call
     if scheme.algo == "ssgb_dot":
         return ssgb_dot(a, b, m, complement=compl, semiring=semiring,
@@ -112,7 +111,6 @@ def _run_call(scheme: Scheme, call: Call, semiring: Semiring, counter=None,
     return masked_spgemm(
         a, b, m, algo=scheme.algo, phases=scheme.phases,
         complement=compl, semiring=semiring, impl="auto", counter=counter,
-        session=session,
     )
 
 
@@ -122,11 +120,10 @@ def measured_seconds(
     *,
     semiring: Semiring = PLUS_TIMES,
     repeats: int = 1,
-    session=None,
 ) -> float:
     """Wall-clock seconds to execute the call sequence (min over repeats)."""
     return min(measured_sample_seconds(scheme, calls, semiring=semiring,
-                                       repeats=repeats, session=session))
+                                       repeats=repeats))
 
 
 def measured_sample_seconds(
@@ -136,7 +133,6 @@ def measured_sample_seconds(
     semiring: Semiring = PLUS_TIMES,
     repeats: int = 1,
     counter=None,
-    session=None,
 ) -> List[float]:
     """Per-repeat wall-clock samples for the call sequence.
 
@@ -145,15 +141,13 @@ def measured_sample_seconds(
     the min, so its regression gate has a noise estimate to work with.
     ``counter`` (an :class:`~repro.machine.OpCounter`) is threaded into
     every call — the history store's traced pass uses it to attach the
-    deterministic work certificate to each timing record.  ``session``
-    (an :class:`~repro.engine.ExecutionSession`) is likewise threaded into
-    every masked-SpGEMM call; the SS:GB baselines ignore it.
+    deterministic work certificate to each timing record.
     """
     samples: List[float] = []
     for _ in range(max(1, repeats)):
         t0 = time.perf_counter()
         for call in calls:
-            _run_call(scheme, call, semiring, counter, session)
+            _run_call(scheme, call, semiring, counter)
         samples.append(time.perf_counter() - t0)
     return samples
 
@@ -221,7 +215,6 @@ def run_cases(
     complement_required: bool = False,
     chunk: Optional[int] = None,
     trace_dir: Optional[str] = None,
-    use_session: bool = False,
 ) -> Dict[str, Dict[str, float]]:
     """Times for every (scheme, case): ``times[scheme.name][case_name]``.
 
@@ -235,13 +228,6 @@ def run_cases(
     plus ``.metrics.json`` pair there — the per-run artifact that sits next
     to the experiment's JSON results (``repro.bench.reporting.save_json``).
     Ignored in model mode, where no kernels actually execute.
-
-    ``use_session`` (measured mode only): run each (scheme, case) inside a
-    fresh :class:`~repro.engine.ExecutionSession`, so repeated passes over
-    the same call list hit the cross-call caches — the iterative-app usage
-    pattern.  The session's cache telemetry lands in the ``.metrics.json``
-    artifact when ``trace_dir`` is set.  ``python -m repro.bench
-    --no-session`` turns this off to time true cold starts.
     """
     if mode not in ("model", "measured"):
         raise ValueError("mode must be 'model' or 'measured'")
@@ -263,39 +249,22 @@ def run_cases(
                     scheme, calls, machine=machine, threads=threads, chunk=chunk
                 )
                 continue
-            session = None
-            if use_session and scheme.algo not in ("ssgb_dot", "ssgb_saxpy"):
-                from ..engine import ExecutionSession
+            if trace_dir is not None:
+                from ..observe import tracing, write_chrome_trace, write_metrics
 
-                session = ExecutionSession()
-            try:
-                if trace_dir is not None:
-                    from ..observe import (
-                        tracing,
-                        write_chrome_trace,
-                        write_metrics,
-                    )
-
-                    with tracing() as tracer:
-                        row[case_name] = measured_seconds(
-                            scheme, calls, semiring=semiring, repeats=repeats,
-                            session=session,
-                        )
-                    base = os.path.join(
-                        trace_dir,
-                        f"{_artifact_slug(scheme.name)}__"
-                        f"{_artifact_slug(case_name)}",
-                    )
-                    write_chrome_trace(base + ".trace.json", tracer)
-                    write_metrics(base + ".metrics.json", tracer,
-                                  machine=machine, session=session)
-                else:
+                with tracing() as tracer:
                     row[case_name] = measured_seconds(
                         scheme, calls, semiring=semiring, repeats=repeats,
-                        session=session,
                     )
-            finally:
-                if session is not None:
-                    session.close()
+                base = os.path.join(
+                    trace_dir,
+                    f"{_artifact_slug(scheme.name)}__{_artifact_slug(case_name)}",
+                )
+                write_chrome_trace(base + ".trace.json", tracer)
+                write_metrics(base + ".metrics.json", tracer, machine=machine)
+            else:
+                row[case_name] = measured_seconds(
+                    scheme, calls, semiring=semiring, repeats=repeats,
+                )
         out[scheme.name] = row
     return out

@@ -3,7 +3,7 @@
 :func:`run_kernel` is what the front door (:func:`repro.core.masked_spgemm`
 with a forced ``algo=``) and every engine work item
 (:func:`repro.parallel.pool.run_task`) run once validation, machine
-resolution, session scoping and planning are behind them.  The algorithm
+resolution and planning are behind them.  The algorithm
 table, the checks the public entry points share and :func:`classify_rows`
 live here too, so ``repro.engine`` and ``repro.parallel`` import this
 module and never the door.
@@ -78,12 +78,6 @@ def check_operands(a: CSR, b: CSR, mask: CSR) -> None:
         )
 
 
-def caching_session(session):
-    """Normalise a ``session=`` argument: ``None``, the apps' ``False``
-    sentinel and a non-caching session all mean "no cross-call state"."""
-    return session if session and session.caching else None
-
-
 def run_kernel(
     a: CSR,
     b: CSR,
@@ -97,14 +91,11 @@ def run_kernel(
     counter: Optional[OpCounter] = None,
     b_csc: Optional[CSC] = None,
     batch: str = "auto",
-    session=None,
 ) -> CSR:
     """Run ``algo`` (a key of :data:`ALL_ALGOS`) on operands the caller
-    vouches for: conforming shapes, an algorithm that can run the mask,
-    ``session`` a caching session inside its call scope, or ``None``.
-    Picks the tier (``impl``), runs the 2P symbolic sweep (or takes it from
-    the session's bound memo), fetches the inner product's CSC and
-    cross-checks the numeric result against the symbolic count."""
+    vouches for: conforming shapes and an algorithm that can run the mask.
+    Picks the tier (``impl``), runs the 2P symbolic sweep and cross-checks
+    the numeric result against the symbolic count."""
     use_fast = impl == "fast" or (impl == "auto" and algo in _FAST)
     if use_fast and algo not in _FAST:
         raise ValueError(
@@ -113,10 +104,8 @@ def run_kernel(
         )
     # the chunked kernels take batch= and, under 2P, fuse the symbolic bound
     # into output formation: the final CSR slab is allocated from row_nnz
-    # and finished rows are written in place (no separate counting sweep
-    # beyond the one whose bound the session may already memoise)
+    # and finished rows are written in place
     chunked = use_fast and algo in BATCHABLE_ALGOS
-    hits_before = session.bound_cache_hits if session is not None else 0
 
     # 1P: the kernels size their scratch from the mask bound themselves
     row_nnz = None
@@ -132,11 +121,9 @@ def run_kernel(
             if tr is not None else _obs.NULL_SPAN
         )
         with sym_cm:
-            bounds = symbolic_masked if session is None else session.symbolic_bounds
-            row_nnz = bounds(a, b, mask, complement=complement, counter=counter)
+            row_nnz = symbolic_masked(a, b, mask, complement=complement,
+                                      counter=counter)
 
-    if algo == "inner" and b_csc is None and session is not None:
-        b_csc = session.csc_of(b)
     if use_fast:
         kwargs = dict(complement=complement, semiring=semiring, counter=counter)
         if algo == "inner":
@@ -146,15 +133,6 @@ def run_kernel(
             if row_nnz is not None:
                 kwargs["row_nnz"] = row_nnz
         c = _FAST[algo](a, b, mask, **kwargs)
-        if (
-            chunked
-            and row_nnz is not None
-            and session is not None
-            and session.bound_cache_hits > hits_before
-        ):
-            # the numeric pass consumed a memoised symbolic bound: the whole
-            # counting sweep was skipped AND output formation was fused
-            session.fused_numeric_hits += 1
     else:
         tr = _obs.current()
         ref_cm = (

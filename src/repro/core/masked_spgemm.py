@@ -49,7 +49,6 @@ from __future__ import annotations
 from typing import Optional
 
 from ..machine import HASWELL, MachineConfig, OpCounter
-from ..observe import tracer as _obs
 from ..semiring import PLUS_TIMES, Semiring
 from ..sparse import CSC, CSR
 from .kernels.batch import BATCH_TIERS
@@ -58,7 +57,6 @@ from .leaf import (
     ALGOS,
     ALL_ALGOS,
     EXTENSION_ALGOS,
-    caching_session,
     check_operands,
     classify_rows,
     run_kernel,
@@ -103,7 +101,7 @@ def _check_spellings(algo: str, phases, impl: str, batch: str, backend=None) -> 
 def _planned(a, b, mask, *, algo, phases, impl, batch="auto", **call) -> CSR:
     """The internal call every front door is a spelling of: spellings
     checked, then :func:`repro.engine.plan_and_execute` (shape checks,
-    machine, session scope, plan, work items) with the door's forced plan
+    machine, plan, work items) with the door's forced plan
     knobs among ``call``."""
     key = _check_spellings(algo, phases, impl, batch, call.get("backend"))
     from ..engine.executor import plan_and_execute
@@ -204,12 +202,12 @@ def masked_spgemm(
         same either way.  It selects for ``msa`` and ``esc``; it is a
         no-op for ``hash``, the native loops and every other algorithm.
     session:
-        Optional :class:`repro.engine.ExecutionSession` holding cross-call
-        caches for iterative workloads: CSC transpose memo, 2P
-        symbolic-bound memo and (for the process backend) the shm segment
-        registry.  Results are bit-for-bit identical with or without one.
-        ``False`` (the app-level "disable caching" sentinel) is accepted
-        and means the same as ``None`` here: no cross-call caching.
+        Optional :class:`repro.engine.ExecutionSession`: the process
+        backend's shm segment registry, which keeps the segments one call
+        publishes alive for the next.  Only a process-backend plan with
+        several work items reads it; results are bit-for-bit identical
+        with or without one.  ``False`` (the apps' "no session" sentinel)
+        means the same as ``None``.
     """
     if orientation not in ("row", "column"):
         raise ValueError("orientation must be 'row' or 'column'")
@@ -240,14 +238,12 @@ def masked_spgemm(
         check_operands(a, b, mask)
         if complement and not supports_complement(key):
             raise ValueError(f"{ALGO_LABELS[key]} does not support complemented masks")
-        session = caching_session(session)
-        with session.call() if session is not None else _obs.NULL_SPAN:
-            c = run_kernel(
-                a, b, mask,
-                algo=key, phases=1 if phases is None else phases,
-                complement=complement, semiring=semiring, impl=impl,
-                counter=counter, b_csc=b_csc, batch=batch, session=session,
-            )
+        c = run_kernel(
+            a, b, mask,
+            algo=key, phases=1 if phases is None else phases,
+            complement=complement, semiring=semiring, impl=impl,
+            counter=counter, b_csc=b_csc, batch=batch,
+        )
     return c.transpose() if column else c
 
 

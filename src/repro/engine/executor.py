@@ -21,6 +21,7 @@ reports exactly the work a monolithic run would.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import logging
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import ExitStack
@@ -28,8 +29,8 @@ from typing import List, Optional
 
 import numpy as np
 
-from ..core.leaf import caching_session, check_operands, run_kernel
-from ..machine import OpCounter, flops_per_row
+from ..core.leaf import check_operands, run_kernel
+from ..machine import HOST_NATIVE, OpCounter, flops_per_row, host_profile, resolve_machine
 from ..observe import probes as _probes
 from ..observe import tracer as _obs
 from ..parallel import pool as _pool
@@ -45,7 +46,7 @@ from ..sparse import CSC, CSR
 from ..sparse.ops import split_columns
 from .plan import ExecutionPlan, RowBand
 from .planner import Planner
-from .session import plan_call
+from .session import resolve_session
 
 __all__ = ["execute", "plan_and_execute"]
 
@@ -186,10 +187,10 @@ def execute(
     (:mod:`repro.parallel.pool`) with zero-copy operands.  ``b_csc``
     optionally amortises the CSC build for inner-product bands across calls.
 
-    ``session`` (an :class:`~repro.engine.ExecutionSession`) carries the
-    cross-call caches: the inner-product CSC comes from the session memo
-    and the process backend serves operand and column-panel segments from
-    the session's registry.  Results are bit-for-bit identical either way.
+    ``session`` (an :class:`~repro.engine.ExecutionSession`) is the process
+    backend's segment registry: operand and column-panel segments
+    published by one call are served to the next.  Results are bit-for-bit
+    identical either way.
     """
     plan.validate()
     if backend is not None:
@@ -201,19 +202,17 @@ def execute(
             f"plan shape {tuple(plan.shape)} does not match the operands' "
             f"output shape ({a.nrows}, {b.ncols})"
         )
-    session = caching_session(session)
-    with session.call() if session is not None else _obs.NULL_SPAN:
-        return _execute(
-            plan, a, b, mask,
-            semiring=semiring, impl=impl, counter=counter, b_csc=b_csc,
-            session=session,
-        )
+    return _execute(
+        plan, a, b, mask,
+        semiring=semiring, impl=impl, counter=counter, b_csc=b_csc,
+        session=resolve_session(session),
+    )
 
 
 def _execute(plan, a, b, mask, *, semiring, impl, counter, b_csc, session) -> CSR:
     """:func:`execute` past its checks: a validated plan (a planner's own)
-    for these operands, ``session`` a caching session inside its call scope
-    or ``None``."""
+    for these operands, ``session`` an :class:`ExecutionSession` or
+    ``None``."""
     backend = plan.backend
     if not plan.bands or a.nrows == 0:
         return CSR.empty(plan.shape)
@@ -266,7 +265,6 @@ def _execute(plan, a, b, mask, *, semiring, impl, counter, b_csc, session) -> CS
                     algo=first.algo, phases=plan.phases,
                     complement=plan.complement, semiring=semiring, impl=impl,
                     counter=counter, b_csc=b_csc, batch=first.batch,
-                    session=session,
                 )
 
         npanels = grid.ncp
@@ -276,11 +274,8 @@ def _execute(plan, a, b, mask, *, semiring, impl, counter, b_csc, session) -> CS
         if any(band.algo == "inner" for band in plan.bands):
             if npanels > 1:
                 cscs = [CSC.from_csr(panel) for panel in b_panels]
-            elif b_csc is not None:
-                cscs = [b_csc]
             else:
-                cscs = [session.csc_of(b) if session is not None
-                        else CSC.from_csr(b)]
+                cscs = [b_csc if b_csc is not None else CSC.from_csr(b)]
         fl = (
             flops_per_row(a, b)
             if plan.partition == "balanced" and plan.threads > 1
@@ -330,6 +325,9 @@ def _execute(plan, a, b, mask, *, semiring, impl, counter, b_csc, session) -> CS
                     continue
                 remote = backend == "process" and len(items) > 1
                 if remote and pub is None:
+                    if session is not None:
+                        # one call scope: each operand is digested once
+                        stack.enter_context(session.call())
                     pub = stack.enter_context(_Published(session, counter))
                     a_spec = pub.spec(a, a, ("csr",))
                 run_on = "serial" if backend == "process" and not remote else backend
@@ -392,25 +390,47 @@ def plan_and_execute(
     """Plan and immediately execute — what every front door calls when
     there is something to plan (``docs/engine.md``, "Path of a call").
 
-    The session is normalised and its call scope opened here; the plan
-    comes from :func:`~repro.engine.session.plan_call` (the given
-    ``planner``, the session's with its ``plan_defaults``, or the one
-    cached for ``machine``), which receives every forced knob — the plan is
-    the only carrier of ``backend`` into the work-item loop — and execution
-    reuses the session's CSC memo and shm segment registry.  A given
-    ``b_csc`` is the inner product's CSC, so the plan does not charge
-    ``inner`` for building one.
+    The plan comes from :func:`plan_call` (the given ``planner``, or the
+    one cached for ``machine``), which receives every forced knob — the
+    plan is the only carrier of ``backend`` into the work-item loop — and
+    a process-backend grid publishes through the ``session``'s segment
+    registry.  A given ``b_csc`` is the inner product's CSC, so the plan
+    does not charge ``inner`` for building one.
     """
-    session = caching_session(session)
-    with session.call() if session is not None else _obs.NULL_SPAN:
-        pl = plan_call(
-            a, b, mask, session=session, machine=machine, planner=planner,
-            semiring=semiring, complement=complement, phases=phases,
-            backend=backend, _b_csc=b_csc, **plan_kwargs,
-        )
-        # the planner validated its own plan: skip execute()'s second pass
-        return _execute(
-            pl, a, b, mask,
-            semiring=semiring, impl=impl, counter=counter, b_csc=b_csc,
-            session=session,
-        )
+    pl = plan_call(
+        a, b, mask, machine=machine, planner=planner, semiring=semiring,
+        complement=complement, phases=phases, backend=backend, _b_csc=b_csc,
+        **plan_kwargs,
+    )
+    # the planner validated its own plan: skip execute()'s second pass
+    return _execute(
+        pl, a, b, mask,
+        semiring=semiring, impl=impl, counter=counter, b_csc=b_csc,
+        session=resolve_session(session),
+    )
+
+
+@functools.lru_cache(maxsize=8)
+def _planner_for(machine) -> Planner:
+    """The default-policy planner of a resolved machine (planners hold no
+    per-call state, so every call shares one)."""
+    return Planner(machine)
+
+
+def plan_call(a: CSR, b: CSR, mask: CSR, *, machine=None,
+              planner: Optional[Planner] = None, semiring=None, **knobs):
+    """The planning step of :func:`plan_and_execute`: pick the planner —
+    the given one, else the one cached for the resolved ``machine`` — and
+    hand it every knob (:meth:`Planner.plan`).
+
+    ``semiring`` is the call's: with no ``machine`` and no ``planner``, a
+    call the native tier cannot run is not priced from ``HOST_NATIVE`` but
+    from the NumPy bodies' ``HOST`` (:func:`repro.machine.host_profile`)."""
+    if planner is None:
+        named = machine is not None
+        machine = resolve_machine(machine)
+        if not named and semiring is not None and machine is HOST_NATIVE:
+            # the C loops' prices hold for the calls the C loops take
+            machine = host_profile(semiring, a.data, b.data)
+        planner = _planner_for(machine)
+    return planner.plan(a, b, mask, **knobs)

@@ -210,11 +210,10 @@ class Planner:
         skips the partition's row-work CV and the final ``validate()`` —
         it is valid by construction.
 
-        ``_b_csc`` is internal: B's CSC when the call already has it — the
-        caller's ``b_csc=``, or the session memo behind a fingerprint the
-        call holds (:func:`~repro.engine.session.plan_call`).  Only then is
-        ``inner`` not charged the CSC build, and a close call reads B's
-        column counts off it instead of counting them.
+        ``_b_csc`` is internal: the caller's ``b_csc=``, B's CSC when the
+        call already has it.  Only then is ``inner`` not charged the CSC
+        build, and a close call reads B's column counts off it instead of
+        counting them.
         """
         check_operands(a, b, mask)
         if phases is not None and phases not in (1, 2):

@@ -24,11 +24,12 @@ Counter semantics:
   amortised across rows via the reset-list trick; Hash pays
   ``nnz(m)/load_factor`` per row).
 * ``spa_resets`` — cells cleared when recycling a dense accumulator.
-* ``symbolic_flops`` — work done in a 2P symbolic phase.
-* ``segments_reused`` / ``bytes_republished`` — cross-call reuse wins of
-  an :class:`~repro.engine.ExecutionSession` (shared-memory operand
-  segments served from the session registry instead of republished; bytes
-  rewritten in place for a values-only operand change).  Zero in
+* ``symbolic_flops`` — work done in a 2P symbolic phase (every 2P call
+  runs its sweep; nothing is memoised across calls).
+* ``segments_reused`` / ``bytes_republished`` — the only counters an
+  :class:`~repro.engine.ExecutionSession` moves: shared-memory operand
+  segments its registry served instead of republishing, and bytes
+  rewritten in place for a values-only operand change.  Zero in
   sessionless runs, so backend-equivalence comparisons are unaffected.
   ``plan_cache_hits`` is kept for stored snapshots and the ladder's traced
   rungs; plans are no longer cached, so it stays 0.

@@ -16,7 +16,7 @@ The kernels' wall time is linear in statistics the planner already has:
   ``nnz(M[i,:])`` mask entries scattered/gathered per row;
 * ``inner``: pulled pairs ``sum_{(i,j) in M} nnz(B[:,j])`` plus a per-mask-
   nonzero term, and ``nnz(B)`` for the CSC build, which every call pays
-  unless it holds the fingerprint of a memoised one;
+  unless the caller passes one (``b_csc=``);
 * every kernel call / row band: a fixed cost, and for a split plan the row
   slicing and the final merge, linear in the sliced nonzeros.
 
@@ -82,8 +82,7 @@ class HostProfile:
     mca_ns: Tuple[float, float, float] = (39.5, 8.9, 175.0)
     inner_ns: Tuple[float, float, float] = (8.6, 32.2, 182.0)
     #: CSC build (``CSR.transpose``: this tier's radix passes) per nnz(B),
-    #: charged to ``inner`` unless the call already holds the fingerprint
-    #: that guards a memoised transpose (``ExecutionSession.csc_of``)
+    #: charged to ``inner`` unless the caller passes B's CSC (``b_csc=``)
     csc_nnz_ns: float = 14.1
     #: fixed cost of one kernel call (one row band)
     band_ns: float = 85e3

@@ -146,9 +146,9 @@ def metrics(tracer_or_spans, *, machine=None, probes=None, session=None) -> dict
     count/total/max — see ``docs/observability.md`` for the schema.
 
     ``session`` may be an :class:`~repro.engine.ExecutionSession`; its
-    cache telemetry (plan / CSC / bound hit counts, segment reuse and
-    republished bytes) lands under the ``"session"`` key ({} when absent)
-    — see ``docs/sessions.md``.
+    telemetry (digests taken, segment reuse and republished bytes) lands
+    under the ``"session"`` key ({} when absent) — see
+    ``docs/parallel.md``, "Segment registry".
     """
     if probes is None:
         probes = _probes.current()

@@ -93,7 +93,7 @@ def report(tracer, *, plan=None, probes=None, session=None) -> str:
     and — when a probe registry is installed or passed — the accumulator
     micro-telemetry histograms).  Passing an
     :class:`~repro.engine.ExecutionSession` adds a session-reuse section
-    (plan-cache and segment-registry hit rates).
+    (digests taken and segment-registry hit rates).
 
     ``tracer`` may be ``None`` — an *untraced* sessioned run still gets
     its session and pool section, so cache behaviour is never invisible
@@ -165,14 +165,6 @@ def report(tracer, *, plan=None, probes=None, session=None) -> str:
         lines.append("")
         lines.append("=== session reuse ===")
         lines.append(f"  digests         taken={st['fingerprint_digests']}")
-        lines.append(
-            f"  csc memo        hits={st['csc_cache_hits']:<8d} "
-            f"misses={st['csc_cache_misses']}"
-        )
-        lines.append(
-            f"  symbolic bounds hits={st['bound_cache_hits']:<8d} "
-            f"misses={st['bound_cache_misses']}"
-        )
         lines.append(
             f"  shm segments    reused={st['segments_reused']:<6d} "
             f"published={st['segments_published']} "

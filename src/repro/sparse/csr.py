@@ -134,11 +134,7 @@ class CSR:
         Validate the invariants at construction time.
     """
 
-    # _csc_memo holds (fingerprint_key, CSC) — an ExecutionSession parks the
-    # derived transpose here so a constant operand is transposed once per
-    # content even across sessions; see repro.engine.session.
-    __slots__ = ("shape", "indptr", "indices", "data", "sorted_indices",
-                 "_csc_memo")
+    __slots__ = ("shape", "indptr", "indices", "data", "sorted_indices")
 
     def __init__(
         self,
@@ -158,7 +154,6 @@ class CSR:
         else:
             self.data = np.ascontiguousarray(data, dtype=VALUE_DTYPE)
         self.sorted_indices = bool(sorted_indices)
-        self._csc_memo = None
         if check:
             self.check()
 

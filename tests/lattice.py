@@ -18,10 +18,10 @@ Three consumers:
   whose digest or counters differ outside :data:`EXCEPTIONS` and exits
   non-zero if there is one — the parent-vs-change identity check of a
   refactor (CONTRIBUTING.md: clone the parent, copy this file in, digest
-  both trees, compare).  Both sides run the cases in the same order, and
-  need to: a sessioned ``algo="auto"`` call prices ``inner`` by whether B's
-  CSC is already memoised on the operand, so what ran before can move its
-  plan — the bytes never, the counters of a handful of calls;
+  both trees, compare).  A session keeps nothing but published segments
+  between calls, so no earlier call can move a later call's plan: the
+  ``session="own"`` steps (cold, warm, mutated) differ from a sessionless
+  call only in ``segments_reused`` / ``bytes_republished``;
 * ``tests/test_lattice.py`` runs a fixed sample under tier-1 against the
   reference tier.
 

@@ -275,19 +275,6 @@ class TestFittedEquivalence:
         assert any(len(pl["bands"]) != len(host.bands) or pl["threads"] != host.threads
                    for pl in plans)
 
-    def test_fitted_session_equivalence(self):
-        # PLUS_PAIR: exact integer sums, bitwise invariant to plan changes
-        low = _tc_low(scale=8, seed=21)
-        with ExecutionSession(machine=ODD) as sess:
-            got = masked_spgemm(low, low, low, algo="auto",
-                                semiring=PLUS_PAIR, session=sess)
-            assert sess.machine is ODD
-            assert sess.plan(low, low, low).machine == "odd"
-        ref = masked_spgemm(low, low, low, algo="auto", semiring=PLUS_PAIR)
-        assert np.array_equal(got.indptr, ref.indptr)
-        assert np.array_equal(got.indices, ref.indices)
-        assert np.array_equal(got.data, ref.data)
-
     def test_direction_bfs_fitted_same_levels(self):
         g = rmat(8, seed=9).pattern()
         ref = direction_optimized_bfs(g, 0)

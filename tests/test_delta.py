@@ -1,9 +1,6 @@
-"""Iterative apps and targeted session invalidation.
-
-Covers the session's targeted :meth:`~repro.engine.ExecutionSession.invalidate`
-and the iterative apps: k-truss's support decrement (``ktruss(delta=)``)
-against the full product every round, and the streaming window and MCL
-with a caller's session against ``session=False``.
+"""Iterative apps: k-truss's support decrement (``ktruss(delta=)``)
+against the full product every round, the streaming window with a
+caller's session against ``session=False``, and MCL's selective expansion.
 """
 
 from __future__ import annotations
@@ -23,42 +20,6 @@ def _same(got: CSR, ref: CSR) -> None:
     assert np.array_equal(got.indptr, ref.indptr)
     assert np.array_equal(got.indices, ref.indices)
     assert np.array_equal(got.data, ref.data)
-
-
-# ----------------------------------------------------------------------
-# targeted session invalidation
-# ----------------------------------------------------------------------
-class TestTargetedInvalidate:
-    def test_unrelated_entries_survive(self):
-        a = erdos_renyi(48, 48, 3, seed=1, values="uniform")
-        u = erdos_renyi(48, 48, 3, seed=9, values="uniform")
-        with ExecutionSession() as sess:
-            # the CSC memo is live only behind a fingerprint
-            fa, fu = sess.fingerprint(a), sess.fingerprint(u)
-            ca, cu = sess.csc_of(a, fa), sess.csc_of(u, fu)
-            sess.symbolic_bounds(a, a, a, complement=False)
-            bu = sess.symbolic_bounds(u, u, u, complement=False)
-            sess.invalidate(a)
-            # unrelated entries survive the eviction untouched
-            assert sess.csc_of(u, fu) is cu
-            assert sess.symbolic_bounds(u, u, u, complement=False) is bu
-            assert sess.bound_cache_hits == 1
-            # dependent entries are gone: same content rebuilds fresh
-            assert sess.csc_of(a, fa) is not ca
-            sess.symbolic_bounds(a, a, a, complement=False)
-            assert sess.bound_cache_hits == 1
-
-    def test_invalidate_none_clears_everything(self):
-        a = erdos_renyi(48, 48, 3, seed=1, values="uniform")
-        with ExecutionSession() as sess:
-            fa = sess.fingerprint(a)
-            ca = sess.csc_of(a, fa)
-            masked_spgemm(a, a, a, algo="auto", phases=2, session=sess)
-            assert sess.csc_of(a, fa) is ca and sess._bounds
-            a._csc_memo = None  # the object-level memo outlives the session's
-            sess.invalidate()
-            assert sess.csc_of(a, fa) is not ca
-            assert not sess._bounds
 
 
 # ----------------------------------------------------------------------
@@ -169,11 +130,12 @@ class TestApps:
     def test_mcl_delta_equals_plain(self):
         from repro.apps import markov_clustering
 
+        # MCL's expansion is not a constant-operand loop: it takes no
+        # session, and the planned expansion equals the forced msa one
         g = erdos_renyi(64, 64, 4, seed=6)
-        base = markov_clustering(g, selective_expansion=True, algo="auto",
-                                 session=False)
-        with ExecutionSession() as sess:
-            res = markov_clustering(g, selective_expansion=True, algo="auto",
-                                    session=sess)
+        base = markov_clustering(g, selective_expansion=True, algo="msa")
+        res = markov_clustering(g, selective_expansion=True, algo="auto")
         assert np.array_equal(res.labels, base.labels)
         assert res.iterations == base.iterations
+        with pytest.raises(TypeError, match="session"):
+            markov_clustering(g, session=False)

@@ -72,13 +72,10 @@ class TestCollection:
             "git_sha", "python", "numpy", "cpu_count", "platform", "machine",
         }
         # 3 pinned schemes x (1 TC case + 2x2 grid cells), plus the
-        # sessioned iterative-app records and the sharded/batched TC records
-        assert len(tiny_run["records"]) == 20
+        # sessioned k-truss and sharded TC records
+        assert len(tiny_run["records"]) == 17
         schemes = {r["scheme"] for r in tiny_run["records"]}
-        assert schemes == set(PINNED_SCHEME_NAMES) | {
-            "ktruss-session", "ktruss-delta", "bc-session", "tc-sharded",
-            "tc-batched",
-        }
+        assert schemes == set(PINNED_SCHEME_NAMES) | {"ktruss-delta", "tc-sharded"}
 
     def test_record_carries_work_certificate(self, tiny_run):
         for r in tiny_run["records"]:
@@ -86,15 +83,12 @@ class TestCollection:
             assert r["median_s"] > 0 and r["mad_s"] >= 0
             assert r["counters"].get("flops", 0) > 0
             if "session" in r:
-                # sessioned app records certify cache telemetry instead of
-                # probe histograms; work counters must exclude the cache
-                # counters (those live under "session").  tc-batched's
-                # certificate is the fused symbolic-bound reuse; the serial
-                # apps' is that the session took (next to) no digest.
-                if r["scheme"] == "tc-batched":
-                    assert r["session"]["fused_numeric_hits"] > 0
-                elif r["backend"] == "auto":
-                    assert r["session"]["fingerprint_digests"] <= 2 * r["repeats"] + 2
+                # sessioned records certify segment-registry telemetry
+                # instead of probe histograms; work counters must exclude
+                # the reuse counters (those live under "session").  The
+                # serial k-truss certifies that the session took no digest.
+                if r["backend"] == "auto":
+                    assert r["session"]["fingerprint_digests"] == 0
                 assert "plan_cache_hits" not in r["session"]
                 assert "plan_cache_hits" not in r["counters"]
                 continue

@@ -200,14 +200,15 @@ class TestOneFrontDoor:
                                                     (None, False)])
     def test_an_auto_call_takes_each_step_once(self, machine, sessioned, small_triple,
                                                monkeypatch):
-        """Shape checks, machine resolution, session normalisation and the
-        session's call scope: each runs once between the door and the leaf."""
+        """Shape checks, machine resolution and session normalisation: each
+        runs once between the door and the leaf; a serial call never opens
+        the session's call scope (only a segment publication does)."""
         import repro.core.leaf as leaf
         import repro.core.masked_spgemm as door
         from repro.engine import ExecutionSession, executor, planner, session
 
         a, b, m = small_triple
-        calls = {"check_operands": 0, "resolve_machine": 0, "caching_session": 0,
+        calls = {"check_operands": 0, "resolve_machine": 0, "resolve_session": 0,
                  "run_kernel": 0, "call": 0}
 
         def spy(owner, name):
@@ -228,10 +229,8 @@ class TestOneFrontDoor:
             spy(sess, "call")
             got = masked_spgemm(a, b, m, **kw)
         assert_csr_equal(got, want)
-        # a session resolved its own machine when it was built
-        assert calls == {"check_operands": 1, "caching_session": 1, "run_kernel": 1,
-                         "resolve_machine": int(not sessioned or machine is not None),
-                         "call": int(sessioned)}
+        assert calls == {"check_operands": 1, "resolve_session": 1, "run_kernel": 1,
+                         "resolve_machine": 1, "call": 0}
 
 
 class TestLayering:

@@ -1,6 +1,10 @@
-"""Cross-call execution-session suite: on-demand fingerprints, uncached
-planning, segment reuse — and above all equivalence: a sessioned run must
-be bit-for-bit identical to a sessionless one, with identical work counters.
+"""Cross-call execution-session suite: on-demand fingerprints, the shm
+segment registry — and above all equivalence: a sessioned run must be
+bit-for-bit identical to a sessionless one, with identical work counters.
+
+A session is the process backend's segment registry and nothing else: it
+carries no plan knobs and memoises no plan, CSC or symbolic bound, so a
+serial call under a session takes no digest and leaves nothing behind.
 
 Covers the cache hit/miss matrix (new object with equal bytes → hit;
 mutated values → values-only republish; mutated structure → full miss),
@@ -17,6 +21,7 @@ backend-smoke job (``pytest -m session``).
 from __future__ import annotations
 
 import dataclasses
+import inspect
 from pathlib import Path
 
 import numpy as np
@@ -77,6 +82,11 @@ _PROCESS_GRID = (
     ({"backend": "process", "shards": (2, 1)},) if process_backend_available() else ()
 )
 
+needs_process = pytest.mark.skipif(
+    not process_backend_available(),
+    reason="platform lacks shared-memory process support",
+)
+
 
 def _work_fields(counter: OpCounter) -> dict:
     return {
@@ -122,30 +132,24 @@ class TestFingerprint:
         assert sess.fingerprint(a) == f1
         assert sess.fingerprint_digests == 2
 
-    def test_invalidate_forces_redigest(self):
+    def test_strict_mode_sees_inplace_mutation(self):
+        # what strict=True used to ask for is the only behaviour: every
+        # request outside a call scope re-digests, so an in-place mutation
+        # is seen without help.  A session takes no option at all, and its
+        # public surface is the segment registry and the digests keying it
+        assert not inspect.signature(ExecutionSession).parameters
         a = erdos_renyi(32, 32, 3, seed=1, values="uniform")
         sess = ExecutionSession()
+        assert {n for n in dir(sess) if not n.startswith("_")} == {
+            "call", "close", "fingerprint", "fingerprint_digests",
+            "segment_cache", "stats",
+        }
         f1 = sess.fingerprint(a)
-        a.data[:] = a.data * 3.0  # in-place mutation is seen without help
+        a.data[:] = a.data * 3.0
         f2 = sess.fingerprint(a)
         assert f2.key != f1.key
         assert f2.structure_key == f1.structure_key
-        # invalidate still accepts the matrix or a fingerprint taken earlier
-        sess.invalidate(a)
-        sess.invalidate(f1)
-        assert sess.fingerprint(a) == f2
-
-    def test_strict_mode_sees_inplace_mutation(self):
-        # what strict=True used to ask for is the only behaviour; the
-        # parameter (and the cache-size knobs of the removed caches) is gone
-        for dead in ("strict", "plan_cache_size", "fingerprint_cache_size"):
-            with pytest.raises(TypeError):
-                ExecutionSession(**{dead: 1})
-        a = erdos_renyi(32, 32, 3, seed=1, values="uniform")
-        sess = ExecutionSession()
-        f1 = sess.fingerprint(a)
-        a.data[:] = a.data * 3.0
-        assert sess.fingerprint(a).key != f1.key
+        assert sess.fingerprint_digests == 2
 
     def test_fingerprint_is_derived_from_the_block_digests(self):
         # the name predates the one-pass digest: equal bytes in a new object
@@ -178,21 +182,26 @@ class TestFingerprint:
         keys = {fp.key} | {fingerprint_csr(m).key for m in changed}
         assert len(keys) == 1 + len(changed)
 
+    @needs_process
     def test_one_digest_per_distinct_operand_per_call(self):
-        # phases=2 keys its bound memo by all three operands' structure
+        # a process grid keys every segment it publishes by the fingerprint
+        # of the operand it derives from: one digest per operand object
         a = erdos_renyi(48, 48, 3, seed=1, values="uniform")
         b = erdos_renyi(48, 48, 3, seed=2, values="uniform")
         with ExecutionSession() as sess:
             for calls in (1, 2):
-                masked_spgemm(a, a, a, algo="auto", phases=2, session=sess)
+                masked_spgemm(a, a, a, algo="auto", session=sess, **_PROCESS_GRID[0])
                 assert sess.fingerprint_digests == calls
+            masked_spgemm(a, b, a, algo="auto", session=sess, **_PROCESS_GRID[0])
+            assert sess.fingerprint_digests == 4
+            # a serial call, 1P or 2P, digests nothing
             masked_spgemm(a, b, a, algo="auto", phases=2, session=sess)
             assert sess.fingerprint_digests == 4
 
     #: one session path per case; the ids are the removed ``delta=`` modes',
-    #: kept so the case names stay stable.  The plain call takes no digest,
-    #: phases=2 keys the bound memo and a grid (process backend when there
-    #: is one) the segment registry by content
+    #: kept so the case names stay stable.  Neither serial call takes a
+    #: digest; a grid (process backend when there is one) keys the segment
+    #: registry by content
     _MUTATION_PATHS = {
         None: {},
         "auto": {"phases": 2},
@@ -225,10 +234,10 @@ class TestFingerprint:
             with ExecutionSession() as sess:
                 masked_spgemm(a, a, a, algo="auto", session=sess, **kw)
                 digests = sess.fingerprint_digests
-                assert digests > 0, kw
+                assert digests == int("shards" in kw), kw  # A = B = M: one digest
                 a.indptr, a.indices, a.data = other.indptr, other.indices, other.data
                 got = masked_spgemm(a, a, a, algo="auto", session=sess, **kw)
-                assert sess.fingerprint_digests > digests, kw
+                assert sess.fingerprint_digests == 2 * digests, kw
             assert np.array_equal(got.indptr, ref.indptr), kw
             assert np.array_equal(got.indices, ref.indices), kw
             assert np.array_equal(got.data, ref.data), kw
@@ -241,50 +250,56 @@ class TestFingerprint:
 
 
 # ----------------------------------------------------------------------
-# planning through a session (the plan cache is gone: a plan costs less
-# than the three-operand digest that keyed it; the class keeps its name so
-# the surviving tests keep their ids)
+# planning under a session: a session plans nothing and carries no plan
+# knobs, so a sessioned call plans exactly as a sessionless one (the class
+# keeps its name so the surviving tests keep their ids)
 # ----------------------------------------------------------------------
-def _plan_dict(pl) -> dict:
-    return pl.as_dict()
+def _executed_plan(sess, a, b, m, **kw) -> dict:
+    """The plan a sessioned ``plan_and_execute`` call ran (its
+    ``engine.execute`` span)."""
+    from repro.observe import tracing
+
+    with tracing() as tr:
+        plan_and_execute(a, b, m, session=sess, **kw)
+    (run,) = [sp for sp in tr.spans if sp.name == "engine.execute"]
+    return run.attrs["plan"]
 
 
 class TestPlanCache:
     def test_same_structure_hits(self, square_problem):
         # same operands -> the same plan, re-derived without a digest
         a, b, m = square_problem
-        sess = ExecutionSession()
-        p1 = sess.plan(a, b, m)
-        p2 = sess.plan(a, b, m)
-        assert p1 is not p2
-        assert _plan_dict(p1) == _plan_dict(p2)
-        assert sess.fingerprint_digests == 0
-        assert "plan_cache_hits" not in sess.stats()
-        assert "plan_cache_misses" not in sess.stats()
+        with ExecutionSession() as sess:
+            p1 = _executed_plan(sess, a, b, m)
+            assert _executed_plan(sess, a, b, m) == p1
+            assert p1 == plan(a, b, m).as_dict()
+            assert sess.fingerprint_digests == 0
+            assert "plan_cache_hits" not in sess.stats()
+            assert "plan_cache_misses" not in sess.stats()
 
     def test_values_only_change_still_hits(self):
         # planning is structure-driven: a values-only change plans the same
         a = erdos_renyi(48, 48, 3, seed=7, values="uniform")
         a2 = CSR((48, 48), a.indptr.copy(), a.indices.copy(), a.data * 2.0,
                  sorted_indices=a.sorted_indices)
-        sess = ExecutionSession()
-        assert _plan_dict(sess.plan(a, a, a)) == _plan_dict(sess.plan(a2, a2, a2))
+        with ExecutionSession() as sess:
+            assert _executed_plan(sess, a, a, a) == _executed_plan(sess, a2, a2, a2)
 
     def test_structure_change_misses(self):
         a = erdos_renyi(48, 48, 3, seed=7)
         b = erdos_renyi(48, 48, 30, seed=8)
-        sess = ExecutionSession()
-        assert _plan_dict(sess.plan(a, a, a)) != _plan_dict(sess.plan(b, b, b))
-        assert sess.fingerprint_digests == 0
+        with ExecutionSession() as sess:
+            assert _executed_plan(sess, a, a, a) != _executed_plan(sess, b, b, b)
+            assert sess.fingerprint_digests == 0
 
     def test_knobs_partition_the_cache(self, square_problem):
         a, b, m = square_problem
-        sess = ExecutionSession()
-        p1 = sess.plan(a, b, m)
-        p2 = sess.plan(a, b, m, complement=True)
-        p3 = sess.plan(a, b, m, threads=2)
-        assert not p1.complement and p2.complement
-        assert p3.threads == 2
+        with ExecutionSession() as sess:
+            p1 = _executed_plan(sess, a, b, m)
+            p2 = _executed_plan(sess, a, b, m, complement=True)
+            p3 = _executed_plan(sess, a, b, m, threads=2)
+        assert not p1["complement"] and p2["complement"]
+        assert p3["threads"] == 2
 
     def test_counter_charged_on_hit_only(self, square_problem):
         # there are no plan-cache hits any more: the OpCounter field stays
@@ -296,13 +311,6 @@ class TestPlanCache:
                 masked_spgemm(a, b, m, algo="auto", session=sess, counter=c)
         assert c.plan_cache_hits == 0
 
-    def test_plan_defaults_apply(self, square_problem):
-        a, b, m = square_problem
-        sess = ExecutionSession(plan_defaults={"threads": 2, "backend": "serial"})
-        pl = sess.plan(a, b, m)
-        assert pl.threads == 2
-        assert pl.backend == "serial"
-
     def test_machine_override_partitions_cache(self, square_problem):
         # regression: machine= was silently ignored alongside a caching
         # session; it must be honoured, per call
@@ -311,19 +319,19 @@ class TestPlanCache:
         a, b, m = square_problem
         with ExecutionSession() as sess:
             for _ in range(2):
-                assert sess.plan(a, b, m).machine == "host"
-                assert sess.plan(a, b, m, machine=KNL).machine == "knl"
-                assert sess.plan(a, b, m, machine="knl").machine == "knl"
+                assert _executed_plan(sess, a, b, m)["machine"] == "host"
+                assert _executed_plan(sess, a, b, m, machine=KNL)["machine"] == "knl"
+                assert _executed_plan(sess, a, b, m, machine="knl")["machine"] == "knl"
 
     def test_foreign_planner_honoured_uncached(self, square_problem):
         from repro.engine import Planner
         from repro.machine import KNL
 
         a, b, m = square_problem
-        with ExecutionSession(plan_defaults={"threads": 2}) as sess:
-            pl = sess.plan(a, b, m, planner=Planner(KNL))
-            assert pl.machine == "knl"
-            assert pl.threads == 2  # the session's defaults still apply
+        with ExecutionSession() as sess:
+            pl = _executed_plan(sess, a, b, m, planner=Planner(KNL), threads=2)
+        assert pl["machine"] == "knl"
+        assert pl["threads"] == 2
 
     def test_plan_and_execute_threads_machine_into_session(self,
                                                            square_problem):
@@ -341,122 +349,82 @@ class TestPlanCache:
         assert np.array_equal(got.indices, ref.indices)
         assert np.array_equal(got.data, ref.data)
 
-    def test_caching_false_bypasses(self, square_problem):
-        a, b, m = square_problem
-        sess = ExecutionSession(caching=False)
-        assert _plan_dict(sess.plan(a, b, m)) == _plan_dict(sess.plan(a, b, m))
-        masked_spgemm(a, b, m, algo="inner", session=sess)
-        masked_spgemm(a, b, m, algo="msa", phases=2, session=sess)
-        assert sess.fingerprint_digests == 0
-        assert sess.csc_cache_misses == 0 and sess.bound_cache_misses == 0
-
 
 # ----------------------------------------------------------------------
-# derived CSC + symbolic bound memo
+# derived data: a session keeps no CSC and no symbolic bound from one call
+# to the next (the class keeps its name so the surviving tests keep their
+# ids)
 # ----------------------------------------------------------------------
+def _reachable(root):
+    """Every object reachable from ``root`` through its references, types
+    and modules excepted (they would reach the whole interpreter)."""
+    import gc
+    import types
+
+    seen, stack = {id(root)}, [root]
+    while stack:
+        for ref in gc.get_referents(stack.pop()):
+            if id(ref) in seen or isinstance(ref, (type, types.ModuleType)):
+                continue
+            seen.add(id(ref))
+            stack.append(ref)
+            yield ref
+
+
 class TestDerivedCaches:
-    def test_csc_memoised_on_session_and_object(self):
-        a = erdos_renyi(48, 48, 3, seed=7, values="uniform")
-        sess = ExecutionSession()
-        # no key at hand: the CSC is built — a digest would cost more than
-        # the build it guards — and nothing is kept or counted
-        assert sess.csc_of(a) is not sess.csc_of(a)
-        assert a._csc_memo is None and not sess._cscs
-        assert (sess.fingerprint_digests, sess.csc_cache_hits, sess.csc_cache_misses) == (0, 0, 0)
-        # a caller that holds the fingerprint gets the memo
-        fp = fingerprint_csr(a)
-        c1 = sess.csc_of(a, fp)
-        assert sess.csc_of(a, fp) is c1
-        assert (sess.csc_cache_hits, sess.csc_cache_misses) == (1, 1)
-        # so does a call scope that digested the operand for another consumer
-        with sess.call():
-            assert sess.csc_of(a) is not c1
-            sess.fingerprint(a)
-            assert sess.csc_of(a) is c1
-        assert sess.csc_of(a) is not c1  # the scope ended: the key is gone
-        # a fresh session finds the object-level memo (same content)
-        sess2 = ExecutionSession()
-        assert sess2.csc_of(a, fp) is c1
-        assert sess2.csc_cache_misses == 0
-
-    def test_csc_memo_invalidated_by_content_change(self):
-        a = erdos_renyi(48, 48, 3, seed=7, values="uniform")
-        sess = ExecutionSession()
-        c1 = sess.csc_of(a, fingerprint_csr(a))
-        a.data[:] = a.data * 2.0
-        assert sess.csc_of(a, fingerprint_csr(a)) is not c1  # new content, new key
-        a.data[:] = a.data / 2.0
-        assert sess.csc_of(a, fingerprint_csr(a)) is c1
-        sess.invalidate(a)
-        assert sess.csc_of(a, fingerprint_csr(a)) is not c1
-
-    def test_symbolic_bounds_replay_counter(self, square_problem):
-        a, b, m = square_problem
-        sess = ExecutionSession()
-        c_miss, c_hit, c_ref = OpCounter(), OpCounter(), OpCounter()
-        r1 = sess.symbolic_bounds(a, b, m, complement=False, counter=c_miss)
-        r2 = sess.symbolic_bounds(a, b, m, complement=False, counter=c_hit)
-        from repro.core.symbolic import symbolic_masked
-
-        ref = symbolic_masked(a, b, m, complement=False, counter=c_ref)
-        assert np.array_equal(r1, ref) and np.array_equal(r2, ref)
-        assert c_miss == c_ref
-        assert c_hit == c_ref  # replayed, not skipped
-        assert sess.bound_cache_hits == 1
-
     def test_one_phase_bound_not_memoised(self, square_problem):
-        # the 1P bound is one flops_per_row — cheaper than any key — and no
-        # kernel reads it: a sessioned 1P push call takes no digest at all
+        # no kernel's bound, CSC or plan is worth its key: a sessioned
+        # serial call — push or pull, 1P or 2P — takes no digest at all
         a, b, m = square_problem
         with ExecutionSession() as sess:
             assert not hasattr(sess, "one_phase_bound")
-            for algo in ("msa", "mca", "hash", "esc"):
-                masked_spgemm(a, b, m, algo=algo, session=sess)
+            for algo in ("msa", "mca", "hash", "esc", "inner"):
+                for phases in (1, 2):
+                    masked_spgemm(a, b, m, algo=algo, phases=phases, session=sess)
             assert sess.fingerprint_digests == 0
-            assert sess.bound_cache_misses == 0
-            # nor does a pull call: building B's CSC costs less than the
-            # digest that would guard a memo of it
-            masked_spgemm(a, b, m, algo="inner", session=sess)
-            assert sess.fingerprint_digests == 0
-            assert (sess.csc_cache_hits, sess.csc_cache_misses) == (0, 0)
+            assert set(sess.stats()) == {
+                "fingerprint_digests", "segments_reused", "segments_published",
+                "values_republished", "bytes_published", "bytes_republished",
+                "cached_entries", "cached_bytes",
+            }
 
     def test_inplace_write_to_b_between_inner_calls_is_seen(self):
-        # inner-planned calls rebuild B's CSC (no digest for a CSC alone), so
-        # a write into B in place between two calls is simply seen; behind a
-        # fingerprint the memo follows the content too
+        # inner-planned calls rebuild B's CSC, so a write into B in place
+        # between two calls is simply seen
         # (dense enough that every row pulls under either kernel tier's profile)
         a = erdos_renyi(128, 128, 32, seed=1, values="uniform")
         b = erdos_renyi(128, 128, 32, seed=2, values="uniform")
         m = erdos_renyi(128, 128, 1, seed=3)
+        assert plan(a, b, m).nrows_per_algo() == {"inner": 128}
         with ExecutionSession() as sess:
-            assert sess.plan(a, b, m).nrows_per_algo() == {"inner": 128}
             c1 = masked_spgemm(a, b, m, algo="auto", session=sess)
             b.data[:] *= 2
             c2 = masked_spgemm(a, b, m, algo="auto", session=sess)
             c3 = masked_spgemm(a, b, m, algo="auto", session=sess)
             assert sess.fingerprint_digests == 0
-            assert (sess.csc_cache_misses, sess.csc_cache_hits) == (0, 0)
-            keyed = sess.csc_of(b, sess.fingerprint(b))
-            b.data[:] *= 2
-            rekeyed = sess.csc_of(b, sess.fingerprint(b))
-            assert rekeyed is not keyed and np.array_equal(rekeyed.data, 2.0 * keyed.data)
-            assert (sess.csc_cache_misses, sess.csc_cache_hits) == (2, 0)
-            b.data[:] /= 2
         assert np.array_equal(c2.data, 2.0 * c1.data)
         ref = masked_spgemm(a, b, m, algo="auto")
         assert np.array_equal(c2.indices, ref.indices)
         assert np.array_equal(c3.data, ref.data)
 
+    def test_close_leaves_no_csc_reachable_from_the_operands(self):
+        # close() releases everything the session kept: no CSC built during
+        # a sessioned inner call may survive on the caller's operands
+        from repro.sparse import CSC
+
+        a = erdos_renyi(64, 64, 4, seed=1, values="uniform")
+        b = erdos_renyi(64, 64, 4, seed=2, values="uniform")
+        m = erdos_renyi(64, 64, 6, seed=3)
+        sess = ExecutionSession()
+        masked_spgemm(a, b, m, algo="inner", phases=2, session=sess)
+        sess.close()
+        for operand in (a, b, m):
+            assert not any(isinstance(obj, CSC) for obj in _reachable(operand))
+
 
 # ----------------------------------------------------------------------
 # shm segment registry (process backend)
 # ----------------------------------------------------------------------
-needs_process = pytest.mark.skipif(
-    not process_backend_available(),
-    reason="platform lacks shared-memory process support",
-)
-
-
 def _process_run(a, b, m, session, algo="msa", parts=2, backend="process"):
     """A forced ``algo`` plan cut into ``parts`` block row parts."""
     counter = OpCounter()
@@ -483,8 +451,7 @@ class TestSegmentReuse:
         b = erdos_renyi(64, 64, 4, seed=2, values="uniform")
         with ExecutionSession() as sess:
             ref1, _ = _process_run(a, b, a, sess)
-            b.data[:] = b.data * 2.0
-            sess.invalidate(b)
+            b.data[:] = b.data * 2.0  # seen by content, no invalidation
             got, c3 = _process_run(a, b, a, sess)
             serial, _ = _process_run(a, b, a, None, backend="serial")
             assert np.array_equal(got.indptr, serial.indptr)
@@ -563,12 +530,11 @@ class TestEquivalence:
         cold = OpCounter()
         ref = plan_and_execute(a, b, m, phases=phases, threads=2,
                                backend=backend, counter=cold)
-        with ExecutionSession(
-            plan_defaults={"threads": 2, "backend": backend}
-        ) as sess:
+        with ExecutionSession() as sess:
             for _ in range(2):  # second pass exercises every warm path
                 warm = OpCounter()
-                got = plan_and_execute(a, b, m, phases=phases, counter=warm,
+                got = plan_and_execute(a, b, m, phases=phases, threads=2,
+                                       backend=backend, counter=warm,
                                        session=sess)
                 assert np.array_equal(got.indptr, ref.indptr)
                 assert np.array_equal(got.indices, ref.indices)
@@ -627,8 +593,7 @@ class TestApps:
         assert got.iterations == ref.iterations
 
     def test_serial_plan_bc_digests_at_most_twice(self):
-        # 37 digests per call before fingerprints became consumer-driven:
-        # only the inner-planned backward levels digest (B, for the CSC memo)
+        # a serial BC has no segment to publish, so it digests nothing
         from repro.apps import betweenness_centrality
 
         g = rmat(8, seed=11)
@@ -638,7 +603,7 @@ class TestApps:
             stats = sess.stats()
         assert np.array_equal(got.centrality, ref.centrality)
         assert got.depth >= 2
-        assert stats["fingerprint_digests"] <= 2
+        assert stats["fingerprint_digests"] == 0
 
     def test_ktruss_without_delta_digests_nothing(self):
         from repro.apps import ktruss
@@ -659,11 +624,10 @@ class TestApps:
         ref = betweenness_centrality(g, batch_size=16, algo="auto", seed=1,
                                      session=False)
         counter = OpCounter()
-        with ExecutionSession(
-            plan_defaults={"threads": 2, "backend": "process"}
-        ) as sess:
+        with ExecutionSession() as sess:
             got = betweenness_centrality(g, batch_size=16, algo="auto",
-                                         seed=1, counter=counter, session=sess)
+                                         seed=1, counter=counter, session=sess,
+                                         **_PROCESS_GRID[0])
             stats = sess.stats()
         assert np.array_equal(got.centrality, ref.centrality)
         assert stats["segments_reused"] > 0
