@@ -1,7 +1,8 @@
 """Benchmark harness: Dolan-Moré performance profiles, scheme runner
-(measured + modeled timing), the per-figure experiment definitions, and
-the append-only benchmark history store with its statistical regression
-gate (:mod:`repro.bench.history` / :mod:`repro.bench.regress`)."""
+(measured + modeled timing) and the per-figure experiment definitions.
+
+Wall-clock regressions are judged by the ladder
+(``benchmarks/ladder/run.py`` + ``compare.py``), not by this package."""
 
 from .experiments import (
     DensityGridResult,
@@ -37,30 +38,11 @@ from .runner import (
     OUR_SCHEMES_1P,
     SSGB_SCHEMES,
     Scheme,
-    measured_sample_seconds,
     measured_seconds,
     modeled_seconds,
     run_cases,
     scheme_by_name,
 )
-
-#: re-exported on first use: ``history`` and ``regress`` are also ``python
-#: -m`` commands, and an eager import here would put them in ``sys.modules``
-#: before runpy executes them as ``__main__``
-_HISTORY = ("append_run", "collect_run", "env_fingerprint", "latest_run",
-            "load_history", "pinned_cases", "write_run")
-_REGRESS = ("compare_runs", "render_report")
-
-
-def __getattr__(name):
-    if name in _HISTORY:
-        from . import history as module
-    elif name in _REGRESS:
-        from . import regress as module
-    else:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    return getattr(module, name)
-
 
 __all__ = [
     "DensityGridResult",
@@ -94,17 +76,7 @@ __all__ = [
     "SSGB_SCHEMES",
     "Scheme",
     "measured_seconds",
-    "measured_sample_seconds",
     "modeled_seconds",
     "run_cases",
     "scheme_by_name",
-    "collect_run",
-    "append_run",
-    "write_run",
-    "load_history",
-    "latest_run",
-    "pinned_cases",
-    "env_fingerprint",
-    "compare_runs",
-    "render_report",
 ]

@@ -8,16 +8,13 @@ Usage::
     python -m repro.bench --figure 7 --scale-factor 2.0
     python -m repro.bench --figure 8 --mode measured --repeats 5 \
         --trace-dir results/traces                    # per-run artifacts
-    python -m repro.bench --baseline BENCH_history.json  # regression gate
 
 Prints the same rows/series/grids the paper's figures plot, as ASCII
 tables (see ``benchmarks/`` for the asserting pytest harness).
 ``--repeats`` sets the timed repeats of measured-mode experiments;
 ``--trace-dir`` drops per-(scheme, case) Chrome-trace + metrics artifacts
 there (the directory's parent must exist — a typo'd path is an error, not
-a silently created tree).  ``--baseline`` skips the figures entirely and
-runs the benchmark-history regression gate (:mod:`repro.bench.regress`)
-against the given history file, propagating its exit code.
+a silently created tree).
 """
 
 from __future__ import annotations
@@ -120,21 +117,12 @@ def main(argv=None) -> int:
     parser.add_argument("--trace-dir",
                         help="measured mode: write per-(scheme, case) trace "
                              "and metrics JSON artifacts here")
-    parser.add_argument("--baseline",
-                        help="run the history regression gate against this "
-                             "BENCH_history.json instead of any figure")
     args = parser.parse_args(argv)
     if args.repeats < 1:
         parser.error("--repeats must be >= 1")
 
-    if args.baseline is not None:
-        from .regress import main as regress_main
-
-        return regress_main(["--baseline", args.baseline,
-                             "--repeats", str(args.repeats)])
-
     if not args.all and args.figure is None:
-        parser.error("pass --figure N, --all, or --baseline")
+        parser.error("pass --figure N or --all")
     figures = sorted(FIGURES) if args.all else [args.figure]
     for num in figures:
         t0 = time.time()

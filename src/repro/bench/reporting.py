@@ -136,8 +136,8 @@ def save_figure_json(path, data, *, title: str = "", rendered: str = "") -> None
     """The one JSON emitter every figure benchmark shares.
 
     Wraps an experiment's structured numbers in a uniform envelope —
-    ``{"title", "rendered", "data"}`` — so downstream tooling (the history
-    store's consumers, ad-hoc notebooks) can read any
+    ``{"title", "rendered", "data"}`` — so downstream tooling (plotting
+    scripts, ad-hoc notebooks) can read any
     ``benchmarks/results/*.json`` without knowing which figure produced
     it.  ``rendered`` carries the ASCII table the `.txt` twin shows; the
     machine-readable truth lives under ``data`` (converted exactly as

@@ -7,8 +7,8 @@ once and provides the two ways of timing a masked SpGEMM call sequence:
 * **measured** — wall-clock of the real kernels in this process.  Honest
   but CPython-flavoured: interpreter overhead compresses cache effects and
   the heap schemes (reference implementations) are orders of magnitude
-  slower than the vectorized kernels, so measured comparisons are
-  restricted to the vectorized subset by default.
+  slower than the vectorized kernels, so the figure experiments time only
+  the vectorized subset in measured mode.
 * **modeled** — the Section-4-based cost model + makespan scheduler
   (:mod:`repro.machine`), evaluated per call and summed.  This is what
   reproduces the paper's *shapes* (see DESIGN.md substitutions).
@@ -42,7 +42,6 @@ __all__ = [
     "FAST_SCHEMES",
     "scheme_by_name",
     "measured_seconds",
-    "measured_sample_seconds",
     "modeled_seconds",
     "run_cases",
     "Call",
@@ -100,17 +99,15 @@ def scheme_by_name(name: str) -> Scheme:
     return _BY_NAME[name]
 
 
-def _run_call(scheme: Scheme, call: Call, semiring: Semiring, counter=None) -> CSR:
+def _run_call(scheme: Scheme, call: Call, semiring: Semiring) -> CSR:
     a, b, m, compl = call
     if scheme.algo == "ssgb_dot":
-        return ssgb_dot(a, b, m, complement=compl, semiring=semiring,
-                        counter=counter)
+        return ssgb_dot(a, b, m, complement=compl, semiring=semiring)
     if scheme.algo == "ssgb_saxpy":
-        return ssgb_saxpy(a, b, m, complement=compl, semiring=semiring,
-                          counter=counter)
+        return ssgb_saxpy(a, b, m, complement=compl, semiring=semiring)
     return masked_spgemm(
         a, b, m, algo=scheme.algo, phases=scheme.phases,
-        complement=compl, semiring=semiring, impl="auto", counter=counter,
+        complement=compl, semiring=semiring, impl="auto",
     )
 
 
@@ -122,34 +119,13 @@ def measured_seconds(
     repeats: int = 1,
 ) -> float:
     """Wall-clock seconds to execute the call sequence (min over repeats)."""
-    return min(measured_sample_seconds(scheme, calls, semiring=semiring,
-                                       repeats=repeats))
-
-
-def measured_sample_seconds(
-    scheme: Scheme,
-    calls: Sequence[Call],
-    *,
-    semiring: Semiring = PLUS_TIMES,
-    repeats: int = 1,
-    counter=None,
-) -> List[float]:
-    """Per-repeat wall-clock samples for the call sequence.
-
-    The raw material for robust statistics: the benchmark history store
-    (:mod:`repro.bench.history`) keeps median + MAD over these instead of
-    the min, so its regression gate has a noise estimate to work with.
-    ``counter`` (an :class:`~repro.machine.OpCounter`) is threaded into
-    every call — the history store's traced pass uses it to attach the
-    deterministic work certificate to each timing record.
-    """
-    samples: List[float] = []
+    best = float("inf")
     for _ in range(max(1, repeats)):
         t0 = time.perf_counter()
         for call in calls:
-            _run_call(scheme, call, semiring, counter)
-        samples.append(time.perf_counter() - t0)
-    return samples
+            _run_call(scheme, call, semiring)
+        best = min(best, time.perf_counter() - t0)
+    return best
 
 
 def modeled_seconds(
@@ -220,8 +196,9 @@ def run_cases(
 
     ``mode``: ``"model"`` or ``"measured"``.  Schemes that cannot run a
     case (complement unsupported) get ``inf`` — the Dolan–Moré convention.
-    In measured mode, non-fast schemes (heap) are skipped the same way
-    unless every call in the experiment is small.
+    Every scheme passed is timed in measured mode, heap included: the
+    figure experiments (:mod:`repro.bench.experiments`) pass only the
+    ``fast`` schemes there.
 
     ``trace_dir`` (measured mode only): run each (scheme, case) under the
     tracer and drop a ``<scheme>__<case>.trace.json`` (Chrome trace-event)

@@ -31,11 +31,13 @@ and the numeric phase writes into an exact allocation; 1P sizes scratch by
 the mask bound.  Both produce identical matrices — the difference is work,
 which the counters and the cost model expose.
 
-``impl`` picks the implementation tier: ``"fast"`` (vectorized NumPy,
-default), ``"reference"`` (pseudocode-faithful scalar code), or ``"auto"``
-(fast where available, reference otherwise — heap schemes are
-reference-only by design; they are the paper's slowest and serve as the
-algorithmic lower bound for merging without an accumulator array).
+``impl`` picks the implementation tier: ``"fast"`` (the native C row loop
+where it loaded and the call is eligible, the vectorized NumPy body
+otherwise), ``"reference"`` (pseudocode-faithful scalar code), or
+``"auto"``, the default (fast where available, reference otherwise — heap
+schemes are reference-only by design; they are the paper's slowest and
+serve as the algorithmic lower bound for merging without an accumulator
+array).
 
 This module is the **front door**: :func:`masked_spgemm` and its three
 historical spellings (``_hybrid``, ``_chunked``, ``parallel_`` — a dict of

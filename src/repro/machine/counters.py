@@ -38,7 +38,7 @@ Counter semantics:
   them, so they stay 0.
 
 Schema growth: counters cross process and file boundaries (pool workers
-pickle them back; the benchmark history stores their dict form), so every
+pickle them back; trace exports store their dict form), so every
 consumer of *another* counter's fields must tolerate a field the producer
 predates.  :meth:`OpCounter.merge` treats a missing field as 0 and
 :meth:`OpCounter.diff` accepts snapshots shorter than the current field

@@ -232,7 +232,7 @@ def _median(values: List[float]) -> float:
 
 def predictions(tracer_or_spans, *, machine=None) -> dict:
     """The full ledger payload: rows + summary (what ``metrics()`` exports
-    under ``"predictions"`` and history records persist in summary form)."""
+    under ``"predictions"``)."""
     rows = prediction_rows(tracer_or_spans, machine=machine)
     return {
         "schema_version": LEDGER_SCHEMA_VERSION,

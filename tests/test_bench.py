@@ -232,8 +232,9 @@ class TestCLI:
     def test_cli_requires_figure_or_all(self):
         from repro.bench.__main__ import main
 
-        with pytest.raises(SystemExit):
-            main([])
+        for argv in ([], ["--baseline", "x.json"]):
+            with pytest.raises(SystemExit):
+                main(argv)
 
     def test_cli_machine_option(self, capsys):
         from repro.bench.__main__ import main

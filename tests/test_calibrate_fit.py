@@ -284,26 +284,11 @@ class TestFittedEquivalence:
 
 
 # ----------------------------------------------------------------------
-# 4. history records + disabled-path overhead
+# 4. disabled-path overhead
 # ----------------------------------------------------------------------
 
 
 class TestIntegration:
-    def test_history_records_carry_prediction_summary(self):
-        from repro.bench.history import collect_record
-        from repro.bench.runner import scheme_by_name
-
-        n = 96
-        a = erdos_renyi(n, n, 4, seed=1, values="uniform")
-        m = erdos_renyi(n, n, 6, seed=2)
-        rec = collect_record(
-            scheme_by_name("MSA-1P"), "tiny", [(a, a, m, False)], repeats=1
-        )
-        assert "predictions" in rec
-        # explicit-algo scheme runs land kernel spans, not engine bands;
-        # the summary may be empty but the key must exist and be a dict
-        assert isinstance(rec["predictions"], dict)
-
     def test_bucket_tier_disabled_overhead_under_two_percent(self):
         """The instrumented ``bucket_batches`` untraced path: one global
         read per call, one branch per chunk — inside the same absolute

@@ -96,7 +96,7 @@ class TestHashProbeAccounting:
 
 class TestSchemaGrowth:
     """Counters cross process and file boundaries (worker pickles, the
-    benchmark history's stored dicts); an older payload must stay readable
+    trace exports' stored dicts); an older payload must stay readable
     after the field list grows."""
 
     class _OldCounter:
