@@ -24,8 +24,10 @@ The complemented mask makes the BFS levels *disjoint*: a cell enters
 exactly ``t_{d+1}``'s contribution, and neither matrix has to exist: the
 sweep keeps one ``delta_d`` vector per level, aligned with ``frontier_d``'s
 stored entries (``w_d`` reuses its ``indptr`` / ``indices``), and aligns
-``t_d`` — a sub-pattern of ``frontier_{d-1}`` — by one sorted key search.
-``numsp`` itself survives only as the forward sweep's mask.
+``t_d`` — a sub-pattern of ``frontier_{d-1}`` — by one row walk
+(:func:`~repro.sparse.locate`).  ``numsp`` itself survives only as the
+forward sweep's mask, and ``numsp += frontier`` is one row merge
+(:func:`~repro.sparse.ewise_add`).
 
 Finally ``bc(v) = sum_q delta[q, v]`` over the batch, accumulated level by
 level; level 0 holds precisely each source's own entry (Brandes's
@@ -50,7 +52,7 @@ from ..engine import resolve_session
 from ..machine import OpCounter
 from ..observe import timed_span
 from ..semiring import PLUS_TIMES
-from ..sparse import CSC, CSR, ewise_add
+from ..sparse import CSC, CSR, ewise_add, locate
 from ..core import masked_spgemm
 from ..core.masked_spgemm import supports_complement
 
@@ -71,11 +73,6 @@ class BetweennessResult:
     forward_seconds: float = 0.0
     backward_seconds: float = 0.0
     counter: OpCounter = field(default_factory=OpCounter)
-
-
-def _flat_keys(mat: CSR) -> np.ndarray:
-    """Row-major flat key ``row * ncols + col`` of every stored entry."""
-    return mat.row_ids() * np.int64(mat.ncols) + mat.indices
 
 
 def betweenness_centrality(
@@ -220,7 +217,7 @@ def _betweenness_body(
             if d == 1:  # level 0 is each source's own entry: never summed
                 break
             # delta_{d-1} = t_d .* numsp on t_d's pattern, a subset of level d-1
-            at = np.searchsorted(_flat_keys(below), _flat_keys(t_d))
+            at = locate(below, t_d)
             delta = np.zeros(below.nnz)
             delta[at] = t_d.data * below.data[at]
     total = sp_total.seconds

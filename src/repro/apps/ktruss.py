@@ -32,7 +32,8 @@ from ..engine import resolve_session
 from ..machine import OpCounter, total_flops
 from ..observe import timed_span
 from ..semiring import PLUS_PAIR
-from ..sparse import CSR
+from ..sparse import CSR, locate
+from ..sparse.csr import _bucket_order
 from ..core import masked_spgemm
 
 __all__ = ["ktruss", "KTrussResult"]
@@ -135,8 +136,9 @@ def ktruss(
     with timed_span("ktruss.run", {"k": k, "algo": algo}) as sp_total:
         # full symmetric pattern without diagonal
         cur = _sym(a.pattern().triu(1))
-        keys = _keys(cur)  # filtered along with cur's entries
-        support = removed = None  # removed: set where a round decrements
+        # removed: set where a round decrements; mirror: cur's transpose
+        # permutation, built at the first decrement and then carried
+        support = removed = mirror = None
         edges = []
         it = 0
         for it in range(1, max_iters + 1):
@@ -148,14 +150,17 @@ def ktruss(
                 if removed is not None:
                     d = product(removed, cur, cur)
                     rr = product(removed, removed, cur)
-                    support -= _aligned(
-                        keys,
-                        np.concatenate((_keys(d), _keys(d, True), _keys(rr))),
-                        np.concatenate((d.data, d.data, rr.data)),
+                    if mirror is None:
+                        mirror = _mirror(cur)
+                    at = locate(cur, d)  # D's entries; mirror[at]: D^T's
+                    support -= np.bincount(
+                        np.concatenate((at, mirror[at], locate(cur, rr))),
+                        weights=np.concatenate((d.data, d.data, rr.data)),
+                        minlength=cur.nnz,
                     )
                 else:
                     s = product(cur, cur, cur)
-                    support = _aligned(keys, _keys(s), s.data)
+                    support = np.bincount(locate(cur, s), weights=s.data, minlength=cur.nnz)
                 strong = support >= k - 2
                 if strong.all():
                     break
@@ -166,7 +171,9 @@ def ktruss(
                     or (delta == "auto" and _decrement_pays(kept, cur))
                     else None
                 )
-                cur, keys, support = kept, keys[strong], support[strong]
+                if mirror is not None:  # support is symmetric, so strong is
+                    mirror = (np.cumsum(strong) - 1)[mirror[strong]]
+                cur, support = kept, support[strong]
     total = sp_total.seconds
     return KTrussResult(
         truss=cur,
@@ -197,16 +204,10 @@ def _decrement_pays(kept: CSR, cur: CSR) -> bool:
     return 2 * (gone @ deg) + gone @ gone < deg @ deg
 
 
-def _keys(m: CSR, transposed: bool = False) -> np.ndarray:
-    """Flat key ``row * n + col`` of every stored entry of ``m`` (of
-    ``m^T``, in ``m``'s entry order, when ``transposed``)."""
-    rows = np.repeat(np.arange(m.nrows, dtype=np.int64), m.row_nnz())
-    return m.indices * m.nrows + rows if transposed else rows * m.ncols + m.indices
-
-
-def _aligned(keys: np.ndarray, entry_keys: np.ndarray, vals: np.ndarray) -> np.ndarray:
-    """Sum of the entries ``(entry_keys, vals)`` as a vector aligned with the
-    sorted ``keys``, of which ``entry_keys`` name a subset (entries a
-    product left out have support 0)."""
-    pos = np.searchsorted(keys, entry_keys)
-    return np.bincount(pos, weights=vals, minlength=keys.shape[0])
+def _mirror(sym: CSR) -> np.ndarray:
+    """Transpose permutation of the symmetric sorted pattern ``sym``: entry
+    ``mirror[t]`` holds ``(col, row)`` of entry ``t``.  Sorting the entries
+    stably by column lists ``sym^T`` row-major, which is ``sym``'s own
+    entry order; one counting sort (NumPy tier: the stable ``argsort``)."""
+    moved = _bucket_order(sym.indices, sym.ncols, sym.indices, order=True)
+    return np.argsort(sym.indices, kind="stable") if moved is None else moved[1]

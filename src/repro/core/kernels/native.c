@@ -3,8 +3,9 @@
  * The paper's Algorithm 2 (MSA) and Section 4.1 (Inner) row loops plus the
  * count-only symbolic row, one accumulator per call (the thread backend
  * runs one call per row part, so that is one accumulator per thread; no
- * atomics), the counting sort repro.sparse orders entries with, and the
- * two counting scatters that build triangle counting's operand.
+ * atomics), the counting sort repro.sparse orders entries with, its two
+ * row merges (ewise_add, locate) and the two counting scatters that build
+ * triangle counting's operand.
  * Built and loaded by native.py; see docs/kernels.md.
  *
  * Contract with the NumPy bodies (msa_kernel.py / inner_kernel.py /
@@ -188,6 +189,58 @@ i64 repro_lower_by_degree(i64 n, const i64 *p, const i64 *j, i64 nnz,
     memmove(lp + 1, lp, (size_t)n * sizeof(i64));
     lp[0] = 0;
     return dup ? -3 : lp[n];
+}
+
+/* ------------------------------------------------------------------ */
+/* The sparse substrate's two row merges of sorted CSRs of one shape   */
+/* (repro.sparse.ops; repro_check has passed on both operands).        */
+/* repro_ewise_add: the union c = a + b, row by row.  An entry one     */
+/* side stores is copied bit for bit, one both store is add()'s a + b  */
+/* (NaN payload of a kept) -- the bytes of the NumPy merge.  cj / cv   */
+/* have room for nnz(a) + nnz(b) entries; returns nnz(c).              */
+/* ------------------------------------------------------------------ */
+i64 repro_ewise_add(i64 nrows, const i64 *ap, const i64 *aj, const double *av,
+                    const i64 *bp, const i64 *bj, const double *bv,
+                    i64 *cp, i64 *cj, double *cv)
+{
+    i64 n = 0;
+    cp[0] = 0;
+    for (i64 i = 0; i < nrows; i++) {
+        i64 s = ap[i], t = bp[i];
+        const i64 s1 = ap[i + 1], t1 = bp[i + 1];
+        while (s < s1 && t < t1) {
+            const i64 x = aj[s], y = bj[t];
+            cj[n] = x < y ? x : y;
+            cv[n++] = x < y ? av[s] : x > y ? bv[t] : add(TIMES, av[s], bv[t]);
+            s += x <= y;
+            t += y <= x;
+        }
+        for (; s < s1; s++, n++) {
+            cj[n] = aj[s];
+            cv[n] = av[s];
+        }
+        for (; t < t1; t++, n++) {
+            cj[n] = bj[t];
+            cv[n] = bv[t];
+        }
+        cp[i + 1] = n;
+    }
+    return n;
+}
+
+/* repro_locate: pos[t] = the position among a's entries of b's entry  */
+/* t, or -1 where a stores none there: a two-pointer walk of each row  */
+/* pair, so no row * ncols + col key that could overflow an int64.     */
+i64 repro_locate(i64 nrows, const i64 *ap, const i64 *aj, const i64 *bp,
+                 const i64 *bj, i64 *pos)
+{
+    for (i64 i = 0; i < nrows; i++)
+        for (i64 s = ap[i], t = bp[i]; t < bp[i + 1]; t++) {
+            while (s < ap[i + 1] && aj[s] < bj[t])
+                s++;
+            pos[t] = s < ap[i + 1] && aj[s] == bj[t] ? s : -1;
+        }
+    return 0;
 }
 
 /* ------------------------------------------------------------------ */

@@ -36,6 +36,7 @@ _SIGNATURES = {  # q = int64, p = pointer; every function returns int64
     "repro_inner": "qq" + "p" * 13, "repro_msa_complement": "qqqq" + "p" * 14 + "qp",
     # called from repro.sparse.csr, not from a kernel
     "repro_bucket_order": "qq" + "p" * 7, "repro_lower_by_degree": "qppq" + "p" * 6,
+    "repro_ewise_add": "q" + "p" * 9, "repro_locate": "q" + "p" * 5,  # from repro.sparse.ops
 }
 
 _lock = threading.Lock()
@@ -125,14 +126,21 @@ def kernels(semiring, *values):
     return None if lib is None else (lib, op)
 
 
-def validate(lib: ctypes.CDLL, mats, conforming: bool) -> None:
-    """Range-check each distinct CSR operand (``check=False`` ones too) before C reads it."""
+def validate(lib: ctypes.CDLL | None, mats, conforming: bool) -> None:
+    """Range-check each distinct CSR operand (``check=False`` ones too) before C reads it; with
+    ``lib=None`` the same checks run in NumPy and raise the same errors."""
     if not conforming:
         raise ValueError("operand shapes do not conform")
     for m in {id(m): m for m in mats}.values():
-        nnz = m.indices.shape[0]
-        bad = m.indptr.shape[0] != m.nrows + 1 or m.data.shape[0] != nnz or lib.repro_check(
-            m.nrows, m.ncols, m.indptr.ctypes.data, m.indices.ctypes.data, nnz)
+        p, j, nnz = m.indptr, m.indices, m.indices.shape[0]
+        if p.shape[0] != m.nrows + 1 or m.data.shape[0] != nnz:
+            bad = 1
+        elif lib is not None:
+            bad = lib.repro_check(m.nrows, m.ncols, p.ctypes.data, j.ctypes.data, nnz)
+        elif p[0] != 0 or p[-1] != nnz or (p[1:] < p[:-1]).any():
+            bad = 1
+        else:
+            bad = 2 if nnz and (j.min() < 0 or j.max() >= m.ncols) else 0
         if bad == 2:
             raise IndexError("column index out of range")
         if bad:

@@ -14,6 +14,7 @@ from .ops import (
     column_panels,
     ewise_add,
     ewise_mult,
+    locate,
     mask_pattern,
     nnz_overlap,
     pattern_difference,
@@ -33,6 +34,7 @@ __all__ = [
     "apply_mask",
     "ewise_add",
     "ewise_mult",
+    "locate",
     "mask_pattern",
     "nnz_overlap",
     "pattern_difference",

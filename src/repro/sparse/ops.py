@@ -7,7 +7,13 @@ structural set operations on patterns, and the column split the execution
 engine's grid uses.
 
 All binary ops require matching shapes and operate on *sorted* CSR inputs
-(callers get an automatic canonicalisation via ``CSR.sort_indices``).
+(callers get an automatic canonicalisation via ``CSR.sort_indices``), after
+``native.validate`` has range-checked both operands on either kernel tier.
+They are row merges of the two sorted entry lists: ``ewise_add`` (``op`` =
+``np.add`` on float64) and :func:`locate`, which ``ewise_mult`` and
+``mask_pattern`` are built on, run as C loops on the native tier
+(``core/kernels/native.c``); the NumPy bodies stay as the fallback and the
+byte reference.
 """
 
 from __future__ import annotations
@@ -21,6 +27,7 @@ from .csr import CSR, INDEX_DTYPE, VALUE_DTYPE
 __all__ = [
     "ewise_mult",
     "ewise_add",
+    "locate",
     "mask_pattern",
     "apply_mask",
     "reduce_sum",
@@ -35,21 +42,58 @@ __all__ = [
 ]
 
 
-def _coo(mat: CSR):
-    """``(keys, rows, cols, vals)`` of the canonical form of ``mat``: row-major
-    flat keys and the coordinate arrays, read-only views where they can be."""
-    mat = mat.sort_indices()
-    rows = mat.row_ids()
-    return rows * mat.ncols + mat.indices, rows, mat.indices, mat.data
+def _operands(a: CSR, b: CSR):
+    """``(lib, a, b)``: the native library (``None`` on the NumPy tier) and
+    the canonical forms of two operands of one shape, each range-checked by
+    ``native.validate`` first — on both tiers, so a ``check=False`` CSR that
+    lies about its indices is the same error everywhere."""
+    if a.shape != b.shape:
+        raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
+    from ..core.kernels import native  # lazy: importing repro.sparse never imports repro.core
+
+    lib = native.load()
+    native.validate(lib, (a, b), True)
+    return lib, a.sort_indices(), b.sort_indices()
 
 
-def _find(keys: np.ndarray, queries: np.ndarray):
-    """Where each of ``queries`` sits among the sorted ``keys``: the insertion
-    positions and the flags of the queries that are present."""
-    pos = np.searchsorted(keys, queries)
-    if not keys.shape[0]:
-        return pos, np.zeros(queries.shape[0], dtype=bool)
-    return pos, keys[np.minimum(pos, keys.shape[0] - 1)] == queries
+def _search(a: CSR, b: CSR):
+    """NumPy body of the row merges: where each entry of ``b`` goes among
+    ``a``'s (its insertion position) and whether ``a`` stores it, by one
+    ``searchsorted`` of row-major keys ``row * width + col``.  Where
+    ``nrows * ncols`` overflows an int64 each column id is replaced by its
+    rank among the columns either side stores: same order, and it fits."""
+    ca, cb, width = a.indices, b.indices, a.ncols
+    if max(a.nrows, 1) * width >= 2**63:
+        cols = np.unique(np.concatenate((ca, cb)))
+        ca, cb, width = np.searchsorted(cols, ca), np.searchsorted(cols, cb), cols.shape[0]
+    ka, kb = a.row_ids() * width + ca, b.row_ids() * width + cb
+    pos = np.searchsorted(ka, kb)
+    if not ka.shape[0]:
+        return pos, np.zeros(kb.shape[0], dtype=bool)
+    return pos, ka[np.minimum(pos, ka.shape[0] - 1)] == kb
+
+
+def _locate(lib, a: CSR, b: CSR) -> np.ndarray:
+    if lib is None:
+        pos, found = _search(a, b)
+        return np.where(found, pos, -1)
+    pos = np.empty(b.nnz, dtype=INDEX_DTYPE)
+    lib.repro_locate(a.nrows, *(x.ctypes.data for x in (a.indptr, a.indices, b.indptr,
+                                                         b.indices, pos)))
+    return pos
+
+
+def locate(a: CSR, b: CSR) -> np.ndarray:
+    """For each stored entry of ``b``, its index among the stored entries of
+    ``a``, or ``-1`` where ``a`` stores nothing at that position — both in
+    canonical (sorted) entry order, which is the storage order of every
+    masked product.  It aligns a sub-pattern's values with a pattern's:
+    ``vals = np.zeros(a.nnz); vals[locate(a, b)] = b.data``.
+
+    A two-pointer walk of each pair of rows on the native tier
+    (``repro_locate``), so no ``row * ncols + col`` key can overflow.
+    """
+    return _locate(*_operands(a, b))
 
 
 def ewise_mult(a: CSR, b: CSR, op: Callable = np.multiply) -> CSR:
@@ -59,50 +103,50 @@ def ewise_mult(a: CSR, b: CSR, op: Callable = np.multiply) -> CSR:
     values; the default is multiplication, matching GraphBLAS ``eWiseMult``
     on the arithmetic semiring.
     """
-    if a.shape != b.shape:
-        raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
-    ka, ra, ca, va = _coo(a)
-    kb, _, _, vb = _coo(b)
-    ia, match = _find(kb, ka)
-    vals = op(va[match], vb[ia[match]])
-    return CSR.from_coo(a.shape, ra[match], ca[match], vals)
+    lib, a, b = _operands(a, b)
+    at = _locate(lib, b, a)
+    kept = np.flatnonzero(at >= 0)
+    return CSR(a.shape, np.searchsorted(kept, a.indptr), a.indices.take(kept),
+               op(a.data.take(kept), b.data.take(at.take(kept))),
+               sorted_indices=True, check=False)
 
 
 def ewise_add(a: CSR, b: CSR, op: Callable = np.add) -> CSR:
     """Element-wise add (set *union* of patterns): ``op(a, b)`` where both
     matrices store an entry, the stored value — bit for bit — elsewhere.
 
-    A merge of the two sorted entry lists: ``b``'s keys are located among
-    ``a``'s, the ones present combine in place and the rest are spliced in
-    between, so nothing is sorted again.
+    A merge of the two sorted entry lists, so nothing is sorted again.  With
+    ``op`` = ``np.add`` on two float64 operands it is one row-by-row merge
+    on the native tier (``repro_ewise_add``).  The NumPy body locates ``b``'s
+    entries among ``a``'s, combines the ones present in place and splices
+    the rest in between.
     """
-    if a.shape != b.shape:
-        raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
-    if op is np.add and a.nrows * a.ncols >= 2**63:
-        # no flat key fits an int64: from_coo's lexsort path sums the overlap
-        (_, ra, ca, va), (_, rb, cb, vb) = _coo(a), _coo(b)
-        return CSR.from_coo(
-            a.shape, np.concatenate([ra, rb]), np.concatenate([ca, cb]),
-            np.concatenate([va, vb]),
-        )
-    ka, _, ca, va = _coo(a)
-    kb, rb, cb, vb = _coo(b)
-    pos, both = _find(ka, kb)
+    lib, a, b = _operands(a, b)
+    if lib is not None and op is np.add and a.data.dtype == b.data.dtype == VALUE_DTYPE:
+        cap = a.nnz + b.nnz
+        indptr = np.empty(a.nrows + 1, dtype=INDEX_DTYPE)
+        cols, vals = np.empty(cap, dtype=INDEX_DTYPE), np.empty(cap, dtype=VALUE_DTYPE)
+        nnz = lib.repro_ewise_add(a.nrows, *(x.ctypes.data for x in (
+            a.indptr, a.indices, a.data, b.indptr, b.indices, b.data, indptr, cols, vals)))
+        if nnz < cap:  # the rows overlapped: no oversized buffer outlives the call
+            cols, vals = cols[:nnz].copy(), vals[:nnz].copy()
+        return CSR(a.shape, indptr, cols, vals, sorted_indices=True, check=False)
+    pos, both = _search(a, b)
     new = np.flatnonzero(~both)  # b's entries that a lacks ...
     at = pos[new] + np.arange(new.shape[0], dtype=INDEX_DTYPE)  # ... and where they land
-    total = ka.shape[0] + new.shape[0]
+    total = a.nnz + new.shape[0]
     from_a = np.ones(total, dtype=bool)
     from_a[at] = False
     a_at = np.flatnonzero(from_a)
     cols = np.empty(total, dtype=INDEX_DTYPE)
-    cols[a_at], cols[at] = ca, cb[new]
+    cols[a_at], cols[at] = a.indices, b.indices[new]
     shared = pos[both]
-    combined = op(va[shared], vb[both])
-    vals = np.empty(total, dtype=np.result_type(va, vb, combined))
-    vals[a_at], vals[at] = va, vb[new]
+    combined = op(a.data[shared], b.data[both])
+    vals = np.empty(total, dtype=np.result_type(a.data, b.data, combined))
+    vals[a_at], vals[at] = a.data, b.data[new]
     vals[a_at[shared]] = combined
     indptr = a.indptr.copy()
-    indptr[1:] += np.cumsum(np.bincount(rb[new], minlength=a.nrows))
+    indptr[1:] += np.cumsum(np.bincount(b.row_ids()[new], minlength=a.nrows))
     return CSR(a.shape, indptr, cols, vals, sorted_indices=True, check=False)
 
 
@@ -110,12 +154,9 @@ def mask_pattern(mat: CSR, mask: CSR, *, complement: bool = False) -> CSR:
     """Keep entries of ``mat`` whose position is (not, if complemented) in
     the pattern of ``mask``.  Values of the mask are ignored — only its
     structure matters, as in the paper (Section 2)."""
-    if mat.shape != mask.shape:
-        raise ValueError(f"shape mismatch: {mat.shape} vs {mask.shape}")
-    km, rm, cm, vm = _coo(mat)
-    inside = _find(_coo(mask)[0], km)[1]
-    keep = ~inside if complement else inside
-    return CSR.from_coo(mat.shape, rm[keep], cm[keep], vm[keep])
+    lib, mat, mask = _operands(mat, mask)
+    inside = _locate(lib, mask, mat) >= 0
+    return mat._keep_entries(~inside if complement else inside)
 
 
 # Alias with the GraphBLAS-flavoured name used by the apps.

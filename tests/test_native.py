@@ -365,6 +365,17 @@ class TestLoader:
             "        want = _prepare(g, True)\n"
             "    assert all(getattr(got, f).tobytes() == getattr(want, f).tobytes()\n"
             "               for f in fields), g\n"
+            "from repro.sparse import ewise_add, ewise_mult, mask_pattern\n"
+            "ops = (ewise_add, ewise_mult, mask_pattern,\n"
+            "       lambda x, y: mask_pattern(x, y, complement=True))\n"
+            "for name, abm in ADVERSARIAL.items():\n"
+            "    for x, y in [(x, y) for x in abm for y in abm if x.shape == y.shape]:\n"
+            "        for op in ops:\n"
+            "            got = op(x, y)\n"
+            "            with native.disabled():\n"
+            "                want = op(x, y)\n"
+            "            assert all(getattr(got, f).tobytes() == getattr(want, f).tobytes()\n"
+            "                       for f in fields), (name, op)\n"
         )
         done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
         assert done.returncode == 0, done.stderr[-3000:]

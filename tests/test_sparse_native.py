@@ -2,7 +2,7 @@
 
 One differential suite: every construction that orders entries — ``from_coo``,
 ``transpose`` / ``CSC.from_csr``, ``sort_indices``, ``permute``, the fused
-triangle-counting prepare, ``ewise_add`` / ``ewise_mult`` — run with the native
+triangle-counting prepare, the element-wise ops and ``locate`` — run with the native
 library and inside ``native.disabled()`` (the NumPy bodies), asserting equal
 bytes or equal exceptions, over the inputs that make ordering hard: empty,
 one row, one column, presorted, two sorted runs, random, duplicates with
@@ -25,7 +25,7 @@ from repro.core.kernels import native
 from repro.graphs import (
     degree_sort_permutation, erdos_renyi, erdos_renyi_graph, relabel_by_degree, rmat,
 )
-from repro.sparse import CSC, CSR, ewise_add, ewise_mult
+from repro.sparse import CSC, CSR, ewise_add, ewise_mult, locate, mask_pattern
 
 from .conftest import NativeSpy, native_required
 
@@ -37,6 +37,8 @@ SPECIAL = np.array([1.0, -1.0, 0.5, np.nan, np.inf, -np.inf, -0.0, 0.0])
 
 
 def _bytes(m):
+    if isinstance(m, np.ndarray):  # locate's positions
+        return m.dtype.str, m.tobytes()
     m = m.to_transposed_csr() if isinstance(m, CSC) else m
     return (m.shape, m.sorted_indices, m.data.dtype.str, m.indptr.tobytes(),
             m.indices.tobytes(), m.data.tobytes())
@@ -107,6 +109,31 @@ def _csr_cases():
 CSRS = dict(_csr_cases())
 
 
+def _ewise_pairs():
+    """``(a, b)`` operand pairs of one shape for the element-wise ops."""
+    for name in ("empty", "random", "duplicates-special", "float32"):
+        shape, r, c, v = COO[name]
+        # a second pattern that overlaps the first in part
+        yield name, (CSR.from_coo(shape, r, c, v), CSR.from_coo(
+            shape, np.asarray(c, dtype=np.int64)[::-1] % max(shape[0], 1),
+            np.asarray(r, dtype=np.int64)[::-1] % max(shape[1], 1), v))
+    nan_a, nan_b = np.float64(np.nan), -np.float64(np.nan)  # payloads differ in the sign bit
+    yield "nan-both", (CSR.from_coo((2, 3), [0, 0, 0, 1], [0, 1, 2, 2], [nan_a, -0.0, -0.0, 1.0]),
+                       CSR.from_coo((2, 3), [0, 0, 1], [0, 1, 0], [nan_b, 0.0, np.nan]))
+    u = CSRS["unsorted-dup"]  # canonicalised on the way in
+    yield "unsorted-dup", (u, CSR.from_coo(u.shape, [0, 0, 2, 2], [2, 3, 1, 7],
+                                           [np.nan, 1.0, 2.0, -0.0]))
+    yield "zero-columns", (CSRS["zero-columns"], CSR.empty((4, 0)))
+    # ncols = 2**62 + 1: the flat key of (4, 1) wraps onto that of (0, 5)
+    yield "key-overflow", (CSR.from_coo((8, 2**62 + 1), [0, 3, 7], [5, 9, 2**62], [1.0, 2.0, 3.0]),
+                           CSR.from_coo((8, 2**62 + 1), [3, 4, 7], [9, 1, 2**62], [4.0, 5.0, 6.0]))
+
+
+EWISE = dict(_ewise_pairs())
+EWISE_OPS = (ewise_add, ewise_mult, mask_pattern,
+             lambda x, y: mask_pattern(x, y, complement=True), locate)
+
+
 def _graph_cases():
     """Square patterns for ``permute`` and the triangle-counting prepare."""
     yield "rmat", rmat(8, seed=3)
@@ -145,17 +172,34 @@ class TestDifferential:
         back = mat.transpose().transpose()
         assert _bytes(back) == _bytes(mat.sort_indices())
 
-    @pytest.mark.parametrize("name", ["empty", "random", "duplicates-special", "float32"])
+    @pytest.mark.parametrize("name", EWISE)
     def test_ewise_ops(self, name):
-        shape, r, c, v = COO[name]
-        a = CSR.from_coo(shape, r, c, v)
-        # a second pattern that overlaps the first in part
-        b = CSR.from_coo(shape, np.asarray(c, dtype=np.int64)[::-1] % max(shape[0], 1),
-                         np.asarray(r, dtype=np.int64)[::-1] % max(shape[1], 1), v)
-        for op in (ewise_add, ewise_mult):
-            _both_tiers(lambda: op(a, b))
-            _both_tiers(lambda: op(a, a))
-            _both_tiers(lambda: op(a, CSR.empty(shape)))
+        a, b = EWISE[name]
+        empty = CSR.empty(a.shape)
+        for op in EWISE_OPS:
+            for x, y in ((a, b), (b, a), (a, a), (a, empty), (empty, a)):
+                _both_tiers(lambda: op(x, y))
+
+    def test_ewise_add_special_values(self):
+        a, b = EWISE["nan-both"]
+        got = _both_tiers(lambda: ewise_add(a, b))
+        data = np.frombuffer(got[-1], dtype=np.float64)
+        # NaN + NaN keeps a's payload; -0.0 + 0.0 is +0.0; a lone -0.0 keeps its sign
+        assert data[0].tobytes() == a.data[0].tobytes()
+        assert data[1].tobytes() == np.float64(0.0).tobytes()
+        assert data[2].tobytes() == np.float64(-0.0).tobytes()
+
+    def test_locate(self):
+        a = CSR.from_coo((3, 6), [0, 0, 1, 2, 2], [1, 4, 0, 2, 5], np.arange(5.0))
+        b = CSR.from_coo((3, 6), [0, 2, 0, 1, 2, 0], [4, 5, 0, 3, 2, 1], np.ones(6))
+        for scope in (contextlib.nullcontext, native.disabled):
+            with scope():
+                # b's entries in order: (0,0) (0,1) (0,4) (1,3) (2,2) (2,5)
+                assert locate(a, b).tolist() == [-1, 0, 1, -1, 3, 4]
+                assert locate(b, a).tolist() == [1, 2, -1, 4, 5]
+                assert locate(CSR.empty(a.shape), b).tolist() == [-1] * 6
+                assert locate(a, CSR.empty(a.shape)).shape == (0,)
+                assert locate(a, b).dtype == np.int64
 
     @pytest.mark.parametrize("graph", GRAPHS.values(), ids=GRAPHS.keys())
     def test_permute_and_the_fused_prepare(self, graph):
@@ -186,6 +230,14 @@ class TestDifferential:
         for scope in (contextlib.nullcontext, native.disabled):
             with scope(), pytest.raises(ValueError):
                 liar.transpose()
+        # the element-wise ops range-check both operands on either tier
+        honest = CSR.from_coo((2, 3), [0, 1], [0, 2], [1.0, 2.0])
+        broken = CSR((2, 3), np.array([0, 2, 1]), np.array([0, 1]), np.ones(2), check=False)
+        for op in EWISE_OPS:
+            for x, y in ((liar, honest), (honest, liar)):
+                assert _both_tiers(lambda: op(x, y)) == (IndexError, "column index out of range")
+            assert _both_tiers(lambda: op(honest, broken)) == (
+                ValueError, "indptr / indices / data do not describe a CSR of this shape")
         # ... and one that ``take`` would have wrapped (-1) or refused with an
         # IndexError: relabelling it raises as from_coo does
         liar = CSR((3, 3), np.array([0, 2, 3, 4]), np.array([1, bad, 0, 0]), np.ones(4),

@@ -1,13 +1,17 @@
 """Unit tests for element-wise / structural sparse operations."""
 
+import contextlib
+
 import numpy as np
 import pytest
 
+from repro.core.kernels import native
 from repro.sparse import (
     CSC,
     CSR,
     ewise_add,
     ewise_mult,
+    locate,
     mask_pattern,
     nnz_overlap,
     pattern_difference,
@@ -97,6 +101,23 @@ class TestMaskPattern:
     def test_empty_mask_keeps_none(self):
         a = random_csr(6, 6, 2, seed=11)
         assert mask_pattern(a, CSR.empty((6, 6))).nnz == 0
+
+
+class TestKeyOverflow:
+    """Shapes whose row-major key ``row * ncols + col`` wraps an int64: with
+    ``ncols = 2**62 + 1``, cell ``(4, 1)``'s key wraps onto ``(0, 5)``'s."""
+
+    @pytest.mark.parametrize("tier", ["native", "numpy"])
+    def test_entries_in_different_cells_never_match(self, tier):
+        shape = (8, 2**62 + 1)
+        a = CSR.from_coo(shape, [0, 3], [5, 9], [2.0, 1.0])
+        b = CSR.from_coo(shape, [3, 4], [9, 1], [4.0, 3.0])
+        with native.disabled() if tier == "numpy" else contextlib.nullcontext():
+            assert ewise_mult(a, b).to_coo()[2].tolist() == [4.0]
+            assert mask_pattern(a, b).indices.tolist() == [9]
+            assert mask_pattern(a, b, complement=True).indices.tolist() == [5]
+            assert ewise_add(a, b).data.tolist() == [2.0, 5.0, 3.0]
+            assert locate(a, b).tolist() == [1, -1]
 
 
 class TestReductions:
