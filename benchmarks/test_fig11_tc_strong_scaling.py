@@ -3,11 +3,14 @@ R-MAT graph; paper: scale 20, 1-32 threads on Haswell and 1-68 on KNL.
 
 Paper claim asserted: "all algorithms scaling well in all cases" — our
 schemes reach near-linear speedup at the full core count of each machine.
+The wall-clock series of the native MSA loop's in-kernel threads on this
+host is printed beside the modeled Haswell curve at the same thread counts
+(reported, not asserted: ``test_real_threads.py`` holds its gate).
 """
 
 import pytest
 
-from repro.bench import fig11_tc_strong_scaling, render_series
+from repro.bench import fig11_measured_threads, fig11_tc_strong_scaling, render_series
 from repro.machine import HASWELL, KNL
 
 THREADS = {
@@ -47,6 +50,23 @@ def test_fig11_tc_strong_scaling(benchmark, machine, save_result):
 
     # SS:DOT is held back by its serial per-call transpose (Amdahl)
     assert res.series["SS:DOT"][-1] < res.series["MSA-1P"][-1]
+
+
+def test_fig11_measured_beside_modeled(benchmark, save_result):
+    threads = [1, 2, 4]
+
+    def run():
+        modeled = fig11_tc_strong_scaling(scale=13, machine=HASWELL, thread_counts=threads)
+        return modeled, fig11_measured_threads(thread_counts=threads)
+
+    modeled, measured = benchmark.pedantic(run, rounds=1, iterations=1)
+    series = {"Haswell MSA-1P (modeled)": modeled.series["MSA-1P"]}
+    series.update({f"host {name} (measured)": curve for name, curve in measured.series.items()})
+    title = "Figure 11 — TC strong scaling: modeled Haswell vs this host's in-kernel threads"
+    save_result(render_series("threads", threads, series, title=title, fmt="{:.2f}"),
+                data={"xs": threads, "series": series, "seconds": measured.seconds},
+                title=title)
+    assert all(curve[0] == pytest.approx(1.0) for curve in series.values())
 
 
 def test_fig11_schedule_ablation(benchmark, save_result):

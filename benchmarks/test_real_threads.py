@@ -1,35 +1,34 @@
-"""Benchmark — the thread backend over the GIL-free native kernels.
+"""Benchmark — in-kernel threads: Fig. 11 in wall clock.
 
-``ctypes`` releases the GIL around every call into ``native.c``, so row
-parts dispatched to the thread backend overlap for as long as they are
-inside a native loop (``docs/parallel.md``, "Backends and the GIL").  This
-bench measures that on R-MAT triangle counting:
+The native MSA row loop runs its rows on ``nthreads`` OpenMP threads, one
+accumulator per thread, each row written at its mask offset
+(``docs/kernels.md``, "Row-parallel loops").  This bench measures that
+loop on R-MAT triangle counting at scales 14-17 and 1 / 2 / 4 threads
+(:func:`repro.bench.fig11_measured_threads`: the kernel's own threads, not
+the ``thread`` backend's row parts):
 
-* results are bit-identical at 1 / 2 / 4 threads (always asserted);
+* results are bit-identical at every thread count (always asserted);
 * the measured speedup is *reported*;
-* ``>= 1.3x`` at 2 threads is asserted only when a probe run just before —
-  two processes burning CPU side by side against one alone — shows the
-  second core is really free.  On a shared container it often is not (two
-  concurrent burns took 1.9x the time of one in two of three probes when
-  this was written), and then no thread-speed number means anything.
+* ``>= 1.6x`` at 2 threads on scale 17 is asserted only when a probe run
+  just before — two processes burning CPU side by side against one alone —
+  shows the second core is really free, and the library was built with
+  OpenMP.  On a shared container it often is not (two concurrent burns
+  took 1.9x the time of one in two of three probes when the probe was
+  written), and then no thread-speed number means anything.
 
-Without a compiler the NumPy bodies run under the GIL and the table shows
-~1x, as it always did.
+Without a compiler, or without OpenMP, every count runs the serial loop and
+the table shows ~1x.
 """
 
 import multiprocessing as mp
 import time
 
-import numpy as np
-
+from repro.bench import fig11_measured_threads
 from repro.core.kernels import native
-from repro.graphs import relabel_by_degree, rmat
-from repro.parallel import parallel_masked_spgemm
-from repro.semiring import PLUS_PAIR
 
-SCALE = 14
+SCALES = (14, 15, 16, 17)
 THREADS = (1, 2, 4)
-MIN_SPEEDUP_2 = 1.3
+MIN_SPEEDUP_2 = 1.6
 #: two concurrent burns within this multiple of one burn => the core is free
 FREE_CORE_X = 1.25
 
@@ -59,47 +58,32 @@ def second_core_free_x() -> float:
     return run(2) / run(1)
 
 
-def test_thread_backend_over_native_kernels(benchmark, save_result):
-    low = relabel_by_degree(rmat(SCALE, seed=3).pattern()).tril(-1)
-
-    def call(threads):
-        return parallel_masked_spgemm(
-            low, low, low, algo="msa", semiring=PLUS_PAIR,
-            threads=threads, backend="thread" if threads > 1 else "serial",
-        )
-
+def test_in_kernel_threads(benchmark, save_result):
     def run():
         free_x = second_core_free_x()
-        best, out = {}, {}
-        for _ in range(5):  # interleaved, each timed call after an untimed one
-            for p in THREADS:
-                call(p)
-                t0 = time.perf_counter()
-                out[p] = call(p)
-                dt = time.perf_counter() - t0
-                best[p] = min(best.get(p, dt), dt)
-        return free_x, best, out
+        return free_x, fig11_measured_threads(scales=SCALES, thread_counts=THREADS)
 
-    free_x, best, out = benchmark.pedantic(run, rounds=1, iterations=1)
-    tier = "native" if native.load() is not None else "numpy"
+    free_x, res = benchmark.pedantic(run, rounds=1, iterations=1)
+    status = native.status()
+    tier = "native" if status["loaded"] else "numpy"
     core_free = free_x <= FREE_CORE_X
     lines = [
-        f"thread backend, forced msa, R-MAT TC scale {SCALE}, {tier} tier (best of 5)",
+        f"in-kernel threads, msa, R-MAT TC, {tier} tier, OpenMP "
+        + ("on" if status["openmp"] else "off") + " (best of 5, ms / speedup)",
         f"two concurrent CPU burns took {free_x:.2f}x one: second core "
         + ("free" if core_free else "NOT free - speedup reported, not asserted"),
+        f"{'scale':>8} " + " ".join(f"{f'{p} thr':>16}" for p in THREADS),
     ]
-    for p in THREADS:
-        lines.append(f"  threads={p}: {best[p] * 1e3:8.1f} ms  speedup {best[1] / best[p]:4.2f}x")
-    rows = [{"threads": p, "seconds": best[p], "speedup": best[1] / best[p]} for p in THREADS]
-    save_result("\n".join(lines), title="real threads",
-                data={"tier": tier, "second_core_free_x": free_x, "rows": rows})
+    for name, seconds in res.seconds.items():
+        lines.append(f"{name:>8} " + " ".join(
+            f"{s * 1e3:8.1f} {x:5.2f}x " for s, x in zip(seconds, res.series[name])))
+    save_result("\n".join(lines), title="in-kernel threads",
+                data={"tier": tier, "openmp": status["openmp"], "second_core_free_x": free_x,
+                      "threads": res.xs, "seconds": res.seconds, "speedup": res.series})
 
-    for p in THREADS[1:]:
-        assert all(
-            np.array_equal(x, y)
-            for x, y in zip(out[1].segment_arrays(), out[p].segment_arrays())
-        ), p
-        # overlap or not, fanning out must not collapse
-        assert best[p] < 3.0 * best[1], (p, best)
-    if tier == "native" and core_free:
-        assert best[1] / best[2] >= MIN_SPEEDUP_2, (best, free_x)
+    for name, seconds in res.seconds.items():
+        # oversubscribed or not, threading must not collapse
+        assert all(s < 3.0 * seconds[0] for s in seconds[1:]), (name, seconds)
+    if status["openmp"] and core_free:
+        speedup_2 = res.series[f"rmat-{SCALES[-1]}"][THREADS.index(2)]
+        assert speedup_2 >= MIN_SPEEDUP_2, (res.seconds, free_x)

@@ -38,11 +38,12 @@ class TriangleCountResult:
     l_nnz: int
 
 
-def _prepare(a: CSR, relabel: bool) -> CSR:
+def _prepare(a: CSR, relabel: bool, backend: Optional[str] = None) -> CSR:
     """The operand ``L``: :func:`~repro.graphs.lower_by_degree` of ``a`` (the
     bytes of ``relabel_by_degree(a.pattern()).tril(-1)``; two counting
-    scatters on the native tier), or the pattern's ``tril(-1)`` unrelabelled."""
-    return lower_by_degree(a) if relabel else a.pattern().tril(-1)
+    scatters on the native tier, the count pass threaded unless ``backend``
+    is ``"serial"``), or the pattern's ``tril(-1)`` unrelabelled."""
+    return lower_by_degree(a, backend=backend) if relabel else a.pattern().tril(-1)
 
 
 def triangle_count(
@@ -70,6 +71,7 @@ def triangle_count_detail(
 
     ``backend`` forces the execution backend of the underlying masked
     SpGEMM; ``None`` (default) runs it in-process on one worker.
+    ``"serial"`` also keeps the prepare step on one thread.
     """
     counter = counter if counter is not None else OpCounter()
     # tracer spans double as the stage timers: tril/spgemm/reduce durations
@@ -77,7 +79,7 @@ def triangle_count_detail(
     # result fields when it is off (timed_span always measures)
     with timed_span("tc.run", {"algo": algo}) as sp_total:
         with timed_span("tc.prepare", {"relabel": relabel}):
-            low = _prepare(a, relabel)
+            low = _prepare(a, relabel, backend)
         if call_log is not None:
             call_log.append((low, low, low, False))
         with timed_span(

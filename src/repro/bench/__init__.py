@@ -12,6 +12,7 @@ from .experiments import (
     fig08_tc_profiles,
     fig09_tc_vs_ssgb,
     fig10_tc_rmat_scaling,
+    fig11_measured_threads,
     fig11_tc_strong_scaling,
     fig12_ktruss_profiles,
     fig13_ktruss_vs_ssgb,
@@ -52,6 +53,7 @@ __all__ = [
     "fig08_tc_profiles",
     "fig09_tc_vs_ssgb",
     "fig10_tc_rmat_scaling",
+    "fig11_measured_threads",
     "fig11_tc_strong_scaling",
     "fig12_ktruss_profiles",
     "fig13_ktruss_vs_ssgb",

@@ -10,8 +10,11 @@ beefier machine can push toward the paper's sizes.
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from ..machine import (
     HASWELL,
@@ -23,8 +26,9 @@ from ..machine import (
 )
 from ..semiring import PLUS_PAIR
 from ..sparse import CSR
-from ..graphs import erdos_renyi, load_all, rmat, suite_names
+from ..graphs import erdos_renyi, load_all, lower_by_degree, rmat, suite_names
 from ..apps import betweenness_centrality, ktruss, triangle_count_detail
+from ..core.leaf import run_kernel
 from .perfprofile import PerformanceProfile, performance_profile
 from .runner import (
     Call,
@@ -41,6 +45,7 @@ __all__ = [
     "fig08_tc_profiles",
     "fig09_tc_vs_ssgb",
     "fig10_tc_rmat_scaling",
+    "fig11_measured_threads",
     "fig11_tc_strong_scaling",
     "fig12_ktruss_profiles",
     "fig13_ktruss_vs_ssgb",
@@ -279,6 +284,8 @@ class ScalingResult:
     series: Dict[str, List[float]] = field(default_factory=dict)
     unit: str = ""
     machine: str = ""
+    #: wall-clock seconds behind a measured series (same keys and xs)
+    seconds: Dict[str, List[float]] = field(default_factory=dict)
 
 
 def _rmat_graphs(scales: Sequence[int], seed: int = 3) -> Dict[str, CSR]:
@@ -344,6 +351,39 @@ def fig11_tc_strong_scaling(
         curve = speedup_curve(est.row_cycles, thread_counts, schedule=schedule,
                               chunk=chunk, serial_cycles=est.pre_cycles)
         res.series[s.name] = [curve[int(t)] for t in thread_counts]
+    return res
+
+
+def fig11_measured_threads(
+    *,
+    scales: Sequence[int] = (14, 15, 16, 17),
+    thread_counts: Sequence[int] = (1, 2, 4),
+) -> ScalingResult:
+    """Figure 11 in wall clock on this host: the ``msa`` kernel of R-MAT
+    triangle counting (``L .* (L @ L)``, PLUS_PAIR) at each in-kernel thread
+    count — the native row loop's own threads, no backend, no row parts.
+    Best of 5, the counts interleaved and every timed call after an
+    untimed one.  ``series`` holds one speedup curve over one thread per
+    scale, ``seconds`` the best times; a count whose CSR bytes differ from
+    one thread's raises ``AssertionError``."""
+    res = ScalingResult("threads", [int(t) for t in thread_counts], unit="speedup",
+                        machine="host")
+    for scale in scales:
+        low = lower_by_degree(rmat(scale, seed=3))
+        best: Dict[int, float] = {}
+        want = None  # the first count's bytes
+        for _ in range(5):
+            for p in res.xs:
+                run_kernel(low, low, low, algo="msa", semiring=PLUS_PAIR, nthreads=p)
+                t0 = time.perf_counter()
+                c = run_kernel(low, low, low, algo="msa", semiring=PLUS_PAIR, nthreads=p)
+                best[p] = min(best.get(p, np.inf), time.perf_counter() - t0)
+                got = tuple(x.tobytes() for x in (c.indptr, c.indices, c.data))
+                want = got if want is None else want
+                if got != want:
+                    raise AssertionError(f"rmat-{scale}: {p} threads changed the bytes")
+        res.series[f"rmat-{scale}"] = [best[res.xs[0]] / best[p] for p in res.xs]
+        res.seconds[f"rmat-{scale}"] = [best[p] for p in res.xs]
     return res
 
 

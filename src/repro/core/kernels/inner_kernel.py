@@ -66,9 +66,9 @@ def _mask_blocks(
             lo = hi
 
 
-def _inner_native(nat, a: CSR, csc: CSC, mask: CSR, counter) -> CSR:
-    """The whole call as ``native.c``'s inner row loop (no blocks);
-    values and counters are those of the NumPy body below."""
+def _inner_native(nat, a: CSR, csc: CSC, mask: CSR, counter, nthreads) -> CSR:
+    """The whole call as ``native.c``'s inner row loop (no blocks) on
+    ``nthreads`` threads; values and counters are those of the NumPy body below."""
     lib, op = nat
     shape = (a.nrows, csc.ncols)
     bt = csc.to_transposed_csr()
@@ -78,12 +78,13 @@ def _inner_native(nat, a: CSR, csc: CSC, mask: CSR, counter) -> CSR:
     cols = np.empty(mask.nnz, dtype=np.int64)  # the mask bounds the output
     vals = np.empty(mask.nnz, dtype=np.float64)
     # the C loop zeroes the lookup cells it set after each row: the lease's
-    # cleanliness contract, as in the NumPy body
+    # cleanliness contract, as in the NumPy body (one slice per thread)
     with get_arena().lease("native.where", np.int32, 0) as where:
-        nnz = lib.repro_inner(op, a.nrows, *(
+        nnz = lib.repro_inner(op, a.nrows, a.ncols, nthreads, *(
             x.ctypes.data for x in (a.indptr, a.indices, a.data, bt.indptr, bt.indices,
                                     bt.data, mask.indptr, mask.indices,
-                                    where.require(a.ncols), indptr, cols, vals, cnt)))
+                                    where.require(nthreads * a.ncols), indptr, cols, vals,
+                                    cnt)))
     if counter is not None:
         counter.mask_scans += mask.nnz
         counter.flops += int(cnt[0])
@@ -105,8 +106,11 @@ def masked_spgemm_inner_fast(
     b_csc: Optional[CSC] = None,
     pull_budget: int = DEFAULT_PULL_BUDGET,
     dense_budget: int = INNER_DENSE_BUDGET,
+    nthreads: int = 1,
 ) -> CSR:
-    """Vectorized pull-based (Inner) masked SpGEMM (see module docs)."""
+    """Vectorized pull-based (Inner) masked SpGEMM (see module docs);
+    ``nthreads``: threads of the native loop (the same bytes and counters at
+    any count)."""
     if complement:
         raise ValueError("inner-product algorithm does not support complement")
     a = a.sort_indices()
@@ -120,7 +124,7 @@ def masked_spgemm_inner_fast(
     nat = _native.kernels(semiring, a.data, csc.data)
     _obs.annotate(tier="numpy" if nat is None else "native")
     if nat is not None:
-        return _inner_native(nat, a, csc, mask, counter)
+        return _inner_native(nat, a, csc, mask, counter, nthreads)
 
     # flat key of every A entry; a block's keys minus its first row's base
     # address the block-local rank array

@@ -36,8 +36,10 @@ MSA_FLOP_BUDGET = 1 << 17
 MSA_DENSE_BUDGET = 1 << 20
 
 
-def _msa_native(nat, a: CSR, b: CSR, mask: CSR, complement, counter, row_nnz) -> CSR:
-    """The whole call as one of ``native.c``'s MSA row loops (no chunks);
+def _msa_native(nat, a: CSR, b: CSR, mask: CSR, complement, counter, row_nnz,
+                nthreads) -> CSR:
+    """The whole call as one of ``native.c``'s MSA row loops (no chunks), the
+    plain-mask one on ``nthreads`` threads (the complemented one is serial);
     values and counters are those of the NumPy body below."""
     lib, op = nat
     nrows, n = a.nrows, b.ncols
@@ -58,11 +60,14 @@ def _msa_native(nat, a: CSR, b: CSR, mask: CSR, complement, counter, row_nnz) ->
     with arena.lease("native.state", np.uint8, 0) as state, \
             arena.lease("native.values", np.float64, 0.0) as values, \
             arena.lease("native.touched", np.int64, None) as touched:
-        scratch = [state.require(n).ctypes.data, values.require(n).ctypes.data]
-        if not complement:
-            cnt[2] = lib.repro_msa(op, nrows, *operands, *scratch, indptr.ctypes.data,
-                                   cols.ctypes.data, vals.ctypes.data, cnt.ctypes.data)
+        if not complement:  # one state / values slice per thread
+            scratch = [state.require(nthreads * n).ctypes.data,
+                       values.require(nthreads * n).ctypes.data]
+            cnt[2] = lib.repro_msa(op, nrows, n, nthreads, *operands, *scratch,
+                                   indptr.ctypes.data, cols.ctypes.data, vals.ctypes.data,
+                                   cnt.ctypes.data)
         else:
+            scratch = [state.require(n).ctypes.data, values.require(n).ctypes.data]
             # one cell more than there are columns: msa_row's append stores, then advances
             scratch.append(touched.require(n + 1).ctypes.data)
             row = 0
@@ -103,13 +108,15 @@ def masked_spgemm_msa_fast(
     dense_budget: int = MSA_DENSE_BUDGET,
     batch: str = "auto",
     row_nnz: Optional[np.ndarray] = None,
+    nthreads: int = 1,
 ) -> CSR:
     """Vectorized MSA masked SpGEMM (see module docs).
 
     ``batch`` selects the chunking tier (``"auto"`` | ``"bucket"`` |
     ``"perrow"``); ``row_nnz`` optionally carries the exact two-phase
     symbolic bound, so finished rows are written straight into the final
-    CSR arrays and checked against it.
+    CSR arrays and checked against it.  ``nthreads``: threads of the native
+    plain-mask loop (the same bytes and counters at any count).
     """
     a = a.sort_indices()
     b = b.sort_indices()
@@ -117,7 +124,7 @@ def masked_spgemm_msa_fast(
     nat = _native.kernels(semiring, a.data, b.data)
     _obs.annotate(tier="numpy" if nat is None else "native")
     if nat is not None:
-        return _msa_native(nat, a, b, mask, complement, counter, row_nnz)
+        return _msa_native(nat, a, b, mask, complement, counter, row_nnz, nthreads)
     return push_product(
         a, b, mask, DenseRank(), complement=complement, semiring=semiring,
         counter=counter, flop_budget=flop_budget, dense_budget=dense_budget,

@@ -1,11 +1,21 @@
 /* Native kernel tier: whole-matrix row loops for masked SpGEMM.
  *
  * The paper's Algorithm 2 (MSA) and Section 4.1 (Inner) row loops plus the
- * count-only symbolic row, one accumulator per call (the thread backend
- * runs one call per row part, so that is one accumulator per thread; no
- * atomics), the counting sort repro.sparse orders entries with, its two
- * row merges (ewise_add, locate) and the two counting scatters that build
- * triangle counting's operand.
+ * count-only symbolic row, the counting sort repro.sparse orders entries
+ * with, its two row merges (ewise_add, locate) and the two counting
+ * scatters that build triangle counting's operand.
+ *
+ * The plain-mask MSA, Inner and symbolic loops (and the count pass of the
+ * triangle-counting operand) are row-parallel, as in the paper's Fig. 2:
+ * with nthreads > 1 an OpenMP loop hands out rows in dynamic chunks (of
+ * CHUNK), each thread owns an accumulator (its own slice of the scratch) and
+ * row i is written at mp[i], where the mask bounds it (the paper's 1P
+ * output), then compact() moves the rows down into CSR order.  A row is
+ * one thread's, accumulated in expansion order, and the counters are
+ * integer per-row sums, so bytes and counters do not depend on nthreads.
+ * nthreads <= 1 runs the serial loop and never enters libgomp (a forked
+ * child must not: the parent's thread pool did not survive the fork).
+ * Built without -fopenmp, the pragmas are ignored and every loop is serial.
  * Built and loaded by native.py; see docs/kernels.md.
  *
  * Contract with the NumPy bodies (msa_kernel.py / inner_kernel.py /
@@ -21,15 +31,22 @@
  * unsorted or duplicated rows (the result is then as wrong as the
  * caller's sortedness claim, but nothing is written out of bounds).
  *
- * Scratch (state: ncols bytes, val: ncols doubles, where: ncols(A) int32)
- * is all-zero at rest and restored cell by cell after every row; touched
- * (ncols + 1 int64) is a write-before-read list, and so is the MSA rows'
- * hit buffer (HITS words on the C stack, so every call -- every thread of
- * the thread backend -- has its own).
+ * Scratch (state: ncols bytes, val: ncols doubles, where: ncols(A) int32;
+ * nthreads of each, one per thread) is all-zero at rest and restored cell
+ * by cell after every row; touched (ncols + 1 int64) is a write-before-read
+ * list, and so is the MSA rows' hit buffer (HITS words on the C stack, so
+ * every thread has its own).
  */
 #include <stdint.h>
 #include <stdlib.h>
 #include <string.h>
+#ifdef _OPENMP
+#include <omp.h>
+#define OPENMP 1
+#else
+#define OPENMP 0
+#define omp_get_thread_num() 0
+#endif
 
 typedef int64_t i64;
 #define INLINE static inline __attribute__((always_inline))
@@ -44,6 +61,32 @@ enum { EMPTY = 0, ALLOWED = 1, SET = 2, MASKED = 3 };
 
 #define READS_A(op) ((op) != PAIR && (op) != SECOND)
 #define READS_B(op) ((op) != PAIR && (op) != FIRST)
+/* rows per dynamically scheduled chunk: ROWS, fewer where rows are few (16
+ * chunks a thread), so a hub row or a busy core holds up one small chunk */
+#define ROWS 32
+#define CHUNK(n, t) ((n) < 16 * ROWS * (t) ? (n) / (16 * (t)) + 1 : ROWS)
+/* offset of the calling thread's slice of a scratch array of this stride */
+#define SLICE(stride) ((i64)omp_get_thread_num() * (stride))
+
+/* 1 when the library was built with OpenMP (native.status()) */
+i64 repro_openmp(void)
+{
+    return OPENMP;
+}
+
+/* rows at their mask offsets mp[i], counts in cp[i + 1] -> CSR order */
+static i64 compact(i64 nrows, const i64 *mp, i64 *cp, i64 *cj, double *cv)
+{
+    i64 nnz = 0;
+    cp[0] = 0;
+    for (i64 i = 0; i < nrows; i++) {
+        const i64 n = cp[i + 1];
+        memmove(cj + nnz, cj + mp[i], (size_t)n * sizeof(i64));
+        memmove(cv + nnz, cv + mp[i], (size_t)n * sizeof(double));
+        cp[i + 1] = nnz += n;
+    }
+    return nnz;
+}
 
 INLINE double mul(const int op, double x, double y)
 {
@@ -151,9 +194,27 @@ i64 repro_bucket_order(i64 n, i64 nbuckets, const i64 *key, i64 *start,
 /* stored twice (lj is then unspecified: the caller's NumPy body      */
 /* raises or sums, as it does without this loop).                    */
 /* ------------------------------------------------------------------ */
+/* The count pass over old row r (rows write disjoint lj / lp cells); */
+/* `hist` counts up[] on the way; threaded, a serial pass counts it   */
+/* after (atomic increments on hub columns cost more than the pass).  */
+INLINE void lower_count(const int hist, i64 r, const i64 *p, const i64 *j,
+                        const i64 *new_id, i64 *up, i64 *lp, i64 *lj)
+{
+    const i64 i = new_id[r];
+    i64 len = 0;
+    for (i64 t = p[r]; t < p[r + 1]; t++) {
+        const i64 k = new_id[j[t]], low = k < i;
+        if (hist)
+            up[k + 1] += low;
+        lj[p[r] + len] = k;
+        len += low;
+    }
+    lp[i + 1] = len;
+}
+
 i64 repro_lower_by_degree(i64 n, const i64 *p, const i64 *j, i64 nnz,
                           const i64 *perm, i64 *new_id, i64 *up, i64 *uj,
-                          i64 *lp, i64 *lj)
+                          i64 *lp, i64 *lj, i64 nthreads)
 {
     const i64 bad = repro_check(n, n, p, j, nnz);
     if (bad)
@@ -162,17 +223,17 @@ i64 repro_lower_by_degree(i64 n, const i64 *p, const i64 *j, i64 nnz,
         new_id[perm[i]] = i;
     memset(up, 0, (size_t)(n + 1) * sizeof(i64));
     lp[0] = 0;
-    for (i64 r = 0; r < n; r++) { /* in old row order */
-        const i64 i = new_id[r];
-        i64 len = 0;
-        for (i64 t = p[r]; t < p[r + 1]; t++) {
-            const i64 k = new_id[j[t]], low = k < i;
-            up[k + 1] += low;
-            lj[p[r] + len] = k;
-            len += low;
-        }
-        lp[i + 1] = len;
-    }
+    if (OPENMP && nthreads > 1) {
+#pragma omp parallel for num_threads(nthreads) \
+    schedule(dynamic, CHUNK(n, nthreads))
+        for (i64 r = 0; r < n; r++)
+            lower_count(0, r, p, j, new_id, up, lp, lj);
+        for (i64 r = 0; r < n; r++)
+            for (i64 t = p[r], t1 = t + lp[new_id[r] + 1]; t < t1; t++)
+                up[lj[t] + 1]++;
+    } else
+        for (i64 r = 0; r < n; r++) /* in old row order */
+            lower_count(1, r, p, j, new_id, up, lp, lj);
     for (i64 k = 0; k < n; k++) { /* up[k], lp[k]: row k's write cursors */
         up[k + 1] += up[k];
         lp[k + 1] += lp[k];
@@ -319,7 +380,37 @@ INLINE i64 msa_row(const int op, const int complement, i64 a0, i64 a1,
 /* Output needs at most nnz(M) cells, so it never runs out of room.    */
 /* cnt: [0] products kept (flops), [1] products expanded (inserts)     */
 /* ------------------------------------------------------------------ */
-INLINE i64 msa_plain(const int op, i64 nrows,
+INLINE i64 msa_plain_row(const int op, i64 i,
+                         const i64 *ap, const i64 *aj, const double *av,
+                         const i64 *bp, const i64 *bj, const double *bv,
+                         const i64 *mp, const i64 *mj,
+                         uint8_t *state, double *val, i64 *cj, double *cv,
+                         i64 *flops, i64 *inserts)
+{
+    const i64 a0 = ap[i], a1 = ap[i + 1], m0 = mp[i], m1 = mp[i + 1];
+    i64 nnz = 0;
+    if (a0 != a1 && m0 == m1) /* nothing allowed: only the charge */
+        for (i64 j = a0; j < a1; j++)
+            *inserts += bp[aj[j] + 1] - bp[aj[j]];
+    if (a0 == a1 || m0 == m1)
+        return 0;
+    for (i64 m = m0; m < m1; m++)
+        state[mj[m]] = ALLOWED;
+    msa_row(op, 0, a0, a1, aj, av, bp, bj, bv, state, val, NULL, flops,
+            inserts);
+    for (i64 m = m0; m < m1; m++) {
+        const i64 c = mj[m];
+        if (state[c] == SET) { /* a sum cancelling to 0.0 stays SET */
+            cj[nnz] = c;
+            cv[nnz++] = val[c];
+            val[c] = 0.0;
+        }
+        state[c] = EMPTY;
+    }
+    return nnz;
+}
+
+INLINE i64 msa_plain(const int op, i64 nrows, i64 ncols, i64 nthreads,
                      const i64 *ap, const i64 *aj, const double *av,
                      const i64 *bp, const i64 *bj, const double *bv,
                      const i64 *mp, const i64 *mj,
@@ -327,44 +418,34 @@ INLINE i64 msa_plain(const int op, i64 nrows,
                      i64 *cp, i64 *cj, double *cv, i64 *cnt)
 {
     i64 nnz = 0, flops = 0, inserts = 0;
-    cp[0] = 0;
-    for (i64 i = 0; i < nrows; i++) {
-        const i64 a0 = ap[i], a1 = ap[i + 1], m0 = mp[i], m1 = mp[i + 1];
-        if (a0 != a1 && m0 == m1) /* nothing allowed: only the charge */
-            for (i64 j = a0; j < a1; j++)
-                inserts += bp[aj[j] + 1] - bp[aj[j]];
-        if (a0 == a1 || m0 == m1) {
-            cp[i + 1] = nnz;
-            continue;
-        }
-        for (i64 m = m0; m < m1; m++)
-            state[mj[m]] = ALLOWED;
-        msa_row(op, 0, a0, a1, aj, av, bp, bj, bv, state, val, NULL, &flops,
-                &inserts);
-        for (i64 m = m0; m < m1; m++) {
-            const i64 c = mj[m];
-            if (state[c] == SET) { /* a sum cancelling to 0.0 stays SET */
-                cj[nnz] = c;
-                cv[nnz++] = val[c];
-                val[c] = 0.0;
-            }
-            state[c] = EMPTY;
-        }
-        cp[i + 1] = nnz;
+    if (OPENMP && nthreads > 1) {
+#pragma omp parallel for num_threads(nthreads) \
+    schedule(dynamic, CHUNK(nrows, nthreads)) reduction(+ : flops, inserts)
+        for (i64 i = 0; i < nrows; i++)
+            cp[i + 1] = msa_plain_row(op, i, ap, aj, av, bp, bj, bv, mp, mj,
+                                      state + SLICE(ncols), val + SLICE(ncols),
+                                      cj + mp[i], cv + mp[i], &flops, &inserts);
+        nnz = compact(nrows, mp, cp, cj, cv);
+    } else {
+        cp[0] = 0;
+        for (i64 i = 0; i < nrows; i++)
+            cp[i + 1] = nnz += msa_plain_row(op, i, ap, aj, av, bp, bj, bv, mp,
+                                             mj, state, val, cj + nnz, cv + nnz,
+                                             &flops, &inserts);
     }
     cnt[0] += flops;
     cnt[1] += inserts;
     return nnz;
 }
 
-i64 repro_msa(i64 op, i64 nrows,
+i64 repro_msa(i64 op, i64 nrows, i64 ncols, i64 nthreads,
               const i64 *ap, const i64 *aj, const double *av,
               const i64 *bp, const i64 *bj, const double *bv,
               const i64 *mp, const i64 *mj, uint8_t *state, double *val,
               i64 *cp, i64 *cj, double *cv, i64 *cnt)
 {
-    DISPATCH(msa_plain, nrows, ap, aj, av, bp, bj, bv, mp, mj, state, val,
-             cp, cj, cv, cnt)
+    DISPATCH(msa_plain, nrows, ncols, nthreads, ap, aj, av, bp, bj, bv, mp, mj,
+             state, val, cp, cj, cv, cnt)
 }
 
 /* ------------------------------------------------------------------ */
@@ -460,41 +541,57 @@ i64 repro_msa_complement(i64 op, i64 row0, i64 nrows, i64 ncols,
 /* Symbolic row (pattern only): exact output nonzeros per row.         */
 /* Plain: set-allowed, erase-on-hit, count.  Complement: first touch.  */
 /* ------------------------------------------------------------------ */
-i64 repro_symbolic(i64 complement, i64 nrows,
+INLINE i64 symbolic_row(const int complement, i64 i, const i64 *ap,
+                        const i64 *aj, const i64 *bp, const i64 *bj,
+                        const i64 *mp, const i64 *mj, uint8_t *state,
+                        i64 *touched)
+{
+    const i64 a0 = ap[i], a1 = ap[i + 1], m0 = mp[i], m1 = mp[i + 1];
+    i64 count = 0, nt = 0;
+    if (a0 == a1 || (!complement && m0 == m1))
+        return 0;
+    for (i64 m = m0; m < m1; m++)
+        state[mj[m]] = complement ? MASKED : ALLOWED;
+    for (i64 j = a0; j < a1; j++) {
+        const i64 k = aj[j], b1 = bp[k + 1];
+        for (i64 t = bp[k]; t < b1; t++) {
+            const i64 c = bj[t];
+            if (complement) {
+                if (state[c] == EMPTY) {
+                    state[c] = SET;
+                    touched[nt++] = c;
+                }
+            } else if (state[c] == ALLOWED) {
+                state[c] = EMPTY; /* erase on hit */
+                count++;
+            }
+        }
+    }
+    for (i64 m = m0; m < m1; m++)
+        state[mj[m]] = EMPTY;
+    for (i64 t = 0; t < nt; t++)
+        state[touched[t]] = EMPTY;
+    return complement ? nt : count;
+}
+
+i64 repro_symbolic(i64 complement, i64 nrows, i64 ncols, i64 nthreads,
                    const i64 *ap, const i64 *aj,
                    const i64 *bp, const i64 *bj,
                    const i64 *mp, const i64 *mj,
                    uint8_t *state, i64 *touched, i64 *row_nnz)
 {
-    for (i64 i = 0; i < nrows; i++) {
-        const i64 a0 = ap[i], a1 = ap[i + 1], m0 = mp[i], m1 = mp[i + 1];
-        i64 count = 0, nt = 0;
-        row_nnz[i] = 0;
-        if (a0 == a1 || (!complement && m0 == m1))
-            continue;
-        for (i64 m = m0; m < m1; m++)
-            state[mj[m]] = complement ? MASKED : ALLOWED;
-        for (i64 j = a0; j < a1; j++) {
-            const i64 k = aj[j], b1 = bp[k + 1];
-            for (i64 t = bp[k]; t < b1; t++) {
-                const i64 c = bj[t];
-                if (complement) {
-                    if (state[c] == EMPTY) {
-                        state[c] = SET;
-                        touched[nt++] = c;
-                    }
-                } else if (state[c] == ALLOWED) {
-                    state[c] = EMPTY; /* erase on hit */
-                    count++;
-                }
-            }
-        }
-        for (i64 m = m0; m < m1; m++)
-            state[mj[m]] = EMPTY;
-        for (i64 t = 0; t < nt; t++)
-            state[touched[t]] = EMPTY;
-        row_nnz[i] = complement ? nt : count;
-    }
+    const int c = complement != 0;
+    if (OPENMP && nthreads > 1) {
+#pragma omp parallel for num_threads(nthreads) \
+    schedule(dynamic, CHUNK(nrows, nthreads))
+        for (i64 i = 0; i < nrows; i++)
+            row_nnz[i] = symbolic_row(c, i, ap, aj, bp, bj, mp, mj,
+                                      state + SLICE(ncols),
+                                      touched + (c ? SLICE(ncols) : 0));
+    } else
+        for (i64 i = 0; i < nrows; i++)
+            row_nnz[i] = symbolic_row(c, i, ap, aj, bp, bj, mp, mj, state,
+                                      touched);
     return 0;
 }
 
@@ -506,15 +603,15 @@ i64 repro_symbolic(i64 complement, i64 nrows,
 /* matches in ascending k.  (tp, ti, tv) are the CSC arrays of B.      */
 /* cnt: [0] matched products (flops)                                   */
 /* ------------------------------------------------------------------ */
-INLINE i64 inner_rows(const int op, i64 nrows,
+/* rows [i0, i1) written from cj / cv on, cp[i + 1] = the running count */
+INLINE i64 inner_span(const int op, i64 i0, i64 i1,
                       const i64 *ap, const i64 *aj, const double *av,
                       const i64 *tp, const i64 *ti, const double *tv,
                       const i64 *mp, const i64 *mj, int32_t *where,
-                      i64 *cp, i64 *cj, double *cv, i64 *cnt)
+                      i64 *cp, i64 *cj, double *cv, i64 *flops)
 {
-    i64 nnz = 0, flops = 0;
-    cp[0] = 0;
-    for (i64 i = 0; i < nrows; i++) {
+    i64 nnz = 0;
+    for (i64 i = i0; i < i1; i++) {
         const i64 a0 = ap[i], a1 = ap[i + 1], m0 = mp[i], m1 = mp[i + 1];
         if (a0 == a1 || m0 == m1) {
             cp[i + 1] = nnz;
@@ -537,23 +634,46 @@ INLINE i64 inner_rows(const int op, i64 nrows,
             if (hits) { /* a mask entry no product reaches emits nothing */
                 cj[nnz] = col;
                 cv[nnz++] = v;
-                flops += hits;
+                *flops += hits;
             }
         }
         for (i64 j = a0; j < a1; j++)
             where[aj[j]] = 0;
         cp[i + 1] = nnz;
     }
+    return nnz;
+}
+
+INLINE i64 inner_rows(const int op, i64 nrows, i64 ncols, i64 nthreads,
+                      const i64 *ap, const i64 *aj, const double *av,
+                      const i64 *tp, const i64 *ti, const double *tv,
+                      const i64 *mp, const i64 *mj, int32_t *where,
+                      i64 *cp, i64 *cj, double *cv, i64 *cnt)
+{
+    i64 nnz = 0, flops = 0;
+    cp[0] = 0;
+    if (OPENMP && nthreads > 1) { /* one-row spans: cp[i + 1] = its count */
+#pragma omp parallel for num_threads(nthreads) \
+    schedule(dynamic, CHUNK(nrows, nthreads)) reduction(+ : flops)
+        for (i64 i = 0; i < nrows; i++)
+            inner_span(op, i, i + 1, ap, aj, av, tp, ti, tv, mp, mj,
+                       where + SLICE(ncols), cp, cj + mp[i], cv + mp[i],
+                       &flops);
+        nnz = compact(nrows, mp, cp, cj, cv);
+    } else
+        nnz = inner_span(op, 0, nrows, ap, aj, av, tp, ti, tv, mp, mj, where,
+                         cp, cj, cv, &flops);
     cnt[0] += flops;
     return nnz;
 }
 
-i64 repro_inner(i64 op, i64 nrows,
+/* ncols: of A, the stride of the where[] slices */
+i64 repro_inner(i64 op, i64 nrows, i64 ncols, i64 nthreads,
                 const i64 *ap, const i64 *aj, const double *av,
                 const i64 *tp, const i64 *ti, const double *tv,
                 const i64 *mp, const i64 *mj, int32_t *where,
                 i64 *cp, i64 *cj, double *cv, i64 *cnt)
 {
-    DISPATCH(inner_rows, nrows, ap, aj, av, tp, ti, tv, mp, mj, where,
-             cp, cj, cv, cnt)
+    DISPATCH(inner_rows, nrows, ncols, nthreads, ap, aj, av, tp, ti, tv, mp,
+             mj, where, cp, cj, cv, cnt)
 }

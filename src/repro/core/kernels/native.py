@@ -22,22 +22,42 @@ import sys
 import tempfile
 import threading
 from pathlib import Path
+from typing import Optional
 
+from ...machine.host import available_cores
 from ...observe import probes as _probes
 from ...semiring import STANDARD_SEMIRINGS
 
-__all__ = ["load", "kernels", "validate", "disabled", "status"]
+__all__ = ["load", "kernels", "validate", "disabled", "status", "threads_for"]
+#: build flags; ``-fopenmp`` joins them where a probe compile succeeds (:func:`_open`)
 FLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off")
 SOURCE = Path(__file__).with_name("native.c")
 #: ``native.c``'s multiply codes: the np.add monoids (NumPy's min/max NaN / -0.0 order stays there)
 _OPS = {"plus_times": 0, "plus_pair": 1, "plus_and": 2, "plus_first": 3, "plus_second": 4}
 _SIGNATURES = {  # q = int64, p = pointer; every function returns int64
-    "repro_check": "qqppq", "repro_msa": "qq" + "p" * 14, "repro_symbolic": "qq" + "p" * 9,
-    "repro_inner": "qq" + "p" * 13, "repro_msa_complement": "qqqq" + "p" * 14 + "qp",
+    "repro_check": "qqppq", "repro_msa": "qqqq" + "p" * 14, "repro_symbolic": "qqqq" + "p" * 9,
+    "repro_inner": "qqqq" + "p" * 13, "repro_msa_complement": "qqqq" + "p" * 14 + "qp",
+    "repro_openmp": "",
     # called from repro.sparse.csr, not from a kernel
-    "repro_bucket_order": "qq" + "p" * 7, "repro_lower_by_degree": "qppq" + "p" * 6,
+    "repro_bucket_order": "qq" + "p" * 7, "repro_lower_by_degree": "qppq" + "p" * 6 + "q",
     "repro_ewise_add": "q" + "p" * 9, "repro_locate": "q" + "p" * 5,  # from repro.sparse.ops
 }
+#: the OpenMP probe: a parallel region that links only with a working ``-fopenmp``
+_OPENMP_PROBE = b"""#include <omp.h>
+int repro_probe(void)
+{
+    int n = 0;
+#pragma omp parallel num_threads(2) reduction(+ : n)
+    n += 1 + omp_get_thread_num();
+    return n;
+}
+"""
+#: the call's work estimate (products, ``nnz(A) * nnz(B) / nrows(B)``) from
+#: which :func:`threads_for` runs a kernel on every core (``docs/parallel.md``,
+#: "In-kernel threads": the measured crossover)
+PARALLEL_WORK = 1 << 17
+#: the same for the count pass of ``repro_lower_by_degree``, in stored entries
+PREPARE_PARALLEL_NNZ = 1 << 18
 
 _lock = threading.Lock()
 _lib = _reason = None  # the CDLL / why loading failed; both None: not tried yet
@@ -69,6 +89,16 @@ def _target() -> tuple[str, Path]:
     return cc, cache / f"native-{key}.so"
 
 
+def _openmp_flags(cc: str, workdir: Path) -> tuple:
+    """``("-fopenmp",)`` when the compiler builds and links an OpenMP region, else ``()``."""
+    with tempfile.TemporaryDirectory(dir=workdir) as tmp:
+        src = Path(tmp) / "probe.c"
+        src.write_bytes(_OPENMP_PROBE)
+        done = subprocess.run([cc, *FLAGS, "-fopenmp", "-o", str(src.with_suffix(".so")),
+                               str(src)], capture_output=True)
+    return ("-fopenmp",) if done.returncode == 0 else ()
+
+
 def _open() -> ctypes.CDLL:
     cc, target = _target()
     for rebuild in (False, True):  # an unusable cache file is rebuilt once
@@ -76,8 +106,8 @@ def _open() -> ctypes.CDLL:
             fd, tmp = tempfile.mkstemp(dir=target.parent, suffix=".tmp")
             os.close(fd)
             try:
-                subprocess.run([cc, *FLAGS, "-o", tmp, str(SOURCE)],
-                               capture_output=True, check=True)
+                subprocess.run([cc, *FLAGS, *_openmp_flags(cc, target.parent), "-o", tmp,
+                                str(SOURCE)], capture_output=True, check=True)
                 os.chmod(tmp, 0o700)
                 os.replace(tmp, target)  # publish whole or not at all
             finally:
@@ -159,6 +189,27 @@ def disabled():
 
 
 def status() -> dict:
-    """``{"loaded", "path", "reason"}`` of a :func:`load` attempt."""
+    """``{"loaded", "path", "reason", "openmp"}`` of a :func:`load` attempt; ``openmp``: the
+    row loops can run on several threads."""
     path, reason = getattr(load(), "_name", None), "disabled" if _disabled else _reason
-    return {"loaded": path is not None, "path": path, "reason": reason}
+    return {"loaded": path is not None, "path": path, "reason": reason, "openmp": _openmp()}
+
+
+def _openmp() -> bool:
+    lib = load()
+    return lib is not None and bool(lib.repro_openmp())
+
+
+def threads_for(work: float, threads: Optional[int] = None, backend: Optional[str] = None, *,
+                crossover: Optional[float] = None) -> int:
+    """The thread count of one native row loop: the caller's ``threads``; else 1 under
+    ``backend="serial"``; else every core this process may use when ``work`` (an O(1) estimate
+    of the call's products) reaches ``crossover`` (default :data:`PARALLEL_WORK`) and the
+    library has OpenMP; else 1.  ``OMP_NUM_THREADS`` is not read.  A work item the thread or
+    process backend already fans out passes 1 instead."""
+    if threads is not None:
+        return max(1, int(threads))
+    if str(backend).lower() == "serial" or work < (
+            PARALLEL_WORK if crossover is None else crossover) or not _openmp():
+        return 1
+    return available_cores()

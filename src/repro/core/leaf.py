@@ -19,6 +19,7 @@ from ..machine import HASWELL, MachineConfig, OpCounter, flops_per_row
 from ..observe import tracer as _obs
 from ..semiring import PLUS_TIMES, Semiring
 from ..sparse import CSC, CSR
+from .kernels import native
 from .kernels.batch import BATCHABLE_ALGOS
 from .kernels.esc_kernel import masked_spgemm_esc_fast
 from .kernels.hash_kernel import masked_spgemm_hash_fast
@@ -56,6 +57,8 @@ _FAST = {
 }
 
 _NO_COMPLEMENT = frozenset({"inner", "mca"})
+#: the algorithms whose native row loops take a thread count
+_THREADED = frozenset({"inner", "msa"})
 
 
 def supports_complement(algo: str) -> bool:
@@ -78,6 +81,14 @@ def check_operands(a: CSR, b: CSR, mask: CSR) -> None:
         )
 
 
+def kernel_threads(a: CSR, b: CSR, *, threads=None, backend=None) -> int:
+    """:func:`native.threads_for` of one product call, whose work estimate is
+    its expected product count ``nnz(A) * nnz(B) / nrows(B)`` (O(1)), capped
+    at ``nrows(A)``: each thread leases a row of scratch."""
+    nthreads = native.threads_for(a.nnz * b.nnz / max(1, b.nrows), threads, backend)
+    return max(1, min(nthreads, a.nrows))
+
+
 def run_kernel(
     a: CSR,
     b: CSR,
@@ -91,11 +102,14 @@ def run_kernel(
     counter: Optional[OpCounter] = None,
     b_csc: Optional[CSC] = None,
     batch: str = "auto",
+    nthreads: int = 1,
 ) -> CSR:
     """Run ``algo`` (a key of :data:`ALL_ALGOS`) on operands the caller
     vouches for: conforming shapes and an algorithm that can run the mask.
     Picks the tier (``impl``), runs the 2P symbolic sweep and cross-checks
-    the numeric result against the symbolic count."""
+    the numeric result against the symbolic count.  ``nthreads`` (the
+    caller's :func:`kernel_threads`) reaches the native ``msa`` / ``inner``
+    row loops and the symbolic pass; bytes and counters do not depend on it."""
     use_fast = impl == "fast" or (impl == "auto" and algo in _FAST)
     if use_fast and algo not in _FAST:
         raise ValueError(
@@ -122,12 +136,14 @@ def run_kernel(
         )
         with sym_cm:
             row_nnz = symbolic_masked(a, b, mask, complement=complement,
-                                      counter=counter)
+                                      counter=counter, nthreads=nthreads)
 
     if use_fast:
         kwargs = dict(complement=complement, semiring=semiring, counter=counter)
         if algo == "inner":
             kwargs["b_csc"] = b_csc
+        if algo in _THREADED:
+            kwargs["nthreads"] = nthreads
         if chunked:
             kwargs["batch"] = batch
             if row_nnz is not None:

@@ -61,6 +61,7 @@ from .leaf import (
     EXTENSION_ALGOS,
     check_operands,
     classify_rows,
+    kernel_threads,
     run_kernel,
     supports_complement,
 )
@@ -244,7 +245,7 @@ def masked_spgemm(
             a, b, mask,
             algo=key, phases=1 if phases is None else phases,
             complement=complement, semiring=semiring, impl=impl,
-            counter=counter, b_csc=b_csc, batch=batch,
+            counter=counter, b_csc=b_csc, batch=batch, nthreads=kernel_threads(a, b),
         )
     return c.transpose() if column else c
 

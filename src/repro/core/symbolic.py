@@ -37,13 +37,14 @@ def symbolic_masked(
     complement: bool = False,
     counter: Optional[OpCounter] = None,
     flop_budget: int = MSA_FLOP_BUDGET,
+    nthreads: int = 1,
 ) -> np.ndarray:
     """Exact per-row output nonzero counts of ``M .* (A @ B)`` (pattern
     only).  Index traversal mirrors the numeric MSA pass — ``native.c``'s
     count-only row loop (set-allowed, erase-on-hit, count; complement:
-    first-touch count), else the push frame's count-only mode over the
-    dense-rank strategy — and every inspected product is charged to
-    ``counter.symbolic_flops``."""
+    first-touch count; on ``nthreads`` threads), else the push frame's
+    count-only mode over the dense-rank strategy — and every inspected
+    product is charged to ``counter.symbolic_flops``."""
     a = a.sort_indices()
     b = b.sort_indices()
     mask = mask.sort_indices()
@@ -55,10 +56,11 @@ def symbolic_masked(
         arena = get_arena()
         with arena.lease("native.state", np.uint8, 0) as state, \
                 arena.lease("native.touched", np.int64, None) as touched:
-            lib.repro_symbolic(int(complement), a.nrows, *(
+            lib.repro_symbolic(int(complement), a.nrows, n, nthreads, *(
                 x.ctypes.data for x in (a.indptr, a.indices, b.indptr, b.indices,
-                                        mask.indptr, mask.indices, state.require(n),
-                                        touched.require(n if complement else 0), out)))
+                                        mask.indptr, mask.indices, state.require(nthreads * n),
+                                        touched.require(nthreads * n if complement else 0),
+                                        out)))
     else:
         out = push_product(
             a, b, mask, DenseRank(), complement=complement,

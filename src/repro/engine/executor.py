@@ -29,7 +29,7 @@ from typing import List, Optional
 
 import numpy as np
 
-from ..core.leaf import check_operands, run_kernel
+from ..core.leaf import check_operands, kernel_threads, run_kernel
 from ..machine import HOST_NATIVE, OpCounter, flops_per_row, host_profile, resolve_machine
 from ..observe import probes as _probes
 from ..observe import tracer as _obs
@@ -205,14 +205,15 @@ def execute(
     return _execute(
         plan, a, b, mask,
         semiring=semiring, impl=impl, counter=counter, b_csc=b_csc,
-        session=resolve_session(session),
+        session=resolve_session(session), nthreads=kernel_threads(a, b, backend=backend),
     )
 
 
-def _execute(plan, a, b, mask, *, semiring, impl, counter, b_csc, session) -> CSR:
+def _execute(plan, a, b, mask, *, semiring, impl, counter, b_csc, session, nthreads) -> CSR:
     """:func:`execute` past its checks: a validated plan (a planner's own)
     for these operands, ``session`` an :class:`ExecutionSession` or
-    ``None``."""
+    ``None``; ``nthreads`` runs a plan that is one work item (several items
+    run one thread each)."""
     backend = plan.backend
     if not plan.bands or a.nrows == 0:
         return CSR.empty(plan.shape)
@@ -265,6 +266,7 @@ def _execute(plan, a, b, mask, *, semiring, impl, counter, b_csc, session) -> CS
                     algo=first.algo, phases=plan.phases,
                     complement=plan.complement, semiring=semiring, impl=impl,
                     counter=counter, b_csc=b_csc, batch=first.batch,
+                    nthreads=nthreads,
                 )
 
         npanels = grid.ncp
@@ -407,6 +409,7 @@ def plan_and_execute(
         pl, a, b, mask,
         semiring=semiring, impl=impl, counter=counter, b_csc=b_csc,
         session=resolve_session(session),
+        nthreads=kernel_threads(a, b, threads=plan_kwargs.get("threads"), backend=backend),
     )
 
 

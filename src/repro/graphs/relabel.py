@@ -8,6 +8,8 @@ graph [to] be sorted in non-increasing order of their degrees" before taking
 
 from __future__ import annotations
 
+from typing import Optional
+
 import numpy as np
 
 from ..sparse import CSR
@@ -43,7 +45,7 @@ def relabel_by_degree(a: CSR, *, ascending: bool = False) -> CSR:
     return a.permute(degree_sort_permutation(a, ascending=ascending))
 
 
-def lower_by_degree(a: CSR) -> CSR:
+def lower_by_degree(a: CSR, *, backend: Optional[str] = None) -> CSR:
     """The triangle-counting operand ``L = tril(P A P^T, -1)`` of the pattern
     of the square ``a``, ``P`` its non-increasing degree order: the bytes of
     ``relabel_by_degree(a.pattern()).tril(-1)``, built without the permuted
@@ -54,11 +56,13 @@ def lower_by_degree(a: CSR) -> CSR:
     no-compiler tier and the reference, which also runs where the loop
     finds a bad index or a coordinate of ``L`` stored twice — relabels the
     coordinates, keeps ``col < row`` and orders that half with
-    :meth:`CSR.from_coo`, which sums the duplicates as ``permute`` does."""
+    :meth:`CSR.from_coo`, which sums the duplicates as ``permute`` does.
+    ``backend="serial"`` keeps the native count pass on one thread, as it
+    keeps a product call (``docs/parallel.md``, "In-kernel threads")."""
     if a.nrows != a.ncols:
         raise ValueError("permute requires a square matrix")
     perm = degree_sort_permutation(a)
-    low = _lower_by_degree(a, perm)
+    low = _lower_by_degree(a, perm, backend=backend)
     if low is not None:
         return low
     a._check_columns()

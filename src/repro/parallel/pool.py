@@ -267,11 +267,13 @@ def run_task(task: Task):
         # compute inside the span, build the payload after it closes so the
         # item span itself is part of the exported records
         with span_cm:
+            # one thread per item: the backend already fans the items out,
+            # and a forked worker must never enter libgomp (native.c)
             c = run_kernel(
                 a_s, b, m_s,
                 algo=task.algo, phases=task.phases, complement=task.complement,
                 semiring=semiring, impl=task.impl, counter=counter,
-                b_csc=b_csc, batch=task.batch,
+                b_csc=b_csc, batch=task.batch, nthreads=1,
             )
             r, cc, v = c.to_coo()
             if offset:

@@ -18,7 +18,7 @@ Invariants (checked by :meth:`CSR.check`):
 
 from __future__ import annotations
 
-from typing import Iterator, Tuple
+from typing import Iterator, Optional, Tuple
 
 import numpy as np
 
@@ -85,11 +85,14 @@ def _bucket_order(keys, nbuckets: int, ints, vals=None, *, order: bool = False):
     return start, perm, ints_out, vals_out
 
 
-def _lower_by_degree(a: "CSR", perm: np.ndarray):
+def _lower_by_degree(a: "CSR", perm: np.ndarray, nthreads: Optional[int] = None,
+                     backend: Optional[str] = None):
     """``tril(P A P^T, -1)`` of the pattern of the square ``a``, vertex ``i``
     of the result being vertex ``perm[i]`` of ``a`` (a permutation), built
     by the native tier's two counting scatters (``repro_lower_by_degree``
-    in ``core/kernels/native.c``): sorted rows, all-ones values.
+    in ``core/kernels/native.c``): sorted rows, all-ones values.  Its count
+    pass runs on ``native.threads_for(nnz(a), nthreads, backend)`` threads,
+    at its own crossover; the bytes do not depend on it.
 
     ``None`` when the library is unavailable or disabled, when ``a`` does
     not describe a CSR (a bad ``indptr`` or column index) or when a
@@ -108,7 +111,8 @@ def _lower_by_degree(a: "CSR", perm: np.ndarray):
     uj, lj = np.empty(nnz, dtype=INDEX_DTYPE), np.empty(nnz, dtype=INDEX_DTYPE)
     got = lib.repro_lower_by_degree(
         n, indptr.ctypes.data, indices.ctypes.data, nnz,
-        *(x.ctypes.data for x in (perm, new_id, up, uj, lp, lj)))
+        *(x.ctypes.data for x in (perm, new_id, up, uj, lp, lj)),
+        native.threads_for(nnz, nthreads, backend, crossover=native.PREPARE_PARALLEL_NNZ))
     if got < 0:
         return None
     return CSR(a.shape, lp, lj[:got], np.ones(got, dtype=VALUE_DTYPE),

@@ -4,7 +4,8 @@ Bit-for-bit identity of values *and* ``OpCounter``s across every spelling
 of a call is the library's contract.  This module is that contract as
 data: the axes (front door x ``algo`` x complement x phases x batch x
 orientation x backend x threads x grid x session x machine x kernel
-tier), the operand sets they run over (the adversarial sets of
+tier, and the native loops' in-kernel ``nthreads``), the operand sets
+they run over (the adversarial sets of
 ``tests/test_native.py`` plus an R-MAT triangle-counting triple) and one
 record per call — ``(case id, blake2b of the CSR bytes, OpCounter)``; a
 call that raises records the error's type and text instead.
@@ -23,7 +24,8 @@ Three consumers:
   ``session="own"`` steps (cold, warm, mutated) differ from a sessionless
   call only in ``segments_reused`` / ``bytes_republished``;
 * ``tests/test_lattice.py`` runs a fixed sample under tier-1 against the
-  reference tier.
+  reference tier, and every ``nthreads`` case against its ``nthreads=1``
+  twin (:func:`thread_axis_findings`, which ``--digest`` also prints).
 
 The factorial is full where the axes interact (serial spellings; planned
 dispatch: backend x grid x session) and one axis at a time elsewhere,
@@ -51,6 +53,7 @@ from repro.core import (
     supports_complement,
 )
 from repro.core.kernels import native
+from repro.core.leaf import run_kernel
 from repro.engine import ExecutionSession
 from repro.graphs import erdos_renyi, relabel_by_degree, rmat
 from repro.machine import KNL, OpCounter
@@ -97,7 +100,8 @@ def _unsorted_with_duplicates():
 
 
 def _adversarial():
-    yield "random", _er(40, 30, 4, 1), _er(30, 50, 4, 2), _er(40, 50, 6, 3)
+    random = _er(40, 30, 4, 1), _er(30, 50, 4, 2), _er(40, 50, 6, 3)
+    yield ("random", *random)
     yield "empty-rows", _with_empty_rows(_er(40, 30, 4, 4), 3), _er(30, 50, 4, 5), \
         _with_empty_rows(_er(40, 50, 6, 6), 2)
     yield "empty-mask", _er(20, 20, 3, 7), _er(20, 20, 3, 8), CSR.empty((20, 20))
@@ -111,6 +115,7 @@ def _adversarial():
     u = _unsorted_with_duplicates()
     yield "unsorted-dup", u, _er(8, 8, 3, 26), u
     yield from _hit_buffer_edges()
+    yield from _row_split_edges(*random)
 
 
 #: ``native.c``'s MSA rows park the products that meet the mask in a buffer
@@ -159,6 +164,28 @@ def _hit_buffer_edges():
     yield "full-touch", _rows((12, 5), [[0, 1, 2, 3, 4]] * 4 + fills, 34), b, mask
 
 
+def _row_split_edges(a, b, m):
+    """Operand sets on the edges of the native loops' split of rows over
+    threads (``NTHREADS``), cut from the random set ``(a, b, m)``."""
+    def row(mat, i):
+        return mat.indices[mat.indptr[i]:mat.indptr[i + 1]]
+
+    three = (3, 7, 11)
+    yield ("fewer-rows-than-threads", _rows((3, a.ncols), [row(a, i) for i in three], 40), b,
+           _rows((3, m.ncols), [row(m, i) for i in three], 41))
+    # every other A row empty, and every third mask row
+    yield ("empty-a-and-mask-rows",
+           _rows(a.shape, [row(a, i) if i % 2 else [] for i in range(a.nrows)], 42), b,
+           _rows(m.shape, [row(m, i) if i % 3 else [] for i in range(m.nrows)], 43))
+    # one hub row expands every row of B; the other 99 rows one B row each
+    n = 300
+    hub = [np.arange(n)] + [[i % n] for i in range(1, 100)]
+    b = _rows((n, n), [np.arange(i % 7, n, 7) for i in range(n)], 44)
+    mask = _rows((100, n), [np.arange(0, n, 2)] + [np.arange(i % 5, n, 5) for i in range(1, 100)],
+                 45)
+    yield "hub-row", _rows((100, n), hub, 46), b, mask
+
+
 #: the adversarial ``(a, b, mask)`` sets (``tests/test_native.py`` runs its
 #: differential suite over the same ones)
 ADVERSARIAL = {name: (a, b, m) for name, a, b, m in _adversarial()}
@@ -181,6 +208,9 @@ DOORS = {
     "hybrid": masked_spgemm_hybrid,
     "chunked": masked_spgemm_chunked,
     "parallel": parallel_masked_spgemm,
+    # the leaf every door reaches, where the in-kernel thread count is an
+    # argument (a door resolves it from the call's size)
+    "kernel": run_kernel,
 }
 ALGOS = ("auto", "inner", "msa", "hash", "mca", "heap", "heapdot", "esc")
 PHASES = (1, 2)
@@ -193,6 +223,11 @@ SESSIONS = (None, False, "own")  # "own": three calls — cold, warm, mutated
 ODD = dataclasses.replace(KNL, name="odd", cores=3, hit_cycles=6.0)
 MACHINES = (None, "haswell", ODD)
 THREADS = (1, 2, 3)
+#: in-kernel threads of the native loops: plain-mask msa, inner and the 2P
+#: symbolic pass take them; the complemented msa stays serial.  4 puts more
+#: threads than rows on "fewer-rows-than-threads"
+NTHREADS = (1, 2, 4)
+KERNEL_CALLS = (("msa", False), ("msa", True), ("inner", False))
 PARTITIONS = ("block", "cyclic", "balanced")
 
 #: what two runs of one call id may disagree on, as ``(counter name,
@@ -281,6 +316,9 @@ def cases() -> Iterator[Case]:
         for (algo, comp), phases, batch in product(planned, PHASES, BATCHES[1:]):
             yield case("parallel", algo=algo, complement=comp, phases=phases,
                        batch=batch, backend="thread", threads=2)
+        for (algo, comp), phases, nthreads in product(KERNEL_CALLS, PHASES, NTHREADS):
+            yield case("kernel", algo=algo, complement=comp, phases=phases,
+                       nthreads=nthreads)
 
 
 def sample(n: Optional[int]) -> List[Case]:
@@ -366,6 +404,19 @@ def tier_scope(tier: str):
             shutdown_pool()
 
 
+def thread_axis_findings(records: Dict[str, dict]) -> List[str]:
+    """One line per ``nthreads=k`` call whose record differs from its
+    ``nthreads=1`` twin's (same tier, operands and options)."""
+    findings = []
+    for call_id, rec in sorted(records.items()):
+        k = re.search(r"nthreads=(\d+)", call_id)
+        if k and k.group(1) != "1":
+            twin = call_id.replace(k.group(0), "nthreads=1")
+            if records.get(twin) != rec:
+                findings.append(f"{call_id}: {rec} != {twin}: {records.get(twin)}")
+    return findings
+
+
 def digest(n: Optional[int] = None, tiers=TIERS) -> Dict[str, dict]:
     """``{"<tier>/<call id>": record}`` over ``sample(n)`` on each tier."""
     chosen, out = sample(n), {}
@@ -425,7 +476,9 @@ def main(argv=None) -> int:
                       fh, indent=0, sort_keys=True)
         errors = sum("error" in r for r in records.values())
         print(f"{len(records)} calls ({errors} raised) -> {args.digest}")
-        return 0
+        threads = thread_axis_findings(records)
+        print("\n".join(threads + [f"{len(threads)} nthreads calls differ from nthreads=1"]))
+        return 1 if threads else 0
     docs = []
     for path in args.compare:
         with open(path) as fh:

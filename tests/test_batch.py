@@ -685,11 +685,12 @@ needs_native = native_required()
 class TestCompiledSeam:
     def test_status_shape(self):
         st = native.status()
-        assert set(st) == {"loaded", "path", "reason"}
+        assert set(st) == {"loaded", "path", "reason", "openmp"}
         assert st["loaded"] == (st["reason"] is None) == (st["path"] is not None)
+        assert st["openmp"] in (st["loaded"], False)
         with native.disabled():
             assert native.status() == {"loaded": False, "path": None,
-                                       "reason": "disabled"}
+                                       "reason": "disabled", "openmp": False}
 
     def test_numpy_fallback_matches_native(self):
         a = _rand_csr(30, 40, 0.2, 30)

@@ -139,3 +139,23 @@ def test_compare_reports_what_the_exception_table_does_not_cover():
     ]
     del right[hashed]
     assert lattice.compare(left, right)[0][-1] == f"{hashed}: only in the first"
+
+
+def test_in_kernel_threads_change_nothing():
+    """Every ``nthreads`` case of the enumeration, on both tiers, records
+    exactly what its ``nthreads=1`` twin does: CSR bytes and counters."""
+    kernel = [case for case in lattice.cases() if case.door == "kernel"]
+    records = {}
+    for tier in lattice.TIERS:
+        with lattice.tier_scope(tier):
+            for case in kernel:
+                for call_id, result, counter in lattice.execute(case):
+                    records[f"{tier}/{call_id}"] = lattice.record(result, counter)
+    assert len(records) == len(lattice.TIERS) * len(lattice.OPERANDS) * len(
+        lattice.KERNEL_CALLS) * len(lattice.PHASES) * len(lattice.NTHREADS)
+    assert not any("error" in r for r in records.values())
+    assert lattice.thread_axis_findings(records) == []
+    one = "native/random/kernel/algo=msa,complement=False,phases=1,nthreads=1"
+    more = [one.replace("nthreads=1", f"nthreads={k}") for k in lattice.NTHREADS[1:]]
+    assert lattice.thread_axis_findings(dict(records, **{one: {"csr": "x"}})) == [
+        f"{k}: {records[k]} != {one}: {{'csr': 'x'}}" for k in more]

@@ -12,6 +12,7 @@ an installed probe registry.
 import contextlib
 import logging
 import os
+import signal
 import subprocess
 import sys
 import threading
@@ -22,13 +23,16 @@ import pytest
 
 from repro.core import masked_spgemm
 from repro.core.kernels import native
-from repro.core.kernels.arena import get_arena
+from repro.core.leaf import kernel_threads, run_kernel
+from repro.core.kernels.arena import clear_arena, get_arena
 from repro.core.kernels.inner_kernel import masked_spgemm_inner_fast
 from repro.core.kernels.msa_kernel import masked_spgemm_msa_fast
 from repro.core.symbolic import symbolic_masked
 from repro.engine import Planner, execute
-from repro.machine import HOST, HOST_NATIVE, OpCounter, resolve_machine
+from repro.graphs import erdos_renyi, lower_by_degree, rmat
+from repro.machine import HOST, HOST_NATIVE, OpCounter, available_cores, resolve_machine
 from repro.observe import probes, tracing
+from repro.parallel import parallel_masked_spgemm
 from repro.parallel.pool import shutdown_pool
 from repro.semiring import MIN_PLUS, PLUS_PAIR, PLUS_TIMES, STANDARD_SEMIRINGS, Semiring
 from repro.sparse import CSR
@@ -165,6 +169,163 @@ class TestDifferential:
         for scope in (native.disabled, contextlib.nullcontext):
             with scope(), pytest.raises(AssertionError, match="symbolic/numeric mismatch"):
                 masked_spgemm_msa_fast(a, b, m, row_nnz=wrong, batch="bucket")
+
+
+# ----------------------------------------------------------------------
+# in-kernel threads (the lattice's ``nthreads`` axis checks that every count
+# gives the serial bytes and counters): who picks the count, what stays serial
+# ----------------------------------------------------------------------
+def _at_thread_counts(a, b, m, **kw):
+    """``(bytes, counters)`` of ``run_kernel`` at 1 and 2 threads."""
+    out = []
+    for k in (1, 2):
+        c = OpCounter()
+        out.append((_bytes(run_kernel(a, b, m, counter=c, nthreads=k, **kw)), c.as_dict()))
+    return out
+
+
+@needs_native
+class TestThreads:
+    def test_complemented_msa_stays_serial(self, monkeypatch):
+        a, b, m = OPERANDS["hub-row"]
+        spy = NativeSpy(native.load())
+        monkeypatch.setattr(native, "_lib", spy)
+        clear_arena()
+        one, two = _at_thread_counts(a, b, m, algo="msa", complement=True)
+        assert one == two
+        assert spy.kernel_calls == ["repro_msa_complement"] * 2
+        # one accumulator: the leases hold one row of scratch, not two
+        assert get_arena()._buffers["native.values"].shape == (b.ncols,)
+
+    def test_scratch_slices_come_back_clean(self):
+        a, b, m = OPERANDS["hub-row"]
+        for algo, phases in (("msa", 2), ("inner", 1)):
+            run_kernel(a, b, m, algo=algo, phases=phases, nthreads=2)
+        parked = get_arena()._buffers
+        for key in ("native.state", "native.values", "native.where"):
+            assert not parked[key].any(), key
+
+    def test_triangle_counting_operand(self):
+        from repro.graphs.relabel import degree_sort_permutation
+        from repro.sparse.csr import _lower_by_degree
+
+        for g in (rmat(9, seed=2), erdos_renyi(300, 300, 6, seed=5)):  # + a directed graph
+            perm = degree_sort_permutation(g)
+            one, *more = (_bytes(_lower_by_degree(g, perm, k)) for k in (1, 2, 4))
+            assert all(x == one for x in more)
+
+    def test_the_resolution_rule(self, monkeypatch):
+        big, cores = native.PARALLEL_WORK, available_cores() if native._openmp() else 1
+        monkeypatch.setenv("OMP_NUM_THREADS", "1")  # not read
+        assert native.threads_for(0, threads=3) == 3
+        assert native.threads_for(big, backend="serial") == 1
+        assert native.threads_for(big, backend="thread") == cores
+        assert native.threads_for(big) == cores
+        assert native.threads_for(big - 1) == 1
+        assert native.threads_for(10, crossover=10) == cores
+        with native.disabled():
+            assert native.threads_for(big) == 1
+        # a product call never runs more threads than A has rows
+        a, b, _ = OPERANDS["fewer-rows-than-threads"]
+        assert kernel_threads(a, b, threads=8) == 3
+        assert kernel_threads(CSR.empty((0, b.nrows)), b, threads=8) == 1
+
+    def test_who_passes_which_count(self, monkeypatch):
+        """The door and a one-item plan pass the rule's count; fanned-out
+        work items, ``backend="serial"`` and a forced ``threads=1`` pass 1."""
+        import importlib
+
+        door, executor, pool = map(importlib.import_module, (
+            "repro.core.masked_spgemm", "repro.engine.executor", "repro.parallel.pool"))
+        seen = []
+
+        def spy(*args, nthreads, **kw):
+            seen.append(nthreads)
+            return run_kernel(*args, nthreads=nthreads, **kw)
+
+        for module in (door, executor, pool):
+            monkeypatch.setattr(module, "run_kernel", spy)
+        low = lower_by_degree(rmat(10, seed=3))
+        monkeypatch.setattr(native, "PARALLEL_WORK", 0)
+        cores = available_cores()
+        every = cores if native._openmp() else 1
+        calls = {
+            "forced": dict(algo="msa"),
+            "auto": dict(algo="auto"),
+            "serial": dict(algo="msa", backend="serial"),
+            "thread": dict(algo="msa", backend="thread"),
+        }
+        got = {}
+        for name, kw in calls.items():
+            seen.clear()
+            masked_spgemm(low, low, low, semiring=PLUS_PAIR, **kw)
+            got[name] = list(seen)
+        seen.clear()
+        parallel_masked_spgemm(low, low, low, semiring=PLUS_PAIR, threads=1)
+        got["threads=1"] = list(seen)
+        assert got == {"forced": [every], "auto": [every], "serial": [1],
+                       "thread": [1] * min(cores, 2),
+                       "threads=1": [1]}
+        monkeypatch.setattr(native, "PARALLEL_WORK", 1 << 62)
+        seen.clear()
+        masked_spgemm(low, low, low, semiring=PLUS_PAIR, algo="msa")
+        assert seen == [1]  # below the crossover
+
+    def test_without_openmp_every_loop_is_serial(self, fresh_loader, monkeypatch):
+        monkeypatch.setattr(native, "_openmp_flags", lambda cc, workdir: ())
+        assert native.status()["openmp"] is False
+        assert native.threads_for(native.PARALLEL_WORK) == 1
+        a, b, m = OPERANDS["hub-row"]
+        one, two = _at_thread_counts(a, b, m, algo="msa", phases=2)
+        assert one == two
+
+    def test_status_reports_openmp(self):
+        probe = native._openmp_flags(native._target()[0], Path(native.load()._name).parent)
+        assert native.status()["openmp"] is (probe == ("-fopenmp",))
+
+    def test_process_backend_after_threads_in_the_parent(self):
+        """libgomp's thread pool does not survive ``fork``: a forked child
+        that entered a threaded region after the parent had used one would
+        hang.  Pool workers run every item on one thread, and a caller's own
+        forked child that passes ``backend="serial"`` stays on one thread
+        through triangle counting's prepare and product, so this returns."""
+        code = (
+            "import os\n"
+            "from repro.apps import triangle_count\n"
+            "from repro.core import masked_spgemm\n"
+            "from repro.core.leaf import run_kernel\n"
+            "from repro.graphs import lower_by_degree, rmat\n"
+            "from repro.parallel import shutdown_pool\n"
+            "from repro.semiring import PLUS_PAIR\n"
+            "low = lower_by_degree(rmat(12, seed=3))\n"
+            "kw = dict(algo='msa', semiring=PLUS_PAIR)\n"
+            "two = run_kernel(low, low, low, nthreads=2, **kw)\n"
+            "got = masked_spgemm(low, low, low, backend='process', **kw)\n"
+            "shutdown_pool()\n"
+            "one = run_kernel(low, low, low, nthreads=1, **kw)\n"
+            "fields = ('indptr', 'indices', 'data')\n"
+            "for c in (two, got):\n"
+            "    assert all(getattr(c, f).tobytes() == getattr(one, f).tobytes() for f in fields)\n"
+            "g = rmat(14, seed=3)  # over both crossovers\n"
+            "tri = triangle_count(g)\n"
+            "pid = os.fork()\n"
+            "if pid == 0:\n"
+            "    os._exit(0 if triangle_count(g, backend='serial') == tri else 3)\n"
+            "assert os.waitpid(pid, 0)[1] == 0\n"
+            "print('ok')\n"
+        )
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        proc = subprocess.Popen([sys.executable, "-c", code], env=env, stdout=subprocess.PIPE,
+                                stderr=subprocess.PIPE, text=True, start_new_session=True)
+        try:
+            out, err = proc.communicate(timeout=60)
+        except subprocess.TimeoutExpired:
+            out, err = "", "hung"
+        finally:  # the child's pool workers too
+            with contextlib.suppress(ProcessLookupError, PermissionError):
+                os.killpg(proc.pid, signal.SIGKILL)
+            proc.wait()
+        assert out == "ok\n", err[-3000:]
 
 
 # ----------------------------------------------------------------------
@@ -318,16 +479,17 @@ class TestLoader:
         warnings = [r for r in caplog.records if "native kernel tier unavailable" in r.message]
         assert len(warnings) == 1 and "no C compiler" in warnings[0].getMessage()
         assert looked == ["cc", "gcc"]  # asked once, no retry storm
-        assert native.status() == {"loaded": False, "path": None,
+        assert native.status() == {"loaded": False, "path": None, "openmp": False,
                                    "reason": "OSError: no C compiler (cc) on PATH"}
         assert resolve_machine(None) is HOST
         assert not fresh_loader.exists() or not list(fresh_loader.iterdir())
 
     @needs_native
     def test_sanitized_build_over_the_adversarial_sets(self, tmp_path):
-        """``native.c`` under AddressSanitizer + UBSan: an overrun of the
-        stack hit buffer or of a leased scratch array is an abort here where
-        byte-equality would pass."""
+        """``native.c`` under AddressSanitizer + UBSan, built with the same
+        flags (``-fopenmp`` where the probe passes): an overrun of the stack
+        hit buffer or of a leased scratch array is an abort here where
+        byte-equality would pass — on the threaded row loops too."""
         libasan = subprocess.run([native._target()[0], "-print-file-name=libasan.so"],
                                  capture_output=True, text=True).stdout.strip()
         if not os.path.isabs(libasan):
@@ -344,6 +506,7 @@ class TestLoader:
             "    '-g', '-fsanitize=address,undefined', '-fno-sanitize-recover=all')\n"
             "from tests.lattice import ADVERSARIAL  # builds its operands: the first load\n"
             "assert hasattr(native.load(), '__asan_init'), native.status()\n"
+            f"assert native.status()['openmp'] is {native.status()['openmp']}\n"
             "fields = ('indptr', 'indices', 'data')\n"
             "for name, (a, b, m) in ADVERSARIAL.items():\n"
             "    for sr in map(STANDARD_SEMIRINGS.get, native._OPS):\n"
@@ -356,15 +519,27 @@ class TestLoader:
             "                    want = masked_spgemm(a, b, m, **kw)\n"
             "                assert all(getattr(got, f).tobytes() == getattr(want, f).tobytes()\n"
             "                           for f in fields), (name, kw)\n"
+            "from repro.core.leaf import run_kernel\n"
+            "for name, (a, b, m) in ADVERSARIAL.items():  # one scratch slice per thread\n"
+            "    for algo, phases in (('msa', 1), ('msa', 2), ('inner', 1), ('inner', 2)):\n"
+            "        kw = dict(algo=algo, phases=phases)\n"
+            "        clear_arena()\n"
+            "        got = run_kernel(a, b, m, nthreads=2, **kw)\n"
+            "        want = run_kernel(a, b, m, **kw)\n"
+            "        assert all(getattr(got, f).tobytes() == getattr(want, f).tobytes()\n"
+            "                   for f in fields), (name, kw)\n"
             "from repro.apps.triangle_counting import _prepare\n"
             "from repro.graphs import erdos_renyi\n"
+            "from repro.graphs.relabel import degree_sort_permutation\n"
+            "from repro.sparse.csr import _lower_by_degree\n"
             "square = {id(g): g for abm in ADVERSARIAL.values() for g in abm if g.nrows == g.ncols}\n"
             "for g in [*square.values(), erdos_renyi(300, 300, 6, seed=5)]:  # + a directed graph\n"
             "    got = _prepare(g, True)\n"
             "    with native.disabled():\n"
             "        want = _prepare(g, True)\n"
-            "    assert all(getattr(got, f).tobytes() == getattr(want, f).tobytes()\n"
-            "               for f in fields), g\n"
+            "    two = _lower_by_degree(g, degree_sort_permutation(g), 2)  # None: NumPy's\n"
+            "    assert all(getattr(x, f).tobytes() == getattr(want, f).tobytes()\n"
+            "               for f in fields for x in (got, two) if x is not None), g\n"
             "from repro.sparse import ewise_add, ewise_mult, mask_pattern\n"
             "ops = (ewise_add, ewise_mult, mask_pattern,\n"
             "       lambda x, y: mask_pattern(x, y, complement=True))\n"
