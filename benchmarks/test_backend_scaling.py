@@ -1,8 +1,12 @@
 """Benchmark — serial vs thread vs process backend wall-clock scaling.
 
-The process backend exists because CPython threads cannot scale the
-Python-level portions of the kernels (the GIL); worker processes with
-shared-memory operands can.  This bench measures the R-MAT triangle-counting
+In process, parallelism is the native row loops' own OpenMP threads: a
+``thread`` run is one kernel call on the thread count the plan records
+(re-resolved from the call's size by ``execute(..., backend="thread")``,
+so its rows read alike at every worker count).  The process backend is the
+one fan-out: worker processes with shared-memory operands, one thread
+each, which is also what a NumPy-tier call (which holds the GIL between
+array passes) can use.  This bench measures the R-MAT triangle-counting
 SpGEMM (``L .* (L @ L)``, the paper's TC workload) under all three backends
 at 1/2/4/8 workers and records the results as JSON in
 ``benchmarks/results/``.

@@ -23,7 +23,6 @@ from typing import List, Optional
 
 import numpy as np
 
-from ...observe import probes as _probes
 from .base import ALLOWED, NOTALLOWED, SET, MaskedAccumulator, ValueLike, resolve_value
 
 __all__ = ["HashAccumulator", "HashComplement", "LOAD_FACTOR"]
@@ -45,7 +44,7 @@ class _OpenAddressTable:
     """Open addressing, linear probing, no deletion (rows reset wholesale)."""
 
     __slots__ = ("cap", "mask", "keys", "vals", "states", "used", "counter",
-                 "default_state", "chain_hist")
+                 "default_state")
 
     def __init__(self, cap: int, add_identity: float, counter, default_state: int = NOTALLOWED):
         self.cap = cap
@@ -56,36 +55,27 @@ class _OpenAddressTable:
         self.used: List[int] = []
         self.counter = counter
         self.default_state = default_state
-        # probe registry bound once per table; None keeps slot() allocation-free
-        pr = _probes._INSTALLED
-        self.chain_hist = pr.hist("hash.probe_chain") if pr is not None else None
 
     def slot(self, key: int, *, create: bool) -> int:
         """Probe for ``key``; returns the slot index, or -1 if absent and
-        ``create`` is False.  Counts probes (and the chain-length histogram
-        when probes are enabled: the chain this operation walked)."""
+        ``create`` is False.  Counts probes."""
         i = (key * _HASH_SCAL) & self.mask
-        chain = 0
-        try:
-            # at most ``cap`` probes: a full table has no EMPTY slot to stop at
-            for chain in range(1, self.cap + 1):
-                self.counter.hash_probes += 1
-                k = self.keys[i]
-                if k == key:
-                    return i
-                if k == EMPTY:
-                    if not create:
-                        return -1
-                    self.keys[i] = key
-                    self.used.append(i)
-                    return i
-                i = (i + 1) & self.mask
-            if create:
-                raise RuntimeError("hash accumulator over capacity")
-            return -1
-        finally:
-            if self.chain_hist is not None:
-                self.chain_hist.record(chain)
+        # at most ``cap`` probes: a full table has no EMPTY slot to stop at
+        for _ in range(self.cap):
+            self.counter.hash_probes += 1
+            k = self.keys[i]
+            if k == key:
+                return i
+            if k == EMPTY:
+                if not create:
+                    return -1
+                self.keys[i] = key
+                self.used.append(i)
+                return i
+            i = (i + 1) & self.mask
+        if create:
+            raise RuntimeError("hash accumulator over capacity")
+        return -1
 
 
 class HashAccumulator(MaskedAccumulator):
@@ -139,9 +129,6 @@ class HashAccumulator(MaskedAccumulator):
 
     def reset(self) -> None:
         t = self._t
-        pr = _probes._INSTALLED
-        if pr is not None:
-            pr.hist("hash.load_factor_pct").record(100 * len(t.used) // t.cap)
         for i in t.used:
             t.keys[i] = EMPTY
             t.states[i] = NOTALLOWED

@@ -24,7 +24,6 @@ from typing import List, Optional
 import numpy as np
 
 from ...machine import OpCounter
-from ...observe import probes as _probes
 
 __all__ = ["RowIterator", "MaskIterator", "heap_insert", "heap_pop"]
 
@@ -84,46 +83,36 @@ def heap_insert(
     """
     if not row_iter.valid():
         return
-    pr = _probes._INSTALLED
     if n_inspect == 0:
         heapq.heappush(pq, row_iter)
         counter.heap_pushes += 1
-        if pr is not None:
-            pr.hist("heap.inspect_advances").record(0)
         return
     to_inspect = n_inspect
     mpos = mask_iter.pos
     mcols = mask_iter.cols
     mlen = len(mcols)
-    scans = 0  # NInspect advances this (re-)insertion performed
-    try:
-        while row_iter.valid() and mpos < mlen:
-            scans += 1
-            counter.mask_scans += 1
-            rc = row_iter.col
-            mc = int(mcols[mpos])
-            if rc == mc:
+    while row_iter.valid() and mpos < mlen:
+        counter.mask_scans += 1
+        rc = row_iter.col
+        mc = int(mcols[mpos])
+        if rc == mc:
+            heapq.heappush(pq, row_iter)
+            counter.heap_pushes += 1
+            return
+        if rc < mc:
+            row_iter.advance()
+        else:
+            mpos += 1
+            to_inspect -= 1
+            if to_inspect == 0:
                 heapq.heappush(pq, row_iter)
                 counter.heap_pushes += 1
                 return
-            if rc < mc:
-                row_iter.advance()
-            else:
-                mpos += 1
-                to_inspect -= 1
-                if to_inspect == 0:
-                    heapq.heappush(pq, row_iter)
-                    counter.heap_pushes += 1
-                    return
-        # The inspection loop only exits here when the row iterator ran dry
-        # or the (local view of the) mask did; either way no element of this
-        # row at or beyond the current position can ever match, so the
-        # iterator is dropped — Algorithm 5 likewise only pushes inside the
-        # loop.
-        return
-    finally:
-        if pr is not None:
-            pr.hist("heap.inspect_advances").record(scans)
+    # The inspection loop only exits here when the row iterator ran dry
+    # or the (local view of the) mask did; either way no element of this
+    # row at or beyond the current position can ever match, so the
+    # iterator is dropped — Algorithm 5 likewise only pushes inside the
+    # loop.
 
 
 def heap_pop(pq: List[RowIterator], counter: OpCounter) -> RowIterator:

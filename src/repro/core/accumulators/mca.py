@@ -22,7 +22,6 @@ from typing import Optional
 
 import numpy as np
 
-from ...observe import probes as _probes
 from .base import ALLOWED, SET, MaskedAccumulator, ValueLike, resolve_value
 
 __all__ = ["MCA"]
@@ -67,9 +66,6 @@ class MCA(MaskedAccumulator):
     def reset(self) -> None:
         # remove() already restores ALLOWED; a defensive full clear is cheap
         # because capacity == nnz(m) for the row.
-        pr = _probes._INSTALLED
-        if pr is not None:
-            pr.hist("mca.reset_cells").record(self.capacity)
         self.states.fill(ALLOWED)
         self.values.fill(self.add_identity)
         self.counter.spa_resets += self.capacity

@@ -27,7 +27,6 @@ from typing import List, Optional
 
 import numpy as np
 
-from ...observe import probes as _probes
 from .base import ALLOWED, NOTALLOWED, SET, MaskedAccumulator, ValueLike, resolve_value
 
 __all__ = ["MSA", "MSAComplement"]
@@ -74,14 +73,6 @@ class MSA(MaskedAccumulator):
         return v
 
     def reset(self) -> None:
-        pr = _probes._INSTALLED
-        if pr is not None:
-            # touched cells vs the dense footprint: the reset-list trick's
-            # whole value proposition, measured
-            pr.hist("msa.reset_cells").record(len(self._touched))
-            pr.hist("msa.touched_per_ncols_pct").record(
-                100 * len(self._touched) // max(1, self.ncols)
-            )
         for key in self._touched:
             if self.states[key] != NOTALLOWED:
                 self.states[key] = NOTALLOWED

@@ -16,10 +16,9 @@ is that loop, over row *chunks* so that every step is a whole-array pass:
    only those are multiplied (:func:`product_values`);
 4. it reduces them to finished rows, written straight into a
    :class:`FusedSlab`: no COO-concatenate/sort sweep ever runs;
-5. the caller's ``OpCounter`` charges and probe recordings see the chunk.
+5. the caller's ``OpCounter`` charges see the chunk.
 
-The frame knows no algorithm — budgets, strategy, charges and recordings
-arrive from the ``masked_spgemm_<algo>_fast`` entry points — and with
+The frame knows no algorithm — budgets, strategy and charges arrive from the ``masked_spgemm_<algo>_fast`` entry points — and with
 ``count_only`` it is the two-phase symbolic pass.
 
 Equivalence contract (``tests/test_batch.py``, ``tests/test_kernels.py``,
@@ -41,7 +40,6 @@ import numpy as np
 
 from ...machine import OpCounter
 from ...machine.traffic import flops_per_row as per_row_flops
-from ...observe import probes as _probes
 from ...observe import tracer as _obs
 from ...semiring import PLUS_PAIR, PLUS_TIMES, Semiring
 from ...sparse import CSR
@@ -67,7 +65,6 @@ __all__ = [
     "DenseRank",
     "SortedRank",
     "SortCompress",
-    "record_mask_routing",
     "push_product",
 ]
 
@@ -306,14 +303,14 @@ class FusedSlab:
 
 
 class Chunk:
-    """One row chunk, as strategies, charges and recordings see it.
+    """One row chunk, as strategies and charges see it.
 
     Keys are chunk-local, ``local_row * ncols + col`` with ``local_row`` the
     row's position in ``rows``: ``m_keys`` (with ``m_local`` / ``m_cols``,
     ``nm`` of them) are the mask entries in CSR order — strictly ascending —
     and ``p_keys`` the ``products`` in expansion order.  ``bucket`` is the
-    size class, ``None`` for a contiguous block.  The frame adds ``counts``
-    (output entries per row) and ``out`` (their sum).
+    size class, ``None`` for a contiguous block.  The frame adds ``out``
+    (the chunk's output entries).
     """
 
     def __init__(self, bucket, rows, ncols, complement, semiring, m_local, m_cols,
@@ -331,16 +328,6 @@ class Chunk:
         self.kept = int(idx.shape[0])
         if self._expansion is not None:
             return product_values(self.semiring, *self._expansion, idx)
-
-
-def record_mask_routing(pr, ch: Chunk) -> None:
-    """Per row of a plain-mask chunk: how many mask positions became output
-    (``mask.row_hits``) and how many stayed empty (``mask.row_misses``)."""
-    if ch.rows.size:
-        pr.hist("mask.row_hits").record_array(ch.counts)
-        pr.hist("mask.row_misses").record_array(
-            np.bincount(ch.m_local, minlength=ch.rows.size) - ch.counts
-        )
 
 
 def _member(m_keys: np.ndarray, p_keys: np.ndarray):
@@ -497,15 +484,14 @@ def push_product(
     batch: str = "auto",
     row_nnz: Optional[np.ndarray] = None,
     charge: Optional[Callable] = None,
-    record: Optional[Callable] = None,
     count_only: bool = False,
 ):
     """``M .* (A @ B)`` (``!M`` with ``complement``) through ``strategy`` —
     see the module docs.  Chunks expand to at most ``flop_budget`` products
     (a single larger row gets its own) and address at most ``dense_budget``
     cells of the chunk's ``rows x ncols`` dense range (at least one row).
-    ``charge(counter, chunk)`` / ``record(probes, chunk)`` run per chunk when
-    a counter / a probe registry is there.  Returns the CSR, or with
+    ``charge(counter, chunk)`` runs per chunk when a counter is there.
+    Returns the CSR, or with
     ``count_only`` (no multiply, no value accumulation) each row's output
     size."""
     a = a.sort_indices()
@@ -525,7 +511,6 @@ def push_product(
         chunks = bucket_batches(per_row, flop_budget, width_cap=max_width)
     else:
         chunks = row_blocks(per_row, flop_budget, max_width)
-    pr = _probes._INSTALLED  # one read; recordings below are per chunk
     slab = FusedSlab((a.nrows, n), row_nnz) if row_nnz is not None else None
     counts_of = np.zeros(a.nrows, dtype=np.int64)
     finished = []  # 1P: (rows, counts, cols, vals) per chunk, placed at the end
@@ -549,12 +534,10 @@ def push_product(
                            m_local * nn + m_cols, p_keys,
                            None if count_only else (a, b, a_pos, ends, p_bpos))
                 local, cols, vals = strategy(ch, *leases)
-                ch.counts = counts = np.bincount(local, minlength=rows.size)
+                counts = np.bincount(local, minlength=rows.size)
                 ch.out = int(cols.shape[0])
                 if counter is not None and charge is not None:
                     charge(counter, ch)
-                if pr is not None and record is not None:
-                    record(pr, ch)
                 if slab is not None:
                     slab.write_rows(rows, counts, cols, vals)
                 else:

@@ -64,7 +64,7 @@ def masked_spgemm_esc_fast(
     return push_product(
         a, b, mask, SortCompress(), complement=complement, semiring=semiring,
         counter=counter, flop_budget=flop_budget, batch=batch, row_nnz=row_nnz,
-        charge=_charge, record=_record,
+        charge=_charge,
     )
 
 
@@ -72,7 +72,3 @@ def _charge(counter: OpCounter, ch: Chunk) -> None:
     counter.accum_inserts += ch.products
     counter.flops += ch.kept
 
-
-def _record(pr, ch: Chunk) -> None:
-    if ch.bucket is not None and ch.products:
-        pr.hist("batch.bucket_occupancy").record(int(ch.rows.size))

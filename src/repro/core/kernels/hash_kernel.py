@@ -12,9 +12,8 @@ ascending (CSR order), so membership is a binary search and the push frame
 the scalar HashComplement sizes its table by the row-output bound; here the
 surviving products are sort-reduced).
 
-The table is for the *cost*: ``OpCounter.hash_probes`` and the
-``hash.probe_chain`` / ``hash.load_factor_pct`` histograms.  When a counter
-or a probe registry asks, each block's :class:`VectorHashTable` is built by
+The table is for the *cost*: ``OpCounter.hash_probes``.  When a counter
+asks, each block's :class:`VectorHashTable` is built by
 batched probe rounds (each round advances only the still-colliding lanes, so
 the number of rounds equals the longest chain) and every product lookup's
 chain length is reconstructed *arithmetically* (:func:`_lookup_chains`) —
@@ -22,8 +21,8 @@ exactly; :meth:`VectorHashTable.lookup` is the per-key walk it is tested
 against.  The table's geometry, and so its probe accounting, is per block:
 the blocks are the same under every ``batch=`` spelling.  With nobody asking
 no table is built and the blocks are capped at ``FINE_FLOP_BUDGET`` products
-— same bytes, and a counted or probed call (what every ``OpCounter``-carrying
-timing of this kernel measures) is 1.7-2.5x slower: ``docs/kernels.md``.
+— same bytes, and a counted call (what every ``OpCounter``-carrying timing of
+this kernel measures) is 1.7-2.5x slower: ``docs/kernels.md``.
 """
 
 from __future__ import annotations
@@ -33,13 +32,11 @@ from typing import Optional, Tuple
 import numpy as np
 
 from ...machine import OpCounter
-from ...observe import probes as _probes
 from ...observe.tracer import traced_kernel
 from ...semiring import PLUS_TIMES, Semiring
 from ...sparse import CSR
 from .arena import get_arena
-from .batch import BATCH_TIERS, Chunk, SortCompress, SortedRank, push_product, \
-    record_mask_routing
+from .batch import BATCH_TIERS, Chunk, SortCompress, SortedRank, push_product
 from .expand import DEFAULT_FLOP_BUDGET, FINE_FLOP_BUDGET
 
 __all__ = ["masked_spgemm_hash_fast", "VectorHashTable"]
@@ -64,7 +61,6 @@ class VectorHashTable:
         counter: Optional[OpCounter] = None,
         *,
         keys_lease=None,
-        chain_hist=None,
     ):
         need = max(4, int(max_keys) * 4)  # load factor 0.25
         cap = 1 << (need - 1).bit_length()
@@ -75,10 +71,6 @@ class VectorHashTable:
         else:
             self.keys = np.full(cap, _EMPTY, dtype=np.int64)
         self.counter = counter
-        #: probe-chain length histogram (repro.observe.probes).  A key that
-        #: resolves in round r consumed exactly r probes, so summing chain
-        #: lengths over keys reproduces ``OpCounter.hash_probes`` exactly.
-        self.chain_hist = chain_hist
 
     def _hash(self, keys: np.ndarray) -> np.ndarray:
         return (keys * _HASH_SCAL) & self.mask
@@ -92,9 +84,7 @@ class VectorHashTable:
         slots = np.full(keys.shape[0], -1, dtype=np.int64)
         pend = np.arange(keys.shape[0], dtype=np.int64)
         pos = self._hash(keys)
-        rounds = 0
         while pend.shape[0]:
-            rounds += 1
             if self.counter is not None:
                 self.counter.hash_probes += int(pend.shape[0])
             p = pos[pend]
@@ -104,12 +94,7 @@ class VectorHashTable:
             occupant = self.keys[p]
             hit = occupant == keys[pend]
             slots[pend[hit]] = p[hit]
-            before = pend.shape[0]
             pend = pend[~(hit | (occupant == _EMPTY))]
-            if self.chain_hist is not None:
-                # lanes resolved this round = pending-set shrinkage: no extra
-                # reduction on the hot path, the shapes are already known
-                self.chain_hist.record(rounds, before - pend.shape[0])
             pos[pend] = (pos[pend] + 1) & self.mask
         return slots
 
@@ -175,36 +160,24 @@ def masked_spgemm_hash_fast(
     """
     if batch not in BATCH_TIERS:
         raise ValueError(f"batch must be one of {BATCH_TIERS}, got {batch!r}")
-    pr = _probes._INSTALLED
-    chain_hist = pr.hist("hash.probe_chain") if pr is not None else None
 
     def certify(ch: Chunk, pos, found) -> None:
         # the table hashes the flat output position; blocks are contiguous,
         # so that is the chunk-local key plus the first row's offset
         base = ch.rows[0] * np.int64(ch.ncols)
         m_keys = ch.m_keys + base
-        table = VectorHashTable(
-            max(1, ch.nm), counter, keys_lease=keys_lease, chain_hist=chain_hist
-        )
+        table = VectorHashTable(max(1, ch.nm), counter, keys_lease=keys_lease)
         m_slots = table.insert(m_keys)
-        if pr is not None:
-            # realized load factor, in percent (sized for <= 25%)
-            pr.hist("hash.load_factor_pct").record(int(100 * ch.nm // table.cap))
         if ch.products:
             lengths = _lookup_chains(table, m_keys, m_slots, ch.p_keys + base, pos, found)
-            if counter is not None:
-                counter.hash_probes += int(lengths @ np.arange(lengths.shape[0]))
-            if chain_hist is not None:
-                # chains are short: one record per distinct length
-                for length in np.flatnonzero(lengths):
-                    chain_hist.record(length, lengths[length])
+            counter.hash_probes += int(lengths @ np.arange(lengths.shape[0]))
         # every slot insert() wrote is some key's returned slot
         table.keys[m_slots] = _EMPTY
 
-    # with neither a counter nor probes installed there is nothing the hash
-    # table certifies — membership is a binary search either way — and nothing
-    # ties the blocks to the table's geometry: they are cut cache-sized
-    on_lookup = certify if counter is not None or pr is not None else None
+    # with no counter there is nothing the hash table certifies — membership
+    # is a binary search either way — and nothing ties the blocks to the
+    # table's geometry: they are cut cache-sized
+    on_lookup = certify if counter is not None else None
     if on_lookup is None:
         flop_budget = min(flop_budget, FINE_FLOP_BUDGET)
     with get_arena().lease("hash.keys", np.int64, _EMPTY) as keys_lease:
@@ -213,7 +186,7 @@ def masked_spgemm_hash_fast(
             SortCompress(on_lookup) if complement else SortedRank("hash", semiring, on_lookup),
             complement=complement, semiring=semiring, counter=counter,
             flop_budget=flop_budget, batch="perrow", row_nnz=row_nnz,
-            charge=_charge, record=_record,
+            charge=_charge,
         )
 
 
@@ -223,7 +196,3 @@ def _charge(counter: OpCounter, ch: Chunk) -> None:
     counter.flops += ch.kept
     counter.accum_removes += ch.out if ch.complement else ch.nm
 
-
-def _record(pr, ch: Chunk) -> None:
-    if ch.nm and not ch.complement:
-        record_mask_routing(pr, ch)

@@ -21,7 +21,7 @@ from ...observe.tracer import traced_kernel
 from ...semiring import PLUS_TIMES, Semiring
 from ...sparse import CSR
 from .expand import DEFAULT_FLOP_BUDGET
-from .batch import Chunk, SortedRank, push_product, record_mask_routing
+from .batch import Chunk, SortedRank, push_product
 
 __all__ = ["masked_spgemm_mca_fast"]
 
@@ -43,12 +43,12 @@ def masked_spgemm_mca_fast(
     return push_product(
         a, b, mask, SortedRank("mca", semiring), complement=False,
         semiring=semiring, counter=counter, flop_budget=flop_budget,
-        batch="perrow", charge=_charge, record=_record,
+        batch="perrow", charge=_charge,
     )
 
 
-# a block without mask entries has nothing to merge against: it charges and
-# records nothing
+# a block without mask entries has nothing to merge against: it charges
+# nothing
 def _charge(counter: OpCounter, ch: Chunk) -> None:
     if ch.nm:
         counter.accum_inserts += ch.products
@@ -56,10 +56,3 @@ def _charge(counter: OpCounter, ch: Chunk) -> None:
         counter.flops += ch.kept
         counter.accum_removes += ch.nm
 
-
-def _record(pr, ch: Chunk) -> None:
-    if ch.nm:
-        # compressed-space utilisation: SET ranks vs nnz(mask block) —
-        # MCA's working set is exactly nm, so this is its hit rate
-        pr.hist("mca.touched_per_mask_pct").record(int(100 * ch.out // ch.nm))
-        record_mask_routing(pr, ch)

@@ -4,7 +4,7 @@ The fast counterpart of Algorithm 2: ``native.c``'s row loop where the call
 is eligible (:mod:`.native`), else the push frame over the dense-rank
 accumulator (:class:`repro.core.kernels.batch.DenseRank`, which describes
 the algorithm).  This module holds what is MSA's own: the dispatch, the
-``OpCounter`` charges and probe recordings, and the chunk budgets.
+``OpCounter`` charges and the chunk budgets.
 
 The ``rank`` and bitmap arrays cover ``chunk_rows x ncols`` cells, are reset
 cell by cell after each chunk and leased from the scratch arena
@@ -27,7 +27,7 @@ from ...semiring import PLUS_TIMES, Semiring
 from ...sparse import CSR
 from . import native as _native
 from .arena import get_arena
-from .batch import Chunk, DenseRank, push_product, record_mask_routing
+from .batch import Chunk, DenseRank, push_product
 
 __all__ = ["masked_spgemm_msa_fast"]
 
@@ -128,7 +128,7 @@ def masked_spgemm_msa_fast(
     return push_product(
         a, b, mask, DenseRank(), complement=complement, semiring=semiring,
         counter=counter, flop_budget=flop_budget, dense_budget=dense_budget,
-        batch=batch, row_nnz=row_nnz, charge=_charge, record=_record,
+        batch=batch, row_nnz=row_nnz, charge=_charge,
     )
 
 
@@ -143,16 +143,3 @@ def _charge(counter: OpCounter, ch: Chunk) -> None:
         counter.accum_removes += ch.nm
         counter.spa_resets += ch.nm
 
-
-def _record(pr, ch: Chunk) -> None:
-    if ch.bucket is not None:
-        pr.hist("batch.bucket_occupancy").record(int(ch.rows.size))
-    if ch.complement:
-        pr.hist("msa.reset_cells").record(ch.out + ch.nm)
-    else:
-        # touched cells vs nnz(m): what fraction of the mask's dense
-        # footprint the chunk actually used (the reset-list amortisation
-        # the paper's Section 5.2 argues for)
-        pr.hist("msa.touched_per_mask_pct").record(int(100 * ch.out // max(1, ch.nm)))
-        pr.hist("msa.reset_cells").record(ch.nm)
-        record_mask_routing(pr, ch)

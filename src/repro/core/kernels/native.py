@@ -25,7 +25,6 @@ from pathlib import Path
 from typing import Optional
 
 from ...machine.host import available_cores
-from ...observe import probes as _probes
 from ...semiring import STANDARD_SEMIRINGS
 
 __all__ = ["load", "kernels", "validate", "disabled", "status", "threads_for"]
@@ -146,13 +145,13 @@ def load() -> ctypes.CDLL | None:
 
 def kernels(semiring, *values):
     """``(lib, op)`` when a call on ``semiring`` reading the ``values`` arrays is eligible, else
-    ``None``: semiring in the table, float64 values (PLUS_PAIR reads none), no probes, loaded."""
+    ``None``: semiring in the table, float64 values (PLUS_PAIR reads none), loaded."""
     op = _OPS.get(semiring.name)
     if op is None or STANDARD_SEMIRINGS[semiring.name] is not semiring:
         return None
     if op != _OPS["plus_pair"] and any(v.dtype.char != "d" for v in values):
         return None
-    lib = None if _probes._INSTALLED is not None else load()
+    lib = load()
     return None if lib is None else (lib, op)
 
 
@@ -205,8 +204,8 @@ def threads_for(work: float, threads: Optional[int] = None, backend: Optional[st
     """The thread count of one native row loop: the caller's ``threads``; else 1 under
     ``backend="serial"``; else every core this process may use when ``work`` (an O(1) estimate
     of the call's products) reaches ``crossover`` (default :data:`PARALLEL_WORK`) and the
-    library has OpenMP; else 1.  ``OMP_NUM_THREADS`` is not read.  A work item the thread or
-    process backend already fans out passes 1 instead."""
+    library has OpenMP; else 1.  ``OMP_NUM_THREADS`` is not read.  A host plan records the count
+    in ``threads``; a process-pool work item passes 1 instead."""
     if threads is not None:
         return max(1, int(threads))
     if str(backend).lower() == "serial" or work < (

@@ -174,15 +174,16 @@ def masked_spgemm(
         (figure reproduction).  An explicit algorithm with nothing else to
         plan never reads it.
     backend:
-        Execution backend, the caller's to pick: ``None`` (default) runs
-        one worker in-process — the host planner never fans out on its own
-        (``docs/parallel.md``, "Who picks the backend"; a modeled
-        ``machine=`` keeps its preset's rule).  ``"serial"``, ``"thread"``
-        or ``"process"`` forces it, with ``algo="auto"`` or an explicit
-        algorithm alike: the call goes through the engine, which cuts the
-        rows into ``min(cores, rows / 512)`` parts; use
-        :func:`repro.parallel.parallel_masked_spgemm` to force the worker
-        count as well.
+        Execution backend: ``None`` (default) runs in-process, on the
+        threads the native row loop takes for the call's estimated work —
+        the host planner never fans out on its own (``docs/parallel.md``,
+        "Who picks the backend"; a modeled ``machine=`` keeps its preset's
+        rule).  ``"serial"``, ``"thread"`` or ``"process"`` forces it, with
+        ``algo="auto"`` or an explicit algorithm alike: ``"serial"`` keeps
+        the kernel on one thread, ``"thread"`` is the default's count, and
+        ``"process"`` cuts the rows into ``min(cores, rows / 512)`` parts
+        for pool workers; use :func:`repro.parallel.parallel_masked_spgemm`
+        to force the count as well.
     shards:
         Grid knob (see ``docs/parallel.md``): ``None`` (default) is the
         plain ``1 x 1`` call; ``(row_blocks, col_panels)`` cuts the output
@@ -226,7 +227,7 @@ def masked_spgemm(
     if algo.lower() == "auto" or shards is not None or backend is not None:
         # the planner picks per-row-band algorithms, phases and partition
         # from the cost model (a forced algo keeps the algo: shards= grids
-        # the dispatch, backend= cuts it into row parts)
+        # the dispatch, backend= picks its threads or pool workers)
         c = _planned(
             a, b, mask,
             algo=algo, phases=phases, impl=impl, batch=batch,
@@ -334,22 +335,25 @@ def parallel_masked_spgemm(
     counter: Optional[OpCounter] = None,
     batch: Optional[str] = None,
 ) -> CSR:
-    """Masked SpGEMM with row-parallel execution — the paper's
-    coarse-grained row parallelism (within-row parallelism is deliberately
-    absent, as in the paper).
+    """Masked SpGEMM with row-parallel execution — the paper's row
+    parallelism (within-row parallelism is deliberately absent, as in the
+    paper).
 
-    ``partition``: ``"block"``, ``"cyclic"`` or ``"balanced"`` (flops-
-    weighted contiguous blocks).  ``backend``: ``"serial"``, ``"thread"``
-    (alias ``"threads"``), ``"process"`` (shared-memory worker pool), or
-    ``"auto"`` for the planner's rule under a forced worker count
-    (``"thread"`` on the host).  ``algo="auto"`` lets the cost-model planner
-    choose the algorithm (the thread count and partition stay as forced here).
+    ``backend``: ``"thread"`` (alias ``"threads"``; default) or ``"serial"``
+    run the kernel in-process on ``threads`` threads inside its row loop,
+    ``"process"`` cuts the rows into ``threads`` parts for the
+    shared-memory worker pool, and ``"auto"`` is the planner's rule under a
+    forced count (in-process on the host).  ``partition``: ``"block"``,
+    ``"cyclic"`` or ``"balanced"`` (flops-weighted contiguous blocks) — how
+    the process backend cuts its parts.  ``algo="auto"`` lets the
+    cost-model planner choose the algorithm (the count and partition stay
+    as forced here).
     ``batch`` forces the kernels' batching tier (``"bucket"`` /
     ``"perrow"``, see ``docs/kernels.md``); ``None`` lets the flop
     crossover decide per band.
 
     ``threads`` must be ``>= 1``; ``threads=1`` always takes the serial
-    path directly — no pool of any kind is built.
+    path directly — one thread, no pool.
 
     The front door with ``threads`` / ``partition`` / ``backend`` forced.
     """

@@ -5,14 +5,17 @@ This is the single execution path behind every front door
 ``masked_spgemm_chunked``, ``parallel_masked_spgemm``) and the only code
 that turns a plan into work.  Every plan is one loop over work items —
 *band x row part x column panel* — of the 2-D block decomposition of
-Buluc & Gilbert: row parts come from the grid's row blocks (or, on a
-one-row-block grid, from ``plan.threads`` parts cut by ``plan.partition``),
-column panels from the grid's column bounds.  ``1 x 1`` is the plain
-call, ``R x 1`` a row partition, ``1 x K`` the panelled multiply, ``R x
-K`` a grid.  Each item is one :class:`~repro.parallel.pool.Task` run by
-:func:`~repro.parallel.pool.run_task` — serially, across a thread pool, or
-across the shared-memory process pool per the plan's ``backend`` — and the
-disjoint partial results are merged by concatenation.  One
+Buluc & Gilbert: row parts come from the grid's row blocks (or, for a
+process plan on a one-row-block grid, from ``plan.threads`` parts cut by
+``plan.partition``), column panels from the grid's column bounds.  ``1 x
+1`` is the plain call, ``R x 1`` a row partition, ``1 x K`` the panelled
+multiply, ``R x K`` a grid.  Each item is one
+:class:`~repro.parallel.pool.Task` run by
+:func:`~repro.parallel.pool.run_task`.  An in-process plan (``serial`` or
+``thread``) runs its items one after another, each on ``plan.threads``
+threads inside the native row loop; a ``process`` plan fans them out to
+the shared-memory process pool, one thread each.  The disjoint partial
+results are merged by concatenation.  One
 :class:`~repro.machine.OpCounter` is threaded through every stage —
 symbolic sweeps and every item charge the same counter, so a planned run
 reports exactly the work a monolithic run would.
@@ -23,15 +26,13 @@ from __future__ import annotations
 import dataclasses
 import functools
 import logging
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import ExitStack
 from typing import List, Optional
 
 import numpy as np
 
-from ..core.leaf import check_operands, kernel_threads, run_kernel
+from ..core.leaf import check_operands, run_kernel
 from ..machine import HOST_NATIVE, OpCounter, flops_per_row, host_profile, resolve_machine
-from ..observe import probes as _probes
 from ..observe import tracer as _obs
 from ..parallel import pool as _pool
 from ..parallel import shm as _shm
@@ -45,7 +46,7 @@ from ..semiring import PLUS_TIMES, Semiring
 from ..sparse import CSC, CSR
 from ..sparse.ops import split_columns
 from .plan import ExecutionPlan, RowBand
-from .planner import Planner
+from .planner import Planner, host_workers
 from .session import resolve_session
 
 __all__ = ["execute", "plan_and_execute"]
@@ -53,15 +54,15 @@ __all__ = ["execute", "plan_and_execute"]
 _log = logging.getLogger("repro.engine")
 
 
-def _row_parts(plan: ExecutionPlan, band: RowBand, fl) -> List[np.ndarray]:
+def _row_parts(plan: ExecutionPlan, band: RowBand, parts: int, fl) -> List[np.ndarray]:
     """The band's rows cut into row parts: by the grid's row blocks when it
-    has several, else into ``plan.threads`` parts by ``plan.partition``
-    (``fl`` is ``flops_per_row(a, b)``, read by the balanced cut)."""
+    has several, else into ``parts`` parts by ``plan.partition`` (``fl`` is
+    ``flops_per_row(a, b)``, read by the balanced cut)."""
     rows = np.asarray(band.rows)
     if plan.grid.nrb > 1:
         cuts = np.searchsorted(rows, plan.grid.row_bounds)
         return [rows[lo:hi] for lo, hi in zip(cuts[:-1], cuts[1:])]
-    n_parts = min(plan.threads, max(1, rows.size))
+    n_parts = min(parts, max(1, rows.size))
     if n_parts == 1:
         return [rows]
     if plan.partition == "cyclic":
@@ -115,29 +116,25 @@ class _Published:
                 self._cache.bytes_republished - self._before[1])
 
 
-def _run_tasks(tasks, backend: str, workers: int, counter: Optional[OpCounter]):
-    """Run work items on ``backend``; fold their counters (and a pool
-    worker's spans and probes) into the caller's; return the COO triples
-    in item order."""
-    workers = max(1, min(workers, len(tasks)))
-    if backend == "process":
-        payloads = _pool.run_tasks(workers, tasks)
-    elif backend == "thread" and workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as tp:
-            payloads = list(tp.map(_pool.run_task, tasks))
+def _run_tasks(tasks, remote: bool, workers: int, nthreads: int,
+               counter: Optional[OpCounter]):
+    """Run work items on the process pool (``remote``, ``workers`` of it)
+    or one after another in-process on ``nthreads`` threads each; fold
+    their counters (and a pool worker's spans) into the caller's; return
+    the COO triples in item order."""
+    if remote:
+        payloads = _pool.run_tasks(max(1, min(workers, len(tasks))), tasks)
     else:
-        payloads = [_pool.run_task(t) for t in tasks]
-    tracer, probes = _obs.current(), _probes.current()
+        payloads = [_pool.run_task(t, nthreads) for t in tasks]
+    tracer = _obs.current()
     triples = []
-    for r, c, v, item_counter, spans, probe_export in payloads:
+    for r, c, v, item_counter, spans in payloads:
         triples.append((r, c, v))
         if counter is not None:
             counter.merge(item_counter)
         # one ingest per task batch — span ids are only unique within one
         if spans and tracer is not None:
             tracer.ingest(spans)
-        if probe_export and probes is not None:
-            probes.ingest(probe_export)
     return triples
 
 
@@ -179,11 +176,14 @@ def execute(
 ) -> CSR:
     """Run ``C = M .* (A @ B)`` (``!M`` per the plan) as the plan dictates.
 
-    ``backend=None`` (default) follows the plan's own ``backend`` field;
-    passing ``"serial"``, ``"thread"`` (alias ``"threads"``) or
-    ``"process"`` overrides it.  ``serial`` runs the work items one after
-    another (deterministic and GIL-friendly), ``thread`` uses a thread
-    pool, and ``process`` dispatches to the shared-memory worker pool
+    ``backend=None`` (default) follows the plan's own ``backend`` and
+    ``threads``; passing ``"serial"``, ``"thread"`` (alias ``"threads"``)
+    or ``"process"`` overrides both by the host planner's rule
+    (:func:`~repro.engine.planner.host_workers`), with the plan's
+    ``threads`` as the pool's worker count under ``"process"``.  ``serial``
+    and ``thread`` run in-process, each band of each grid cell once, on
+    ``plan.threads`` threads inside the native row loop (``serial``: one);
+    ``process`` dispatches row parts to the shared-memory worker pool
     (:mod:`repro.parallel.pool`) with zero-copy operands.  ``b_csc``
     optionally amortises the CSC build for inner-product bands across calls.
 
@@ -193,10 +193,14 @@ def execute(
     identical either way.
     """
     plan.validate()
-    if backend is not None:
-        # the plan is the only carrier of the backend into the work-item loop
-        plan = dataclasses.replace(plan, backend=normalize_backend(backend))
     check_operands(a, b, mask)
+    if backend is not None:
+        # the plan is the only carrier of workers and backend into the
+        # work-item loop: re-resolve both as the planner would have
+        backend = normalize_backend(backend)
+        threads = plan.threads if backend == "process" else None
+        threads, backend = host_workers(a, b, threads, backend)
+        plan = dataclasses.replace(plan, threads=threads, backend=backend)
     if (a.nrows, b.ncols) != tuple(plan.shape):
         raise ValueError(
             f"plan shape {tuple(plan.shape)} does not match the operands' "
@@ -205,15 +209,14 @@ def execute(
     return _execute(
         plan, a, b, mask,
         semiring=semiring, impl=impl, counter=counter, b_csc=b_csc,
-        session=resolve_session(session), nthreads=kernel_threads(a, b, backend=backend),
+        session=resolve_session(session),
     )
 
 
-def _execute(plan, a, b, mask, *, semiring, impl, counter, b_csc, session, nthreads) -> CSR:
+def _execute(plan, a, b, mask, *, semiring, impl, counter, b_csc, session) -> CSR:
     """:func:`execute` past its checks: a validated plan (a planner's own)
     for these operands, ``session`` an :class:`ExecutionSession` or
-    ``None``; ``nthreads`` runs a plan that is one work item (several items
-    run one thread each)."""
+    ``None``."""
     backend = plan.backend
     if not plan.bands or a.nrows == 0:
         return CSR.empty(plan.shape)
@@ -221,6 +224,10 @@ def _execute(plan, a, b, mask, *, semiring, impl, counter, b_csc, session, nthre
     if backend == "process":
         backend = _preflight_process_backend(plan, semiring)
     grid = plan.grid
+    # a process plan cuts plan.threads row parts, one pool thread each; an
+    # in-process plan runs each band of each cell once, on plan.threads
+    # threads inside the native row loop
+    parts, nthreads = (plan.threads, 1) if backend == "process" else (1, plan.threads)
 
     tr = _obs.current()
     if tr is not None and counter is None:
@@ -255,7 +262,7 @@ def _execute(plan, a, b, mask, *, semiring, impl, counter, b_csc, session, nthre
     with exec_cm, ExitStack() as stack:
         first = plan.bands[0]
         if (
-            grid.ncells == 1 and plan.threads == 1
+            grid.ncells == 1 and parts == 1
             and len(plan.bands) == 1 and first.is_full(a.nrows)
         ):
             # the plain call is its own single work item: hand back the
@@ -266,7 +273,7 @@ def _execute(plan, a, b, mask, *, semiring, impl, counter, b_csc, session, nthre
                     algo=first.algo, phases=plan.phases,
                     complement=plan.complement, semiring=semiring, impl=impl,
                     counter=counter, b_csc=b_csc, batch=first.batch,
-                    nthreads=nthreads,
+                    nthreads=min(nthreads, a.nrows),
                 )
 
         npanels = grid.ncp
@@ -280,8 +287,8 @@ def _execute(plan, a, b, mask, *, semiring, impl, counter, b_csc, session, nthre
                 cscs = [b_csc if b_csc is not None else CSC.from_csr(b)]
         fl = (
             flops_per_row(a, b)
-            if plan.partition == "balanced" and plan.threads > 1
-            and grid.nrb == 1 else None
+            if plan.partition == "balanced" and parts > 1 and grid.nrb == 1
+            else None
         )
         # segment keys under a session: the operand's fingerprint, plus the
         # panel's column range when there are several
@@ -311,7 +318,7 @@ def _execute(plan, a, b, mask, *, semiring, impl, counter, b_csc, session, nthre
                 # — apportions the band's modeled cost, and a zero weight
                 # proves the item's output empty
                 items = []
-                for part, rows in enumerate(_row_parts(plan, band, fl)):
+                for part, rows in enumerate(_row_parts(plan, band, parts, fl)):
                     if rows.size == 0:
                         continue
                     rng = _contiguous_range(rows)
@@ -355,11 +362,10 @@ def _execute(plan, a, b, mask, *, semiring, impl, counter, b_csc, session, nthre
                         est_cycles=band.est_cycles * weight / total,
                         est_bytes=band.est_bytes * weight / total,
                         trace=remote and tr is not None,
-                        probe=remote and _probes.current() is not None,
                     )
                     for part, k, desc, weight in items
                 ]
-                triples += _run_tasks(tasks, run_on, plan.threads, counter)
+                triples += _run_tasks(tasks, remote, plan.threads, nthreads, counter)
 
         if not triples:
             return CSR.empty(plan.shape)
@@ -409,7 +415,6 @@ def plan_and_execute(
         pl, a, b, mask,
         semiring=semiring, impl=impl, counter=counter, b_csc=b_csc,
         session=resolve_session(session),
-        nthreads=kernel_threads(a, b, threads=plan_kwargs.get("threads"), backend=backend),
     )
 
 

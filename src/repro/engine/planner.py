@@ -11,11 +11,12 @@
   host plan costs"): one candidate needs no decision; whole-problem
   totals from the operand sizes decide a clear call, exact totals (one
   gather per entry) a close one; and only when a row split could repay
-  its slicing and merging does a per-row census price every row.  Worker
-  count and backend belong to the caller: one serial worker unless
-  ``threads=`` or ``backend=`` says otherwise (``docs/parallel.md``, "Who
-  picks the backend"), so a plan is a function of operands, options and
-  profile.
+  its slicing and merging does a per-row census price every row.  Nothing
+  prices workers: a plan runs in-process, on the threads the native row
+  loop takes for the call's estimated work (:func:`host_workers`), unless
+  the caller forces ``threads=`` or ``backend=`` (``docs/parallel.md``,
+  "Who picks the backend"), so a plan is a function of operands, options
+  and profile.
 * **a paper machine** (``"haswell"``, ``"knl"`` or a
   :class:`~repro.machine.MachineConfig`): per-row *cycles* from
   :class:`repro.machine.RowCostModel` — Figure 7's regime map, computed
@@ -60,16 +61,17 @@ from ..core.leaf import (
     ALL_ALGOS,
     check_operands,
     classify_rows,
+    kernel_threads,
     supports_complement,
 )
-from ..machine import HostProfile, RowCostModel, flops_per_row, pulls_per_row, \
-    resolve_machine
+from ..machine import HostProfile, RowCostModel, available_cores, flops_per_row, \
+    pulls_per_row, resolve_machine
 from ..machine.traffic import flops_per_entry, pulls_per_entry, row_sums
 from ..parallel.executor import normalize_backend
 from ..parallel.pool import process_backend_available
 from .plan import PARTITIONS, ExecutionPlan, RowBand, ShardGrid
 
-__all__ = ["Planner", "plan", "PLAN_CANDIDATES"]
+__all__ = ["Planner", "plan", "host_workers", "PLAN_CANDIDATES"]
 
 #: default candidate set of a modeled preset: the fast-kernel algorithms the
 #: executor can run at full speed (heap/heapdot are reference-only and
@@ -90,7 +92,7 @@ _WORD = 8  # bytes per index/value word, as in the paper's analysis
 #: modeled whole-problem cycles above which a *preset* plan with several
 #: workers uses the process backend (paper-machine cycles, not host time:
 #: it only keeps preset plans what they always were; a host plan never
-#: picks a backend, see :meth:`Planner._host_workers`)
+#: picks the process backend, see :func:`host_workers`)
 _MODELED_PROCESS_CROSSOVER_CYCLES = 2.0e6
 
 #: cost banding on a modeled preset: bands carrying less than this fraction
@@ -105,6 +107,26 @@ DECISIVE_MARGIN = 2.0
 
 #: target rows per worker when choosing a worker count
 ROWS_PER_THREAD = 512
+
+
+def host_workers(a, b, threads: Optional[int], backend: Optional[str]):
+    """``(threads, backend)`` of a host plan, from the caller's knobs.
+
+    A ``process`` plan (only ever forced) cuts ``threads`` row parts for its
+    pool workers: ``min(cores, rows / ROWS_PER_THREAD)`` unless forced.
+    Every other plan runs in-process, and its ``threads`` is the count its
+    native row loops run, :func:`~repro.core.leaf.kernel_threads` — the
+    caller's ``threads``, else 1 under ``backend="serial"``, else every core
+    once the call's estimated products reach the crossover, capped at
+    ``nrows(A)``; it is ``"thread"`` when that is more than one, else
+    ``"serial"``.
+    """
+    if backend == "process":
+        if threads is None:
+            threads = min(available_cores(), max(1, a.nrows // ROWS_PER_THREAD))
+        return threads, backend
+    threads = kernel_threads(a, b, threads=threads, backend=backend)
+    return threads, "thread" if threads > 1 else "serial"
 
 
 class Planner:
@@ -182,9 +204,10 @@ class Planner:
         Any of ``algo``, ``phases``, ``threads``, ``partition`` and
         ``backend`` may be forced; everything left ``None`` (or
         ``algo="auto"``) is decided by the cost model — except, on the
-        host, the worker count and backend: one serial worker unless the
-        caller forces ``threads`` (``"thread"`` follows) or a ``backend``
-        (``min(cores, rows / 512)`` workers follow).
+        host, the worker count and backend, which :func:`host_workers`
+        resolves from the caller's knobs: in-process on the native loop's
+        own thread count, or ``min(cores, rows / 512)`` pool workers under a
+        forced ``backend="process"``.
 
         ``shards`` and ``panel_width`` are two spellings of the plan's one
         ``grid`` (see ``docs/parallel.md``): ``shards=(nrb, ncp)`` is an
@@ -198,17 +221,17 @@ class Planner:
         ``batch`` forces the fast kernels' batching tier (``"bucket"`` |
         ``"perrow"``; ``None``/``"auto"`` decides per band against
         ``DEFAULT_BATCH_CROSSOVER_FLOPS``).  Tiers are bit-for-bit
-        identical, so this is purely a performance choice.  A parallel or
+        identical, so this is purely a performance choice.  A process or
         preset plan resolves the tier and records it, with the band's
         flops-size-class census, on each
         :class:`~repro.engine.plan.RowBand` for ``explain()``/``as_dict()``;
-        a serial host plan reads no per-row flops and leaves ``"auto"`` to
-        the kernel, which resolves it on the same flops.
+        an in-process host plan reads no per-row flops and leaves
+        ``"auto"`` to the kernel, which resolves it on the same flops.
 
         On the host the decision itself costs what it can repay: see
-        :meth:`_host_plan` for the three layers.  A serial host plan also
-        skips the partition's row-work CV and the final ``validate()`` —
-        it is valid by construction.
+        :meth:`_host_plan` for the three layers.  An in-process host plan
+        also skips the partition's row-work CV and the final ``validate()``
+        — it cuts no row parts, and is valid by construction.
 
         ``_b_csc`` is internal: the caller's ``b_csc=``, B's CSC when the
         call already has it.  Only then is ``inner`` not charged the CSC
@@ -231,12 +254,21 @@ class Planner:
         if backend is not None:
             backend = normalize_backend(backend)
         if self.host:
-            threads, backend = self._host_workers(
-                mask.nrows, threads, backend, notes
-            )
+            unforced = threads is None and backend is None
+            threads, backend = host_workers(a, b, threads, backend)
+            if unforced:  # nothing priced, nothing forced: say what the rule gave
+                notes.append(
+                    f"{backend} on {threads} of {self.machine.cores} available "
+                    "core(s): in-kernel threads by the call's estimated work "
+                    "(threads=, backend= force them)"
+                )
         # per-row flops feed the batch tiers, the row partition and a
-        # preset's backend; a serial host plan reads none of them
-        fl = None if self.host and threads == 1 else flops_per_row(a, b)
+        # preset's backend; a host plan reads them only to cut process row
+        # parts
+        fl = (
+            None if self.host and (backend != "process" or threads == 1)
+            else flops_per_row(a, b)
+        )
         estimates: Dict[str, float] = {}
         if algo is not None:
             bands, mode = self._forced_bands(a, algo, complement), "forced"
@@ -273,7 +305,7 @@ class Planner:
             if backend is None:
                 backend = self._pick_backend(fl, bands, threads, notes)
         if partition is None:
-            # one worker: there is nothing to partition
+            # no row parts: there is nothing to partition
             partition = "block" if fl is None else self._pick_partition(fl, notes)
         grid = self._pick_grid(
             b, mask, shards, panel_width, memory_budget_bytes, complement, notes
@@ -295,7 +327,7 @@ class Planner:
             estimates=estimates,
             notes=notes,
         )
-        # a serial host plan is valid by construction: every knob was
+        # an in-process host plan is valid by construction: every knob was
         # checked on the way in and its bands cover the rows once
         return pl if fl is None else pl.validate()
 
@@ -548,8 +580,8 @@ class Planner:
         so this is a pure performance decision — recorded on the band, with
         a census note, so ``explain()`` shows what will run batched and why.
 
-        ``per`` is ``None`` on a serial host plan: each band is one kernel
-        call over exactly its rows, and the kernel resolves ``"auto"``
+        ``per`` is ``None`` on an in-process host plan: each band is one
+        kernel call over exactly its rows, and the kernel resolves ``"auto"``
         against the same crossover on the same flops where it cuts its
         chunks, so only a forced tier is written down.
         """
@@ -639,31 +671,6 @@ class Planner:
             f"{self.machine.name} is too small for the process pool"
         )
         return "thread"
-
-    def _host_workers(self, nrows: int, threads, backend, notes):
-        """Worker count and backend of a host plan: the caller's.
-
-        Nothing here is priced, so nothing is picked: with neither knob
-        forced the plan is one serial worker.  A forced ``threads`` with no
-        ``backend`` runs on ``"thread"`` (``parallel_masked_spgemm``'s own
-        default); a forced parallel ``backend`` with no ``threads`` gets
-        ``min(cores, rows / ROWS_PER_THREAD)`` workers.  The measured tables
-        behind the rule are in ``docs/parallel.md`` ("Who picks the
-        backend").
-        """
-        cores = self.machine.cores
-        if threads is None and backend is None:
-            notes.append(
-                f"serial on {cores} available core(s): worker count and "
-                "backend are the caller's (threads=, backend=)"
-            )
-            return 1, "serial"
-        if threads is None:
-            by_rows = max(1, nrows // ROWS_PER_THREAD)
-            threads = 1 if backend == "serial" else min(cores, by_rows)
-        if backend is None:
-            backend = "thread" if threads > 1 else "serial"
-        return threads, backend
 
     def _pick_partition(self, fl, notes) -> str:
         mean = float(fl.mean()) if fl.size else 0.0

@@ -11,19 +11,9 @@ Quickstart::
     tr.to_metrics()                 # flat per-phase / per-counter summary
     print(tr.report())              # plan decisions next to measured spans
 
-Accumulator micro-telemetry (probe-chain lengths, heap inspection counts,
-touched-cell ratios) is collected separately by :mod:`repro.observe.probes`::
-
-    from repro.observe import probing
-
-    with probing() as pr:
-        res = triangle_count_detail(g, algo="hash")
-    pr.export()                     # histograms: buckets + count/total/max
-
 With no tracer installed every instrumented call site costs one attribute
 check — see :mod:`repro.observe.tracer` for the contract and
-``docs/observability.md`` for the span model, probe histograms and
-exporters.
+``docs/observability.md`` for the span model and exporters.
 """
 
 from .exporters import (
@@ -42,16 +32,7 @@ from .ledger import (
     prediction_rows,
     predictions,
 )
-from .probes import (
-    BUCKET_LABELS,
-    NBUCKETS,
-    Histogram,
-    ProbeRegistry,
-    bucket_index,
-    probing,
-    set_probes,
-)
-from .report import format_probes, format_span_tree, report
+from .report import format_span_tree, report
 from .tracer import (
     NULL_SPAN,
     Span,
@@ -82,18 +63,10 @@ __all__ = [
     "write_metrics",
     "report",
     "format_span_tree",
-    "format_probes",
     "LEDGER_SCHEMA_VERSION",
     "PREDICTION_KINDS",
     "prediction_rows",
     "misprediction_summary",
     "predictions",
     "format_predictions",
-    "Histogram",
-    "ProbeRegistry",
-    "probing",
-    "set_probes",
-    "bucket_index",
-    "NBUCKETS",
-    "BUCKET_LABELS",
 ]

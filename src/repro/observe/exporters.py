@@ -12,9 +12,7 @@ Two machine-readable views of one :class:`~repro.observe.Tracer`:
   name and by phase (symbolic/numeric — the paper's Section 4.4 split),
   operation-counter totals summed over *leaf* instrumentation (kernel and
   symbolic-sweep spans, which partition the work without double counting),
-  a bytes-moved estimate from the machine model's word accounting, and —
-  when micro-telemetry probes (:mod:`repro.observe.probes`) were enabled —
-  the accumulator probe histograms under ``"probes"``.
+  and a bytes-moved estimate from the machine model's word accounting.
 
 Timestamps are ``perf_counter`` seconds; Chrome wants microseconds and only
 relative placement matters, so the export rebases to the earliest span.
@@ -25,7 +23,6 @@ from __future__ import annotations
 import json
 from typing import Dict, List
 
-from . import probes as _probes
 from .ledger import predictions as _predictions
 
 __all__ = [
@@ -40,8 +37,9 @@ __all__ = [
 #: version of the :func:`metrics` dict layout; bumped whenever a key is
 #: renamed/removed or its meaning changes (additions do not bump it), so
 #: downstream consumers of archived metrics JSON can dispatch on it
-#: (2: the "shards" census key is gone; 3: the "runtime" key is gone)
-METRICS_SCHEMA_VERSION = 3
+#: (2: the "shards" census key is gone; 3: the "runtime" key is gone;
+#: 4: the "probes" key is gone)
+METRICS_SCHEMA_VERSION = 4
 
 #: span-name prefixes whose counter deltas partition the counted work:
 #: every operation is charged inside exactly one of these spans, so summing
@@ -130,28 +128,19 @@ def estimated_bytes_moved(counter_totals: Dict[str, int], machine=None) -> int:
     return int(words) * word_bytes
 
 
-def metrics(tracer_or_spans, *, machine=None, probes=None, session=None) -> dict:
+def metrics(tracer_or_spans, *, machine=None, session=None) -> dict:
     """Flat metrics summary of a trace (see module docs).
 
     ``tracer_or_spans`` may be ``None`` (tracing was never enabled): the
-    summary still carries its schema version plus whatever probe and
-    session telemetry exists — observability outside ``trace()`` blocks,
-    not an error.
-
-    ``probes`` may be a :class:`~repro.observe.probes.ProbeRegistry`; when
-    omitted, the currently installed registry (if any) is used, so a
-    ``with probing(): ... metrics(tr)`` block does the right thing.  The
-    export lands under the ``"probes"`` key ({} when disabled), keyed by
-    histogram name with power-of-two bucket counts plus exact
-    count/total/max — see ``docs/observability.md`` for the schema.
+    summary still carries its schema version plus whatever session
+    telemetry exists — observability outside ``trace()`` blocks, not an
+    error.
 
     ``session`` may be an :class:`~repro.engine.ExecutionSession`; its
     telemetry (digests taken, segment reuse and republished bytes) lands
     under the ``"session"`` key ({} when absent) — see
     ``docs/parallel.md``, "Segment registry".
     """
-    if probes is None:
-        probes = _probes.current()
     spans = _spans(tracer_or_spans)
     by_name: Dict[str, dict] = {}
     by_phase: Dict[str, float] = {}
@@ -183,7 +172,6 @@ def metrics(tracer_or_spans, *, machine=None, probes=None, session=None) -> dict
         "counter_totals": totals,
         "bytes_moved_estimate": estimated_bytes_moved(totals, machine),
         "machine": getattr(machine, "name", None),
-        "probes": probes.export() if probes is not None else {},
         "session": session.stats() if session is not None else {},
     }
 
@@ -233,12 +221,10 @@ def write_chrome_trace(path, tracer_or_spans) -> None:
         json.dump(chrome_trace(tracer_or_spans), fh, indent=1, default=_jsonable)
 
 
-def write_metrics(path, tracer_or_spans, *, machine=None, probes=None,
-                  session=None) -> None:
+def write_metrics(path, tracer_or_spans, *, machine=None, session=None) -> None:
     """Write :func:`metrics` output as JSON."""
     with open(path, "w") as fh:
-        json.dump(metrics(tracer_or_spans, machine=machine, probes=probes,
-                          session=session),
+        json.dump(metrics(tracer_or_spans, machine=machine, session=session),
                   fh, indent=1, default=_jsonable)
 
 

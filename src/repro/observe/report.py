@@ -4,21 +4,17 @@
 explanation with the measured span tree, then closes with a
 modeled-vs-measured comparison per planner decision — the gap the paper's
 model-validation experiments quantify, surfaced per run instead of per
-paper figure.  When micro-telemetry probes were enabled
-(:mod:`repro.observe.probes`), a per-accumulator section summarizes each
-histogram (count / mean / max plus the populated power-of-two buckets).
+paper figure.
 """
 
 from __future__ import annotations
 
 from typing import Dict, List, Optional
 
-from . import probes as _probes
 from .exporters import _batch_census
 from .ledger import format_predictions, predictions
-from .probes import BUCKET_LABELS
 
-__all__ = ["report", "format_span_tree", "format_probes"]
+__all__ = ["report", "format_span_tree"]
 
 #: counters worth echoing inline (the high-signal subset)
 _KEY_COUNTERS = ("flops", "symbolic_flops", "output_nnz")
@@ -65,33 +61,9 @@ def format_span_tree(spans: List, *, main_pid: Optional[int] = None) -> str:
     return "\n".join(lines)
 
 
-def format_probes(export: dict) -> str:
-    """Render a :meth:`~repro.observe.probes.ProbeRegistry.export` payload
-    as an aligned table, one histogram per line, grouped by accumulator
-    prefix (``hash.`` / ``msa.`` / ``mca.`` / ``heap.`` / ``mask.``)."""
-    lines: List[str] = []
-    for name in sorted(export):
-        payload = export[name]
-        count = int(payload.get("count", 0))
-        total = int(payload.get("total", 0))
-        vmax = int(payload.get("max", 0))
-        mean = total / count if count else 0.0
-        populated = [
-            f"{BUCKET_LABELS[i]}:{c}"
-            for i, c in enumerate(payload.get("buckets", ()))
-            if c
-        ]
-        lines.append(
-            f"  {name:<26s} n={count:<10d} mean={mean:8.2f} max={vmax:<8d} "
-            + (" ".join(populated) if populated else "(empty)")
-        )
-    return "\n".join(lines)
-
-
-def report(tracer, *, plan=None, probes=None, session=None) -> str:
-    """Render a full trace report (plan, span tree, modeled vs measured,
-    and — when a probe registry is installed or passed — the accumulator
-    micro-telemetry histograms).  Passing an
+def report(tracer, *, plan=None, session=None) -> str:
+    """Render a full trace report (plan, span tree, modeled vs measured).
+    Passing an
     :class:`~repro.engine.ExecutionSession` adds a session-reuse section
     (digests taken and segment-registry hit rates).
 
@@ -99,8 +71,6 @@ def report(tracer, *, plan=None, probes=None, session=None) -> str:
     its session and pool section, so cache behaviour is never invisible
     outside ``trace()`` blocks.
     """
-    if probes is None:
-        probes = _probes.current()
     spans = tracer.spans if tracer is not None else []
     lines: List[str] = []
     if plan is not None:
@@ -152,13 +122,6 @@ def report(tracer, *, plan=None, probes=None, session=None) -> str:
         lines.append("")
         lines.append("=== prediction ledger (modeled vs measured) ===")
         lines.append(format_predictions(preds))
-
-    if probes is not None:
-        export = probes.export() if hasattr(probes, "export") else dict(probes)
-        if export:
-            lines.append("")
-            lines.append("=== accumulator micro-telemetry ===")
-            lines.append(format_probes(export))
 
     if session is not None:
         st = session.stats()

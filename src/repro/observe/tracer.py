@@ -45,7 +45,6 @@ import time
 from contextlib import contextmanager
 from typing import Any, Callable, Dict, List, Optional
 
-from . import probes as _probes
 
 __all__ = [
     "Span",
@@ -369,12 +368,9 @@ def traced_kernel(algo: str) -> Callable:
     global read, and when no tracer is installed the kernel is entered
     directly — no dict, no context manager, nothing.  When tracing is on,
     the span carries the operand statistics the paper's per-kernel
-    breakdowns need plus the kernel's :class:`OpCounter` delta; when probe
-    histograms (:mod:`repro.observe.probes`) are *also* enabled, the span
-    additionally carries this call's probe deltas under ``attrs["probes"]``
-    (attrs are serialized at span exit, so mutating the dict inside the
-    span is the supported way to attach results).  The undecorated kernel
-    stays reachable as ``fn.__wrapped__`` (the overhead test times both).
+    breakdowns need plus the kernel's :class:`OpCounter` delta.  The
+    undecorated kernel stays reachable as ``fn.__wrapped__`` (the overhead
+    test times both).
     """
 
     def deco(fn: Callable) -> Callable:
@@ -394,15 +390,8 @@ def traced_kernel(algo: str) -> Callable:
             }
             if "batch" in kwargs:
                 attrs["batch"] = kwargs["batch"]
-            pr = _probes._INSTALLED
-            snap = pr.snapshot() if pr is not None else None
             with tr.span("kernel." + algo, attrs, counter=kwargs.get("counter")):
-                out = fn(a, b, mask, **kwargs)
-                if pr is not None:
-                    delta = pr.diff(snap)
-                    if delta:
-                        attrs["probes"] = delta
-                return out
+                return fn(a, b, mask, **kwargs)
 
         return wrapper
 

@@ -5,20 +5,21 @@ The execution engine (:mod:`repro.engine.executor`) cuts every plan into
 work items — band x row part x column panel — and runs them on one of
 three backends:
 
-* ``"serial"`` — items run one after another in the caller's thread
-  (deterministic baseline; also what ``threads=1`` degenerates to);
-* ``"thread"`` — a ``ThreadPoolExecutor``: cheap to enter, operands
-  shared for free.  Whether the parts overlap is the kernel tier's doing:
-  the native loops release the GIL (measured 1.1-1.35x over serial at
-  R-MAT scale 16-17 on two cores), the NumPy bodies re-take it between
-  array passes (measured 1.5-2x *slower* than serial at scale 15-17);
-* ``"process"`` — the shared-memory multiprocess backend: operands are
+* ``"serial"`` / ``"thread"`` — in-process: each band of each grid cell
+  is one kernel call, run one after another in the caller's thread on
+  ``plan.threads`` threads inside the native row loop (``"serial"`` is
+  the count 1; the NumPy bodies always run on one);
+* ``"process"`` — the shared-memory multiprocess backend and the one
+  fan-out: the rows are cut into ``plan.threads`` parts, operands are
   published once into named shared segments (:mod:`repro.parallel.shm`),
   workers in a persistent pool (:mod:`repro.parallel.pool`) attach them as
-  zero-copy views, and per-item COO results come back by pickle.
+  zero-copy views, run their items on one thread each, and per-item COO
+  results come back by pickle.
 
 All three produce bit-for-bit identical matrices and identical merged
-``OpCounter`` totals; ``tests/test_backends.py`` enforces it.  This module
+``OpCounter`` totals (but ``hash_probes``, which hash tables sized per
+row part make depend on the pool's parts); ``tests/test_backends.py``
+enforces it.  This module
 holds what the items are sliced with (:func:`row_block`,
 :func:`row_slice`).  :func:`parallel_masked_spgemm` is a spelling of
 :func:`repro.core.masked_spgemm` and lives beside it (so that module may

@@ -10,16 +10,17 @@ subsequent process-backend call; ``atexit`` (or an explicit
 down.
 
 Task protocol: the engine cuts a plan into work items (band x row part x
-column panel, :mod:`repro.engine.executor`) and every backend runs each
-one through :func:`run_task`.  For the process backend the parent
-publishes the operands into shared memory (:mod:`repro.parallel.shm`) and
-the :class:`Task` carries only segment *addresses*, the item's row
-descriptor and scalar knobs — a few hundred bytes — while workers attach
-the segments as zero-copy NumPy views; in-process backends put the CSR
-operands in the same fields.  Each item runs under its own
-:class:`~repro.machine.OpCounter` and returns its partial output as COO
-triples plus the counter, so results and counters are identical across
-``serial`` / ``thread`` / ``process``.
+column panel, :mod:`repro.engine.executor`) and runs each one through
+:func:`run_task`.  Only the process backend cuts row parts for its
+workers: the parent publishes the operands into shared memory
+(:mod:`repro.parallel.shm`) and the :class:`Task` carries only segment
+*addresses*, the item's row descriptor and scalar knobs — a few hundred
+bytes — while workers attach the segments as zero-copy NumPy views.  An
+in-process item (a band of one grid cell) puts the CSR operands in the
+same fields and runs on the plan's in-kernel threads.  Each item runs
+under its own :class:`~repro.machine.OpCounter` and returns its partial
+output as COO triples plus the counter, so results and counters are
+identical across ``serial`` / ``thread`` / ``process``.
 
 Semirings cross the boundary by *name* for the standard registry
 (:data:`repro.semiring.STANDARD_SEMIRINGS`) and by pickle otherwise;
@@ -176,7 +177,7 @@ class Task:
 
     The operand fields hold :class:`~repro.parallel.shm.CSRSegments`
     addresses when the item crosses the process boundary (picklable, tiny)
-    and the CSR/CSC objects themselves on the serial and thread backends;
+    and the CSR/CSC objects themselves in-process;
     ``semiring`` likewise holds the :func:`encode_semiring` token or the
     semiring.
     """
@@ -202,10 +203,9 @@ class Task:
     backend: str = "serial"
     est_cycles: float = 0.0
     est_bytes: float = 0.0
-    #: worker side only — record spans / probe histograms under a
-    #: task-local registry and ship them back with the result
+    #: worker side only — record spans under a task-local tracer and ship
+    #: them back with the result
     trace: bool = False
-    probe: bool = False
 
 
 def _rows_of(mat: CSR, desc: tuple) -> Tuple[CSR, int]:
@@ -219,29 +219,26 @@ def _rows_of(mat: CSR, desc: tuple) -> Tuple[CSR, int]:
     return row_slice(mat, desc[1]), 0
 
 
-def run_task(task: Task):
+def run_task(task: Task, nthreads: int = 1):
     """Run one work item: slice, multiply, return global COO + counter.
 
-    The single entry point of all three backends.  In a pool worker the
-    operands arrive as segment addresses and are attached as zero-copy
-    views; when ``task.trace`` / ``task.probe`` are set a task-local tracer
-    / probe registry is installed for the duration of the task, so the
-    item span and every nested kernel span come back serialized in the
+    The single entry point of all three backends.  ``nthreads`` reaches the
+    native row loop (capped at the item's rows); the pool calls this with
+    the default 1, because a forked worker must never enter libgomp
+    (``native.c``).  In a pool worker the operands arrive as segment
+    addresses and are attached as zero-copy views; when ``task.trace`` is
+    set a task-local tracer is installed for the duration of the task, so
+    the item span and every nested kernel span come back serialized in the
     payload and the coordinator merges them onto its timeline
-    (:meth:`repro.observe.Tracer.ingest`).  Both are uninstalled in
+    (:meth:`repro.observe.Tracer.ingest`).  It is uninstalled in
     ``finally`` — the pool is persistent, and later untraced calls must
     not pay for (or leak into) this one.  In-process the ambient tracer
     records the same span directly.
     """
-    tracer = probes = None
+    tracer = None
     if task.trace:
         tracer = _obs.Tracer()
         prev = _obs.set_tracer(tracer)
-    if task.probe:
-        from ..observe.probes import ProbeRegistry, set_probes
-
-        probes = ProbeRegistry()
-        prev_probes = set_probes(probes)
     try:
         remote = isinstance(task.a, _shm.CSRSegments)
         a = _shm.attach_csr(task.a) if remote else task.a
@@ -267,27 +264,20 @@ def run_task(task: Task):
         # compute inside the span, build the payload after it closes so the
         # item span itself is part of the exported records
         with span_cm:
-            # one thread per item: the backend already fans the items out,
-            # and a forked worker must never enter libgomp (native.c)
             c = run_kernel(
                 a_s, b, m_s,
                 algo=task.algo, phases=task.phases, complement=task.complement,
                 semiring=semiring, impl=task.impl, counter=counter,
-                b_csc=b_csc, batch=task.batch, nthreads=1,
+                b_csc=b_csc, batch=task.batch,
+                nthreads=max(1, min(nthreads, a_s.nrows)),
             )
             r, cc, v = c.to_coo()
             if offset:
                 r += offset
             if task.col_offset:
                 cc += task.col_offset
-        return (
-            r, cc, v, counter,
-            tracer.export() if tracer is not None else [],
-            probes.export() if probes is not None else {},
-        )
+        return r, cc, v, counter, tracer.export() if tracer is not None else []
     finally:
-        if probes is not None:
-            set_probes(prev_probes)
         if tracer is not None:
             _obs.set_tracer(prev)
 

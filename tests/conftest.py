@@ -29,7 +29,7 @@ class NativeSpy:
     """Stands in for the loaded native library (``native._lib``) and
     records which of its functions were looked up: ``calls`` holds every
     name, ``kernel_calls`` only the masked-SpGEMM row loops — eligibility
-    (semiring, dtype, probes) gates those, while ``repro.sparse`` reaches
+    (semiring, dtype) gates those, while ``repro.sparse`` reaches
     ``repro_bucket_order`` whatever the semiring."""
 
     KERNEL_LOOPS = ("repro_msa", "repro_msa_complement", "repro_inner", "repro_symbolic")

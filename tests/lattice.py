@@ -4,7 +4,9 @@ Bit-for-bit identity of values *and* ``OpCounter``s across every spelling
 of a call is the library's contract.  This module is that contract as
 data: the axes (front door x ``algo`` x complement x phases x batch x
 orientation x backend x threads x grid x session x machine x kernel
-tier, and the native loops' in-kernel ``nthreads``), the operand sets
+tier, and the native loops' in-kernel ``nthreads``; in process a plan's
+``threads`` is that in-kernel count, on the ``process`` backend the pool's
+row parts), the operand sets
 they run over (the adversarial sets of
 ``tests/test_native.py`` plus an R-MAT triangle-counting triple) and one
 record per call — ``(case id, blake2b of the CSR bytes, OpCounter)``; a

@@ -38,7 +38,6 @@ from repro.core.masked_spgemm import masked_spgemm
 from repro.engine import ExecutionSession, Planner, execute
 from repro.graphs import erdos_renyi, rmat
 from repro.machine import OpCounter
-from repro.observe import probes as _probes
 from repro.parallel.pool import shutdown_pool
 from repro.semiring import MIN_PLUS, PLUS_PAIR, PLUS_TIMES, STANDARD_SEMIRINGS
 from repro.sparse import CSR, read_mtx
@@ -441,53 +440,6 @@ class TestMsaAgainstReference:
             _bits(masked_spgemm(a, b, m, algo="msa", batch="perrow"))
 
 
-#: ``probing()`` exports of the two-body kernel this one replaced, on
-#: ``rmat(7, seed=5).pattern().tril(-1)`` with PLUS_PAIR, keyed
-#: ``tier/complement``: histogram -> (count, total, max, leading buckets)
-_PINNED_MSA_PROBES = {
-    "bucket/False": {
-        "batch.bucket_occupancy": (10, 128, 29, [0, 0, 1, 3, 2, 4]),
-        "mask.row_hits": (128, 743, 31, [21, 13, 24, 34, 25, 11]),
-        "mask.row_misses": (128, 205, 6, [8, 70, 41, 9]),
-        "msa.reset_cells": (10, 948, 278, [0, 0, 1, 1, 1, 2, 0, 2, 1, 2]),
-        "msa.touched_per_mask_pct": (10, 603, 85, [1, 0, 0, 0, 0, 0, 3, 6]),
-    },
-    "bucket/True": {
-        "batch.bucket_occupancy": (10, 128, 29, [0, 0, 1, 3, 2, 4]),
-        "msa.reset_cells": (10, 2920, 1011, [0, 0, 1, 1, 1, 1, 0, 0, 2, 2, 2]),
-    },
-    "perrow/False": {
-        "mask.row_hits": (128, 743, 31, [21, 13, 24, 34, 25, 11]),
-        "mask.row_misses": (128, 205, 6, [8, 70, 41, 9]),
-        "msa.reset_cells": (1, 948, 948, [0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1]),
-        "msa.touched_per_mask_pct": (1, 78, 78, [0, 0, 0, 0, 0, 0, 0, 1]),
-    },
-    "perrow/True": {
-        "msa.reset_cells": (1, 2920, 2920, [0] * 12 + [1]),
-    },
-}
-
-
-class TestMsaProbes:
-    @pytest.mark.parametrize("case", sorted(_PINNED_MSA_PROBES))
-    def test_histograms_match_the_replaced_kernel(self, case):
-        tier, complement = case.split("/")
-        g = rmat(7, seed=5).pattern().tril(-1)
-        with _probes.probing() as pr:
-            masked_spgemm(g, g, g, algo="msa", batch=tier,
-                          complement=complement == "True", semiring=PLUS_PAIR)
-        got = {
-            name: (h["count"], h["total"], h["max"], h["buckets"])
-            for name, h in pr.export().items()
-        }
-        want = {
-            name: (count, total, top, lead + [0] * (16 - len(lead)))
-            for name, (count, total, top, lead) in
-            _PINNED_MSA_PROBES[case].items()
-        }
-        assert got == want
-
-
 # ----------------------------------------------------------------------
 # backend equivalence: karate / ER / R-MAT x serial / thread / process
 # ----------------------------------------------------------------------
@@ -543,7 +495,7 @@ class TestBackendEquivalence:
     def test_probe_histograms_match_between_tiers_for_hash(self, graph):
         """The kernel's arithmetic chain lengths (``_lookup_chains``)
         against the per-key walk, ``VectorHashTable.lookup``, over the same
-        tables: equal ``hash_probes`` and ``hash.probe_chain`` histogram."""
+        tables: equal ``hash_probes``."""
         g = graph.sort_indices()
         budget = 200  # several blocks, so several table geometries
         keys = g.row_ids() * g.ncols + g.indices
@@ -551,30 +503,23 @@ class TestBackendEquivalence:
             runs = {}
             for tier in ("perrow", "bucket"):
                 counter = OpCounter()
-                with _probes.probing() as pr:
-                    masked_spgemm_hash_fast(
-                        g, g, g, batch=tier, complement=complement,
-                        semiring=PLUS_PAIR, counter=counter, flop_budget=budget)
-                runs[tier] = (counter.hash_probes, pr.export())
+                masked_spgemm_hash_fast(
+                    g, g, g, batch=tier, complement=complement,
+                    semiring=PLUS_PAIR, counter=counter, flop_budget=budget)
+                runs[tier] = counter.hash_probes
             # the blocks, and so the tables, are the same under every spelling
             assert runs["perrow"] == runs["bucket"]
 
             walked = OpCounter()
-            with _probes.probing() as pr:
-                chain = pr.hist("hash.probe_chain")
-                for lo, hi in plan_flop_blocks(per_row_flops(g, g), budget):
-                    m_keys = keys[g.indptr[lo]:g.indptr[hi]]
-                    if m_keys.size == 0 and not complement:
-                        continue  # nothing is allowed: nothing is looked up
-                    table = VectorHashTable(max(1, m_keys.size), walked,
-                                            chain_hist=chain)
-                    table.insert(m_keys)
-                    block = np.arange(lo, hi, dtype=np.int64)
-                    table.lookup(expand_keys(g, g, block, block)[0])
-            probes, export = runs["bucket"]
-            assert probes == walked.hash_probes > 0
-            assert export["hash.probe_chain"] == pr.export()["hash.probe_chain"]
-            assert export["hash.probe_chain"]["total"] == probes
+            for lo, hi in plan_flop_blocks(per_row_flops(g, g), budget):
+                m_keys = keys[g.indptr[lo]:g.indptr[hi]]
+                if m_keys.size == 0 and not complement:
+                    continue  # nothing is allowed: nothing is looked up
+                table = VectorHashTable(max(1, m_keys.size), walked)
+                table.insert(m_keys)
+                block = np.arange(lo, hi, dtype=np.int64)
+                table.lookup(expand_keys(g, g, block, block)[0])
+            assert runs["bucket"] == walked.hash_probes > 0
 
 
 # ----------------------------------------------------------------------
@@ -625,19 +570,20 @@ class TestPlanReporting:
             assert band.batch in BATCH_TIERS
 
     def test_explain_renders_tier_and_census(self):
-        # a parallel plan cuts its bands by flops, so it takes the census
+        # a process plan cuts its bands by flops, so it takes the census
         g = rmat(7, seed=5).pattern().tril(-1)
-        text = Planner().plan(g, g, g, batch="bucket", threads=2).explain()
+        text = Planner().plan(g, g, g, batch="bucket", threads=2, backend="process").explain()
         assert "batch=" in text and "buckets{" in text
         assert "batch tier forced to 'bucket' by caller" in text
 
     def test_auto_note_mentions_crossover(self):
         g = rmat(7, seed=5).pattern().tril(-1)
-        text = Planner().plan(g, g, g, threads=2).explain()
+        text = Planner().plan(g, g, g, threads=2, backend="process").explain()
         assert "crossover" in text and "batch tiers:" in text
-        # a serial host plan leaves "auto" to the kernel, which resolves it
-        # on the same flops against the same crossover
+        # an in-process host plan leaves "auto" to the kernel, which
+        # resolves it on the same flops against the same crossover
         assert "batch tiers:" not in Planner().plan(g, g, g).explain()
+        assert "batch tiers:" not in Planner().plan(g, g, g, threads=2).explain()
 
     def test_machine_crossover_drives_auto(self):
         """One crossover, the frame's: a forced plan's band buckets exactly
@@ -646,11 +592,12 @@ class TestPlanReporting:
             g = rmat(scale, seed=5).pattern().tril(-1)
             want = resolve_tier(g, g, "auto")
             assert want == ("bucket" if scale == 11 else "perrow")
-            for machine, kw in ((None, {"threads": 2}), ("haswell", {})):
+            for machine, kw in ((None, {"threads": 2, "backend": "process"}),
+                                ("haswell", {})):
                 for algo in BATCHABLE:
                     (band,) = Planner(machine).plan(g, g, g, algo=algo, **kw).bands
                     assert band.batch == want, (scale, machine, algo)
-            # serial host plan: the band is the whole call, whose kernel
+            # in-process host plan: the band is the whole call, whose kernel
             # resolves "auto" to exactly ``want``
             for algo in BATCHABLE:
                 (band,) = Planner().plan(g, g, g, algo=algo).bands
@@ -728,8 +675,6 @@ class TestCompiledSeam:
         assert _identical(masked_spgemm(a, a, a, algo="msa", semiring=MIN_PLUS), want)
         assert _identical(masked_spgemm(a, a, a, algo="inner", semiring=MIN_PLUS), want)
         assert _identical(masked_spgemm(a.astype(np.float32), a, a, algo="msa"), want32)
-        with _probes.probing():
-            masked_spgemm(a, a, a, algo="msa")  # probes installed: NumPy body
         # no kernel loop ran; the CSC build under ``inner`` is the substrate's
         # counting pass, which no semiring gates
         assert not spy.kernel_calls, spy.kernel_calls

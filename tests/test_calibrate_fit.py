@@ -100,6 +100,11 @@ class TestLedgerRows:
                 session.close()
         band_spans = [sp for sp in tr.spans if sp.name == "engine.band"]
         assert band_spans, "an auto run must execute at least one band"
+        (run,) = [sp for sp in tr.spans if sp.name == "engine.execute"]
+        planned = run.attrs["plan"]
+        if backend != "process":
+            # in-process: "thread" exactly when the kernel runs on several
+            assert (planned["backend"] == "thread") == (planned["threads"] > 1)
         rows = [r for r in predictions(tr)["rows"] if r["kind"] == "band"]
         assert len(rows) == len(band_spans)
         for row in rows:
@@ -108,7 +113,7 @@ class TestLedgerRows:
             # the plan's machine name is recoverable from the trace, so
             # modeled cycles convert to seconds without an explicit machine
             assert row["modeled_seconds"] is not None
-            assert row["attrs"]["backend"] == backend
+            assert row["attrs"]["backend"] == planned["backend"]
 
     @pytest.mark.parametrize("backend", _BACKENDS)
     def test_shard_cell_rows_with_apportioned_estimates(self, backend):

@@ -21,6 +21,7 @@ import numpy as np
 import pytest
 
 from repro.core import masked_spgemm
+from repro.core.leaf import kernel_threads
 from repro.core.kernels.expand import row_keys
 from repro.core.kernels.inner_kernel import masked_spgemm_inner_fast
 from repro.engine import ExecutionSession, Planner, plan
@@ -181,13 +182,13 @@ class TestNativeProfile:
         assert same == HOST
 
     def test_ladder_shapes_keep_their_plans(self):
+        """... and run in-process, on the threads the kernel takes."""
         planner = Planner(HOST_NATIVE)
-        tc = planner.plan(*_tc(10))
-        assert [band.algo for band in tc.bands] == ["msa"]
-        assert (tc.threads, tc.backend, tc.phases) == (1, "serial", 1)
-        er = planner.plan(*_er(1024, 64, 4))
-        assert er.nrows_per_algo() == {"inner": 1024}
-        assert (er.threads, er.backend) == (1, "serial")
+        for ops, algos in ((_tc(10), {"msa": 1024}), (_er(1024, 64, 4), {"inner": 1024})):
+            pl = planner.plan(*ops)
+            assert pl.nrows_per_algo() == algos and pl.phases == 1
+            assert pl.threads == kernel_threads(*ops[:2])
+            assert pl.backend == ("thread" if pl.threads > 1 else "serial")
 
     def test_mca_is_forced_only(self):
         planner = Planner(HOST_NATIVE)
@@ -294,9 +295,11 @@ class TestWorkersFollowTheHost:
                 assert pool.pool_size() == live
                 plans.append(Planner(profile).plan(*triple))
             cold, warm = plans
-            assert (cold.threads, cold.backend) == (1, "serial")
+            assert cold.backend != "process"
+            assert cold.threads == kernel_threads(*triple[:2])
             assert cold.as_dict() == warm.as_dict()
-            assert any("serial on 4 available core(s)" in n for n in cold.notes)
+            assert any(f"{cold.backend} on {cold.threads} of 4 available core(s)" in n
+                       for n in cold.notes)
             assert not any("pool" in n for n in cold.notes)
 
     def test_forced_knobs_are_honoured(self, monkeypatch):
@@ -363,8 +366,8 @@ class TestExplain:
             assert f"{algo} " in text
         cores = len(os.sched_getaffinity(0))
         assert (
-            f"serial on {cores} available core(s): worker count and backend "
-            "are the caller's (threads=, backend=)"
+            f"serial on 1 of {cores} available core(s): in-kernel threads by "
+            "the call's estimated work (threads=, backend= force them)"
         ) in text
         assert "pool" not in text and "crossover_cycles" not in text
         # forced knobs need no explaining
@@ -451,10 +454,39 @@ class TestDecisionLayers:
         for planner, (a, b, m), kw in calls:
             pl = planner.plan(a, b, m, **kw)
             assert len(pl.bands) == 1 and pl.bands[0].is_full(a.nrows)
-            assert (pl.threads, pl.backend, pl.partition) == (1, "serial", "block")
+            assert (pl.threads, pl.partition) == (kernel_threads(a, b), "block")
             pl.validate()
         assert Planner(HOST_NATIVE).plan(*er).algo == "inner"
         assert Planner(HOST_NATIVE).plan(*_tc(6)).algo == "msa"
+
+    def test_in_kernel_threads_read_no_per_row_flops(self, monkeypatch):
+        """A host plan reads per-row flops only to cut process row parts:
+        the default TC plan on ``rmat(14)`` (over the crossover, so on every
+        core) and a forced ``threads=2`` one read none and are not
+        ``validate()``d; a process plan does both."""
+        import repro.engine.planner as planner_module
+        from repro.engine.plan import ExecutionPlan
+
+        read = []
+
+        def spy(name, fn):
+            def wrapper(*args, **kwargs):
+                read.append(name)
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(planner_module, "flops_per_row",
+                            spy("flops_per_row", planner_module.flops_per_row))
+        monkeypatch.setattr(ExecutionPlan, "validate", spy("validate", ExecutionPlan.validate))
+        tc = _tc(14)
+        for kw in ({}, {"threads": 2}):
+            read.clear()
+            pl = Planner(HOST_NATIVE).plan(*tc, **kw)
+            assert pl.threads == kernel_threads(*tc[:2], **kw) and pl.backend != "process"
+            assert read == [], kw
+        read.clear()
+        assert Planner(HOST_NATIVE).plan(*tc, threads=2, backend="process").threads == 2
+        assert read == ["flops_per_row", "validate"]
 
     @pytest.mark.parametrize("profile", [HOST, HOST_NATIVE], ids=["numpy", "native"])
     def test_one_band_wherever_the_census_finds_one_and_the_same_algorithm(

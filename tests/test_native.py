@@ -5,8 +5,7 @@ bodies) over random and adversarial operands x semirings x complement x
 phases x algorithm x backend / grid, asserting equal CSR bytes, equal
 ``OpCounter`` dicts and column-ascending rows — plus the hostile
 conditions the loader and the seam must survive: no compiler, a corrupt or
-foreign cache file, racing first loads, malformed ``check=False`` operands,
-an installed probe registry.
+foreign cache file, racing first loads, malformed ``check=False`` operands.
 """
 
 import contextlib
@@ -28,10 +27,11 @@ from repro.core.kernels.arena import clear_arena, get_arena
 from repro.core.kernels.inner_kernel import masked_spgemm_inner_fast
 from repro.core.kernels.msa_kernel import masked_spgemm_msa_fast
 from repro.core.symbolic import symbolic_masked
+from repro import engine
 from repro.engine import Planner, execute
 from repro.graphs import erdos_renyi, lower_by_degree, rmat
 from repro.machine import HOST, HOST_NATIVE, OpCounter, available_cores, resolve_machine
-from repro.observe import probes, tracing
+from repro.observe import tracing
 from repro.parallel import parallel_masked_spgemm
 from repro.parallel.pool import shutdown_pool
 from repro.semiring import MIN_PLUS, PLUS_PAIR, PLUS_TIMES, STANDARD_SEMIRINGS, Semiring
@@ -112,9 +112,12 @@ class TestDifferential:
             else dict(threads=2, backend=how, partition="block")
         )
         # pool workers are their own processes: native.disabled() here does
-        # not reach them, so the process runs are checked against the thread
-        # backend's NumPy run (same parts, same counters)
-        ref_knobs = dict(knobs, backend="thread") if how == "process" else knobs
+        # not reach them, so the process runs are checked against the NumPy
+        # run of a serial 2x1 grid (the same row parts, so the same items
+        # are dropped and the counters match)
+        ref_knobs = (
+            dict(threads=1, backend="serial", shards=(2, 1)) if how == "process" else knobs
+        )
         for sr in (PLUS_TIMES, PLUS_PAIR, MIN_PLUS):
             for algo in ("msa", "inner", None):
                 for complement in (False, True):
@@ -231,8 +234,10 @@ class TestThreads:
         assert kernel_threads(CSR.empty((0, b.nrows)), b, threads=8) == 1
 
     def test_who_passes_which_count(self, monkeypatch):
-        """The door and a one-item plan pass the rule's count; fanned-out
-        work items, ``backend="serial"`` and a forced ``threads=1`` pass 1."""
+        """Every in-process spelling makes one kernel call per band and cell,
+        on the thread count its plan records, capped at ``nrows(A)``; a
+        forced door call with nothing to plan, on the count its plan would
+        record.  ``backend="serial"`` and a forced ``threads=1`` record 1."""
         import importlib
 
         door, executor, pool = map(importlib.import_module, (
@@ -247,28 +252,42 @@ class TestThreads:
             monkeypatch.setattr(module, "run_kernel", spy)
         low = lower_by_degree(rmat(10, seed=3))
         monkeypatch.setattr(native, "PARALLEL_WORK", 0)
-        cores = available_cores()
-        every = cores if native._openmp() else 1
+        every = available_cores() if native._openmp() else 1
+        ops, kw = (low, low, low), dict(semiring=PLUS_PAIR)
+        serial_plan = engine.plan(*ops, algo="msa", backend="serial")
         calls = {
-            "forced": dict(algo="msa"),
-            "auto": dict(algo="auto"),
-            "serial": dict(algo="msa", backend="serial"),
-            "thread": dict(algo="msa", backend="thread"),
+            "forced": lambda: masked_spgemm(*ops, algo="msa", **kw),
+            "default": lambda: masked_spgemm(*ops, algo="auto", **kw),
+            "serial": lambda: masked_spgemm(*ops, algo="msa", backend="serial", **kw),
+            "thread": lambda: masked_spgemm(*ops, algo="msa", backend="thread", **kw),
+            "threads=3": lambda: engine.plan_and_execute(*ops, threads=3, **kw),
+            "parallel threads=2": lambda: parallel_masked_spgemm(*ops, threads=2, **kw),
+            "parallel threads=1": lambda: parallel_masked_spgemm(*ops, threads=1, **kw),
+            "execute(serial plan)": lambda: execute(serial_plan, *ops, **kw),
+            "execute(serial plan, thread)": lambda: execute(
+                serial_plan, *ops, backend="thread", **kw),
+            "execute(serial plan, serial)": lambda: execute(
+                serial_plan, *ops, backend="serial", **kw),
         }
         got = {}
-        for name, kw in calls.items():
+        for name, call in calls.items():
             seen.clear()
-            masked_spgemm(low, low, low, semiring=PLUS_PAIR, **kw)
-            got[name] = list(seen)
-        seen.clear()
-        parallel_masked_spgemm(low, low, low, semiring=PLUS_PAIR, threads=1)
-        got["threads=1"] = list(seen)
-        assert got == {"forced": [every], "auto": [every], "serial": [1],
-                       "thread": [1] * min(cores, 2),
-                       "threads=1": [1]}
+            with tracing() as tr:
+                call()
+            planned = [s.attrs["plan"]["threads"] for s in tr.spans
+                       if s.name == "engine.execute"]
+            recorded = planned or [engine.plan(*ops, algo="msa").threads]
+            assert seen == [min(recorded[0], low.nrows)], name
+            got[name] = seen[0]
+        assert got == {
+            "forced": every, "default": every, "serial": 1, "thread": every,
+            "threads=3": 3, "parallel threads=2": 2, "parallel threads=1": 1,
+            "execute(serial plan)": 1, "execute(serial plan, thread)": every,
+            "execute(serial plan, serial)": 1,
+        }
         monkeypatch.setattr(native, "PARALLEL_WORK", 1 << 62)
         seen.clear()
-        masked_spgemm(low, low, low, semiring=PLUS_PAIR, algo="msa")
+        masked_spgemm(*ops, algo="msa", **kw)
         assert seen == [1]  # below the crossover
 
     def test_without_openmp_every_loop_is_serial(self, fresh_loader, monkeypatch):
@@ -288,9 +307,11 @@ class TestThreads:
         that entered a threaded region after the parent had used one would
         hang.  Pool workers run every item on one thread, and a caller's own
         forked child that passes ``backend="serial"`` stays on one thread
-        through triangle counting's prepare and product, so this returns."""
+        through triangle counting's prepare and product — and through a
+        serial plan it executes — so this returns."""
         code = (
             "import os\n"
+            "from repro import engine\n"
             "from repro.apps import triangle_count\n"
             "from repro.core import masked_spgemm\n"
             "from repro.core.leaf import run_kernel\n"
@@ -311,6 +332,15 @@ class TestThreads:
             "pid = os.fork()\n"
             "if pid == 0:\n"
             "    os._exit(0 if triangle_count(g, backend='serial') == tri else 3)\n"
+            "assert os.waitpid(pid, 0)[1] == 0\n"
+            "low = lower_by_degree(g)\n"
+            "want = run_kernel(low, low, low, nthreads=2, **kw)\n"
+            "pl = engine.plan(low, low, low, algo='msa', backend='serial')\n"
+            "pid = os.fork()\n"
+            "if pid == 0:\n"
+            "    c = engine.execute(pl, low, low, low, semiring=PLUS_PAIR)\n"
+            "    os._exit(0 if all(getattr(c, f).tobytes() == getattr(want, f).tobytes()\n"
+            "                      for f in fields) else 4)\n"
             "assert os.waitpid(pid, 0)[1] == 0\n"
             "print('ok')\n"
         )
@@ -354,19 +384,6 @@ class TestEligibility:
         # PLUS_PAIR never reads the values, so their dtype does not matter
         got, want = _both_tiers(lambda: masked_spgemm(a32, b, m, algo="msa", semiring=PLUS_PAIR))
         assert spy.kernel_calls == ["repro_msa"] and _bytes(got) == _bytes(want)
-
-    def test_probe_registry_keeps_the_numpy_body(self, spy):
-        a, b, m = OPERANDS["random"]
-
-        def run():
-            with probes.probing() as pr:
-                out = masked_spgemm(a, b, m, algo="msa")
-            return out, pr.export()
-
-        (got, hist), (want, hist0) = _both_tiers(run)
-        assert not spy.kernel_calls
-        assert hist == hist0 and hist["msa.reset_cells"]["count"] > 0
-        assert _bytes(got) == _bytes(want)
 
     def test_kernel_spans_carry_the_tier(self):
         a, b, m = OPERANDS["random"]

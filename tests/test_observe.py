@@ -417,7 +417,6 @@ class TestExportEdgeCases:
         assert m["counter_totals"] == {}
         assert m["bytes_moved_estimate"] == 0
         assert m["seconds_by_phase"] == {}
-        assert m["probes"] == {}
 
     def test_chrome_trace_on_empty_trace(self, tmp_path):
         with tracing() as tr:
@@ -454,17 +453,17 @@ class TestExportEdgeCases:
 
     def test_metrics_on_never_enabled_tracer(self):
         """``metrics(None)`` — observability was never switched on — must
-        export as cleanly as an empty trace, with the probe and session
-        sections empty rather than absent."""
+        export as cleanly as an empty trace, with the session section
+        empty rather than absent."""
         m = metrics(None, machine=HASWELL)
         assert m["span_count"] == 0
         assert m["counter_totals"] == {}
-        assert m["probes"] == {} and m["session"] == {}
+        assert m["session"] == {}
         assert set(m) == {
             "schema_version", "batch", "predictions", "span_count",
             "process_count", "wall_seconds", "seconds_by_name",
             "seconds_by_phase", "counter_totals", "bytes_moved_estimate",
-            "machine", "probes", "session",
+            "machine", "session",
         }
         json.dumps(m)
 
