@@ -1,9 +1,9 @@
 """Benchmark — serial vs thread vs process backend wall-clock scaling.
 
 In process, parallelism is the native row loops' own OpenMP threads: a
-``thread`` run is one kernel call on the thread count the plan records
-(re-resolved from the call's size by ``execute(..., backend="thread")``,
-so its rows read alike at every worker count).  The process backend is the
+``thread`` run is one kernel call on the ``threads=`` it passes, which its
+plan records (a ``serial`` run on one thread, whatever ``threads=``
+says).  The process backend is the
 one fan-out: worker processes with shared-memory operands, one thread
 each, which is also what a NumPy-tier call (which holds the GIL between
 array passes) can use.  This bench measures the R-MAT triangle-counting

@@ -201,14 +201,16 @@ def _openmp() -> bool:
 
 def threads_for(work: float, threads: Optional[int] = None, backend: Optional[str] = None, *,
                 crossover: Optional[float] = None) -> int:
-    """The thread count of one native row loop: the caller's ``threads``; else 1 under
-    ``backend="serial"``; else every core this process may use when ``work`` (an O(1) estimate
-    of the call's products) reaches ``crossover`` (default :data:`PARALLEL_WORK`) and the
-    library has OpenMP; else 1.  ``OMP_NUM_THREADS`` is not read.  A host plan records the count
-    in ``threads``; a process-pool work item passes 1 instead."""
+    """The thread count of one native row loop: 1 under ``backend="serial"``, whatever
+    ``threads`` says (a forked child stays out of libgomp); else the caller's ``threads``; else
+    every core this process may use when ``work`` (an O(1) estimate of the call's products)
+    reaches ``crossover`` (default :data:`PARALLEL_WORK`) and the library has OpenMP; else 1.
+    ``OMP_NUM_THREADS`` is not read.  A host plan records the count in ``threads``; a
+    process-pool work item passes 1 instead."""
+    if str(backend).lower() == "serial":
+        return 1
     if threads is not None:
         return max(1, int(threads))
-    if str(backend).lower() == "serial" or work < (
-            PARALLEL_WORK if crossover is None else crossover) or not _openmp():
+    if work < (PARALLEL_WORK if crossover is None else crossover) or not _openmp():
         return 1
     return available_cores()

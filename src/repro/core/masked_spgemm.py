@@ -339,8 +339,9 @@ def parallel_masked_spgemm(
     parallelism (within-row parallelism is deliberately absent, as in the
     paper).
 
-    ``backend``: ``"thread"`` (alias ``"threads"``; default) or ``"serial"``
-    run the kernel in-process on ``threads`` threads inside its row loop,
+    ``backend``: ``"thread"`` (alias ``"threads"``; default) runs the
+    kernel in-process on ``threads`` threads inside its row loop,
+    ``"serial"`` runs it in-process on one thread whatever ``threads`` says,
     ``"process"`` cuts the rows into ``threads`` parts for the
     shared-memory worker pool, and ``"auto"`` is the planner's rule under a
     forced count (in-process on the host).  ``partition``: ``"block"``,

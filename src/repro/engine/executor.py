@@ -11,9 +11,9 @@ process plan on a one-row-block grid, from ``plan.threads`` parts cut by
 1`` is the plain call, ``R x 1`` a row partition, ``1 x K`` the panelled
 multiply, ``R x K`` a grid.  Each item is one
 :class:`~repro.parallel.pool.Task` run by
-:func:`~repro.parallel.pool.run_task`.  An in-process plan (``serial`` or
-``thread``) runs its items one after another, each on ``plan.threads``
-threads inside the native row loop; a ``process`` plan fans them out to
+:func:`~repro.parallel.pool.run_task`.  An in-process plan runs its items
+one after another inside the native row loop, a ``thread`` plan each on
+``plan.threads`` threads, a ``serial`` one on one; a ``process`` plan fans them out to
 the shared-memory process pool, one thread each.  The disjoint partial
 results are merged by concatenation.  One
 :class:`~repro.machine.OpCounter` is threaded through every stage —
@@ -31,7 +31,7 @@ from typing import List, Optional
 
 import numpy as np
 
-from ..core.leaf import check_operands, run_kernel
+from ..core.leaf import check_operands, kernel_threads, run_kernel
 from ..machine import HOST_NATIVE, OpCounter, flops_per_row, host_profile, resolve_machine
 from ..observe import tracer as _obs
 from ..parallel import pool as _pool
@@ -178,11 +178,13 @@ def execute(
 
     ``backend=None`` (default) follows the plan's own ``backend`` and
     ``threads``; passing ``"serial"``, ``"thread"`` (alias ``"threads"``)
-    or ``"process"`` overrides both by the host planner's rule
-    (:func:`~repro.engine.planner.host_workers`), with the plan's
-    ``threads`` as the pool's worker count under ``"process"``.  ``serial``
-    and ``thread`` run in-process, each band of each grid cell once, on
-    ``plan.threads`` threads inside the native row loop (``serial``: one);
+    or ``"process"`` overrides the backend and keeps the plan's ``threads``
+    by the host planner's rule (:func:`~repro.engine.planner.host_workers`):
+    ``"serial"`` makes it 1, ``"process"`` the pool's worker count.
+    ``serial`` and ``thread`` run in-process, each band of each grid cell
+    once, on ``plan.threads`` threads inside the native row loop
+    (``serial``: one; a modeled preset's plan: at most what this host's
+    rule gives the call, :func:`~repro.core.leaf.kernel_threads`);
     ``process`` dispatches row parts to the shared-memory worker pool
     (:mod:`repro.parallel.pool`) with zero-copy operands.  ``b_csc``
     optionally amortises the CSC build for inner-product bands across calls.
@@ -197,9 +199,7 @@ def execute(
     if backend is not None:
         # the plan is the only carrier of workers and backend into the
         # work-item loop: re-resolve both as the planner would have
-        backend = normalize_backend(backend)
-        threads = plan.threads if backend == "process" else None
-        threads, backend = host_workers(a, b, threads, backend)
+        threads, backend = host_workers(a, b, plan.threads, normalize_backend(backend))
         plan = dataclasses.replace(plan, threads=threads, backend=backend)
     if (a.nrows, b.ncols) != tuple(plan.shape):
         raise ValueError(
@@ -211,6 +211,19 @@ def execute(
         semiring=semiring, impl=impl, counter=counter, b_csc=b_csc,
         session=resolve_session(session),
     )
+
+
+def _in_process_threads(plan: ExecutionPlan, backend: str, a: CSR, b: CSR) -> int:
+    """Threads of an in-process plan's kernel calls: one under ``serial``; a
+    host plan's own ``threads``; else — a modeled preset's worker count, or
+    a process plan fallen back to ``thread`` — no more than this host's rule
+    gives the call, so a paper machine's cores never oversubscribe this
+    one."""
+    if backend == "serial":
+        return 1
+    if plan.machine == "host" and plan.backend == backend:
+        return plan.threads
+    return min(plan.threads, kernel_threads(a, b))
 
 
 def _execute(plan, a, b, mask, *, semiring, impl, counter, b_csc, session) -> CSR:
@@ -225,9 +238,10 @@ def _execute(plan, a, b, mask, *, semiring, impl, counter, b_csc, session) -> CS
         backend = _preflight_process_backend(plan, semiring)
     grid = plan.grid
     # a process plan cuts plan.threads row parts, one pool thread each; an
-    # in-process plan runs each band of each cell once, on plan.threads
-    # threads inside the native row loop
-    parts, nthreads = (plan.threads, 1) if backend == "process" else (1, plan.threads)
+    # in-process plan runs each band of each cell once, inside the native
+    # row loop
+    parts, nthreads = (plan.threads, 1) if backend == "process" else (
+        1, _in_process_threads(plan, backend, a, b))
 
     tr = _obs.current()
     if tr is not None and counter is None:

@@ -115,8 +115,8 @@ def host_workers(a, b, threads: Optional[int], backend: Optional[str]):
     A ``process`` plan (only ever forced) cuts ``threads`` row parts for its
     pool workers: ``min(cores, rows / ROWS_PER_THREAD)`` unless forced.
     Every other plan runs in-process, and its ``threads`` is the count its
-    native row loops run, :func:`~repro.core.leaf.kernel_threads` — the
-    caller's ``threads``, else 1 under ``backend="serial"``, else every core
+    native row loops run, :func:`~repro.core.leaf.kernel_threads` — 1 under
+    ``backend="serial"``, else the caller's ``threads``, else every core
     once the call's estimated products reach the crossover, capped at
     ``nrows(A)``; it is ``"thread"`` when that is more than one, else
     ``"serial"``.

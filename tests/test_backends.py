@@ -33,12 +33,14 @@ dedicated smoke job (``pytest -m backend``).
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 import subprocess
 import sys
 import time
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -53,6 +55,7 @@ from repro.parallel import (
     process_backend_available,
     shutdown_pool,
 )
+from repro.parallel import pool
 from repro.parallel.shm import SegmentGroup, attach_csr
 from repro.sparse import CSR, read_mtx
 
@@ -91,8 +94,16 @@ def _run(pl, a, b, m, backend):
     return c, counter
 
 
+def _in_this_process(workers, tasks):
+    """Stand-in for ``pool.run_tasks``: the same work items, run one after
+    another in this process."""
+    return [pool.run_task(t) for t in tasks]
+
+
 def _assert_backends_agree(pl, a, b, m):
     ref, ref_counter = _run(pl, a, b, m, "serial")
+    with mock.patch.object(pool, "run_tasks", _in_this_process):
+        _, parts_counter = _run(pl, a, b, m, "process")
     for backend in BACKENDS[1:]:
         got, got_counter = _run(pl, a, b, m, backend)
         assert got.shape == ref.shape, backend
@@ -102,10 +113,17 @@ def _assert_backends_agree(pl, a, b, m):
         # in the same order, so even floating-point sums must be identical
         assert np.array_equal(got.data, ref.data), backend
         if backend == "process":
-            # the pool's row parts are the only ones: hash tables are sized
-            # per block of rows, so probe counts are not additive under row
-            # slicing (tests/lattice.py EXCEPTIONS)
-            got_counter.hash_probes = ref_counter.hash_probes
+            # the pool's workers charge, hash probes included, exactly what
+            # the same row parts charge run here, and probe where the one
+            # in-process call probes
+            assert got_counter == parts_counter
+            assert (got_counter.hash_probes > 0) == (ref_counter.hash_probes > 0)
+            # and the one in-process call charges the same but for the hash
+            # probes: tables are sized per block of rows, so probe counts
+            # are not additive under row slicing (tests/lattice.py
+            # EXCEPTIONS), and only the pool cuts row parts
+            got_counter = dataclasses.replace(
+                got_counter, hash_probes=ref_counter.hash_probes)
         assert got_counter == ref_counter, backend
 
 

@@ -237,7 +237,10 @@ class TestThreads:
         """Every in-process spelling makes one kernel call per band and cell,
         on the thread count its plan records, capped at ``nrows(A)``; a
         forced door call with nothing to plan, on the count its plan would
-        record.  ``backend="serial"`` and a forced ``threads=1`` record 1."""
+        record.  ``backend="serial"`` (whatever ``threads=`` says) and a forced
+        ``threads=1`` record 1; an ``execute`` override keeps the plan's count.
+        A modeled preset's plan runs ``serial`` on one thread and ``thread``
+        on no more than this host's count for the call."""
         import importlib
 
         door, executor, pool = map(importlib.import_module, (
@@ -255,6 +258,7 @@ class TestThreads:
         every = available_cores() if native._openmp() else 1
         ops, kw = (low, low, low), dict(semiring=PLUS_PAIR)
         serial_plan = engine.plan(*ops, algo="msa", backend="serial")
+        three_plan = engine.plan(*ops, algo="msa", threads=3)
         calls = {
             "forced": lambda: masked_spgemm(*ops, algo="msa", **kw),
             "default": lambda: masked_spgemm(*ops, algo="auto", **kw),
@@ -263,11 +267,17 @@ class TestThreads:
             "threads=3": lambda: engine.plan_and_execute(*ops, threads=3, **kw),
             "parallel threads=2": lambda: parallel_masked_spgemm(*ops, threads=2, **kw),
             "parallel threads=1": lambda: parallel_masked_spgemm(*ops, threads=1, **kw),
+            "parallel threads=2, serial": lambda: parallel_masked_spgemm(
+                *ops, threads=2, backend="serial", **kw),
             "execute(serial plan)": lambda: execute(serial_plan, *ops, **kw),
             "execute(serial plan, thread)": lambda: execute(
                 serial_plan, *ops, backend="thread", **kw),
             "execute(serial plan, serial)": lambda: execute(
                 serial_plan, *ops, backend="serial", **kw),
+            "execute(threads=3 plan, thread)": lambda: execute(
+                three_plan, *ops, backend="thread", **kw),
+            "execute(threads=3 plan, serial)": lambda: execute(
+                three_plan, *ops, backend="serial", **kw),
         }
         got = {}
         for name, call in calls.items():
@@ -282,9 +292,26 @@ class TestThreads:
         assert got == {
             "forced": every, "default": every, "serial": 1, "thread": every,
             "threads=3": 3, "parallel threads=2": 2, "parallel threads=1": 1,
-            "execute(serial plan)": 1, "execute(serial plan, thread)": every,
-            "execute(serial plan, serial)": 1,
+            "parallel threads=2, serial": 1,
+            "execute(serial plan)": 1, "execute(serial plan, thread)": 1,
+            "execute(serial plan, serial)": 1, "execute(threads=3 plan, thread)": 3,
+            "execute(threads=3 plan, serial)": 1,
         }
+        # a paper machine's plan: its worker count is the preset's, not this
+        # host's, so it never reaches the row loop as is
+        preset = Planner("haswell")
+        for name, pl, want in (
+            ("preset serial", preset.plan(*ops, algo="msa", backend="serial"), 1),
+            ("preset thread", preset.plan(*ops, algo="msa", threads=8, backend="thread"),
+             min(8, kernel_threads(low, low))),
+        ):
+            assert pl.threads > 1, name
+            seen.clear()
+            execute(pl, *ops, **kw)
+            assert seen == [want], name
+        seen.clear()
+        masked_spgemm(*ops, algo="msa", machine="haswell", backend="serial", **kw)
+        assert seen == [1]
         monkeypatch.setattr(native, "PARALLEL_WORK", 1 << 62)
         seen.clear()
         masked_spgemm(*ops, algo="msa", **kw)
@@ -308,7 +335,9 @@ class TestThreads:
         hang.  Pool workers run every item on one thread, and a caller's own
         forked child that passes ``backend="serial"`` stays on one thread
         through triangle counting's prepare and product — and through a
-        serial plan it executes — so this returns."""
+        serial plan it executes, a modeled preset's serial plan of several
+        workers and ``parallel_masked_spgemm(threads=2, backend="serial")``
+        — so this returns."""
         code = (
             "import os\n"
             "from repro import engine\n"
@@ -316,7 +345,7 @@ class TestThreads:
             "from repro.core import masked_spgemm\n"
             "from repro.core.leaf import run_kernel\n"
             "from repro.graphs import lower_by_degree, rmat\n"
-            "from repro.parallel import shutdown_pool\n"
+            "from repro.parallel import parallel_masked_spgemm, shutdown_pool\n"
             "from repro.semiring import PLUS_PAIR\n"
             "low = lower_by_degree(rmat(12, seed=3))\n"
             "kw = dict(algo='msa', semiring=PLUS_PAIR)\n"
@@ -336,12 +365,19 @@ class TestThreads:
             "low = lower_by_degree(g)\n"
             "want = run_kernel(low, low, low, nthreads=2, **kw)\n"
             "pl = engine.plan(low, low, low, algo='msa', backend='serial')\n"
-            "pid = os.fork()\n"
-            "if pid == 0:\n"
-            "    c = engine.execute(pl, low, low, low, semiring=PLUS_PAIR)\n"
-            "    os._exit(0 if all(getattr(c, f).tobytes() == getattr(want, f).tobytes()\n"
-            "                      for f in fields) else 4)\n"
-            "assert os.waitpid(pid, 0)[1] == 0\n"
+            "preset = engine.Planner('haswell').plan(low, low, low, algo='msa', backend='serial')\n"
+            "assert preset.threads > 1\n"
+            "calls = (lambda: engine.execute(pl, low, low, low, semiring=PLUS_PAIR),\n"
+            "         lambda: engine.execute(preset, low, low, low, semiring=PLUS_PAIR),\n"
+            "         lambda: parallel_masked_spgemm(low, low, low, threads=2, backend='serial',\n"
+            "                                        **kw))\n"
+            "for call in calls:\n"
+            "    pid = os.fork()\n"
+            "    if pid == 0:\n"
+            "        c = call()\n"
+            "        os._exit(0 if all(getattr(c, f).tobytes() == getattr(want, f).tobytes()\n"
+            "                          for f in fields) else 4)\n"
+            "    assert os.waitpid(pid, 0)[1] == 0\n"
             "print('ok')\n"
         )
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
