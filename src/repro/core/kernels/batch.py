@@ -1,4 +1,4 @@
-"""The one push (Gustavson) row loop of the NumPy tier, its chunkers and its
+"""The one push (Gustavson) row loop of the NumPy tier, its chunker and its
 three accumulator strategies.
 
 The paper's Section 5 is *one* row-by-row loop behind a three-call
@@ -6,10 +6,8 @@ accumulator interface (set-allowed / insert / remove); MSA, MCA, Hash and —
 as an extension — ESC differ only in the accumulator.  :func:`push_product`
 is that loop, over row *chunks* so that every step is a whole-array pass:
 
-1. sort the operands and make chunks — ``batch=`` selects contiguous
-   flop-budget row blocks (:func:`row_blocks`, ``"perrow"``) or Nagasaka et
-   al.'s row-size-class batching (:func:`bucket_batches`, ``"bucket"``),
-   ``"auto"`` buckets at/above a flop crossover (:func:`resolve_tier`);
+1. sort the operands and cut contiguous flop-budget row blocks
+   (:func:`row_blocks`);
 2. expand the chunk's products *keys-only* (:func:`expand_keys`);
 3. the strategy — :class:`DenseRank`, :class:`SortedRank` or
    :class:`SortCompress` — picks the products that survive the mask, and
@@ -23,40 +21,31 @@ The frame knows no algorithm — budgets, strategy and charges arrive from the `
 
 Equivalence contract (``tests/test_batch.py``, ``tests/test_kernels.py``,
 ``docs/kernels.md``): every output row is produced by exactly one chunk with
-its products in expansion order, so values do not depend on the chunker;
+its products in expansion order, so values do not depend on the budgets;
 every charged quantity is a per-row sum, so ``OpCounter`` totals do not
-either (Hash's probe accounting is per block: it always takes the contiguous
-blocks).  The two rank strategies add a cell's products one at a time in
-that order — same bytes, and ``native.c``'s — where :class:`SortCompress`
-sums pairwise.
+either (Hash's probe counts aside: one table per block).  The two rank
+strategies add a cell's products one at a time in that order — same bytes,
+and ``native.c``'s — where :class:`SortCompress` sums pairwise.
 """
 
 from __future__ import annotations
 
 from contextlib import ExitStack
-from typing import Callable, Dict, Iterator, Optional, Tuple
+from typing import Callable, Iterator, Optional, Tuple
 
 import numpy as np
 
 from ...machine import OpCounter
 from ...machine.traffic import flops_per_row as per_row_flops
-from ...observe import tracer as _obs
 from ...semiring import PLUS_PAIR, PLUS_TIMES, Semiring
 from ...sparse import CSR
 from ...sparse.csr import rows_entries
 from .arena import get_arena
 
 __all__ = [
-    "BATCH_TIERS",
-    "BATCHABLE_ALGOS",
-    "DEFAULT_BATCH_CROSSOVER_FLOPS",
     "per_row_flops",
-    "resolve_tier",
     "plan_flop_blocks",
     "row_blocks",
-    "bucket_ids",
-    "bucket_census",
-    "bucket_batches",
     "rows_entries",
     "expand_keys",
     "product_values",
@@ -67,42 +56,6 @@ __all__ = [
     "SortCompress",
     "push_product",
 ]
-
-#: accepted values of the ``batch`` knob
-BATCH_TIERS = ("auto", "bucket", "perrow")
-
-#: fast kernels taking ``batch=`` (inner pulls; mca keeps hash's blocks)
-BATCHABLE_ALGOS = frozenset({"msa", "hash", "esc"})
-
-#: ``batch="auto"`` feeds the push loop row-size-class chunks instead of
-#: contiguous row blocks at/above this many upper-bound flops (per call
-#: here, per row band in the planner); below it the fixed bucketing
-#: overhead (argsort, chunk bookkeeping) outweighs what same-size chunks
-#: save.  Values and counters do not depend on the chunker, so this is
-#: purely a performance crossover — it sits above the CI-sized graphs and
-#: below the Fig. 10/11 R-MAT scaling cases.
-DEFAULT_BATCH_CROSSOVER_FLOPS = 1 << 18
-
-
-def resolve_tier(
-    a: CSR,
-    b: CSR,
-    batch: str,
-    *,
-    crossover: int = DEFAULT_BATCH_CROSSOVER_FLOPS,
-    per_row: Optional[np.ndarray] = None,
-) -> str:
-    """Resolve the ``batch`` knob: ``"auto"`` buckets exactly when the
-    call's total upper-bound flops reach ``crossover`` — below it the fixed
-    bucketing overhead (argsort, chunk bookkeeping) is not amortised."""
-    if batch not in BATCH_TIERS:
-        raise ValueError(f"batch must be one of {BATCH_TIERS}, got {batch!r}")
-    if batch != "auto":
-        return batch
-    if per_row is None:
-        per_row = per_row_flops(a, b)
-    return "bucket" if int(per_row.sum()) >= int(crossover) else "perrow"
-
 
 def plan_flop_blocks(
     per_row: np.ndarray, flop_budget: int
@@ -131,64 +84,13 @@ def plan_flop_blocks(
 
 def row_blocks(
     per_row: np.ndarray, flop_budget: int, max_width: Optional[int] = None
-) -> Iterator[Tuple[None, np.ndarray]]:
-    """:func:`plan_flop_blocks` as ``(None, rows)`` chunks — no bucket id —
+) -> Iterator[np.ndarray]:
+    """The push frame's chunks: :func:`plan_flop_blocks` as row-id arrays,
     each split to at most ``max_width`` rows when a cap is given."""
     for lo, hi in plan_flop_blocks(per_row, flop_budget):
         width = max_width or hi - lo
         for sub in range(lo, hi, width):
-            yield None, np.arange(sub, min(hi, sub + width), dtype=np.int64)
-
-
-def bucket_ids(per_row: np.ndarray) -> np.ndarray:
-    """Power-of-two size class per row: ``bit_length`` of the row's flops
-    (0 for zero-product rows; exact for counts below 2**53)."""
-    return np.frexp(per_row.astype(np.float64))[1].astype(np.int64)
-
-
-def bucket_census(per_row: np.ndarray) -> Dict[int, int]:
-    """``{bucket_id: nrows}`` over the non-empty buckets (ascending)."""
-    ids = bucket_ids(per_row)
-    if ids.size == 0:
-        return {}
-    counts = np.bincount(ids)
-    return {int(b): int(counts[b]) for b in np.flatnonzero(counts)}
-
-
-def bucket_batches(
-    per_row: np.ndarray,
-    flop_budget: int,
-    *,
-    width_cap: Optional[int] = None,
-    include_empty: bool = True,
-) -> Iterator[Tuple[int, np.ndarray]]:
-    """Yield ``(bucket_id, rows)`` chunks of same-size-class rows.
-
-    Rows are ascending within each bucket and each row appears in exactly
-    one chunk (the decomposition invariant the counter equality rests on).
-    A chunk's expansion stays within ``flop_budget`` (rows of bucket ``b``
-    expand to < ``2**b`` products each) and it has at most ``width_cap``
-    rows.  ``include_empty=False`` drops bucket 0 (zero-product rows).
-    """
-    ids = bucket_ids(per_row)
-    if ids.size == 0:
-        return
-    order = np.argsort(ids, kind="stable")  # row order preserved per bucket
-    sorted_ids = ids[order]
-    boundaries = np.flatnonzero(np.diff(sorted_ids)) + 1
-    starts = np.concatenate(([0], boundaries))
-    stops = np.concatenate((boundaries, [sorted_ids.size]))
-    for s, e in zip(starts, stops):
-        b = int(sorted_ids[s])
-        if b == 0 and not include_empty:
-            continue
-        rows = order[s:e]
-        chunk = max(1, int(flop_budget) >> min(b, 62)) if b else rows.size
-        if width_cap is not None:
-            chunk = min(chunk, int(width_cap))
-        chunk = max(1, chunk)
-        for lo in range(0, rows.size, chunk):
-            yield b, rows[lo : lo + chunk]
+            yield np.arange(sub, min(hi, sub + width), dtype=np.int64)
 
 
 def expand_keys(
@@ -308,14 +210,13 @@ class Chunk:
     Keys are chunk-local, ``local_row * ncols + col`` with ``local_row`` the
     row's position in ``rows``: ``m_keys`` (with ``m_local`` / ``m_cols``,
     ``nm`` of them) are the mask entries in CSR order — strictly ascending —
-    and ``p_keys`` the ``products`` in expansion order.  ``bucket`` is the
-    size class, ``None`` for a contiguous block.  The frame adds ``out``
-    (the chunk's output entries).
+    and ``p_keys`` the ``products`` in expansion order.  The frame adds
+    ``out`` (the chunk's output entries).
     """
 
-    def __init__(self, bucket, rows, ncols, complement, semiring, m_local, m_cols,
+    def __init__(self, rows, ncols, complement, semiring, m_local, m_cols,
                  m_keys, p_keys, expansion):
-        self.bucket, self.rows, self.ncols = bucket, rows, ncols
+        self.rows, self.ncols = rows, ncols
         self.complement, self.semiring = complement, semiring
         self.m_local, self.m_cols, self.m_keys, self.p_keys = m_local, m_cols, m_keys, p_keys
         self.nm, self.products = int(m_keys.shape[0]), int(p_keys.shape[0])
@@ -481,36 +382,24 @@ def push_product(
     counter: Optional[OpCounter] = None,
     flop_budget: int,
     dense_budget: Optional[int] = None,
-    batch: str = "auto",
     row_nnz: Optional[np.ndarray] = None,
     charge: Optional[Callable] = None,
     count_only: bool = False,
 ):
     """``M .* (A @ B)`` (``!M`` with ``complement``) through ``strategy`` —
-    see the module docs.  Chunks expand to at most ``flop_budget`` products
-    (a single larger row gets its own) and address at most ``dense_budget``
-    cells of the chunk's ``rows x ncols`` dense range (at least one row).
-    ``charge(counter, chunk)`` runs per chunk when a counter is there.
-    Returns the CSR, or with
-    ``count_only`` (no multiply, no value accumulation) each row's output
-    size."""
+    see the module docs.  Chunks are :func:`row_blocks`: they expand to at
+    most ``flop_budget`` products (a single larger row gets its own) and
+    address at most ``dense_budget`` cells of the chunk's ``rows x ncols``
+    dense range (at least one row).  ``charge(counter, chunk)`` runs per
+    chunk when a counter is there.  Returns the CSR, or with ``count_only``
+    (no multiply, no value accumulation) each row's output size."""
     a = a.sort_indices()
     b = b.sort_indices()
     mask = mask.sort_indices()
     n = b.ncols
     nn = np.int64(n)
     max_width = None if dense_budget is None else max(1, dense_budget // max(1, n))
-    per_row = per_row_flops(a, b)
-    tier = resolve_tier(a, b, batch, per_row=per_row)
-    # a kernel's span shows what "auto" became and, nested, its bucket
-    # chunks; the count-only pass is no kernel and leaves no trace
-    tr = None if count_only else _obs.current()
-    if tr is not None and tier != batch:
-        _obs.annotate(batch=tier)
-    if tier == "bucket":
-        chunks = bucket_batches(per_row, flop_budget, width_cap=max_width)
-    else:
-        chunks = row_blocks(per_row, flop_budget, max_width)
+    chunks = row_blocks(per_row_flops(a, b), flop_budget, max_width)
     slab = FusedSlab((a.nrows, n), row_nnz) if row_nnz is not None else None
     counts_of = np.zeros(a.nrows, dtype=np.int64)
     finished = []  # 1P: (rows, counts, cols, vals) per chunk, placed at the end
@@ -520,30 +409,26 @@ def push_product(
     with ExitStack() as stack:
         arena = get_arena()
         leases = [stack.enter_context(arena.lease(*spec)) for spec in strategy.leases]
-        for bucket, rows in chunks:
-            with _obs.NULL_SPAN if tr is None or bucket is None else tr.span(
-                "kernel.bucket",
-                {"bucket": bucket, "rows": int(rows.size), "flops": int(per_row[rows].sum())},
-            ):
-                m_pos, m_local = rows_entries(mask.indptr, rows)
-                m_cols = mask.indices.take(m_pos)
-                p_keys, p_bpos, a_pos, ends = expand_keys(
-                    a, b, rows, np.arange(rows.size, dtype=np.int64)
-                )
-                ch = Chunk(bucket, rows, n, complement, semiring, m_local, m_cols,
-                           m_local * nn + m_cols, p_keys,
-                           None if count_only else (a, b, a_pos, ends, p_bpos))
-                local, cols, vals = strategy(ch, *leases)
-                counts = np.bincount(local, minlength=rows.size)
-                ch.out = int(cols.shape[0])
-                if counter is not None and charge is not None:
-                    charge(counter, ch)
-                if slab is not None:
-                    slab.write_rows(rows, counts, cols, vals)
-                else:
-                    counts_of[rows] = counts
-                    if not count_only:
-                        finished.append((rows, counts, cols, vals))
+        for rows in chunks:
+            m_pos, m_local = rows_entries(mask.indptr, rows)
+            m_cols = mask.indices.take(m_pos)
+            p_keys, p_bpos, a_pos, ends = expand_keys(
+                a, b, rows, np.arange(rows.size, dtype=np.int64)
+            )
+            ch = Chunk(rows, n, complement, semiring, m_local, m_cols,
+                       m_local * nn + m_cols, p_keys,
+                       None if count_only else (a, b, a_pos, ends, p_bpos))
+            local, cols, vals = strategy(ch, *leases)
+            counts = np.bincount(local, minlength=rows.size)
+            ch.out = int(cols.shape[0])
+            if counter is not None and charge is not None:
+                charge(counter, ch)
+            if slab is not None:
+                slab.write_rows(rows, counts, cols, vals)
+            else:
+                counts_of[rows] = counts
+                if not count_only:
+                    finished.append((rows, counts, cols, vals))
 
     if count_only:
         return counts_of

@@ -18,8 +18,9 @@ work-saving the accumulator schemes get, obtained with sorting machinery.
 Complement support is natural (flip the membership test).
 
 The steps are the push frame's (:mod:`repro.core.kernels.batch`) over
-:class:`~.batch.SortCompress`; every value is the same under either
-``batch=`` chunker.
+:class:`~.batch.SortCompress`, on blocks of at most ``FINE_FLOP_BUDGET``
+products: nothing of ESC's observes where a block ends, and cache-sized
+sorts are faster (``docs/kernels.md``).
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from ...machine import OpCounter
 from ...observe.tracer import traced_kernel
 from ...semiring import PLUS_TIMES, Semiring
 from ...sparse import CSR
-from .expand import DEFAULT_FLOP_BUDGET, FINE_FLOP_BUDGET
+from .expand import FINE_FLOP_BUDGET
 from .batch import Chunk, SortCompress, push_product
 
 __all__ = ["masked_spgemm_esc_fast"]
@@ -47,24 +48,18 @@ def masked_spgemm_esc_fast(
     complement: bool = False,
     semiring: Semiring = PLUS_TIMES,
     counter: Optional[OpCounter] = None,
-    flop_budget: int = DEFAULT_FLOP_BUDGET,
-    batch: str = "auto",
+    flop_budget: int = FINE_FLOP_BUDGET,
     row_nnz: Optional[np.ndarray] = None,
 ) -> CSR:
     """Vectorized masked Expand-Sort-Compress (see module docs).
 
-    ``batch`` selects the chunker (``"auto"`` | ``"bucket"`` | ``"perrow"``;
-    forced contiguous blocks hold at most ``FINE_FLOP_BUDGET`` of the
-    ``flop_budget`` products); ``row_nnz`` optionally carries the exact
-    two-phase symbolic bound, so finished rows are written straight into
-    the final CSR arrays and checked against it.
+    ``row_nnz`` optionally carries the exact two-phase symbolic bound, so
+    finished rows are written straight into the final CSR arrays and
+    checked against it.
     """
-    if batch == "perrow":  # "auto" takes blocks only below the crossover
-        flop_budget = min(flop_budget, FINE_FLOP_BUDGET)
     return push_product(
         a, b, mask, SortCompress(), complement=complement, semiring=semiring,
-        counter=counter, flop_budget=flop_budget, batch=batch, row_nnz=row_nnz,
-        charge=_charge,
+        counter=counter, flop_budget=flop_budget, row_nnz=row_nnz, charge=_charge,
     )
 
 

@@ -18,10 +18,9 @@ batched probe rounds (each round advances only the still-colliding lanes, so
 the number of rounds equals the longest chain) and every product lookup's
 chain length is reconstructed *arithmetically* (:func:`_lookup_chains`) —
 exactly; :meth:`VectorHashTable.lookup` is the per-key walk it is tested
-against.  The table's geometry, and so its probe accounting, is per block:
-the blocks are the same under every ``batch=`` spelling.  With nobody asking
-no table is built and the blocks are capped at ``FINE_FLOP_BUDGET`` products
-— same bytes, and a counted call (what every ``OpCounter``-carrying timing of
+against.  The table's geometry, and so its probe accounting, is per block.
+With nobody asking no table is built and the blocks are capped at
+``FINE_FLOP_BUDGET`` products — same bytes, and a counted call (what every ``OpCounter``-carrying timing of
 this kernel measures) is 1.7-2.5x slower: ``docs/kernels.md``.
 """
 
@@ -36,7 +35,7 @@ from ...observe.tracer import traced_kernel
 from ...semiring import PLUS_TIMES, Semiring
 from ...sparse import CSR
 from .arena import get_arena
-from .batch import BATCH_TIERS, Chunk, SortCompress, SortedRank, push_product
+from .batch import Chunk, SortCompress, SortedRank, push_product
 from .expand import DEFAULT_FLOP_BUDGET, FINE_FLOP_BUDGET
 
 __all__ = ["masked_spgemm_hash_fast", "VectorHashTable"]
@@ -146,20 +145,16 @@ def masked_spgemm_hash_fast(
     semiring: Semiring = PLUS_TIMES,
     counter: Optional[OpCounter] = None,
     flop_budget: int = DEFAULT_FLOP_BUDGET,
-    batch: str = "auto",
     row_nnz: Optional[np.ndarray] = None,
 ) -> CSR:
     """Vectorized Hash masked SpGEMM (see module docs).
 
-    ``batch`` is validated and otherwise a no-op (the blocks are contiguous
-    under every spelling, of at most ``flop_budget`` products — and at most
-    ``FINE_FLOP_BUDGET`` when no table is built, see the module docs);
+    Blocks hold at most ``flop_budget`` products — and at most
+    ``FINE_FLOP_BUDGET`` when no table is built, see the module docs;
     ``row_nnz`` optionally carries the exact two-phase symbolic bound, so
     finished rows are written straight into the final CSR arrays and
     checked against it.
     """
-    if batch not in BATCH_TIERS:
-        raise ValueError(f"batch must be one of {BATCH_TIERS}, got {batch!r}")
 
     def certify(ch: Chunk, pos, found) -> None:
         # the table hashes the flat output position; blocks are contiguous,
@@ -185,7 +180,7 @@ def masked_spgemm_hash_fast(
             a, b, mask,
             SortCompress(on_lookup) if complement else SortedRank("hash", semiring, on_lookup),
             complement=complement, semiring=semiring, counter=counter,
-            flop_budget=flop_budget, batch="perrow", row_nnz=row_nnz,
+            flop_budget=flop_budget, row_nnz=row_nnz,
             charge=_charge,
         )
 

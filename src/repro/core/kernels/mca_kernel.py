@@ -43,7 +43,7 @@ def masked_spgemm_mca_fast(
     return push_product(
         a, b, mask, SortedRank("mca", semiring), complement=False,
         semiring=semiring, counter=counter, flop_budget=flop_budget,
-        batch="perrow", charge=_charge,
+        charge=_charge,
     )
 
 

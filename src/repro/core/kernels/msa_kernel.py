@@ -106,15 +106,12 @@ def masked_spgemm_msa_fast(
     counter: Optional[OpCounter] = None,
     flop_budget: int = MSA_FLOP_BUDGET,
     dense_budget: int = MSA_DENSE_BUDGET,
-    batch: str = "auto",
     row_nnz: Optional[np.ndarray] = None,
     nthreads: int = 1,
 ) -> CSR:
     """Vectorized MSA masked SpGEMM (see module docs).
 
-    ``batch`` selects the chunking tier (``"auto"`` | ``"bucket"`` |
-    ``"perrow"``); ``row_nnz`` optionally carries the exact two-phase
-    symbolic bound, so finished rows are written straight into the final
+    ``row_nnz`` optionally carries the exact two-phase symbolic bound, so finished rows are written straight into the final
     CSR arrays and checked against it.  ``nthreads``: threads of the native
     plain-mask loop (the same bytes and counters at any count).
     """
@@ -128,7 +125,7 @@ def masked_spgemm_msa_fast(
     return push_product(
         a, b, mask, DenseRank(), complement=complement, semiring=semiring,
         counter=counter, flop_budget=flop_budget, dense_budget=dense_budget,
-        batch=batch, row_nnz=row_nnz, charge=_charge,
+        row_nnz=row_nnz, charge=_charge,
     )
 
 

@@ -20,7 +20,6 @@ from ..observe import tracer as _obs
 from ..semiring import PLUS_TIMES, Semiring
 from ..sparse import CSC, CSR
 from .kernels import native
-from .kernels.batch import BATCHABLE_ALGOS
 from .kernels.esc_kernel import masked_spgemm_esc_fast
 from .kernels.hash_kernel import masked_spgemm_hash_fast
 from .kernels.inner_kernel import masked_spgemm_inner_fast
@@ -101,7 +100,6 @@ def run_kernel(
     impl: str = "auto",
     counter: Optional[OpCounter] = None,
     b_csc: Optional[CSC] = None,
-    batch: str = "auto",
     nthreads: int = 1,
 ) -> CSR:
     """Run ``algo`` (a key of :data:`ALL_ALGOS`) on operands the caller
@@ -116,10 +114,6 @@ def run_kernel(
             f"{ALGO_LABELS[algo]} has no vectorized fast path; use impl='auto' "
             "or impl='reference'"
         )
-    # the chunked kernels take batch= and, under 2P, fuse the symbolic bound
-    # into output formation: the final CSR slab is allocated from row_nnz
-    # and finished rows are written in place
-    chunked = use_fast and algo in BATCHABLE_ALGOS
 
     # 1P: the kernels size their scratch from the mask bound themselves
     row_nnz = None
@@ -144,10 +138,11 @@ def run_kernel(
             kwargs["b_csc"] = b_csc
         if algo in _THREADED:
             kwargs["nthreads"] = nthreads
-        if chunked:
-            kwargs["batch"] = batch
-            if row_nnz is not None:
-                kwargs["row_nnz"] = row_nnz
+        if row_nnz is not None and algo in ("msa", "hash", "esc"):
+            # under 2P these fuse the symbolic bound into output formation:
+            # the final CSR slab is allocated from row_nnz and finished
+            # rows are written in place
+            kwargs["row_nnz"] = row_nnz
         c = _FAST[algo](a, b, mask, **kwargs)
     else:
         tr = _obs.current()

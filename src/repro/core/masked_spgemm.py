@@ -53,7 +53,6 @@ from typing import Optional
 from ..machine import HASWELL, MachineConfig, OpCounter
 from ..semiring import PLUS_TIMES, Semiring
 from ..sparse import CSC, CSR
-from .kernels.batch import BATCH_TIERS
 from .leaf import (
     ALGO_LABELS,
     ALGOS,
@@ -80,11 +79,9 @@ __all__ = [
 ]
 
 
-def _check_spellings(algo: str, phases, impl: str, batch: str, backend=None) -> str:
+def _check_spellings(algo: str, phases, impl: str, backend=None) -> str:
     """Every front door's option-spelling checks; the algorithm key."""
     key = algo.lower()
-    if batch not in BATCH_TIERS:
-        raise ValueError(f"batch must be one of {BATCH_TIERS}, got {batch!r}")
     if key != "auto" and key not in ALL_ALGOS:
         raise ValueError(
             f"unknown algorithm {algo!r}; expected one of "
@@ -101,18 +98,17 @@ def _check_spellings(algo: str, phases, impl: str, batch: str, backend=None) -> 
     return key
 
 
-def _planned(a, b, mask, *, algo, phases, impl, batch="auto", **call) -> CSR:
+def _planned(a, b, mask, *, algo, phases, impl, **call) -> CSR:
     """The internal call every front door is a spelling of: spellings
     checked, then :func:`repro.engine.plan_and_execute` (shape checks,
     machine, plan, work items) with the door's forced plan
     knobs among ``call``."""
-    key = _check_spellings(algo, phases, impl, batch, call.get("backend"))
+    key = _check_spellings(algo, phases, impl, call.get("backend"))
     from ..engine.executor import plan_and_execute
 
     return plan_and_execute(
         a, b, mask,
-        algo=None if key == "auto" else key, phases=phases, impl=impl,
-        batch=None if batch == "auto" else batch, **call,
+        algo=None if key == "auto" else key, phases=phases, impl=impl, **call,
     )
 
 
@@ -194,17 +190,10 @@ def masked_spgemm(
         which runs one work item per grid cell and drops cells whose mask
         cell is empty; results are bit-for-bit identical to the plain call.
     batch:
-        How the NumPy tier's push loop chunks rows (see
-        ``docs/kernels.md``): ``"bucket"`` — power-of-two size classes of
-        the rows' upper-bound flops — or ``"perrow"`` — contiguous
-        flop-budget row blocks; ``"auto"`` (default) buckets when the
-        call's upper-bound flops reach the crossover (``1 << 18``).  With
-        ``algo="auto"`` it is decided per row band: by the planner on a
-        parallel or preset plan, by the kernel where the chunks are made
-        on a serial host plan (whose bands are whole kernel calls); a
-        forced value applies to every band.  Values and counters are bit-for-bit the
-        same either way.  It selects for ``msa`` and ``esc``; it is a
-        no-op for ``hash``, the native loops and every other algorithm.
+        ``"auto"``, ``"perrow"`` or ``"bucket"``: accepted for the
+        benchmark ladder's ``core.*_{perrow,bucket}_s`` rungs only, and
+        selects nothing — the NumPy tier's push loop has one chunker
+        (``docs/kernels.md``).  Any other value raises ``ValueError``.
     session:
         Optional :class:`repro.engine.ExecutionSession`: the process
         backend's shm segment registry, which keeps the segments one call
@@ -215,6 +204,10 @@ def masked_spgemm(
     """
     if orientation not in ("row", "column"):
         raise ValueError("orientation must be 'row' or 'column'")
+    if batch not in ("auto", "bucket", "perrow"):
+        raise ValueError(
+            f"batch must be one of ('auto', 'bucket', 'perrow'), got {batch!r}"
+        )
     column = orientation == "column"
     if column:
         # column-by-column is the row algorithm on (B^T A^T)^T: operands and
@@ -230,15 +223,14 @@ def masked_spgemm(
         # the dispatch, backend= picks its threads or pool workers)
         c = _planned(
             a, b, mask,
-            algo=algo, phases=phases, impl=impl, batch=batch,
+            algo=algo, phases=phases, impl=impl,
             complement=complement, semiring=semiring, counter=counter,
             b_csc=b_csc, machine=machine, backend=backend, shards=shards,
             session=session,
         )
     else:
         # a forced algorithm with no grid or backend has nothing to plan
-        # (batch="auto" is resolved where the chunks are made)
-        key = _check_spellings(algo, phases, impl, batch)
+        key = _check_spellings(algo, phases, impl)
         check_operands(a, b, mask)
         if complement and not supports_complement(key):
             raise ValueError(f"{ALGO_LABELS[key]} does not support complemented masks")
@@ -246,7 +238,7 @@ def masked_spgemm(
             a, b, mask,
             algo=key, phases=1 if phases is None else phases,
             complement=complement, semiring=semiring, impl=impl,
-            counter=counter, b_csc=b_csc, batch=batch, nthreads=kernel_threads(a, b),
+            counter=counter, b_csc=b_csc, nthreads=kernel_threads(a, b),
         )
     return c.transpose() if column else c
 
@@ -333,7 +325,6 @@ def parallel_masked_spgemm(
     impl: str = "auto",
     backend: str = "thread",
     counter: Optional[OpCounter] = None,
-    batch: Optional[str] = None,
 ) -> CSR:
     """Masked SpGEMM with row-parallel execution — the paper's row
     parallelism (within-row parallelism is deliberately absent, as in the
@@ -349,9 +340,6 @@ def parallel_masked_spgemm(
     the process backend cuts its parts.  ``algo="auto"`` lets the
     cost-model planner choose the algorithm (the count and partition stay
     as forced here).
-    ``batch`` forces the kernels' batching tier (``"bucket"`` /
-    ``"perrow"``, see ``docs/kernels.md``); ``None`` lets the flop
-    crossover decide per band.
 
     ``threads`` must be ``>= 1``; ``threads=1`` always takes the serial
     path directly — one thread, no pool.
@@ -370,7 +358,7 @@ def parallel_masked_spgemm(
         forced_backend = "serial"  # never build a pool for one worker
     return _planned(
         a, b, mask,
-        algo=algo, phases=phases, impl=impl, batch="auto" if batch is None else batch,
+        algo=algo, phases=phases, impl=impl,
         complement=complement, semiring=semiring, counter=counter,
         threads=min(threads, max(1, a.nrows)), partition=partition,
         backend=forced_backend,

@@ -267,8 +267,7 @@ def _execute(plan, a, b, mask, *, semiring, impl, counter, b_csc, session) -> CS
             "engine.band",
             {"band": i, "algo": band.algo, "rows": band.nrows,
              "reason": band.reason, "est_cycles": band.est_cycles,
-             "est_bytes": band.est_bytes, "batch": band.batch,
-             "buckets": dict(band.buckets), "backend": backend,
+             "est_bytes": band.est_bytes, "backend": backend,
              "phases": plan.phases},
             counter=counter,
         )
@@ -286,7 +285,7 @@ def _execute(plan, a, b, mask, *, semiring, impl, counter, b_csc, session) -> CS
                     a, b, mask,
                     algo=first.algo, phases=plan.phases,
                     complement=plan.complement, semiring=semiring, impl=impl,
-                    counter=counter, b_csc=b_csc, batch=first.batch,
+                    counter=counter, b_csc=b_csc,
                     nthreads=min(nthreads, a.nrows),
                 )
 
@@ -370,7 +369,6 @@ def _execute(plan, a, b, mask, *, semiring, impl, counter, b_csc, session) -> CS
                         complement=plan.complement,
                         impl=impl,
                         semiring=token if remote else semiring,
-                        batch=band.batch,
                         cell=(i, part, k),
                         backend=run_on,
                         est_cycles=band.est_cycles * weight / total,

@@ -40,8 +40,6 @@ _KNOWN_ALGOS = ("inner", "msa", "hash", "mca", "heap", "heapdot", "esc")
 _NO_COMPLEMENT = frozenset({"inner", "mca"})
 #: how a multi-worker plan cuts a band's rows into parts
 PARTITIONS = ("block", "cyclic", "balanced")
-#: batch tiers a band may carry (kept in sync with repro.core.kernels.batch)
-_KNOWN_BATCH = ("auto", "bucket", "perrow")
 
 
 @dataclass
@@ -57,14 +55,6 @@ class RowBand:
     #: modeled memory traffic for this band in bytes (0 if not modeled);
     #: the prediction ledger pairs it with the measured counters
     est_bytes: float = 0.0
-    #: batching tier the band's kernel runs ("auto" | "bucket" | "perrow");
-    #: planner-resolved against ``DEFAULT_BATCH_CROSSOVER_FLOPS`` for
-    #: batchable algorithms, "perrow" for the rest
-    batch: str = "auto"
-    #: flops-size-class census of the band's rows ({bucket_id: nrows},
-    #: bucket = bit_length of the row's upper-bound flops); informational,
-    #: rendered by explain()/as_dict()
-    buckets: Dict[int, int] = field(default_factory=dict)
 
     @property
     def nrows(self) -> int:
@@ -229,11 +219,6 @@ class ExecutionPlan:
         for band in self.bands:
             if band.algo not in _KNOWN_ALGOS:
                 raise ValueError(f"plan references unknown algorithm {band.algo!r}")
-            if band.batch not in _KNOWN_BATCH:
-                raise ValueError(
-                    f"plan references unknown batch tier {band.batch!r}; "
-                    f"expected one of {_KNOWN_BATCH}"
-                )
             if self.complement and band.algo in _NO_COMPLEMENT:
                 raise ValueError(
                     f"plan routes a complemented mask to {band.algo!r}, "
@@ -273,8 +258,6 @@ class ExecutionPlan:
                     "reason": band.reason,
                     "est_cycles": band.est_cycles,
                     "est_bytes": band.est_bytes,
-                    "batch": band.batch,
-                    "buckets": {int(k): int(v) for k, v in band.buckets.items()},
                 }
                 for band in self.bands
             ],
@@ -307,18 +290,9 @@ class ExecutionPlan:
             else:
                 cyc = f", ~{band.est_cycles:.3g} cycles"
             why = f" — {band.reason}" if band.reason else ""
-            tier = f" batch={band.batch}" if band.batch != "auto" else ""
-            census = ""
-            if band.buckets:
-                top = sorted(
-                    band.buckets.items(), key=lambda kv: kv[1], reverse=True
-                )[:4]
-                body = ", ".join(f"2^{k}: {v}" for k, v in sorted(top))
-                more = len(band.buckets) - len(top)
-                census = f" buckets{{{body}{f', +{more} more' if more > 0 else ''}}}"
             lines.append(
                 f"  band {i}: algo={band.algo:<7s} rows={band.nrows}"
-                f" ({pct:.1f}%){cyc}{tier}{census}{why}"
+                f" ({pct:.1f}%){cyc}{why}"
             )
         if self.estimates:
             ranked = sorted(self.estimates.items(), key=lambda kv: kv[1])

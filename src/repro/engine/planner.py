@@ -50,12 +50,6 @@ from typing import Dict, Optional, Sequence
 
 import numpy as np
 
-from ..core.kernels.batch import (
-    BATCH_TIERS,
-    BATCHABLE_ALGOS,
-    DEFAULT_BATCH_CROSSOVER_FLOPS,
-    bucket_census,
-)
 from ..core.leaf import (
     ALGO_LABELS,
     ALL_ALGOS,
@@ -196,7 +190,6 @@ class Planner:
         panel_width: Optional[int] = None,
         memory_budget_bytes: Optional[int] = None,
         shards=None,
-        batch: Optional[str] = None,
         _b_csc=None,
     ) -> ExecutionPlan:
         """Build a plan for ``C = M .* (A @ B)`` (``!M`` with complement).
@@ -218,16 +211,6 @@ class Planner:
         picks a panel width when B and the mask exceed it — the one budget
         rule — and otherwise the grid stays ``1 x 1``.
 
-        ``batch`` forces the fast kernels' batching tier (``"bucket"`` |
-        ``"perrow"``; ``None``/``"auto"`` decides per band against
-        ``DEFAULT_BATCH_CROSSOVER_FLOPS``).  Tiers are bit-for-bit
-        identical, so this is purely a performance choice.  A process or
-        preset plan resolves the tier and records it, with the band's
-        flops-size-class census, on each
-        :class:`~repro.engine.plan.RowBand` for ``explain()``/``as_dict()``;
-        an in-process host plan reads no per-row flops and leaves
-        ``"auto"`` to the kernel, which resolves it on the same flops.
-
         On the host the decision itself costs what it can repay: see
         :meth:`_host_plan` for the three layers.  An in-process host plan
         also skips the partition's row-work CV and the final ``validate()``
@@ -245,10 +228,6 @@ class Planner:
             raise ValueError("partition must be 'block', 'cyclic' or 'balanced'")
         if algo is not None and algo.lower() == "auto":
             algo = None
-        if batch is not None and batch not in BATCH_TIERS:
-            raise ValueError(
-                f"batch must be one of {BATCH_TIERS} or None, got {batch!r}"
-            )
 
         notes: list = []
         if backend is not None:
@@ -262,9 +241,8 @@ class Planner:
                     "core(s): in-kernel threads by the call's estimated work "
                     "(threads=, backend= force them)"
                 )
-        # per-row flops feed the batch tiers, the row partition and a
-        # preset's backend; a host plan reads them only to cut process row
-        # parts
+        # per-row flops feed the row partition and a preset's backend; a
+        # host plan reads them only to cut process row parts
         fl = (
             None if self.host and (backend != "process" or threads == 1)
             else flops_per_row(a, b)
@@ -298,7 +276,6 @@ class Planner:
                 phases if phases is not None else self._pick_phases(model, bands, notes)
             )
 
-        self._assign_batch(fl, bands, batch, notes)
         if not self.host:
             if threads is None:
                 threads = self._pick_threads(a.nrows, notes)
@@ -570,56 +547,6 @@ class Planner:
     # ------------------------------------------------------------------
     # scalar decisions
     # ------------------------------------------------------------------
-    def _assign_batch(self, per, bands, forced, notes) -> None:
-        """Resolve each band's kernel batching tier and bucket census.
-
-        Batchable algorithms (MSA/Hash/ESC fast kernels) get the bucketed
-        tier exactly when the band's upper-bound flops reach
-        ``DEFAULT_BATCH_CROSSOVER_FLOPS`` (or whatever ``batch=`` forces);
-        the rest are pinned to ``"perrow"``.  Both tiers are bit-for-bit identical,
-        so this is a pure performance decision — recorded on the band, with
-        a census note, so ``explain()`` shows what will run batched and why.
-
-        ``per`` is ``None`` on an in-process host plan: each band is one
-        kernel call over exactly its rows, and the kernel resolves ``"auto"``
-        against the same crossover on the same flops where it cuts its
-        chunks, so only a forced tier is written down.
-        """
-        if not bands:
-            return
-        if forced == "auto":
-            forced = None
-        bucketed_rows = 0
-        perrow_rows = 0
-        any_batchable = False
-        for band in bands:
-            if per is not None:
-                band.buckets = bucket_census(per[band.rows])
-            if band.algo not in BATCHABLE_ALGOS:
-                band.batch = "perrow"
-                continue
-            any_batchable = True
-            if forced is not None or per is None:
-                band.batch = forced or "auto"
-            elif int(per[band.rows].sum()) >= DEFAULT_BATCH_CROSSOVER_FLOPS:
-                band.batch = "bucket"
-            else:
-                band.batch = "perrow"
-            if band.batch == "bucket":
-                bucketed_rows += band.nrows
-            else:
-                perrow_rows += band.nrows
-        if not any_batchable:
-            return
-        if forced is not None:
-            notes.append(f"batch tier forced to {forced!r} by caller")
-        elif per is not None:
-            notes.append(
-                f"batch tiers: {bucketed_rows} rows bucketed, "
-                f"{perrow_rows} rows per-row "
-                f"(crossover {DEFAULT_BATCH_CROSSOVER_FLOPS} upper-bound flops)"
-            )
-
     def _pick_phases(self, model, bands, notes) -> int:
         totals = {1: 0.0, 2: 0.0}
         for band in bands:

@@ -38,8 +38,8 @@ __all__ = [
 #: renamed/removed or its meaning changes (additions do not bump it), so
 #: downstream consumers of archived metrics JSON can dispatch on it
 #: (2: the "shards" census key is gone; 3: the "runtime" key is gone;
-#: 4: the "probes" key is gone)
-METRICS_SCHEMA_VERSION = 4
+#: 4: the "probes" key is gone; 5: the "batch" census key is gone)
+METRICS_SCHEMA_VERSION = 5
 
 #: span-name prefixes whose counter deltas partition the counted work:
 #: every operation is charged inside exactly one of these spans, so summing
@@ -162,7 +162,6 @@ def metrics(tracer_or_spans, *, machine=None, session=None) -> dict:
         wall = max(sp.t1 for sp in spans) - min(sp.t0 for sp in spans)
     return {
         "schema_version": METRICS_SCHEMA_VERSION,
-        "batch": _batch_census(spans),
         "predictions": _predictions(spans, machine=machine),
         "span_count": len(spans),
         "process_count": len(pids),
@@ -173,45 +172,6 @@ def metrics(tracer_or_spans, *, machine=None, session=None) -> dict:
         "bytes_moved_estimate": estimated_bytes_moved(totals, machine),
         "machine": getattr(machine, "name", None),
         "session": session.stats() if session is not None else {},
-    }
-
-
-def _batch_census(spans) -> dict:
-    """Batch tier + bucket census aggregated over the run's band spans.
-
-    ``explain()`` shows the *planned* tiers; this is the executed view —
-    which bands ran bucketed vs per-row and the size-class census of the
-    bucketed ones (union over bands, rows per power-of-two bucket).
-    """
-    bands: List[dict] = []
-    buckets: Dict[int, int] = {}
-    tier_rows: Dict[str, int] = {}
-    for sp in spans:
-        if sp.name != "engine.band":
-            continue
-        a = sp.attrs
-        tier = a.get("batch", "auto")
-        rows = int(a.get("rows", 0) or 0)
-        bands.append(
-            {
-                "band": a.get("band"),
-                "algo": a.get("algo"),
-                "batch": tier,
-                "rows": rows,
-                "buckets": dict(a.get("buckets") or {}),
-            }
-        )
-        tier_rows[tier] = tier_rows.get(tier, 0) + rows
-        for bid, n in (a.get("buckets") or {}).items():
-            buckets[int(bid)] = buckets.get(int(bid), 0) + int(n)
-    chunk_count = sum(1 for sp in spans if sp.name == "kernel.bucket")
-    if not bands and not chunk_count:
-        return {}
-    return {
-        "bands": bands,
-        "rows_by_tier": tier_rows,
-        "bucket_census": {str(k): buckets[k] for k in sorted(buckets)},
-        "bucket_chunks": chunk_count,
     }
 
 

@@ -2,15 +2,14 @@
 
 The planner annotates every :class:`~repro.engine.RowBand` with the cost
 model's prediction (``est_cycles``/``est_bytes``); the executors stamp
-those predictions — apportioned per work item, per batch-bucket chunk —
-into the spans the tracer already records on all three backends (worker
-spans arrive via :meth:`~repro.observe.Tracer.ingest`, predictions
-riding in their attrs).  This module turns a finished trace into
-*prediction rows*: one ``(modeled_cycles, modeled_bytes,
-measured_seconds, counters, attrs)`` record per executed band, work
-item, batch bucket and push/pull direction decision, plus a per-kind
-misprediction summary (measured/modeled ratio, MAD of the log-ratios, a
-systematic-bias flag).
+those predictions — apportioned per work item — into the spans the tracer
+already records on all three backends (worker spans arrive via
+:meth:`~repro.observe.Tracer.ingest`, predictions riding in their attrs).
+This module turns a finished trace into *prediction rows*: one
+``(modeled_cycles, modeled_bytes, measured_seconds, counters, attrs)``
+record per executed band, work item and push/pull direction decision, plus
+a per-kind misprediction summary (measured/modeled ratio, MAD of the
+log-ratios, a systematic-bias flag).
 
 The rows and their summary are what ``metrics()["predictions"]`` exports
 and ``report()`` renders.  Nothing here runs unless a tracer was installed —
@@ -24,7 +23,7 @@ import math
 from typing import Any, Dict, List
 
 from ..machine.config import MACHINES
-from ..machine.host import HOST, HostProfile
+from ..machine.host import HOST
 
 __all__ = [
     "LEDGER_SCHEMA_VERSION",
@@ -40,21 +39,13 @@ LEDGER_SCHEMA_VERSION = 1
 #: span name → ledger row kind.  ``engine.band`` covers a plan's row
 #: bands, ``engine.cell`` the work items (band x row part x column panel)
 #: they are cut into on every backend — the plain call is a band with no
-#: item under it — ``kernel.bucket`` the batched tier's size-class chunks and
-#: ``app.bfs.level`` the per-iteration push/pull decision.
+#: item under it — and ``app.bfs.level`` the per-iteration push/pull
+#: decision.
 PREDICTION_KINDS = {
     "engine.band": "band",
     "engine.cell": "cell",
-    "kernel.bucket": "batch-bucket",
     "app.bfs.level": "spmv-direction",
 }
-
-#: coarse per-product cost (cycles/flop beyond the explicit terms) used to
-#: model a batch-bucket chunk from its upper-bound flops alone — the chunk
-#: span records flops, not a full cost-model breakdown.  Deliberately
-#: simple: the misprediction table exists to *show* how wrong this is.
-_BUCKET_FLOP_FACTOR = 3.0
-_BUCKET_ROW_FACTOR = 4.0
 
 #: median measured/modeled ratio beyond which the model is flagged as
 #: systematically biased for a row kind (2x in either direction).
@@ -86,22 +77,9 @@ def _resolve_machine(spans, machine):
     return None
 
 
-def _bucket_cycles(attrs: Dict[str, Any], m) -> float:
-    """Coarse modeled cycles for one batch-bucket chunk (0 — no prediction
-    — under the host profile, which prices whole bands, not chunks)."""
-    if isinstance(m, HostProfile):
-        return 0.0
-    flops = float(attrs.get("flops", 0) or 0)
-    rows = float(attrs.get("rows", 0) or 0)
-    return (
-        flops * (m.flop_cycles + _BUCKET_FLOP_FACTOR * m.hit_cycles)
-        + rows * _BUCKET_ROW_FACTOR * m.hit_cycles
-    )
-
-
 def prediction_rows(tracer_or_spans, *, machine=None) -> List[dict]:
-    """One prediction row per executed band / work item / batch bucket /
-    direction decision found in the trace.
+    """One prediction row per executed band / work item / direction
+    decision found in the trace.
 
     Each row carries the model's prediction next to the measurement::
 
@@ -131,10 +109,6 @@ def prediction_rows(tracer_or_spans, *, machine=None) -> List[dict]:
             key = "cell:" + (",".join(str(c) for c in cell) if cell else "?")
             cycles = float(attrs.get("est_cycles", 0.0) or 0.0)
             bytes_ = float(attrs.get("est_bytes", 0.0) or 0.0)
-        elif kind == "batch-bucket":
-            key = f"bucket:{attrs.get('bucket')}"
-            cycles = _bucket_cycles(attrs, m) if m is not None else 0.0
-            bytes_ = float(attrs.get("flops", 0) or 0) * 16.0
         else:  # spmv-direction
             key = f"level:{attrs.get('level')}"
             chosen = attrs.get("direction")
@@ -161,8 +135,7 @@ def prediction_rows(tracer_or_spans, *, machine=None) -> List[dict]:
                 for k, v in attrs.items()
                 if k
                 in (
-                    "band", "rows", "reason", "batch", "backend", "bucket",
-                    "cell", "direction", "level", "frontier_density",
+                    "band", "rows", "reason", "backend", "cell", "direction", "level", "frontier_density",
                     "decision_source",
                 )
             },

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional
 
-from .exporters import _batch_census
 from .ledger import format_predictions, predictions
 
 __all__ = ["report", "format_span_tree"]
@@ -99,23 +98,6 @@ def report(tracer, *, plan=None, session=None) -> str:
             )
             for algo, sec in sorted(plan.estimates.items(), key=lambda kv: kv[1]):
                 lines.append(f"    candidate {algo:<7s} modeled {sec * 1e3:.3f} ms")
-
-    batch = _batch_census(spans)
-    if batch:
-        lines.append("")
-        lines.append("=== batch census (executed) ===")
-        tiers = ", ".join(
-            f"{tier}:{rows}" for tier, rows in sorted(batch["rows_by_tier"].items())
-        )
-        lines.append(f"  rows by tier: {tiers or '(none)'}")
-        census = batch["bucket_census"]
-        if census:
-            top = sorted(census.items(), key=lambda kv: -kv[1])[:6]
-            rendered = " ".join(f"2^{b}:{n}" for b, n in top)
-            more = f" (+{len(census) - len(top)} more)" if len(census) > len(top) else ""
-            lines.append(f"  bucket census: {rendered}{more}")
-        if batch["bucket_chunks"]:
-            lines.append(f"  bucketed chunks executed: {batch['bucket_chunks']}")
 
     preds = predictions(spans)
     if preds["rows"]:

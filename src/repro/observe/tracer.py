@@ -388,8 +388,6 @@ def traced_kernel(algo: str) -> Callable:
                 "nnz_mask": mask.nnz,
                 "complement": bool(kwargs.get("complement", False)),
             }
-            if "batch" in kwargs:
-                attrs["batch"] = kwargs["batch"]
             with tr.span("kernel." + algo, attrs, counter=kwargs.get("counter")):
                 return fn(a, b, mask, **kwargs)
 

@@ -195,8 +195,6 @@ class Task:
     complement: bool
     impl: str
     semiring: Union[Semiring, tuple]
-    #: kernel batching tier of the item's band ("auto" | "bucket" | "perrow")
-    batch: str = "auto"
     #: span attributes: (band, row part, panel) and the item's apportioned
     #: share of the band's modeled cycles/bytes for the prediction ledger
     cell: Tuple[int, int, int] = (0, 0, 0)
@@ -255,7 +253,7 @@ def run_task(task: Task, nthreads: int = 1):
                 "engine.cell",
                 {"cell": list(task.cell), "backend": task.backend,
                  "algo": task.algo, "rows": a_s.nrows, "cols": b.ncols,
-                 "batch": task.batch, "est_cycles": task.est_cycles,
+                 "est_cycles": task.est_cycles,
                  "est_bytes": task.est_bytes},
                 counter=counter,
             )
@@ -268,7 +266,7 @@ def run_task(task: Task, nthreads: int = 1):
                 a_s, b, m_s,
                 algo=task.algo, phases=task.phases, complement=task.complement,
                 semiring=semiring, impl=task.impl, counter=counter,
-                b_csc=b_csc, batch=task.batch,
+                b_csc=b_csc,
                 nthreads=max(1, min(nthreads, a_s.nrows)),
             )
             r, cc, v = c.to_coo()

@@ -2,7 +2,7 @@
 
 Bit-for-bit identity of values *and* ``OpCounter``s across every spelling
 of a call is the library's contract.  This module is that contract as
-data: the axes (front door x ``algo`` x complement x phases x batch x
+data: the axes (front door x ``algo`` x complement x phases x
 orientation x backend x threads x grid x session x machine x kernel
 tier, and the native loops' in-kernel ``nthreads``; in process a plan's
 ``threads`` is that in-kernel count, on the ``process`` backend the pool's
@@ -31,7 +31,7 @@ Three consumers:
 
 The factorial is full where the axes interact (serial spellings; planned
 dispatch: backend x grid x session) and one axis at a time elsewhere,
-~22k calls per tier (see :func:`cases`).
+~20k calls per tier (see :func:`cases`).
 """
 
 from __future__ import annotations
@@ -216,7 +216,6 @@ DOORS = {
 }
 ALGOS = ("auto", "inner", "msa", "hash", "mca", "heap", "heapdot", "esc")
 PHASES = (1, 2)
-BATCHES = ("auto", "perrow", "bucket")
 ORIENTATIONS = ("row", "column")
 BACKENDS = (None, "serial", "thread", "process")
 GRIDS = (None, (2, 2), (1, 3))
@@ -287,12 +286,12 @@ def cases() -> Iterator[Case]:
             return Case(door, name, tuple(options.items()))
 
         # serial spellings of the door: full factorial
-        for (algo, comp), phases, batch, orientation in product(
-            _algo_complement(), PHASES, BATCHES, ORIENTATIONS
+        for (algo, comp), phases, orientation in product(
+            _algo_complement(), PHASES, ORIENTATIONS
         ):
             yield case("masked_spgemm", algo=algo, complement=comp, phases=phases,
-                       batch=batch, orientation=orientation)
-        # planned dispatch: full factorial at 1P / auto batch / row
+                       orientation=orientation)
+        # planned dispatch: full factorial at 1P / row
         planned = list(_algo_complement(skip=SERIAL_ONLY.get(name, ())))
         for (algo, comp), backend, grid, session in product(
             planned, BACKENDS, GRIDS, SESSIONS
@@ -315,9 +314,6 @@ def cases() -> Iterator[Case]:
         ):
             yield case("parallel", algo=algo, complement=comp, backend=backend,
                        threads=threads, partition=partition)
-        for (algo, comp), phases, batch in product(planned, PHASES, BATCHES[1:]):
-            yield case("parallel", algo=algo, complement=comp, phases=phases,
-                       batch=batch, backend="thread", threads=2)
         for (algo, comp), phases, nthreads in product(KERNEL_CALLS, PHASES, NTHREADS):
             yield case("kernel", algo=algo, complement=comp, phases=phases,
                        nthreads=nthreads)

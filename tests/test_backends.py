@@ -508,16 +508,18 @@ class TestGridEquivalence:
     @pytest.mark.parametrize("shards", [(2, 2), (3, 1), (1, 3)],
                              ids=["2x2", "3x1", "1x3"])
     def test_forced_batch_tier_reaches_the_kernels(self, shards, backend):
-        """Regression: ``batch=`` was dropped under ``shards=`` (the shard
-        task had no such field), so a forced tier silently ran per-row."""
+        """``batch=`` under ``shards=`` (once dropped on the way to the
+        kernels) is accepted on every grid and backend: each cell runs its
+        kernel, and the result is the call without it."""
         g = rmat(8, seed=3)
+        want = masked_spgemm(g, g, g, algo="hash", shards=shards, backend=backend)
         for tier in ("bucket", "perrow"):
             with tracing() as tr:
-                masked_spgemm(g, g, g, algo="hash", batch=tier, shards=shards,
-                              backend=backend)
+                got = masked_spgemm(g, g, g, algo="hash", batch=tier, shards=shards,
+                                    backend=backend)
             kernels = [sp for sp in tr.spans if sp.name == "kernel.hash"]
             assert len(kernels) == len(_cell_spans(tr)) > 1
-            assert {sp.attrs["batch"] for sp in kernels} == {tier}
+            _assert_same(got, want, f"{tier}/{backend}")
 
     @pytest.mark.parametrize("backend", BACKENDS)
     @pytest.mark.parametrize("partition", ["block", "cyclic", "balanced"])

@@ -1,16 +1,21 @@
-"""Batched kernel tier: helper invariants, boundary cases and bit-for-bit
-equivalence of the bucketed tier against the per-row tier.
+"""The push frame's row chunker: helper invariants, boundary cases and
+bit-for-bit equivalence across chunk budgets and ``batch=`` spellings.
 
-The contract under test (docs/kernels.md): ``batch="bucket"`` and
-``batch="perrow"`` produce identical matrices (values included) and
-identical ``OpCounter`` totals — on every backend, with and without a
-session, fused (2P + symbolic bound) or not — and the native-tier seam
+The contract under test (docs/kernels.md): the NumPy tier cuts every
+push-frame call into contiguous flop-budget row blocks (:func:`row_blocks`),
+and how many blocks a call gets changes no value and no ``OpCounter`` total
+(Hash's ``hash_probes`` aside: its tables are per block).  The kept
+``masked_spgemm(batch=)`` spellings — ``"auto"``, ``"perrow"``,
+``"bucket"`` — select nothing: identical matrices (values included) and
+counters on every backend, with and without a session, fused (2P +
+symbolic bound) or not.  The native-tier seam
 (:mod:`repro.core.kernels.native`) never changes results whichever side
-dispatches.  ``batch=`` is how the *NumPy* bodies chunk rows (the native
-loops have no chunks), so everything but the seam class runs on the NumPy
-tier; ``tests/test_native.py`` is the native-vs-NumPy differential.
+dispatches.  The native loops have no chunks, so everything but the seam
+class runs on the NumPy tier; ``tests/test_native.py`` is the
+native-vs-NumPy differential.
 """
 
+import contextlib
 from pathlib import Path
 
 import numpy as np
@@ -19,25 +24,22 @@ import pytest
 from repro.baselines import scipy_masked_spgemm
 from repro.core.kernels import native
 from repro.core.kernels.batch import (
-    BATCH_TIERS,
-    DEFAULT_BATCH_CROSSOVER_FLOPS,
     FusedSlab,
-    bucket_batches,
-    bucket_census,
-    bucket_ids,
     expand_keys,
     per_row_flops,
     plan_flop_blocks,
     product_values,
-    resolve_tier,
+    row_blocks,
 )
+from repro.core.kernels.esc_kernel import masked_spgemm_esc_fast
 from repro.core.kernels.expand import expand_products
 from repro.core.kernels.hash_kernel import VectorHashTable, masked_spgemm_hash_fast
 from repro.core.kernels.msa_kernel import MSA_FLOP_BUDGET, masked_spgemm_msa_fast
-from repro.core.masked_spgemm import masked_spgemm
-from repro.engine import ExecutionSession, Planner, execute
+from repro.core.masked_spgemm import ALL_ALGOS, masked_spgemm
+from repro.engine import ExecutionSession, Planner
 from repro.graphs import erdos_renyi, rmat
 from repro.machine import OpCounter
+from repro.parallel import parallel_masked_spgemm
 from repro.parallel.pool import shutdown_pool
 from repro.semiring import MIN_PLUS, PLUS_PAIR, PLUS_TIMES, STANDARD_SEMIRINGS
 from repro.sparse import CSR, read_mtx
@@ -48,6 +50,12 @@ pytestmark = pytest.mark.batch
 
 DATA = Path(__file__).parent.parent / "data"
 BATCHABLE = ("msa", "hash", "esc")
+#: the push-frame kernels' fast entry points, whose chunk budgets the
+#: boundary cases vary
+FAST = {"msa": masked_spgemm_msa_fast, "hash": masked_spgemm_hash_fast,
+        "esc": masked_spgemm_esc_fast}
+#: the spellings ``masked_spgemm(batch=)`` accepts
+SPELLINGS = ("auto", "bucket", "perrow")
 BACKENDS = ("serial", "thread", "process")
 
 
@@ -78,6 +86,22 @@ def _run(a, b, m, algo, tier, **kw):
     return out, counter.as_dict()
 
 
+def _assert_chunking_free(algo, a, b, m, **kw):
+    """The fast kernel at one productive row per chunk (``flop_budget=1``)
+    gives the default budgets' bytes and counters — Hash's ``hash_probes``
+    aside (one table per block)."""
+    runs = []
+    for budget in ({}, {"flop_budget": 1}):
+        counter = OpCounter()
+        out = FAST[algo](a, b, m, counter=counter, **budget, **kw)
+        charged = counter.as_dict()
+        if algo == "hash":
+            del charged["hash_probes"]
+        runs.append((out, charged))
+    (o1, c1), (o2, c2) = runs
+    assert _identical(o1, o2) and c1 == c2, (algo, kw)
+
+
 @pytest.fixture(scope="module", autouse=True)
 def _pool_teardown():
     yield
@@ -86,7 +110,7 @@ def _pool_teardown():
 
 @pytest.fixture(autouse=True)
 def _numpy_bodies(request):
-    if request.cls is TestCompiledSeam:
+    if request.cls in (TestCompiledSeam, TestKeptKeyword):
         yield
     else:
         with native.disabled():
@@ -123,44 +147,23 @@ class TestHelpers:
             got = list(plan_flop_blocks(per, budget))
             assert got == self._greedy_reference(per, budget)
 
-    def test_bucket_ids_are_bit_lengths(self):
-        per = np.array([0, 1, 2, 3, 4, 7, 8, 1023, 1024], dtype=np.int64)
-        want = [int(x).bit_length() for x in per]
-        assert bucket_ids(per).tolist() == want
-
-    def test_bucket_batches_partition_rows_exactly_once(self):
+    def test_row_blocks_partition_rows_exactly_once(self):
         rng = np.random.default_rng(1)
         per = rng.integers(0, 4096, size=300).astype(np.int64)
         per[:40] = 0
-        seen = np.zeros(per.size, dtype=np.int64)
-        for b, rows in bucket_batches(per, flop_budget=256, width_cap=16):
-            assert rows.size <= 16
-            assert bool(np.all(np.diff(rows) > 0))  # ascending within chunk
-            assert bool(np.all(bucket_ids(per[rows]) == b))
-            np.add.at(seen, rows, 1)
-        assert bool(np.all(seen == 1))
-
-    def test_bucket_batches_skips_empty_bucket_on_request(self):
-        per = np.array([0, 0, 5, 0, 9], dtype=np.int64)
-        got = [r for _, r in bucket_batches(per, 64, include_empty=False)]
-        assert sorted(int(x) for rows in got for x in rows) == [2, 4]
-
-    def test_bucket_census(self):
-        per = np.array([0, 0, 1, 2, 3, 8], dtype=np.int64)
-        assert bucket_census(per) == {0: 2, 1: 1, 2: 2, 4: 1}
-        assert bucket_census(np.empty(0, dtype=np.int64)) == {}
-
-    def test_resolve_tier_crossover_and_validation(self):
-        a = _rand_csr(20, 20, 0.3, 0)
-        b = _rand_csr(20, 20, 0.3, 1)
-        total = int(per_row_flops(a, b).sum())
-        assert resolve_tier(a, b, "auto", crossover=total + 1) == "perrow"
-        assert resolve_tier(a, b, "auto", crossover=total) == "bucket"
-        assert resolve_tier(a, b, "bucket", crossover=10**12) == "bucket"
-        with pytest.raises(ValueError, match="batch must be one of"):
-            resolve_tier(a, b, "bogus")
-        assert DEFAULT_BATCH_CROSSOVER_FLOPS == 1 << 18
-        assert resolve_tier(a, b, "auto") == "perrow"
+        per[100] = 10_000  # a mega-row over the budget on its own
+        for width in (None, 16):
+            chunks = list(row_blocks(per, flop_budget=256 * 16, max_width=width))
+            # contiguous and in order: together they are every row once
+            assert np.array_equal(np.concatenate(chunks), np.arange(per.size))
+            for rows in chunks:
+                assert bool(np.all(np.diff(rows) == 1))
+                assert width is None or rows.size <= width
+                # within budget, or one productive row (plus leading
+                # zero-flop rows riding along) that busts it alone
+                assert (int(per[rows].sum()) <= 256 * 16
+                        or np.count_nonzero(per[rows]) == 1)
+        assert list(row_blocks(np.empty(0, np.int64), 64)) == []
 
     def test_expand_keys_reproduces_expand_products(self):
         a = _rand_csr(25, 18, 0.25, 2)
@@ -190,29 +193,29 @@ class TestHelpers:
 
 
 # ----------------------------------------------------------------------
-# bucket boundary cases
+# row-chunk boundary cases
 # ----------------------------------------------------------------------
 class TestBucketBoundaries:
+    """Empty rows, no rows, a mega-row and rows all of one size: one-row
+    chunks give the default budgets' bytes and counters, and each
+    ``batch=`` spelling (``"bucket"`` among them) the plain call's."""
+
     def _assert_tiers_identical(self, a, b, m, *, semiring=PLUS_TIMES):
         for algo in BATCHABLE:
             for complement in (False, True):
+                _assert_chunking_free(algo, a, b, m, complement=complement,
+                                      semiring=semiring)
                 for phases in (1, 2):
-                    o1, c1 = _run(
-                        a, b, m, algo, "perrow",
-                        complement=complement, phases=phases,
-                        semiring=semiring,
-                    )
-                    o2, c2 = _run(
-                        a, b, m, algo, "bucket",
-                        complement=complement, phases=phases,
-                        semiring=semiring,
-                    )
-                    assert _identical(o1, o2), (algo, complement, phases)
-                    assert c1 == c2, (algo, complement, phases)
+                    kw = dict(complement=complement, phases=phases, semiring=semiring)
+                    o1, c1 = _run(a, b, m, algo, "auto", **kw)
+                    for tier in SPELLINGS[1:]:
+                        o2, c2 = _run(a, b, m, algo, tier, **kw)
+                        assert _identical(o1, o2), (algo, complement, phases, tier)
+                        assert c1 == c2, (algo, complement, phases, tier)
 
     def test_empty_rows(self):
         # half of A's rows (and a few mask rows) are structurally empty —
-        # they land in bucket 0 and must emit/charge exactly nothing
+        # zero-flop rows ride along in a chunk and must emit/charge nothing
         a = _rand_csr(30, 20, 0.3, 10)
         keep = np.repeat(np.arange(30, dtype=np.int64)[::2], a.row_nnz()[::2])
         sel = np.isin(
@@ -233,7 +236,7 @@ class TestBucketBoundaries:
     def test_single_mega_row_dominates_its_bucket(self):
         # one row expands to ~nc*k products (far over any chunk budget on
         # its own), the rest are tiny — exercises the over-budget
-        # one-row-chunk path and bucket skew
+        # one-row-chunk path
         nr, k, nc = 20, 40, 40
         rng = np.random.default_rng(15)
         rows = [np.zeros(k, dtype=np.int64)]
@@ -250,7 +253,8 @@ class TestBucketBoundaries:
         self._assert_tiers_identical(a, b, m)
 
     def test_all_rows_one_bucket(self):
-        # uniform 4-nnz rows against a uniform B: a single size class
+        # uniform 4-nnz rows against a uniform 3-nnz B: every row expands
+        # to the same 12 products
         nr, k, nc = 24, 16, 16
         rng = np.random.default_rng(18)
         cols = np.stack([
@@ -268,20 +272,17 @@ class TestBucketBoundaries:
             rng.random(3 * k),
         )
         m = _rand_csr(nr, nc, 0.5, 19)
-        assert len(bucket_census(per_row_flops(a, b))) == 1
+        assert set(per_row_flops(a, b).tolist()) == {12}
         self._assert_tiers_identical(a, b, m)
 
     def test_tiny_flop_budget_forces_many_chunks(self):
         g = rmat(7, seed=5).pattern().tril(-1)
+        per = per_row_flops(g, g)
+        assert len(list(row_blocks(per, 1))) >= np.count_nonzero(per) > 1
         for algo in BATCHABLE:
-            c1 = OpCounter()
-            c2 = OpCounter()
-            kern = masked_spgemm  # same entry, different tiers
-            o1 = kern(g, g, g, algo=algo, batch="perrow", counter=c1,
-                      semiring=PLUS_PAIR)
-            o2 = kern(g, g, g, algo=algo, batch="bucket", counter=c2,
-                      semiring=PLUS_PAIR)
-            assert _identical(o1, o2) and c1.as_dict() == c2.as_dict()
+            for complement in (False, True):
+                _assert_chunking_free(algo, g, g, g, complement=complement,
+                                      semiring=PLUS_PAIR)
 
     def test_non_add_semiring_equivalence(self):
         # MIN_PLUS routes around the native seam (add_ufunc is minimum)
@@ -353,7 +354,7 @@ def _msa_charges(a, b, m, complement, reference: OpCounter) -> dict:
 class TestMsaAgainstReference:
     """Values bitwise equal to the pseudocode-faithful reference tier, and
     ``OpCounter``s equal to the kernel's per-row-sum charges, over
-    semirings x complement x phases x batch."""
+    semirings x complement x phases x ``batch=`` spelling."""
 
     @pytest.mark.parametrize(
         "a, b, m", [pytest.param(*t[1:], id=t[0]) for t in _adversarial()]
@@ -369,7 +370,7 @@ class TestMsaAgainstReference:
                 )
                 charges = {1: _msa_charges(a, b, m, complement, ref_c)}
                 for phases in (1, 2):
-                    for tier in BATCH_TIERS:
+                    for tier in SPELLINGS:
                         got, got_c = _run(
                             a, b, m, "msa", tier, phases=phases,
                             complement=complement, semiring=sr,
@@ -385,7 +386,7 @@ class TestMsaAgainstReference:
                             assert _bits(got) == _bits(
                                 fast.setdefault(complement, got)), where
                         # 2P adds the symbolic sweep's charges: the same
-                        # for every tier, whatever they are
+                        # for every spelling, whatever they are
                         assert got_c == charges.setdefault(phases, got_c), where
                 assert {
                     k: v for k, v in charges[2].items() if charges[1][k] != v
@@ -400,7 +401,8 @@ class TestMsaAgainstReference:
     @pytest.mark.parametrize("complement", (False, True))
     def test_chunk_budgets_do_not_change_results(self, tier, complement):
         # a mega-row above flop_budget gets a chunk of its own, and a dense
-        # budget below ncols clamps every chunk to one row
+        # budget below ncols clamps every chunk to one row; the door's
+        # batch= spelling gives the default budgets' call
         a = _signed_csr(20, 40, 0.1, 50)
         a = CSR.from_coo(a.shape, *(np.concatenate(x) for x in zip(
             a.to_coo(), (np.zeros(40, np.int64), np.arange(40), np.ones(40)))))
@@ -412,17 +414,18 @@ class TestMsaAgainstReference:
             want = masked_spgemm(a, b, m, algo="msa", impl="reference",
                                  complement=complement, semiring=sr,
                                  counter=want_c)
+            charges = _msa_charges(a, b, m, complement, want_c)
             for budgets in ({"flop_budget": 64}, {"dense_budget": 29},
                             {"flop_budget": 1, "dense_budget": 1}):
                 got_c = OpCounter()
                 got = masked_spgemm_msa_fast(
-                    a, b, m, batch=tier, complement=complement, semiring=sr,
+                    a, b, m, complement=complement, semiring=sr,
                     counter=got_c, **budgets,
                 )
                 assert _bits(got) == _bits(want), (sr.name, budgets)
-                assert got_c.as_dict() == _msa_charges(
-                    a, b, m, complement, want_c
-                ), (sr.name, budgets)
+                assert got_c.as_dict() == charges, (sr.name, budgets)
+            got, got_c = _run(a, b, m, "msa", tier, complement=complement, semiring=sr)
+            assert _bits(got) == _bits(want) and got_c == charges, sr.name
 
     def test_mega_row_above_the_default_flop_budget(self):
         k = 400
@@ -432,7 +435,7 @@ class TestMsaAgainstReference:
         m = _rand_csr(3, k, 0.5, 54)
         assert int(per_row_flops(a, b)[0]) > MSA_FLOP_BUDGET
         ref = scipy_masked_spgemm(a, b, m)
-        for tier in BATCH_TIERS:
+        for tier in SPELLINGS:
             got = masked_spgemm(a, b, m, algo="msa", batch=tier)
             assert np.array_equal(got.indices, ref.indices)
             assert np.allclose(got.data, ref.data, rtol=1e-12, atol=1e-12)
@@ -459,19 +462,16 @@ class TestBackendEquivalence:
     @pytest.mark.parametrize("backend", BACKENDS)
     @pytest.mark.parametrize("algo", BATCHABLE)
     def test_bucket_matches_perrow_across_backends(self, graph, backend, algo):
+        """The kept spellings on three row blocks, one work item each."""
         g = graph
-        results = {}
+        results = {
+            tier: _run(g, g, g, algo, tier, shards=(3, 1), backend=backend,
+                       semiring=PLUS_PAIR)
+            for tier in SPELLINGS
+        }
         for tier in ("perrow", "bucket"):
-            pl = Planner().plan(
-                g, g, g, algo=algo, threads=3, backend=backend, batch=tier,
-            )
-            counter = OpCounter()
-            results[tier] = (
-                execute(pl, g, g, g, semiring=PLUS_PAIR, counter=counter),
-                counter.as_dict(),
-            )
-        assert _identical(results["perrow"][0], results["bucket"][0])
-        assert results["perrow"][1] == results["bucket"][1]
+            assert _identical(results["auto"][0], results[tier][0]), tier
+            assert results["auto"][1] == results[tier][1], tier
 
     @pytest.mark.parametrize("use_session", (False, True), ids=("nosess", "sess"))
     def test_sessions_do_not_change_results(self, graph, use_session):
@@ -500,15 +500,10 @@ class TestBackendEquivalence:
         budget = 200  # several blocks, so several table geometries
         keys = g.row_ids() * g.ncols + g.indices
         for complement in (False, True):
-            runs = {}
-            for tier in ("perrow", "bucket"):
-                counter = OpCounter()
-                masked_spgemm_hash_fast(
-                    g, g, g, batch=tier, complement=complement,
-                    semiring=PLUS_PAIR, counter=counter, flop_budget=budget)
-                runs[tier] = counter.hash_probes
-            # the blocks, and so the tables, are the same under every spelling
-            assert runs["perrow"] == runs["bucket"]
+            counter = OpCounter()
+            masked_spgemm_hash_fast(
+                g, g, g, complement=complement,
+                semiring=PLUS_PAIR, counter=counter, flop_budget=budget)
 
             walked = OpCounter()
             for lo, hi in plan_flop_blocks(per_row_flops(g, g), budget):
@@ -519,7 +514,7 @@ class TestBackendEquivalence:
                 table.insert(m_keys)
                 block = np.arange(lo, hi, dtype=np.int64)
                 table.lookup(expand_keys(g, g, block, block)[0])
-            assert runs["bucket"] == walked.hash_probes > 0
+            assert counter.hash_probes == walked.hash_probes > 0
 
 
 # ----------------------------------------------------------------------
@@ -527,15 +522,18 @@ class TestBackendEquivalence:
 # ----------------------------------------------------------------------
 class TestFusion:
     def test_fused_matches_two_pass(self, graph):
+        """2P writes rows into the slab its symbolic bound sized: the 1P
+        bytes, and the 1P charges plus the symbolic sweep's."""
         g = graph
         for algo in BATCHABLE:
             for complement in (False, True):
-                o1, c1 = _run(g, g, g, algo, "perrow", phases=2,
+                o1, c1 = _run(g, g, g, algo, "perrow", phases=1,
                               complement=complement, semiring=PLUS_PAIR)
                 o2, c2 = _run(g, g, g, algo, "bucket", phases=2,
                               complement=complement, semiring=PLUS_PAIR)
                 assert _identical(o1, o2), (algo, complement)
-                assert c1 == c2, (algo, complement)
+                moved = {k for k in c1 if c1[k] != c2[k]}
+                assert moved == {"symbolic_flops"}, (algo, complement)
 
     def test_fused_output_is_clean_csr(self):
         g = rmat(6, seed=9).pattern().tril(-1)
@@ -545,82 +543,61 @@ class TestFusion:
         assert int(out.indptr[-1]) == out.indices.shape[0] == out.data.shape[0]
 
     def test_fusion_requires_two_phases(self):
-        # 1P has no symbolic bound: bucket tier must still assemble via COO
+        # 1P has no symbolic bound: the frame places rows by its chunks'
+        # own row counts, and the result is the fused call's
         g = rmat(6, seed=9).pattern().tril(-1)
         o1 = masked_spgemm(g, g, g, algo="msa", batch="bucket", phases=1,
                            semiring=PLUS_PAIR)
-        o2 = masked_spgemm(g, g, g, algo="msa", batch="perrow", phases=1,
+        o2 = masked_spgemm(g, g, g, algo="msa", batch="perrow", phases=2,
                            semiring=PLUS_PAIR)
         assert _identical(o1, o2)
 
 
 # ----------------------------------------------------------------------
-# planner / plan reporting
+# the kept keyword
 # ----------------------------------------------------------------------
 class TestPlanReporting:
-    def test_bands_carry_batch_and_census(self):
-        g = rmat(7, seed=5).pattern().tril(-1)
-        pl = Planner().plan(g, g, g, batch="bucket")
-        d = pl.as_dict()
-        assert d["bands"]
-        for band, entry in zip(pl.bands, d["bands"]):
-            assert entry["batch"] == band.batch
-            assert entry["buckets"] == {int(k): int(v)
-                                        for k, v in band.buckets.items()}
-            assert band.batch in BATCH_TIERS
-
-    def test_explain_renders_tier_and_census(self):
-        # a process plan cuts its bands by flops, so it takes the census
-        g = rmat(7, seed=5).pattern().tril(-1)
-        text = Planner().plan(g, g, g, batch="bucket", threads=2, backend="process").explain()
-        assert "batch=" in text and "buckets{" in text
-        assert "batch tier forced to 'bucket' by caller" in text
-
-    def test_auto_note_mentions_crossover(self):
-        g = rmat(7, seed=5).pattern().tril(-1)
-        text = Planner().plan(g, g, g, threads=2, backend="process").explain()
-        assert "crossover" in text and "batch tiers:" in text
-        # an in-process host plan leaves "auto" to the kernel, which
-        # resolves it on the same flops against the same crossover
-        assert "batch tiers:" not in Planner().plan(g, g, g).explain()
-        assert "batch tiers:" not in Planner().plan(g, g, g, threads=2).explain()
-
-    def test_machine_crossover_drives_auto(self):
-        """One crossover, the frame's: a forced plan's band buckets exactly
-        when ``resolve_tier`` would, on the host and on a preset alike."""
-        for scale in (10, 11):  # 258170 and 781363 flops around 1 << 18
-            g = rmat(scale, seed=5).pattern().tril(-1)
-            want = resolve_tier(g, g, "auto")
-            assert want == ("bucket" if scale == 11 else "perrow")
-            for machine, kw in ((None, {"threads": 2, "backend": "process"}),
-                                ("haswell", {})):
-                for algo in BATCHABLE:
-                    (band,) = Planner(machine).plan(g, g, g, algo=algo, **kw).bands
-                    assert band.batch == want, (scale, machine, algo)
-            # in-process host plan: the band is the whole call, whose kernel
-            # resolves "auto" to exactly ``want``
-            for algo in BATCHABLE:
-                (band,) = Planner().plan(g, g, g, algo=algo).bands
-                assert band.batch == "auto"
-
     def test_invalid_batch_values_rejected(self):
         g = rmat(6, seed=5).pattern().tril(-1)
-        with pytest.raises(ValueError, match="batch"):
-            masked_spgemm(g, g, g, algo="msa", batch="bogus")
-        with pytest.raises(ValueError, match="batch"):
-            Planner().plan(g, g, g, batch="bogus")
-        pl = Planner().plan(g, g, g)
-        pl.bands[0].batch = "bogus"
-        with pytest.raises(ValueError, match="batch tier"):
-            pl.validate()
+        for algo in ("msa", "auto"):
+            with pytest.raises(ValueError, match="batch"):
+                masked_spgemm(g, g, g, algo=algo, batch="bogus")
+        # nothing past the front door takes it: plans carry no tier
+        with pytest.raises(TypeError, match="batch"):
+            Planner().plan(g, g, g, batch="perrow")
+        with pytest.raises(TypeError, match="batch"):
+            parallel_masked_spgemm(g, g, g, batch="perrow")
+        assert "batch" not in Planner().plan(g, g, g).as_dict()["bands"][0]
 
-    def test_non_batchable_algos_pinned_perrow(self):
-        g = rmat(7, seed=5).pattern().tril(-1)
-        pl = Planner().plan(g, g, g, algo="inner", batch="bucket")
-        assert all(b.batch == "perrow" for b in pl.bands)
-        out = execute(pl, g, g, g, semiring=PLUS_PAIR)
-        ref = masked_spgemm(g, g, g, algo="inner", semiring=PLUS_PAIR)
-        assert _identical(out, ref)
+
+class TestKeptKeyword:
+    """``masked_spgemm(batch=)`` stays a validated spelling that selects
+    nothing: on both kernel tiers, every algorithm and ``algo="auto"``,
+    each accepted value returns the bytes and ``OpCounter`` of the call
+    without it."""
+
+    @pytest.mark.parametrize("tier", ("native", "numpy"))
+    def test_every_spelling_is_the_plain_call(self, tier):
+        a = _signed_csr(40, 30, 0.15, 60)
+        b = _signed_csr(30, 50, 0.15, 61)
+        m = _rand_csr(40, 50, 0.3, 62)
+        with native.disabled() if tier == "numpy" else contextlib.nullcontext():
+            for algo in ("auto",) + ALL_ALGOS:
+                for complement in (False, True):
+                    if complement and algo in ("inner", "mca"):
+                        continue
+                    for phases in (1, 2):
+                        kw = dict(algo=algo, complement=complement, phases=phases)
+                        counter = OpCounter()
+                        want = masked_spgemm(a, b, m, counter=counter, **kw)
+                        for spelling in SPELLINGS:
+                            got, got_c = _run(a, b, m, algo, spelling, complement=complement,
+                                              phases=phases)
+                            where = (algo, complement, phases, spelling)
+                            assert _bits(got) == _bits(want), where
+                            assert got_c == counter.as_dict(), where
+            with pytest.raises(ValueError, match="batch must be one of"):
+                masked_spgemm(a, b, m, batch="Bucket")
 
 
 # ----------------------------------------------------------------------

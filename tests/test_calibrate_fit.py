@@ -3,8 +3,8 @@
 The modeled→measured loop, per executed unit:
 
 1. Every executed unit leaves a prediction row — row bands on all three
-   backends (sessioned or not), work items on a grid plan, bucket
-   chunks on the batched tier, push/pull decisions in direction BFS —
+   backends (sessioned or not), work items on a grid plan, push/pull
+   decisions in direction BFS —
    and every row pairs the plan's modeled cycles/bytes with the span's
    measured seconds and counter delta.
 2. The counter deltas are bit-identical to the run's ``OpCounter``: the
@@ -13,9 +13,6 @@ The modeled→measured loop, per executed unit:
    is no preset — a ``MachineConfig`` passed as an object — is bit-for-bit
    output-equivalent across serial/thread/process (a machine changes
    *decisions*, never values).
-4. The disabled path stays free: the bucketed tier through the traced
-   wrapper is within the same 2% envelope ``tests/test_observe.py``
-   enforces for the per-row tier.
 """
 
 from __future__ import annotations
@@ -29,7 +26,6 @@ import pytest
 
 from repro.apps.direction_bfs import direction_optimized_bfs
 from repro.core import masked_spgemm
-from repro.core.kernels.msa_kernel import masked_spgemm_msa_fast
 from repro.engine import ExecutionSession, Planner
 from repro.graphs import erdos_renyi, relabel_by_degree, rmat
 from repro.machine import (
@@ -41,12 +37,11 @@ from repro.machine import (
     host_profile,
     resolve_machine,
 )
-from repro.observe import current, metrics, predictions, report, tracing
+from repro.observe import metrics, predictions, report, tracing
 from repro.parallel import shutdown_pool
 from repro.parallel.pool import process_backend_available
 from repro.semiring import PLUS_PAIR, PLUS_TIMES
 
-from .conftest import assert_overhead_per_call
 from .lattice import ODD
 
 pytestmark = pytest.mark.calibrate
@@ -146,18 +141,6 @@ class TestLedgerRows:
         )
         assert sum(r["modeled_cycles"] for r in rows) > 0.0
 
-    def test_bucket_rows_on_batched_tier(self, numpy_tier):
-        a, b, m = _triple(seed=7, n=120)
-        with tracing() as tr:
-            masked_spgemm(a, b, m, algo="msa", batch="bucket",
-                          semiring=PLUS_TIMES)
-        rows = [r for r in predictions(tr, machine=HASWELL)["rows"]
-                if r["kind"] == "batch-bucket"]
-        assert rows, "the bucketed tier must emit kernel.bucket rows"
-        for row in rows:
-            assert row["measured_seconds"] > 0.0
-            assert row["attrs"]["bucket"] == int(row["key"].split(":")[1])
-
     def test_direction_rows_record_decision(self):
         g = rmat(8, seed=3).pattern()
         with tracing() as tr:
@@ -194,7 +177,7 @@ class TestLedgerRows:
         low = _tc_low(scale=8, seed=5)
         with tracing() as tr:
             masked_spgemm(low, low, low, algo="auto", backend="serial",
-                          semiring=PLUS_PAIR, batch="bucket")
+                          semiring=PLUS_PAIR)
         mx = metrics(tr, machine=HASWELL)
         preds = mx["predictions"]
         assert preds["schema_version"] == 1
@@ -204,11 +187,7 @@ class TestLedgerRows:
         assert summary["rows"] >= 1
         assert summary["measured_seconds"] > 0.0
         assert summary["bias"] in ("optimistic", "pessimistic", "centered")
-        # the batch census rides along in the same export
-        assert mx["batch"]["rows_by_tier"]
-        text = report(tr)
-        assert "prediction ledger" in text
-        assert "batch census" in text
+        assert "prediction ledger" in report(tr)
 
     def test_empty_trace_has_empty_ledger(self):
         with tracing() as tr:
@@ -286,25 +265,3 @@ class TestFittedEquivalence:
         got = direction_optimized_bfs(g, 0, machine=ODD)
         assert np.array_equal(got.levels, ref.levels)
         assert got.depth == ref.depth
-
-
-# ----------------------------------------------------------------------
-# 4. disabled-path overhead
-# ----------------------------------------------------------------------
-
-
-class TestIntegration:
-    def test_bucket_tier_disabled_overhead_under_two_percent(self):
-        """The instrumented ``bucket_batches`` untraced path: one global
-        read per call, one branch per chunk — inside the same absolute
-        30 us-per-call budget as the tracer's disabled path
-        (tests/test_observe.py)."""
-        a, b, m = _triple()
-        bare = masked_spgemm_msa_fast.__wrapped__
-        assert current() is None
-        assert_overhead_per_call(
-            lambda: bare(a, b, m, semiring=PLUS_TIMES, batch="bucket"),
-            lambda: masked_spgemm_msa_fast(a, b, m, semiring=PLUS_TIMES,
-                                           batch="bucket"),
-            budget_us=30,
-        )

@@ -318,8 +318,10 @@ class TestWorkersFollowTheHost:
 
 
 class TestPresetsUnchanged:
-    """Explicit ``machine=`` keeps the modeled plans (digests and cycle
-    estimates captured at the commit before the host planner landed)."""
+    """Explicit ``machine=`` keeps the modeled plans (cycle estimates
+    captured at the commit before the host planner landed; band digests
+    over algorithm and rows, recomputed from that plan's bands when the
+    bands stopped carrying a batching tier)."""
 
     @staticmethod
     def _digest(pl):
@@ -327,13 +329,12 @@ class TestPresetsUnchanged:
         for band in pl.bands:
             h.update(band.algo.encode())
             h.update(np.asarray(band.rows, dtype=np.int64).tobytes())
-            h.update(band.batch.encode())
         return h.hexdigest()
 
     def test_haswell_tc_bands(self):
         pl = plan(*_tc(10), machine="haswell")
         assert pl.nrows_per_algo() == {"inner": 310, "msa": 99, "esc": 615}
-        assert self._digest(pl) == "a45275c2717d195c"
+        assert self._digest(pl) == "049e9d6dd3175a85"
         assert [round(b.est_cycles, 3) for b in pl.bands] == [
             87931.194, 307062.818, 346556.459,
         ]
@@ -348,7 +349,7 @@ class TestPresetsUnchanged:
         m = erdos_renyi(512, 512, 2, seed=3)
         pl = plan(a, b, m, machine="knl")
         assert pl.nrows_per_algo() == {"inner": 505, "esc": 7}
-        assert self._digest(pl) == "ac291b527f32d381"
+        assert self._digest(pl) == "287eb3639abec364"
         assert [round(b.est_cycles, 3) for b in pl.bands] == [89662.266, 2193.962]
         plc = plan(a, b, m, machine="haswell", complement=True)
         assert plc.nrows_per_algo() == {"msa": 512}
@@ -535,18 +536,19 @@ class TestDecisionLayers:
 
     def test_preset_plans_are_the_parents(self):
         """Modeled presets plan in full: ``as_dict()`` digests captured
-        before the host decision layers landed."""
+        before the host decision layers landed, recomputed from those plans
+        without the batching tier (each band's ``batch`` / ``buckets`` and
+        the tier note) when the tier was deleted."""
         low = _tc(10)
         er = (erdos_renyi(512, 512, 16, seed=1), erdos_renyi(512, 512, 16, seed=2),
               erdos_renyi(512, 512, 2, seed=3))
         cases = {
-            "93d3da601a46eec1": lambda: plan(*low, machine="haswell"),
-            "5e82369e657677ac": lambda: plan(*er, machine="knl"),
-            "5a3443913c2954c9": lambda: plan(*er, machine="haswell", complement=True),
-            "3f8f658f44be56d8": lambda: plan(
-                *er, machine="haswell", algo="hash", threads=3, batch="bucket"),
-            "97cbff5cdf4d0568": lambda: Planner("haswell", banding="ratio").plan(*low),
-            "6a0cc82834222542": lambda: Planner("knl", banding="none").plan(*er),
+            "db831c5163743cfc": lambda: plan(*low, machine="haswell"),
+            "40cc4da7bed52296": lambda: plan(*er, machine="knl"),
+            "f9803f8b5d3c1389": lambda: plan(*er, machine="haswell", complement=True),
+            "4aeb53f407de9b65": lambda: plan(*er, machine="haswell", algo="hash", threads=3),
+            "25d356966d44d46e": lambda: Planner("haswell", banding="ratio").plan(*low),
+            "b8521e2911a2ec53": lambda: Planner("knl", banding="none").plan(*er),
         }
         for want, make in cases.items():
             text = json.dumps(_canon(make().as_dict()), sort_keys=True)
@@ -566,16 +568,6 @@ class TestDecisionLayers:
         (span,) = [sp for sp in tr.spans if sp.name == "engine.execute"]
         assert span.attrs["plan"]["estimates_seconds"] == warm.estimates
         assert _bitwise(got, masked_spgemm(a, b, m, algo="auto"))
-
-    def test_a_forced_batch_tier_reaches_a_serial_host_plan(self):
-        a, b, m = _er(256, 16, 16)
-        for tier in ("bucket", "perrow"):
-            pl = plan(a, b, m, batch=tier)
-            assert [band.batch for band in pl.bands] == [
-                tier if band.algo in ("msa", "hash", "esc") else "perrow"
-                for band in pl.bands
-            ]
-        assert all(band.batch in ("auto", "perrow") for band in plan(a, b, m).bands)
 
 
 # ----------------------------------------------------------------------

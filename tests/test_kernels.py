@@ -203,8 +203,7 @@ class TestCrossAlgorithmIdentity:
     with a plain mask ``msa``, ``mca`` and ``hash`` accumulate each output
     cell sequentially in product order, with a complemented mask ``hash``
     and ``esc`` both stable-sort and segment-reduce — so within a class the
-    CSR bytes are equal, under either ``batch`` spelling, and each agrees
-    with the reference tier.  And the 2P symbolic pass counts exactly what
+    CSR bytes are equal, and each agrees with the reference tier.  And the 2P symbolic pass counts exactly what
     the numeric pass emits, on both kernel tiers."""
 
     CLASSES = ((False, ("msa", "mca", "hash")), (True, ("hash", "esc")))
@@ -218,14 +217,13 @@ class TestCrossAlgorithmIdentity:
                 want = masked_spgemm(x, y, m, algo="msa", impl="reference",
                                      complement=complement, semiring=sr)
                 first = None
-                for batch in ("perrow", "bucket"):
-                    for algo in algos:
-                        got = masked_spgemm(x, y, m, algo=algo, batch=batch,
-                                            complement=complement, semiring=sr)
-                        case = (name, sr.name, complement, batch, algo)
-                        first = got if first is None else first
-                        assert _bytes(got) == _bytes(first), case
-                        assert_csr_equal(got, want, msg=str(case))
+                for algo in algos:
+                    got = masked_spgemm(x, y, m, algo=algo,
+                                        complement=complement, semiring=sr)
+                    case = (name, sr.name, complement, algo)
+                    first = got if first is None else first
+                    assert _bytes(got) == _bytes(first), case
+                    assert_csr_equal(got, want, msg=str(case))
 
     @pytest.mark.parametrize("name", OPERANDS)
     @pytest.mark.parametrize("tier", ("numpy", "native"))

@@ -171,7 +171,7 @@ class TestDifferential:
         wrong = symbolic_masked(a, b, m) + 1
         for scope in (native.disabled, contextlib.nullcontext):
             with scope(), pytest.raises(AssertionError, match="symbolic/numeric mismatch"):
-                masked_spgemm_msa_fast(a, b, m, row_nnz=wrong, batch="bucket")
+                masked_spgemm_msa_fast(a, b, m, row_nnz=wrong)
 
 
 # ----------------------------------------------------------------------

@@ -179,28 +179,25 @@ class TestSpanIntegrity:
         self, numpy_tier, complement
     ):
         """The NumPy-tier symbolic pass is the push frame's count-only mode,
-        chunked like a kernel but not one: a traced 2P call shows the chunk
-        spans and the resolved ``batch`` of its numeric pass only."""
+        chunked like a kernel but not one, and no chunk is a span: a traced
+        2P call adds the symbolic span, with nothing under it, to the 1P
+        call's kernel span."""
         from repro.core import masked_spgemm
-        from repro.machine import total_flops
+        from repro.core.kernels.batch import per_row_flops, row_blocks
+        from repro.core.kernels.msa_kernel import MSA_FLOP_BUDGET
 
         low = rmat(11, seed=3).pattern().tril(-1)
-        assert total_flops(low, low) >= 1 << 18  # "auto" buckets both passes
+        # several chunks in both passes
+        assert len(list(row_blocks(per_row_flops(low, low), MSA_FLOP_BUDGET))) > 1
         traces = {}
         for phases in (1, 2):
             with tracing() as traces[phases]:
                 masked_spgemm(low, low, low, algo="msa", phases=phases,
                               complement=complement, semiring=PLUS_PAIR)
         one, two = traces[1], traces[2]
-        by_id = {sp.span_id: sp for sp in two.spans}
-        chunks = [sp for sp in two.spans if sp.name == "kernel.bucket"]
-        assert chunks
-        assert all(by_id[sp.parent_id].name == "kernel.msa" for sp in chunks)
-        assert (metrics(two)["batch"]["bucket_chunks"]
-                == metrics(one)["batch"]["bucket_chunks"] == len(chunks))
-        (sym,) = [sp for sp in two.spans if sp.name == "spgemm.symbolic"]
-        assert "batch" not in sym.attrs
-        assert not [sp for sp in two.spans if sp.parent_id == sym.span_id]
+        assert [sp.name for sp in one.spans] == ["kernel.msa"]
+        assert sorted(sp.name for sp in two.spans) == ["kernel.msa", "spgemm.symbolic"]
+        assert all(sp.parent_id is None for sp in two.spans)
 
 
 # ----------------------------------------------------------------------
@@ -341,16 +338,11 @@ class TestProcessBackendTracing:
 
         # parent links survive the merge: every worker kernel span hangs
         # under a work-item span from the *same* pid (a flattened-ingest
-        # id collision would cross-link kernels onto a foreign item).
-        # kernel.bucket chunk spans nest one level deeper, inside the
-        # kernel whose batched tier emitted them.
+        # id collision would cross-link kernels onto a foreign item)
         by_id = {sp.span_id: sp for sp in tr.spans}
         for sp in kern:
             parent = by_id[sp.parent_id]
-            if sp.name == "kernel.bucket":
-                assert parent.name.startswith("kernel.")
-            else:
-                assert parent.name == "engine.cell"
+            assert parent.name == "engine.cell"
             assert parent.pid == sp.pid
             assert parent.t0 <= sp.t0 and sp.t1 <= parent.t1
 
@@ -460,7 +452,7 @@ class TestExportEdgeCases:
         assert m["counter_totals"] == {}
         assert m["session"] == {}
         assert set(m) == {
-            "schema_version", "batch", "predictions", "span_count",
+            "schema_version", "predictions", "span_count",
             "process_count", "wall_seconds", "seconds_by_name",
             "seconds_by_phase", "counter_totals", "bytes_moved_estimate",
             "machine", "session",
