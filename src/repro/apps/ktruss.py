@@ -28,7 +28,6 @@ from typing import List, Optional
 
 import numpy as np
 
-from ..engine import resolve_session
 from ..machine import OpCounter, total_flops
 from ..observe import timed_span
 from ..semiring import PLUS_PAIR
@@ -94,22 +93,22 @@ def ktruss(
     ``call_log``, if given, receives one ``(a, b, mask, complement)`` tuple
     per masked SpGEMM call so benches can model every scheme from a single
     recorded run.  ``backend`` forces the execution backend of each masked
-    SpGEMM (``None``, the default, runs them in-process on one worker).
-    ``shards`` is passed through to every masked SpGEMM (the grid knob,
-    see ``docs/parallel.md``).
+    SpGEMM (``None``, the default, runs each in-process on the threads its
+    native row loop takes for the product's estimated work —
+    :func:`repro.core.leaf.kernel_threads`: every core from 2^17
+    estimated products, one below).  ``shards`` is passed through to every
+    masked SpGEMM (the grid knob, see ``docs/parallel.md``).
 
-    ``session`` is an :class:`~repro.engine.ExecutionSession` whose segment
-    registry a ``backend="process"`` product publishes through; ``None``
-    (default) and ``False`` run without one —
-    a serial product has nothing for a session to save
-    (``docs/parallel.md``, "Segment registry").
+    ``session`` accepts only ``None`` (default) and ``False`` and selects
+    nothing: sessions were removed, and a call keeps no state for the next.
     """
     if k < 3:
         raise ValueError("k must be >= 3")
     if delta is not None and delta not in ("auto", "force"):
         raise ValueError(f"delta must be 'auto', 'force' or None, got {delta!r}")
+    if session is not None and session is not False:
+        raise TypeError(f"session= takes None or False (sessions were removed), got {session!r}")
     counter = counter if counter is not None else OpCounter()
-    session = resolve_session(session)
     spgemm_time = 0.0
     flops: List[int] = []
 
@@ -125,7 +124,7 @@ def ktruss(
                 x, y, mask, algo=algo, impl=impl, phases=phases,
                 semiring=PLUS_PAIR, counter=counter,
                 backend=backend,
-                shards=shards, session=session,
+                shards=shards,
             )
         spgemm_time += sp_mm.seconds
         return out

@@ -4,8 +4,6 @@ A window sliding over an edge stream inserts a few edges at the front and
 deletes a few at the back each step, and the masked product
 ``S = A .* (A @ A)`` — per-edge triangle support, the same product k-truss
 and triangle counting iterate — is recomputed for every window position.
-A caller's session keeps the process backend's published segments alive
-between steps; results are bit-for-bit identical to a sessionless run.
 """
 
 from __future__ import annotations
@@ -15,7 +13,6 @@ from typing import List, Optional
 
 import numpy as np
 
-from ..engine import resolve_session
 from ..machine import OpCounter
 from ..observe import timed_span
 from ..semiring import PLUS_PAIR
@@ -73,7 +70,6 @@ def sliding_window_triangles(
     backend: Optional[str] = None,
     shards=None,
     counter: Optional[OpCounter] = None,
-    session=None,
     max_steps: Optional[int] = None,
 ) -> StreamingResult:
     """Triangle support over a window sliding along an edge stream.
@@ -85,11 +81,6 @@ def sliding_window_triangles(
     the head.  Every step computes ``S = A .* (A @ A)`` on the PLUS_PAIR
     semiring — ``S[i, j]`` counts the triangles through edge ``(i, j)``
     — and the global triangle count ``sum(S) / 6``.
-
-    ``session`` follows the iterative-app convention
-    (:func:`~repro.apps.ktruss`): an
-    :class:`~repro.engine.ExecutionSession` the caller opens, or ``None``
-    (default) / ``False`` for none.
     """
     edges = np.asarray(edges, dtype=np.int64)
     if edges.ndim != 2 or edges.shape[1] != 2:
@@ -97,7 +88,6 @@ def sliding_window_triangles(
     if window <= 0 or step <= 0:
         raise ValueError("window and step must be positive")
     counter = counter if counter is not None else OpCounter()
-    session = resolve_session(session)
     triangles: List[int] = []
     edge_counts: List[int] = []
     support = CSR.empty((n, n))
@@ -119,7 +109,6 @@ def sliding_window_triangles(
                     counter=counter,
                     backend=backend,
                     shards=shards,
-                    session=session,
                 )
             triangles.append(int(round(float(support.data.sum()) / 6.0)))
             edge_counts.append(cur.nnz // 2)

@@ -70,8 +70,11 @@ def triangle_count_detail(
     """Triangle counting with timing/counter detail for the benches.
 
     ``backend`` forces the execution backend of the underlying masked
-    SpGEMM; ``None`` (default) runs it in-process on one worker.
-    ``"serial"`` also keeps the prepare step on one thread.
+    SpGEMM; ``None`` (default) runs it in-process on the threads the native
+    row loop takes for its estimated work
+    (:func:`repro.core.leaf.kernel_threads`: every core from 2^17
+    estimated products, one below).  ``"serial"`` also keeps the prepare
+    step on one thread.
     """
     counter = counter if counter is not None else OpCounter()
     # tracer spans double as the stage timers: tril/spgemm/reduce durations

@@ -81,7 +81,7 @@ __all__ = [
 
 def _check_spellings(algo: str, phases, impl: str, backend=None) -> str:
     """Every front door's option-spelling checks; the algorithm key."""
-    key = algo.lower()
+    key = algo.lower() if isinstance(algo, str) else None
     if key != "auto" and key not in ALL_ALGOS:
         raise ValueError(
             f"unknown algorithm {algo!r}; expected one of "
@@ -129,7 +129,6 @@ def masked_spgemm(
     backend: Optional[str] = None,
     shards=None,
     batch: str = "auto",
-    session=None,
 ) -> CSR:
     """Compute ``C = M .* (A @ B)`` (``!M`` with ``complement=True``).
 
@@ -194,13 +193,6 @@ def masked_spgemm(
         benchmark ladder's ``core.*_{perrow,bucket}_s`` rungs only, and
         selects nothing — the NumPy tier's push loop has one chunker
         (``docs/kernels.md``).  Any other value raises ``ValueError``.
-    session:
-        Optional :class:`repro.engine.ExecutionSession`: the process
-        backend's shm segment registry, which keeps the segments one call
-        publishes alive for the next.  Only a process-backend plan with
-        several work items reads it; results are bit-for-bit identical
-        with or without one.  ``False`` (the apps' "no session" sentinel)
-        means the same as ``None``.
     """
     if orientation not in ("row", "column"):
         raise ValueError("orientation must be 'row' or 'column'")
@@ -217,7 +209,7 @@ def masked_spgemm(
             shards = (shards[1], shards[0])
         elif shards is not None and not isinstance(shards, str):
             shards = type(shards)(shards.col_bounds, shards.row_bounds)
-    if algo.lower() == "auto" or shards is not None or backend is not None:
+    if str(algo).lower() == "auto" or shards is not None or backend is not None:
         # the planner picks per-row-band algorithms, phases and partition
         # from the cost model (a forced algo keeps the algo: shards= grids
         # the dispatch, backend= picks its threads or pool workers)
@@ -226,7 +218,6 @@ def masked_spgemm(
             algo=algo, phases=phases, impl=impl,
             complement=complement, semiring=semiring, counter=counter,
             b_csc=b_csc, machine=machine, backend=backend, shards=shards,
-            session=session,
         )
     else:
         # a forced algorithm with no grid or backend has nothing to plan

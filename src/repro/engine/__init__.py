@@ -23,7 +23,7 @@ runs :func:`repro.core.leaf.run_kernel` and never calls the door back.
 from .executor import execute, plan_and_execute
 from .plan import ExecutionPlan, RowBand, ShardGrid
 from .planner import PLAN_CANDIDATES, Planner, plan
-from .session import ExecutionSession, Fingerprint, fingerprint_csr, resolve_session
+from .fingerprint import Fingerprint, fingerprint_csr
 
 __all__ = [
     "ExecutionPlan",
@@ -34,8 +34,6 @@ __all__ = [
     "PLAN_CANDIDATES",
     "execute",
     "plan_and_execute",
-    "ExecutionSession",
     "Fingerprint",
     "fingerprint_csr",
-    "resolve_session",
 ]

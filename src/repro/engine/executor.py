@@ -47,7 +47,6 @@ from ..sparse import CSC, CSR
 from ..sparse.ops import split_columns
 from .plan import ExecutionPlan, RowBand
 from .planner import Planner, host_workers
-from .session import resolve_session
 
 __all__ = ["execute", "plan_and_execute"]
 
@@ -79,41 +78,6 @@ def _mask_nnz(m_panel: CSR, rows_desc: tuple) -> int:
     if rows_desc[0] == "range":
         return int(m_panel.indptr[rows_desc[2]] - m_panel.indptr[rows_desc[1]])
     return int(m_panel.row_nnz()[rows_desc[1]].sum())
-
-
-class _Published:
-    """The shared-memory side of one call: publishes each operand once and
-    releases (sessionless) or unpins (session registry) on exit."""
-
-    def __init__(self, session, counter: Optional[OpCounter]) -> None:
-        self._session, self._counter = session, counter
-        self._cache = session.segment_cache if session is not None else None
-        self._group = _shm.SegmentGroup() if self._cache is None else None
-        if self._cache is not None:
-            self._cache.begin_call()
-            self._before = (self._cache.segments_reused,
-                            self._cache.bytes_republished)
-
-    def spec(self, mat: CSR, base: CSR, tag: tuple) -> _shm.CSRSegments:
-        """Segments of ``mat``; under a session keyed by ``tag`` plus the
-        fingerprint of ``base`` (the operand ``mat`` derives from)."""
-        if self._cache is None:
-            return self._group.publish_csr(mat)
-        return self._cache.publish_csr(mat, self._session.fingerprint(base), tag)
-
-    def __enter__(self) -> "_Published":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        if self._cache is None:
-            self._group.close()
-            return
-        self._cache.end_call()
-        if self._counter is not None:
-            self._counter.segments_reused += (
-                self._cache.segments_reused - self._before[0])
-            self._counter.bytes_republished += (
-                self._cache.bytes_republished - self._before[1])
 
 
 def _run_tasks(tasks, remote: bool, workers: int, nthreads: int,
@@ -172,7 +136,6 @@ def execute(
     counter: Optional[OpCounter] = None,
     backend: Optional[str] = None,
     b_csc: Optional[CSC] = None,
-    session=None,
 ) -> CSR:
     """Run ``C = M .* (A @ B)`` (``!M`` per the plan) as the plan dictates.
 
@@ -188,11 +151,8 @@ def execute(
     ``process`` dispatches row parts to the shared-memory worker pool
     (:mod:`repro.parallel.pool`) with zero-copy operands.  ``b_csc``
     optionally amortises the CSC build for inner-product bands across calls.
-
-    ``session`` (an :class:`~repro.engine.ExecutionSession`) is the process
-    backend's segment registry: operand and column-panel segments
-    published by one call are served to the next.  Results are bit-for-bit
-    identical either way.
+    A process call publishes its operands into shared memory and unlinks
+    them before it returns: nothing outlives the call.
     """
     plan.validate()
     check_operands(a, b, mask)
@@ -209,7 +169,6 @@ def execute(
     return _execute(
         plan, a, b, mask,
         semiring=semiring, impl=impl, counter=counter, b_csc=b_csc,
-        session=resolve_session(session),
     )
 
 
@@ -226,10 +185,9 @@ def _in_process_threads(plan: ExecutionPlan, backend: str, a: CSR, b: CSR) -> in
     return min(plan.threads, kernel_threads(a, b))
 
 
-def _execute(plan, a, b, mask, *, semiring, impl, counter, b_csc, session) -> CSR:
+def _execute(plan, a, b, mask, *, semiring, impl, counter, b_csc) -> CSR:
     """:func:`execute` past its checks: a validated plan (a planner's own)
-    for these operands, ``session`` an :class:`ExecutionSession` or
-    ``None``."""
+    for these operands."""
     backend = plan.backend
     if not plan.bands or a.nrows == 0:
         return CSR.empty(plan.shape)
@@ -303,22 +261,18 @@ def _execute(plan, a, b, mask, *, semiring, impl, counter, b_csc, session) -> CS
             if plan.partition == "balanced" and parts > 1 and grid.nrb == 1
             else None
         )
-        # segment keys under a session: the operand's fingerprint, plus the
-        # panel's column range when there are several
-        col_ranges = [()] if npanels == 1 else grid.col_panels()
         token = _pool.encode_semiring(semiring) if backend == "process" else None
-        pub = a_spec = None
+        # the call's segments, unlinked when it returns; id(operand) ->
+        # (operand, its segments): each operand, panel and CSC is published
+        # once, however many items and roles read it
+        group = stack.enter_context(_shm.SegmentGroup()) if backend == "process" else None
         specs: dict = {}
 
-        def spec(role: str, k: int) -> _shm.CSRSegments:
-            if (role, k) not in specs:
-                if role == "csc":
-                    mat, base, kind = cscs[k].to_transposed_csr(), b, "csc"
-                else:
-                    panels, base = (b_panels, b) if role == "b" else (m_panels, mask)
-                    mat, kind = panels[k], "csr"
-                specs[role, k] = pub.spec(mat, base, (kind,) + tuple(col_ranges[k]))
-            return specs[role, k]
+        def spec(mat) -> _shm.CSRSegments:
+            if id(mat) not in specs:
+                csr = mat.to_transposed_csr() if isinstance(mat, CSC) else mat
+                specs[id(mat)] = mat, group.publish_csr(csr)
+            return specs[id(mat)][1]
 
         triples = []
         for i, band in enumerate(plan.bands):
@@ -346,22 +300,16 @@ def _execute(plan, a, b, mask, *, semiring, impl, counter, b_csc, session) -> CS
                 if not items:
                     continue
                 remote = backend == "process" and len(items) > 1
-                if remote and pub is None:
-                    if session is not None:
-                        # one call scope: each operand is digested once
-                        stack.enter_context(session.call())
-                    pub = stack.enter_context(_Published(session, counter))
-                    a_spec = pub.spec(a, a, ("csr",))
                 run_on = "serial" if backend == "process" and not remote else backend
                 total = float(sum(item[3] for item in items))
                 inner = band.algo == "inner"
                 tasks = [
                     _pool.Task(
-                        a=a_spec if remote else a,
-                        b=spec("b", k) if remote else b_panels[k],
-                        mask=spec("m", k) if remote else m_panels[k],
+                        a=spec(a) if remote else a,
+                        b=spec(b_panels[k]) if remote else b_panels[k],
+                        mask=spec(m_panels[k]) if remote else m_panels[k],
                         b_csc=None if not inner
-                        else spec("csc", k) if remote else cscs[k],
+                        else spec(cscs[k]) if remote else cscs[k],
                         rows=desc,
                         col_offset=grid.col_bounds[k],
                         algo=band.algo,
@@ -404,7 +352,6 @@ def plan_and_execute(
     backend: Optional[str] = None,
     b_csc: Optional[CSC] = None,
     planner: Optional[Planner] = None,
-    session=None,
     **plan_kwargs,
 ) -> CSR:
     """Plan and immediately execute — what every front door calls when
@@ -412,9 +359,8 @@ def plan_and_execute(
 
     The plan comes from :func:`plan_call` (the given ``planner``, or the
     one cached for ``machine``), which receives every forced knob — the
-    plan is the only carrier of ``backend`` into the work-item loop — and
-    a process-backend grid publishes through the ``session``'s segment
-    registry.  A given ``b_csc`` is the inner product's CSC, so the plan
+    plan is the only carrier of ``backend`` into the work-item loop.  A
+    given ``b_csc`` is the inner product's CSC, so the plan
     does not charge ``inner`` for building one.
     """
     pl = plan_call(
@@ -426,7 +372,6 @@ def plan_and_execute(
     return _execute(
         pl, a, b, mask,
         semiring=semiring, impl=impl, counter=counter, b_csc=b_csc,
-        session=resolve_session(session),
     )
 
 

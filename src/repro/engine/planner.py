@@ -639,6 +639,8 @@ class Planner:
                     f"shards must be an (nrb, ncp) tuple or a ShardGrid, "
                     f"got {shards!r}"
                 )
+            if min(int(shards[0]), int(shards[1])) < 1:
+                raise ValueError(f"shards counts must be >= 1, got {shards!r}")
             nrb = max(1, min(int(shards[0]), nrows))
             ncp = max(1, min(int(shards[1]), ncols))
             grid = ShardGrid.regular((nrows, ncols), nrb, ncp)

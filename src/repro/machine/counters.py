@@ -26,16 +26,10 @@ Counter semantics:
 * ``spa_resets`` — cells cleared when recycling a dense accumulator.
 * ``symbolic_flops`` — work done in a 2P symbolic phase (every 2P call
   runs its sweep; nothing is memoised across calls).
-* ``segments_reused`` / ``bytes_republished`` — the only counters an
-  :class:`~repro.engine.ExecutionSession` moves: shared-memory operand
-  segments its registry served instead of republishing, and bytes
-  rewritten in place for a values-only operand change.  Zero in
-  sessionless runs, so backend-equivalence comparisons are unaffected.
-  ``plan_cache_hits`` is kept for stored snapshots and the ladder's traced
-  rungs; plans are no longer cached, so it stays 0.
-* ``rows_recomputed`` / ``rows_patched`` / ``delta_fallbacks`` are kept
+* ``plan_cache_hits`` / ``segments_reused`` / ``bytes_republished`` /
+  ``rows_recomputed`` / ``rows_patched`` / ``delta_fallbacks`` are kept
   for stored snapshots and the ladder's traced rungs; nothing charges
-  them, so they stay 0.
+  them (no plan, segment or row survives a call), so they stay 0.
 
 Schema growth: counters cross process and file boundaries (pool workers
 pickle them back; trace exports store their dict form), so every
@@ -70,12 +64,12 @@ class OpCounter:
     spa_resets: int = 0
     symbolic_flops: int = 0
     output_nnz: int = 0
-    # session-reuse counters (appended last: snapshots taken before the
-    # schema grew keep reading correctly through diff())
+    # kept for stored snapshots and the ladder's traced rungs; always 0
+    # (appended last: snapshots taken before the schema grew keep reading
+    # correctly through diff())
     plan_cache_hits: int = 0
     segments_reused: int = 0
     bytes_republished: int = 0
-    # kept for stored snapshots and the ladder's traced rungs; always 0
     rows_recomputed: int = 0
     rows_patched: int = 0
     delta_fallbacks: int = 0

@@ -38,8 +38,9 @@ __all__ = [
 #: renamed/removed or its meaning changes (additions do not bump it), so
 #: downstream consumers of archived metrics JSON can dispatch on it
 #: (2: the "shards" census key is gone; 3: the "runtime" key is gone;
-#: 4: the "probes" key is gone; 5: the "batch" census key is gone)
-METRICS_SCHEMA_VERSION = 5
+#: 4: the "probes" key is gone; 5: the "batch" census key is gone;
+#: 6: the "session" key is gone)
+METRICS_SCHEMA_VERSION = 6
 
 #: span-name prefixes whose counter deltas partition the counted work:
 #: every operation is charged inside exactly one of these spans, so summing
@@ -128,18 +129,12 @@ def estimated_bytes_moved(counter_totals: Dict[str, int], machine=None) -> int:
     return int(words) * word_bytes
 
 
-def metrics(tracer_or_spans, *, machine=None, session=None) -> dict:
+def metrics(tracer_or_spans, *, machine=None) -> dict:
     """Flat metrics summary of a trace (see module docs).
 
     ``tracer_or_spans`` may be ``None`` (tracing was never enabled): the
-    summary still carries its schema version plus whatever session
-    telemetry exists — observability outside ``trace()`` blocks, not an
-    error.
-
-    ``session`` may be an :class:`~repro.engine.ExecutionSession`; its
-    telemetry (digests taken, segment reuse and republished bytes) lands
-    under the ``"session"`` key ({} when absent) — see
-    ``docs/parallel.md``, "Segment registry".
+    summary then carries its schema version and empty aggregates —
+    observability outside ``trace()`` blocks, not an error.
     """
     spans = _spans(tracer_or_spans)
     by_name: Dict[str, dict] = {}
@@ -171,7 +166,6 @@ def metrics(tracer_or_spans, *, machine=None, session=None) -> dict:
         "counter_totals": totals,
         "bytes_moved_estimate": estimated_bytes_moved(totals, machine),
         "machine": getattr(machine, "name", None),
-        "session": session.stats() if session is not None else {},
     }
 
 
@@ -181,11 +175,10 @@ def write_chrome_trace(path, tracer_or_spans) -> None:
         json.dump(chrome_trace(tracer_or_spans), fh, indent=1, default=_jsonable)
 
 
-def write_metrics(path, tracer_or_spans, *, machine=None, session=None) -> None:
+def write_metrics(path, tracer_or_spans, *, machine=None) -> None:
     """Write :func:`metrics` output as JSON."""
     with open(path, "w") as fh:
-        json.dump(metrics(tracer_or_spans, machine=machine, session=session),
-                  fh, indent=1, default=_jsonable)
+        json.dump(metrics(tracer_or_spans, machine=machine), fh, indent=1, default=_jsonable)
 
 
 def _jsonable(obj):

@@ -60,15 +60,10 @@ def format_span_tree(spans: List, *, main_pid: Optional[int] = None) -> str:
     return "\n".join(lines)
 
 
-def report(tracer, *, plan=None, session=None) -> str:
+def report(tracer, *, plan=None) -> str:
     """Render a full trace report (plan, span tree, modeled vs measured).
-    Passing an
-    :class:`~repro.engine.ExecutionSession` adds a session-reuse section
-    (digests taken and segment-registry hit rates).
-
-    ``tracer`` may be ``None`` — an *untraced* sessioned run still gets
-    its session and pool section, so cache behaviour is never invisible
-    outside ``trace()`` blocks.
+    ``tracer`` may be ``None`` (tracing was never enabled): the report then
+    shows the plan and an empty span section.
     """
     spans = tracer.spans if tracer is not None else []
     lines: List[str] = []
@@ -105,27 +100,5 @@ def report(tracer, *, plan=None, session=None) -> str:
         lines.append("=== prediction ledger (modeled vs measured) ===")
         lines.append(format_predictions(preds))
 
-    if session is not None:
-        st = session.stats()
-        lines.append("")
-        lines.append("=== session reuse ===")
-        lines.append(f"  digests         taken={st['fingerprint_digests']}")
-        lines.append(
-            f"  shm segments    reused={st['segments_reused']:<6d} "
-            f"published={st['segments_published']} "
-            f"({st['bytes_published']} B fresh, "
-            f"{st['bytes_republished']} B value rewrites)"
-        )
-        lines.append(
-            f"  segment cache   entries={st['cached_entries']:<6d} "
-            f"bytes={st['cached_bytes']}"
-        )
-        lines.append(f"  process pool    size={_pool_size()}")
-
     return "\n".join(lines)
 
-
-def _pool_size() -> int:
-    from ..parallel.pool import pool_size
-
-    return pool_size()

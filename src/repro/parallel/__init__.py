@@ -25,7 +25,6 @@ from .pool import (
     process_pool,
     shutdown_pool,
 )
-from .segment_cache import SegmentCache
 from .shm import SegmentGroup, active_segments, attach_csr
 
 __all__ = [
@@ -42,7 +41,6 @@ __all__ = [
     "process_backend_available",
     "process_pool",
     "shutdown_pool",
-    "SegmentCache",
     "SegmentGroup",
     "active_segments",
     "attach_csr",

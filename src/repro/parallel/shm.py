@@ -51,7 +51,6 @@ __all__ = [
     "SegmentSpec",
     "CSRSegments",
     "SegmentGroup",
-    "rewrite_array",
     "attach_array",
     "attach_csr",
     "attach_csc",
@@ -113,30 +112,6 @@ def _unlink(shm: "shared_memory.SharedMemory") -> None:
             shm.unlink()
         except FileNotFoundError:  # pragma: no cover - already gone
             pass
-
-
-def rewrite_array(spec: SegmentSpec, arr: np.ndarray) -> None:
-    """Overwrite a published segment's contents in place.
-
-    The values-only republish path of the session segment cache
-    (:mod:`repro.parallel.segment_cache`): when an operand's structure is
-    unchanged but its values moved, the existing segment is rewritten
-    under the same name — workers' cached attachments are ``mmap`` views
-    of the same pages, so they observe the new values without re-attaching.
-    Only segments owned by this process can be rewritten, and the
-    replacement must match the published dtype and length exactly.
-    """
-    shm = _OWNED.get(spec.name)
-    if shm is None:
-        raise KeyError(f"segment {spec.name!r} is not owned by this process")
-    arr = np.ascontiguousarray(arr)
-    if arr.dtype.str != spec.dtype or int(arr.size) != spec.length:
-        raise ValueError(
-            f"rewrite_array needs identical dtype/length: segment is "
-            f"({spec.dtype}, {spec.length}), got ({arr.dtype.str}, {arr.size})"
-        )
-    if arr.size:
-        np.frombuffer(shm.buf, dtype=arr.dtype, count=arr.size)[:] = arr
 
 
 def active_segments() -> Tuple[str, ...]:

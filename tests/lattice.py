@@ -3,10 +3,10 @@
 Bit-for-bit identity of values *and* ``OpCounter``s across every spelling
 of a call is the library's contract.  This module is that contract as
 data: the axes (front door x ``algo`` x complement x phases x
-orientation x backend x threads x grid x session x machine x kernel
-tier, and the native loops' in-kernel ``nthreads``; in process a plan's
-``threads`` is that in-kernel count, on the ``process`` backend the pool's
-row parts), the operand sets
+orientation x backend x threads x grid x machine x kernel tier, and the
+native loops' in-kernel ``nthreads``; in process a plan's ``threads`` is
+that in-kernel count, on the ``process`` backend the pool's row parts),
+the operand sets
 they run over (the adversarial sets of
 ``tests/test_native.py`` plus an R-MAT triangle-counting triple) and one
 record per call — ``(case id, blake2b of the CSR bytes, OpCounter)``; a
@@ -21,17 +21,14 @@ Three consumers:
   whose digest or counters differ outside :data:`EXCEPTIONS` and exits
   non-zero if there is one — the parent-vs-change identity check of a
   refactor (CONTRIBUTING.md: clone the parent, copy this file in, digest
-  both trees, compare).  A session keeps nothing but published segments
-  between calls, so no earlier call can move a later call's plan: the
-  ``session="own"`` steps (cold, warm, mutated) differ from a sessionless
-  call only in ``segments_reused`` / ``bytes_republished``;
+  both trees, compare);
 * ``tests/test_lattice.py`` runs a fixed sample under tier-1 against the
   reference tier, and every ``nthreads`` case against its ``nthreads=1``
   twin (:func:`thread_axis_findings`, which ``--digest`` also prints).
 
 The factorial is full where the axes interact (serial spellings; planned
-dispatch: backend x grid x session) and one axis at a time elsewhere,
-~20k calls per tier (see :func:`cases`).
+dispatch: backend x grid) and one axis at a time elsewhere,
+~14k calls per tier (see :func:`cases`).
 """
 
 from __future__ import annotations
@@ -56,7 +53,6 @@ from repro.core import (
 )
 from repro.core.kernels import native
 from repro.core.leaf import run_kernel
-from repro.engine import ExecutionSession
 from repro.graphs import erdos_renyi, relabel_by_degree, rmat
 from repro.machine import KNL, OpCounter
 from repro.parallel import parallel_masked_spgemm, shutdown_pool
@@ -219,7 +215,6 @@ PHASES = (1, 2)
 ORIENTATIONS = ("row", "column")
 BACKENDS = (None, "serial", "thread", "process")
 GRIDS = (None, (2, 2), (1, 3))
-SESSIONS = (None, False, "own")  # "own": three calls — cold, warm, mutated
 #: a paper machine that is no preset, passed as an object
 ODD = dataclasses.replace(KNL, name="odd", cores=3, hit_cycles=6.0)
 MACHINES = (None, "haswell", ODD)
@@ -252,7 +247,7 @@ def excepted(call_id: str, what: str) -> bool:
 
 class Case(NamedTuple):
     """One point of the lattice: a front door, an operand set and the
-    keyword options of the call (``session="own"`` expands to three calls)."""
+    keyword options of the call."""
 
     door: str
     operands: str
@@ -293,11 +288,9 @@ def cases() -> Iterator[Case]:
                        orientation=orientation)
         # planned dispatch: full factorial at 1P / row
         planned = list(_algo_complement(skip=SERIAL_ONLY.get(name, ())))
-        for (algo, comp), backend, grid, session in product(
-            planned, BACKENDS, GRIDS, SESSIONS
-        ):
+        for (algo, comp), backend, grid in product(planned, BACKENDS, GRIDS):
             yield case("masked_spgemm", algo=algo, complement=comp, backend=backend,
-                       grid=grid, session=session)
+                       grid=grid)
         # a modeled preset plans its own bands, workers and backend
         for comp, backend, grid, machine in product(
             (False, True), BACKENDS, GRIDS, MACHINES[1:]
@@ -337,40 +330,19 @@ def sample(n: Optional[int]) -> List[Case]:
 # ----------------------------------------------------------------------
 # running a case
 # ----------------------------------------------------------------------
-def mutated(a: CSR, b: CSR, m: CSR):
-    """The triple with a seventh of A's values changed (aliases kept)."""
-    data = a.data.copy()
-    data[::7] = data[::7] * 2.0 + 1.0
-    a2 = CSR(a.shape, a.indptr, a.indices, data,
-             sorted_indices=a.sorted_indices, check=False)
-    return a2, (a2 if b is a else b), (a2 if m is a else m)
-
-
 def execute(case: Case):
-    """Run one case; yields ``(call id, CSR | Exception, OpCounter)`` per
-    call — one, or three under ``session="own"``."""
+    """Run one case: ``(call id, CSR | Exception, OpCounter)`` (a call that
+    raises records the error)."""
     a, b, m, semiring = OPERANDS[case.operands]
     options = dict(case.options)
     if "grid" in options:
         options["shards"] = options.pop("grid")
-    door = DOORS[case.door]
-
-    def call(triple, **extra):
-        counter = OpCounter()
-        try:
-            out = door(*triple, semiring=semiring, counter=counter, **options, **extra)
-        except Exception as err:  # recorded, compared like any other outcome
-            out = err
-        return out, counter
-
-    if options.get("session") != "own":
-        yield (case.id, *call((a, b, m)))
-        return
-    del options["session"]
-    with ExecutionSession() as own:
-        for step, triple in (("cold", (a, b, m)), ("warm", (a, b, m)),
-                             ("mutated", mutated(a, b, m))):
-            yield (f"{case.id}:{step}", *call(triple, session=own))
+    counter = OpCounter()
+    try:
+        out = DOORS[case.door](a, b, m, semiring=semiring, counter=counter, **options)
+    except Exception as err:  # recorded, compared like any other outcome
+        out = err
+    return case.id, out, counter
 
 
 def csr_digest(c: CSR) -> str:
@@ -421,8 +393,8 @@ def digest(n: Optional[int] = None, tiers=TIERS) -> Dict[str, dict]:
     for tier in tiers:
         with tier_scope(tier):
             for case in chosen:
-                for call_id, result, counter in execute(case):
-                    out[f"{tier}/{call_id}"] = record(result, counter)
+                call_id, result, counter = execute(case)
+                out[f"{tier}/{call_id}"] = record(result, counter)
     return out
 
 

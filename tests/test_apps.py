@@ -15,7 +15,6 @@ from repro.apps import (
     triangle_count_detail,
 )
 from repro.core import ALGOS, masked_spgemm, supports_complement
-from repro.engine import ExecutionSession
 from repro.graphs import erdos_renyi, erdos_renyi_graph, rmat
 from repro.machine import OpCounter, total_flops
 from repro.parallel import active_segments, process_backend_available, shutdown_pool
@@ -29,12 +28,11 @@ def _nx(g: CSR) -> nx.Graph:
     return nx.from_scipy_sparse_array(g.to_scipy())
 
 
-def _bc_reference_sweep(a, sources, *, algo, session, backend, call_log, counter):
+def _bc_reference_sweep(a, sources, *, algo, backend, call_log, counter):
     """The betweenness sweep as it stood before the level-aligned rewrite —
     a growing ``delta`` matrix, flat-key lookups, COO round trips — kept here
     as the reference the shipped body is judged by.  Returns ``(centrality,
     depth)``; products, operands and counters must match the shipped body's."""
-    from repro.engine import resolve_session
     from repro.semiring import PLUS_TIMES
     from repro.sparse import ewise_add
 
@@ -53,8 +51,7 @@ def _bc_reference_sweep(a, sources, *, algo, session, backend, call_log, counter
     a = a.pattern()
     n, sources = a.nrows, np.asarray(list(sources), dtype=np.int64)
     s = sources.shape[0]
-    session = resolve_session(session)
-    kw = dict(algo=algo, semiring=PLUS_TIMES, counter=counter, session=session,
+    kw = dict(algo=algo, semiring=PLUS_TIMES, counter=counter,
               backend=backend if algo == "auto" else None)
     a_t = a.transpose()
     a_t_csc = CSC(a_t.shape, a.sort_indices())  # the shipped body's, too
@@ -253,7 +250,7 @@ def _diff_graph(name):
 def _diff_case(name, k):
     """``(graph, its delta=None run)``, built once per module."""
     g = _diff_graph(name)
-    return g, ktruss(g, k, session=False, delta=None)
+    return g, ktruss(g, k, delta=None)
 
 
 def _assert_same_run(got, ref):
@@ -321,17 +318,17 @@ class TestKTrussDecrement:
         _assert_same_run(ktruss(g, k, algo=algo, delta=delta), ref)
 
     @pytest.mark.parametrize("delta", ["auto", "force", None])
-    @pytest.mark.parametrize("session", [False, "own", None])
-    def test_sessions(self, session, delta):
+    @pytest.mark.parametrize("session", [False, None])
+    def test_kept_session_spelling_selects_nothing(self, session, delta):
         g, ref = _diff_case("rmat8", 5)
-        if session == "own":
-            with ExecutionSession() as sess:
-                got = ktruss(g, 5, session=sess, delta=delta)
-                assert sess.stats()["fingerprint_digests"] == 0
-        else:
-            got = ktruss(g, 5, session=session, delta=delta)
+        got = ktruss(g, 5, session=session, delta=delta)
         _assert_same_run(got, ref)
         assert got.counter.delta_fallbacks == got.counter.rows_patched == 0
+
+    @pytest.mark.parametrize("session", [True, 0, "own", object()])
+    def test_any_other_session_raises(self, graph, session):
+        with pytest.raises(TypeError, match="sessions were removed"):
+            ktruss(graph, 4, session=session)
 
     @pytest.mark.skipif(not process_backend_available(), reason="no process backend")
     @pytest.mark.parametrize("delta", ["auto", "force", None])
@@ -398,28 +395,40 @@ class TestBetweenness:
         batches = {"one": [n - 1], "some": list(range(0, n, max(1, n // 16)))[:16],
                    "all": list(range(n))}
         for sources in batches.values():
-            for session in (None, False):
-                for backend in ("serial", "thread"):
-                    log, ref_log = [], []
-                    c, ref_c = OpCounter(), OpCounter()
-                    got = betweenness_centrality(g, sources, algo=algo, session=session,
-                                                 backend=backend, call_log=log, counter=c)
-                    want, depth = _bc_reference_sweep(
-                        g, sources, algo=algo, session=session, backend=backend,
-                        call_log=ref_log, counter=ref_c)
-                    case = (name, algo, len(sources), session, backend)
-                    assert got.depth == depth, case
-                    assert len(log) == len(ref_log) == 2 * depth + 1, case
-                    for (a, b, m, comp), (ra, rb, rm, rcomp) in zip(log, ref_log):
-                        assert comp == rcomp, case
-                        for x, y in ((a, ra), (b, rb), (m, rm)):
-                            assert x.shape == y.shape and x.sorted_indices, case
-                            assert x.indptr.tobytes() == y.indptr.tobytes(), case
-                            assert x.indices.tobytes() == y.indices.tobytes(), case
-                            assert x.data.tobytes() == y.data.tobytes(), case
-                    assert c.as_dict() == ref_c.as_dict(), case
-                    assert np.allclose(got.centrality, want, rtol=1e-12,
-                                       atol=1e-12 * max(1.0, want.max())), case
+            for backend in ("serial", "thread"):
+                log, ref_log = [], []
+                c, ref_c = OpCounter(), OpCounter()
+                got = betweenness_centrality(g, sources, algo=algo, backend=backend,
+                                             call_log=log, counter=c)
+                want, depth = _bc_reference_sweep(
+                    g, sources, algo=algo, backend=backend, call_log=ref_log, counter=ref_c)
+                case = (name, algo, len(sources), backend)
+                assert got.depth == depth, case
+                assert len(log) == len(ref_log) == 2 * depth + 1, case
+                for (a, b, m, comp), (ra, rb, rm, rcomp) in zip(log, ref_log):
+                    assert comp == rcomp, case
+                    for x, y in ((a, ra), (b, rb), (m, rm)):
+                        assert x.shape == y.shape and x.sorted_indices, case
+                        assert x.indptr.tobytes() == y.indptr.tobytes(), case
+                        assert x.indices.tobytes() == y.indices.tobytes(), case
+                        assert x.data.tobytes() == y.data.tobytes(), case
+                assert c.as_dict() == ref_c.as_dict(), case
+                assert np.allclose(got.centrality, want, rtol=1e-12,
+                                   atol=1e-12 * max(1.0, want.max())), case
+
+    def test_kept_session_spelling_selects_nothing(self, graph):
+        sources = range(0, graph.nrows, 3)
+        want = betweenness_centrality(graph, sources)
+        for session in (None, False):
+            got = betweenness_centrality(graph, sources, session=session)
+            assert got.depth == want.depth
+            assert got.centrality.tobytes() == want.centrality.tobytes()
+            assert got.counter.as_dict() == want.counter.as_dict()
+
+    @pytest.mark.parametrize("session", [True, 0, "own", object()])
+    def test_any_other_session_raises(self, graph, session):
+        with pytest.raises(TypeError, match="sessions were removed"):
+            betweenness_centrality(graph, [0], session=session)
 
     def test_directed_graph_matches_networkx(self):
         g = BC_GRAPHS["directed"]

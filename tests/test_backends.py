@@ -19,13 +19,13 @@ under row/column slicing (inner/msa/mca/esc; hash sizes its table per
 flop-budget batch and the heap schemes' merge costs depend on row extent,
 so only their *outputs* are compared with the plain call) — in
 :class:`OpCounter` totals.  ``tests/test_shards.py`` holds the planner
-spellings, the column split and the pruning / session-reuse cases.
+spellings, the column split and the pruning cases.
 
-Segment hygiene is asserted too: after the pool is shut down and every
-publication group closed, no shared-memory segment this process created is
-still registered or attachable; and a subprocess that exits *without*
-calling ``shutdown_pool()`` leaves no pool process and no segment behind
-(the import-time ``atexit`` hooks are the cleanup of last resort).
+Segment hygiene is asserted too: every process call unlinks the segments
+it published before it returns, so no shared-memory segment this process
+created is still registered or attachable; and a subprocess that exits
+*without* calling ``shutdown_pool()`` leaves no pool process and no segment
+behind (the import-time ``atexit`` hooks reap the pool).
 
 The whole module carries the ``backend`` marker so CI can run it as a
 dedicated smoke job (``pytest -m backend``).
@@ -46,7 +46,7 @@ import numpy as np
 import pytest
 
 from repro.core import ALL_ALGOS, masked_spgemm, supports_complement
-from repro.engine import ExecutionSession, Planner, ShardGrid, execute, plan
+from repro.engine import Planner, ShardGrid, execute, plan
 from repro.graphs import erdos_renyi, rmat
 from repro.machine import HASWELL, OpCounter
 from repro.observe import tracing
@@ -88,9 +88,17 @@ def _pool_teardown():
     assert active_segments() == ()
 
 
+@pytest.fixture(autouse=True)
+def _no_segment_outlives_a_test():
+    """A process call unlinks what it published before it returns."""
+    yield
+    assert active_segments() == ()
+
+
 def _run(pl, a, b, m, backend):
     counter = OpCounter()
     c = execute(pl, a, b, m, backend=backend, counter=counter)
+    assert active_segments() == ()  # nothing the call published outlives it
     return c, counter
 
 
@@ -202,15 +210,14 @@ def _assert_dispatch(run, cells, backend: str) -> None:
 
 
 class TestForcedBackendReachesThePlanner:
-    """``backend=`` is a plan knob under every session spelling: the
-    sessionless door used to keep it from the planner (which planned
-    ``threads=1``) and apply it at execute time, where one item ran
-    in-process under a span that still said ``thread`` / ``process``.  A
-    ``process`` plan fans work items out to the pool; an in-process one is
-    a single kernel call on the plan's threads."""
+    """``backend=`` is a plan knob: the door used to keep it from the
+    planner (which planned ``threads=1``) and apply it at execute time,
+    where one item ran in-process under a span that still said ``thread`` /
+    ``process``.  A ``process`` plan fans work items out to the pool; an
+    in-process one is a single kernel call on the plan's threads."""
 
     @pytest.mark.parametrize("backend", ["thread", "process"])
-    def test_same_plan_and_dispatch_with_and_without_a_session(self, backend):
+    def test_same_plan_and_dispatch_on_every_call(self, backend):
         import os
 
         from repro.graphs import relabel_by_degree
@@ -223,25 +230,18 @@ class TestForcedBackendReachesThePlanner:
         ref = masked_spgemm(low, low, low, algo="auto", backend="serial",
                             semiring=PLUS_PAIR, counter=serial)
 
-        def work(counter):
-            # all but the reuse a session's segment registry reports there
-            return {k: v for k, v in counter.as_dict().items()
-                    if k not in ("segments_reused", "bytes_republished")}
-
         shapes = set()
-        with ExecutionSession() as own:
-            for session in (None, False, own):
-                counter = OpCounter()
-                with tracing() as tr:
-                    got = masked_spgemm(low, low, low, algo="auto", backend=backend,
-                                        semiring=PLUS_PAIR, counter=counter,
-                                        session=session)
-                _assert_same(got, ref, str(session))
-                assert work(counter) == work(serial), session
-                (run,) = [sp for sp in tr.spans if sp.name == "engine.execute"]
-                cells = _cell_spans(tr)
-                _assert_dispatch(run, cells, backend)
-                shapes.add((run.attrs["plan"]["threads"], len(cells)))
+        for call in range(2):
+            counter = OpCounter()
+            with tracing() as tr:
+                got = masked_spgemm(low, low, low, algo="auto", backend=backend,
+                                    semiring=PLUS_PAIR, counter=counter)
+            _assert_same(got, ref, str(call))
+            assert counter.as_dict() == serial.as_dict(), call
+            (run,) = [sp for sp in tr.spans if sp.name == "engine.execute"]
+            cells = _cell_spans(tr)
+            _assert_dispatch(run, cells, backend)
+            shapes.add((run.attrs["plan"]["threads"], len(cells)))
         assert len(shapes) == 1, shapes
 
     @pytest.mark.parametrize("backend", ["thread", "process"])
@@ -272,9 +272,8 @@ class TestForcedBackendReachesThePlanner:
 
 
 _LEAK_SCRIPT = r"""
-import json, sys
+import json, os, sys
 from repro.core import masked_spgemm
-from repro.engine import ExecutionSession
 from repro.graphs import relabel_by_degree, rmat
 from repro.parallel import shm
 from repro.parallel.pool import pool_pids, process_backend_available
@@ -284,17 +283,29 @@ if not process_backend_available():
     print(json.dumps({"skip": True}))
     sys.exit(0)
 
+published = []
+new_segment = shm._new_segment
+
+
+def _recorded(nbytes):
+    seg = new_segment(nbytes)
+    published.append(seg.name)
+    return seg
+
+
+shm._new_segment = _recorded
 low = relabel_by_degree(rmat(9, seed=7).pattern()).tril(-1)
-with ExecutionSession() as session:
-    masked_spgemm(low, low, low, algo="msa", shards=(2, 2),
-                  backend="process", semiring=PLUS_PAIR, session=session)
-    # report live state mid-session, then exit WITHOUT shutdown_pool():
-    # the import-time atexit hooks must reap the pool and the segments
-    print(json.dumps({
-        "skip": False,
-        "segments": list(shm.active_segments()),
-        "pids": list(pool_pids()),
-    }))
+masked_spgemm(low, low, low, algo="msa", shards=(2, 2),
+              backend="process", semiring=PLUS_PAIR)
+# report what the call published and what is still live, then exit
+# WITHOUT shutdown_pool(): the import-time atexit hooks must reap the pool
+print(json.dumps({
+    "skip": False,
+    "prefix": f"repro_{os.getpid():x}_",
+    "published": published,
+    "live": list(shm.active_segments()),
+    "pids": list(pool_pids()),
+}))
 sys.exit(0)
 """
 
@@ -342,29 +353,13 @@ class TestSegmentHygiene:
         assert np.array_equal(first.data, second.data)
 
     def test_no_shard_segments_leak_across_calls(self, square_problem):
-        """Sessionless grid process calls publish A and every column panel
-        of B and the mask; every segment must die with its call."""
+        """Grid process calls publish A and every column panel of B and the
+        mask; every segment must die with its call."""
         a, b, m = square_problem
         pl = plan(a, b, m, algo="msa", threads=WORKERS, shards=(3, 2))
         for _ in range(3):
             execute(pl, a, b, m, backend="process")
             assert active_segments() == ()
-
-    def test_session_shard_segments_die_with_session_close(self, square_problem):
-        """A session pins operand and panel segments *across* calls — they
-        must all unlink when the session closes, not before."""
-        from repro.engine import ExecutionSession
-
-        a, b, m = square_problem
-        pl = plan(a, b, m, algo="msa", threads=WORKERS, shards=(3, 2))
-        with ExecutionSession() as ses:
-            execute(pl, a, b, m, backend="process", session=ses)
-            held = active_segments()
-            assert held != ()  # the registry keeps the segments alive
-            execute(pl, a, b, m, backend="process", session=ses)
-            # reuse, not republication: no segment growth on the warm call
-            assert active_segments() == held
-        assert active_segments() == ()
 
     @pytest.mark.skipif(
         not process_backend_available(), reason="no shared-memory support"
@@ -381,14 +376,15 @@ class TestSegmentHygiene:
         state = json.loads(proc.stdout.strip().splitlines()[-1])
         if state.get("skip"):
             pytest.skip("child had no shared-memory support")
-        assert state["segments"], "run must have published shm segments"
+        assert state["published"], "run must have published shm segments"
+        assert state["live"] == [], "the call must unlink its segments on return"
         assert state["pids"], "run must have spawned pool workers"
 
-        # no segment survived the interpreter exit
-        for name in state["segments"]:
-            assert not os.path.exists(os.path.join("/dev/shm", name)), (
-                f"leaked shared-memory segment {name}"
-            )
+        # no segment of the child's survived the interpreter exit
+        if os.path.isdir("/dev/shm"):
+            left = [name for name in os.listdir("/dev/shm")
+                    if name.startswith(state["prefix"])]
+            assert left == [], f"leaked shared-memory segments {left}"
         # no worker survived either (atexit shutdown_pool reaped them)
         for pid in state["pids"]:
             try:

@@ -7,8 +7,7 @@ and how many blocks a call gets changes no value and no ``OpCounter`` total
 (Hash's ``hash_probes`` aside: its tables are per block).  The kept
 ``masked_spgemm(batch=)`` spellings — ``"auto"``, ``"perrow"``,
 ``"bucket"`` — select nothing: identical matrices (values included) and
-counters on every backend, with and without a session, fused (2P +
-symbolic bound) or not.  The native-tier seam
+counters on every backend, fused (2P + symbolic bound) or not.  The native-tier seam
 (:mod:`repro.core.kernels.native`) never changes results whichever side
 dispatches.  The native loops have no chunks, so everything but the seam
 class runs on the NumPy tier; ``tests/test_native.py`` is the
@@ -36,7 +35,7 @@ from repro.core.kernels.expand import expand_products
 from repro.core.kernels.hash_kernel import VectorHashTable, masked_spgemm_hash_fast
 from repro.core.kernels.msa_kernel import MSA_FLOP_BUDGET, masked_spgemm_msa_fast
 from repro.core.masked_spgemm import ALL_ALGOS, masked_spgemm
-from repro.engine import ExecutionSession, Planner
+from repro.engine import Planner
 from repro.graphs import erdos_renyi, rmat
 from repro.machine import OpCounter
 from repro.parallel import parallel_masked_spgemm
@@ -473,24 +472,19 @@ class TestBackendEquivalence:
             assert _identical(results["auto"][0], results[tier][0]), tier
             assert results["auto"][1] == results[tier][1], tier
 
-    @pytest.mark.parametrize("use_session", (False, True), ids=("nosess", "sess"))
-    def test_sessions_do_not_change_results(self, graph, use_session):
+    def test_fused_spellings_repeat_exactly(self, graph):
         g = graph
         base = {}
         for algo in BATCHABLE:
             base[algo], _ = _run(g, g, g, algo, "perrow", phases=2,
                                  semiring=PLUS_PAIR)
-        session = ExecutionSession() if use_session else None
-        for _ in range(2):  # a second pass under the same session
+        for _ in range(2):  # a second pass: nothing is kept between calls
             for algo in BATCHABLE:
                 out = masked_spgemm(
                     g, g, g, algo=algo, batch="bucket", phases=2,
-                    semiring=PLUS_PAIR, session=session,
+                    semiring=PLUS_PAIR,
                 )
                 assert _identical(out, base[algo])
-        if use_session:
-            # a serial call keeps nothing in the session: no digest taken
-            assert session.stats()["fingerprint_digests"] == 0
 
     def test_probe_histograms_match_between_tiers_for_hash(self, graph):
         """The kernel's arithmetic chain lengths (``_lookup_chains``)

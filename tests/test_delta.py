@@ -1,6 +1,6 @@
 """Iterative apps: k-truss's support decrement (``ktruss(delta=)``)
-against the full product every round, the streaming window with a
-caller's session against ``session=False``, and MCL's selective expansion.
+against the full product every round, the streaming window against a
+full recompute of every window, and MCL's selective expansion.
 """
 
 from __future__ import annotations
@@ -9,7 +9,6 @@ import numpy as np
 import pytest
 
 from repro.core import masked_spgemm
-from repro.engine import ExecutionSession
 from repro.graphs import erdos_renyi, rmat
 from repro.machine import OpCounter
 from repro.sparse import CSR
@@ -44,11 +43,9 @@ class TestApps:
             c += [v, u]
         g = CSR.from_coo((n, n), np.array(r), np.array(c),
                          np.ones(len(r))).pattern()
-        base = ktruss(g, 4, algo="auto", session=False, delta=None)
+        base = ktruss(g, 4, algo="auto", delta=None)
         cnt = OpCounter()
-        with ExecutionSession() as sess:
-            res = ktruss(g, 4, algo="auto", session=sess, delta="auto",
-                         counter=cnt)
+        res = ktruss(g, 4, algo="auto", delta="auto", counter=cnt)
         assert np.array_equal(res.truss.to_dense(), base.truss.to_dense())
         assert res.iterations == base.iterations == 2
         assert base.flops_per_iter == [426, 392]
@@ -63,11 +60,9 @@ class TestApps:
         from repro.apps import ktruss
 
         g = rmat(7, seed=10)
-        base = ktruss(g, 5, algo="auto", session=False, delta=None)
+        base = ktruss(g, 5, algo="auto", delta=None)
         cnt = OpCounter()
-        with ExecutionSession() as sess:
-            res = ktruss(g, 5, algo="auto", session=sess, delta="auto",
-                         counter=cnt)
+        res = ktruss(g, 5, algo="auto", delta="auto", counter=cnt)
         assert np.array_equal(res.truss.to_dense(), base.truss.to_dense())
         assert res.iterations == base.iterations
         assert cnt.delta_fallbacks == 0
@@ -75,18 +70,19 @@ class TestApps:
 
     def test_streaming_matches_full_recompute(self):
         from repro.apps import edge_stream_from_graph, sliding_window_triangles
+        from repro.apps.streaming import _window_adjacency
+        from repro.semiring import PLUS_PAIR
 
         g = erdos_renyi(128, 128, 6, seed=4)
         edges = edge_stream_from_graph(g, seed=0)
-        full = sliding_window_triangles(edges, 128, window=200, step=25,
-                                        session=False)
-        with ExecutionSession() as sess:
-            sessioned = sliding_window_triangles(edges, 128, window=200, step=25,
-                                                 session=sess)
-        assert sessioned.steps == full.steps > 1
-        assert sessioned.triangles == full.triangles
-        assert sessioned.edges_per_step == full.edges_per_step
-        _same(sessioned.support, full.support)
+        res = sliding_window_triangles(edges, 128, window=200, step=25)
+        assert res.steps > 1
+        for t in range(res.steps):
+            cur = _window_adjacency(edges[t * 25:t * 25 + 200], 128)
+            support = masked_spgemm(cur, cur, cur, semiring=PLUS_PAIR)
+            assert res.edges_per_step[t] == cur.nnz // 2
+            assert res.triangles[t] == int(round(support.data.sum() / 6.0))
+        _same(res.support, support)
 
     def test_streaming_stream_roundtrip(self):
         from repro.apps import edge_stream_from_graph, sliding_window_triangles
@@ -101,7 +97,7 @@ class TestApps:
         from repro.apps import triangle_count
 
         res = sliding_window_triangles(edges, 64, window=edges.shape[0],
-                                       step=edges.shape[0], session=False)
+                                       step=edges.shape[0])
         assert res.steps == 1
         assert res.triangles[0] == triangle_count(g)
 
@@ -125,6 +121,24 @@ class TestApps:
         )
         for call in calls:
             with pytest.raises(TypeError, match="delta"):
+                call()
+
+    def test_only_ktruss_and_bc_take_session(self):
+        # sessions were removed: the two apps keep the spelling (None /
+        # False), every other entry point rejects the keyword
+        from repro.apps import edge_stream_from_graph, sliding_window_triangles
+        from repro.engine import execute, plan
+
+        g = erdos_renyi(32, 32, 3, seed=4)
+        calls = (
+            lambda: masked_spgemm(g, g, g, session=None),
+            lambda: masked_spgemm(g, g, g, algo="auto", session=False),
+            lambda: execute(plan(g, g, g), g, g, g, session=False),
+            lambda: sliding_window_triangles(edge_stream_from_graph(g), 32,
+                                             window=8, step=4, session=False),
+        )
+        for call in calls:
+            with pytest.raises(TypeError, match="session"):
                 call()
 
     def test_mcl_delta_equals_plain(self):

@@ -24,7 +24,7 @@ from repro.core import masked_spgemm
 from repro.core.leaf import kernel_threads
 from repro.core.kernels.expand import row_keys
 from repro.core.kernels.inner_kernel import masked_spgemm_inner_fast
-from repro.engine import ExecutionSession, Planner, plan
+from repro.engine import Planner, plan
 from repro.graphs import erdos_renyi, relabel_by_degree, rmat
 from repro.machine import HOST, HOST_NATIVE, HostProfile, OpCounter
 from repro.observe import tracing
@@ -105,18 +105,17 @@ class TestHostChoices:
         )
 
     def test_memoised_csc_is_not_charged_again(self):
-        # ... only when the caller holds it (b_csc=): a session memoises no
-        # CSC, so a warm sessioned call rebuilds it and is charged the build
+        # ... only when the caller holds it (b_csc=): nothing memoises a
+        # CSC, so a repeated call rebuilds it and is charged the build
         a, b, m = _er(512, 64, 1)
         cold = plan(a, b, m).estimates["inner"]
         warm = plan(a, b, m, _b_csc=CSC.from_csr(b)).estimates["inner"]
         assert cold - warm == pytest.approx(HOST.csc_nnz_ns * b.nnz * 1e-9)
-        with ExecutionSession() as s:
-            for _ in range(2):
-                with tracing() as tr:
-                    masked_spgemm(a, b, m, algo="auto", machine=HOST, session=s)
-                (span,) = [sp for sp in tr.spans if sp.name == "engine.execute"]
-                assert span.attrs["plan"]["estimates_seconds"]["inner"] == cold
+        for _ in range(2):
+            with tracing() as tr:
+                masked_spgemm(a, b, m, algo="auto", machine=HOST)
+            (span,) = [sp for sp in tr.spans if sp.name == "engine.execute"]
+            assert span.attrs["plan"]["estimates_seconds"]["inner"] == cold
 
     def test_rows_split_only_when_the_saving_beats_the_split(self):
         """Half the rows pull-regime, half push-regime: two bands; the same
@@ -236,8 +235,6 @@ class TestACallIsPricedFromTheTierThatRunsIt:
         assert [band["algo"] for band in want["bands"]] == ["mca"]
         assert self._auto_plan(a, b, m, semiring=MIN_PLUS) == want
         assert self._auto_plan(a.astype(np.float32), b.astype(np.float32), m) == want
-        with ExecutionSession() as s:
-            assert self._auto_plan(a, b, m, semiring=MIN_PLUS, session=s) == want
         # a machine the caller names is the caller's
         named = self._auto_plan(a, b, m, semiring=MIN_PLUS, machine=HOST_NATIVE)
         assert named == Planner(HOST_NATIVE).plan(a, b, m).as_dict()
@@ -250,8 +247,6 @@ class TestACallIsPricedFromTheTierThatRunsIt:
         # PLUS_PAIR reads no values, so their dtype does not matter
         assert self._auto_plan(a.astype(np.float32), b.astype(np.float32), m,
                                semiring=PLUS_PAIR) == want
-        with ExecutionSession() as s:
-            assert self._auto_plan(a, b, m, session=s) == want
         assert plan(a, b, m).as_dict() == want  # no call, no semiring: the live tier
 
 
@@ -412,13 +407,13 @@ def _parity_calls():
     for scale in range(6, 12):
         yield f"tc-{scale}", _tc(scale) + (False,)
     log = []
-    ktruss(rmat(10, seed=1), 5, call_log=log, session=False)
+    ktruss(rmat(10, seed=1), 5, call_log=log)
     for i, call in enumerate(log):
         yield f"ktruss-{i}", call
     g = rmat(10, seed=1)
     sources = np.random.default_rng(1).choice(g.nrows, size=64, replace=False)
     log = []
-    betweenness_centrality(g, sources, call_log=log, session=False)
+    betweenness_centrality(g, sources, call_log=log)
     for i, call in enumerate(log):
         yield f"bc-{i}", call
 
@@ -510,7 +505,7 @@ class TestDecisionLayers:
         from repro.apps import betweenness_centrality
 
         log = []
-        betweenness_centrality(g, sources, call_log=log, session=False)
+        betweenness_centrality(g, sources, call_log=log)
         algos = [Planner(HOST_NATIVE).plan(a, b, m, complement=c).algo
                  for a, b, m, c in log]
         assert algos.count("inner") == 1

@@ -17,8 +17,6 @@ from repro.machine import OpCounter
 from . import lattice
 
 SAMPLE = 210
-#: session telemetry: what a call reused, not what it computed
-TELEMETRY = ("segments_reused", "bytes_republished")
 #: algorithms whose work counters are additive under row slicing
 ADDITIVE = ("inner", "msa", "mca", "esc")
 
@@ -30,27 +28,15 @@ def calls():
     out = []
     with lattice.tier_scope("native"):
         for case in lattice.sample(SAMPLE):
-            for call_id, result, counter in lattice.execute(case):
-                out.append((case, dict(case.options), call_id, result, counter))
+            out.append((case, dict(case.options), *lattice.execute(case)))
     return out
 
 
-def _work(counter):
-    return {k: v for k, v in counter.as_dict().items() if k not in TELEMETRY}
-
-
-def _operands(case, call_id):
-    a, b, m, semiring = lattice.OPERANDS[case.operands]
-    if call_id.endswith(":mutated"):
-        a, b, m = lattice.mutated(a, b, m)
-    return a, b, m, semiring
-
-
-def _plain(memo, case, call_id, **kw):
+def _plain(memo, case, **kw):
     """The plain front-door call on the case's operands, memoised."""
-    key = (case.operands, call_id.endswith(":mutated"), tuple(sorted(kw.items())))
+    key = (case.operands, tuple(sorted(kw.items())))
     if key not in memo:
-        a, b, m, semiring = _operands(case, call_id)
+        a, b, m, semiring = lattice.OPERANDS[case.operands]
         counter = OpCounter()
         memo[key] = masked_spgemm(a, b, m, semiring=semiring, counter=counter, **kw), counter
     return memo[key]
@@ -68,7 +54,6 @@ def test_the_sample_is_fixed_and_spans_the_axes():
     assert seen["algo"] == set(lattice.ALGOS)
     assert seen["backend"] == set(lattice.BACKENDS) | {"auto"}
     assert seen["grid"] == set(lattice.GRIDS)
-    assert seen["session"] == set(lattice.SESSIONS)
     assert seen["threads"] == set(lattice.THREADS)
     assert seen["machine"] == set(lattice.MACHINES[1:])
     assert seen["orientation"] == {"row", "column"}
@@ -78,7 +63,7 @@ def test_sample_matches_the_reference_tier(calls):
     memo = {}
     for case, options, call_id, got, _ in calls:
         assert not isinstance(got, Exception), (call_id, got)
-        want, _ = _plain(memo, case, call_id, algo="msa", impl="reference",
+        want, _ = _plain(memo, case, algo="msa", impl="reference",
                          complement=options["complement"])
         assert got.shape == want.shape, call_id
         assert np.array_equal(got.indptr, want.indptr), call_id
@@ -91,8 +76,8 @@ def test_sample_matches_the_reference_tier(calls):
 
 
 def test_forced_spellings_are_the_plain_call(calls):
-    """Same bytes as ``masked_spgemm(algo=X)`` on every door, backend, grid,
-    and session; same work counters where nothing was sliced away."""
+    """Same bytes as ``masked_spgemm(algo=X)`` on every door, backend and
+    grid; same work counters where nothing was sliced away."""
     memo, checked = {}, 0
     for case, options, call_id, got, counter in calls:
         if (
@@ -101,7 +86,7 @@ def test_forced_spellings_are_the_plain_call(calls):
         ):
             continue
         phases = options.get("phases", 1)
-        want, plain = _plain(memo, case, call_id, algo=options["algo"], phases=phases,
+        want, plain = _plain(memo, case, algo=options["algo"], phases=phases,
                              complement=options["complement"])
         assert lattice.csr_digest(got) == lattice.csr_digest(want), call_id
         checked += 1
@@ -112,7 +97,7 @@ def test_forced_spellings_are_the_plain_call(calls):
             and options.get("grid") is None
             and case.operands != "empty-mask"
         ):
-            assert _work(counter) == _work(plain), call_id
+            assert counter.as_dict() == plain.as_dict(), call_id
     assert checked > SAMPLE // 2
 
 
@@ -149,8 +134,8 @@ def test_in_kernel_threads_change_nothing():
     for tier in lattice.TIERS:
         with lattice.tier_scope(tier):
             for case in kernel:
-                for call_id, result, counter in lattice.execute(case):
-                    records[f"{tier}/{call_id}"] = lattice.record(result, counter)
+                call_id, result, counter = lattice.execute(case)
+                records[f"{tier}/{call_id}"] = lattice.record(result, counter)
     assert len(records) == len(lattice.TIERS) * len(lattice.OPERANDS) * len(
         lattice.KERNEL_CALLS) * len(lattice.PHASES) * len(lattice.NTHREADS)
     assert not any("error" in r for r in records.values())

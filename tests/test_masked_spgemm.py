@@ -16,7 +16,7 @@ from repro.core import (
     supports_complement,
 )
 from repro.machine import OpCounter, total_flops
-from repro.semiring import MAX_TIMES, MIN_PLUS, PLUS_PAIR, PLUS_TIMES
+from repro.semiring import MAX_TIMES, MIN_PLUS, PLUS_PAIR
 from repro.sparse import CSR
 
 from .conftest import assert_csr_equal, random_csr
@@ -127,6 +127,15 @@ class TestUnsupportedCombos:
         with pytest.raises(ValueError, match="unknown algorithm"):
             masked_spgemm(a, b, m, algo="quantum")
 
+    @pytest.mark.parametrize("algo", [None, 3, ("msa",)])
+    def test_non_string_algo_lists_the_algorithms(self, algo, small_triple):
+        a, b, m = small_triple
+        for kw in ({}, {"shards": (2, 1)}, {"backend": "serial"}):
+            with pytest.raises(ValueError) as err:
+                masked_spgemm(a, b, m, algo=algo, **kw)
+            assert str(err.value) == (
+                f"unknown algorithm {algo!r}; expected one of {('auto',) + ALGOS + ('esc',)}")
+
     def test_bad_phases(self, small_triple):
         a, b, m = small_triple
         with pytest.raises(ValueError, match="phases"):
@@ -196,20 +205,16 @@ class TestOneFrontDoor:
                     "backend must be one of ('serial', 'thread', 'process') "
                     "(or 'threads'), got 'bogus'")
 
-    @pytest.mark.parametrize("machine, sessioned", [(None, True), ("haswell", True),
-                                                    (None, False)])
-    def test_an_auto_call_takes_each_step_once(self, machine, sessioned, small_triple,
-                                               monkeypatch):
-        """Shape checks, machine resolution and session normalisation: each
-        runs once between the door and the leaf; a serial call never opens
-        the session's call scope (only a segment publication does)."""
+    @pytest.mark.parametrize("machine", [None, "haswell"])
+    def test_an_auto_call_takes_each_step_once(self, machine, small_triple, monkeypatch):
+        """Shape checks and machine resolution: each runs once between the
+        door and the leaf."""
         import repro.core.leaf as leaf
         import repro.core.masked_spgemm as door
-        from repro.engine import ExecutionSession, executor, planner, session
+        from repro.engine import executor, planner
 
         a, b, m = small_triple
-        calls = {"check_operands": 0, "resolve_machine": 0, "resolve_session": 0,
-                 "run_kernel": 0, "call": 0}
+        calls = {"check_operands": 0, "resolve_machine": 0, "run_kernel": 0}
 
         def spy(owner, name):
             real = getattr(owner, name)
@@ -220,17 +225,13 @@ class TestOneFrontDoor:
 
             monkeypatch.setattr(owner, name, counted)
 
-        with ExecutionSession() as sess:
-            kw = dict(algo="auto", machine=machine, session=sess if sessioned else None)
-            want = masked_spgemm(a, b, m, **kw)
-            for module in (leaf, door, executor, planner, session):
-                for name in set(calls) & set(vars(module)):
-                    spy(module, name)
-            spy(sess, "call")
-            got = masked_spgemm(a, b, m, **kw)
+        want = masked_spgemm(a, b, m, algo="auto", machine=machine)
+        for module in (leaf, door, executor, planner):
+            for name in set(calls) & set(vars(module)):
+                spy(module, name)
+        got = masked_spgemm(a, b, m, algo="auto", machine=machine)
         assert_csr_equal(got, want)
-        assert calls == {"check_operands": 1, "resolve_session": 1, "run_kernel": 1,
-                         "resolve_machine": 1, "call": 0}
+        assert calls == {"check_operands": 1, "run_kernel": 1, "resolve_machine": 1}
 
 
 class TestLayering:

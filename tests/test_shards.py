@@ -1,4 +1,4 @@
-"""Grid spellings, column split, pruning and session reuse.
+"""Grid spellings, column split, pruning and segment hygiene.
 
 ``shards=`` / ``panel_width=`` / ``memory_budget_bytes=`` are planner
 spellings of the plan's one ``grid`` (``docs/parallel.md``); the executor
@@ -16,8 +16,8 @@ under test:
   holds the wider option lattice on one graph);
 * mask-empty cells are dropped before dispatch (item count < grid size,
   visible as ``engine.cell`` spans);
-* sessions reuse unchanged operand / panel segments across calls
-  (``segments_reused > 0``) and rewrite a values-only change in place.
+* a process-backend grid publishes each operand and panel once per call
+  and unlinks every segment before it returns.
 
 Carries the ``backend`` marker: CI's backend-smoke job runs it alongside
 the backend-equivalence suite.
@@ -31,7 +31,7 @@ import numpy as np
 import pytest
 
 from repro.core import ALL_ALGOS, masked_spgemm
-from repro.engine import ExecutionSession, ShardGrid, plan
+from repro.engine import ShardGrid, plan
 from repro.graphs import erdos_renyi, rmat
 from repro.machine import OpCounter
 from repro.observe import tracing
@@ -66,6 +66,13 @@ def graph(request):
 def _pool_teardown():
     yield
     shutdown_pool()
+    assert active_segments() == ()
+
+
+@pytest.fixture(autouse=True)
+def _no_segment_outlives_a_test():
+    """A process call unlinks what it published before it returns."""
+    yield
     assert active_segments() == ()
 
 
@@ -151,6 +158,13 @@ class TestPlannerSharding:
         for bad in ("always", "auto", (2, 2, 2)):
             with pytest.raises(ValueError, match="shards must be"):
                 plan(graph, graph, graph, shards=bad)
+
+    @pytest.mark.parametrize("bad", [(0, 0), (-1, 2), (2, 0)])
+    def test_counts_below_one_rejected(self, graph, bad):
+        with pytest.raises(ValueError, match="shards counts must be >= 1"):
+            plan(graph, graph, graph, shards=bad)
+        with pytest.raises(ValueError, match="shards counts must be >= 1"):
+            masked_spgemm(graph, graph, graph, algo="msa", shards=bad)
 
     def test_shards_exclusive_with_panel_width(self, graph):
         with pytest.raises(ValueError, match="mutually exclusive"):
@@ -309,14 +323,14 @@ class TestShardedEquivalence:
 
 
 # ----------------------------------------------------------------------
-# pruning proof + session segment reuse
+# pruning proof + per-call segments
 # ----------------------------------------------------------------------
 def _cells(tr):
     return sorted(tuple(sp.attrs["cell"][1:]) for sp in tr.spans
                   if sp.name == "engine.cell")
 
 
-class TestPruningAndSessions:
+class TestPruningAndSegments:
     def test_empty_cells_pruned_before_dispatch(self):
         """A block-diagonal mask on a 3x3 grid dispatches 3 of 9 cells."""
         n = 30
@@ -340,69 +354,40 @@ class TestPruningAndSessions:
         _same(got, masked_spgemm(g, g, m, algo="msa", complement=True))
         assert len(_cells(tr)) == 9
 
-    def test_session_reuses_shard_segments(self):
-        """Re-multiplying unchanged operands serves A and every column
-        panel from the session's segment registry — the k-truss
-        fixed-point pattern."""
+    def test_each_operand_published_once_and_unlinked(self):
+        """A = B = M on a 3x2 process grid: A is published once, each of the
+        two column panels once (the mask's panels are B's), and every
+        segment dies with the call."""
+        from repro.parallel import shm
+
         g = rmat(6, seed=3)
         ref = masked_spgemm(g, g, g, algo="msa")
-        with ExecutionSession() as ses:
-            c1, c2 = OpCounter(), OpCounter()
-            r1 = masked_spgemm(
-                g, g, g, algo="msa", shards=(3, 2), backend="process",
-                session=ses, counter=c1,
-            )
-            published = ses.stats()["segments_published"]
-            r2 = masked_spgemm(
-                g, g, g, algo="msa", shards=(3, 2), backend="process",
-                session=ses, counter=c2,
-            )
-            _same(r1, ref)
-            _same(r2, ref)
-            # cold: A and the two panels published once (B = M here, so
-            # the mask's panels are the B panels' segments)
-            assert published == 3 and c1.segments_reused == 2
-            # warm: all five served from the registry, nothing republished
-            assert c2.segments_reused == 5
-            assert ses.stats()["segments_published"] == published
-        assert active_segments() == ()
+        groups = []
+        publish = shm.SegmentGroup.publish_csr
 
-    def test_sessioned_ktruss_reuses_shards(self):
+        def recorded(group, mat):
+            groups.append(group)
+            return publish(group, mat)
+
+        for _ in range(2):  # nothing a call publishes is there for the next
+            groups.clear()
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(shm.SegmentGroup, "publish_csr", recorded)
+                counter = OpCounter()
+                got = masked_spgemm(g, g, g, algo="msa", shards=(3, 2),
+                                    backend="process", counter=counter)
+            _same(got, ref)
+            assert len(groups) == 3 and len(set(map(id, groups))) == 1
+            assert counter.segments_reused == counter.bytes_republished == 0
+            assert active_segments() == ()
+
+    def test_process_grid_ktruss_leaves_no_segments(self):
         from repro.apps import ktruss
 
         g = rmat(6, seed=3)
         base = ktruss(g, k=3)
-        with ExecutionSession() as sess:
-            res = ktruss(g, k=3, algo="msa", shards=(2, 2), backend="process",
-                         session=sess)
+        res = ktruss(g, k=3, algo="msa", shards=(2, 2), backend="process")
         _same(res.truss, base.truss)
-        # one matrix plays several roles in every product of the loop: its
-        # segments must come from the session registry
-        assert res.counter.segments_reused > 0
+        assert res.counter.segments_reused == 0
+        assert active_segments() == ()
         shutdown_pool()
-        assert active_segments() == ()
-
-    def test_values_only_rewrite_keeps_structure_segments(self):
-        g = rmat(6, seed=3)
-        g2 = CSR.from_segment_arrays(
-            g.shape, g.indptr, g.indices, g.data * 2.0,
-            sorted_indices=g.sorted_indices,
-        )
-        with ExecutionSession() as ses:
-            c1, c2 = OpCounter(), OpCounter()
-            masked_spgemm(
-                g, g, g, algo="msa", shards=(2, 2), backend="process",
-                session=ses, counter=c1,
-            )
-            held = active_segments()
-            got = masked_spgemm(
-                g2, g, g, algo="msa", shards=(2, 2), backend="process",
-                session=ses, counter=c2,
-            )
-            _same(got, masked_spgemm(g2, g, g, algo="msa"))
-            # A's data segment was rewritten in place, not republished
-            assert c2.bytes_republished == g2.data.nbytes
-            assert ses.stats()["values_republished"] == 1
-            assert active_segments() == held
-            assert c2.segments_reused == 4  # B's and the mask's panels
-        assert active_segments() == ()
