@@ -318,9 +318,15 @@ class TestKTrussDecrement:
         _assert_same_run(ktruss(g, k, algo=algo, delta=delta), ref)
 
     @pytest.mark.parametrize("delta", ["auto", "force", None])
-    @pytest.mark.parametrize("session", [False, None])
-    def test_kept_session_spelling_selects_nothing(self, session, delta):
+    @pytest.mark.parametrize("session", [False, "own", None])
+    def test_sessions(self, session, delta):
+        """The kept spelling selects nothing under every ``delta=`` mode;
+        a session of the caller's own (any other value) is refused."""
         g, ref = _diff_case("rmat8", 5)
+        if session == "own":
+            with pytest.raises(TypeError, match="sessions were removed"):
+                ktruss(g, 5, session=object(), delta=delta)
+            return
         got = ktruss(g, 5, session=session, delta=delta)
         _assert_same_run(got, ref)
         assert got.counter.delta_fallbacks == got.counter.rows_patched == 0

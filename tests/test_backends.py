@@ -217,7 +217,7 @@ class TestForcedBackendReachesThePlanner:
     in-process one is a single kernel call on the plan's threads."""
 
     @pytest.mark.parametrize("backend", ["thread", "process"])
-    def test_same_plan_and_dispatch_on_every_call(self, backend):
+    def test_same_plan_and_dispatch_with_and_without_a_prior_call(self, backend):
         import os
 
         from repro.graphs import relabel_by_degree
@@ -360,6 +360,30 @@ class TestSegmentHygiene:
         for _ in range(3):
             execute(pl, a, b, m, backend="process")
             assert active_segments() == ()
+
+    def test_session_shard_segments_die_with_session_close(self, square_problem,
+                                                           monkeypatch):
+        """Operand and panel segments live exactly as long as their call:
+        all of them are live when the call's group closes, none after, and
+        the next call publishes fresh ones (the name is from when a session
+        pinned them across calls until it closed)."""
+        from repro.parallel import shm
+
+        a, b, m = square_problem
+        pl = plan(a, b, m, algo="msa", threads=WORKERS, shards=(3, 2))
+        held = []
+        close = shm.SegmentGroup.close
+
+        def closing(group):
+            held.append(active_segments())
+            close(group)
+
+        monkeypatch.setattr(shm.SegmentGroup, "close", closing)
+        for _ in range(2):
+            execute(pl, a, b, m, backend="process")
+            assert held[-1] != ()  # the group kept them for the whole call
+            assert active_segments() == ()
+        assert len(held) == 2 and not set(held[0]) & set(held[1])
 
     @pytest.mark.skipif(
         not process_backend_available(), reason="no shared-memory support"

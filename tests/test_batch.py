@@ -472,12 +472,20 @@ class TestBackendEquivalence:
             assert _identical(results["auto"][0], results[tier][0]), tier
             assert results["auto"][1] == results[tier][1], tier
 
-    def test_fused_spellings_repeat_exactly(self, graph):
+    @pytest.mark.parametrize("use_session", (False, True), ids=("nosess", "sess"))
+    def test_sessions_do_not_change_results(self, graph, use_session):
+        """The fused spellings repeat exactly: nothing is kept between
+        calls.  ``sess`` first offers each call a session, which the door
+        refuses (sessions were removed) without changing what follows."""
         g = graph
         base = {}
         for algo in BATCHABLE:
             base[algo], _ = _run(g, g, g, algo, "perrow", phases=2,
                                  semiring=PLUS_PAIR)
+            if use_session:
+                with pytest.raises(TypeError, match="session"):
+                    masked_spgemm(g, g, g, algo=algo, batch="bucket", phases=2,
+                                  semiring=PLUS_PAIR, session=False)
         for _ in range(2):  # a second pass: nothing is kept between calls
             for algo in BATCHABLE:
                 out = masked_spgemm(

@@ -77,9 +77,14 @@ class TestLedgerRows:
         shutdown_pool()
 
     @pytest.mark.parametrize("backend", _BACKENDS)
-    def test_band_rows_cover_every_executed_band(self, backend):
+    @pytest.mark.parametrize("repeat", [False, True])
+    def test_band_rows_cover_every_executed_band(self, backend, repeat):
+        """``repeat`` traces the second of two equal calls: nothing the
+        first leaves behind may change the rows."""
         _skip_unless_available(backend)
         a, b, m = _triple(seed=3)
+        if repeat:
+            masked_spgemm(a, b, m, algo="auto", backend=backend, semiring=PLUS_TIMES)
         with tracing() as tr:
             masked_spgemm(a, b, m, algo="auto", backend=backend, semiring=PLUS_TIMES)
         band_spans = [sp for sp in tr.spans if sp.name == "engine.band"]

@@ -422,50 +422,3 @@ class TestWorkloadPlans:
 
         g = read_mtx(DATA / "karate.mtx")
         assert triangle_count(g) == 45  # default algo is now "auto"
-
-
-class TestFingerprint:
-    """``fingerprint_csr`` names an operand by its bytes (the ladder's
-    ``engine.fingerprint_s`` rung times it)."""
-
-    def test_equal_bytes_equal_fingerprint(self):
-        from repro.engine import fingerprint_csr
-
-        a = erdos_renyi(600, 600, 3, seed=1, values="uniform")
-        b = CSR(a.shape, a.indptr.copy(), a.indices.copy(), a.data.copy(),
-                sorted_indices=a.sorted_indices)
-        assert fingerprint_csr(a) == fingerprint_csr(b)
-
-    def test_any_changed_byte_changes_it(self):
-        from repro.engine import fingerprint_csr
-
-        a = erdos_renyi(600, 600, 3, seed=1, values="uniform")
-        fp = fingerprint_csr(a)
-        indices = a.indices.copy()
-        indices[-1] = (indices[-1] + 1) % a.ncols
-        data = a.data.copy()
-        data[a.nnz // 2] += 1.0
-        indptr = a.indptr.copy()
-        row = int(np.flatnonzero(np.diff(indptr) > 1)[0])
-        indptr[row + 1] -= 1  # one entry moves to the next row
-        assert a.sorted_indices
-        changed = [
-            CSR(a.shape, a.indptr, indices, a.data, sorted_indices=True, check=False),
-            CSR(a.shape, indptr, a.indices, a.data, sorted_indices=True, check=False),
-            CSR(a.shape, a.indptr, a.indices, a.data, sorted_indices=False),
-        ]
-        for other in changed:  # structure moves, values stay
-            got = fingerprint_csr(other)
-            assert got.structure != fp.structure and got.values == fp.values
-        values = fingerprint_csr(CSR(a.shape, a.indptr, a.indices, data, sorted_indices=True))
-        assert values.structure == fp.structure and values.values != fp.values
-
-    def test_fingerprint_is_frozen_dataclass(self):
-        import dataclasses
-
-        from repro.engine import Fingerprint, fingerprint_csr
-
-        fp = fingerprint_csr(erdos_renyi(8, 8, 2, seed=1))
-        assert isinstance(fp, Fingerprint)
-        with pytest.raises(dataclasses.FrozenInstanceError):
-            fp.nnz = 0

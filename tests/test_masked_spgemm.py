@@ -205,10 +205,15 @@ class TestOneFrontDoor:
                     "backend must be one of ('serial', 'thread', 'process') "
                     "(or 'threads'), got 'bogus'")
 
-    @pytest.mark.parametrize("machine", [None, "haswell"])
-    def test_an_auto_call_takes_each_step_once(self, machine, small_triple, monkeypatch):
+    @pytest.mark.parametrize("machine, traced", [(None, True), ("haswell", True),
+                                                 (None, False)])
+    def test_an_auto_call_takes_each_step_once(self, machine, traced, small_triple,
+                                               monkeypatch):
         """Shape checks and machine resolution: each runs once between the
-        door and the leaf."""
+        door and the leaf, traced or not."""
+        import contextlib
+
+        from repro.observe import tracing
         import repro.core.leaf as leaf
         import repro.core.masked_spgemm as door
         from repro.engine import executor, planner
@@ -229,7 +234,8 @@ class TestOneFrontDoor:
         for module in (leaf, door, executor, planner):
             for name in set(calls) & set(vars(module)):
                 spy(module, name)
-        got = masked_spgemm(a, b, m, algo="auto", machine=machine)
+        with tracing() if traced else contextlib.nullcontext():
+            got = masked_spgemm(a, b, m, algo="auto", machine=machine)
         assert_csr_equal(got, want)
         assert calls == {"check_operands": 1, "run_kernel": 1, "resolve_machine": 1}
 

@@ -330,7 +330,10 @@ def _cells(tr):
                   if sp.name == "engine.cell")
 
 
-class TestPruningAndSegments:
+class TestPruningAndSessions:
+    """Pruning and per-call segments (the class keeps its name so the
+    tests keep their ids)."""
+
     def test_empty_cells_pruned_before_dispatch(self):
         """A block-diagonal mask on a 3x3 grid dispatches 3 of 9 cells."""
         n = 30
@@ -354,10 +357,11 @@ class TestPruningAndSegments:
         _same(got, masked_spgemm(g, g, m, algo="msa", complement=True))
         assert len(_cells(tr)) == 9
 
-    def test_each_operand_published_once_and_unlinked(self):
+    def test_session_reuses_shard_segments(self):
         """A = B = M on a 3x2 process grid: A is published once, each of the
-        two column panels once (the mask's panels are B's), and every
-        segment dies with the call."""
+        two column panels once (the mask's panels are B's), so five roles
+        share three publications; every segment dies with the call (the name
+        is from when a session served them across calls)."""
         from repro.parallel import shm
 
         g = rmat(6, seed=3)
@@ -381,13 +385,34 @@ class TestPruningAndSegments:
             assert counter.segments_reused == counter.bytes_republished == 0
             assert active_segments() == ()
 
-    def test_process_grid_ktruss_leaves_no_segments(self):
+    def test_sessioned_ktruss_reuses_shards(self, monkeypatch):
+        """Under the kept ``session=False`` spelling, the loop's first
+        product reads one matrix as A, B and M: it publishes A and B's two
+        panels once for all five roles, and no product publishes an operand
+        twice."""
         from repro.apps import ktruss
+        from repro.parallel import shm
 
         g = rmat(6, seed=3)
         base = ktruss(g, k=3)
-        res = ktruss(g, k=3, algo="msa", shards=(2, 2), backend="process")
+        published = []
+        publish = shm.SegmentGroup.publish_csr
+
+        def recorded(group, mat):
+            published.append((group, mat))  # held, so no id is recycled
+            return publish(group, mat)
+
+        monkeypatch.setattr(shm.SegmentGroup, "publish_csr", recorded)
+        res = ktruss(g, k=3, algo="msa", shards=(2, 2), backend="process",
+                     session=False)
         _same(res.truss, base.truss)
+        per_group = {}
+        for group, mat in published:
+            per_group.setdefault(id(group), []).append(id(mat))
+        first, *rest = per_group.values()
+        assert len(first) == 3 and rest
+        for ids in per_group.values():
+            assert len(ids) == len(set(ids))
         assert res.counter.segments_reused == 0
         assert active_segments() == ()
         shutdown_pool()
