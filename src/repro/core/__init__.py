@@ -4,19 +4,18 @@ Public entry points:
 
 * :func:`masked_spgemm` — the front door over all algorithms/variants;
   ``algo="auto"`` routes through the cost-model execution engine
-  (:mod:`repro.engine`), which plans per-row-band algorithms, 1P/2P
-  phases, row partitioning and optional column panels.
+  (:mod:`repro.engine`), which plans per-row-band algorithms and 1P/2P
+  phases (``shards=`` grids the output: ``(1, K)`` is the memory-bounded
+  column-panelled multiply).
 * :func:`masked_spgemm_hybrid` — the future-work per-row hybrid: the
   front door with a ratio-banded planner forced.
-* :func:`masked_spgemm_chunked` — the memory-bounded panelled front: the
-  front door with ``panel_width`` forced.
 * :func:`gustavson_spgemm` / :func:`spgemm_saxpy_fast` — plain SpGEMM.
 * :func:`masked_spgemm_multiply_then_mask` — the Figure-1 baseline.
 * :mod:`repro.core.accumulators` — MSA / Hash / MCA / Heap.
 """
 
 from . import accumulators, kernels
-from ..sparse.ops import column_panels, restrict_columns
+from ..sparse.ops import restrict_columns
 from .kernels.saxpy_kernel import masked_spgemm_multiply_then_mask, spgemm_saxpy_fast
 from .masked_spgemm import (
     ALGO_LABELS,
@@ -25,7 +24,6 @@ from .masked_spgemm import (
     EXTENSION_ALGOS,
     classify_rows,
     masked_spgemm,
-    masked_spgemm_chunked,
     masked_spgemm_hybrid,
     supports_complement,
 )
@@ -36,8 +34,6 @@ from .symbolic import one_phase_bound, symbolic_masked
 __all__ = [
     "accumulators",
     "kernels",
-    "column_panels",
-    "masked_spgemm_chunked",
     "restrict_columns",
     "classify_rows",
     "masked_spgemm_hybrid",

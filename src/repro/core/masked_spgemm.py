@@ -39,9 +39,9 @@ schemes are reference-only by design; they are the paper's slowest and
 serve as the algorithmic lower bound for merging without an accumulator
 array).
 
-This module is the **front door**: :func:`masked_spgemm` and its three
-historical spellings (``_hybrid``, ``_chunked``, ``parallel_`` — a dict of
-forced plan knobs each) check the spellings, then run the one algorithm
+This module is the **front door**: :func:`masked_spgemm` and its two
+historical spellings (``_hybrid``, ``parallel_`` — a dict of forced plan
+knobs each) check the spellings, then run the one algorithm
 the caller forced (:func:`repro.core.leaf.run_kernel`) or hand the call to
 :func:`repro.engine.plan_and_execute` (``docs/engine.md``, "Path of a call").
 """
@@ -68,7 +68,6 @@ from .leaf import (
 __all__ = [
     "masked_spgemm",
     "masked_spgemm_hybrid",
-    "masked_spgemm_chunked",
     "parallel_masked_spgemm",
     "classify_rows",
     "ALGOS",
@@ -124,7 +123,6 @@ def masked_spgemm(
     impl: str = "auto",
     counter: Optional[OpCounter] = None,
     b_csc: Optional[CSC] = None,
-    orientation: str = "row",
     machine: Optional[MachineConfig] = None,
     backend: Optional[str] = None,
     shards=None,
@@ -154,12 +152,6 @@ def masked_spgemm(
     b_csc:
         Pre-built CSC of ``B`` for the inner algorithm (amortises the
         transpose across calls, as a real user would).
-    orientation:
-        ``"row"`` (the paper's row-by-row decomposition, default) or
-        ``"column"`` — compute column-by-column by running the row
-        algorithm on the transposed problem ``(B^T A^T)^T`` (the
-        Buluç–Gilbert orientation the heap algorithm came from).  Only the
-        traversal order changes; results are identical.
     machine:
         What the ``"auto"`` planner prices the plan from.  ``None``
         (default): this host — the measured
@@ -171,9 +163,9 @@ def masked_spgemm(
     backend:
         Execution backend: ``None`` (default) runs in-process, on the
         threads the native row loop takes for the call's estimated work —
-        the host planner never fans out on its own (``docs/parallel.md``,
-        "Who picks the backend"; a modeled ``machine=`` keeps its preset's
-        rule).  ``"serial"``, ``"thread"`` or ``"process"`` forces it, with
+        the host planner never fans out on its own, whatever ``machine=``
+        prices the plan (``docs/parallel.md``, "Who picks the backend").
+        ``"serial"``, ``"thread"`` or ``"process"`` forces it, with
         ``algo="auto"`` or an explicit algorithm alike: ``"serial"`` keeps
         the kernel on one thread, ``"thread"`` is the default's count, and
         ``"process"`` cuts the rows into ``min(cores, rows / 512)`` parts
@@ -182,7 +174,8 @@ def masked_spgemm(
     shards:
         Grid knob (see ``docs/parallel.md``): ``None`` (default) is the
         plain ``1 x 1`` call; ``(row_blocks, col_panels)`` cuts the output
-        into an evenly-spaced grid; an explicit
+        into an evenly-spaced grid (``(1, K)``: the memory-bounded
+        column-panelled multiply); an explicit
         :class:`~repro.engine.ShardGrid` is used verbatim.  Any
         non-``None`` value routes execution through the engine (with the
         given ``algo`` forced, or the planner's choice for ``"auto"``),
@@ -194,44 +187,31 @@ def masked_spgemm(
         selects nothing — the NumPy tier's push loop has one chunker
         (``docs/kernels.md``).  Any other value raises ``ValueError``.
     """
-    if orientation not in ("row", "column"):
-        raise ValueError("orientation must be 'row' or 'column'")
     if batch not in ("auto", "bucket", "perrow"):
         raise ValueError(
             f"batch must be one of ('auto', 'bucket', 'perrow'), got {batch!r}"
         )
-    column = orientation == "column"
-    if column:
-        # column-by-column is the row algorithm on (B^T A^T)^T: operands and
-        # grid (which is in output coordinates) are transposed here, once
-        a, b, mask, b_csc = b.transpose(), a.transpose(), mask.transpose(), None
-        if isinstance(shards, tuple):
-            shards = (shards[1], shards[0])
-        elif shards is not None and not isinstance(shards, str):
-            shards = type(shards)(shards.col_bounds, shards.row_bounds)
     if str(algo).lower() == "auto" or shards is not None or backend is not None:
-        # the planner picks per-row-band algorithms, phases and partition
-        # from the cost model (a forced algo keeps the algo: shards= grids
-        # the dispatch, backend= picks its threads or pool workers)
-        c = _planned(
+        # the planner picks per-row-band algorithms and phases from the
+        # cost model (a forced algo keeps the algo: shards= grids the
+        # dispatch, backend= picks its threads or pool workers)
+        return _planned(
             a, b, mask,
             algo=algo, phases=phases, impl=impl,
             complement=complement, semiring=semiring, counter=counter,
             b_csc=b_csc, machine=machine, backend=backend, shards=shards,
         )
-    else:
-        # a forced algorithm with no grid or backend has nothing to plan
-        key = _check_spellings(algo, phases, impl)
-        check_operands(a, b, mask)
-        if complement and not supports_complement(key):
-            raise ValueError(f"{ALGO_LABELS[key]} does not support complemented masks")
-        c = run_kernel(
-            a, b, mask,
-            algo=key, phases=1 if phases is None else phases,
-            complement=complement, semiring=semiring, impl=impl,
-            counter=counter, b_csc=b_csc, nthreads=kernel_threads(a, b),
-        )
-    return c.transpose() if column else c
+    # a forced algorithm with no grid or backend has nothing to plan
+    key = _check_spellings(algo, phases, impl)
+    check_operands(a, b, mask)
+    if complement and not supports_complement(key):
+        raise ValueError(f"{ALGO_LABELS[key]} does not support complemented masks")
+    return run_kernel(
+        a, b, mask,
+        algo=key, phases=1 if phases is None else phases,
+        complement=complement, semiring=semiring, impl=impl,
+        counter=counter, b_csc=b_csc, nthreads=kernel_threads(a, b),
+    )
 
 
 def masked_spgemm_hybrid(
@@ -268,40 +248,6 @@ def masked_spgemm_hybrid(
     )
 
 
-def masked_spgemm_chunked(
-    a: CSR,
-    b: CSR,
-    mask: CSR,
-    *,
-    panel_width: int = 4096,
-    algo: str = "msa",
-    phases: int = 1,
-    complement: bool = False,
-    semiring: Semiring = PLUS_TIMES,
-    counter: Optional[OpCounter] = None,
-    impl: str = "auto",
-) -> CSR:
-    """``M .* (A @ B)`` computed one output-column panel at a time — the
-    memory-bounded (out-of-core style) spelling.
-
-    The front door with ``panel_width`` and one worker forced: a ``1 x K``
-    grid (``docs/parallel.md``) restricts ``B`` and the mask to one column
-    panel at a time, so peak footprint is ~``nnz(B_panel) + nnz(M_panel) +
-    panel_output``; output columns are disjoint across panels, so the
-    merge is free.  Equivalent to :func:`masked_spgemm` (tested to be).
-    Panels whose mask slice is empty are skipped entirely (plain mask) —
-    with a complemented mask no panel can be skipped (the complement is
-    dense there), so the panelling only bounds memory.  ``algo="auto"``
-    lets the cost-model planner pick the per-band algorithms; the planner
-    can also *choose* panelling (``Planner.plan(memory_budget_bytes=)``).
-    """
-    return _planned(
-        a, b, mask,
-        algo=algo, phases=phases, impl=impl, complement=complement,
-        semiring=semiring, counter=counter, threads=1, panel_width=panel_width,
-    )
-
-
 def parallel_masked_spgemm(
     a: CSR,
     b: CSR,
@@ -309,7 +255,6 @@ def parallel_masked_spgemm(
     *,
     algo: str = "msa",
     threads: int = 4,
-    partition: str = "balanced",
     phases: int = 1,
     complement: bool = False,
     semiring: Semiring = PLUS_TIMES,
@@ -326,21 +271,20 @@ def parallel_masked_spgemm(
     ``"serial"`` runs it in-process on one thread whatever ``threads`` says,
     ``"process"`` cuts the rows into ``threads`` parts for the
     shared-memory worker pool, and ``"auto"`` is the planner's rule under a
-    forced count (in-process on the host).  ``partition``: ``"block"``,
-    ``"cyclic"`` or ``"balanced"`` (flops-weighted contiguous blocks) — how
-    the process backend cuts its parts.  ``algo="auto"`` lets the
-    cost-model planner choose the algorithm (the count and partition stay
-    as forced here).
+    forced count (in-process on the host).  The process backend's parts are
+    contiguous row blocks of about equal flops.  ``algo="auto"`` lets the
+    cost-model planner choose the algorithm (the count stays as forced
+    here).
 
-    ``threads`` must be ``>= 1``; ``threads=1`` always takes the serial
+    ``threads`` must be an ``int`` >= 1; ``threads=1`` always takes the serial
     path directly — one thread, no pool.
 
-    The front door with ``threads`` / ``partition`` / ``backend`` forced.
+    The front door with ``threads`` / ``backend`` forced.
     """
+    from ..engine.plan import check_threads
     from ..parallel.executor import normalize_backend
 
-    if threads < 1:
-        raise ValueError("threads must be positive (>= 1)")
+    check_threads(threads)
     if str(backend).lower() == "auto":
         forced_backend = None  # the planner's rule for a forced threads=
     else:
@@ -351,6 +295,5 @@ def parallel_masked_spgemm(
         a, b, mask,
         algo=algo, phases=phases, impl=impl,
         complement=complement, semiring=semiring, counter=counter,
-        threads=min(threads, max(1, a.nrows)), partition=partition,
-        backend=forced_backend,
+        threads=min(threads, max(1, a.nrows)), backend=forced_backend,
     )

@@ -2,15 +2,14 @@
 
 This is the single execution path behind every front door
 (``masked_spgemm(algo="auto")``, ``masked_spgemm_hybrid``,
-``masked_spgemm_chunked``, ``parallel_masked_spgemm``) and the only code
-that turns a plan into work.  Every plan is one loop over work items —
-*band x row part x column panel* — of the 2-D block decomposition of
-Buluc & Gilbert: row parts come from the grid's row blocks (or, for a
-process plan on a one-row-block grid, from ``plan.threads`` parts cut by
-``plan.partition``), column panels from the grid's column bounds.  ``1 x
-1`` is the plain call, ``R x 1`` a row partition, ``1 x K`` the panelled
-multiply, ``R x K`` a grid.  Each item is one
-:class:`~repro.parallel.pool.Task` run by
+``parallel_masked_spgemm``) and the only code that turns a plan into
+work.  Every plan is one loop over work items — *band x row part x column
+panel* — of the 2-D block decomposition of Buluc & Gilbert: row parts
+come from the grid's row blocks (or, for a process plan on a
+one-row-block grid, from ``plan.threads`` flop-balanced parts), column
+panels from the grid's column bounds.  ``1 x 1`` is the plain call, ``R x
+1`` a row partition, ``1 x K`` the panelled multiply, ``R x K`` a grid.
+Each item is one :class:`~repro.parallel.pool.Task` run by
 :func:`~repro.parallel.pool.run_task`.  An in-process plan runs its items
 one after another inside the native row loop, a ``thread`` plan each on
 ``plan.threads`` threads, a ``serial`` one on one; a ``process`` plan fans them out to
@@ -31,17 +30,13 @@ from typing import List, Optional
 
 import numpy as np
 
-from ..core.leaf import check_operands, kernel_threads, run_kernel
+from ..core.leaf import check_operands, run_kernel
 from ..machine import HOST_NATIVE, OpCounter, flops_per_row, host_profile, resolve_machine
 from ..observe import tracer as _obs
 from ..parallel import pool as _pool
 from ..parallel import shm as _shm
 from ..parallel.executor import _contiguous_range, normalize_backend
-from ..parallel.partition import (
-    balanced_partition,
-    block_partition,
-    cyclic_partition,
-)
+from ..parallel.partition import balanced_partition
 from ..semiring import PLUS_TIMES, Semiring
 from ..sparse import CSC, CSR
 from ..sparse.ops import split_columns
@@ -55,8 +50,8 @@ _log = logging.getLogger("repro.engine")
 
 def _row_parts(plan: ExecutionPlan, band: RowBand, parts: int, fl) -> List[np.ndarray]:
     """The band's rows cut into row parts: by the grid's row blocks when it
-    has several, else into ``parts`` parts by ``plan.partition`` (``fl`` is
-    ``flops_per_row(a, b)``, read by the balanced cut)."""
+    has several, else into ``parts`` contiguous parts of about equal flops
+    (``fl`` is ``flops_per_row(a, b)``)."""
     rows = np.asarray(band.rows)
     if plan.grid.nrb > 1:
         cuts = np.searchsorted(rows, plan.grid.row_bounds)
@@ -64,13 +59,7 @@ def _row_parts(plan: ExecutionPlan, band: RowBand, parts: int, fl) -> List[np.nd
     n_parts = min(parts, max(1, rows.size))
     if n_parts == 1:
         return [rows]
-    if plan.partition == "cyclic":
-        picks = cyclic_partition(rows.size, n_parts)
-    elif plan.partition == "balanced":
-        picks = balanced_partition(fl[rows], n_parts)
-    else:
-        picks = block_partition(rows.size, n_parts)
-    return [rows[p] for p in picks]
+    return [rows[p] for p in balanced_partition(fl[rows], n_parts)]
 
 
 def _mask_nnz(m_panel: CSR, rows_desc: tuple) -> int:
@@ -146,10 +135,9 @@ def execute(
     ``"serial"`` makes it 1, ``"process"`` the pool's worker count.
     ``serial`` and ``thread`` run in-process, each band of each grid cell
     once, on ``plan.threads`` threads inside the native row loop
-    (``serial``: one; a modeled preset's plan: at most what this host's
-    rule gives the call, :func:`~repro.core.leaf.kernel_threads`);
-    ``process`` dispatches row parts to the shared-memory worker pool
-    (:mod:`repro.parallel.pool`) with zero-copy operands.  ``b_csc``
+    (``serial``: one); ``process`` dispatches row parts to the
+    shared-memory worker pool (:mod:`repro.parallel.pool`) with zero-copy
+    operands.  ``b_csc``
     optionally amortises the CSC build for inner-product bands across calls.
     A process call publishes its operands into shared memory and unlinks
     them before it returns: nothing outlives the call.
@@ -172,19 +160,6 @@ def execute(
     )
 
 
-def _in_process_threads(plan: ExecutionPlan, backend: str, a: CSR, b: CSR) -> int:
-    """Threads of an in-process plan's kernel calls: one under ``serial``; a
-    host plan's own ``threads``; else — a modeled preset's worker count, or
-    a process plan fallen back to ``thread`` — no more than this host's rule
-    gives the call, so a paper machine's cores never oversubscribe this
-    one."""
-    if backend == "serial":
-        return 1
-    if plan.machine == "host" and plan.backend == backend:
-        return plan.threads
-    return min(plan.threads, kernel_threads(a, b))
-
-
 def _execute(plan, a, b, mask, *, semiring, impl, counter, b_csc) -> CSR:
     """:func:`execute` past its checks: a validated plan (a planner's own)
     for these operands."""
@@ -197,9 +172,9 @@ def _execute(plan, a, b, mask, *, semiring, impl, counter, b_csc) -> CSR:
     grid = plan.grid
     # a process plan cuts plan.threads row parts, one pool thread each; an
     # in-process plan runs each band of each cell once, inside the native
-    # row loop
+    # row loop on plan.threads threads (serial: one)
     parts, nthreads = (plan.threads, 1) if backend == "process" else (
-        1, _in_process_threads(plan, backend, a, b))
+        1, 1 if backend == "serial" else plan.threads)
 
     tr = _obs.current()
     if tr is not None and counter is None:
@@ -256,11 +231,7 @@ def _execute(plan, a, b, mask, *, semiring, impl, counter, b_csc) -> CSR:
                 cscs = [CSC.from_csr(panel) for panel in b_panels]
             else:
                 cscs = [b_csc if b_csc is not None else CSC.from_csr(b)]
-        fl = (
-            flops_per_row(a, b)
-            if plan.partition == "balanced" and parts > 1 and grid.nrb == 1
-            else None
-        )
+        fl = flops_per_row(a, b) if parts > 1 and grid.nrb == 1 else None
         token = _pool.encode_semiring(semiring) if backend == "process" else None
         # the call's segments, unlinked when it returns; id(operand) ->
         # (operand, its segments): each operand, panel and CSC is published

@@ -10,13 +10,13 @@ competing entry points:
   regime split of Figure 7 / Section 4.3, generalising the old
   ``masked_spgemm_hybrid``),
 * **phases** — the 1P/2P output-formation strategy of Section 6,
-* **partition / threads / backend** — the row-parallel decomposition
-  (Section 3's coarse-grained parallelism, previously hard-wired into
-  ``parallel_masked_spgemm``) and which executor carries it out
-  (``serial`` | ``thread`` | ``process`` — the shared-memory worker pool),
+* **threads / backend** — how many workers carry out Section 3's
+  coarse-grained row parallelism and on which executor (``serial`` |
+  ``thread`` | ``process`` — the shared-memory worker pool, which cuts
+  flop-balanced row parts),
 * **grid** — the 2-D block decomposition of the output (row blocks x
-  column panels, ``1 x 1`` by default): column panels bound memory like
-  the old ``masked_spgemm_chunked``, row blocks replace the row partition.
+  column panels, ``1 x 1`` by default): column panels bound memory, row
+  blocks replace the row parts.
 
 Plans are produced by :class:`repro.engine.Planner` (cost-model driven) or
 constructed by hand, and consumed by :func:`repro.engine.execute`.  They are
@@ -28,6 +28,7 @@ it so algorithm choices are auditable rather than folklore.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
@@ -38,8 +39,12 @@ __all__ = ["RowBand", "ShardGrid", "ExecutionPlan"]
 #: algorithms a plan may reference (kept in sync with repro.core by tests)
 _KNOWN_ALGOS = ("inner", "msa", "hash", "mca", "heap", "heapdot", "esc")
 _NO_COMPLEMENT = frozenset({"inner", "mca"})
-#: how a multi-worker plan cuts a band's rows into parts
-PARTITIONS = ("block", "cyclic", "balanced")
+
+
+def check_threads(threads) -> None:
+    """A worker count is an ``int`` >= 1 (a ``bool`` is not one)."""
+    if isinstance(threads, bool) or not isinstance(threads, numbers.Integral) or threads < 1:
+        raise ValueError(f"threads must be positive, got {threads!r}")
 
 
 @dataclass
@@ -161,7 +166,6 @@ class ExecutionPlan:
     complement: bool = False
     phases: int = 1  #: 1 (one-phase) or 2 (symbolic + numeric)
     threads: int = 1
-    partition: str = "balanced"  #: "block" | "cyclic" | "balanced"
     backend: str = "thread"  #: "serial" | "thread" | "process"
     #: row blocks x column panels of the output; ``None`` becomes the 1x1
     #: grid (the plain call)
@@ -206,10 +210,7 @@ class ExecutionPlan:
         nrows = self.shape[0]
         if self.phases not in (1, 2):
             raise ValueError("phases must be 1 or 2")
-        if self.threads <= 0:
-            raise ValueError("threads must be positive")
-        if self.partition not in PARTITIONS:
-            raise ValueError("partition must be 'block', 'cyclic' or 'balanced'")
+        check_threads(self.threads)
         if self.backend not in ("serial", "thread", "process"):
             raise ValueError("backend must be 'serial', 'thread' or 'process'")
         if not isinstance(self.grid, ShardGrid):
@@ -246,7 +247,6 @@ class ExecutionPlan:
             "complement": self.complement,
             "phases": self.phases,
             "threads": self.threads,
-            "partition": self.partition,
             "backend": self.backend,
             "grid": self.grid.as_dict(),
             "machine": self.machine,
@@ -273,7 +273,7 @@ class ExecutionPlan:
             f"output on {self.machine} "
             f"({'complemented' if self.complement else 'plain'} mask)",
             f"  phases={self.phases}P  threads={self.threads} "
-            f"({self.partition} partition, {self.backend} backend)  "
+            f"({self.backend} backend)  "
             + (
                 f"grid {self.grid.nrb}x{self.grid.ncp} (row blocks x column "
                 "panels; cells with an empty mask cell are dropped)"

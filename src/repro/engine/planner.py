@@ -20,12 +20,12 @@
 * **a paper machine** (``"haswell"``, ``"knl"`` or a
   :class:`~repro.machine.MachineConfig`): per-row *cycles* from
   :class:`repro.machine.RowCostModel` — Figure 7's regime map, computed
-  rather than eyeballed — with the preset's core count.  This reproduces
-  the paper's machines, not this one.
+  rather than eyeballed — and the 1P/2P phase strategy.  This reproduces
+  the paper's machines, not this one: a preset prices bands and phases
+  only, and its plan runs on this host's workers (:func:`host_workers`).
 
-Either way the planner then fixes the 1P/2P phase strategy, the row
-partition and the grid — ``1 x 1`` unless the caller spells one
-(``shards=``, ``panel_width=``) or a memory budget asks for column panels.
+Either way the grid stays ``1 x 1`` unless the caller spells one
+(``shards=``).
 
 Three banding policies:
 
@@ -62,8 +62,7 @@ from ..machine import HostProfile, RowCostModel, available_cores, flops_per_row,
     pulls_per_row, resolve_machine
 from ..machine.traffic import flops_per_entry, pulls_per_entry, row_sums
 from ..parallel.executor import normalize_backend
-from ..parallel.pool import process_backend_available
-from .plan import PARTITIONS, ExecutionPlan, RowBand, ShardGrid
+from .plan import ExecutionPlan, RowBand, ShardGrid, check_threads
 
 __all__ = ["Planner", "plan", "host_workers", "PLAN_CANDIDATES"]
 
@@ -81,14 +80,6 @@ _REASONS = {
     "esc": "streaming expand-sort-compress cheapest (no accumulator traffic)",
 }
 
-_WORD = 8  # bytes per index/value word, as in the paper's analysis
-
-#: modeled whole-problem cycles above which a *preset* plan with several
-#: workers uses the process backend (paper-machine cycles, not host time:
-#: it only keeps preset plans what they always were; a host plan never
-#: picks the process backend, see :func:`host_workers`)
-_MODELED_PROCESS_CROSSOVER_CYCLES = 2.0e6
-
 #: cost banding on a modeled preset: bands carrying less than this fraction
 #: of the modeled work are folded into the remaining candidates
 #: (dispatch-overhead guard)
@@ -99,14 +90,16 @@ MIN_BAND_FRACTION = 0.02
 #: a closer call is decided on the exact flop and pull totals
 DECISIVE_MARGIN = 2.0
 
-#: target rows per worker when choosing a worker count
+#: target rows per pool worker of an unforced ``backend="process"`` count
 ROWS_PER_THREAD = 512
 
 
 def host_workers(a, b, threads: Optional[int], backend: Optional[str]):
-    """``(threads, backend)`` of a host plan, from the caller's knobs.
+    """``(threads, backend)`` of every plan — host or modeled preset —
+    from the caller's knobs.
 
-    A ``process`` plan (only ever forced) cuts ``threads`` row parts for its
+    A forced ``threads`` must be an ``int`` >= 1 (not a ``bool``).  A
+    ``process`` plan (only ever forced) cuts ``threads`` row parts for its
     pool workers: ``min(cores, rows / ROWS_PER_THREAD)`` unless forced.
     Every other plan runs in-process, and its ``threads`` is the count its
     native row loops run, :func:`~repro.core.leaf.kernel_threads` — 1 under
@@ -115,6 +108,8 @@ def host_workers(a, b, threads: Optional[int], backend: Optional[str]):
     ``nrows(A)``; it is ``"thread"`` when that is more than one, else
     ``"serial"``.
     """
+    if threads is not None:
+        check_threads(threads)
     if backend == "process":
         if threads is None:
             threads = min(available_cores(), max(1, a.nrows // ROWS_PER_THREAD))
@@ -185,36 +180,29 @@ class Planner:
         algo: Optional[str] = None,
         phases: Optional[int] = None,
         threads: Optional[int] = None,
-        partition: Optional[str] = None,
         backend: Optional[str] = None,
-        panel_width: Optional[int] = None,
-        memory_budget_bytes: Optional[int] = None,
         shards=None,
         _b_csc=None,
     ) -> ExecutionPlan:
         """Build a plan for ``C = M .* (A @ B)`` (``!M`` with complement).
 
-        Any of ``algo``, ``phases``, ``threads``, ``partition`` and
-        ``backend`` may be forced; everything left ``None`` (or
-        ``algo="auto"``) is decided by the cost model — except, on the
-        host, the worker count and backend, which :func:`host_workers`
-        resolves from the caller's knobs: in-process on the native loop's
-        own thread count, or ``min(cores, rows / 512)`` pool workers under a
-        forced ``backend="process"``.
+        Any of ``algo``, ``phases``, ``threads`` and ``backend`` may be
+        forced; ``algo`` and ``phases`` left ``None`` (or ``algo="auto"``)
+        are decided by the cost model.  The worker count and backend are
+        never priced, on the host or a preset: :func:`host_workers`
+        resolves them from the caller's knobs — in-process on the native
+        loop's own thread count, or ``min(cores, rows / 512)`` pool workers
+        under a forced ``backend="process"``.
 
-        ``shards`` and ``panel_width`` are two spellings of the plan's one
-        ``grid`` (see ``docs/parallel.md``): ``shards=(nrb, ncp)`` is an
-        evenly-spaced grid of row blocks x column panels, an explicit
+        ``shards`` spells the plan's ``grid`` (see ``docs/parallel.md``):
+        ``(nrb, ncp)`` is an evenly-spaced grid of row blocks x column
+        panels (``(1, K)``: column panels), an explicit
         :class:`~repro.engine.plan.ShardGrid` is honoured verbatim, and
-        ``panel_width=w`` is the ``1 x K`` grid of width-``w`` column
-        panels; giving both raises.  With neither, ``memory_budget_bytes``
-        picks a panel width when B and the mask exceed it — the one budget
-        rule — and otherwise the grid stays ``1 x 1``.
+        ``None`` is the ``1 x 1`` plain call.
 
         On the host the decision itself costs what it can repay: see
-        :meth:`_host_plan` for the three layers.  An in-process host plan
-        also skips the partition's row-work CV and the final ``validate()``
-        — it cuts no row parts, and is valid by construction.
+        :meth:`_host_plan` for the three layers.  A host plan also skips
+        the final ``validate()``: it is valid by construction.
 
         ``_b_csc`` is internal: the caller's ``b_csc=``, B's CSC when the
         call already has it.  Only then is ``inner`` not charged the CSC
@@ -224,29 +212,20 @@ class Planner:
         check_operands(a, b, mask)
         if phases is not None and phases not in (1, 2):
             raise ValueError("phases must be 1 or 2")
-        if partition is not None and partition not in PARTITIONS:
-            raise ValueError("partition must be 'block', 'cyclic' or 'balanced'")
         if algo is not None and algo.lower() == "auto":
             algo = None
 
         notes: list = []
         if backend is not None:
             backend = normalize_backend(backend)
-        if self.host:
-            unforced = threads is None and backend is None
-            threads, backend = host_workers(a, b, threads, backend)
-            if unforced:  # nothing priced, nothing forced: say what the rule gave
-                notes.append(
-                    f"{backend} on {threads} of {self.machine.cores} available "
-                    "core(s): in-kernel threads by the call's estimated work "
-                    "(threads=, backend= force them)"
-                )
-        # per-row flops feed the row partition and a preset's backend; a
-        # host plan reads them only to cut process row parts
-        fl = (
-            None if self.host and (backend != "process" or threads == 1)
-            else flops_per_row(a, b)
-        )
+        unforced = threads is None and backend is None
+        threads, backend = host_workers(a, b, threads, backend)
+        if self.host and unforced:  # nothing priced, nothing forced: say what the rule gave
+            notes.append(
+                f"{backend} on {threads} of {self.machine.cores} available "
+                "core(s): in-kernel threads by the call's estimated work "
+                "(threads=, backend= force them)"
+            )
         estimates: Dict[str, float] = {}
         if algo is not None:
             bands, mode = self._forced_bands(a, algo, complement), "forced"
@@ -276,17 +255,7 @@ class Planner:
                 phases if phases is not None else self._pick_phases(model, bands, notes)
             )
 
-        if not self.host:
-            if threads is None:
-                threads = self._pick_threads(a.nrows, notes)
-            if backend is None:
-                backend = self._pick_backend(fl, bands, threads, notes)
-        if partition is None:
-            # no row parts: there is nothing to partition
-            partition = "block" if fl is None else self._pick_partition(fl, notes)
-        grid = self._pick_grid(
-            b, mask, shards, panel_width, memory_budget_bytes, complement, notes
-        )
+        grid = self._pick_grid(mask, shards, complement, notes)
         if mask.nnz == 0 and not complement:
             notes.append("mask is empty: the output is empty regardless of algorithm")
 
@@ -296,7 +265,6 @@ class Planner:
             complement=complement,
             phases=chosen_phases,
             threads=threads,
-            partition=partition,
             backend=backend,
             grid=grid,
             machine=self.machine.name,
@@ -304,9 +272,9 @@ class Planner:
             estimates=estimates,
             notes=notes,
         )
-        # an in-process host plan is valid by construction: every knob was
-        # checked on the way in and its bands cover the rows once
-        return pl if fl is None else pl.validate()
+        # a host plan is valid by construction: every knob was checked on
+        # the way in and its bands cover the rows once
+        return pl if self.host else pl.validate()
 
     # ------------------------------------------------------------------
     # banding policies
@@ -561,79 +529,16 @@ class Planner:
         )
         return chosen
 
-    def _pick_threads(self, nrows: int, notes) -> int:
-        threads = int(min(self.machine.cores, max(1, nrows // ROWS_PER_THREAD)))
-        if threads > 1:
-            notes.append(
-                f"{threads} threads (~{ROWS_PER_THREAD} rows/worker, "
-                f"{self.machine.cores}-core {self.machine.name})"
-            )
-        return threads
-
-    def _pick_backend(self, fl, bands, threads: int, notes) -> str:
-        """Backend of a modeled-preset plan.
-
-        ``process`` pays a per-call dispatch overhead (publish operands into
-        shared memory, attach in workers, pickle results back) that only
-        amortises on large problems, so a preset plan selects it exactly
-        when its modeled whole-problem work clears a fixed modeled-cycle
-        crossover.  Below it, multi-worker plans stay on the cheap-to-enter
-        thread backend; single-worker plans are serial by construction.
-        """
-        if threads <= 1:
-            return "serial"
-        work = float(sum(band.est_cycles for band in bands))
-        if work <= 0.0:
-            # forced plans carry no modeled cycles; fall back to the flop
-            # count as a work proxy (an underestimate, hence conservative)
-            work = float(fl.sum()) * self.machine.flop_cycles
-        if work >= _MODELED_PROCESS_CROSSOVER_CYCLES and process_backend_available():
-            notes.append(
-                f"process backend: modeled work {work:.3g} cycles on "
-                f"{self.machine.name} (zero-copy shm operands, persistent pool)"
-            )
-            return "process"
-        notes.append(
-            f"thread backend: modeled work {work:.3g} cycles on "
-            f"{self.machine.name} is too small for the process pool"
-        )
-        return "thread"
-
-    def _pick_partition(self, fl, notes) -> str:
-        mean = float(fl.mean()) if fl.size else 0.0
-        if mean <= 0:
-            return "block"
-        cv = float(fl.std()) / mean
-        if cv > 0.25:
-            notes.append(f"balanced partition (row-work CV {cv:.2f})")
-            return "balanced"
-        return "block"
-
     @staticmethod
-    def _pick_grid(b, mask, shards, panel_width, budget_bytes, complement, notes):
-        """Resolve ``shards`` / ``panel_width`` / the memory budget into the
-        plan's one :class:`ShardGrid` (``None``: the 1x1 plain call)."""
+    def _pick_grid(mask, shards, complement, notes):
+        """Resolve ``shards`` into the plan's one :class:`ShardGrid`
+        (``None``: the 1x1 plain call)."""
         nrows, ncols = mask.shape
-        if shards is not None and panel_width is not None:
-            raise ValueError(
-                "panel_width and shards are mutually exclusive: both spell "
-                "the grid's column panels"
-            )
-        if panel_width is not None and panel_width <= 0:
-            raise ValueError("panel_width must be positive")
-        if shards is None and panel_width is None and budget_bytes is not None:
-            if budget_bytes <= 0:
-                raise ValueError("memory_budget_bytes must be positive")
-            footprint = 2 * (b.nnz + mask.nnz) * _WORD
-            if footprint > budget_bytes and ncols:
-                panel_width = max(1, int(ncols * budget_bytes / footprint))
-                notes.append(
-                    f"column panels of width {panel_width} "
-                    f"(working set ~{footprint} B > budget {budget_bytes} B)"
-                )
+        if shards is None:
+            return None
         if isinstance(shards, ShardGrid):
             grid = shards.validate((nrows, ncols))
-        elif shards is not None:
+        else:
             if isinstance(shards, str) or len(shards) != 2:
                 raise ValueError(
                     f"shards must be an (nrb, ncp) tuple or a ShardGrid, "
@@ -644,12 +549,6 @@ class Planner:
             nrb = max(1, min(int(shards[0]), nrows))
             ncp = max(1, min(int(shards[1]), ncols))
             grid = ShardGrid.regular((nrows, ncols), nrb, ncp)
-        elif panel_width is not None and panel_width < ncols:
-            grid = ShardGrid(
-                (0, nrows), tuple(range(0, ncols, panel_width)) + (ncols,)
-            )
-        else:
-            return None
         if grid.ncells <= 1:
             notes.append("grid 1x1 degenerates to the plain call")
             return None

@@ -1,7 +1,7 @@
-"""Row-parallel execution: partitioners, the backend names and row-slicing
-primitives (:mod:`repro.parallel.executor`, which also re-exports the
-row-parallel spelling of the front door, ``parallel_masked_spgemm``), and the
-shared-memory process backend (segment publication in
+"""Row-parallel execution: the process backend's row partitioner, the
+backend names and row-slicing primitives (:mod:`repro.parallel.executor`,
+which also re-exports the row-parallel spelling of the front door,
+``parallel_masked_spgemm``), and the shared-memory process backend (segment publication in
 :mod:`repro.parallel.shm`, the persistent worker pool and the one task
 type every backend runs in :mod:`repro.parallel.pool`).  The loop that
 cuts a plan into tasks lives in :mod:`repro.engine.executor`."""
@@ -13,12 +13,7 @@ from .executor import (
     row_block,
     row_slice,
 )
-from .partition import (
-    balanced_partition,
-    block_partition,
-    chunk_schedule,
-    cyclic_partition,
-)
+from .partition import balanced_partition, block_partition
 from .pool import (
     pool_size,
     process_backend_available,
@@ -35,8 +30,6 @@ __all__ = [
     "row_slice",
     "balanced_partition",
     "block_partition",
-    "chunk_schedule",
-    "cyclic_partition",
     "pool_size",
     "process_backend_available",
     "process_pool",

@@ -1,29 +1,21 @@
-"""Row partitioners for parallel masked SpGEMM.
+"""Row partitioners for the process backend.
 
 The paper parallelizes across output rows with OpenMP (Section 3: "plenty of
-coarse-grained parallelism across rows").  These helpers produce row
-partitions for the real thread-pool driver and for the makespan simulator:
-
-* :func:`block_partition` — contiguous equal-count blocks.
-* :func:`cyclic_partition` — round-robin rows.
-* :func:`balanced_partition` — contiguous blocks balanced by a per-row
-  weight (e.g. flops per row), the standard prefix-sum splitting used when
-  static scheduling must fight skewed row costs.
-* :func:`chunk_schedule` — the dynamic chunk sequence.
+coarse-grained parallelism across rows").  The process backend cuts a band's
+rows into parts for its pool workers with :func:`balanced_partition`:
+contiguous blocks balanced by a per-row weight (flops per row), the standard
+prefix-sum splitting used when static scheduling must fight skewed row
+costs.  :func:`block_partition` — contiguous equal-count blocks — is its
+fallback when every weight is zero.
 """
 
 from __future__ import annotations
 
-from typing import List, Tuple
+from typing import List
 
 import numpy as np
 
-__all__ = [
-    "block_partition",
-    "cyclic_partition",
-    "balanced_partition",
-    "chunk_schedule",
-]
+__all__ = ["block_partition", "balanced_partition"]
 
 
 def block_partition(n_rows: int, n_parts: int) -> List[np.ndarray]:
@@ -32,13 +24,6 @@ def block_partition(n_rows: int, n_parts: int) -> List[np.ndarray]:
         raise ValueError("n_parts must be positive")
     bounds = np.linspace(0, n_rows, n_parts + 1).astype(np.int64)
     return [np.arange(bounds[i], bounds[i + 1]) for i in range(n_parts)]
-
-
-def cyclic_partition(n_rows: int, n_parts: int) -> List[np.ndarray]:
-    """Round-robin row assignment (OpenMP ``schedule(static, 1)``)."""
-    if n_parts <= 0:
-        raise ValueError("n_parts must be positive")
-    return [np.arange(i, n_rows, n_parts, dtype=np.int64) for i in range(n_parts)]
 
 
 def balanced_partition(weights: np.ndarray, n_parts: int) -> List[np.ndarray]:
@@ -56,10 +41,3 @@ def balanced_partition(weights: np.ndarray, n_parts: int) -> List[np.ndarray]:
     bounds = np.concatenate(([0], cuts, [n])).astype(np.int64)
     bounds = np.maximum.accumulate(bounds)
     return [np.arange(bounds[i], bounds[i + 1]) for i in range(n_parts)]
-
-
-def chunk_schedule(n_rows: int, chunk: int) -> List[Tuple[int, int]]:
-    """The ordered chunk list a dynamic scheduler hands out."""
-    if chunk <= 0:
-        raise ValueError("chunk must be positive")
-    return [(lo, min(n_rows, lo + chunk)) for lo in range(0, n_rows, chunk)]

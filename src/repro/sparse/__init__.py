@@ -8,10 +8,8 @@ degree-sorted relabeling lives in :mod:`repro.graphs.relabel`).
 
 from .csr import CSR
 from .csc import CSC
-from .dcsr import DCSR
 from .ops import (
     apply_mask,
-    column_panels,
     ewise_add,
     ewise_mult,
     locate,
@@ -30,7 +28,6 @@ from .io import load_npz, read_mtx, save_npz, write_mtx
 __all__ = [
     "CSR",
     "CSC",
-    "DCSR",
     "apply_mask",
     "ewise_add",
     "ewise_mult",
@@ -42,7 +39,6 @@ __all__ = [
     "pattern_union",
     "reduce_sum",
     "row_reduce",
-    "column_panels",
     "restrict_columns",
     "split_columns",
     "read_mtx",

@@ -18,7 +18,7 @@ byte reference.
 
 from __future__ import annotations
 
-from typing import Callable, Iterator, List, Sequence, Tuple
+from typing import Callable, List, Sequence
 
 import numpy as np
 
@@ -36,7 +36,6 @@ __all__ = [
     "pattern_intersection",
     "pattern_difference",
     "nnz_overlap",
-    "column_panels",
     "split_columns",
     "restrict_columns",
 ]
@@ -197,14 +196,6 @@ def nnz_overlap(a: CSR, b: CSR) -> int:
     """Number of positions stored in both matrices.  Used by benches to
     report mask/output overlap (Figure 1's motivation)."""
     return pattern_intersection(a, b).nnz
-
-
-def column_panels(ncols: int, panel_width: int) -> Iterator[Tuple[int, int]]:
-    """Yield ``(lo, hi)`` panel bounds."""
-    if panel_width <= 0:
-        raise ValueError("panel_width must be positive")
-    for lo in range(0, ncols, panel_width):
-        yield lo, min(ncols, lo + panel_width)
 
 
 def split_columns(mat: CSR, bounds: Sequence[int]) -> List[CSR]:

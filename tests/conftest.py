@@ -82,6 +82,34 @@ def assert_csr_equal(got: CSR, want: CSR, *, tol=1e-12, msg=""):
     assert np.allclose(g.data, w.data, rtol=1e-10, atol=tol), f"data differ {msg}"
 
 
+def panels(shape, width):
+    """The ``1 x K`` grid of width-``width`` column panels over an output of
+    ``shape``: the column-panelled multiply, as ``shards=`` spells it."""
+    from repro.engine import ShardGrid
+
+    nrows, ncols = shape
+    return ShardGrid((0, nrows), tuple(range(0, ncols, width)) + (ncols,))
+
+
+def row_split(partition, a, b, m, algo=None, threads=2, col_bounds=None):
+    """A plan cutting the rows the way the deleted partition option named
+    it: ``block`` as the grid's equal row blocks, ``balanced`` as the
+    process backend's own flop-balanced parts, ``cyclic`` as round-robin
+    row bands (scattered rows); ``col_bounds`` adds column panels."""
+    from repro.engine import RowBand, ShardGrid, plan
+
+    n = a.nrows
+    rows = ShardGrid.regular(a.shape, threads, 1).row_bounds if partition == "block" else (0, n)
+    pl = plan(a, b, m, algo=algo, threads=threads,
+              backend="process" if partition == "balanced" else None,
+              shards=ShardGrid(rows, col_bounds or (0, b.ncols)))
+    if partition == "cyclic":
+        pl.bands = [RowBand(rows=np.arange(i, n, threads), algo=pl.bands[0].algo)
+                    for i in range(threads)]
+        pl.validate()
+    return pl
+
+
 def assert_overhead_per_call(plain, instrumented, budget_us, *, calls=20,
                              trials=15, attempts=3):
     """Assert ``instrumented()`` costs at most ``budget_us`` microseconds

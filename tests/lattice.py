@@ -2,9 +2,9 @@
 
 Bit-for-bit identity of values *and* ``OpCounter``s across every spelling
 of a call is the library's contract.  This module is that contract as
-data: the axes (front door x ``algo`` x complement x phases x
-orientation x backend x threads x grid x machine x kernel tier, and the
-native loops' in-kernel ``nthreads``; in process a plan's ``threads`` is
+data: the axes (front door x ``algo`` x complement x phases x backend x
+threads x grid x machine x kernel tier, and the native loops' in-kernel
+``nthreads``; in process a plan's ``threads`` is
 that in-kernel count, on the ``process`` backend the pool's row parts),
 the operand sets
 they run over (the adversarial sets of
@@ -28,7 +28,7 @@ Three consumers:
 
 The factorial is full where the axes interact (serial spellings; planned
 dispatch: backend x grid) and one axis at a time elsewhere,
-~14k calls per tier (see :func:`cases`).
+~7k calls per tier (see :func:`cases`).
 """
 
 from __future__ import annotations
@@ -47,7 +47,6 @@ import numpy as np
 
 from repro.core import (
     masked_spgemm,
-    masked_spgemm_chunked,
     masked_spgemm_hybrid,
     supports_complement,
 )
@@ -204,7 +203,6 @@ TIERS = ("native", "numpy")
 DOORS = {
     "masked_spgemm": masked_spgemm,
     "hybrid": masked_spgemm_hybrid,
-    "chunked": masked_spgemm_chunked,
     "parallel": parallel_masked_spgemm,
     # the leaf every door reaches, where the in-kernel thread count is an
     # argument (a door resolves it from the call's size)
@@ -212,7 +210,6 @@ DOORS = {
 }
 ALGOS = ("auto", "inner", "msa", "hash", "mca", "heap", "heapdot", "esc")
 PHASES = (1, 2)
-ORIENTATIONS = ("row", "column")
 BACKENDS = (None, "serial", "thread", "process")
 GRIDS = (None, (2, 2), (1, 3))
 #: a paper machine that is no preset, passed as an object
@@ -224,7 +221,6 @@ THREADS = (1, 2, 3)
 #: threads than rows on "fewer-rows-than-threads"
 NTHREADS = (1, 2, 4)
 KERNEL_CALLS = (("msa", False), ("msa", True), ("inner", False))
-PARTITIONS = ("block", "cyclic", "balanced")
 
 #: what two runs of one call id may disagree on, as ``(counter name,
 #: call-id pattern, why)``; anything else that differs is a finding
@@ -281,17 +277,15 @@ def cases() -> Iterator[Case]:
             return Case(door, name, tuple(options.items()))
 
         # serial spellings of the door: full factorial
-        for (algo, comp), phases, orientation in product(
-            _algo_complement(), PHASES, ORIENTATIONS
-        ):
-            yield case("masked_spgemm", algo=algo, complement=comp, phases=phases,
-                       orientation=orientation)
-        # planned dispatch: full factorial at 1P / row
+        for (algo, comp), phases in product(_algo_complement(), PHASES):
+            yield case("masked_spgemm", algo=algo, complement=comp, phases=phases)
+        # planned dispatch: full factorial at 1P
         planned = list(_algo_complement(skip=SERIAL_ONLY.get(name, ())))
         for (algo, comp), backend, grid in product(planned, BACKENDS, GRIDS):
             yield case("masked_spgemm", algo=algo, complement=comp, backend=backend,
                        grid=grid)
-        # a modeled preset plans its own bands, workers and backend
+        # a modeled preset prices the bands and phases; its workers and
+        # backend come from the host's rule, as every plan's do
         for comp, backend, grid, machine in product(
             (False, True), BACKENDS, GRIDS, MACHINES[1:]
         ):
@@ -299,14 +293,11 @@ def cases() -> Iterator[Case]:
                        grid=grid, machine=machine)
         for comp, impl in product((False, True), ("auto", "fast", "reference")):
             yield case("hybrid", complement=comp, impl=impl)
-        for (algo, comp), phases, width in product(planned, PHASES, (7, 4096)):
-            yield case("chunked", algo=algo, complement=comp, phases=phases,
-                       panel_width=width)
-        for (algo, comp), backend, threads, partition in product(
-            planned, BACKENDS[1:] + ("auto",), THREADS, PARTITIONS
+        for (algo, comp), backend, threads in product(
+            planned, BACKENDS[1:] + ("auto",), THREADS
         ):
             yield case("parallel", algo=algo, complement=comp, backend=backend,
-                       threads=threads, partition=partition)
+                       threads=threads)
         for (algo, comp), phases, nthreads in product(KERNEL_CALLS, PHASES, NTHREADS):
             yield case("kernel", algo=algo, complement=comp, phases=phases,
                        nthreads=nthreads)

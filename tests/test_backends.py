@@ -2,7 +2,7 @@
 loop, bit for bit.
 
 Every plan shape the engine tests exercise (forced algorithms, complemented
-masks, 1P/2P phases, every partition strategy, column panels, auto plans)
+masks, 1P/2P phases, every row split, column panels, auto plans)
 is run under all three execution backends on the same problems
 ``tests/test_engine.py`` uses (karate + small ER / R-MAT).  The backends
 must agree *exactly* — identical ``indptr`` / ``indices`` / ``data`` arrays
@@ -58,6 +58,8 @@ from repro.parallel import (
 from repro.parallel import pool
 from repro.parallel.shm import SegmentGroup, attach_csr
 from repro.sparse import CSR, read_mtx
+
+from .conftest import panels, row_split
 
 pytestmark = pytest.mark.backend
 
@@ -148,7 +150,7 @@ class TestBackendEquivalence:
     @pytest.mark.parametrize("partition", ["block", "cyclic", "balanced"])
     def test_partitions(self, partition, square_problem):
         a, b, m = square_problem
-        pl = plan(a, b, m, algo="hash", threads=WORKERS, partition=partition)
+        pl = row_split(partition, a, b, m, "hash", WORKERS)
         _assert_backends_agree(pl, a, b, m)
 
     @pytest.mark.parametrize("phases", [1, 2])
@@ -159,7 +161,7 @@ class TestBackendEquivalence:
 
     def test_column_panels(self, square_problem):
         a, b, m = square_problem
-        pl = plan(a, b, m, algo="hash", threads=WORKERS, panel_width=16)
+        pl = plan(a, b, m, algo="hash", threads=WORKERS, shards=panels(m.shape, 16))
         _assert_backends_agree(pl, a, b, m)
 
     def test_auto_plan(self, square_problem):
@@ -548,22 +550,22 @@ class TestGridEquivalence:
         for algo in ("inner", "msa", "hash", "mca", "esc"):
             ref_counter = OpCounter()
             ref = masked_spgemm(g, g, g, algo=algo, counter=ref_counter)
-            for panel_width in (None, 24):
-                pl = plan(g, g, g, algo=algo, threads=3, partition=partition,
-                          panel_width=panel_width)
+            for panels in (None, (0, 24, 48, 64)):
+                pl = row_split(partition, g, g, g, algo, 3, panels)
                 got, counter = _run(pl, g, g, g, backend)
-                _assert_same(got, ref, f"{algo}/{partition}/{panel_width}")
+                _assert_same(got, ref, f"{algo}/{partition}/{panels}")
                 if algo in ADDITIVE_COUNTER_ALGOS:
                     assert counter == ref_counter, f"{algo}/{partition}"
 
     def test_panel_width_is_the_one_by_k_grid(self):
-        """``panel_width=w`` and ``shards=`` with the same column bounds are
-        one plan: same grid, same values, same counters — every algorithm."""
+        """Column panels are spelled ``shards=(1, K)``: it and the explicit
+        grid with the same column bounds are one plan — same grid, same
+        values, same counters, every algorithm."""
         g = rmat(6, seed=3)
-        n, w = g.ncols, 24
-        grid = ShardGrid((0, n), tuple(range(0, n, w)) + (n,))
+        n = g.ncols
+        grid = ShardGrid((0, n), (0, 21, 42, n))
         for algo in ALL_ALGOS:
-            by_width = plan(g, g, g, algo=algo, panel_width=w)
+            by_width = plan(g, g, g, algo=algo, shards=(1, 3))
             by_grid = plan(g, g, g, algo=algo, shards=grid)
             assert by_width.grid == by_grid.grid == grid
             got_w, counter_w = _run(by_width, g, g, g, "serial")
@@ -573,9 +575,15 @@ class TestGridEquivalence:
 
     @pytest.mark.parametrize("case", _grid_cases()[3:5], ids=lambda c: c[0])
     def test_column_orientation_transposes_the_grid(self, case):
+        """Column by column is the caller's ``(B^T A^T)^T`` with the grid
+        transposed with it (the door names no orientation)."""
         _, (a, b, m), shards = case
+        flipped = (
+            shards[::-1] if isinstance(shards, tuple)
+            else ShardGrid(shards.col_bounds, shards.row_bounds)
+        )
         for algo in ("msa", "hash", "esc"):
             ref = masked_spgemm(a, b, m, algo=algo)
-            got = masked_spgemm(a, b, m, algo=algo, orientation="column",
-                                shards=shards)
+            got = masked_spgemm(b.transpose(), a.transpose(), m.transpose(), algo=algo,
+                                shards=flipped).transpose()
             _assert_same(got, ref, algo)

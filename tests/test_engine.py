@@ -35,7 +35,7 @@ from repro.machine import HASWELL, KNL, OpCounter
 from repro.semiring import PLUS_PAIR
 from repro.sparse import CSR, read_mtx
 
-from .conftest import assert_csr_equal, random_csr
+from .conftest import assert_csr_equal, panels, random_csr, row_split
 
 DATA = Path(__file__).parent.parent / "data"
 
@@ -62,10 +62,10 @@ class TestPlanner:
 
     def test_forced_plan_single_band(self, triple):
         a, b, m = triple
-        pl = plan(a, b, m, algo="hash", phases=2, threads=3, partition="cyclic")
+        pl = plan(a, b, m, algo="hash", phases=2, threads=3)
         assert pl.mode == "forced"
         assert pl.algo == "hash"
-        assert pl.phases == 2 and pl.threads == 3 and pl.partition == "cyclic"
+        assert pl.phases == 2 and pl.threads == 3 and pl.backend == "thread"
         assert len(pl.bands) == 1 and pl.bands[0].is_full(a.nrows)
 
     def test_forced_unknown_algo(self, triple):
@@ -94,14 +94,15 @@ class TestPlanner:
         text = plan(a, b, m, machine=HASWELL).explain()
         assert "algo=" in text
         assert "phases=" in text
-        assert "partition" in text
+        assert "backend" in text and "partition" not in text
         assert HASWELL.name in text
         assert "on host" in plan(a, b, m).explain()
 
     def test_as_dict_jsonable(self, triple):
         a, b, m = triple
-        d = plan(a, b, m, memory_budget_bytes=10_000).as_dict()
+        d = plan(a, b, m, shards=(1, 3)).as_dict()
         json.dumps(d)  # must not raise
+        assert "partition" not in d
         assert d["machine"] == "host"  # no machine= means this interpreter
         assert sum(band["nrows"] for band in d["bands"]) == a.nrows
 
@@ -126,15 +127,21 @@ class TestPlanner:
         assert len(pl.bands) == 1 and pl.bands[0].is_full(a.nrows)
 
     def test_memory_budget_turns_on_panels(self):
+        """No rule picks a grid: a memory-bounded caller spells its column
+        panels, ``shards=(1, K)``, and the planner takes no budget."""
+        import inspect
+
         a = random_csr(60, 60, 6, seed=11)
         b = random_csr(60, 200, 6, seed=12)
         m = random_csr(60, 200, 8, seed=13)
-        tight = plan(a, b, m, memory_budget_bytes=2_000)
-        # the budget is the one rule that picks a grid: 1 x K column panels
-        assert tight.grid.nrb == 1 and 1 < tight.grid.ncp <= b.ncols
-        assert any("column panels of width" in n for n in tight.notes)
-        roomy = plan(a, b, m, memory_budget_bytes=1 << 30)
-        assert roomy.grid.ncells == 1
+        tight = plan(a, b, m, shards=(1, 8))
+        assert (tight.grid.nrb, tight.grid.ncp) == (1, 8)
+        assert tight.grid.col_bounds == (0, 25, 50, 75, 100, 125, 150, 175, 200)
+        assert plan(a, b, m).grid.ncells == 1
+        assert set(inspect.signature(Planner.plan).parameters) == {
+            "self", "a", "b", "mask", "complement", "algo", "phases", "threads",
+            "backend", "shards", "_b_csc",
+        }
 
     def test_invalid_inputs(self, triple):
         a, b, m = triple
@@ -142,8 +149,8 @@ class TestPlanner:
             Planner(HASWELL, banding="vibes")
         with pytest.raises(ValueError, match="phases"):
             plan(a, b, m, phases=3)
-        with pytest.raises(ValueError, match="memory_budget_bytes"):
-            plan(a, b, m, memory_budget_bytes=0)
+        with pytest.raises(ValueError, match="shards counts"):
+            plan(a, b, m, shards=(1, 0))
 
     def test_plan_validate_catches_broken_plans(self, triple):
         a, b, m = triple
@@ -157,9 +164,9 @@ class TestPlanner:
         with pytest.raises(ValueError, match="complement"):
             ExecutionPlan((a.nrows, b.ncols), [RowBand(rows, "mca")],
                           complement=True).validate()
-        with pytest.raises(ValueError, match="partition"):
+        with pytest.raises(ValueError, match="threads must be positive"):
             ExecutionPlan((a.nrows, b.ncols), [RowBand(rows, "msa")],
-                          partition="magic").validate()
+                          threads=0).validate()
 
     def test_complement_plans_never_use_inner_or_mca(self):
         """The regimes that would pick inner/mca must fall back elsewhere
@@ -280,25 +287,25 @@ class TestPlanCrossCheck:
     @pytest.mark.parametrize("partition", ["block", "cyclic", "balanced"])
     def test_partitioned(self, partition, square_problem):
         a, b, m = square_problem
-        pl = plan(a, b, m, threads=3, partition=partition)
+        pl = row_split(partition, a, b, m, threads=3)
         got = execute(pl, a, b, m)
         want = masked_spgemm_reference(a, b, m, algo="msa")
-        assert_csr_equal(got, want, msg=f"partition={partition}")
+        assert_csr_equal(got, want, msg=partition)
 
     @pytest.mark.parametrize("panel", [5, 17])
     def test_panelled(self, panel, square_problem):
         a, b, m = square_problem
         for complement in (False, True):
-            pl = plan(a, b, m, panel_width=panel, complement=complement)
+            pl = plan(a, b, m, shards=panels(m.shape, panel), complement=complement)
             got = execute(pl, a, b, m)
             want = masked_spgemm_reference(a, b, m, algo="msa",
                                            complement=complement)
             assert_csr_equal(got, want, msg=f"panel={panel} c={complement}")
 
     def test_threads_times_panels_times_bands(self, square_problem):
-        """The maximally-composed plan: banded + partitioned + panelled."""
+        """The maximally-composed plan: banded + row parts + panelled."""
         a, b, m = square_problem
-        pl = plan(a, b, m, threads=2, panel_width=11)
+        pl = plan(a, b, m, threads=2, backend="process", shards=panels(m.shape, 11))
         got = execute(pl, a, b, m)
         assert_csr_equal(got, masked_spgemm_reference(a, b, m, algo="msa"))
 
@@ -369,7 +376,7 @@ class TestCounterThreading:
     def test_panelled_counter(self, triple):
         a, b, m = triple
         c = OpCounter()
-        out = execute(plan(a, b, m, algo="hash", panel_width=9), a, b, m, counter=c)
+        out = execute(plan(a, b, m, algo="hash", shards=panels(m.shape, 9)), a, b, m, counter=c)
         assert c.output_nnz == out.nnz
 
     def test_two_phase_symbolic_charged(self, triple):
@@ -385,7 +392,7 @@ class TestCounterThreading:
 class TestWorkloadPlans:
     def _assert_explains(self, pl):
         text = pl.explain()
-        assert "algo=" in text and "phases=" in text and "partition" in text
+        assert "algo=" in text and "phases=" in text and "backend" in text
         return text
 
     def test_triangle_counting_plan(self):

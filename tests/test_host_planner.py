@@ -24,11 +24,12 @@ from repro.core import masked_spgemm
 from repro.core.leaf import kernel_threads
 from repro.core.kernels.expand import row_keys
 from repro.core.kernels.inner_kernel import masked_spgemm_inner_fast
-from repro.engine import Planner, plan
+from repro.engine import Planner, execute, plan
+from repro.engine.planner import host_workers
 from repro.graphs import erdos_renyi, relabel_by_degree, rmat
 from repro.machine import HOST, HOST_NATIVE, HostProfile, OpCounter
 from repro.observe import tracing
-from repro.parallel import shutdown_pool
+from repro.parallel import pool_size, shutdown_pool
 from repro.semiring import MIN_PLUS, PLUS_PAIR, PLUS_TIMES, Semiring
 from repro.sparse import CSC, CSR
 
@@ -310,6 +311,31 @@ class TestWorkersFollowTheHost:
         assert Planner().plan(*triple, threads=1).backend == "serial"
         both = Planner().plan(*triple, threads=2, backend="process")
         assert (both.threads, both.backend) == (2, "process")
+        # one check for every plan, host or preset, and for execute(backend=):
+        # a count is an int >= 1, not a bool, a float or a string
+        for bad in (0, -3, 2.5, "2", True):
+            for planner in (Planner(), Planner("haswell")):
+                with pytest.raises(ValueError, match="threads must be positive"):
+                    planner.plan(*triple, threads=bad)
+            with pytest.raises(ValueError, match="threads must be positive"):
+                execute(dataclasses.replace(Planner().plan(*triple), threads=bad),
+                        *triple, backend="thread")
+
+
+    @pytest.mark.parametrize("machine", ["haswell", "knl"])
+    def test_a_preset_prices_and_the_host_runs(self, machine):
+        """A paper machine prices the bands and phases; the call runs on this
+        host's workers — no pool however many cores the preset models — and
+        returns the host plan's bytes."""
+        low, _, _ = _tc(11)
+        want = masked_spgemm(low, low, low, algo="auto")
+        with tracing() as tr:
+            got = masked_spgemm(low, low, low, algo="auto", machine=machine)
+        assert pool_size() == 0
+        (planned,) = [s.attrs["plan"] for s in tr.spans if s.name == "engine.execute"]
+        assert planned["machine"] == machine
+        assert (planned["threads"], planned["backend"]) == host_workers(low, low, None, None)
+        assert _bitwise(got, want)
 
 
 class TestPresetsUnchanged:
@@ -333,9 +359,9 @@ class TestPresetsUnchanged:
         assert [round(b.est_cycles, 3) for b in pl.bands] == [
             87931.194, 307062.818, 346556.459,
         ]
-        assert (pl.phases, pl.threads, pl.backend, pl.partition) == (
-            1, 2, "thread", "balanced",
-        )
+        # a preset prices bands and phases; its workers are the host's rule
+        assert pl.phases == 1
+        assert (pl.threads, pl.backend) == host_workers(*_tc(10)[:2], None, None)
         assert pl.machine == "haswell"
 
     def test_knl_and_complement_bands(self):
@@ -450,16 +476,17 @@ class TestDecisionLayers:
         for planner, (a, b, m), kw in calls:
             pl = planner.plan(a, b, m, **kw)
             assert len(pl.bands) == 1 and pl.bands[0].is_full(a.nrows)
-            assert (pl.threads, pl.partition) == (kernel_threads(a, b), "block")
+            assert pl.threads == kernel_threads(a, b)
             pl.validate()
         assert Planner(HOST_NATIVE).plan(*er).algo == "inner"
         assert Planner(HOST_NATIVE).plan(*_tc(6)).algo == "msa"
 
     def test_in_kernel_threads_read_no_per_row_flops(self, monkeypatch):
-        """A host plan reads per-row flops only to cut process row parts:
-        the default TC plan on ``rmat(14)`` (over the crossover, so on every
-        core) and a forced ``threads=2`` one read none and are not
-        ``validate()``d; a process plan does both."""
+        """A host plan reads no per-row flops and is not ``validate()``d,
+        whatever runs it: the default TC plan on ``rmat(14)`` (over the
+        crossover, so on every core), a forced ``threads=2`` one and a
+        process plan alike (the pool's flop-balanced parts are cut when the
+        plan runs)."""
         import repro.engine.planner as planner_module
         from repro.engine.plan import ExecutionPlan
 
@@ -482,7 +509,7 @@ class TestDecisionLayers:
             assert read == [], kw
         read.clear()
         assert Planner(HOST_NATIVE).plan(*tc, threads=2, backend="process").threads == 2
-        assert read == ["flops_per_row", "validate"]
+        assert read == []
 
     @pytest.mark.parametrize("profile", [HOST, HOST_NATIVE], ids=["numpy", "native"])
     def test_one_band_wherever_the_census_finds_one_and_the_same_algorithm(
@@ -530,23 +557,29 @@ class TestDecisionLayers:
         assert len(got.bands) == 2
 
     def test_preset_plans_are_the_parents(self):
-        """Modeled presets plan in full: ``as_dict()`` digests captured
+        """Modeled presets price in full: ``as_dict()`` digests captured
         before the host decision layers landed, recomputed from those plans
         without the batching tier (each band's ``batch`` / ``buckets`` and
-        the tier note) when the tier was deleted."""
+        the tier note) when the tier was deleted, and recomputed again —
+        on the commit that still had them — without ``threads``,
+        ``backend``, ``partition`` and the preset's worker, backend and
+        partition notes when a preset stopped picking its own workers (they
+        are the host's rule now, :func:`host_workers`)."""
         low = _tc(10)
         er = (erdos_renyi(512, 512, 16, seed=1), erdos_renyi(512, 512, 16, seed=2),
               erdos_renyi(512, 512, 2, seed=3))
         cases = {
-            "db831c5163743cfc": lambda: plan(*low, machine="haswell"),
-            "40cc4da7bed52296": lambda: plan(*er, machine="knl"),
-            "f9803f8b5d3c1389": lambda: plan(*er, machine="haswell", complement=True),
-            "4aeb53f407de9b65": lambda: plan(*er, machine="haswell", algo="hash", threads=3),
-            "25d356966d44d46e": lambda: Planner("haswell", banding="ratio").plan(*low),
-            "b8521e2911a2ec53": lambda: Planner("knl", banding="none").plan(*er),
+            "599d2824477668b8": lambda: plan(*low, machine="haswell"),
+            "c21cf602ad9471be": lambda: plan(*er, machine="knl"),
+            "ba9fe9871f70e409": lambda: plan(*er, machine="haswell", complement=True),
+            "7ca2eb3753a7dadf": lambda: plan(*er, machine="haswell", algo="hash", threads=3),
+            "8ffbc085dc03afe8": lambda: Planner("haswell", banding="ratio").plan(*low),
+            "c3581d8e465d376e": lambda: Planner("knl", banding="none").plan(*er),
         }
         for want, make in cases.items():
-            text = json.dumps(_canon(make().as_dict()), sort_keys=True)
+            priced = make().as_dict()
+            del priced["threads"], priced["backend"]
+            text = json.dumps(_canon(priced), sort_keys=True)
             assert hashlib.blake2b(text.encode(), digest_size=8).hexdigest() == want
 
     def test_a_given_csc_is_not_charged_and_gives_the_column_counts(self):

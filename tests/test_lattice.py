@@ -56,7 +56,9 @@ def test_the_sample_is_fixed_and_spans_the_axes():
     assert seen["grid"] == set(lattice.GRIDS)
     assert seen["threads"] == set(lattice.THREADS)
     assert seen["machine"] == set(lattice.MACHINES[1:])
-    assert seen["orientation"] == {"row", "column"}
+    # one spelling per choice: no orientation, panel width or partition axis
+    assert set(seen) == {"algo", "complement", "phases", "backend", "grid", "machine",
+                         "impl", "threads", "nthreads"}
 
 
 def test_sample_matches_the_reference_tier(calls):
@@ -80,10 +82,7 @@ def test_forced_spellings_are_the_plain_call(calls):
     grid; same work counters where nothing was sliced away."""
     memo, checked = {}, 0
     for case, options, call_id, got, counter in calls:
-        if (
-            case.door == "hybrid"
-            or options["algo"] == "auto" or options.get("orientation") == "column"
-        ):
+        if case.door == "hybrid" or options["algo"] == "auto":
             continue
         phases = options.get("phases", 1)
         want, plain = _plain(memo, case, algo=options["algo"], phases=phases,
@@ -91,10 +90,9 @@ def test_forced_spellings_are_the_plain_call(calls):
         assert lattice.csr_digest(got) == lattice.csr_digest(want), call_id
         checked += 1
         # (an item whose mask part is empty is dropped before dispatch, its
-        # products never expanded: grids, panels and the all-empty mask)
+        # products never expanded: grids and the all-empty mask)
         if (
-            options["algo"] in ADDITIVE and case.door != "chunked"
-            and options.get("grid") is None
+            options["algo"] in ADDITIVE and options.get("grid") is None
             and case.operands != "empty-mask"
         ):
             assert counter.as_dict() == plain.as_dict(), call_id

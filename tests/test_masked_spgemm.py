@@ -19,7 +19,7 @@ from repro.machine import OpCounter, total_flops
 from repro.semiring import MAX_TIMES, MIN_PLUS, PLUS_PAIR
 from repro.sparse import CSR
 
-from .conftest import assert_csr_equal, random_csr
+from .conftest import assert_csr_equal, panels, random_csr
 
 COMPLEMENT_ALGOS = [a for a in ALGOS if supports_complement(a)]
 
@@ -162,16 +162,21 @@ class TestUnsupportedCombos:
 
 
 def _front_doors():
-    from repro.core import masked_spgemm_chunked, masked_spgemm_hybrid
+    from functools import partial
+
+    from repro.core import masked_spgemm_hybrid
     from repro.parallel import parallel_masked_spgemm
 
+    # "chunked": the column-panelled multiply, spelled on the door's grid
     return {"masked_spgemm": masked_spgemm, "hybrid": masked_spgemm_hybrid,
-            "chunked": masked_spgemm_chunked, "parallel": parallel_masked_spgemm}
+            "chunked": partial(masked_spgemm, shards=(1, 3)),
+            "parallel": parallel_masked_spgemm}
 
 
 class TestOneFrontDoor:
-    """The four front doors are spellings of one call (``docs/engine.md``,
-    "Path of a call"): same checks, same texts, each step once."""
+    """The three front doors (and the door's column-panelled grid) are
+    spellings of one call (``docs/engine.md``, "Path of a call"): same
+    checks, same texts, each step once."""
 
     @pytest.mark.parametrize("door", _front_doors())
     def test_every_door_raises_the_same_text(self, door, small_triple):
@@ -263,7 +268,7 @@ class TestLayering:
         import repro
 
         src = Path(repro.__file__).parent
-        door = re.compile(r"(^|\.)masked_spgemm(_hybrid|_chunked)?$")
+        door = re.compile(r"(^|\.)masked_spgemm(_hybrid)?$")
         found = [
             (f"{pkg}/{path.name}", names)
             for pkg in ("engine", "parallel")
@@ -472,52 +477,58 @@ class TestESCExtension:
         assert "accumulator" not in est.breakdown  # ESC's selling point
 
 
+def _by_columns(a, b, m, **kw):
+    """Column-by-column (the Buluç–Gilbert orientation the heap algorithm
+    came from): the row algorithm on the transposed problem, as a caller
+    spells it — the door names no orientation."""
+    return masked_spgemm(b.transpose(), a.transpose(), m.transpose(), **kw).transpose()
+
+
 class TestColumnOrientation:
     @pytest.mark.parametrize("algo", ["msa", "hash", "mca", "inner", "heap"])
     def test_column_matches_row(self, algo, small_triple):
         a, b, m = small_triple
-        row = masked_spgemm(a, b, m, algo=algo, orientation="row")
-        col = masked_spgemm(a, b, m, algo=algo, orientation="column")
+        row = masked_spgemm(a, b, m, algo=algo)
+        col = _by_columns(a, b, m, algo=algo)
         assert_csr_equal(col, row, msg=algo)
 
     def test_column_complement(self, small_triple):
         a, b, m = small_triple
         row = masked_spgemm(a, b, m, algo="msa", complement=True)
-        col = masked_spgemm(a, b, m, algo="msa", complement=True,
-                            orientation="column")
+        col = _by_columns(a, b, m, algo="msa", complement=True)
         assert_csr_equal(col, row)
 
-    def test_bad_orientation(self, small_triple):
-        a, b, m = small_triple
-        with pytest.raises(ValueError, match="orientation"):
-            masked_spgemm(a, b, m, orientation="diagonal")
+    def test_bad_orientation(self):
+        """There is one orientation, the paper's: the door names none."""
+        import inspect
+
+        params = inspect.signature(masked_spgemm).parameters
+        assert "orientation" not in params
+        assert sum(p.kind is p.KEYWORD_ONLY for p in params.values()) == 11
 
 
 class TestChunkedSpGEMM:
+    """The column-panelled (memory-bounded) multiply: the door's ``1 x K``
+    grid, ``shards=(1, K)`` or an explicit :class:`~repro.engine.ShardGrid`."""
+
     @pytest.mark.parametrize("panel", [1, 7, 16, 1000])
     def test_panel_invariant(self, panel, small_triple):
-        from repro.core import masked_spgemm_chunked
-
         a, b, m = small_triple
         want = masked_spgemm(a, b, m, algo="msa")
-        got = masked_spgemm_chunked(a, b, m, panel_width=panel)
+        got = masked_spgemm(a, b, m, algo="msa", shards=panels(m.shape, panel))
         assert_csr_equal(got, want, msg=f"panel={panel}")
 
     @pytest.mark.parametrize("panel", [9, 64])
     def test_complement(self, panel, small_triple):
-        from repro.core import masked_spgemm_chunked
-
         a, b, m = small_triple
         want = masked_spgemm(a, b, m, algo="msa", complement=True)
-        got = masked_spgemm_chunked(a, b, m, panel_width=panel,
-                                    complement=True)
+        got = masked_spgemm(a, b, m, algo="msa", complement=True,
+                            shards=panels(m.shape, panel))
         assert_csr_equal(got, want)
 
     def test_empty_mask_panels_skipped(self):
         """A mask confined to one panel must keep the other panels'
         B slices untouched (no flops counted for them)."""
-        from repro.core import masked_spgemm_chunked
-
         a = random_csr(20, 20, 4, seed=71)
         b = random_csr(20, 100, 4, seed=72)
         # mask lives entirely in columns [0, 10)
@@ -528,12 +539,11 @@ class TestChunkedSpGEMM:
         masked_spgemm(a, b, m_wide, algo="msa", impl="reference",
                       counter=c_full)
         c_chunk = OpCounter()
-        masked_spgemm_chunked(a, b, m_wide, panel_width=10, algo="msa",
-                              counter=c_chunk)
-        got = masked_spgemm_chunked(a, b, m_wide, panel_width=10)
+        masked_spgemm(a, b, m_wide, algo="msa", shards=(1, 10), counter=c_chunk)
+        got = masked_spgemm(a, b, m_wide, shards=(1, 10))
         want = masked_spgemm(a, b, m_wide)
         assert_csr_equal(got, want)
-        # chunked inserts bounded by the single live panel's expansion
+        # panelled inserts bounded by the single live panel's expansion
         assert c_chunk.accum_inserts < total_flops(a, b)
 
     def test_restrict_columns(self):
@@ -545,18 +555,8 @@ class TestChunkedSpGEMM:
         dense = a.to_dense()[:, 10:20]
         assert np.allclose(panel.to_dense(), dense)
 
-    def test_bad_panel_width(self, small_triple):
-        from repro.core import masked_spgemm_chunked
-
-        a, b, m = small_triple
-        with pytest.raises(ValueError, match="panel_width"):
-            masked_spgemm_chunked(a, b, m, panel_width=0)
-
     def test_semiring(self, small_triple):
-        from repro.core import masked_spgemm_chunked
-
         a, b, m = small_triple
         want = masked_spgemm(a, b, m, semiring=PLUS_PAIR)
-        got = masked_spgemm_chunked(a, b, m, panel_width=13,
-                                    semiring=PLUS_PAIR)
+        got = masked_spgemm(a, b, m, semiring=PLUS_PAIR, shards=panels(m.shape, 13))
         assert_csr_equal(got, want)

@@ -28,11 +28,12 @@ from repro.core.kernels.inner_kernel import masked_spgemm_inner_fast
 from repro.core.kernels.msa_kernel import masked_spgemm_msa_fast
 from repro.core.symbolic import symbolic_masked
 from repro import engine
-from repro.engine import Planner, execute
+from repro.engine import Planner, ShardGrid, execute
 from repro.graphs import erdos_renyi, lower_by_degree, rmat
-from repro.machine import HOST, HOST_NATIVE, OpCounter, available_cores, resolve_machine
+from repro.machine import HOST, HOST_NATIVE, OpCounter, available_cores, flops_per_row, \
+    resolve_machine
 from repro.observe import tracing
-from repro.parallel import parallel_masked_spgemm
+from repro.parallel import balanced_partition, parallel_masked_spgemm
 from repro.parallel.pool import shutdown_pool
 from repro.semiring import MIN_PLUS, PLUS_PAIR, PLUS_TIMES, STANDARD_SEMIRINGS, Semiring
 from repro.sparse import CSR
@@ -109,14 +110,17 @@ class TestDifferential:
         a, b, m = OPERANDS[name]
         knobs = (
             dict(threads=1, backend="serial", shards=(2, 2)) if how == "grid"
-            else dict(threads=2, backend=how, partition="block")
+            else dict(threads=2, backend=how)
         )
         # pool workers are their own processes: native.disabled() here does
         # not reach them, so the process runs are checked against the NumPy
-        # run of a serial 2x1 grid (the same row parts, so the same items
-        # are dropped and the counters match)
+        # run of a serial 2x1 grid on the pool's flop-balanced cut (the same
+        # row parts, so the same items are dropped and the counters match)
+        top = balanced_partition(flops_per_row(a, b), 2)[0].size
         ref_knobs = (
-            dict(threads=1, backend="serial", shards=(2, 1)) if how == "process" else knobs
+            dict(threads=1, backend="serial",
+                 shards=ShardGrid((0, top, a.nrows), (0, b.ncols)))
+            if how == "process" else knobs
         )
         for sr in (PLUS_TIMES, PLUS_PAIR, MIN_PLUS):
             for algo in ("msa", "inner", None):
@@ -239,8 +243,8 @@ class TestThreads:
         forced door call with nothing to plan, on the count its plan would
         record.  ``backend="serial"`` (whatever ``threads=`` says) and a forced
         ``threads=1`` record 1; an ``execute`` override keeps the plan's count.
-        A modeled preset's plan runs ``serial`` on one thread and ``thread``
-        on no more than this host's count for the call."""
+        A modeled preset's plan records this host's count, as every plan
+        does, and runs on it."""
         import importlib
 
         door, executor, pool = map(importlib.import_module, (
@@ -297,15 +301,18 @@ class TestThreads:
             "execute(serial plan, serial)": 1, "execute(threads=3 plan, thread)": 3,
             "execute(threads=3 plan, serial)": 1,
         }
-        # a paper machine's plan: its worker count is the preset's, not this
-        # host's, so it never reaches the row loop as is
+        # a paper machine prices bands and phases only: its plan's workers
+        # are this host's, forced or not
         preset = Planner("haswell")
-        for name, pl, want in (
-            ("preset serial", preset.plan(*ops, algo="msa", backend="serial"), 1),
-            ("preset thread", preset.plan(*ops, algo="msa", threads=8, backend="thread"),
-             min(8, kernel_threads(low, low))),
+        for name, knobs, want in (
+            ("preset", {}, every),
+            ("preset serial", {"backend": "serial"}, 1),
+            ("preset threads=3", {"threads": 3}, 3),
         ):
-            assert pl.threads > 1, name
+            pl = preset.plan(*ops, algo="msa", **knobs)
+            host = engine.plan(*ops, algo="msa", **knobs)
+            assert (pl.threads, pl.backend) == (host.threads, host.backend) == (
+                want, "thread" if want > 1 else "serial"), name
             seen.clear()
             execute(pl, *ops, **kw)
             assert seen == [want], name
@@ -335,9 +342,9 @@ class TestThreads:
         hang.  Pool workers run every item on one thread, and a caller's own
         forked child that passes ``backend="serial"`` stays on one thread
         through triangle counting's prepare and product — and through a
-        serial plan it executes, a modeled preset's serial plan of several
-        workers and ``parallel_masked_spgemm(threads=2, backend="serial")``
-        — so this returns."""
+        serial plan it executes, a modeled preset's serial plan and
+        ``parallel_masked_spgemm(threads=2, backend="serial")`` — so this
+        returns."""
         code = (
             "import os\n"
             "from repro import engine\n"
@@ -366,7 +373,7 @@ class TestThreads:
             "want = run_kernel(low, low, low, nthreads=2, **kw)\n"
             "pl = engine.plan(low, low, low, algo='msa', backend='serial')\n"
             "preset = engine.Planner('haswell').plan(low, low, low, algo='msa', backend='serial')\n"
-            "assert preset.threads > 1\n"
+            "assert (preset.threads, preset.backend) == (1, 'serial')\n"
             "calls = (lambda: engine.execute(pl, low, low, low, semiring=PLUS_PAIR),\n"
             "         lambda: engine.execute(preset, low, low, low, semiring=PLUS_PAIR),\n"
             "         lambda: parallel_masked_spgemm(low, low, low, threads=2, backend='serial',\n"

@@ -1,15 +1,16 @@
 """Tests for row partitioners and the parallel masked-SpGEMM driver."""
 
+import inspect
+
 import numpy as np
 import pytest
 
 from repro.baselines import scipy_masked_spgemm
-from repro.machine import OpCounter
+from repro.core import masked_spgemm
+from repro.machine import OpCounter, simulate_makespan
 from repro.parallel import (
     balanced_partition,
     block_partition,
-    chunk_schedule,
-    cyclic_partition,
     parallel_masked_spgemm,
     pool_size,
 )
@@ -33,11 +34,14 @@ class TestPartitioners:
 
     @pytest.mark.parametrize("n,p", [(10, 3), (100, 7), (5, 8), (64, 1)])
     def test_cyclic_covers_all(self, n, p):
-        parts = cyclic_partition(n, p)
-        _check_partition(parts, n)
-        # strided assignment
-        if n > p:
-            assert parts[0][1] - parts[0][0] == p
+        """Round-robin rows live on only as the makespan simulator's
+        ``cyclic`` schedule (the process backend cuts flop-balanced blocks):
+        it hands every row out once, so unit rows finish in ``ceil(n / p)``
+        and weighted ones on the heaviest stride."""
+        assert simulate_makespan(np.ones(n), p, schedule="cyclic") == -(-n // p)
+        w = np.arange(1.0, n + 1)
+        want = max(w[i::p].sum() for i in range(p))
+        assert simulate_makespan(w, p, schedule="cyclic") == want
 
     def test_balanced_covers_all(self):
         w = np.random.default_rng(0).random(97)
@@ -63,17 +67,11 @@ class TestPartitioners:
         parts = balanced_partition(np.zeros(10), 3)
         _check_partition(parts, 10)
 
-    def test_chunk_schedule(self):
-        chunks = chunk_schedule(10, 3)
-        assert chunks == [(0, 3), (3, 6), (6, 9), (9, 10)]
-        with pytest.raises(ValueError):
-            chunk_schedule(10, 0)
-
     def test_invalid_parts(self):
         with pytest.raises(ValueError):
             block_partition(10, 0)
         with pytest.raises(ValueError):
-            cyclic_partition(10, -1)
+            block_partition(10, -1)
         with pytest.raises(ValueError):
             balanced_partition(np.ones(4), 0)
 
@@ -113,7 +111,7 @@ class TestRowSlice:
 
     def test_strided_not_treated_as_contiguous(self):
         a = random_csr(24, 16, 3, seed=74)
-        rows = np.arange(0, 24, 2, dtype=np.int64)  # cyclic partition shape
+        rows = np.arange(0, 24, 2, dtype=np.int64)  # a strided row set
         got = row_slice(a, rows)
         want = a.select_rows(rows)
         assert np.array_equal(got.indices, want.indices)
@@ -130,7 +128,7 @@ class TestRowSlice:
         assert row_slice(a, np.arange(20, dtype=np.int64)) is a
 
     def test_scattered_rows_round_trip_select_rows(self):
-        # scattered row sets (cyclic partitions, planner bands) must agree
+        # scattered row sets (planner bands) must agree
         # with select_rows for every framing, including unsorted orders and
         # singleton sets
         a = random_csr(40, 25, 5, seed=77)
@@ -195,11 +193,18 @@ class TestParallelDriver:
     @pytest.mark.parametrize("partition", ["block", "cyclic", "balanced"])
     @pytest.mark.parametrize("backend", ["serial", "threads"])
     def test_matches_oracle(self, partition, backend, small_triple):
+        """The row splits the deleted partition option named, as spelled now:
+        equal-count blocks are the grid's row blocks, flop-balanced parts
+        the row-parallel door's own, and round-robin rows no spelling at
+        all: the door takes no ``partition`` keyword."""
         a, b, m = small_triple
         want = scipy_masked_spgemm(a, b, m)
-        got = parallel_masked_spgemm(
-            a, b, m, threads=4, partition=partition, backend=backend
-        )
+        if partition == "block":
+            got = masked_spgemm(a, b, m, shards=(4, 1), backend=backend)
+        else:
+            if partition == "cyclic":
+                assert partition not in repr(inspect.signature(parallel_masked_spgemm))
+            got = parallel_masked_spgemm(a, b, m, threads=4, backend=backend)
         assert_csr_equal(got, want)
 
     @pytest.mark.parametrize("algo", ["msa", "hash", "mca", "inner"])
@@ -240,14 +245,14 @@ class TestParallelDriver:
     def test_deterministic_regardless_of_threads(self, small_triple):
         a, b, m = small_triple
         r1 = parallel_masked_spgemm(a, b, m, threads=1)
-        r4 = parallel_masked_spgemm(a, b, m, threads=4, partition="cyclic")
+        r4 = parallel_masked_spgemm(a, b, m, threads=4, backend="process")
         assert r1.equals(r4)
 
     def test_validation(self, small_triple):
         a, b, m = small_triple
-        with pytest.raises(ValueError, match="threads"):
-            parallel_masked_spgemm(a, b, m, threads=0)
+        for bad in (0, 2.5, "2"):
+            with pytest.raises(ValueError, match="threads must be positive"):
+                parallel_masked_spgemm(a, b, m, threads=bad)
         with pytest.raises(ValueError, match="backend"):
             parallel_masked_spgemm(a, b, m, backend="mpi")
-        with pytest.raises(ValueError, match="partition"):
-            parallel_masked_spgemm(a, b, m, partition="magic")
+        assert "partition" not in inspect.signature(parallel_masked_spgemm).parameters

@@ -10,7 +10,7 @@ from repro.core.accumulators import MSA, HashAccumulator
 from repro.machine import simulate_makespan
 from repro.sparse import CSR, ewise_add, ewise_mult, mask_pattern
 
-from .conftest import assert_csr_equal
+from .conftest import assert_csr_equal, panels
 
 # ----------------------------------------------------------------------
 # strategies
@@ -279,11 +279,10 @@ class TestChunkedProperties:
     @given(spgemm_triple(), st.integers(1, 30))
     @settings(max_examples=25, deadline=None)
     def test_panel_width_invariant(self, triple, panel):
-        from repro.core import masked_spgemm_chunked
-
+        """Column panels of any width (the ``1 x K`` grid) are the plain call."""
         a, b, m = triple
         want = masked_spgemm(a, b, m, algo="msa")
-        got = masked_spgemm_chunked(a, b, m, panel_width=panel)
+        got = masked_spgemm(a, b, m, algo="msa", shards=panels(m.shape, panel))
         assert_csr_equal(got, want)
 
 
@@ -291,7 +290,9 @@ class TestOrientationProperties:
     @given(spgemm_triple())
     @settings(max_examples=25, deadline=None)
     def test_row_column_agree(self, triple):
+        """Column by column — the row algorithm on ``(B^T A^T)^T`` — agrees."""
         a, b, m = triple
-        row = masked_spgemm(a, b, m, algo="hash", orientation="row")
-        col = masked_spgemm(a, b, m, algo="hash", orientation="column")
+        row = masked_spgemm(a, b, m, algo="hash")
+        col = masked_spgemm(b.transpose(), a.transpose(), m.transpose(),
+                            algo="hash").transpose()
         assert_csr_equal(col, row)

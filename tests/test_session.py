@@ -417,9 +417,9 @@ class TestDerivedCaches:
 # per-call shm segments (process backend)
 # ----------------------------------------------------------------------
 def _process_run(a, b, m, algo="msa", parts=2, backend="process"):
-    """A forced ``algo`` plan cut into ``parts`` block row parts."""
+    """A forced ``algo`` plan cut into ``parts`` row parts."""
     counter = OpCounter()
-    pl = plan(a, b, m, algo=algo, threads=parts, partition="block")
+    pl = plan(a, b, m, algo=algo, threads=parts)
     c = execute(pl, a, b, m, backend=backend, counter=counter)
     return c, counter
 

@@ -1,13 +1,13 @@
 """Grid spellings, column split, pruning and segment hygiene.
 
-``shards=`` / ``panel_width=`` / ``memory_budget_bytes=`` are planner
-spellings of the plan's one ``grid`` (``docs/parallel.md``); the executor
+``shards=`` is the one spelling of the plan's ``grid``
+(``docs/parallel.md``); the executor
 cuts B and the mask into the grid's column panels in one pass
 (:func:`repro.sparse.split_columns`), takes row blocks as views of A and
 runs one work item per cell whose mask cell is nonempty.  The contract
 under test:
 
-* the planner resolves the spellings into one :class:`ShardGrid` and
+* the planner resolves the spelling into one :class:`ShardGrid` and
   notes the pruning rule;
 * the column split partitions an operand exactly (cells reassemble to it);
 * ``shards=`` execution is **bit-for-bit identical** to the plain call on
@@ -144,14 +144,15 @@ class TestPlannerSharding:
         assert any("degenerates" in n for n in pl.notes)
 
     def test_auto_respects_memory_budget(self, graph):
-        """``memory_budget_bytes`` is the one budget -> grid rule."""
-        pl = plan(graph, graph, graph, memory_budget_bytes=256 << 20)
-        assert pl.grid.ncells == 1  # tiny graphs fit a roomy budget
-        pl = plan(graph, graph, graph, memory_budget_bytes=64)
-        assert pl.grid.nrb == 1 and pl.grid.ncp > 1
-        assert any("column panels of width" in n for n in pl.notes)
-        # a spelled grid is taken as given, whatever the budget says
-        pl = plan(graph, graph, graph, shards=(2, 2), memory_budget_bytes=64)
+        """No budget rule picks a grid: an unspelled plan is ``1 x 1``, a
+        memory-bounded caller spells column panels, ``shards=(1, K)``, and
+        a spelled grid is taken as given."""
+        pl = plan(graph, graph, graph)
+        assert pl.grid.ncells == 1
+        assert not any("column panels" in n for n in pl.notes)
+        pl = plan(graph, graph, graph, shards=(1, 4))
+        assert (pl.grid.nrb, pl.grid.ncp) == (1, 4)
+        pl = plan(graph, graph, graph, shards=(2, 2))
         assert (pl.grid.nrb, pl.grid.ncp) == (2, 2)
 
     def test_bad_shards_knob_rejected(self, graph):
@@ -165,10 +166,6 @@ class TestPlannerSharding:
             plan(graph, graph, graph, shards=bad)
         with pytest.raises(ValueError, match="shards counts must be >= 1"):
             masked_spgemm(graph, graph, graph, algo="msa", shards=bad)
-
-    def test_shards_exclusive_with_panel_width(self, graph):
-        with pytest.raises(ValueError, match="mutually exclusive"):
-            plan(graph, graph, graph, algo="msa", shards=(2, 2), panel_width=8)
 
     def test_complement_census_notes_no_pruning(self, graph):
         pl = plan(
@@ -314,11 +311,11 @@ class TestShardedEquivalence:
         _same(got, ref)
 
     def test_column_orientation_transposes_grid(self, graph):
+        """Column by column is the caller's ``(B^T A^T)^T``: a ``3 x 2``
+        output grid is the transposed problem's ``2 x 3``."""
         ref = masked_spgemm(graph, graph, graph, algo="msa")
-        got = masked_spgemm(
-            graph, graph, graph, algo="msa", orientation="column",
-            shards=(3, 2),
-        )
+        t = graph.transpose()
+        got = masked_spgemm(t, t, t, algo="msa", shards=(2, 3)).transpose()
         _same(got, ref)
 
 

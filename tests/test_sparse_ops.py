@@ -183,117 +183,99 @@ class TestCSC:
             CSC((5, 5), a)
 
 
-class TestDCSR:
-    def test_roundtrip(self):
-        from repro.sparse import DCSR
+def _hypersparse():
+    """10 nonzeros spread over 100000 rows (a hypersparse matrix)."""
+    return CSR.from_coo(
+        (100000, 100), np.arange(0, 100000, 10000), np.arange(10), np.arange(1.0, 11.0)
+    )
 
+
+class TestDCSR:
+    """The hypersparse cases the doubly-compressed format (deleted: nothing
+    ran on it) was pinned on, held by CSR — the one row format,
+    whose only cost there is its ``nrows + 1`` row pointer."""
+
+    def test_roundtrip(self):
         a = random_csr(50, 40, 2, seed=30)
-        d = DCSR.from_csr(a)
-        assert_csr_equal(d.to_csr(), a)
+        h = _hypersparse()
+        for m in (a, h):
+            assert_csr_equal(CSR.from_coo(m.shape, *m.to_coo()), m)
+            assert_csr_equal(m.transpose().transpose(), m)
 
     def test_hypersparse_storage_win(self):
-        from repro.sparse import DCSR
+        a = _hypersparse()
+        # entries cost nnz words each; only the row pointer grows with nrows
+        assert a.indices.size == a.data.size == a.nnz == 10
+        assert a.indptr.size == a.nrows + 1
+        # and the kernels run on it as on any operand
+        from repro.baselines import scipy_masked_spgemm
+        from repro.core import masked_spgemm
 
-        # 10 nonzeros in a 100000-row matrix
-        a = CSR.from_coo(
-            (100000, 100),
-            np.arange(0, 100000, 10000),
-            np.arange(10),
-            np.ones(10),
-        )
-        d = DCSR.from_csr(a)
-        assert d.is_hypersparse()
-        assert d.nzr == 10
-        csr_words = a.nrows + 1 + 2 * a.nnz
-        assert d.storage_words() < csr_words / 1000
+        rows, cols, _ = a.to_coo()
+        b = CSR.from_coo((100, 100), np.arange(10), np.arange(10) + 1, np.ones(10))
+        m = CSR.from_coo(a.shape, rows, cols + 1, np.ones(10))
+        out = masked_spgemm(a, b, m, algo="msa")
+        assert out.nnz == 10
+        assert_csr_equal(out, scipy_masked_spgemm(a, b, m))
 
     def test_row_lookup(self):
-        from repro.sparse import DCSR
-
-        a = random_csr(30, 30, 2, seed=31)
-        d = DCSR.from_csr(a)
+        a = random_csr(30, 30, 2, seed=31).sort_indices()
+        dense = a.to_dense()
         for i in range(30):
-            c1, v1 = a.sort_indices().row(i)
-            c2, v2 = d.row(i)
-            assert np.array_equal(c1, c2)
-            assert np.array_equal(v1, v2)
+            cols, vals = a.row(i)
+            assert np.array_equal(cols, np.flatnonzero(dense[i]))
+            assert np.array_equal(vals, dense[i, cols])
 
     def test_iter_nonempty_skips_empty(self):
-        from repro.sparse import DCSR
-
         a = CSR.from_coo((10, 10), [2, 7], [1, 3], [1.0, 2.0])
-        d = DCSR.from_csr(a)
-        visited = [i for i, _, _ in d.iter_nonempty_rows()]
-        assert visited == [2, 7]
+        assert np.flatnonzero(a.row_nnz()).tolist() == [2, 7]
+        assert [i for i, cols, _ in a.iter_rows() if cols.size] == [2, 7]
 
     def test_check_rejects_malformed(self):
-        from repro.sparse import DCSR
-
+        with pytest.raises(ValueError, match="non-decreasing"):
+            CSR((3, 5), np.array([0, 2, 1, 2]), np.array([0, 1]), np.array([1.0, 1.0]))
         with pytest.raises(ValueError, match="strictly increasing"):
-            DCSR((5, 5), np.array([2, 1]), np.array([0, 1, 2]),
-                 np.array([0, 1]), np.array([1.0, 1.0]))
-        with pytest.raises(ValueError, match="nonempty"):
-            DCSR((5, 5), np.array([1, 2]), np.array([0, 0, 1]),
-                 np.array([0]), np.array([1.0]))
+            CSR((1, 5), np.array([0, 2]), np.array([1, 1]), np.array([1.0, 1.0]),
+                sorted_indices=True)
 
     def test_empty_matrix(self):
-        from repro.sparse import DCSR
-
-        d = DCSR.from_csr(CSR.empty((5, 5)))
-        assert d.nzr == 0 and d.nnz == 0
-        assert d.to_csr().nnz == 0
+        e = CSR.empty((5, 5))
+        assert e.nnz == 0 and not e.row_nnz().any()
+        assert e.transpose().nnz == 0
 
 
 class TestDCSREdgeCases:
-    """Round-trip and ``check()`` edge cases for the shard storage tier."""
+    """Round-trip and ``check()`` edge cases of those hypersparse shapes."""
 
     def test_sorted_input_shares_arrays(self):
-        from repro.sparse import DCSR
-
         a = random_csr(40, 30, 3, seed=40).sort_indices()
-        d = DCSR.from_csr(a)
         # the sorted fast path must not copy the payload arrays
-        assert d.indices is a.indices
-        assert d.data is a.data
-        assert_csr_equal(d.to_csr(), a)
+        assert a.sort_indices() is a
 
     def test_unsorted_input_canonicalises(self):
-        from repro.sparse import DCSR
-
-        a = CSR.from_coo((4, 4), [1, 1, 3], [3, 0, 2], [1.0, 2.0, 3.0])
-        d = DCSR.from_csr(a)
-        assert_csr_equal(d.to_csr(), a.sort_indices())
+        a = CSR((4, 4), np.array([0, 0, 2, 2, 3]), np.array([3, 0, 2]),
+                np.array([1.0, 2.0, 3.0]))
+        s = a.sort_indices()
+        assert s.sorted_indices and s.indices.tolist() == [0, 3, 2]
+        assert s.data.tolist() == [2.0, 1.0, 3.0]
 
     def test_zero_row_matrix(self):
-        from repro.sparse import DCSR
-
-        d = DCSR.from_csr(CSR.empty((0, 7)))
-        assert d.nzr == 0 and d.to_csr().shape == (0, 7)
+        e = CSR.empty((0, 7))
+        assert e.shape == (0, 7) and e.indptr.tolist() == [0]
+        assert e.transpose().shape == (7, 0)
 
     def test_single_hypersparse_row(self):
-        from repro.sparse import DCSR
-
         a = CSR.from_coo((10000, 4), [9999], [2], [5.0])
-        d = DCSR.from_csr(a)
-        assert d.nzr == 1 and d.is_hypersparse()
-        cols, vals = d.row(9999)
+        cols, vals = a.row(9999)
         assert np.array_equal(cols, [2]) and np.array_equal(vals, [5.0])
-        cols, vals = d.row(0)  # absent row: empty, not an error
+        cols, vals = a.row(0)  # an empty row: empty, not an error
         assert cols.size == 0 and vals.size == 0
-        assert_csr_equal(d.to_csr(), a)
+        assert_csr_equal(CSR.from_coo(a.shape, *a.to_coo()), a)
 
     def test_check_rejects_bad_indptr_and_indices(self):
-        from repro.sparse import DCSR
-
-        with pytest.raises(ValueError, match="nzr \\+ 1"):
-            DCSR((5, 5), np.array([1]), np.array([0]), np.array([0]),
-                 np.array([1.0]))
-        with pytest.raises(ValueError, match="row id out of range"):
-            DCSR((5, 5), np.array([5]), np.array([0, 1]), np.array([0]),
-                 np.array([1.0]))
-        with pytest.raises(ValueError, match=r"span \[0, nnz\]"):
-            DCSR((5, 5), np.array([1]), np.array([0, 2]), np.array([0]),
-                 np.array([1.0]))
+        with pytest.raises(ValueError, match="wrong length"):
+            CSR((5, 5), np.array([0, 1]), np.array([0]), np.array([1.0]))
+        with pytest.raises(ValueError, match="length mismatch"):
+            CSR((1, 5), np.array([0, 2]), np.array([0]), np.array([1.0]))
         with pytest.raises(ValueError, match="column index out of range"):
-            DCSR((5, 5), np.array([1]), np.array([0, 1]), np.array([5]),
-                 np.array([1.0]))
+            CSR((1, 5), np.array([0, 1]), np.array([5]), np.array([1.0]))
