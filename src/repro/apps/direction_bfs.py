@@ -13,7 +13,8 @@ work heuristic: pull when the frontier's outgoing-edge count exceeds
 simplified).  With ``machine=`` the decision instead goes through the
 machine cost model (:func:`repro.machine.estimate_spmv_direction`), which
 prices both directions in cycles from the frontier/unvisited statistics —
-the same model a paper-machine plan uses for SpGEMM bands.  Every level
+the memory-hierarchy accounting :class:`~repro.machine.RowCostModel` uses
+for the paper's SpGEMM figures.  Every level
 records its decision, the modeled cycle estimates and the frontier density
 in an ``app.bfs.level`` span, which the prediction ledger
 (:mod:`repro.observe.ledger`) pairs with the level's measured time.

@@ -3,12 +3,11 @@
 Public entry points:
 
 * :func:`masked_spgemm` — the front door over all algorithms/variants;
-  ``algo="auto"`` routes through the cost-model execution engine
-  (:mod:`repro.engine`), which plans per-row-band algorithms and 1P/2P
-  phases (``shards=`` grids the output: ``(1, K)`` is the memory-bounded
+  ``algo="auto"`` routes through the execution engine
+  (:mod:`repro.engine`), which plans per-row-band algorithms — the
+  paper's future-work hybrid — from this host's measured kernel costs
+  (``shards=`` grids the output: ``(1, K)`` is the memory-bounded
   column-panelled multiply).
-* :func:`masked_spgemm_hybrid` — the future-work per-row hybrid: the
-  front door with a ratio-banded planner forced.
 * :func:`gustavson_spgemm` / :func:`spgemm_saxpy_fast` — plain SpGEMM.
 * :func:`masked_spgemm_multiply_then_mask` — the Figure-1 baseline.
 * :mod:`repro.core.accumulators` — MSA / Hash / MCA / Heap.
@@ -22,9 +21,7 @@ from .masked_spgemm import (
     ALGOS,
     ALL_ALGOS,
     EXTENSION_ALGOS,
-    classify_rows,
     masked_spgemm,
-    masked_spgemm_hybrid,
     supports_complement,
 )
 from .reference import gustavson_spgemm, masked_spgemm_reference
@@ -35,8 +32,6 @@ __all__ = [
     "accumulators",
     "kernels",
     "restrict_columns",
-    "classify_rows",
-    "masked_spgemm_hybrid",
     "masked_spgemm_multiply_then_mask",
     "spgemm_saxpy_fast",
     "ALGO_LABELS",

@@ -4,18 +4,16 @@
 with a forced ``algo=``) and every engine work item
 (:func:`repro.parallel.pool.run_task`) run once validation, machine
 resolution and planning are behind them.  The algorithm
-table, the checks the public entry points share and :func:`classify_rows`
-live here too, so ``repro.engine`` and ``repro.parallel`` import this
-module and never the door.
+table and the checks the public entry points share live here too, so
+``repro.engine`` and ``repro.parallel`` import this module and never the
+door.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Optional
 
-import numpy as np
-
-from ..machine import HASWELL, MachineConfig, OpCounter, flops_per_row
+from ..machine import OpCounter
 from ..observe import tracer as _obs
 from ..semiring import PLUS_TIMES, Semiring
 from ..sparse import CSC, CSR
@@ -64,6 +62,18 @@ def supports_complement(algo: str) -> bool:
     """Whether the algorithm supports a complemented mask (the paper drops
     MCA and Inner from the Betweenness Centrality benchmark for this)."""
     return algo.lower() not in _NO_COMPLEMENT
+
+
+def algo_key(algo) -> str:
+    """The lower-case key of an ``algo=`` spelling: ``"auto"`` or one of
+    :data:`ALL_ALGOS`.  Anything else — a non-string too — is the one
+    ``ValueError`` every entry point raises for it."""
+    key = algo.lower() if isinstance(algo, str) else None
+    if key != "auto" and key not in ALL_ALGOS:
+        raise ValueError(
+            f"unknown algorithm {algo!r}; expected one of {('auto',) + ALL_ALGOS}"
+        )
+    return key
 
 
 def check_operands(a: CSR, b: CSR, mask: CSR) -> None:
@@ -169,45 +179,3 @@ def run_kernel(
             f"nonzeros, numeric produced {c.nnz}"
         )
     return c
-
-
-def classify_rows(
-    a: CSR,
-    b: CSR,
-    mask: CSR,
-    machine: MachineConfig = HASWELL,
-    *,
-    pull_ratio: float = 8.0,
-    push_ratio: float = 8.0,
-    complement: bool = False,
-) -> Dict[str, np.ndarray]:
-    """Partition row indices into algorithm classes by the ratio heuristic
-    of Figure 7 / Section 4.3 — the planner's ``banding="ratio"`` policy,
-    exposed so the ablation bench can sweep the thresholds:
-
-    * ``flops_i > pull_ratio * nnz(m_i)`` (mask much sparser than the
-      work) -> **inner**;
-    * ``nnz(m_i) > push_ratio * flops_i`` (inputs much sparser than the
-      mask) -> **mca** (heap is reference-only and never faster here);
-    * otherwise **msa** when the dense accumulator fits the machine's
-      private cache, else **hash**.
-
-    Complemented masks can never route to inner/mca (no complement
-    support, paper Sec. 8.4): every row lands in the msa/hash regime.
-    """
-    fl = flops_per_row(a, b).astype(np.float64)
-    mn = mask.row_nnz().astype(np.float64)
-    rows = np.arange(a.nrows)
-    if complement:
-        inner_rows = np.zeros(a.nrows, dtype=bool)
-        mca_rows = np.zeros(a.nrows, dtype=bool)
-    else:
-        inner_rows = fl > pull_ratio * np.maximum(mn, 1.0)
-        mca_rows = (~inner_rows) & (mn > push_ratio * np.maximum(fl, 1.0))
-    rest = ~(inner_rows | mca_rows)
-    msa_fits = 2 * b.ncols * 8 <= machine.private_cache_bytes
-    out: Dict[str, np.ndarray] = {}
-    out["inner"] = rows[inner_rows]
-    out["mca"] = rows[mca_rows]
-    out["msa" if msa_fits else "hash"] = rows[rest]
-    return {k: v for k, v in out.items() if v.size}

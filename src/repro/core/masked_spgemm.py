@@ -19,11 +19,13 @@ esc       expand-sort-compress (extension)        yes         yes
 
 ``algo="auto"`` routes through :mod:`repro.engine`: a
 :class:`~repro.engine.Planner` builds an inspectable
-:class:`~repro.engine.ExecutionPlan` from the matrices' statistics and —
-unless a modeled ``machine=`` is named — the measured per-unit costs of
-the fast kernels on this interpreter, and the engine executes it (use
-``repro.engine.plan(...)`` directly to *see* the decision before running
-it).
+:class:`~repro.engine.ExecutionPlan` from the matrices' statistics and the
+measured per-unit costs of the fast kernels on this interpreter, and the
+engine executes it (use ``repro.engine.plan(...)`` directly to *see* the
+decision before running it).  Its per-row bands are the paper's stated
+future work (Section 9: "hybrid algorithms that can use different
+accumulators in the same Masked SpGEMM depending on the density of the
+mask and parts of matrices being processed").
 
 ``phases`` selects the 1P/2P output-formation strategy of Section 6: 2P
 runs a symbolic sweep first (its cost lands in ``counter.symbolic_flops``)
@@ -39,9 +41,9 @@ schemes are reference-only by design; they are the paper's slowest and
 serve as the algorithmic lower bound for merging without an accumulator
 array).
 
-This module is the **front door**: :func:`masked_spgemm` and its two
-historical spellings (``_hybrid``, ``parallel_`` — a dict of forced plan
-knobs each) check the spellings, then run the one algorithm
+This module is the **front door**: :func:`masked_spgemm` and its
+historical spelling :func:`parallel_masked_spgemm` (forced ``threads`` /
+``backend`` knobs) check the spellings, then run the one algorithm
 the caller forced (:func:`repro.core.leaf.run_kernel`) or hand the call to
 :func:`repro.engine.plan_and_execute` (``docs/engine.md``, "Path of a call").
 """
@@ -50,7 +52,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from ..machine import HASWELL, MachineConfig, OpCounter
+from ..machine import OpCounter
 from ..semiring import PLUS_TIMES, Semiring
 from ..sparse import CSC, CSR
 from .leaf import (
@@ -58,8 +60,8 @@ from .leaf import (
     ALGOS,
     ALL_ALGOS,
     EXTENSION_ALGOS,
+    algo_key,
     check_operands,
-    classify_rows,
     kernel_threads,
     run_kernel,
     supports_complement,
@@ -67,9 +69,7 @@ from .leaf import (
 
 __all__ = [
     "masked_spgemm",
-    "masked_spgemm_hybrid",
     "parallel_masked_spgemm",
-    "classify_rows",
     "ALGOS",
     "EXTENSION_ALGOS",
     "ALL_ALGOS",
@@ -80,14 +80,11 @@ __all__ = [
 
 def _check_spellings(algo: str, phases, impl: str, backend=None) -> str:
     """Every front door's option-spelling checks; the algorithm key."""
-    key = algo.lower() if isinstance(algo, str) else None
-    if key != "auto" and key not in ALL_ALGOS:
-        raise ValueError(
-            f"unknown algorithm {algo!r}; expected one of "
-            f"{('auto',) + ALL_ALGOS}"
-        )
-    if phases is not None and phases not in (1, 2):
-        raise ValueError("phases must be 1 or 2")
+    from ..engine.plan import check_phases
+
+    key = algo_key(algo)
+    if phases is not None:
+        check_phases(phases)
     if impl not in ("fast", "reference", "auto"):
         raise ValueError("impl must be 'fast', 'reference' or 'auto'")
     if backend is not None:
@@ -100,7 +97,7 @@ def _check_spellings(algo: str, phases, impl: str, backend=None) -> str:
 def _planned(a, b, mask, *, algo, phases, impl, **call) -> CSR:
     """The internal call every front door is a spelling of: spellings
     checked, then :func:`repro.engine.plan_and_execute` (shape checks,
-    machine, plan, work items) with the door's forced plan
+    profile, plan, work items) with the door's forced plan
     knobs among ``call``."""
     key = _check_spellings(algo, phases, impl, call.get("backend"))
     from ..engine.executor import plan_and_execute
@@ -123,7 +120,6 @@ def masked_spgemm(
     impl: str = "auto",
     counter: Optional[OpCounter] = None,
     b_csc: Optional[CSC] = None,
-    machine: Optional[MachineConfig] = None,
     backend: Optional[str] = None,
     shards=None,
     batch: str = "auto",
@@ -137,11 +133,12 @@ def masked_spgemm(
     mask:
         CSR mask; only its pattern is used (values ignored).
     algo:
-        One of :data:`ALGOS`, or ``"auto"`` to let the cost-model planner
-        (:mod:`repro.engine`) choose per row band.
+        One of :data:`ALL_ALGOS`, or ``"auto"`` to let the planner
+        (:mod:`repro.engine`) choose per row band from this host's measured
+        kernel costs (:class:`~repro.machine.HostProfile`).
     phases:
         1 (one-phase) or 2 (two-phase with a symbolic sweep).  Defaults to
-        1, except with ``algo="auto"`` where the planner decides.
+        1.
     semiring:
         Any :class:`repro.semiring.Semiring`; fast kernels additionally
         require the semiring's ``add_ufunc`` to support ``.at``/``.reduceat``.
@@ -152,19 +149,11 @@ def masked_spgemm(
     b_csc:
         Pre-built CSC of ``B`` for the inner algorithm (amortises the
         transpose across calls, as a real user would).
-    machine:
-        What the ``"auto"`` planner prices the plan from.  ``None``
-        (default): this host — the measured
-        :class:`~repro.machine.HostProfile` and the cores the process may
-        use.  A paper machine — ``"haswell"``, ``"knl"`` or a
-        :class:`MachineConfig` — plans for that modeled machine instead
-        (figure reproduction).  An explicit algorithm with nothing else to
-        plan never reads it.
     backend:
         Execution backend: ``None`` (default) runs in-process, on the
         threads the native row loop takes for the call's estimated work —
-        the host planner never fans out on its own, whatever ``machine=``
-        prices the plan (``docs/parallel.md``, "Who picks the backend").
+        the planner never fans out on its own (``docs/parallel.md``, "Who
+        picks the backend").
         ``"serial"``, ``"thread"`` or ``"process"`` forces it, with
         ``algo="auto"`` or an explicit algorithm alike: ``"serial"`` keeps
         the kernel on one thread, ``"thread"`` is the default's count, and
@@ -192,14 +181,14 @@ def masked_spgemm(
             f"batch must be one of ('auto', 'bucket', 'perrow'), got {batch!r}"
         )
     if str(algo).lower() == "auto" or shards is not None or backend is not None:
-        # the planner picks per-row-band algorithms and phases from the
-        # cost model (a forced algo keeps the algo: shards= grids the
-        # dispatch, backend= picks its threads or pool workers)
+        # the planner picks per-row-band algorithms from the host profile
+        # (a forced algo keeps the algo: shards= grids the dispatch,
+        # backend= picks its threads or pool workers)
         return _planned(
             a, b, mask,
             algo=algo, phases=phases, impl=impl,
             complement=complement, semiring=semiring, counter=counter,
-            b_csc=b_csc, machine=machine, backend=backend, shards=shards,
+            b_csc=b_csc, backend=backend, shards=shards,
         )
     # a forced algorithm with no grid or backend has nothing to plan
     key = _check_spellings(algo, phases, impl)
@@ -211,40 +200,6 @@ def masked_spgemm(
         algo=key, phases=1 if phases is None else phases,
         complement=complement, semiring=semiring, impl=impl,
         counter=counter, b_csc=b_csc, nthreads=kernel_threads(a, b),
-    )
-
-
-def masked_spgemm_hybrid(
-    a: CSR,
-    b: CSR,
-    mask: CSR,
-    *,
-    machine: MachineConfig = HASWELL,
-    complement: bool = False,
-    semiring: Semiring = PLUS_TIMES,
-    counter: Optional[OpCounter] = None,
-    pull_ratio: float = 8.0,
-    push_ratio: float = 8.0,
-    impl: str = "auto",
-) -> CSR:
-    """Masked SpGEMM with a per-row algorithm choice by the ratio heuristic
-    — the paper's stated future work (Section 9: "hybrid algorithms that
-    can use different accumulators in the same Masked SpGEMM depending on
-    the density of the mask and parts of matrices being processed").
-
-    The front door with a ratio-banded planner (``banding="ratio"``, see
-    :func:`classify_rows`) and one worker forced; use ``masked_spgemm(...,
-    algo="auto")`` for the cost-model-driven choice.
-    """
-    from ..engine.planner import Planner
-
-    planner = Planner(
-        machine, banding="ratio", pull_ratio=pull_ratio, push_ratio=push_ratio
-    )
-    return _planned(
-        a, b, mask,
-        algo="auto", phases=1, impl=impl, complement=complement,
-        semiring=semiring, counter=counter, planner=planner, threads=1,
     )
 
 

@@ -139,6 +139,11 @@ def masked_spmv_pull(
     return y, hit
 
 
+#: ``direction="auto"`` pulls when the pulled work is this many times
+#: smaller than the pushed expansion
+PULL_FACTOR = 4.0
+
+
 def masked_spmv(
     a: CSR,
     x_vals: np.ndarray,
@@ -150,13 +155,13 @@ def masked_spmv(
     semiring: Semiring = PLUS_TIMES,
     a_csc: Optional[CSC] = None,
     counter: Optional[OpCounter] = None,
-    push_pull_ratio: float = 4.0,
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Direction-optimized masked SpMV.
 
     ``direction``: ``"push"``, ``"pull"`` or ``"auto"``.  Auto chooses pull
-    when the mask is much sparser than the expansion work would be (the
-    Section 4.3 criterion for vectors) and a CSC of ``A`` is available;
+    when the pulled work is :data:`PULL_FACTOR` times smaller than the
+    expansion work would be (the Section 4.3 criterion for vectors) and a
+    CSC of ``A`` is available;
     complemented masks always push (pull cannot enumerate the complement).
     """
     if direction not in ("push", "pull", "auto"):
@@ -169,7 +174,7 @@ def masked_spmv(
         else:
             push_work = int(np.sum(a.row_nnz()[xs])) if xs.shape[0] else 0
             pull_work = int(np.sum(a_csc.col_nnz()[midx])) if midx.shape[0] else 0
-            direction = "pull" if pull_work * push_pull_ratio < push_work else "push"
+            direction = "pull" if pull_work * PULL_FACTOR < push_work else "push"
     if direction == "pull":
         if complement:
             raise ValueError("pull direction cannot apply a complemented mask")

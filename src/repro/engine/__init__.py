@@ -1,11 +1,12 @@
-"""Cost-model-driven execution engine for masked SpGEMM.
+"""Execution engine for masked SpGEMM, priced from this host's measured
+kernel costs.
 
 The paper's Section 9 future work — hybrid, regime-aware algorithm
 selection — realised as an explicit three-stage pipeline:
 
 1. :class:`Planner` (or the one-shot :func:`plan`) inspects the matrices'
-   statistics, the :class:`~repro.machine.MachineConfig` and the per-row
-   cost model, and emits an
+   statistics and prices the candidates from this host's measured
+   :class:`~repro.machine.HostProfile`, and emits an
 2. :class:`ExecutionPlan` — an inspectable record of per-row-band algorithm
    choices, 1P/2P phase strategy, thread count + backend and the
    grid (row blocks x column panels, 1x1 by default), with
@@ -14,14 +15,14 @@ selection — realised as an explicit three-stage pipeline:
    column panel), threading a single :class:`~repro.machine.OpCounter`
    through every stage.
 
-``masked_spgemm(..., algo="auto")``, ``masked_spgemm_hybrid`` and
-``parallel_masked_spgemm`` are spellings of one front door over this pipeline (:func:`plan_and_execute`); the engine
+``masked_spgemm(..., algo="auto")`` and ``parallel_masked_spgemm`` are
+spellings of one front door over this pipeline (:func:`plan_and_execute`); the engine
 runs :func:`repro.core.leaf.run_kernel` and never calls the door back.
 """
 
 from .executor import execute, plan_and_execute
 from .plan import ExecutionPlan, RowBand, ShardGrid
-from .planner import PLAN_CANDIDATES, Planner, plan
+from .planner import Planner, plan
 from .fingerprint import Fingerprint, fingerprint_csr
 
 __all__ = [
@@ -30,7 +31,6 @@ __all__ = [
     "ShardGrid",
     "Planner",
     "plan",
-    "PLAN_CANDIDATES",
     "execute",
     "plan_and_execute",
     "Fingerprint",

@@ -1,14 +1,14 @@
 """Plan executor: runs an :class:`~repro.engine.plan.ExecutionPlan`.
 
 This is the single execution path behind every front door
-(``masked_spgemm(algo="auto")``, ``masked_spgemm_hybrid``,
-``parallel_masked_spgemm``) and the only code that turns a plan into
-work.  Every plan is one loop over work items — *band x row part x column
-panel* — of the 2-D block decomposition of Buluc & Gilbert: row parts
-come from the grid's row blocks (or, for a process plan on a
-one-row-block grid, from ``plan.threads`` flop-balanced parts), column
-panels from the grid's column bounds.  ``1 x 1`` is the plain call, ``R x
-1`` a row partition, ``1 x K`` the panelled multiply, ``R x K`` a grid.
+(``masked_spgemm(algo="auto")``, ``parallel_masked_spgemm``) and the only
+code that turns a plan into work.  Every plan is one loop over work items
+— *band x row part x column panel* — of the 2-D block decomposition of
+Buluc & Gilbert: row parts come from the grid's row blocks (or, for a
+process plan on a one-row-block grid, from ``plan.threads`` flop-balanced
+parts), column panels from the grid's column bounds.  ``1 x 1`` is the
+plain call, ``R x 1`` a row partition, ``1 x K`` the panelled multiply,
+``R x K`` a grid.
 Each item is one :class:`~repro.parallel.pool.Task` run by
 :func:`~repro.parallel.pool.run_task`.  An in-process plan runs its items
 one after another inside the native row loop, a ``thread`` plan each on
@@ -31,7 +31,7 @@ from typing import List, Optional
 import numpy as np
 
 from ..core.leaf import check_operands, run_kernel
-from ..machine import HOST_NATIVE, OpCounter, flops_per_row, host_profile, resolve_machine
+from ..machine import OpCounter, flops_per_row, host_profile
 from ..observe import tracer as _obs
 from ..parallel import pool as _pool
 from ..parallel import shm as _shm
@@ -179,8 +179,8 @@ def _execute(plan, a, b, mask, *, semiring, impl, counter, b_csc) -> CSR:
     tr = _obs.current()
     if tr is not None and counter is None:
         # under tracing, every band span carries its counter delta so the
-        # prediction ledger can pair measured work with the band's modeled
-        # cycles/bytes; allocate a run-local counter when the caller did
+        # prediction ledger can pair measured work with the band's predicted
+        # time; allocate a run-local counter when the caller did
         # not pass one (tracing already pays for itself — the disabled
         # path is untouched)
         counter = OpCounter()
@@ -200,7 +200,7 @@ def _execute(plan, a, b, mask, *, semiring, impl, counter, b_csc) -> CSR:
             "engine.band",
             {"band": i, "algo": band.algo, "rows": band.nrows,
              "reason": band.reason, "est_cycles": band.est_cycles,
-             "est_bytes": band.est_bytes, "backend": backend,
+             "backend": backend,
              "phases": plan.phases},
             counter=counter,
         )
@@ -253,7 +253,7 @@ def _execute(plan, a, b, mask, *, semiring, impl, counter, b_csc) -> CSR:
                 # work items (row part, panel, rows descriptor, weight): the
                 # weight — mask entries, or the cell's area under a
                 # complemented mask, which is dense where the mask is empty
-                # — apportions the band's modeled cost, and a zero weight
+                # — apportions the band's predicted cost, and a zero weight
                 # proves the item's output empty
                 items = []
                 for part, rows in enumerate(_row_parts(plan, band, parts, fl)):
@@ -291,7 +291,6 @@ def _execute(plan, a, b, mask, *, semiring, impl, counter, b_csc) -> CSR:
                         cell=(i, part, k),
                         backend=run_on,
                         est_cycles=band.est_cycles * weight / total,
-                        est_bytes=band.est_bytes * weight / total,
                         trace=remote and tr is not None,
                     )
                     for part, k, desc, weight in items
@@ -314,7 +313,6 @@ def plan_and_execute(
     b: CSR,
     mask: CSR,
     *,
-    machine=None,
     complement: bool = False,
     phases: Optional[int] = None,
     semiring: Semiring = PLUS_TIMES,
@@ -322,24 +320,22 @@ def plan_and_execute(
     counter: Optional[OpCounter] = None,
     backend: Optional[str] = None,
     b_csc: Optional[CSC] = None,
-    planner: Optional[Planner] = None,
     **plan_kwargs,
 ) -> CSR:
     """Plan and immediately execute — what every front door calls when
     there is something to plan (``docs/engine.md``, "Path of a call").
 
-    The plan comes from :func:`plan_call` (the given ``planner``, or the
-    one cached for ``machine``), which receives every forced knob — the
-    plan is the only carrier of ``backend`` into the work-item loop.  A
-    given ``b_csc`` is the inner product's CSC, so the plan
+    The plan comes from :func:`plan_call`, which receives every forced
+    knob — the plan is the only carrier of ``backend`` into the work-item
+    loop.  A given ``b_csc`` is the inner product's CSC, so the plan
     does not charge ``inner`` for building one.
     """
     pl = plan_call(
-        a, b, mask, machine=machine, planner=planner, semiring=semiring,
+        a, b, mask, semiring=semiring,
         complement=complement, phases=phases, backend=backend, _b_csc=b_csc,
         **plan_kwargs,
     )
-    # the planner validated its own plan: skip execute()'s second pass
+    # the planner checked its own plan: skip execute()'s validate()
     return _execute(
         pl, a, b, mask,
         semiring=semiring, impl=impl, counter=counter, b_csc=b_csc,
@@ -347,26 +343,16 @@ def plan_and_execute(
 
 
 @functools.lru_cache(maxsize=8)
-def _planner_for(machine) -> Planner:
-    """The default-policy planner of a resolved machine (planners hold no
-    per-call state, so every call shares one)."""
-    return Planner(machine)
+def _planner_for(profile) -> Planner:
+    """The planner of a host profile (planners hold no per-call state, so
+    every call shares one)."""
+    return Planner(profile)
 
 
-def plan_call(a: CSR, b: CSR, mask: CSR, *, machine=None,
-              planner: Optional[Planner] = None, semiring=None, **knobs):
-    """The planning step of :func:`plan_and_execute`: pick the planner —
-    the given one, else the one cached for the resolved ``machine`` — and
-    hand it every knob (:meth:`Planner.plan`).
-
-    ``semiring`` is the call's: with no ``machine`` and no ``planner``, a
-    call the native tier cannot run is not priced from ``HOST_NATIVE`` but
-    from the NumPy bodies' ``HOST`` (:func:`repro.machine.host_profile`)."""
-    if planner is None:
-        named = machine is not None
-        machine = resolve_machine(machine)
-        if not named and semiring is not None and machine is HOST_NATIVE:
-            # the C loops' prices hold for the calls the C loops take
-            machine = host_profile(semiring, a.data, b.data)
-        planner = _planner_for(machine)
-    return planner.plan(a, b, mask, **knobs)
+def plan_call(a: CSR, b: CSR, mask: CSR, *, semiring=PLUS_TIMES, **knobs):
+    """The planning step of :func:`plan_and_execute`: the planner of the
+    profile fitted on the kernel tier that runs this call — ``HOST_NATIVE``
+    when the C loops take its ``semiring`` and values, else the NumPy
+    bodies' ``HOST`` (:func:`repro.machine.host_profile`) — handed every
+    knob (:meth:`Planner.plan`)."""
+    return _planner_for(host_profile(semiring, a.data, b.data)).plan(a, b, mask, **knobs)

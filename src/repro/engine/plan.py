@@ -7,8 +7,7 @@ off.  A plan fixes every decision the runtime used to scatter across four
 competing entry points:
 
 * **row bands** — which algorithm runs which output rows (the per-row
-  regime split of Figure 7 / Section 4.3, generalising the old
-  ``masked_spgemm_hybrid``),
+  regime split of Figure 7 / Section 4.3),
 * **phases** — the 1P/2P output-formation strategy of Section 6,
 * **threads / backend** — how many workers carry out Section 3's
   coarse-grained row parallelism and on which executor (``serial`` |
@@ -18,7 +17,8 @@ competing entry points:
   column panels, ``1 x 1`` by default): column panels bound memory, row
   blocks replace the row parts.
 
-Plans are produced by :class:`repro.engine.Planner` (cost-model driven) or
+Plans are produced by :class:`repro.engine.Planner` (priced from the
+measured host profile) or
 constructed by hand, and consumed by :func:`repro.engine.execute`.  They are
 plain data: no matrix references, so a plan can be logged, serialised
 (:meth:`ExecutionPlan.as_dict`) and replayed on equal-shaped inputs.
@@ -47,6 +47,12 @@ def check_threads(threads) -> None:
         raise ValueError(f"threads must be positive, got {threads!r}")
 
 
+def check_phases(phases) -> None:
+    """A phase count is the ``int`` 1 or 2 (a ``bool`` or a float is not)."""
+    if isinstance(phases, bool) or not isinstance(phases, numbers.Integral) or phases not in (1, 2):
+        raise ValueError(f"phases must be 1 or 2, got {phases!r}")
+
+
 @dataclass
 class RowBand:
     """A contiguous-or-scattered set of output rows bound to one algorithm."""
@@ -54,12 +60,10 @@ class RowBand:
     rows: np.ndarray  #: sorted global row indices this band owns
     algo: str  #: kernel key ("msa", "hash", "mca", "inner", "esc", ...)
     reason: str = ""  #: one-line rationale recorded by the planner
-    #: modeled cycles for this band (0 if not modeled); host plans store
-    #: predicted nanoseconds (``HostProfile.seconds``: 1 "cycle" is 1 ns)
+    #: predicted nanoseconds for this band (0 if not priced), stored as
+    #: "cycles" of the host profile (``HostProfile.seconds``: 1 "cycle" is
+    #: 1 ns); the prediction ledger pairs it with the measured seconds
     est_cycles: float = 0.0
-    #: modeled memory traffic for this band in bytes (0 if not modeled);
-    #: the prediction ledger pairs it with the measured counters
-    est_bytes: float = 0.0
 
     @property
     def nrows(self) -> int:
@@ -156,9 +160,8 @@ class ExecutionPlan:
 
     ``bands`` must cover each output row exactly once.  ``estimates`` holds
     the planner's whole-problem seconds per candidate algorithm (for
-    :meth:`explain`) — predicted from measured kernel costs when ``machine``
-    is ``"host"``, modeled paper-machine time for a preset; ``notes`` records
-    free-form planner decisions.
+    :meth:`explain`), predicted from the host profile's measured kernel
+    costs; ``notes`` records free-form planner decisions.
     """
 
     shape: Tuple[int, int]  #: output (and mask) shape
@@ -170,10 +173,9 @@ class ExecutionPlan:
     #: row blocks x column panels of the output; ``None`` becomes the 1x1
     #: grid (the plain call)
     grid: Optional[ShardGrid] = None
-    #: what the plan was priced for: "host" (measured HostProfile) or the
-    #: name of a modeled MachineConfig
-    machine: str = "haswell"
-    mode: str = "auto"  #: "auto" | "ratio" | "forced"
+    #: the name of the HostProfile the plan was priced from
+    machine: str = "host"
+    mode: str = "auto"  #: "auto" | "forced"
     estimates: Dict[str, float] = field(default_factory=dict)
     notes: List[str] = field(default_factory=list)
 
@@ -208,8 +210,7 @@ class ExecutionPlan:
     def validate(self) -> "ExecutionPlan":
         """Check internal consistency; raises ValueError on a broken plan."""
         nrows = self.shape[0]
-        if self.phases not in (1, 2):
-            raise ValueError("phases must be 1 or 2")
+        check_phases(self.phases)
         check_threads(self.threads)
         if self.backend not in ("serial", "thread", "process"):
             raise ValueError("backend must be 'serial', 'thread' or 'process'")
@@ -257,7 +258,6 @@ class ExecutionPlan:
                     "nrows": band.nrows,
                     "reason": band.reason,
                     "est_cycles": band.est_cycles,
-                    "est_bytes": band.est_bytes,
                 }
                 for band in self.bands
             ],
@@ -283,12 +283,8 @@ class ExecutionPlan:
         ]
         for i, band in enumerate(self.bands):
             pct = 100.0 * band.nrows / nrows
-            if not band.est_cycles:
-                cyc = ""
-            elif self.machine == "host":  # host plans store predicted ns
-                cyc = f", ~{band.est_cycles * 1e-6:.3g} ms predicted"
-            else:
-                cyc = f", ~{band.est_cycles:.3g} cycles"
+            # est_cycles holds predicted ns
+            cyc = f", ~{band.est_cycles * 1e-6:.3g} ms predicted" if band.est_cycles else ""
             why = f" — {band.reason}" if band.reason else ""
             lines.append(
                 f"  band {i}: algo={band.algo:<7s} rows={band.nrows}"

@@ -44,8 +44,8 @@ class Descriptor:
         with the implicit "second" accumulator).
     algo:
         Which masked SpGEMM algorithm backs ``mxm``: one of
-        :data:`repro.core.ALGOS`, ``"auto"`` (cost-model planner,
-        :mod:`repro.engine`) or ``"hybrid"`` (ratio-banded plan).
+        :data:`repro.core.ALGOS`, or ``"auto"`` / ``"hybrid"`` (the
+        planner's per-row bands, :mod:`repro.engine`).
     phases:
         1 or 2 (one-phase / two-phase output formation).
     """

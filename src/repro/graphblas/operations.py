@@ -12,7 +12,7 @@ from typing import Optional
 
 import numpy as np
 
-from ..core import masked_spgemm, masked_spgemm_hybrid, spgemm_saxpy_fast
+from ..core import masked_spgemm, spgemm_saxpy_fast
 from ..core.spmv import masked_spmv
 from ..machine import OpCounter
 from ..semiring import PLUS_TIMES, Semiring
@@ -38,24 +38,20 @@ def mxm(
 
     Without a mask this is a plain SpGEMM.  With a mask, the descriptor's
     ``algo`` selects the masked SpGEMM algorithm (the paper's Inner / MSA /
-    Hash / MCA / Heap / HeapDot, or ``"hybrid"``) and ``phases`` the 1P/2P
-    strategy.  ``out`` plus ``replace=False`` merges the result into an
-    existing matrix (union; new values win), the slice of GraphBLAS
-    accumulation the applications use.
+    Hash / MCA / Heap / HeapDot, or ``"auto"`` — spelled ``"hybrid"`` too —
+    for the planner's per-row bands) and ``phases`` the 1P/2P strategy.
+    ``out`` plus ``replace=False`` merges the result into an existing
+    matrix (union; new values win), the slice of GraphBLAS accumulation
+    the applications use.
     """
     if mask is None:
         c = spgemm_saxpy_fast(a.csr, b.csr, semiring=semiring, counter=counter)
-    elif desc.algo == "hybrid":
-        c = masked_spgemm_hybrid(
-            a.csr, b.csr, mask.csr, complement=desc.mask_complement,
-            semiring=semiring, counter=counter,
-        )
     else:
         c = masked_spgemm(
             a.csr,
             b.csr,
             mask.csr,
-            algo=desc.algo,
+            algo="auto" if desc.algo == "hybrid" else desc.algo,
             phases=desc.phases,
             complement=desc.mask_complement,
             semiring=semiring,

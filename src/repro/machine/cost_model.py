@@ -417,43 +417,6 @@ class RowCostModel:
         return self._finish("ssgb_saxpy", comp, pre=5e4, phases=phases)
 
     # ------------------------------------------------------------------
-    def row_bytes(self, algo: str) -> np.ndarray:
-        """Modeled per-row memory traffic in bytes for one algorithm.
-
-        The same count-to-traffic word accounting as
-        :func:`repro.observe.estimated_bytes_moved`, but evaluated on the
-        *modeled* quantities before the run — the prediction the ledger
-        pairs with the measured counters.  Streams (operand reads, mask,
-        output) charge two words per element; the algorithm's accumulator
-        interactions charge one word per touch.
-        """
-        key = algo.lower()
-        if key == "inner":
-            avg_col = self.b.nnz / max(1, self.n)
-            words = (
-                2.0 * self.nnz_a
-                + 2.0 * self.nnz_m
-                + self.nnz_m * 2.0 * avg_col
-                + 2.0 * self.out_nnz
-            )
-            return words * float(WORD)
-        words = (
-            2.0 * self.nnz_a
-            + 2.0 * self.flops
-            + 2.0 * self.nnz_m
-            + 2.0 * self.out_nnz
-        )
-        if key in ("msa", "hash"):
-            words = words + self.flops + 2.0 * self.nnz_m
-        elif key == "mca":
-            words = words + self.useful + 2.0 * self.nnz_m
-        elif key == "esc":
-            words = words + 2.0 * self.useful
-        else:  # heap schemes and baselines: every product transits the heap
-            words = words + self.flops
-        return words * float(WORD)
-
-    # ------------------------------------------------------------------
     def estimate(self, algo: str, phases: int = 1) -> ModelEstimate:
         """Evaluate the model for one named algorithm."""
         key = algo.lower()
@@ -488,7 +451,7 @@ def estimate_spmv_direction(
     """Cost-model estimate of one BFS level's push vs pull masked SpMV.
 
     Replaces :func:`repro.apps.direction_bfs`'s ad-hoc ``alpha`` constant
-    with the same memory-hierarchy accounting the SpGEMM planner uses
+    with the same memory-hierarchy accounting the SpGEMM figures use
     (Yang/Buluç/Owens' measured-density signal, PAPERS.md):
 
     * **push** streams the frontier rows' adjacency (one multiply-add and

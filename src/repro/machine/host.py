@@ -95,8 +95,8 @@ class HostProfile:
         return available_cores()
 
     def seconds(self, cycles: float) -> float:
-        """Plans priced here store predicted nanoseconds where a modeled
-        machine's plans store cycles: 1 "cycle" is 1 ns."""
+        """Plans store predicted nanoseconds in their ``est_cycles``: 1
+        "cycle" is 1 ns."""
         return cycles * 1e-9
 
     def row_ns(self, algo: str, work: np.ndarray, mask_nnz: np.ndarray) -> np.ndarray:
@@ -124,7 +124,7 @@ HOST_NATIVE = dataclasses.replace(
 
 
 def host_profile(semiring=None, *values) -> HostProfile:
-    """The profile a ``machine=None`` plan is priced from: the one fitted
+    """The profile a plan is priced from: the one fitted
     on the kernel tier that runs it — :data:`HOST_NATIVE` when the native
     library loads (built on first use, so the first host plan may pay the
     one-time compile), :data:`HOST` otherwise.  Given a call's ``semiring``

@@ -1,12 +1,12 @@
 """Prediction ledger: the modeled→measured loop, closed per executed unit.
 
-The planner annotates every :class:`~repro.engine.RowBand` with the cost
-model's prediction (``est_cycles``/``est_bytes``); the executors stamp
+The planner annotates every :class:`~repro.engine.RowBand` with the host
+profile's prediction (``est_cycles``: predicted nanoseconds); the executors stamp
 those predictions — apportioned per work item — into the spans the tracer
 already records on all three backends (worker spans arrive via
 :meth:`~repro.observe.Tracer.ingest`, predictions riding in their attrs).
 This module turns a finished trace into *prediction rows*: one
-``(modeled_cycles, modeled_bytes, measured_seconds, counters, attrs)``
+``(modeled_cycles, measured_seconds, counters, attrs)``
 record per executed band, work item and push/pull direction decision, plus
 a per-kind misprediction summary (measured/modeled ratio, MAD of the
 log-ratios, a systematic-bias flag).
@@ -22,7 +22,6 @@ from __future__ import annotations
 import math
 from typing import Any, Dict, List
 
-from ..machine.config import MACHINES
 from ..machine.host import HOST
 
 __all__ = [
@@ -34,7 +33,7 @@ __all__ = [
     "format_predictions",
 ]
 
-LEDGER_SCHEMA_VERSION = 1
+LEDGER_SCHEMA_VERSION = 2
 
 #: span name → ledger row kind.  ``engine.band`` covers a plan's row
 #: bands, ``engine.cell`` the work items (band x row part x column panel)
@@ -60,20 +59,13 @@ def _spans(tracer_or_spans) -> list:
 def _resolve_machine(spans, machine):
     """The machine to convert modeled cycles to seconds with.
 
-    Prefers the explicit argument; otherwise recovers the planning
-    machine's name (a preset, or the host profile) from an
-    ``engine.execute`` span's plan attrs.
+    Prefers the explicit argument; otherwise a trace through the engine is
+    priced by the host profile (every plan stores predicted nanoseconds).
     """
     if machine is not None:
         return machine
-    for sp in spans:
-        if sp.name == "engine.execute":
-            plan = sp.attrs.get("plan") or {}
-            name = plan.get("machine")
-            if name in MACHINES:
-                return MACHINES[name]
-            if name == HOST.name:
-                return HOST
+    if any(sp.name == "engine.execute" for sp in spans):
+        return HOST
     return None
 
 
@@ -83,12 +75,12 @@ def prediction_rows(tracer_or_spans, *, machine=None) -> List[dict]:
 
     Each row carries the model's prediction next to the measurement::
 
-        {"kind", "key", "algo", "modeled_cycles", "modeled_bytes",
-         "modeled_seconds", "measured_seconds", "counters", "pid", "attrs"}
+        {"kind", "key", "algo", "modeled_cycles", "modeled_seconds",
+         "measured_seconds", "counters", "pid", "attrs"}
 
     ``modeled_seconds`` is ``None`` when no machine is known (pass
-    ``machine=`` or trace through the engine so the plan's machine name is
-    recoverable); rows with no prediction at all (forced bands planned
+    ``machine=`` or trace through the engine, whose plans are priced from
+    the host profile); rows with no prediction at all (forced bands planned
     without a cost sweep) keep ``modeled_cycles == 0.0`` and are excluded
     from ratio statistics but still counted.
     """
@@ -103,12 +95,10 @@ def prediction_rows(tracer_or_spans, *, machine=None) -> List[dict]:
         if kind == "band":
             key = f"band:{attrs.get('band')}"
             cycles = float(attrs.get("est_cycles", 0.0) or 0.0)
-            bytes_ = float(attrs.get("est_bytes", 0.0) or 0.0)
         elif kind == "cell":
             cell = attrs.get("cell")
             key = "cell:" + (",".join(str(c) for c in cell) if cell else "?")
             cycles = float(attrs.get("est_cycles", 0.0) or 0.0)
-            bytes_ = float(attrs.get("est_bytes", 0.0) or 0.0)
         else:  # spmv-direction
             key = f"level:{attrs.get('level')}"
             chosen = attrs.get("direction")
@@ -119,13 +109,11 @@ def prediction_rows(tracer_or_spans, *, machine=None) -> List[dict]:
                 )
                 or 0.0
             )
-            bytes_ = 0.0
         row = {
             "kind": kind,
             "key": key,
             "algo": attrs.get("algo"),
             "modeled_cycles": cycles,
-            "modeled_bytes": bytes_,
             "modeled_seconds": m.seconds(cycles) if m is not None else None,
             "measured_seconds": sp.seconds,
             "counters": dict(sp.counters) if sp.counters else None,

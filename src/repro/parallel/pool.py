@@ -196,11 +196,10 @@ class Task:
     impl: str
     semiring: Union[Semiring, tuple]
     #: span attributes: (band, row part, panel) and the item's apportioned
-    #: share of the band's modeled cycles/bytes for the prediction ledger
+    #: share of the band's predicted time for the prediction ledger
     cell: Tuple[int, int, int] = (0, 0, 0)
     backend: str = "serial"
     est_cycles: float = 0.0
-    est_bytes: float = 0.0
     #: worker side only — record spans under a task-local tracer and ship
     #: them back with the result
     trace: bool = False
@@ -253,8 +252,7 @@ def run_task(task: Task, nthreads: int = 1):
                 "engine.cell",
                 {"cell": list(task.cell), "backend": task.backend,
                  "algo": task.algo, "rows": a_s.nrows, "cols": b.ncols,
-                 "est_cycles": task.est_cycles,
-                 "est_bytes": task.est_bytes},
+                 "est_cycles": task.est_cycles},
                 counter=counter,
             )
             if tr is not None else _obs.NULL_SPAN

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import time
 
 import numpy as np
@@ -9,6 +10,11 @@ import pytest
 
 from repro.sparse import CSR
 from repro.graphs import erdos_renyi, erdos_renyi_graph
+from repro.machine import HOST
+
+#: a profile under which no band or split costs anything: every auto plan
+#: reaches the per-row census, and rows of different regimes split
+SPLIT_FREE = dataclasses.replace(HOST, band_ns=0.0, split_nnz_ns=0.0)
 
 
 def random_csr(nrows, ncols, degree, seed=0, values="uniform") -> CSR:

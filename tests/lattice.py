@@ -3,7 +3,7 @@
 Bit-for-bit identity of values *and* ``OpCounter``s across every spelling
 of a call is the library's contract.  This module is that contract as
 data: the axes (front door x ``algo`` x complement x phases x backend x
-threads x grid x machine x kernel tier, and the native loops' in-kernel
+threads x grid x kernel tier, and the native loops' in-kernel
 ``nthreads``; in process a plan's ``threads`` is
 that in-kernel count, on the ``process`` backend the pool's row parts),
 the operand sets
@@ -28,14 +28,13 @@ Three consumers:
 
 The factorial is full where the axes interact (serial spellings; planned
 dispatch: backend x grid) and one axis at a time elsewhere,
-~7k calls per tier (see :func:`cases`).
+~6k calls per tier (see :func:`cases`).
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
-import dataclasses
 import hashlib
 import json
 import re
@@ -45,15 +44,11 @@ from typing import Dict, Iterator, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
-from repro.core import (
-    masked_spgemm,
-    masked_spgemm_hybrid,
-    supports_complement,
-)
+from repro.core import masked_spgemm, supports_complement
 from repro.core.kernels import native
 from repro.core.leaf import run_kernel
 from repro.graphs import erdos_renyi, relabel_by_degree, rmat
-from repro.machine import KNL, OpCounter
+from repro.machine import OpCounter
 from repro.parallel import parallel_masked_spgemm, shutdown_pool
 from repro.semiring import PLUS_PAIR, PLUS_TIMES
 from repro.sparse import CSR
@@ -202,7 +197,6 @@ OPERANDS["rmat-10-tc"] = (_TC, _TC, _TC, PLUS_PAIR)
 TIERS = ("native", "numpy")
 DOORS = {
     "masked_spgemm": masked_spgemm,
-    "hybrid": masked_spgemm_hybrid,
     "parallel": parallel_masked_spgemm,
     # the leaf every door reaches, where the in-kernel thread count is an
     # argument (a door resolves it from the call's size)
@@ -212,9 +206,6 @@ ALGOS = ("auto", "inner", "msa", "hash", "mca", "heap", "heapdot", "esc")
 PHASES = (1, 2)
 BACKENDS = (None, "serial", "thread", "process")
 GRIDS = (None, (2, 2), (1, 3))
-#: a paper machine that is no preset, passed as an object
-ODD = dataclasses.replace(KNL, name="odd", cores=3, hit_cycles=6.0)
-MACHINES = (None, "haswell", ODD)
 THREADS = (1, 2, 3)
 #: in-kernel threads of the native loops: plain-mask msa, inner and the 2P
 #: symbolic pass take them; the complemented msa stays serial.  4 puts more
@@ -284,15 +275,6 @@ def cases() -> Iterator[Case]:
         for (algo, comp), backend, grid in product(planned, BACKENDS, GRIDS):
             yield case("masked_spgemm", algo=algo, complement=comp, backend=backend,
                        grid=grid)
-        # a modeled preset prices the bands and phases; its workers and
-        # backend come from the host's rule, as every plan's do
-        for comp, backend, grid, machine in product(
-            (False, True), BACKENDS, GRIDS, MACHINES[1:]
-        ):
-            yield case("masked_spgemm", algo="auto", complement=comp, backend=backend,
-                       grid=grid, machine=machine)
-        for comp, impl in product((False, True), ("auto", "fast", "reference")):
-            yield case("hybrid", complement=comp, impl=impl)
         for (algo, comp), backend, threads in product(
             planned, BACKENDS[1:] + ("auto",), THREADS
         ):

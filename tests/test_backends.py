@@ -48,7 +48,7 @@ import pytest
 from repro.core import ALL_ALGOS, masked_spgemm, supports_complement
 from repro.engine import Planner, ShardGrid, execute, plan
 from repro.graphs import erdos_renyi, rmat
-from repro.machine import HASWELL, OpCounter
+from repro.machine import OpCounter
 from repro.observe import tracing
 from repro.parallel import (
     active_segments,
@@ -59,7 +59,7 @@ from repro.parallel import pool
 from repro.parallel.shm import SegmentGroup, attach_csr
 from repro.sparse import CSR, read_mtx
 
-from .conftest import panels, row_split
+from .conftest import SPLIT_FREE, panels, row_split
 
 pytestmark = pytest.mark.backend
 
@@ -166,7 +166,9 @@ class TestBackendEquivalence:
 
     def test_auto_plan(self, square_problem):
         a, b, m = square_problem
-        pl = Planner(HASWELL).plan(a, b, m, threads=WORKERS)
+        # the per-row census: a banded plan on every operand set
+        pl = Planner(SPLIT_FREE).plan(a, b, m, threads=WORKERS)
+        assert len(pl.bands) > 1
         _assert_backends_agree(pl, a, b, m)
 
     def test_more_workers_than_rows(self):
@@ -193,8 +195,8 @@ class TestProcessBackendInternals:
 
     def test_serial_when_single_thread(self):
         g = rmat(6, seed=3)
-        pl = Planner(HASWELL).plan(g, g, g, threads=1)
-        assert pl.backend == "serial"
+        for planner in (Planner(), Planner(SPLIT_FREE)):
+            assert planner.plan(g, g, g, threads=1).backend == "serial"
 
 
 def _assert_dispatch(run, cells, backend: str) -> None:

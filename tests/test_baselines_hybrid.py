@@ -1,17 +1,21 @@
 """Tests for the SS:GB baseline stand-ins and the hybrid (future-work)
-dispatcher."""
+per-row dispatch, which is ``algo="auto"``'s per-row bands."""
+
+import dataclasses
 
 import numpy as np
 import pytest
 
 from repro.baselines import scipy_masked_spgemm, scipy_spgemm, ssgb_dot, ssgb_saxpy
-from repro.core import classify_rows, masked_spgemm, masked_spgemm_hybrid
+from repro.core import masked_spgemm
+from repro.engine import Planner, execute
+from repro.engine.planner import DECISIVE_MARGIN
 from repro.graphs import erdos_renyi
-from repro.machine import HASWELL, KNL, OpCounter
+from repro.machine import HOST, HOST_NATIVE, OpCounter
 from repro.semiring import PLUS_PAIR
 from repro.sparse import CSR
 
-from .conftest import assert_csr_equal, random_csr
+from .conftest import SPLIT_FREE, assert_csr_equal
 
 
 class TestScipyOracle:
@@ -68,40 +72,45 @@ class TestSSGBBaselines:
 
 
 class TestHybrid:
+    """The per-row hybrid is the planner's census: rows of different
+    regimes get different algorithms when the split repays itself
+    (:data:`SPLIT_FREE` makes it always repay)."""
+
     def test_matches_oracle(self, small_triple):
         a, b, m = small_triple
-        assert_csr_equal(masked_spgemm_hybrid(a, b, m), scipy_masked_spgemm(a, b, m))
+        pl = Planner(SPLIT_FREE).plan(a, b, m)
+        assert len(pl.bands) > 1
+        assert_csr_equal(execute(pl, a, b, m), scipy_masked_spgemm(a, b, m))
+        assert_csr_equal(masked_spgemm(a, b, m, algo="auto"), scipy_masked_spgemm(a, b, m))
 
     def test_classification_covers_all_rows(self, small_triple):
         a, b, m = small_triple
-        classes = classify_rows(a, b, m)
-        all_rows = np.concatenate(list(classes.values()))
+        pl = Planner(SPLIT_FREE).plan(a, b, m)
+        all_rows = np.concatenate([band.rows for band in pl.bands])
         assert sorted(all_rows.tolist()) == list(range(a.nrows))
 
     def test_classification_regimes(self):
         n = 256
-        # dense inputs + sparse mask rows -> inner rows exist
+        planner = Planner(SPLIT_FREE)
+        # dense inputs + sparse mask rows -> inner rows
         a = erdos_renyi(n, n, 24, seed=1)
         b = erdos_renyi(n, n, 24, seed=2)
         m = erdos_renyi(n, n, 1, seed=3)
-        classes = classify_rows(a, b, m)
-        assert "inner" in classes and classes["inner"].size > n // 2
-        # sparse inputs + dense mask -> mca rows exist
+        assert planner.plan(a, b, m).nrows_per_algo().get("inner", 0) > n // 2
+        # sparse inputs + dense mask -> mca rows
         a2 = erdos_renyi(n, n, 1, seed=4)
         m2 = erdos_renyi(n, n, 32, seed=5)
-        classes2 = classify_rows(a2, a2, m2)
-        assert "mca" in classes2 and classes2["mca"].size > 0
+        assert planner.plan(a2, a2, m2).nrows_per_algo().get("mca", 0) > 0
 
     def test_machine_dependent_accumulator(self):
-        # MSA when the dense accumulator fits the private cache, hash when not
-        n_small, n_big = 256, 1 << 18
-        a = erdos_renyi(n_small, n_small, 4, seed=6)
-        m = erdos_renyi(n_small, n_small, 4, seed=7)
-        assert "msa" in classify_rows(a, a, m, HASWELL)
-        a2 = erdos_renyi(n_big, n_big, 1, seed=8)
-        m2 = erdos_renyi(n_big, n_big, 1, seed=9)
-        classes = classify_rows(a2, a2, m2, HASWELL)
-        assert "hash" in classes or "msa" not in classes
+        # the push regime's accumulator follows the kernel tier's profile:
+        # MCA on the NumPy bodies, MSA on the C loops (which have no MCA)
+        n = 1024
+        a = erdos_renyi(n, n, 1, seed=6)
+        b = erdos_renyi(n, n, 1, seed=7)
+        m = erdos_renyi(n, n, 64, seed=8)
+        assert Planner(HOST).plan(a, b, m).algo == "mca"
+        assert Planner(HOST_NATIVE).plan(a, b, m).algo == "msa"
 
     def test_mixed_density_correctness(self):
         """A matrix with wildly different row regimes still multiplies
@@ -120,16 +129,24 @@ class TestHybrid:
         a = CSR.from_coo((n, n), np.array(rows), np.array(cols),
                          rng.random(len(rows)))
         m = erdos_renyi(n, n, 8, seed=10)
-        assert_csr_equal(masked_spgemm_hybrid(a, a, m), scipy_masked_spgemm(a, a, m))
+        want = scipy_masked_spgemm(a, a, m)
+        assert_csr_equal(execute(Planner(SPLIT_FREE).plan(a, a, m), a, a, m), want)
+        assert_csr_equal(masked_spgemm(a, a, m, algo="auto"), want)
 
     def test_thresholds_exposed(self, small_triple):
+        """The thresholds are the profile's: the whole-problem margin that
+        ends a clear call, and the per-band and per-nonzero split costs a
+        row split must repay.  They change routing, not results."""
         a, b, m = small_triple
-        r1 = masked_spgemm_hybrid(a, b, m, pull_ratio=1.0, push_ratio=1.0)
-        r2 = masked_spgemm_hybrid(a, b, m, pull_ratio=100.0, push_ratio=100.0)
-        assert_csr_equal(r1, r2)  # thresholds change routing, not results
+        assert DECISIVE_MARGIN == 2.0
+        split = Planner(SPLIT_FREE).plan(a, b, m)
+        ruinous = dataclasses.replace(SPLIT_FREE, split_nnz_ns=1e9)
+        whole = Planner(ruinous).plan(a, b, m)
+        assert len(split.bands) > 1 and len(whole.bands) == 1
+        assert_csr_equal(execute(split, a, b, m), execute(whole, a, b, m))
 
     def test_empty_inputs(self):
-        out = masked_spgemm_hybrid(
-            CSR.empty((5, 5)), CSR.empty((5, 5)), CSR.empty((5, 5))
-        )
+        e = CSR.empty((5, 5))
+        out = masked_spgemm(e, e, e, algo="auto")
         assert out.nnz == 0
+        assert execute(Planner(SPLIT_FREE).plan(e, e, e), e, e, e).nnz == 0

@@ -9,14 +9,16 @@ The modeled→measured loop, per executed unit:
    measured seconds and counter delta.
 2. The counter deltas are bit-identical to the run's ``OpCounter``: the
    band spans partition exactly the work the run charged.
-3. ``machine=`` is this host or a paper machine, and a paper machine that
-   is no preset — a ``MachineConfig`` passed as an object — is bit-for-bit
-   output-equivalent across serial/thread/process (a machine changes
-   *decisions*, never values).
+3. ``machine=`` (of ``resolve_machine``, direction BFS and the ledger) is
+   this host or a paper machine; a plan is priced from a host profile
+   only, and a profile that is no checked-in one is bit-for-bit
+   output-equivalent across serial/thread/process (a profile changes
+   *decisions*, never values)
 """
 
 from __future__ import annotations
 
+import dataclasses
 import os
 import subprocess
 import sys
@@ -26,7 +28,7 @@ import pytest
 
 from repro.apps.direction_bfs import direction_optimized_bfs
 from repro.core import masked_spgemm
-from repro.engine import Planner
+from repro.engine import Planner, execute
 from repro.graphs import erdos_renyi, relabel_by_degree, rmat
 from repro.machine import (
     HASWELL,
@@ -42,9 +44,12 @@ from repro.parallel import shutdown_pool
 from repro.parallel.pool import process_backend_available
 from repro.semiring import PLUS_PAIR, PLUS_TIMES
 
-from .lattice import ODD
+from .conftest import SPLIT_FREE
 
 pytestmark = pytest.mark.calibrate
+
+#: a paper machine that is no preset, passed as an object
+ODD = dataclasses.replace(KNL, name="odd", cores=3, hit_cycles=6.0)
 
 def _triple(seed=1, n=60):
     a = erdos_renyi(n, n, 5, seed=seed, values="uniform")
@@ -99,8 +104,8 @@ class TestLedgerRows:
         for row in rows:
             assert row["measured_seconds"] > 0.0
             assert row["counters"], "band rows must carry a counter delta"
-            # the plan's machine name is recoverable from the trace, so
-            # modeled cycles convert to seconds without an explicit machine
+            # a trace through the engine is priced by the host profile, so
+            # predicted cycles convert to seconds without an explicit machine
             assert row["modeled_seconds"] is not None
             assert row["attrs"]["backend"] == planned["backend"]
 
@@ -168,7 +173,10 @@ class TestLedgerRows:
                           semiring=PLUS_PAIR)
         mx = metrics(tr, machine=HASWELL)
         preds = mx["predictions"]
-        assert preds["schema_version"] == 1
+        assert preds["schema_version"] == 2
+        assert all(set(row) == {"kind", "key", "algo", "modeled_cycles",
+                                "modeled_seconds", "measured_seconds",
+                                "counters", "pid", "attrs"} for row in preds["rows"])
         assert any(r["kind"] == "band" for r in preds["rows"])
         assert "band" in preds["summary"]
         summary = preds["summary"]["band"]
@@ -202,7 +210,7 @@ class TestFit:
             assert str(err.value) == (
                 f"unknown machine {unknown!r}; expected None (this host), a "
                 f"HostProfile, a MachineConfig or one of {sorted(MACHINES)}")
-            with pytest.raises(ValueError, match="unknown machine"):
+            with pytest.raises(ValueError, match="priced from a HostProfile"):
                 Planner(unknown)
         # nothing in the environment names a machine
         code = ("from repro.engine import plan\n"
@@ -217,7 +225,7 @@ class TestFit:
 
 
 # ----------------------------------------------------------------------
-# 3. a paper machine that is no preset changes decisions, never values
+# 3. a profile that is no checked-in one changes decisions, never values
 # ----------------------------------------------------------------------
 
 
@@ -231,21 +239,22 @@ class TestFittedEquivalence:
         low = _tc_low(scale=9, seed=7)
         ref = masked_spgemm(low, low, low, algo="auto", backend="serial",
                             semiring=PLUS_PAIR)
+        odd = dataclasses.replace(SPLIT_FREE, name="odd")
         with tracing() as tr:
             for backend in _BACKENDS:
                 if backend == "process" and not process_backend_available():
                     continue
-                got = masked_spgemm(low, low, low, algo="auto", backend=backend,
-                                    machine=ODD, semiring=PLUS_PAIR)
+                pl = Planner(odd).plan(low, low, low, backend=backend)
+                got = execute(pl, low, low, low, semiring=PLUS_PAIR)
                 assert np.array_equal(got.indptr, ref.indptr), backend
                 assert np.array_equal(got.indices, ref.indices), backend
                 assert np.array_equal(got.data, ref.data), backend
         plans = [sp.attrs["plan"] for sp in tr.spans if sp.name == "engine.execute"]
         assert plans and {pl["machine"] for pl in plans} == {"odd"}
-        # decisions: the modeled machine bands the rows the host gives to one kernel
+        # decisions: the odd profile bands the rows the host gives to one kernel
         host = Planner().plan(low, low, low)
-        assert any(len(pl["bands"]) != len(host.bands) or pl["threads"] != host.threads
-                   for pl in plans)
+        assert len(host.bands) == 1
+        assert all(len(pl["bands"]) > 1 for pl in plans)
 
     def test_direction_bfs_fitted_same_levels(self):
         g = rmat(8, seed=9).pattern()

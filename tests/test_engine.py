@@ -6,6 +6,7 @@ emit against the reference implementation, complemented-mask safety, and
 counter threading through banded / partitioned / panelled execution.
 """
 
+import dataclasses
 import json
 from pathlib import Path
 
@@ -13,16 +14,9 @@ import numpy as np
 import pytest
 
 from repro.baselines import scipy_masked_spgemm
-from repro.core import (
-    ALL_ALGOS,
-    classify_rows,
-    masked_spgemm,
-    masked_spgemm_hybrid,
-    supports_complement,
-)
+from repro.core import ALL_ALGOS, masked_spgemm, supports_complement
 from repro.core.reference import masked_spgemm_reference
 from repro.engine import (
-    PLAN_CANDIDATES,
     ExecutionPlan,
     Planner,
     RowBand,
@@ -31,11 +25,11 @@ from repro.engine import (
     plan_and_execute,
 )
 from repro.graphs import erdos_renyi, rmat
-from repro.machine import HASWELL, KNL, OpCounter
+from repro.machine import HASWELL, HOST, HOST_NATIVE, OpCounter, RowCostModel
 from repro.semiring import PLUS_PAIR
 from repro.sparse import CSR, read_mtx
 
-from .conftest import assert_csr_equal, panels, random_csr, row_split
+from .conftest import SPLIT_FREE, assert_csr_equal, panels, random_csr, row_split
 
 DATA = Path(__file__).parent.parent / "data"
 
@@ -91,12 +85,12 @@ class TestPlanner:
 
     def test_explain_reports_choices(self, triple):
         a, b, m = triple
-        text = plan(a, b, m, machine=HASWELL).explain()
+        text = plan(a, b, m).explain()
         assert "algo=" in text
         assert "phases=" in text
         assert "backend" in text and "partition" not in text
-        assert HASWELL.name in text
-        assert "on host" in plan(a, b, m).explain()
+        assert "on host" in text and "predicted candidates on host" in text
+        assert "on host" in plan(a, b, m, algo="hash").explain()
 
     def test_as_dict_jsonable(self, triple):
         a, b, m = triple
@@ -107,24 +101,43 @@ class TestPlanner:
         assert sum(band["nrows"] for band in d["bands"]) == a.nrows
 
     def test_machine_changes_estimates(self, triple):
+        """The profile is what a plan is priced from: a slower ``msa``
+        moves its estimate and nothing else."""
         a, b, m = triple
-        ph = plan(a, b, m, machine=HASWELL)
-        pk = plan(a, b, m, machine=KNL)
-        assert ph.machine == "haswell" and pk.machine == "knl"
-        assert ph.estimates != pk.estimates
+        slow = dataclasses.replace(HOST, msa_ns=tuple(2 * c for c in HOST.msa_ns))
+        ph, ps = Planner(HOST).plan(a, b, m), Planner(slow).plan(a, b, m)
+        assert ph.machine == ps.machine == "host"
+        assert ps.estimates["msa"] > ph.estimates["msa"]
+        assert {k: v for k, v in ps.estimates.items() if k != "msa"} == {
+            k: v for k, v in ph.estimates.items() if k != "msa"}
 
-    def test_ratio_banding_matches_classify_rows(self, triple):
+    def test_clear_call_decided_by_the_totals_ratio(self, triple, monkeypatch):
+        """A clear call is decided by the whole-problem ratio alone: when the
+        runner-up is predicted ``DECISIVE_MARGIN`` times slower, the plan is
+        one band of the cheapest, read off no exact count and no census."""
+        import repro.engine.planner as planner_module
+
+        def counted(*args, **kwargs):
+            raise AssertionError("a clear call read an exact count")
+
+        for name in ("flops_per_entry", "pulls_per_entry", "flops_per_row",
+                     "pulls_per_row"):
+            monkeypatch.setattr(planner_module, name, counted)
         a, b, m = triple
-        pl = Planner(HASWELL, banding="ratio").plan(a, b, m)
-        classes = classify_rows(a, b, m, HASWELL)
-        got = {band.algo: set(band.rows.tolist()) for band in pl.bands}
-        want = {algo: set(rows.tolist()) for algo, rows in classes.items()}
-        assert got == want
+        clear = dataclasses.replace(HOST, band_ns=0.0, split_nnz_ns=1e9,
+                                    inner_ns=(1e3,) * 3, mca_ns=(1e3,) * 3)
+        pl = Planner(clear).plan(a, b, m)
+        ranked = sorted(pl.estimates.values())
+        assert ranked[1] >= planner_module.DECISIVE_MARGIN * ranked[0]
+        assert pl.algo == min(pl.estimates, key=pl.estimates.get) == "msa"
+        assert len(pl.bands) == 1 and pl.bands[0].is_full(a.nrows)
 
     def test_banding_none_single_band(self, triple):
+        """With one candidate there is nothing to decide: one full band."""
         a, b, m = triple
-        pl = Planner(HASWELL, banding="none").plan(a, b, m)
+        pl = Planner(candidates=("msa",)).plan(a, b, m)
         assert len(pl.bands) == 1 and pl.bands[0].is_full(a.nrows)
+        assert pl.algo == "msa" and pl.mode == "auto" and set(pl.estimates) == {"msa"}
 
     def test_memory_budget_turns_on_panels(self):
         """No rule picks a grid: a memory-bounded caller spells its column
@@ -145,12 +158,29 @@ class TestPlanner:
 
     def test_invalid_inputs(self, triple):
         a, b, m = triple
-        with pytest.raises(ValueError, match="banding"):
-            Planner(HASWELL, banding="vibes")
+        with pytest.raises(ValueError, match="HostProfile"):
+            Planner(HASWELL)
         with pytest.raises(ValueError, match="phases"):
             plan(a, b, m, phases=3)
         with pytest.raises(ValueError, match="shards counts"):
             plan(a, b, m, shards=(1, 0))
+        # a non-string algo is the door's error, not an AttributeError
+        with pytest.raises(ValueError) as err:
+            plan(a, b, m, algo=3)
+        assert str(err.value) == (
+            f"unknown algorithm 3; expected one of {('auto',) + ALL_ALGOS}")
+        # a phase count is the int 1 or 2: the door, the planner and
+        # validate() share one check
+        rows = np.arange(a.nrows, dtype=np.int64)
+        for bad in (True, 2.0, 0):
+            want = f"phases must be 1 or 2, got {bad!r}"
+            with pytest.raises(ValueError, match=want):
+                masked_spgemm(a, b, m, algo="msa", phases=bad)
+            with pytest.raises(ValueError, match=want):
+                plan(a, b, m, phases=bad)
+            with pytest.raises(ValueError, match=want):
+                ExecutionPlan((a.nrows, b.ncols), [RowBand(rows, "msa")],
+                              phases=bad).validate()
 
     def test_plan_validate_catches_broken_plans(self, triple):
         a, b, m = triple
@@ -178,11 +208,11 @@ class TestPlanner:
             (dense, dense, sparse),   # pull regime -> would pick inner
             (sparse, sparse, dense),  # push-compact regime -> would pick mca
         ]
-        for banding in ("cost", "ratio", "none"):
-            planner = Planner(HASWELL, banding=banding)
+        for profile in (HOST, HOST_NATIVE, SPLIT_FREE):
+            planner = Planner(profile)
             for a, b, m in cases:
                 pl = planner.plan(a, b, m, complement=True)
-                assert not set(pl.algos()) & {"inner", "mca"}, (banding, pl.algos())
+                assert not set(pl.algos()) & {"inner", "mca"}, (profile, pl.algos())
 
 
 # ----------------------------------------------------------------------
@@ -190,22 +220,25 @@ class TestPlanner:
 # ----------------------------------------------------------------------
 class TestAutoSelection:
     def test_density_grid_selects_multiple_algorithms(self):
-        """Paper Fig. 7 via the planner on the paper's machine: sweeping
-        input/mask density must produce at least three distinct algorithm
-        choices.  (What wins on *this* interpreter is a measured question:
+        """Paper Fig. 7 on the paper's machine, read off the row cost model
+        the figures price with: sweeping input/mask density must make at
+        least three distinct algorithms the per-row winner of most rows.
+        (What wins on *this* interpreter is a measured question:
         ``tests/test_host_planner.py``, ``benchmarks/test_auto_regret.py``.)"""
         n = 512
         degrees = (1, 4, 16, 64)
+        fast = ("inner", "msa", "hash", "mca", "esc")
         chosen = set()
         for d_in in degrees:
             a = erdos_renyi(n, n, d_in, seed=d_in)
             b = erdos_renyi(n, n, d_in, seed=d_in + 1000)
             for d_m in degrees:
                 m = erdos_renyi(n, n, d_m, seed=d_m + 2000)
-                per_algo = plan(a, b, m, machine="haswell").nrows_per_algo()
-                chosen.add(max(per_algo, key=per_algo.get))
+                model = RowCostModel(a, b, m, HASWELL)
+                cycles = np.stack([model.estimate(c).row_cycles for c in fast])
+                wins = np.bincount(np.argmin(cycles, axis=0), minlength=len(fast))
+                chosen.add(fast[int(np.argmax(wins))])
         assert len(chosen) >= 3, chosen
-        assert chosen <= set(PLAN_CANDIDATES)
 
     def test_grid_execution_matches_reference_bitwise(self):
         """Every auto plan on a small density grid produces the same
@@ -275,14 +308,24 @@ class TestPlanCrossCheck:
         want = masked_spgemm_reference(a, b, m, algo="msa", complement=complement)
         assert_csr_equal(got, want, msg=f"algo={algo} complement={complement}")
 
+    #: a planner per decision layer: the per-row census ("cost"), the
+    #: whole-problem totals ("ratio") and a single candidate ("none")
+    LAYERS = {
+        "cost": lambda: Planner(SPLIT_FREE),
+        "ratio": lambda: Planner(HOST),
+        "none": lambda: Planner(candidates=("msa",)),
+    }
+
     @pytest.mark.parametrize("phases", [1, 2])
     @pytest.mark.parametrize("banding", ["cost", "ratio", "none"])
     def test_auto_bandings(self, banding, phases, square_problem):
         a, b, m = square_problem
-        pl = Planner(HASWELL, banding=banding).plan(a, b, m, phases=phases)
+        pl = self.LAYERS[banding]().plan(a, b, m, phases=phases)
+        if banding == "cost":
+            assert len(pl.bands) > 1  # the census split these rows
         got = execute(pl, a, b, m)
         want = masked_spgemm_reference(a, b, m, algo="msa")
-        assert_csr_equal(got, want, msg=f"banding={banding} phases={phases}")
+        assert_csr_equal(got, want, msg=f"layer={banding} phases={phases}")
 
     @pytest.mark.parametrize("partition", ["block", "cyclic", "balanced"])
     def test_partitioned(self, partition, square_problem):
@@ -310,10 +353,11 @@ class TestPlanCrossCheck:
         assert_csr_equal(got, masked_spgemm_reference(a, b, m, algo="msa"))
 
     def test_machines(self, square_problem):
+        """Every profile's plan — whatever it chose — computes the same."""
         a, b, m = square_problem
-        for machine in (HASWELL, KNL):
-            got = plan_and_execute(a, b, m, machine=machine)
-            assert_csr_equal(got, masked_spgemm_reference(a, b, m, algo="msa"))
+        want = masked_spgemm_reference(a, b, m, algo="msa")
+        for profile in (HOST, HOST_NATIVE, SPLIT_FREE):
+            assert_csr_equal(execute(Planner(profile).plan(a, b, m), a, b, m), want)
 
     def test_semirings(self, square_problem):
         a, b, m = square_problem
@@ -323,35 +367,40 @@ class TestPlanCrossCheck:
 
 
 # ----------------------------------------------------------------------
-# hybrid complement (satellite)
+# per-row bands under a complemented mask
 # ----------------------------------------------------------------------
 class TestHybridComplement:
     def test_matches_oracle(self, triple):
         a, b, m = triple
-        got = masked_spgemm_hybrid(a, b, m, complement=True)
+        pl = Planner(SPLIT_FREE).plan(a, b, m, complement=True)
+        got = execute(pl, a, b, m)
         assert_csr_equal(got, scipy_masked_spgemm(a, b, m, complement=True))
 
-    def test_classify_rows_complement_avoids_inner_mca(self):
+    def test_census_complement_avoids_inner_mca(self):
+        """The per-row census routes rows to inner / mca on a plain mask and
+        never on a complemented one, where its bands still cover every row."""
         n = 128
         dense = erdos_renyi(n, n, 16, seed=1)
         sparse = erdos_renyi(n, n, 1, seed=2)
+        planner = Planner(SPLIT_FREE)
         # plain: these regimes route to inner / mca respectively
-        assert "inner" in classify_rows(dense, dense, sparse)
-        assert "mca" in classify_rows(sparse, sparse, dense)
+        assert "inner" in planner.plan(dense, dense, sparse).algos()
+        assert "mca" in planner.plan(sparse, sparse, dense).algos()
         # complemented: they must not
         for a, b, m in [(dense, dense, sparse), (sparse, sparse, dense)]:
-            classes = classify_rows(a, b, m, complement=True)
-            assert not set(classes) & {"inner", "mca"}
-            covered = np.concatenate(list(classes.values()))
+            pl = planner.plan(a, b, m, complement=True)
+            assert not set(pl.algos()) & {"inner", "mca"}
+            covered = np.concatenate([band.rows for band in pl.bands])
             assert sorted(covered.tolist()) == list(range(n))
 
     def test_hybrid_complement_on_pull_regime(self):
-        """Inputs whose plain-mask classification picks inner must still be
+        """Inputs whose plain-mask plan picks inner must still be
         complement-correct (routed away from inner)."""
         n = 96
         a = erdos_renyi(n, n, 12, seed=5)
         m = erdos_renyi(n, n, 1, seed=6)
-        got = masked_spgemm_hybrid(a, a, m, complement=True)
+        assert plan(a, a, m).algo == "inner"
+        got = masked_spgemm(a, a, m, algo="auto", complement=True)
         assert_csr_equal(got, scipy_masked_spgemm(a, a, m, complement=True))
 
 

@@ -1,6 +1,7 @@
-"""Host-truthful planning: ``machine=None`` plans from the measured
-:class:`~repro.machine.HostProfile` and the cores this process may use;
-explicit presets keep the modeled plans they always produced.
+"""Host-truthful planning: every plan is priced from the measured
+:class:`~repro.machine.HostProfile` and runs on the cores this process may
+use; the paper's presets keep their modeled per-row regimes in
+:class:`~repro.machine.RowCostModel`, which the figures read directly.
 
 Everything here is deterministic — decisions are read off plans, never off
 a wall clock (``benchmarks/test_auto_regret.py`` is the wall-clock gate).
@@ -27,7 +28,8 @@ from repro.core.kernels.inner_kernel import masked_spgemm_inner_fast
 from repro.engine import Planner, execute, plan
 from repro.engine.planner import host_workers
 from repro.graphs import erdos_renyi, relabel_by_degree, rmat
-from repro.machine import HOST, HOST_NATIVE, HostProfile, OpCounter
+from repro.machine import HASWELL, HOST, HOST_NATIVE, KNL, HostProfile, OpCounter, \
+    RowCostModel
 from repro.observe import tracing
 from repro.parallel import pool_size, shutdown_pool
 from repro.semiring import MIN_PLUS, PLUS_PAIR, PLUS_TIMES, Semiring
@@ -69,7 +71,7 @@ SLOW = dataclasses.replace(
 @pytest.mark.usefixtures("numpy_tier")
 class TestHostChoices:
     def test_default_machine_is_the_checked_in_profile(self):
-        assert Planner().machine is HOST
+        assert Planner().profile is HOST
         assert HOST == HostProfile()  # constants, nothing measured at import
         assert plan(*_tc(8)).machine == "host"
 
@@ -114,7 +116,7 @@ class TestHostChoices:
         assert cold - warm == pytest.approx(HOST.csc_nnz_ns * b.nnz * 1e-9)
         for _ in range(2):
             with tracing() as tr:
-                masked_spgemm(a, b, m, algo="auto", machine=HOST)
+                masked_spgemm(a, b, m, algo="auto")
             (span,) = [sp for sp in tr.spans if sp.name == "engine.execute"]
             assert span.attrs["plan"]["estimates_seconds"]["inner"] == cold
 
@@ -144,9 +146,9 @@ class TestHostChoices:
     def test_unmeasured_candidates_are_rejected(self):
         with pytest.raises(ValueError, match="no measured coefficients"):
             Planner(candidates=("msa", "hash"))
-        with pytest.raises(ValueError, match="ratio"):
-            Planner(banding="ratio")
-        assert Planner("haswell", candidates=("msa", "hash")).candidates == ("msa", "hash")
+        # a paper machine has no measured coefficients either
+        with pytest.raises(ValueError, match="RowCostModel"):
+            Planner("haswell", candidates=("msa", "hash"))
 
     def test_forced_algorithms_stay_available(self):
         a, b, m = _er(128, 4, 4)
@@ -171,7 +173,7 @@ class TestNativeProfile:
         from repro.core.kernels import native
 
         want = HOST if native.load() is None else HOST_NATIVE
-        assert Planner().machine is want
+        assert Planner().profile is want
         assert HOST_NATIVE.name == "host" and plan(*_tc(8)).machine == "host"
         # only the coefficients of what has a C loop — the two kernels, the
         # per-call cost, the CSC build — and the live set differ
@@ -236,9 +238,6 @@ class TestACallIsPricedFromTheTierThatRunsIt:
         assert [band["algo"] for band in want["bands"]] == ["mca"]
         assert self._auto_plan(a, b, m, semiring=MIN_PLUS) == want
         assert self._auto_plan(a.astype(np.float32), b.astype(np.float32), m) == want
-        # a machine the caller names is the caller's
-        named = self._auto_plan(a, b, m, semiring=MIN_PLUS, machine=HOST_NATIVE)
-        assert named == Planner(HOST_NATIVE).plan(a, b, m).as_dict()
 
     def test_eligible_calls_keep_the_native_profile(self):
         a, b, m = _er(1024, 1, 64)
@@ -311,10 +310,10 @@ class TestWorkersFollowTheHost:
         assert Planner().plan(*triple, threads=1).backend == "serial"
         both = Planner().plan(*triple, threads=2, backend="process")
         assert (both.threads, both.backend) == (2, "process")
-        # one check for every plan, host or preset, and for execute(backend=):
-        # a count is an int >= 1, not a bool, a float or a string
+        # one check for every plan and for execute(backend=): a count is an
+        # int >= 1, not a bool, a float or a string
         for bad in (0, -3, 2.5, "2", True):
-            for planner in (Planner(), Planner("haswell")):
+            for planner in (Planner(), Planner(SLOW)):
                 with pytest.raises(ValueError, match="threads must be positive"):
                     planner.plan(*triple, threads=bad)
             with pytest.raises(ValueError, match="threads must be positive"):
@@ -324,57 +323,77 @@ class TestWorkersFollowTheHost:
 
     @pytest.mark.parametrize("machine", ["haswell", "knl"])
     def test_a_preset_prices_and_the_host_runs(self, machine):
-        """A paper machine prices the bands and phases; the call runs on this
-        host's workers — no pool however many cores the preset models — and
-        returns the host plan's bytes."""
+        """A paper machine prices rows in :class:`RowCostModel` (the
+        figures' instrument) and is no plan's profile: the planner refuses
+        it, the door has no ``machine=``, and the call runs on this host's
+        workers — no pool however many cores the preset models."""
         low, _, _ = _tc(11)
-        want = masked_spgemm(low, low, low, algo="auto")
+        preset = {"haswell": HASWELL, "knl": KNL}[machine]
+        assert RowCostModel(low, low, low, preset).estimate("msa").total_cycles > 0
+        for spelling in (machine, preset):
+            with pytest.raises(ValueError) as err:
+                Planner(spelling)
+            assert str(err.value) == (
+                f"a plan is priced from a HostProfile, not {machine!r}: a paper "
+                "machine's per-row cycles are repro.machine.RowCostModel's")
+        with pytest.raises(TypeError, match="machine"):
+            masked_spgemm(low, low, low, algo="auto", machine=machine)
         with tracing() as tr:
-            got = masked_spgemm(low, low, low, algo="auto", machine=machine)
+            got = masked_spgemm(low, low, low, algo="auto")
         assert pool_size() == 0
         (planned,) = [s.attrs["plan"] for s in tr.spans if s.name == "engine.execute"]
-        assert planned["machine"] == machine
+        assert planned["machine"] == "host"
         assert (planned["threads"], planned["backend"]) == host_workers(low, low, None, None)
-        assert _bitwise(got, want)
+        assert _bitwise(got, masked_spgemm(low, low, low, algo=planned["bands"][0]["algo"]))
+
+
+def _modeled_bands(a, b, m, machine, complement=False):
+    """``(algo, rows, cycles)`` per regime of :class:`RowCostModel`'s
+    per-row argmin over the fast-kernel algorithms (the Fig. 7 regime map
+    the figures price rows with)."""
+    cand = [c for c in ("inner", "msa", "hash", "mca", "esc")
+            if not complement or c not in ("inner", "mca")]
+    model = RowCostModel(a, b, m, machine, complement=complement)
+    cycles = np.stack([model.estimate(c).row_cycles for c in cand])
+    winner = np.argmin(cycles, axis=0)
+    return [(c, np.flatnonzero(winner == i), float(cycles[i, winner == i].sum()))
+            for i, c in enumerate(cand) if np.any(winner == i)]
 
 
 class TestPresetsUnchanged:
-    """Explicit ``machine=`` keeps the modeled plans (cycle estimates
-    captured at the commit before the host planner landed; band digests
-    over algorithm and rows, recomputed from that plan's bands when the
-    bands stopped carrying a batching tier)."""
+    """The paper's machines keep their modeled per-row regimes: the
+    bands, cycles and band digests (algorithm and rows) the preset-priced
+    plans pinned before plans were priced from the host alone, read off
+    :class:`RowCostModel` directly."""
 
     @staticmethod
-    def _digest(pl):
+    def _digest(bands):
         h = hashlib.blake2b(digest_size=8)
-        for band in pl.bands:
-            h.update(band.algo.encode())
-            h.update(np.asarray(band.rows, dtype=np.int64).tobytes())
+        for algo, rows, _ in bands:
+            h.update(algo.encode())
+            h.update(np.asarray(rows, dtype=np.int64).tobytes())
         return h.hexdigest()
 
     def test_haswell_tc_bands(self):
-        pl = plan(*_tc(10), machine="haswell")
-        assert pl.nrows_per_algo() == {"inner": 310, "msa": 99, "esc": 615}
-        assert self._digest(pl) == "049e9d6dd3175a85"
-        assert [round(b.est_cycles, 3) for b in pl.bands] == [
+        bands = _modeled_bands(*_tc(10), HASWELL)
+        assert {algo: rows.size for algo, rows, _ in bands} == {
+            "inner": 310, "msa": 99, "esc": 615}
+        assert self._digest(bands) == "049e9d6dd3175a85"
+        assert [round(cycles, 3) for *_, cycles in bands] == [
             87931.194, 307062.818, 346556.459,
         ]
-        # a preset prices bands and phases; its workers are the host's rule
-        assert pl.phases == 1
-        assert (pl.threads, pl.backend) == host_workers(*_tc(10)[:2], None, None)
-        assert pl.machine == "haswell"
 
     def test_knl_and_complement_bands(self):
         a = erdos_renyi(512, 512, 16, seed=1)
         b = erdos_renyi(512, 512, 16, seed=2)
         m = erdos_renyi(512, 512, 2, seed=3)
-        pl = plan(a, b, m, machine="knl")
-        assert pl.nrows_per_algo() == {"inner": 505, "esc": 7}
-        assert self._digest(pl) == "287eb3639abec364"
-        assert [round(b.est_cycles, 3) for b in pl.bands] == [89662.266, 2193.962]
-        plc = plan(a, b, m, machine="haswell", complement=True)
-        assert plc.nrows_per_algo() == {"msa": 512}
-        assert round(plc.bands[0].est_cycles, 3) == 5464637.082
+        bands = _modeled_bands(a, b, m, KNL)
+        assert {algo: rows.size for algo, rows, _ in bands} == {"inner": 505, "esc": 7}
+        assert self._digest(bands) == "287eb3639abec364"
+        assert [round(cycles, 3) for *_, cycles in bands] == [89662.266, 2193.962]
+        (only,) = _modeled_bands(a, b, m, HASWELL, complement=True)
+        assert (only[0], only[1].size) == ("msa", 512)
+        assert round(only[2], 3) == 5464637.082
 
 
 @pytest.mark.usefixtures("numpy_tier")
@@ -556,30 +575,27 @@ class TestDecisionLayers:
         }
         assert len(got.bands) == 2
 
-    def test_preset_plans_are_the_parents(self):
-        """Modeled presets price in full: ``as_dict()`` digests captured
-        before the host decision layers landed, recomputed from those plans
-        without the batching tier (each band's ``batch`` / ``buckets`` and
-        the tier note) when the tier was deleted, and recomputed again —
-        on the commit that still had them — without ``threads``,
-        ``backend``, ``partition`` and the preset's worker, backend and
-        partition notes when a preset stopped picking its own workers (they
-        are the host's rule now, :func:`host_workers`)."""
+    def test_preset_plans_are_the_parents(self, monkeypatch):
+        """The operands and knobs the preset plans were pinned on, planned
+        from the two checked-in profiles on a 4-core affinity mask:
+        ``as_dict()`` digests captured on the commit that still priced
+        plans for presets (its bands' always-0 bytes estimate left out), so
+        deleting the preset-priced planner moved no host plan."""
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(4)))
         low = _tc(10)
         er = (erdos_renyi(512, 512, 16, seed=1), erdos_renyi(512, 512, 16, seed=2),
               erdos_renyi(512, 512, 2, seed=3))
         cases = {
-            "599d2824477668b8": lambda: plan(*low, machine="haswell"),
-            "c21cf602ad9471be": lambda: plan(*er, machine="knl"),
-            "ba9fe9871f70e409": lambda: plan(*er, machine="haswell", complement=True),
-            "7ca2eb3753a7dadf": lambda: plan(*er, machine="haswell", algo="hash", threads=3),
-            "8ffbc085dc03afe8": lambda: Planner("haswell", banding="ratio").plan(*low),
-            "c3581d8e465d376e": lambda: Planner("knl", banding="none").plan(*er),
+            "92f09a42a1d9408f": lambda: Planner(HOST_NATIVE).plan(*low),
+            "c7ab28a9fa868972": lambda: Planner(HOST_NATIVE).plan(*er),
+            "c96336cad75c00bc": lambda: Planner(HOST_NATIVE).plan(*er, complement=True),
+            "1186a96c5e9d4533": lambda: Planner(HOST_NATIVE).plan(*er, algo="hash",
+                                                                  threads=3),
+            "25b9c9e5fd3ec684": lambda: Planner(HOST).plan(*low),
+            "c4233c8aef22df6d": lambda: Planner(HOST).plan(*er),
         }
         for want, make in cases.items():
-            priced = make().as_dict()
-            del priced["threads"], priced["backend"]
-            text = json.dumps(_canon(priced), sort_keys=True)
+            text = json.dumps(_canon(make().as_dict()), sort_keys=True)
             assert hashlib.blake2b(text.encode(), digest_size=8).hexdigest() == want
 
     def test_a_given_csc_is_not_charged_and_gives_the_column_counts(self):
@@ -592,9 +608,11 @@ class TestDecisionLayers:
             HOST_NATIVE.csc_nnz_ns * b.nnz * 1e-9
         )
         with tracing() as tr:
-            got = masked_spgemm(a, b, m, algo="auto", b_csc=csc, machine=HOST_NATIVE)
+            got = masked_spgemm(a, b, m, algo="auto", b_csc=csc)
         (span,) = [sp for sp in tr.spans if sp.name == "engine.execute"]
-        assert span.attrs["plan"]["estimates_seconds"] == warm.estimates
+        # the call is priced from the live tier's profile
+        live = Planner().plan(a, b, m, _b_csc=csc)
+        assert span.attrs["plan"]["estimates_seconds"] == live.estimates
         assert _bitwise(got, masked_spgemm(a, b, m, algo="auto"))
 
 

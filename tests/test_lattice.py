@@ -55,10 +55,10 @@ def test_the_sample_is_fixed_and_spans_the_axes():
     assert seen["backend"] == set(lattice.BACKENDS) | {"auto"}
     assert seen["grid"] == set(lattice.GRIDS)
     assert seen["threads"] == set(lattice.THREADS)
-    assert seen["machine"] == set(lattice.MACHINES[1:])
-    # one spelling per choice: no orientation, panel width or partition axis
-    assert set(seen) == {"algo", "complement", "phases", "backend", "grid", "machine",
-                         "impl", "threads", "nthreads"}
+    # one spelling per choice: no orientation, panel width or partition
+    # axis, and no machine axis (every plan is priced from the host profile)
+    assert set(seen) == {"algo", "complement", "phases", "backend", "grid",
+                         "threads", "nthreads"}
 
 
 def test_sample_matches_the_reference_tier(calls):
@@ -82,7 +82,7 @@ def test_forced_spellings_are_the_plain_call(calls):
     grid; same work counters where nothing was sliced away."""
     memo, checked = {}, 0
     for case, options, call_id, got, counter in calls:
-        if case.door == "hybrid" or options["algo"] == "auto":
+        if options["algo"] == "auto":
             continue
         phases = options.get("phases", 1)
         want, plain = _plain(memo, case, algo=options["algo"], phases=phases,
@@ -102,22 +102,23 @@ def test_forced_spellings_are_the_plain_call(calls):
 def test_compare_reports_what_the_exception_table_does_not_cover():
     hashed = "native/rmat-10-tc/masked_spgemm/algo=hash,complement=False,backend=thread"
     forced = "native/random/masked_spgemm/algo=msa,complement=False,backend=thread"
+    leaf = "native/random/kernel/algo=msa,complement=False,phases=1,nthreads=2"
     left = {
         hashed: {"csr": "aa", "counter": {"flops": 5, "hash_probes": 9}},
         forced: {"csr": "bb", "counter": {"flops": 7}},
-        "native/random/hybrid/complement=False,impl=auto": {"error": "ValueError: x"},
+        leaf: {"error": "ValueError: x"},
     }
     same, covered = lattice.compare(left, left)
     assert same == [] and covered == 0
     right = {
         hashed: {"csr": "aa", "counter": {"flops": 5, "hash_probes": 11}},
         forced: {"csr": "bb", "counter": {"flops": 8, "hash_probes": 1}},
-        "native/random/hybrid/complement=False,impl=auto": {"csr": "cc", "counter": {}},
+        leaf: {"csr": "cc", "counter": {}},
     }
     findings, covered = lattice.compare(left, right)
     assert covered == 1  # hash_probes of the hash call; not of the msa call
     assert findings == [
-        "native/random/hybrid/complement=False,impl=auto: ValueError: x != cc",
+        f"{leaf}: ValueError: x != cc",
         f"{forced}: counters flops 7 != 8, hash_probes 0 != 1",
     ]
     del right[hashed]

@@ -164,18 +164,19 @@ class TestUnsupportedCombos:
 def _front_doors():
     from functools import partial
 
-    from repro.core import masked_spgemm_hybrid
     from repro.parallel import parallel_masked_spgemm
 
+    # "hybrid": the per-row hybrid, the planner's bands (algo="auto");
     # "chunked": the column-panelled multiply, spelled on the door's grid
-    return {"masked_spgemm": masked_spgemm, "hybrid": masked_spgemm_hybrid,
+    return {"masked_spgemm": masked_spgemm,
+            "hybrid": partial(masked_spgemm, algo="auto"),
             "chunked": partial(masked_spgemm, shards=(1, 3)),
             "parallel": parallel_masked_spgemm}
 
 
 class TestOneFrontDoor:
-    """The three front doors (and the door's column-panelled grid) are
-    spellings of one call (``docs/engine.md``, "Path of a call"): same
+    """The two front doors (and the door's planned per-row hybrid and
+    column-panelled grid) are spellings of one call (``docs/engine.md``, "Path of a call"): same
     checks, same texts, each step once."""
 
     @pytest.mark.parametrize("door", _front_doors())
@@ -195,8 +196,6 @@ class TestOneFrontDoor:
         assert text(a=bad_a) == (
             f"mask shape {m.shape} must match the output shape "
             f"({bad_a.nrows}, {b.ncols})")
-        if door == "hybrid":
-            return  # takes no algo=: it is the ratio-banded planner's choice
         assert text(algo="quantum") == (
             "unknown algorithm 'quantum'; expected one of "
             f"{('auto',) + ALGOS + ('esc',)}")
@@ -210,21 +209,24 @@ class TestOneFrontDoor:
                     "backend must be one of ('serial', 'thread', 'process') "
                     "(or 'threads'), got 'bogus'")
 
-    @pytest.mark.parametrize("machine, traced", [(None, True), ("haswell", True),
-                                                 (None, False)])
-    def test_an_auto_call_takes_each_step_once(self, machine, traced, small_triple,
+    @pytest.mark.parametrize("semiring, traced", [(None, True), ("min_plus", True),
+                                                  (None, False)])
+    def test_an_auto_call_takes_each_step_once(self, semiring, traced, small_triple,
                                                monkeypatch):
-        """Shape checks and machine resolution: each runs once between the
-        door and the leaf, traced or not."""
+        """Shape checks and the profile lookup: each runs once between the
+        door and the leaf, traced or not, on a semiring the native loops
+        take (the default) or one they do not."""
         import contextlib
 
         from repro.observe import tracing
         import repro.core.leaf as leaf
         import repro.core.masked_spgemm as door
         from repro.engine import executor, planner
+        from repro.semiring import MIN_PLUS, PLUS_TIMES
 
         a, b, m = small_triple
-        calls = {"check_operands": 0, "resolve_machine": 0, "run_kernel": 0}
+        sr = MIN_PLUS if semiring == "min_plus" else PLUS_TIMES
+        calls = {"check_operands": 0, "host_profile": 0, "run_kernel": 0}
 
         def spy(owner, name):
             real = getattr(owner, name)
@@ -235,14 +237,14 @@ class TestOneFrontDoor:
 
             monkeypatch.setattr(owner, name, counted)
 
-        want = masked_spgemm(a, b, m, algo="auto", machine=machine)
+        want = masked_spgemm(a, b, m, algo="auto", semiring=sr)
         for module in (leaf, door, executor, planner):
             for name in set(calls) & set(vars(module)):
                 spy(module, name)
         with tracing() if traced else contextlib.nullcontext():
-            got = masked_spgemm(a, b, m, algo="auto", machine=machine)
+            got = masked_spgemm(a, b, m, algo="auto", semiring=sr)
         assert_csr_equal(got, want)
-        assert calls == {"check_operands": 1, "run_kernel": 1, "resolve_machine": 1}
+        assert calls == {"check_operands": 1, "run_kernel": 1, "host_profile": 1}
 
 
 class TestLayering:
@@ -268,7 +270,7 @@ class TestLayering:
         import repro
 
         src = Path(repro.__file__).parent
-        door = re.compile(r"(^|\.)masked_spgemm(_hybrid)?$")
+        door = re.compile(r"(^|\.)masked_spgemm$")
         found = [
             (f"{pkg}/{path.name}", names)
             for pkg in ("engine", "parallel")
@@ -499,12 +501,13 @@ class TestColumnOrientation:
         assert_csr_equal(col, row)
 
     def test_bad_orientation(self):
-        """There is one orientation, the paper's: the door names none."""
+        """There is one orientation, the paper's: the door names none (nor
+        a machine: a plan is priced from this host's profile)."""
         import inspect
 
         params = inspect.signature(masked_spgemm).parameters
-        assert "orientation" not in params
-        assert sum(p.kind is p.KEYWORD_ONLY for p in params.values()) == 11
+        assert "orientation" not in params and "machine" not in params
+        assert sum(p.kind is p.KEYWORD_ONLY for p in params.values()) == 10
 
 
 class TestChunkedSpGEMM:

@@ -89,11 +89,16 @@ class TestDifferential:
                     for phases in (1, 2):
                         def run():
                             c = OpCounter()
-                            # one profile on both sides, so "auto" plans alike
-                            out = masked_spgemm(
-                                a, b, m, algo=algo, semiring=sr, complement=complement,
-                                phases=phases, counter=c, machine=HOST_NATIVE,
-                            )
+                            if algo == "auto":
+                                # one profile on both sides, so "auto" plans alike
+                                pl = Planner(HOST_NATIVE).plan(
+                                    a, b, m, complement=complement, phases=phases)
+                                out = execute(pl, a, b, m, semiring=sr, counter=c)
+                            else:
+                                out = masked_spgemm(
+                                    a, b, m, algo=algo, semiring=sr,
+                                    complement=complement, phases=phases, counter=c,
+                                )
                             return out, c.as_dict()
 
                         (got, gc), (want, wc) = _both_tiers(run)
@@ -242,9 +247,7 @@ class TestThreads:
         on the thread count its plan records, capped at ``nrows(A)``; a
         forced door call with nothing to plan, on the count its plan would
         record.  ``backend="serial"`` (whatever ``threads=`` says) and a forced
-        ``threads=1`` record 1; an ``execute`` override keeps the plan's count.
-        A modeled preset's plan records this host's count, as every plan
-        does, and runs on it."""
+        ``threads=1`` record 1; an ``execute`` override keeps the plan's count."""
         import importlib
 
         door, executor, pool = map(importlib.import_module, (
@@ -301,24 +304,6 @@ class TestThreads:
             "execute(serial plan, serial)": 1, "execute(threads=3 plan, thread)": 3,
             "execute(threads=3 plan, serial)": 1,
         }
-        # a paper machine prices bands and phases only: its plan's workers
-        # are this host's, forced or not
-        preset = Planner("haswell")
-        for name, knobs, want in (
-            ("preset", {}, every),
-            ("preset serial", {"backend": "serial"}, 1),
-            ("preset threads=3", {"threads": 3}, 3),
-        ):
-            pl = preset.plan(*ops, algo="msa", **knobs)
-            host = engine.plan(*ops, algo="msa", **knobs)
-            assert (pl.threads, pl.backend) == (host.threads, host.backend) == (
-                want, "thread" if want > 1 else "serial"), name
-            seen.clear()
-            execute(pl, *ops, **kw)
-            assert seen == [want], name
-        seen.clear()
-        masked_spgemm(*ops, algo="msa", machine="haswell", backend="serial", **kw)
-        assert seen == [1]
         monkeypatch.setattr(native, "PARALLEL_WORK", 1 << 62)
         seen.clear()
         masked_spgemm(*ops, algo="msa", **kw)
@@ -342,7 +327,7 @@ class TestThreads:
         hang.  Pool workers run every item on one thread, and a caller's own
         forked child that passes ``backend="serial"`` stays on one thread
         through triangle counting's prepare and product — and through a
-        serial plan it executes, a modeled preset's serial plan and
+        serial plan it executes and
         ``parallel_masked_spgemm(threads=2, backend="serial")`` — so this
         returns."""
         code = (
@@ -372,10 +357,7 @@ class TestThreads:
             "low = lower_by_degree(g)\n"
             "want = run_kernel(low, low, low, nthreads=2, **kw)\n"
             "pl = engine.plan(low, low, low, algo='msa', backend='serial')\n"
-            "preset = engine.Planner('haswell').plan(low, low, low, algo='msa', backend='serial')\n"
-            "assert (preset.threads, preset.backend) == (1, 'serial')\n"
             "calls = (lambda: engine.execute(pl, low, low, low, semiring=PLUS_PAIR),\n"
-            "         lambda: engine.execute(preset, low, low, low, semiring=PLUS_PAIR),\n"
             "         lambda: parallel_masked_spgemm(low, low, low, threads=2, backend='serial',\n"
             "                                        **kw))\n"
             "for call in calls:\n"

@@ -264,7 +264,7 @@ class TestExports:
     def test_report_interleaves_plan_and_spans(self, traced_tc):
         g, _, _, tr = traced_tc
         low = relabel_by_degree(g.pattern()).tril(-1)
-        pl = Planner(HASWELL).plan(low, low, low)
+        pl = Planner().plan(low, low, low)
         text = report(tr, plan=pl)
         assert "tc.run" in text
         assert "engine.execute" in text
@@ -376,7 +376,7 @@ class TestSemiringFallback:
         weird = Semiring(
             "local_lambda", lambda x, y: x + y, lambda x, y: x * y
         )
-        pl = Planner(HASWELL).plan(a, b, m, backend="process")
+        pl = Planner().plan(a, b, m, backend="process")
         assert pl.backend == "process"
         with caplog.at_level(logging.WARNING, logger="repro"):
             got = execute(pl, a, b, m, semiring=weird)
@@ -387,7 +387,7 @@ class TestSemiringFallback:
             "degradation must be recorded in the plan's notes"
         )
         ref = execute(
-            Planner(HASWELL).plan(a, b, m, backend="serial"), a, b, m,
+            Planner().plan(a, b, m, backend="serial"), a, b, m,
             semiring=weird,
         )
         assert np.array_equal(got.indptr, ref.indptr)

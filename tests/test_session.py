@@ -319,37 +319,52 @@ class TestPlanCache:
         assert c.plan_cache_hits == 0
 
     def test_machine_override_partitions_cache(self, square_problem):
-        # regression: machine= was once silently ignored alongside a caching
-        # session; it must be honoured, per call
-        from repro.machine import KNL
+        # the profile a call is priced from is the call's own, per call: the
+        # native loops' profile for a semiring they take, the NumPy bodies'
+        # for one they do not; no machine= overrides it
+        from repro.engine import Planner
+        from repro.machine import HOST, KNL, host_profile
+        from repro.semiring import MIN_PLUS, PLUS_TIMES
 
         a, b, m = square_problem
+        native = Planner(host_profile(PLUS_TIMES, a.data, b.data)).plan(a, b, m)
+        numpy = Planner(HOST).plan(a, b, m)
         for _ in range(2):
-            assert _executed_plan(a, b, m)["machine"] == "host"
-            assert _executed_plan(a, b, m, machine=KNL)["machine"] == "knl"
-            assert _executed_plan(a, b, m, machine="knl")["machine"] == "knl"
+            assert _executed_plan(a, b, m) == native.as_dict()
+            assert _executed_plan(a, b, m, semiring=MIN_PLUS) == numpy.as_dict()
+            with pytest.raises(TypeError, match="machine"):
+                plan_and_execute(a, b, m, machine=KNL)
 
     def test_foreign_planner_honoured_uncached(self, square_problem):
-        from repro.engine import Planner
-        from repro.machine import KNL
+        # a planner of a profile the caller holds is honoured through its
+        # plan; the call-level planner= spelling is gone
+        from repro.engine import Planner, execute
+        from repro.observe import tracing
+
+        from .conftest import SPLIT_FREE
 
         a, b, m = square_problem
-        pl = _executed_plan(a, b, m, planner=Planner(KNL), threads=2)
-        assert pl["machine"] == "knl"
-        assert pl["threads"] == 2
+        pl = Planner(SPLIT_FREE).plan(a, b, m, threads=2)
+        with tracing() as tr:
+            got = execute(pl, a, b, m)
+        (run,) = [sp for sp in tr.spans if sp.name == "engine.execute"]
+        assert run.attrs["plan"] == pl.as_dict() and pl.threads == 2
+        assert len(pl.bands) > 1
+        _same(got, masked_spgemm(a, b, m, algo="auto"))
+        with pytest.raises(TypeError, match="planner"):
+            plan_and_execute(a, b, m, planner=Planner(SPLIT_FREE))
 
     def test_plan_and_execute_threads_machine_into_session(self,
                                                            square_problem):
-        # plan_and_execute threads machine= through to the plan it runs
-        from repro.machine import KNL
+        # plan_and_execute runs the plan the door's auto call runs
         from repro.observe import tracing
 
         a, b, m = square_problem
-        ref = masked_spgemm(a, b, m, algo="auto", machine=KNL, backend="serial")
+        ref = masked_spgemm(a, b, m, algo="auto", backend="serial")
         with tracing() as tr:
-            got = plan_and_execute(a, b, m, machine=KNL, backend="serial")
+            got = plan_and_execute(a, b, m, backend="serial")
         (run,) = [sp for sp in tr.spans if sp.name == "engine.execute"]
-        assert run.attrs["plan"]["machine"] == "knl"
+        assert run.attrs["plan"] == plan(a, b, m, backend="serial").as_dict()
         _same(got, ref)
 
 
