@@ -35,11 +35,7 @@ import numpy as np
 from repro.core import masked_spgemm
 from repro.engine import execute, plan
 from repro.graphs import rmat
-from repro.parallel import (
-    active_segments,
-    parallel_masked_spgemm,
-    shutdown_pool,
-)
+from repro.parallel import active_segments, shutdown_pool
 from repro.semiring import PLUS_PAIR
 
 WORKER_COUNTS = (1, 2, 4, 8)
@@ -67,10 +63,8 @@ def test_backend_scaling_rmat_tc(benchmark, results_dir, save_result):
     low = _tc_operands()
 
     def spgemm(backend, workers):
-        return parallel_masked_spgemm(
-            low, low, low, algo="msa", threads=workers,
-            backend=backend, semiring=PLUS_PAIR,
-        )
+        pl = plan(low, low, low, algo="msa", threads=workers, backend=backend)
+        return execute(pl, low, low, low, semiring=PLUS_PAIR)
 
     def run():
         # warm the process pool once so spawn cost is not charged to the
@@ -142,8 +136,9 @@ def test_grid_scaling_rmat_tc(benchmark, results_dir, save_result):
     low = _tc_operands()
 
     def spgemm(backend, workers, shards):
-        pl = plan(low, low, low, algo="msa", threads=workers, shards=shards)
-        return execute(pl, low, low, low, backend=backend, semiring=PLUS_PAIR)
+        pl = plan(low, low, low, algo="msa", threads=workers, backend=backend,
+                  shards=shards)
+        return execute(pl, low, low, low, semiring=PLUS_PAIR)
 
     def run():
         spgemm("process", max(WORKER_COUNTS), GRID)  # warm the pool

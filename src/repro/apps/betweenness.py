@@ -86,7 +86,6 @@ def betweenness_centrality(
     seed: int = 0,
     call_log: Optional[list] = None,
     backend: Optional[str] = None,
-    shards=None,
     session=None,
 ) -> BetweennessResult:
     """Betweenness centrality restricted to a batch of source vertices.
@@ -99,8 +98,7 @@ def betweenness_centrality(
     SpGEMMs (``None``, the default: in-process, on the threads the native
     row loop takes for each product's estimated work —
     :func:`repro.core.leaf.kernel_threads`: every core from 2^17
-    estimated products, one below).  ``shards`` passes the grid knob
-    through to every level's masked SpGEMM (see ``docs/parallel.md``).
+    estimated products, one below).
     ``session`` accepts only ``None`` (default) and ``False`` and selects
     nothing: sessions were removed, and a call keeps no state for the next.
     """
@@ -128,7 +126,7 @@ def betweenness_centrality(
     # result's *_seconds fields when tracing is off
     return _betweenness_body(
         a, sources, s, algo=algo, impl=impl, phases=phases,
-        counter=counter, call_log=call_log, backend=backend, shards=shards,
+        counter=counter, call_log=call_log, backend=backend,
     )
 
 
@@ -143,7 +141,6 @@ def _betweenness_body(
     counter: OpCounter,
     call_log: Optional[list],
     backend: Optional[str],
-    shards,
 ) -> BetweennessResult:
     n = a.nrows
     with timed_span("bc.run", {"batch": s, "algo": algo}) as sp_total:
@@ -176,7 +173,6 @@ def _betweenness_body(
                     frontier, a, numsp, algo=algo, impl=impl, phases=phases,
                     complement=True, semiring=PLUS_TIMES, counter=counter,
                     backend=backend,
-                    shards=shards,
                 )
             spgemm_time += sp_f.seconds
             forward_time += sp_f.seconds
@@ -207,7 +203,6 @@ def _betweenness_body(
                     w, a_t, below, algo=algo, impl=impl,
                     phases=phases, semiring=PLUS_TIMES, counter=counter,
                     b_csc=a_t_csc, backend=backend,
-                    shards=shards,
                 )
             spgemm_time += sp_b.seconds
             backward_time += sp_b.seconds

@@ -67,7 +67,6 @@ def ktruss(
     counter: Optional[OpCounter] = None,
     call_log: Optional[list] = None,
     backend: Optional[str] = None,
-    shards=None,
     session=None,
     delta="auto",
 ) -> KTrussResult:
@@ -96,8 +95,7 @@ def ktruss(
     SpGEMM (``None``, the default, runs each in-process on the threads its
     native row loop takes for the product's estimated work —
     :func:`repro.core.leaf.kernel_threads`: every core from 2^17
-    estimated products, one below).  ``shards`` is passed through to every
-    masked SpGEMM (the grid knob, see ``docs/parallel.md``).
+    estimated products, one below).
 
     ``session`` accepts only ``None`` (default) and ``False`` and selects
     nothing: sessions were removed, and a call keeps no state for the next.
@@ -124,7 +122,6 @@ def ktruss(
                 x, y, mask, algo=algo, impl=impl, phases=phases,
                 semiring=PLUS_PAIR, counter=counter,
                 backend=backend,
-                shards=shards,
             )
         spgemm_time += sp_mm.seconds
         return out

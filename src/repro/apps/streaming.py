@@ -68,7 +68,6 @@ def sliding_window_triangles(
     step: int,
     algo: str = "auto",
     backend: Optional[str] = None,
-    shards=None,
     counter: Optional[OpCounter] = None,
     max_steps: Optional[int] = None,
 ) -> StreamingResult:
@@ -108,7 +107,6 @@ def sliding_window_triangles(
                     cur, cur, cur, algo=algo, semiring=PLUS_PAIR,
                     counter=counter,
                     backend=backend,
-                    shards=shards,
                 )
             triangles.append(int(round(float(support.data.sum()) / 6.0)))
             edge_counts.append(cur.nnz // 2)

@@ -76,9 +76,10 @@ def algo_key(algo) -> str:
     return key
 
 
-def check_operands(a: CSR, b: CSR, mask: CSR) -> None:
-    """The operand-shape checks; run once per call, by the entry point
-    it came in through (the door, ``Planner.plan``, ``engine.execute``)."""
+def check_operands(a: CSR, b: CSR, mask: CSR, b_csc: Optional[CSC] = None) -> None:
+    """The operand-shape checks (B's CSC, when the caller passes one, must
+    be B's shape); run once per call, by the entry point it came in through
+    (the door, ``Planner.plan``, ``engine.execute``)."""
     if a.ncols != b.nrows:
         raise ValueError(
             f"inner dimensions of A and B do not agree: {a.shape} @ {b.shape}"
@@ -88,6 +89,8 @@ def check_operands(a: CSR, b: CSR, mask: CSR) -> None:
             f"mask shape {mask.shape} must match the output shape "
             f"({a.nrows}, {b.ncols})"
         )
+    if b_csc is not None and b_csc.shape != b.shape:
+        raise ValueError(f"b_csc shape {b_csc.shape} must match B's shape {b.shape}")
 
 
 def kernel_threads(a: CSR, b: CSR, *, threads=None, backend=None) -> int:

@@ -41,18 +41,20 @@ schemes are reference-only by design; they are the paper's slowest and
 serve as the algorithmic lower bound for merging without an accumulator
 array).
 
-This module is the **front door**: :func:`masked_spgemm` and its
-historical spelling :func:`parallel_masked_spgemm` (forced ``threads`` /
-``backend`` knobs) check the spellings, then run the one algorithm
-the caller forced (:func:`repro.core.leaf.run_kernel`) or hand the call to
-:func:`repro.engine.plan_and_execute` (``docs/engine.md``, "Path of a call").
+This module is the **front door**, the one way in for a call:
+:func:`masked_spgemm` checks the spellings, then runs the one algorithm
+the caller forced (:func:`repro.core.leaf.run_kernel`) or has the host's
+planner build an :class:`~repro.engine.ExecutionPlan` and runs it
+(``docs/engine.md``, "Path of a call").  A plan to inspect before running
+it is ``repro.engine.plan(...)`` -> ``repro.engine.execute(...)``, which
+also takes a forced thread count.
 """
 
 from __future__ import annotations
 
 from typing import Optional
 
-from ..machine import OpCounter
+from ..machine import OpCounter, host_profile
 from ..semiring import PLUS_TIMES, Semiring
 from ..sparse import CSC, CSR
 from .leaf import (
@@ -69,43 +71,12 @@ from .leaf import (
 
 __all__ = [
     "masked_spgemm",
-    "parallel_masked_spgemm",
     "ALGOS",
     "EXTENSION_ALGOS",
     "ALL_ALGOS",
     "supports_complement",
     "ALGO_LABELS",
 ]
-
-
-def _check_spellings(algo: str, phases, impl: str, backend=None) -> str:
-    """Every front door's option-spelling checks; the algorithm key."""
-    from ..engine.plan import check_phases
-
-    key = algo_key(algo)
-    if phases is not None:
-        check_phases(phases)
-    if impl not in ("fast", "reference", "auto"):
-        raise ValueError("impl must be 'fast', 'reference' or 'auto'")
-    if backend is not None:
-        from ..parallel.executor import normalize_backend
-
-        normalize_backend(backend)
-    return key
-
-
-def _planned(a, b, mask, *, algo, phases, impl, **call) -> CSR:
-    """The internal call every front door is a spelling of: spellings
-    checked, then :func:`repro.engine.plan_and_execute` (shape checks,
-    profile, plan, work items) with the door's forced plan
-    knobs among ``call``."""
-    key = _check_spellings(algo, phases, impl, call.get("backend"))
-    from ..engine.executor import plan_and_execute
-
-    return plan_and_execute(
-        a, b, mask,
-        algo=None if key == "auto" else key, phases=phases, impl=impl, **call,
-    )
 
 
 def masked_spgemm(
@@ -158,8 +129,8 @@ def masked_spgemm(
         ``algo="auto"`` or an explicit algorithm alike: ``"serial"`` keeps
         the kernel on one thread, ``"thread"`` is the default's count, and
         ``"process"`` cuts the rows into ``min(cores, rows / 512)`` parts
-        for pool workers; use :func:`repro.parallel.parallel_masked_spgemm`
-        to force the count as well.
+        for pool workers; ``repro.engine.plan(..., threads=, backend=)``
+        forces the count as well.
     shards:
         Grid knob (see ``docs/parallel.md``): ``None`` (default) is the
         plain ``1 x 1`` call; ``(row_blocks, col_panels)`` cuts the output
@@ -180,19 +151,32 @@ def masked_spgemm(
         raise ValueError(
             f"batch must be one of ('auto', 'bucket', 'perrow'), got {batch!r}"
         )
-    if str(algo).lower() == "auto" or shards is not None or backend is not None:
-        # the planner picks per-row-band algorithms from the host profile
-        # (a forced algo keeps the algo: shards= grids the dispatch,
-        # backend= picks its threads or pool workers)
-        return _planned(
+    if impl not in ("fast", "reference", "auto"):
+        raise ValueError("impl must be 'fast', 'reference' or 'auto'")
+    key = algo_key(algo)
+    if key == "auto" or shards is not None or backend is not None:
+        # the planner picks per-row-band algorithms from the profile of the
+        # kernel tier that runs the call, and checks the phases and backend
+        # spellings (a forced algo keeps the algo: shards= grids the
+        # dispatch, backend= picks its threads or pool workers)
+        from ..engine.executor import _execute
+        from ..engine.planner import planner_for
+
+        pl = planner_for(host_profile(semiring, a.data, b.data)).plan(
             a, b, mask,
-            algo=algo, phases=phases, impl=impl,
-            complement=complement, semiring=semiring, counter=counter,
-            b_csc=b_csc, backend=backend, shards=shards,
+            algo=key, phases=phases, complement=complement,
+            backend=backend, shards=shards, _b_csc=b_csc,
+        )
+        return _execute(
+            pl, a, b, mask,
+            semiring=semiring, impl=impl, counter=counter, b_csc=b_csc,
         )
     # a forced algorithm with no grid or backend has nothing to plan
-    key = _check_spellings(algo, phases, impl)
-    check_operands(a, b, mask)
+    from ..engine.plan import check_phases
+
+    if phases is not None:
+        check_phases(phases)
+    check_operands(a, b, mask, b_csc)
     if complement and not supports_complement(key):
         raise ValueError(f"{ALGO_LABELS[key]} does not support complemented masks")
     return run_kernel(
@@ -200,55 +184,4 @@ def masked_spgemm(
         algo=key, phases=1 if phases is None else phases,
         complement=complement, semiring=semiring, impl=impl,
         counter=counter, b_csc=b_csc, nthreads=kernel_threads(a, b),
-    )
-
-
-def parallel_masked_spgemm(
-    a: CSR,
-    b: CSR,
-    mask: CSR,
-    *,
-    algo: str = "msa",
-    threads: int = 4,
-    phases: int = 1,
-    complement: bool = False,
-    semiring: Semiring = PLUS_TIMES,
-    impl: str = "auto",
-    backend: str = "thread",
-    counter: Optional[OpCounter] = None,
-) -> CSR:
-    """Masked SpGEMM with row-parallel execution — the paper's row
-    parallelism (within-row parallelism is deliberately absent, as in the
-    paper).
-
-    ``backend``: ``"thread"`` (alias ``"threads"``; default) runs the
-    kernel in-process on ``threads`` threads inside its row loop,
-    ``"serial"`` runs it in-process on one thread whatever ``threads`` says,
-    ``"process"`` cuts the rows into ``threads`` parts for the
-    shared-memory worker pool, and ``"auto"`` is the planner's rule under a
-    forced count (in-process on the host).  The process backend's parts are
-    contiguous row blocks of about equal flops.  ``algo="auto"`` lets the
-    cost-model planner choose the algorithm (the count stays as forced
-    here).
-
-    ``threads`` must be an ``int`` >= 1; ``threads=1`` always takes the serial
-    path directly — one thread, no pool.
-
-    The front door with ``threads`` / ``backend`` forced.
-    """
-    from ..engine.plan import check_threads
-    from ..parallel.executor import normalize_backend
-
-    check_threads(threads)
-    if str(backend).lower() == "auto":
-        forced_backend = None  # the planner's rule for a forced threads=
-    else:
-        forced_backend = normalize_backend(backend)
-    if threads == 1:
-        forced_backend = "serial"  # never build a pool for one worker
-    return _planned(
-        a, b, mask,
-        algo=algo, phases=phases, impl=impl,
-        complement=complement, semiring=semiring, counter=counter,
-        threads=min(threads, max(1, a.nrows)), backend=forced_backend,
     )

@@ -15,12 +15,14 @@ selection — realised as an explicit three-stage pipeline:
    column panel), threading a single :class:`~repro.machine.OpCounter`
    through every stage.
 
-``masked_spgemm(..., algo="auto")`` and ``parallel_masked_spgemm`` are
-spellings of one front door over this pipeline (:func:`plan_and_execute`); the engine
-runs :func:`repro.core.leaf.run_kernel` and never calls the door back.
+``masked_spgemm(..., algo="auto")`` — the one front door — runs this
+pipeline with the planner of the call's kernel tier; :func:`plan` ->
+:func:`execute` is the same pipeline with the plan in the caller's hands
+(and a thread count the caller may force).  The engine runs
+:func:`repro.core.leaf.run_kernel` and never calls the door back.
 """
 
-from .executor import execute, plan_and_execute
+from .executor import execute
 from .plan import ExecutionPlan, RowBand, ShardGrid
 from .planner import Planner, plan
 from .fingerprint import Fingerprint, fingerprint_csr
@@ -32,7 +34,6 @@ __all__ = [
     "Planner",
     "plan",
     "execute",
-    "plan_and_execute",
     "Fingerprint",
     "fingerprint_csr",
 ]

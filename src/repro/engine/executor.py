@@ -1,8 +1,9 @@
 """Plan executor: runs an :class:`~repro.engine.plan.ExecutionPlan`.
 
-This is the single execution path behind every front door
-(``masked_spgemm(algo="auto")``, ``parallel_masked_spgemm``) and the only
-code that turns a plan into work.  Every plan is one loop over work items
+This is the single execution path behind the front door's planned calls
+(``masked_spgemm(algo="auto")``, or a forced ``shards=`` / ``backend=``)
+and :func:`execute`, and the only code that turns a plan into work.
+Every plan is one loop over work items
 — *band x row part x column panel* — of the 2-D block decomposition of
 Buluc & Gilbert: row parts come from the grid's row blocks (or, for a
 process plan on a one-row-block grid, from ``plan.threads`` flop-balanced
@@ -22,8 +23,6 @@ reports exactly the work a monolithic run would.
 
 from __future__ import annotations
 
-import dataclasses
-import functools
 import logging
 from contextlib import ExitStack
 from typing import List, Optional
@@ -31,19 +30,18 @@ from typing import List, Optional
 import numpy as np
 
 from ..core.leaf import check_operands, run_kernel
-from ..machine import OpCounter, flops_per_row, host_profile
+from ..machine import OpCounter, flops_per_row
 from ..observe import tracer as _obs
 from ..parallel import pool as _pool
 from ..parallel import shm as _shm
-from ..parallel.executor import _contiguous_range, normalize_backend
+from ..parallel.executor import _contiguous_range
 from ..parallel.partition import balanced_partition
 from ..semiring import PLUS_TIMES, Semiring
 from ..sparse import CSC, CSR
 from ..sparse.ops import split_columns
 from .plan import ExecutionPlan, RowBand
-from .planner import Planner, host_workers
 
-__all__ = ["execute", "plan_and_execute"]
+__all__ = ["execute"]
 
 _log = logging.getLogger("repro.engine")
 
@@ -123,16 +121,12 @@ def execute(
     semiring: Semiring = PLUS_TIMES,
     impl: str = "auto",
     counter: Optional[OpCounter] = None,
-    backend: Optional[str] = None,
     b_csc: Optional[CSC] = None,
 ) -> CSR:
     """Run ``C = M .* (A @ B)`` (``!M`` per the plan) as the plan dictates.
 
-    ``backend=None`` (default) follows the plan's own ``backend`` and
-    ``threads``; passing ``"serial"``, ``"thread"`` (alias ``"threads"``)
-    or ``"process"`` overrides the backend and keeps the plan's ``threads``
-    by the host planner's rule (:func:`~repro.engine.planner.host_workers`):
-    ``"serial"`` makes it 1, ``"process"`` the pool's worker count.
+    The plan's ``backend`` and ``threads`` are the ones it was planned with
+    (``plan(..., threads=, backend=)`` forces them).
     ``serial`` and ``thread`` run in-process, each band of each grid cell
     once, on ``plan.threads`` threads inside the native row loop
     (``serial``: one); ``process`` dispatches row parts to the
@@ -143,12 +137,7 @@ def execute(
     them before it returns: nothing outlives the call.
     """
     plan.validate()
-    check_operands(a, b, mask)
-    if backend is not None:
-        # the plan is the only carrier of workers and backend into the
-        # work-item loop: re-resolve both as the planner would have
-        threads, backend = host_workers(a, b, plan.threads, normalize_backend(backend))
-        plan = dataclasses.replace(plan, threads=threads, backend=backend)
+    check_operands(a, b, mask, b_csc)
     if (a.nrows, b.ncols) != tuple(plan.shape):
         raise ValueError(
             f"plan shape {tuple(plan.shape)} does not match the operands' "
@@ -161,8 +150,8 @@ def execute(
 
 
 def _execute(plan, a, b, mask, *, semiring, impl, counter, b_csc) -> CSR:
-    """:func:`execute` past its checks: a validated plan (a planner's own)
-    for these operands."""
+    """:func:`execute` past its checks: a validated plan (a planner's own,
+    which the front door runs without ``validate()``) for these operands."""
     backend = plan.backend
     if not plan.bands or a.nrows == 0:
         return CSR.empty(plan.shape)
@@ -306,53 +295,3 @@ def _execute(plan, a, b, mask, *, semiring, impl, counter, b_csc) -> CSR:
             np.concatenate(cols),
             np.concatenate(vals),
         )
-
-
-def plan_and_execute(
-    a: CSR,
-    b: CSR,
-    mask: CSR,
-    *,
-    complement: bool = False,
-    phases: Optional[int] = None,
-    semiring: Semiring = PLUS_TIMES,
-    impl: str = "auto",
-    counter: Optional[OpCounter] = None,
-    backend: Optional[str] = None,
-    b_csc: Optional[CSC] = None,
-    **plan_kwargs,
-) -> CSR:
-    """Plan and immediately execute — what every front door calls when
-    there is something to plan (``docs/engine.md``, "Path of a call").
-
-    The plan comes from :func:`plan_call`, which receives every forced
-    knob — the plan is the only carrier of ``backend`` into the work-item
-    loop.  A given ``b_csc`` is the inner product's CSC, so the plan
-    does not charge ``inner`` for building one.
-    """
-    pl = plan_call(
-        a, b, mask, semiring=semiring,
-        complement=complement, phases=phases, backend=backend, _b_csc=b_csc,
-        **plan_kwargs,
-    )
-    # the planner checked its own plan: skip execute()'s validate()
-    return _execute(
-        pl, a, b, mask,
-        semiring=semiring, impl=impl, counter=counter, b_csc=b_csc,
-    )
-
-
-@functools.lru_cache(maxsize=8)
-def _planner_for(profile) -> Planner:
-    """The planner of a host profile (planners hold no per-call state, so
-    every call shares one)."""
-    return Planner(profile)
-
-
-def plan_call(a: CSR, b: CSR, mask: CSR, *, semiring=PLUS_TIMES, **knobs):
-    """The planning step of :func:`plan_and_execute`: the planner of the
-    profile fitted on the kernel tier that runs this call — ``HOST_NATIVE``
-    when the C loops take its ``semiring`` and values, else the NumPy
-    bodies' ``HOST`` (:func:`repro.machine.host_profile`) — handed every
-    knob (:meth:`Planner.plan`)."""
-    return _planner_for(host_profile(semiring, a.data, b.data)).plan(a, b, mask, **knobs)

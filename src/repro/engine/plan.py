@@ -34,11 +34,9 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-__all__ = ["RowBand", "ShardGrid", "ExecutionPlan"]
+from ..core.leaf import ALL_ALGOS, supports_complement
 
-#: algorithms a plan may reference (kept in sync with repro.core by tests)
-_KNOWN_ALGOS = ("inner", "msa", "hash", "mca", "heap", "heapdot", "esc")
-_NO_COMPLEMENT = frozenset({"inner", "mca"})
+__all__ = ["RowBand", "ShardGrid", "ExecutionPlan"]
 
 
 def check_threads(threads) -> None:
@@ -76,12 +74,6 @@ class RowBand:
             r.size == total_rows
             and (total_rows == 0 or (int(r[0]) == 0 and int(r[-1]) == total_rows - 1))
         )
-
-    def is_contiguous(self) -> bool:
-        r = np.asarray(self.rows)
-        if r.size <= 1:
-            return True
-        return int(r[-1]) - int(r[0]) + 1 == r.size and bool(np.all(np.diff(r) == 1))
 
 
 @dataclass(frozen=True)
@@ -219,9 +211,9 @@ class ExecutionPlan:
         self.grid.validate(self.shape)
         band_rows = []
         for band in self.bands:
-            if band.algo not in _KNOWN_ALGOS:
+            if band.algo not in ALL_ALGOS:
                 raise ValueError(f"plan references unknown algorithm {band.algo!r}")
-            if self.complement and band.algo in _NO_COMPLEMENT:
+            if self.complement and not supports_complement(band.algo):
                 raise ValueError(
                     f"plan routes a complemented mask to {band.algo!r}, "
                     "which does not support complement"

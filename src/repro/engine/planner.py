@@ -26,8 +26,9 @@ plannable as a forced ``algo=``.
 
 from __future__ import annotations
 
+import functools
 from itertools import combinations
-from typing import Dict, Optional, Sequence
+from typing import Dict, Optional
 
 import numpy as np
 
@@ -45,7 +46,7 @@ from ..machine.traffic import flops_per_entry, pulls_per_entry, row_sums
 from ..parallel.executor import normalize_backend
 from .plan import ExecutionPlan, RowBand, ShardGrid, check_phases, check_threads
 
-__all__ = ["Planner", "plan", "host_workers"]
+__all__ = ["Planner", "plan", "planner_for", "host_workers"]
 
 #: one-line regime rationale per algorithm (paper Sec. 4.3 / Fig. 7)
 _REASONS = {
@@ -99,18 +100,12 @@ class Planner:
         ``None`` (default) is :func:`repro.machine.host_profile`, the one
         fitted on the kernel tier this process runs.  A paper machine (a
         :class:`~repro.machine.MachineConfig` or a preset name) is not a
-        profile: its costs are :class:`repro.machine.RowCostModel`'s.
-    candidates:
-        Algorithms the auto planner may select (default: the profile's
-        live set; every one must be in it).
+        profile: its costs are :class:`repro.machine.RowCostModel`'s.  The
+        profile's ``candidates`` are the algorithms the auto planner may
+        select; each needs the profile's measured coefficients.
     """
 
-    def __init__(
-        self,
-        profile: Optional[HostProfile] = None,
-        *,
-        candidates: Optional[Sequence[str]] = None,
-    ) -> None:
+    def __init__(self, profile: Optional[HostProfile] = None) -> None:
         if profile is None:
             profile = host_profile()
         elif not isinstance(profile, HostProfile):
@@ -120,13 +115,11 @@ class Planner:
                 "per-row cycles are repro.machine.RowCostModel's"
             )
         self.profile = profile
-        self.candidates = (
-            tuple(candidates) if candidates is not None else profile.candidates
-        )
+        self.candidates = tuple(profile.candidates)
         for c in self.candidates:
             if c not in ALL_ALGOS:
                 raise ValueError(f"unknown candidate algorithm {c!r}")
-            if c not in profile.candidates:
+            if getattr(profile, f"{c}_ns", None) is None:
                 raise ValueError(
                     f"the host profile has no measured coefficients for {c!r}; "
                     "force it with algo="
@@ -172,7 +165,7 @@ class Planner:
         build, and a close call reads B's column counts off it instead of
         counting them.
         """
-        check_operands(a, b, mask)
+        check_operands(a, b, mask, _b_csc)
         if phases is not None:
             check_phases(phases)
         if algo is not None:
@@ -244,7 +237,7 @@ class Planner:
         that each stop as soon as the decision is made:
 
         1. *nothing to decide* — one candidate can run the mask (a
-           complemented one, or ``candidates=`` of one): its band;
+           complemented one, or a profile's only one): its band;
         2. *O(1) totals* — every candidate's whole-problem nanoseconds from
            the operand sizes, ``flops ~ nnz(A) nnz(B) / nrows(B)`` and
            ``pulls ~ nnz(M) nnz(B) / ncols(B)``; unless the cheapest beats
@@ -412,3 +405,10 @@ class Planner:
 def plan(a, b, mask, **kwargs) -> ExecutionPlan:
     """One-shot convenience: ``Planner().plan(a, b, mask, **kwargs)``."""
     return Planner().plan(a, b, mask, **kwargs)
+
+
+@functools.lru_cache(maxsize=8)
+def planner_for(profile: HostProfile) -> Planner:
+    """The planner of a host profile, shared by every call priced from it
+    (a planner holds no per-call state)."""
+    return Planner(profile)

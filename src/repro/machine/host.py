@@ -38,7 +38,7 @@ from __future__ import annotations
 
 import dataclasses
 import os
-from typing import Dict, Tuple
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
@@ -73,13 +73,14 @@ class HostProfile:
     and a pulled (mask nonzero, B column entry) pair for ``inner``.
     ``candidates`` is the live set — the algorithms that win somewhere on
     the Fig. 7 grid or R-MAT scale 10-13 under this tier's kernels; the
-    rest stay available as a forced ``algo=``.
+    rest stay available as a forced ``algo=``.  A triple this tier never
+    measured is ``None``, and no plan may price that algorithm.
     """
 
     name: str = "host"
     candidates: Tuple[str, ...] = ("inner", "msa", "mca")
     msa_ns: Tuple[float, float, float] = (8.0, 18.0, 390.0)
-    mca_ns: Tuple[float, float, float] = (39.5, 8.9, 175.0)
+    mca_ns: Optional[Tuple[float, float, float]] = (39.5, 8.9, 175.0)
     inner_ns: Tuple[float, float, float] = (8.6, 32.2, 182.0)
     #: CSC build (``CSR.transpose``: this tier's radix passes) per nnz(B),
     #: charged to ``inner`` unless the caller passes B's CSC (``b_csc=``)
@@ -112,10 +113,12 @@ HOST = HostProfile()
 #: ``msa`` / ``inner`` / the per-call cost / the CSC build (one counting
 #: pass) re-fitted with the C loops live.
 #: ``mca`` has no native loop and native ``msa`` beats every call the NumPy
-#: profile gives to ``mca``, so it is forced-only here like hash / esc.
+#: profile gives to ``mca``, so it is forced-only here like hash / esc, and
+#: unmeasured.
 HOST_NATIVE = dataclasses.replace(
     HOST,
     candidates=("inner", "msa"),
+    mca_ns=None,
     msa_ns=(1.13, 2.27, 27.5),
     inner_ns=(1.51, 5.85, 29.0),
     csc_nnz_ns=9.3,

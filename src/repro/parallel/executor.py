@@ -20,10 +20,8 @@ All three produce bit-for-bit identical matrices and identical merged
 ``OpCounter`` totals (but ``hash_probes``, which hash tables sized per
 row part make depend on the pool's parts); ``tests/test_backends.py``
 enforces it.  This module
-holds what the items are sliced with (:func:`row_block`,
-:func:`row_slice`).  :func:`parallel_masked_spgemm` is a spelling of
-:func:`repro.core.masked_spgemm` and lives beside it (so that module may
-not import this one at module level); its name stays importable here.
+holds the backend names and what the items are sliced with
+(:func:`row_block`, :func:`row_slice`).
 """
 
 from __future__ import annotations
@@ -32,30 +30,24 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from ..core.masked_spgemm import parallel_masked_spgemm  # re-export only
 from ..sparse import CSR
 
 __all__ = [
-    "parallel_masked_spgemm",
     "row_slice",
     "row_block",
     "normalize_backend",
     "BACKENDS",
 ]
 
-#: canonical backend names (aliases: "threads" -> "thread")
+#: the backend names
 BACKENDS = ("serial", "thread", "process")
 
 
 def normalize_backend(backend: str) -> str:
-    """Map aliases to canonical backend names; raise on unknown ones."""
+    """The lower-case backend name; raise on unknown ones."""
     key = str(backend).lower()
-    if key == "threads":  # historical spelling
-        key = "thread"
     if key not in BACKENDS:
-        raise ValueError(
-            f"backend must be one of {BACKENDS} (or 'threads'), got {backend!r}"
-        )
+        raise ValueError(f"backend must be one of {BACKENDS}, got {backend!r}")
     return key
 
 

@@ -5,8 +5,7 @@ coarse-grained parallelism across rows").  The process backend cuts a band's
 rows into parts for its pool workers with :func:`balanced_partition`:
 contiguous blocks balanced by a per-row weight (flops per row), the standard
 prefix-sum splitting used when static scheduling must fight skewed row
-costs.  :func:`block_partition` — contiguous equal-count blocks — is its
-fallback when every weight is zero.
+costs; when every weight is zero the blocks are of about equal row count.
 """
 
 from __future__ import annotations
@@ -15,19 +14,12 @@ from typing import List
 
 import numpy as np
 
-__all__ = ["block_partition", "balanced_partition"]
-
-
-def block_partition(n_rows: int, n_parts: int) -> List[np.ndarray]:
-    """Contiguous blocks of ~equal row count."""
-    if n_parts <= 0:
-        raise ValueError("n_parts must be positive")
-    bounds = np.linspace(0, n_rows, n_parts + 1).astype(np.int64)
-    return [np.arange(bounds[i], bounds[i + 1]) for i in range(n_parts)]
+__all__ = ["balanced_partition"]
 
 
 def balanced_partition(weights: np.ndarray, n_parts: int) -> List[np.ndarray]:
-    """Contiguous blocks with ~equal total weight (prefix-sum splitting)."""
+    """Contiguous blocks with ~equal total weight (prefix-sum splitting), or
+    of ~equal row count when every weight is zero."""
     if n_parts <= 0:
         raise ValueError("n_parts must be positive")
     w = np.asarray(weights, dtype=np.float64)
@@ -35,9 +27,10 @@ def balanced_partition(weights: np.ndarray, n_parts: int) -> List[np.ndarray]:
     prefix = np.concatenate(([0.0], np.cumsum(w)))
     total = prefix[-1]
     if total <= 0:
-        return block_partition(n, n_parts)
-    targets = np.linspace(0, total, n_parts + 1)
-    cuts = np.searchsorted(prefix, targets[1:-1], side="left")
-    bounds = np.concatenate(([0], cuts, [n])).astype(np.int64)
-    bounds = np.maximum.accumulate(bounds)
+        bounds = np.linspace(0, n, n_parts + 1).astype(np.int64)
+    else:
+        targets = np.linspace(0, total, n_parts + 1)
+        cuts = np.searchsorted(prefix, targets[1:-1], side="left")
+        bounds = np.concatenate(([0], cuts, [n])).astype(np.int64)
+        bounds = np.maximum.accumulate(bounds)
     return [np.arange(bounds[i], bounds[i + 1]) for i in range(n_parts)]

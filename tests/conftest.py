@@ -97,6 +97,19 @@ def panels(shape, width):
     return ShardGrid((0, nrows), tuple(range(0, ncols, width)) + (ncols,))
 
 
+def grid_every_product(monkeypatch, app: str, shards) -> None:
+    """Cut every masked product the app module ``repro.apps.<app>`` makes
+    into the grid ``shards``: an app takes no grid of its own, only a
+    ``backend=``."""
+    import functools
+    import importlib
+
+    from repro.core import masked_spgemm
+
+    module = importlib.import_module(f"repro.apps.{app}")
+    monkeypatch.setattr(module, "masked_spgemm", functools.partial(masked_spgemm, shards=shards))
+
+
 def row_split(partition, a, b, m, algo=None, threads=2, col_bounds=None):
     """A plan cutting the rows the way the deleted partition option named
     it: ``block`` as the grid's equal row blocks, ``balanced`` as the

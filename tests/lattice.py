@@ -2,9 +2,11 @@
 
 Bit-for-bit identity of values *and* ``OpCounter``s across every spelling
 of a call is the library's contract.  This module is that contract as
-data: the axes (front door x ``algo`` x complement x phases x backend x
+data: the axes (door x ``algo`` x complement x phases x backend x
 threads x grid x kernel tier, and the native loops' in-kernel
-``nthreads``; in process a plan's ``threads`` is
+``nthreads``; the doors are the front door, a plan the caller holds —
+``execute(plan(...))``, the one spelling of a forced thread count — and
+the leaf; in process a plan's ``threads`` is
 that in-kernel count, on the ``process`` backend the pool's row parts),
 the operand sets
 they run over (the adversarial sets of
@@ -44,12 +46,13 @@ from typing import Dict, Iterator, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
+from repro import engine
 from repro.core import masked_spgemm, supports_complement
 from repro.core.kernels import native
 from repro.core.leaf import run_kernel
 from repro.graphs import erdos_renyi, relabel_by_degree, rmat
 from repro.machine import OpCounter
-from repro.parallel import parallel_masked_spgemm, shutdown_pool
+from repro.parallel import shutdown_pool
 from repro.semiring import PLUS_PAIR, PLUS_TIMES
 from repro.sparse import CSR
 
@@ -194,10 +197,17 @@ OPERANDS["rmat-10-tc"] = (_TC, _TC, _TC, PLUS_PAIR)
 # ----------------------------------------------------------------------
 # axes
 # ----------------------------------------------------------------------
+def plan_door(a, b, m, *, semiring, counter, threads, backend, **knobs):
+    """A plan the caller holds, run: the one spelling of a forced thread
+    count."""
+    pl = engine.plan(a, b, m, threads=threads, backend=backend, **knobs)
+    return engine.execute(pl, a, b, m, semiring=semiring, counter=counter)
+
+
 TIERS = ("native", "numpy")
 DOORS = {
     "masked_spgemm": masked_spgemm,
-    "parallel": parallel_masked_spgemm,
+    "plan": plan_door,
     # the leaf every door reaches, where the in-kernel thread count is an
     # argument (a door resolves it from the call's size)
     "kernel": run_kernel,
@@ -276,9 +286,9 @@ def cases() -> Iterator[Case]:
             yield case("masked_spgemm", algo=algo, complement=comp, backend=backend,
                        grid=grid)
         for (algo, comp), backend, threads in product(
-            planned, BACKENDS[1:] + ("auto",), THREADS
+            planned, BACKENDS[1:] + BACKENDS[:1], THREADS
         ):
-            yield case("parallel", algo=algo, complement=comp, backend=backend,
+            yield case("plan", algo=algo, complement=comp, backend=backend,
                        threads=threads)
         for (algo, comp), phases, nthreads in product(KERNEL_CALLS, PHASES, NTHREADS):
             yield case("kernel", algo=algo, complement=comp, phases=phases,
@@ -287,8 +297,10 @@ def cases() -> Iterator[Case]:
 
 def sample(n: Optional[int]) -> List[Case]:
     """About ``n`` cases of the enumeration (all of them for ``None``),
-    evenly spaced within each front door's share and at least six per
-    door: the same ones every time."""
+    evenly spaced within each door's share and at least six per door: the
+    same ones every time.  The ``kernel`` door is drawn in whole
+    ``nthreads`` groups, so every ``nthreads=k`` case comes with the
+    ``nthreads=1`` twin :func:`thread_axis_findings` compares it with."""
     every = list(cases())
     if n is None or n >= len(every):
         return every
@@ -296,7 +308,11 @@ def sample(n: Optional[int]) -> List[Case]:
     for door in DOORS:
         mine = [case for case in every if case.door == door]
         k = min(len(mine), max(6, round(n * len(mine) / len(every))))
-        chosen += [mine[i * len(mine) // k] for i in range(k)]
+        # (the enumeration runs nthreads innermost: a group is consecutive)
+        size = len(NTHREADS) if door == "kernel" else 1
+        groups = [mine[i:i + size] for i in range(0, len(mine), size)]
+        k = max(1, round(k / size))
+        chosen += [case for i in range(k) for case in groups[i * len(groups) // k]]
     return chosen
 
 

@@ -47,6 +47,7 @@ import pytest
 
 from repro.core import ALL_ALGOS, masked_spgemm, supports_complement
 from repro.engine import Planner, ShardGrid, execute, plan
+from repro.engine.planner import host_workers
 from repro.graphs import erdos_renyi, rmat
 from repro.machine import OpCounter
 from repro.observe import tracing
@@ -98,8 +99,12 @@ def _no_segment_outlives_a_test():
 
 
 def _run(pl, a, b, m, backend):
+    """Run ``pl`` as if it had been planned with ``backend=`` (its threads
+    by the planner's rule: 1 under ``serial``)."""
+    threads, backend = host_workers(a, b, pl.threads, backend)
     counter = OpCounter()
-    c = execute(pl, a, b, m, backend=backend, counter=counter)
+    c = execute(dataclasses.replace(pl, threads=threads, backend=backend), a, b, m,
+                counter=counter)
     assert active_segments() == ()  # nothing the call published outlives it
     return c, counter
 
@@ -317,9 +322,9 @@ sys.exit(0)
 class TestSegmentHygiene:
     def test_no_segments_leak_across_calls(self, square_problem):
         a, b, m = square_problem
-        pl = plan(a, b, m, algo="hash", threads=WORKERS)
+        pl = plan(a, b, m, algo="hash", threads=WORKERS, backend="process")
         for _ in range(3):
-            execute(pl, a, b, m, backend="process")
+            execute(pl, a, b, m)
             # publication groups are per-call: nothing outlives the call
             assert active_segments() == ()
 
@@ -360,9 +365,9 @@ class TestSegmentHygiene:
         """Grid process calls publish A and every column panel of B and the
         mask; every segment must die with its call."""
         a, b, m = square_problem
-        pl = plan(a, b, m, algo="msa", threads=WORKERS, shards=(3, 2))
+        pl = plan(a, b, m, algo="msa", threads=WORKERS, backend="process", shards=(3, 2))
         for _ in range(3):
-            execute(pl, a, b, m, backend="process")
+            execute(pl, a, b, m)
             assert active_segments() == ()
 
     def test_session_shard_segments_die_with_session_close(self, square_problem,
@@ -374,7 +379,7 @@ class TestSegmentHygiene:
         from repro.parallel import shm
 
         a, b, m = square_problem
-        pl = plan(a, b, m, algo="msa", threads=WORKERS, shards=(3, 2))
+        pl = plan(a, b, m, algo="msa", threads=WORKERS, backend="process", shards=(3, 2))
         held = []
         close = shm.SegmentGroup.close
 
@@ -384,7 +389,7 @@ class TestSegmentHygiene:
 
         monkeypatch.setattr(shm.SegmentGroup, "close", closing)
         for _ in range(2):
-            execute(pl, a, b, m, backend="process")
+            execute(pl, a, b, m)
             assert held[-1] != ()  # the group kept them for the whole call
             assert active_segments() == ()
         assert len(held) == 2 and not set(held[0]) & set(held[1])

@@ -35,10 +35,9 @@ from repro.core.kernels.expand import expand_products
 from repro.core.kernels.hash_kernel import VectorHashTable, masked_spgemm_hash_fast
 from repro.core.kernels.msa_kernel import MSA_FLOP_BUDGET, masked_spgemm_msa_fast
 from repro.core.masked_spgemm import ALL_ALGOS, masked_spgemm
-from repro.engine import Planner
+from repro.engine import Planner, execute
 from repro.graphs import erdos_renyi, rmat
 from repro.machine import OpCounter
-from repro.parallel import parallel_masked_spgemm
 from repro.parallel.pool import shutdown_pool
 from repro.semiring import MIN_PLUS, PLUS_PAIR, PLUS_TIMES, STANDARD_SEMIRINGS
 from repro.sparse import CSR, read_mtx
@@ -568,7 +567,7 @@ class TestPlanReporting:
         with pytest.raises(TypeError, match="batch"):
             Planner().plan(g, g, g, batch="perrow")
         with pytest.raises(TypeError, match="batch"):
-            parallel_masked_spgemm(g, g, g, batch="perrow")
+            execute(Planner().plan(g, g, g), g, g, g, batch="perrow")
         assert "batch" not in Planner().plan(g, g, g).as_dict()["bands"][0]
 
 

@@ -22,10 +22,9 @@ from repro.engine import (
     RowBand,
     execute,
     plan,
-    plan_and_execute,
 )
 from repro.graphs import erdos_renyi, rmat
-from repro.machine import HASWELL, HOST, HOST_NATIVE, OpCounter, RowCostModel
+from repro.machine import HASWELL, HOST, HOST_NATIVE, OpCounter, RowCostModel, host_profile
 from repro.semiring import PLUS_PAIR
 from repro.sparse import CSR, read_mtx
 
@@ -82,6 +81,17 @@ class TestPlanner:
         b2 = random_csr(6, 4, 2, seed=4)
         with pytest.raises(ValueError, match="mask shape"):
             plan(a, b2, random_csr(4, 4, 2, seed=5))
+        # B's CSC must be B's shape, where the planner reads it and where a
+        # plan runs with it
+        from repro.sparse import CSC
+
+        m2 = random_csr(5, 4, 2, seed=6)
+        for bad in (random_csr(4, 6, 2, seed=7), random_csr(8, 8, 2, seed=8)):
+            csc = CSC.from_csr(bad)
+            with pytest.raises(ValueError, match="b_csc shape"):
+                Planner().plan(a, b2, m2, _b_csc=csc)
+            with pytest.raises(ValueError, match="b_csc shape"):
+                execute(plan(a, b2, m2, algo="inner"), a, b2, m2, b_csc=csc)
 
     def test_explain_reports_choices(self, triple):
         a, b, m = triple
@@ -135,7 +145,7 @@ class TestPlanner:
     def test_banding_none_single_band(self, triple):
         """With one candidate there is nothing to decide: one full band."""
         a, b, m = triple
-        pl = Planner(candidates=("msa",)).plan(a, b, m)
+        pl = Planner(dataclasses.replace(host_profile(), candidates=("msa",))).plan(a, b, m)
         assert len(pl.bands) == 1 and pl.bands[0].is_full(a.nrows)
         assert pl.algo == "msa" and pl.mode == "auto" and set(pl.estimates) == {"msa"}
 
@@ -181,6 +191,12 @@ class TestPlanner:
             with pytest.raises(ValueError, match=want):
                 ExecutionPlan((a.nrows, b.ncols), [RowBand(rows, "msa")],
                               phases=bad).validate()
+        # one spelling each: the candidates are the profile's, and a plan's
+        # backend is chosen when it is planned
+        with pytest.raises(TypeError, match="candidates"):
+            Planner(HOST, candidates=("msa",))
+        with pytest.raises(TypeError, match="backend"):
+            execute(plan(a, b, m), a, b, m, backend="serial")
 
     def test_plan_validate_catches_broken_plans(self, triple):
         a, b, m = triple
@@ -313,7 +329,7 @@ class TestPlanCrossCheck:
     LAYERS = {
         "cost": lambda: Planner(SPLIT_FREE),
         "ratio": lambda: Planner(HOST),
-        "none": lambda: Planner(candidates=("msa",)),
+        "none": lambda: Planner(dataclasses.replace(host_profile(), candidates=("msa",))),
     }
 
     @pytest.mark.parametrize("phases", [1, 2])
@@ -361,7 +377,7 @@ class TestPlanCrossCheck:
 
     def test_semirings(self, square_problem):
         a, b, m = square_problem
-        got = plan_and_execute(a, b, m, semiring=PLUS_PAIR)
+        got = masked_spgemm(a, b, m, algo="auto", semiring=PLUS_PAIR)
         want = masked_spgemm_reference(a, b, m, algo="msa", semiring=PLUS_PAIR)
         assert_csr_equal(got, want)
 
@@ -418,7 +434,7 @@ class TestCounterThreading:
     def test_banded_counter_counts_all_bands(self, triple):
         a, b, m = triple
         c = OpCounter()
-        out = plan_and_execute(a, b, m, counter=c)
+        out = masked_spgemm(a, b, m, algo="auto", counter=c)
         assert c.output_nnz == out.nnz
         assert c.flops > 0
 

@@ -145,10 +145,12 @@ class TestHostChoices:
 
     def test_unmeasured_candidates_are_rejected(self):
         with pytest.raises(ValueError, match="no measured coefficients"):
-            Planner(candidates=("msa", "hash"))
+            Planner(dataclasses.replace(HOST, candidates=("msa", "hash")))
+        with pytest.raises(ValueError, match="unknown candidate algorithm 'quantum'"):
+            Planner(dataclasses.replace(HOST, candidates=("msa", "quantum")))
         # a paper machine has no measured coefficients either
         with pytest.raises(ValueError, match="RowCostModel"):
-            Planner("haswell", candidates=("msa", "hash"))
+            Planner("haswell")
 
     def test_forced_algorithms_stay_available(self):
         a, b, m = _er(128, 4, 4)
@@ -177,9 +179,11 @@ class TestNativeProfile:
         assert HOST_NATIVE.name == "host" and plan(*_tc(8)).machine == "host"
         # only the coefficients of what has a C loop — the two kernels, the
         # per-call cost, the CSC build — and the live set differ
+        # (mca, forced-only here, is unmeasured)
         same = dataclasses.replace(
             HOST_NATIVE, candidates=HOST.candidates, msa_ns=HOST.msa_ns,
             inner_ns=HOST.inner_ns, band_ns=HOST.band_ns, csc_nnz_ns=HOST.csc_nnz_ns,
+            mca_ns=HOST.mca_ns,
         )
         assert same == HOST
 
@@ -199,7 +203,7 @@ class TestNativeProfile:
         assert pl.nrows_per_algo() == {"msa": 1024}
         assert set(pl.estimates) == {"inner", "msa"}
         with pytest.raises(ValueError, match="no measured coefficients"):
-            Planner(HOST_NATIVE, candidates=("mca",))
+            Planner(dataclasses.replace(HOST_NATIVE, candidates=("mca",)))
         forced = planner.plan(a, b, m, algo="mca")
         assert forced.algos() == ("mca",)
         assert _bitwise(masked_spgemm(a, b, m, algo="mca"), masked_spgemm(a, b, m, algo="auto"))
@@ -310,15 +314,15 @@ class TestWorkersFollowTheHost:
         assert Planner().plan(*triple, threads=1).backend == "serial"
         both = Planner().plan(*triple, threads=2, backend="process")
         assert (both.threads, both.backend) == (2, "process")
-        # one check for every plan and for execute(backend=): a count is an
-        # int >= 1, not a bool, a float or a string
+        # one check for every plan and for execute(): a count is an int
+        # >= 1, not a bool, a float or a string
         for bad in (0, -3, 2.5, "2", True):
             for planner in (Planner(), Planner(SLOW)):
                 with pytest.raises(ValueError, match="threads must be positive"):
                     planner.plan(*triple, threads=bad)
             with pytest.raises(ValueError, match="threads must be positive"):
                 execute(dataclasses.replace(Planner().plan(*triple), threads=bad),
-                        *triple, backend="thread")
+                        *triple)
 
 
     @pytest.mark.parametrize("machine", ["haswell", "knl"])
@@ -485,7 +489,7 @@ class TestDecisionLayers:
         er = _er(1024, 64, 4)
         calls = [
             (Planner(profile), er, {"complement": True}),
-            (Planner(profile, candidates=("msa",)), er, {}),
+            (Planner(dataclasses.replace(profile, candidates=("msa",))), er, {}),
             (Planner(profile), _tc(6), {}),
         ]
         if profile is HOST_NATIVE:

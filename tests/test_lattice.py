@@ -8,6 +8,8 @@ column-ascending.  The full factorial and the parent-vs-change comparison
 are ``python -m tests.lattice`` (CONTRIBUTING.md).
 """
 
+import re
+
 import numpy as np
 import pytest
 
@@ -52,13 +54,21 @@ def test_the_sample_is_fixed_and_spans_the_axes():
         for key, value in case.options:
             seen.setdefault(key, set()).add(value)
     assert seen["algo"] == set(lattice.ALGOS)
-    assert seen["backend"] == set(lattice.BACKENDS) | {"auto"}
+    assert seen["backend"] == set(lattice.BACKENDS)
     assert seen["grid"] == set(lattice.GRIDS)
     assert seen["threads"] == set(lattice.THREADS)
     # one spelling per choice: no orientation, panel width or partition
     # axis, and no machine axis (every plan is priced from the host profile)
     assert set(seen) == {"algo", "complement", "phases", "backend", "grid",
                          "threads", "nthreads"}
+    # every sampled nthreads=k call comes with the nthreads=1 twin it is
+    # compared with, here and at the size CI digests
+    for n in (SAMPLE, 2000):
+        ids = {case.id for case in lattice.sample(n)}
+        for call_id in ids:
+            k = re.search(r"nthreads=\d+", call_id)
+            if k:
+                assert call_id.replace(k.group(0), "nthreads=1") in ids, (n, call_id)
 
 
 def test_sample_matches_the_reference_tier(calls):

@@ -2,6 +2,8 @@
 implementation / complement combination, validated against the scipy oracle
 (arithmetic semiring) and against the reference tier (other semirings)."""
 
+import contextlib
+
 import numpy as np
 import pytest
 
@@ -152,6 +154,18 @@ class TestUnsupportedCombos:
         m = random_csr(5, 5, 2, seed=45)
         with pytest.raises(ValueError, match="inner dimensions"):
             masked_spgemm(a, b, m)
+        # B's CSC is shape-checked too, smaller or larger, on either tier,
+        # forced or planned (it used to index out of bounds or pass silently)
+        from repro.core.kernels import native
+        from repro.sparse import CSC
+
+        a, b, m = (random_csr(64, 64, 4, seed=s) for s in (49, 50, 51))
+        for n in (32, 96):
+            csc = CSC.from_csr(random_csr(n, n, 4, seed=52))
+            for tier in (contextlib.nullcontext, native.disabled):
+                for algo in ("auto", "inner", "msa"):
+                    with tier(), pytest.raises(ValueError, match="b_csc shape"):
+                        masked_spgemm(a, b, m, algo=algo, b_csc=csc)
 
     def test_mask_shape_mismatch(self):
         a = random_csr(5, 6, 2, seed=46)
@@ -161,23 +175,31 @@ class TestUnsupportedCombos:
             masked_spgemm(a, b, m)
 
 
+def _planned(a, b, m, threads=4, **kw):
+    """A plan the caller holds, run: the spelling of a forced thread
+    count."""
+    from repro.engine import execute, plan
+
+    return execute(plan(a, b, m, threads=threads, **kw), a, b, m)
+
+
 def _front_doors():
     from functools import partial
 
-    from repro.parallel import parallel_masked_spgemm
-
     # "hybrid": the per-row hybrid, the planner's bands (algo="auto");
-    # "chunked": the column-panelled multiply, spelled on the door's grid
+    # "chunked": the column-panelled multiply, spelled on the door's grid;
+    # "parallel": a forced thread count, spelled plan -> execute
     return {"masked_spgemm": masked_spgemm,
             "hybrid": partial(masked_spgemm, algo="auto"),
             "chunked": partial(masked_spgemm, shards=(1, 3)),
-            "parallel": parallel_masked_spgemm}
+            "parallel": _planned}
 
 
 class TestOneFrontDoor:
-    """The two front doors (and the door's planned per-row hybrid and
-    column-panelled grid) are spellings of one call (``docs/engine.md``, "Path of a call"): same
-    checks, same texts, each step once."""
+    """The front door (with its planned per-row hybrid and column-panelled
+    grid) and a plan the caller holds are spellings of one call
+    (``docs/engine.md``, "Path of a call"): same checks, same texts, each
+    step once."""
 
     @pytest.mark.parametrize("door", _front_doors())
     def test_every_door_raises_the_same_text(self, door, small_triple):
@@ -206,8 +228,11 @@ class TestOneFrontDoor:
         for algo in ("msa", "auto"):
             if door in ("masked_spgemm", "parallel"):
                 assert text(algo=algo, backend="bogus") == (
-                    "backend must be one of ('serial', 'thread', 'process') "
-                    "(or 'threads'), got 'bogus'")
+                    "backend must be one of ('serial', 'thread', 'process'), "
+                    "got 'bogus'")
+                assert text(algo=algo, backend="threads") == (
+                    "backend must be one of ('serial', 'thread', 'process'), "
+                    "got 'threads'")
 
     @pytest.mark.parametrize("semiring, traced", [(None, True), ("min_plus", True),
                                                   (None, False)])
@@ -217,11 +242,14 @@ class TestOneFrontDoor:
         door and the leaf, traced or not, on a semiring the native loops
         take (the default) or one they do not."""
         import contextlib
+        import importlib
 
         from repro.observe import tracing
         import repro.core.leaf as leaf
-        import repro.core.masked_spgemm as door
         from repro.engine import executor, planner
+
+        # the module (``repro.core.masked_spgemm`` the attribute is the door)
+        door = importlib.import_module("repro.core.masked_spgemm")
         from repro.semiring import MIN_PLUS, PLUS_TIMES
 
         a, b, m = small_triple
@@ -278,9 +306,7 @@ class TestLayering:
             for module, names in self._imports(path)
             if any(door.search(n) for n in [module, *names])
         ]
-        # the one mention: ``repro.parallel`` keeps its historical name for
-        # the row-parallel spelling, which lives beside the door
-        assert found == [("parallel/executor.py", ["parallel_masked_spgemm"])]
+        assert found == []
         looks_up = [
             (str(path.relative_to(src)), module)
             for path in sorted((src / "core").rglob("*.py"))

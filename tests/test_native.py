@@ -9,6 +9,7 @@ foreign cache file, racing first loads, malformed ``check=False`` operands.
 """
 
 import contextlib
+import dataclasses
 import logging
 import os
 import signal
@@ -33,7 +34,7 @@ from repro.graphs import erdos_renyi, lower_by_degree, rmat
 from repro.machine import HOST, HOST_NATIVE, OpCounter, available_cores, flops_per_row, \
     resolve_machine
 from repro.observe import tracing
-from repro.parallel import balanced_partition, parallel_masked_spgemm
+from repro.parallel import balanced_partition
 from repro.parallel.pool import shutdown_pool
 from repro.semiring import MIN_PLUS, PLUS_PAIR, PLUS_TIMES, STANDARD_SEMIRINGS, Semiring
 from repro.sparse import CSR
@@ -247,7 +248,8 @@ class TestThreads:
         on the thread count its plan records, capped at ``nrows(A)``; a
         forced door call with nothing to plan, on the count its plan would
         record.  ``backend="serial"`` (whatever ``threads=`` says) and a forced
-        ``threads=1`` record 1; an ``execute`` override keeps the plan's count."""
+        ``threads=1`` record 1; ``execute`` runs a plan on the count it was
+        planned with."""
         import importlib
 
         door, executor, pool = map(importlib.import_module, (
@@ -264,27 +266,21 @@ class TestThreads:
         monkeypatch.setattr(native, "PARALLEL_WORK", 0)
         every = available_cores() if native._openmp() else 1
         ops, kw = (low, low, low), dict(semiring=PLUS_PAIR)
-        serial_plan = engine.plan(*ops, algo="msa", backend="serial")
-        three_plan = engine.plan(*ops, algo="msa", threads=3)
+
+        def run_plan(**knobs):
+            return lambda: execute(engine.plan(*ops, **knobs), *ops, **kw)
+
         calls = {
             "forced": lambda: masked_spgemm(*ops, algo="msa", **kw),
             "default": lambda: masked_spgemm(*ops, algo="auto", **kw),
             "serial": lambda: masked_spgemm(*ops, algo="msa", backend="serial", **kw),
             "thread": lambda: masked_spgemm(*ops, algo="msa", backend="thread", **kw),
-            "threads=3": lambda: engine.plan_and_execute(*ops, threads=3, **kw),
-            "parallel threads=2": lambda: parallel_masked_spgemm(*ops, threads=2, **kw),
-            "parallel threads=1": lambda: parallel_masked_spgemm(*ops, threads=1, **kw),
-            "parallel threads=2, serial": lambda: parallel_masked_spgemm(
-                *ops, threads=2, backend="serial", **kw),
-            "execute(serial plan)": lambda: execute(serial_plan, *ops, **kw),
-            "execute(serial plan, thread)": lambda: execute(
-                serial_plan, *ops, backend="thread", **kw),
-            "execute(serial plan, serial)": lambda: execute(
-                serial_plan, *ops, backend="serial", **kw),
-            "execute(threads=3 plan, thread)": lambda: execute(
-                three_plan, *ops, backend="thread", **kw),
-            "execute(threads=3 plan, serial)": lambda: execute(
-                three_plan, *ops, backend="serial", **kw),
+            "threads=3": run_plan(threads=3),
+            "threads=2, thread": run_plan(algo="msa", threads=2, backend="thread"),
+            "threads=1, thread": run_plan(algo="msa", threads=1, backend="thread"),
+            "threads=2, serial": run_plan(algo="msa", threads=2, backend="serial"),
+            "execute(serial plan)": run_plan(algo="msa", backend="serial"),
+            "execute(thread plan)": run_plan(algo="msa", backend="thread"),
         }
         got = {}
         for name, call in calls.items():
@@ -298,11 +294,9 @@ class TestThreads:
             got[name] = seen[0]
         assert got == {
             "forced": every, "default": every, "serial": 1, "thread": every,
-            "threads=3": 3, "parallel threads=2": 2, "parallel threads=1": 1,
-            "parallel threads=2, serial": 1,
-            "execute(serial plan)": 1, "execute(serial plan, thread)": 1,
-            "execute(serial plan, serial)": 1, "execute(threads=3 plan, thread)": 3,
-            "execute(threads=3 plan, serial)": 1,
+            "threads=3": 3, "threads=2, thread": 2, "threads=1, thread": 1,
+            "threads=2, serial": 1, "execute(serial plan)": 1,
+            "execute(thread plan)": every,
         }
         monkeypatch.setattr(native, "PARALLEL_WORK", 1 << 62)
         seen.clear()
@@ -326,9 +320,8 @@ class TestThreads:
         that entered a threaded region after the parent had used one would
         hang.  Pool workers run every item on one thread, and a caller's own
         forked child that passes ``backend="serial"`` stays on one thread
-        through triangle counting's prepare and product — and through a
-        serial plan it executes and
-        ``parallel_masked_spgemm(threads=2, backend="serial")`` — so this
+        through triangle counting's prepare and product — and through the
+        serial plans it executes, ``threads=2`` forced or not — so this
         returns."""
         code = (
             "import os\n"
@@ -337,7 +330,7 @@ class TestThreads:
             "from repro.core import masked_spgemm\n"
             "from repro.core.leaf import run_kernel\n"
             "from repro.graphs import lower_by_degree, rmat\n"
-            "from repro.parallel import parallel_masked_spgemm, shutdown_pool\n"
+            "from repro.parallel import shutdown_pool\n"
             "from repro.semiring import PLUS_PAIR\n"
             "low = lower_by_degree(rmat(12, seed=3))\n"
             "kw = dict(algo='msa', semiring=PLUS_PAIR)\n"
@@ -356,14 +349,11 @@ class TestThreads:
             "assert os.waitpid(pid, 0)[1] == 0\n"
             "low = lower_by_degree(g)\n"
             "want = run_kernel(low, low, low, nthreads=2, **kw)\n"
-            "pl = engine.plan(low, low, low, algo='msa', backend='serial')\n"
-            "calls = (lambda: engine.execute(pl, low, low, low, semiring=PLUS_PAIR),\n"
-            "         lambda: parallel_masked_spgemm(low, low, low, threads=2, backend='serial',\n"
-            "                                        **kw))\n"
-            "for call in calls:\n"
+            "for threads in (None, 2):\n"
+            "    pl = engine.plan(low, low, low, algo='msa', threads=threads, backend='serial')\n"
             "    pid = os.fork()\n"
             "    if pid == 0:\n"
-            "        c = call()\n"
+            "        c = engine.execute(pl, low, low, low, semiring=PLUS_PAIR)\n"
             "        os._exit(0 if all(getattr(c, f).tobytes() == getattr(want, f).tobytes()\n"
             "                          for f in fields) else 4)\n"
             "    assert os.waitpid(pid, 0)[1] == 0\n"
@@ -430,7 +420,7 @@ class TestEligibility:
         with native.disabled():
             assert resolve_machine(None) is HOST
         with pytest.raises(ValueError, match="no measured coefficients"):
-            Planner(HOST_NATIVE, candidates=("mca",))
+            Planner(dataclasses.replace(HOST_NATIVE, candidates=("mca",)))
 
 
 # ----------------------------------------------------------------------

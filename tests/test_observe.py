@@ -29,7 +29,7 @@ import numpy as np
 import pytest
 
 from repro.core.kernels.msa_kernel import masked_spgemm_msa_fast
-from repro.engine import Planner
+from repro.engine import Planner, plan
 from repro.engine.executor import execute
 from repro.graphs import erdos_renyi, rmat, relabel_by_degree
 from repro.machine import HASWELL, OpCounter
@@ -44,7 +44,7 @@ from repro.observe import (
     write_chrome_trace,
     write_metrics,
 )
-from repro.parallel import parallel_masked_spgemm, shutdown_pool
+from repro.parallel import shutdown_pool
 from repro.parallel.pool import process_backend_available
 from repro.semiring import PLUS_PAIR, PLUS_TIMES, Semiring
 from repro.apps import triangle_count_detail
@@ -306,17 +306,15 @@ class TestProcessBackendTracing:
     def test_worker_spans_and_counter_equivalence(self):
         low = relabel_by_degree(rmat(11, seed=1).pattern()).tril(-1)
 
+        def run(backend, counter):
+            pl = plan(low, low, low, algo="msa", threads=4, backend=backend)
+            return execute(pl, low, low, low, semiring=PLUS_PAIR, counter=counter)
+
         c_serial = OpCounter()
-        ref = parallel_masked_spgemm(
-            low, low, low, algo="msa", threads=4, backend="serial",
-            semiring=PLUS_PAIR, counter=c_serial,
-        )
+        ref = run("serial", c_serial)
         c_proc = OpCounter()
         with tracing() as tr:
-            got = parallel_masked_spgemm(
-                low, low, low, algo="msa", threads=4, backend="process",
-                semiring=PLUS_PAIR, counter=c_proc,
-            )
+            got = run("process", c_proc)
 
         # results and counters: bit-for-bit equal to the serial run
         assert np.array_equal(got.indptr, ref.indptr)
@@ -358,10 +356,8 @@ class TestProcessBackendTracing:
     def test_untraced_process_run_ships_no_spans(self):
         low = relabel_by_degree(rmat(9, seed=3).pattern()).tril(-1)
         assert current() is None
-        out = parallel_masked_spgemm(
-            low, low, low, algo="msa", threads=2, backend="process",
-            semiring=PLUS_PAIR,
-        )
+        pl = plan(low, low, low, algo="msa", threads=2, backend="process")
+        out = execute(pl, low, low, low, semiring=PLUS_PAIR)
         assert out.nnz >= 0  # ran; nothing to trace, nothing crashed
 
 

@@ -1,4 +1,6 @@
-"""Tests for row partitioners and the parallel masked-SpGEMM driver."""
+"""Tests for the row partitioner, the row-slicing primitives and
+row-parallel calls (a forced thread count, spelled ``plan(..., threads=,
+backend=)`` -> ``execute``)."""
 
 import inspect
 
@@ -7,13 +9,9 @@ import pytest
 
 from repro.baselines import scipy_masked_spgemm
 from repro.core import masked_spgemm
+from repro.engine import Planner, execute, plan
 from repro.machine import OpCounter, simulate_makespan
-from repro.parallel import (
-    balanced_partition,
-    block_partition,
-    parallel_masked_spgemm,
-    pool_size,
-)
+from repro.parallel import balanced_partition, pool_size
 from repro.parallel.executor import row_block, row_slice
 
 from .conftest import assert_csr_equal, random_csr
@@ -25,12 +23,22 @@ def _check_partition(parts, n):
     assert sorted(all_rows.tolist()) == list(range(n))
 
 
+def _parallel(a, b, m, *, threads, algo="msa", backend="thread", counter=None, **kw):
+    """A row-parallel call: ``threads`` forced on a plan the caller holds."""
+    pl = plan(a, b, m, algo=algo, threads=threads, backend=backend, **kw)
+    return execute(pl, a, b, m, counter=counter)
+
+
 class TestPartitioners:
     @pytest.mark.parametrize("n,p", [(10, 3), (100, 7), (5, 8), (0, 2), (64, 1)])
     def test_block_covers_all(self, n, p):
-        parts = block_partition(n, p)
+        """Unweighted rows are cut into contiguous blocks of about equal
+        count."""
+        parts = balanced_partition(np.zeros(n), p)
         assert len(parts) == p
         _check_partition(parts, n)
+        sizes = [part.size for part in parts]
+        assert max(sizes) - min(sizes) <= 1
 
     @pytest.mark.parametrize("n,p", [(10, 3), (100, 7), (5, 8), (64, 1)])
     def test_cyclic_covers_all(self, n, p):
@@ -68,12 +76,10 @@ class TestPartitioners:
         _check_partition(parts, 10)
 
     def test_invalid_parts(self):
-        with pytest.raises(ValueError):
-            block_partition(10, 0)
-        with pytest.raises(ValueError):
-            block_partition(10, -1)
-        with pytest.raises(ValueError):
-            balanced_partition(np.ones(4), 0)
+        for weights in (np.zeros(10), np.ones(4)):
+            for bad in (0, -1):
+                with pytest.raises(ValueError):
+                    balanced_partition(weights, bad)
 
 
 class TestRowSlice:
@@ -175,84 +181,87 @@ class TestThreadsOneFastPath:
         a, b, m = small_triple
         for bad in (0, -1, -7):
             with pytest.raises(ValueError, match="threads"):
-                parallel_masked_spgemm(a, b, m, threads=bad)
+                _parallel(a, b, m, threads=bad)
 
     def test_single_thread_builds_no_pool(self, small_triple):
-        # threads=1 must fall back to the serial path without standing up
-        # any worker pool (process or thread)
+        # threads=1 must run in-process on one thread without standing up
+        # any worker pool, whichever backend is named
         from repro.parallel import shutdown_pool
 
         shutdown_pool()
         a, b, m = small_triple
-        got = parallel_masked_spgemm(a, b, m, threads=1)
-        assert pool_size() == 0
-        assert_csr_equal(got, scipy_masked_spgemm(a, b, m))
+        for backend in ("thread", "process"):
+            got = _parallel(a, b, m, threads=1, backend=backend)
+            assert pool_size() == 0
+            assert_csr_equal(got, scipy_masked_spgemm(a, b, m))
 
 
 class TestParallelDriver:
     @pytest.mark.parametrize("partition", ["block", "cyclic", "balanced"])
-    @pytest.mark.parametrize("backend", ["serial", "threads"])
+    @pytest.mark.parametrize("backend", ["serial", pytest.param("thread", id="threads")])
     def test_matches_oracle(self, partition, backend, small_triple):
         """The row splits the deleted partition option named, as spelled now:
         equal-count blocks are the grid's row blocks, flop-balanced parts
-        the row-parallel door's own, and round-robin rows no spelling at
-        all: the door takes no ``partition`` keyword."""
+        a forced thread count's own, and round-robin rows no spelling at
+        all: the planner takes no ``partition`` keyword."""
         a, b, m = small_triple
         want = scipy_masked_spgemm(a, b, m)
         if partition == "block":
             got = masked_spgemm(a, b, m, shards=(4, 1), backend=backend)
         else:
             if partition == "cyclic":
-                assert partition not in repr(inspect.signature(parallel_masked_spgemm))
-            got = parallel_masked_spgemm(a, b, m, threads=4, backend=backend)
+                assert partition not in repr(inspect.signature(Planner.plan))
+            got = _parallel(a, b, m, threads=4, backend=backend)
         assert_csr_equal(got, want)
 
     @pytest.mark.parametrize("algo", ["msa", "hash", "mca", "inner"])
     def test_all_fast_algos(self, algo, small_triple):
         a, b, m = small_triple
         want = scipy_masked_spgemm(a, b, m)
-        got = parallel_masked_spgemm(a, b, m, algo=algo, threads=3)
+        got = _parallel(a, b, m, algo=algo, threads=3)
         assert_csr_equal(got, want)
 
     def test_complement(self, small_triple):
         a, b, m = small_triple
         want = scipy_masked_spgemm(a, b, m, complement=True)
-        got = parallel_masked_spgemm(a, b, m, threads=4, complement=True)
+        got = _parallel(a, b, m, threads=4, complement=True)
         assert_csr_equal(got, want)
 
     def test_more_threads_than_rows(self):
         a = random_csr(3, 5, 2, seed=61)
         b = random_csr(5, 4, 2, seed=62)
         m = random_csr(3, 4, 2, seed=63)
-        got = parallel_masked_spgemm(a, b, m, threads=16)
+        got = _parallel(a, b, m, threads=16)
         assert_csr_equal(got, scipy_masked_spgemm(a, b, m))
 
     def test_single_thread(self, small_triple):
         a, b, m = small_triple
-        got = parallel_masked_spgemm(a, b, m, threads=1)
+        got = _parallel(a, b, m, threads=1)
         assert_csr_equal(got, scipy_masked_spgemm(a, b, m))
 
     def test_counter_merged_across_workers(self, small_triple):
         a, b, m = small_triple
         serial = OpCounter()
-        parallel_masked_spgemm(a, b, m, threads=1, counter=serial)
+        _parallel(a, b, m, threads=1, counter=serial)
         merged = OpCounter()
-        parallel_masked_spgemm(a, b, m, threads=4, counter=merged)
+        _parallel(a, b, m, threads=4, counter=merged)
         # work decomposition must not change the total useful flops
         assert merged.flops == serial.flops
         assert merged.output_nnz == serial.output_nnz
 
     def test_deterministic_regardless_of_threads(self, small_triple):
         a, b, m = small_triple
-        r1 = parallel_masked_spgemm(a, b, m, threads=1)
-        r4 = parallel_masked_spgemm(a, b, m, threads=4, backend="process")
+        r1 = _parallel(a, b, m, threads=1)
+        r4 = _parallel(a, b, m, threads=4, backend="process")
         assert r1.equals(r4)
 
     def test_validation(self, small_triple):
         a, b, m = small_triple
         for bad in (0, 2.5, "2"):
             with pytest.raises(ValueError, match="threads must be positive"):
-                parallel_masked_spgemm(a, b, m, threads=bad)
-        with pytest.raises(ValueError, match="backend"):
-            parallel_masked_spgemm(a, b, m, backend="mpi")
-        assert "partition" not in inspect.signature(parallel_masked_spgemm).parameters
+                _parallel(a, b, m, threads=bad)
+        # one name per backend: "threads" was a second spelling of "thread"
+        for bad in ("mpi", "threads"):
+            with pytest.raises(ValueError, match="backend must be one of"):
+                _parallel(a, b, m, threads=2, backend=bad)
+        assert "partition" not in inspect.signature(Planner.plan).parameters

@@ -27,12 +27,12 @@ import numpy as np
 import pytest
 
 from repro.core import masked_spgemm
+from repro import engine
 from repro.engine import (
     Fingerprint,
     execute,
     fingerprint_csr,
     plan,
-    plan_and_execute,
 )
 from repro.graphs import erdos_renyi, rmat
 from repro.machine import OpCounter
@@ -43,6 +43,8 @@ from repro.parallel import (
     shutdown_pool,
 )
 from repro.sparse import CSR, read_mtx
+
+from .conftest import grid_every_product
 
 DATA = Path(__file__).parent.parent / "data"
 BACKENDS = ("serial", "thread", "process")
@@ -269,12 +271,15 @@ class TestFingerprint:
 # and knobs alone (the class keeps its name so the tests keep their ids)
 # ----------------------------------------------------------------------
 def _executed_plan(a, b, m, **kw) -> dict:
-    """The plan a ``plan_and_execute`` call ran (its ``engine.execute``
-    span)."""
+    """The plan an ``algo="auto"`` call ran (its ``engine.execute`` span):
+    the door's, or — for a forced ``threads=`` — one the caller holds."""
     from repro.observe import tracing
 
     with tracing() as tr:
-        plan_and_execute(a, b, m, **kw)
+        if "threads" in kw:
+            execute(plan(a, b, m, **kw), a, b, m)
+        else:
+            masked_spgemm(a, b, m, algo="auto", **kw)
     (run,) = [sp for sp in tr.spans if sp.name == "engine.execute"]
     return run.attrs["plan"]
 
@@ -333,7 +338,7 @@ class TestPlanCache:
             assert _executed_plan(a, b, m) == native.as_dict()
             assert _executed_plan(a, b, m, semiring=MIN_PLUS) == numpy.as_dict()
             with pytest.raises(TypeError, match="machine"):
-                plan_and_execute(a, b, m, machine=KNL)
+                masked_spgemm(a, b, m, algo="auto", machine=KNL)
 
     def test_foreign_planner_honoured_uncached(self, square_problem):
         # a planner of a profile the caller holds is honoured through its
@@ -352,17 +357,20 @@ class TestPlanCache:
         assert len(pl.bands) > 1
         _same(got, masked_spgemm(a, b, m, algo="auto"))
         with pytest.raises(TypeError, match="planner"):
-            plan_and_execute(a, b, m, planner=Planner(SPLIT_FREE))
+            masked_spgemm(a, b, m, algo="auto", planner=Planner(SPLIT_FREE))
 
-    def test_plan_and_execute_threads_machine_into_session(self,
-                                                           square_problem):
-        # plan_and_execute runs the plan the door's auto call runs
+    def test_door_runs_the_plan_engine_plan_makes(self, square_problem):
+        # the door's planned call runs the plan engine.plan makes: plan ->
+        # execute is the one public spelling of a planned call
         from repro.observe import tracing
 
         a, b, m = square_problem
-        ref = masked_spgemm(a, b, m, algo="auto", backend="serial")
+        assert set(engine.__all__) == {
+            "ExecutionPlan", "RowBand", "ShardGrid", "Planner", "plan", "execute",
+            "Fingerprint", "fingerprint_csr"}
+        ref = execute(plan(a, b, m, backend="serial"), a, b, m)
         with tracing() as tr:
-            got = plan_and_execute(a, b, m, backend="serial")
+            got = masked_spgemm(a, b, m, algo="auto", backend="serial")
         (run,) = [sp for sp in tr.spans if sp.name == "engine.execute"]
         assert run.attrs["plan"] == plan(a, b, m, backend="serial").as_dict()
         _same(got, ref)
@@ -434,8 +442,8 @@ class TestDerivedCaches:
 def _process_run(a, b, m, algo="msa", parts=2, backend="process"):
     """A forced ``algo`` plan cut into ``parts`` row parts."""
     counter = OpCounter()
-    pl = plan(a, b, m, algo=algo, threads=parts)
-    c = execute(pl, a, b, m, backend=backend, counter=counter)
+    pl = plan(a, b, m, algo=algo, threads=parts, backend=backend)
+    c = execute(pl, a, b, m, counter=counter)
     return c, counter
 
 
@@ -522,12 +530,12 @@ class TestEquivalence:
             pytest.skip("no process backend")
         a, b, m = square_problem
         cold = OpCounter()
-        ref = plan_and_execute(a, b, m, phases=phases, threads=2,
-                               backend=backend, counter=cold)
+        pl = plan(a, b, m, phases=phases, threads=2, backend=backend)
+        ref = execute(pl, a, b, m, counter=cold)
         for _ in range(2):  # later calls find nothing left by earlier ones
             warm = OpCounter()
-            got = plan_and_execute(a, b, m, phases=phases, threads=2,
-                                   backend=backend, counter=warm)
+            got = execute(plan(a, b, m, phases=phases, threads=2, backend=backend),
+                          a, b, m, counter=warm)
             _same(got, ref)
             assert warm.as_dict() == cold.as_dict()
             assert not any(getattr(warm, f) for f in REUSE_FIELDS)
@@ -593,20 +601,21 @@ class TestApps:
         assert res.iterations > 1
 
     @needs_process
-    def test_bc_batch_process_backend_reuses_segments(self, published):
+    def test_bc_batch_process_backend_reuses_segments(self, published, monkeypatch):
         # the CI smoke case: a BC batch on R-MAT over the process backend
-        # equals the serial one, publishes each operand once per product
-        # (the sweep's products read one matrix in several roles) and leaks
-        # nothing
+        # (every product on a two-block grid) equals the serial one,
+        # publishes each operand once per product (the sweep's products read
+        # one matrix in several roles) and leaks nothing
         from repro.apps import betweenness_centrality
 
         g = rmat(7, seed=11)
         ref = betweenness_centrality(g, batch_size=16, algo="auto", seed=1,
                                      session=False)
         counter = OpCounter()
+        grid_every_product(monkeypatch, "betweenness", _PROCESS_GRID[0]["shards"])
         got = betweenness_centrality(g, batch_size=16, algo="auto", seed=1,
                                      counter=counter, session=False,
-                                     **_PROCESS_GRID[0])
+                                     backend="process")
         assert np.array_equal(got.centrality, ref.centrality)
         assert published
         per_group = {}

@@ -38,6 +38,8 @@ from repro.observe import tracing
 from repro.parallel import active_segments, shutdown_pool
 from repro.sparse import CSR, read_mtx, split_columns
 
+from .conftest import grid_every_product
+
 pytestmark = pytest.mark.backend
 
 DATA = Path(__file__).parent.parent / "data"
@@ -383,10 +385,10 @@ class TestPruningAndSessions:
             assert active_segments() == ()
 
     def test_sessioned_ktruss_reuses_shards(self, monkeypatch):
-        """Under the kept ``session=False`` spelling, the loop's first
-        product reads one matrix as A, B and M: it publishes A and B's two
-        panels once for all five roles, and no product publishes an operand
-        twice."""
+        """Under the kept ``session=False`` spelling, with every product on
+        a 2x2 grid, the loop's first product reads one matrix as A, B and M:
+        it publishes A and B's two panels once for all five roles, and no
+        product publishes an operand twice."""
         from repro.apps import ktruss
         from repro.parallel import shm
 
@@ -400,8 +402,8 @@ class TestPruningAndSessions:
             return publish(group, mat)
 
         monkeypatch.setattr(shm.SegmentGroup, "publish_csr", recorded)
-        res = ktruss(g, k=3, algo="msa", shards=(2, 2), backend="process",
-                     session=False)
+        grid_every_product(monkeypatch, "ktruss", (2, 2))
+        res = ktruss(g, k=3, algo="msa", backend="process", session=False)
         _same(res.truss, base.truss)
         per_group = {}
         for group, mat in published:
