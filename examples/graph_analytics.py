@@ -1,46 +1,45 @@
 #!/usr/bin/env python3
-"""Graph analytics through the GraphBLAS-style interface.
+"""Graph analytics through the one masked-product entry point.
 
-The paper's benchmark harness plugs masked-SpGEMM algorithms behind the
-GraphBLAS API (Section 7).  This example shows that interface end-to-end:
+The paper's benchmark harness swaps masked-SpGEMM algorithms behind
+GraphBLAS's one `mxm` call (Section 7); here that call is
+`masked_spgemm(A, B, M, algo=...)`.  This example shows it end-to-end:
 
-* `mxm` with masks, complements and pluggable algorithms,
-* triangle counting written as three GraphBLAS calls,
+* triangle counting as one masked product and a reduction, for several
+  algorithms and `algo="auto"`,
+* the mask's effect against the unmasked product,
 * direction-optimized BFS (masked SpMV push-pull),
 * Markov clustering of a modular graph.
 
-Run:  python examples/graph_analytics_gb.py
+Run:  python examples/graph_analytics.py
 """
 
 import numpy as np
 
-import repro.graphblas as gb
 from repro.apps import direction_optimized_bfs, markov_clustering
+from repro.core import masked_spgemm, spgemm_saxpy_fast
 from repro.graphs import block_diagonal_dense, rmat
 from repro.semiring import PLUS_PAIR
+from repro.sparse import reduce_sum
 
 
-def triangle_counting_gb() -> None:
+def triangle_counting() -> None:
     g = rmat(10, seed=1)
-    print(f"=== triangle counting via gb.mxm (n={g.nrows}) ===")
-    a = gb.Matrix.from_csr(g)
-    low = gb.Matrix.from_csr(g.tril(-1))
-    for algo in ("msa", "mca", "inner", "hybrid"):
-        c = gb.mxm(low, low, mask=low, semiring=PLUS_PAIR,
-                   desc=gb.Descriptor(algo=algo))
-        print(f"  algo={algo:7s} triangles = {int(c.reduce_scalar())}")
+    print(f"=== triangle counting via masked_spgemm (n={g.nrows}) ===")
+    low = g.tril(-1)
+    for algo in ("msa", "mca", "inner", "auto"):
+        c = masked_spgemm(low, low, low, algo=algo, semiring=PLUS_PAIR)
+        print(f"  algo={algo:7s} triangles = {int(reduce_sum(c))}")
 
 
 def masked_vs_unmasked() -> None:
-    g = rmat(9, seed=2)
-    a = gb.Matrix.from_csr(g)
-    low = gb.Matrix.from_csr(g.tril(-1))
-    full = gb.mxm(low, low)  # no mask: full product
-    masked = gb.mxm(low, low, mask=low)
+    low = rmat(9, seed=2).tril(-1)
+    full = spgemm_saxpy_fast(low, low)  # no mask: full product
+    masked = masked_spgemm(low, low, low)
     print(f"\n=== the mask's effect ===\n"
-          f"  unmasked product: {full.nvals} entries\n"
-          f"  masked product:   {masked.nvals} entries "
-          f"({masked.nvals / max(1, full.nvals):.1%} kept)")
+          f"  unmasked product: {full.nnz} entries\n"
+          f"  masked product:   {masked.nnz} entries "
+          f"({masked.nnz / max(1, full.nnz):.1%} kept)")
 
 
 def bfs_push_pull() -> None:
@@ -63,7 +62,7 @@ def clustering() -> None:
 
 
 def main() -> None:
-    triangle_counting_gb()
+    triangle_counting()
     masked_vs_unmasked()
     bfs_push_pull()
     clustering()

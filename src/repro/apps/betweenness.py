@@ -53,7 +53,8 @@ from ..observe import timed_span
 from ..semiring import PLUS_TIMES
 from ..sparse import CSC, CSR, ewise_add, locate
 from ..core import masked_spgemm
-from ..core.masked_spgemm import supports_complement
+from ..core.leaf import algo_key, supports_complement
+from .bfs import source_array
 
 __all__ = ["betweenness_centrality", "BetweennessResult"]
 
@@ -104,7 +105,7 @@ def betweenness_centrality(
     """
     if session is not None and session is not False:
         raise TypeError(f"session= takes None or False (sessions were removed), got {session!r}")
-    if not supports_complement(algo):
+    if not supports_complement(algo_key(algo)):
         raise ValueError(
             f"{algo} cannot run BC: the forward sweep needs a complemented "
             "mask (the paper excludes MCA and Inner here too)"
@@ -118,7 +119,7 @@ def betweenness_centrality(
         rng = np.random.default_rng(seed)
         k = min(batch_size, n)
         sources = rng.choice(n, size=k, replace=False)
-    sources = np.asarray(list(sources), dtype=np.int64)
+    sources = source_array(sources, n)
     s = sources.shape[0]
     counter = counter if counter is not None else OpCounter()
     # stage spans: per-step forward (complemented mask) / backward (plain

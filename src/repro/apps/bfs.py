@@ -26,6 +26,16 @@ from ..core import masked_spgemm
 __all__ = ["multi_source_bfs", "BFSResult"]
 
 
+def source_array(sources: Sequence[int], n: int) -> np.ndarray:
+    """``sources`` as an int64 array; an index outside ``[0, n)`` is
+    ``ValueError("source out of range")`` (a negative one would alias
+    from the end)."""
+    sources = np.asarray(list(sources), dtype=np.int64)
+    if sources.size and (sources.min() < 0 or sources.max() >= n):
+        raise ValueError("source out of range")
+    return sources
+
+
 @dataclass
 class BFSResult:
     """levels[q, v] = BFS depth of v from sources[q]; -1 if unreachable."""
@@ -48,7 +58,7 @@ def multi_source_bfs(
     n = a.nrows
     if a.ncols != n:
         raise ValueError("adjacency must be square")
-    sources = np.asarray(list(sources), dtype=np.int64)
+    sources = source_array(sources, n)
     s = sources.shape[0]
     levels = np.full((s, n), -1, dtype=np.int64)
     levels[np.arange(s), sources] = 0

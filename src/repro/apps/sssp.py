@@ -25,6 +25,7 @@ from ..machine import OpCounter
 from ..semiring import MIN_PLUS
 from ..sparse import CSR
 from ..core.spmv import masked_spmv_push
+from .bfs import source_array
 
 __all__ = ["sssp", "SSSPResult"]
 
@@ -51,9 +52,7 @@ def sssp(
         raise ValueError("adjacency must be square")
     if a.nnz and a.data.min() < 0:
         raise ValueError("sssp requires non-negative edge weights")
-    sources = np.asarray(list(sources), dtype=np.int64)
-    if sources.size and (sources.min() < 0 or sources.max() >= n):
-        raise ValueError("source out of range")
+    sources = source_array(sources, n)
     rounds_cap = max_rounds if max_rounds is not None else n
     dist = np.full((sources.shape[0], n), np.inf)
     total_rounds = 0

@@ -34,14 +34,23 @@ from ..machine import OpCounter
 from ..semiring import PLUS_TIMES, Semiring
 from ..sparse import CSC, CSR
 
-__all__ = ["masked_spmv_push", "masked_spmv_pull", "masked_spmv"]
+__all__ = ["masked_spmv_push", "masked_spmv_pull"]
 
 
-def _as_indices(pattern: np.ndarray) -> np.ndarray:
+def _as_indices(pattern: np.ndarray, n: int) -> np.ndarray:
+    """The index array of a length-``n`` boolean pattern or of an index
+    pattern; a boolean pattern of another length, or an index outside
+    ``[0, n)``, is a ``ValueError`` (a negative index would alias from the
+    end)."""
     pattern = np.asarray(pattern)
     if pattern.dtype == bool:
+        if pattern.shape != (n,):
+            raise ValueError(f"boolean pattern must have length {n}, got shape {pattern.shape}")
         return np.flatnonzero(pattern)
-    return pattern.astype(np.int64)
+    idx = pattern.astype(np.int64)
+    if idx.size and (idx.min() < 0 or idx.max() >= n):
+        raise ValueError(f"pattern index out of range [0, {n})")
+    return idx
 
 
 def masked_spmv_push(
@@ -71,10 +80,10 @@ def masked_spmv_push(
     (y_vals, y_pattern):
         Dense values and a boolean pattern of the output.
     """
-    xs = _as_indices(x_pattern)
+    xs = _as_indices(x_pattern, a.nrows)
     n = a.ncols
     allowed = np.zeros(n, dtype=bool)
-    midx = _as_indices(mask_pattern)
+    midx = _as_indices(mask_pattern, n)
     allowed[midx] = True
     if complement:
         allowed = ~allowed
@@ -113,11 +122,10 @@ def masked_spmv_pull(
     from its in-neighbours.  Complement is not supported (like Inner)."""
     n = a_csc.ncols
     in_x = np.zeros(a_csc.nrows, dtype=bool)
-    xs = _as_indices(x_pattern)
-    in_x[xs] = True
+    in_x[_as_indices(x_pattern, a_csc.nrows)] = True
     y = np.full(n, semiring.add_identity, dtype=np.float64)
     hit = np.zeros(n, dtype=bool)
-    midx = _as_indices(mask_pattern)
+    midx = _as_indices(mask_pattern, n)
     if midx.shape[0] == 0:
         return y, hit
     starts = a_csc.indptr[midx]
@@ -137,52 +145,3 @@ def masked_spmv_pull(
     semiring.add_ufunc.at(y, slot[keep], np.asarray(vals))
     hit[slot[keep]] = True
     return y, hit
-
-
-#: ``direction="auto"`` pulls when the pulled work is this many times
-#: smaller than the pushed expansion
-PULL_FACTOR = 4.0
-
-
-def masked_spmv(
-    a: CSR,
-    x_vals: np.ndarray,
-    x_pattern: np.ndarray,
-    mask_pattern: np.ndarray,
-    *,
-    direction: str = "auto",
-    complement: bool = False,
-    semiring: Semiring = PLUS_TIMES,
-    a_csc: Optional[CSC] = None,
-    counter: Optional[OpCounter] = None,
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Direction-optimized masked SpMV.
-
-    ``direction``: ``"push"``, ``"pull"`` or ``"auto"``.  Auto chooses pull
-    when the pulled work is :data:`PULL_FACTOR` times smaller than the
-    expansion work would be (the Section 4.3 criterion for vectors) and a
-    CSC of ``A`` is available;
-    complemented masks always push (pull cannot enumerate the complement).
-    """
-    if direction not in ("push", "pull", "auto"):
-        raise ValueError("direction must be 'push', 'pull' or 'auto'")
-    xs = _as_indices(x_pattern)
-    midx = _as_indices(mask_pattern)
-    if direction == "auto":
-        if complement or a_csc is None:
-            direction = "push"
-        else:
-            push_work = int(np.sum(a.row_nnz()[xs])) if xs.shape[0] else 0
-            pull_work = int(np.sum(a_csc.col_nnz()[midx])) if midx.shape[0] else 0
-            direction = "pull" if pull_work * PULL_FACTOR < push_work else "push"
-    if direction == "pull":
-        if complement:
-            raise ValueError("pull direction cannot apply a complemented mask")
-        csc = a_csc if a_csc is not None else CSC.from_csr(a)
-        return masked_spmv_pull(
-            csc, x_vals, x_pattern, mask_pattern, semiring=semiring, counter=counter
-        )
-    return masked_spmv_push(
-        a, x_vals, x_pattern, mask_pattern,
-        complement=complement, semiring=semiring, counter=counter,
-    )

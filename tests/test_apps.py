@@ -477,6 +477,16 @@ class TestBetweenness:
             with pytest.raises(ValueError, match="complement"):
                 betweenness_centrality(graph, sources=[0], algo=algo)
 
+    @pytest.mark.parametrize("sources", [[-1], [64], [0, 64]], ids=["negative", "n", "past-n"])
+    def test_rejects_out_of_range_sources(self, sources):
+        with pytest.raises(ValueError, match="source out of range"):
+            betweenness_centrality(rmat(6), sources=sources)
+
+    @pytest.mark.parametrize("algo", [3, None])
+    def test_rejects_unknown_algo(self, graph, algo):
+        with pytest.raises(ValueError, match="unknown algorithm"):
+            betweenness_centrality(graph, sources=[0], algo=algo)
+
     def test_path_graph_exact(self):
         n = 6
         idx = np.arange(n - 1)
@@ -523,6 +533,11 @@ class TestBFS:
         base = multi_source_bfs(graph, [2, 9], algo="msa")
         got = multi_source_bfs(graph, [2, 9], algo=algo)
         assert np.array_equal(base.levels, got.levels)
+
+    @pytest.mark.parametrize("sources", [[-1], [64], [0, 64]], ids=["negative", "n", "past-n"])
+    def test_rejects_out_of_range_sources(self, sources):
+        with pytest.raises(ValueError, match="source out of range"):
+            multi_source_bfs(rmat(6), sources)
 
     def test_rmat_bfs_depth_small(self):
         g = rmat(8, seed=1)

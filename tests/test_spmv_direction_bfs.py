@@ -1,15 +1,17 @@
 """Tests for masked SpMV (push/pull) and direction-optimized BFS — the
 SpMV-level masking the paper traces its lineage to (Section 4)."""
 
+import inspect
+
 import networkx as nx
 import numpy as np
 import pytest
 
 from repro.apps import direction_optimized_bfs, multi_source_bfs
-from repro.core import masked_spmv, masked_spmv_pull, masked_spmv_push
-from repro.graphs import erdos_renyi_graph, rmat
+from repro.core import masked_spmv_pull, masked_spmv_push
+from repro.graphs import erdos_renyi, erdos_renyi_graph, rmat
 from repro.machine import OpCounter
-from repro.semiring import MIN_PLUS, PLUS_PAIR
+from repro.semiring import MIN_PLUS
 from repro.sparse import CSC
 
 from .conftest import random_csr
@@ -43,9 +45,12 @@ class TestMaskedSpMV:
     def test_pull_matches_push(self, spmv_setup):
         a, x_vals, x_pat, m_pat = spmv_setup
         yp, hp = masked_spmv_push(a, x_vals, x_pat, m_pat)
-        yl, hl = masked_spmv_pull(CSC.from_csr(a), x_vals, x_pat, m_pat)
+        c = OpCounter()
+        yl, hl = masked_spmv_pull(CSC.from_csr(a), x_vals, x_pat, m_pat, counter=c)
         assert np.array_equal(hp, hl)
         assert np.allclose(yp[hp], yl[hl])
+        # pull visits only the mask's columns
+        assert c.mask_scans == int(m_pat.sum())
 
     def test_complement_push(self, spmv_setup):
         a, x_vals, x_pat, m_pat = spmv_setup
@@ -55,26 +60,12 @@ class TestMaskedSpMV:
         assert np.allclose(want[~hit], 0.0)
 
     def test_pull_rejects_complement(self, spmv_setup):
+        """Pull enumerates the mask, so it cannot apply a complemented one:
+        the kernel takes no ``complement`` at all."""
         a, x_vals, x_pat, m_pat = spmv_setup
-        with pytest.raises(ValueError, match="complement"):
-            masked_spmv(a, x_vals, x_pat, m_pat, direction="pull",
-                        complement=True)
-
-    def test_auto_direction_picks_pull_for_sparse_mask(self):
-        a = random_csr(200, 200, 16, seed=3)
-        csc = CSC.from_csr(a)
-        x_vals = np.ones(200)
-        x_pat = np.ones(200, dtype=bool)  # huge frontier
-        m_pat = np.zeros(200, dtype=bool)
-        m_pat[:2] = True  # tiny mask
-        c_pull = OpCounter()
-        masked_spmv(a, x_vals, x_pat, m_pat, direction="auto", a_csc=csc,
-                    counter=c_pull)
-        c_push = OpCounter()
-        masked_spmv(a, x_vals, x_pat, m_pat, direction="push", counter=c_push)
-        # pull touched only the 2 masked columns; push expanded everything
-        assert c_pull.mask_scans == 2
-        assert c_push.accum_inserts > 100 * c_pull.mask_scans
+        assert "complement" not in inspect.signature(masked_spmv_pull).parameters
+        with pytest.raises(TypeError, match="complement"):
+            masked_spmv_pull(CSC.from_csr(a), x_vals, x_pat, m_pat, complement=True)
 
     def test_index_patterns_accepted(self, spmv_setup):
         a, x_vals, x_pat, m_pat = spmv_setup
@@ -110,10 +101,22 @@ class TestMaskedSpMV:
         )
         assert not hit.any()
 
-    def test_bad_direction(self, spmv_setup):
-        a, x_vals, x_pat, m_pat = spmv_setup
-        with pytest.raises(ValueError, match="direction"):
-            masked_spmv(a, x_vals, x_pat, m_pat, direction="sideways")
+    @pytest.mark.parametrize("kernel", ["push", "pull"])
+    @pytest.mark.parametrize("which", ["x", "mask"])
+    @pytest.mark.parametrize("pattern", [[-1], [8], [0, 9], np.ones(7, dtype=bool),
+                                         np.ones(9, dtype=bool)],
+                             ids=["negative", "n", "past-n", "short-bool", "long-bool"])
+    def test_bad_patterns_raise(self, kernel, which, pattern):
+        """A pattern index outside ``[0, n)`` or a boolean pattern of another
+        length is a ``ValueError``, not an alias from the end or a numpy
+        indexing error."""
+        a = erdos_renyi(8, 8, 3, seed=1)
+        op = a if kernel == "push" else CSC.from_csr(a)
+        kernel_fn = masked_spmv_push if kernel == "push" else masked_spmv_pull
+        good = np.array([0, 1])
+        x_pat, m_pat = (pattern, good) if which == "x" else (good, pattern)
+        with pytest.raises(ValueError, match="pattern"):
+            kernel_fn(op, np.ones(8), x_pat, m_pat)
 
 
 class TestDirectionOptimizedBFS:
