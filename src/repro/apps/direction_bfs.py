@@ -7,27 +7,25 @@ of the graph, *pull* — every unvisited vertex checks its in-neighbours for
 frontier membership, which is a masked SpMV whose mask is the unvisited
 set.
 
-The per-level direction choice has two modes.  The default is the standard
-work heuristic: pull when the frontier's outgoing-edge count exceeds
-``alpha`` times the unexplored edge count (Beamer's parameterisation,
-simplified).  With ``machine=`` the decision instead goes through the
-machine cost model (:func:`repro.machine.estimate_spmv_direction`), which
-prices both directions in cycles from the frontier/unvisited statistics —
-the memory-hierarchy accounting :class:`~repro.machine.RowCostModel` uses
-for the paper's SpGEMM figures.  Every level
-records its decision, the modeled cycle estimates and the frontier density
-in an ``app.bfs.level`` span, which the prediction ledger
-(:mod:`repro.observe.ledger`) pairs with the level's measured time.
+The per-level direction choice is the standard work heuristic: pull when
+the frontier's outgoing-edge count exceeds ``1/alpha`` of the unexplored
+edge count (Beamer's parameterisation, simplified) — an O(1) frontier
+ratio, the kind of switch Yang, Buluç & Owens use in GraphBLAS.  Every
+level records its direction, what decided it (``alpha`` or ``forced``),
+its number and the frontier's density and edge count in an
+``app.bfs.level`` span.
 """
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass, field
 from typing import List, Optional
 
 import numpy as np
 
-from ..machine import OpCounter, estimate_spmv_direction, resolve_machine
+from ..machine import OpCounter
 from ..observe import tracer as _obs
 from ..semiring import PLUS_PAIR
 from ..sparse import CSC, CSR
@@ -51,18 +49,14 @@ def direction_optimized_bfs(
     *,
     alpha: float = 4.0,
     force: Optional[str] = None,
-    machine=None,
     counter: Optional[OpCounter] = None,
 ) -> DirectionBFSResult:
     """BFS from ``source`` with per-level push/pull direction optimization.
 
+    ``alpha``: pull when the frontier's out-edges exceed ``1/alpha`` of
+    the unexplored edges; a finite number > 0 (``ValueError`` otherwise).
     ``force``: pin the direction to ``"push"`` or ``"pull"`` (for the
     ablation bench); default chooses per level.
-
-    ``machine``: a :class:`~repro.machine.MachineConfig` (or a preset name,
-    ``"haswell"`` / ``"knl"``) routes the per-level decision through the
-    cost model's :func:`~repro.machine.estimate_spmv_direction` instead of
-    the ``alpha`` heuristic; ``None`` (default) keeps the heuristic.
     """
     n = a.nrows
     if a.ncols != n:
@@ -71,8 +65,9 @@ def direction_optimized_bfs(
         raise ValueError("source out of range")
     if force not in (None, "push", "pull"):
         raise ValueError("force must be None, 'push' or 'pull'")
-    if machine is not None:
-        machine = resolve_machine(machine)
+    if (isinstance(alpha, bool) or not isinstance(alpha, numbers.Real)
+            or not math.isfinite(alpha) or alpha <= 0):
+        raise ValueError(f"alpha must be a finite number > 0, got {alpha!r}")
     a = a.pattern()
     csc = CSC.from_csr(a)
     deg = a.row_nnz()
@@ -93,21 +88,9 @@ def direction_optimized_bfs(
         frontier_vertices = int(frontier.sum())
         frontier_edges = int(deg[frontier].sum())
         remaining = max(1, total_edges - explored)
-        est = None
         if force is not None:
             direction = force
             decision_source = "forced"
-        elif machine is not None:
-            est = estimate_spmv_direction(
-                frontier_vertices=frontier_vertices,
-                frontier_edges=frontier_edges,
-                unvisited_vertices=n - int(visited.sum()),
-                unvisited_edges=remaining,
-                nvertices=n,
-                machine=machine,
-            )
-            direction = est.direction
-            decision_source = "cost_model"
         else:
             direction = "pull" if frontier_edges * alpha > remaining else "push"
             decision_source = "alpha"
@@ -118,9 +101,7 @@ def direction_optimized_bfs(
                 {"level": depth + 1, "direction": direction,
                  "decision_source": decision_source,
                  "frontier_density": frontier_vertices / max(1, n),
-                 "frontier_edges": frontier_edges,
-                 "est_push_cycles": est.push_cycles if est is not None else 0.0,
-                 "est_pull_cycles": est.pull_cycles if est is not None else 0.0},
+                 "frontier_edges": frontier_edges},
                 counter=counter,
             )
             if tr is not None else _obs.NULL_SPAN

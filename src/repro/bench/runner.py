@@ -238,7 +238,7 @@ def run_cases(
                     f"{_artifact_slug(scheme.name)}__{_artifact_slug(case_name)}",
                 )
                 write_chrome_trace(base + ".trace.json", tracer)
-                write_metrics(base + ".metrics.json", tracer, machine=machine)
+                write_metrics(base + ".metrics.json", tracer)
             else:
                 row[case_name] = measured_seconds(
                     scheme, calls, semiring=semiring, repeats=repeats,

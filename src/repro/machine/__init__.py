@@ -12,12 +12,10 @@ from .calibrate import calibrate_machine, measure_touch_costs
 from .config import HASWELL, KNL, MACHINES, MachineConfig
 from .cost_model import (
     MODEL_ALGOS,
-    DirectionEstimate,
     ModelEstimate,
     RowCostModel,
     estimate_row_cycles,
     estimate_seconds,
-    estimate_spmv_direction,
 )
 from .counters import OpCounter
 from .host import (
@@ -27,7 +25,6 @@ from .host import (
     available_cores,
     fit_host_profile,
     host_profile,
-    resolve_machine,
 )
 from .kernel_traces import TRACEABLE_ALGOS, build_trace, replay_miss_rate
 from .report import breakdown_table, explain
@@ -59,13 +56,10 @@ __all__ = [
     "MachineConfig",
     "MODEL_ALGOS",
     "ModelEstimate",
-    "DirectionEstimate",
     "RowCostModel",
     "estimate_row_cycles",
     "estimate_seconds",
-    "estimate_spmv_direction",
     "OpCounter",
-    "resolve_machine",
     "TRACEABLE_ALGOS",
     "build_trace",
     "replay_miss_rate",

@@ -47,10 +47,8 @@ __all__ = [
     "MODEL_ALGOS",
     "RowCostModel",
     "ModelEstimate",
-    "DirectionEstimate",
     "estimate_row_cycles",
     "estimate_seconds",
-    "estimate_spmv_direction",
     "SYMBOLIC_FACTOR",
 ]
 
@@ -423,64 +421,6 @@ class RowCostModel:
         if key not in MODEL_ALGOS:
             raise ValueError(f"unknown algorithm {algo!r}; expected one of {MODEL_ALGOS}")
         return getattr(self, key)(phases=phases)
-
-
-@dataclass(frozen=True)
-class DirectionEstimate:
-    """Modeled cycles for one push vs pull masked-SpMV step (BFS level)."""
-
-    push_cycles: float
-    pull_cycles: float
-
-    @property
-    def direction(self) -> str:
-        """The modeled-cheaper side (ties go to push, like the paper's
-        direction-optimizing baseline at ``alpha -> inf``)."""
-        return "pull" if self.pull_cycles < self.push_cycles else "push"
-
-
-def estimate_spmv_direction(
-    *,
-    frontier_vertices: int,
-    frontier_edges: int,
-    unvisited_vertices: int,
-    unvisited_edges: int,
-    nvertices: int,
-    machine: MachineConfig,
-) -> DirectionEstimate:
-    """Cost-model estimate of one BFS level's push vs pull masked SpMV.
-
-    Replaces :func:`repro.apps.direction_bfs`'s ad-hoc ``alpha`` constant
-    with the same memory-hierarchy accounting the SpGEMM figures use
-    (Yang/Buluç/Owens' measured-density signal, PAPERS.md):
-
-    * **push** streams the frontier rows' adjacency (one multiply-add and
-      one random touch into the visited array per edge);
-    * **pull** scans each unvisited vertex's in-edges with the branchy
-      two-pointer merge until it hits a frontier member — expected scan
-      length ``min(avg_degree, 1/frontier_density)`` per vertex, the
-      early-exit that makes pull win on dense frontiers.
-    """
-    m = machine
-    n = max(1, int(nvertices))
-    visited_ws = np.asarray([2.0 * n * WORD])
-    touch = float(_random_touch_cycles(visited_ws, m)[0])
-    push = float(frontier_edges) * (m.flop_cycles + touch) + float(
-        frontier_vertices
-    ) * (2.0 * m.hit_cycles)
-    density = float(frontier_vertices) / n
-    if unvisited_vertices > 0 and unvisited_edges > 0:
-        avg_deg = float(unvisited_edges) / float(unvisited_vertices)
-        expected = float(unvisited_vertices) * min(
-            avg_deg, 1.0 / max(density, 1.0 / n)
-        )
-        scanned = min(float(unvisited_edges), expected)
-    else:
-        scanned = 0.0
-    pull = scanned * (MERGE_CYCLES * m.flop_cycles + touch) + float(
-        unvisited_vertices
-    ) * (2.0 * m.hit_cycles)
-    return DirectionEstimate(push_cycles=push, pull_cycles=pull)
 
 
 def estimate_row_cycles(

@@ -43,14 +43,12 @@ from typing import Dict, Optional, Tuple
 import numpy as np
 
 from .calibrate import _time_best
-from .config import MACHINES, MachineConfig
 
 __all__ = [
     "HostProfile",
     "HOST",
     "HOST_NATIVE",
     "host_profile",
-    "resolve_machine",
     "available_cores",
     "fit_host_profile",
 ]
@@ -139,29 +137,6 @@ def host_profile(semiring=None, *values) -> HostProfile:
 
     live = native.load() if semiring is None else native.kernels(semiring, *values)
     return HOST if live is None else HOST_NATIVE
-
-
-def resolve_machine(machine):
-    """Resolve a ``machine=`` argument: ``None`` is this host
-    (:func:`host_profile`), a :class:`HostProfile` or
-    :class:`~repro.machine.MachineConfig` is itself, and a string names one
-    of the paper's machines (``"haswell"``, ``"knl"``; any case)."""
-    if machine is None:
-        return host_profile()
-    if isinstance(machine, (MachineConfig, HostProfile)):
-        return machine
-    if isinstance(machine, str):
-        preset = MACHINES.get(machine.lower())
-        if preset is None:
-            raise ValueError(
-                f"unknown machine {machine!r}; expected None (this host), a "
-                f"HostProfile, a MachineConfig or one of {sorted(MACHINES)}"
-            )
-        return preset
-    raise TypeError(
-        f"machine must be a MachineConfig, a HostProfile, a name or None, "
-        f"got {type(machine)!r}"
-    )
 
 
 # ----------------------------------------------------------------------

@@ -19,7 +19,6 @@ check — see :mod:`repro.observe.tracer` for the contract and
 from .exporters import (
     METRICS_SCHEMA_VERSION,
     chrome_trace,
-    estimated_bytes_moved,
     metrics,
     write_chrome_trace,
     write_metrics,
@@ -58,7 +57,6 @@ __all__ = [
     "METRICS_SCHEMA_VERSION",
     "chrome_trace",
     "metrics",
-    "estimated_bytes_moved",
     "write_chrome_trace",
     "write_metrics",
     "report",

@@ -19,7 +19,7 @@ import sys
 from ..apps import triangle_count_detail
 from ..engine import Planner
 from ..graphs import lower_by_degree, rmat
-from ..machine import HASWELL, OpCounter
+from ..machine import OpCounter
 from ..parallel.pool import process_backend_available, shutdown_pool
 from . import tracing, write_chrome_trace, write_metrics
 from .report import report
@@ -63,7 +63,7 @@ def main(argv=None) -> int:
     trace_path = os.path.join(args.out, "tc_rmat.trace.json")
     metrics_path = os.path.join(args.out, "tc_rmat.metrics.json")
     write_chrome_trace(trace_path, tr)
-    write_metrics(metrics_path, tr, machine=HASWELL)
+    write_metrics(metrics_path, tr)
 
     print(report(tr, plan=pl))
     pids = sorted({sp.pid for sp in tr.spans})

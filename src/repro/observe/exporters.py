@@ -12,7 +12,7 @@ Two machine-readable views of one :class:`~repro.observe.Tracer`:
   name and by phase (symbolic/numeric — the paper's Section 4.4 split),
   operation-counter totals summed over *leaf* instrumentation (kernel and
   symbolic-sweep spans, which partition the work without double counting),
-  and a bytes-moved estimate from the machine model's word accounting.
+  and the prediction ledger (:mod:`repro.observe.ledger`).
 
 Timestamps are ``perf_counter`` seconds; Chrome wants microseconds and only
 relative placement matters, so the export rebases to the earliest span.
@@ -23,13 +23,12 @@ from __future__ import annotations
 import json
 from typing import Dict, List
 
-from .ledger import predictions as _predictions
+from .ledger import _spans, predictions as _predictions
 
 __all__ = [
     "METRICS_SCHEMA_VERSION",
     "chrome_trace",
     "metrics",
-    "estimated_bytes_moved",
     "write_chrome_trace",
     "write_metrics",
 ]
@@ -39,26 +38,15 @@ __all__ = [
 #: downstream consumers of archived metrics JSON can dispatch on it
 #: (2: the "shards" census key is gone; 3: the "runtime" key is gone;
 #: 4: the "probes" key is gone; 5: the "batch" census key is gone;
-#: 6: the "session" key is gone)
-METRICS_SCHEMA_VERSION = 6
+#: 6: the "session" key is gone; 7: the "machine" key and the
+#: bytes-moved estimate are gone)
+METRICS_SCHEMA_VERSION = 7
 
 #: span-name prefixes whose counter deltas partition the counted work:
 #: every operation is charged inside exactly one of these spans, so summing
 #: them reproduces the whole-run counter totals without double counting
 #: (enclosing spans like ``engine.execute`` see the same operations again).
 LEAF_PREFIXES = ("kernel.", "spgemm.symbolic")
-
-_WORD_BYTES = 8  # one index or value word, as in the paper's traffic analysis
-
-
-def _spans(tracer_or_spans) -> list:
-    """Span list of a tracer / span sequence; ``None`` (no tracer was ever
-    enabled) exports as cleanly as an empty trace."""
-    if tracer_or_spans is None:
-        return []
-    spans = getattr(tracer_or_spans, "spans", tracer_or_spans)
-    return list(spans)
-
 
 def chrome_trace(tracer_or_spans) -> dict:
     """Trace Event Format dict (``json.dump`` it, load in Perfetto)."""
@@ -96,40 +84,7 @@ def chrome_trace(tracer_or_spans) -> dict:
     return {"traceEvents": events, "displayTimeUnit": "ms"}
 
 
-def estimated_bytes_moved(counter_totals: Dict[str, int], machine=None) -> int:
-    """Machine-model estimate of memory traffic for given counter totals.
-
-    Word accounting in the spirit of Section 4: each evaluated product
-    reads two operand words and each accumulator/mask/heap interaction
-    touches one word; output nonzeros cost an index and a value word.  This
-    is the same *count-to-traffic* substitution the cost model makes — an
-    estimate for trend reading, not a hardware measurement (the real
-    per-line traffic depends on locality, which
-    :mod:`repro.machine.cache` simulates separately).
-    """
-    g = counter_totals.get
-    words = (
-        2 * g("flops", 0)
-        + g("symbolic_flops", 0)
-        + g("accum_inserts", 0)
-        + g("accum_removes", 0)
-        + g("accum_init", 0)
-        + g("spa_resets", 0)
-        + g("hash_probes", 0)
-        + g("mask_scans", 0)
-        + g("heap_pushes", 0)
-        + g("heap_pops", 0)
-        + 2 * g("output_nnz", 0)
-    )
-    word_bytes = _WORD_BYTES
-    if machine is not None:
-        # round traffic up to whole cache lines per word-burst, the
-        # pessimistic end of the model's line-granularity assumption
-        word_bytes = max(_WORD_BYTES, machine.line_bytes // 8)
-    return int(words) * word_bytes
-
-
-def metrics(tracer_or_spans, *, machine=None) -> dict:
+def metrics(tracer_or_spans) -> dict:
     """Flat metrics summary of a trace (see module docs).
 
     ``tracer_or_spans`` may be ``None`` (tracing was never enabled): the
@@ -157,15 +112,13 @@ def metrics(tracer_or_spans, *, machine=None) -> dict:
         wall = max(sp.t1 for sp in spans) - min(sp.t0 for sp in spans)
     return {
         "schema_version": METRICS_SCHEMA_VERSION,
-        "predictions": _predictions(spans, machine=machine),
+        "predictions": _predictions(spans),
         "span_count": len(spans),
         "process_count": len(pids),
         "wall_seconds": wall,
         "seconds_by_name": by_name,
         "seconds_by_phase": by_phase,
         "counter_totals": totals,
-        "bytes_moved_estimate": estimated_bytes_moved(totals, machine),
-        "machine": getattr(machine, "name", None),
     }
 
 
@@ -175,10 +128,10 @@ def write_chrome_trace(path, tracer_or_spans) -> None:
         json.dump(chrome_trace(tracer_or_spans), fh, indent=1, default=_jsonable)
 
 
-def write_metrics(path, tracer_or_spans, *, machine=None) -> None:
+def write_metrics(path, tracer_or_spans) -> None:
     """Write :func:`metrics` output as JSON."""
     with open(path, "w") as fh:
-        json.dump(metrics(tracer_or_spans, machine=machine), fh, indent=1, default=_jsonable)
+        json.dump(metrics(tracer_or_spans), fh, indent=1, default=_jsonable)
 
 
 def _jsonable(obj):

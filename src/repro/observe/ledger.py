@@ -7,7 +7,7 @@ already records on all three backends (worker spans arrive via
 :meth:`~repro.observe.Tracer.ingest`, predictions riding in their attrs).
 This module turns a finished trace into *prediction rows*: one
 ``(modeled_cycles, measured_seconds, counters, attrs)``
-record per executed band, work item and push/pull direction decision, plus
+record per executed band and work item, plus
 a per-kind misprediction summary (measured/modeled ratio, MAD of the
 log-ratios, a systematic-bias flag).
 
@@ -33,17 +33,17 @@ __all__ = [
     "format_predictions",
 ]
 
-LEDGER_SCHEMA_VERSION = 2
+#: version of the :func:`predictions` payload (2: the ``modeled_bytes``
+#: column is gone; 3: the ``spmv-direction`` kind is gone)
+LEDGER_SCHEMA_VERSION = 3
 
 #: span name → ledger row kind.  ``engine.band`` covers a plan's row
 #: bands, ``engine.cell`` the work items (band x row part x column panel)
 #: they are cut into on every backend — the plain call is a band with no
-#: item under it — and ``app.bfs.level`` the per-iteration push/pull
-#: decision.
+#: item under it.
 PREDICTION_KINDS = {
     "engine.band": "band",
     "engine.cell": "cell",
-    "app.bfs.level": "spmv-direction",
 }
 
 #: median measured/modeled ratio beyond which the model is flagged as
@@ -52,69 +52,47 @@ _BIAS_THRESHOLD = 2.0
 
 
 def _spans(tracer_or_spans) -> list:
+    """Span list of a tracer / span sequence; ``None`` (no tracer was ever
+    enabled) reads as an empty trace."""
+    if tracer_or_spans is None:
+        return []
     spans = getattr(tracer_or_spans, "spans", tracer_or_spans)
     return list(spans)
 
 
-def _resolve_machine(spans, machine):
-    """The machine to convert modeled cycles to seconds with.
-
-    Prefers the explicit argument; otherwise a trace through the engine is
-    priced by the host profile (every plan stores predicted nanoseconds).
-    """
-    if machine is not None:
-        return machine
-    if any(sp.name == "engine.execute" for sp in spans):
-        return HOST
-    return None
-
-
-def prediction_rows(tracer_or_spans, *, machine=None) -> List[dict]:
-    """One prediction row per executed band / work item / direction
-    decision found in the trace.
+def prediction_rows(tracer_or_spans) -> List[dict]:
+    """One prediction row per executed band / work item found in the trace
+    (``None``, no tracer ever enabled, has none).
 
     Each row carries the model's prediction next to the measurement::
 
         {"kind", "key", "algo", "modeled_cycles", "modeled_seconds",
          "measured_seconds", "counters", "pid", "attrs"}
 
-    ``modeled_seconds`` is ``None`` when no machine is known (pass
-    ``machine=`` or trace through the engine, whose plans are priced from
-    the host profile); rows with no prediction at all (forced bands planned
-    without a cost sweep) keep ``modeled_cycles == 0.0`` and are excluded
-    from ratio statistics but still counted.
+    Plans are priced from the host profile, so ``modeled_cycles`` are
+    nanoseconds and ``modeled_seconds`` is ``modeled_cycles * 1e-9``; rows
+    with no prediction at all (forced bands planned without a cost sweep)
+    keep ``modeled_cycles == 0.0`` and are excluded from ratio statistics
+    but still counted.
     """
-    spans = _spans(tracer_or_spans)
-    m = _resolve_machine(spans, machine)
     rows: List[dict] = []
-    for sp in spans:
+    for sp in _spans(tracer_or_spans):
         kind = PREDICTION_KINDS.get(sp.name)
         if kind is None:
             continue
         attrs = sp.attrs
         if kind == "band":
             key = f"band:{attrs.get('band')}"
-            cycles = float(attrs.get("est_cycles", 0.0) or 0.0)
-        elif kind == "cell":
+        else:  # cell
             cell = attrs.get("cell")
             key = "cell:" + (",".join(str(c) for c in cell) if cell else "?")
-            cycles = float(attrs.get("est_cycles", 0.0) or 0.0)
-        else:  # spmv-direction
-            key = f"level:{attrs.get('level')}"
-            chosen = attrs.get("direction")
-            cycles = float(
-                attrs.get(
-                    "est_pull_cycles" if chosen == "pull" else "est_push_cycles",
-                    0.0,
-                )
-                or 0.0
-            )
+        cycles = float(attrs.get("est_cycles", 0.0) or 0.0)
         row = {
             "kind": kind,
             "key": key,
             "algo": attrs.get("algo"),
             "modeled_cycles": cycles,
-            "modeled_seconds": m.seconds(cycles) if m is not None else None,
+            "modeled_seconds": HOST.seconds(cycles),
             "measured_seconds": sp.seconds,
             "counters": dict(sp.counters) if sp.counters else None,
             "pid": sp.pid,
@@ -122,10 +100,7 @@ def prediction_rows(tracer_or_spans, *, machine=None) -> List[dict]:
                 k: v
                 for k, v in attrs.items()
                 if k
-                in (
-                    "band", "rows", "reason", "backend", "cell", "direction", "level", "frontier_density",
-                    "decision_source",
-                )
+                in ("band", "rows", "reason", "backend", "cell")
             },
         }
         rows.append(row)
@@ -191,10 +166,10 @@ def _median(values: List[float]) -> float:
     return 0.5 * (vals[mid - 1] + vals[mid])
 
 
-def predictions(tracer_or_spans, *, machine=None) -> dict:
+def predictions(tracer_or_spans) -> dict:
     """The full ledger payload: rows + summary (what ``metrics()`` exports
     under ``"predictions"``)."""
-    rows = prediction_rows(tracer_or_spans, machine=machine)
+    rows = prediction_rows(tracer_or_spans)
     return {
         "schema_version": LEDGER_SCHEMA_VERSION,
         "rows": rows,

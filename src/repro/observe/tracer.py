@@ -252,10 +252,10 @@ class Tracer:
 
         return chrome_trace(self)
 
-    def to_metrics(self, *, machine=None) -> dict:
+    def to_metrics(self) -> dict:
         from .exporters import metrics
 
-        return metrics(self, machine=machine)
+        return metrics(self)
 
     def report(self, plan=None) -> str:
         from .report import report

@@ -3,17 +3,17 @@
 The modeled→measured loop, per executed unit:
 
 1. Every executed unit leaves a prediction row — row bands on all three
-   backends, work items on a grid plan, push/pull
-   decisions in direction BFS —
-   and every row pairs the plan's modeled cycles/bytes with the span's
-   measured seconds and counter delta.
+   backends, work items on a grid plan —
+   and every row pairs the plan's modeled nanoseconds with the span's
+   measured seconds and counter delta; direction BFS records each level's
+   push/pull decision in its own span.
 2. The counter deltas are bit-identical to the run's ``OpCounter``: the
    band spans partition exactly the work the run charged.
-3. ``machine=`` (of ``resolve_machine``, direction BFS and the ledger) is
-   this host or a paper machine; a plan is priced from a host profile
-   only, and a profile that is no checked-in one is bit-for-bit
-   output-equivalent across serial/thread/process (a profile changes
-   *decisions*, never values)
+3. A plan is priced from a host profile only — no preset name, object or
+   environment variable names a machine — and a profile that is no
+   checked-in one is bit-for-bit output-equivalent across
+   serial/thread/process (a profile changes *decisions*, never values).
+   The ledger and the exporters take no ``machine=``.
 """
 
 from __future__ import annotations
@@ -30,16 +30,16 @@ from repro.apps.direction_bfs import direction_optimized_bfs
 from repro.core import masked_spgemm
 from repro.engine import Planner, execute
 from repro.graphs import erdos_renyi, relabel_by_degree, rmat
-from repro.machine import (
-    HASWELL,
-    HOST,
-    KNL,
-    MACHINES,
-    OpCounter,
-    host_profile,
-    resolve_machine,
+from repro.machine import HASWELL, OpCounter
+from repro.observe import (
+    Tracer,
+    metrics,
+    prediction_rows,
+    predictions,
+    report,
+    tracing,
+    write_metrics,
 )
-from repro.observe import metrics, predictions, report, tracing
 from repro.parallel import shutdown_pool
 from repro.parallel.pool import process_backend_available
 from repro.semiring import PLUS_PAIR, PLUS_TIMES
@@ -47,9 +47,6 @@ from repro.semiring import PLUS_PAIR, PLUS_TIMES
 from .conftest import SPLIT_FREE
 
 pytestmark = pytest.mark.calibrate
-
-#: a paper machine that is no preset, passed as an object
-ODD = dataclasses.replace(KNL, name="odd", cores=3, hit_cycles=6.0)
 
 def _triple(seed=1, n=60):
     a = erdos_renyi(n, n, 5, seed=seed, values="uniform")
@@ -141,17 +138,26 @@ class TestLedgerRows:
         assert sum(r["modeled_cycles"] for r in rows) > 0.0
 
     def test_direction_rows_record_decision(self):
+        """Each BFS level's decision is in its ``app.bfs.level`` span (no
+        ledger row: nothing predicts a level's time)."""
         g = rmat(8, seed=3).pattern()
         with tracing() as tr:
-            direction_optimized_bfs(g, 0, machine="haswell")
-        rows = [r for r in predictions(tr, machine=HASWELL)["rows"]
-                if r["kind"] == "spmv-direction"]
-        assert rows
-        for row in rows:
-            assert row["attrs"]["decision_source"] == "cost_model"
-            assert row["attrs"]["direction"] in ("push", "pull")
-            assert 0.0 < row["attrs"]["frontier_density"] <= 1.0
-            assert row["modeled_cycles"] > 0.0
+            res = direction_optimized_bfs(g, 0)
+            direction_optimized_bfs(g, 0, force="pull")
+        levels = [sp for sp in tr.spans if sp.name == "app.bfs.level"]
+        assert levels
+        sources = [sp.attrs["decision_source"] for sp in levels]
+        assert set(sources) == {"alpha", "forced"}
+        for sp in levels:
+            assert sp.attrs["direction"] in ("push", "pull")
+            assert 0.0 < sp.attrs["frontier_density"] <= 1.0
+            if sp.attrs["decision_source"] == "forced":
+                assert sp.attrs["direction"] == "pull"
+        alpha_levels = [sp for sp in levels if sp.attrs["decision_source"] == "alpha"]
+        # the last level finds nothing new and records no direction
+        assert len(alpha_levels) == res.depth + 1
+        assert [sp.attrs["direction"] for sp in alpha_levels][:-1] == res.directions
+        assert predictions(tr)["rows"] == []
 
     def test_counter_deltas_bit_identical_to_opcounter(self):
         a, b, m = _triple(seed=11)
@@ -171,9 +177,9 @@ class TestLedgerRows:
         with tracing() as tr:
             masked_spgemm(low, low, low, algo="auto", backend="serial",
                           semiring=PLUS_PAIR)
-        mx = metrics(tr, machine=HASWELL)
+        mx = metrics(tr)
         preds = mx["predictions"]
-        assert preds["schema_version"] == 2
+        assert preds["schema_version"] == 3
         assert all(set(row) == {"kind", "key", "algo", "modeled_cycles",
                                 "modeled_seconds", "measured_seconds",
                                 "counters", "pid", "attrs"} for row in preds["rows"])
@@ -188,28 +194,27 @@ class TestLedgerRows:
     def test_empty_trace_has_empty_ledger(self):
         with tracing() as tr:
             pass
-        preds = metrics(tr, machine=HASWELL)["predictions"]
+        preds = metrics(tr)["predictions"]
+        assert preds["rows"] == [] and preds["summary"] == {}
+
+    def test_never_enabled_tracer_has_empty_ledger(self):
+        """``None`` — tracing was never switched on — reads as an empty
+        trace here too, as it does for ``metrics`` / ``report``."""
+        assert prediction_rows(None) == []
+        preds = predictions(None)
         assert preds["rows"] == [] and preds["summary"] == {}
 
 
 # ----------------------------------------------------------------------
-# 2. machine= is this host or a paper machine
+# 2. no machine= anywhere on the live path
 # ----------------------------------------------------------------------
 
 
 class TestFit:
     def test_resolve_machine_presets_and_fitted(self):
-        assert resolve_machine(None) is host_profile()  # the live default: measured host
-        for obj in (HASWELL, ODD, HOST):
-            assert resolve_machine(obj) is obj
-        assert resolve_machine("haswell") is HASWELL
-        assert resolve_machine("KNL") is KNL
-        for unknown in ("fitted", "no-such-machine"):
-            with pytest.raises(ValueError) as err:
-                resolve_machine(unknown)
-            assert str(err.value) == (
-                f"unknown machine {unknown!r}; expected None (this host), a "
-                f"HostProfile, a MachineConfig or one of {sorted(MACHINES)}")
+        """A plan is priced from a host profile: a preset, an unknown name
+        or an environment variable never names the machine."""
+        for unknown in ("haswell", HASWELL, "fitted", "no-such-machine"):
             with pytest.raises(ValueError, match="priced from a HostProfile"):
                 Planner(unknown)
         # nothing in the environment names a machine
@@ -222,6 +227,19 @@ class TestFit:
         res = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                              capture_output=True, text=True)
         assert res.stdout.split() == ["host"]
+
+    def test_live_output_takes_no_machine(self, tmp_path):
+        g = rmat(6, seed=1).pattern()
+        for call in (
+            lambda: metrics(None, machine=HASWELL),
+            lambda: write_metrics(tmp_path / "m.json", None, machine=HASWELL),
+            lambda: Tracer().to_metrics(machine=HASWELL),
+            lambda: predictions(None, machine=HASWELL),
+            lambda: prediction_rows(None, machine=HASWELL),
+            lambda: direction_optimized_bfs(g, 0, machine="haswell"),
+        ):
+            with pytest.raises(TypeError, match="machine"):
+                call()
 
 
 # ----------------------------------------------------------------------
@@ -255,10 +273,3 @@ class TestFittedEquivalence:
         host = Planner().plan(low, low, low)
         assert len(host.bands) == 1
         assert all(len(pl["bands"]) > 1 for pl in plans)
-
-    def test_direction_bfs_fitted_same_levels(self):
-        g = rmat(8, seed=9).pattern()
-        ref = direction_optimized_bfs(g, 0)
-        got = direction_optimized_bfs(g, 0, machine=ODD)
-        assert np.array_equal(got.levels, ref.levels)
-        assert got.depth == ref.depth

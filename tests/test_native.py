@@ -32,7 +32,7 @@ from repro import engine
 from repro.engine import Planner, ShardGrid, execute
 from repro.graphs import erdos_renyi, lower_by_degree, rmat
 from repro.machine import HOST, HOST_NATIVE, OpCounter, available_cores, flops_per_row, \
-    resolve_machine
+    host_profile
 from repro.observe import tracing
 from repro.parallel import balanced_partition
 from repro.parallel.pool import shutdown_pool
@@ -414,11 +414,11 @@ class TestEligibility:
         assert got == ["native", "native", "numpy"] and want == ["numpy"] * 3
 
     def test_host_profile_follows_the_tier(self):
-        assert resolve_machine(None) is HOST_NATIVE
+        assert host_profile() is HOST_NATIVE
         assert HOST_NATIVE.name == HOST.name == "host"
         assert HOST_NATIVE.candidates == ("inner", "msa")
         with native.disabled():
-            assert resolve_machine(None) is HOST
+            assert host_profile() is HOST
         with pytest.raises(ValueError, match="no measured coefficients"):
             Planner(dataclasses.replace(HOST_NATIVE, candidates=("mca",)))
 
@@ -513,7 +513,7 @@ class TestLoader:
         assert looked == ["cc", "gcc"]  # asked once, no retry storm
         assert native.status() == {"loaded": False, "path": None, "openmp": False,
                                    "reason": "OSError: no C compiler (cc) on PATH"}
-        assert resolve_machine(None) is HOST
+        assert host_profile() is HOST
         assert not fresh_loader.exists() or not list(fresh_loader.iterdir())
 
     @needs_native

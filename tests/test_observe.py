@@ -32,7 +32,7 @@ from repro.core.kernels.msa_kernel import masked_spgemm_msa_fast
 from repro.engine import Planner, plan
 from repro.engine.executor import execute
 from repro.graphs import erdos_renyi, rmat, relabel_by_degree
-from repro.machine import HASWELL, OpCounter
+from repro.machine import OpCounter
 from repro.observe import (
     Tracer,
     current,
@@ -244,20 +244,18 @@ class TestExports:
 
     def test_metrics_reproduce_counter_totals(self, traced_tc):
         _, _, counter, tr = traced_tc
-        m = metrics(tr, machine=HASWELL)
+        m = metrics(tr)
         want = {k: v for k, v in counter.as_dict().items() if v}
         assert m["counter_totals"] == want, (
             "leaf-span counter totals must equal the run's OpCounter"
         )
         assert m["seconds_by_phase"].get("numeric", 0.0) > 0.0
-        assert m["bytes_moved_estimate"] > 0
-        assert m["machine"] == HASWELL.name
         assert m["process_count"] == 1
 
     def test_metrics_json_serializable(self, traced_tc, tmp_path):
         _, _, _, tr = traced_tc
         path = tmp_path / "tc.metrics.json"
-        write_metrics(path, tr, machine=HASWELL)
+        write_metrics(path, tr)
         doc = json.loads(path.read_text())
         assert doc["span_count"] == len(tr.spans)
 
@@ -400,10 +398,9 @@ class TestExportEdgeCases:
     def test_metrics_on_empty_trace(self):
         with tracing() as tr:
             pass
-        m = metrics(tr, machine=HASWELL)
+        m = metrics(tr)
         assert m["span_count"] == 0
         assert m["counter_totals"] == {}
-        assert m["bytes_moved_estimate"] == 0
         assert m["seconds_by_phase"] == {}
 
     def test_chrome_trace_on_empty_trace(self, tmp_path):
@@ -426,31 +423,30 @@ class TestExportEdgeCases:
                 pass
             tr.ingest([])
         assert [sp.name for sp in tr.spans] == ["only.local"]
-        assert metrics(tr, machine=HASWELL)["span_count"] == 1
+        assert metrics(tr)["span_count"] == 1
 
     def test_metrics_accepts_empty_span_list(self):
-        m = metrics([], machine=HASWELL)
+        m = metrics([])
         assert m["span_count"] == 0 and m["counter_totals"] == {}
 
     def test_metrics_schema_version_leads_the_payload(self):
         from repro.observe import METRICS_SCHEMA_VERSION
 
-        m = metrics([], machine=HASWELL)
+        m = metrics([])
         assert m["schema_version"] == METRICS_SCHEMA_VERSION
         assert next(iter(m)) == "schema_version"
 
     def test_metrics_on_never_enabled_tracer(self):
         """``metrics(None)`` — observability was never switched on — must
         export as cleanly as an empty trace."""
-        m = metrics(None, machine=HASWELL)
+        m = metrics(None)
         assert m["span_count"] == 0
         assert m["counter_totals"] == {}
-        assert m["schema_version"] == 6
+        assert m["schema_version"] == 7
         assert set(m) == {
             "schema_version", "predictions", "span_count",
             "process_count", "wall_seconds", "seconds_by_name",
-            "seconds_by_phase", "counter_totals", "bytes_moved_estimate",
-            "machine",
+            "seconds_by_phase", "counter_totals",
         }
         json.dumps(m)
 
@@ -483,6 +479,20 @@ class TestDemoCli:
         (run,) = [e for e in doc["traceEvents"] if e["name"] == "engine.execute"]
         executed = [(b["algo"], b["nrows"]) for b in run["args"]["plan"]["bands"]]
         assert printed and printed == executed
+
+    def test_metrics_priced_from_the_host_profile(self, tmp_path):
+        """The CLI's metrics JSON prices every band in host nanoseconds,
+        the unit its plan was made in — not as a paper machine's cycles."""
+        from repro.observe.__main__ import main
+
+        assert main(["--scale", "10", "--backend", "serial",
+                     "--out", str(tmp_path)]) == 0
+        doc = json.loads((tmp_path / "tc_rmat.metrics.json").read_text())
+        assert "machine" not in doc
+        bands = [r for r in doc["predictions"]["rows"] if r["kind"] == "band"]
+        assert bands and all(r["modeled_cycles"] > 0.0 for r in bands)
+        for row in bands:
+            assert row["modeled_seconds"] == row["modeled_cycles"] * 1e-9
 
 
 # ----------------------------------------------------------------------

@@ -627,7 +627,7 @@ class TestApps:
         assert active_segments() == ()
 
     def test_metrics_and_report_surface_session(self, square_problem):
-        # the session section is gone from both surfaces (metrics schema 6)
+        # the session section is gone from both surfaces (since metrics schema 6)
         from repro.observe import metrics, report, tracing
 
         a, b, m = square_problem
@@ -635,7 +635,7 @@ class TestApps:
             masked_spgemm(a, b, m, algo="auto")
             masked_spgemm(a, b, m, algo="auto")
         mx = metrics(tr)
-        assert mx["schema_version"] == 6
+        assert mx["schema_version"] == 7
         assert "session" not in mx
         txt = report(tr)
         assert "session reuse" not in txt and "plan cache" not in txt

@@ -160,6 +160,13 @@ class TestDirectionOptimizedBFS:
         with pytest.raises(ValueError, match="force"):
             direction_optimized_bfs(graph, 0, force="diagonal")
 
+    @pytest.mark.parametrize("alpha", [float("nan"), -1.0, 0.0, float("inf")])
+    def test_alpha_must_be_finite_and_positive(self, alpha, graph):
+        """``alpha`` is the only decision input: nan, a non-positive or an
+        infinite ratio would push (or pull) every level without saying so."""
+        with pytest.raises(ValueError, match="alpha must be a finite number > 0"):
+            direction_optimized_bfs(graph, 0, alpha=alpha)
+
     def test_isolated_source(self):
         from repro.sparse import CSR
 
