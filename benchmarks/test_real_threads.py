@@ -18,17 +18,50 @@ the ``thread`` backend's row parts):
 
 Without a compiler, or without OpenMP, every count runs the serial loop and
 the table shows ~1x.
+
+A second cell times the counting scatter behind every CSC build
+(``docs/kernels.md``, "The ordering loop"): ``CSC.from_csr`` of the
+``er-sparse-mask`` B, ``erdos_renyi(8192, 8192, 64)``, on 1 and 2 threads.
+Bytes are always asserted equal; ``>= 1.3x`` (the median ratio of 21
+interleaved pairs) at 2 threads only behind the same free-core probe.  ``native.PREPARE_PARALLEL_NNZ`` = 2^17 keys is where
+two threads start to win; measured on 2 CPUs (gcc -O2 -fopenmp, quiet
+host), median ms 1 / 2 threads of 61 calls, each side's own process:
+
+=========  =======  ===========  ===========  ======================
+graph      keys     transpose    from_coo     TC operand (nnz of A)
+                                 pass
+=========  =======  ===========  ===========  ======================
+R-MAT 10   21,004   0.20 / 0.28  0.18 / 0.26  0.21 / 0.34
+R-MAT 11   45,330   0.53 / 0.62  0.49 / 0.52  0.50 / 0.57
+R-MAT 12   96,444   1.41 / 1.08  1.29 / 1.01  1.01 / 1.18
+R-MAT 13   203,958  4.14 / 2.24  2.27 / 2.10  1.94 / 2.70
+R-MAT 14   425,994  7.85 / 4.96  7.43 / 4.93  5.30 / 5.77
+ER 8192    522,255  14.4 / 8.14  14.4 / 6.85  7.72 / 5.49
+=========  =======  ===========  ===========  ======================
+
+Paired in one process (150 alternating calls, median of the per-pair
+ratio), two threads read 1.54x / 1.44x / 1.62x / 1.57x on the R-MAT
+12-15 transposes and 0.93x / 1.18x / 1.23x / 1.16x on the TC operand,
+whose two scatters recount per range what the serial pass counts once.
 """
 
 import multiprocessing as mp
+import statistics
 import time
 
 from repro.bench import fig11_measured_threads
 from repro.core.kernels import native
+from repro.graphs import erdos_renyi
+from repro.sparse import CSC
 
 SCALES = (14, 15, 16, 17)
 THREADS = (1, 2, 4)
 MIN_SPEEDUP_2 = 1.6
+#: the CSC build's bound at 2 threads: the median of 21 paired ratios read
+#: 1.45-1.70x in nine runs with the second core free, because about 4 ms of
+#: the ~13 ms serial build is first-touch page faults on its two fresh 4 MB
+#: outputs; a build that stopped threading reads ~1.0x
+MIN_CSC_SPEEDUP_2 = 1.3
 #: two concurrent burns within this multiple of one burn => the core is free
 FREE_CORE_X = 1.25
 
@@ -87,3 +120,38 @@ def test_in_kernel_threads(benchmark, save_result):
     if status["openmp"] and core_free:
         speedup_2 = res.series[f"rmat-{SCALES[-1]}"][THREADS.index(2)]
         assert speedup_2 >= MIN_SPEEDUP_2, (res.seconds, free_x)
+
+
+def test_csc_build_threads(benchmark, save_result):
+    b = erdos_renyi(8192, 8192, 64, seed=2)
+
+    def run():
+        free_x = second_core_free_x()
+        seconds, want = {1: [], 2: []}, None
+        for _ in range(21):  # interleaved pairs: a drifting host moves both sides
+            for nthreads in (1, 2):
+                t0 = time.perf_counter()
+                csc = CSC(b.shape, b._transpose(nthreads))
+                seconds[nthreads].append(time.perf_counter() - t0)
+                got = tuple(x.tobytes() for x in (csc.indptr, csc.indices, csc.data))
+                want = got if want is None else want
+                assert got == want, f"{nthreads} threads changed the bytes"
+        return free_x, seconds
+
+    free_x, seconds = benchmark.pedantic(run, rounds=1, iterations=1)
+    status = native.status()
+    core_free = free_x <= FREE_CORE_X
+    speedup = statistics.median(x / y for x, y in zip(seconds[1], seconds[2]))
+    p50 = {k: statistics.median(v) for k, v in seconds.items()}
+    save_result(
+        f"CSC build of ER 8192 x 8192, degree 64 ({b.nnz} entries), 21 interleaved pairs, "
+        "OpenMP " + ("on" if status["openmp"] else "off") + "\n"
+        f"two concurrent CPU burns took {free_x:.2f}x one: second core "
+        + ("free" if core_free else "NOT free - speedup reported, not asserted") + "\n"
+        f"median 1 thread {p50[1] * 1e3:.2f} ms, 2 threads {p50[2] * 1e3:.2f} ms; "
+        f"median pair ratio {speedup:.2f}x",
+        title="CSC build threads",
+        data={"openmp": status["openmp"], "second_core_free_x": free_x, "nnz": b.nnz,
+              "seconds": {str(k): v for k, v in seconds.items()}, "speedup": speedup})
+    if status["openmp"] and core_free:
+        assert speedup >= MIN_CSC_SPEEDUP_2, (best, free_x)

@@ -145,7 +145,7 @@ def _betweenness_body(
 ) -> BetweennessResult:
     n = a.nrows
     with timed_span("bc.run", {"batch": s, "algo": algo}) as sp_total:
-        a_t = a.transpose()
+        a_t = a._transpose(backend=backend)
         # the backward products multiply by A^T, whose CSC is A itself: an
         # inner-product level reads it instead of transposing A^T back
         a_t_csc = CSC(a_t.shape, a.sort_indices())

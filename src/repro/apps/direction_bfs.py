@@ -69,7 +69,7 @@ def direction_optimized_bfs(
             or not math.isfinite(alpha) or alpha <= 0):
         raise ValueError(f"alpha must be a finite number > 0, got {alpha!r}")
     a = a.pattern()
-    csc = CSC.from_csr(a)
+    csc = None  # built at the first pull level: only a pull reads it
     deg = a.row_nnz()
 
     levels = np.full(n, -1, dtype=np.int64)
@@ -116,6 +116,7 @@ def direction_optimized_bfs(
             else:
                 # next = unvisited .* (frontier^T A): pull with the unvisited
                 # set as a plain mask — the direction-optimized formulation
+                csc = CSC.from_csr(a) if csc is None else csc
                 _, nxt = masked_spmv_pull(
                     csc, x_vals, frontier, ~visited,
                     semiring=PLUS_PAIR, counter=counter,

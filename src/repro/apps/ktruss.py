@@ -147,7 +147,7 @@ def ktruss(
                     d = product(removed, cur, cur)
                     rr = product(removed, removed, cur)
                     if mirror is None:
-                        mirror = _mirror(cur)
+                        mirror = _mirror(cur, backend)
                     at = locate(cur, d)  # D's entries; mirror[at]: D^T's
                     support -= np.bincount(
                         np.concatenate((at, mirror[at], locate(cur, rr))),
@@ -200,10 +200,11 @@ def _decrement_pays(kept: CSR, cur: CSR) -> bool:
     return 2 * (gone @ deg) + gone @ gone < deg @ deg
 
 
-def _mirror(sym: CSR) -> np.ndarray:
+def _mirror(sym: CSR, backend: Optional[str] = None) -> np.ndarray:
     """Transpose permutation of the symmetric sorted pattern ``sym``: entry
     ``mirror[t]`` holds ``(col, row)`` of entry ``t``.  Sorting the entries
     stably by column lists ``sym^T`` row-major, which is ``sym``'s own
-    entry order; one counting sort (NumPy tier: the stable ``argsort``)."""
-    moved = _bucket_order(sym.indices, sym.ncols, sym.indices, order=True)
+    entry order; one counting sort on ``backend``'s threads (NumPy tier:
+    the stable ``argsort``)."""
+    moved = _bucket_order(sym.indices, sym.ncols, order=True, backend=backend)
     return np.argsort(sym.indices, kind="stable") if moved is None else moved[1]

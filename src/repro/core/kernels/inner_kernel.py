@@ -109,8 +109,8 @@ def masked_spgemm_inner_fast(
     nthreads: int = 1,
 ) -> CSR:
     """Vectorized pull-based (Inner) masked SpGEMM (see module docs);
-    ``nthreads``: threads of the native loop (the same bytes and counters at
-    any count)."""
+    ``nthreads``: threads of the native loop and of B's CSC build (the same
+    bytes and counters at any count)."""
     if complement:
         raise ValueError("inner-product algorithm does not support complement")
     a = a.sort_indices()
@@ -120,7 +120,7 @@ def masked_spgemm_inner_fast(
         if counter is not None:
             counter.mask_scans += mask.nnz
         return CSR.empty((a.nrows, n))
-    csc = b_csc if b_csc is not None else CSC.from_csr(b)
+    csc = b_csc if b_csc is not None else CSC(b.shape, b._transpose(nthreads))
     nat = _native.kernels(semiring, a.data, csc.data)
     _obs.annotate(tier="numpy" if nat is None else "native")
     if nat is not None:

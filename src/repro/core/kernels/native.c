@@ -2,11 +2,12 @@
  *
  * The paper's Algorithm 2 (MSA) and Section 4.1 (Inner) row loops plus the
  * count-only symbolic row, the counting sort repro.sparse orders entries
- * with, its two row merges (ewise_add, locate) and the two counting
- * scatters that build triangle counting's operand.
+ * with (triangle counting's operand is built on it too) and its two row
+ * merges (ewise_add, locate).
  *
- * The plain-mask MSA, Inner and symbolic loops (and the count pass of the
- * triangle-counting operand) are row-parallel, as in the paper's Fig. 2:
+ * The plain-mask MSA, Inner and symbolic loops and the count pass of the
+ * triangle-counting operand are row-parallel (the counting sort threads by
+ * input ranges instead, see there), as in the paper's Fig. 2:
  * with nthreads > 1 an OpenMP loop hands out rows in dynamic chunks (of
  * CHUNK), each thread owns an accumulator (its own slice of the scratch) and
  * row i is written at mp[i], where the mask bounds it (the paper's 1P
@@ -140,63 +141,122 @@ i64 repro_check(i64 nrows, i64 ncols, const i64 *p, const i64 *j, i64 nnz)
 }
 
 /* ------------------------------------------------------------------ */
-/* Stable counting sort of n keys in [0, nbuckets): the one ordering  */
-/* loop under CSR.from_coo / CSR.transpose.  order[] gets the input   */
-/* positions in key order, ties in input order -- the permutation of  */
-/* np.argsort(kind="stable"), so what is built from it is byte-equal  */
-/* to the NumPy bodies' result; start[nbuckets + 1] gets the bucket   */
-/* offsets (the indptr of the keyed axis).  A payload may ride the    */
-/* same pass: idst[] / vdst[] get isrc[] (int64) / vsrc[] (any 8-byte */
-/* value) in the new order.  order, isrc and vsrc may each be NULL.   */
-/* Returns -1, with nothing written, when a key is out of range.      */
+/* Stable counting sort of n keys in [0, nbuckets): the one scatter   */
+/* loop under CSR.from_coo / CSR.transpose and triangle counting's    */
+/* operand.  order[] gets the input positions in key order, ties in   */
+/* input order -- the permutation of np.argsort(kind="stable"), so    */
+/* what is built from it is byte-equal to the NumPy bodies' result;   */
+/* start[nbuckets + 1] gets the bucket offsets (the indptr of the     */
+/* keyed axis).  Payloads ride the same pass: idst[] gets isrc[]      */
+/* (int64) -- or, given rows, the nrows + 1 offsets of a CSR whose    */
+/* column ids the keys are, each entry's row id -- and vdst[] gets    */
+/* vsrc[] (any 8-byte value) in the new order.  order, rows, isrc and */
+/* vsrc may each be NULL.  With nthreads > 1 the input is cut into    */
+/* nthreads contiguous ranges: range q counts its keys into row q of  */
+/* a cursor table, one prefix pass turns cell (q, k) into start[k]    */
+/* plus the counts of ranges < q in bucket k, and each range scatters */
+/* at its own cursors -- so ties keep input order at every count.     */
+/* Threaded only where that table (nthreads * (nbuckets + 1) words)   */
+/* is no larger than the keys.  Returns -1, with nothing written,     */
+/* when a key is out of range or rows does not describe the keys.     */
 /* ------------------------------------------------------------------ */
-i64 repro_bucket_order(i64 n, i64 nbuckets, const i64 *key, i64 *start,
-                       i64 *order, const i64 *isrc, i64 *idst,
-                       const uint64_t *vsrc, uint64_t *vdst)
+/* One range's pass over entries [t0, t1): count their keys into c[], */
+/* or scatter them at the cursors c[].  Row by row where rows are      */
+/* given; with src, row r's keys start at key[src[r]] (a row gather).  */
+INLINE void bucket_range(const int scatter, i64 t0, i64 t1, const i64 *key,
+                         i64 nrows, const i64 *rows, const i64 *src, i64 *c,
+                         i64 *order, const i64 *isrc, i64 *idst,
+                         const uint64_t *vsrc, uint64_t *vdst)
 {
-    int bad = 0;
-    for (i64 t = 0; t < n; t++)
-        bad |= (uint64_t)key[t] >= (uint64_t)nbuckets;
-    if (bad)
-        return -1;
-    memset(start, 0, (size_t)(nbuckets + 1) * sizeof(i64));
-    for (i64 t = 0; t < n; t++)
-        start[key[t] + 1]++;
-    for (i64 k = 0; k < nbuckets; k++)
-        start[k + 1] += start[k];
-    for (i64 t = 0; t < n; t++) { /* start[k]: bucket k's write cursor */
-        const i64 at = start[key[t]]++;
-        if (order)
-            order[at] = t;
-        if (isrc)
-            idst[at] = isrc[t];
-        if (vsrc)
-            vdst[at] = vsrc[t];
+    i64 r = 0; /* rows: the row of entry t0 */
+    while (rows && t0 < t1 && rows[r + 1] <= t0)
+        r++;
+    for (i64 t = t0; t < t1; r++) {
+        const i64 e = rows && rows[r + 1] < t1 ? rows[r + 1] : t1;
+        const i64 *k = src ? key + (src[r] - rows[r]) : key;
+        for (; !scatter && t < e; t++)
+            c[k[t]]++;
+        for (; t < e; t++) {
+            const i64 at = c[k[t]]++;
+            if (order)
+                order[at] = t;
+            if (rows)
+                idst[at] = r;
+            else if (isrc)
+                idst[at] = isrc[t];
+            if (vsrc)
+                vdst[at] = vsrc[t];
+        }
     }
-    /* each cursor stopped at its bucket's end: the next bucket's start */
-    memmove(start + 1, start, (size_t)nbuckets * sizeof(i64));
+}
+
+/* counted: start[] holds the bucket sizes already (read when serial) */
+static void bucket_sort(const int counted, i64 n, i64 nbuckets, const i64 *key,
+                        i64 nrows, const i64 *rows, const i64 *src,
+                        i64 *start, i64 *order, const i64 *isrc, i64 *idst,
+                        const uint64_t *vsrc, uint64_t *vdst, i64 nthreads)
+{
+    const i64 w = nbuckets + 1; /* one row of cursors */
+    i64 nt = OPENMP && nthreads > 1 && nthreads <= n / w ? nthreads : 1;
+    i64 *cur = nt > 1 ? calloc((size_t)(nt * w), sizeof(i64)) : NULL;
+    if (!cur) { /* serial: start[] is the one row */
+        nt = 1;
+        cur = counted ? start : memset(start, 0, (size_t)w * sizeof(i64));
+    }
+    for (int scatter = nt == 1 && counted; scatter < 2; scatter++) {
+        for (i64 k = 0, at = 0; scatter && k < w; k++)
+            for (i64 q = 0; q < nt; q++) { /* cell (q, k): range q's cursor */
+                const i64 m = cur[q * w + k];
+                cur[q * w + k] = at;
+                at += m;
+            }
+        if (nt > 1) {
+#pragma omp parallel for num_threads(nt) schedule(static, 1)
+            for (i64 q = 0; q < nt; q++)
+                bucket_range(scatter, n * q / nt, n * (q + 1) / nt, key, nrows,
+                             rows, src, cur + q * w, order, isrc, idst, vsrc,
+                             vdst);
+        } else
+            bucket_range(scatter, 0, n, key, nrows, rows, src, cur, order,
+                         isrc, idst, vsrc, vdst);
+    }
+    /* the last range's cursors stopped at their buckets' ends */
+    memmove(start + 1, cur + (nt - 1) * w, (size_t)nbuckets * sizeof(i64));
     start[0] = 0;
+    if (cur != start)
+        free(cur);
+}
+
+i64 repro_bucket_order(i64 n, i64 nbuckets, const i64 *key, i64 nrows,
+                       const i64 *rows, i64 *start, i64 *order,
+                       const i64 *isrc, i64 *idst, const uint64_t *vsrc,
+                       uint64_t *vdst, i64 nthreads)
+{
+    const i64 all[2] = {0, n}; /* without rows: one row of every key */
+    if (repro_check(rows ? nrows : 1, nbuckets, rows ? rows : all, key, n))
+        return -1;
+    bucket_sort(0, n, nbuckets, key, nrows, rows, NULL, start, order, isrc,
+                idst, vsrc, vdst, nthreads);
     return 0;
 }
 
 /* ------------------------------------------------------------------ */
 /* Triangle counting's operand L = tril(P A P^T, -1) of the pattern of */
 /* the n x n CSR (p, j), new vertex i being old vertex perm[i] (a     */
-/* permutation: the caller's degree order).  Count, prefix-sum,       */
-/* scatter, twice, and no sort.  The count pass also parks each old   */
+/* permutation: the caller's degree order).  A count pass, then two   */
+/* counting scatters and no sort.  The count pass parks each old      */
 /* row's kept new column ids k = new_id[c] < i at the front of that   */
 /* row's own slots of lj (a store and a conditional advance).  The    */
-/* first scatter walks the new rows in order and appends i to row k   */
-/* of U = L^T, so U's rows come out ascending; the second walks U's   */
-/* rows in order and appends k to row i of L, so L's rows do too.     */
-/* new_id: n scratch; up, lp: n + 1; uj, lj: nnz.  Returns nnz(L);    */
-/* -1 / -2 where repro_check fails, -3 where a coordinate of L is     */
-/* stored twice (lj is then unspecified: the caller's NumPy body      */
-/* raises or sums, as it does without this loop).                    */
+/* first scatter reads them in new row order (unsorted L) and builds  */
+/* U = L^T, whose rows come out ascending; the second turns U back    */
+/* into L, whose rows do too.  new_id: n scratch; up, lp: n + 1; uj,  */
+/* lj: nnz.  Returns nnz(L); -1 / -2 where repro_check fails, -3      */
+/* where a coordinate of L is stored twice (lj is then unspecified:   */
+/* the caller's NumPy body raises or sums, as it does without this    */
+/* loop).                                                             */
 /* ------------------------------------------------------------------ */
 /* The count pass over old row r (rows write disjoint lj / lp cells); */
-/* `hist` counts up[] on the way; threaded, a serial pass counts it   */
-/* after (atomic increments on hub columns cost more than the pass).  */
+/* `hist` counts U's row sizes up[] on the way, when serial.           */
 INLINE void lower_count(const int hist, i64 r, const i64 *p, const i64 *j,
                         const i64 *new_id, i64 *up, i64 *lp, i64 *lj)
 {
@@ -205,7 +265,7 @@ INLINE void lower_count(const int hist, i64 r, const i64 *p, const i64 *j,
     for (i64 t = p[r]; t < p[r + 1]; t++) {
         const i64 k = new_id[j[t]], low = k < i;
         if (hist)
-            up[k + 1] += low;
+            up[k] += low;
         lj[p[r] + len] = k;
         len += low;
     }
@@ -217,39 +277,37 @@ i64 repro_lower_by_degree(i64 n, const i64 *p, const i64 *j, i64 nnz,
                           i64 *lp, i64 *lj, i64 nthreads)
 {
     const i64 bad = repro_check(n, n, p, j, nnz);
+    const int hist = !OPENMP || nthreads <= 1;
     if (bad)
         return -bad;
     for (i64 i = 0; i < n; i++)
         new_id[perm[i]] = i;
     memset(up, 0, (size_t)(n + 1) * sizeof(i64));
     lp[0] = 0;
-    if (OPENMP && nthreads > 1) {
+    if (!hist) {
 #pragma omp parallel for num_threads(nthreads) \
     schedule(dynamic, CHUNK(n, nthreads))
         for (i64 r = 0; r < n; r++)
             lower_count(0, r, p, j, new_id, up, lp, lj);
-        for (i64 r = 0; r < n; r++)
-            for (i64 t = p[r], t1 = t + lp[new_id[r] + 1]; t < t1; t++)
-                up[lj[t] + 1]++;
     } else
         for (i64 r = 0; r < n; r++) /* in old row order */
             lower_count(1, r, p, j, new_id, up, lp, lj);
-    for (i64 k = 0; k < n; k++) { /* up[k], lp[k]: row k's write cursors */
-        up[k + 1] += up[k];
-        lp[k + 1] += lp[k];
+    for (i64 i = 0; i < n; i++) { /* new_id[i]: new row i's ids in lj */
+        lp[i + 1] += lp[i];
+        new_id[i] = p[perm[i]];
     }
+    const i64 m = lp[n];
+    bucket_sort(hist, m, n, lj, n, lp, new_id, up, NULL, NULL, uj, NULL, NULL,
+                nthreads);
+    for (i64 i = 0; i <= n; i++) /* L's row sizes */
+        lp[i] = i < n ? lp[i + 1] - lp[i] : 0;
+    bucket_sort(1, m, n, uj, n, up, NULL, lp, NULL, NULL, lj, NULL, NULL,
+                nthreads);
+    int dup = 0; /* L's rows are ascending: a stored-twice k is adjacent */
     for (i64 i = 0; i < n; i++)
-        for (i64 t = p[perm[i]], t1 = t + lp[i + 1] - lp[i]; t < t1; t++)
-            uj[up[lj[t]]++] = i;
-    int dup = 0; /* U's cursors stopped at their row ends, L's do next */
-    for (i64 k = 0, t = 0; k < n; k++)
-        for (i64 prev = -1; t < up[k]; t++) {
-            dup |= uj[t] == prev;
-            lj[lp[prev = uj[t]]++] = k;
-        }
-    memmove(lp + 1, lp, (size_t)n * sizeof(i64));
-    lp[0] = 0;
-    return dup ? -3 : lp[n];
+        for (i64 t = lp[i] + 1; t < lp[i + 1]; t++)
+            dup |= lj[t] == lj[t - 1];
+    return dup ? -3 : m;
 }
 
 /* ------------------------------------------------------------------ */

@@ -27,7 +27,8 @@ from typing import Optional
 from ...machine.host import available_cores
 from ...semiring import STANDARD_SEMIRINGS
 
-__all__ = ["load", "kernels", "validate", "disabled", "status", "threads_for"]
+__all__ = ["load", "kernels", "validate", "disabled", "status", "threads_for",
+           "scatter_threads"]
 #: build flags; ``-fopenmp`` joins them where a probe compile succeeds (:func:`_open`)
 FLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off")
 SOURCE = Path(__file__).with_name("native.c")
@@ -38,7 +39,7 @@ _SIGNATURES = {  # q = int64, p = pointer; every function returns int64
     "repro_inner": "qqqq" + "p" * 13, "repro_msa_complement": "qqqq" + "p" * 14 + "qp",
     "repro_openmp": "",
     # called from repro.sparse.csr, not from a kernel
-    "repro_bucket_order": "qq" + "p" * 7, "repro_lower_by_degree": "qppq" + "p" * 6 + "q",
+    "repro_bucket_order": "qqpqp" + "p" * 6 + "q", "repro_lower_by_degree": "qppq" + "p" * 6 + "q",
     "repro_ewise_add": "q" + "p" * 9, "repro_locate": "q" + "p" * 5,  # from repro.sparse.ops
 }
 #: the OpenMP probe: a parallel region that links only with a working ``-fopenmp``
@@ -55,12 +56,23 @@ int repro_probe(void)
 #: which :func:`threads_for` runs a kernel on every core (``docs/parallel.md``,
 #: "In-kernel threads": the measured crossover)
 PARALLEL_WORK = 1 << 17
-#: the same for the count pass of ``repro_lower_by_degree``, in stored entries
-PREPARE_PARALLEL_NNZ = 1 << 18
+#: the same for the counting scatter (``repro_bucket_order``, also under
+#: ``repro_lower_by_degree``), in keys: :func:`scatter_threads`
+#: (``benchmarks/test_real_threads.py`` records the measured crossover)
+PREPARE_PARALLEL_NNZ = 1 << 17
 
 _lock = threading.Lock()
 _lib = _reason = None  # the CDLL / why loading failed; both None: not tried yet
 _disabled = 0
+_forked = False  # set in a forked child: libgomp's thread pool did not survive the fork
+
+
+def _after_fork_in_child() -> None:
+    global _forked
+    _forked = True
+
+
+os.register_at_fork(after_in_child=_after_fork_in_child)
 
 
 def _check_owner(path: Path) -> None:
@@ -201,16 +213,25 @@ def _openmp() -> bool:
 
 def threads_for(work: float, threads: Optional[int] = None, backend: Optional[str] = None, *,
                 crossover: Optional[float] = None) -> int:
-    """The thread count of one native row loop: 1 under ``backend="serial"``, whatever
-    ``threads`` says (a forked child stays out of libgomp); else the caller's ``threads``; else
-    every core this process may use when ``work`` (an O(1) estimate of the call's products)
-    reaches ``crossover`` (default :data:`PARALLEL_WORK`) and the library has OpenMP; else 1.
-    ``OMP_NUM_THREADS`` is not read.  A host plan records the count in ``threads``; a
-    process-pool work item passes 1 instead."""
-    if str(backend).lower() == "serial":
+    """The thread count of one native row loop: 1 in a forked child and under
+    ``backend="serial"``, whatever ``threads`` says (a forked child stays out of libgomp);
+    else the caller's ``threads``; else every core this process may use when ``work`` (an O(1)
+    estimate of the call's products) reaches ``crossover`` (default :data:`PARALLEL_WORK`)
+    and the library has OpenMP; else 1.  ``OMP_NUM_THREADS`` is not read.  A host plan
+    records the count in ``threads``; a process-pool work item passes 1 instead."""
+    if _forked or str(backend).lower() == "serial":
         return 1
     if threads is not None:
         return max(1, int(threads))
     if work < (PARALLEL_WORK if crossover is None else crossover) or not _openmp():
         return 1
     return available_cores()
+
+
+def scatter_threads(n: int, threads: Optional[int] = None, backend: Optional[str] = None) -> int:
+    """The thread count of one counting scatter over ``n`` keys: 1 below
+    :data:`PREPARE_PARALLEL_NNZ`, whatever ``threads`` says, else :func:`threads_for`'s.  The
+    scatter itself stays serial where its per-thread cursor tables would outgrow the keys."""
+    if n < PREPARE_PARALLEL_NNZ:
+        return 1
+    return threads_for(n, threads, backend, crossover=PREPARE_PARALLEL_NNZ)

@@ -216,10 +216,12 @@ def _execute(plan, a, b, mask, *, semiring, impl, counter, b_csc) -> CSR:
         m_panels = b_panels if mask is b else split_columns(mask, grid.col_bounds)
         cscs: List[Optional[CSC]] = [None] * npanels
         if any(band.algo == "inner" for band in plan.bands):
+            # built here, on the plan's threads (a process plan's workers wait)
+            k = max(parts, nthreads)
             if npanels > 1:
-                cscs = [CSC.from_csr(panel) for panel in b_panels]
+                cscs = [CSC(panel.shape, panel._transpose(k)) for panel in b_panels]
             else:
-                cscs = [b_csc if b_csc is not None else CSC.from_csr(b)]
+                cscs = [b_csc if b_csc is not None else CSC(b.shape, b._transpose(k))]
         fl = flops_per_row(a, b) if parts > 1 and grid.nrb == 1 else None
         token = _pool.encode_semiring(semiring) if backend == "process" else None
         # the call's segments, unlinked when it returns; id(operand) ->

@@ -27,13 +27,18 @@ def degree_sort_permutation(a: CSR, *, ascending: bool = False) -> np.ndarray:
     ascending) on the native tier, a stable ``argsort`` of the same keys on
     the NumPy tier: both are ``np.lexsort((np.arange(n), -deg))``'s
     permutation, byte for byte."""
+    return _degree_order(a, ascending)
+
+
+def _degree_order(a: CSR, ascending: bool = False, backend: Optional[str] = None) -> np.ndarray:
+    """:func:`degree_sort_permutation`, its counting sort on ``backend``'s threads."""
     deg = a.row_nnz()
     if not deg.size:
         return np.empty(0, dtype=np.int64)
     key = deg - deg.min() if ascending else deg.max() - deg
     span = int(key.max()) + 1
     if span <= a.nnz + 1:  # always, unless indptr is malformed
-        moved = _bucket_order(key, span, np.arange(a.nrows, dtype=np.int64))
+        moved = _bucket_order(key, span, np.arange(a.nrows, dtype=np.int64), backend=backend)
         if moved is not None:
             return moved[2]
     return np.argsort(key, kind="stable").astype(np.int64, copy=False)
@@ -57,11 +62,11 @@ def lower_by_degree(a: CSR, *, backend: Optional[str] = None) -> CSR:
     finds a bad index or a coordinate of ``L`` stored twice — relabels the
     coordinates, keeps ``col < row`` and orders that half with
     :meth:`CSR.from_coo`, which sums the duplicates as ``permute`` does.
-    ``backend="serial"`` keeps the native count pass on one thread, as it
-    keeps a product call (``docs/parallel.md``, "In-kernel threads")."""
+    ``backend="serial"`` keeps its native passes on one thread, as it keeps
+    a product call (``docs/parallel.md``, "In-kernel threads")."""
     if a.nrows != a.ncols:
         raise ValueError("permute requires a square matrix")
-    perm = degree_sort_permutation(a)
+    perm = _degree_order(a, backend=backend)
     low = _lower_by_degree(a, perm, backend=backend)
     if low is not None:
         return low

@@ -51,7 +51,8 @@ def rows_entries(
     return pos, local
 
 
-def _bucket_order(keys, nbuckets: int, ints, vals=None, *, order: bool = False):
+def _bucket_order(keys, nbuckets: int, ints=None, vals=None, *, order: bool = False,
+                  rows=None, nthreads: Optional[int] = None, backend: Optional[str] = None):
     """Stable counting sort of the int64 ``keys`` in ``[0, nbuckets)`` on the
     native tier (``repro_bucket_order`` in ``core/kernels/native.c``).
 
@@ -61,23 +62,35 @@ def _bucket_order(keys, nbuckets: int, ints, vals=None, *, order: bool = False):
     unavailable or disabled, and the caller runs its NumPy body.  The
     permutation is ``np.argsort(keys, kind="stable")``'s, so both bodies
     build the same bytes.  8-byte ``vals`` ride the sorting pass; others
-    are gathered after it.
+    are gathered after it.  Given ``rows`` (the ``indptr`` of a CSR whose
+    column ids the keys are), the int payload is each entry's row id and
+    ``ints`` is not read.  The pass runs on ``native.scatter_threads(len(keys),
+    nthreads, backend)`` threads (``nthreads``: the count the caller owns);
+    the bytes do not depend on it.
     """
     from ..core.kernels import native  # lazy: importing repro.sparse never imports repro.core
 
     lib = native.load()
     if lib is None:
         return None
-    keys, ints = (np.ascontiguousarray(x, dtype=INDEX_DTYPE) for x in (keys, ints))
+    keys = np.ascontiguousarray(keys, dtype=INDEX_DTYPE)
+    n, nrows = keys.shape[0], 0
+    if rows is not None:
+        rows, ints, nrows = np.ascontiguousarray(rows, dtype=INDEX_DTYPE), None, rows.shape[0] - 1
+    elif ints is not None:
+        ints = np.ascontiguousarray(ints, dtype=INDEX_DTYPE)
     rides = vals is not None and vals.dtype.itemsize == 8
     if rides:
         vals = np.ascontiguousarray(vals)
     start = np.empty(nbuckets + 1, dtype=INDEX_DTYPE)
     perm = np.empty_like(keys) if order or (vals is not None and not rides) else None
-    ints_out, vals_out = np.empty_like(ints), np.empty_like(vals) if rides else None
-    args = (keys, start, perm, ints, ints_out, vals if rides else None, vals_out)
-    if lib.repro_bucket_order(
-        keys.shape[0], nbuckets, *(None if x is None else x.ctypes.data for x in args)
+    ints_out = np.empty_like(keys) if rows is not None or ints is not None else None
+    vals_out = np.empty_like(vals) if rides else None
+    args = (keys, rows, start, perm, ints, ints_out, vals if rides else None, vals_out)
+    ptrs = [None if x is None else x.ctypes.data for x in args]
+    if nrows < 0 or lib.repro_bucket_order(
+        n, nbuckets, ptrs[0], nrows, *ptrs[1:],
+        native.scatter_threads(n, nthreads, backend),
     ):
         raise ValueError("index out of range")
     if vals is not None and not rides:
@@ -89,10 +102,10 @@ def _lower_by_degree(a: "CSR", perm: np.ndarray, nthreads: Optional[int] = None,
                      backend: Optional[str] = None):
     """``tril(P A P^T, -1)`` of the pattern of the square ``a``, vertex ``i``
     of the result being vertex ``perm[i]`` of ``a`` (a permutation), built
-    by the native tier's two counting scatters (``repro_lower_by_degree``
-    in ``core/kernels/native.c``): sorted rows, all-ones values.  Its count
-    pass runs on ``native.threads_for(nnz(a), nthreads, backend)`` threads,
-    at its own crossover; the bytes do not depend on it.
+    by the native tier's count pass and two counting scatters
+    (``repro_lower_by_degree`` in ``core/kernels/native.c``): sorted rows,
+    all-ones values.  All three run on ``native.scatter_threads(nnz(a),
+    nthreads, backend)`` threads; the bytes do not depend on it.
 
     ``None`` when the library is unavailable or disabled, when ``a`` does
     not describe a CSR (a bad ``indptr`` or column index) or when a
@@ -112,7 +125,7 @@ def _lower_by_degree(a: "CSR", perm: np.ndarray, nthreads: Optional[int] = None,
     got = lib.repro_lower_by_degree(
         n, indptr.ctypes.data, indices.ctypes.data, nnz,
         *(x.ctypes.data for x in (perm, new_id, up, uj, lp, lj)),
-        native.threads_for(nnz, nthreads, backend, crossover=native.PREPARE_PARALLEL_NNZ))
+        native.scatter_threads(nnz, nthreads, backend))
     if got < 0:
         return None
     return CSR(a.shape, lp, lj[:got], np.ones(got, dtype=VALUE_DTYPE),
@@ -424,16 +437,25 @@ class CSR:
         Sorted, duplicate-free rows transpose by one *stable* sort on the
         column id alone (entries are already row-major, so stability keeps
         each output row ascending): the native tier's counting pass, which
-        moves the row ids and values as it goes, or an LSD radix pass per
-        16-bit digit, which NumPy runs as a counting sort.  Anything else
-        goes through :meth:`from_coo`, which also sums duplicates."""
-        rows = self.row_ids()
+        writes the row ids from ``indptr`` and moves the values as it goes,
+        or an LSD radix pass per 16-bit digit, which NumPy runs as a
+        counting sort.  Anything else goes through :meth:`from_coo`, which
+        also sums duplicates."""
+        return self._transpose()
+
+    def _transpose(self, nthreads: Optional[int] = None, backend: Optional[str] = None) -> "CSR":
+        """:meth:`transpose`, its counting pass on the caller's thread count
+        (``native.scatter_threads(nnz, nthreads, backend)``)."""
         if not self.sorted_indices:
-            return CSR.from_coo((self.ncols, self.nrows), self.indices, rows, self.data)
-        moved = _bucket_order(self.indices, self.ncols, rows, self.data)
+            return CSR.from_coo((self.ncols, self.nrows), self.indices, self.row_ids(), self.data)
+        moved = None
+        if self.indptr.shape == (self.nrows + 1,):  # else row_ids() below raises
+            moved = _bucket_order(self.indices, self.ncols, vals=self.data, rows=self.indptr,
+                                  nthreads=nthreads, backend=backend)
         if moved is not None:
             indptr, _, rows, data = moved
         else:
+            rows = self.row_ids()
             order = np.argsort(self.indices.astype(np.uint16), kind="stable")
             shift = 16
             while max(self.ncols - 1, 0) >> shift:  # (0 - 1) >> 16 is -1: never false

@@ -36,16 +36,27 @@ class NativeSpy:
     records which of its functions were looked up: ``calls`` holds every
     name, ``kernel_calls`` only the masked-SpGEMM row loops — eligibility
     (semiring, dtype) gates those, while ``repro.sparse`` reaches
-    ``repro_bucket_order`` whatever the semiring."""
+    ``repro_bucket_order`` whatever the semiring.  ``args`` holds each
+    call's ``(name, arguments)``."""
 
     KERNEL_LOOPS = ("repro_msa", "repro_msa_complement", "repro_inner", "repro_symbolic")
 
     def __init__(self, lib):
-        self.lib, self.calls = lib, []
+        self.lib, self.calls, self.args = lib, [], []
 
     def __getattr__(self, name):
         self.calls.append(name)
-        return getattr(self.lib, name)
+        fn = getattr(self.lib, name)
+
+        def call(*args):
+            self.args.append((name, args))
+            return fn(*args)
+
+        return call if callable(fn) else fn
+
+    def threads(self, name):
+        """The ``nthreads`` (last) argument of every call of ``name``."""
+        return [args[-1] for called, args in self.args if called == name]
 
     @property
     def kernel_calls(self):

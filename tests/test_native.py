@@ -218,10 +218,11 @@ class TestThreads:
         for key in ("native.state", "native.values", "native.where"):
             assert not parked[key].any(), key
 
-    def test_triangle_counting_operand(self):
+    def test_triangle_counting_operand(self, monkeypatch):
         from repro.graphs.relabel import degree_sort_permutation
         from repro.sparse.csr import _lower_by_degree
 
+        monkeypatch.setattr(native, "PREPARE_PARALLEL_NNZ", 0)  # small graphs thread too
         for g in (rmat(9, seed=2), erdos_renyi(300, 300, 6, seed=5)):  # + a directed graph
             perm = degree_sort_permutation(g)
             one, *more = (_bytes(_lower_by_degree(g, perm, k)) for k in (1, 2, 4))
@@ -238,6 +239,12 @@ class TestThreads:
         assert native.threads_for(10, crossover=10) == cores
         with native.disabled():
             assert native.threads_for(big) == 1
+        # a counting scatter: the caller's count is a ceiling, the crossover holds for it too
+        keys = native.PREPARE_PARALLEL_NNZ
+        assert native.scatter_threads(keys - 1, threads=3) == 1
+        assert native.scatter_threads(keys, threads=3) == 3
+        assert native.scatter_threads(keys) == cores
+        assert native.scatter_threads(keys, threads=3, backend="serial") == 1
         # a product call never runs more threads than A has rows
         a, b, _ = OPERANDS["fewer-rows-than-threads"]
         assert kernel_threads(a, b, threads=8) == 3
@@ -521,7 +528,8 @@ class TestLoader:
         """``native.c`` under AddressSanitizer + UBSan, built with the same
         flags (``-fopenmp`` where the probe passes): an overrun of the stack
         hit buffer or of a leased scratch array is an abort here where
-        byte-equality would pass — on the threaded row loops too."""
+        byte-equality would pass — on the threaded row loops and the
+        threaded counting scatter too."""
         libasan = subprocess.run([native._target()[0], "-print-file-name=libasan.so"],
                                  capture_output=True, text=True).stdout.strip()
         if not os.path.isabs(libasan):
@@ -565,13 +573,30 @@ class TestLoader:
             "from repro.graphs.relabel import degree_sort_permutation\n"
             "from repro.sparse.csr import _lower_by_degree\n"
             "square = {id(g): g for abm in ADVERSARIAL.values() for g in abm if g.nrows == g.ncols}\n"
+            "crossover = native.PREPARE_PARALLEL_NNZ\n"
             "for g in [*square.values(), erdos_renyi(300, 300, 6, seed=5)]:  # + a directed graph\n"
             "    got = _prepare(g, True)\n"
             "    with native.disabled():\n"
             "        want = _prepare(g, True)\n"
+            "    native.PREPARE_PARALLEL_NNZ = 0  # the scatters on two threads, however small\n"
             "    two = _lower_by_degree(g, degree_sort_permutation(g), 2)  # None: NumPy's\n"
+            "    native.PREPARE_PARALLEL_NNZ = crossover\n"
             "    assert all(getattr(x, f).tobytes() == getattr(want, f).tobytes()\n"
             "               for f in fields for x in (got, two) if x is not None), g\n"
+            "import numpy as np\n"
+            "from repro.sparse.csr import _bucket_order\n"
+            "native.PREPARE_PARALLEL_NNZ = 0\n"
+            "for name, abm in ADVERSARIAL.items():  # per-thread ranges over adversarial keys\n"
+            "    for x in abm:\n"
+            "        want = np.argsort(x.indices, kind='stable')\n"
+            "        _, order, ints, vals = _bucket_order(x.indices, x.ncols, x.indices, x.data,\n"
+            "                                             order=True, nthreads=2)\n"
+            "        assert np.array_equal(order, want) and np.array_equal(ints, x.indices[want])\n"
+            "        assert vals.tobytes() == x.data[want].tobytes(), name\n"
+            "        two, one = x._transpose(2), x._transpose(1)\n"
+            "        assert all(getattr(two, f).tobytes() == getattr(one, f).tobytes()\n"
+            "                   for f in fields), name\n"
+            "native.PREPARE_PARALLEL_NNZ = crossover\n"
             "from repro.sparse import ewise_add, ewise_mult, mask_pattern\n"
             "ops = (ewise_add, ewise_mult, mask_pattern,\n"
             "       lambda x, y: mask_pattern(x, y, complement=True))\n"

@@ -460,7 +460,8 @@ class TestSegmentReuse:
             published.clear()
             _, counter = _process_run(a, b, m)
             assert [mat for _, mat in published] == [a, b, m]
-            groups.append({id(group) for group, _ in published})
+            # the groups themselves, held: an id() of a freed group can be reused
+            groups.append({group for group, _ in published})
             assert counter.segments_reused == counter.bytes_republished == 0
             assert active_segments() == ()
         assert len(groups[0]) == len(groups[1]) == 1 and groups[0] != groups[1]

@@ -12,6 +12,10 @@ the outside oracle.
 """
 
 import contextlib
+import os
+import signal
+import subprocess
+import sys
 import threading
 
 import numpy as np
@@ -20,12 +24,19 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.apps import betweenness_centrality, triangle_count
 from repro.apps.triangle_counting import _prepare
+from repro.core import masked_spgemm
 from repro.core.kernels import native
+from repro.engine import execute, plan
 from repro.graphs import (
-    degree_sort_permutation, erdos_renyi, erdos_renyi_graph, relabel_by_degree, rmat,
+    degree_sort_permutation, erdos_renyi, erdos_renyi_graph, lower_by_degree, relabel_by_degree,
+    rmat,
 )
+from repro.parallel.pool import Task, run_task
+from repro.semiring import PLUS_TIMES
 from repro.sparse import CSC, CSR, ewise_add, ewise_mult, locate, mask_pattern
+from repro.sparse.csr import _bucket_order, _lower_by_degree
 
 from .conftest import NativeSpy, native_required
 
@@ -320,8 +331,6 @@ class TestTheNativeLoop:
                     assert got.dtype == np.int64 and np.array_equal(got, want)
 
     def test_permutation_is_the_stable_argsort(self):
-        from repro.sparse.csr import _bucket_order
-
         rng = np.random.default_rng(1)
         keys = rng.integers(0, 17, 5000)
         ints, vals = rng.integers(0, 99, 5000), rng.random(5000)
@@ -335,26 +344,204 @@ class TestTheNativeLoop:
             _bucket_order(np.array([0, 17]), 17, np.zeros(2, dtype=np.int64))
 
     def test_two_threads_ordering_concurrently(self):
-        rng = np.random.default_rng(2)
-        jobs = []
-        for _ in range(2):
-            r, c = rng.integers(0, 300, 20000), rng.integers(0, 300, 20000)
-            v = rng.random(20000)
-            with native.disabled():
-                jobs.append(((r, c, v), _bytes(CSR.from_coo((300, 300), r, c, v))))
-        failures = []
+        _order_concurrently()
 
-        def work(args, want):
-            for _ in range(20):
-                if _bytes(CSR.from_coo((300, 300), *args)) != want:
-                    failures.append(args)
 
-        threads = [threading.Thread(target=work, args=job) for job in jobs]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=60)
-        assert not any(t.is_alive() for t in threads) and not failures
+def _order_concurrently():
+    """Two Python threads each order their own edge list 20 times; every
+    result must be the NumPy body's."""
+    rng = np.random.default_rng(2)
+    jobs = []
+    for _ in range(2):
+        r, c = rng.integers(0, 300, 20000), rng.integers(0, 300, 20000)
+        v = rng.random(20000)
+        with native.disabled():
+            jobs.append(((r, c, v), _bytes(CSR.from_coo((300, 300), r, c, v))))
+    failures = []
+
+    def work(args, want):
+        for _ in range(20):
+            if _bytes(CSR.from_coo((300, 300), *args)) != want:
+                failures.append(args)
+
+    threads = [threading.Thread(target=work, args=job) for job in jobs]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=60)
+    assert not any(t.is_alive() for t in threads) and not failures
+
+
+def _scatter_cases():
+    """``(keys, nbuckets)``: what makes per-thread ranges hard."""
+    rng = np.random.default_rng(5)
+    yield "duplicate-keys", (rng.integers(0, 17, 6000), 17)
+    hub = np.where(rng.random(6000) < 0.9, 42, rng.integers(0, 100, 6000))
+    yield "hub-bucket", (hub, 100)  # one bucket holds 90 % of the keys
+    yield "empty-buckets", (rng.choice([3, 500, 501, 1998], 6000), 2000)
+    yield "one-bucket", (np.zeros(6000, dtype=np.int64), 1)
+    yield "sorted-keys", (np.sort(rng.integers(0, 50, 6000)), 50)
+    yield "k-much-larger-than-n", (rng.integers(0, 10**6, 300), 10**6)  # table rule: serial
+
+
+SCATTERS = dict(_scatter_cases())
+
+
+@needs_native
+class TestThreadedScatter:
+    """Per-thread input ranges (``docs/kernels.md``, "The ordering loop"):
+    the same permutation, offsets and payloads at every thread count."""
+
+    @pytest.fixture(autouse=True)
+    def every_size_threads(self, monkeypatch):
+        monkeypatch.setattr(native, "PREPARE_PARALLEL_NNZ", 0)
+
+    @pytest.mark.parametrize("name", SCATTERS)
+    def test_scatter_is_the_stable_argsort_at_every_thread_count(self, name):
+        keys, k = SCATTERS[name]
+        rng = np.random.default_rng(6)
+        ints, vals = rng.integers(-9, 9, keys.size), rng.random(keys.size)
+        want = np.argsort(keys, kind="stable")
+        starts = np.searchsorted(keys[want], np.arange(k + 1))
+        for nthreads in (1, 2, 3):
+            start, order, ints_out, vals_out = _bucket_order(keys, k, ints, vals, order=True,
+                                                             nthreads=nthreads)
+            assert np.array_equal(order, want), nthreads
+            assert np.array_equal(start, starts), nthreads
+            assert np.array_equal(ints_out, ints[want]), nthreads
+            assert vals_out.tobytes() == vals[want].tobytes(), nthreads
+
+    @pytest.mark.parametrize("name", [*CSRS, "hub-row", "hub-column"])
+    def test_transpose_payloads_at_every_thread_count(self, name):
+        hub = rmat(10, seed=2)
+        mat = {"hub-row": hub, "hub-column": hub.transpose(), **CSRS}[name].sort_indices()
+        with native.disabled():
+            want = _bytes(mat.transpose())
+        for nthreads in (1, 2, 3):
+            assert _bytes(mat._transpose(nthreads)) == want, nthreads
+            assert _bytes(CSC(mat.shape, mat._transpose(nthreads))) == _bytes(
+                CSC.from_csr(mat)), nthreads
+
+    def test_two_callers_each_scattering_on_every_core(self):
+        _order_concurrently()  # over the (patched) crossover: two OpenMP teams at once
+
+    def test_out_of_range_key_raises_and_writes_nothing(self):
+        lib = native.load()
+        keys = np.arange(6000, dtype=np.int64) % 7
+        for bad in (-1, 7):
+            keys[4321] = bad
+            outs = [np.full(n, -5, dtype=np.int64) for n in (8, 6000, 6000)]
+            start, order, idst = outs
+            got = lib.repro_bucket_order(6000, 7, keys.ctypes.data, 0, None, start.ctypes.data,
+                                         order.ctypes.data, keys.ctypes.data, idst.ctypes.data,
+                                         None, None, 2)
+            assert got == -1 and all((x == -5).all() for x in outs)
+            with pytest.raises(ValueError, match="out of range"):
+                _bucket_order(keys, 7, keys, order=True, nthreads=2)
+        # a transpose whose indptr does not describe its entries is refused too
+        liar = CSR((2, 3), np.array([0, 2, 1]), np.array([0, 1]), np.ones(2),
+                   sorted_indices=True, check=False)
+        with pytest.raises(ValueError):
+            liar._transpose(2)
+
+    @pytest.mark.parametrize("graph", GRAPHS.values(), ids=GRAPHS.keys())
+    def test_triangle_operand_at_two_threads(self, graph):
+        perm = degree_sort_permutation(graph)
+        with native.disabled():
+            want = _bytes(lower_by_degree(graph))
+        one, two = (_lower_by_degree(graph, perm, k) for k in (1, 2))
+        assert (one is None) == (two is None)
+        for got in (one, two):
+            assert got is None or _bytes(got) == want
+        assert _bytes(lower_by_degree(graph)) == want
+
+    def test_triangle_operand_stored_twice_declines_at_two_threads(self):
+        # (1, 0) stored twice: the loop returns -3 at any count, NumPy sums it
+        dup = CSR((3, 3), np.array([0, 2, 4, 6]), np.array([1, 1, 0, 0, 1, 0]), np.ones(6))
+        perm = degree_sort_permutation(dup)
+        assert _lower_by_degree(dup, perm, 1) is None and _lower_by_degree(dup, perm, 2) is None
+        with native.disabled():
+            want = _bytes(lower_by_degree(dup))
+        assert _bytes(lower_by_degree(dup)) == want
+
+
+@needs_native
+class TestScatterThreadCounts:
+    """Who passes which count: ``backend="serial"`` and a pool work item reach
+    ``native.c`` on one thread; every other caller passes the count it owns."""
+
+    @pytest.fixture
+    def spy(self, monkeypatch):
+        monkeypatch.setattr(native, "PREPARE_PARALLEL_NNZ", 0)  # every size may thread
+        spy = NativeSpy(native.load())
+        monkeypatch.setattr(native, "_lib", spy)
+        return spy
+
+    def test_serial_backend_scatters_on_one_thread(self, spy):
+        g = rmat(9, seed=3)
+        a, b, m = (erdos_renyi(r, c, d, seed=d) for r, c, d in ((60, 50, 6), (50, 70, 5),
+                                                                 (60, 70, 2)))
+        spy.args.clear()  # the generators ordered their edges on every core
+        masked_spgemm(a, b, m, algo="inner", backend="serial")  # the kernel's CSC build
+        masked_spgemm(a, b, m, algo="auto", backend="serial")  # the executor's, if it plans inner
+        triangle_count(g, backend="serial")  # TC's prepare: degree order and both scatters
+        betweenness_centrality(g, np.arange(4), backend="serial")  # BC's transpose
+        assert spy.threads("repro_lower_by_degree") == [1]
+        assert spy.threads("repro_bucket_order") and set(spy.threads("repro_bucket_order")) == {1}
+        spy.args.clear()
+        execute(plan(a, b, m, algo="inner", threads=2, backend="thread"), a, b, m)
+        assert spy.threads("repro_bucket_order") == [2]  # the count the plan owns
+
+    def test_a_pool_work_item_scatters_on_one_thread(self, spy):
+        a, b, m = (erdos_renyi(r, c, d, seed=d) for r, c, d in ((60, 50, 6), (50, 70, 5),
+                                                                 (60, 70, 2)))
+        spy.args.clear()
+        task = Task(a=a, b=b, mask=m, b_csc=None, rows=("range", 0, a.nrows), col_offset=0,
+                    algo="inner", phases=1, complement=False, impl="auto", semiring=PLUS_TIMES)
+        r, c, v, _, _ = run_task(task)
+        assert spy.threads("repro_bucket_order") == [1]
+        want = masked_spgemm(a, b, m, algo="inner")
+        assert np.array_equal(r, want.row_ids()) and np.array_equal(c, want.indices)
+
+    def test_a_forked_child_scatters_on_one_thread(self):
+        """libgomp's thread pool does not survive ``fork``: a forked child
+        that entered a threaded region after the parent had used one would
+        hang.  ``native.threads_for`` answers 1 in a forked child, so a
+        transpose and a ``from_coo`` above the crossover there return."""
+        code = (
+            "import os\n"
+            "import numpy as np\n"
+            "from repro.core.kernels import native\n"
+            "from repro.graphs import erdos_renyi\n"
+            "from repro.sparse import CSR\n"
+            "b = erdos_renyi(4096, 4096, 64, seed=1)\n"
+            "assert b.nnz >= native.PREPARE_PARALLEL_NNZ\n"
+            "r, c, v = b.to_coo()\n"
+            "o = np.random.default_rng(0).permutation(r.size)\n"
+            "fields = ('indptr', 'indices', 'data')\n"
+            "t = b._transpose(2)  # two threads in the parent first\n"
+            "want = [getattr(x, f).tobytes() for x in (t, b) for f in fields]\n"
+            "pid = os.fork()\n"
+            "if pid == 0:\n"
+            "    ok = native.threads_for(1, threads=2) == 1 == native.scatter_threads(1 << 40)\n"
+            "    got = (b.transpose(), CSR.from_coo(b.shape, r[o], c[o], v[o]))\n"
+            "    ok = ok and [getattr(x, f).tobytes() for x in got for f in fields] == want\n"
+            "    os._exit(0 if ok else 3)\n"
+            "assert os.waitpid(pid, 0)[1] == 0\n"
+            "print('ok')\n"
+        )
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        proc = subprocess.Popen([sys.executable, "-c", code], env=env, stdout=subprocess.PIPE,
+                                stderr=subprocess.PIPE, text=True, start_new_session=True)
+        try:
+            out, err = proc.communicate(timeout=60)
+        except subprocess.TimeoutExpired:
+            out, err = "", "hung"
+        finally:  # the forked child too
+            with contextlib.suppress(ProcessLookupError, PermissionError):
+                os.killpg(proc.pid, signal.SIGKILL)
+            proc.wait()
+        assert out == "ok\n", err[-3000:]
 
 
 # ----------------------------------------------------------------------

@@ -154,6 +154,31 @@ class TestDirectionOptimizedBFS:
         direction_optimized_bfs(g, hub, force="push", counter=c_push)
         assert c_auto.total_ops() < c_push.total_ops()
 
+    def test_the_csc_is_built_at_the_first_pull_level(self, monkeypatch):
+        """Only a pull reads the CSC: ``force="push"`` never builds it and a
+        run that pulls builds it once; the levels are the masked-SpGEMM
+        BFS's and the directions the alpha rule's, spied on or not."""
+        g = rmat(11, seed=4)
+        hub = int(np.argmax(g.row_nnz()))
+        want = {force: direction_optimized_bfs(g, hub, force=force)
+                for force in (None, "push", "pull")}
+        built, from_csr = [], CSC.from_csr
+
+        def spy(mat):
+            built.append(mat)
+            return from_csr(mat)
+
+        monkeypatch.setattr(CSC, "from_csr", spy)
+        for force, calls in ((None, 1), ("push", 0), ("pull", 1)):
+            built.clear()
+            res = direction_optimized_bfs(g, hub, force=force)
+            assert len(built) == calls, force
+            assert np.array_equal(res.levels, want[force].levels)
+            assert res.directions == want[force].directions and res.depth == want[force].depth
+        assert "pull" in want[None].directions and want[None].directions[0] == "push"
+        ref = multi_source_bfs(g, [hub]).levels[0]
+        assert all(np.array_equal(w.levels, ref) for w in want.values())
+
     def test_validation(self, graph):
         with pytest.raises(ValueError, match="source"):
             direction_optimized_bfs(graph, 9999)
