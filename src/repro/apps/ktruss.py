@@ -131,7 +131,7 @@ def ktruss(
     # timed_span keeps the result's second fields populated untraced
     with timed_span("ktruss.run", {"k": k, "algo": algo}) as sp_total:
         # full symmetric pattern without diagonal
-        cur = _sym(a.pattern().triu(1))
+        cur = _sym(a.pattern().triu(1), backend)
         # removed: set where a round decrements; mirror: cur's transpose
         # permutation, built at the first decrement and then carried
         support = removed = mirror = None
@@ -184,11 +184,12 @@ def ktruss(
     )
 
 
-def _sym(upper: CSR) -> CSR:
+def _sym(upper: CSR, backend: Optional[str] = None) -> CSR:
+    """``upper + upper^T`` as a pattern, ordered on ``backend``'s threads."""
     rows, cols, vals = upper.to_coo()
     r = np.concatenate([rows, cols])
     c = np.concatenate([cols, rows])
-    return CSR.from_coo(upper.shape, r, c, np.ones(r.shape[0])).pattern()
+    return CSR._from_coo(upper.shape, r, c, np.ones(r.shape[0]), backend=backend).pattern()
 
 
 def _decrement_pays(kept: CSR, cur: CSR) -> bool:

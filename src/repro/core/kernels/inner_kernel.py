@@ -90,8 +90,10 @@ def _inner_native(nat, a: CSR, csc: CSC, mask: CSR, counter, nthreads) -> CSR:
         counter.flops += int(cnt[0])
         counter.useful_flops += nnz
         counter.output_nnz += nnz
-    return CSR(shape, indptr, cols[:nnz].copy(), vals[:nnz].copy(),
-               sorted_indices=True, check=False)
+    # shrunk in place (a realloc): no oversized buffer outlives the call
+    cols.resize(nnz, refcheck=False)
+    vals.resize(nnz, refcheck=False)
+    return CSR(shape, indptr, cols, vals, sorted_indices=True, check=False)
 
 
 @traced_kernel("inner")
@@ -109,12 +111,12 @@ def masked_spgemm_inner_fast(
     nthreads: int = 1,
 ) -> CSR:
     """Vectorized pull-based (Inner) masked SpGEMM (see module docs);
-    ``nthreads``: threads of the native loop and of B's CSC build (the same
-    bytes and counters at any count)."""
+    ``nthreads``: threads of the native loop, of B's CSC build and of the
+    operands' ordering, where one is unsorted (the same bytes and counters
+    at any count)."""
     if complement:
         raise ValueError("inner-product algorithm does not support complement")
-    a = a.sort_indices()
-    mask = mask.sort_indices()
+    a, mask = a._sort_indices(nthreads), mask._sort_indices(nthreads)
     n = b.ncols
     if a.nnz == 0 or b.nnz == 0 or mask.nnz == 0:
         if counter is not None:

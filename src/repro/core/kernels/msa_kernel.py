@@ -38,9 +38,8 @@ MSA_DENSE_BUDGET = 1 << 20
 
 def _msa_native(nat, a: CSR, b: CSR, mask: CSR, complement, counter, row_nnz,
                 nthreads) -> CSR:
-    """The whole call as one of ``native.c``'s MSA row loops (no chunks), the
-    plain-mask one on ``nthreads`` threads (the complemented one is serial);
-    values and counters are those of the NumPy body below."""
+    """The whole call as one of ``native.c``'s MSA row loops (no chunks), on
+    ``nthreads`` threads; values and counters are those of the NumPy body below."""
     lib, op = nat
     nrows, n = a.nrows, b.ncols
     _native.validate(lib, (a, b, mask), a.ncols == b.nrows and mask.shape == (nrows, n))
@@ -55,26 +54,25 @@ def _msa_native(nat, a: CSR, b: CSR, mask: CSR, complement, counter, row_nnz,
     operands = [x.ctypes.data for x in (a.indptr, a.indices, a.data, b.indptr,
                                         b.indices, b.data, mask.indptr, mask.indices)]
     # the C loops restore every touched cell after each row: the leases'
-    # cleanliness contract, as in the NumPy body
+    # cleanliness contract, as in the NumPy body; one slice of each per thread
     arena = get_arena()
     with arena.lease("native.state", np.uint8, 0) as state, \
             arena.lease("native.values", np.float64, 0.0) as values, \
             arena.lease("native.touched", np.int64, None) as touched:
-        if not complement:  # one state / values slice per thread
-            scratch = [state.require(nthreads * n).ctypes.data,
-                       values.require(nthreads * n).ctypes.data]
+        scratch = [state.require(nthreads * n).ctypes.data,
+                   values.require(nthreads * n).ctypes.data]
+        if not complement:
             cnt[2] = lib.repro_msa(op, nrows, n, nthreads, *operands, *scratch,
                                    indptr.ctypes.data, cols.ctypes.data, vals.ctypes.data,
                                    cnt.ctypes.data)
         else:
-            scratch = [state.require(n).ctypes.data, values.require(n).ctypes.data]
             # one cell more than there are columns: msa_row's append stores, then advances
-            scratch.append(touched.require(n + 1).ctypes.data)
+            scratch.append(touched.require(nthreads * (n + 1)).ctypes.data)
             row = 0
             while True:
                 row = lib.repro_msa_complement(
                     op, row, nrows, n, *operands, *scratch, indptr.ctypes.data,
-                    cols.ctypes.data, vals.ctypes.data, cap, cnt.ctypes.data)
+                    cols.ctypes.data, vals.ctypes.data, cap, cnt.ctypes.data, nthreads)
                 if row >= nrows:
                     break
                 cap = max(2 * cap, int(cnt[3]))
@@ -91,8 +89,18 @@ def _msa_native(nat, a: CSR, b: CSR, mask: CSR, complement, counter, row_nnz,
         _charge(counter, SimpleNamespace(nm=mask.nnz, products=inserts, kept=flops,
                                          out=nnz, complement=complement))
         counter.output_nnz += nnz
-    return CSR((nrows, n), indptr, cols[:nnz].copy(), vals[:nnz].copy(),
-               sorted_indices=True, check=False)
+    # no oversized buffer outlives the call: shrunk in place (a realloc),
+    # but a complemented output that keeps under half its capacity, a guess
+    # that can run many times the output, is copied out -- BC keeps those
+    # outputs through its backward sweep, and shrinking them all in place
+    # left their freed tails between live arrays: the heap's free space
+    # doubled and bc-rmat's peak RSS rose 5 %
+    if complement and 2 * nnz < cols.shape[0]:
+        cols, vals = cols[:nnz].copy(), vals[:nnz].copy()
+    else:
+        cols.resize(nnz, refcheck=False)
+        vals.resize(nnz, refcheck=False)
+    return CSR((nrows, n), indptr, cols, vals, sorted_indices=True, check=False)
 
 
 @traced_kernel("msa")
@@ -113,11 +121,10 @@ def masked_spgemm_msa_fast(
 
     ``row_nnz`` optionally carries the exact two-phase symbolic bound, so finished rows are written straight into the final
     CSR arrays and checked against it.  ``nthreads``: threads of the native
-    plain-mask loop (the same bytes and counters at any count).
+    loops and of the operands' ordering, where one is unsorted (the same
+    bytes and counters at any count).
     """
-    a = a.sort_indices()
-    b = b.sort_indices()
-    mask = mask.sort_indices()
+    a, b, mask = (x._sort_indices(nthreads) for x in (a, b, mask))
     nat = _native.kernels(semiring, a.data, b.data)
     _obs.annotate(tier="numpy" if nat is None else "native")
     if nat is not None:

@@ -5,15 +5,16 @@
  * with (triangle counting's operand is built on it too) and its two row
  * merges (ewise_add, locate).
  *
- * The plain-mask MSA, Inner and symbolic loops and the count pass of the
+ * The MSA, Inner and symbolic loops and the count pass of the
  * triangle-counting operand are row-parallel (the counting sort threads by
  * input ranges instead, see there), as in the paper's Fig. 2:
  * with nthreads > 1 an OpenMP loop hands out rows in dynamic chunks (of
  * CHUNK), each thread owns an accumulator (its own slice of the scratch) and
  * row i is written at mp[i], where the mask bounds it (the paper's 1P
- * output), then compact() moves the rows down into CSR order.  A row is
- * one thread's, accumulated in expansion order, and the counters are
- * integer per-row sums, so bytes and counters do not depend on nthreads.
+ * output; under a complemented mask, at a bound of its own, see there),
+ * then compact() moves the rows down into CSR order.  A row is one
+ * thread's, accumulated in expansion order, and the counters are integer
+ * per-row sums, so bytes and counters do not depend on nthreads.
  * nthreads <= 1 runs the serial loop and never enters libgomp (a forked
  * child must not: the parent's thread pool did not survive the fork).
  * Built without -fopenmp, the pragmas are ignored and every loop is serial.
@@ -34,9 +35,9 @@
  *
  * Scratch (state: ncols bytes, val: ncols doubles, where: ncols(A) int32;
  * nthreads of each, one per thread) is all-zero at rest and restored cell
- * by cell after every row; touched (ncols + 1 int64) is a write-before-read
- * list, and so is the MSA rows' hit buffer (HITS words on the C stack, so
- * every thread has its own).
+ * by cell after every row; touched (ncols + 1 int64 a thread) is a
+ * write-before-read list, and so is the MSA rows' hit buffer (HITS words on
+ * the C stack, so every thread has its own).
  */
 #include <stdint.h>
 #include <stdlib.h>
@@ -75,12 +76,12 @@ i64 repro_openmp(void)
     return OPENMP;
 }
 
-/* rows at their mask offsets mp[i], counts in cp[i + 1] -> CSR order */
-static i64 compact(i64 nrows, const i64 *mp, i64 *cp, i64 *cj, double *cv)
+/* rows [i0, i1) at their offsets mp[i], counts in cp[i + 1] -> CSR order
+ * from nnz on (no offset is below its row's place there) */
+static i64 compact(i64 i0, i64 i1, i64 nnz, const i64 *mp, i64 *cp, i64 *cj,
+                   double *cv)
 {
-    i64 nnz = 0;
-    cp[0] = 0;
-    for (i64 i = 0; i < nrows; i++) {
+    for (i64 i = i0; i < i1; i++) {
         const i64 n = cp[i + 1];
         memmove(cj + nnz, cj + mp[i], (size_t)n * sizeof(i64));
         memmove(cv + nnz, cv + mp[i], (size_t)n * sizeof(double));
@@ -134,10 +135,18 @@ i64 repro_check(i64 nrows, i64 ncols, const i64 *p, const i64 *j, i64 nnz)
     for (i64 i = 0; i < nrows; i++)
         if (p[i] > p[i + 1])
             return 1;
-    int bad = 0;
-    for (i64 t = 0; t < nnz; t++)
-        bad |= (uint64_t)j[t] >= (uint64_t)ncols;
-    return bad ? 2 : 0;
+    /* 0 <= j < ncols leaves the sign bit of j | ~(j - ncols) clear: an OR
+     * of subtractions, not a compare, taken in blocks of a fixed 64 -- a
+     * trip count -O2's (very cheap) vectorizer takes */
+    const uint64_t n = (uint64_t)ncols;
+    uint64_t bad = 0;
+    i64 t = 0;
+    for (; t + 64 <= nnz; t += 64)
+        for (int u = 0; u < 64; u++)
+            bad |= (uint64_t)j[t + u] | ~((uint64_t)j[t + u] - n);
+    for (; t < nnz; t++)
+        bad |= (uint64_t)j[t] | ~((uint64_t)j[t] - n);
+    return bad >> 63 ? 2 : 0;
 }
 
 /* ------------------------------------------------------------------ */
@@ -164,7 +173,7 @@ i64 repro_check(i64 nrows, i64 ncols, const i64 *p, const i64 *j, i64 nnz)
 /* or scatter them at the cursors c[].  Row by row where rows are      */
 /* given; with src, row r's keys start at key[src[r]] (a row gather).  */
 INLINE void bucket_range(const int scatter, i64 t0, i64 t1, const i64 *key,
-                         i64 nrows, const i64 *rows, const i64 *src, i64 *c,
+                         const i64 *rows, const i64 *src, i64 *c,
                          i64 *order, const i64 *isrc, i64 *idst,
                          const uint64_t *vsrc, uint64_t *vdst)
 {
@@ -192,8 +201,8 @@ INLINE void bucket_range(const int scatter, i64 t0, i64 t1, const i64 *key,
 
 /* counted: start[] holds the bucket sizes already (read when serial) */
 static void bucket_sort(const int counted, i64 n, i64 nbuckets, const i64 *key,
-                        i64 nrows, const i64 *rows, const i64 *src,
-                        i64 *start, i64 *order, const i64 *isrc, i64 *idst,
+                        const i64 *rows, const i64 *src, i64 *start,
+                        i64 *order, const i64 *isrc, i64 *idst,
                         const uint64_t *vsrc, uint64_t *vdst, i64 nthreads)
 {
     const i64 w = nbuckets + 1; /* one row of cursors */
@@ -213,12 +222,11 @@ static void bucket_sort(const int counted, i64 n, i64 nbuckets, const i64 *key,
         if (nt > 1) {
 #pragma omp parallel for num_threads(nt) schedule(static, 1)
             for (i64 q = 0; q < nt; q++)
-                bucket_range(scatter, n * q / nt, n * (q + 1) / nt, key, nrows,
-                             rows, src, cur + q * w, order, isrc, idst, vsrc,
-                             vdst);
+                bucket_range(scatter, n * q / nt, n * (q + 1) / nt, key, rows,
+                             src, cur + q * w, order, isrc, idst, vsrc, vdst);
         } else
-            bucket_range(scatter, 0, n, key, nrows, rows, src, cur, order,
-                         isrc, idst, vsrc, vdst);
+            bucket_range(scatter, 0, n, key, rows, src, cur, order, isrc, idst,
+                         vsrc, vdst);
     }
     /* the last range's cursors stopped at their buckets' ends */
     memmove(start + 1, cur + (nt - 1) * w, (size_t)nbuckets * sizeof(i64));
@@ -235,7 +243,7 @@ i64 repro_bucket_order(i64 n, i64 nbuckets, const i64 *key, i64 nrows,
     const i64 all[2] = {0, n}; /* without rows: one row of every key */
     if (repro_check(rows ? nrows : 1, nbuckets, rows ? rows : all, key, n))
         return -1;
-    bucket_sort(0, n, nbuckets, key, nrows, rows, NULL, start, order, isrc,
+    bucket_sort(0, n, nbuckets, key, rows, NULL, start, order, isrc,
                 idst, vsrc, vdst, nthreads);
     return 0;
 }
@@ -297,11 +305,11 @@ i64 repro_lower_by_degree(i64 n, const i64 *p, const i64 *j, i64 nnz,
         new_id[i] = p[perm[i]];
     }
     const i64 m = lp[n];
-    bucket_sort(hist, m, n, lj, n, lp, new_id, up, NULL, NULL, uj, NULL, NULL,
+    bucket_sort(hist, m, n, lj, lp, new_id, up, NULL, NULL, uj, NULL, NULL,
                 nthreads);
     for (i64 i = 0; i <= n; i++) /* L's row sizes */
         lp[i] = i < n ? lp[i + 1] - lp[i] : 0;
-    bucket_sort(1, m, n, uj, n, up, NULL, lp, NULL, NULL, lj, NULL, NULL,
+    bucket_sort(1, m, n, uj, up, NULL, lp, NULL, NULL, lj, NULL, NULL,
                 nthreads);
     int dup = 0; /* L's rows are ascending: a stored-twice k is adjacent */
     for (i64 i = 0; i < n; i++)
@@ -476,6 +484,7 @@ INLINE i64 msa_plain(const int op, i64 nrows, i64 ncols, i64 nthreads,
                      i64 *cp, i64 *cj, double *cv, i64 *cnt)
 {
     i64 nnz = 0, flops = 0, inserts = 0;
+    cp[0] = 0;
     if (OPENMP && nthreads > 1) {
 #pragma omp parallel for num_threads(nthreads) \
     schedule(dynamic, CHUNK(nrows, nthreads)) reduction(+ : flops, inserts)
@@ -483,9 +492,8 @@ INLINE i64 msa_plain(const int op, i64 nrows, i64 ncols, i64 nthreads,
             cp[i + 1] = msa_plain_row(op, i, ap, aj, av, bp, bj, bv, mp, mj,
                                       state + SLICE(ncols), val + SLICE(ncols),
                                       cj + mp[i], cv + mp[i], &flops, &inserts);
-        nnz = compact(nrows, mp, cp, cj, cv);
+        nnz = compact(0, nrows, 0, mp, cp, cj, cv);
     } else {
-        cp[0] = 0;
         for (i64 i = 0; i < nrows; i++)
             cp[i + 1] = nnz += msa_plain_row(op, i, ap, aj, av, bp, bj, bv, mp,
                                              mj, state, val, cj + nnz, cv + nnz,
@@ -508,91 +516,156 @@ i64 repro_msa(i64 op, i64 nrows, i64 ncols, i64 nthreads,
 
 /* ------------------------------------------------------------------ */
 /* MSA, complemented mask: first-touch list per row, emitted sorted    */
-/* (or re-collected by a scan where the touched span is dense).  The output */
-/* size is not known up front, so the loop is resumable: it starts at  */
-/* row0 with cnt[2] entries already written and returns the row it     */
-/* stopped at -- nrows when done, else the row that needs cnt[3] cells */
-/* of capacity (that row is restarted by the next call).               */
+/* (or re-collected by a scan where the touched span is dense).  The   */
+/* output size is not known up front, so the loop is resumable: it     */
+/* starts at row0 with cnt[2] entries already written and returns the  */
+/* row it stopped at -- nrows when done, else the row that needs       */
+/* cnt[3] cells of capacity (that row is restarted by the next call).  */
+/* With nthreads > 1 the rows go in blocks: a block is the run of rows */
+/* whose bounds min(products, ncols) -- no row has more first touches, */
+/* whatever the mask holds -- fit the room left; its rows run          */
+/* row-parallel at their bound offsets, then compact().  Where no two  */
+/* rows fit, the next one runs as the serial loop runs it.  So every   */
+/* row meets the room check at the nnz the serial loop has there: the  */
+/* same requests for capacity, the same bytes.                         */
+/* A block also spans at most SPAN rows of ncols cells a thread: a    */
+/* row far below its bound still touches pages of its own, so the     */
+/* blocks of sparse rows reuse one window of pages.                    */
 /* cnt: [0] flops, [1] inserts, [2] nnz written, [3] capacity needed   */
 /* ------------------------------------------------------------------ */
+#define SPAN 8
+
+/* row i's products (A row not empty): returns its first touches, listed */
+/* in touched[]                                                          */
+INLINE i64 compl_touch(const int op, i64 i, const i64 *ap, const i64 *aj,
+                       const double *av, const i64 *bp, const i64 *bj,
+                       const double *bv, const i64 *mp, const i64 *mj,
+                       uint8_t *state, double *val, i64 *touched,
+                       i64 *flops, i64 *inserts)
+{
+    for (i64 m = mp[i]; m < mp[i + 1]; m++)
+        state[mj[m]] = MASKED;
+    const i64 nt = msa_row(op, 1, ap[i], ap[i + 1], aj, av, bp, bj, bv, state,
+                           val, touched, flops, inserts);
+    for (i64 m = mp[i]; m < mp[i + 1]; m++)
+        state[mj[m]] = EMPTY;
+    return nt;
+}
+
+/* the nt first touches to cj / cv in column order, their cells reset */
+static i64 compl_emit(i64 ncols, i64 nt, uint8_t *state, double *val,
+                      i64 *touched, i64 *cj, double *cv)
+{
+    i64 lo = ncols, hi = -1;
+    for (i64 t = 0; t < nt; t++) {
+        lo = touched[t] < lo ? touched[t] : lo;
+        hi = touched[t] > hi ? touched[t] : hi;
+    }
+    /* put the first-touch list in column order: re-collect it from the
+     * state bytes of the touched span (eight at a time) when that span is
+     * dense enough, else sort it */
+    if (hi - lo < SCAN_SPAN * nt) {
+        nt = 0;
+        for (i64 c = lo; c <= hi; c++) {
+            uint64_t word;
+            if (c + 8 <= ncols) {
+                memcpy(&word, state + c, 8);
+                if (!word) {
+                    c += 7;
+                    continue;
+                }
+            }
+            touched[nt] = c; /* as in msa_apply: store, then advance */
+            nt += state[c] != EMPTY;
+        }
+    } else
+        qsort(touched, (size_t)nt, sizeof(i64), cmp_i64);
+    for (i64 t = 0; t < nt; t++) {
+        const i64 c = touched[t];
+        cj[t] = c;
+        cv[t] = val[c];
+        state[c] = EMPTY;
+        val[c] = 0.0;
+    }
+    return nt;
+}
+
 INLINE i64 msa_compl(const int op, i64 row0, i64 nrows, i64 ncols,
                      const i64 *ap, const i64 *aj, const double *av,
                      const i64 *bp, const i64 *bj, const double *bv,
                      const i64 *mp, const i64 *mj,
                      uint8_t *state, double *val, i64 *touched,
-                     i64 *cp, i64 *cj, double *cv, i64 cap, i64 *cnt)
+                     i64 *cp, i64 *cj, double *cv, i64 cap, i64 *cnt,
+                     i64 nthreads)
 {
-    i64 nnz = cnt[2], i;
+    i64 i = row0, *off = OPENMP && nthreads > 1
+                             ? malloc((size_t)nrows * sizeof(i64)) : NULL;
+    const i64 span = SPAN * nthreads * ncols;
     if (row0 == 0)
         cp[0] = 0;
-    for (i = row0; i < nrows; i++) {
-        const i64 a0 = ap[i], a1 = ap[i + 1], m0 = mp[i], m1 = mp[i + 1];
-        i64 flops = 0, inserts = 0, lo = ncols, hi = -1;
-        if (a0 == a1) {
-            cp[i + 1] = nnz;
-            continue;
+    for (i64 r = row0; off && r < nrows; r++) { /* the bounds */
+        i64 b = 0;
+        for (i64 j = ap[r]; j < ap[r + 1] && b < ncols; j++)
+            b += bp[aj[j] + 1] - bp[aj[j]];
+        off[r] = b < ncols ? b : ncols;
+    }
+    while (i < nrows) {
+        i64 end = i, at = cnt[2], flops = 0, inserts = 0, nt = 0;
+        const i64 last = cap - at < span ? cap : at + span; /* block's end */
+        for (; off && end < nrows && off[end] <= last - at; end++) {
+            const i64 b = off[end]; /* bound -> offset */
+            off[end] = at;
+            at += b;
         }
-        for (i64 m = m0; m < m1; m++)
-            state[mj[m]] = MASKED;
-        i64 nt = msa_row(op, 1, a0, a1, aj, av, bp, bj, bv, state, val, touched,
-                         &flops, &inserts);
-        for (i64 m = m0; m < m1; m++)
-            state[mj[m]] = EMPTY;
-        if (nnz + nt > cap) { /* out of room: clean up, ask for more */
-            for (i64 t = 0; t < nt; t++) {
-                state[touched[t]] = EMPTY;
-                val[touched[t]] = 0.0;
+        if (end - i > 1) { /* a block */
+#pragma omp parallel for num_threads(nthreads) \
+    schedule(dynamic, CHUNK(end - i, nthreads)) reduction(+ : flops, inserts)
+            for (i64 r = i; r < end; r++) {
+                uint8_t *st = state + SLICE(ncols);
+                double *va = val + SLICE(ncols);
+                i64 *tc = touched + SLICE(ncols + 1), n = 0;
+                if (ap[r] < ap[r + 1])
+                    n = compl_touch(op, r, ap, aj, av, bp, bj, bv, mp, mj, st,
+                                    va, tc, &flops, &inserts);
+                cp[r + 1] = compl_emit(ncols, n, st, va, tc, cj + off[r],
+                                       cv + off[r]);
             }
-            cnt[3] = nnz + nt;
-            break;
-        }
-        for (i64 t = 0; t < nt; t++) {
-            lo = touched[t] < lo ? touched[t] : lo;
-            hi = touched[t] > hi ? touched[t] : hi;
-        }
-        /* put the first-touch list in column order: re-collect it from the
-         * state bytes of the touched span (eight at a time) when that span is
-         * dense enough, else sort it */
-        if (hi - lo < SCAN_SPAN * nt) {
-            nt = 0;
-            for (i64 c = lo; c <= hi; c++) {
-                uint64_t word;
-                if (c + 8 <= ncols) {
-                    memcpy(&word, state + c, 8);
-                    if (!word) {
-                        c += 7;
-                        continue;
-                    }
+            cnt[2] = compact(i, end, cnt[2], off, cp, cj, cv);
+            i = end;
+        } else { /* one row, as the serial loop runs every row */
+            if (ap[i] < ap[i + 1])
+                nt = compl_touch(op, i, ap, aj, av, bp, bj, bv, mp, mj, state,
+                                 val, touched, &flops, &inserts);
+            if (cnt[2] + nt > cap) { /* out of room: clean up, ask for more */
+                for (i64 t = 0; t < nt; t++) {
+                    state[touched[t]] = EMPTY;
+                    val[touched[t]] = 0.0;
                 }
-                touched[nt] = c; /* as in msa_apply: store, then advance */
-                nt += state[c] != EMPTY;
+                cnt[3] = cnt[2] + nt;
+                break;
             }
-        } else
-            qsort(touched, (size_t)nt, sizeof(i64), cmp_i64);
-        for (i64 t = 0; t < nt; t++) {
-            const i64 c = touched[t];
-            cj[nnz] = c;
-            cv[nnz++] = val[c];
-            state[c] = EMPTY;
-            val[c] = 0.0;
+            cp[i + 1] = cnt[2] += compl_emit(ncols, nt, state, val, touched,
+                                             cj + cnt[2], cv + cnt[2]);
+            i++;
         }
         cnt[0] += flops;
         cnt[1] += inserts;
-        cp[i + 1] = nnz;
     }
-    cnt[2] = nnz;
+    free(off);
     return i;
 }
 
+/* touched: ncols + 1 cells a thread (msa_apply stores, then advances) */
 i64 repro_msa_complement(i64 op, i64 row0, i64 nrows, i64 ncols,
                          const i64 *ap, const i64 *aj, const double *av,
                          const i64 *bp, const i64 *bj, const double *bv,
                          const i64 *mp, const i64 *mj,
                          uint8_t *state, double *val, i64 *touched,
-                         i64 *cp, i64 *cj, double *cv, i64 cap, i64 *cnt)
+                         i64 *cp, i64 *cj, double *cv, i64 cap, i64 *cnt,
+                         i64 nthreads)
 {
     DISPATCH(msa_compl, row0, nrows, ncols, ap, aj, av, bp, bj, bv, mp, mj,
-             state, val, touched, cp, cj, cv, cap, cnt)
+             state, val, touched, cp, cj, cv, cap, cnt, nthreads)
 }
 
 /* ------------------------------------------------------------------ */
@@ -717,7 +790,7 @@ INLINE i64 inner_rows(const int op, i64 nrows, i64 ncols, i64 nthreads,
             inner_span(op, i, i + 1, ap, aj, av, tp, ti, tv, mp, mj,
                        where + SLICE(ncols), cp, cj + mp[i], cv + mp[i],
                        &flops);
-        nnz = compact(nrows, mp, cp, cj, cv);
+        nnz = compact(0, nrows, 0, mp, cp, cj, cv);
     } else
         nnz = inner_span(op, 0, nrows, ap, aj, av, tp, ti, tv, mp, mj, where,
                          cp, cj, cv, &flops);

@@ -45,9 +45,7 @@ def symbolic_masked(
     first-touch count; on ``nthreads`` threads), else the push frame's
     count-only mode over the dense-rank strategy — and every inspected
     product is charged to ``counter.symbolic_flops``."""
-    a = a.sort_indices()
-    b = b.sort_indices()
-    mask = mask.sort_indices()
+    a, b, mask = (x._sort_indices(nthreads) for x in (a, b, mask))
     n = b.ncols
     lib = _native.load()  # pattern only: every semiring and dtype is eligible
     if lib is not None:

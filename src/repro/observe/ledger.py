@@ -127,10 +127,9 @@ def misprediction_summary(rows: List[dict]) -> Dict[str, dict]:
         for row in group:
             measured_total += row["measured_seconds"]
             ms = row["modeled_seconds"]
-            if ms is not None:
-                modeled_total += ms
-                if ms > 0.0 and row["measured_seconds"] > 0.0:
-                    ratios.append(row["measured_seconds"] / ms)
+            modeled_total += ms
+            if ms > 0.0 and row["measured_seconds"] > 0.0:
+                ratios.append(row["measured_seconds"] / ms)
         entry: Dict[str, Any] = {
             "rows": len(group),
             "with_model": len(ratios),

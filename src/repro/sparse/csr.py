@@ -206,6 +206,13 @@ class CSR:
         plus the rest in input order, an entry stored once keeps its value
         bit for bit.  The result has sorted row segments and owns its arrays.
         """
+        return cls._from_coo(shape, rows, cols, vals, sum_duplicates=sum_duplicates)
+
+    @classmethod
+    def _from_coo(cls, shape, rows, cols, vals=None, *, sum_duplicates: bool = True,
+                  nthreads: Optional[int] = None, backend: Optional[str] = None) -> "CSR":
+        """:meth:`from_coo`, its counting passes on the caller's thread count
+        (``native.scatter_threads(nnz, nthreads, backend)``)."""
         rows = np.asarray(rows, dtype=INDEX_DTYPE)
         cols = np.asarray(cols, dtype=INDEX_DTYPE)
         if vals is None:
@@ -235,8 +242,9 @@ class CSR:
             key = rows * INDEX_DTYPE(ncols) + cols
             if nnz > 1 and not (key[1:] >= key[:-1]).all():
                 if max(nrows, ncols) <= 4 * nnz + 1024:
-                    by_col = _bucket_order(cols, ncols, rows, order=True)
-                    by_row = by_col and _bucket_order(by_col[2], nrows, by_col[1])
+                    threads = dict(nthreads=nthreads, backend=backend)
+                    by_col = _bucket_order(cols, ncols, rows, order=True, **threads)
+                    by_row = by_col and _bucket_order(by_col[2], nrows, by_col[1], **threads)
                     order = by_row[2] if by_row else None
                 if order is None:
                     order = np.argsort(key, kind="stable")
@@ -425,10 +433,15 @@ class CSR:
 
     def sort_indices(self) -> "CSR":
         """Return an equivalent CSR with sorted, duplicate-summed rows."""
+        return self._sort_indices()
+
+    def _sort_indices(self, nthreads: Optional[int] = None,
+                      backend: Optional[str] = None) -> "CSR":
+        """:meth:`sort_indices` on the caller's thread count (:meth:`_from_coo`)."""
         if self.sorted_indices:
             return self
         rows, cols, vals = self.to_coo()
-        return CSR.from_coo(self.shape, rows, cols, vals)
+        return CSR._from_coo(self.shape, rows, cols, vals, nthreads=nthreads, backend=backend)
 
     def transpose(self) -> "CSR":
         """Transpose.  The result has sorted rows (CSR of the transpose is
@@ -447,7 +460,8 @@ class CSR:
         """:meth:`transpose`, its counting pass on the caller's thread count
         (``native.scatter_threads(nnz, nthreads, backend)``)."""
         if not self.sorted_indices:
-            return CSR.from_coo((self.ncols, self.nrows), self.indices, self.row_ids(), self.data)
+            return CSR._from_coo((self.ncols, self.nrows), self.indices, self.row_ids(),
+                                 self.data, nthreads=nthreads, backend=backend)
         moved = None
         if self.indptr.shape == (self.nrows + 1,):  # else row_ids() below raises
             moved = _bucket_order(self.indices, self.ncols, vals=self.data, rows=self.indptr,

@@ -127,8 +127,10 @@ def ewise_add(a: CSR, b: CSR, op: Callable = np.add) -> CSR:
         cols, vals = np.empty(cap, dtype=INDEX_DTYPE), np.empty(cap, dtype=VALUE_DTYPE)
         nnz = lib.repro_ewise_add(a.nrows, *(x.ctypes.data for x in (
             a.indptr, a.indices, a.data, b.indptr, b.indices, b.data, indptr, cols, vals)))
-        if nnz < cap:  # the rows overlapped: no oversized buffer outlives the call
-            cols, vals = cols[:nnz].copy(), vals[:nnz].copy()
+        # shrunk in place (a realloc) where the rows overlapped: no oversized
+        # buffer outlives the call
+        cols.resize(nnz, refcheck=False)
+        vals.resize(nnz, refcheck=False)
         return CSR(a.shape, indptr, cols, vals, sorted_indices=True, check=False)
     pos, both = _search(a, b)
     new = np.flatnonzero(~both)  # b's entries that a lacks ...

