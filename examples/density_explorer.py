@@ -9,8 +9,8 @@ prints the winning algorithm per cell, three ways:
 3. measured wall-clock of the vectorized kernels in this process.
 
 Also prints the plan ``algo="auto"`` makes for a dense-A, sparse-mask
-problem: the per-row dispatch of the paper's future work, priced from this
-host's measured kernel costs.
+problem: one ``inner`` band over every row, priced from this host's
+measured kernel costs.
 
 Run:  python examples/density_explorer.py
 """
@@ -63,7 +63,7 @@ def measured_grid() -> None:
     print()
 
 
-def hybrid_demo() -> None:
+def auto_plan_demo() -> None:
     n = 3000
     a = erdos_renyi(n, n, 24, seed=1)
     b = erdos_renyi(n, n, 12, seed=2)
@@ -75,7 +75,7 @@ def hybrid_demo() -> None:
 def main() -> None:
     modeled_grids()
     measured_grid()
-    hybrid_demo()
+    auto_plan_demo()
 
 
 if __name__ == "__main__":

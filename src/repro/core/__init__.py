@@ -4,8 +4,8 @@ Public entry points:
 
 * :func:`masked_spgemm` — the front door over all algorithms/variants;
   ``algo="auto"`` routes through the execution engine
-  (:mod:`repro.engine`), which plans per-row-band algorithms — the
-  paper's future-work hybrid — from this host's measured kernel costs
+  (:mod:`repro.engine`), which plans one algorithm for every row from
+  this host's measured kernel costs
   (``shards=`` grids the output: ``(1, K)`` is the memory-bounded
   column-panelled multiply).
 * :func:`gustavson_spgemm` / :func:`spgemm_saxpy_fast` — plain SpGEMM.

@@ -7,7 +7,7 @@ using any of the paper's algorithms:
 ========  ======================================  ==========  ==========
 algo      description                             complement  fast path
 ========  ======================================  ==========  ==========
-auto      planner picks per row band              yes         yes
+auto      planner picks one for all rows          yes         yes
 inner     pull-based dot products (Sec. 4.1)      no          yes
 msa       Masked Sparse Accumulator (Sec. 5.2)    yes         yes
 hash      hash accumulator (Sec. 5.3)             yes         yes
@@ -22,10 +22,10 @@ esc       expand-sort-compress (extension)        yes         yes
 :class:`~repro.engine.ExecutionPlan` from the matrices' statistics and the
 measured per-unit costs of the fast kernels on this interpreter, and the
 engine executes it (use ``repro.engine.plan(...)`` directly to *see* the
-decision before running it).  Its per-row bands are the paper's stated
-future work (Section 9: "hybrid algorithms that can use different
-accumulators in the same Masked SpGEMM depending on the density of the
-mask and parts of matrices being processed").
+decision before running it).  The plan runs one algorithm over every row,
+as the paper does in every figure; the per-row hybrid it names as future
+work (Section 9) showed no measured win (ROADMAP, "Closed by
+measurement") and is not built.
 
 ``phases`` selects the 1P/2P output-formation strategy of Section 6: 2P
 runs a symbolic sweep first (its cost lands in ``counter.symbolic_flops``)
@@ -105,7 +105,7 @@ def masked_spgemm(
         CSR mask; only its pattern is used (values ignored).
     algo:
         One of :data:`ALL_ALGOS`, or ``"auto"`` to let the planner
-        (:mod:`repro.engine`) choose per row band from this host's measured
+        (:mod:`repro.engine`) choose one for every row from this host's measured
         kernel costs (:class:`~repro.machine.HostProfile`).
     phases:
         1 (one-phase) or 2 (two-phase with a symbolic sweep).  Defaults to

@@ -1,18 +1,19 @@
 """Execution engine for masked SpGEMM, priced from this host's measured
 kernel costs.
 
-The paper's Section 9 future work — hybrid, regime-aware algorithm
-selection — realised as an explicit three-stage pipeline:
+Regime-aware algorithm selection (Fig. 7 / Section 4.3: one algorithm for
+the whole product, as in every figure of the paper) realised as an
+explicit three-stage pipeline:
 
 1. :class:`Planner` (or the one-shot :func:`plan`) inspects the matrices'
    statistics and prices the candidates from this host's measured
    :class:`~repro.machine.HostProfile`, and emits an
-2. :class:`ExecutionPlan` — an inspectable record of per-row-band algorithm
-   choices, 1P/2P phase strategy, thread count + backend and the
+2. :class:`ExecutionPlan` — an inspectable record of the algorithm (one
+   band over every row), 1P/2P phase strategy, thread count + backend and the
    grid (row blocks x column panels, 1x1 by default), with
    :meth:`~ExecutionPlan.explain` for auditability — which
-3. :func:`execute` runs as one loop over work items (band x row part x
-   column panel), threading a single :class:`~repro.machine.OpCounter`
+3. :func:`execute` runs as the plain kernel call or one loop over work
+   items (row part x column panel), threading a single :class:`~repro.machine.OpCounter`
    through every stage.
 
 ``masked_spgemm(..., algo="auto")`` — the one front door — runs this

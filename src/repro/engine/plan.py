@@ -1,13 +1,12 @@
 """The :class:`ExecutionPlan` — an explicit, inspectable record of *how* a
 masked SpGEMM will be executed.
 
-The paper's Section 9 names hybrid, regime-aware algorithm selection as the
-key future direction; this module is the data structure that direction hangs
-off.  A plan fixes every decision the runtime used to scatter across four
+A plan fixes every decision the runtime used to scatter across four
 competing entry points:
 
-* **row bands** — which algorithm runs which output rows (the per-row
-  regime split of Figure 7 / Section 4.3),
+* **the band** — which algorithm runs the output rows: one band over
+  every row (the regime of Figure 7 / Section 4.3 the whole product falls
+  in),
 * **phases** — the 1P/2P output-formation strategy of Section 6,
 * **threads / backend** — how many workers carry out Section 3's
   coarse-grained row parallelism and on which executor (``serial`` |
@@ -53,9 +52,10 @@ def check_phases(phases) -> None:
 
 @dataclass
 class RowBand:
-    """A contiguous-or-scattered set of output rows bound to one algorithm."""
+    """The output rows bound to one algorithm: a plan's one band owns
+    every row."""
 
-    rows: np.ndarray  #: sorted global row indices this band owns
+    rows: np.ndarray  #: the global row indices ``0 .. nrows - 1``
     algo: str  #: kernel key ("msa", "hash", "mca", "inner", "esc", ...)
     reason: str = ""  #: one-line rationale recorded by the planner
     #: predicted nanoseconds for this band (0 if not priced), stored as
@@ -66,14 +66,6 @@ class RowBand:
     @property
     def nrows(self) -> int:
         return int(np.asarray(self.rows).size)
-
-    def is_full(self, total_rows: int) -> bool:
-        """Whether this band covers every output row ``[0, total_rows)``."""
-        r = np.asarray(self.rows)
-        return (
-            r.size == total_rows
-            and (total_rows == 0 or (int(r[0]) == 0 and int(r[-1]) == total_rows - 1))
-        )
 
 
 @dataclass(frozen=True)
@@ -150,7 +142,7 @@ class ShardGrid:
 class ExecutionPlan:
     """Every decision needed to run ``C = M .* (A @ B)`` (or ``!M``).
 
-    ``bands`` must cover each output row exactly once.  ``estimates`` holds
+    ``bands`` is one band over every output row.  ``estimates`` holds
     the planner's whole-problem seconds per candidate algorithm (for
     :meth:`explain`), predicted from the host profile's measured kernel
     costs; ``notes`` records free-form planner decisions.
@@ -179,18 +171,13 @@ class ExecutionPlan:
 
     # ------------------------------------------------------------------
     def algos(self) -> Tuple[str, ...]:
-        """Distinct algorithms used, ordered by first appearance."""
-        seen: List[str] = []
-        for band in self.bands:
-            if band.algo not in seen:
-                seen.append(band.algo)
-        return tuple(seen)
+        """The algorithm of each band: one, in a valid plan."""
+        return tuple(band.algo for band in self.bands)
 
     @property
     def algo(self) -> Optional[str]:
-        """The single algorithm when the plan is unbanded, else None."""
-        a = self.algos()
-        return a[0] if len(a) == 1 else None
+        """The algorithm of the plan's one band (None for any other shape)."""
+        return self.bands[0].algo if len(self.bands) == 1 else None
 
     def nrows_per_algo(self) -> Dict[str, int]:
         out: Dict[str, int] = {}
@@ -209,27 +196,23 @@ class ExecutionPlan:
         if not isinstance(self.grid, ShardGrid):
             raise ValueError("grid must be a ShardGrid")
         self.grid.validate(self.shape)
-        band_rows = []
-        for band in self.bands:
-            if band.algo not in ALL_ALGOS:
-                raise ValueError(f"plan references unknown algorithm {band.algo!r}")
-            if self.complement and not supports_complement(band.algo):
-                raise ValueError(
-                    f"plan routes a complemented mask to {band.algo!r}, "
-                    "which does not support complement"
-                )
-            r = np.asarray(band.rows)
-            if r.size and (int(r.min()) < 0 or int(r.max()) >= nrows):
-                raise ValueError("band rows out of range")
-            band_rows.append(r)
-        counts = (
-            np.bincount(np.concatenate(band_rows), minlength=nrows)
-            if band_rows else np.zeros(nrows, dtype=np.int64)
-        )
-        if self.bands and not bool(np.all(counts == 1)):
-            raise ValueError("plan bands must cover every output row exactly once")
-        if not self.bands and nrows != 0:
-            raise ValueError("plan has no bands but the output has rows")
+        if len(self.bands) != 1:
+            raise ValueError(
+                "a plan has one band covering every output row exactly "
+                f"once, got {len(self.bands)} bands"
+            )
+        (band,) = self.bands
+        if band.algo not in ALL_ALGOS:
+            raise ValueError(f"plan references unknown algorithm {band.algo!r}")
+        if self.complement and not supports_complement(band.algo):
+            raise ValueError(
+                f"plan routes a complemented mask to {band.algo!r}, "
+                "which does not support complement"
+            )
+        if not np.array_equal(band.rows, np.arange(nrows)):
+            raise ValueError(
+                "a plan's band must cover every output row exactly once, in order"
+            )
         return self
 
     # ------------------------------------------------------------------

@@ -3,12 +3,12 @@
 
 Seconds come from the measured :class:`~repro.machine.HostProfile` —
 linear in ``flops(AB)``, mask nonzeros and pulled pairs.  A plan is paid on
-every ``algo="auto"`` call, so it decides in the cheapest of three layers
+every ``algo="auto"`` call, so it decides in the cheaper of two layers
 that can (:meth:`Planner._host_plan`; ``docs/engine.md``, "What a host plan
 costs"): one candidate needs no decision; whole-problem totals from the
 operand sizes decide a clear call, exact totals (one gather per entry) a
-close one; and only when a row split could repay its slicing and merging
-does a per-row census price every row.  Nothing prices workers: a plan runs
+close one.  Either way the plan is one band: one algorithm runs every row,
+as in every figure of the paper.  Nothing prices workers: a plan runs
 in-process, on the threads the native row loop takes for the call's
 estimated work (:func:`host_workers`), unless the caller forces
 ``threads=`` or ``backend=`` (``docs/parallel.md``, "Who picks the
@@ -27,7 +27,6 @@ plannable as a forced ``algo=``.
 from __future__ import annotations
 
 import functools
-from itertools import combinations
 from typing import Dict, Optional
 
 import numpy as np
@@ -40,9 +39,8 @@ from ..core.leaf import (
     kernel_threads,
     supports_complement,
 )
-from ..machine import HostProfile, available_cores, flops_per_row, host_profile, \
-    pulls_per_row
-from ..machine.traffic import flops_per_entry, pulls_per_entry, row_sums
+from ..machine import HostProfile, available_cores, host_profile
+from ..machine.traffic import flops_per_entry, pulls_per_entry
 from ..parallel.executor import normalize_backend
 from .plan import ExecutionPlan, RowBand, ShardGrid, check_phases, check_threads
 
@@ -157,7 +155,7 @@ class Planner:
         ``None`` is the ``1 x 1`` plain call.
 
         The decision itself costs what it can repay: see :meth:`_host_plan`
-        for the three layers.  A plan skips the final ``validate()``: it is
+        for its two layers.  A plan skips the final ``validate()``: it is
         valid by construction.
 
         ``_b_csc`` is internal: the caller's ``b_csc=``, B's CSC when the
@@ -198,7 +196,7 @@ class Planner:
             notes.append("mask is empty: the output is empty regardless of algorithm")
 
         # valid by construction: every knob was checked on the way in and
-        # the bands cover the rows once
+        # the one band covers every row
         return ExecutionPlan(
             shape=(a.nrows, b.ncols),
             bands=bands,
@@ -233,26 +231,20 @@ class Planner:
         return cand
 
     def _host_plan(self, a, b, mask, complement: bool, notes, b_csc):
-        """Bands and whole-problem estimates of a host plan, in three layers
-        that each stop as soon as the decision is made:
+        """The one band and the whole-problem estimates of a host plan,
+        decided in the first of two layers that can:
 
         1. *nothing to decide* — one candidate can run the mask (a
            complemented one, or a profile's only one): its band;
-        2. *O(1) totals* — every candidate's whole-problem nanoseconds from
-           the operand sizes, ``flops ~ nnz(A) nnz(B) / nrows(B)`` and
+        2. *totals* — every candidate's whole-problem nanoseconds from the
+           operand sizes, ``flops ~ nnz(A) nnz(B) / nrows(B)`` and
            ``pulls ~ nnz(M) nnz(B) / ncols(B)``; unless the cheapest beats
-           the runner-up by :data:`DECISIVE_MARGIN`, the exact totals
-           (one gather each, no per-row array) decide instead;
-        3. *a census only where a split can pay* — splitting rows saves at
-           most the winner's total above the per-mask, per-row and per-call
-           floor every plan pays; only when that exceeds one more band plus
-           the slice+merge cost does :meth:`_host_bands` price each row.
+           the runner-up by :data:`DECISIVE_MARGIN`, the exact totals (one
+           gather each, no per-row array) decide instead.
         """
         host = self.profile
         cand = self._supported(self.candidates, complement, notes) or ["msa"]
         nrows, m_nnz = a.nrows, mask.nnz
-        if nrows == 0:
-            return [], {}
         # (ns per unit of work, per mask nonzero, per row) of each candidate
         coefs = [getattr(host, f"{c}_ns") for c in cand]
         pull = [c == "inner" for c in cand]
@@ -263,38 +255,18 @@ class Planner:
         flops = a.nnz * b.nnz / max(1, b.nrows)
         pulls = m_nnz * b.nnz / max(1, b.ncols)
         ns = [k[0] * (pulls if p else flops) + r for k, p, r in zip(coefs, pull, rest)]
-        # a close call's exact work, one entry of A (flops) or M (pulls) each
-        per_a = per_m = None
         if len(cand) > 1:
             first, second = sorted(ns)[:2]
             if second < DECISIVE_MARGIN * first:
+                # a close call: the exact work, one entry of A (flops) or M
+                # (pulls) each
                 if not all(pull):
-                    per_a = flops_per_entry(a, b)
-                    flops = int(per_a.sum())
+                    flops = int(flops_per_entry(a, b).sum())
                 if any(pull):
-                    per_m = pulls_per_entry(b, mask, b_csc)
-                    pulls = int(per_m.sum())
+                    pulls = int(pulls_per_entry(b, mask, b_csc).sum())
                 ns = [k[0] * (pulls if p else flops) + r
                       for k, p, r in zip(coefs, pull, rest)]
         best = ns.index(min(ns))
-        if len(cand) > 1:
-            floor = (
-                min(k[1] for k in coefs) * m_nnz
-                + min(k[2] for k in coefs) * nrows + host.band_ns
-            )
-            split_ns = host.split_nnz_ns * (a.nnz + m_nnz)
-            if ns[best] - floor > host.band_ns + split_ns:
-                fl = flops_per_row(a, b) if per_a is None else row_sums(a, per_a)
-                pl = None
-                if any(pull):
-                    pl = pulls_per_row(b, mask) if per_m is None else row_sums(mask, per_m)
-                return self._host_bands(
-                    a, b, mask, fl, pl, cand, notes, b_csc is not None
-                )
-            notes.append(
-                f"one {cand[best]} band: no per-row split repays its "
-                f"~{(split_ns + host.band_ns) * 1e-6:.2f} ms slice+merge cost"
-            )
         band = RowBand(
             rows=np.arange(nrows, dtype=np.int64),
             algo=cand[best],
@@ -303,62 +275,6 @@ class Planner:
             est_cycles=float(ns[best]),
         )
         return [band], {c: float(t) * 1e-9 for c, t in zip(cand, ns)}
-
-    def _host_bands(self, a, b, mask, fl, pl, cand, notes, csc_ready: bool):
-        """Bands from the host profile's linear kernel costs.
-
-        Every non-empty subset of the candidates is priced as "each row
-        runs its cheapest member": the sum of those row costs, one fixed
-        band cost per member, the CSC build if ``inner`` is a member
-        (unless ``csc_ready``: B's CSC is already at hand) and — for a
-        split plan — the measured per-nonzero cost of slicing A and M and
-        merging the band results.  The cheapest subset wins, so rows are split exactly when
-        the predicted saving exceeds what the split costs.  ``fl`` is
-        ``flops_per_row(a, b)``, ``pl`` ``pulls_per_row(b, mask)`` (read
-        only when ``inner`` is a candidate), ``cand`` the candidates that
-        can run the mask.
-        """
-        host = self.profile
-        m_rows = mask.row_nnz()
-        cost = np.stack([
-            host.row_ns(c, pl if c == "inner" else fl, m_rows) for c in cand
-        ])
-        setup = np.full(len(cand), host.band_ns)
-        if "inner" in cand and not csc_ready:
-            setup[cand.index("inner")] += host.csc_nnz_ns * b.nnz
-        estimates = {
-            c: float(cost[i].sum() + setup[i]) * 1e-9 for i, c in enumerate(cand)
-        }
-        split_ns = host.split_nnz_ns * (a.nnz + mask.nnz)
-        best_ns, best = float("inf"), ()
-        for size in range(1, len(cand) + 1):
-            for members in combinations(range(len(cand)), size):
-                idx = list(members)
-                total = float(cost[idx].min(axis=0).sum() + setup[idx].sum())
-                if size > 1:
-                    total += split_ns
-                if total < best_ns:
-                    best_ns, best = total, idx
-        winner = np.asarray(best)[np.argmin(cost[best], axis=0)]
-        bands = []
-        for i in best:
-            rows = np.flatnonzero(winner == i).astype(np.int64)
-            if rows.size:
-                bands.append(
-                    RowBand(
-                        rows=rows,
-                        algo=cand[i],
-                        reason=_REASONS[cand[i]],
-                        # nanoseconds: 1 "cycle" is 1 ns (HostProfile.seconds)
-                        est_cycles=float(cost[i, rows].sum() + setup[i]),
-                    )
-                )
-        if len(cand) > 1 and len(bands) == 1:
-            notes.append(
-                f"one {bands[0].algo} band: no per-row split repays its "
-                f"~{(split_ns + host.band_ns) * 1e-6:.2f} ms slice+merge cost"
-            )
-        return bands, estimates
 
     @staticmethod
     def _forced_bands(a, algo: str, complement: bool):

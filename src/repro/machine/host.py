@@ -3,7 +3,7 @@
 :class:`~repro.machine.MachineConfig` presets model the *paper's* machines
 (cycles of a C implementation on Haswell/KNL) and stay the instrument for
 reproducing its figures.  They say nothing about what a kernel costs in
-this process, so every live decision — which algorithm, how many bands —
+this process, so every live decision — which algorithm runs the rows —
 is priced from a :class:`HostProfile` instead: a handful of checked-in
 nanoseconds-per-unit coefficients of the fast kernels.  There are two
 checked-in sets, one per kernel tier: :data:`HOST` (the NumPy bodies) and
@@ -17,8 +17,7 @@ The kernels' wall time is linear in statistics the planner already has:
 * ``inner``: pulled pairs ``sum_{(i,j) in M} nnz(B[:,j])`` plus a per-mask-
   nonzero term, and ``nnz(B)`` for the CSC build, which every call pays
   unless the caller passes one (``b_csc=``);
-* every kernel call / row band: a fixed cost, and for a split plan the row
-  slicing and the final merge, linear in the sliced nonzeros.
+* every kernel call: a fixed cost.
 
 Nothing here prices a worker: the count and the backend are the caller's
 (``docs/parallel.md``, "Who picks the backend"); :attr:`HostProfile.cores`
@@ -85,9 +84,6 @@ class HostProfile:
     csc_nnz_ns: float = 14.1
     #: fixed cost of one kernel call (one row band)
     band_ns: float = 85e3
-    #: extra cost of a *split* plan per nonzero of A and M: row slicing of
-    #: both operands plus the COO merge of the band results
-    split_nnz_ns: float = 27.4
 
     @property
     def cores(self) -> int:
@@ -97,11 +93,6 @@ class HostProfile:
         """Plans store predicted nanoseconds in their ``est_cycles``: 1
         "cycle" is 1 ns."""
         return cycles * 1e-9
-
-    def row_ns(self, algo: str, work: np.ndarray, mask_nnz: np.ndarray) -> np.ndarray:
-        """Predicted kernel nanoseconds per output row."""
-        per_work, per_mask, per_row = getattr(self, f"{algo}_ns")
-        return per_work * work + per_mask * mask_nnz + per_row
 
 
 #: the checked-in profile of the NumPy kernel bodies
@@ -202,19 +193,18 @@ def fit_host_profile(*, quick: bool = False, repeats: int = 3) -> Tuple[HostProf
     algorithm's seconds on ``(work, mask nnz, rows, 1)`` by relative-error
     non-negative least squares (:func:`nonneg_lstsq`, weights ``1 / y``: a
     2x miss on a microsecond call matters as much as on a millisecond one),
-    times the CSC build and a two-band split, and returns ``(profile, report)``
+    times the CSC build, and returns ``(profile, report)``
     — ``report`` carries the raw samples and per-algorithm median relative
     error so the constants can be audited.  Takes about a minute
     (``quick``: seconds, for tests).
     """
     from ..core.masked_spgemm import masked_spgemm
-    from ..engine import execute, plan
     from ..sparse import CSC
     from .traffic import flops_per_row, pulls_per_row
 
     base = host_profile()  # the live tier: fit under native.disabled() for HOST
     samples: Dict[str, list] = {algo: [] for algo in base.candidates}
-    csc_rows, split_rows = [], []
+    csc_rows = []
     for a, b, m, sr in _calibration_triples(quick):
         csc = CSC.from_csr(b)
         flops = int(flops_per_row(a, b).sum())
@@ -228,17 +218,6 @@ def fit_host_profile(*, quick: bool = False, repeats: int = 3) -> Tuple[HostProf
             call()
             samples[algo].append((work[algo], m.nnz, a.nrows, 1.0, _time_best(call, repeats)))
         csc_rows.append((b.nnz, _time_best(lambda: CSC.from_csr(b), repeats)))
-        one = plan(a, b, m, algo="msa", threads=1, backend="serial")
-        two = dataclasses.replace(
-            one,
-            bands=[
-                dataclasses.replace(one.bands[0], rows=one.bands[0].rows[: a.nrows // 2]),
-                dataclasses.replace(one.bands[0], rows=one.bands[0].rows[a.nrows // 2 :]),
-            ],
-        )
-        t_one = _time_best(lambda: execute(one, a, b, m, semiring=sr), repeats)
-        t_two = _time_best(lambda: execute(two, a, b, m, semiring=sr), repeats)
-        split_rows.append((a.nnz + m.nnz, max(0.0, t_two - t_one)))
 
     changes: dict = {}
     fixed_ns = []
@@ -251,14 +230,10 @@ def fit_host_profile(*, quick: bool = False, repeats: int = 3) -> Tuple[HostProf
         fixed_ns.append(float(theta[3]))
         errors[algo] = float(np.median(np.abs(x @ theta - y) / y))
 
-    def median_ns_per_nnz(pairs) -> float:
-        nnz, secs = np.asarray(pairs, dtype=np.float64).T
-        return float(np.median(secs / np.maximum(nnz, 1.0)) * 1e9)
-
+    nnz, secs = np.asarray(csc_rows, dtype=np.float64).T
     changes.update(
-        csc_nnz_ns=median_ns_per_nnz(csc_rows),
+        csc_nnz_ns=float(np.median(secs / np.maximum(nnz, 1.0)) * 1e9),
         band_ns=float(np.median(fixed_ns)),
-        split_nnz_ns=median_ns_per_nnz(split_rows),
     )
     report = {
         "cores": available_cores(),

@@ -37,10 +37,10 @@ __all__ = [
 #: column is gone; 3: the ``spmv-direction`` kind is gone)
 LEDGER_SCHEMA_VERSION = 3
 
-#: span name → ledger row kind.  ``engine.band`` covers a plan's row
-#: bands, ``engine.cell`` the work items (band x row part x column panel)
-#: they are cut into on every backend — the plain call is a band with no
-#: item under it.
+#: span name → ledger row kind.  ``engine.band`` covers a plan's one row
+#: band, ``engine.cell`` the work items (row part x column panel) it is
+#: cut into under ``shards=`` or ``backend="process"`` — the plain call is
+#: a band with no item under it.
 PREDICTION_KINDS = {
     "engine.band": "band",
     "engine.cell": "cell",

@@ -9,7 +9,6 @@ from .executor import (
     BACKENDS,
     normalize_backend,
     row_block,
-    row_slice,
 )
 from .partition import balanced_partition
 from .pool import (
@@ -24,7 +23,6 @@ __all__ = [
     "BACKENDS",
     "normalize_backend",
     "row_block",
-    "row_slice",
     "balanced_partition",
     "pool_size",
     "process_backend_available",

@@ -9,14 +9,14 @@ subsequent process-backend call; ``atexit`` (or an explicit
 :func:`shutdown_pool` / the :func:`process_pool` context manager) tears it
 down.
 
-Task protocol: the engine cuts a plan into work items (band x row part x
-column panel, :mod:`repro.engine.executor`) and runs each one through
+Task protocol: the engine cuts a plan into work items (row part x column
+panel, :mod:`repro.engine.executor`) and runs each one through
 :func:`run_task`.  Only the process backend cuts row parts for its
 workers: the parent publishes the operands into shared memory
 (:mod:`repro.parallel.shm`) and the :class:`Task` carries only segment
-*addresses*, the item's row descriptor and scalar knobs — a few hundred
+*addresses*, the item's row range and scalar knobs — a few hundred
 bytes — while workers attach the segments as zero-copy NumPy views.  An
-in-process item (a band of one grid cell) puts the CSR operands in the
+in-process item (one grid cell) puts the CSR operands in the
 same fields and runs on the plan's in-kernel threads.  Each item runs
 under its own :class:`~repro.machine.OpCounter` and returns its partial
 output as COO triples plus the counter, so results and counters are
@@ -47,7 +47,7 @@ from ..observe import tracer as _obs
 from ..semiring import STANDARD_SEMIRINGS, Semiring
 from ..sparse import CSC, CSR
 from . import shm as _shm
-from .executor import row_block, row_slice
+from .executor import row_block
 
 __all__ = [
     "Task",
@@ -172,8 +172,8 @@ def decode_semiring(token) -> Semiring:
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
 class Task:
-    """One work item of one masked-SpGEMM call: a band's rows in one row
-    part, against one column panel.
+    """One work item of one masked-SpGEMM call: one row part, against one
+    column panel.
 
     The operand fields hold :class:`~repro.parallel.shm.CSRSegments`
     addresses when the item crosses the process boundary (picklable, tiny)
@@ -186,17 +186,17 @@ class Task:
     b: Union[CSR, _shm.CSRSegments]  #: B's column panel
     mask: Union[CSR, _shm.CSRSegments]  #: the mask's column panel
     b_csc: Union[CSC, _shm.CSRSegments, None]  #: the panel's CSC (inner only)
-    #: rows of A and the mask this item owns: ("range", lo, hi) for a
-    #: contiguous run (a zero-copy view), ("rows", ndarray) otherwise
-    rows: tuple
+    #: rows ``[lo, hi)`` of A and the mask this item owns (a zero-copy view)
+    rows: Tuple[int, int]
     col_offset: int  #: first output column of the panel
     algo: str
     phases: int
     complement: bool
     impl: str
     semiring: Union[Semiring, tuple]
-    #: span attributes: (band, row part, panel) and the item's apportioned
-    #: share of the band's predicted time for the prediction ledger
+    #: span attributes: (band, row part, panel) — band 0, a plan's one —
+    #: and the item's apportioned share of the band's predicted time for
+    #: the prediction ledger
     cell: Tuple[int, int, int] = (0, 0, 0)
     backend: str = "serial"
     est_cycles: float = 0.0
@@ -205,15 +205,13 @@ class Task:
     trace: bool = False
 
 
-def _rows_of(mat: CSR, desc: tuple) -> Tuple[CSR, int]:
+def _rows_of(mat: CSR, rows: Tuple[int, int]) -> Tuple[CSR, int]:
     """The item's rows of ``mat`` and the offset that lifts the slice's row
     ids back to global ones."""
-    if desc[0] == "range":
-        lo, hi = int(desc[1]), int(desc[2])
-        if lo == 0 and hi == mat.nrows:
-            return mat, 0
-        return row_block(mat, lo, hi), lo
-    return row_slice(mat, desc[1]), 0
+    lo, hi = int(rows[0]), int(rows[1])
+    if lo == 0 and hi == mat.nrows:
+        return mat, 0
+    return row_block(mat, lo, hi), lo
 
 
 def run_task(task: Task, nthreads: int = 1):

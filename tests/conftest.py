@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import dataclasses
 import time
 
 import numpy as np
@@ -10,11 +9,6 @@ import pytest
 
 from repro.sparse import CSR
 from repro.graphs import erdos_renyi, erdos_renyi_graph
-from repro.machine import HOST
-
-#: a profile under which no band or split costs anything: every auto plan
-#: reaches the per-row census, and rows of different regimes split
-SPLIT_FREE = dataclasses.replace(HOST, band_ns=0.0, split_nnz_ns=0.0)
 
 
 def random_csr(nrows, ncols, degree, seed=0, values="uniform") -> CSR:
@@ -124,20 +118,29 @@ def grid_every_product(monkeypatch, app: str, shards) -> None:
 def row_split(partition, a, b, m, algo=None, threads=2, col_bounds=None):
     """A plan cutting the rows the way the deleted partition option named
     it: ``block`` as the grid's equal row blocks, ``balanced`` as the
-    process backend's own flop-balanced parts, ``cyclic`` as round-robin
-    row bands (scattered rows); ``col_bounds`` adds column panels."""
-    from repro.engine import RowBand, ShardGrid, plan
+    process backend's own flop-balanced parts; ``col_bounds`` adds column
+    panels.  ``cyclic`` (round-robin rows) names no plan: see
+    :func:`assert_round_robin_refused`."""
+    from repro.engine import ShardGrid, plan
 
-    n = a.nrows
-    rows = ShardGrid.regular(a.shape, threads, 1).row_bounds if partition == "block" else (0, n)
-    pl = plan(a, b, m, algo=algo, threads=threads,
-              backend="process" if partition == "balanced" else None,
-              shards=ShardGrid(rows, col_bounds or (0, b.ncols)))
-    if partition == "cyclic":
-        pl.bands = [RowBand(rows=np.arange(i, n, threads), algo=pl.bands[0].algo)
-                    for i in range(threads)]
-        pl.validate()
-    return pl
+    rows = ShardGrid.regular(a.shape, threads, 1).row_bounds if partition == "block" \
+        else (0, a.nrows)
+    return plan(a, b, m, algo=algo, threads=threads,
+                backend="process" if partition == "balanced" else None,
+                shards=ShardGrid(rows, col_bounds or (0, b.ncols)))
+
+
+def assert_round_robin_refused(a, b, m, algo="msa", threads=2, backend=None):
+    """The deleted ``cyclic`` partition — round-robin row bands — is no
+    plan: a plan is one band over every row, and ``execute`` refuses the
+    round-robin one before it runs anything, on every backend."""
+    from repro.engine import RowBand, execute, plan
+
+    pl = plan(a, b, m, algo=algo, threads=threads, backend=backend)
+    pl.bands = [RowBand(rows=np.arange(i, a.nrows, threads), algo=algo)
+                for i in range(threads)]
+    with pytest.raises(ValueError, match="one band"):
+        execute(pl, a, b, m)
 
 
 def assert_overhead_per_call(plain, instrumented, budget_us, *, calls=20,

@@ -49,7 +49,7 @@ from repro.core import ALL_ALGOS, masked_spgemm, supports_complement
 from repro.engine import Planner, ShardGrid, execute, plan
 from repro.engine.planner import host_workers
 from repro.graphs import erdos_renyi, rmat
-from repro.machine import OpCounter
+from repro.machine import HOST, HOST_NATIVE, OpCounter
 from repro.observe import tracing
 from repro.parallel import (
     active_segments,
@@ -60,7 +60,7 @@ from repro.parallel import pool
 from repro.parallel.shm import SegmentGroup, attach_csr
 from repro.sparse import CSR, read_mtx
 
-from .conftest import SPLIT_FREE, panels, row_split
+from .conftest import assert_round_robin_refused, panels, row_split
 
 pytestmark = pytest.mark.backend
 
@@ -155,6 +155,10 @@ class TestBackendEquivalence:
     @pytest.mark.parametrize("partition", ["block", "cyclic", "balanced"])
     def test_partitions(self, partition, square_problem):
         a, b, m = square_problem
+        if partition == "cyclic":
+            for backend in BACKENDS:
+                assert_round_robin_refused(a, b, m, "hash", WORKERS, backend)
+            return
         pl = row_split(partition, a, b, m, "hash", WORKERS)
         _assert_backends_agree(pl, a, b, m)
 
@@ -171,9 +175,8 @@ class TestBackendEquivalence:
 
     def test_auto_plan(self, square_problem):
         a, b, m = square_problem
-        # the per-row census: a banded plan on every operand set
-        pl = Planner(SPLIT_FREE).plan(a, b, m, threads=WORKERS)
-        assert len(pl.bands) > 1
+        pl = Planner().plan(a, b, m, threads=WORKERS)
+        assert len(pl.bands) == 1
         _assert_backends_agree(pl, a, b, m)
 
     def test_more_workers_than_rows(self):
@@ -200,7 +203,7 @@ class TestProcessBackendInternals:
 
     def test_serial_when_single_thread(self):
         g = rmat(6, seed=3)
-        for planner in (Planner(), Planner(SPLIT_FREE)):
+        for planner in (Planner(HOST), Planner(HOST_NATIVE)):
             assert planner.plan(g, g, g, threads=1).backend == "serial"
 
 
@@ -555,6 +558,9 @@ class TestGridEquivalence:
     def test_row_partitions_with_and_without_panels(self, partition, backend):
         g = rmat(6, seed=3)
         for algo in ("inner", "msa", "hash", "mca", "esc"):
+            if partition == "cyclic":
+                assert_round_robin_refused(g, g, g, algo, 3, backend)
+                continue
             ref_counter = OpCounter()
             ref = masked_spgemm(g, g, g, algo=algo, counter=ref_counter)
             for panels in (None, (0, 24, 48, 64)):

@@ -30,7 +30,7 @@ from repro.apps.direction_bfs import direction_optimized_bfs
 from repro.core import masked_spgemm
 from repro.engine import Planner, execute
 from repro.graphs import erdos_renyi, relabel_by_degree, rmat
-from repro.machine import HASWELL, OpCounter
+from repro.machine import HASWELL, HOST, OpCounter
 from repro.observe import (
     Tracer,
     metrics,
@@ -44,9 +44,8 @@ from repro.parallel import shutdown_pool
 from repro.parallel.pool import process_backend_available
 from repro.semiring import PLUS_PAIR, PLUS_TIMES
 
-from .conftest import SPLIT_FREE
-
 pytestmark = pytest.mark.calibrate
+
 
 def _triple(seed=1, n=60):
     a = erdos_renyi(n, n, 5, seed=seed, values="uniform")
@@ -257,7 +256,8 @@ class TestFittedEquivalence:
         low = _tc_low(scale=9, seed=7)
         ref = masked_spgemm(low, low, low, algo="auto", backend="serial",
                             semiring=PLUS_PAIR)
-        odd = dataclasses.replace(SPLIT_FREE, name="odd")
+        # msa, the host's pick on this triangle count, priced out
+        odd = dataclasses.replace(HOST, name="odd", msa_ns=(1e6,) * 3)
         with tracing() as tr:
             for backend in _BACKENDS:
                 if backend == "process" and not process_backend_available():
@@ -269,7 +269,7 @@ class TestFittedEquivalence:
                 assert np.array_equal(got.data, ref.data), backend
         plans = [sp.attrs["plan"] for sp in tr.spans if sp.name == "engine.execute"]
         assert plans and {pl["machine"] for pl in plans} == {"odd"}
-        # decisions: the odd profile bands the rows the host gives to one kernel
-        host = Planner().plan(low, low, low)
-        assert len(host.bands) == 1
-        assert all(len(pl["bands"]) > 1 for pl in plans)
+        # decisions: the odd profile gives the rows to another kernel
+        host = Planner(HOST).plan(low, low, low)
+        assert host.algo == "msa"
+        assert all(pl["bands"][0]["algo"] != "msa" for pl in plans)

@@ -3,7 +3,7 @@
 Covers plan construction and validation, the Figure-7 regime-aware auto
 selection, property-style cross-checks of every plan shape the Planner can
 emit against the reference implementation, complemented-mask safety, and
-counter threading through banded / partitioned / panelled execution.
+counter threading through partitioned / panelled execution.
 """
 
 import dataclasses
@@ -28,7 +28,8 @@ from repro.machine import HASWELL, HOST, HOST_NATIVE, OpCounter, RowCostModel, h
 from repro.semiring import PLUS_PAIR
 from repro.sparse import CSR, read_mtx
 
-from .conftest import SPLIT_FREE, assert_csr_equal, panels, random_csr, row_split
+from .conftest import assert_csr_equal, assert_round_robin_refused, panels, random_csr, \
+    row_split
 
 DATA = Path(__file__).parent.parent / "data"
 
@@ -59,7 +60,7 @@ class TestPlanner:
         assert pl.mode == "forced"
         assert pl.algo == "hash"
         assert pl.phases == 2 and pl.threads == 3 and pl.backend == "thread"
-        assert len(pl.bands) == 1 and pl.bands[0].is_full(a.nrows)
+        assert len(pl.bands) == 1 and pl.validate() is pl
 
     def test_forced_unknown_algo(self, triple):
         a, b, m = triple
@@ -124,29 +125,28 @@ class TestPlanner:
     def test_clear_call_decided_by_the_totals_ratio(self, triple, monkeypatch):
         """A clear call is decided by the whole-problem ratio alone: when the
         runner-up is predicted ``DECISIVE_MARGIN`` times slower, the plan is
-        one band of the cheapest, read off no exact count and no census."""
+        one band of the cheapest, read off no exact count."""
         import repro.engine.planner as planner_module
 
         def counted(*args, **kwargs):
             raise AssertionError("a clear call read an exact count")
 
-        for name in ("flops_per_entry", "pulls_per_entry", "flops_per_row",
-                     "pulls_per_row"):
+        for name in ("flops_per_entry", "pulls_per_entry"):
             monkeypatch.setattr(planner_module, name, counted)
         a, b, m = triple
-        clear = dataclasses.replace(HOST, band_ns=0.0, split_nnz_ns=1e9,
+        clear = dataclasses.replace(HOST, band_ns=0.0,
                                     inner_ns=(1e3,) * 3, mca_ns=(1e3,) * 3)
         pl = Planner(clear).plan(a, b, m)
         ranked = sorted(pl.estimates.values())
         assert ranked[1] >= planner_module.DECISIVE_MARGIN * ranked[0]
         assert pl.algo == min(pl.estimates, key=pl.estimates.get) == "msa"
-        assert len(pl.bands) == 1 and pl.bands[0].is_full(a.nrows)
+        assert len(pl.bands) == 1 and pl.validate() is pl
 
     def test_banding_none_single_band(self, triple):
         """With one candidate there is nothing to decide: one full band."""
         a, b, m = triple
         pl = Planner(dataclasses.replace(host_profile(), candidates=("msa",))).plan(a, b, m)
-        assert len(pl.bands) == 1 and pl.bands[0].is_full(a.nrows)
+        assert len(pl.bands) == 1 and pl.validate() is pl
         assert pl.algo == "msa" and pl.mode == "auto" and set(pl.estimates) == {"msa"}
 
     def test_memory_budget_turns_on_panels(self):
@@ -214,6 +214,25 @@ class TestPlanner:
             ExecutionPlan((a.nrows, b.ncols), [RowBand(rows, "msa")],
                           threads=0).validate()
 
+    def test_validate_takes_exactly_one_full_band(self, triple):
+        """A plan is one band over every row: two bands, a band missing
+        rows and a scattered row set are each a ``ValueError``."""
+        a, b, m = triple
+        shape, rows = (a.nrows, b.ncols), np.arange(a.nrows, dtype=np.int64)
+        ExecutionPlan(shape, [RowBand(rows, "msa")]).validate()
+        half = a.nrows // 2
+        broken = {
+            "two bands": [RowBand(rows[:half], "msa"), RowBand(rows[half:], "inner")],
+            "partial band": [RowBand(rows[:-1], "msa")],
+            "scattered rows": [RowBand(np.concatenate([rows[1::2], rows[::2]]), "msa")],
+            "no band": [],
+        }
+        for bands in broken.values():
+            with pytest.raises(ValueError, match="every output row exactly once"):
+                ExecutionPlan(shape, bands).validate()
+            with pytest.raises(ValueError, match="every output row exactly once"):
+                execute(ExecutionPlan(shape, bands), a, b, m)
+
     def test_complement_plans_never_use_inner_or_mca(self):
         """The regimes that would pick inner/mca must fall back elsewhere
         when the mask is complemented (neither supports complement)."""
@@ -224,7 +243,7 @@ class TestPlanner:
             (dense, dense, sparse),   # pull regime -> would pick inner
             (sparse, sparse, dense),  # push-compact regime -> would pick mca
         ]
-        for profile in (HOST, HOST_NATIVE, SPLIT_FREE):
+        for profile in (HOST, HOST_NATIVE):
             planner = Planner(profile)
             for a, b, m in cases:
                 pl = planner.plan(a, b, m, complement=True)
@@ -324,21 +343,25 @@ class TestPlanCrossCheck:
         want = masked_spgemm_reference(a, b, m, algo="msa", complement=complement)
         assert_csr_equal(got, want, msg=f"algo={algo} complement={complement}")
 
-    #: a planner per decision layer: the per-row census ("cost"), the
-    #: whole-problem totals ("ratio") and a single candidate ("none")
+    #: a planner per decision layer: the exact totals of a close call
+    #: ("cost": no O(1) margin is decisive), the whole-problem totals
+    #: ("ratio") and a single candidate ("none")
     LAYERS = {
-        "cost": lambda: Planner(SPLIT_FREE),
+        "cost": lambda: Planner(HOST),
         "ratio": lambda: Planner(HOST),
         "none": lambda: Planner(dataclasses.replace(host_profile(), candidates=("msa",))),
     }
 
     @pytest.mark.parametrize("phases", [1, 2])
     @pytest.mark.parametrize("banding", ["cost", "ratio", "none"])
-    def test_auto_bandings(self, banding, phases, square_problem):
+    def test_auto_bandings(self, banding, phases, square_problem, monkeypatch):
+        import repro.engine.planner as planner_module
+
         a, b, m = square_problem
-        pl = self.LAYERS[banding]().plan(a, b, m, phases=phases)
         if banding == "cost":
-            assert len(pl.bands) > 1  # the census split these rows
+            monkeypatch.setattr(planner_module, "DECISIVE_MARGIN", float("inf"))
+        pl = self.LAYERS[banding]().plan(a, b, m, phases=phases)
+        assert len(pl.bands) == 1
         got = execute(pl, a, b, m)
         want = masked_spgemm_reference(a, b, m, algo="msa")
         assert_csr_equal(got, want, msg=f"layer={banding} phases={phases}")
@@ -346,6 +369,9 @@ class TestPlanCrossCheck:
     @pytest.mark.parametrize("partition", ["block", "cyclic", "balanced"])
     def test_partitioned(self, partition, square_problem):
         a, b, m = square_problem
+        if partition == "cyclic":
+            assert_round_robin_refused(a, b, m, threads=3)
+            return
         pl = row_split(partition, a, b, m, threads=3)
         got = execute(pl, a, b, m)
         want = masked_spgemm_reference(a, b, m, algo="msa")
@@ -362,7 +388,7 @@ class TestPlanCrossCheck:
             assert_csr_equal(got, want, msg=f"panel={panel} c={complement}")
 
     def test_threads_times_panels_times_bands(self, square_problem):
-        """The maximally-composed plan: banded + row parts + panelled."""
+        """The maximally-composed plan: row parts + panels."""
         a, b, m = square_problem
         pl = plan(a, b, m, threads=2, backend="process", shards=panels(m.shape, 11))
         got = execute(pl, a, b, m)
@@ -372,7 +398,7 @@ class TestPlanCrossCheck:
         """Every profile's plan — whatever it chose — computes the same."""
         a, b, m = square_problem
         want = masked_spgemm_reference(a, b, m, algo="msa")
-        for profile in (HOST, HOST_NATIVE, SPLIT_FREE):
+        for profile in (HOST, HOST_NATIVE):
             assert_csr_equal(execute(Planner(profile).plan(a, b, m), a, b, m), want)
 
     def test_semirings(self, square_problem):
@@ -383,31 +409,14 @@ class TestPlanCrossCheck:
 
 
 # ----------------------------------------------------------------------
-# per-row bands under a complemented mask
+# auto plans under a complemented mask
 # ----------------------------------------------------------------------
 class TestHybridComplement:
     def test_matches_oracle(self, triple):
         a, b, m = triple
-        pl = Planner(SPLIT_FREE).plan(a, b, m, complement=True)
+        pl = Planner(HOST).plan(a, b, m, complement=True)
         got = execute(pl, a, b, m)
         assert_csr_equal(got, scipy_masked_spgemm(a, b, m, complement=True))
-
-    def test_census_complement_avoids_inner_mca(self):
-        """The per-row census routes rows to inner / mca on a plain mask and
-        never on a complemented one, where its bands still cover every row."""
-        n = 128
-        dense = erdos_renyi(n, n, 16, seed=1)
-        sparse = erdos_renyi(n, n, 1, seed=2)
-        planner = Planner(SPLIT_FREE)
-        # plain: these regimes route to inner / mca respectively
-        assert "inner" in planner.plan(dense, dense, sparse).algos()
-        assert "mca" in planner.plan(sparse, sparse, dense).algos()
-        # complemented: they must not
-        for a, b, m in [(dense, dense, sparse), (sparse, sparse, dense)]:
-            pl = planner.plan(a, b, m, complement=True)
-            assert not set(pl.algos()) & {"inner", "mca"}
-            covered = np.concatenate([band.rows for band in pl.bands])
-            assert sorted(covered.tolist()) == list(range(n))
 
     def test_hybrid_complement_on_pull_regime(self):
         """Inputs whose plain-mask plan picks inner must still be

@@ -78,7 +78,7 @@ class TestHostChoices:
     def test_tc_plans_one_serial_msa_band(self):
         pl = plan(*_tc(10))
         assert [band.algo for band in pl.bands] == ["msa"]
-        assert pl.bands[0].is_full(pl.shape[0])
+        assert pl.validate() is pl
         assert (pl.threads, pl.backend, pl.phases) == (1, "serial", 1)
 
     def test_dense_product_sparse_mask_plans_inner(self):
@@ -119,29 +119,6 @@ class TestHostChoices:
                 masked_spgemm(a, b, m, algo="auto")
             (span,) = [sp for sp in tr.spans if sp.name == "engine.execute"]
             assert span.attrs["plan"]["estimates_seconds"]["inner"] == cold
-
-    def test_rows_split_only_when_the_saving_beats_the_split(self):
-        """Half the rows pull-regime, half push-regime: two bands; the same
-        plan under a profile where splitting is ruinous: one band."""
-        n = 2048
-        a = erdos_renyi(n, n, 64, seed=1)
-        b = erdos_renyi(n, n, 64, seed=2)
-        sparse = erdos_renyi(n, n, 1, seed=3).select_rows(np.arange(n // 2))
-        dense = erdos_renyi(n, n, 256, seed=4).select_rows(np.arange(n // 2, n))
-        r1, c1, v1 = sparse.to_coo()
-        r2, c2, v2 = dense.to_coo()
-        m = CSR.from_coo(
-            (n, n), np.concatenate([r1, r2]), np.concatenate([c1, c2]),
-            np.concatenate([v1, v2]),
-        )
-        pl = plan(a, b, m)
-        per = pl.nrows_per_algo()
-        assert set(per) == {"inner", "msa"} and abs(per["inner"] - n // 2) < n // 8
-        costly = dataclasses.replace(HOST, split_nnz_ns=1e6)
-        assert len(Planner(costly).plan(a, b, m).bands) == 1
-        # a split plan still computes the same matrix as either forced call
-        got = masked_spgemm(a, b, m, algo="auto")
-        assert _bitwise(got, masked_spgemm(a, b, m, algo="msa"))
 
     def test_unmeasured_candidates_are_rejected(self):
         with pytest.raises(ValueError, match="no measured coefficients"):
@@ -207,20 +184,6 @@ class TestNativeProfile:
         forced = planner.plan(a, b, m, algo="mca")
         assert forced.algos() == ("mca",)
         assert _bitwise(masked_spgemm(a, b, m, algo="mca"), masked_spgemm(a, b, m, algo="auto"))
-
-    def test_rows_still_split_when_the_saving_beats_the_split(self):
-        # (denser inputs than the NumPy-profile test: the C loops shrink the
-        # saving per row, the slice+merge cost per nonzero is what it was)
-        n = 2048
-        a = erdos_renyi(n, n, 256, seed=1)
-        b = erdos_renyi(n, n, 256, seed=2)
-        sparse = erdos_renyi(n, n, 1, seed=3).select_rows(np.arange(n // 2))
-        dense = erdos_renyi(n, n, 1024, seed=4).select_rows(np.arange(n // 2, n))
-        m = CSR.from_coo(
-            (n, n), *(np.concatenate(parts) for parts in zip(sparse.to_coo(), dense.to_coo()))
-        )
-        per = Planner(HOST_NATIVE).plan(a, b, m).nrows_per_algo()
-        assert set(per) == {"inner", "msa"} and abs(per["inner"] - n // 2) < n // 8
 
 
 @native_required()
@@ -431,17 +394,6 @@ def _canon(obj):
     return obj
 
 
-def _census(planner, a, b, m, complement=False):
-    """The full per-row census every host plan ran before the decision
-    layers: the bands ``Planner._host_bands`` prices row by row."""
-    from repro.machine import flops_per_row, pulls_per_row
-
-    cand = planner._supported(planner.candidates, complement, [])
-    return planner._host_bands(
-        a, b, m, flops_per_row(a, b), pulls_per_row(b, m), cand, [], False
-    )[0]
-
-
 def _parity_calls():
     """The Fig. 7 ER grid at n=1024, R-MAT TC at scales 6-11 and the
     recorded products of ``ktruss(rmat(10), 5)`` and BC on ``rmat(10)``."""
@@ -468,21 +420,27 @@ def _parity_calls():
 
 
 class TestDecisionLayers:
-    """A host plan decides from O(1) totals and prices rows only where a
-    split could repay the census; the work it skips must stay skipped, and
-    the decisions must be the census's."""
+    """A host plan decides from O(1) totals, and from exact totals only on
+    a close call: it reads no per-row statistic, and every plan is one band
+    with the algorithm the plans had before the per-row split was deleted."""
 
     @pytest.fixture
     def no_census(self, monkeypatch):
-        import repro.engine.planner as planner_module
+        """``no_census(planner, a, b, m, **kw)``: the plan, made while
+        ``flops_per_row``, ``pulls_per_row`` and ``row_sums`` raise (the
+        first two sum through the third)."""
+        from repro.machine import traffic
 
         def census(*args, **kwargs):
             raise AssertionError("the plan read a per-row statistic")
 
-        monkeypatch.setattr(planner_module, "flops_per_row", census)
-        monkeypatch.setattr(planner_module, "pulls_per_row", census)
-        monkeypatch.setattr(planner_module, "row_sums", census)
-        monkeypatch.setattr(planner_module.Planner, "_host_bands", census)
+        def plan_without(planner, a, b, m, **kw):
+            with monkeypatch.context() as patched:
+                for name in ("flops_per_row", "pulls_per_row", "row_sums"):
+                    patched.setattr(traffic, name, census)
+                return planner.plan(a, b, m, **kw)
+
+        return plan_without
 
     @pytest.mark.parametrize("profile", [HOST, HOST_NATIVE], ids=["numpy", "native"])
     def test_fast_layers_read_no_per_row_statistic(self, no_census, profile):
@@ -491,16 +449,12 @@ class TestDecisionLayers:
             (Planner(profile), er, {"complement": True}),
             (Planner(dataclasses.replace(profile, candidates=("msa",))), er, {}),
             (Planner(profile), _tc(6), {}),
+            (Planner(profile), er, {}),
         ]
-        if profile is HOST_NATIVE:
-            # the er-sparse-mask shapes: the slice of a 64-degree A costs
-            # more than any split of the native kernels could save
-            calls.append((Planner(profile), er, {}))
         for planner, (a, b, m), kw in calls:
-            pl = planner.plan(a, b, m, **kw)
-            assert len(pl.bands) == 1 and pl.bands[0].is_full(a.nrows)
+            pl = no_census(planner, a, b, m, **kw)
+            assert len(pl.bands) == 1 and pl.validate() is pl
             assert pl.threads == kernel_threads(a, b)
-            pl.validate()
         assert Planner(HOST_NATIVE).plan(*er).algo == "inner"
         assert Planner(HOST_NATIVE).plan(*_tc(6)).algo == "msa"
 
@@ -510,8 +464,8 @@ class TestDecisionLayers:
         crossover, so on every core), a forced ``threads=2`` one and a
         process plan alike (the pool's flop-balanced parts are cut when the
         plan runs)."""
-        import repro.engine.planner as planner_module
         from repro.engine.plan import ExecutionPlan
+        from repro.machine import traffic
 
         read = []
 
@@ -521,8 +475,7 @@ class TestDecisionLayers:
                 return fn(*args, **kwargs)
             return wrapper
 
-        monkeypatch.setattr(planner_module, "flops_per_row",
-                            spy("flops_per_row", planner_module.flops_per_row))
+        monkeypatch.setattr(traffic, "row_sums", spy("row_sums", traffic.row_sums))
         monkeypatch.setattr(ExecutionPlan, "validate", spy("validate", ExecutionPlan.validate))
         tc = _tc(14)
         for kw in ({}, {"threads": 2}):
@@ -534,22 +487,26 @@ class TestDecisionLayers:
         assert Planner(HOST_NATIVE).plan(*tc, threads=2, backend="process").threads == 2
         assert read == []
 
+    #: blake2b of ``"name=algo"`` over :func:`_parity_calls`: the algorithm
+    #: of the one band the per-row census found on every one of these calls
+    #: before it was deleted (msa 30 / inner 25 / mca 18 on the NumPy
+    #: profile, msa 58 / inner 15 on the native one)
+    PARITY = {"numpy": "8407187a6943e5c1", "native": "f144b6abdbc8723e"}
+
     @pytest.mark.parametrize("profile", [HOST, HOST_NATIVE], ids=["numpy", "native"])
     def test_one_band_wherever_the_census_finds_one_and_the_same_algorithm(
-        self, profile
+        self, no_census, profile
     ):
         planner = Planner(profile)
+        algos = []
         for name, (a, b, m, complement) in _parity_calls():
-            census = _census(planner, a, b, m, complement)
-            got = planner.plan(a, b, m, complement=complement)
-            if len(census) == 1:
-                assert got.algos() == (census[0].algo,), name
-            else:
-                assert got.nrows_per_algo() == {
-                    band.algo: band.nrows for band in census
-                }, name
+            got = no_census(planner, a, b, m, complement=complement)
+            assert len(got.bands) == 1, name
+            algos.append(f"{name}={got.algo}")
+        digest = hashlib.blake2b(" ".join(algos).encode(), digest_size=8).hexdigest()
+        assert digest == self.PARITY["numpy" if profile is HOST else "native"]
         # BC's pull product: the 63788-entry w against the 2024-entry mask
-        # of rmat(12) (the one split-free win planning buys on BC)
+        # of rmat(12) (the one win planning buys on BC)
         g = rmat(12, seed=1)
         sources = np.random.default_rng(1).choice(g.nrows, size=64, replace=False)
         from repro.apps import betweenness_centrality
@@ -561,42 +518,48 @@ class TestDecisionLayers:
         assert algos.count("inner") == 1
         assert all(algo == "msa" for algo, call in zip(algos, log) if call[3])
 
-    def test_a_split_still_comes_from_the_census(self):
-        # rows of two regimes (TestNativeProfile's split case): the bound
-        # lets the census run, and the census splits
-        n = 2048
-        a = erdos_renyi(n, n, 256, seed=1)
-        b = erdos_renyi(n, n, 256, seed=2)
-        sparse = erdos_renyi(n, n, 1, seed=3).select_rows(np.arange(n // 2))
-        dense = erdos_renyi(n, n, 1024, seed=4).select_rows(np.arange(n // 2, n))
-        m = CSR.from_coo(
-            (n, n), *(np.concatenate(parts) for parts in zip(sparse.to_coo(), dense.to_coo()))
-        )
-        planner = Planner(HOST_NATIVE)
-        got = planner.plan(a, b, m)
-        assert got.nrows_per_algo() == {
-            band.algo: band.nrows for band in _census(planner, a, b, m)
-        }
-        assert len(got.bands) == 2
+    @pytest.mark.parametrize("profile", [HOST, HOST_NATIVE], ids=["numpy", "native"])
+    def test_inputs_the_numpy_tier_split_run_their_bands_forced_call(
+        self, no_census, profile
+    ):
+        """R-MAT 10-14 ``A @ A`` under ER degree-16 / 32 masks and an R-MAT
+        seed-2 mask: the NumPy profile cut most of these rows into two or
+        three bands before the split was deleted.  Each plan is now one
+        band, and runs as the forced call of its algorithm: the same bytes
+        and the same ``OpCounter``."""
+        for scale in range(10, 15):
+            a = rmat(scale, seed=1)
+            n = a.nrows
+            for m in (erdos_renyi(n, n, 16, seed=3), erdos_renyi(n, n, 32, seed=3),
+                      rmat(scale, seed=2)):
+                pl = no_census(Planner(profile), a, a, m)
+                assert len(pl.bands) == 1 and pl.validate() is pl
+                got_counter, want_counter = OpCounter(), OpCounter()
+                got = execute(pl, a, a, m, counter=got_counter)
+                want = masked_spgemm(a, a, m, algo=pl.algo, counter=want_counter)
+                assert _bitwise(got, want), (scale, pl.algo)
+                assert got_counter.as_dict() == want_counter.as_dict(), (scale, pl.algo)
 
     def test_preset_plans_are_the_parents(self, monkeypatch):
         """The operands and knobs the preset plans were pinned on, planned
         from the two checked-in profiles on a 4-core affinity mask:
         ``as_dict()`` digests captured on the commit that still priced
         plans for presets (its bands' always-0 bytes estimate left out), so
-        deleting the preset-priced planner moved no host plan."""
+        deleting the preset-priced planner moved no host plan.  Four were
+        re-captured when the per-row split went: its "no per-row split
+        repays its slice+merge cost" note was the only change."""
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(4)))
         low = _tc(10)
         er = (erdos_renyi(512, 512, 16, seed=1), erdos_renyi(512, 512, 16, seed=2),
               erdos_renyi(512, 512, 2, seed=3))
         cases = {
-            "92f09a42a1d9408f": lambda: Planner(HOST_NATIVE).plan(*low),
-            "c7ab28a9fa868972": lambda: Planner(HOST_NATIVE).plan(*er),
+            "4383b8d944c4477d": lambda: Planner(HOST_NATIVE).plan(*low),
+            "1cbd73fd32ed540e": lambda: Planner(HOST_NATIVE).plan(*er),
             "c96336cad75c00bc": lambda: Planner(HOST_NATIVE).plan(*er, complement=True),
             "1186a96c5e9d4533": lambda: Planner(HOST_NATIVE).plan(*er, algo="hash",
                                                                   threads=3),
-            "25b9c9e5fd3ec684": lambda: Planner(HOST).plan(*low),
-            "c4233c8aef22df6d": lambda: Planner(HOST).plan(*er),
+            "180dfbb5a9537041": lambda: Planner(HOST).plan(*low),
+            "fdb1e2314c8bfa6b": lambda: Planner(HOST).plan(*er),
         }
         for want, make in cases.items():
             text = json.dumps(_canon(make().as_dict()), sort_keys=True)

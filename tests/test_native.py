@@ -122,7 +122,7 @@ class TestDifferential:
         # not reach them, so the process runs are checked against the NumPy
         # run of a serial 2x1 grid on the pool's flop-balanced cut (the same
         # row parts, so the same items are dropped and the counters match)
-        top = balanced_partition(flops_per_row(a, b), 2)[0].size
+        top = int(balanced_partition(flops_per_row(a, b), 2)[1])
         ref_knobs = (
             dict(threads=1, backend="serial",
                  shards=ShardGrid((0, top, a.nrows), (0, b.ncols)))

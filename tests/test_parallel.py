@@ -12,15 +12,21 @@ from repro.core import masked_spgemm
 from repro.engine import Planner, execute, plan
 from repro.machine import OpCounter, simulate_makespan
 from repro.parallel import balanced_partition, pool_size
-from repro.parallel.executor import row_block, row_slice
+from repro.parallel.executor import row_block
+from repro.parallel.pool import _rows_of
 
 from .conftest import assert_csr_equal, random_csr
 
 
-def _check_partition(parts, n):
-    """Every row appears exactly once across parts."""
-    all_rows = np.concatenate([p for p in parts]) if parts else np.array([])
-    assert sorted(all_rows.tolist()) == list(range(n))
+def _parts(bounds):
+    """The row ranges ``[lo, hi)`` that ``balanced_partition``'s bounds cut."""
+    return [np.arange(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])]
+
+
+def _check_partition(bounds, n):
+    """Bounds from 0 to n, non-decreasing: every row in exactly one part."""
+    assert bounds[0] == 0 and bounds[-1] == n
+    assert np.all(np.diff(bounds) >= 0)
 
 
 def _parallel(a, b, m, *, threads, algo="msa", backend="thread", counter=None, **kw):
@@ -34,10 +40,10 @@ class TestPartitioners:
     def test_block_covers_all(self, n, p):
         """Unweighted rows are cut into contiguous blocks of about equal
         count."""
-        parts = balanced_partition(np.zeros(n), p)
-        assert len(parts) == p
-        _check_partition(parts, n)
-        sizes = [part.size for part in parts]
+        bounds = balanced_partition(np.zeros(n), p)
+        assert len(bounds) == p + 1
+        _check_partition(bounds, n)
+        sizes = np.diff(bounds)
         assert max(sizes) - min(sizes) <= 1
 
     @pytest.mark.parametrize("n,p", [(10, 3), (100, 7), (5, 8), (64, 1)])
@@ -53,27 +59,24 @@ class TestPartitioners:
 
     def test_balanced_covers_all(self):
         w = np.random.default_rng(0).random(97)
-        parts = balanced_partition(w, 5)
-        _check_partition(parts, 97)
+        _check_partition(balanced_partition(w, 5), 97)
 
     def test_balanced_actually_balances(self):
         # one heavy prefix: balanced splits must not put everything in part 0
         w = np.zeros(100)
         w[:10] = 100.0
         w[10:] = 1.0
-        parts = balanced_partition(w, 5)
-        sums = [w[p].sum() for p in parts]
+        sums = [w[p].sum() for p in _parts(balanced_partition(w, 5))]
         assert max(sums) < 0.5 * w.sum()
 
     def test_balanced_contiguous(self):
         w = np.random.default_rng(1).random(50)
-        for p in balanced_partition(w, 4):
-            if p.size > 1:
-                assert np.all(np.diff(p) == 1)
+        bounds = balanced_partition(w, 4)
+        assert len(bounds) == 5 and bounds.dtype == np.int64
+        _check_partition(bounds, 50)
 
     def test_balanced_zero_weights(self):
-        parts = balanced_partition(np.zeros(10), 3)
-        _check_partition(parts, 10)
+        _check_partition(balanced_partition(np.zeros(10), 3), 10)
 
     def test_invalid_parts(self):
         for weights in (np.zeros(10), np.ones(4)):
@@ -83,73 +86,39 @@ class TestPartitioners:
 
 
 class TestRowSlice:
-    """row_slice must agree with select_rows and take the contiguous fast
-    path (views, not copies) for range partitions."""
+    """A work item's rows ``[lo, hi)`` of an operand (``pool._rows_of``):
+    the operand itself for the full range, else the zero-copy
+    :func:`row_block` and the offset that lifts its row ids back."""
 
     def test_contiguous_matches_select_rows(self):
         a = random_csr(30, 20, 4, seed=71)
         for lo, hi in [(0, 30), (0, 1), (5, 12), (29, 30), (7, 7)]:
-            rows = np.arange(lo, hi, dtype=np.int64)
-            got = row_slice(a, rows)
-            want = a.select_rows(rows)
-            assert got.shape == want.shape
-            assert np.array_equal(got.indptr, want.indptr)
-            assert np.array_equal(got.indices, want.indices)
-            assert np.array_equal(got.data, want.data)
+            got, offset = _rows_of(a, (lo, hi))
+            want = a.select_rows(np.arange(lo, hi, dtype=np.int64))
+            r, c, v = got.to_coo()
+            wr, wc, wv = want.to_coo()
+            assert np.array_equal(r + offset, wr)
+            assert np.array_equal(c, wc)
+            assert np.array_equal(v, wv)
 
     def test_contiguous_fast_path_shares_buffers(self):
         a = random_csr(30, 20, 4, seed=72)
-        rows = np.arange(5, 15, dtype=np.int64)
-        sliced = row_slice(a, rows)
+        sliced, offset = _rows_of(a, (5, 15))
         # views into the parent's arrays, not copies
-        assert sliced.indices.base is not None
+        assert offset == 5 and sliced.nrows == 10
         assert np.shares_memory(sliced.indices, a.indices)
         assert np.shares_memory(sliced.data, a.data)
 
-    def test_scattered_falls_back(self):
-        a = random_csr(30, 20, 4, seed=73)
-        rows = np.array([2, 9, 3, 17], dtype=np.int64)  # unsorted, gappy
-        got = row_slice(a, rows)
-        want = a.select_rows(rows)
-        assert np.array_equal(got.indptr, want.indptr)
-        assert np.array_equal(got.indices, want.indices)
-        assert np.array_equal(got.data, want.data)
-
-    def test_strided_not_treated_as_contiguous(self):
-        a = random_csr(24, 16, 3, seed=74)
-        rows = np.arange(0, 24, 2, dtype=np.int64)  # a strided row set
-        got = row_slice(a, rows)
-        want = a.select_rows(rows)
-        assert np.array_equal(got.indices, want.indices)
-        assert np.array_equal(got.data, want.data)
-
     def test_empty_rows(self):
         a = random_csr(10, 8, 2, seed=75)
-        got = row_slice(a, np.array([], dtype=np.int64))
-        assert got.shape == a.shape and got.nnz == 0
+        got, _ = _rows_of(a, (4, 4))
+        assert got.shape == (0, a.ncols) and got.nnz == 0
 
     def test_full_range_returns_same_matrix(self):
         # the degenerate one-partition case must not copy anything
         a = random_csr(20, 12, 3, seed=76)
-        assert row_slice(a, np.arange(20, dtype=np.int64)) is a
-
-    def test_scattered_rows_round_trip_select_rows(self):
-        # scattered row sets (planner bands) must agree
-        # with select_rows for every framing, including unsorted orders and
-        # singleton sets
-        a = random_csr(40, 25, 5, seed=77)
-        for rows in (
-            np.array([31, 4, 22, 17], dtype=np.int64),
-            np.array([0, 39], dtype=np.int64),
-            np.array([13], dtype=np.int64),
-            np.arange(1, 40, 3, dtype=np.int64),
-        ):
-            got = row_slice(a, rows)
-            want = a.select_rows(rows)
-            assert got.shape == want.shape
-            assert np.array_equal(got.indptr, want.indptr)
-            assert np.array_equal(got.indices, want.indices)
-            assert np.array_equal(got.data, want.data)
+        got, offset = _rows_of(a, (0, 20))
+        assert got is a and offset == 0
 
 
 class TestRowBlock:
