@@ -44,9 +44,9 @@ ratio), two threads read 1.54x / 1.44x / 1.62x / 1.57x on the R-MAT
 12-15 transposes and 0.93x / 1.18x / 1.23x / 1.16x on the TC operand,
 whose two scatters recount per range what the serial pass counts once.
 
-A third cell times the complemented MSA loop (``docs/kernels.md``, "The
-complemented MSA"), which takes its rows in blocks bounded by
-``min(products, ncols)``: BC's largest forward level on ``rmat(12)``, 64
+A third cell times the complemented MSA loop (``docs/kernels.md``, "One
+MSA driver: the paper's 1P output"), which writes its rows at their bounds
+``min(products, ncols)`` in blocks cut by the ``SPAN`` window: BC's largest forward level on ``rmat(12)``, 64
 sources, seed 1 (3.16M products), at 1 and 2 threads in 21 interleaved
 pairs, and BC with 512 sources on ``rmat(13)`` (the paper's batch), whole
 calls at 1 (``backend="serial"``) and 2 threads in 5 pairs.  Bytes are

@@ -20,7 +20,7 @@ from typing import Optional
 
 import numpy as np
 
-from ...machine import OpCounter
+from ...machine import OpCounter, flops_per_row
 from ...observe import tracer as _obs
 from ...observe.tracer import traced_kernel
 from ...semiring import PLUS_TIMES, Semiring
@@ -38,47 +38,37 @@ MSA_DENSE_BUDGET = 1 << 20
 
 def _msa_native(nat, a: CSR, b: CSR, mask: CSR, complement, counter, row_nnz,
                 nthreads) -> CSR:
-    """The whole call as one of ``native.c``'s MSA row loops (no chunks), on
-    ``nthreads`` threads; values and counters are those of the NumPy body below."""
+    """The whole call as ``native.c``'s MSA row loop (no chunks), on ``nthreads``
+    threads, into arrays of the 1P output's size: ``nnz(M)`` under a plain mask,
+    ``sum(min(flops_i, ncols))`` (:func:`repro.core.symbolic.one_phase_bound`'s
+    total) under a complemented one; values and counters are those of the NumPy
+    body below.  ``row_nnz`` (2P) only cross-checks the rows written."""
     lib, op = nat
     nrows, n = a.nrows, b.ncols
     _native.validate(lib, (a, b, mask), a.ncols == b.nrows and mask.shape == (nrows, n))
-    cnt = np.zeros(4, dtype=np.int64)  # flops, inserts, nnz, capacity wanted
+    cnt = np.zeros(2, dtype=np.int64)  # flops, inserts
     indptr = np.empty(nrows + 1, dtype=np.int64)
-    # a plain mask bounds the output; a complemented one grows on demand
-    cap = mask.nnz if not complement else (
-        int(row_nnz.sum()) if row_nnz is not None else max(4096, a.nnz + mask.nnz)
-    )
+    cap = int(np.minimum(flops_per_row(a, b), n).sum()) if complement else mask.nnz
     cols = np.empty(cap, dtype=np.int64)
     vals = np.empty(cap, dtype=np.float64)
     operands = [x.ctypes.data for x in (a.indptr, a.indices, a.data, b.indptr,
                                         b.indices, b.data, mask.indptr, mask.indices)]
-    # the C loops restore every touched cell after each row: the leases'
+    # the C loop restores every touched cell after each row: the leases'
     # cleanliness contract, as in the NumPy body; one slice of each per thread
     arena = get_arena()
     with arena.lease("native.state", np.uint8, 0) as state, \
             arena.lease("native.values", np.float64, 0.0) as values, \
             arena.lease("native.touched", np.int64, None) as touched:
-        scratch = [state.require(nthreads * n).ctypes.data,
-                   values.require(nthreads * n).ctypes.data]
-        if not complement:
-            cnt[2] = lib.repro_msa(op, nrows, n, nthreads, *operands, *scratch,
-                                   indptr.ctypes.data, cols.ctypes.data, vals.ctypes.data,
-                                   cnt.ctypes.data)
-        else:
-            # one cell more than there are columns: msa_row's append stores, then advances
-            scratch.append(touched.require(nthreads * (n + 1)).ctypes.data)
-            row = 0
-            while True:
-                row = lib.repro_msa_complement(
-                    op, row, nrows, n, *operands, *scratch, indptr.ctypes.data,
-                    cols.ctypes.data, vals.ctypes.data, cap, cnt.ctypes.data, nthreads)
-                if row >= nrows:
-                    break
-                cap = max(2 * cap, int(cnt[3]))
-                cols, vals = (np.concatenate((x[:cnt[2]], np.empty(cap - cnt[2], x.dtype)))
-                              for x in (cols, vals))
-    flops, inserts, nnz, _ = map(int, cnt)
+        # one cell more than there are columns: msa_row's append stores, then advances
+        first_touches = touched.require(nthreads * (n + 1)).ctypes.data if complement else None
+        nnz = lib.repro_msa(op, int(complement), nrows, n, *operands,
+                            state.require(nthreads * n).ctypes.data,
+                            values.require(nthreads * n).ctypes.data, first_touches,
+                            indptr.ctypes.data, cols.ctypes.data, vals.ctypes.data, cap,
+                            cnt.ctypes.data, nthreads)
+    if nnz < 0:
+        raise AssertionError(f"native MSA loop refused the call (code {nnz})")
+    flops, inserts = map(int, cnt)
     if row_nnz is not None and not np.array_equal(np.diff(indptr), row_nnz):
         raise AssertionError(
             "symbolic/numeric mismatch: numeric pass emitted a different number "
@@ -89,17 +79,9 @@ def _msa_native(nat, a: CSR, b: CSR, mask: CSR, complement, counter, row_nnz,
         _charge(counter, SimpleNamespace(nm=mask.nnz, products=inserts, kept=flops,
                                          out=nnz, complement=complement))
         counter.output_nnz += nnz
-    # no oversized buffer outlives the call: shrunk in place (a realloc),
-    # but a complemented output that keeps under half its capacity, a guess
-    # that can run many times the output, is copied out -- BC keeps those
-    # outputs through its backward sweep, and shrinking them all in place
-    # left their freed tails between live arrays: the heap's free space
-    # doubled and bc-rmat's peak RSS rose 5 %
-    if complement and 2 * nnz < cols.shape[0]:
-        cols, vals = cols[:nnz].copy(), vals[:nnz].copy()
-    else:
-        cols.resize(nnz, refcheck=False)
-        vals.resize(nnz, refcheck=False)
+    # no oversized buffer outlives the call: shrunk in place (a realloc)
+    cols.resize(nnz, refcheck=False)
+    vals.resize(nnz, refcheck=False)
     return CSR((nrows, n), indptr, cols, vals, sorted_indices=True, check=False)
 
 
@@ -119,10 +101,11 @@ def masked_spgemm_msa_fast(
 ) -> CSR:
     """Vectorized MSA masked SpGEMM (see module docs).
 
-    ``row_nnz`` optionally carries the exact two-phase symbolic bound, so finished rows are written straight into the final
-    CSR arrays and checked against it.  ``nthreads``: threads of the native
-    loops and of the operands' ordering, where one is unsorted (the same
-    bytes and counters at any count).
+    ``row_nnz`` optionally carries the exact two-phase symbolic counts: the
+    NumPy body writes finished rows straight into a CSR slab of that size, the
+    native loop checks its rows against them; both raise on a mismatch.
+    ``nthreads``: threads of the native loop and of the operands' ordering,
+    where one is unsorted (the same bytes and counters at any count).
     """
     a, b, mask = (x._sort_indices(nthreads) for x in (a, b, mask))
     nat = _native.kernels(semiring, a.data, b.data)

@@ -10,9 +10,10 @@
  * input ranges instead, see there), as in the paper's Fig. 2:
  * with nthreads > 1 an OpenMP loop hands out rows in dynamic chunks (of
  * CHUNK), each thread owns an accumulator (its own slice of the scratch) and
- * row i is written at mp[i], where the mask bounds it (the paper's 1P
- * output; under a complemented mask, at a bound of its own, see there),
- * then compact() moves the rows down into CSR order.  A row is one
+ * row i is written at an offset its bound leaves free (the paper's 1P
+ * output: Inner at mp[i], where the mask bounds it; MSA at the prefix sum
+ * of its rows' bounds, plain and complemented alike, see there), then
+ * compact() moves the rows down into CSR order.  A row is one
  * thread's, accumulated in expansion order, and the counters are integer
  * per-row sums, so bytes and counters do not depend on nthreads.
  * nthreads <= 1 runs the serial loop and never enters libgomp (a forked
@@ -442,10 +443,24 @@ INLINE i64 msa_row(const int op, const int complement, i64 a0, i64 a1,
 }
 
 /* ------------------------------------------------------------------ */
-/* MSA, plain mask: set-allowed / insert / gather over the mask row.   */
-/* Output needs at most nnz(M) cells, so it never runs out of room.    */
+/* MSA, both masks, in one driver (`complement` is a compile-time      */
+/* constant).  Plain: set-allowed / insert / gather over the mask row. */
+/* Complemented: first-touch list per row, emitted sorted (or          */
+/* re-collected by a scan where the touched span is dense).  Every     */
+/* row's bound is known before any row runs -- the paper's 1P output:  */
+/* nnz(m_i) under a plain mask, min(products, ncols) under a           */
+/* complemented one (no row has more first touches, whatever the mask  */
+/* holds).  One pass sums them; where the sum exceeds cap the call     */
+/* returns -2 and writes nothing.  The serial loop writes the rows     */
+/* contiguously.  With nthreads > 1 the rows go in blocks, each row at */
+/* its bound offset past the entries written so far, then compact().   */
+/* A block spans at most SPAN rows of ncols cells a thread: a row far  */
+/* below its bound still touches pages of its own, so the blocks of    */
+/* sparse rows reuse one window of pages.                              */
 /* cnt: [0] products kept (flops), [1] products expanded (inserts)     */
 /* ------------------------------------------------------------------ */
+#define SPAN 8
+
 INLINE i64 msa_plain_row(const int op, i64 i,
                          const i64 *ap, const i64 *aj, const double *av,
                          const i64 *bp, const i64 *bj, const double *bv,
@@ -474,82 +489,6 @@ INLINE i64 msa_plain_row(const int op, i64 i,
         state[c] = EMPTY;
     }
     return nnz;
-}
-
-INLINE i64 msa_plain(const int op, i64 nrows, i64 ncols, i64 nthreads,
-                     const i64 *ap, const i64 *aj, const double *av,
-                     const i64 *bp, const i64 *bj, const double *bv,
-                     const i64 *mp, const i64 *mj,
-                     uint8_t *state, double *val,
-                     i64 *cp, i64 *cj, double *cv, i64 *cnt)
-{
-    i64 nnz = 0, flops = 0, inserts = 0;
-    cp[0] = 0;
-    if (OPENMP && nthreads > 1) {
-#pragma omp parallel for num_threads(nthreads) \
-    schedule(dynamic, CHUNK(nrows, nthreads)) reduction(+ : flops, inserts)
-        for (i64 i = 0; i < nrows; i++)
-            cp[i + 1] = msa_plain_row(op, i, ap, aj, av, bp, bj, bv, mp, mj,
-                                      state + SLICE(ncols), val + SLICE(ncols),
-                                      cj + mp[i], cv + mp[i], &flops, &inserts);
-        nnz = compact(0, nrows, 0, mp, cp, cj, cv);
-    } else {
-        for (i64 i = 0; i < nrows; i++)
-            cp[i + 1] = nnz += msa_plain_row(op, i, ap, aj, av, bp, bj, bv, mp,
-                                             mj, state, val, cj + nnz, cv + nnz,
-                                             &flops, &inserts);
-    }
-    cnt[0] += flops;
-    cnt[1] += inserts;
-    return nnz;
-}
-
-i64 repro_msa(i64 op, i64 nrows, i64 ncols, i64 nthreads,
-              const i64 *ap, const i64 *aj, const double *av,
-              const i64 *bp, const i64 *bj, const double *bv,
-              const i64 *mp, const i64 *mj, uint8_t *state, double *val,
-              i64 *cp, i64 *cj, double *cv, i64 *cnt)
-{
-    DISPATCH(msa_plain, nrows, ncols, nthreads, ap, aj, av, bp, bj, bv, mp, mj,
-             state, val, cp, cj, cv, cnt)
-}
-
-/* ------------------------------------------------------------------ */
-/* MSA, complemented mask: first-touch list per row, emitted sorted    */
-/* (or re-collected by a scan where the touched span is dense).  The   */
-/* output size is not known up front, so the loop is resumable: it     */
-/* starts at row0 with cnt[2] entries already written and returns the  */
-/* row it stopped at -- nrows when done, else the row that needs       */
-/* cnt[3] cells of capacity (that row is restarted by the next call).  */
-/* With nthreads > 1 the rows go in blocks: a block is the run of rows */
-/* whose bounds min(products, ncols) -- no row has more first touches, */
-/* whatever the mask holds -- fit the room left; its rows run          */
-/* row-parallel at their bound offsets, then compact().  Where no two  */
-/* rows fit, the next one runs as the serial loop runs it.  So every   */
-/* row meets the room check at the nnz the serial loop has there: the  */
-/* same requests for capacity, the same bytes.                         */
-/* A block also spans at most SPAN rows of ncols cells a thread: a    */
-/* row far below its bound still touches pages of its own, so the     */
-/* blocks of sparse rows reuse one window of pages.                    */
-/* cnt: [0] flops, [1] inserts, [2] nnz written, [3] capacity needed   */
-/* ------------------------------------------------------------------ */
-#define SPAN 8
-
-/* row i's products (A row not empty): returns its first touches, listed */
-/* in touched[]                                                          */
-INLINE i64 compl_touch(const int op, i64 i, const i64 *ap, const i64 *aj,
-                       const double *av, const i64 *bp, const i64 *bj,
-                       const double *bv, const i64 *mp, const i64 *mj,
-                       uint8_t *state, double *val, i64 *touched,
-                       i64 *flops, i64 *inserts)
-{
-    for (i64 m = mp[i]; m < mp[i + 1]; m++)
-        state[mj[m]] = MASKED;
-    const i64 nt = msa_row(op, 1, ap[i], ap[i + 1], aj, av, bp, bj, bv, state,
-                           val, touched, flops, inserts);
-    for (i64 m = mp[i]; m < mp[i + 1]; m++)
-        state[mj[m]] = EMPTY;
-    return nt;
 }
 
 /* the nt first touches to cj / cv in column order, their cells reset */
@@ -590,81 +529,121 @@ static i64 compl_emit(i64 ncols, i64 nt, uint8_t *state, double *val,
     return nt;
 }
 
-INLINE i64 msa_compl(const int op, i64 row0, i64 nrows, i64 ncols,
-                     const i64 *ap, const i64 *aj, const double *av,
-                     const i64 *bp, const i64 *bj, const double *bv,
-                     const i64 *mp, const i64 *mj,
-                     uint8_t *state, double *val, i64 *touched,
-                     i64 *cp, i64 *cj, double *cv, i64 cap, i64 *cnt,
-                     i64 nthreads)
-{
-    i64 i = row0, *off = OPENMP && nthreads > 1
-                             ? malloc((size_t)nrows * sizeof(i64)) : NULL;
-    const i64 span = SPAN * nthreads * ncols;
-    if (row0 == 0)
-        cp[0] = 0;
-    for (i64 r = row0; off && r < nrows; r++) { /* the bounds */
-        i64 b = 0;
-        for (i64 j = ap[r]; j < ap[r + 1] && b < ncols; j++)
-            b += bp[aj[j] + 1] - bp[aj[j]];
-        off[r] = b < ncols ? b : ncols;
-    }
-    while (i < nrows) {
-        i64 end = i, at = cnt[2], flops = 0, inserts = 0, nt = 0;
-        const i64 last = cap - at < span ? cap : at + span; /* block's end */
-        for (; off && end < nrows && off[end] <= last - at; end++) {
-            const i64 b = off[end]; /* bound -> offset */
-            off[end] = at;
-            at += b;
-        }
-        if (end - i > 1) { /* a block */
-#pragma omp parallel for num_threads(nthreads) \
-    schedule(dynamic, CHUNK(end - i, nthreads)) reduction(+ : flops, inserts)
-            for (i64 r = i; r < end; r++) {
-                uint8_t *st = state + SLICE(ncols);
-                double *va = val + SLICE(ncols);
-                i64 *tc = touched + SLICE(ncols + 1), n = 0;
-                if (ap[r] < ap[r + 1])
-                    n = compl_touch(op, r, ap, aj, av, bp, bj, bv, mp, mj, st,
-                                    va, tc, &flops, &inserts);
-                cp[r + 1] = compl_emit(ncols, n, st, va, tc, cj + off[r],
-                                       cv + off[r]);
-            }
-            cnt[2] = compact(i, end, cnt[2], off, cp, cj, cv);
-            i = end;
-        } else { /* one row, as the serial loop runs every row */
-            if (ap[i] < ap[i + 1])
-                nt = compl_touch(op, i, ap, aj, av, bp, bj, bv, mp, mj, state,
-                                 val, touched, &flops, &inserts);
-            if (cnt[2] + nt > cap) { /* out of room: clean up, ask for more */
-                for (i64 t = 0; t < nt; t++) {
-                    state[touched[t]] = EMPTY;
-                    val[touched[t]] = 0.0;
-                }
-                cnt[3] = cnt[2] + nt;
-                break;
-            }
-            cp[i + 1] = cnt[2] += compl_emit(ncols, nt, state, val, touched,
-                                             cj + cnt[2], cv + cnt[2]);
-            i++;
-        }
-        cnt[0] += flops;
-        cnt[1] += inserts;
-    }
-    free(off);
-    return i;
-}
-
-/* touched: ncols + 1 cells a thread (msa_apply stores, then advances) */
-i64 repro_msa_complement(i64 op, i64 row0, i64 nrows, i64 ncols,
+/* row i under a complemented mask: its first touches, emitted to cj / cv */
+INLINE i64 msa_compl_row(const int op, i64 i, i64 ncols,
                          const i64 *ap, const i64 *aj, const double *av,
                          const i64 *bp, const i64 *bj, const double *bv,
-                         const i64 *mp, const i64 *mj,
-                         uint8_t *state, double *val, i64 *touched,
-                         i64 *cp, i64 *cj, double *cv, i64 cap, i64 *cnt,
-                         i64 nthreads)
+                         const i64 *mp, const i64 *mj, uint8_t *state,
+                         double *val, i64 *touched, i64 *cj, double *cv,
+                         i64 *flops, i64 *inserts)
 {
-    DISPATCH(msa_compl, row0, nrows, ncols, ap, aj, av, bp, bj, bv, mp, mj,
+    i64 nt = 0;
+    if (ap[i] < ap[i + 1]) {
+        for (i64 m = mp[i]; m < mp[i + 1]; m++)
+            state[mj[m]] = MASKED;
+        nt = msa_row(op, 1, ap[i], ap[i + 1], aj, av, bp, bj, bv, state, val,
+                     touched, flops, inserts);
+        for (i64 m = mp[i]; m < mp[i + 1]; m++)
+            state[mj[m]] = EMPTY;
+    }
+    return compl_emit(ncols, nt, state, val, touched, cj, cv);
+}
+
+/* row i written to cj / cv; the scratch is the calling thread's */
+INLINE i64 msa_out_row(const int op, const int complement, i64 i, i64 ncols,
+                       const i64 *ap, const i64 *aj, const double *av,
+                       const i64 *bp, const i64 *bj, const double *bv,
+                       const i64 *mp, const i64 *mj, uint8_t *state,
+                       double *val, i64 *touched, i64 *cj, double *cv,
+                       i64 *flops, i64 *inserts)
+{
+    if (complement)
+        return msa_compl_row(op, i, ncols, ap, aj, av, bp, bj, bv, mp, mj,
+                             state, val, touched, cj, cv, flops, inserts);
+    return msa_plain_row(op, i, ap, aj, av, bp, bj, bv, mp, mj, state, val,
+                         cj, cv, flops, inserts);
+}
+
+INLINE i64 msa_bound(const int complement, i64 i, i64 ncols, const i64 *ap,
+                     const i64 *aj, const i64 *bp, const i64 *mp)
+{
+    i64 b = 0;
+    if (!complement)
+        return mp[i + 1] - mp[i];
+    for (i64 j = ap[i]; j < ap[i + 1] && b < ncols; j++)
+        b += bp[aj[j] + 1] - bp[aj[j]];
+    return b < ncols ? b : ncols;
+}
+
+INLINE i64 msa_rows(const int op, const int complement, i64 nrows, i64 ncols,
+                    const i64 *ap, const i64 *aj, const double *av,
+                    const i64 *bp, const i64 *bj, const double *bv,
+                    const i64 *mp, const i64 *mj,
+                    uint8_t *state, double *val, i64 *touched,
+                    i64 *cp, i64 *cj, double *cv, i64 cap, i64 *cnt,
+                    i64 nthreads)
+{
+    i64 nnz = 0, flops = 0, inserts = 0;
+    i64 *off = OPENMP && nthreads > 1 ? malloc((size_t)nrows * sizeof(i64))
+                                      : NULL;
+    const i64 span = SPAN * nthreads * ncols;
+    for (i64 i = 0; i < nrows; i++) { /* the bounds */
+        const i64 b = msa_bound(complement, i, ncols, ap, aj, bp, mp);
+        if (off)
+            off[i] = b;
+        nnz += b;
+    }
+    if (nnz > cap) {
+        free(off);
+        return -2;
+    }
+    nnz = 0;
+    cp[0] = 0;
+    if (off) {
+        for (i64 i = 0, end; i < nrows; i = end) {
+            i64 at = nnz; /* the block's rows: bound -> offset */
+            for (end = i;
+                 end < nrows && (end == i || at + off[end] <= nnz + span);
+                 end++) {
+                const i64 b = off[end];
+                off[end] = at;
+                at += b;
+            }
+#pragma omp parallel for num_threads(nthreads) \
+    schedule(dynamic, CHUNK(end - i, nthreads)) reduction(+ : flops, inserts)
+            for (i64 r = i; r < end; r++)
+                cp[r + 1] = msa_out_row(
+                    op, complement, r, ncols, ap, aj, av, bp, bj, bv, mp, mj,
+                    state + SLICE(ncols), val + SLICE(ncols),
+                    complement ? touched + SLICE(ncols + 1) : NULL,
+                    cj + off[r], cv + off[r], &flops, &inserts);
+            nnz = compact(i, end, nnz, off, cp, cj, cv);
+        }
+    } else
+        for (i64 i = 0; i < nrows; i++)
+            cp[i + 1] = nnz += msa_out_row(op, complement, i, ncols, ap, aj, av,
+                                           bp, bj, bv, mp, mj, state, val,
+                                           touched, cj + nnz, cv + nnz, &flops,
+                                           &inserts);
+    free(off);
+    cnt[0] += flops;
+    cnt[1] += inserts;
+    return nnz;
+}
+
+/* complement picks the loop; touched: ncols + 1 cells a thread under a
+ * complemented mask (msa_apply stores, then advances), else unread */
+#define MSA(op, complement, ...)                              \
+    ((complement) ? msa_rows(op, 1, __VA_ARGS__) : msa_rows(op, 0, __VA_ARGS__))
+
+i64 repro_msa(i64 op, i64 complement, i64 nrows, i64 ncols,
+              const i64 *ap, const i64 *aj, const double *av,
+              const i64 *bp, const i64 *bj, const double *bv,
+              const i64 *mp, const i64 *mj,
+              uint8_t *state, double *val, i64 *touched,
+              i64 *cp, i64 *cj, double *cv, i64 cap, i64 *cnt, i64 nthreads)
+{
+    DISPATCH(MSA, complement, nrows, ncols, ap, aj, av, bp, bj, bv, mp, mj,
              state, val, touched, cp, cj, cv, cap, cnt, nthreads)
 }
 

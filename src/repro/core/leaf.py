@@ -132,9 +132,9 @@ def run_kernel(
     row_nnz = None
     if phases == 2:
         # symbolic sweep: exact output pattern size, charged to the counter.
-        # (The numeric phase of this reproduction assembles rows
-        # functionally, so the symbolic result is used as a cross-check and
-        # as the 2P cost; a C implementation would use it to allocate.)
+        # The NumPy tier's msa / hash / esc bodies allocate their output
+        # slab from it; every other body (the native MSA loop too, which
+        # allocates its 1P bound) uses it only as the cross-check below.
         tr = _obs.current()
         sym_cm = (
             tr.span("spgemm.symbolic", {"phase": "symbolic", "algo": algo},
@@ -152,9 +152,9 @@ def run_kernel(
         if algo in _THREADED:
             kwargs["nthreads"] = nthreads
         if row_nnz is not None and algo in ("msa", "hash", "esc"):
-            # under 2P these fuse the symbolic bound into output formation:
-            # the final CSR slab is allocated from row_nnz and finished
-            # rows are written in place
+            # under 2P their NumPy bodies fuse the symbolic counts into
+            # output formation (the CSR slab is allocated from row_nnz and
+            # finished rows are written in place); native MSA checks them
             kwargs["row_nnz"] = row_nnz
         c = _FAST[algo](a, b, mask, **kwargs)
     else:

@@ -29,9 +29,12 @@ measurement") and is not built.
 
 ``phases`` selects the 1P/2P output-formation strategy of Section 6: 2P
 runs a symbolic sweep first (its cost lands in ``counter.symbolic_flops``)
-and the numeric phase writes into an exact allocation; 1P sizes scratch by
-the mask bound.  Both produce identical matrices — the difference is work,
-which the counters and the cost model expose.
+and checks every row of the numeric result against its count; 1P sizes the
+output by the per-row bound.  Under 2P the NumPy tier's ``msa`` / ``hash`` /
+``esc`` bodies write into an exact allocation (a slab of the counted rows);
+the native MSA loop allocates its 1P bound either way, so there the counts
+are only the cross-check.  Both produce identical matrices — the difference
+is work, which the counters and the cost model expose.
 
 ``impl`` picks the implementation tier: ``"fast"`` (the native C row loop
 where it loaded and the call is eligible, the vectorized NumPy body

@@ -1,8 +1,10 @@
 """Symbolic phase for two-phase (2P) masked SpGEMM — paper Section 6.
 
 The symbolic phase inspects only indices (no value arithmetic) and returns
-the exact number of output nonzeros per row, letting the numeric phase write
-into an exactly-sized allocation.  The paper's finding — reproduced by the
+the exact number of output nonzeros per row.  The NumPy tier's numeric
+``msa`` / ``hash`` / ``esc`` bodies write into an allocation of exactly that
+size; the native MSA loop allocates the 1P bound below whatever the phases,
+so there the counts only cross-check its rows.  The paper's finding — reproduced by the
 cost model and asserted by the benches — is that for *masked* SpGEMM the
 mask already bounds the output so well that paying a second sweep (2P) is
 usually slower than the one-phase (1P) approach; this module exists so both
@@ -10,7 +12,9 @@ variants are real code paths, not just cost-model annotations.
 
 Also provides the 1P scratch-size bound: ``min(nnz(m_i), flops_i)`` per row
 for a plain mask (the mask is the paper's "good initial approximation" for
-the output size), and ``flops_i`` for a complemented mask.
+the output size), and ``min(flops_i, ncols)`` for a complemented mask (a row
+has no more distinct columns than products, nor than ``ncols``); the native
+MSA loop sizes a complemented output at this bound's total.
 """
 
 from __future__ import annotations

@@ -33,7 +33,7 @@ class NativeSpy:
     ``repro_bucket_order`` whatever the semiring.  ``args`` holds each
     call's ``(name, arguments)``."""
 
-    KERNEL_LOOPS = ("repro_msa", "repro_msa_complement", "repro_inner", "repro_symbolic")
+    KERNEL_LOOPS = ("repro_msa", "repro_inner", "repro_symbolic")
 
     def __init__(self, lib):
         self.lib, self.calls, self.args = lib, [], []

@@ -105,7 +105,7 @@ def _adversarial():
     yield "one-column", _er(30, 30, 3, 15), _er(30, 1, 1, 16), _er(30, 1, 1, 17)
     yield "mega-row", _mega_row(), _er(64, 64, 3, 18), _er(48, 64, 8, 19)
     yield "rect-64x4096", _er(64, 4096, 64, 20), _er(4096, 4096, 2, 21), _er(64, 4096, 16, 22)
-    # complement output (~40k cells) far beyond the first capacity guess
+    # a complement output (~40k cells) a hundred times the mask (396 cells)
     yield "dense-out", _er(200, 200, 20, 23), _er(200, 200, 20, 24), _er(200, 200, 2, 25)
     u = _unsorted_with_duplicates()
     yield "unsorted-dup", u, _er(8, 8, 3, 26), u

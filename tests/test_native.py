@@ -27,7 +27,7 @@ from repro.core.leaf import kernel_threads, run_kernel
 from repro.core.kernels.arena import clear_arena, get_arena
 from repro.core.kernels.inner_kernel import masked_spgemm_inner_fast
 from repro.core.kernels.msa_kernel import masked_spgemm_msa_fast
-from repro.core.symbolic import symbolic_masked
+from repro.core.symbolic import one_phase_bound, symbolic_masked
 from repro import engine
 from repro.engine import Planner, ShardGrid, execute
 from repro.graphs import erdos_renyi, lower_by_degree, rmat
@@ -179,8 +179,7 @@ class TestDifferential:
     @pytest.mark.parametrize("name", ["random", "dense-out", "empty-mask"])
     def test_outputs_own_exactly_their_entries(self, name):
         """No oversized buffer outlives a kernel or ``ewise_add`` call: each
-        output array owns exactly ``nnz`` cells, shrunk in place or (a
-        complemented output far below its capacity) copied out."""
+        output array owns exactly ``nnz`` cells, shrunk in place."""
         from repro.sparse import ewise_add
 
         a, b, m = OPERANDS[name]
@@ -223,27 +222,33 @@ class TestThreads:
         clear_arena()
         one, two = _at_thread_counts(a, b, m, algo="msa", complement=True)
         assert one == two
-        assert spy.threads("repro_msa_complement") == [1, 2]
+        assert spy.threads("repro_msa") == [1, 2]
+        assert [args[1] for called, args in spy.args if called == "repro_msa"] == [1, 1]
         # one accumulator per thread, touched one cell longer than a row
         parked = get_arena()._buffers
         assert parked["native.values"].shape == (2 * b.ncols,)
         assert parked["native.touched"].shape == (2 * (b.ncols + 1),)
 
-    @pytest.mark.parametrize("name", ["dense-out", "full-touch"])
-    def test_complement_resumes_as_the_serial_loop_does(self, monkeypatch, name):
-        """Where the output outgrows the first capacity, the threaded loop
-        stops at the rows the serial one stops at and asks for the same
-        capacities: the wrapper allocates what it allocates serially."""
+    @pytest.mark.parametrize("name", ["dense-out", "full-touch", "hub-row"])
+    def test_complement_output_is_the_one_phase_bound(self, monkeypatch, name):
+        """A complemented product is one C call into arrays of the 1P bound,
+        ``sum(min(products_i, ncols))``, at every thread count and under 2P
+        too (the symbolic counts only cross-check the rows): the same
+        capacity and the same bytes everywhere."""
         a, b, m = OPERANDS[name]
         spy = NativeSpy(native.load())
         monkeypatch.setattr(native, "_lib", spy)
-        for nthreads in (1, 2):
-            run_kernel(a, b, m, algo="msa", complement=True, nthreads=nthreads)
-        calls = [args for called, args in spy.args if called == "repro_msa_complement"]
-        starts, caps = [[args[k] for args in calls] for k in (1, 18)]
-        half = len(calls) // 2
-        assert half > 1, "no resume"
-        assert starts[:half] == starts[half:] and caps[:half] == caps[half:]
+        total = one_phase_bound(a, b, m, complement=True)[1]
+        got = set()
+        for phases in (1, 2):
+            for nthreads in (1, 2):
+                spy.args.clear()
+                got.add(_bytes(run_kernel(a, b, m, algo="msa", complement=True, phases=phases,
+                                          nthreads=nthreads)))
+                calls = [args for called, args in spy.args if called == "repro_msa"]
+                assert len(calls) == 1, (phases, nthreads)
+                assert calls[0][1] == 1 and calls[0][18] == total, (phases, nthreads)
+        assert len(got) == 1
 
     def test_bc_forward_complement_gets_the_plan_count(self, monkeypatch):
         """BC's forward (complemented) products reach the C loop on the
@@ -260,7 +265,8 @@ class TestThreads:
                 betweenness_centrality(g, range(16), backend=backend)
             planned = {s.attrs["plan"]["threads"] for s in tr.spans
                        if s.name == "engine.execute" and s.attrs["plan"]["complement"]}
-            got[backend] = set(spy.threads("repro_msa_complement"))
+            got[backend] = {args[-1] for called, args in spy.args
+                            if called == "repro_msa" and args[1]}
             assert got[backend] == planned, backend
         assert got == {None: {available_cores() if native._openmp() else 1}, "serial": {1}}
 
@@ -604,10 +610,11 @@ class TestLoader:
         flags (``-fopenmp`` where the probe passes): an overrun of the stack
         hit buffer or of a leased scratch array is an abort here where
         byte-equality would pass — on the threaded row loops and the
-        threaded counting scatter too; the complemented loop at 2 threads
-        (``dense-out`` and ``full-touch`` outgrow the first capacity in a
-        row whose bound does not fit and resume; ``full-touch`` rows touch
-        every column) and at 4 (``fewer-rows-than-threads``)."""
+        threaded counting scatter too; the MSA loop's row blocks at 2
+        threads (``full-touch`` rows touch every column, so they fill their
+        bounds ``min(products, ncols)`` to the last cell; ``dense-out``
+        writes far more entries than the mask holds) and at 4
+        (``fewer-rows-than-threads``)."""
         libasan = subprocess.run([native._target()[0], "-print-file-name=libasan.so"],
                                  capture_output=True, text=True).stdout.strip()
         if not os.path.isabs(libasan):
