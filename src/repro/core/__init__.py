@@ -5,16 +5,13 @@ Public entry points:
 * :func:`masked_spgemm` — the front door over all algorithms/variants;
   ``algo="auto"`` routes through the execution engine
   (:mod:`repro.engine`), which plans one algorithm for every row from
-  this host's measured kernel costs
-  (``shards=`` grids the output: ``(1, K)`` is the memory-bounded
-  column-panelled multiply).
+  this host's measured kernel costs.
 * :func:`gustavson_spgemm` / :func:`spgemm_saxpy_fast` — plain SpGEMM.
 * :func:`masked_spgemm_multiply_then_mask` — the Figure-1 baseline.
 * :mod:`repro.core.accumulators` — MSA / Hash / MCA / Heap.
 """
 
 from . import accumulators, kernels
-from ..sparse.ops import restrict_columns
 from .kernels.saxpy_kernel import masked_spgemm_multiply_then_mask, spgemm_saxpy_fast
 from .masked_spgemm import (
     ALGO_LABELS,
@@ -31,7 +28,6 @@ from .symbolic import one_phase_bound, symbolic_masked
 __all__ = [
     "accumulators",
     "kernels",
-    "restrict_columns",
     "masked_spgemm_multiply_then_mask",
     "spgemm_saxpy_fast",
     "ALGO_LABELS",

@@ -55,6 +55,7 @@ also takes a forced thread count.
 
 from __future__ import annotations
 
+import numbers
 from typing import Optional
 
 from ..machine import OpCounter, host_profile
@@ -135,15 +136,11 @@ def masked_spgemm(
         for pool workers; ``repro.engine.plan(..., threads=, backend=)``
         forces the count as well.
     shards:
-        Grid knob (see ``docs/parallel.md``): ``None`` (default) is the
-        plain ``1 x 1`` call; ``(row_blocks, col_panels)`` cuts the output
-        into an evenly-spaced grid (``(1, K)``: the memory-bounded
-        column-panelled multiply); an explicit
-        :class:`~repro.engine.ShardGrid` is used verbatim.  Any
-        non-``None`` value routes execution through the engine (with the
-        given ``algo`` forced, or the planner's choice for ``"auto"``),
-        which runs one work item per grid cell and drops cells whose mask
-        cell is empty; results are bit-for-bit identical to the plain call.
+        ``None`` or a pair of ints >= 1: accepted for the benchmark
+        ladder's ``parallel.shards2x2_s`` rung only, and selects nothing —
+        the call routes as with ``None`` (there is no output grid;
+        ``docs/parallel.md``).  Any other value raises ``ValueError``.
+        ROADMAP item 1(a) deletes it with the rung.
     batch:
         ``"auto"``, ``"perrow"`` or ``"bucket"``: accepted for the
         benchmark ladder's ``core.*_{perrow,bucket}_s`` rungs only, and
@@ -154,27 +151,33 @@ def masked_spgemm(
         raise ValueError(
             f"batch must be one of ('auto', 'bucket', 'perrow'), got {batch!r}"
         )
+    if shards is not None and not (
+        isinstance(shards, (tuple, list)) and len(shards) == 2
+        and all(isinstance(k, numbers.Integral) and not isinstance(k, bool)
+                and k >= 1 for k in shards)
+    ):
+        raise ValueError(f"shards must be None or a pair of ints >= 1, got {shards!r}")
     if impl not in ("fast", "reference", "auto"):
         raise ValueError("impl must be 'fast', 'reference' or 'auto'")
     key = algo_key(algo)
-    if key == "auto" or shards is not None or backend is not None:
-        # the planner picks per-row-band algorithms from the profile of the
-        # kernel tier that runs the call, and checks the phases and backend
-        # spellings (a forced algo keeps the algo: shards= grids the
-        # dispatch, backend= picks its threads or pool workers)
+    if key == "auto" or backend is not None:
+        # the planner picks the algorithm from the profile of the kernel
+        # tier that runs the call, and checks the phases and backend
+        # spellings (a forced algo keeps the algo: backend= picks its
+        # threads or pool workers)
         from ..engine.executor import _execute
         from ..engine.planner import planner_for
 
         pl = planner_for(host_profile(semiring, a.data, b.data)).plan(
             a, b, mask,
             algo=key, phases=phases, complement=complement,
-            backend=backend, shards=shards, _b_csc=b_csc,
+            backend=backend, _b_csc=b_csc,
         )
         return _execute(
             pl, a, b, mask,
             semiring=semiring, impl=impl, counter=counter, b_csc=b_csc,
         )
-    # a forced algorithm with no grid or backend has nothing to plan
+    # a forced algorithm with no backend has nothing to plan
     from ..engine.plan import check_phases
 
     if phases is not None:

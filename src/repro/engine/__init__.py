@@ -9,12 +9,11 @@ explicit three-stage pipeline:
    statistics and prices the candidates from this host's measured
    :class:`~repro.machine.HostProfile`, and emits an
 2. :class:`ExecutionPlan` — an inspectable record of the algorithm (one
-   band over every row), 1P/2P phase strategy, thread count + backend and the
-   grid (row blocks x column panels, 1x1 by default), with
-   :meth:`~ExecutionPlan.explain` for auditability — which
-3. :func:`execute` runs as the plain kernel call or one loop over work
-   items (row part x column panel), threading a single :class:`~repro.machine.OpCounter`
-   through every stage.
+   band over every row), 1P/2P phase strategy and thread count + backend,
+   with :meth:`~ExecutionPlan.explain` for auditability — which
+3. :func:`execute` runs as the plain kernel call or, on the process
+   backend, as flop-balanced row parts on the worker pool, threading a
+   single :class:`~repro.machine.OpCounter` through every stage.
 
 ``masked_spgemm(..., algo="auto")`` — the one front door — runs this
 pipeline with the planner of the call's kernel tier; :func:`plan` ->
@@ -24,14 +23,13 @@ pipeline with the planner of the call's kernel tier; :func:`plan` ->
 """
 
 from .executor import execute
-from .plan import ExecutionPlan, RowBand, ShardGrid
+from .plan import ExecutionPlan, RowBand
 from .planner import Planner, plan
 from .fingerprint import Fingerprint, fingerprint_csr
 
 __all__ = [
     "ExecutionPlan",
     "RowBand",
-    "ShardGrid",
     "Planner",
     "plan",
     "execute",

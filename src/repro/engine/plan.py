@@ -11,10 +11,7 @@ competing entry points:
 * **threads / backend** — how many workers carry out Section 3's
   coarse-grained row parallelism and on which executor (``serial`` |
   ``thread`` | ``process`` — the shared-memory worker pool, which cuts
-  flop-balanced row parts),
-* **grid** — the 2-D block decomposition of the output (row blocks x
-  column panels, ``1 x 1`` by default): column panels bound memory, row
-  blocks replace the row parts.
+  flop-balanced row parts).
 
 Plans are produced by :class:`repro.engine.Planner` (priced from the
 measured host profile) or
@@ -31,11 +28,9 @@ import numbers
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-import numpy as np
-
 from ..core.leaf import ALL_ALGOS, supports_complement
 
-__all__ = ["RowBand", "ShardGrid", "ExecutionPlan"]
+__all__ = ["RowBand", "ExecutionPlan"]
 
 
 def check_threads(threads) -> None:
@@ -55,87 +50,13 @@ class RowBand:
     """The output rows bound to one algorithm: a plan's one band owns
     every row."""
 
-    rows: np.ndarray  #: the global row indices ``0 .. nrows - 1``
+    nrows: int  #: the output rows ``0 .. nrows - 1``
     algo: str  #: kernel key ("msa", "hash", "mca", "inner", "esc", ...)
     reason: str = ""  #: one-line rationale recorded by the planner
     #: predicted nanoseconds for this band (0 if not priced), stored as
     #: "cycles" of the host profile (``HostProfile.seconds``: 1 "cycle" is
     #: 1 ns); the prediction ledger pairs it with the measured seconds
     est_cycles: float = 0.0
-
-    @property
-    def nrows(self) -> int:
-        return int(np.asarray(self.rows).size)
-
-
-@dataclass(frozen=True)
-class ShardGrid:
-    """The 2-D block decomposition of the output: row blocks x column panels.
-
-    ``row_bounds``/``col_bounds`` are monotone boundary tuples spanning
-    ``[0, nrows]`` / ``[0, ncols]``; cell ``(i, j)`` covers output rows
-    ``[row_bounds[i], row_bounds[i+1])`` and columns
-    ``[col_bounds[j], col_bounds[j+1])``.  ``1 x 1`` is the plain call,
-    ``R x 1`` a row partition, ``1 x K`` the column-panelled multiply.  The
-    executor splits B and the mask into the column panels once per call,
-    takes row blocks as zero-copy views of A, and drops any cell whose mask
-    cell is empty before dispatch (plain mask only).  Bounds are plain int
-    tuples so a grid is hashable and JSON-able (:meth:`as_dict`).
-    """
-
-    row_bounds: Tuple[int, ...]
-    col_bounds: Tuple[int, ...]
-
-    @classmethod
-    def regular(cls, shape, nrb: int, ncp: int) -> "ShardGrid":
-        """An evenly-spaced ``nrb x ncp`` grid over ``shape``."""
-        rb = np.linspace(0, int(shape[0]), int(nrb) + 1).astype(np.int64)
-        cb = np.linspace(0, int(shape[1]), int(ncp) + 1).astype(np.int64)
-        return cls(tuple(int(x) for x in rb), tuple(int(x) for x in cb))
-
-    @property
-    def nrb(self) -> int:
-        """Number of row blocks."""
-        return len(self.row_bounds) - 1
-
-    @property
-    def ncp(self) -> int:
-        """Number of column panels."""
-        return len(self.col_bounds) - 1
-
-    @property
-    def ncells(self) -> int:
-        return self.nrb * self.ncp
-
-    def row_blocks(self) -> List[Tuple[int, int]]:
-        return [
-            (self.row_bounds[i], self.row_bounds[i + 1]) for i in range(self.nrb)
-        ]
-
-    def col_panels(self) -> List[Tuple[int, int]]:
-        return [
-            (self.col_bounds[j], self.col_bounds[j + 1]) for j in range(self.ncp)
-        ]
-
-    def validate(self, shape) -> "ShardGrid":
-        for bounds, dim, what in (
-            (self.row_bounds, int(shape[0]), "row_bounds"),
-            (self.col_bounds, int(shape[1]), "col_bounds"),
-        ):
-            if len(bounds) < 2:
-                raise ValueError(f"grid {what} needs at least one block")
-            if bounds[0] != 0 or bounds[-1] != dim:
-                raise ValueError(f"grid {what} must span [0, {dim}]")
-            if any(b > c for b, c in zip(bounds, bounds[1:])):
-                raise ValueError(f"grid {what} must be non-decreasing")
-        return self
-
-    def as_dict(self) -> dict:
-        return {
-            "grid": [self.nrb, self.ncp],
-            "row_bounds": list(self.row_bounds),
-            "col_bounds": list(self.col_bounds),
-        }
 
 
 @dataclass
@@ -154,20 +75,11 @@ class ExecutionPlan:
     phases: int = 1  #: 1 (one-phase) or 2 (symbolic + numeric)
     threads: int = 1
     backend: str = "thread"  #: "serial" | "thread" | "process"
-    #: row blocks x column panels of the output; ``None`` becomes the 1x1
-    #: grid (the plain call)
-    grid: Optional[ShardGrid] = None
     #: the name of the HostProfile the plan was priced from
     machine: str = "host"
     mode: str = "auto"  #: "auto" | "forced"
     estimates: Dict[str, float] = field(default_factory=dict)
     notes: List[str] = field(default_factory=list)
-
-    def __post_init__(self) -> None:
-        if self.grid is None:
-            self.grid = ShardGrid(
-                (0, int(self.shape[0])), (0, int(self.shape[1]))
-            )
 
     # ------------------------------------------------------------------
     def algos(self) -> Tuple[str, ...]:
@@ -193,9 +105,6 @@ class ExecutionPlan:
         check_threads(self.threads)
         if self.backend not in ("serial", "thread", "process"):
             raise ValueError("backend must be 'serial', 'thread' or 'process'")
-        if not isinstance(self.grid, ShardGrid):
-            raise ValueError("grid must be a ShardGrid")
-        self.grid.validate(self.shape)
         if len(self.bands) != 1:
             raise ValueError(
                 "a plan has one band covering every output row exactly "
@@ -209,9 +118,10 @@ class ExecutionPlan:
                 f"plan routes a complemented mask to {band.algo!r}, "
                 "which does not support complement"
             )
-        if not np.array_equal(band.rows, np.arange(nrows)):
+        if band.nrows != nrows:
             raise ValueError(
-                "a plan's band must cover every output row exactly once, in order"
+                f"a plan's band must cover every output row exactly once: "
+                f"it has {band.nrows} of {nrows}"
             )
         return self
 
@@ -224,7 +134,6 @@ class ExecutionPlan:
             "phases": self.phases,
             "threads": self.threads,
             "backend": self.backend,
-            "grid": self.grid.as_dict(),
             "machine": self.machine,
             "mode": self.mode,
             "bands": [
@@ -248,13 +157,7 @@ class ExecutionPlan:
             f"output on {self.machine} "
             f"({'complemented' if self.complement else 'plain'} mask)",
             f"  phases={self.phases}P  threads={self.threads} "
-            f"({self.backend} backend)  "
-            + (
-                f"grid {self.grid.nrb}x{self.grid.ncp} (row blocks x column "
-                "panels; cells with an empty mask cell are dropped)"
-                if self.grid.ncells > 1
-                else "no column panels"
-            ),
+            f"({self.backend} backend)",
         ]
         for i, band in enumerate(self.bands):
             pct = 100.0 * band.nrows / nrows

@@ -12,8 +12,7 @@ as in every figure of the paper.  Nothing prices workers: a plan runs
 in-process, on the threads the native row loop takes for the call's
 estimated work (:func:`host_workers`), unless the caller forces
 ``threads=`` or ``backend=`` (``docs/parallel.md``, "Who picks the
-backend"), so a plan is a function of operands, options and profile.  The
-grid stays ``1 x 1`` unless the caller spells one (``shards=``).
+backend"), so a plan is a function of operands, options and profile.
 
 The paper's machines are not priced here: their per-row cycles are
 :class:`repro.machine.RowCostModel`'s, which the figure experiments read
@@ -29,8 +28,6 @@ from __future__ import annotations
 import functools
 from typing import Dict, Optional
 
-import numpy as np
-
 from ..core.leaf import (
     ALGO_LABELS,
     ALL_ALGOS,
@@ -42,7 +39,7 @@ from ..core.leaf import (
 from ..machine import HostProfile, available_cores, host_profile
 from ..machine.traffic import flops_per_entry, pulls_per_entry
 from ..parallel.executor import normalize_backend
-from .plan import ExecutionPlan, RowBand, ShardGrid, check_phases, check_threads
+from .plan import ExecutionPlan, RowBand, check_phases, check_threads
 
 __all__ = ["Planner", "plan", "planner_for", "host_workers"]
 
@@ -135,7 +132,6 @@ class Planner:
         phases: Optional[int] = None,
         threads: Optional[int] = None,
         backend: Optional[str] = None,
-        shards=None,
         _b_csc=None,
     ) -> ExecutionPlan:
         """Build a plan for ``C = M .* (A @ B)`` (``!M`` with complement).
@@ -147,12 +143,6 @@ class Planner:
         the caller's knobs — in-process on the native loop's own thread
         count, or ``min(cores, rows / 512)`` pool workers under a forced
         ``backend="process"``.
-
-        ``shards`` spells the plan's ``grid`` (see ``docs/parallel.md``):
-        ``(nrb, ncp)`` is an evenly-spaced grid of row blocks x column
-        panels (``(1, K)``: column panels), an explicit
-        :class:`~repro.engine.plan.ShardGrid` is honoured verbatim, and
-        ``None`` is the ``1 x 1`` plain call.
 
         The decision itself costs what it can repay: see :meth:`_host_plan`
         for its two layers.  A plan skips the final ``validate()``: it is
@@ -191,7 +181,6 @@ class Planner:
             )
             mode = "auto"
 
-        grid = self._pick_grid(mask, shards, complement, notes)
         if mask.nnz == 0 and not complement:
             notes.append("mask is empty: the output is empty regardless of algorithm")
 
@@ -206,7 +195,6 @@ class Planner:
             phases=1 if phases is None else phases,
             threads=threads,
             backend=backend,
-            grid=grid,
             machine=self.profile.name,
             mode=mode,
             estimates=estimates,
@@ -268,7 +256,7 @@ class Planner:
                       for k, p, r in zip(coefs, pull, rest)]
         best = ns.index(min(ns))
         band = RowBand(
-            rows=np.arange(nrows, dtype=np.int64),
+            nrows=nrows,
             algo=cand[best],
             reason=_REASONS[cand[best]],
             # nanoseconds: 1 "cycle" is 1 ns (HostProfile.seconds)
@@ -282,40 +270,7 @@ class Planner:
             raise ValueError(
                 f"{ALGO_LABELS[algo]} does not support complemented masks"
             )
-        rows = np.arange(a.nrows, dtype=np.int64)
-        return [RowBand(rows=rows, algo=algo, reason="forced by caller")]
-
-    @staticmethod
-    def _pick_grid(mask, shards, complement, notes):
-        """Resolve ``shards`` into the plan's one :class:`ShardGrid`
-        (``None``: the 1x1 plain call)."""
-        nrows, ncols = mask.shape
-        if shards is None:
-            return None
-        if isinstance(shards, ShardGrid):
-            grid = shards.validate((nrows, ncols))
-        else:
-            if isinstance(shards, str) or len(shards) != 2:
-                raise ValueError(
-                    f"shards must be an (nrb, ncp) tuple or a ShardGrid, "
-                    f"got {shards!r}"
-                )
-            if min(int(shards[0]), int(shards[1])) < 1:
-                raise ValueError(f"shards counts must be >= 1, got {shards!r}")
-            nrb = max(1, min(int(shards[0]), nrows))
-            ncp = max(1, min(int(shards[1]), ncols))
-            grid = ShardGrid.regular((nrows, ncols), nrb, ncp)
-        if grid.ncells <= 1:
-            notes.append("grid 1x1 degenerates to the plain call")
-            return None
-        notes.append(
-            f"complemented mask: all {grid.ncells} grid cells run (an empty "
-            "mask cell is dense under the complement)"
-            if complement else
-            f"grid {grid.nrb}x{grid.ncp}: cells whose mask cell is empty are "
-            "dropped before dispatch"
-        )
-        return grid
+        return [RowBand(nrows=a.nrows, algo=algo, reason="forced by caller")]
 
 
 def plan(a, b, mask, **kwargs) -> ExecutionPlan:

@@ -26,8 +26,7 @@ Counter semantics:
 * ``spa_resets`` — cells cleared when recycling a dense accumulator.
 * ``symbolic_flops`` — work done in a 2P symbolic phase (every 2P call
   runs its sweep; nothing is memoised across calls).
-* ``plan_cache_hits`` / ``segments_reused`` / ``bytes_republished`` /
-  ``rows_recomputed`` / ``rows_patched`` / ``delta_fallbacks`` are kept
+* ``plan_cache_hits`` / ``segments_reused`` / ``rows_recomputed`` / ``rows_patched`` / ``delta_fallbacks`` are kept
   for stored snapshots and the ladder's traced rungs; nothing charges
   them (no plan, segment or row survives a call), so they stay 0.
 
@@ -69,7 +68,6 @@ class OpCounter:
     # correctly through diff())
     plan_cache_hits: int = 0
     segments_reused: int = 0
-    bytes_republished: int = 0
     rows_recomputed: int = 0
     rows_patched: int = 0
     delta_fallbacks: int = 0

@@ -34,13 +34,13 @@ __all__ = [
 ]
 
 #: version of the :func:`predictions` payload (2: the ``modeled_bytes``
-#: column is gone; 3: the ``spmv-direction`` kind is gone)
-LEDGER_SCHEMA_VERSION = 3
+#: column is gone; 3: the ``spmv-direction`` kind is gone; 4: a cell key is
+#: ``cell:<band>,<row part>``, with no column panel)
+LEDGER_SCHEMA_VERSION = 4
 
 #: span name → ledger row kind.  ``engine.band`` covers a plan's one row
-#: band, ``engine.cell`` the work items (row part x column panel) it is
-#: cut into under ``shards=`` or ``backend="process"`` — the plain call is
-#: a band with no item under it.
+#: band, ``engine.cell`` the row parts it is cut into under
+#: ``backend="process"`` — the plain call is a band with no item under it.
 PREDICTION_KINDS = {
     "engine.band": "band",
     "engine.cell": "cell",

@@ -2,8 +2,8 @@
 backend names and row-slicing primitives (:mod:`repro.parallel.executor`),
 and the shared-memory process backend (segment publication in
 :mod:`repro.parallel.shm`, the persistent worker pool and the one task
-type every backend runs in :mod:`repro.parallel.pool`).  The loop that
-cuts a plan into tasks lives in :mod:`repro.engine.executor`."""
+type its workers run in :mod:`repro.parallel.pool`).  The code that cuts
+a process plan into row parts lives in :mod:`repro.engine.executor`."""
 
 from .executor import (
     BACKENDS,

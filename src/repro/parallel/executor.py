@@ -1,26 +1,24 @@
 """Row-parallel masked SpGEMM: the backend names and the row-slicing
 primitives.
 
-The execution engine (:mod:`repro.engine.executor`) cuts every plan into
-work items — row part x column panel — and runs them on one of three
-backends:
+The execution engine (:mod:`repro.engine.executor`) runs every plan on
+one of three backends:
 
-* ``"serial"`` / ``"thread"`` — in-process: each grid cell is one kernel
-  call, run one after another in the caller's thread on
-  ``plan.threads`` threads inside the native row loop (``"serial"`` is
-  the count 1; the NumPy bodies always run on one);
+* ``"serial"`` / ``"thread"`` — in-process: the plain kernel call, in the
+  caller's thread on ``plan.threads`` threads inside the native row loop
+  (``"serial"`` is the count 1; the NumPy bodies always run on one);
 * ``"process"`` — the shared-memory multiprocess backend and the one
   fan-out: the rows are cut into ``plan.threads`` parts, operands are
   published once into named shared segments (:mod:`repro.parallel.shm`),
   workers in a persistent pool (:mod:`repro.parallel.pool`) attach them as
-  zero-copy views, run their items on one thread each, and per-item COO
+  zero-copy views, run their parts on one thread each, and per-part COO
   results come back by pickle.
 
 All three produce bit-for-bit identical matrices and identical merged
 ``OpCounter`` totals (but ``hash_probes``, which hash tables sized per
 row part make depend on the pool's parts); ``tests/test_backends.py``
 enforces it.  This module
-holds the backend names and what the items are sliced with
+holds the backend names and what the parts are sliced with
 (:func:`row_block`).
 """
 

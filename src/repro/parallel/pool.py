@@ -9,18 +9,15 @@ subsequent process-backend call; ``atexit`` (or an explicit
 :func:`shutdown_pool` / the :func:`process_pool` context manager) tears it
 down.
 
-Task protocol: the engine cuts a plan into work items (row part x column
-panel, :mod:`repro.engine.executor`) and runs each one through
-:func:`run_task`.  Only the process backend cuts row parts for its
-workers: the parent publishes the operands into shared memory
-(:mod:`repro.parallel.shm`) and the :class:`Task` carries only segment
-*addresses*, the item's row range and scalar knobs — a few hundred
-bytes — while workers attach the segments as zero-copy NumPy views.  An
-in-process item (one grid cell) puts the CSR operands in the
-same fields and runs on the plan's in-kernel threads.  Each item runs
-under its own :class:`~repro.machine.OpCounter` and returns its partial
-output as COO triples plus the counter, so results and counters are
-identical across ``serial`` / ``thread`` / ``process``.
+Task protocol: the engine cuts a process plan into flop-balanced row
+parts (:mod:`repro.engine.executor`) and runs each one through
+:func:`run_task` on a pool worker: the parent publishes the operands into
+shared memory (:mod:`repro.parallel.shm`) and the :class:`Task` carries
+only segment *addresses*, the part's row range and scalar knobs — a few
+hundred bytes — while workers attach the segments as zero-copy NumPy
+views.  Each part runs under its own :class:`~repro.machine.OpCounter`
+and returns its partial output as COO triples plus the counter, so results
+and counters are identical across ``serial`` / ``thread`` / ``process``.
 
 Semirings cross the boundary by *name* for the standard registry
 (:data:`repro.semiring.STANDARD_SEMIRINGS`) and by pickle otherwise;
@@ -172,8 +169,8 @@ def decode_semiring(token) -> Semiring:
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
 class Task:
-    """One work item of one masked-SpGEMM call: one row part, against one
-    column panel.
+    """One work item of one masked-SpGEMM call: one row part of A and the
+    mask, against the whole B.
 
     The operand fields hold :class:`~repro.parallel.shm.CSRSegments`
     addresses when the item crosses the process boundary (picklable, tiny)
@@ -183,22 +180,19 @@ class Task:
     """
 
     a: Union[CSR, _shm.CSRSegments]  #: the whole A
-    b: Union[CSR, _shm.CSRSegments]  #: B's column panel
-    mask: Union[CSR, _shm.CSRSegments]  #: the mask's column panel
-    b_csc: Union[CSC, _shm.CSRSegments, None]  #: the panel's CSC (inner only)
+    b: Union[CSR, _shm.CSRSegments]  #: the whole B
+    mask: Union[CSR, _shm.CSRSegments]  #: the whole mask
+    b_csc: Union[CSC, _shm.CSRSegments, None]  #: B's CSC (inner only)
     #: rows ``[lo, hi)`` of A and the mask this item owns (a zero-copy view)
     rows: Tuple[int, int]
-    col_offset: int  #: first output column of the panel
     algo: str
     phases: int
     complement: bool
     impl: str
     semiring: Union[Semiring, tuple]
-    #: span attributes: (band, row part, panel) — band 0, a plan's one —
-    #: and the item's apportioned share of the band's predicted time for
-    #: the prediction ledger
-    cell: Tuple[int, int, int] = (0, 0, 0)
-    backend: str = "serial"
+    #: span attributes: (band, row part) — band 0, a plan's one — and the
+    #: item's share of the band's predicted time for the prediction ledger
+    cell: Tuple[int, int] = (0, 0)
     est_cycles: float = 0.0
     #: worker side only — record spans under a task-local tracer and ship
     #: them back with the result
@@ -214,14 +208,13 @@ def _rows_of(mat: CSR, rows: Tuple[int, int]) -> Tuple[CSR, int]:
     return row_block(mat, lo, hi), lo
 
 
-def run_task(task: Task, nthreads: int = 1):
+def run_task(task: Task):
     """Run one work item: slice, multiply, return global COO + counter.
 
-    The single entry point of all three backends.  ``nthreads`` reaches the
-    native row loop (capped at the item's rows); the pool calls this with
-    the default 1, because a forked worker must never enter libgomp
-    (``native.c``).  In a pool worker the operands arrive as segment
-    addresses and are attached as zero-copy views; when ``task.trace`` is
+    The kernel runs on one thread, because a forked worker must never
+    enter libgomp (``native.c``).  In a pool worker the operands arrive as
+    segment addresses and are attached as zero-copy views (in-process the
+    item holds the operands themselves); when ``task.trace`` is
     set a task-local tracer is installed for the duration of the task, so
     the item span and every nested kernel span come back serialized in the
     payload and the coordinator merges them onto its timeline
@@ -248,7 +241,8 @@ def run_task(task: Task, nthreads: int = 1):
         span_cm = (
             tr.span(
                 "engine.cell",
-                {"cell": list(task.cell), "backend": task.backend,
+                {"cell": list(task.cell),
+                 "backend": "process" if remote else "serial",
                  "algo": task.algo, "rows": a_s.nrows, "cols": b.ncols,
                  "est_cycles": task.est_cycles},
                 counter=counter,
@@ -263,13 +257,10 @@ def run_task(task: Task, nthreads: int = 1):
                 algo=task.algo, phases=task.phases, complement=task.complement,
                 semiring=semiring, impl=task.impl, counter=counter,
                 b_csc=b_csc,
-                nthreads=max(1, min(nthreads, a_s.nrows)),
             )
             r, cc, v = c.to_coo()
             if offset:
                 r += offset
-            if task.col_offset:
-                cc += task.col_offset
         return r, cc, v, counter, tracer.export() if tracer is not None else []
     finally:
         if tracer is not None:

@@ -195,8 +195,7 @@ class SegmentGroup:
 #: per-process attachment cache (LRU: name -> SharedMemory).  Workers are
 #: reused across calls; partitions of one call share operands, so the first
 #: task attaches and the rest hit the cache.  Eviction must be
-#: least-recently-used: a many-panel grid attaches dozens of small
-#: segments per call, and evicting newest-first would close segments whose
+#: least-recently-used: evicting newest-first would close segments whose
 #: NumPy views are alive in the task currently running.
 _ATTACHED: "OrderedDict[str, shared_memory.SharedMemory]" = OrderedDict()
 _ATTACH_CACHE_MAX = 64

@@ -19,9 +19,7 @@ from .ops import (
     pattern_intersection,
     pattern_union,
     reduce_sum,
-    restrict_columns,
     row_reduce,
-    split_columns,
 )
 from .io import load_npz, read_mtx, save_npz, write_mtx
 
@@ -39,8 +37,6 @@ __all__ = [
     "pattern_union",
     "reduce_sum",
     "row_reduce",
-    "restrict_columns",
-    "split_columns",
     "read_mtx",
     "write_mtx",
     "save_npz",

@@ -3,8 +3,7 @@
 These are the substrate operations the paper's applications need around the
 masked SpGEMM core: element-wise multiply (``.*``, used to apply masks and in
 triangle counting), element-wise add, complement-aware masking, reductions,
-structural set operations on patterns, and the column split the execution
-engine's grid uses.
+and structural set operations on patterns.
 
 All binary ops require matching shapes and operate on *sorted* CSR inputs
 (callers get an automatic canonicalisation via ``CSR.sort_indices``), after
@@ -18,7 +17,7 @@ byte reference.
 
 from __future__ import annotations
 
-from typing import Callable, List, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -36,8 +35,6 @@ __all__ = [
     "pattern_intersection",
     "pattern_difference",
     "nnz_overlap",
-    "split_columns",
-    "restrict_columns",
 ]
 
 
@@ -198,49 +195,3 @@ def nnz_overlap(a: CSR, b: CSR) -> int:
     """Number of positions stored in both matrices.  Used by benches to
     report mask/output overlap (Figure 1's motivation)."""
     return pattern_intersection(a, b).nnz
-
-
-def split_columns(mat: CSR, bounds: Sequence[int]) -> List[CSR]:
-    """Cut ``mat`` into the column panels ``[bounds[k], bounds[k+1])``.
-
-    One binning pass for all ``K = len(bounds) - 1`` panels: a
-    ``searchsorted`` against ``bounds`` names each entry's panel and a
-    stable sort by panel keeps the (row, col) order inside every panel, so
-    each panel comes out as a finished sorted CSR of width
-    ``bounds[k+1] - bounds[k]`` with column ids rebased to the panel.
-    Entries outside ``[bounds[0], bounds[-1])`` are dropped; the bounds
-    ``(0, ncols)`` return ``mat`` itself.  Every panel keeps the full row
-    frame, so ``panel.indptr[hi] - panel.indptr[lo]`` is the nonzero count
-    of rows ``[lo, hi)`` in that panel — what the executor's mask pruning
-    reads.
-    """
-    mat = mat.sort_indices()
-    bounds = np.asarray(bounds, dtype=INDEX_DTYPE)
-    npanels = bounds.size - 1
-    if npanels == 1 and bounds[0] == 0 and bounds[1] == mat.ncols:
-        return [mat]
-    rows = mat.row_ids()
-    panel = np.searchsorted(bounds, mat.indices, side="right") - 1
-    order = np.argsort(panel, kind="stable")
-    cuts = np.searchsorted(panel[order], np.arange(npanels + 1))
-    out: List[CSR] = []
-    for k in range(npanels):
-        idx = order[cuts[k] : cuts[k + 1]]
-        indptr = np.zeros(mat.nrows + 1, dtype=INDEX_DTYPE)
-        np.cumsum(np.bincount(rows[idx], minlength=mat.nrows), out=indptr[1:])
-        out.append(
-            CSR(
-                (mat.nrows, int(bounds[k + 1] - bounds[k])),
-                indptr,
-                mat.indices[idx] - bounds[k],
-                mat.data[idx],
-                sorted_indices=True,
-                check=False,
-            )
-        )
-    return out
-
-
-def restrict_columns(mat: CSR, lo: int, hi: int) -> CSR:
-    """Columns ``[lo, hi)`` of ``mat`` as a narrow CSR of width ``hi-lo``."""
-    return split_columns(mat, (lo, hi))[0]

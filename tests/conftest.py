@@ -93,19 +93,37 @@ def assert_csr_equal(got: CSR, want: CSR, *, tol=1e-12, msg=""):
     assert np.allclose(g.data, w.data, rtol=1e-10, atol=tol), f"data differ {msg}"
 
 
-def panels(shape, width):
-    """The ``1 x K`` grid of width-``width`` column panels over an output of
-    ``shape``: the column-panelled multiply, as ``shards=`` spells it."""
-    from repro.engine import ShardGrid
-
-    nrows, ncols = shape
-    return ShardGrid((0, nrows), tuple(range(0, ncols, width)) + (ncols,))
+def columns(mat: CSR, lo: int, hi: int) -> CSR:
+    """Columns ``[lo, hi)`` of ``mat`` as a CSR of width ``hi - lo``."""
+    r, c, v = mat.to_coo()
+    keep = (c >= lo) & (c < hi)
+    return CSR.from_coo((mat.nrows, hi - lo), r[keep], c[keep] - lo, v[keep])
 
 
-def grid_every_product(monkeypatch, app: str, shards) -> None:
-    """Cut every masked product the app module ``repro.apps.<app>`` makes
-    into the grid ``shards``: an app takes no grid of its own, only a
-    ``backend=``."""
+def panelled(a, b, m, width, **kw):
+    """The column-panelled multiply in the caller's own spelling (the door
+    has no grid): one call per ``width``-column panel of B and the mask,
+    skipping a plain mask's empty panels, the panels stacked back."""
+    from repro.core import masked_spgemm
+
+    rows, cols, vals = [np.zeros(0, np.int64)], [np.zeros(0, np.int64)], [np.zeros(0)]
+    for lo in range(0, m.ncols, width):
+        hi = min(lo + width, m.ncols)
+        mp = columns(m, lo, hi)
+        if mp.nnz == 0 and not kw.get("complement"):
+            continue
+        r, c, v = masked_spgemm(a, columns(b, lo, hi), mp, **kw).to_coo()
+        rows.append(r)
+        cols.append(c + lo)
+        vals.append(v)
+    return CSR.from_coo(m.shape, np.concatenate(rows), np.concatenate(cols),
+                        np.concatenate(vals))
+
+
+def shards_every_product(monkeypatch, app: str, shards) -> None:
+    """Pass the kept ``shards=`` spelling to every masked product the app
+    module ``repro.apps.<app>`` makes (it selects nothing: an app takes
+    only a ``backend=``)."""
     import functools
     import importlib
 
@@ -115,19 +133,16 @@ def grid_every_product(monkeypatch, app: str, shards) -> None:
     monkeypatch.setattr(module, "masked_spgemm", functools.partial(masked_spgemm, shards=shards))
 
 
-def row_split(partition, a, b, m, algo=None, threads=2, col_bounds=None):
+def row_split(partition, a, b, m, algo=None, threads=2):
     """A plan cutting the rows the way the deleted partition option named
-    it: ``block`` as the grid's equal row blocks, ``balanced`` as the
-    process backend's own flop-balanced parts; ``col_bounds`` adds column
-    panels.  ``cyclic`` (round-robin rows) names no plan: see
+    it: ``block`` as the native row loop's contiguous blocks of its
+    in-kernel threads, ``balanced`` as the process backend's own
+    flop-balanced parts.  ``cyclic`` (round-robin rows) names no plan: see
     :func:`assert_round_robin_refused`."""
-    from repro.engine import ShardGrid, plan
+    from repro.engine import plan
 
-    rows = ShardGrid.regular(a.shape, threads, 1).row_bounds if partition == "block" \
-        else (0, a.nrows)
     return plan(a, b, m, algo=algo, threads=threads,
-                backend="process" if partition == "balanced" else None,
-                shards=ShardGrid(rows, col_bounds or (0, b.ncols)))
+                backend="process" if partition == "balanced" else "thread")
 
 
 def assert_round_robin_refused(a, b, m, algo="msa", threads=2, backend=None):
@@ -137,7 +152,7 @@ def assert_round_robin_refused(a, b, m, algo="msa", threads=2, backend=None):
     from repro.engine import RowBand, execute, plan
 
     pl = plan(a, b, m, algo=algo, threads=threads, backend=backend)
-    pl.bands = [RowBand(rows=np.arange(i, a.nrows, threads), algo=algo)
+    pl.bands = [RowBand(nrows=len(range(i, a.nrows, threads)), algo=algo)
                 for i in range(threads)]
     with pytest.raises(ValueError, match="one band"):
         execute(pl, a, b, m)

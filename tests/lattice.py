@@ -3,7 +3,7 @@
 Bit-for-bit identity of values *and* ``OpCounter``s across every spelling
 of a call is the library's contract.  This module is that contract as
 data: the axes (door x ``algo`` x complement x phases x backend x
-threads x grid x kernel tier, and the native loops' in-kernel
+threads x kernel tier, and the native loops' in-kernel
 ``nthreads``; the doors are the front door, a plan the caller holds —
 ``execute(plan(...))``, the one spelling of a forced thread count — and
 the leaf; in process a plan's ``threads`` is
@@ -29,8 +29,8 @@ Three consumers:
   twin (:func:`thread_axis_findings`, which ``--digest`` also prints).
 
 The factorial is full where the axes interact (serial spellings; planned
-dispatch: backend x grid) and one axis at a time elsewhere,
-~6k calls per tier (see :func:`cases`).
+dispatch: backend x threads) and one axis at a time elsewhere,
+~3k calls per tier (see :func:`cases`).
 """
 
 from __future__ import annotations
@@ -215,7 +215,6 @@ DOORS = {
 ALGOS = ("auto", "inner", "msa", "hash", "mca", "heap", "heapdot", "esc")
 PHASES = (1, 2)
 BACKENDS = (None, "serial", "thread", "process")
-GRIDS = (None, (2, 2), (1, 3))
 THREADS = (1, 2, 3)
 #: in-kernel threads of the native loops: msa (plain and complemented), inner
 #: and the 2P symbolic pass take them.  4 puts more threads than rows on
@@ -282,9 +281,8 @@ def cases() -> Iterator[Case]:
             yield case("masked_spgemm", algo=algo, complement=comp, phases=phases)
         # planned dispatch: full factorial at 1P
         planned = list(_algo_complement(skip=SERIAL_ONLY.get(name, ())))
-        for (algo, comp), backend, grid in product(planned, BACKENDS, GRIDS):
-            yield case("masked_spgemm", algo=algo, complement=comp, backend=backend,
-                       grid=grid)
+        for (algo, comp), backend in product(planned, BACKENDS):
+            yield case("masked_spgemm", algo=algo, complement=comp, backend=backend)
         for (algo, comp), backend, threads in product(
             planned, BACKENDS[1:] + BACKENDS[:1], THREADS
         ):
@@ -324,8 +322,6 @@ def execute(case: Case):
     raises records the error)."""
     a, b, m, semiring = OPERANDS[case.operands]
     options = dict(case.options)
-    if "grid" in options:
-        options["shards"] = options.pop("grid")
     counter = OpCounter()
     try:
         out = DOORS[case.door](a, b, m, semiring=semiring, counter=counter, **options)

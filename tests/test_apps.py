@@ -21,7 +21,7 @@ from repro.parallel import active_segments, process_backend_available, shutdown_
 from repro.semiring import PLUS_PAIR
 from repro.sparse import CSC, CSR
 
-from .conftest import grid_every_product
+from .conftest import shards_every_product
 
 COMPLEMENT_ALGOS = [a for a in ALGOS if supports_complement(a)]
 
@@ -348,8 +348,8 @@ class TestKTrussDecrement:
     def test_backends_and_shards(self, kw, delta, monkeypatch):
         g, ref = _diff_case("rmat7", 5)
         kw = dict(kw)
-        if "shards" in kw:  # every product on the grid: ktruss takes none itself
-            grid_every_product(monkeypatch, "ktruss", kw.pop("shards"))
+        if "shards" in kw:  # the kept spelling on every product: ktruss takes none
+            shards_every_product(monkeypatch, "ktruss", kw.pop("shards"))
         try:
             _assert_same_run(ktruss(g, 5, delta=delta, **kw), ref)
         finally:

@@ -1,25 +1,22 @@
-"""Backend and grid equivalence suite: every spelling of the one work-item
-loop, bit for bit.
+"""Backend equivalence suite: every backend of the one row loop, bit for
+bit.
 
 Every plan shape the engine tests exercise (forced algorithms, complemented
-masks, 1P/2P phases, every row split, column panels, auto plans)
-is run under all three execution backends on the same problems
-``tests/test_engine.py`` uses (karate + small ER / R-MAT).  The backends
-must agree *exactly* — identical ``indptr`` / ``indices`` / ``data`` arrays
-and identical :class:`OpCounter` totals — because they are different
-executors of the same decomposition, not different algorithms.
+masks, 1P/2P phases, every row split, auto plans) is run under all three
+execution backends on the same problems ``tests/test_engine.py`` uses
+(karate + small ER / R-MAT).  The backends must agree *exactly* —
+identical ``indptr`` / ``indices`` / ``data`` arrays and identical
+:class:`OpCounter` totals — because they are different executors of the
+same loop over output rows, not different algorithms: ``serial`` and
+``thread`` are the plain kernel call, ``process`` cuts flop-balanced row
+parts for the pool (``docs/parallel.md``).
 
-:class:`TestGridEquivalence` is the grid half of that contract: the
-executor cuts every plan into work items *band x row part x column panel*
-(``docs/parallel.md``), so a row partition (``R x 1``), a column-panelled
-multiply (``1 x K``) and a grid (``R x K``) are spellings of one loop, and
-every spelling must equal the plain ``masked_spgemm(algo=X)``
-call in values *and* — for the algorithms whose counters are additive
-under row/column slicing (inner/msa/mca/esc; hash sizes its table per
-flop-budget batch and the heap schemes' merge costs depend on row extent,
-so only their *outputs* are compared with the plain call) — in
-:class:`OpCounter` totals.  ``tests/test_shards.py`` holds the planner
-spellings, the column split and the pruning cases.
+:class:`TestGridEquivalence` keeps its name and case ids from the deleted
+output grid: the door's ``shards=`` is a kept spelling that selects
+nothing, so every case must be the plain ``masked_spgemm(algo=X)`` call in
+values *and* :class:`OpCounter` totals, on every backend; a column panel
+is the caller's own operand.  ``tests/test_shards.py`` holds the kept
+spelling's checks and the row parts' pinned cases.
 
 Segment hygiene is asserted too: every process call unlinks the segments
 it published before it returns, so no shared-memory segment this process
@@ -46,7 +43,7 @@ import numpy as np
 import pytest
 
 from repro.core import ALL_ALGOS, masked_spgemm, supports_complement
-from repro.engine import Planner, ShardGrid, execute, plan
+from repro.engine import Planner, execute, plan
 from repro.engine.planner import host_workers
 from repro.graphs import erdos_renyi, rmat
 from repro.machine import HOST, HOST_NATIVE, OpCounter
@@ -60,7 +57,7 @@ from repro.parallel import pool
 from repro.parallel.shm import SegmentGroup, attach_csr
 from repro.sparse import CSR, read_mtx
 
-from .conftest import assert_round_robin_refused, panels, row_split
+from .conftest import assert_round_robin_refused, columns, panelled, row_split
 
 pytestmark = pytest.mark.backend
 
@@ -169,9 +166,12 @@ class TestBackendEquivalence:
         _assert_backends_agree(pl, a, b, m)
 
     def test_column_panels(self, square_problem):
+        """A caller's column panel of B and the mask is one more operand
+        set: every backend agrees on it."""
         a, b, m = square_problem
-        pl = plan(a, b, m, algo="hash", threads=WORKERS, shards=panels(m.shape, 16))
-        _assert_backends_agree(pl, a, b, m)
+        bp, mp = columns(b, 0, 16), columns(m, 0, 16)
+        pl = plan(a, bp, mp, algo="hash", threads=WORKERS)
+        _assert_backends_agree(pl, a, bp, mp)
 
     def test_auto_plan(self, square_problem):
         a, b, m = square_problem
@@ -260,7 +260,7 @@ class TestForcedBackendReachesThePlanner:
     def test_a_forced_algorithm_keeps_the_callers_backend(self, backend):
         """``algo="msa", backend=...`` used to run one in-process kernel
         span and no work item: a forced algorithm is planned too once the
-        caller names a backend, as with ``shards=``."""
+        caller names a backend."""
         import os
 
         from repro.graphs import relabel_by_degree
@@ -285,7 +285,7 @@ class TestForcedBackendReachesThePlanner:
 
 _LEAK_SCRIPT = r"""
 import json, os, sys
-from repro.core import masked_spgemm
+from repro.engine import execute, plan
 from repro.graphs import relabel_by_degree, rmat
 from repro.parallel import shm
 from repro.parallel.pool import pool_pids, process_backend_available
@@ -307,8 +307,8 @@ def _recorded(nbytes):
 
 shm._new_segment = _recorded
 low = relabel_by_degree(rmat(9, seed=7).pattern()).tril(-1)
-masked_spgemm(low, low, low, algo="msa", shards=(2, 2),
-              backend="process", semiring=PLUS_PAIR)
+execute(plan(low, low, low, algo="msa", threads=2, backend="process"),
+        low, low, low, semiring=PLUS_PAIR)
 # report what the call published and what is still live, then exit
 # WITHOUT shutdown_pool(): the import-time atexit hooks must reap the pool
 print(json.dumps({
@@ -365,24 +365,24 @@ class TestSegmentHygiene:
         assert np.array_equal(first.data, second.data)
 
     def test_no_shard_segments_leak_across_calls(self, square_problem):
-        """Grid process calls publish A and every column panel of B and the
-        mask; every segment must die with its call."""
+        """A three-part process call publishes A, B and the mask once;
+        every segment must die with its call."""
         a, b, m = square_problem
-        pl = plan(a, b, m, algo="msa", threads=WORKERS, backend="process", shards=(3, 2))
+        pl = plan(a, b, m, algo="msa", threads=3, backend="process")
         for _ in range(3):
             execute(pl, a, b, m)
             assert active_segments() == ()
 
     def test_session_shard_segments_die_with_session_close(self, square_problem,
                                                            monkeypatch):
-        """Operand and panel segments live exactly as long as their call:
-        all of them are live when the call's group closes, none after, and
-        the next call publishes fresh ones (the name is from when a session
-        pinned them across calls until it closed)."""
+        """Operand segments live exactly as long as their call: all of them
+        are live when the call's group closes, none after, and the next
+        call publishes fresh ones (the name is from when a session pinned
+        them across calls until it closed)."""
         from repro.parallel import shm
 
         a, b, m = square_problem
-        pl = plan(a, b, m, algo="msa", threads=WORKERS, backend="process", shards=(3, 2))
+        pl = plan(a, b, m, algo="msa", threads=3, backend="process")
         held = []
         close = shm.SegmentGroup.close
 
@@ -437,9 +437,9 @@ class TestSegmentHygiene:
 
 
 # ----------------------------------------------------------------------
-# one grid: R x 1, 1 x K, R x K — all the plain call
+# the kept shards= spelling: every case the plain call
 # ----------------------------------------------------------------------
-#: algorithms whose OpCounter totals are invariant under row/column slicing
+#: algorithms whose OpCounter totals are invariant under row slicing
 ADDITIVE_COUNTER_ALGOS = ("inner", "msa", "mca", "esc")
 
 
@@ -450,8 +450,9 @@ def _rand(rng, n, m, k):
 
 
 def _grid_cases():
+    """The deleted grids' cases, by name; each passes its shape as the kept
+    ``shards=`` spelling."""
     g = rmat(5, seed=3)  # 32 vertices: the reference-tier heap schemes are slow
-    n = g.nrows
     tiny = erdos_renyi(5, 5, 2, seed=11)
     rng = np.random.default_rng(5)
     rect = (_rand(rng, 30, 50, 200), _rand(rng, 50, 20, 220),
@@ -462,7 +463,7 @@ def _grid_cases():
         ("Rx1", sq, (3, 1)),
         ("1xK", sq, (1, 3)),
         ("RxK", sq, (3, 2)),
-        ("irregular", sq, ShardGrid((0, 1, n // 3, n // 3, n), (0, n // 4, n))),
+        ("irregular", sq, (4, 2)),
         ("more-blocks-than-rows", (tiny, tiny, tiny), (64, 64)),
         ("rectangular", rect, (4, 3)),
     ]
@@ -484,8 +485,9 @@ _PLAIN: dict = {}
 
 
 def _plain_and_serial(case, algo):
-    """The plain call's result and counter and the serial grid run's
-    counter, computed once per (case, algo) for all three backends."""
+    """The plain call's result and counter and the serial run's counter
+    with the kept spelling, computed once per (case, algo) for all three
+    backends."""
     name, (a, b, m), shards = case
     if (name, algo) not in _PLAIN:
         ref_counter, serial_counter = OpCounter(), OpCounter()
@@ -511,11 +513,7 @@ class TestGridEquivalence:
         got = masked_spgemm(a, b, m, algo=algo, shards=shards, backend=backend,
                             counter=counter)
         _assert_same(got, ref, f"{algo}/{backend}")
-        assert counter == serial_counter, f"{algo}/{backend}"
-        # (a dropped cell's products are never expanded — the saved work
-        # shows as fewer ``accum_inserts``; only the 5x5 case drops any)
-        if algo in ADDITIVE_COUNTER_ALGOS and case[0] != "more-blocks-than-rows":
-            assert counter == ref_counter, f"{algo}/{backend}"
+        assert counter == serial_counter == ref_counter, f"{algo}/{backend}"
 
     @pytest.mark.parametrize("backend", BACKENDS)
     @pytest.mark.parametrize("batch", ["auto", "bucket", "perrow"])
@@ -540,9 +538,9 @@ class TestGridEquivalence:
     @pytest.mark.parametrize("shards", [(2, 2), (3, 1), (1, 3)],
                              ids=["2x2", "3x1", "1x3"])
     def test_forced_batch_tier_reaches_the_kernels(self, shards, backend):
-        """``batch=`` under ``shards=`` (once dropped on the way to the
-        kernels) is accepted on every grid and backend: each cell runs its
-        kernel, and the result is the call without it."""
+        """``batch=`` under ``shards=`` (both kept spellings) is accepted
+        on every backend: the call is one kernel call, no work item, and
+        the result is the call without them."""
         g = rmat(8, seed=3)
         want = masked_spgemm(g, g, g, algo="hash", shards=shards, backend=backend)
         for tier in ("bucket", "perrow"):
@@ -550,51 +548,48 @@ class TestGridEquivalence:
                 got = masked_spgemm(g, g, g, algo="hash", batch=tier, shards=shards,
                                     backend=backend)
             kernels = [sp for sp in tr.spans if sp.name == "kernel.hash"]
-            assert len(kernels) == len(_cell_spans(tr)) > 1
+            assert len(kernels) == 1 and not _cell_spans(tr)
             _assert_same(got, want, f"{tier}/{backend}")
 
     @pytest.mark.parametrize("backend", BACKENDS)
     @pytest.mark.parametrize("partition", ["block", "cyclic", "balanced"])
     def test_row_partitions_with_and_without_panels(self, partition, backend):
+        """Row splits of the whole product and of a caller's column panel
+        (B's and the mask's columns 24-48) are each the plain call."""
         g = rmat(6, seed=3)
+        panel = columns(g, 24, 48)
         for algo in ("inner", "msa", "hash", "mca", "esc"):
             if partition == "cyclic":
                 assert_round_robin_refused(g, g, g, algo, 3, backend)
                 continue
-            ref_counter = OpCounter()
-            ref = masked_spgemm(g, g, g, algo=algo, counter=ref_counter)
-            for panels in (None, (0, 24, 48, 64)):
-                pl = row_split(partition, g, g, g, algo, 3, panels)
-                got, counter = _run(pl, g, g, g, backend)
-                _assert_same(got, ref, f"{algo}/{partition}/{panels}")
+            for b, m in ((g, g), (panel, panel)):
+                ref_counter = OpCounter()
+                ref = masked_spgemm(g, b, m, algo=algo, counter=ref_counter)
+                pl = row_split(partition, g, b, m, algo, 3)
+                got, counter = _run(pl, g, b, m, backend)
+                _assert_same(got, ref, f"{algo}/{partition}/{b.shape}")
                 if algo in ADDITIVE_COUNTER_ALGOS:
                     assert counter == ref_counter, f"{algo}/{partition}"
 
     def test_panel_width_is_the_one_by_k_grid(self):
-        """Column panels are spelled ``shards=(1, K)``: it and the explicit
-        grid with the same column bounds are one plan — same grid, same
-        values, same counters, every algorithm."""
+        """Column panels are the caller's own: the door's kept
+        ``shards=(1, 3)`` is the plain call (values and counters), and the
+        caller's three panels stack back to it, every algorithm."""
         g = rmat(6, seed=3)
-        n = g.ncols
-        grid = ShardGrid((0, n), (0, 21, 42, n))
         for algo in ALL_ALGOS:
-            by_width = plan(g, g, g, algo=algo, shards=(1, 3))
-            by_grid = plan(g, g, g, algo=algo, shards=grid)
-            assert by_width.grid == by_grid.grid == grid
-            got_w, counter_w = _run(by_width, g, g, g, "serial")
-            got_g, counter_g = _run(by_grid, g, g, g, "serial")
-            _assert_same(got_w, got_g, algo)
-            assert counter_w == counter_g, algo
+            ref_counter, counter = OpCounter(), OpCounter()
+            ref = masked_spgemm(g, g, g, algo=algo, counter=ref_counter)
+            got = masked_spgemm(g, g, g, algo=algo, shards=(1, 3), counter=counter)
+            _assert_same(got, ref, algo)
+            assert counter == ref_counter, algo
+            _assert_same(panelled(g, g, g, 21, algo=algo), ref, algo)
 
     @pytest.mark.parametrize("case", _grid_cases()[3:5], ids=lambda c: c[0])
     def test_column_orientation_transposes_the_grid(self, case):
-        """Column by column is the caller's ``(B^T A^T)^T`` with the grid
-        transposed with it (the door names no orientation)."""
+        """Column by column is the caller's ``(B^T A^T)^T`` (the door names
+        no orientation), with the kept spelling transposed too."""
         _, (a, b, m), shards = case
-        flipped = (
-            shards[::-1] if isinstance(shards, tuple)
-            else ShardGrid(shards.col_bounds, shards.row_bounds)
-        )
+        flipped = shards[::-1]
         for algo in ("msa", "hash", "esc"):
             ref = masked_spgemm(a, b, m, algo=algo)
             got = masked_spgemm(b.transpose(), a.transpose(), m.transpose(), algo=algo,

@@ -460,7 +460,8 @@ class TestBackendEquivalence:
     @pytest.mark.parametrize("backend", BACKENDS)
     @pytest.mark.parametrize("algo", BATCHABLE)
     def test_bucket_matches_perrow_across_backends(self, graph, backend, algo):
-        """The kept spellings on three row blocks, one work item each."""
+        """The kept spellings on every backend, with the kept ``shards=``
+        spelling too: each is the call without it."""
         g = graph
         results = {
             tier: _run(g, g, g, algo, tier, shards=(3, 1), backend=backend,
@@ -572,10 +573,10 @@ class TestPlanReporting:
 
 
 class TestKeptKeyword:
-    """``masked_spgemm(batch=)`` stays a validated spelling that selects
-    nothing: on both kernel tiers, every algorithm and ``algo="auto"``,
-    each accepted value returns the bytes and ``OpCounter`` of the call
-    without it."""
+    """``masked_spgemm(batch=)`` and ``masked_spgemm(shards=)`` stay
+    validated spellings that select nothing: on both kernel tiers, every
+    algorithm and ``algo="auto"``, each accepted value returns the bytes and
+    ``OpCounter`` of the call without it."""
 
     @pytest.mark.parametrize("tier", ("native", "numpy"))
     def test_every_spelling_is_the_plain_call(self, tier):
@@ -597,8 +598,17 @@ class TestKeptKeyword:
                             where = (algo, complement, phases, spelling)
                             assert _bits(got) == _bits(want), where
                             assert got_c == counter.as_dict(), where
+                        for shards in ((1, 1), (2, 2), [3, 1]):
+                            got, got_c = _run(a, b, m, algo, "auto", complement=complement,
+                                              phases=phases, shards=shards)
+                            where = (algo, complement, phases, shards)
+                            assert _bits(got) == _bits(want), where
+                            assert got_c == counter.as_dict(), where
             with pytest.raises(ValueError, match="batch must be one of"):
                 masked_spgemm(a, b, m, batch="Bucket")
+            for bad in ((0, 2), (2,), (2.0, 2), (True, 1), "auto"):
+                with pytest.raises(ValueError, match="shards must be None or a pair"):
+                    masked_spgemm(a, b, m, shards=bad)
 
 
 # ----------------------------------------------------------------------

@@ -3,7 +3,7 @@
 The modeled→measured loop, per executed unit:
 
 1. Every executed unit leaves a prediction row — row bands on all three
-   backends, work items on a grid plan —
+   backends, the row parts of a process plan —
    and every row pairs the plan's modeled nanoseconds with the span's
    measured seconds and counter delta; direction BFS records each level's
    push/pull decision in its own span.
@@ -107,26 +107,29 @@ class TestLedgerRows:
 
     @pytest.mark.parametrize("backend", _BACKENDS)
     def test_shard_cell_rows_with_apportioned_estimates(self, backend):
+        """A process plan's row parts each leave a cell row, keyed
+        ``cell:<band>,<part>``; an in-process plan is its band alone."""
         _skip_unless_available(backend)
         low = _tc_low(scale=9, seed=1)
         with tracing() as tr:
-            masked_spgemm(low, low, low, algo="msa", shards=(2, 2),
-                          backend=backend, semiring=PLUS_PAIR)
+            execute(Planner().plan(low, low, low, algo="msa", threads=2, backend=backend),
+                    low, low, low, semiring=PLUS_PAIR)
         rows = [r for r in predictions(tr)["rows"]
                 if r["kind"] == "cell"]
         cell_spans = [sp for sp in tr.spans if sp.name == "engine.cell"]
-        assert rows and len(rows) == len(cell_spans)
+        assert len(rows) == len(cell_spans) == (2 if backend == "process" else 0)
         assert all(r["measured_seconds"] > 0.0 for r in rows)
         # forced-algo plans carry no cost sweep, so estimates may be
         # zero — but the keys must name distinct work items
-        keys = {r["key"] for r in rows}
-        assert len(keys) == len(rows)
+        assert sorted(r["key"] for r in rows) == (
+            ["cell:0,0", "cell:0,1"] if backend == "process" else [])
 
     def test_sharded_auto_apportions_plan_totals(self):
+        _skip_unless_available("process")
         low = _tc_low(scale=9, seed=1)
         with tracing() as tr:
-            masked_spgemm(low, low, low, algo="auto", shards=(2, 2),
-                          backend="serial", semiring=PLUS_PAIR)
+            execute(Planner().plan(low, low, low, threads=2, backend="process"),
+                    low, low, low, semiring=PLUS_PAIR)
         rows = [r for r in predictions(tr)["rows"] if r["kind"] == "cell"]
         bands = [r for r in predictions(tr)["rows"] if r["kind"] == "band"]
         assert rows
@@ -178,7 +181,7 @@ class TestLedgerRows:
                           semiring=PLUS_PAIR)
         mx = metrics(tr)
         preds = mx["predictions"]
-        assert preds["schema_version"] == 3
+        assert preds["schema_version"] == 4
         assert all(set(row) == {"kind", "key", "algo", "modeled_cycles",
                                 "modeled_seconds", "measured_seconds",
                                 "counters", "pid", "attrs"} for row in preds["rows"])

@@ -28,7 +28,7 @@ from repro.machine import HASWELL, HOST, HOST_NATIVE, OpCounter, RowCostModel, h
 from repro.semiring import PLUS_PAIR
 from repro.sparse import CSR, read_mtx
 
-from .conftest import assert_csr_equal, assert_round_robin_refused, panels, random_csr, \
+from .conftest import assert_csr_equal, assert_round_robin_refused, panelled, random_csr, \
     row_split
 
 DATA = Path(__file__).parent.parent / "data"
@@ -50,8 +50,7 @@ class TestPlanner:
         a, b, m = triple
         pl = plan(a, b, m)
         assert pl.mode == "auto"
-        covered = np.concatenate([band.rows for band in pl.bands])
-        assert sorted(covered.tolist()) == list(range(a.nrows))
+        assert [band.nrows for band in pl.bands] == [a.nrows]
         pl.validate()  # internal consistency
 
     def test_forced_plan_single_band(self, triple):
@@ -105,9 +104,9 @@ class TestPlanner:
 
     def test_as_dict_jsonable(self, triple):
         a, b, m = triple
-        d = plan(a, b, m, shards=(1, 3)).as_dict()
+        d = plan(a, b, m).as_dict()
         json.dumps(d)  # must not raise
-        assert "partition" not in d
+        assert "partition" not in d and "grid" not in d
         assert d["machine"] == "host"  # no machine= means this interpreter
         assert sum(band["nrows"] for band in d["bands"]) == a.nrows
 
@@ -150,21 +149,22 @@ class TestPlanner:
         assert pl.algo == "msa" and pl.mode == "auto" and set(pl.estimates) == {"msa"}
 
     def test_memory_budget_turns_on_panels(self):
-        """No rule picks a grid: a memory-bounded caller spells its column
-        panels, ``shards=(1, K)``, and the planner takes no budget."""
+        """No rule picks a grid and a plan has none: a memory-bounded
+        caller multiplies its own column panels, and the planner takes no
+        budget and no ``shards=``."""
         import inspect
 
         a = random_csr(60, 60, 6, seed=11)
         b = random_csr(60, 200, 6, seed=12)
         m = random_csr(60, 200, 8, seed=13)
-        tight = plan(a, b, m, shards=(1, 8))
-        assert (tight.grid.nrb, tight.grid.ncp) == (1, 8)
-        assert tight.grid.col_bounds == (0, 25, 50, 75, 100, 125, 150, 175, 200)
-        assert plan(a, b, m).grid.ncells == 1
+        assert not hasattr(plan(a, b, m), "grid")
         assert set(inspect.signature(Planner.plan).parameters) == {
             "self", "a", "b", "mask", "complement", "algo", "phases", "threads",
-            "backend", "shards", "_b_csc",
+            "backend", "_b_csc",
         }
+        with pytest.raises(TypeError, match="shards"):
+            plan(a, b, m, shards=(1, 8))
+        assert_csr_equal(panelled(a, b, m, 25), masked_spgemm(a, b, m))
 
     def test_invalid_inputs(self, triple):
         a, b, m = triple
@@ -172,8 +172,8 @@ class TestPlanner:
             Planner(HASWELL)
         with pytest.raises(ValueError, match="phases"):
             plan(a, b, m, phases=3)
-        with pytest.raises(ValueError, match="shards counts"):
-            plan(a, b, m, shards=(1, 0))
+        with pytest.raises(ValueError, match="shards must be"):
+            masked_spgemm(a, b, m, shards=(1, 0))
         # a non-string algo is the door's error, not an AttributeError
         with pytest.raises(ValueError) as err:
             plan(a, b, m, algo=3)
@@ -181,7 +181,6 @@ class TestPlanner:
             f"unknown algorithm 3; expected one of {('auto',) + ALL_ALGOS}")
         # a phase count is the int 1 or 2: the door, the planner and
         # validate() share one check
-        rows = np.arange(a.nrows, dtype=np.int64)
         for bad in (True, 2.0, 0):
             want = f"phases must be 1 or 2, got {bad!r}"
             with pytest.raises(ValueError, match=want):
@@ -189,7 +188,7 @@ class TestPlanner:
             with pytest.raises(ValueError, match=want):
                 plan(a, b, m, phases=bad)
             with pytest.raises(ValueError, match=want):
-                ExecutionPlan((a.nrows, b.ncols), [RowBand(rows, "msa")],
+                ExecutionPlan((a.nrows, b.ncols), [RowBand(a.nrows, "msa")],
                               phases=bad).validate()
         # one spelling each: the candidates are the profile's, and a plan's
         # backend is chosen when it is planned
@@ -200,13 +199,13 @@ class TestPlanner:
 
     def test_plan_validate_catches_broken_plans(self, triple):
         a, b, m = triple
-        rows = np.arange(a.nrows, dtype=np.int64)
+        rows = a.nrows
         with pytest.raises(ValueError, match="unknown algorithm"):
             ExecutionPlan((a.nrows, b.ncols),
                           [RowBand(rows, "quantum")]).validate()
         with pytest.raises(ValueError, match="exactly once"):
             ExecutionPlan((a.nrows, b.ncols),
-                          [RowBand(rows, "msa"), RowBand(rows[:1], "hash")]).validate()
+                          [RowBand(rows, "msa"), RowBand(1, "hash")]).validate()
         with pytest.raises(ValueError, match="complement"):
             ExecutionPlan((a.nrows, b.ncols), [RowBand(rows, "mca")],
                           complement=True).validate()
@@ -216,15 +215,15 @@ class TestPlanner:
 
     def test_validate_takes_exactly_one_full_band(self, triple):
         """A plan is one band over every row: two bands, a band missing
-        rows and a scattered row set are each a ``ValueError``."""
+        rows and a band past the last row are each a ``ValueError``."""
         a, b, m = triple
-        shape, rows = (a.nrows, b.ncols), np.arange(a.nrows, dtype=np.int64)
+        shape, rows = (a.nrows, b.ncols), a.nrows
         ExecutionPlan(shape, [RowBand(rows, "msa")]).validate()
         half = a.nrows // 2
         broken = {
-            "two bands": [RowBand(rows[:half], "msa"), RowBand(rows[half:], "inner")],
-            "partial band": [RowBand(rows[:-1], "msa")],
-            "scattered rows": [RowBand(np.concatenate([rows[1::2], rows[::2]]), "msa")],
+            "two bands": [RowBand(half, "msa"), RowBand(rows - half, "inner")],
+            "partial band": [RowBand(rows - 1, "msa")],
+            "rows past the last": [RowBand(rows + 1, "msa")],
             "no band": [],
         }
         for bands in broken.values():
@@ -379,18 +378,18 @@ class TestPlanCrossCheck:
 
     @pytest.mark.parametrize("panel", [5, 17])
     def test_panelled(self, panel, square_problem):
+        """The caller's own column panels, each an auto plan."""
         a, b, m = square_problem
         for complement in (False, True):
-            pl = plan(a, b, m, shards=panels(m.shape, panel), complement=complement)
-            got = execute(pl, a, b, m)
+            got = panelled(a, b, m, panel, algo="auto", complement=complement)
             want = masked_spgemm_reference(a, b, m, algo="msa",
                                            complement=complement)
             assert_csr_equal(got, want, msg=f"panel={panel} c={complement}")
 
     def test_threads_times_panels_times_bands(self, square_problem):
-        """The maximally-composed plan: row parts + panels."""
+        """The maximally-composed plan: row parts on the pool."""
         a, b, m = square_problem
-        pl = plan(a, b, m, threads=2, backend="process", shards=panels(m.shape, 11))
+        pl = plan(a, b, m, threads=2, backend="process")
         got = execute(pl, a, b, m)
         assert_csr_equal(got, masked_spgemm_reference(a, b, m, algo="msa"))
 
@@ -450,7 +449,7 @@ class TestCounterThreading:
     def test_panelled_counter(self, triple):
         a, b, m = triple
         c = OpCounter()
-        out = execute(plan(a, b, m, algo="hash", shards=panels(m.shape, 9)), a, b, m, counter=c)
+        out = panelled(a, b, m, 9, algo="hash", counter=c)
         assert c.output_nnz == out.nnz
 
     def test_two_phase_symbolic_charged(self, triple):

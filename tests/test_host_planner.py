@@ -547,19 +547,21 @@ class TestDecisionLayers:
         plans for presets (its bands' always-0 bytes estimate left out), so
         deleting the preset-priced planner moved no host plan.  Four were
         re-captured when the per-row split went: its "no per-row split
-        repays its slice+merge cost" note was the only change."""
+        repays its slice+merge cost" note was the only change.  All six
+        were re-captured when the output grid went: each equals its
+        parent's ``as_dict()`` with the ``"grid"`` key dropped."""
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(4)))
         low = _tc(10)
         er = (erdos_renyi(512, 512, 16, seed=1), erdos_renyi(512, 512, 16, seed=2),
               erdos_renyi(512, 512, 2, seed=3))
         cases = {
-            "4383b8d944c4477d": lambda: Planner(HOST_NATIVE).plan(*low),
-            "1cbd73fd32ed540e": lambda: Planner(HOST_NATIVE).plan(*er),
-            "c96336cad75c00bc": lambda: Planner(HOST_NATIVE).plan(*er, complement=True),
-            "1186a96c5e9d4533": lambda: Planner(HOST_NATIVE).plan(*er, algo="hash",
+            "228019bb75948da8": lambda: Planner(HOST_NATIVE).plan(*low),
+            "6f5c25e6038d61e8": lambda: Planner(HOST_NATIVE).plan(*er),
+            "06867c29a7a62d82": lambda: Planner(HOST_NATIVE).plan(*er, complement=True),
+            "4c255f4f5ec34145": lambda: Planner(HOST_NATIVE).plan(*er, algo="hash",
                                                                   threads=3),
-            "180dfbb5a9537041": lambda: Planner(HOST).plan(*low),
-            "fdb1e2314c8bfa6b": lambda: Planner(HOST).plan(*er),
+            "023835872efe213a": lambda: Planner(HOST).plan(*low),
+            "86393af5f8833f3f": lambda: Planner(HOST).plan(*er),
         }
         for want, make in cases.items():
             text = json.dumps(_canon(make().as_dict()), sort_keys=True)

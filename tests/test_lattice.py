@@ -55,11 +55,11 @@ def test_the_sample_is_fixed_and_spans_the_axes():
             seen.setdefault(key, set()).add(value)
     assert seen["algo"] == set(lattice.ALGOS)
     assert seen["backend"] == set(lattice.BACKENDS)
-    assert seen["grid"] == set(lattice.GRIDS)
     assert seen["threads"] == set(lattice.THREADS)
-    # one spelling per choice: no orientation, panel width or partition
-    # axis, and no machine axis (every plan is priced from the host profile)
-    assert set(seen) == {"algo", "complement", "phases", "backend", "grid",
+    # one spelling per choice: no orientation, grid, panel width or
+    # partition axis, and no machine axis (every plan is priced from the
+    # host profile)
+    assert set(seen) == {"algo", "complement", "phases", "backend",
                          "threads", "nthreads"}
     # every sampled nthreads=k call comes with the nthreads=1 twin it is
     # compared with, here and at the size CI digests
@@ -81,15 +81,16 @@ def test_sample_matches_the_reference_tier(calls):
         assert np.array_equal(got.indptr, want.indptr), call_id
         assert np.array_equal(got.indices, want.indices), call_id
         assert np.allclose(got.data, want.data, rtol=1e-12, atol=0, equal_nan=True), call_id
-        # every kernel emits each row column-ascending: the grid merge and
-        # the apps' searchsorted alignments rest on it
+        # every kernel emits each row column-ascending: the row-part merge
+        # and the apps' searchsorted alignments rest on it
         keys = got.row_ids() * (got.ncols + 1) + got.indices
         assert np.all(np.diff(keys) > 0), call_id
 
 
 def test_forced_spellings_are_the_plain_call(calls):
-    """Same bytes as ``masked_spgemm(algo=X)`` on every door, backend and
-    grid; same work counters where nothing was sliced away."""
+    """Same bytes as ``masked_spgemm(algo=X)`` on every door and backend;
+    the same work counters for the algorithms whose counters add up over
+    row parts."""
     memo, checked = {}, 0
     for case, options, call_id, got, counter in calls:
         if options["algo"] == "auto":
@@ -99,12 +100,7 @@ def test_forced_spellings_are_the_plain_call(calls):
                              complement=options["complement"])
         assert lattice.csr_digest(got) == lattice.csr_digest(want), call_id
         checked += 1
-        # (an item whose mask part is empty is dropped before dispatch, its
-        # products never expanded: grids and the all-empty mask)
-        if (
-            options["algo"] in ADDITIVE and options.get("grid") is None
-            and case.operands != "empty-mask"
-        ):
+        if options["algo"] in ADDITIVE:
             assert counter.as_dict() == plain.as_dict(), call_id
     assert checked > SAMPLE // 2
 

@@ -21,7 +21,7 @@ from repro.machine import OpCounter, total_flops
 from repro.semiring import MAX_TIMES, MIN_PLUS, PLUS_PAIR
 from repro.sparse import CSR
 
-from .conftest import assert_csr_equal, panels, random_csr
+from .conftest import assert_csr_equal, columns, panelled, random_csr
 
 COMPLEMENT_ALGOS = [a for a in ALGOS if supports_complement(a)]
 
@@ -187,7 +187,7 @@ def _front_doors():
     from functools import partial
 
     # "hybrid": the per-row hybrid, the planner's bands (algo="auto");
-    # "chunked": the column-panelled multiply, spelled on the door's grid;
+    # "chunked": the kept shards= spelling (it selects nothing);
     # "parallel": a forced thread count, spelled plan -> execute
     return {"masked_spgemm": masked_spgemm,
             "hybrid": partial(masked_spgemm, algo="auto"),
@@ -196,8 +196,8 @@ def _front_doors():
 
 
 class TestOneFrontDoor:
-    """The front door (with its planned per-row hybrid and column-panelled
-    grid) and a plan the caller holds are spellings of one call
+    """The front door (with its planned call and the kept ``shards=``
+    spelling) and a plan the caller holds are spellings of one call
     (``docs/engine.md``, "Path of a call"): same checks, same texts, each
     step once."""
 
@@ -537,49 +537,52 @@ class TestColumnOrientation:
 
 
 class TestChunkedSpGEMM:
-    """The column-panelled (memory-bounded) multiply: the door's ``1 x K``
-    grid, ``shards=(1, K)`` or an explicit :class:`~repro.engine.ShardGrid`."""
+    """The column-panelled (memory-bounded) multiply is the caller's own
+    spelling — one call per column panel of B and the mask — and equals
+    the plain call (the door has no output grid)."""
 
     @pytest.mark.parametrize("panel", [1, 7, 16, 1000])
     def test_panel_invariant(self, panel, small_triple):
         a, b, m = small_triple
         want = masked_spgemm(a, b, m, algo="msa")
-        got = masked_spgemm(a, b, m, algo="msa", shards=panels(m.shape, panel))
+        got = panelled(a, b, m, panel, algo="msa")
         assert_csr_equal(got, want, msg=f"panel={panel}")
 
     @pytest.mark.parametrize("panel", [9, 64])
     def test_complement(self, panel, small_triple):
         a, b, m = small_triple
         want = masked_spgemm(a, b, m, algo="msa", complement=True)
-        got = masked_spgemm(a, b, m, algo="msa", complement=True,
-                            shards=panels(m.shape, panel))
+        got = panelled(a, b, m, panel, algo="msa", complement=True)
         assert_csr_equal(got, want)
 
     def test_empty_mask_panels_skipped(self):
-        """A mask confined to one panel must keep the other panels'
-        B slices untouched (no flops counted for them)."""
+        """A mask confined to one panel leaves the other panels' B slices
+        untouched: the caller's panelled multiply inserts fewer products
+        than the plain call expands."""
         a = random_csr(20, 20, 4, seed=71)
         b = random_csr(20, 100, 4, seed=72)
         # mask lives entirely in columns [0, 10)
         m = random_csr(20, 10, 3, seed=73)
         rows, cols, vals = m.to_coo()
         m_wide = CSR.from_coo((20, 100), rows, cols, vals)
-        c_full = OpCounter()
-        masked_spgemm(a, b, m_wide, algo="msa", impl="reference",
-                      counter=c_full)
         c_chunk = OpCounter()
-        masked_spgemm(a, b, m_wide, algo="msa", shards=(1, 10), counter=c_chunk)
-        got = masked_spgemm(a, b, m_wide, shards=(1, 10))
+        panelled(a, b, m_wide, 10, algo="msa", counter=c_chunk)
+        got = panelled(a, b, m_wide, 10)
         want = masked_spgemm(a, b, m_wide)
         assert_csr_equal(got, want)
         # panelled inserts bounded by the single live panel's expansion
         assert c_chunk.accum_inserts < total_flops(a, b)
 
     def test_restrict_columns(self):
-        from repro.core import restrict_columns
+        """``restrict_columns`` / ``split_columns`` went with the grid they
+        served; a caller's column slice is a COO filter."""
+        import repro.core
+        import repro.sparse
 
+        assert not hasattr(repro.core, "restrict_columns")
+        assert not hasattr(repro.sparse, "split_columns")
         a = random_csr(10, 30, 4, seed=74)
-        panel = restrict_columns(a, 10, 20)
+        panel = columns(a, 10, 20)
         assert panel.shape == (10, 10)
         dense = a.to_dense()[:, 10:20]
         assert np.allclose(panel.to_dense(), dense)
@@ -587,5 +590,5 @@ class TestChunkedSpGEMM:
     def test_semiring(self, small_triple):
         a, b, m = small_triple
         want = masked_spgemm(a, b, m, semiring=PLUS_PAIR)
-        got = masked_spgemm(a, b, m, semiring=PLUS_PAIR, shards=panels(m.shape, 13))
+        got = panelled(a, b, m, 13, semiring=PLUS_PAIR)
         assert_csr_equal(got, want)

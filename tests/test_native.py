@@ -2,7 +2,7 @@
 
 One differential suite — native against ``native.disabled()`` (the NumPy
 bodies) over random and adversarial operands x semirings x complement x
-phases x algorithm x backend / grid, asserting equal CSR bytes, equal
+phases x algorithm x backend, asserting equal CSR bytes, equal
 ``OpCounter`` dicts and column-ascending rows — plus the hostile
 conditions the loader and the seam must survive: no compiler, a corrupt or
 foreign cache file, racing first loads, malformed ``check=False`` operands.
@@ -29,12 +29,10 @@ from repro.core.kernels.inner_kernel import masked_spgemm_inner_fast
 from repro.core.kernels.msa_kernel import masked_spgemm_msa_fast
 from repro.core.symbolic import one_phase_bound, symbolic_masked
 from repro import engine
-from repro.engine import Planner, ShardGrid, execute
+from repro.engine import Planner, execute
 from repro.graphs import erdos_renyi, lower_by_degree, rmat
-from repro.machine import HOST, HOST_NATIVE, OpCounter, available_cores, flops_per_row, \
-    host_profile
+from repro.machine import HOST, HOST_NATIVE, OpCounter, available_cores, host_profile
 from repro.observe import tracing
-from repro.parallel import balanced_partition
 from repro.parallel.pool import shutdown_pool
 from repro.semiring import MIN_PLUS, PLUS_PAIR, PLUS_TIMES, STANDARD_SEMIRINGS, Semiring
 from repro.sparse import CSR
@@ -113,21 +111,17 @@ class TestDifferential:
         "how", ["thread", "process", "grid"], ids=["threads=2", "process", "grid-2x2"]
     )
     def test_backends_and_grid(self, name, how):
+        """``grid-2x2`` keeps its id: the grid is gone, and the door's kept
+        ``shards=`` spelling routes as the plain call — here the serial
+        plan."""
         a, b, m = OPERANDS[name]
-        knobs = (
-            dict(threads=1, backend="serial", shards=(2, 2)) if how == "grid"
-            else dict(threads=2, backend=how)
-        )
+        serial = dict(threads=1, backend="serial")
+        knobs = serial if how == "grid" else dict(threads=2, backend=how)
         # pool workers are their own processes: native.disabled() here does
         # not reach them, so the process runs are checked against the NumPy
-        # run of a serial 2x1 grid on the pool's flop-balanced cut (the same
-        # row parts, so the same items are dropped and the counters match)
-        top = int(balanced_partition(flops_per_row(a, b), 2)[1])
-        ref_knobs = (
-            dict(threads=1, backend="serial",
-                 shards=ShardGrid((0, top, a.nrows), (0, b.ncols)))
-            if how == "process" else knobs
-        )
+        # run of the serial plan (the two row parts charge what the whole
+        # call does: msa and inner counters add up over rows)
+        ref_knobs = serial if how == "process" else knobs
         for sr in (PLUS_TIMES, PLUS_PAIR, MIN_PLUS):
             for algo in ("msa", "inner", None):
                 for complement in (False, True):

@@ -170,13 +170,14 @@ class TestParallelDriver:
     @pytest.mark.parametrize("backend", ["serial", pytest.param("thread", id="threads")])
     def test_matches_oracle(self, partition, backend, small_triple):
         """The row splits the deleted partition option named, as spelled now:
-        equal-count blocks are the grid's row blocks, flop-balanced parts
-        a forced thread count's own, and round-robin rows no spelling at
-        all: the planner takes no ``partition`` keyword."""
+        equal-count blocks are the native row loop's own (its in-kernel
+        threads), flop-balanced parts the process pool's, and round-robin
+        rows no spelling at all: the planner takes no ``partition``
+        keyword."""
         a, b, m = small_triple
         want = scipy_masked_spgemm(a, b, m)
         if partition == "block":
-            got = masked_spgemm(a, b, m, shards=(4, 1), backend=backend)
+            got = _parallel(a, b, m, threads=4, backend=backend)
         else:
             if partition == "cyclic":
                 assert partition not in repr(inspect.signature(Planner.plan))

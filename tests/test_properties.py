@@ -10,7 +10,7 @@ from repro.core.accumulators import MSA, HashAccumulator
 from repro.machine import simulate_makespan
 from repro.sparse import CSR, ewise_add, ewise_mult, mask_pattern
 
-from .conftest import assert_csr_equal, panels
+from .conftest import assert_csr_equal, panelled
 
 # ----------------------------------------------------------------------
 # strategies
@@ -279,10 +279,11 @@ class TestChunkedProperties:
     @given(spgemm_triple(), st.integers(1, 30))
     @settings(max_examples=25, deadline=None)
     def test_panel_width_invariant(self, triple, panel):
-        """Column panels of any width (the ``1 x K`` grid) are the plain call."""
+        """Column panels of any width, in the caller's own spelling, are the
+        plain call."""
         a, b, m = triple
         want = masked_spgemm(a, b, m, algo="msa")
-        got = masked_spgemm(a, b, m, algo="msa", shards=panels(m.shape, panel))
+        got = panelled(a, b, m, panel, algo="msa")
         assert_csr_equal(got, want)
 
 

@@ -19,6 +19,7 @@ every call) and in-place-mutation detection.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import inspect
 from pathlib import Path
@@ -44,14 +45,13 @@ from repro.parallel import (
 )
 from repro.sparse import CSR, read_mtx
 
-from .conftest import grid_every_product
 
 DATA = Path(__file__).parent.parent / "data"
 BACKENDS = ("serial", "thread", "process")
 
 #: OpCounter fields that once reported cross-call reuse; they stay in the
 #: layout and are always 0
-REUSE_FIELDS = ("plan_cache_hits", "segments_reused", "bytes_republished")
+REUSE_FIELDS = ("plan_cache_hits", "segments_reused")
 
 
 def _inputs():
@@ -109,11 +109,12 @@ def published(monkeypatch):
     return seen
 
 
-#: a process-backend grid: two work items, so the operands are published
-#: into the call's segment group
-_PROCESS_GRID = (
-    ({"backend": "process", "shards": (2, 1)},) if process_backend_available() else ()
-)
+def _two_parts(a, b, m, **kw):
+    """A plan cut into two row parts, run: on the process backend (where
+    there is one) its operands are published into the call's segment
+    group."""
+    backend = "process" if process_backend_available() else "thread"
+    return execute(plan(a, b, m, threads=2, backend=backend, **kw), a, b, m)
 
 needs_process = pytest.mark.skipif(
     not process_backend_available(),
@@ -204,16 +205,16 @@ class TestFingerprint:
     @needs_process
     def test_one_digest_per_distinct_operand_per_call(self, digests, published):
         # segments were once keyed by one digest per operand; now a process
-        # grid publishes each distinct operand object once per call, keyed by
-        # identity, and takes no digest at all
+        # call publishes each distinct operand object once per call, keyed
+        # by identity, and takes no digest at all
         a = erdos_renyi(48, 48, 3, seed=1, values="uniform")
         b = erdos_renyi(48, 48, 3, seed=2, values="uniform")
         for _ in range(2):
             published.clear()
-            masked_spgemm(a, a, a, algo="msa", **_PROCESS_GRID[0])
+            _two_parts(a, a, a, algo="msa")
             assert [mat for _, mat in published] == [a]
         published.clear()
-        masked_spgemm(a, b, a, algo="msa", **_PROCESS_GRID[0])
+        _two_parts(a, b, a, algo="msa")
         assert sorted(map(id, (mat for _, mat in published))) == sorted((id(a), id(b)))
         assert len({id(group) for group, _ in published}) == 1
         # a serial call, 1P or 2P, publishes nothing
@@ -223,23 +224,23 @@ class TestFingerprint:
         assert digests == []
 
     #: one call path per case; the ids are the removed ``delta=`` modes',
-    #: kept so the case names stay stable.  Both serial paths and the grid
-    #: (process backend when there is one) must see the mutation
+    #: kept so the case names stay stable.  Both serial paths and two row
+    #: parts (on the process backend when there is one) must see the mutation
     _MUTATION_PATHS = {
-        None: {},
-        "auto": {"phases": 2},
-        "force": (_PROCESS_GRID or ({"backend": "thread", "shards": (2, 1)},))[0],
+        None: functools.partial(masked_spgemm, algo="auto"),
+        "auto": functools.partial(masked_spgemm, algo="auto", phases=2),
+        "force": functools.partial(_two_parts, algo="auto"),
     }
 
     @pytest.mark.parametrize("path", tuple(_MUTATION_PATHS))
     def test_inplace_mutation_between_calls_recomputes(self, path):
         # ROADMAP 5a: the second call used to return the first call's object
-        kw = self._MUTATION_PATHS[path]
+        call = self._MUTATION_PATHS[path]
         a = erdos_renyi(64, 64, 4, seed=1, values="uniform")
-        c1 = masked_spgemm(a, a, a, algo="auto", **kw)
+        c1 = call(a, a, a)
         first = c1.data.copy()
         a.data[:] *= 2
-        c2 = masked_spgemm(a, a, a, algo="auto", **kw)
+        c2 = call(a, a, a)
         ref = masked_spgemm(a, a, a, algo="auto")
         assert c2 is not c1
         assert np.array_equal(c1.data, first)
@@ -250,12 +251,12 @@ class TestFingerprint:
     def test_inplace_structure_change_between_calls_recomputes(self, digests):
         other = erdos_renyi(64, 64, 4, seed=2, values="uniform")
         ref = masked_spgemm(other, other, other, algo="auto")
-        for kw in ({"phases": 2},) + _PROCESS_GRID:
+        for call in (self._MUTATION_PATHS["auto"], self._MUTATION_PATHS["force"]):
             a = erdos_renyi(64, 64, 4, seed=1, values="uniform")
             assert other.nnz != a.nnz or not np.array_equal(other.indices, a.indices)
-            masked_spgemm(a, a, a, algo="auto", **kw)
+            call(a, a, a)
             a.indptr, a.indices, a.data = other.indptr, other.indices, other.data
-            got = masked_spgemm(a, a, a, algo="auto", **kw)
+            got = call(a, a, a)
             _same(got, ref)
         assert digests == []
 
@@ -366,7 +367,7 @@ class TestPlanCache:
 
         a, b, m = square_problem
         assert set(engine.__all__) == {
-            "ExecutionPlan", "RowBand", "ShardGrid", "Planner", "plan", "execute",
+            "ExecutionPlan", "RowBand", "Planner", "plan", "execute",
             "Fingerprint", "fingerprint_csr"}
         ref = execute(plan(a, b, m, backend="serial"), a, b, m)
         with tracing() as tr:
@@ -462,7 +463,7 @@ class TestSegmentReuse:
             assert [mat for _, mat in published] == [a, b, m]
             # the groups themselves, held: an id() of a freed group can be reused
             groups.append({group for group, _ in published})
-            assert counter.segments_reused == counter.bytes_republished == 0
+            assert counter.segments_reused == 0
             assert active_segments() == ()
         assert len(groups[0]) == len(groups[1]) == 1 and groups[0] != groups[1]
 
@@ -604,16 +605,18 @@ class TestApps:
     @needs_process
     def test_bc_batch_process_backend_reuses_segments(self, published, monkeypatch):
         # the CI smoke case: a BC batch on R-MAT over the process backend
-        # (every product on a two-block grid) equals the serial one,
-        # publishes each operand once per product (the sweep's products read
-        # one matrix in several roles) and leaks nothing
+        # (every product in two row parts: one worker per row) equals the
+        # serial one, publishes each operand once per product (the sweep's
+        # products read one matrix in several roles) and leaks nothing
         from repro.apps import betweenness_centrality
+        from repro.engine import planner
 
         g = rmat(7, seed=11)
         ref = betweenness_centrality(g, batch_size=16, algo="auto", seed=1,
                                      session=False)
         counter = OpCounter()
-        grid_every_product(monkeypatch, "betweenness", _PROCESS_GRID[0]["shards"])
+        monkeypatch.setattr(planner, "ROWS_PER_THREAD", 1)
+        monkeypatch.setattr(planner, "available_cores", lambda: 2)
         got = betweenness_centrality(g, batch_size=16, algo="auto", seed=1,
                                      counter=counter, session=False,
                                      backend="process")

@@ -1,23 +1,20 @@
-"""Grid spellings, column split, pruning and segment hygiene.
+"""The kept ``shards=`` spelling and the row parts that replaced the grid.
 
-``shards=`` is the one spelling of the plan's ``grid``
-(``docs/parallel.md``); the executor
-cuts B and the mask into the grid's column panels in one pass
-(:func:`repro.sparse.split_columns`), takes row blocks as views of A and
-runs one work item per cell whose mask cell is nonempty.  The contract
-under test:
+The output grid (``ShardGrid``, column panels, per-cell pruning) is gone:
+a plan is the plain kernel call or, on the process backend, flop-balanced
+row parts of A and the mask against the whole B (``docs/parallel.md``).
+``masked_spgemm(shards=)`` stays as a validated spelling that selects
+nothing — ``None`` or a pair of ints >= 1, anything else a ``ValueError``
+— for the benchmark ladder's rung.  The classes and tests keep their names
+so the case ids stay stable, each re-pointed at what survives:
 
-* the planner resolves the spelling into one :class:`ShardGrid` and
-  notes the pruning rule;
-* the column split partitions an operand exactly (cells reassemble to it);
-* ``shards=`` execution is **bit-for-bit identical** to the plain call on
-  all three backends, for every algorithm, complement masks and 2P plans,
-  on karate / ER / R-MAT (``tests/test_backends.py::TestGridEquivalence``
-  holds the wider option lattice on one graph);
-* mask-empty cells are dropped before dispatch (item count < grid size,
-  visible as ``engine.cell`` spans);
-* a process-backend grid publishes each operand and panel once per call
-  and unlinks every segment before it returns.
+* the kept spelling is **bit-for-bit** the plain call, counters included,
+  on all three backends, for every algorithm, complement masks and 2P;
+* a plan carries no grid, and the planner takes no ``shards=``;
+* a process plan's row parts partition the rows and the mask, none is
+  pruned, and each is one ``engine.cell`` span;
+* a process call publishes each operand object once and unlinks every
+  segment before it returns.
 
 Carries the ``backend`` marker: CI's backend-smoke job runs it alongside
 the backend-equivalence suite.
@@ -25,31 +22,26 @@ the backend-equivalence suite.
 
 from __future__ import annotations
 
+import json
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from repro.core import ALL_ALGOS, masked_spgemm
-from repro.engine import ShardGrid, plan
+from repro.engine import execute, plan
+from repro.engine.executor import _row_parts
 from repro.graphs import erdos_renyi, rmat
 from repro.machine import OpCounter
 from repro.observe import tracing
-from repro.parallel import active_segments, shutdown_pool
-from repro.sparse import CSR, read_mtx, split_columns
-
-from .conftest import grid_every_product
+from repro.parallel import active_segments, row_block, shutdown_pool
+from repro.sparse import CSR, read_mtx
 
 pytestmark = pytest.mark.backend
 
 DATA = Path(__file__).parent.parent / "data"
 WORKERS = 2
 BACKENDS = ("serial", "thread", "process")
-
-#: algorithms whose OpCounter totals are invariant under row/column
-#: slicing (hash sizes its table per flop-budget batch and the heap
-#: schemes' merge costs depend on row extent)
-ADDITIVE_COUNTER_ALGOS = ("inner", "msa", "mca", "esc")
 
 
 def _inputs():
@@ -86,25 +78,48 @@ def _same(got: CSR, ref: CSR, label: str = "") -> None:
     assert np.array_equal(got.data, ref.data), label
 
 
+def _parts(g, m=None, **kw):
+    """``g @ g`` under ``m`` (default ``g``) on ``WORKERS``-or-more row
+    parts of a process plan, traced: ``(result, counter, cell spans)``."""
+    m = g if m is None else m
+    kw.setdefault("threads", WORKERS)
+    counter = OpCounter()
+    with tracing() as tr:
+        got = execute(plan(g, g, m, backend="process", **kw), g, g, m, counter=counter)
+    return got, counter, [sp for sp in tr.spans if sp.name == "engine.cell"]
+
+
+def _block_diagonal(n=30):
+    rows = np.arange(n)
+    return (CSR.from_coo((n, n), rows, rows, np.ones(n)),
+            erdos_renyi(n, n, 4, seed=13, values="uniform"))
+
+
 # ----------------------------------------------------------------------
-# ShardGrid + planner resolution
+# row parts, and the grid's spellings that are gone
 # ----------------------------------------------------------------------
 class TestShardGrid:
     def test_regular_grid_spans_shape(self):
-        g = ShardGrid.regular((10, 7), 3, 2)
-        assert g.nrb == 3 and g.ncp == 2 and g.ncells == 6
-        assert g.row_bounds[0] == 0 and g.row_bounds[-1] == 10
-        assert g.col_bounds[0] == 0 and g.col_bounds[-1] == 7
-        assert sum(hi - lo for lo, hi in g.row_blocks()) == 10
-        assert sum(hi - lo for lo, hi in g.col_panels()) == 7
+        """A process plan's row parts are contiguous, nonempty and span
+        every row; one thread is no cut at all."""
+        g = erdos_renyi(10, 10, 3, seed=1)
+        parts = _row_parts(g, g, 3)
+        assert 2 <= len(parts) <= 3
+        assert parts[0][0] == 0 and parts[-1][1] == 10
+        assert all(hi > lo for lo, hi in parts)
+        assert all(p[1] == q[0] for p, q in zip(parts, parts[1:]))
+        assert _row_parts(g, g, 1) == []
 
     def test_grid_is_hashable_plan_cache_key_material(self):
-        # (the name predates the plan cache's removal; a grid stays a
-        # frozen, hashable value)
-        a = ShardGrid.regular((10, 10), 2, 2)
-        b = ShardGrid.regular((10, 10), 2, 2)
-        assert a == b and hash(a) == hash(b)
-        assert a != ShardGrid.regular((10, 10), 2, 3)
+        """(The name predates the plan cache's removal.)  A plan is plain
+        data with no grid: equal calls plan equal JSON-able dicts."""
+        import repro.engine
+
+        assert not hasattr(repro.engine, "ShardGrid")
+        g = erdos_renyi(10, 10, 2, seed=1)
+        a, b = (plan(g, g, g, algo="msa").as_dict() for _ in range(2))
+        assert a == b and "grid" not in a
+        assert json.loads(json.dumps(a)) == a
 
     @pytest.mark.parametrize(
         "row_bounds,col_bounds,match",
@@ -117,105 +132,111 @@ class TestShardGrid:
         ],
     )
     def test_validate_rejects_bad_bounds(self, row_bounds, col_bounds, match):
-        with pytest.raises(ValueError, match=match):
-            ShardGrid(row_bounds, col_bounds).validate((10, 10))
+        """Bounds are no spelling any more: the kept ``shards=`` takes two
+        counts, so each pair of bounds the deleted ``ShardGrid.validate``
+        refused (with ``match``) is refused by the door."""
+        g = erdos_renyi(10, 10, 2, seed=1)
+        with pytest.raises(ValueError, match="shards must be None or a pair of ints"):
+            masked_spgemm(g, g, g, shards=(row_bounds, col_bounds))
 
     def test_empty_blocks_are_legal(self):
-        # non-decreasing allows zero-height blocks (adaptive grids may
-        # emit them); the executor simply finds no band rows in them
-        ShardGrid((0, 5, 5, 10), (0, 10)).validate((10, 10))
+        """Flops all in the last row leave a part empty: it is no work
+        item, and the one part left is the plain call."""
+        n = 10
+        a = CSR.from_coo((n, n), np.full(n, n - 1), np.arange(n), np.ones(n))
+        assert _row_parts(a, a, 2) == [(0, n)]
+        got, _, cells = _parts(a, algo="msa")
+        _same(got, masked_spgemm(a, a, a, algo="msa"))
+        assert cells == []
 
 
 class TestPlannerSharding:
     def test_tuple_grid(self, graph):
-        pl = plan(graph, graph, graph, algo="msa", shards=(3, 2))
-        assert (pl.grid.nrb, pl.grid.ncp) == (3, 2)
-        assert any("dropped before dispatch" in n for n in pl.notes)
-        assert "grid 3x2" in pl.explain()
+        """A pair of counts is accepted and selects nothing: the forced
+        call is the plain call, span for span."""
+        names = []
+        for kw in ({}, {"shards": (3, 2)}):
+            with tracing() as tr:
+                masked_spgemm(graph, graph, graph, algo="msa", **kw)
+            names.append([sp.name for sp in tr.spans])
+        assert names[0] == names[1] and "engine.cell" not in names[1]
+        assert "grid" not in plan(graph, graph, graph, algo="msa").explain()
 
     def test_explicit_grid_used_verbatim(self, graph):
         n = graph.nrows
-        grid = ShardGrid((0, 1, n), (0, n))
-        pl = plan(graph, graph, graph, algo="msa", shards=grid)
-        assert pl.grid == grid
+        with pytest.raises(ValueError, match="shards must be"):
+            masked_spgemm(graph, graph, graph, algo="msa",
+                          shards=((0, 1, n), (0, n)))
 
     def test_one_by_one_degenerates_to_unsharded(self, graph):
-        pl = plan(graph, graph, graph, algo="msa", shards=(1, 1))
-        assert pl.grid == plan(graph, graph, graph, algo="msa").grid
-        assert pl.grid.ncells == 1
-        assert any("degenerates" in n for n in pl.notes)
+        ref_counter, counter = OpCounter(), OpCounter()
+        ref = masked_spgemm(graph, graph, graph, algo="msa", counter=ref_counter)
+        got = masked_spgemm(graph, graph, graph, algo="msa", shards=(1, 1),
+                            counter=counter)
+        _same(got, ref)
+        assert counter == ref_counter
 
     def test_auto_respects_memory_budget(self, graph):
-        """No budget rule picks a grid: an unspelled plan is ``1 x 1``, a
-        memory-bounded caller spells column panels, ``shards=(1, K)``, and
-        a spelled grid is taken as given."""
+        """No budget rule picks a grid and a plan has none; the kept
+        spelling leaves an auto call as it is."""
         pl = plan(graph, graph, graph)
-        assert pl.grid.ncells == 1
-        assert not any("column panels" in n for n in pl.notes)
-        pl = plan(graph, graph, graph, shards=(1, 4))
-        assert (pl.grid.nrb, pl.grid.ncp) == (1, 4)
-        pl = plan(graph, graph, graph, shards=(2, 2))
-        assert (pl.grid.nrb, pl.grid.ncp) == (2, 2)
+        assert not hasattr(pl, "grid")
+        assert not any("column panels" in n or "grid" in n for n in pl.notes)
+        ref = masked_spgemm(graph, graph, graph, algo="auto")
+        for shards in ((1, 4), (2, 2)):
+            _same(masked_spgemm(graph, graph, graph, algo="auto", shards=shards), ref)
 
     def test_bad_shards_knob_rejected(self, graph):
         for bad in ("always", "auto", (2, 2, 2)):
             with pytest.raises(ValueError, match="shards must be"):
+                masked_spgemm(graph, graph, graph, shards=bad)
+            with pytest.raises(TypeError, match="shards"):
                 plan(graph, graph, graph, shards=bad)
 
     @pytest.mark.parametrize("bad", [(0, 0), (-1, 2), (2, 0)])
     def test_counts_below_one_rejected(self, graph, bad):
-        with pytest.raises(ValueError, match="shards counts must be >= 1"):
-            plan(graph, graph, graph, shards=bad)
-        with pytest.raises(ValueError, match="shards counts must be >= 1"):
-            masked_spgemm(graph, graph, graph, algo="msa", shards=bad)
+        for algo in ("msa", "auto"):
+            with pytest.raises(ValueError, match="pair of ints >= 1"):
+                masked_spgemm(graph, graph, graph, algo=algo, shards=bad)
 
     def test_complement_census_notes_no_pruning(self, graph):
-        pl = plan(
-            graph, graph, graph, algo="msa", shards=(2, 2), complement=True
-        )
-        assert any("complemented mask" in n and "all 4" in n for n in pl.notes)
+        """A complemented plan notes no cells, and the kept spelling is the
+        plain complemented call."""
+        pl = plan(graph, graph, graph, algo="msa", complement=True)
+        assert not any("cell" in n or "grid" in n for n in pl.notes)
+        ref = masked_spgemm(graph, graph, graph, algo="msa", complement=True)
+        got = masked_spgemm(graph, graph, graph, algo="msa", complement=True,
+                            shards=(2, 2))
+        _same(got, ref)
 
     def test_plan_as_dict_round_trips_grid(self, graph):
-        pl = plan(graph, graph, graph, algo="msa", shards=(3, 2))
-        d = pl.as_dict()["grid"]
-        assert d["grid"] == [3, 2]
-        assert d["row_bounds"] == list(pl.grid.row_bounds)
-        assert d["col_bounds"] == list(pl.grid.col_bounds)
+        d = plan(graph, graph, graph, algo="msa", threads=3,
+                 backend="process").as_dict()
+        assert set(d) == {"shape", "complement", "phases", "threads", "backend",
+                          "machine", "mode", "bands", "estimates_seconds", "notes"}
+        assert d["threads"] == 3 and d["backend"] == "process"
+        assert json.loads(json.dumps(d)) == d
 
 
 # ----------------------------------------------------------------------
-# the one-pass column split
+# row parts of the mask
 # ----------------------------------------------------------------------
-def _cell_nnz(panels, grid) -> np.ndarray:
-    """nnz of every grid cell, read off the panels' row pointers (what the
-    executor's pruning reads)."""
-    rb = np.asarray(grid.row_bounds)
-    return np.stack([np.diff(p.indptr[rb]) for p in panels], axis=1)
-
-
 class TestMaskCells:
     def test_cells_partition_the_mask(self, graph):
-        grid = ShardGrid.regular(graph.shape, 3, 2)
-        panels = split_columns(graph, grid.col_bounds)
-        assert len(panels) == grid.ncp
-        assert sum(p.nnz for p in panels) == graph.nnz
-        assert _cell_nnz(panels, grid).sum() == graph.nnz
-        for (lo, hi), panel in zip(grid.col_panels(), panels):
-            assert panel.shape == (graph.nrows, hi - lo)
-            assert panel.sorted_indices
-            panel.check()
-            assert panel.nnz == 0 or (
-                panel.indices.min() >= 0 and panel.indices.max() < hi - lo
-            )
+        parts = _row_parts(graph, graph, 3)
+        assert sum(hi - lo for lo, hi in parts) == graph.nrows
+        assert sum(int(graph.indptr[hi] - graph.indptr[lo]) for lo, hi in parts) == graph.nnz
+        for lo, hi in parts:
+            block = row_block(graph, lo, hi)
+            assert block.shape == (hi - lo, graph.ncols)
+            block.check()
 
     def test_cells_reassemble_to_the_mask(self, graph):
-        grid = ShardGrid.regular(graph.shape, 4, 3)
         rs, cs, vs = [], [], []
-        for (lo, _), panel in zip(grid.col_panels(),
-                                  split_columns(graph, grid.col_bounds)):
-            r, c, v = panel.to_coo()
-            rs.append(r)
-            cs.append(c + lo)
+        for lo, hi in _row_parts(graph, graph, 4):
+            r, c, v = row_block(graph, lo, hi).to_coo()
+            rs.append(r + lo)
+            cs.append(c)
             vs.append(v)
         back = CSR.from_coo(
             graph.shape,
@@ -224,17 +245,21 @@ class TestMaskCells:
         _same(back, graph.sort_indices())
 
     def test_empty_mask_has_no_cells(self):
-        grid = ShardGrid.regular((8, 8), 2, 2)
-        panels = split_columns(CSR.empty((8, 8)), grid.col_bounds)
-        assert not _cell_nnz(panels, grid).any()
+        """An empty mask's product is empty on the row parts too; under
+        the complement it is the whole product."""
+        g = erdos_renyi(8, 8, 3, seed=2, values="uniform")
+        empty = CSR.empty((8, 8))
+        got, _, _ = _parts(g, empty, algo="msa")
+        assert got.nnz == 0 and got.shape == (8, 8)
+        got, _, _ = _parts(g, empty, algo="msa", complement=True)
+        _same(got, masked_spgemm(g, g, empty, algo="msa", complement=True))
 
     def test_block_diagonal_mask_touches_diagonal_cells_only(self):
-        n = 12
-        rows = np.arange(n)
-        m = CSR.from_coo((n, n), rows, rows, np.ones(n))
-        grid = ShardGrid.regular((n, n), 3, 3)
-        cells = _cell_nnz(split_columns(m, grid.col_bounds), grid)
-        assert np.array_equal(cells != 0, np.eye(3, dtype=bool))
+        m, g = _block_diagonal(12)
+        got, _, cells = _parts(g, m, algo="msa", threads=3)
+        _same(got, masked_spgemm(g, g, m, algo="msa"))
+        assert got.nnz == 0 or np.all(got.row_ids() == got.indices)
+        assert len(cells) == 3
 
 
 # ----------------------------------------------------------------------
@@ -252,8 +277,7 @@ class TestShardedEquivalence:
             shards=(3, 2), backend=backend,
         )
         _same(got, ref, f"{algo}/{backend}")
-        if algo in ADDITIVE_COUNTER_ALGOS:
-            assert got_counter == ref_counter, f"{algo}/{backend}"
+        assert got_counter == ref_counter, f"{algo}/{backend}"
 
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_complement_bitwise(self, backend, graph):
@@ -279,11 +303,14 @@ class TestShardedEquivalence:
         _same(got, ref)
 
     def test_irregular_explicit_grid(self, graph):
-        n, m = graph.shape
-        grid = ShardGrid((0, 1, max(1, n // 3), n), (0, max(1, m // 4), m))
-        ref = masked_spgemm(graph, graph, graph, algo="hash")
-        got = masked_spgemm(graph, graph, graph, algo="hash", shards=grid)
+        """The flop-balanced parts are irregular row blocks: three of them
+        on the pool are the plain call."""
+        ref_counter = OpCounter()
+        ref = masked_spgemm(graph, graph, graph, algo="hash", counter=ref_counter)
+        got, counter, cells = _parts(graph, algo="hash", threads=3)
         _same(got, ref)
+        assert len(cells) == len(_row_parts(graph, graph, 3)) >= 2
+        assert counter.flops == ref_counter.flops
 
     def test_rectangular_operands(self):
         rng = np.random.default_rng(5)
@@ -293,28 +320,34 @@ class TestShardedEquivalence:
                 rng.random(k),
             )
         a, b, m = rand(30, 50, 200), rand(50, 20, 220), rand(30, 20, 150)
+        ref = masked_spgemm(a, b, m, algo="msa")
         for backend in BACKENDS:
-            ref = masked_spgemm(a, b, m, algo="msa")
             got = masked_spgemm(
                 a, b, m, algo="msa", shards=(4, 3), backend=backend
             )
             _same(got, ref, backend)
+            pl = plan(a, b, m, algo="msa", threads=4, backend=backend)
+            _same(execute(pl, a, b, m), ref, backend)
 
     def test_empty_mask_short_circuits(self, graph):
-        got = masked_spgemm(
-            graph, graph, CSR.empty(graph.shape), algo="msa", shards=(3, 2)
-        )
+        empty = CSR.empty(graph.shape)
+        got = masked_spgemm(graph, graph, empty, algo="msa", shards=(3, 2))
+        assert got.nnz == 0 and got.shape == graph.shape
+        got, _, _ = _parts(graph, empty, algo="msa")
         assert got.nnz == 0 and got.shape == graph.shape
 
     def test_more_blocks_than_rows_clamped(self):
+        """More threads than rows: at most one part per row."""
         g = erdos_renyi(5, 5, 2, seed=11)
         ref = masked_spgemm(g, g, g, algo="msa")
-        got = masked_spgemm(g, g, g, algo="msa", shards=(64, 64))
+        _same(masked_spgemm(g, g, g, algo="msa", shards=(64, 64)), ref)
+        got, _, cells = _parts(g, algo="msa", threads=64)
         _same(got, ref)
+        assert 2 <= len(cells) <= g.nrows
 
     def test_column_orientation_transposes_grid(self, graph):
-        """Column by column is the caller's ``(B^T A^T)^T``: a ``3 x 2``
-        output grid is the transposed problem's ``2 x 3``."""
+        """Column by column is the caller's ``(B^T A^T)^T``, with the kept
+        spelling transposed too."""
         ref = masked_spgemm(graph, graph, graph, algo="msa")
         t = graph.transpose()
         got = masked_spgemm(t, t, t, algo="msa", shards=(2, 3)).transpose()
@@ -322,45 +355,35 @@ class TestShardedEquivalence:
 
 
 # ----------------------------------------------------------------------
-# pruning proof + per-call segments
+# no pruning + per-call segments
 # ----------------------------------------------------------------------
-def _cells(tr):
-    return sorted(tuple(sp.attrs["cell"][1:]) for sp in tr.spans
-                  if sp.name == "engine.cell")
+def _cells(cells):
+    return sorted(tuple(sp.attrs["cell"]) for sp in cells)
 
 
 class TestPruningAndSessions:
-    """Pruning and per-call segments (the class keeps its name so the
+    """Row parts and per-call segments (the class keeps its name so the
     tests keep their ids)."""
 
     def test_empty_cells_pruned_before_dispatch(self):
-        """A block-diagonal mask on a 3x3 grid dispatches 3 of 9 cells."""
-        n = 30
-        rows = np.arange(n)
-        m = CSR.from_coo((n, n), rows, rows, np.ones(n))
-        g = erdos_renyi(n, n, 4, seed=13, values="uniform")
-        with tracing() as tr:
-            got = masked_spgemm(g, g, m, algo="msa", shards=(3, 3))
+        """Nothing is pruned: a block-diagonal mask on three row parts
+        dispatches all three, each one ``engine.cell`` span."""
+        m, g = _block_diagonal()
+        got, _, cells = _parts(g, m, algo="msa", threads=3)
         _same(got, masked_spgemm(g, g, m, algo="msa"))
-        assert _cells(tr) == [(0, 0), (1, 1), (2, 2)]
+        assert _cells(cells) == [(0, 0), (0, 1), (0, 2)]
 
     def test_complement_dispatches_every_cell(self):
-        n = 30
-        rows = np.arange(n)
-        m = CSR.from_coo((n, n), rows, rows, np.ones(n))
-        g = erdos_renyi(n, n, 4, seed=13, values="uniform")
-        with tracing() as tr:
-            got = masked_spgemm(
-                g, g, m, algo="msa", complement=True, shards=(3, 3)
-            )
+        m, g = _block_diagonal()
+        got, _, cells = _parts(g, m, algo="msa", complement=True, threads=3)
         _same(got, masked_spgemm(g, g, m, algo="msa", complement=True))
-        assert len(_cells(tr)) == 9
+        assert len(cells) == 3
 
     def test_session_reuses_shard_segments(self):
-        """A = B = M on a 3x2 process grid: A is published once, each of the
-        two column panels once (the mask's panels are B's), so five roles
-        share three publications; every segment dies with the call (the name
-        is from when a session served them across calls)."""
+        """A = B = M on three process row parts: the one matrix is
+        published once for every role and part, and every segment dies
+        with the call (the name is from when a session served segments
+        across calls)."""
         from repro.parallel import shm
 
         g = rmat(6, seed=3)
@@ -376,20 +399,19 @@ class TestPruningAndSessions:
             groups.clear()
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(shm.SegmentGroup, "publish_csr", recorded)
-                counter = OpCounter()
-                got = masked_spgemm(g, g, g, algo="msa", shards=(3, 2),
-                                    backend="process", counter=counter)
+                got, counter, _ = _parts(g, algo="msa", threads=3)
             _same(got, ref)
-            assert len(groups) == 3 and len(set(map(id, groups))) == 1
-            assert counter.segments_reused == counter.bytes_republished == 0
+            assert len(groups) == 1
+            assert counter.segments_reused == 0
             assert active_segments() == ()
 
     def test_sessioned_ktruss_reuses_shards(self, monkeypatch):
         """Under the kept ``session=False`` spelling, with every product on
-        a 2x2 grid, the loop's first product reads one matrix as A, B and M:
-        it publishes A and B's two panels once for all five roles, and no
-        product publishes an operand twice."""
+        two process row parts (one pool worker per row, two cores), the
+        loop's first product reads one matrix as A, B and M and publishes
+        it once; no product publishes an operand twice."""
         from repro.apps import ktruss
+        from repro.engine import planner
         from repro.parallel import shm
 
         g = rmat(6, seed=3)
@@ -402,14 +424,15 @@ class TestPruningAndSessions:
             return publish(group, mat)
 
         monkeypatch.setattr(shm.SegmentGroup, "publish_csr", recorded)
-        grid_every_product(monkeypatch, "ktruss", (2, 2))
+        monkeypatch.setattr(planner, "ROWS_PER_THREAD", 1)
+        monkeypatch.setattr(planner, "available_cores", lambda: 2)
         res = ktruss(g, k=3, algo="msa", backend="process", session=False)
         _same(res.truss, base.truss)
         per_group = {}
         for group, mat in published:
             per_group.setdefault(id(group), []).append(id(mat))
         first, *rest = per_group.values()
-        assert len(first) == 3 and rest
+        assert len(first) == 1 and rest
         for ids in per_group.values():
             assert len(ids) == len(set(ids))
         assert res.counter.segments_reused == 0

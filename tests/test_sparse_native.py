@@ -496,7 +496,7 @@ class TestScatterThreadCounts:
         a, b, m = (erdos_renyi(r, c, d, seed=d) for r, c, d in ((60, 50, 6), (50, 70, 5),
                                                                  (60, 70, 2)))
         spy.args.clear()
-        task = Task(a=a, b=b, mask=m, b_csc=None, rows=(0, a.nrows), col_offset=0,
+        task = Task(a=a, b=b, mask=m, b_csc=None, rows=(0, a.nrows),
                     algo="inner", phases=1, complement=False, impl="auto", semiring=PLUS_TIMES)
         r, c, v, _, _ = run_task(task)
         assert spy.threads("repro_bucket_order") == [1]
