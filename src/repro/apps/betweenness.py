@@ -26,8 +26,15 @@ sweep keeps one ``delta_d`` vector per level, aligned with ``frontier_d``'s
 stored entries (``w_d`` reuses its ``indptr`` / ``indices``), and aligns
 ``t_d`` — a sub-pattern of ``frontier_{d-1}`` — by one row walk
 (:func:`~repro.sparse.locate`).  ``numsp`` itself survives only as the
-forward sweep's mask, and ``numsp += frontier`` is one row merge
-(:func:`~repro.sparse.ewise_add`).
+forward sweep's mask, whose values no product reads: ``numsp += frontier``
+is one row merge of the two patterns that writes no value
+(:func:`~repro.sparse.ops.mask_union`).
+
+The caller's ``a`` is range-checked once, at entry; every operand the call
+builds from it (``A``'s pattern, ``A^T``, ``numsp``, the frontiers, ``w``,
+``t_d``) is trusted inside the call and skips the kernels' range check
+(:func:`repro.core.kernels.native.trusted`), and nothing stays trusted once
+the call returns.
 
 Finally ``bc(v) = sum_q delta[q, v]`` over the batch, accumulated level by
 level; level 0 holds precisely each source's own entry (Brandes's
@@ -51,8 +58,10 @@ import numpy as np
 from ..machine import OpCounter
 from ..observe import timed_span
 from ..semiring import PLUS_TIMES
-from ..sparse import CSC, CSR, ewise_add, locate
+from ..sparse import CSC, CSR, locate
+from ..sparse.ops import mask_union
 from ..core import masked_spgemm
+from ..core.kernels import native
 from ..core.leaf import algo_key, supports_complement
 from .bfs import source_array
 
@@ -144,8 +153,11 @@ def _betweenness_body(
     backend: Optional[str],
 ) -> BetweennessResult:
     n = a.nrows
-    with timed_span("bc.run", {"batch": s, "algo": algo}) as sp_total:
+    with timed_span("bc.run", {"batch": s, "algo": algo}) as sp_total, native.trusted():
         a_t = a._transpose(backend=backend)
+        # the caller's A, checked once (its transpose has range-checked the
+        # columns where the native ordering ran); everything below is built here
+        native.validate(native.load(), (a,), True)
         # the backward products multiply by A^T, whose CSC is A itself: an
         # inner-product level reads it instead of transposing A^T back
         a_t_csc = CSC(a_t.shape, a.sort_indices())
@@ -154,7 +166,10 @@ def _betweenness_body(
         frontier = CSR.from_coo(
             (s, n), np.arange(s, dtype=np.int64), sources, np.ones(s)
         )
-        numsp = frontier.copy()
+        # numsp is only ever a mask: its values are never written or read
+        numsp = CSR(frontier.shape, frontier.indptr, frontier.indices, np.zeros(s),
+                    sorted_indices=True, check=False)
+        native.trust(a, a_t, a_t_csc.to_transposed_csr(), frontier, numsp)
         frontiers: List[CSR] = [frontier]
         spgemm_time = 0.0
         forward_time = 0.0
@@ -179,8 +194,10 @@ def _betweenness_body(
             forward_time += sp_f.seconds
             if frontier.nnz == 0:
                 break
+            native.trust(frontier)
             frontiers.append(frontier)
-            numsp = ewise_add(numsp, frontier)
+            numsp = mask_union(numsp, frontier)
+            native.trust(numsp)
 
         depth = len(frontiers) - 1
 
@@ -195,6 +212,7 @@ def _betweenness_body(
             # levels' entries and t_d's below are in one row-major order)
             w = CSR(f_d.shape, f_d.indptr, f_d.indices, (1.0 + delta) / f_d.data,
                     sorted_indices=True, check=False)
+            native.trust(w)
             if call_log is not None:
                 call_log.append((w, a_t, below, False))
             with timed_span(
@@ -209,6 +227,7 @@ def _betweenness_body(
             backward_time += sp_b.seconds
             if d == 1:  # level 0 is each source's own entry: never summed
                 break
+            native.trust(t_d)
             # delta_{d-1} = t_d .* numsp on t_d's pattern, a subset of level d-1
             at = locate(below, t_d)
             delta = np.zeros(below.nnz)

@@ -8,7 +8,9 @@ paper Section 1): each BFS level is
     frontier_{d+1} = !visited .* (frontier_d @ A)
 
 on the PLUS_PAIR semiring (any parent counts once — only reachability
-matters).  Returns the level of every vertex for every source.
+matters), and ``visited`` grows by one row merge of the two patterns
+(:func:`~repro.sparse.ops.mask_union`: the mask's values are never read, so
+none are written).  Returns the level of every vertex for every source.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ import numpy as np
 from ..machine import OpCounter
 from ..semiring import PLUS_PAIR
 from ..sparse import CSR
+from ..sparse.ops import mask_union
 from ..core import masked_spgemm
 
 __all__ = ["multi_source_bfs", "BFSResult"]
@@ -75,13 +78,6 @@ def multi_source_bfs(
         if frontier.nnz == 0:
             d -= 1
             break
-        fr, fc, _ = frontier.to_coo()
-        levels[fr, fc] = d
-        vr, vc, vv = visited.to_coo()
-        visited = CSR.from_coo(
-            (s, n),
-            np.concatenate([vr, fr]),
-            np.concatenate([vc, fc]),
-            np.concatenate([vv, np.ones(fr.shape[0])]),
-        )
+        levels[frontier.row_ids(), frontier.indices] = d
+        visited = mask_union(visited, frontier)
     return BFSResult(levels=levels, sources=sources, depth=d)

@@ -20,7 +20,7 @@ from typing import Optional
 
 import numpy as np
 
-from ...machine import OpCounter, flops_per_row
+from ...machine import OpCounter
 from ...observe import tracer as _obs
 from ...observe.tracer import traced_kernel
 from ...semiring import PLUS_TIMES, Semiring
@@ -40,15 +40,18 @@ def _msa_native(nat, a: CSR, b: CSR, mask: CSR, complement, counter, row_nnz,
                 nthreads) -> CSR:
     """The whole call as ``native.c``'s MSA row loop (no chunks), on ``nthreads``
     threads, into arrays of the 1P output's size: ``nnz(M)`` under a plain mask,
-    ``sum(min(flops_i, ncols))`` (:func:`repro.core.symbolic.one_phase_bound`'s
-    total) under a complemented one; values and counters are those of the NumPy
-    body below.  ``row_nnz`` (2P) only cross-checks the rows written."""
+    ``sum(min(flops_i, ncols - distinct(m_i)))`` under a complemented one (C's
+    ``repro_msa_bound``, :func:`repro.core.symbolic.one_phase_bound`'s total: a
+    mask row counts as distinct only where its columns strictly increase, so the
+    bound holds for a ``check=False`` mask too); values and counters are those of
+    the NumPy body below.  ``row_nnz`` (2P) only cross-checks the rows written."""
     lib, op = nat
     nrows, n = a.nrows, b.ncols
     _native.validate(lib, (a, b, mask), a.ncols == b.nrows and mask.shape == (nrows, n))
     cnt = np.zeros(2, dtype=np.int64)  # flops, inserts
     indptr = np.empty(nrows + 1, dtype=np.int64)
-    cap = int(np.minimum(flops_per_row(a, b), n).sum()) if complement else mask.nnz
+    cap = lib.repro_msa_bound(1, nrows, n, *(x.ctypes.data for x in (
+        a.indptr, a.indices, b.indptr, mask.indptr, mask.indices))) if complement else mask.nnz
     cols = np.empty(cap, dtype=np.int64)
     vals = np.empty(cap, dtype=np.float64)
     operands = [x.ctypes.data for x in (a.indptr, a.indices, a.data, b.indptr,

@@ -2,8 +2,8 @@
  *
  * The paper's Algorithm 2 (MSA) and Section 4.1 (Inner) row loops plus the
  * count-only symbolic row, the counting sort repro.sparse orders entries
- * with (triangle counting's operand is built on it too) and its two row
- * merges (ewise_add, locate).
+ * with (triangle counting's operand is built on it too) and its row
+ * merges (ewise_add, pattern_union, locate).
  *
  * The MSA, Inner and symbolic loops and the count pass of the
  * triangle-counting operand are row-parallel (the counting sort threads by
@@ -30,9 +30,10 @@
  *   - rows come out column-ascending;
  *   - the counters returned in cnt[] are the same per-row sums.
  * Indices are never trusted: the Python wrapper runs repro_check on every
- * operand first, after which all accesses below are in bounds even for
- * unsorted or duplicated rows (the result is then as wrong as the
- * caller's sortedness claim, but nothing is written out of bounds).
+ * operand first (or the operand was built, inside one app call, from
+ * checked ones: native.trusted()), after which all accesses below are in
+ * bounds even for unsorted or duplicated rows (the result is then as wrong
+ * as the caller's sortedness claim, but nothing is written out of bounds).
  *
  * Scratch (state: ncols bytes, val: ncols doubles, where: ncols(A) int32;
  * nthreads of each, one per thread) is all-zero at rest and restored cell
@@ -320,16 +321,21 @@ i64 repro_lower_by_degree(i64 n, const i64 *p, const i64 *j, i64 nnz,
 }
 
 /* ------------------------------------------------------------------ */
-/* The sparse substrate's two row merges of sorted CSRs of one shape   */
+/* The sparse substrate's row merges of sorted CSRs of one shape       */
 /* (repro.sparse.ops; repro_check has passed on both operands).        */
-/* repro_ewise_add: the union c = a + b, row by row.  An entry one     */
-/* side stores is copied bit for bit, one both store is add()'s a + b  */
-/* (NaN payload of a kept) -- the bytes of the NumPy merge.  cj / cv   */
-/* have room for nnz(a) + nnz(b) entries; returns nnz(c).              */
+/* The union c = a + b, row by row, in one body: repro_ewise_add       */
+/* copies an entry one side stores bit for bit and sums one both store */
+/* with add()'s a + b (NaN payload of a kept), the NumPy merge's      */
+/* bytes; repro_pattern_union writes the columns alone and reads no    */
+/* value (BC's and BFS's visited sets are masks, and a masked product  */
+/* reads only a mask's pattern).  cj (cv) has room for nnz(a) + nnz(b) */
+/* entries; returns nnz(c).  Serial: a threaded pattern union raised   */
+/* BC's peak memory (docs/kernels.md).                                 */
 /* ------------------------------------------------------------------ */
-i64 repro_ewise_add(i64 nrows, const i64 *ap, const i64 *aj, const double *av,
-                    const i64 *bp, const i64 *bj, const double *bv,
-                    i64 *cp, i64 *cj, double *cv)
+INLINE i64 union_rows(const int values, i64 nrows, const i64 *ap,
+                      const i64 *aj, const double *av, const i64 *bp,
+                      const i64 *bj, const double *bv, i64 *cp, i64 *cj,
+                      double *cv)
 {
     i64 n = 0;
     cp[0] = 0;
@@ -339,21 +345,40 @@ i64 repro_ewise_add(i64 nrows, const i64 *ap, const i64 *aj, const double *av,
         while (s < s1 && t < t1) {
             const i64 x = aj[s], y = bj[t];
             cj[n] = x < y ? x : y;
-            cv[n++] = x < y ? av[s] : x > y ? bv[t] : add(TIMES, av[s], bv[t]);
+            if (values)
+                cv[n] = x < y   ? av[s]
+                        : x > y ? bv[t]
+                                : add(TIMES, av[s], bv[t]);
+            n++;
             s += x <= y;
             t += y <= x;
         }
         for (; s < s1; s++, n++) {
             cj[n] = aj[s];
-            cv[n] = av[s];
+            if (values)
+                cv[n] = av[s];
         }
         for (; t < t1; t++, n++) {
             cj[n] = bj[t];
-            cv[n] = bv[t];
+            if (values)
+                cv[n] = bv[t];
         }
         cp[i + 1] = n;
     }
     return n;
+}
+
+i64 repro_ewise_add(i64 nrows, const i64 *ap, const i64 *aj, const double *av,
+                    const i64 *bp, const i64 *bj, const double *bv,
+                    i64 *cp, i64 *cj, double *cv)
+{
+    return union_rows(1, nrows, ap, aj, av, bp, bj, bv, cp, cj, cv);
+}
+
+i64 repro_pattern_union(i64 nrows, const i64 *ap, const i64 *aj,
+                        const i64 *bp, const i64 *bj, i64 *cp, i64 *cj)
+{
+    return union_rows(0, nrows, ap, aj, NULL, bp, bj, NULL, cp, cj, NULL);
 }
 
 /* repro_locate: pos[t] = the position among a's entries of b's entry  */
@@ -448,15 +473,15 @@ INLINE i64 msa_row(const int op, const int complement, i64 a0, i64 a1,
 /* Complemented: first-touch list per row, emitted sorted (or          */
 /* re-collected by a scan where the touched span is dense).  Every     */
 /* row's bound is known before any row runs -- the paper's 1P output:  */
-/* nnz(m_i) under a plain mask, min(products, ncols) under a           */
-/* complemented one (no row has more first touches, whatever the mask  */
-/* holds).  One pass sums them; where the sum exceeds cap the call     */
-/* returns -2 and writes nothing.  The serial loop writes the rows     */
-/* contiguously.  With nthreads > 1 the rows go in blocks, each row at */
-/* its bound offset past the entries written so far, then compact().   */
-/* A block spans at most SPAN rows of ncols cells a thread: a row far  */
-/* below its bound still touches pages of its own, so the blocks of    */
-/* sparse rows reuse one window of pages.                              */
+/* nnz(m_i) under a plain mask, min(products, ncols - distinct(m_i))   */
+/* under a complemented one (msa_bound; repro_msa_bound sums them for  */
+/* the wrapper's cap).  One pass sums them; where the sum exceeds cap  */
+/* the call returns -2 and writes nothing.  The serial loop writes the */
+/* rows contiguously.  With nthreads > 1 the rows go in blocks, each   */
+/* row at its bound offset past the entries written so far, then      */
+/* compact().  A block spans at most SPAN rows of ncols cells a       */
+/* thread: a row far below its bound still touches pages of its own,  */
+/* so the blocks of sparse rows reuse one window of pages.             */
 /* cnt: [0] products kept (flops), [1] products expanded (inserts)     */
 /* ------------------------------------------------------------------ */
 #define SPAN 8
@@ -564,15 +589,49 @@ INLINE i64 msa_out_row(const int op, const int complement, i64 i, i64 ncols,
                          cj, cv, flops, inserts);
 }
 
+/* row i's 1P bound: nnz(m_i) under a plain mask; under a complemented
+ * one min(products, ncols - distinct(m_i)) -- no row has more first touches
+ * than products, nor than the columns its mask leaves open.  A mask row
+ * counts its length as distinct only where its columns strictly increase,
+ * else 0 (a check=False row that repeats or misorders a column is bounded
+ * by min(products, ncols)), so the bound holds whatever the mask holds.
+ * The row is read only where it can lower the bound, in blocks of a fixed
+ * 64 (a trip count -O2's vectorizer takes, as in repro_check): the sign
+ * bit of c[m] - c[m - 1] - 1 is set where c[m] is not above c[m - 1] */
 INLINE i64 msa_bound(const int complement, i64 i, i64 ncols, const i64 *ap,
-                     const i64 *aj, const i64 *bp, const i64 *mp)
+                     const i64 *aj, const i64 *bp, const i64 *mp,
+                     const i64 *mj)
 {
+    const i64 m0 = mp[i], m1 = mp[i + 1];
     i64 b = 0;
     if (!complement)
-        return mp[i + 1] - mp[i];
+        return m1 - m0;
     for (i64 j = ap[i]; j < ap[i + 1] && b < ncols; j++)
         b += bp[aj[j] + 1] - bp[aj[j]];
+    if (b > ncols - (m1 - m0)) {
+        const uint64_t *c = (const uint64_t *)mj;
+        uint64_t down = 0;
+        i64 m = m0 + 1;
+        for (; m + 64 <= m1; m += 64)
+            for (int u = 0; u < 64; u++)
+                down |= c[m + u] - c[m + u - 1] - 1;
+        for (; m < m1; m++)
+            down |= c[m] - c[m - 1] - 1;
+        if (!(down >> 63))
+            return ncols - (m1 - m0);
+    }
     return b < ncols ? b : ncols;
+}
+
+/* the bounds' total: the output capacity the wrapper allocates */
+i64 repro_msa_bound(i64 complement, i64 nrows, i64 ncols, const i64 *ap,
+                    const i64 *aj, const i64 *bp, const i64 *mp,
+                    const i64 *mj)
+{
+    i64 total = 0;
+    for (i64 i = 0; i < nrows; i++)
+        total += msa_bound(complement != 0, i, ncols, ap, aj, bp, mp, mj);
+    return total;
 }
 
 INLINE i64 msa_rows(const int op, const int complement, i64 nrows, i64 ncols,
@@ -588,7 +647,7 @@ INLINE i64 msa_rows(const int op, const int complement, i64 nrows, i64 ncols,
                                       : NULL;
     const i64 span = SPAN * nthreads * ncols;
     for (i64 i = 0; i < nrows; i++) { /* the bounds */
-        const i64 b = msa_bound(complement, i, ncols, ap, aj, bp, mp);
+        const i64 b = msa_bound(complement, i, ncols, ap, aj, bp, mp, mj);
         if (off)
             off[i] = b;
         nnz += b;

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import _ctypes
 import contextlib
+import contextvars
 import ctypes
 import hashlib
 import logging
@@ -21,14 +22,15 @@ import subprocess
 import sys
 import tempfile
 import threading
+import weakref
 from pathlib import Path
 from typing import Optional
 
 from ...machine.host import available_cores
 from ...semiring import STANDARD_SEMIRINGS
 
-__all__ = ["load", "kernels", "validate", "disabled", "status", "threads_for",
-           "scatter_threads"]
+__all__ = ["load", "kernels", "validate", "trusted", "trust", "disabled", "status",
+           "threads_for", "scatter_threads"]
 #: build flags; ``-fopenmp`` joins them where a probe compile succeeds (:func:`_open`)
 FLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off")
 SOURCE = Path(__file__).with_name("native.c")
@@ -36,10 +38,13 @@ SOURCE = Path(__file__).with_name("native.c")
 _OPS = {"plus_times": 0, "plus_pair": 1, "plus_and": 2, "plus_first": 3, "plus_second": 4}
 _SIGNATURES = {  # q = int64, p = pointer; every function returns int64
     "repro_check": "qqppq", "repro_msa": "qqqq" + "p" * 14 + "qpq",
-    "repro_symbolic": "qqqq" + "p" * 9, "repro_inner": "qqqq" + "p" * 13, "repro_openmp": "",
+    "repro_msa_bound": "qqq" + "p" * 5, "repro_symbolic": "qqqq" + "p" * 9,
+    "repro_inner": "qqqq" + "p" * 13, "repro_openmp": "",
     # called from repro.sparse.csr, not from a kernel
     "repro_bucket_order": "qqpqp" + "p" * 6 + "q", "repro_lower_by_degree": "qppq" + "p" * 6 + "q",
-    "repro_ewise_add": "q" + "p" * 9, "repro_locate": "q" + "p" * 5,  # from repro.sparse.ops
+    # from repro.sparse.ops
+    "repro_ewise_add": "q" + "p" * 9, "repro_pattern_union": "q" + "p" * 6,
+    "repro_locate": "q" + "p" * 5,
 }
 #: the OpenMP probe: a parallel region that links only with a working ``-fopenmp``
 _OPENMP_PROBE = b"""#include <omp.h>
@@ -64,6 +69,8 @@ _lock = threading.Lock()
 _lib = _reason = None  # the CDLL / why loading failed; both None: not tried yet
 _disabled = 0
 _forked = False  # set in a forked child: libgomp's thread pool did not survive the fork
+#: the operands the running call vouches for (:func:`trusted`); ``None`` outside one
+_trusted: contextvars.ContextVar = contextvars.ContextVar("repro_trusted", default=None)
 
 
 def _after_fork_in_child() -> None:
@@ -168,10 +175,14 @@ def kernels(semiring, *values):
 
 def validate(lib: ctypes.CDLL | None, mats, conforming: bool) -> None:
     """Range-check each distinct CSR operand (``check=False`` ones too) before C reads it; with
-    ``lib=None`` the same checks run in NumPy and raise the same errors."""
+    ``lib=None`` the same checks run in NumPy and raise the same errors.  Inside a
+    :func:`trusted` scope the operands :func:`trust` named are skipped."""
     if not conforming:
         raise ValueError("operand shapes do not conform")
+    held = _trusted.get()
     for m in {id(m): m for m in mats}.values():
+        if held is not None and m in held:
+            continue
         p, j, nnz = m.indptr, m.indices, m.indices.shape[0]
         if p.shape[0] != m.nrows + 1 or m.data.shape[0] != nnz:
             bad = 1
@@ -185,6 +196,27 @@ def validate(lib: ctypes.CDLL | None, mats, conforming: bool) -> None:
             raise IndexError("column index out of range")
         if bad:
             raise ValueError("indptr / indices / data do not describe a CSR of this shape")
+
+
+@contextlib.contextmanager
+def trusted():
+    """One app call's scope: :func:`validate` skips the operands :func:`trust` names inside it
+    -- the ones the call checked at entry or built itself -- and trusts nothing once it closes.
+    The scope holds the objects (weakly), not their ids, so an object that died cannot vouch
+    for a new one at its address; it is a context variable, so another thread's or context's
+    calls never see it."""
+    token = _trusted.set(weakref.WeakSet())
+    try:
+        yield
+    finally:
+        _trusted.reset(token)
+
+
+def trust(*mats) -> None:
+    """Name operands of the running :func:`trusted` scope (nothing outside one)."""
+    held = _trusted.get()
+    if held is not None:
+        held.update(mats)
 
 
 @contextlib.contextmanager

@@ -12,9 +12,11 @@ variants are real code paths, not just cost-model annotations.
 
 Also provides the 1P scratch-size bound: ``min(nnz(m_i), flops_i)`` per row
 for a plain mask (the mask is the paper's "good initial approximation" for
-the output size), and ``min(flops_i, ncols)`` for a complemented mask (a row
-has no more distinct columns than products, nor than ``ncols``); the native
-MSA loop sizes a complemented output at this bound's total.
+the output size), and ``min(flops_i, ncols - distinct(m_i))`` for a
+complemented mask (a row has no more distinct columns than products, nor
+than the columns its mask leaves open); the native MSA loop sizes a
+complemented output at this bound's total, by the same formula in C
+(``msa_bound``).
 """
 
 from __future__ import annotations
@@ -76,10 +78,18 @@ def symbolic_masked(
 def one_phase_bound(
     a: CSR, b: CSR, mask: CSR, *, complement: bool = False
 ) -> Tuple[np.ndarray, int]:
-    """Per-row scratch bound and its total for the 1P approach."""
+    """Per-row scratch bound and its total for the 1P approach.  Under a
+    complemented mask a row's length counts as its distinct columns only where
+    they strictly increase, else as 0: the bound holds for a ``check=False``
+    mask that repeats or misorders a column too."""
     fl = flops_per_row(a, b)
     if complement:
-        bound = np.minimum(fl, b.ncols)
+        distinct = mask.row_nnz()
+        j, p = mask.indices, mask.indptr
+        drop = np.flatnonzero(j[1:] <= j[:-1]) + 1  # not above the entry before
+        rows = np.searchsorted(p, drop, side="right") - 1
+        distinct[rows[p[rows] != drop]] = 0  # ... inside its row
+        bound = np.minimum(fl, b.ncols - distinct)
     else:
         bound = np.minimum(mask.row_nnz(), fl)
     return bound, int(bound.sum())

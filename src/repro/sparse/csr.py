@@ -151,7 +151,9 @@ class CSR:
         Validate the invariants at construction time.
     """
 
-    __slots__ = ("shape", "indptr", "indices", "data", "sorted_indices")
+    # __weakref__: a call's trusted-operand scope holds its CSRs weakly
+    # (repro.core.kernels.native.trusted)
+    __slots__ = ("shape", "indptr", "indices", "data", "sorted_indices", "__weakref__")
 
     def __init__(
         self,

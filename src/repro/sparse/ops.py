@@ -9,10 +9,10 @@ All binary ops require matching shapes and operate on *sorted* CSR inputs
 (callers get an automatic canonicalisation via ``CSR.sort_indices``), after
 ``native.validate`` has range-checked both operands on either kernel tier.
 They are row merges of the two sorted entry lists: ``ewise_add`` (``op`` =
-``np.add`` on float64) and :func:`locate`, which ``ewise_mult`` and
-``mask_pattern`` are built on, run as C loops on the native tier
-(``core/kernels/native.c``); the NumPy bodies stay as the fallback and the
-byte reference.
+``np.add`` on float64), :func:`pattern_union` and :func:`locate`, which
+``ewise_mult`` and ``mask_pattern`` are built on, run as C loops on the
+native tier (``core/kernels/native.c``); the NumPy bodies stay as the
+fallback and the byte reference.
 """
 
 from __future__ import annotations
@@ -107,6 +107,48 @@ def ewise_mult(a: CSR, b: CSR, op: Callable = np.multiply) -> CSR:
                sorted_indices=True, check=False)
 
 
+def _splice(a: CSR, b: CSR):
+    """NumPy body of the unions: ``(indptr, cols, a_at, new, at, pos, both)``
+    -- the union's rows and columns, where ``a``'s entries land in it, which
+    of ``b``'s entries ``a`` lacks and where they land, and :func:`_search`'s
+    answer for ``b``'s entries."""
+    pos, both = _search(a, b)
+    new = np.flatnonzero(~both)  # b's entries that a lacks ...
+    at = pos[new] + np.arange(new.shape[0], dtype=INDEX_DTYPE)  # ... and where they land
+    total = a.nnz + new.shape[0]
+    from_a = np.ones(total, dtype=bool)
+    from_a[at] = False
+    a_at = np.flatnonzero(from_a)
+    cols = np.empty(total, dtype=INDEX_DTYPE)
+    cols[a_at], cols[at] = a.indices, b.indices[new]
+    indptr = a.indptr.copy()
+    indptr[1:] += np.cumsum(np.bincount(b.row_ids()[new], minlength=a.nrows))
+    return indptr, cols, a_at, new, at, pos, both
+
+
+def _union(lib, a: CSR, b: CSR, data: Callable) -> CSR:
+    """The union of the patterns of two canonical operands, valued
+    ``data(nnz)``: one row merge that writes no value (``repro_pattern_union``)
+    on the native tier, :func:`_splice`'s columns on the NumPy tier."""
+    if lib is None:
+        indptr, cols = _splice(a, b)[:2]
+    else:
+        indptr = np.empty(a.nrows + 1, dtype=INDEX_DTYPE)
+        cols = np.empty(a.nnz + b.nnz, dtype=INDEX_DTYPE)
+        nnz = lib.repro_pattern_union(a.nrows, *(x.ctypes.data for x in (
+            a.indptr, a.indices, b.indptr, b.indices, indptr, cols)))
+        cols.resize(nnz, refcheck=False)  # in place, where the rows overlapped
+    return CSR(a.shape, indptr, cols, data(cols.shape[0]), sorted_indices=True, check=False)
+
+
+def mask_union(a: CSR, b: CSR) -> CSR:
+    """The union of two patterns for use as a mask: its values are a
+    never-written ``np.zeros`` array (mapped lazily, never touched), since a
+    masked product reads only its mask's pattern.  BC's and BFS's visited
+    sets grow by it, one level at a time."""
+    return _union(*_operands(a, b), np.zeros)
+
+
 def ewise_add(a: CSR, b: CSR, op: Callable = np.add) -> CSR:
     """Element-wise add (set *union* of patterns): ``op(a, b)`` where both
     matrices store an entry, the stored value — bit for bit — elsewhere.
@@ -129,22 +171,12 @@ def ewise_add(a: CSR, b: CSR, op: Callable = np.add) -> CSR:
         cols.resize(nnz, refcheck=False)
         vals.resize(nnz, refcheck=False)
         return CSR(a.shape, indptr, cols, vals, sorted_indices=True, check=False)
-    pos, both = _search(a, b)
-    new = np.flatnonzero(~both)  # b's entries that a lacks ...
-    at = pos[new] + np.arange(new.shape[0], dtype=INDEX_DTYPE)  # ... and where they land
-    total = a.nnz + new.shape[0]
-    from_a = np.ones(total, dtype=bool)
-    from_a[at] = False
-    a_at = np.flatnonzero(from_a)
-    cols = np.empty(total, dtype=INDEX_DTYPE)
-    cols[a_at], cols[at] = a.indices, b.indices[new]
+    indptr, cols, a_at, new, at, pos, both = _splice(a, b)
     shared = pos[both]
     combined = op(a.data[shared], b.data[both])
-    vals = np.empty(total, dtype=np.result_type(a.data, b.data, combined))
+    vals = np.empty(cols.shape[0], dtype=np.result_type(a.data, b.data, combined))
     vals[a_at], vals[at] = a.data, b.data[new]
     vals[a_at[shared]] = combined
-    indptr = a.indptr.copy()
-    indptr[1:] += np.cumsum(np.bincount(b.row_ids()[new], minlength=a.nrows))
     return CSR(a.shape, indptr, cols, vals, sorted_indices=True, check=False)
 
 
@@ -177,8 +209,13 @@ def row_reduce(mat: CSR, op: Callable = np.add) -> np.ndarray:
 
 
 def pattern_union(a: CSR, b: CSR) -> CSR:
-    """Structural union with all values 1."""
-    return ewise_add(a.pattern(), b.pattern(), op=np.maximum)
+    """Structural union with all values 1: one row merge of the two patterns
+    and one ones array on the native tier (``repro_pattern_union``); the NumPy
+    tier's ``ewise_add`` of the two canonical patterns is the byte reference."""
+    lib, a, b = _operands(a, b)
+    if lib is None:
+        return ewise_add(a.pattern(), b.pattern(), op=np.maximum)
+    return _union(lib, a, b, np.ones)
 
 
 def pattern_intersection(a: CSR, b: CSR) -> CSR:

@@ -185,6 +185,23 @@ def _row_split_edges(a, b, m):
 #: differential suite over the same ones)
 ADVERSARIAL = {name: (a, b, m) for name, a, b, m in _adversarial()}
 
+
+def repeated_column_mask(mask: CSR) -> CSR:
+    """``mask`` with its first rows replaced by rows that a ``check=False``
+    CSR may hold under a sorted claim: a column repeated ``ncols - 1`` times,
+    every column backwards, a run ascending by two, one column twice, and an
+    empty row.  Counted as distinct, the first row would leave one column
+    open to a complemented product that touches many; the 1P bound must not
+    believe it.  Not a lattice set: it runs where the bound is tested."""
+    n = mask.ncols
+    rows = [np.zeros(n - 1, dtype=np.int64), np.arange(n)[::-1], np.arange(0, n, 2),
+            np.array([5 % n, 5 % n]), np.empty(0, dtype=np.int64)]
+    rows += [mask.indices[lo:hi] for lo, hi in zip(mask.indptr[len(rows):-1],
+                                                   mask.indptr[len(rows) + 1:])]
+    indptr = np.cumsum([0] + [len(r) for r in rows])
+    return CSR(mask.shape, indptr, np.concatenate(rows).astype(np.int64), np.ones(indptr[-1]),
+               sorted_indices=True, check=False)
+
 _TC = relabel_by_degree(rmat(10, seed=3).pattern()).tril(-1)
 
 #: every operand set of the lattice with the semiring it multiplies on: the

@@ -1,6 +1,7 @@
 """Application tests: Triangle Counting, k-truss, Betweenness Centrality,
 BFS — validated against networkx oracles."""
 
+import contextlib
 import functools
 
 import networkx as nx
@@ -34,7 +35,9 @@ def _bc_reference_sweep(a, sources, *, algo, backend, call_log, counter):
     """The betweenness sweep as it stood before the level-aligned rewrite —
     a growing ``delta`` matrix, flat-key lookups, COO round trips — kept here
     as the reference the shipped body is judged by.  Returns ``(centrality,
-    depth)``; products, operands and counters must match the shipped body's."""
+    depth)``; products, operands and counters must match the shipped body's.
+    A forward product's mask is logged as ``numsp``'s pattern valued 0.0: the
+    shipped body keeps the visited set as a pattern and writes no value."""
     from repro.semiring import PLUS_TIMES
     from repro.sparse import ewise_add
 
@@ -60,7 +63,9 @@ def _bc_reference_sweep(a, sources, *, algo, backend, call_log, counter):
     frontier = CSR.from_coo((s, n), np.arange(s, dtype=np.int64), sources, np.ones(s))
     numsp, frontiers = frontier.copy(), [frontier]
     while frontier.nnz:
-        call_log.append((frontier, a, numsp, True))
+        visited = CSR(numsp.shape, numsp.indptr, numsp.indices, np.zeros(numsp.nnz),
+                      sorted_indices=True, check=False)
+        call_log.append((frontier, a, visited, True))
         frontier = masked_spgemm(frontier, a, numsp, complement=True, **kw)
         if frontier.nnz == 0:
             break
@@ -506,6 +511,56 @@ class TestBetweenness:
         betweenness_centrality(graph, sources=range(10), counter=c)
         assert c.flops > 0
 
+    @pytest.mark.parametrize("claim", [True, False], ids=["sorted-claim", "unsorted"])
+    @pytest.mark.parametrize("bad", [-1, 64, 69])
+    def test_out_of_range_adjacency_raises_as_before(self, claim, bad):
+        """A ``check=False`` adjacency with a column outside ``[0, n)`` is the
+        error it always was: the transpose at entry finds it, before the one
+        range check of the caller's ``a`` and before any product."""
+        g = rmat(6, seed=1)
+        indices = g.indices.copy()
+        indices[3] = bad
+        liar = CSR(g.shape, g.indptr, indices, g.data, sorted_indices=claim, check=False)
+        with pytest.raises(ValueError, match="^index out of range" if claim
+                           else "^row index out of range"):
+            betweenness_centrality(liar, batch_size=4)
+
+    def test_numpy_tier_rejects_a_malformed_indptr(self):
+        """The entry check runs on the NumPy tier too, where no kernel checks
+        its operands: a ``check=False`` adjacency whose ``indptr`` ends past
+        its entries is a ``ValueError``, not a centrality."""
+        from repro.core.kernels import native
+
+        g = rmat(6, seed=1)
+        indptr = g.indptr.copy()
+        indptr[-1] += 1
+        liar = CSR(g.shape, indptr, g.indices, g.data, sorted_indices=True, check=False)
+        with native.disabled(), pytest.raises(ValueError, match="do not describe a CSR"):
+            betweenness_centrality(liar, batch_size=4)
+
+    def test_operands_are_checked_once_per_call_and_again_outside(self, monkeypatch):
+        """Inside the call only the caller's ``a`` is range-checked: every
+        other operand the products and row merges read was built there.  The
+        trust ends with the call: each operand of its ``call_log``, handed
+        back to ``masked_spgemm``, is checked again."""
+        from repro.core.kernels import native
+
+        from .conftest import NativeSpy
+
+        if native.load() is None:
+            pytest.skip("no C compiler")
+        g = rmat(8, seed=1)
+        spy = NativeSpy(native.load())
+        monkeypatch.setattr(native, "_lib", spy)
+        log = []
+        betweenness_centrality(g, range(0, 256, 16), call_log=log)
+        assert spy.calls.count("repro_check") == 1
+        assert native._trusted.get() is None
+        for a, b, m, complement in log:
+            spy.calls.clear()
+            masked_spgemm(a, b, m, complement=complement, algo="msa")
+            assert spy.calls.count("repro_check") == len({id(a), id(b), id(m)})
+
 
 class TestBFS:
     def test_matches_networkx(self, graph, graph_nx):
@@ -538,6 +593,39 @@ class TestBFS:
     def test_rejects_out_of_range_sources(self, sources):
         with pytest.raises(ValueError, match="source out of range"):
             multi_source_bfs(rmat(6), sources)
+
+    @pytest.mark.parametrize("tier", ["native", "numpy"])
+    def test_levels_match_the_coo_rebuild(self, tier):
+        """The visited set grown by one pattern merge a level gives the levels
+        of the COO concatenate-and-sort rebuild it replaced, byte for byte."""
+        from repro.core.kernels import native
+
+        def reference(a, sources):
+            s, n = len(sources), a.nrows
+            levels = np.full((s, n), -1, dtype=np.int64)
+            levels[np.arange(s), sources] = 0
+            frontier = CSR.from_coo((s, n), np.arange(s), sources, np.ones(s))
+            visited, d = frontier.copy(), 0
+            while True:
+                frontier = masked_spgemm(frontier, a, visited, complement=True,
+                                         semiring=PLUS_PAIR)
+                if frontier.nnz == 0:
+                    return levels, d
+                d += 1
+                fr, fc, _ = frontier.to_coo()
+                levels[fr, fc] = d
+                vr, vc, vv = visited.to_coo()
+                visited = CSR.from_coo((s, n), np.concatenate([vr, fr]),
+                                       np.concatenate([vc, fc]),
+                                       np.concatenate([vv, np.ones(fr.shape[0])]))
+
+        for g, sources in ((rmat(9, seed=2), [0, 5, 77, 300, 511]),
+                           (erdos_renyi(200, 200, 2, seed=4), list(range(0, 200, 9)))):
+            with (native.disabled() if tier == "numpy" else contextlib.nullcontext()):
+                got = multi_source_bfs(g, sources)
+                want, depth = reference(g, sources)
+            assert got.depth == depth
+            assert got.levels.tobytes() == want.tobytes()
 
     def test_rmat_bfs_depth_small(self):
         g = rmat(8, seed=1)

@@ -226,9 +226,9 @@ class TestThreads:
     @pytest.mark.parametrize("name", ["dense-out", "full-touch", "hub-row"])
     def test_complement_output_is_the_one_phase_bound(self, monkeypatch, name):
         """A complemented product is one C call into arrays of the 1P bound,
-        ``sum(min(products_i, ncols))``, at every thread count and under 2P
-        too (the symbolic counts only cross-check the rows): the same
-        capacity and the same bytes everywhere."""
+        ``sum(min(products_i, ncols - distinct(m_i)))``, at every thread count
+        and under 2P too (the symbolic counts only cross-check the rows): the
+        same capacity and the same bytes everywhere."""
         a, b, m = OPERANDS[name]
         spy = NativeSpy(native.load())
         monkeypatch.setattr(native, "_lib", spy)
@@ -243,6 +243,34 @@ class TestThreads:
                 assert len(calls) == 1, (phases, nthreads)
                 assert calls[0][1] == 1 and calls[0][18] == total, (phases, nthreads)
         assert len(got) == 1
+
+    def test_complement_bound_survives_a_repeated_column_mask(self, monkeypatch):
+        """Under a ``check=False`` mask whose rows repeat a column (one of them
+        ``ncols - 1`` times) or run backwards, the 1P bound counts no row as
+        more distinct than it is: the native product is the NumPy body's bytes
+        and counters at 1 and 2 threads, under 1P and 2P, with the capacity
+        :func:`one_phase_bound` gives."""
+        from .lattice import repeated_column_mask
+
+        a, b, m = OPERANDS["dense-out"]
+        m = repeated_column_mask(m)
+        bound, total = one_phase_bound(a, b, m, complement=True)
+        products, n = one_phase_bound(a, b, CSR.empty(m.shape), complement=True)[0], m.ncols
+        # only the ascending row counts its columns as distinct
+        assert np.array_equal(bound[:5], np.minimum(products[:5], [n, n, n - n // 2, n, n]))
+        for phases in (1, 2):
+            kw = dict(algo="msa", complement=True, phases=phases)
+            with native.disabled():
+                c = OpCounter()
+                want = (_bytes(run_kernel(a, b, m, counter=c, **kw)), c.as_dict())
+            spy = NativeSpy(native.load())
+            monkeypatch.setattr(native, "_lib", spy)
+            assert _at_thread_counts(a, b, m, **kw) == [want, want], phases
+            caps = [args[18] for called, args in spy.args if called == "repro_msa"]
+            assert caps == [total, total], phases
+        # the backwards row leaves no column open, the repeated one all but one
+        out = run_kernel(a, b, m, **kw)
+        assert out.indptr[2] == out.indptr[1] and 0 not in out.indices[:out.indptr[1]]
 
     def test_bc_forward_complement_gets_the_plan_count(self, monkeypatch):
         """BC's forward (complemented) products reach the C loop on the
@@ -608,7 +636,9 @@ class TestLoader:
         threads (``full-touch`` rows touch every column, so they fill their
         bounds ``min(products, ncols)`` to the last cell; ``dense-out``
         writes far more entries than the mask holds) and at 4
-        (``fewer-rows-than-threads``)."""
+        (``fewer-rows-than-threads``); the row merges, the pattern union too;
+        and the complemented bound on a mask whose rows repeat a column or
+        run backwards, at 1 and 2 threads."""
         libasan = subprocess.run([native._target()[0], "-print-file-name=libasan.so"],
                                  capture_output=True, text=True).stdout.strip()
         if not os.path.isabs(libasan):
@@ -679,17 +709,32 @@ class TestLoader:
             "        assert all(getattr(two, f).tobytes() == getattr(one, f).tobytes()\n"
             "                   for f in fields), name\n"
             "native.PREPARE_PARALLEL_NNZ = crossover\n"
-            "from repro.sparse import ewise_add, ewise_mult, mask_pattern\n"
-            "ops = (ewise_add, ewise_mult, mask_pattern,\n"
+            "from repro.sparse import ewise_add, ewise_mult, mask_pattern, pattern_union\n"
+            "from repro.sparse.ops import mask_union\n"
+            "ops = (ewise_add, ewise_mult, mask_pattern, pattern_union, mask_union,\n"
             "       lambda x, y: mask_pattern(x, y, complement=True))\n"
-            "for name, abm in ADVERSARIAL.items():\n"
-            "    for x, y in [(x, y) for x in abm for y in abm if x.shape == y.shape]:\n"
+            "for name, (a, b, m) in ADVERSARIAL.items():\n"
+            "    pairs = [(x, y) for x in (a, b, m) for y in (a, b, m) if x.shape == y.shape]\n"
+            "    pairs.append((m, masked_spgemm(a, b, m, algo='msa', complement=True)))\n"
+            "    for x, y in pairs:\n"
             "        for op in ops:\n"
             "            got = op(x, y)\n"
             "            with native.disabled():\n"
             "                want = op(x, y)\n"
             "            assert all(getattr(got, f).tobytes() == getattr(want, f).tobytes()\n"
             "                       for f in fields), (name, op)\n"
+            "from tests.lattice import repeated_column_mask  # the mask-aware complement bound\n"
+            "a, b, m = ADVERSARIAL['dense-out']\n"
+            "m = repeated_column_mask(m)\n"
+            "for phases in (1, 2):\n"
+            "    kw = dict(algo='msa', complement=True, phases=phases)\n"
+            "    with native.disabled():\n"
+            "        want = run_kernel(a, b, m, **kw)\n"
+            "    for k in (1, 2):\n"
+            "        clear_arena()\n"
+            "        got = run_kernel(a, b, m, nthreads=k, **kw)\n"
+            "        assert all(getattr(got, f).tobytes() == getattr(want, f).tobytes()\n"
+            "                   for f in fields), (phases, k)\n"
         )
         done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
         assert done.returncode == 0, done.stderr[-3000:]

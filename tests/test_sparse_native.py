@@ -35,8 +35,9 @@ from repro.graphs import (
 )
 from repro.parallel.pool import Task, run_task
 from repro.semiring import PLUS_TIMES
-from repro.sparse import CSC, CSR, ewise_add, ewise_mult, locate, mask_pattern
+from repro.sparse import CSC, CSR, ewise_add, ewise_mult, locate, mask_pattern, pattern_union
 from repro.sparse.csr import _bucket_order, _lower_by_degree
+from repro.sparse.ops import mask_union
 
 from .conftest import NativeSpy, native_required
 
@@ -142,7 +143,8 @@ def _ewise_pairs():
 
 EWISE = dict(_ewise_pairs())
 EWISE_OPS = (ewise_add, ewise_mult, mask_pattern,
-             lambda x, y: mask_pattern(x, y, complement=True), locate)
+             lambda x, y: mask_pattern(x, y, complement=True), locate, pattern_union,
+             mask_union)
 
 
 def _graph_cases():
@@ -385,6 +387,39 @@ def _scatter_cases():
 
 
 SCATTERS = dict(_scatter_cases())
+
+
+def _union_pairs():
+    """``(x, y)`` pairs of one shape from the lattice's adversarial sets: every
+    two of ``(a, b, mask)`` that share a shape, and the mask with its masked
+    product (a sub-pattern) and with its complemented one (disjoint from it:
+    BC's and BFS's visited-set merge)."""
+    from .lattice import ADVERSARIAL
+
+    for name, (a, b, m) in ADVERSARIAL.items():
+        abm = (a, b, m)
+        pairs = [(x, y) for x in abm for y in abm if x.shape == y.shape]
+        pairs += [(m, masked_spgemm(a, b, m, algo="msa")),
+                  (m, masked_spgemm(a, b, m, algo="msa", complement=True))]
+        yield name, pairs
+
+
+@needs_native
+class TestPatternUnion:
+    """``pattern_union`` / ``mask_union`` on the native merge against the
+    NumPy body, over the lattice's operands."""
+
+    @pytest.fixture(scope="class")
+    def pairs(self):
+        return dict(_union_pairs())
+
+    def test_native_is_the_numpy_bytes(self, pairs):
+        for name, these in pairs.items():
+            for x, y in these:
+                got = _both_tiers(lambda: pattern_union(x, y))
+                assert set(np.frombuffer(got[-1], dtype=np.float64)) <= {1.0}, name
+                got = _both_tiers(lambda: mask_union(x, y))
+                assert not np.frombuffer(got[-1], dtype=np.float64).any(), name
 
 
 @needs_native
