@@ -403,6 +403,8 @@ def push_product(
     slab = FusedSlab((a.nrows, n), row_nnz) if row_nnz is not None else None
     counts_of = np.zeros(a.nrows, dtype=np.int64)
     finished = []  # 1P: (rows, counts, cols, vals) per chunk, placed at the end
+    # a row a plain mask allows nothing in is never expanded (nor charged)
+    live = None if complement else np.diff(mask.indptr) != 0
 
     # an exception mid-chunk discards the leased buffers instead of
     # returning them dirty
@@ -410,6 +412,10 @@ def push_product(
         arena = get_arena()
         leases = [stack.enter_context(arena.lease(*spec)) for spec in strategy.leases]
         for rows in chunks:
+            if live is not None:
+                rows = rows[live.take(rows)]
+                if rows.size == 0:
+                    continue
             m_pos, m_local = rows_entries(mask.indptr, rows)
             m_cols = mask.indices.take(m_pos)
             p_keys, p_bpos, a_pos, ends = expand_keys(

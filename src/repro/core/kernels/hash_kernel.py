@@ -157,14 +157,19 @@ def masked_spgemm_hash_fast(
     """
 
     def certify(ch: Chunk, pos, found) -> None:
-        # the table hashes the flat output position; blocks are contiguous,
-        # so that is the chunk-local key plus the first row's offset
-        base = ch.rows[0] * np.int64(ch.ncols)
-        m_keys = ch.m_keys + base
+        # the table hashes the flat output position: the chunk-local key's
+        # row moved to the row it is (a plain mask's chunk skips empty rows)
+        nn = np.int64(ch.ncols)
+
+        def flat(keys):
+            local = keys // nn
+            return keys + (ch.rows.take(local) - local) * nn
+
+        m_keys = flat(ch.m_keys)
         table = VectorHashTable(max(1, ch.nm), counter, keys_lease=keys_lease)
         m_slots = table.insert(m_keys)
         if ch.products:
-            lengths = _lookup_chains(table, m_keys, m_slots, ch.p_keys + base, pos, found)
+            lengths = _lookup_chains(table, m_keys, m_slots, flat(ch.p_keys), pos, found)
             counter.hash_probes += int(lengths @ np.arange(lengths.shape[0]))
         # every slot insert() wrote is some key's returned slot
         table.keys[m_slots] = _EMPTY

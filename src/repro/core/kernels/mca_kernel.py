@@ -47,12 +47,11 @@ def masked_spgemm_mca_fast(
     )
 
 
-# a block without mask entries has nothing to merge against: it charges
-# nothing
+# the frame never expands a row without mask entries: nothing to merge
+# against, nothing charged
 def _charge(counter: OpCounter, ch: Chunk) -> None:
-    if ch.nm:
-        counter.accum_inserts += ch.products
-        counter.mask_scans += ch.products
-        counter.flops += ch.kept
-        counter.accum_removes += ch.nm
+    counter.accum_inserts += ch.products
+    counter.mask_scans += ch.products
+    counter.flops += ch.kept
+    counter.accum_removes += ch.nm
 

@@ -35,7 +35,8 @@
  * bounds even for unsorted or duplicated rows (the result is then as wrong
  * as the caller's sortedness claim, but nothing is written out of bounds).
  *
- * Scratch (state: ncols bytes, val: ncols doubles, where: ncols(A) int32;
+ * Scratch (state: ncols bytes, val: ncols doubles -- a PLUS_PAIR row under a
+ * plain mask counts in int32 cells over them --, where: ncols(A) int32;
  * nthreads of each, one per thread) is all-zero at rest and restored cell
  * by cell after every row; touched (ncols + 1 int64 a thread) is a
  * write-before-read list, and so is the MSA rows' hit buffer (HITS words on
@@ -486,6 +487,36 @@ INLINE i64 msa_row(const int op, const int complement, i64 a0, i64 a1,
 /* ------------------------------------------------------------------ */
 #define SPAN 8
 
+/* A PLUS_PAIR value is a count of products, so one int32 cell in the  */
+/* thread's val slice holds state and value both (the two states of    */
+/* MCA, Section 5.4): 0 not allowed, 1 + the count where allowed.  A    */
+/* product is one branch-free `cell += cell != 0`, no hit buffer and no */
+/* state byte; the gather emits cell - 1 where a product landed.  The   */
+/* caller keeps the two-step for a row whose products could overflow.  */
+typedef int32_t __attribute__((may_alias)) cell_t; /* over val's doubles */
+
+INLINE i64 msa_count_row(i64 a0, i64 a1, const i64 *aj, const i64 *bp,
+                         const i64 *bj, i64 m0, i64 m1, const i64 *mj,
+                         cell_t *cell, i64 *cj, double *cv, i64 *flops)
+{
+    i64 nnz = 0;
+    for (i64 m = m0; m < m1; m++)
+        cell[mj[m]] = 1;
+    for (i64 j = a0; j < a1; j++)
+        for (i64 t = bp[aj[j]], b1 = bp[aj[j] + 1]; t < b1; t++)
+            cell[bj[t]] += cell[bj[t]] != 0;
+    for (i64 m = m0; m < m1; m++) {
+        const i64 c = mj[m], n = cell[c] - 1;
+        if (n > 0) { /* a repeated mask column: its first entry takes it */
+            cj[nnz] = c;
+            cv[nnz++] = (double)n;
+            *flops += n;
+        }
+        cell[c] = 0;
+    }
+    return nnz;
+}
+
 INLINE i64 msa_plain_row(const int op, i64 i,
                          const i64 *ap, const i64 *aj, const double *av,
                          const i64 *bp, const i64 *bj, const double *bv,
@@ -494,12 +525,16 @@ INLINE i64 msa_plain_row(const int op, i64 i,
                          i64 *flops, i64 *inserts)
 {
     const i64 a0 = ap[i], a1 = ap[i + 1], m0 = mp[i], m1 = mp[i + 1];
-    i64 nnz = 0;
-    if (a0 != a1 && m0 == m1) /* nothing allowed: only the charge */
-        for (i64 j = a0; j < a1; j++)
-            *inserts += bp[aj[j] + 1] - bp[aj[j]];
-    if (a0 == a1 || m0 == m1)
+    i64 nnz = 0, products = 0;
+    if (a0 == a1 || m0 == m1) /* nothing allowed: nothing expanded */
         return 0;
+    for (i64 j = a0; op == PAIR && j < a1; j++)
+        products += bp[aj[j] + 1] - bp[aj[j]];
+    if (op == PAIR && products < INT32_MAX) {
+        *inserts += products;
+        return msa_count_row(a0, a1, aj, bp, bj, m0, m1, mj, (cell_t *)val, cj,
+                             cv, flops);
+    }
     for (i64 m = m0; m < m1; m++)
         state[mj[m]] = ALLOWED;
     msa_row(op, 0, a0, a1, aj, av, bp, bj, bv, state, val, NULL, flops,
@@ -634,6 +669,41 @@ i64 repro_msa_bound(i64 complement, i64 nrows, i64 ncols, const i64 *ap,
     return total;
 }
 
+/* Rows [i, end) of one block on nthreads threads, row r at cj + off[r]. */
+/* GCC outlines a parallel region before it inlines, so a region in     */
+/* msa_rows would be one body for every operator and mask, reading both */
+/* at run time: MSA_BLOCK_BODY emits one body per (operator, mask).     */
+#define MSA_BLOCK(op, complement) msa_block_##op##_##complement
+#define MSA_BLOCK_ARGS                                                       \
+    i64 i, i64 end, i64 ncols, const i64 *ap, const i64 *aj,                 \
+        const double *av, const i64 *bp, const i64 *bj, const double *bv,    \
+        const i64 *mp, const i64 *mj, uint8_t *state, double *val,           \
+        i64 *touched, i64 *cp, i64 *cj, double *cv, const i64 *off,          \
+        i64 *flops, i64 *inserts, i64 nthreads
+#define MSA_BLOCK_BODY(op, complement)                                       \
+    static void MSA_BLOCK(op, complement)(MSA_BLOCK_ARGS)                    \
+    {                                                                        \
+        i64 f = 0, n = 0;                                                    \
+        _Pragma("omp parallel for num_threads(nthreads) \
+            schedule(dynamic, CHUNK(end - i, nthreads)) reduction(+ : f, n)") \
+        for (i64 r = i; r < end; r++)                                        \
+            cp[r + 1] = msa_out_row(                                         \
+                op, complement, r, ncols, ap, aj, av, bp, bj, bv, mp, mj,    \
+                state + SLICE(ncols), val + SLICE(ncols),                    \
+                complement ? touched + SLICE(ncols + 1) : NULL, cj + off[r], \
+                cv + off[r], &f, &n);                                        \
+        *flops += f;                                                         \
+        *inserts += n;                                                       \
+    }
+#define MSA_BLOCK_BODIES(op) MSA_BLOCK_BODY(op, 0) MSA_BLOCK_BODY(op, 1)
+MSA_BLOCK_BODIES(TIMES)
+MSA_BLOCK_BODIES(PAIR)
+MSA_BLOCK_BODIES(AND)
+MSA_BLOCK_BODIES(FIRST)
+MSA_BLOCK_BODIES(SECOND)
+#define MSA_BLOCK_CASE(op)                                                   \
+    case op: block = complement ? MSA_BLOCK(op, 1) : MSA_BLOCK(op, 0); break;
+
 INLINE i64 msa_rows(const int op, const int complement, i64 nrows, i64 ncols,
                     const i64 *ap, const i64 *aj, const double *av,
                     const i64 *bp, const i64 *bj, const double *bv,
@@ -642,6 +712,11 @@ INLINE i64 msa_rows(const int op, const int complement, i64 nrows, i64 ncols,
                     i64 *cp, i64 *cj, double *cv, i64 cap, i64 *cnt,
                     i64 nthreads)
 {
+    void (*block)(MSA_BLOCK_ARGS) = NULL; /* a constant once inlined */
+    switch (op) {
+    MSA_BLOCK_CASE(TIMES) MSA_BLOCK_CASE(PAIR) MSA_BLOCK_CASE(AND)
+    MSA_BLOCK_CASE(FIRST) MSA_BLOCK_CASE(SECOND)
+    }
     i64 nnz = 0, flops = 0, inserts = 0;
     i64 *off = OPENMP && nthreads > 1 ? malloc((size_t)nrows * sizeof(i64))
                                       : NULL;
@@ -668,14 +743,8 @@ INLINE i64 msa_rows(const int op, const int complement, i64 nrows, i64 ncols,
                 off[end] = at;
                 at += b;
             }
-#pragma omp parallel for num_threads(nthreads) \
-    schedule(dynamic, CHUNK(end - i, nthreads)) reduction(+ : flops, inserts)
-            for (i64 r = i; r < end; r++)
-                cp[r + 1] = msa_out_row(
-                    op, complement, r, ncols, ap, aj, av, bp, bj, bv, mp, mj,
-                    state + SLICE(ncols), val + SLICE(ncols),
-                    complement ? touched + SLICE(ncols + 1) : NULL,
-                    cj + off[r], cv + off[r], &flops, &inserts);
+            block(i, end, ncols, ap, aj, av, bp, bj, bv, mp, mj, state, val,
+                  touched, cp, cj, cv, off, &flops, &inserts, nthreads);
             nnz = compact(i, end, nnz, off, cp, cj, cv);
         }
     } else

@@ -67,6 +67,7 @@ PREPARE_PARALLEL_NNZ = 1 << 17
 
 _lock = threading.Lock()
 _lib = _reason = None  # the CDLL / why loading failed; both None: not tried yet
+_wait_policy = None  # what libgomp read at this process's first load: _passive_waits()
 _disabled = 0
 _forked = False  # set in a forked child: libgomp's thread pool did not survive the fork
 #: the operands the running call vouches for (:func:`trusted`); ``None`` outside one
@@ -146,12 +147,28 @@ def _open() -> ctypes.CDLL:
                 _ctypes.dlclose(lib._handle)
 
 
+def _passive_waits() -> str:
+    """Default ``OMP_WAIT_POLICY`` to ``passive`` in the process environment (a user's value
+    wins), so a thread waiting for a region sleeps instead of spinning on a core that a busy
+    neighbour may need (``docs/parallel.md``, "In-kernel threads").  libgomp reads it once,
+    when it is mapped: returns the policy it will read, or ``"unknown"`` where something
+    else mapped it first."""
+    policy = os.environ.setdefault("OMP_WAIT_POLICY", "passive")
+    try:
+        ctypes.CDLL("libgomp.so.1", mode=os.RTLD_NOLOAD)  # opens only a mapped one
+    except OSError:
+        return policy
+    return "unknown"
+
+
 def load() -> ctypes.CDLL | None:
     """The native library, built and opened on first call; ``None`` inside :func:`disabled`
     or when it is unavailable (one warning on the ``repro`` logger, no retries)."""
-    global _lib, _reason
+    global _lib, _reason, _wait_policy
     with _lock:
         if _lib is None and _reason is None and not _disabled:
+            if _wait_policy is None:  # before the first load maps libgomp
+                _wait_policy = _passive_waits()
             try:
                 _lib = _open()
             except (OSError, AttributeError, subprocess.SubprocessError) as exc:
@@ -231,10 +248,14 @@ def disabled():
 
 
 def status() -> dict:
-    """``{"loaded", "path", "reason", "openmp"}`` of a :func:`load` attempt; ``openmp``: the
-    row loops can run on several threads."""
+    """``{"loaded", "path", "reason", "openmp", "wait_policy"}`` of a :func:`load` attempt;
+    ``openmp``: the row loops can run on several threads; ``wait_policy``: the
+    ``OMP_WAIT_POLICY`` their threads wait under (:func:`_passive_waits`), ``None`` without
+    OpenMP."""
     path, reason = getattr(load(), "_name", None), "disabled" if _disabled else _reason
-    return {"loaded": path is not None, "path": path, "reason": reason, "openmp": _openmp()}
+    openmp = _openmp()
+    return {"loaded": path is not None, "path": path, "reason": reason, "openmp": openmp,
+            "wait_policy": _wait_policy if openmp else None}
 
 
 def _openmp() -> bool:

@@ -338,9 +338,11 @@ def _msa_charges(a, b, m, complement, reference: OpCounter) -> dict:
     useful-flop and output counts."""
     want = OpCounter().as_dict()
     out = reference.output_nnz
+    # a row a plain mask allows nothing in is never expanded
+    expanded = per_row_flops(a, b) if complement else per_row_flops(a, b)[np.diff(m.indptr) != 0]
     want.update(
         accum_allowed=m.nnz,
-        accum_inserts=int(per_row_flops(a, b).sum()),
+        accum_inserts=int(expanded.sum()),
         flops=reference.flops,
         accum_removes=out if complement else m.nnz,
         spa_resets=out + m.nnz if complement else m.nnz,
@@ -515,6 +517,8 @@ class TestBackendEquivalence:
                 table = VectorHashTable(max(1, m_keys.size), walked)
                 table.insert(m_keys)
                 block = np.arange(lo, hi, dtype=np.int64)
+                if not complement:  # nor in a row whose mask row is empty
+                    block = block[np.diff(g.indptr)[block] != 0]
                 table.lookup(expand_keys(g, g, block, block)[0])
             assert counter.hash_probes == walked.hash_probes > 0
 
@@ -620,12 +624,13 @@ needs_native = native_required()
 class TestCompiledSeam:
     def test_status_shape(self):
         st = native.status()
-        assert set(st) == {"loaded", "path", "reason", "openmp"}
+        assert set(st) == {"loaded", "path", "reason", "openmp", "wait_policy"}
         assert st["loaded"] == (st["reason"] is None) == (st["path"] is not None)
         assert st["openmp"] in (st["loaded"], False)
+        assert (st["wait_policy"] is None) == (not st["openmp"])
         with native.disabled():
-            assert native.status() == {"loaded": False, "path": None,
-                                       "reason": "disabled", "openmp": False}
+            assert native.status() == {"loaded": False, "path": None, "reason": "disabled",
+                                       "openmp": False, "wait_policy": None}
 
     def test_numpy_fallback_matches_native(self):
         a = _rand_csr(30, 40, 0.2, 30)

@@ -207,8 +207,59 @@ def _at_thread_counts(a, b, m, **kw):
     return out
 
 
+def _pair_count_operands():
+    """Plain-mask PLUS_PAIR operands for ``native.c``'s count cell: B's rows
+    all hold column 0, so hub row 0 (every row of B) sends 300 hits to cell 0
+    and row 1 (half of them) 150; rows 2-99 expand one B row each, and rows
+    4, 8, ... have a mask row no product reaches (all miss)."""
+    n = 300
+    b = [[0, *range(1 + k % 7, n, 7)] for k in range(n)]
+    a = [list(range(n)), list(range(0, n, 2))] + [[i] for i in range(2, 100)]
+    m = [[0, 5], list(range(0, n, 3))] + [
+        list(range(2 + i % 7, n, 7)) if i % 4 == 0 else [0, *range(1 + i % 7, n, 14)]
+        for i in range(2, 100)]
+
+    def csr(shape, rows):
+        indptr = np.cumsum([0] + [len(r) for r in rows])
+        return CSR(shape, indptr, np.concatenate(rows).astype(np.int64), np.ones(indptr[-1]),
+                   sorted_indices=True, check=False)
+
+    return csr((100, n), a), csr((n, n), b), csr((100, n), m)
+
+
 @needs_native
 class TestThreads:
+    @pytest.mark.parametrize("name", ["hub-hits", "repeated-column-mask"])
+    def test_pair_count_cell_threads(self, name):
+        """PLUS_PAIR under a plain mask runs the count cell (one int32 per
+        column: the state and the count): its bytes and counters are the
+        NumPy body's at 1, 2 and 4 threads, under 1P and 2P -- where hub rows
+        send hundreds of hits to one cell, where a mask row is all miss, and
+        under a ``check=False`` mask that repeats a column (its first entry
+        takes the count) or runs backwards."""
+        from .lattice import repeated_column_mask
+
+        if name == "hub-hits":
+            a, b, m = _pair_count_operands()
+        else:
+            a, b, m = OPERANDS["dense-out"]
+            m = repeated_column_mask(m)
+        for phases in (1, 2):
+            kw = dict(algo="msa", semiring=PLUS_PAIR, phases=phases)
+            with native.disabled():
+                c = OpCounter()
+                want = (_bytes(run_kernel(a, b, m, counter=c, **kw)), c.as_dict())
+            for k in (1, 2, 4):
+                c = OpCounter()
+                got = _bytes(run_kernel(a, b, m, counter=c, nthreads=k, **kw))
+                assert (got, c.as_dict()) == want, (phases, k)
+        out = run_kernel(a, b, m, algo="msa", semiring=PLUS_PAIR)
+        if name == "hub-hits":  # the hubs' 300 and 150 hits; an all-miss row emits nothing
+            assert out.data[out.indptr[:2]].tolist() == [300.0, 150.0]
+            assert out.indptr[5] == out.indptr[4]
+        else:  # the repeated column is one entry
+            assert out.indptr[1] == 1 and out.indices[0] == 0
+
     def test_complemented_msa_threads(self, monkeypatch):
         a, b, m = OPERANDS["hub-row"]
         spy = NativeSpy(native.load())
@@ -425,6 +476,34 @@ class TestThreads:
         probe = native._openmp_flags(native._target()[0], Path(native.load()._name).parent)
         assert native.status()["openmp"] is (probe == ("-fopenmp",))
 
+    @pytest.mark.parametrize("user", [None, "active"])
+    def test_passive_waits_unless_the_user_chose(self, user):
+        """The first load writes ``OMP_WAIT_POLICY=passive`` into the process
+        environment before it maps libgomp -- which reads it then (its
+        ``OMP_DISPLAY_ENV`` print says so) -- and keeps a user's value;
+        ``status()`` reports what libgomp read, ``"unknown"`` where libgomp was
+        mapped before the load."""
+        if not native._openmp():
+            pytest.skip("built without OpenMP: no libgomp to wait in")
+        env = dict(os.environ, OMP_DISPLAY_ENV="true", PYTHONPATH=os.pathsep.join(sys.path))
+        env.pop("OMP_WAIT_POLICY", None)
+        if user is not None:
+            env["OMP_WAIT_POLICY"] = user
+        code = ("import os, sys, ctypes\n"
+                "from repro.core.kernels import native\n"
+                "assert native._lib is None\n"
+                "if sys.argv[1] == 'mapped':\n"
+                "    ctypes.CDLL('libgomp.so.1')\n"
+                "st = native.status()\n"
+                "print(os.environ['OMP_WAIT_POLICY'], st['wait_policy'])\n")
+        want = user or "passive"
+        for first in ("unmapped", "mapped"):
+            done = subprocess.run([sys.executable, "-c", code, first], env=env,
+                                  capture_output=True, text=True, check=True)
+            assert done.stdout.split() == [want, want if first == "unmapped" else "unknown"]
+            if first == "unmapped":
+                assert f"OMP_WAIT_POLICY = '{want.upper()}'" in done.stderr
+
     def test_process_backend_after_threads_in_the_parent(self):
         """libgomp's thread pool does not survive ``fork``: a forked child
         that entered a threaded region after the parent had used one would
@@ -622,7 +701,8 @@ class TestLoader:
         assert len(warnings) == 1 and "no C compiler" in warnings[0].getMessage()
         assert looked == ["cc", "gcc"]  # asked once, no retry storm
         assert native.status() == {"loaded": False, "path": None, "openmp": False,
-                                   "reason": "OSError: no C compiler (cc) on PATH"}
+                                   "reason": "OSError: no C compiler (cc) on PATH",
+                                   "wait_policy": None}
         assert host_profile() is HOST
         assert not fresh_loader.exists() or not list(fresh_loader.iterdir())
 
@@ -637,8 +717,10 @@ class TestLoader:
         bounds ``min(products, ncols)`` to the last cell; ``dense-out``
         writes far more entries than the mask holds) and at 4
         (``fewer-rows-than-threads``); the row merges, the pattern union too;
-        and the complemented bound on a mask whose rows repeat a column or
-        run backwards, at 1 and 2 threads."""
+        the complemented bound on a mask whose rows repeat a column or
+        run backwards, at 1 and 2 threads; and PLUS_PAIR's count cell (int32
+        cells over the values slice) on every set, that mask and hub rows,
+        at 1 and 2 threads."""
         libasan = subprocess.run([native._target()[0], "-print-file-name=libasan.so"],
                                  capture_output=True, text=True).stdout.strip()
         if not os.path.isabs(libasan):
@@ -735,6 +817,18 @@ class TestLoader:
             "        got = run_kernel(a, b, m, nthreads=k, **kw)\n"
             "        assert all(getattr(got, f).tobytes() == getattr(want, f).tobytes()\n"
             "                   for f in fields), (phases, k)\n"
+            "from repro.semiring import PLUS_PAIR\n"
+            "from tests.test_native import _pair_count_operands\n"
+            "sets = dict(ADVERSARIAL, repeated=(a, b, m), hubs=_pair_count_operands())\n"
+            "for name, (a, b, m) in sets.items():  # PLUS_PAIR's count cell, threaded too\n"
+            "    kw = dict(algo='msa', semiring=PLUS_PAIR)\n"
+            "    with native.disabled():\n"
+            "        want = run_kernel(a, b, m, **kw)\n"
+            "    for k in (1, 2):\n"
+            "        clear_arena()\n"
+            "        got = run_kernel(a, b, m, nthreads=k, **kw)\n"
+            "        assert all(getattr(got, f).tobytes() == getattr(want, f).tobytes()\n"
+            "                   for f in fields), (name, k)\n"
         )
         done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
         assert done.returncode == 0, done.stderr[-3000:]
