@@ -23,16 +23,16 @@ The complemented mask makes the BFS levels *disjoint*: a cell enters
 ``d`` is ``frontier_d``'s own values, ``delta`` restricted to level ``d`` is
 exactly ``t_{d+1}``'s contribution, and neither matrix has to exist: the
 sweep keeps one ``delta_d`` vector per level, aligned with ``frontier_d``'s
-stored entries (``w_d`` reuses its ``indptr`` / ``indices``), and aligns
-``t_d`` — a sub-pattern of ``frontier_{d-1}`` — by one row walk
-(:func:`~repro.sparse.locate`).  ``numsp`` itself survives only as the
+stored entries (``w_d`` reuses its ``indptr`` / ``indices``), and reads
+``t_d`` at ``frontier_{d-1}``'s entries, its mask's
+(:func:`repro.core.masked_spgemm.masked_values`).  ``numsp`` itself survives only as the
 forward sweep's mask, whose values no product reads: ``numsp += frontier``
 is one row merge of the two patterns that writes no value
 (:func:`~repro.sparse.ops.mask_union`).
 
 The caller's ``a`` is range-checked once, at entry; every operand the call
-builds from it (``A``'s pattern, ``A^T``, ``numsp``, the frontiers, ``w``,
-``t_d``) is trusted inside the call and skips the kernels' range check
+builds from it (``A``'s pattern, ``A^T``, ``numsp``, the frontiers, ``w``)
+is trusted inside the call and skips the kernels' range check
 (:func:`repro.core.kernels.native.trusted`), and nothing stays trusted once
 the call returns.
 
@@ -58,9 +58,10 @@ import numpy as np
 from ..machine import OpCounter
 from ..observe import timed_span
 from ..semiring import PLUS_TIMES
-from ..sparse import CSC, CSR, locate
+from ..sparse import CSC, CSR
 from ..sparse.ops import mask_union
 from ..core import masked_spgemm
+from ..core.masked_spgemm import masked_values
 from ..core.kernels import native
 from ..core.leaf import algo_key, supports_complement
 from .bfs import source_array
@@ -208,8 +209,8 @@ def _betweenness_body(
             f_d, below = frontiers[d], frontiers[d - 1]
             out += np.bincount(f_d.indices, weights=delta, minlength=n)
             # w = f_d .* ((1 + delta) / numsp): numsp on level d is f_d's values
-            # (every masked product comes back with sorted rows, so the
-            # levels' entries and t_d's below are in one row-major order)
+            # (every masked product comes back with sorted rows, so each
+            # level is its own canonical mask, whose entries t_d is aligned with)
             w = CSR(f_d.shape, f_d.indptr, f_d.indices, (1.0 + delta) / f_d.data,
                     sorted_indices=True, check=False)
             native.trust(w)
@@ -218,7 +219,7 @@ def _betweenness_body(
             with timed_span(
                 "bc.backward", {"depth": d}, counter=counter
             ) as sp_b:
-                t_d = masked_spgemm(
+                t_d = masked_values(
                     w, a_t, below, algo=algo, impl=impl,
                     phases=phases, semiring=PLUS_TIMES, counter=counter,
                     b_csc=a_t_csc, backend=backend,
@@ -227,11 +228,8 @@ def _betweenness_body(
             backward_time += sp_b.seconds
             if d == 1:  # level 0 is each source's own entry: never summed
                 break
-            native.trust(t_d)
-            # delta_{d-1} = t_d .* numsp on t_d's pattern, a subset of level d-1
-            at = locate(below, t_d)
-            delta = np.zeros(below.nnz)
-            delta[at] = t_d.data * below.data[at]
+            # delta_{d-1} = t_d .* numsp on level d-1 (numsp >= 1 there)
+            delta = t_d * below.data
     total = sp_total.seconds
     teps = s * a.nnz / total if total > 0 else 0.0
     return BetweennessResult(

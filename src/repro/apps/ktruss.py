@@ -17,6 +17,9 @@ R)`` with ``D = A' .* (R @ A')``, two masked SpGEMMs whose work scales with
 ``R`` (the push direction of Yang, Buluç & Owens).  ``ktruss(delta=)``
 prices the two per round.
 
+Every product is read at its mask's edges (:func:`repro.core.masked_spgemm.masked_values`),
+and the adjacency is range-checked once (:func:`repro.core.kernels.native.trusted`).
+
 The paper reports ``sum(flops of all masked SpGEMMs) / total time``; the
 result object carries both pieces.
 """
@@ -28,12 +31,13 @@ from typing import List, Optional
 
 import numpy as np
 
-from ..machine import OpCounter, total_flops
+from ..machine import OpCounter
 from ..observe import timed_span
 from ..semiring import PLUS_PAIR
-from ..sparse import CSR, locate
+from ..sparse import CSR, pattern_union
 from ..sparse.csr import _bucket_order
-from ..core import masked_spgemm
+from ..core.kernels import native
+from ..core.masked_spgemm import masked_values
 
 __all__ = ["ktruss", "KTrussResult"]
 
@@ -110,15 +114,15 @@ def ktruss(
     spgemm_time = 0.0
     flops: List[int] = []
 
-    def product(x: CSR, y: CSR, mask: CSR) -> CSR:
+    def product(x: CSR, y: CSR, mask: CSR) -> np.ndarray:
         nonlocal spgemm_time
-        flops[-1] += total_flops(x, y)
+        flops[-1] += int(x.row_nnz() @ y.row_nnz())  # symmetric: flops(x, y)
         if call_log is not None:
             call_log.append((x, y, mask, False))
         with timed_span(
             "ktruss.spgemm", {"algo": algo, "phases": phases}, counter=counter
         ) as sp_mm:
-            out = masked_spgemm(
+            out = masked_values(
                 x, y, mask, algo=algo, impl=impl, phases=phases,
                 semiring=PLUS_PAIR, counter=counter,
                 backend=backend,
@@ -129,12 +133,11 @@ def ktruss(
     # per-round spans (edges shrink as pruning proceeds — the paper's
     # sparsifying-mask observation) with the masked SpGEMMs nested inside;
     # timed_span keeps the result's second fields populated untraced
-    with timed_span("ktruss.run", {"k": k, "algo": algo}) as sp_total:
+    with timed_span("ktruss.run", {"k": k, "algo": algo}) as sp_total, native.trusted():
         # full symmetric pattern without diagonal
-        cur = _sym(a.pattern().triu(1), backend)
-        # removed: set where a round decrements; mirror: cur's transpose
-        # permutation, built at the first decrement and then carried
-        support = removed = mirror = None
+        cur = _sym(a.triu(1), backend)  # values unread: the union is a pattern
+        native.trust(cur)
+        support = removed = None  # removed: set where a round decrements
         edges = []
         it = 0
         for it in range(1, max_iters + 1):
@@ -146,29 +149,20 @@ def ktruss(
                 if removed is not None:
                     d = product(removed, cur, cur)
                     rr = product(removed, removed, cur)
-                    if mirror is None:
-                        mirror = _mirror(cur, backend)
-                    at = locate(cur, d)  # D's entries; mirror[at]: D^T's
-                    support -= np.bincount(
-                        np.concatenate((at, mirror[at], locate(cur, rr))),
-                        weights=np.concatenate((d.data, d.data, rr.data)),
-                        minlength=cur.nnz,
-                    )
+                    # D, D^T (D's value of each edge's transpose) and
+                    # A' .* (R @ R), all integers below 2^53: exact sums
+                    support -= d + d[_mirror(cur, backend)] + rr
                 else:
-                    s = product(cur, cur, cur)
-                    support = np.bincount(locate(cur, s), weights=s.data, minlength=cur.nnz)
+                    support = product(cur, cur, cur)
                 strong = support >= k - 2
                 if strong.all():
                     break
                 kept = cur._keep_entries(strong)
-                removed = (
-                    cur._keep_entries(~strong)
-                    if delta == "force"
-                    or (delta == "auto" and _decrement_pays(kept, cur))
-                    else None
-                )
-                if mirror is not None:  # support is symmetric, so strong is
-                    mirror = (np.cumsum(strong) - 1)[mirror[strong]]
+                removed = None
+                if delta == "force" or (delta == "auto" and _decrement_pays(kept, cur)):
+                    removed = cur._keep_entries(~strong)
+                    native.trust(removed)
+                native.trust(kept)
                 cur, support = kept, support[strong]
     total = sp_total.seconds
     return KTrussResult(
@@ -185,11 +179,14 @@ def ktruss(
 
 
 def _sym(upper: CSR, backend: Optional[str] = None) -> CSR:
-    """``upper + upper^T`` as a pattern, ordered on ``backend``'s threads."""
-    rows, cols, vals = upper.to_coo()
-    r = np.concatenate([rows, cols])
-    c = np.concatenate([cols, rows])
-    return CSR._from_coo(upper.shape, r, c, np.ones(r.shape[0]), backend=backend).pattern()
+    """``upper + upper^T`` as a pattern: its transpose (ordered on ``backend``'s
+    threads) merged with it, after the call's one range check of ``upper``."""
+    if upper.nnz and upper.indices.max() >= upper.ncols:  # from_coo's error for (j, i)
+        raise ValueError("row index out of range")
+    native.validate(native.load(), (upper,), True)
+    lower = upper._transpose(backend=backend)
+    native.trust(upper, lower)
+    return pattern_union(lower, upper)
 
 
 def _decrement_pays(kept: CSR, cur: CSR) -> bool:

@@ -17,7 +17,7 @@ from ..machine import OpCounter
 from ..observe import timed_span
 from ..semiring import PLUS_PAIR
 from ..sparse import CSR
-from ..core import masked_spgemm
+from ..core.masked_spgemm import masked_values
 
 __all__ = ["StreamingResult", "sliding_window_triangles", "edge_stream_from_graph"]
 
@@ -89,7 +89,8 @@ def sliding_window_triangles(
     counter = counter if counter is not None else OpCounter()
     triangles: List[int] = []
     edge_counts: List[int] = []
-    support = CSR.empty((n, n))
+    cur = CSR.empty((n, n))
+    vals = np.zeros(0)
     nsteps = 0
     with timed_span(
         "streaming.run", {"window": window, "step": step, "algo": algo}
@@ -103,12 +104,12 @@ def sliding_window_triangles(
                 {"step": nsteps, "edges": cur.nnz // 2},
                 counter=counter,
             ):
-                support = masked_spgemm(
+                vals = masked_values(
                     cur, cur, cur, algo=algo, semiring=PLUS_PAIR,
                     counter=counter,
                     backend=backend,
                 )
-            triangles.append(int(round(float(support.data.sum()) / 6.0)))
+            triangles.append(int(round(float(vals.sum()) / 6.0)))
             edge_counts.append(cur.nnz // 2)
             nsteps += 1
             if max_steps is not None and nsteps >= max_steps:
@@ -117,6 +118,8 @@ def sliding_window_triangles(
                 break
             pos += step
     total = sp_total.seconds
+    support = CSR(cur.shape, cur.indptr, cur.indices, vals, sorted_indices=True,
+                  check=False)._keep_entries(vals != 0)  # the last window's product
     return StreamingResult(
         steps=nsteps,
         triangles=triangles,

@@ -66,30 +66,33 @@ def _mask_blocks(
             lo = hi
 
 
-def _inner_native(nat, a: CSR, csc: CSC, mask: CSR, counter, nthreads) -> CSR:
+def _inner_native(nat, a: CSR, csc: CSC, mask: CSR, counter, nthreads, aligned=False):
     """The whole call as ``native.c``'s inner row loop (no blocks) on
-    ``nthreads`` threads; values and counters are those of the NumPy body below."""
+    ``nthreads`` threads; values and counters are those of the NumPy body below
+    (``aligned``: ``(values at the mask's entries, hits)``)."""
     lib, op = nat
     shape = (a.nrows, csc.ncols)
     bt = csc.to_transposed_csr()
     _native.validate(lib, (a, bt, mask), a.ncols == csc.nrows and mask.shape == shape)
     cnt = np.zeros(1, dtype=np.int64)  # matched products
     indptr = np.empty(a.nrows + 1, dtype=np.int64)
-    cols = np.empty(mask.nnz, dtype=np.int64)  # the mask bounds the output
+    cols = None if aligned else np.empty(mask.nnz, dtype=np.int64)  # the mask bounds it
     vals = np.empty(mask.nnz, dtype=np.float64)
     # the C loop zeroes the lookup cells it set after each row: the lease's
     # cleanliness contract, as in the NumPy body (one slice per thread)
     with get_arena().lease("native.where", np.int32, 0) as where:
         nnz = lib.repro_inner(op, a.nrows, a.ncols, nthreads, *(
-            x.ctypes.data for x in (a.indptr, a.indices, a.data, bt.indptr, bt.indices,
-                                    bt.data, mask.indptr, mask.indices,
-                                    where.require(nthreads * a.ncols), indptr, cols, vals,
-                                    cnt)))
+            None if x is None else x.ctypes.data
+            for x in (a.indptr, a.indices, a.data, bt.indptr, bt.indices, bt.data,
+                      mask.indptr, mask.indices, where.require(nthreads * a.ncols), indptr,
+                      cols, vals, cnt)))
     if counter is not None:
         counter.mask_scans += mask.nnz
         counter.flops += int(cnt[0])
         counter.useful_flops += nnz
         counter.output_nnz += nnz
+    if aligned:
+        return vals, nnz
     # shrunk in place (a realloc): no oversized buffer outlives the call
     cols.resize(nnz, refcheck=False)
     vals.resize(nnz, refcheck=False)
@@ -109,11 +112,12 @@ def masked_spgemm_inner_fast(
     pull_budget: int = DEFAULT_PULL_BUDGET,
     dense_budget: int = INNER_DENSE_BUDGET,
     nthreads: int = 1,
-) -> CSR:
+    aligned: bool = False,
+):
     """Vectorized pull-based (Inner) masked SpGEMM (see module docs);
     ``nthreads``: threads of the native loop, of B's CSC build and of the
     operands' ordering, where one is unsorted (the same bytes and counters
-    at any count)."""
+    at any count); ``aligned``: the native loop's ``(values, hits)``."""
     if complement:
         raise ValueError("inner-product algorithm does not support complement")
     a, mask = a._sort_indices(nthreads), mask._sort_indices(nthreads)
@@ -126,7 +130,7 @@ def masked_spgemm_inner_fast(
     nat = _native.kernels(semiring, a.data, csc.data)
     _obs.annotate(tier="numpy" if nat is None else "native")
     if nat is not None:
-        return _inner_native(nat, a, csc, mask, counter, nthreads)
+        return _inner_native(nat, a, csc, mask, counter, nthreads, aligned)
 
     # flat key of every A entry; a block's keys minus its first row's base
     # address the block-local rank array

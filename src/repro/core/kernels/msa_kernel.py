@@ -37,14 +37,15 @@ MSA_DENSE_BUDGET = 1 << 20
 
 
 def _msa_native(nat, a: CSR, b: CSR, mask: CSR, complement, counter, row_nnz,
-                nthreads) -> CSR:
+                nthreads, aligned=False):
     """The whole call as ``native.c``'s MSA row loop (no chunks), on ``nthreads``
     threads, into arrays of the 1P output's size: ``nnz(M)`` under a plain mask,
     ``sum(min(flops_i, ncols - distinct(m_i)))`` under a complemented one (C's
     ``repro_msa_bound``, :func:`repro.core.symbolic.one_phase_bound`'s total: a
     mask row counts as distinct only where its columns strictly increase, so the
     bound holds for a ``check=False`` mask too); values and counters are those of
-    the NumPy body below.  ``row_nnz`` (2P) only cross-checks the rows written."""
+    the NumPy body below.  ``row_nnz`` (2P) only cross-checks the rows written.
+    ``aligned`` (plain mask): ``(values at the mask's entries, hits)``."""
     lib, op = nat
     nrows, n = a.nrows, b.ncols
     _native.validate(lib, (a, b, mask), a.ncols == b.nrows and mask.shape == (nrows, n))
@@ -52,7 +53,7 @@ def _msa_native(nat, a: CSR, b: CSR, mask: CSR, complement, counter, row_nnz,
     indptr = np.empty(nrows + 1, dtype=np.int64)
     cap = lib.repro_msa_bound(1, nrows, n, *(x.ctypes.data for x in (
         a.indptr, a.indices, b.indptr, mask.indptr, mask.indices))) if complement else mask.nnz
-    cols = np.empty(cap, dtype=np.int64)
+    cols = None if aligned else np.empty(cap, dtype=np.int64)
     vals = np.empty(cap, dtype=np.float64)
     operands = [x.ctypes.data for x in (a.indptr, a.indices, a.data, b.indptr,
                                         b.indices, b.data, mask.indptr, mask.indices)]
@@ -67,8 +68,8 @@ def _msa_native(nat, a: CSR, b: CSR, mask: CSR, complement, counter, row_nnz,
         nnz = lib.repro_msa(op, int(complement), nrows, n, *operands,
                             state.require(nthreads * n).ctypes.data,
                             values.require(nthreads * n).ctypes.data, first_touches,
-                            indptr.ctypes.data, cols.ctypes.data, vals.ctypes.data, cap,
-                            cnt.ctypes.data, nthreads)
+                            indptr.ctypes.data, cols if aligned else cols.ctypes.data,
+                            vals.ctypes.data, cap, cnt.ctypes.data, nthreads)
     if nnz < 0:
         raise AssertionError(f"native MSA loop refused the call (code {nnz})")
     flops, inserts = map(int, cnt)
@@ -82,6 +83,8 @@ def _msa_native(nat, a: CSR, b: CSR, mask: CSR, complement, counter, row_nnz,
         _charge(counter, SimpleNamespace(nm=mask.nnz, products=inserts, kept=flops,
                                          out=nnz, complement=complement))
         counter.output_nnz += nnz
+    if aligned:
+        return vals, nnz
     # no oversized buffer outlives the call: shrunk in place (a realloc)
     cols.resize(nnz, refcheck=False)
     vals.resize(nnz, refcheck=False)
@@ -101,7 +104,8 @@ def masked_spgemm_msa_fast(
     dense_budget: int = MSA_DENSE_BUDGET,
     row_nnz: Optional[np.ndarray] = None,
     nthreads: int = 1,
-) -> CSR:
+    aligned: bool = False,
+):
     """Vectorized MSA masked SpGEMM (see module docs).
 
     ``row_nnz`` optionally carries the exact two-phase symbolic counts: the
@@ -109,12 +113,13 @@ def masked_spgemm_msa_fast(
     native loop checks its rows against them; both raise on a mismatch.
     ``nthreads``: threads of the native loop and of the operands' ordering,
     where one is unsorted (the same bytes and counters at any count).
+    ``aligned``: the native loop's ``(values, hits)`` (:func:`~repro.core.leaf.run_aligned`).
     """
     a, b, mask = (x._sort_indices(nthreads) for x in (a, b, mask))
     nat = _native.kernels(semiring, a.data, b.data)
     _obs.annotate(tier="numpy" if nat is None else "native")
     if nat is not None:
-        return _msa_native(nat, a, b, mask, complement, counter, row_nnz, nthreads)
+        return _msa_native(nat, a, b, mask, complement, counter, row_nnz, nthreads, aligned)
     return push_product(
         a, b, mask, DenseRank(), complement=complement, semiring=semiring,
         counter=counter, flop_budget=flop_budget, dense_budget=dense_budget,

@@ -13,7 +13,9 @@
  * row i is written at an offset its bound leaves free (the paper's 1P
  * output: Inner at mp[i], where the mask bounds it; MSA at the prefix sum
  * of its rows' bounds, plain and complemented alike, see there), then
- * compact() moves the rows down into CSR order.  A row is one
+ * compact() moves the rows down into CSR order (given no cj under a plain
+ * mask, MSA and Inner write the aligned output instead: each mask entry's
+ * value at its own offset, 0.0 where no product landed).  A row is one
  * thread's, accumulated in expansion order, and the counters are integer
  * per-row sums, so bytes and counters do not depend on nthreads.
  * nthreads <= 1 runs the serial loop and never enters libgomp (a forked
@@ -495,9 +497,10 @@ INLINE i64 msa_row(const int op, const int complement, i64 a0, i64 a1,
 /* caller keeps the two-step for a row whose products could overflow.  */
 typedef int32_t __attribute__((may_alias)) cell_t; /* over val's doubles */
 
-INLINE i64 msa_count_row(i64 a0, i64 a1, const i64 *aj, const i64 *bp,
-                         const i64 *bj, i64 m0, i64 m1, const i64 *mj,
-                         cell_t *cell, i64 *cj, double *cv, i64 *flops)
+INLINE i64 msa_count_row(const int aligned, i64 a0, i64 a1, const i64 *aj,
+                         const i64 *bp, const i64 *bj, i64 m0, i64 m1,
+                         const i64 *mj, cell_t *cell, i64 *cj, double *cv,
+                         i64 *flops)
 {
     i64 nnz = 0;
     for (i64 m = m0; m < m1; m++)
@@ -507,9 +510,14 @@ INLINE i64 msa_count_row(i64 a0, i64 a1, const i64 *aj, const i64 *bp,
             cell[bj[t]] += cell[bj[t]] != 0;
     for (i64 m = m0; m < m1; m++) {
         const i64 c = mj[m], n = cell[c] - 1;
+        if (aligned)
+            cv[m - m0] = n > 0 ? (double)n : 0.0;
         if (n > 0) { /* a repeated mask column: its first entry takes it */
-            cj[nnz] = c;
-            cv[nnz++] = (double)n;
+            if (!aligned) {
+                cj[nnz] = c;
+                cv[nnz] = (double)n;
+            }
+            nnz++;
             *flops += n;
         }
         cell[c] = 0;
@@ -517,7 +525,7 @@ INLINE i64 msa_count_row(i64 a0, i64 a1, const i64 *aj, const i64 *bp,
     return nnz;
 }
 
-INLINE i64 msa_plain_row(const int op, i64 i,
+INLINE i64 msa_plain_row(const int op, const int aligned, i64 i,
                          const i64 *ap, const i64 *aj, const double *av,
                          const i64 *bp, const i64 *bj, const double *bv,
                          const i64 *mp, const i64 *mj,
@@ -526,14 +534,17 @@ INLINE i64 msa_plain_row(const int op, i64 i,
 {
     const i64 a0 = ap[i], a1 = ap[i + 1], m0 = mp[i], m1 = mp[i + 1];
     i64 nnz = 0, products = 0;
-    if (a0 == a1 || m0 == m1) /* nothing allowed: nothing expanded */
+    if (a0 == a1 || m0 == m1) { /* nothing allowed: nothing expanded */
+        if (aligned)
+            memset(cv, 0, (size_t)(m1 - m0) * sizeof(double));
         return 0;
+    }
     for (i64 j = a0; op == PAIR && j < a1; j++)
         products += bp[aj[j] + 1] - bp[aj[j]];
     if (op == PAIR && products < INT32_MAX) {
         *inserts += products;
-        return msa_count_row(a0, a1, aj, bp, bj, m0, m1, mj, (cell_t *)val, cj,
-                             cv, flops);
+        return msa_count_row(aligned, a0, a1, aj, bp, bj, m0, m1, mj,
+                             (cell_t *)val, cj, cv, flops);
     }
     for (i64 m = m0; m < m1; m++)
         state[mj[m]] = ALLOWED;
@@ -541,9 +552,14 @@ INLINE i64 msa_plain_row(const int op, i64 i,
             inserts);
     for (i64 m = m0; m < m1; m++) {
         const i64 c = mj[m];
+        if (aligned)
+            cv[m - m0] = state[c] == SET ? val[c] : 0.0;
         if (state[c] == SET) { /* a sum cancelling to 0.0 stays SET */
-            cj[nnz] = c;
-            cv[nnz++] = val[c];
+            if (!aligned) {
+                cj[nnz] = c;
+                cv[nnz] = val[c];
+            }
+            nnz++;
             val[c] = 0.0;
         }
         state[c] = EMPTY;
@@ -610,7 +626,8 @@ INLINE i64 msa_compl_row(const int op, i64 i, i64 ncols,
 }
 
 /* row i written to cj / cv; the scratch is the calling thread's */
-INLINE i64 msa_out_row(const int op, const int complement, i64 i, i64 ncols,
+INLINE i64 msa_out_row(const int op, const int complement, const int aligned,
+                       i64 i, i64 ncols,
                        const i64 *ap, const i64 *aj, const double *av,
                        const i64 *bp, const i64 *bj, const double *bv,
                        const i64 *mp, const i64 *mj, uint8_t *state,
@@ -620,8 +637,8 @@ INLINE i64 msa_out_row(const int op, const int complement, i64 i, i64 ncols,
     if (complement)
         return msa_compl_row(op, i, ncols, ap, aj, av, bp, bj, bv, mp, mj,
                              state, val, touched, cj, cv, flops, inserts);
-    return msa_plain_row(op, i, ap, aj, av, bp, bj, bv, mp, mj, state, val,
-                         cj, cv, flops, inserts);
+    return msa_plain_row(op, aligned, i, ap, aj, av, bp, bj, bv, mp, mj, state,
+                         val, cj, cv, flops, inserts);
 }
 
 /* row i's 1P bound: nnz(m_i) under a plain mask; under a complemented
@@ -672,39 +689,43 @@ i64 repro_msa_bound(i64 complement, i64 nrows, i64 ncols, const i64 *ap,
 /* Rows [i, end) of one block on nthreads threads, row r at cj + off[r]. */
 /* GCC outlines a parallel region before it inlines, so a region in     */
 /* msa_rows would be one body for every operator and mask, reading both */
-/* at run time: MSA_BLOCK_BODY emits one body per (operator, mask).     */
-#define MSA_BLOCK(op, complement) msa_block_##op##_##complement
+/* at run time: MSA_BLOCK_BODY emits one body per (operator, mask),     */
+/* mask 0 plain, 1 complemented, 2 plain and aligned.                   */
+#define MSA_BLOCK(op, mask) msa_block_##op##_##mask
 #define MSA_BLOCK_ARGS                                                       \
     i64 i, i64 end, i64 ncols, const i64 *ap, const i64 *aj,                 \
         const double *av, const i64 *bp, const i64 *bj, const double *bv,    \
         const i64 *mp, const i64 *mj, uint8_t *state, double *val,           \
         i64 *touched, i64 *cp, i64 *cj, double *cv, const i64 *off,          \
         i64 *flops, i64 *inserts, i64 nthreads
-#define MSA_BLOCK_BODY(op, complement)                                       \
-    static void MSA_BLOCK(op, complement)(MSA_BLOCK_ARGS)                    \
+#define MSA_BLOCK_BODY(op, mask)                                             \
+    static void MSA_BLOCK(op, mask)(MSA_BLOCK_ARGS)                          \
     {                                                                        \
         i64 f = 0, n = 0;                                                    \
         _Pragma("omp parallel for num_threads(nthreads) \
             schedule(dynamic, CHUNK(end - i, nthreads)) reduction(+ : f, n)") \
         for (i64 r = i; r < end; r++)                                        \
             cp[r + 1] = msa_out_row(                                         \
-                op, complement, r, ncols, ap, aj, av, bp, bj, bv, mp, mj,    \
-                state + SLICE(ncols), val + SLICE(ncols),                    \
-                complement ? touched + SLICE(ncols + 1) : NULL, cj + off[r], \
-                cv + off[r], &f, &n);                                        \
+                op, mask == 1, mask == 2, r, ncols, ap, aj, av, bp, bj, bv,  \
+                mp, mj, state + SLICE(ncols), val + SLICE(ncols),            \
+                mask == 1 ? touched + SLICE(ncols + 1) : NULL,               \
+                mask == 2 ? NULL : cj + off[r], cv + off[r], &f, &n);        \
         *flops += f;                                                         \
         *inserts += n;                                                       \
     }
-#define MSA_BLOCK_BODIES(op) MSA_BLOCK_BODY(op, 0) MSA_BLOCK_BODY(op, 1)
+#define MSA_BLOCK_BODIES(op)                                                 \
+    MSA_BLOCK_BODY(op, 0) MSA_BLOCK_BODY(op, 1) MSA_BLOCK_BODY(op, 2)
 MSA_BLOCK_BODIES(TIMES)
 MSA_BLOCK_BODIES(PAIR)
 MSA_BLOCK_BODIES(AND)
 MSA_BLOCK_BODIES(FIRST)
 MSA_BLOCK_BODIES(SECOND)
 #define MSA_BLOCK_CASE(op)                                                   \
-    case op: block = complement ? MSA_BLOCK(op, 1) : MSA_BLOCK(op, 0); break;
+    case op: block = complement ? MSA_BLOCK(op, 1)                           \
+                     : aligned  ? MSA_BLOCK(op, 2) : MSA_BLOCK(op, 0); break;
 
-INLINE i64 msa_rows(const int op, const int complement, i64 nrows, i64 ncols,
+INLINE i64 msa_rows(const int op, const int complement, const int aligned,
+                    i64 nrows, i64 ncols,
                     const i64 *ap, const i64 *aj, const double *av,
                     const i64 *bp, const i64 *bj, const double *bv,
                     const i64 *mp, const i64 *mj,
@@ -718,10 +739,10 @@ INLINE i64 msa_rows(const int op, const int complement, i64 nrows, i64 ncols,
     MSA_BLOCK_CASE(FIRST) MSA_BLOCK_CASE(SECOND)
     }
     i64 nnz = 0, flops = 0, inserts = 0;
-    i64 *off = OPENMP && nthreads > 1 ? malloc((size_t)nrows * sizeof(i64))
-                                      : NULL;
+    i64 *off = OPENMP && nthreads > 1 && !aligned
+                   ? malloc((size_t)nrows * sizeof(i64)) : NULL;
     const i64 span = SPAN * nthreads * ncols;
-    for (i64 i = 0; i < nrows; i++) { /* the bounds */
+    for (i64 i = 0; !aligned && i < nrows; i++) { /* the bounds */
         const i64 b = msa_bound(complement, i, ncols, ap, aj, bp, mp, mj);
         if (off)
             off[i] = b;
@@ -733,7 +754,12 @@ INLINE i64 msa_rows(const int op, const int complement, i64 nrows, i64 ncols,
     }
     nnz = 0;
     cp[0] = 0;
-    if (off) {
+    if (aligned && OPENMP && nthreads > 1) { /* one block, rows at mp[r] */
+        block(0, nrows, ncols, ap, aj, av, bp, bj, bv, mp, mj, state, val,
+              touched, cp, cj, cv, mp, &flops, &inserts, nthreads);
+        for (i64 i = 0; i < nrows; i++)
+            cp[i + 1] = nnz += cp[i + 1];
+    } else if (off) {
         for (i64 i = 0, end; i < nrows; i = end) {
             i64 at = nnz; /* the block's rows: bound -> offset */
             for (end = i;
@@ -749,20 +775,22 @@ INLINE i64 msa_rows(const int op, const int complement, i64 nrows, i64 ncols,
         }
     } else
         for (i64 i = 0; i < nrows; i++)
-            cp[i + 1] = nnz += msa_out_row(op, complement, i, ncols, ap, aj, av,
-                                           bp, bj, bv, mp, mj, state, val,
-                                           touched, cj + nnz, cv + nnz, &flops,
-                                           &inserts);
+            cp[i + 1] = nnz += msa_out_row(
+                op, complement, aligned, i, ncols, ap, aj, av, bp, bj, bv, mp,
+                mj, state, val, touched, aligned ? NULL : cj + nnz,
+                cv + (aligned ? mp[i] : nnz), &flops, &inserts);
     free(off);
     cnt[0] += flops;
     cnt[1] += inserts;
     return nnz;
 }
 
-/* complement picks the loop; touched: ncols + 1 cells a thread under a
- * complemented mask (msa_apply stores, then advances), else unread */
-#define MSA(op, complement, ...)                              \
-    ((complement) ? msa_rows(op, 1, __VA_ARGS__) : msa_rows(op, 0, __VA_ARGS__))
+/* complement and cj pick the loop (no cj: the aligned output, plain mask
+ * only); touched: ncols + 1 cells a thread under a complemented mask
+ * (msa_apply stores, then advances), else unread */
+#define MSA(op, complement, ...)                                             \
+    ((complement) ? msa_rows(op, 1, 0, __VA_ARGS__)                          \
+     : cj ? msa_rows(op, 0, 0, __VA_ARGS__) : msa_rows(op, 0, 1, __VA_ARGS__))
 
 i64 repro_msa(i64 op, i64 complement, i64 nrows, i64 ncols,
               const i64 *ap, const i64 *aj, const double *av,
@@ -771,6 +799,8 @@ i64 repro_msa(i64 op, i64 complement, i64 nrows, i64 ncols,
               uint8_t *state, double *val, i64 *touched,
               i64 *cp, i64 *cj, double *cv, i64 cap, i64 *cnt, i64 nthreads)
 {
+    if (complement && !cj)
+        return -1;
     DISPATCH(MSA, complement, nrows, ncols, ap, aj, av, bp, bj, bv, mp, mj,
              state, val, touched, cp, cj, cv, cap, cnt, nthreads)
 }
@@ -841,8 +871,9 @@ i64 repro_symbolic(i64 complement, i64 nrows, i64 ncols, i64 nthreads,
 /* matches in ascending k.  (tp, ti, tv) are the CSC arrays of B.      */
 /* cnt: [0] matched products (flops)                                   */
 /* ------------------------------------------------------------------ */
-/* rows [i0, i1) written from cj / cv on, cp[i + 1] = the running count */
-INLINE i64 inner_span(const int op, i64 i0, i64 i1,
+/* rows [i0, i1) written from cj / cv on (aligned: mask entry m at
+ * cv[m - mp[i0]]), cp[i + 1] = the running count */
+INLINE i64 inner_span(const int op, const int aligned, i64 i0, i64 i1,
                       const i64 *ap, const i64 *aj, const double *av,
                       const i64 *tp, const i64 *ti, const double *tv,
                       const i64 *mp, const i64 *mj, int32_t *where,
@@ -852,6 +883,8 @@ INLINE i64 inner_span(const int op, i64 i0, i64 i1,
     for (i64 i = i0; i < i1; i++) {
         const i64 a0 = ap[i], a1 = ap[i + 1], m0 = mp[i], m1 = mp[i + 1];
         if (a0 == a1 || m0 == m1) {
+            if (aligned)
+                memset(cv + m0 - mp[i0], 0, (size_t)(m1 - m0) * sizeof(double));
             cp[i + 1] = nnz;
             continue;
         }
@@ -869,9 +902,15 @@ INLINE i64 inner_span(const int op, i64 i0, i64 i1,
                     hits++;
                 }
             }
+            if (aligned) /* a repeated column: its first entry takes it */
+                cv[m - mp[i0]] =
+                    hits && (m == m0 || col != mj[m - 1]) ? v : 0.0;
             if (hits) { /* a mask entry no product reaches emits nothing */
-                cj[nnz] = col;
-                cv[nnz++] = v;
+                if (!aligned) {
+                    cj[nnz] = col;
+                    cv[nnz] = v;
+                }
+                nnz++;
                 *flops += hits;
             }
         }
@@ -882,7 +921,8 @@ INLINE i64 inner_span(const int op, i64 i0, i64 i1,
     return nnz;
 }
 
-INLINE i64 inner_rows(const int op, i64 nrows, i64 ncols, i64 nthreads,
+INLINE i64 inner_rows(const int op, const int aligned, i64 nrows, i64 ncols,
+                      i64 nthreads,
                       const i64 *ap, const i64 *aj, const double *av,
                       const i64 *tp, const i64 *ti, const double *tv,
                       const i64 *mp, const i64 *mj, int32_t *where,
@@ -894,24 +934,29 @@ INLINE i64 inner_rows(const int op, i64 nrows, i64 ncols, i64 nthreads,
 #pragma omp parallel for num_threads(nthreads) \
     schedule(dynamic, CHUNK(nrows, nthreads)) reduction(+ : flops)
         for (i64 i = 0; i < nrows; i++)
-            inner_span(op, i, i + 1, ap, aj, av, tp, ti, tv, mp, mj,
-                       where + SLICE(ncols), cp, cj + mp[i], cv + mp[i],
-                       &flops);
-        nnz = compact(0, nrows, 0, mp, cp, cj, cv);
+            inner_span(op, aligned, i, i + 1, ap, aj, av, tp, ti, tv, mp, mj,
+                       where + SLICE(ncols), cp, aligned ? NULL : cj + mp[i],
+                       cv + mp[i], &flops);
+        for (i64 i = 0; aligned && i < nrows; i++)
+            cp[i + 1] = nnz += cp[i + 1];
+        if (!aligned)
+            nnz = compact(0, nrows, 0, mp, cp, cj, cv);
     } else
-        nnz = inner_span(op, 0, nrows, ap, aj, av, tp, ti, tv, mp, mj, where,
-                         cp, cj, cv, &flops);
+        nnz = inner_span(op, aligned, 0, nrows, ap, aj, av, tp, ti, tv, mp, mj,
+                         where, cp, cj, cv, &flops);
     cnt[0] += flops;
     return nnz;
 }
 
-/* ncols: of A, the stride of the where[] slices */
+/* ncols: of A, the stride of the where[] slices; no cj: the aligned output */
+#define INNER(op, ...)                                                       \
+    (cj ? inner_rows(op, 0, __VA_ARGS__) : inner_rows(op, 1, __VA_ARGS__))
 i64 repro_inner(i64 op, i64 nrows, i64 ncols, i64 nthreads,
                 const i64 *ap, const i64 *aj, const double *av,
                 const i64 *tp, const i64 *ti, const double *tv,
                 const i64 *mp, const i64 *mj, int32_t *where,
                 i64 *cp, i64 *cj, double *cv, i64 *cnt)
 {
-    DISPATCH(inner_rows, nrows, ncols, nthreads, ap, aj, av, tp, ti, tv, mp,
+    DISPATCH(INNER, nrows, ncols, nthreads, ap, aj, av, tp, ti, tv, mp,
              mj, where, cp, cj, cv, cnt)
 }

@@ -3,7 +3,8 @@
 :func:`run_kernel` is what the front door (:func:`repro.core.masked_spgemm`
 with a forced ``algo=``) and every engine work item
 (:func:`repro.parallel.pool.run_task`) run once validation, machine
-resolution and planning are behind them.  The algorithm
+resolution and planning are behind them (:func:`run_aligned`: its values at
+the mask's entries).  The algorithm
 table and the checks the public entry points share live here too, so
 ``repro.engine`` and ``repro.parallel`` import this module and never the
 door.
@@ -13,10 +14,12 @@ from __future__ import annotations
 
 from typing import Optional
 
+import numpy as np
+
 from ..machine import OpCounter
 from ..observe import tracer as _obs
 from ..semiring import PLUS_TIMES, Semiring
-from ..sparse import CSC, CSR
+from ..sparse import CSC, CSR, locate
 from .kernels import native
 from .kernels.esc_kernel import masked_spgemm_esc_fast
 from .kernels.hash_kernel import masked_spgemm_hash_fast
@@ -114,13 +117,15 @@ def run_kernel(
     counter: Optional[OpCounter] = None,
     b_csc: Optional[CSC] = None,
     nthreads: int = 1,
-) -> CSR:
+    aligned: bool = False,
+):
     """Run ``algo`` (a key of :data:`ALL_ALGOS`) on operands the caller
     vouches for: conforming shapes and an algorithm that can run the mask.
     Picks the tier (``impl``), runs the 2P symbolic sweep and cross-checks
     the numeric result against the symbolic count.  ``nthreads`` (the
     caller's :func:`kernel_threads`) reaches the native ``msa`` / ``inner``
-    row loops and the symbolic pass; bytes and counters do not depend on it."""
+    row loops and the symbolic pass; bytes and counters do not depend on it.
+    ``aligned``: :func:`run_aligned`'s values instead of the CSR."""
     use_fast = impl == "fast" or (impl == "auto" and algo in _FAST)
     if use_fast and algo not in _FAST:
         raise ValueError(
@@ -149,8 +154,8 @@ def run_kernel(
         kwargs = dict(complement=complement, semiring=semiring, counter=counter)
         if algo == "inner":
             kwargs["b_csc"] = b_csc
-        if algo in _THREADED:
-            kwargs["nthreads"] = nthreads
+        if algo in _THREADED:  # their native loops write the aligned values
+            kwargs.update(nthreads=nthreads, aligned=aligned and not complement)
         if row_nnz is not None and algo in ("msa", "hash", "esc"):
             # under 2P their NumPy bodies fuse the symbolic counts into
             # output formation (the CSR slab is allocated from row_nnz and
@@ -176,9 +181,27 @@ def run_kernel(
                 b_csc=b_csc,
             )
 
-    if row_nnz is not None and c.nnz != int(row_nnz.sum()):
+    c, hits = (c, c.nnz) if isinstance(c, CSR) else c  # or a native (values, hits)
+    if row_nnz is not None and hits != int(row_nnz.sum()):
         raise AssertionError(
             f"symbolic/numeric mismatch: symbolic predicted {int(row_nnz.sum())} "
-            f"nonzeros, numeric produced {c.nnz}"
+            f"nonzeros, numeric produced {hits}"
         )
-    return c
+    return align(mask, c) if aligned and isinstance(c, CSR) else c
+
+
+def run_aligned(a: CSR, b: CSR, mask: CSR, **kw) -> np.ndarray:
+    """:func:`run_kernel` (its keywords and counters) as ``nnz(M)`` float64
+    values at the mask's entries (``mask.sort_indices()``'s), 0.0 where no
+    product landed: written by the native ``msa`` / ``inner`` loops under a
+    plain mask, else :func:`align` of the CSR product (its byte reference)."""
+    return run_kernel(a, b, mask, aligned=True, **kw)
+
+
+def align(mask: CSR, c: CSR) -> np.ndarray:
+    """``c``'s values scattered at the mask's entries by :func:`locate`; a
+    column the mask repeats gets the value at its first entry."""
+    at = locate(mask, c)
+    out, found = np.zeros(mask.sort_indices().nnz), at >= 0
+    out[at[found]] = c.data[found]
+    return out

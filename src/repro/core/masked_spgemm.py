@@ -50,7 +50,8 @@ the caller forced (:func:`repro.core.leaf.run_kernel`) or has the host's
 planner build an :class:`~repro.engine.ExecutionPlan` and runs it
 (``docs/engine.md``, "Path of a call").  A plan to inspect before running
 it is ``repro.engine.plan(...)`` -> ``repro.engine.execute(...)``, which
-also takes a forced thread count.
+also takes a forced thread count.  :func:`masked_values` (not exported)
+is the same door returning the product's values at the mask's entries.
 """
 
 from __future__ import annotations
@@ -157,6 +158,19 @@ def masked_spgemm(
                 and k >= 1 for k in shards)
     ):
         raise ValueError(f"shards must be None or a pair of ints >= 1, got {shards!r}")
+    return _door(a, b, mask, algo=algo, phases=phases, complement=complement,
+                 semiring=semiring, impl=impl, counter=counter, b_csc=b_csc,
+                 backend=backend)
+
+
+def masked_values(a: CSR, b: CSR, mask: CSR, **kw):
+    """:func:`masked_spgemm` (planned and counted alike) as the values at the
+    mask's entries (:func:`repro.core.leaf.run_aligned`)."""
+    return _door(a, b, mask, aligned=True, **kw)
+
+
+def _door(a, b, mask, *, algo="msa", phases=None, complement=False, semiring=PLUS_TIMES,
+          impl="auto", counter=None, b_csc=None, backend=None, aligned=False):
     if impl not in ("fast", "reference", "auto"):
         raise ValueError("impl must be 'fast', 'reference' or 'auto'")
     key = algo_key(algo)
@@ -176,6 +190,7 @@ def masked_spgemm(
         return _execute(
             pl, a, b, mask,
             semiring=semiring, impl=impl, counter=counter, b_csc=b_csc,
+            aligned=aligned,
         )
     # a forced algorithm with no backend has nothing to plan
     from ..engine.plan import check_phases
@@ -190,4 +205,5 @@ def masked_spgemm(
         algo=key, phases=1 if phases is None else phases,
         complement=complement, semiring=semiring, impl=impl,
         counter=counter, b_csc=b_csc, nthreads=kernel_threads(a, b),
+        aligned=aligned,
     )

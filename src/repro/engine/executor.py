@@ -26,7 +26,7 @@ from typing import Optional
 
 import numpy as np
 
-from ..core.leaf import check_operands, run_kernel
+from ..core.leaf import align, check_operands, run_kernel
 from ..machine import OpCounter, flops_per_row
 from ..observe import tracer as _obs
 from ..parallel import pool as _pool
@@ -101,12 +101,13 @@ def execute(
     )
 
 
-def _execute(plan, a, b, mask, *, semiring, impl, counter, b_csc) -> CSR:
+def _execute(plan, a, b, mask, *, semiring, impl, counter, b_csc, aligned=False):
     """:func:`execute` past its checks: a validated plan (a planner's own,
-    which the front door runs without ``validate()``) for these operands."""
+    which the front door runs without ``validate()``) for these operands;
+    ``aligned``: :func:`~repro.core.leaf.run_aligned`'s values."""
     backend = plan.backend
     if a.nrows == 0:
-        return CSR.empty(plan.shape)
+        return np.zeros(0) if aligned else CSR.empty(plan.shape)
 
     if backend == "process":
         backend = _preflight_process_backend(plan, semiring)
@@ -148,16 +149,17 @@ def _execute(plan, a, b, mask, *, semiring, impl, counter, b_csc) -> CSR:
                 algo=band.algo, phases=plan.phases,
                 complement=plan.complement, semiring=semiring, impl=impl,
                 counter=counter, b_csc=b_csc,
-                nthreads=min(nthreads, a.nrows),
+                nthreads=min(nthreads, a.nrows), aligned=aligned,
             )
         if band.algo == "inner" and b_csc is None:
             # built here, on the plan's threads (its workers wait)
             b_csc = CSC(b.shape, b._transpose(plan.threads))
-        return _run_on_pool(
+        c = _run_on_pool(
             plan, band, a, b, mask, parts,
             semiring=semiring, impl=impl, counter=counter, b_csc=b_csc,
             trace=tr is not None,
         )
+        return align(mask, c) if aligned else c
 
 
 def _row_parts(a, b, threads: int) -> list:

@@ -121,16 +121,19 @@ def panelled(a, b, m, width, **kw):
 
 
 def shards_every_product(monkeypatch, app: str, shards) -> None:
-    """Pass the kept ``shards=`` spelling to every masked product the app
-    module ``repro.apps.<app>`` makes (it selects nothing: an app takes
-    only a ``backend=``)."""
-    import functools
+    """Run every masked product the app module ``repro.apps.<app>`` reads at
+    its mask's entries (``masked_values``) as ``masked_spgemm`` with the
+    kept ``shards=`` spelling (it selects nothing: an app takes only a
+    ``backend=``), scattered at the mask's entries by ``align``."""
     import importlib
 
     from repro.core import masked_spgemm
+    from repro.core.leaf import align
 
-    module = importlib.import_module(f"repro.apps.{app}")
-    monkeypatch.setattr(module, "masked_spgemm", functools.partial(masked_spgemm, shards=shards))
+    def product(a, b, mask, **kw):
+        return align(mask, masked_spgemm(a, b, mask, shards=shards, **kw))
+
+    monkeypatch.setattr(importlib.import_module(f"repro.apps.{app}"), "masked_values", product)
 
 
 def row_split(partition, a, b, m, algo=None, threads=2):

@@ -28,6 +28,13 @@ Three consumers:
   reference tier, and every ``nthreads`` case against its ``nthreads=1``
   twin (:func:`thread_axis_findings`, which ``--digest`` also prints).
 
+The alignment axis (:func:`alignment_findings`, which ``--digest`` runs on
+the digested cases and tier-1 on the ``kernel`` door's) is checked within
+one tree: each plain-mask call's values at the mask's entries
+(``masked_values`` / ``run_aligned``) against its CSR product scattered
+there (``align``), with the same counters.  It is not in the digest, so a
+parent without the seam digests as before.
+
 The factorial is full where the axes interact (serial spellings; planned
 dispatch: backend x threads) and one axis at a time elsewhere,
 ~3k calls per tier (see :func:`cases`).
@@ -186,16 +193,18 @@ def _row_split_edges(a, b, m):
 ADVERSARIAL = {name: (a, b, m) for name, a, b, m in _adversarial()}
 
 
-def repeated_column_mask(mask: CSR) -> CSR:
+def repeated_column_mask(mask: CSR, backwards: bool = True) -> CSR:
     """``mask`` with its first rows replaced by rows that a ``check=False``
     CSR may hold under a sorted claim: a column repeated ``ncols - 1`` times,
     every column backwards, a run ascending by two, one column twice, and an
     empty row.  Counted as distinct, the first row would leave one column
     open to a complemented product that touches many; the 1P bound must not
-    believe it.  Not a lattice set: it runs where the bound is tested."""
+    believe it.  Not a lattice set: it runs where the bound is tested, and
+    (``backwards=False``: no backwards row, which ``locate``'s ascending walk
+    cannot place a value in) on the alignment axis."""
     n = mask.ncols
-    rows = [np.zeros(n - 1, dtype=np.int64), np.arange(n)[::-1], np.arange(0, n, 2),
-            np.array([5 % n, 5 % n]), np.empty(0, dtype=np.int64)]
+    rows = [np.zeros(n - 1, dtype=np.int64), *([np.arange(n)[::-1]] if backwards else []),
+            np.arange(0, n, 2), np.array([5 % n, 5 % n]), np.empty(0, dtype=np.int64)]
     rows += [mask.indices[lo:hi] for lo, hi in zip(mask.indptr[len(rows):-1],
                                                    mask.indptr[len(rows) + 1:])]
     indptr = np.cumsum([0] + [len(r) for r in rows])
@@ -256,6 +265,15 @@ def excepted(call_id: str, what: str) -> bool:
     return any(
         what == name and re.search(pattern, call_id) for name, pattern, _ in EXCEPTIONS
     )
+
+
+#: the alignment axis runs every plain-mask set and a ``check=False`` mask
+#: whose rows repeat a column (its first entry takes the value, as ``locate``
+#: finds it)
+ALIGNMENT_OPERANDS = dict(OPERANDS)
+ALIGNMENT_OPERANDS["repeated-column"] = (
+    *ADVERSARIAL["dense-out"][:2], repeated_column_mask(ADVERSARIAL["dense-out"][2], False),
+    PLUS_TIMES)
 
 
 class Case(NamedTuple):
@@ -334,14 +352,15 @@ def sample(n: Optional[int]) -> List[Case]:
 # ----------------------------------------------------------------------
 # running a case
 # ----------------------------------------------------------------------
-def execute(case: Case):
-    """Run one case: ``(call id, CSR | Exception, OpCounter)`` (a call that
-    raises records the error)."""
-    a, b, m, semiring = OPERANDS[case.operands]
+def execute(case: Case, door=None):
+    """Run one case (through ``door`` in place of the case's own): ``(call id,
+    CSR | Exception, OpCounter)`` (a call that raises records the error)."""
+    a, b, m, semiring = ALIGNMENT_OPERANDS[case.operands]
     options = dict(case.options)
     counter = OpCounter()
     try:
-        out = DOORS[case.door](a, b, m, semiring=semiring, counter=counter, **options)
+        out = (door or DOORS[case.door])(a, b, m, semiring=semiring, counter=counter,
+                                        **options)
     except Exception as err:  # recorded, compared like any other outcome
         out = err
     return case.id, out, counter
@@ -386,6 +405,47 @@ def thread_axis_findings(records: Dict[str, dict]) -> List[str]:
             twin = call_id.replace(k.group(0), "nthreads=1")
             if records.get(twin) != rec:
                 findings.append(f"{call_id}: {rec} != {twin}: {records.get(twin)}")
+    return findings
+
+
+def alignment_cases(chosen: List[Case]) -> List[Case]:
+    """The plain-mask cases of ``chosen`` that have an aligned twin (the
+    ``masked_spgemm`` and ``kernel`` doors), and every ``kernel`` case on the
+    repeated-column mask."""
+    repeated = [Case("kernel", "repeated-column", (("algo", algo), ("complement", False),
+                                                    ("phases", phases), ("nthreads", k)))
+                for (algo, comp), phases, k in product(KERNEL_CALLS, PHASES, NTHREADS)
+                if not comp]
+    return [case for case in chosen if case.door in ("masked_spgemm", "kernel")
+            and not dict(case.options)["complement"]] + repeated
+
+
+def alignment_findings(cases: List[Case], tiers=TIERS) -> Optional[List[str]]:
+    """One line per case whose aligned values (``masked_values`` for the
+    front door, ``run_aligned`` for the leaf) differ from its CSR product
+    scattered at the mask's entries (``align``), in bytes, error text or
+    counters; ``None`` in a tree without the seam."""
+    try:
+        from repro.core.leaf import align, run_aligned
+        from repro.core.masked_spgemm import masked_values
+    except ImportError:
+        return None
+    aligned = {"masked_spgemm": masked_values, "kernel": run_aligned}
+    findings = []
+    for tier in tiers:
+        with tier_scope(tier):
+            for case in cases:
+                m = ALIGNMENT_OPERANDS[case.operands][2]
+                _, csr, want_counter = execute(case)
+                call_id, got, counter = execute(case._replace(options=tuple(
+                    (k, v) for k, v in case.options if k != "complement")), aligned[case.door])
+                want = csr if isinstance(csr, Exception) else align(m, csr)
+                same = (f"{type(got).__name__}: {got}" == f"{type(want).__name__}: {want}"
+                        if isinstance(want, Exception) else
+                        isinstance(got, np.ndarray) and got.tobytes() == want.tobytes())
+                if not same or counter.as_dict() != want_counter.as_dict():
+                    findings.append(f"{tier}/{call_id}: {got!r} != {want!r} "
+                                    f"({counter.as_dict()} / {want_counter.as_dict()})")
     return findings
 
 
@@ -450,7 +510,14 @@ def main(argv=None) -> int:
         print(f"{len(records)} calls ({errors} raised) -> {args.digest}")
         threads = thread_axis_findings(records)
         print("\n".join(threads + [f"{len(threads)} nthreads calls differ from nthreads=1"]))
-        return 1 if threads else 0
+        chosen = alignment_cases(sample(args.sample))
+        aligned = alignment_findings(chosen)
+        if aligned is None:
+            print("no aligned-values seam in this tree: no alignment axis")
+        else:
+            print("\n".join(aligned + [f"{len(aligned)} of {len(chosen)} aligned calls per tier "
+                                       "differ from the scattered CSR product"]))
+        return 1 if threads or aligned else 0
     docs = []
     for path in args.compare:
         with open(path) as fh:

@@ -380,6 +380,60 @@ class TestKTrussDecrement:
         assert [m.nnz for _, _, m, _ in full] == ref.edges_per_iter
         assert all(a is b is m for a, b, m, _ in full)
 
+    @pytest.mark.parametrize("name", ["rmat10", "rmat12", "er2048"])
+    def test_flops_are_the_products_total_flops(self, name):
+        """Every operand is a symmetric pattern, so a product's flops are the
+        dot product of its operands' degree vectors: ``flops_per_iter`` is
+        each round's ``total_flops`` sum, round by round."""
+        g = {"rmat10": lambda: rmat(10, seed=1), "rmat12": lambda: rmat(12, seed=1),
+             "er2048": lambda: erdos_renyi(2048, 2048, 64, seed=2)}[name]()
+        log = []
+        got = ktruss(g, 5, call_log=log)
+        rounds = {}  # a round's products share its mask, the round's adjacency
+        for a, b, m, _ in log:
+            rounds[id(m)] = rounds.get(id(m), 0) + total_flops(a, b)
+        assert got.flops_per_iter == list(rounds.values())
+        assert got.flops == sum(total_flops(a, b) for a, b, _, _ in log)
+
+    @pytest.mark.parametrize("claim", [True, False], ids=["sorted-claim", "unsorted"])
+    @pytest.mark.parametrize("bad", [64, 69])
+    def test_out_of_range_adjacency_raises_as_before(self, claim, bad):
+        """A ``check=False`` adjacency with a column past ``n`` is the error
+        it always was: symmetrising it finds it, before the one range check
+        and before any product (a negative column is below the diagonal,
+        which the upper triangle drops)."""
+        g = rmat(6, seed=1)
+        indices = g.indices.copy()
+        indices[3] = bad
+        liar = CSR(g.shape, g.indptr, indices, g.data, sorted_indices=claim, check=False)
+        with pytest.raises(ValueError, match="^row index out of range$" if claim
+                           else "^column index out of range$"):
+            ktruss(liar, 4)
+
+    @pytest.mark.parametrize("delta", ["auto", "force", None])
+    def test_operands_are_checked_once_per_call_and_again_outside(self, delta, monkeypatch):
+        """Inside the call only the symmetrised adjacency is range-checked:
+        every ``kept`` / ``removed`` operand is a filter of it.  The trust
+        ends with the call: each operand of its ``call_log``, handed back to
+        ``masked_spgemm``, is checked again."""
+        from repro.core.kernels import native
+
+        from .conftest import NativeSpy
+
+        if native.load() is None:
+            pytest.skip("no C compiler")
+        g = rmat(9, seed=1)
+        spy = NativeSpy(native.load())
+        monkeypatch.setattr(native, "_lib", spy)
+        log = []
+        got = ktruss(g, 5, call_log=log, delta=delta)
+        assert got.iterations >= 3 and spy.calls.count("repro_check") == 1
+        assert native._trusted.get() is None
+        for a, b, m, _ in log:
+            spy.calls.clear()
+            masked_spgemm(a, b, m, algo="msa", semiring=PLUS_PAIR)
+            assert spy.calls.count("repro_check") == len({id(a), id(b), id(m)})
+
     @pytest.mark.parametrize("delta", [0.5, 1, 0, "bogus", False])
     def test_numeric_delta_raises(self, graph, delta):
         with pytest.raises(ValueError, match="delta must be"):

@@ -208,14 +208,18 @@ class TestProcessBackendInternals:
 
 
 def _assert_dispatch(run, cells, backend: str) -> None:
-    """A forced ``process`` plan dispatches >= 2 work items to >= 2 pool
-    workers; a forced ``thread`` one runs in-process as one kernel call,
-    ``thread`` exactly when its plan records more than one thread."""
+    """A forced ``process`` plan dispatches >= 2 work items to the pool, each
+    run by a pool worker and none in the caller (which worker takes which
+    item is the pool's scheduling: one may take both); a forced ``thread``
+    one runs in-process as one kernel call, ``thread`` exactly when its plan
+    records more than one thread."""
     plan = run.attrs["plan"]
     assert run.attrs["backend"] == plan["backend"]
     if backend == "process":
         assert plan["backend"] == "process"
-        assert len(cells) >= 2 and len({sp.pid for sp in cells}) >= 2
+        workers = set(pool.pool_pids())
+        assert len(cells) >= 2 and all(sp.pid in workers for sp in cells)
+        assert os.getpid() not in {sp.pid for sp in cells}
     else:
         assert (plan["backend"] == "thread") == (plan["threads"] > 1)
         assert not cells

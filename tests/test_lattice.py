@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from repro.core import masked_spgemm
+from repro.core.leaf import run_aligned
 from repro.machine import OpCounter
 
 from . import lattice
@@ -149,3 +150,29 @@ def test_in_kernel_threads_change_nothing():
     more = [one.replace("nthreads=1", f"nthreads={k}") for k in lattice.NTHREADS[1:]]
     assert lattice.thread_axis_findings(dict(records, **{one: {"csr": "x"}})) == [
         f"{k}: {records[k]} != {one}: {{'csr': 'x'}}" for k in more]
+
+
+def test_aligned_values_are_the_scattered_product():
+    """The alignment axis: every plain-mask ``kernel`` case (``msa`` and
+    ``inner`` at ``nthreads`` 1 / 2 / 4, 1P and 2P) and the sample's
+    plain-mask front-door cases, on both tiers, read at the mask's entries
+    (``run_aligned`` / ``masked_values``) are their CSR products scattered
+    there: the same bytes, errors and counters.  On the repeated-column mask
+    the first entry of a column takes its value; ``inner``'s 2P
+    cross-check compares the aligned hits with the symbolic total there and
+    raises, as the CSR call does."""
+    kernel = [case for case in lattice.cases() if case.door == "kernel"]
+    front = [case for case in lattice.sample(SAMPLE) if case.door == "masked_spgemm"]
+    cases = lattice.alignment_cases(kernel + front)
+    assert {case.operands for case in cases} == set(lattice.ALIGNMENT_OPERANDS)
+    assert {dict(case.options).get("nthreads") for case in cases} == {None, *lattice.NTHREADS}
+    assert lattice.alignment_findings(cases) == []
+    (case,) = [case for case in cases if case.operands == "repeated-column" and dict(
+        case.options) == dict(algo="inner", complement=False, phases=2, nthreads=1)]
+    _, got, _ = lattice.execute(case._replace(options=case.options[:1] + case.options[2:]),
+                                door=run_aligned)
+    assert "symbolic/numeric mismatch" in str(got)
+    a, b, m, _ = lattice.ALIGNMENT_OPERANDS["repeated-column"]
+    values = run_aligned(a, b, m, algo="msa")
+    # row 0 repeats column 0: only its first entry holds the product
+    assert values[0] != 0 and not values[1:m.indptr[1]].any()

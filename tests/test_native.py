@@ -260,6 +260,40 @@ class TestThreads:
         else:  # the repeated column is one entry
             assert out.indptr[1] == 1 and out.indices[0] == 0
 
+    @pytest.mark.parametrize("name", ["hub-hits", "repeated-column", "hub-row"])
+    @pytest.mark.parametrize("algo,semiring", [("msa", PLUS_PAIR), ("msa", PLUS_TIMES),
+                                               ("inner", PLUS_TIMES)],
+                             ids=["count-cell", "two-step", "inner"])
+    def test_aligned_rows_threads(self, monkeypatch, name, algo, semiring):
+        """The aligned output (``run_aligned``: each row's values at its mask
+        rows' offsets, no columns, nothing compacted) of the count cell, the
+        two-step row and ``inner`` is the NumPy body's CSR scattered at the
+        mask's entries, with its counters, at 1, 2 and 4 threads, under 1P
+        and 2P -- hub rows, all-miss mask rows, a ``check=False`` mask that
+        repeats a column (its first entry takes the value); one C call each,
+        handed no column array."""
+        from repro.core.leaf import run_aligned
+
+        from .lattice import ALIGNMENT_OPERANDS
+
+        a, b, m = (_pair_count_operands() if name == "hub-hits"
+                   else ALIGNMENT_OPERANDS[name][:3])
+        loop, cj = {"msa": ("repro_msa", 16), "inner": ("repro_inner", 14)}[algo]
+        # inner's 2P cross-check refuses a repeated column (two hits, one count)
+        for phases in (1,) if algo == "inner" and name == "repeated-column" else (1, 2):
+            kw = dict(algo=algo, semiring=semiring, phases=phases)
+            with native.disabled():
+                c = OpCounter()
+                want = (run_aligned(a, b, m, counter=c, **kw).tobytes(), c.as_dict())
+            for k in (1, 2, 4):
+                spy = NativeSpy(native.load())
+                monkeypatch.setattr(native, "_lib", spy)
+                c = OpCounter()
+                got = run_aligned(a, b, m, counter=c, nthreads=k, **kw).tobytes()
+                assert (got, c.as_dict()) == want, (phases, k)
+                (args,) = [args for called, args in spy.args if called == loop]
+                assert args[cj] is None and args[-1 if algo == "msa" else 3] == k
+
     def test_complemented_msa_threads(self, monkeypatch):
         a, b, m = OPERANDS["hub-row"]
         spy = NativeSpy(native.load())
@@ -718,9 +752,11 @@ class TestLoader:
         writes far more entries than the mask holds) and at 4
         (``fewer-rows-than-threads``); the row merges, the pattern union too;
         the complemented bound on a mask whose rows repeat a column or
-        run backwards, at 1 and 2 threads; and PLUS_PAIR's count cell (int32
+        run backwards, at 1 and 2 threads; PLUS_PAIR's count cell (int32
         cells over the values slice) on every set, that mask and hub rows,
-        at 1 and 2 threads."""
+        at 1 and 2 threads; and the aligned output (each row at its mask
+        offsets: the count cell, the two-step row and ``inner``) on every
+        set and a mask that repeats a column, at 1 and 2 threads."""
         libasan = subprocess.run([native._target()[0], "-print-file-name=libasan.so"],
                                  capture_output=True, text=True).stdout.strip()
         if not os.path.isabs(libasan):
@@ -829,6 +865,17 @@ class TestLoader:
             "        got = run_kernel(a, b, m, nthreads=k, **kw)\n"
             "        assert all(getattr(got, f).tobytes() == getattr(want, f).tobytes()\n"
             "                   for f in fields), (name, k)\n"
+            "from repro.core.leaf import align, run_aligned\n"
+            "from repro.semiring import PLUS_TIMES\n"
+            "from tests.lattice import ALIGNMENT_OPERANDS\n"
+            "sets = dict(ADVERSARIAL, repeated=ALIGNMENT_OPERANDS['repeated-column'][:3])\n"
+            "for name, (a, b, m) in sets.items():  # the aligned output, rows at mask offsets\n"
+            "    for algo, sr in (('msa', PLUS_PAIR), ('msa', PLUS_TIMES), ('inner', PLUS_TIMES)):\n"
+            "        want = align(m, run_kernel(a, b, m, algo=algo, semiring=sr))\n"
+            "        for k in (1, 2):\n"
+            "            clear_arena()\n"
+            "            got = run_aligned(a, b, m, algo=algo, semiring=sr, nthreads=k)\n"
+            "            assert got.tobytes() == want.tobytes(), (name, algo, sr.name, k)\n"
         )
         done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
         assert done.returncode == 0, done.stderr[-3000:]
