@@ -180,10 +180,13 @@ def ktruss(
 
 def _sym(upper: CSR, backend: Optional[str] = None) -> CSR:
     """``upper + upper^T`` as a pattern: its transpose (ordered on ``backend``'s
-    threads) merged with it, after the call's one range check of ``upper``."""
+    threads) merged with it, after the call's one range check of ``upper``
+    (rebuilt from its coordinates first where a sorted claim lies)."""
     if upper.nnz and upper.indices.max() >= upper.ncols:  # from_coo's error for (j, i)
         raise ValueError("row index out of range")
     native.validate(native.load(), (upper,), True)
+    if not upper._rows_increase():
+        upper = CSR._from_coo(upper.shape, *upper.to_coo(), backend=backend)
     lower = upper._transpose(backend=backend)
     native.trust(upper, lower)
     return pattern_union(lower, upper)

@@ -113,7 +113,7 @@ def masked_spgemm_msa_fast(
     native loop checks its rows against them; both raise on a mismatch.
     ``nthreads``: threads of the native loop and of the operands' ordering,
     where one is unsorted (the same bytes and counters at any count).
-    ``aligned``: the native loop's ``(values, hits)`` (:func:`~repro.core.leaf.run_aligned`).
+    ``aligned``: the native loop's ``(values, hits)`` (``run_kernel(aligned=True)``).
     """
     a, b, mask = (x._sort_indices(nthreads) for x in (a, b, mask))
     nat = _native.kernels(semiring, a.data, b.data)

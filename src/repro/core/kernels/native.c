@@ -748,7 +748,7 @@ INLINE i64 msa_rows(const int op, const int complement, const int aligned,
             off[i] = b;
         nnz += b;
     }
-    if (nnz > cap) {
+    if ((aligned ? mp[nrows] : nnz) > cap) { /* aligned: the mask's slots */
         free(off);
         return -2;
     }

@@ -3,7 +3,7 @@
 :func:`run_kernel` is what the front door (:func:`repro.core.masked_spgemm`
 with a forced ``algo=``) and every engine work item
 (:func:`repro.parallel.pool.run_task`) run once validation, machine
-resolution and planning are behind them (:func:`run_aligned`: its values at
+resolution and planning are behind them (``aligned=True``: its values at
 the mask's entries).  The algorithm
 table and the checks the public entry points share live here too, so
 ``repro.engine`` and ``repro.parallel`` import this module and never the
@@ -125,7 +125,8 @@ def run_kernel(
     the numeric result against the symbolic count.  ``nthreads`` (the
     caller's :func:`kernel_threads`) reaches the native ``msa`` / ``inner``
     row loops and the symbolic pass; bytes and counters do not depend on it.
-    ``aligned``: :func:`run_aligned`'s values instead of the CSR."""
+    ``aligned`` (plain mask): the values at the mask's entries, written by the
+    native ``msa`` / ``inner`` loops, else :func:`align` of the CSR product."""
     use_fast = impl == "fast" or (impl == "auto" and algo in _FAST)
     if use_fast and algo not in _FAST:
         raise ValueError(
@@ -188,14 +189,6 @@ def run_kernel(
             f"nonzeros, numeric produced {hits}"
         )
     return align(mask, c) if aligned and isinstance(c, CSR) else c
-
-
-def run_aligned(a: CSR, b: CSR, mask: CSR, **kw) -> np.ndarray:
-    """:func:`run_kernel` (its keywords and counters) as ``nnz(M)`` float64
-    values at the mask's entries (``mask.sort_indices()``'s), 0.0 where no
-    product landed: written by the native ``msa`` / ``inner`` loops under a
-    plain mask, else :func:`align` of the CSR product (its byte reference)."""
-    return run_kernel(a, b, mask, aligned=True, **kw)
 
 
 def align(mask: CSR, c: CSR) -> np.ndarray:

@@ -164,8 +164,11 @@ def masked_spgemm(
 
 
 def masked_values(a: CSR, b: CSR, mask: CSR, **kw):
-    """:func:`masked_spgemm` (planned and counted alike) as the values at the
-    mask's entries (:func:`repro.core.leaf.run_aligned`)."""
+    """:func:`masked_spgemm` under a plain mask (planned and counted alike) as
+    the values at the mask's entries (``run_kernel(aligned=True)``)."""
+    if kw.get("complement"):
+        raise ValueError("masked_values reads a plain mask's entries; "
+                         "a complemented product has none")
     return _door(a, b, mask, aligned=True, **kw)
 
 

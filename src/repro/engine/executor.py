@@ -104,7 +104,7 @@ def execute(
 def _execute(plan, a, b, mask, *, semiring, impl, counter, b_csc, aligned=False):
     """:func:`execute` past its checks: a validated plan (a planner's own,
     which the front door runs without ``validate()``) for these operands;
-    ``aligned``: :func:`~repro.core.leaf.run_aligned`'s values."""
+    ``aligned``: ``run_kernel(aligned=True)``'s values."""
     backend = plan.backend
     if a.nrows == 0:
         return np.zeros(0) if aligned else CSR.empty(plan.shape)

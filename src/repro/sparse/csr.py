@@ -372,14 +372,18 @@ class CSR:
         if self.indices.shape[0] != nnz or self.data.shape[0] != nnz:
             raise ValueError("indices/data length mismatch with indptr")
         self._check_columns()
-        if self.sorted_indices and nnz:
-            d = np.diff(self.indices)
-            starts = self.indptr[1:-1]
-            bad = d <= 0
-            bad[starts[(starts > 0) & (starts < nnz)] - 1] = False
-            if bad.any():
-                raise ValueError("indices not strictly increasing within rows")
+        if self.sorted_indices and not self._rows_increase():
+            raise ValueError("indices not strictly increasing within rows")
         return self
+
+    def _rows_increase(self) -> bool:
+        """Whether each row's stored columns strictly increase (what a sorted
+        claim promises; ``indptr`` must already be well formed)."""
+        nnz = self.indices.shape[0]
+        bad = np.diff(self.indices) <= 0
+        starts = self.indptr[1:-1]
+        bad[starts[(starts > 0) & (starts < nnz)] - 1] = False
+        return not bad.any()
 
     def _check_columns(self) -> None:
         """``ValueError`` unless every stored column index is in ``[0, ncols)``

@@ -31,8 +31,8 @@ Three consumers:
 The alignment axis (:func:`alignment_findings`, which ``--digest`` runs on
 the digested cases and tier-1 on the ``kernel`` door's) is checked within
 one tree: each plain-mask call's values at the mask's entries
-(``masked_values`` / ``run_aligned``) against its CSR product scattered
-there (``align``), with the same counters.  It is not in the digest, so a
+(``masked_values`` / ``run_kernel(aligned=True)``) against its CSR
+product scattered there (``align``), with the same counters.  It is not in the digest, so a
 parent without the seam digests as before.
 
 The factorial is full where the axes interact (serial spellings; planned
@@ -44,6 +44,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import hashlib
 import json
 import re
@@ -422,15 +423,16 @@ def alignment_cases(chosen: List[Case]) -> List[Case]:
 
 def alignment_findings(cases: List[Case], tiers=TIERS) -> Optional[List[str]]:
     """One line per case whose aligned values (``masked_values`` for the
-    front door, ``run_aligned`` for the leaf) differ from its CSR product
-    scattered at the mask's entries (``align``), in bytes, error text or
-    counters; ``None`` in a tree without the seam."""
+    front door, ``run_kernel(aligned=True)`` for the leaf) differ from its
+    CSR product scattered at the mask's entries (``align``), in bytes, error
+    text or counters; ``None`` in a tree without the seam."""
     try:
-        from repro.core.leaf import align, run_aligned
+        from repro.core.leaf import align
         from repro.core.masked_spgemm import masked_values
     except ImportError:
         return None
-    aligned = {"masked_spgemm": masked_values, "kernel": run_aligned}
+    aligned = {"masked_spgemm": masked_values,
+               "kernel": functools.partial(run_kernel, aligned=True)}
     findings = []
     for tier in tiers:
         with tier_scope(tier):

@@ -395,6 +395,32 @@ class TestKTrussDecrement:
         assert got.flops_per_iter == list(rounds.values())
         assert got.flops == sum(total_flops(a, b) for a, b, _, _ in log)
 
+    @pytest.mark.parametrize("lie", ["repeat", "swap"])
+    def test_sorted_claim_liar_is_its_canonical_graph(self, lie):
+        """A ``check=False`` adjacency that claims sorted rows but repeats a
+        column or runs one backwards is the truss of the same edges: its
+        upper triangle is rebuilt from its coordinates before it is
+        symmetrised and trusted."""
+        g = rmat(7, seed=1)
+        i = next(r for r in range(g.nrows)
+                 if (g.indices[g.indptr[r]:g.indptr[r + 1]] > r).sum() >= 2)
+        at = g.indptr[i + 1] - 2  # the row's last two entries, both above the diagonal
+        if lie == "repeat":
+            indptr = g.indptr + (np.arange(g.nrows + 1) > i)
+            indices = np.insert(g.indices, at + 1, g.indices[at])
+        else:
+            indptr, indices = g.indptr, g.indices.copy()
+            indices[at:at + 2] = indices[at:at + 2][::-1].copy()
+        liar = CSR(g.shape, indptr, indices, np.ones(indices.shape[0]),
+                   sorted_indices=True, check=False)
+        for delta in ("auto", None):
+            got, ref = ktruss(liar, 4, delta=delta), ktruss(g, 4, delta=delta)
+            assert (got.iterations, got.edges_per_iter, got.flops_per_iter) == (
+                ref.iterations, ref.edges_per_iter, ref.flops_per_iter)
+            assert got.support.tobytes() == ref.support.tobytes()
+            for x, y in zip(got.truss.segment_arrays(), ref.truss.segment_arrays()):
+                assert x.tobytes() == y.tobytes()
+
     @pytest.mark.parametrize("claim", [True, False], ids=["sorted-claim", "unsorted"])
     @pytest.mark.parametrize("bad", [64, 69])
     def test_out_of_range_adjacency_raises_as_before(self, claim, bad):

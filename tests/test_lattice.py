@@ -8,13 +8,15 @@ column-ascending.  The full factorial and the parent-vs-change comparison
 are ``python -m tests.lattice`` (CONTRIBUTING.md).
 """
 
+import functools
 import re
 
 import numpy as np
 import pytest
 
 from repro.core import masked_spgemm
-from repro.core.leaf import run_aligned
+from repro.core.leaf import run_kernel
+from repro.core.masked_spgemm import masked_values
 from repro.machine import OpCounter
 
 from . import lattice
@@ -156,8 +158,8 @@ def test_aligned_values_are_the_scattered_product():
     """The alignment axis: every plain-mask ``kernel`` case (``msa`` and
     ``inner`` at ``nthreads`` 1 / 2 / 4, 1P and 2P) and the sample's
     plain-mask front-door cases, on both tiers, read at the mask's entries
-    (``run_aligned`` / ``masked_values``) are their CSR products scattered
-    there: the same bytes, errors and counters.  On the repeated-column mask
+    (``run_kernel(aligned=True)`` / ``masked_values``) are their CSR
+    products scattered there: the same bytes, errors and counters.  On the repeated-column mask
     the first entry of a column takes its value; ``inner``'s 2P
     cross-check compares the aligned hits with the symbolic total there and
     raises, as the CSR call does."""
@@ -170,9 +172,18 @@ def test_aligned_values_are_the_scattered_product():
     (case,) = [case for case in cases if case.operands == "repeated-column" and dict(
         case.options) == dict(algo="inner", complement=False, phases=2, nthreads=1)]
     _, got, _ = lattice.execute(case._replace(options=case.options[:1] + case.options[2:]),
-                                door=run_aligned)
+                                door=functools.partial(run_kernel, aligned=True))
     assert "symbolic/numeric mismatch" in str(got)
     a, b, m, _ = lattice.ALIGNMENT_OPERANDS["repeated-column"]
-    values = run_aligned(a, b, m, algo="msa")
+    values = run_kernel(a, b, m, algo="msa", aligned=True)
     # row 0 repeats column 0: only its first entry holds the product
     assert values[0] != 0 and not values[1:m.indptr[1]].any()
+
+
+def test_aligned_values_refuse_a_complemented_mask():
+    """A complemented product has no value at a mask entry: ``masked_values``
+    refuses it instead of returning zeros."""
+    a, b, m, _ = lattice.OPERANDS["rmat-10-tc"]
+    for algo in ("msa", "auto"):
+        with pytest.raises(ValueError, match="complemented product has none"):
+            masked_values(a, b, m, algo=algo, complement=True)

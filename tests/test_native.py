@@ -265,15 +265,13 @@ class TestThreads:
                                                ("inner", PLUS_TIMES)],
                              ids=["count-cell", "two-step", "inner"])
     def test_aligned_rows_threads(self, monkeypatch, name, algo, semiring):
-        """The aligned output (``run_aligned``: each row's values at its mask
-        rows' offsets, no columns, nothing compacted) of the count cell, the
+        """The aligned output (``run_kernel(aligned=True)``: each row's values
+        at its mask rows' offsets, no columns, nothing compacted) of the count cell, the
         two-step row and ``inner`` is the NumPy body's CSR scattered at the
         mask's entries, with its counters, at 1, 2 and 4 threads, under 1P
         and 2P -- hub rows, all-miss mask rows, a ``check=False`` mask that
         repeats a column (its first entry takes the value); one C call each,
         handed no column array."""
-        from repro.core.leaf import run_aligned
-
         from .lattice import ALIGNMENT_OPERANDS
 
         a, b, m = (_pair_count_operands() if name == "hub-hits"
@@ -284,15 +282,33 @@ class TestThreads:
             kw = dict(algo=algo, semiring=semiring, phases=phases)
             with native.disabled():
                 c = OpCounter()
-                want = (run_aligned(a, b, m, counter=c, **kw).tobytes(), c.as_dict())
+                want = (run_kernel(a, b, m, counter=c, aligned=True, **kw).tobytes(),
+                        c.as_dict())
             for k in (1, 2, 4):
                 spy = NativeSpy(native.load())
                 monkeypatch.setattr(native, "_lib", spy)
                 c = OpCounter()
-                got = run_aligned(a, b, m, counter=c, nthreads=k, **kw).tobytes()
+                got = run_kernel(a, b, m, counter=c, nthreads=k, aligned=True,
+                                 **kw).tobytes()
                 assert (got, c.as_dict()) == want, (phases, k)
                 (args,) = [args for called, args in spy.args if called == loop]
                 assert args[cj] is None and args[-1 if algo == "msa" else 3] == k
+
+    def test_aligned_msa_refuses_a_short_output(self):
+        """Handed no column array, the MSA loop writes a value at every mask
+        slot: a capacity below ``nnz(M)`` is refused (-2) before any row is
+        written, whatever the wrapper checked, at 1 and 2 threads."""
+        a, b, m = (x.sort_indices() for x in OPERANDS["hub-row"])
+        lib, op = native.kernels(PLUS_TIMES, a.data, b.data)
+        n = b.ncols
+        state, val = np.zeros(2 * n, np.uint8), np.zeros(2 * n)
+        cp, cnt, cv = np.empty(a.nrows + 1, np.int64), np.zeros(2, np.int64), np.full(m.nnz, 7.0)
+        operands = [x.ctypes.data for x in (a.indptr, a.indices, a.data, b.indptr, b.indices,
+                                            b.data, m.indptr, m.indices, state, val)]
+        for k in (1, 2):
+            got = lib.repro_msa(op, 0, a.nrows, n, *operands, None, cp.ctypes.data, None,
+                                cv.ctypes.data, m.nnz - 1, cnt.ctypes.data, k)
+            assert got == -2 and (cv == 7.0).all() and not cnt.any()
 
     def test_complemented_msa_threads(self, monkeypatch):
         a, b, m = OPERANDS["hub-row"]
@@ -865,7 +881,7 @@ class TestLoader:
             "        got = run_kernel(a, b, m, nthreads=k, **kw)\n"
             "        assert all(getattr(got, f).tobytes() == getattr(want, f).tobytes()\n"
             "                   for f in fields), (name, k)\n"
-            "from repro.core.leaf import align, run_aligned\n"
+            "from repro.core.leaf import align\n"
             "from repro.semiring import PLUS_TIMES\n"
             "from tests.lattice import ALIGNMENT_OPERANDS\n"
             "sets = dict(ADVERSARIAL, repeated=ALIGNMENT_OPERANDS['repeated-column'][:3])\n"
@@ -874,7 +890,8 @@ class TestLoader:
             "        want = align(m, run_kernel(a, b, m, algo=algo, semiring=sr))\n"
             "        for k in (1, 2):\n"
             "            clear_arena()\n"
-            "            got = run_aligned(a, b, m, algo=algo, semiring=sr, nthreads=k)\n"
+            "            got = run_kernel(a, b, m, algo=algo, semiring=sr, nthreads=k,\n"
+            "                             aligned=True)\n"
             "            assert got.tobytes() == want.tobytes(), (name, algo, sr.name, k)\n"
         )
         done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
