@@ -26,12 +26,12 @@ sweep keeps one ``delta_d`` vector per level, aligned with ``frontier_d``'s
 stored entries (``w_d`` reuses its ``indptr`` / ``indices``), and reads
 ``t_d`` at ``frontier_{d-1}``'s entries, its mask's
 (:func:`repro.core.masked_spgemm.masked_values`).  ``numsp`` itself survives only as the
-forward sweep's mask, whose values no product reads: ``numsp += frontier``
-is one row merge of the two patterns that writes no value
-(:func:`~repro.sparse.ops.mask_union`).
+forward sweep's complemented mask: a bitmap each forward product reads and
+marks (:func:`repro.core.masked_spgemm.masked_visited`), so ``numsp +=
+frontier`` is no step of its own.
 
 The caller's ``a`` is range-checked once, at entry; every operand the call
-builds from it (``A``'s pattern, ``A^T``, ``numsp``, the frontiers, ``w``)
+builds from it (``A``'s pattern, ``A^T``, the frontiers, ``w``)
 is trusted inside the call and skips the kernels' range check
 (:func:`repro.core.kernels.native.trusted`), and nothing stays trusted once
 the call returns.
@@ -59,10 +59,9 @@ from ..machine import OpCounter
 from ..observe import timed_span
 from ..semiring import PLUS_TIMES
 from ..sparse import CSC, CSR
-from ..sparse.ops import mask_union
-from ..core import masked_spgemm
-from ..core.masked_spgemm import masked_values
+from ..core.masked_spgemm import masked_values, masked_visited
 from ..core.kernels import native
+from ..core.kernels.msa_kernel import Visited
 from ..core.leaf import algo_key, supports_complement
 from .bfs import source_array
 
@@ -167,10 +166,9 @@ def _betweenness_body(
         frontier = CSR.from_coo(
             (s, n), np.arange(s, dtype=np.int64), sources, np.ones(s)
         )
-        # numsp is only ever a mask: its values are never written or read
-        numsp = CSR(frontier.shape, frontier.indptr, frontier.indices, np.zeros(s),
-                    sorted_indices=True, check=False)
-        native.trust(a, a_t, a_t_csc.to_transposed_csr(), frontier, numsp)
+        # numsp is only ever a complemented mask: its pattern, as bits
+        numsp = Visited(frontier.shape, np.arange(s), sources)
+        native.trust(a, a_t, a_t_csc.to_transposed_csr(), frontier)
         frontiers: List[CSR] = [frontier]
         spgemm_time = 0.0
         forward_time = 0.0
@@ -180,16 +178,15 @@ def _betweenness_body(
         level = 0
         while frontier.nnz:
             if call_log is not None:
-                call_log.append((frontier, a, numsp, True))
+                call_log.append((frontier, a, numsp.csr(), True))
             level += 1
             with timed_span(
                 "bc.forward", {"depth": level, "frontier_nnz": frontier.nnz},
                 counter=counter,
             ) as sp_f:
-                frontier = masked_spgemm(
+                frontier = masked_visited(
                     frontier, a, numsp, algo=algo, impl=impl, phases=phases,
-                    complement=True, semiring=PLUS_TIMES, counter=counter,
-                    backend=backend,
+                    semiring=PLUS_TIMES, counter=counter, backend=backend,
                 )
             spgemm_time += sp_f.seconds
             forward_time += sp_f.seconds
@@ -197,8 +194,6 @@ def _betweenness_body(
                 break
             native.trust(frontier)
             frontiers.append(frontier)
-            numsp = mask_union(numsp, frontier)
-            native.trust(numsp)
 
         depth = len(frontiers) - 1
 

@@ -8,9 +8,9 @@ paper Section 1): each BFS level is
     frontier_{d+1} = !visited .* (frontier_d @ A)
 
 on the PLUS_PAIR semiring (any parent counts once — only reachability
-matters), and ``visited`` grows by one row merge of the two patterns
-(:func:`~repro.sparse.ops.mask_union`: the mask's values are never read, so
-none are written).  Returns the level of every vertex for every source.
+matters); ``visited`` is a bitmap each product reads and marks, as in BC
+(:func:`repro.core.masked_spgemm.masked_visited`), and ``a`` is checked
+once.  Returns the level of every vertex for every source.
 """
 
 from __future__ import annotations
@@ -23,8 +23,9 @@ import numpy as np
 from ..machine import OpCounter
 from ..semiring import PLUS_PAIR
 from ..sparse import CSR
-from ..sparse.ops import mask_union
-from ..core import masked_spgemm
+from ..core.kernels import native
+from ..core.kernels.msa_kernel import Visited
+from ..core.masked_spgemm import masked_visited
 
 __all__ = ["multi_source_bfs", "BFSResult"]
 
@@ -67,17 +68,18 @@ def multi_source_bfs(
     levels[np.arange(s), sources] = 0
 
     frontier = CSR.from_coo((s, n), np.arange(s, dtype=np.int64), sources, np.ones(s))
-    visited = frontier.copy()
+    visited = Visited(frontier.shape, np.arange(s), sources)
     d = 0
-    while frontier.nnz:
-        d += 1
-        frontier = masked_spgemm(
-            frontier, a, visited, algo=algo, impl=impl, complement=True,
-            semiring=PLUS_PAIR, counter=counter,
-        )
-        if frontier.nnz == 0:
-            d -= 1
-            break
-        levels[frontier.row_ids(), frontier.indices] = d
-        visited = mask_union(visited, frontier)
+    with native.trusted():
+        native.validate(native.load(), (a,), True)
+        native.trust(a, frontier)
+        while frontier.nnz:
+            d += 1
+            frontier = masked_visited(frontier, a, visited, algo=algo, impl=impl,
+                                      semiring=PLUS_PAIR, counter=counter)
+            if frontier.nnz == 0:
+                d -= 1
+                break
+            native.trust(frontier)
+            levels[frontier.row_ids(), frontier.indices] = d
     return BFSResult(levels=levels, sources=sources, depth=d)

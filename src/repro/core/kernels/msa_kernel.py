@@ -31,6 +31,43 @@ from .batch import Chunk, DenseRank, push_product
 
 __all__ = ["masked_spgemm_msa_fast"]
 
+
+class Visited:
+    """BC's and BFS's visited set, read only as a complemented mask: cell
+    ``(i, c)`` is bit ``c % 64`` of ``bits[i, c // 64]`` (``np.zeros``: pages no
+    row reaches stay unmapped), ``count[i]`` row ``i``'s set bits."""
+
+    def __init__(self, shape, rows, cols):
+        self.shape = shape
+        self.bits = np.zeros((shape[0], (shape[1] + 63) >> 6), dtype=np.uint64)
+        self.count = np.zeros(shape[0], dtype=np.int64)
+        self.mark(rows, cols)
+
+    nnz = property(lambda self: int(self.count.sum()))
+
+    def mark(self, rows, cols) -> None:
+        """Set the bits of the cells ``(rows, cols)``, none of them set yet."""
+        bit = np.left_shift(np.uint64(1), (cols & 63).astype(np.uint64))
+        np.bitwise_or.at(self.bits, (rows, cols >> 6), bit)
+        self.count += np.bincount(rows, minlength=self.shape[0])
+
+    def csr(self) -> CSR:
+        """The set bits as a canonical CSR valued 0.0 (no value is read)."""
+        cells = np.unpackbits(self.bits.astype("<u8").view(np.uint8), 1, bitorder="little")
+        cols = np.nonzero(cells[:, :self.shape[1]])[1]
+        return CSR(self.shape, np.concatenate(([0], np.cumsum(self.count))), cols,
+                   np.zeros(cols.shape[0]), sorted_indices=True, check=False)
+
+    def through(self, run) -> CSR:
+        """Every route but the native 1P MSA row (and its byte reference):
+        ``run`` (the ordinary complemented call) on :meth:`csr`, then marks."""
+        mask = self.csr()
+        _native.trust(mask)  # built here, from bits only this call wrote
+        c = run(mask)
+        self.mark(c.row_ids(), c.indices)
+        return c
+
+
 #: products per chunk / dense cells per chunk: temporaries of about 1 MB
 MSA_FLOP_BUDGET = 1 << 17
 MSA_DENSE_BUDGET = 1 << 20
@@ -45,18 +82,25 @@ def _msa_native(nat, a: CSR, b: CSR, mask: CSR, complement, counter, row_nnz,
     mask row counts as distinct only where its columns strictly increase, so the
     bound holds for a ``check=False`` mask too); values and counters are those of
     the NumPy body below.  ``row_nnz`` (2P) only cross-checks the rows written.
-    ``aligned`` (plain mask): ``(values at the mask's entries, hits)``."""
+    ``aligned`` (plain mask): ``(values at the mask's entries, hits)``; a
+    :class:`Visited` mask: its bits, read and marked, and counts as ``nnz(m_i)``."""
     lib, op = nat
     nrows, n = a.nrows, b.ncols
-    _native.validate(lib, (a, b, mask), a.ncols == b.nrows and mask.shape == (nrows, n))
+    visited, nm = isinstance(mask, Visited), mask.nnz  # nm: before the marks
+    _native.validate(lib, (a, b) if visited else (a, b, mask),
+                     a.ncols == b.nrows and mask.shape == (nrows, n))
     cnt = np.zeros(2, dtype=np.int64)  # flops, inserts
     indptr = np.empty(nrows + 1, dtype=np.int64)
-    cap = lib.repro_msa_bound(1, nrows, n, *(x.ctypes.data for x in (
-        a.indptr, a.indices, b.indptr, mask.indptr, mask.indices))) if complement else mask.nnz
+    # a bitmap is read (and marked) in place of the CSR mask's two arrays
+    arrays = (None, None, mask.bits, mask.count) if visited else (mask.indptr, mask.indices,
+                                                                  None, None)
+    mp, mj, vis, count = (None if x is None else x.ctypes.data for x in arrays)
+    cap = lib.repro_msa_bound(1, nrows, n, a.indptr.ctypes.data, a.indices.ctypes.data,
+                              b.indptr.ctypes.data, mp, mj, count) if complement else nm
     cols = None if aligned else np.empty(cap, dtype=np.int64)
     vals = np.empty(cap, dtype=np.float64)
     operands = [x.ctypes.data for x in (a.indptr, a.indices, a.data, b.indptr,
-                                        b.indices, b.data, mask.indptr, mask.indices)]
+                                        b.indices, b.data)] + [mp, mj]
     # the C loop restores every touched cell after each row: the leases'
     # cleanliness contract, as in the NumPy body; one slice of each per thread
     arena = get_arena()
@@ -69,7 +113,7 @@ def _msa_native(nat, a: CSR, b: CSR, mask: CSR, complement, counter, row_nnz,
                             state.require(nthreads * n).ctypes.data,
                             values.require(nthreads * n).ctypes.data, first_touches,
                             indptr.ctypes.data, cols if aligned else cols.ctypes.data,
-                            vals.ctypes.data, cap, cnt.ctypes.data, nthreads)
+                            vals.ctypes.data, cap, cnt.ctypes.data, vis, count, nthreads)
     if nnz < 0:
         raise AssertionError(f"native MSA loop refused the call (code {nnz})")
     flops, inserts = map(int, cnt)
@@ -80,7 +124,7 @@ def _msa_native(nat, a: CSR, b: CSR, mask: CSR, complement, counter, row_nnz,
         )
     if counter is not None:
         # every charge is a per-row sum: the whole call as one chunk
-        _charge(counter, SimpleNamespace(nm=mask.nnz, products=inserts, kept=flops,
+        _charge(counter, SimpleNamespace(nm=nm, products=inserts, kept=flops,
                                          out=nnz, complement=complement))
         counter.output_nnz += nnz
     if aligned:
@@ -115,7 +159,8 @@ def masked_spgemm_msa_fast(
     where one is unsorted (the same bytes and counters at any count).
     ``aligned``: the native loop's ``(values, hits)`` (``run_kernel(aligned=True)``).
     """
-    a, b, mask = (x._sort_indices(nthreads) for x in (a, b, mask))
+    a, b = a._sort_indices(nthreads), b._sort_indices(nthreads)
+    mask = mask if isinstance(mask, Visited) else mask._sort_indices(nthreads)
     nat = _native.kernels(semiring, a.data, b.data)
     _obs.annotate(tier="numpy" if nat is None else "native")
     if nat is not None:

@@ -65,6 +65,8 @@ enum { TIMES = 0, PAIR = 1, AND = 2, FIRST = 3, SECOND = 4 };
 #define SCAN_SPAN 64
 /* accumulator cell states */
 enum { EMPTY = 0, ALLOWED = 1, SET = 2, MASKED = 3 };
+/* column c of a visited bitmap's row: bit c % 64 of word c / 64 */
+#define BIT(c) ((uint64_t)1 << ((c) & 63))
 
 #define READS_A(op) ((op) != PAIR && (op) != SECOND)
 #define READS_B(op) ((op) != PAIR && (op) != FIRST)
@@ -406,15 +408,17 @@ i64 repro_locate(i64 nrows, const i64 *ap, const i64 *aj, const i64 *bp,
 /* costs more than the product.  FILTER writes every product of the   */
 /* expansion to hit[] -- its position in B and its A entry, counted   */
 /* from the first A entry since the last flush, in one word -- and    */
-/* advances the cursor by the state test.  APPLY walks the hits that  */
+/* advances the cursor by the mask test.  APPLY walks the hits that   */
 /* stayed, in buffer order = expansion order, whenever the rest of a  */
 /* B row may not fit, HITS entries of A have gone by, and at the end  */
 /* of the row; only a hit is multiplied, so a miss loads no value.    */
-/* `complement` is a compile-time constant: it picks the state a      */
-/* product misses on and appends first touches to touched[nt...] (a   */
-/* store and a conditional advance: it may write one cell past the    */
-/* live end).  Adds the hits applied to *flops and the products       */
-/* expanded to *inserts; returns the number of first touches.         */
+/* `complement` is a compile-time constant: a product misses on an    */
+/* EMPTY cell (0: plain), a MASKED one (1: a CSR complement) or a set */
+/* bit of the row's visited bits vis (2); a complement also appends   */
+/* first touches to touched[nt...] (a store and a conditional         */
+/* advance: it may write one cell past the live end).  Adds the hits  */
+/* applied to *flops and the products expanded to *inserts; returns   */
+/* the number of first touches.                                       */
 /* ------------------------------------------------------------------ */
 #define HITS 512
 
@@ -439,8 +443,8 @@ INLINE i64 msa_apply(const int op, const int complement, i64 n,
 INLINE i64 msa_row(const int op, const int complement, i64 a0, i64 a1,
                    const i64 *aj, const double *av,
                    const i64 *bp, const i64 *bj, const double *bv,
-                   uint8_t *state, double *val, i64 *touched,
-                   i64 *flops, i64 *inserts)
+                   const uint64_t *vis, uint8_t *state, double *val,
+                   i64 *touched, i64 *flops, i64 *inserts)
 {
     uint64_t hit[HITS];
     const uint8_t miss = complement ? MASKED : EMPTY;
@@ -461,7 +465,8 @@ INLINE i64 msa_row(const int op, const int complement, i64 a0, i64 a1,
             const i64 stop = b1 - t > HITS ? t + HITS : b1;
             for (; t < stop; t++) {
                 hit[n] = (uint64_t)t * HITS + (uint64_t)(j - j0);
-                n += state[bj[t]] != miss;
+                n += complement == 2 ? !(vis[bj[t] >> 6] & BIT(bj[t]))
+                                     : state[bj[t]] != miss;
             }
         }
     }
@@ -548,7 +553,7 @@ INLINE i64 msa_plain_row(const int op, const int aligned, i64 i,
     }
     for (i64 m = m0; m < m1; m++)
         state[mj[m]] = ALLOWED;
-    msa_row(op, 0, a0, a1, aj, av, bp, bj, bv, state, val, NULL, flops,
+    msa_row(op, 0, a0, a1, aj, av, bp, bj, bv, NULL, state, val, NULL, flops,
             inserts);
     for (i64 m = m0; m < m1; m++) {
         const i64 c = mj[m];
@@ -567,9 +572,10 @@ INLINE i64 msa_plain_row(const int op, const int aligned, i64 i,
     return nnz;
 }
 
-/* the nt first touches to cj / cv in column order, their cells reset */
+/* the nt first touches to cj / cv in column order, their cells reset (and
+ * their bits set in vis, unless NULL) */
 static i64 compl_emit(i64 ncols, i64 nt, uint8_t *state, double *val,
-                      i64 *touched, i64 *cj, double *cv)
+                      i64 *touched, i64 *cj, double *cv, uint64_t *vis)
 {
     i64 lo = ncols, hi = -1;
     for (i64 t = 0; t < nt; t++) {
@@ -601,28 +607,41 @@ static i64 compl_emit(i64 ncols, i64 nt, uint8_t *state, double *val,
         cv[t] = val[c];
         state[c] = EMPTY;
         val[c] = 0.0;
+        if (vis)
+            vis[c >> 6] |= BIT(c);
     }
     return nt;
 }
 
-/* row i under a complemented mask: its first touches, emitted to cj / cv */
+/* row i under a complemented mask: its first touches, emitted to cj / cv.
+ * Given count, the mask is a visited bitmap (row i at vis + i * words) that
+ * they join, count[i] += their number; else the CSR row (mp, mj) */
 INLINE i64 msa_compl_row(const int op, i64 i, i64 ncols,
                          const i64 *ap, const i64 *aj, const double *av,
                          const i64 *bp, const i64 *bj, const double *bv,
-                         const i64 *mp, const i64 *mj, uint8_t *state,
-                         double *val, i64 *touched, i64 *cj, double *cv,
-                         i64 *flops, i64 *inserts)
+                         const i64 *mp, const i64 *mj, uint64_t *vis,
+                         i64 *count, uint8_t *state, double *val,
+                         i64 *touched, i64 *cj, double *cv, i64 *flops,
+                         i64 *inserts)
 {
+    /* the CSR row's MASKED span: none under a bitmap or for an empty A row */
+    const i64 a0 = ap[i], a1 = ap[i + 1], m0 = count || a0 == a1 ? 0 : mp[i],
+              m1 = count || a0 == a1 ? 0 : mp[i + 1];
     i64 nt = 0;
-    if (ap[i] < ap[i + 1]) {
-        for (i64 m = mp[i]; m < mp[i + 1]; m++)
-            state[mj[m]] = MASKED;
-        nt = msa_row(op, 1, ap[i], ap[i + 1], aj, av, bp, bj, bv, state, val,
-                     touched, flops, inserts);
-        for (i64 m = mp[i]; m < mp[i + 1]; m++)
-            state[mj[m]] = EMPTY;
-    }
-    return compl_emit(ncols, nt, state, val, touched, cj, cv);
+    vis = count ? vis + i * ((ncols + 63) >> 6) : NULL;
+    for (i64 m = m0; m < m1; m++)
+        state[mj[m]] = MASKED;
+    if (a0 < a1) /* one call site per mask test: both rows are compiled */
+        nt = count ? msa_row(op, 2, a0, a1, aj, av, bp, bj, bv, vis, state,
+                             val, touched, flops, inserts)
+                   : msa_row(op, 1, a0, a1, aj, av, bp, bj, bv, NULL, state,
+                             val, touched, flops, inserts);
+    for (i64 m = m0; m < m1; m++)
+        state[mj[m]] = EMPTY;
+    nt = compl_emit(ncols, nt, state, val, touched, cj, cv, vis);
+    if (count) /* a row is one thread's */
+        count[i] += nt;
+    return nt;
 }
 
 /* row i written to cj / cv; the scratch is the calling thread's */
@@ -630,20 +649,22 @@ INLINE i64 msa_out_row(const int op, const int complement, const int aligned,
                        i64 i, i64 ncols,
                        const i64 *ap, const i64 *aj, const double *av,
                        const i64 *bp, const i64 *bj, const double *bv,
-                       const i64 *mp, const i64 *mj, uint8_t *state,
-                       double *val, i64 *touched, i64 *cj, double *cv,
-                       i64 *flops, i64 *inserts)
+                       const i64 *mp, const i64 *mj, uint64_t *vis,
+                       i64 *count, uint8_t *state, double *val,
+                       i64 *touched, i64 *cj, double *cv, i64 *flops,
+                       i64 *inserts)
 {
     if (complement)
-        return msa_compl_row(op, i, ncols, ap, aj, av, bp, bj, bv, mp, mj,
-                             state, val, touched, cj, cv, flops, inserts);
+        return msa_compl_row(op, i, ncols, ap, aj, av, bp, bj, bv, mp, mj, vis,
+                             count, state, val, touched, cj, cv, flops, inserts);
     return msa_plain_row(op, aligned, i, ap, aj, av, bp, bj, bv, mp, mj, state,
                          val, cj, cv, flops, inserts);
 }
 
 /* row i's 1P bound: nnz(m_i) under a plain mask; under a complemented
  * one min(products, ncols - distinct(m_i)) -- no row has more first touches
- * than products, nor than the columns its mask leaves open.  A mask row
+ * than products, nor than the columns its mask leaves open (count[i] of a
+ * visited bitmap, given count).  A CSR mask row
  * counts its length as distinct only where its columns strictly increase,
  * else 0 (a check=False row that repeats or misorders a column is bounded
  * by min(products, ncols)), so the bound holds whatever the mask holds.
@@ -652,15 +673,16 @@ INLINE i64 msa_out_row(const int op, const int complement, const int aligned,
  * bit of c[m] - c[m - 1] - 1 is set where c[m] is not above c[m - 1] */
 INLINE i64 msa_bound(const int complement, i64 i, i64 ncols, const i64 *ap,
                      const i64 *aj, const i64 *bp, const i64 *mp,
-                     const i64 *mj)
+                     const i64 *mj, const i64 *count)
 {
-    const i64 m0 = mp[i], m1 = mp[i + 1];
+    const i64 m0 = count ? 0 : mp[i], m1 = count ? 0 : mp[i + 1];
+    const i64 open = count ? ncols - count[i] : ncols; /* a bitmap's 0 bits */
     i64 b = 0;
     if (!complement)
         return m1 - m0;
     for (i64 j = ap[i]; j < ap[i + 1] && b < ncols; j++)
         b += bp[aj[j] + 1] - bp[aj[j]];
-    if (b > ncols - (m1 - m0)) {
+    if (!count && b > ncols - (m1 - m0)) {
         const uint64_t *c = (const uint64_t *)mj;
         uint64_t down = 0;
         i64 m = m0 + 1;
@@ -672,17 +694,18 @@ INLINE i64 msa_bound(const int complement, i64 i, i64 ncols, const i64 *ap,
         if (!(down >> 63))
             return ncols - (m1 - m0);
     }
-    return b < ncols ? b : ncols;
+    return b < open ? b : open;
 }
 
 /* the bounds' total: the output capacity the wrapper allocates */
 i64 repro_msa_bound(i64 complement, i64 nrows, i64 ncols, const i64 *ap,
                     const i64 *aj, const i64 *bp, const i64 *mp,
-                    const i64 *mj)
+                    const i64 *mj, const i64 *count)
 {
     i64 total = 0;
     for (i64 i = 0; i < nrows; i++)
-        total += msa_bound(complement != 0, i, ncols, ap, aj, bp, mp, mj);
+        total += msa_bound(complement != 0, i, ncols, ap, aj, bp, mp, mj,
+                           count);
     return total;
 }
 
@@ -695,9 +718,9 @@ i64 repro_msa_bound(i64 complement, i64 nrows, i64 ncols, const i64 *ap,
 #define MSA_BLOCK_ARGS                                                       \
     i64 i, i64 end, i64 ncols, const i64 *ap, const i64 *aj,                 \
         const double *av, const i64 *bp, const i64 *bj, const double *bv,    \
-        const i64 *mp, const i64 *mj, uint8_t *state, double *val,           \
-        i64 *touched, i64 *cp, i64 *cj, double *cv, const i64 *off,          \
-        i64 *flops, i64 *inserts, i64 nthreads
+        const i64 *mp, const i64 *mj, uint64_t *vis, i64 *count,             \
+        uint8_t *state, double *val, i64 *touched, i64 *cp, i64 *cj,         \
+        double *cv, const i64 *off, i64 *flops, i64 *inserts, i64 nthreads
 #define MSA_BLOCK_BODY(op, mask)                                             \
     static void MSA_BLOCK(op, mask)(MSA_BLOCK_ARGS)                          \
     {                                                                        \
@@ -707,7 +730,7 @@ i64 repro_msa_bound(i64 complement, i64 nrows, i64 ncols, const i64 *ap,
         for (i64 r = i; r < end; r++)                                        \
             cp[r + 1] = msa_out_row(                                         \
                 op, mask == 1, mask == 2, r, ncols, ap, aj, av, bp, bj, bv,  \
-                mp, mj, state + SLICE(ncols), val + SLICE(ncols),            \
+                mp, mj, vis, count, state + SLICE(ncols), val + SLICE(ncols), \
                 mask == 1 ? touched + SLICE(ncols + 1) : NULL,               \
                 mask == 2 ? NULL : cj + off[r], cv + off[r], &f, &n);        \
         *flops += f;                                                         \
@@ -731,7 +754,7 @@ INLINE i64 msa_rows(const int op, const int complement, const int aligned,
                     const i64 *mp, const i64 *mj,
                     uint8_t *state, double *val, i64 *touched,
                     i64 *cp, i64 *cj, double *cv, i64 cap, i64 *cnt,
-                    i64 nthreads)
+                    uint64_t *vis, i64 *count, i64 nthreads)
 {
     void (*block)(MSA_BLOCK_ARGS) = NULL; /* a constant once inlined */
     switch (op) {
@@ -743,7 +766,8 @@ INLINE i64 msa_rows(const int op, const int complement, const int aligned,
                    ? malloc((size_t)nrows * sizeof(i64)) : NULL;
     const i64 span = SPAN * nthreads * ncols;
     for (i64 i = 0; !aligned && i < nrows; i++) { /* the bounds */
-        const i64 b = msa_bound(complement, i, ncols, ap, aj, bp, mp, mj);
+        const i64 b = msa_bound(complement, i, ncols, ap, aj, bp, mp, mj,
+                                count);
         if (off)
             off[i] = b;
         nnz += b;
@@ -755,8 +779,8 @@ INLINE i64 msa_rows(const int op, const int complement, const int aligned,
     nnz = 0;
     cp[0] = 0;
     if (aligned && OPENMP && nthreads > 1) { /* one block, rows at mp[r] */
-        block(0, nrows, ncols, ap, aj, av, bp, bj, bv, mp, mj, state, val,
-              touched, cp, cj, cv, mp, &flops, &inserts, nthreads);
+        block(0, nrows, ncols, ap, aj, av, bp, bj, bv, mp, mj, vis, count,
+              state, val, touched, cp, cj, cv, mp, &flops, &inserts, nthreads);
         for (i64 i = 0; i < nrows; i++)
             cp[i + 1] = nnz += cp[i + 1];
     } else if (off) {
@@ -769,15 +793,16 @@ INLINE i64 msa_rows(const int op, const int complement, const int aligned,
                 off[end] = at;
                 at += b;
             }
-            block(i, end, ncols, ap, aj, av, bp, bj, bv, mp, mj, state, val,
-                  touched, cp, cj, cv, off, &flops, &inserts, nthreads);
+            block(i, end, ncols, ap, aj, av, bp, bj, bv, mp, mj, vis, count,
+                  state, val, touched, cp, cj, cv, off, &flops, &inserts,
+                  nthreads);
             nnz = compact(i, end, nnz, off, cp, cj, cv);
         }
     } else
         for (i64 i = 0; i < nrows; i++)
             cp[i + 1] = nnz += msa_out_row(
                 op, complement, aligned, i, ncols, ap, aj, av, bp, bj, bv, mp,
-                mj, state, val, touched, aligned ? NULL : cj + nnz,
+                mj, vis, count, state, val, touched, aligned ? NULL : cj + nnz,
                 cv + (aligned ? mp[i] : nnz), &flops, &inserts);
     free(off);
     cnt[0] += flops;
@@ -787,7 +812,8 @@ INLINE i64 msa_rows(const int op, const int complement, const int aligned,
 
 /* complement and cj pick the loop (no cj: the aligned output, plain mask
  * only); touched: ncols + 1 cells a thread under a complemented mask
- * (msa_apply stores, then advances), else unread */
+ * (msa_apply stores, then advances), else unread; vis and count, both or
+ * neither, a complemented mask's visited bitmap (mp, mj unread) */
 #define MSA(op, complement, ...)                                             \
     ((complement) ? msa_rows(op, 1, 0, __VA_ARGS__)                          \
      : cj ? msa_rows(op, 0, 0, __VA_ARGS__) : msa_rows(op, 0, 1, __VA_ARGS__))
@@ -797,12 +823,13 @@ i64 repro_msa(i64 op, i64 complement, i64 nrows, i64 ncols,
               const i64 *bp, const i64 *bj, const double *bv,
               const i64 *mp, const i64 *mj,
               uint8_t *state, double *val, i64 *touched,
-              i64 *cp, i64 *cj, double *cv, i64 cap, i64 *cnt, i64 nthreads)
+              i64 *cp, i64 *cj, double *cv, i64 cap, i64 *cnt,
+              uint64_t *vis, i64 *count, i64 nthreads)
 {
-    if (complement && !cj)
+    if ((complement && !cj) || (!complement && count) || !vis != !count)
         return -1;
     DISPATCH(MSA, complement, nrows, ncols, ap, aj, av, bp, bj, bv, mp, mj,
-             state, val, touched, cp, cj, cv, cap, cnt, nthreads)
+             state, val, touched, cp, cj, cv, cap, cnt, vis, count, nthreads)
 }
 
 /* ------------------------------------------------------------------ */

@@ -37,8 +37,8 @@ SOURCE = Path(__file__).with_name("native.c")
 #: ``native.c``'s multiply codes: the np.add monoids (NumPy's min/max NaN / -0.0 order stays there)
 _OPS = {"plus_times": 0, "plus_pair": 1, "plus_and": 2, "plus_first": 3, "plus_second": 4}
 _SIGNATURES = {  # q = int64, p = pointer; every function returns int64
-    "repro_check": "qqppq", "repro_msa": "qqqq" + "p" * 14 + "qpq",
-    "repro_msa_bound": "qqq" + "p" * 5, "repro_symbolic": "qqqq" + "p" * 9,
+    "repro_check": "qqppq", "repro_msa": "qqqq" + "p" * 14 + "qpppq",
+    "repro_msa_bound": "qqq" + "p" * 6, "repro_symbolic": "qqqq" + "p" * 9,
     "repro_inner": "qqqq" + "p" * 13, "repro_openmp": "",
     # called from repro.sparse.csr, not from a kernel
     "repro_bucket_order": "qqpqp" + "p" * 6 + "q", "repro_lower_by_degree": "qppq" + "p" * 6 + "q",

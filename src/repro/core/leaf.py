@@ -25,7 +25,7 @@ from .kernels.esc_kernel import masked_spgemm_esc_fast
 from .kernels.hash_kernel import masked_spgemm_hash_fast
 from .kernels.inner_kernel import masked_spgemm_inner_fast
 from .kernels.mca_kernel import masked_spgemm_mca_fast
-from .kernels.msa_kernel import masked_spgemm_msa_fast
+from .kernels.msa_kernel import Visited, masked_spgemm_msa_fast
 from .reference import masked_spgemm_reference
 from .symbolic import symbolic_masked
 
@@ -126,13 +126,19 @@ def run_kernel(
     caller's :func:`kernel_threads`) reaches the native ``msa`` / ``inner``
     row loops and the symbolic pass; bytes and counters do not depend on it.
     ``aligned`` (plain mask): the values at the mask's entries, written by the
-    native ``msa`` / ``inner`` loops, else :func:`align` of the CSR product."""
+    native ``msa`` / ``inner`` loops, else :func:`align` of the CSR product.
+    A :class:`Visited` mask is read and marked by the native 1P MSA row only."""
     use_fast = impl == "fast" or (impl == "auto" and algo in _FAST)
     if use_fast and algo not in _FAST:
         raise ValueError(
             f"{ALGO_LABELS[algo]} has no vectorized fast path; use impl='auto' "
             "or impl='reference'"
         )
+    if isinstance(mask, Visited) and not (algo == "msa" and use_fast and phases == 1
+                                          and native.kernels(semiring, a.data, b.data)):
+        return mask.through(lambda m: run_kernel(a, b, m, algo=algo, phases=phases,
+                                                 complement=True, semiring=semiring, impl=impl,
+                                                 counter=counter, b_csc=b_csc, nthreads=nthreads))
 
     # 1P: the kernels size their scratch from the mask bound themselves
     row_nnz = None

@@ -50,8 +50,8 @@ the caller forced (:func:`repro.core.leaf.run_kernel`) or has the host's
 planner build an :class:`~repro.engine.ExecutionPlan` and runs it
 (``docs/engine.md``, "Path of a call").  A plan to inspect before running
 it is ``repro.engine.plan(...)`` -> ``repro.engine.execute(...)``, which
-also takes a forced thread count.  :func:`masked_values` (not exported)
-is the same door returning the product's values at the mask's entries.
+also takes a forced thread count.  :func:`masked_values` and
+:func:`masked_visited` (not exported) are the same door for two apps' needs.
 """
 
 from __future__ import annotations
@@ -170,6 +170,12 @@ def masked_values(a: CSR, b: CSR, mask: CSR, **kw):
         raise ValueError("masked_values reads a plain mask's entries; "
                          "a complemented product has none")
     return _door(a, b, mask, aligned=True, **kw)
+
+
+def masked_visited(a: CSR, b: CSR, visited, **kw) -> CSR:
+    """:func:`masked_spgemm` under ``complement=True`` of a ``Visited`` bitmap
+    (planned and counted as on its CSR) that marks the entries it emits."""
+    return _door(a, b, visited, complement=True, **kw)
 
 
 def _door(a, b, mask, *, algo="msa", phases=None, complement=False, semiring=PLUS_TIMES,

@@ -26,7 +26,7 @@ from typing import Optional
 
 import numpy as np
 
-from ..core.leaf import align, check_operands, run_kernel
+from ..core.leaf import Visited, align, check_operands, run_kernel
 from ..machine import OpCounter, flops_per_row
 from ..observe import tracer as _obs
 from ..parallel import pool as _pool
@@ -106,6 +106,9 @@ def _execute(plan, a, b, mask, *, semiring, impl, counter, b_csc, aligned=False)
     which the front door runs without ``validate()``) for these operands;
     ``aligned``: ``run_kernel(aligned=True)``'s values."""
     backend = plan.backend
+    if backend == "process" and isinstance(mask, Visited):  # its workers read a CSR
+        return mask.through(lambda m: _execute(plan, a, b, m, semiring=semiring, impl=impl,
+                                               counter=counter, b_csc=b_csc))
     if a.nrows == 0:
         return np.zeros(0) if aligned else CSR.empty(plan.shape)
 

@@ -126,29 +126,6 @@ def _splice(a: CSR, b: CSR):
     return indptr, cols, a_at, new, at, pos, both
 
 
-def _union(lib, a: CSR, b: CSR, data: Callable) -> CSR:
-    """The union of the patterns of two canonical operands, valued
-    ``data(nnz)``: one row merge that writes no value (``repro_pattern_union``)
-    on the native tier, :func:`_splice`'s columns on the NumPy tier."""
-    if lib is None:
-        indptr, cols = _splice(a, b)[:2]
-    else:
-        indptr = np.empty(a.nrows + 1, dtype=INDEX_DTYPE)
-        cols = np.empty(a.nnz + b.nnz, dtype=INDEX_DTYPE)
-        nnz = lib.repro_pattern_union(a.nrows, *(x.ctypes.data for x in (
-            a.indptr, a.indices, b.indptr, b.indices, indptr, cols)))
-        cols.resize(nnz, refcheck=False)  # in place, where the rows overlapped
-    return CSR(a.shape, indptr, cols, data(cols.shape[0]), sorted_indices=True, check=False)
-
-
-def mask_union(a: CSR, b: CSR) -> CSR:
-    """The union of two patterns for use as a mask: its values are a
-    never-written ``np.zeros`` array (mapped lazily, never touched), since a
-    masked product reads only its mask's pattern.  BC's and BFS's visited
-    sets grow by it, one level at a time."""
-    return _union(*_operands(a, b), np.zeros)
-
-
 def ewise_add(a: CSR, b: CSR, op: Callable = np.add) -> CSR:
     """Element-wise add (set *union* of patterns): ``op(a, b)`` where both
     matrices store an entry, the stored value — bit for bit — elsewhere.
@@ -215,7 +192,12 @@ def pattern_union(a: CSR, b: CSR) -> CSR:
     lib, a, b = _operands(a, b)
     if lib is None:
         return ewise_add(a.pattern(), b.pattern(), op=np.maximum)
-    return _union(lib, a, b, np.ones)
+    indptr = np.empty(a.nrows + 1, dtype=INDEX_DTYPE)
+    cols = np.empty(a.nnz + b.nnz, dtype=INDEX_DTYPE)
+    nnz = lib.repro_pattern_union(a.nrows, *(x.ctypes.data for x in (
+        a.indptr, a.indices, b.indptr, b.indices, indptr, cols)))
+    cols.resize(nnz, refcheck=False)  # in place, where the rows overlapped
+    return CSR(a.shape, indptr, cols, np.ones(nnz), sorted_indices=True, check=False)
 
 
 def pattern_intersection(a: CSR, b: CSR) -> CSR:

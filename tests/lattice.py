@@ -33,7 +33,12 @@ the digested cases and tier-1 on the ``kernel`` door's) is checked within
 one tree: each plain-mask call's values at the mask's entries
 (``masked_values`` / ``run_kernel(aligned=True)``) against its CSR
 product scattered there (``align``), with the same counters.  It is not in the digest, so a
-parent without the seam digests as before.
+parent without the seam digests as before.  So is the visited axis
+(:func:`visited_findings`): each complemented call whose mask rows strictly
+increase, run on that mask's visited bitmap (``masked_visited`` /
+``run_kernel`` on a ``Visited``), against the call on the CSR: the same
+bytes, errors and counters, and the bitmap afterwards the mask's pattern
+plus the product's.
 
 The factorial is full where the axes interact (serial spellings; planned
 dispatch: backend x threads) and one axis at a time elsewhere,
@@ -277,6 +282,17 @@ ALIGNMENT_OPERANDS["repeated-column"] = (
     PLUS_TIMES)
 
 
+#: the visited axis adds a mask whose first row is fully visited and whose
+#: second leaves only the last column open, on 200 columns (not a multiple
+#: of 64: the last word has a tail no column reaches)
+_DENSE = ADVERSARIAL["dense-out"]
+VISITED_OPERANDS = {"full-row": (*_DENSE[:2], _rows(_DENSE[2].shape, [
+    np.arange(200), np.arange(199)] + [_DENSE[2].indices[lo:hi] for lo, hi in zip(
+        _DENSE[2].indptr[2:-1], _DENSE[2].indptr[3:])], 47), PLUS_TIMES)}
+#: every operand set a case may name
+CASE_OPERANDS = {**ALIGNMENT_OPERANDS, **VISITED_OPERANDS}
+
+
 class Case(NamedTuple):
     """One point of the lattice: a front door, an operand set and the
     keyword options of the call."""
@@ -356,7 +372,7 @@ def sample(n: Optional[int]) -> List[Case]:
 def execute(case: Case, door=None):
     """Run one case (through ``door`` in place of the case's own): ``(call id,
     CSR | Exception, OpCounter)`` (a call that raises records the error)."""
-    a, b, m, semiring = ALIGNMENT_OPERANDS[case.operands]
+    a, b, m, semiring = CASE_OPERANDS[case.operands]
     options = dict(case.options)
     counter = OpCounter()
     try:
@@ -451,6 +467,57 @@ def alignment_findings(cases: List[Case], tiers=TIERS) -> Optional[List[str]]:
     return findings
 
 
+def _strictly_increasing(m: CSR) -> bool:
+    return bool(np.all(np.diff(m.row_ids() * (m.ncols + 1) + m.indices) > 0))
+
+
+def visited_cases(chosen: List[Case]) -> List[Case]:
+    """The complemented cases of ``chosen`` that have a visited twin (the
+    ``masked_spgemm`` and ``kernel`` doors) on a mask whose rows strictly
+    increase, and every complemented ``kernel`` case on the full-row mask."""
+    full = [Case("kernel", name, (("algo", "msa"), ("complement", True), ("phases", phases),
+                                  ("nthreads", k)))
+            for name in VISITED_OPERANDS for phases, k in product(PHASES, NTHREADS)]
+    return [case for case in chosen if case.door in ("masked_spgemm", "kernel")
+            and dict(case.options)["complement"]
+            and _strictly_increasing(CASE_OPERANDS[case.operands][2])] + full
+
+
+def visited_findings(cases: List[Case], tiers=TIERS) -> Optional[List[str]]:
+    """One line per case whose call on the mask's visited bitmap
+    (``masked_visited`` for the front door, ``run_kernel`` on a ``Visited``
+    for the leaf) differs from the call on the CSR mask in bytes, error text
+    or counters, or leaves bits other than the mask's and the product's
+    cells; ``None`` in a tree without the seam."""
+    try:
+        from repro.core.kernels.msa_kernel import Visited
+        from repro.core.masked_spgemm import masked_visited
+    except ImportError:
+        return None
+    findings = []
+    for tier in tiers:
+        with tier_scope(tier):
+            for case in cases:
+                m = CASE_OPERANDS[case.operands][2]
+                visited = Visited(m.shape, m.row_ids(), m.indices)
+                door = masked_visited if case.door == "masked_spgemm" else run_kernel
+                _, want, want_counter = execute(case)
+                call_id, got, counter = execute(
+                    case._replace(options=tuple((k, v) for k, v in case.options
+                                                if k != "complement" or door is run_kernel)),
+                    lambda a, b, _, **kw: door(a, b, visited, **kw))
+                same = record(got, counter) == record(want, want_counter)
+                if same and not isinstance(want, Exception):
+                    cells = Visited(m.shape, np.concatenate([m.row_ids(), want.row_ids()]),
+                                    np.concatenate([m.indices, want.indices]))
+                    same = (visited.bits.tobytes() == cells.bits.tobytes()
+                            and visited.count.tobytes() == cells.count.tobytes())
+                if not same:
+                    findings.append(f"{tier}/{call_id}: {record(got, counter)} != "
+                                    f"{record(want, want_counter)} or the bits moved")
+    return findings
+
+
 def digest(n: Optional[int] = None, tiers=TIERS) -> Dict[str, dict]:
     """``{"<tier>/<call id>": record}`` over ``sample(n)`` on each tier."""
     chosen, out = sample(n), {}
@@ -519,7 +586,14 @@ def main(argv=None) -> int:
         else:
             print("\n".join(aligned + [f"{len(aligned)} of {len(chosen)} aligned calls per tier "
                                        "differ from the scattered CSR product"]))
-        return 1 if threads or aligned else 0
+        chosen = visited_cases(sample(args.sample))
+        visited = visited_findings(chosen)
+        if visited is None:
+            print("no visited-bitmap seam in this tree: no visited axis")
+        else:
+            print("\n".join(visited + [f"{len(visited)} of {len(chosen)} visited calls per tier "
+                                       "differ from the call on the CSR mask"]))
+        return 1 if threads or aligned or visited else 0
     docs = []
     for path in args.compare:
         with open(path) as fh:

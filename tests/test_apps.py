@@ -715,6 +715,106 @@ class TestBFS:
         assert res.depth < 20
 
 
+#: the ladder's ``bc-rmat`` inputs (seeds 1-3) and the BC graphs above
+VISITED_INPUTS = ["bc-rmat-1", "bc-rmat-2", "bc-rmat-3", *BC_GRAPHS]
+
+
+def _visited_input(name):
+    if name.startswith("bc-rmat-"):
+        seed = int(name[-1])
+        g = rmat(12, seed=seed)
+        return g, np.random.default_rng(seed).choice(g.nrows, 64, replace=False)
+    g = BC_GRAPHS[name]
+    return g, list(range(0, g.nrows, max(1, g.nrows // 16)))
+
+
+class TestVisitedBitmap:
+    """BC's and BFS's visited set is a bitmap their complemented products
+    read and mark in place (``masked_visited``), where it was a CSR grown by
+    a pattern union a level."""
+
+    @staticmethod
+    def _csr_door(a, b, visited, **kw):
+        """The forward step as it was: the ordinary complemented door on the
+        visited set's canonical CSR (then the cells marked in NumPy)."""
+        return visited.through(lambda m: masked_spgemm(a, b, m, complement=True, **kw))
+
+    @pytest.mark.parametrize("tier", ["native", "numpy"])
+    @pytest.mark.parametrize("name", VISITED_INPUTS)
+    def test_bc_and_bfs_equal_the_csr_complement(self, monkeypatch, name, tier):
+        """Centrality bytes, depth and every counter of BC, and BFS levels,
+        equal those of the same call whose forward products run on the
+        visited set's CSR."""
+        from repro.apps import betweenness, bfs
+        from repro.core.kernels import native
+
+        g, sources = _visited_input(name)
+        runs = []
+        for door in (None, self._csr_door):
+            if door is not None:
+                monkeypatch.setattr(betweenness, "masked_visited", door)
+                monkeypatch.setattr(bfs, "masked_visited", door)
+            with native.disabled() if tier == "numpy" else contextlib.nullcontext():
+                c = OpCounter()
+                bc = betweenness_centrality(g, sources, counter=c)
+                levels = multi_source_bfs(g, sources)
+            runs.append((bc.centrality.tobytes(), bc.depth, c.as_dict(),
+                         levels.levels.tobytes(), levels.depth))
+        assert runs[0] == runs[1]
+
+    def test_fallback_routes_agree_with_the_native_bits(self, monkeypatch):
+        """The reference tier, another algorithm, 2P and the process backend
+        read the bits as their CSR and mark them in NumPy: one product's bytes
+        and the bitmap after it are those of the native row, which marks them
+        in C (a visited count reaches ``repro_msa``), and BC and BFS agree."""
+        from repro.core.kernels import native
+        from repro.core.kernels.msa_kernel import Visited
+        from repro.core.masked_spgemm import masked_visited
+
+        from .conftest import NativeSpy
+
+        if native.load() is None:
+            pytest.skip("no C compiler")
+        g = rmat(9, seed=2)
+        sources = np.arange(0, g.nrows, 37)
+        s = sources.shape[0]
+        frontier = CSR.from_coo((s, g.nrows), np.arange(s), sources, np.ones(s))
+        frontier = masked_spgemm(frontier, g, frontier, complement=True, semiring=PLUS_PAIR)
+        rows, cols, _ = frontier.to_coo()
+
+        def product(**kw):
+            v = Visited(frontier.shape, np.concatenate([np.arange(s), rows]),
+                        np.concatenate([sources, cols]))
+            c = masked_visited(frontier, g, v, semiring=PLUS_PAIR, **kw)
+            return (c.indptr.tobytes(), c.indices.tobytes(), c.data.tobytes(),
+                    v.bits.tobytes(), v.count.tobytes())
+
+        spy = NativeSpy(native.load())
+        monkeypatch.setattr(native, "_lib", spy)
+        want = product()
+        assert [args[-2] is not None for called, args in spy.args if called == "repro_msa"] == [
+            True]
+        routes = [dict(impl="reference"), dict(algo="hash"), dict(phases=2)]
+        if process_backend_available():
+            routes.append(dict(backend="process"))
+        for kw in routes:
+            assert product(**kw) == want, kw
+        with native.disabled():
+            assert product() == want
+        shutdown_pool()
+        g = BC_GRAPHS["undirected"]
+        base = betweenness_centrality(g, range(0, 90, 7))
+        levels = multi_source_bfs(g, range(0, 90, 7)).levels
+        for kw in routes:
+            got = betweenness_centrality(g, range(0, 90, 7), **kw)
+            assert got.depth == base.depth, kw
+            assert np.allclose(got.centrality, base.centrality, rtol=1e-12, atol=0), kw
+            if "phases" not in kw and "backend" not in kw:
+                assert np.array_equal(multi_source_bfs(g, range(0, 90, 7), **kw).levels,
+                                      levels), kw
+        shutdown_pool()
+
+
 class TestConnectedComponents:
     def test_matches_networkx(self, graph, graph_nx):
         from repro.apps import connected_components

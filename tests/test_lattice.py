@@ -180,6 +180,27 @@ def test_aligned_values_are_the_scattered_product():
     assert values[0] != 0 and not values[1:m.indptr[1]].any()
 
 
+def test_visited_bitmap_is_the_complemented_csr_call():
+    """The visited axis: every complemented ``kernel`` case (``msa`` at
+    ``nthreads`` 1 / 2 / 4, 1P on the bits and 2P through the CSR fallback)
+    and the sample's complemented front-door cases, with every one on the
+    ``empty-rows`` set (each algorithm, backend and phase count), on both tiers, run on the mask's visited bitmap give the bytes,
+    errors and counters of the call on the CSR mask, and leave the bitmap
+    holding the mask's cells plus the product's: on 200 columns (a tail word)
+    with a fully visited row too, and on every set with empty A rows."""
+    kernel = [case for case in lattice.cases() if case.door == "kernel"]
+    front = [case for case in lattice.sample(SAMPLE) if case.door == "masked_spgemm"]
+    front += [case for case in lattice.cases()
+              if case.door == "masked_spgemm" and case.operands == "empty-rows"]
+    cases = lattice.visited_cases(kernel + front)
+    assert {case.operands for case in cases} == set(lattice.CASE_OPERANDS) - {
+        "unsorted-dup", "repeated-column"}  # rows that repeat or misorder a column
+    assert {dict(case.options).get("nthreads") for case in cases} == {None, *lattice.NTHREADS}
+    assert {dict(case.options)["algo"] for case in cases} == {
+        algo for algo in lattice.ALGOS if algo not in ("inner", "mca")}
+    assert lattice.visited_findings(cases) == []
+
+
 def test_aligned_values_refuse_a_complemented_mask():
     """A complemented product has no value at a mask entry: ``masked_values``
     refuses it instead of returning zeros."""

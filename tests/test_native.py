@@ -307,7 +307,7 @@ class TestThreads:
                                             b.data, m.indptr, m.indices, state, val)]
         for k in (1, 2):
             got = lib.repro_msa(op, 0, a.nrows, n, *operands, None, cp.ctypes.data, None,
-                                cv.ctypes.data, m.nnz - 1, cnt.ctypes.data, k)
+                                cv.ctypes.data, m.nnz - 1, cnt.ctypes.data, None, None, k)
             assert got == -2 and (cv == 7.0).all() and not cnt.any()
 
     def test_complemented_msa_threads(self, monkeypatch):
@@ -770,9 +770,12 @@ class TestLoader:
         the complemented bound on a mask whose rows repeat a column or
         run backwards, at 1 and 2 threads; PLUS_PAIR's count cell (int32
         cells over the values slice) on every set, that mask and hub rows,
-        at 1 and 2 threads; and the aligned output (each row at its mask
+        at 1 and 2 threads; the aligned output (each row at its mask
         offsets: the count cell, the two-step row and ``inner``) on every
-        set and a mask that repeats a column, at 1 and 2 threads."""
+        set and a mask that repeats a column, at 1 and 2 threads; and the
+        complemented row on a visited bitmap (its bits tested and marked in
+        place) on every set whose mask rows strictly increase and on 200
+        columns (a tail word) with a fully visited row, at 1 and 2 threads."""
         libasan = subprocess.run([native._target()[0], "-print-file-name=libasan.so"],
                                  capture_output=True, text=True).stdout.strip()
         if not os.path.isabs(libasan):
@@ -844,8 +847,7 @@ class TestLoader:
             "                   for f in fields), name\n"
             "native.PREPARE_PARALLEL_NNZ = crossover\n"
             "from repro.sparse import ewise_add, ewise_mult, mask_pattern, pattern_union\n"
-            "from repro.sparse.ops import mask_union\n"
-            "ops = (ewise_add, ewise_mult, mask_pattern, pattern_union, mask_union,\n"
+            "ops = (ewise_add, ewise_mult, mask_pattern, pattern_union,\n"
             "       lambda x, y: mask_pattern(x, y, complement=True))\n"
             "for name, (a, b, m) in ADVERSARIAL.items():\n"
             "    pairs = [(x, y) for x in (a, b, m) for y in (a, b, m) if x.shape == y.shape]\n"
@@ -893,6 +895,20 @@ class TestLoader:
             "            got = run_kernel(a, b, m, algo=algo, semiring=sr, nthreads=k,\n"
             "                             aligned=True)\n"
             "            assert got.tobytes() == want.tobytes(), (name, algo, sr.name, k)\n"
+            "from repro.core.kernels.msa_kernel import Visited\n"
+            "from tests.lattice import VISITED_OPERANDS, _strictly_increasing\n"
+            "sets = dict(ADVERSARIAL, **{k: v[:3] for k, v in VISITED_OPERANDS.items()})\n"
+            "for name, (a, b, m) in sets.items():  # the visited bitmap, marked in place\n"
+            "    if not _strictly_increasing(m):\n"
+            "        continue\n"
+            "    want = run_kernel(a, b, m, algo='msa', complement=True)\n"
+            "    for k in (1, 2):\n"
+            "        clear_arena()\n"
+            "        v = Visited(m.shape, m.row_ids(), m.indices)\n"
+            "        got = run_kernel(a, b, v, algo='msa', complement=True, nthreads=k)\n"
+            "        assert all(getattr(got, f).tobytes() == getattr(want, f).tobytes()\n"
+            "                   for f in fields), (name, k)\n"
+            "        assert v.csr().indices.shape[0] == v.nnz == m.nnz + want.nnz, (name, k)\n"
         )
         done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
         assert done.returncode == 0, done.stderr[-3000:]

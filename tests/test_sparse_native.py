@@ -37,7 +37,6 @@ from repro.parallel.pool import Task, run_task
 from repro.semiring import PLUS_TIMES
 from repro.sparse import CSC, CSR, ewise_add, ewise_mult, locate, mask_pattern, pattern_union
 from repro.sparse.csr import _bucket_order, _lower_by_degree
-from repro.sparse.ops import mask_union
 
 from .conftest import NativeSpy, native_required
 
@@ -143,8 +142,7 @@ def _ewise_pairs():
 
 EWISE = dict(_ewise_pairs())
 EWISE_OPS = (ewise_add, ewise_mult, mask_pattern,
-             lambda x, y: mask_pattern(x, y, complement=True), locate, pattern_union,
-             mask_union)
+             lambda x, y: mask_pattern(x, y, complement=True), locate, pattern_union)
 
 
 def _graph_cases():
@@ -406,8 +404,8 @@ def _union_pairs():
 
 @needs_native
 class TestPatternUnion:
-    """``pattern_union`` / ``mask_union`` on the native merge against the
-    NumPy body, over the lattice's operands."""
+    """``pattern_union`` (k-truss's symmetric pattern, MCL's mask) on the
+    native merge against the NumPy body, over the lattice's operands."""
 
     @pytest.fixture(scope="class")
     def pairs(self):
@@ -418,8 +416,6 @@ class TestPatternUnion:
             for x, y in these:
                 got = _both_tiers(lambda: pattern_union(x, y))
                 assert set(np.frombuffer(got[-1], dtype=np.float64)) <= {1.0}, name
-                got = _both_tiers(lambda: mask_union(x, y))
-                assert not np.frombuffer(got[-1], dtype=np.float64).any(), name
 
 
 @needs_native
