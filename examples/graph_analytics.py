@@ -7,18 +7,13 @@ GraphBLAS's one `mxm` call (Section 7); here that call is
 
 * triangle counting as one masked product and a reduction, for several
   algorithms and `algo="auto"`,
-* the mask's effect against the unmasked product,
-* direction-optimized BFS (masked SpMV push-pull),
-* Markov clustering of a modular graph.
+* the mask's effect against the unmasked product.
 
 Run:  python examples/graph_analytics.py
 """
 
-import numpy as np
-
-from repro.apps import direction_optimized_bfs, markov_clustering
 from repro.core import masked_spgemm, spgemm_saxpy_fast
-from repro.graphs import block_diagonal_dense, rmat
+from repro.graphs import rmat
 from repro.semiring import PLUS_PAIR
 from repro.sparse import reduce_sum
 
@@ -42,30 +37,9 @@ def masked_vs_unmasked() -> None:
           f"({masked.nnz / max(1, full.nnz):.1%} kept)")
 
 
-def bfs_push_pull() -> None:
-    g = rmat(11, seed=3)
-    hub = int(np.argmax(g.row_nnz()))
-    res = direction_optimized_bfs(g, hub)
-    print(f"\n=== direction-optimized BFS from hub {hub} ===")
-    print(f"  levels used: {res.directions} (depth {res.depth})")
-    reached = int((res.levels >= 0).sum())
-    print(f"  reached {reached}/{g.nrows} vertices")
-
-
-def clustering() -> None:
-    g = block_diagonal_dense(5, 16, seed=4, fill=0.7)
-    res = markov_clustering(g)
-    sizes = sorted(len(c) for c in res.clusters)
-    print(f"\n=== Markov clustering (5 planted blocks of 16) ===")
-    print(f"  found {len(res.clusters)} clusters of sizes {sizes} "
-          f"in {res.iterations} iterations (converged={res.converged})")
-
-
 def main() -> None:
     triangle_counting()
     masked_vs_unmasked()
-    bfs_push_pull()
-    clustering()
 
 
 if __name__ == "__main__":

@@ -16,9 +16,8 @@ import numpy as np
 
 from repro.apps import (
     betweenness_centrality,
-    connected_components,
     ktruss,
-    markov_clustering,
+    multi_source_bfs,
     triangle_count_detail,
 )
 from repro.sparse import load_npz, read_mtx, save_npz
@@ -31,8 +30,10 @@ def main() -> None:
     g = read_mtx(path)
     print(f"loaded {path.name}: {g.nrows} vertices, {g.nnz // 2} edges")
 
-    cc = connected_components(g)
-    print(f"\nconnected components: {cc.n_components}")
+    bfs = multi_source_bfs(g, [0])
+    reached = int((bfs.levels[0] >= 0).sum())
+    print(f"\nBFS from vertex 0 reaches {reached}/{g.nrows} vertices "
+          f"in {bfs.depth} levels")
 
     tc = triangle_count_detail(g)
     print(f"triangles: {tc.triangles} "
@@ -48,10 +49,6 @@ def main() -> None:
     top = np.argsort(bc.centrality)[::-1][:5]
     print("top-5 betweenness:",
           [(int(v), round(float(bc.centrality[v] / 2), 1)) for v in top])
-
-    mcl = markov_clustering(g, inflation=1.8)
-    sizes = sorted((len(c) for c in mcl.clusters), reverse=True)
-    print(f"MCL communities: {len(mcl.clusters)} (sizes {sizes[:6]}...)")
 
     with tempfile.TemporaryDirectory() as tmp:
         out = Path(tmp) / "graph.npz"

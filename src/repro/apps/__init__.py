@@ -1,5 +1,7 @@
-"""Graph-analytics applications built on masked SpGEMM: the paper's three
-benchmarks (Triangle Counting, k-truss, Betweenness Centrality) plus BFS."""
+"""Applications built on masked SpGEMM: the paper's three benchmarks
+(Triangle Counting, k-truss, Betweenness Centrality) plus two extensions,
+multi-source BFS (the second caller of the visited-bitmap product, and the
+source check BC uses) and tree inference (the paper's ref. [21])."""
 
 # The apps' products are planned: load the engine with the package rather
 # than inside an app's first call (loaded there, the warm triangle counts
@@ -7,23 +9,7 @@ benchmarks (Triangle Counting, k-truss, Betweenness Centrality) plus BFS."""
 from .. import engine as _engine  # noqa: F401
 from .betweenness import BetweennessResult, betweenness_centrality
 from .bfs import BFSResult, multi_source_bfs
-from .connected_components import CCResult, connected_components
-from .direction_bfs import DirectionBFSResult, direction_optimized_bfs
 from .ktruss import KTrussResult, ktruss
-from .markov_clustering import MCLResult, markov_clustering
-from .sparse_dnn import (
-    DNNResult,
-    SparseDNN,
-    random_sparse_dnn,
-    sparse_dnn_forward,
-    sparse_dnn_forward_topk,
-)
-from .sssp import SSSPResult, sssp
-from .streaming import (
-    StreamingResult,
-    edge_stream_from_graph,
-    sliding_window_triangles,
-)
 from .tree_inference import (
     InferenceResult,
     LabelTree,
@@ -42,24 +28,8 @@ __all__ = [
     "betweenness_centrality",
     "BFSResult",
     "multi_source_bfs",
-    "CCResult",
-    "connected_components",
-    "DirectionBFSResult",
-    "direction_optimized_bfs",
     "KTrussResult",
     "ktruss",
-    "MCLResult",
-    "markov_clustering",
-    "SSSPResult",
-    "sssp",
-    "StreamingResult",
-    "edge_stream_from_graph",
-    "sliding_window_triangles",
-    "DNNResult",
-    "SparseDNN",
-    "random_sparse_dnn",
-    "sparse_dnn_forward",
-    "sparse_dnn_forward_topk",
     "InferenceResult",
     "LabelTree",
     "beam_search_inference",

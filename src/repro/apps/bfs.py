@@ -31,10 +31,13 @@ __all__ = ["multi_source_bfs", "BFSResult"]
 
 
 def source_array(sources: Sequence[int], n: int) -> np.ndarray:
-    """``sources`` as an int64 array; an index outside ``[0, n)`` is
-    ``ValueError("source out of range")`` (a negative one would alias
-    from the end)."""
-    sources = np.asarray(list(sources), dtype=np.int64)
+    """``sources`` as an int64 array.  A source that is not an integer is
+    ``ValueError`` (a cast would truncate ``2.7`` to vertex 2), and so is an
+    index outside ``[0, n)`` (a negative one would alias from the end)."""
+    given = np.asarray(list(sources))
+    if given.size and given.dtype.kind not in "iu":
+        raise ValueError(f"sources must be integers, got {given.dtype}")
+    sources = given.astype(np.int64)
     if sources.size and (sources.min() < 0 or sources.max() >= n):
         raise ValueError("source out of range")
     return sources

@@ -16,7 +16,8 @@ descends.  The mask is what makes this fast: without it, every query would
 score every node at every level.
 
 This module implements the PLT structure, the beam-search inference on top
-of :func:`repro.core.masked_spgemm`, and an unmasked ("score everything")
+of :func:`repro.core.masked_spgemm.masked_values` (each level's scores read
+at its mask's entries), and an unmasked ("score everything")
 reference for validation/benchmarks.
 """
 
@@ -30,7 +31,7 @@ import numpy as np
 from ..machine import OpCounter
 from ..semiring import PLUS_TIMES
 from ..sparse import CSR
-from ..core import masked_spgemm
+from ..core.masked_spgemm import masked_values
 
 __all__ = ["LabelTree", "beam_search_inference", "exhaustive_inference",
            "random_label_tree", "InferenceResult"]
@@ -172,19 +173,13 @@ def beam_search_inference(
     batch = x.nrows
 
     def masked_scores(mask: CSR, level: int) -> CSR:
-        """Masked product plus explicit zeros for mask candidates the
-        product missed — a beam candidate with no shared features scores 0
-        and must stay rankable (it may beat negative scores)."""
+        """The masked product read at every mask candidate: one the product
+        missed (no shared features) scores 0 and must stay rankable (it may
+        beat negative scores)."""
         wt = tree.levels[level].transpose()  # features x nodes
-        s = masked_spgemm(x, wt, mask, algo=algo, semiring=PLUS_TIMES,
-                          counter=counter)
-        from ..sparse import ewise_add, mask_pattern
-
-        zeros = mask_pattern(mask, s, complement=True)
-        zeros = CSR(zeros.shape, zeros.indptr, zeros.indices,
-                    np.zeros(zeros.nnz), sorted_indices=zeros.sorted_indices,
-                    check=False)
-        return ewise_add(s, zeros)
+        vals = masked_values(x, wt, mask, algo=algo, semiring=PLUS_TIMES,
+                             counter=counter)
+        return CSR(mask.shape, mask.indptr, mask.indices, vals)
 
     # level 0: beam over all root nodes (scored exhaustively — tiny)
     full_mask = CSR.from_dense(np.ones((batch, tree.levels[0].nrows)))

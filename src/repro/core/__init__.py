@@ -22,7 +22,6 @@ from .masked_spgemm import (
     supports_complement,
 )
 from .reference import gustavson_spgemm, masked_spgemm_reference
-from .spmv import masked_spmv_pull, masked_spmv_push
 from .symbolic import one_phase_bound, symbolic_masked
 
 __all__ = [
@@ -38,8 +37,6 @@ __all__ = [
     "supports_complement",
     "gustavson_spgemm",
     "masked_spgemm_reference",
-    "masked_spmv_pull",
-    "masked_spmv_push",
     "one_phase_bound",
     "symbolic_masked",
 ]

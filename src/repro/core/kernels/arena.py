@@ -4,7 +4,7 @@ The MSA, Hash and ESC fast kernels all need per-call dense scratch — the
 MSA's state/value arrays, the hash table's key/value/set arrays, ESC's
 segment-boundary buffer.  Allocating (and fault-in zeroing) these on every
 invocation is pure overhead in iterative workloads (k-truss rounds, BC
-batches, MCL expansions) where the same kernel runs hundreds of times on
+batches) where the same kernel runs hundreds of times on
 similarly-sized problems; the paper's C++ competitors simply keep their
 accumulators hot across calls.  This module gives the Python kernels the
 same amortisation.

@@ -3,7 +3,7 @@
  * The paper's Algorithm 2 (MSA) and Section 4.1 (Inner) row loops plus the
  * count-only symbolic row, the counting sort repro.sparse orders entries
  * with (triangle counting's operand is built on it too) and its row
- * merges (ewise_add, pattern_union, locate).
+ * merges (pattern_union, locate).
  *
  * The MSA, Inner and symbolic loops and the count pass of the
  * triangle-counting operand are row-parallel (the counting sort threads by
@@ -328,19 +328,14 @@ i64 repro_lower_by_degree(i64 n, const i64 *p, const i64 *j, i64 nnz,
 /* ------------------------------------------------------------------ */
 /* The sparse substrate's row merges of sorted CSRs of one shape       */
 /* (repro.sparse.ops; repro_check has passed on both operands).        */
-/* The union c = a + b, row by row, in one body: repro_ewise_add       */
-/* copies an entry one side stores bit for bit and sums one both store */
-/* with add()'s a + b (NaN payload of a kept), the NumPy merge's      */
-/* bytes; repro_pattern_union writes the columns alone and reads no    */
-/* value (BC's and BFS's visited sets are masks, and a masked product  */
-/* reads only a mask's pattern).  cj (cv) has room for nnz(a) + nnz(b) */
-/* entries; returns nnz(c).  Serial: a threaded pattern union raised   */
-/* BC's peak memory (docs/kernels.md).                                 */
+/* repro_pattern_union: the columns of the union a + b, row by row; it */
+/* reads no value (BC's and BFS's visited sets are masks, and a masked */
+/* product reads only a mask's pattern).  cj has room for nnz(a) +     */
+/* nnz(b) entries; returns nnz(c).  Serial: a threaded pattern union   */
+/* raised BC's peak memory (docs/kernels.md).                          */
 /* ------------------------------------------------------------------ */
-INLINE i64 union_rows(const int values, i64 nrows, const i64 *ap,
-                      const i64 *aj, const double *av, const i64 *bp,
-                      const i64 *bj, const double *bv, i64 *cp, i64 *cj,
-                      double *cv)
+i64 repro_pattern_union(i64 nrows, const i64 *ap, const i64 *aj,
+                        const i64 *bp, const i64 *bj, i64 *cp, i64 *cj)
 {
     i64 n = 0;
     cp[0] = 0;
@@ -349,41 +344,17 @@ INLINE i64 union_rows(const int values, i64 nrows, const i64 *ap,
         const i64 s1 = ap[i + 1], t1 = bp[i + 1];
         while (s < s1 && t < t1) {
             const i64 x = aj[s], y = bj[t];
-            cj[n] = x < y ? x : y;
-            if (values)
-                cv[n] = x < y   ? av[s]
-                        : x > y ? bv[t]
-                                : add(TIMES, av[s], bv[t]);
-            n++;
+            cj[n++] = x < y ? x : y;
             s += x <= y;
             t += y <= x;
         }
-        for (; s < s1; s++, n++) {
-            cj[n] = aj[s];
-            if (values)
-                cv[n] = av[s];
-        }
-        for (; t < t1; t++, n++) {
-            cj[n] = bj[t];
-            if (values)
-                cv[n] = bv[t];
-        }
+        for (; s < s1; s++)
+            cj[n++] = aj[s];
+        for (; t < t1; t++)
+            cj[n++] = bj[t];
         cp[i + 1] = n;
     }
     return n;
-}
-
-i64 repro_ewise_add(i64 nrows, const i64 *ap, const i64 *aj, const double *av,
-                    const i64 *bp, const i64 *bj, const double *bv,
-                    i64 *cp, i64 *cj, double *cv)
-{
-    return union_rows(1, nrows, ap, aj, av, bp, bj, bv, cp, cj, cv);
-}
-
-i64 repro_pattern_union(i64 nrows, const i64 *ap, const i64 *aj,
-                        const i64 *bp, const i64 *bj, i64 *cp, i64 *cj)
-{
-    return union_rows(0, nrows, ap, aj, NULL, bp, bj, NULL, cp, cj, NULL);
 }
 
 /* repro_locate: pos[t] = the position among a's entries of b's entry  */

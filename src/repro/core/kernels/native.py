@@ -43,7 +43,7 @@ _SIGNATURES = {  # q = int64, p = pointer; every function returns int64
     # called from repro.sparse.csr, not from a kernel
     "repro_bucket_order": "qqpqp" + "p" * 6 + "q", "repro_lower_by_degree": "qppq" + "p" * 6 + "q",
     # from repro.sparse.ops
-    "repro_ewise_add": "q" + "p" * 9, "repro_pattern_union": "q" + "p" * 6,
+    "repro_pattern_union": "q" + "p" * 6,
     "repro_locate": "q" + "p" * 5,
 }
 #: the OpenMP probe: a parallel region that links only with a working ``-fopenmp``

@@ -3,11 +3,10 @@
 Spawning workers is the dominant fixed cost of process parallelism in
 Python (interpreter + NumPy import on ``spawn``; page-table copy on
 ``fork``).  The applications this library targets are *iterative* —
-k-truss rounds, betweenness-centrality batches, Markov-clustering
-expansions — so the pool is created once, kept warm, and reused by every
-subsequent process-backend call; ``atexit`` (or an explicit
-:func:`shutdown_pool` / the :func:`process_pool` context manager) tears it
-down.
+k-truss rounds and betweenness-centrality batches — so the pool is
+created once, kept warm, and reused by every subsequent process-backend
+call; ``atexit`` (or an explicit :func:`shutdown_pool` / the
+:func:`process_pool` context manager) tears it down.
 
 Task protocol: the engine cuts a process plan into flop-balanced row
 parts (:mod:`repro.engine.executor`) and runs each one through

@@ -8,7 +8,8 @@ accepts any :class:`Semiring`.  The applications use:
 * Triangle Counting — ``PLUS_PAIR`` (each matched pair contributes 1).
 * k-truss — ``PLUS_PAIR`` on the pruned adjacency structure.
 * Betweenness Centrality — ``PLUS_TIMES`` (path-count accumulation).
-* BFS — ``MIN_FIRST`` / ``ANY_PAIR``-style traversal.
+* Multi-source BFS — ``PLUS_PAIR`` (any parent counts once).
+* Tree inference — ``PLUS_TIMES`` (query-by-node scores).
 
 A semiring bundles a commutative, associative *add* monoid (with identity)
 and a *multiply* operator.  The kernels use the scalar callables for the

@@ -8,11 +8,11 @@ and structural set operations on patterns.
 All binary ops require matching shapes and operate on *sorted* CSR inputs
 (callers get an automatic canonicalisation via ``CSR.sort_indices``), after
 ``native.validate`` has range-checked both operands on either kernel tier.
-They are row merges of the two sorted entry lists: ``ewise_add`` (``op`` =
-``np.add`` on float64), :func:`pattern_union` and :func:`locate`, which
-``ewise_mult`` and ``mask_pattern`` are built on, run as C loops on the
-native tier (``core/kernels/native.c``); the NumPy bodies stay as the
-fallback and the byte reference.
+They are row merges of the two sorted entry lists: :func:`pattern_union`
+and :func:`locate`, which ``ewise_mult`` and ``mask_pattern`` are built on,
+run as C loops on the native tier (``core/kernels/native.c``); the NumPy
+bodies stay as the fallback and the byte reference.  ``ewise_add`` is the
+NumPy merge on both tiers.
 """
 
 from __future__ import annotations
@@ -130,24 +130,11 @@ def ewise_add(a: CSR, b: CSR, op: Callable = np.add) -> CSR:
     """Element-wise add (set *union* of patterns): ``op(a, b)`` where both
     matrices store an entry, the stored value — bit for bit — elsewhere.
 
-    A merge of the two sorted entry lists, so nothing is sorted again.  With
-    ``op`` = ``np.add`` on two float64 operands it is one row-by-row merge
-    on the native tier (``repro_ewise_add``).  The NumPy body locates ``b``'s
-    entries among ``a``'s, combines the ones present in place and splices
-    the rest in between.
+    A merge of the two sorted entry lists, so nothing is sorted again: it
+    locates ``b``'s entries among ``a``'s, combines the ones present in place
+    and splices the rest in between.
     """
-    lib, a, b = _operands(a, b)
-    if lib is not None and op is np.add and a.data.dtype == b.data.dtype == VALUE_DTYPE:
-        cap = a.nnz + b.nnz
-        indptr = np.empty(a.nrows + 1, dtype=INDEX_DTYPE)
-        cols, vals = np.empty(cap, dtype=INDEX_DTYPE), np.empty(cap, dtype=VALUE_DTYPE)
-        nnz = lib.repro_ewise_add(a.nrows, *(x.ctypes.data for x in (
-            a.indptr, a.indices, a.data, b.indptr, b.indices, b.data, indptr, cols, vals)))
-        # shrunk in place (a realloc) where the rows overlapped: no oversized
-        # buffer outlives the call
-        cols.resize(nnz, refcheck=False)
-        vals.resize(nnz, refcheck=False)
-        return CSR(a.shape, indptr, cols, vals, sorted_indices=True, check=False)
+    _, a, b = _operands(a, b)
     indptr, cols, a_at, new, at, pos, both = _splice(a, b)
     shared = pos[both]
     combined = op(a.data[shared], b.data[both])

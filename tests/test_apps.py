@@ -674,6 +674,27 @@ class TestBFS:
         with pytest.raises(ValueError, match="source out of range"):
             multi_source_bfs(rmat(6), sources)
 
+    @pytest.mark.parametrize("sources", [[2.7], [1.9, 3], np.array([0.0, 4.0]), ["1"]],
+                             ids=["float", "float-first", "float-array", "str"])
+    def test_rejects_non_integer_sources(self, sources):
+        """A float source is not cast down to the vertex below it, in BFS or
+        in BC (which checks its sources with BFS's check)."""
+        g = rmat(6)
+        with pytest.raises(ValueError, match="must be integers"):
+            multi_source_bfs(g, sources)
+        with pytest.raises(ValueError, match="must be integers"):
+            betweenness_centrality(g, sources)
+
+    @pytest.mark.parametrize("dtype", [np.int8, np.uint16, np.int32, np.uint64])
+    def test_integer_sources_of_any_width(self, dtype):
+        g, sources = rmat(6), [0, 5, 33]
+        base = multi_source_bfs(g, sources)
+        got = multi_source_bfs(g, np.array(sources, dtype=dtype))
+        assert got.sources.dtype == np.int64
+        assert got.levels.tobytes() == base.levels.tobytes()
+        assert np.array_equal(betweenness_centrality(g, range(3)).centrality,
+                              betweenness_centrality(g, np.arange(3, dtype=dtype)).centrality)
+
     @pytest.mark.parametrize("tier", ["native", "numpy"])
     def test_levels_match_the_coo_rebuild(self, tier):
         """The visited set grown by one pattern merge a level gives the levels
@@ -813,63 +834,3 @@ class TestVisitedBitmap:
                 assert np.array_equal(multi_source_bfs(g, range(0, 90, 7), **kw).levels,
                                       levels), kw
         shutdown_pool()
-
-
-class TestConnectedComponents:
-    def test_matches_networkx(self, graph, graph_nx):
-        from repro.apps import connected_components
-
-        res = connected_components(graph)
-        assert res.n_components == nx.number_connected_components(graph_nx)
-        # vertices in the same nx component share our label and vice versa
-        for comp in nx.connected_components(graph_nx):
-            labels = {int(res.labels[v]) for v in comp}
-            assert len(labels) == 1
-
-    def test_disjoint_edges(self):
-        g = CSR.from_coo((6, 6), [0, 1, 2, 3], [1, 0, 3, 2], np.ones(4))
-        from repro.apps import connected_components
-
-        res = connected_components(g)
-        # {0,1}, {2,3} plus isolated singletons {4}, {5}
-        assert res.n_components == 4
-        assert res.labels[1] == 0 and res.labels[3] == 2
-        assert res.labels[4] == 4 and res.labels[5] == 5
-
-    def test_singletons_counted(self):
-        from repro.apps import connected_components
-
-        g = CSR.empty((5, 5))
-        res = connected_components(g)
-        assert res.n_components == 5
-        assert np.array_equal(res.labels, np.arange(5))
-
-    def test_labels_are_component_minima(self, graph):
-        from repro.apps import connected_components
-
-        res = connected_components(graph)
-        for v in range(graph.nrows):
-            assert res.labels[v] <= v
-
-    def test_path_graph_one_component(self):
-        from repro.apps import connected_components
-
-        n = 50
-        idx = np.arange(n - 1)
-        g = CSR.from_coo(
-            (n, n),
-            np.concatenate([idx, idx + 1]),
-            np.concatenate([idx + 1, idx]),
-            np.ones(2 * (n - 1)),
-        )
-        res = connected_components(g)
-        assert res.n_components == 1
-        assert (res.labels == 0).all()
-        # label propagation needs ~diameter rounds on a path
-        assert res.rounds >= n // 2
-
-    def test_rejects_non_square(self):
-        from repro.apps import connected_components
-
-        with pytest.raises(ValueError, match="square"):
-            connected_components(CSR.empty((3, 4)))

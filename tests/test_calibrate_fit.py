@@ -5,8 +5,7 @@ The modeled→measured loop, per executed unit:
 1. Every executed unit leaves a prediction row — row bands on all three
    backends, the row parts of a process plan —
    and every row pairs the plan's modeled nanoseconds with the span's
-   measured seconds and counter delta; direction BFS records each level's
-   push/pull decision in its own span.
+   measured seconds and counter delta.
 2. The counter deltas are bit-identical to the run's ``OpCounter``: the
    band spans partition exactly the work the run charged.
 3. A plan is priced from a host profile only — no preset name, object or
@@ -26,7 +25,6 @@ import sys
 import numpy as np
 import pytest
 
-from repro.apps.direction_bfs import direction_optimized_bfs
 from repro.core import masked_spgemm
 from repro.engine import Planner, execute
 from repro.graphs import erdos_renyi, relabel_by_degree, rmat
@@ -139,28 +137,6 @@ class TestLedgerRows:
         )
         assert sum(r["modeled_cycles"] for r in rows) > 0.0
 
-    def test_direction_rows_record_decision(self):
-        """Each BFS level's decision is in its ``app.bfs.level`` span (no
-        ledger row: nothing predicts a level's time)."""
-        g = rmat(8, seed=3).pattern()
-        with tracing() as tr:
-            res = direction_optimized_bfs(g, 0)
-            direction_optimized_bfs(g, 0, force="pull")
-        levels = [sp for sp in tr.spans if sp.name == "app.bfs.level"]
-        assert levels
-        sources = [sp.attrs["decision_source"] for sp in levels]
-        assert set(sources) == {"alpha", "forced"}
-        for sp in levels:
-            assert sp.attrs["direction"] in ("push", "pull")
-            assert 0.0 < sp.attrs["frontier_density"] <= 1.0
-            if sp.attrs["decision_source"] == "forced":
-                assert sp.attrs["direction"] == "pull"
-        alpha_levels = [sp for sp in levels if sp.attrs["decision_source"] == "alpha"]
-        # the last level finds nothing new and records no direction
-        assert len(alpha_levels) == res.depth + 1
-        assert [sp.attrs["direction"] for sp in alpha_levels][:-1] == res.directions
-        assert predictions(tr)["rows"] == []
-
     def test_counter_deltas_bit_identical_to_opcounter(self):
         a, b, m = _triple(seed=11)
         counter = OpCounter()
@@ -231,14 +207,12 @@ class TestFit:
         assert res.stdout.split() == ["host"]
 
     def test_live_output_takes_no_machine(self, tmp_path):
-        g = rmat(6, seed=1).pattern()
         for call in (
             lambda: metrics(None, machine=HASWELL),
             lambda: write_metrics(tmp_path / "m.json", None, machine=HASWELL),
             lambda: Tracer().to_metrics(machine=HASWELL),
             lambda: predictions(None, machine=HASWELL),
             lambda: prediction_rows(None, machine=HASWELL),
-            lambda: direction_optimized_bfs(g, 0, machine="haswell"),
         ):
             with pytest.raises(TypeError, match="machine"):
                 call()

@@ -7,8 +7,8 @@ import pytest
 
 from repro.apps import (
     betweenness_centrality,
-    connected_components,
     ktruss,
+    multi_source_bfs,
     triangle_count,
 )
 from repro.sparse import read_mtx
@@ -35,8 +35,9 @@ class TestKarateClub:
         assert triangle_count(karate) == 45
 
     def test_connected(self, karate):
-        res = connected_components(karate)
-        assert res.n_components == 1
+        """BFS from vertex 0 reaches all 34 members."""
+        res = multi_source_bfs(karate, [0])
+        assert (res.levels[0] >= 0).sum() == 34
 
     def test_hubs(self, karate):
         """The instructor (0) and the president (33) are the two highest-

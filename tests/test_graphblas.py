@@ -6,11 +6,8 @@ on its one direct spelling in this library:
   :func:`repro.core.spgemm_saxpy_fast`;
 * accumulation into an existing output (no replace) is
   ``ewise_add(mask_pattern(out, c, complement=True), c)``;
-* ``w<m> = v (+.x) A`` is :func:`repro.core.masked_spmv_push` (or
-  ``masked_spmv_pull`` on A's CSC); ``A (+.x) v`` is the same on
-  ``A.transpose()``;
 * matrix and vector methods are :mod:`repro.sparse` ops on a ``CSR`` (a
-  vector is a one-row ``CSR``, or, for SpMV, dense values plus a pattern).
+  vector is a one-row ``CSR``).
 """
 
 import numpy as np
@@ -19,15 +16,12 @@ import pytest
 from repro.core import (
     ALGOS,
     masked_spgemm,
-    masked_spmv_pull,
-    masked_spmv_push,
     spgemm_saxpy_fast,
     supports_complement,
 )
 from repro.graphs import erdos_renyi_graph
-from repro.semiring import MIN_PLUS, PLUS_PAIR
+from repro.semiring import PLUS_PAIR
 from repro.sparse import (
-    CSC,
     CSR,
     ewise_add,
     ewise_mult,
@@ -126,13 +120,6 @@ class TestVector:
     def test_reduce(self):
         assert reduce_sum(vector(5, [0, 2], [1.5, 2.5])) == 4.0
 
-    def test_rejects_multirow_storage(self):
-        """An SpMV pattern is one length-n vector; a boolean pattern of
-        another length is rejected, not read as a prefix."""
-        a = random_csr(6, 6, 2, seed=4)
-        with pytest.raises(ValueError, match="length 6"):
-            masked_spmv_push(a, np.ones(6), np.ones(12, dtype=bool), np.ones(6, dtype=bool))
-
 
 class TestMxm:
     def test_unmasked_matches_dense(self, abm):
@@ -187,70 +174,6 @@ class TestMxm:
         c1 = masked_spgemm(a, b, m, phases=1)
         c2 = masked_spgemm(a, b, m, phases=2)
         assert np.array_equal(c1.to_dense(), c2.to_dense())
-
-
-def spmv_dense(x_vals, x_idx, a, mask=None, complement=False):
-    x = np.zeros(a.nrows)
-    x[x_idx] = x_vals[x_idx]
-    y = x @ a.to_dense()
-    if mask is None:
-        return y
-    sel = np.zeros(a.ncols, dtype=bool)
-    sel[mask] = True
-    return y * (~sel if complement else sel)
-
-
-class TestVxmMxv:
-    def test_vxm_matches_dense(self):
-        a = random_csr(20, 25, 4, seed=5)
-        x = np.arange(20).astype(float)
-        xs = np.arange(0, 20, 3)
-        y, _ = masked_spmv_push(a, x, xs, np.ones(25, dtype=bool))
-        assert np.allclose(y, spmv_dense(x, xs, a))
-
-    def test_vxm_masked(self):
-        a = random_csr(20, 25, 4, seed=6)
-        x = np.zeros(20)
-        x[[0, 5]] = [1.0, 2.0]
-        m = np.arange(0, 25, 2)
-        y, hit = masked_spmv_push(a, x, [0, 5], m)
-        assert np.allclose(y * hit, spmv_dense(x, [0, 5], a, m))
-
-    def test_vxm_complement_mask(self):
-        a = random_csr(20, 25, 4, seed=7)
-        x = np.ones(20)
-        m = np.arange(0, 25, 2)
-        y, hit = masked_spmv_push(a, x, [3], m, complement=True)
-        assert np.allclose(y * hit, spmv_dense(x, [3], a, m, complement=True))
-
-    # msa pushes (expands x's rows), inner pulls (dots over the mask's
-    # columns), hybrid is either direction: all three agree
-    @pytest.mark.parametrize("algo", ["msa", "inner", "hybrid"])
-    def test_vxm_direction_dispatch(self, algo):
-        a = random_csr(30, 30, 5, seed=8)
-        x, xs, m = np.ones(30), [1, 2, 3], [4, 5]
-        push = masked_spmv_push(a, x, xs, m)
-        pull = masked_spmv_pull(CSC.from_csr(a), x, xs, m)
-        runs = {"msa": [push], "inner": [pull], "hybrid": [push, pull]}[algo]
-        for y, hit in runs:
-            assert np.allclose(y * hit, spmv_dense(x, xs, a, m))
-        assert np.array_equal(push[1], pull[1])
-
-    def test_mxv(self):
-        a = random_csr(20, 25, 4, seed=9)
-        v = (np.arange(25) < 6).astype(float)
-        y, _ = masked_spmv_push(a.transpose(), v, np.arange(6), np.ones(20, dtype=bool))
-        assert np.allclose(y, a.to_dense() @ v)
-
-    def test_min_plus_sssp_step(self):
-        """One min-plus relaxation step == one round of Bellman-Ford."""
-        g = erdos_renyi_graph(40, 4, seed=10)
-        dist = np.full(40, np.inf)
-        dist[0] = 0.0
-        y, hit = masked_spmv_push(g, dist, [0], np.ones(40, dtype=bool), semiring=MIN_PLUS)
-        cols, vals = g.row(0)
-        assert np.flatnonzero(hit).tolist() == cols.tolist()
-        assert np.allclose(y[cols], vals)
 
 
 class TestTriangleCountViaGB:

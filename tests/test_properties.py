@@ -243,38 +243,6 @@ class TestSchedulerProperties:
         assert span <= total / p + max_chunk + 1e-6
 
 
-class TestSpMVProperties:
-    @given(coo_matrix(max_dim=20), st.integers(0, 2**31))
-    @settings(max_examples=40, deadline=None)
-    def test_push_pull_agree(self, a, seed):
-        from repro.core import masked_spmv_pull, masked_spmv_push
-        from repro.sparse import CSC
-
-        rng = np.random.default_rng(seed)
-        x_vals = rng.random(a.nrows)
-        x_pat = rng.random(a.nrows) < 0.5
-        m_pat = rng.random(a.ncols) < 0.5
-        yp, hp = masked_spmv_push(a, x_vals, x_pat, m_pat)
-        yl, hl = masked_spmv_pull(CSC.from_csr(a), x_vals, x_pat, m_pat)
-        assert np.array_equal(hp, hl)
-        assert np.allclose(yp[hp], yl[hl])
-
-    @given(coo_matrix(max_dim=16), st.integers(0, 2**31))
-    @settings(max_examples=40, deadline=None)
-    def test_push_matches_dense(self, a, seed):
-        from repro.core import masked_spmv_push
-
-        rng = np.random.default_rng(seed)
-        x_vals = rng.random(a.nrows)
-        x_pat = rng.random(a.nrows) < 0.4
-        m_pat = rng.random(a.ncols) < 0.6
-        y, hit = masked_spmv_push(a, x_vals, x_pat, m_pat)
-        want = ((x_vals * x_pat) @ a.to_dense()) * m_pat
-        assert np.allclose(y[hit], want[hit])
-        # positions the kernel did not hit must be exact zeros in the oracle
-        assert np.allclose(want[~hit & m_pat], 0.0)
-
-
 class TestChunkedProperties:
     @given(spgemm_triple(), st.integers(1, 30))
     @settings(max_examples=25, deadline=None)

@@ -404,7 +404,7 @@ def _union_pairs():
 
 @needs_native
 class TestPatternUnion:
-    """``pattern_union`` (k-truss's symmetric pattern, MCL's mask) on the
+    """``pattern_union`` (k-truss's symmetric pattern) on the
     native merge against the NumPy body, over the lattice's operands."""
 
     @pytest.fixture(scope="class")
