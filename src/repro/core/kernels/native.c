@@ -329,7 +329,7 @@ i64 repro_lower_by_degree(i64 n, const i64 *p, const i64 *j, i64 nnz,
 /* The sparse substrate's row merges of sorted CSRs of one shape       */
 /* (repro.sparse.ops; repro_check has passed on both operands).        */
 /* repro_pattern_union: the columns of the union a + b, row by row; it */
-/* reads no value (BC's and BFS's visited sets are masks, and a masked */
+/* reads no value (k-truss's symmetric pattern is a mask, and a masked */
 /* product reads only a mask's pattern).  cj has room for nnz(a) +     */
 /* nnz(b) entries; returns nnz(c).  Serial: a threaded pattern union   */
 /* raised BC's peak memory (docs/kernels.md).                          */
